@@ -290,10 +290,9 @@ fn bench_commit_path(c: &mut Criterion) {
 }
 
 fn bench_commit_batching(c: &mut Criterion) {
-    // The stage-and-batch commit pipeline vs the per-record fallback:
-    // multi-record transactions committing concurrently, so the cost
-    // under test is sysimrslogs lock traffic (one acquisition per commit
-    // when batched, one per record when not). Fresh engine per
+    // The stage-and-batch commit pipeline: multi-record transactions
+    // committing concurrently, so the cost under test is sysimrslogs
+    // lock traffic (one acquisition per commit). Fresh engine per
     // iteration keeps memory bounded and the IMRS state identical
     // across samples.
     use btrim_wal::MemLog;
@@ -304,58 +303,55 @@ fn bench_commit_batching(c: &mut Criterion) {
     let mut g = c.benchmark_group("commit_batching");
     g.sample_size(10);
     for threads in [1u64, 4, 8] {
-        for (label, batched) in [("per_record", false), ("batched", true)] {
-            g.bench_function(format!("{label}_{threads}thr"), |b| {
-                b.iter_batched(
-                    || {
-                        let engine = Arc::new(Engine::with_devices(
-                            EngineConfig {
-                                mode: EngineMode::IlmOff,
-                                imrs_budget: 64 * 1024 * 1024,
-                                maintenance_interval_txns: 1_000_000,
-                                batched_commit: batched,
-                                ..Default::default()
-                            },
-                            Arc::new(MemDisk::new()),
-                            Arc::new(MemLog::new()),
-                            Arc::new(MemLog::new()),
-                        ));
-                        let table = engine
-                            .create_table(TableOpts {
-                                name: "bench".into(),
-                                imrs_enabled: true,
-                                pinned: false,
-                                partitioner: Partitioner::Single,
-                                primary_key: Arc::new(|row: &[u8]| row[..8].to_vec()),
-                                layout: None,
-                            })
-                            .unwrap();
-                        (engine, table)
-                    },
-                    |(engine, table)| {
-                        std::thread::scope(|s| {
-                            for t in 0..threads {
-                                let engine = Arc::clone(&engine);
-                                let table = Arc::clone(&table);
-                                s.spawn(move || {
-                                    for i in 0..TXNS_PER_THREAD {
-                                        let mut txn = engine.begin();
-                                        for j in 0..ROWS_PER_TXN {
-                                            let key = t * 1_000_000 + i * ROWS_PER_TXN + j;
-                                            let mut row = key.to_be_bytes().to_vec();
-                                            row.extend_from_slice(&[5u8; 40]);
-                                            engine.insert(&mut txn, &table, &row).unwrap();
-                                        }
-                                        engine.commit(txn).unwrap();
+        g.bench_function(format!("batched_{threads}thr"), |b| {
+            b.iter_batched(
+                || {
+                    let engine = Arc::new(Engine::with_devices(
+                        EngineConfig {
+                            mode: EngineMode::IlmOff,
+                            imrs_budget: 64 * 1024 * 1024,
+                            maintenance_interval_txns: 1_000_000,
+                            ..Default::default()
+                        },
+                        Arc::new(MemDisk::new()),
+                        Arc::new(MemLog::new()),
+                        Arc::new(MemLog::new()),
+                    ));
+                    let table = engine
+                        .create_table(TableOpts {
+                            name: "bench".into(),
+                            imrs_enabled: true,
+                            pinned: false,
+                            partitioner: Partitioner::Single,
+                            primary_key: Arc::new(|row: &[u8]| row[..8].to_vec()),
+                            layout: None,
+                        })
+                        .unwrap();
+                    (engine, table)
+                },
+                |(engine, table)| {
+                    std::thread::scope(|s| {
+                        for t in 0..threads {
+                            let engine = Arc::clone(&engine);
+                            let table = Arc::clone(&table);
+                            s.spawn(move || {
+                                for i in 0..TXNS_PER_THREAD {
+                                    let mut txn = engine.begin();
+                                    for j in 0..ROWS_PER_TXN {
+                                        let key = t * 1_000_000 + i * ROWS_PER_TXN + j;
+                                        let mut row = key.to_be_bytes().to_vec();
+                                        row.extend_from_slice(&[5u8; 40]);
+                                        engine.insert(&mut txn, &table, &row).unwrap();
                                     }
-                                });
-                            }
-                        });
-                    },
-                    BatchSize::PerIteration,
-                )
-            });
-        }
+                                    engine.commit(txn).unwrap();
+                                }
+                            });
+                        }
+                    });
+                },
+                BatchSize::PerIteration,
+            )
+        });
     }
     g.finish();
 }

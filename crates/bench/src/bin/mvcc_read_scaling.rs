@@ -1,12 +1,10 @@
-//! Reader latency vs. writer count: MVCC snapshot reads against the
-//! lock-coupled baseline (`snapshot_reads: false`).
+//! Reader latency vs. writer count under MVCC snapshot reads.
 //!
 //! Read-mostly TPC-C slice: 4 OrderStatus-style readers (4 customer
 //! point reads per snapshot) run against 1/4/8 Payment-style writers
 //! (4 customer balance updates per transaction, locks held to commit).
 //! Expected shape: snapshot-read p99 stays flat as writers scale —
-//! readers touch no locks — while the baseline's p99 grows with writer
-//! count because shared row locks queue behind writers' exclusive locks.
+//! readers touch no locks (EXPERIMENTS.md "MVCC read scaling").
 //!
 //! ```sh
 //! cargo run --release -p btrim-bench --bin mvcc_read_scaling
@@ -52,14 +50,13 @@ struct Cell {
     p99_us: f64,
 }
 
-fn run_cell(snapshot_reads: bool, writers: usize) -> Cell {
+fn run_cell(writers: usize) -> Cell {
     let engine = Arc::new(Engine::new(EngineConfig {
         mode: EngineMode::IlmOff,
         imrs_budget: 256 * 1024 * 1024,
         imrs_chunk_size: 2 * 1024 * 1024,
         buffer_frames: 1024,
         maintenance_interval_txns: 64,
-        snapshot_reads,
         ..Default::default()
     }));
     let spec = LoadSpec {
@@ -170,17 +167,15 @@ fn main() {
         "read_txns",
         "write_txns",
     ]);
-    for snapshot_reads in [true, false] {
-        for writers in [1usize, 4, 8] {
-            let cell = run_cell(snapshot_reads, writers);
-            btrim_bench::row(&[
-                if snapshot_reads { "mvcc" } else { "lock" }.to_string(),
-                writers.to_string(),
-                btrim_bench::f3(cell.p50_us),
-                btrim_bench::f3(cell.p99_us),
-                cell.reads.to_string(),
-                cell.writes.to_string(),
-            ]);
-        }
+    for writers in [1usize, 4, 8] {
+        let cell = run_cell(writers);
+        btrim_bench::row(&[
+            "mvcc".to_string(),
+            writers.to_string(),
+            btrim_bench::f3(cell.p50_us),
+            btrim_bench::f3(cell.p99_us),
+            cell.reads.to_string(),
+            cell.writes.to_string(),
+        ]);
     }
 }

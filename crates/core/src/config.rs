@@ -40,19 +40,9 @@ pub struct EngineConfig {
     pub imrs_chunk_size: u32,
     /// Buffer cache capacity in frames (8 KiB each).
     pub buffer_frames: usize,
-    /// Buffer cache shard count; 0 picks automatically from
-    /// `buffer_frames` (1 shard for small caches, up to 16 for large).
-    pub buffer_shards: usize,
     /// Steady cache utilization threshold in [0, 1] (§VI.A). Pack
     /// engages above this value; the system hovers around it.
     pub steady_utilization: f64,
-    /// Fraction of current utilization to pack per pack cycle
-    /// (`NumBytesToPack`, §VI.C: "some small percentage of current IMRS
-    /// cache utilization").
-    pub pack_cycle_fraction: f64,
-    /// Rows per pack transaction ("Each pack transaction packs only a
-    /// small number of rows and commits frequently", §VII.B).
-    pub pack_txn_rows: usize,
     /// Tuning window length in committed transactions (§V.B).
     pub tuning_window_txns: u64,
     /// Consecutive same-direction votes required before a partition's
@@ -75,18 +65,10 @@ pub struct EngineConfig {
     /// Reuse increase factor (vs. the window when the partition was
     /// disabled) that re-enables a partition (§V.D).
     pub reuse_reenable_factor: f64,
-    /// Small utilization increase used to learn the TSF (§VI.D.1,
-    /// "e.g. 1-5%").
-    pub tsf_learn_delta: f64,
-    /// Re-learn the TSF after this many committed transactions.
-    pub tsf_relearn_txns: u64,
     /// Run maintenance (GC, tuning, pack) inline every N commits when no
     /// background threads are spawned. Keeps single-threaded runs
     /// deterministic.
     pub maintenance_interval_txns: u64,
-    /// Number of background pack threads when spawned (the paper's
-    /// evaluation used 12).
-    pub pack_threads: usize,
     /// Pack-cycle apportioning policy (ablation knob).
     pub pack_policy: PackPolicy,
     /// Master switch for the pack subsystem (probes and ablations can
@@ -101,45 +83,15 @@ pub struct EngineConfig {
     /// Experiments leave this off and flush at pack/checkpoint
     /// boundaries; the file-backed durability tests turn it on.
     pub durable_commits: bool,
-    /// Emit a committing transaction's staged IMRS records as one
-    /// atomic batch append (one log-lock acquisition per commit; a torn
-    /// tail drops the whole transaction, never a prefix). Off restores
-    /// the pre-batching per-record appends — kept as the migration
-    /// story and as the baseline arm of the commit-path benchmark.
-    pub batched_commit: bool,
-    /// Attempts per page-store read/write before a transient I/O error
-    /// is propagated (1 disables retries).
-    pub io_retry_attempts: u32,
     /// Base backoff between I/O retries in microseconds (scaled
     /// linearly by attempt number).
     pub io_retry_backoff_us: u64,
-    /// Read back and compare every page write-back. Catches torn or
-    /// lying writes while the redo log still covers the page (before a
-    /// checkpoint can truncate that evidence) at the cost of one device
-    /// read per write-back — cheap for this engine, where page writes
-    /// happen only on eviction, pack, and checkpoint.
-    pub verify_page_writes: bool,
     /// Consecutive storage errors after which the engine reports
     /// `Degraded` health.
     pub health_degrade_after: u64,
     /// Consecutive storage errors after which the engine turns
     /// `ReadOnly` (sticky; reads keep working, writes are rejected).
     pub health_readonly_after: u64,
-    /// Serve read-only transactions from MVCC snapshots: lock-free
-    /// version-chain reads on the IMRS path, before-image side-store
-    /// consultation on the page path. Off falls back to the lock-based
-    /// baseline (snapshot reads take shared row locks and block behind
-    /// writers) — kept as the comparison arm of the read-mostly
-    /// benchmark.
-    pub snapshot_reads: bool,
-    /// Fuzzy incremental checkpoints: `checkpoint()` writes a
-    /// Begin/End record pair around rate-limited dirty-page flush
-    /// batches and truncates the syslog prefix at the recorded
-    /// low-water LSN, never quiescing writers. Off restores the
-    /// stop-the-world path (`flush_all` + a single Checkpoint record,
-    /// truncation only when fully quiesced) — kept as the comparison
-    /// arm of the recovery-time benchmark.
-    pub fuzzy_checkpoint: bool,
     /// Dirty pages written back per fuzzy-checkpoint flush batch.
     pub checkpoint_flush_batch: usize,
     /// Pause between fuzzy-checkpoint flush batches in microseconds —
@@ -206,10 +158,7 @@ impl Default for EngineConfig {
             imrs_budget: 256 * 1024 * 1024,
             imrs_chunk_size: 4 * 1024 * 1024,
             buffer_frames: 4096,
-            buffer_shards: 0,
             steady_utilization: 0.70,
-            pack_cycle_fraction: 0.05,
-            pack_txn_rows: 64,
             tuning_window_txns: 2_000,
             hysteresis_windows: 2,
             low_reuse_threshold: 0.5,
@@ -218,22 +167,14 @@ impl Default for EngineConfig {
             min_new_rows_for_disable: 64,
             contention_reenable_threshold: 16,
             reuse_reenable_factor: 2.0,
-            tsf_learn_delta: 0.02,
-            tsf_relearn_txns: 10_000,
             maintenance_interval_txns: 256,
-            pack_threads: 2,
             pack_policy: PackPolicy::Partitioned,
             pack_enabled: true,
             tsf_enabled: true,
             durable_commits: false,
-            batched_commit: true,
-            io_retry_attempts: 3,
             io_retry_backoff_us: 200,
-            verify_page_writes: true,
             health_degrade_after: 3,
             health_readonly_after: 8,
-            snapshot_reads: true,
-            fuzzy_checkpoint: true,
             checkpoint_flush_batch: 128,
             checkpoint_batch_pause_us: 50,
             recovery_workers: 0,
@@ -323,16 +264,9 @@ impl EngineConfig {
             (0.1..=0.95).contains(&self.steady_utilization),
             "steady_utilization out of range"
         );
-        assert!(self.pack_cycle_fraction > 0.0 && self.pack_cycle_fraction < 1.0);
-        assert!(self.pack_txn_rows > 0);
         assert!(self.tuning_window_txns > 0);
         assert!(self.imrs_budget >= self.imrs_chunk_size as u64);
         assert!(self.buffer_frames >= 8);
-        assert!(
-            self.buffer_shards <= self.buffer_frames,
-            "more buffer shards than frames"
-        );
-        assert!(self.io_retry_attempts >= 1, "io_retry_attempts must be ≥ 1");
         assert!(
             1 <= self.health_degrade_after
                 && self.health_degrade_after <= self.health_readonly_after,

@@ -26,12 +26,13 @@ use btrim_common::{
 };
 use btrim_imrs::{ImrsStore, RidMap, RowLocation, RowOrigin, VersionOp};
 use btrim_obs::{CheckpointTrace, IlmTraceEvent, Obs, OpClass};
-use btrim_pagestore::{BufferCache, DiskBackend, MemDisk};
+use btrim_pagestore::{BufferCache, DiskBackend, FrozenExtent, MemDisk};
 use btrim_txn::{LockManager, LockMode, TxnHandle, TxnManager};
 use btrim_wal::{ImrsLogRecord, LogSink, LogWriter, MemLog, PageLogRecord, RowOriginTag};
 
 use crate::catalog::{Catalog, KeyExtractor, TableDesc, TableOpts};
 use crate::config::{EngineConfig, EngineMode};
+use crate::freeze::extent_row_bytes;
 use crate::gc::GcRegistry;
 use crate::metrics::MetricsRegistry;
 use crate::pack::PackState;
@@ -39,7 +40,7 @@ use crate::queues::IlmQueues;
 use crate::sidestore::{SideImage, SideStore};
 use crate::stats::EngineSnapshot;
 use crate::tsf::TsfLearner;
-use crate::tuner::Tuner;
+use crate::tuner::{PartitionIlmState, Tuner};
 use crate::txn_ctx::{Transaction, UndoOp};
 
 /// Engine health, driven by storage-error observations.
@@ -304,38 +305,25 @@ impl Shared {
                     // checkpoint can truncate anything anyway.
                     self.txn_syslog_floor.lock().remove(&txn);
                 }
-                self.storage_errors.fetch_add(1, Ordering::Relaxed);
-                self.set_read_only(format!("syslogs append failed: {e}"));
-                Err(e)
+                self.append_failed("syslogs append", e)
             }
         }
+    }
+
+    /// The failure half of the append policy above: count the error,
+    /// stop writing, hand the error back.
+    fn append_failed<T>(&self, what: &str, e: BtrimError) -> Result<T> {
+        self.storage_errors.fetch_add(1, Ordering::Relaxed);
+        self.set_read_only(format!("{what} failed: {e}"));
+        Err(e)
     }
 
     /// Append to the IMRS log; same failure policy as [`append_sys`](Self::append_sys).
     pub fn append_imrs(&self, rec: &ImrsLogRecord) -> Result<btrim_common::Lsn> {
         self.check_writable()?;
-        match self.imrslog.append(rec) {
-            Ok(l) => Ok(l),
-            Err(e) => {
-                self.storage_errors.fetch_add(1, Ordering::Relaxed);
-                self.set_read_only(format!("sysimrslogs append failed: {e}"));
-                Err(e)
-            }
-        }
-    }
-
-    /// Append one pre-encoded record to the IMRS log (staged per-record
-    /// commit path); same failure policy as [`append_sys`](Self::append_sys).
-    pub fn append_imrs_raw(&self, payload: &[u8]) -> Result<btrim_common::Lsn> {
-        self.check_writable()?;
-        match self.imrslog.append_raw(payload) {
-            Ok(l) => Ok(l),
-            Err(e) => {
-                self.storage_errors.fetch_add(1, Ordering::Relaxed);
-                self.set_read_only(format!("sysimrslogs append failed: {e}"));
-                Err(e)
-            }
-        }
+        self.imrslog
+            .append(rec)
+            .or_else(|e| self.append_failed("sysimrslogs append", e))
     }
 
     /// Append a committing transaction's staged records to the IMRS log
@@ -347,16 +335,21 @@ impl Shared {
     /// torn, so the engine still goes read-only.
     pub fn append_imrs_batch(&self, payloads: &[&[u8]]) -> Result<btrim_wal::LsnRange> {
         self.check_writable()?;
-        match self.imrslog.append_batch(payloads) {
-            Ok(r) => Ok(r),
-            Err(e) => {
-                self.storage_errors.fetch_add(1, Ordering::Relaxed);
-                self.set_read_only(format!("sysimrslogs batch append failed: {e}"));
-                Err(e)
-            }
-        }
+        self.imrslog
+            .append_batch(payloads)
+            .or_else(|e| self.append_failed("sysimrslogs batch append", e))
     }
 }
+
+/// Attempts per page-store read/write before a transient I/O error is
+/// propagated.
+const IO_RETRY_ATTEMPTS: u32 = 3;
+/// Read back and compare every page write-back: catches torn or lying
+/// writes while the redo log still covers the page, at one device read
+/// per write-back (pages are written only on eviction, pack, checkpoint).
+const VERIFY_PAGE_WRITES: bool = true;
+/// Background maintenance threads [`Engine::spawn_background`] starts.
+const PACK_THREADS: usize = 2;
 
 /// The engine.
 pub struct Engine {
@@ -380,12 +373,10 @@ pub(crate) fn wrap_row(row_id: RowId, data: &[u8]) -> Vec<u8> {
 /// live. It takes no locks, writes no log records, and is retired with
 /// [`Engine::end_snapshot`] without touching the commit/abort counters.
 ///
-/// With `snapshot_reads` enabled (the default), reads through this
-/// handle are **lock-free on the IMRS path**: RID-Map resolution,
-/// version-chain walk, and fragment load are all atomics; page-resident
-/// rows additionally pin the page and consult the before-image side
-/// store. With it disabled, reads fall back to the lock-based baseline
-/// (shared row locks that queue behind writers).
+/// Reads through this handle are **lock-free on the IMRS path**:
+/// RID-Map resolution, version-chain walk, and fragment load are all
+/// atomics; page-resident rows additionally pin the page and consult
+/// the before-image side store.
 pub struct SnapshotTxn {
     pub(crate) handle: TxnHandle,
 }
@@ -400,6 +391,29 @@ impl SnapshotTxn {
     pub fn snapshot(&self) -> Timestamp {
         self.handle.snapshot
     }
+}
+
+/// What a read may do besides return bytes. Visibility never depends
+/// on the view — it is a function of `(snapshot, reader)` alone.
+#[derive(Clone, Copy)]
+pub(crate) enum View {
+    /// A read-write transaction's read: touches the row (the ILM
+    /// hotness signal), ticks partition metrics, and — on `point_access`,
+    /// i.e. through the unique index — caches a page-resident row (§IV).
+    Txn { point_access: bool },
+    /// A snapshot reader: no side effects, and on the IMRS arm no
+    /// ranked lock at all.
+    Snapshot,
+    /// A writer's read under the row's exclusive lock (its pre-image,
+    /// or `update_rmw`'s latest-committed image): no side effects, no
+    /// retry — the lock pins the location, so "moved" can only mean gone.
+    Current,
+}
+
+/// Where the write prologue left a row: one of the two mutable tiers.
+enum WriteHome {
+    Imrs,
+    Page(PartitionId, PageId, SlotId),
 }
 
 /// Split a page-store payload into (RowId, user bytes).
@@ -433,8 +447,8 @@ impl Engine {
         let clock = Arc::new(LogicalClock::new());
         let tsf = TsfLearner::new(
             cfg.steady_utilization,
-            cfg.tsf_learn_delta,
-            cfg.tsf_relearn_txns,
+            crate::tsf::LEARN_DELTA,
+            crate::tsf::RELEARN_TXNS,
             cfg.tuning_window_txns,
         );
         let obs = Arc::new(Obs::new(cfg.obs_latency, cfg.obs_trace_capacity));
@@ -452,12 +466,12 @@ impl Engine {
         let (imrs_budget, buffer_frames) = cfg.memory_split();
         let sh = Shared {
             cache: Arc::new(
-                BufferCache::with_shards(disk, buffer_frames, cfg.buffer_shards)
+                BufferCache::new(disk, buffer_frames)
                     .with_io_retry(
-                        cfg.io_retry_attempts,
+                        IO_RETRY_ATTEMPTS,
                         std::time::Duration::from_micros(cfg.io_retry_backoff_us),
                     )
-                    .with_write_verification(cfg.verify_page_writes)
+                    .with_write_verification(VERIFY_PAGE_WRITES)
                     .with_miss_histogram(hook(OpClass::BufferMiss)),
             ),
             store: ImrsStore::new(imrs_budget, cfg.imrs_chunk_size, Arc::clone(&ridmap)),
@@ -556,38 +570,22 @@ impl Engine {
     // Placement decisions (§IV)
     // ------------------------------------------------------------------
 
-    fn imrs_for_insert(&self, table: &TableDesc, partition: PartitionId) -> bool {
+    /// May `partition` take a row into the IMRS for the operation
+    /// `allows` names (insert, migrate, or cache)? Pack's reject-new
+    /// backpressure (§VI.A) and the tuner's verdict (§V) gate all three.
+    fn imrs_allowed(
+        &self,
+        table: &TableDesc,
+        partition: PartitionId,
+        allows: fn(&PartitionIlmState) -> bool,
+    ) -> bool {
         match self.sh.cfg.mode {
             EngineMode::PageOnly => false,
             EngineMode::IlmOff => true,
             EngineMode::IlmOn => {
                 table.imrs_enabled
                     && !self.sh.pack.reject_new()
-                    && self.sh.tuner.state(partition).allows_insert()
-            }
-        }
-    }
-
-    fn imrs_for_migrate(&self, table: &TableDesc, partition: PartitionId) -> bool {
-        match self.sh.cfg.mode {
-            EngineMode::PageOnly => false,
-            EngineMode::IlmOff => true,
-            EngineMode::IlmOn => {
-                table.imrs_enabled
-                    && !self.sh.pack.reject_new()
-                    && self.sh.tuner.state(partition).allows_migrate()
-            }
-        }
-    }
-
-    fn imrs_for_cache(&self, table: &TableDesc, partition: PartitionId) -> bool {
-        match self.sh.cfg.mode {
-            EngineMode::PageOnly => false,
-            EngineMode::IlmOff => true,
-            EngineMode::IlmOn => {
-                table.imrs_enabled
-                    && !self.sh.pack.reject_new()
-                    && self.sh.tuner.state(partition).allows_cache()
+                    && allows(&self.sh.tuner.state(partition))
             }
         }
     }
@@ -598,20 +596,19 @@ impl Engine {
 
     /// Insert a row. The primary key is extracted from the payload.
     pub fn insert(&self, txn: &mut Transaction, table: &TableDesc, row: &[u8]) -> Result<RowId> {
-        self.sh.check_writable()?;
-        let op_start = self.sh.obs.start();
+        let sh = &self.sh;
+        sh.check_writable()?;
+        let op_start = sh.obs.start();
         let key = (table.primary_key)(row);
         let partition = table.partition_of(&key);
-        let row_id = self.sh.ridmap.allocate_row_id();
+        let row_id = sh.ridmap.allocate_row_id();
 
         table.primary.insert(&key, row_id)?;
         txn.undo.push(UndoOp::PrimaryAdd {
             table: table.id,
             key: key.clone(),
         });
-        self.sh
-            .locks
-            .lock(txn.handle.id, row_id, LockMode::Exclusive)?;
+        sh.locks.lock(txn.handle.id, row_id, LockMode::Exclusive)?;
         txn.remember_lock(row_id);
         // Every writing transaction announces itself in syslogs, even
         // when it only touches the IMRS: recovery gates redo-only IMRS
@@ -619,19 +616,19 @@ impl Engine {
         // which needs the Begin/Commit pair on disk.
         self.ensure_begin(txn)?;
 
-        let m = self.sh.metrics.get(partition);
-        let mut to_imrs = self.imrs_for_insert(table, partition);
+        let m = sh.metrics.get(partition);
+        let mut to_imrs = self.imrs_allowed(table, partition, PartitionIlmState::allows_insert);
         if to_imrs {
-            match self.sh.store.insert_row(
+            match sh.store.insert_row(
                 row_id,
                 partition,
                 RowOrigin::Inserted,
                 txn.handle.id,
                 row,
-                self.sh.clock.now(),
+                sh.clock.now(),
             ) {
                 Ok((_, vref)) => {
-                    self.sh.ridmap.set(row_id, RowLocation::Imrs);
+                    sh.ridmap.set(row_id, RowLocation::Imrs);
                     table.hash.insert(&key, row_id);
                     txn.undo.push(UndoOp::HashAdd {
                         table: table.id,
@@ -654,7 +651,7 @@ impl Engine {
                     m.imrs_insert.inc();
                     m.rows_in.inc();
                 }
-                Err(BtrimError::ImrsFull { .. }) if self.sh.cfg.mode == EngineMode::IlmOn => {
+                Err(BtrimError::ImrsFull { .. }) if sh.cfg.mode == EngineMode::IlmOn => {
                     // Graceful degradation (§VI.A): route to the page
                     // store instead of failing the transaction.
                     to_imrs = false;
@@ -664,19 +661,14 @@ impl Engine {
         }
         if !to_imrs {
             let payload = wrap_row(row_id, row);
-            self.sh.cache.take_thread_contention();
-            let (page, slot) = table.heap(partition).insert(&self.sh.cache, &payload)?;
-            let contended = self.sh.cache.take_thread_contention() > 0;
-            m.page_ops.inc();
-            if contended {
-                m.page_contention.inc();
-            }
+            let (page, slot) = self.charge_page_op(partition, || {
+                table.heap(partition).insert(&sh.cache, &payload)
+            })?;
             // Absent marker for snapshot readers: until this insert
             // commits (and for any snapshot older than its commit), the
             // row does not exist, even though its bytes sit on the page.
             // Stashed before the RID-Map publishes the location.
-            self.sh
-                .side
+            sh.side
                 .stash(page, slot, row_id, txn.handle.id, None, false);
             txn.side_keys.push((page, slot));
             // The heap insert above is additive (commit-gated at
@@ -690,7 +682,7 @@ impl Engine {
                 page,
                 slot,
             });
-            self.sh.append_sys(&PageLogRecord::Insert {
+            sh.append_sys(&PageLogRecord::Insert {
                 txn: txn.handle.id,
                 partition,
                 row: row_id,
@@ -702,22 +694,12 @@ impl Engine {
                 row: row_id,
                 prev: None,
             });
-            self.sh.ridmap.set(row_id, RowLocation::Page(page, slot));
+            sh.ridmap.set(row_id, RowLocation::Page(page, slot));
         }
-        // Secondary index maintenance.
-        for (idx, sec) in table.secondaries.read().iter().enumerate() {
-            let skey = (sec.extractor)(row);
-            sec.tree.insert(&skey, row_id)?;
-            txn.undo.push(UndoOp::SecondaryAdd {
-                table: table.id,
-                idx,
-                key: skey,
-                row: row_id,
-            });
-        }
+        self.maintain_secondaries(txn, table, row_id, None, Some(row))?;
         // Classified by where the row actually landed, not where ILM
         // first aimed it (ImrsFull fallback flips `to_imrs`).
-        self.sh.obs.record_since(
+        sh.obs.record_since(
             if to_imrs {
                 OpClass::InsertImrs
             } else {
@@ -728,20 +710,27 @@ impl Engine {
         Ok(row_id)
     }
 
-    /// Point select by primary key. Applies the hash-index fast path
-    /// and, for page-resident rows, the §IV caching rule.
-    pub fn get(&self, txn: &Transaction, table: &TableDesc, key: &[u8]) -> Result<Option<Vec<u8>>> {
-        // Fast path: the non-logged hash index spans IMRS rows only and
-        // resolves the RowId without touching the B+tree.
+    /// Resolve a primary key to its RowId: the non-logged hash index
+    /// first (it spans IMRS rows only and never touches the B+tree),
+    /// then the primary B+tree.
+    fn row_id_of(&self, table: &TableDesc, key: &[u8]) -> Result<Option<RowId>> {
         if self.sh.cfg.mode != EngineMode::PageOnly {
             if let Some(row_id) = table.hash.get(key) {
-                return self.read_row(txn, table, row_id, true);
+                return Ok(Some(row_id));
             }
         }
-        let Some(row_id) = table.primary.get(key)? else {
-            return Ok(None);
-        };
-        self.read_row(txn, table, row_id, true)
+        table.primary.get(key)
+    }
+
+    /// Point select by primary key. Applies the hash-index fast path
+    /// and, for page-resident rows, the §IV caching rule. Snapshot-
+    /// consistent: the transaction's own writes, else what had committed
+    /// when it began ([`update_rmw`](Self::update_rmw) reads the latest).
+    pub fn get(&self, txn: &Transaction, table: &TableDesc, key: &[u8]) -> Result<Option<Vec<u8>>> {
+        let row_id = self.row_id_of(table, key)?;
+        let view = View::Txn { point_access: true };
+        self.read_view(table, row_id, &txn.handle, view)
+            .map(|r| r.0)
     }
 
     /// Read a row by RowId, resolving its location through the RID-Map.
@@ -754,149 +743,197 @@ impl Engine {
         row_id: RowId,
         point_access: bool,
     ) -> Result<Option<Vec<u8>>> {
+        let view = View::Txn { point_access };
+        self.read_view(table, Some(row_id), &txn.handle, view)
+            .map(|r| r.0)
+    }
+
+    /// The one read entry point: resolve `row_id` until the row holds
+    /// still, and record the read's latency — once, here, whatever the
+    /// outcome. `row_id = None` is an index miss: still a select the
+    /// histograms must count (as a page select: it cost a B+tree
+    /// probe). Returns the image and whether the IMRS served it.
+    ///
+    /// Lock-free readers race online data movement; every retry
+    /// reflects a *completed* movement, so a handful of attempts suffices
+    /// unless pack and migration ping-pong a contended row. Then the
+    /// paper's rule applies: "Scanners which need consistent data handle
+    /// this by looking up the row after acquiring a lock. Since data
+    /// movement needs locks on the rows, scanners can safely access the
+    /// row" (§VII.B) — a shared lock freezes the location.
+    pub(crate) fn read_view(
+        &self,
+        table: &TableDesc,
+        row_id: Option<RowId>,
+        reader: &TxnHandle,
+        view: View,
+    ) -> Result<(Option<Vec<u8>>, bool)> {
         let op_start = self.sh.obs.start();
-        // One clock read for the whole resolution: the loose access
-        // timestamp does not need per-attempt freshness, and the retry
-        // loop must not pay per-probe atomics it can avoid.
-        let now = self.sh.clock.now();
-        // Lock-free readers race online data movement (§VII.B): between
-        // the RID-Map read and the store access the row can be packed,
-        // migrated, or its freed slot reused by another row. Every such
-        // outcome is detected (dead slot, row-id mismatch, row gone from
-        // the store) and the resolution restarts from the RID-Map; each
-        // retry reflects a *completed* movement, so a handful of
-        // attempts always suffices.
-        for _attempt in 0..4 {
-            match self.sh.ridmap.get(row_id) {
-                None | Some(RowLocation::Tombstone(..)) => return Ok(None),
-                Some(RowLocation::Imrs) => {
-                    let Some(row) = self.sh.store.get(row_id) else {
-                        continue; // packed out concurrently
-                    };
-                    let visible = self.read_imrs_visible(txn, &row, now)?;
-                    if visible.is_none() && self.sh.ridmap.head(row_id) == 0 {
-                        // We caught the row's Arc just as pack drained
-                        // its chain: the row lives on the page store
-                        // now. Resolve again through the RID-Map.
-                        continue;
-                    }
-                    self.sh.obs.record_since(OpClass::SelectImrs, op_start);
-                    return Ok(visible);
-                }
-                Some(RowLocation::Page(page, slot)) => {
-                    let partition = self.partition_of_page(table, page)?;
-                    let m = self.sh.metrics.get(partition);
-                    self.sh.cache.take_thread_contention();
-                    let payload = table.heap(partition).get(&self.sh.cache, page, slot)?;
-                    let contended = self.sh.cache.take_thread_contention() > 0;
-                    m.page_ops.inc();
-                    if contended {
-                        m.page_contention.inc();
-                    }
-                    let Some(payload) = payload else {
-                        continue; // row moved: dead slot
-                    };
-                    let (rid, data) = unwrap_row(&payload)?;
-                    if rid != row_id {
-                        continue; // slot freed and reused by another row
-                    }
-                    let data = data.to_vec();
-                    if point_access && self.imrs_for_cache(table, partition) {
-                        // Opportunistic caching; failure is harmless.
-                        let _ = self.move_to_imrs(
-                            txn.handle.id,
-                            table,
-                            partition,
-                            row_id,
-                            RowOrigin::Cached,
-                            true,
-                        );
-                    }
-                    self.sh.obs.record_since(OpClass::SelectPage, op_start);
-                    return Ok(Some(data));
-                }
-                Some(RowLocation::Frozen(ext, idx)) => {
-                    // Frozen rows are immutable and, by the freeze-time
-                    // horizon gate, their image is the latest committed
-                    // one. A dead extent slot means the row thawed
-                    // concurrently — re-resolve through the RID-Map.
-                    let Some(data) = self.frozen_row_bytes(table, ext, idx, row_id) else {
-                        continue;
-                    };
-                    self.sh.obs.record_since(OpClass::SelectPage, op_start);
-                    return Ok(Some(data));
+        let resolve = |row_id| self.resolve(table, row_id, reader.snapshot, reader.id, view);
+        let mut found = None;
+        if let Some(row_id) = row_id {
+            for _attempt in 0..4 {
+                found = resolve(row_id)?;
+                if found.is_some() {
+                    break;
                 }
             }
+            if found.is_none() {
+                let owner = self.sh.pack.internal_txn_id();
+                self.sh.locks.lock_timeout(
+                    owner,
+                    row_id,
+                    LockMode::Shared,
+                    std::time::Duration::from_millis(500),
+                )?;
+                let settled = resolve(row_id);
+                self.sh.locks.unlock(owner, row_id);
+                found = settled?; // still `None`: cannot move under the lock, so gone
+            }
         }
-        // The row kept moving under us (possible when pack and
-        // migration ping-pong a contended row). Fall back to the
-        // paper's rule — "Scanners which need consistent data handle
-        // this by looking up the row after acquiring a lock. Since data
-        // movement needs locks on the rows, scanners can safely access
-        // the row" (§VII.B). A shared lock under an internal owner
-        // freezes the location; movers hold exclusive locks.
-        let reader = self.sh.pack.internal_txn_id();
-        self.sh.locks.lock_timeout(
-            reader,
-            row_id,
-            LockMode::Shared,
-            std::time::Duration::from_millis(500),
-        )?;
-        let result = (|| match self.sh.ridmap.get(row_id) {
-            None | Some(RowLocation::Tombstone(..)) => Ok(None),
-            Some(RowLocation::Imrs) => match self.sh.store.get(row_id) {
-                Some(row) => self.read_imrs_visible(txn, &row, now),
-                None => Ok(None),
-            },
+        let (image, from_imrs) = found.unwrap_or((None, false));
+        let class = match view {
+            View::Snapshot => OpClass::SnapshotRead,
+            _ if from_imrs => OpClass::SelectImrs,
+            _ => OpClass::SelectPage,
+        };
+        self.sh.obs.record_since(class, op_start);
+        Ok((image, from_imrs))
+    }
+
+    /// The row resolver: RID-Map → home → the image `reader` sees at
+    /// `snapshot`. Every read in the engine — point reads, range scans,
+    /// analytic-scan candidates, a writer's pre-image — goes through
+    /// this one match, so relocation between tiers is invisible to
+    /// transactions by construction: the bytes depend on `(snapshot,
+    /// reader)` alone, `view` selects side effects (see [`View`]).
+    /// Returns the image (`None`: no such row at the snapshot) and
+    /// whether the IMRS served it — or `None` when the row moved between
+    /// the RID-Map read and the store access: resolve again.
+    fn resolve(
+        &self,
+        table: &TableDesc,
+        row_id: RowId,
+        snapshot: Timestamp,
+        reader: TxnId,
+        view: View,
+    ) -> Result<Option<(Option<Vec<u8>>, bool)>> {
+        let sh = &self.sh;
+        let txn_view = matches!(view, View::Txn { .. });
+        let (image, from_imrs) = match sh.ridmap.get(row_id) {
+            None => (None, false),
+            Some(RowLocation::Imrs) => {
+                // Served entirely from atomics: location and chain head
+                // from the RID-Map entry, visibility from the version
+                // arena, image bytes from the fragment allocator.
+                let head = sh.ridmap.head(row_id);
+                if head == 0 {
+                    // Chain drained: the row was packed/removed between
+                    // the location read and the head read. The RID-Map
+                    // says Page by now.
+                    return Ok(None);
+                }
+                // The walk is safe against concurrent rollback,
+                // truncation, and pack: nodes and fragments are
+                // quarantined, and reclamation requires the horizon to
+                // pass their retirement — impossible while this
+                // registered reader is live.
+                let image = match sh.store.arena().visible_from(head, snapshot, reader) {
+                    Some(v) if v.op != VersionOp::Delete => {
+                        let Some(h) = v.handle else {
+                            return Err(BtrimError::Corrupt("version without image".into()));
+                        };
+                        Some(sh.store.allocator().load(h))
+                    }
+                    // Deleted at the snapshot, or the row's oldest
+                    // version is newer than the snapshot.
+                    _ => None,
+                };
+                if txn_view && image.is_some() {
+                    // Hotness + partition metrics (a registry lock).
+                    sh.ridmap.touch(row_id, sh.clock.now());
+                    if let Some(partition) = sh.ridmap.partition(row_id) {
+                        sh.metrics.get(partition).imrs_select.inc();
+                    }
+                }
+                (image, true)
+            }
             Some(RowLocation::Page(page, slot)) => {
                 let partition = self.partition_of_page(table, page)?;
-                self.sh.metrics.get(partition).page_ops.inc();
-                match table.heap(partition).get(&self.sh.cache, page, slot)? {
-                    Some(payload) => {
+                let heap = table.heap(partition);
+                // Page bytes FIRST, side store second: a writer stashes
+                // before it mutates, so a reader that saw the new bytes
+                // is guaranteed to see the stash. The opposite order
+                // could miss both.
+                let payload = if txn_view {
+                    self.charge_page_op(partition, || heap.get(&sh.cache, page, slot))?
+                } else {
+                    heap.get(&sh.cache, page, slot)?
+                };
+                let image = match sh.side.lookup(page, slot, row_id, snapshot, reader) {
+                    SideImage::Absent => None,
+                    SideImage::Image(img) => Some(img),
+                    SideImage::UsePage => {
+                        let Some(payload) = payload else {
+                            return Ok(None); // dead slot
+                        };
                         let (rid, data) = unwrap_row(&payload)?;
-                        debug_assert_eq!(rid, row_id, "location frozen under lock");
-                        Ok(Some(data.to_vec()))
+                        if rid != row_id {
+                            return Ok(None); // slot recycled by another row
+                        }
+                        Some(data.to_vec())
                     }
-                    None => Ok(None),
+                };
+                if matches!(view, View::Txn { point_access: true })
+                    && image.is_some()
+                    && self.imrs_allowed(table, partition, PartitionIlmState::allows_cache)
+                {
+                    // §IV: a select through the unique index caches the
+                    // row. Opportunistic; failure is harmless.
+                    let _ = self.move_to_imrs(table, partition, row_id, RowOrigin::Cached);
+                }
+                (image, false)
+            }
+            Some(RowLocation::Tombstone(page, slot)) => {
+                // The slot is dead, but the deleted image may still be
+                // visible at this snapshot. No overriding stash: the
+                // delete is older than the snapshot (or the reader's own).
+                match sh.side.lookup(page, slot, row_id, snapshot, reader) {
+                    SideImage::Image(img) => (Some(img), false),
+                    SideImage::Absent | SideImage::UsePage => (None, false),
                 }
             }
             Some(RowLocation::Frozen(ext, idx)) => {
-                // Thaw needs the exclusive lock; under our shared lock
-                // the extent slot cannot die.
-                Ok(self.frozen_row_bytes(table, ext, idx, row_id))
+                // The freeze-time horizon gate proved no live (or
+                // future) snapshot needs an older or newer image than
+                // the frozen one: serve it unconditionally. A dead slot
+                // means the row thawed back to a page concurrently.
+                let Some(ext) = self.frozen_slot(ext, idx, row_id) else {
+                    return Ok(None);
+                };
+                let i = idx as usize;
+                (extent_row_bytes(table.layout.as_ref(), &ext, i), false)
             }
-        })();
-        self.sh.locks.unlock(reader, row_id);
-        result
+        };
+        Ok(Some((image, from_imrs)))
     }
 
-    /// Read the snapshot-visible version of a resident IMRS row.
-    /// `now` is hoisted to the caller so retry loops read the clock
-    /// once; the partition-metrics lookup (a registry `RwLock` + `Arc`
-    /// clone) happens only on the success path.
-    fn read_imrs_visible(
+    /// Run one page-store operation for `partition` and charge it: a
+    /// `page_ops` tick, plus a `page_contention` tick when a frame latch
+    /// or shard lock was contended on the way (§V.D's re-enable signal).
+    fn charge_page_op<T>(
         &self,
-        txn: &Transaction,
-        row: &Arc<btrim_imrs::ImrsRow>,
-        now: Timestamp,
-    ) -> Result<Option<Vec<u8>>> {
-        match row.visible_version(txn.handle.snapshot, txn.handle.id) {
-            Some(v) => {
-                if v.op == VersionOp::Delete {
-                    return Ok(None);
-                }
-                let data = v
-                    .handle
-                    .map(|h| self.sh.store.allocator().load(h))
-                    .ok_or_else(|| {
-                        BtrimError::Corrupt("non-delete version without image".into())
-                    })?;
-                row.touch(now);
-                self.sh.metrics.get(row.partition).imrs_select.inc();
-                Ok(Some(data))
-            }
-            None => Ok(None),
+        partition: PartitionId,
+        op: impl FnOnce() -> Result<T>,
+    ) -> Result<T> {
+        self.sh.cache.take_thread_contention();
+        let out = op()?;
+        let m = self.sh.metrics.get(partition);
+        m.page_ops.inc();
+        if self.sh.cache.take_thread_contention() > 0 {
+            m.page_contention.inc();
         }
+        Ok(out)
     }
 
     fn partition_of_page(&self, table: &TableDesc, page: PageId) -> Result<PartitionId> {
@@ -939,24 +976,13 @@ impl Engine {
         table: &TableDesc,
         key: &[u8],
     ) -> Result<Option<Vec<u8>>> {
-        if self.sh.cfg.mode != EngineMode::PageOnly {
-            if let Some(row_id) = table.hash.get(key) {
-                return self.read_row_snapshot(snap, table, row_id);
-            }
-        }
-        let Some(row_id) = table.primary.get(key)? else {
-            return Ok(None);
-        };
-        self.read_row_snapshot(snap, table, row_id)
+        let row_id = self.row_id_of(table, key)?;
+        self.read_view(table, row_id, &snap.handle, View::Snapshot)
+            .map(|r| r.0)
     }
 
-    /// Read a row by RowId as of the snapshot.
-    ///
-    /// IMRS-resident rows are served entirely from atomics: location
-    /// and chain head from the RID-Map entry, visibility from the
-    /// version arena, image bytes from the fragment allocator. The
-    /// access never takes a shard, row, or engine lock, never bumps
-    /// partition metrics (the registry lookup is a lock), and never
+    /// Read a row by RowId as of the snapshot. The access never takes a
+    /// row or engine lock, never bumps partition metrics, and never
     /// triggers caching/migration — readers must not block or be
     /// blocked by writers, and must not cause data movement.
     pub fn read_row_snapshot(
@@ -965,192 +991,8 @@ impl Engine {
         table: &TableDesc,
         row_id: RowId,
     ) -> Result<Option<Vec<u8>>> {
-        let op_start = self.sh.obs.start();
-        let result = if self.sh.cfg.snapshot_reads {
-            self.read_row_mvcc(snap, table, row_id)
-        } else {
-            self.read_row_lock_baseline(snap, table, row_id)
-        };
-        self.sh.obs.record_since(OpClass::SnapshotRead, op_start);
-        result
-    }
-
-    fn read_row_mvcc(
-        &self,
-        snap: &SnapshotTxn,
-        table: &TableDesc,
-        row_id: RowId,
-    ) -> Result<Option<Vec<u8>>> {
-        let snapshot = snap.handle.snapshot;
-        let reader = snap.handle.id;
-        for _attempt in 0..4 {
-            match self.sh.ridmap.get(row_id) {
-                None => return Ok(None),
-                Some(RowLocation::Imrs) => {
-                    let head = self.sh.ridmap.head(row_id);
-                    if head == 0 {
-                        // Chain drained: the row was packed/removed
-                        // between the location read and the head read.
-                        // Re-resolve; the RID-Map says Page by now.
-                        continue;
-                    }
-                    // The walk is safe against concurrent rollback,
-                    // truncation, and pack: nodes and fragments are
-                    // quarantined, and reclamation requires the horizon
-                    // to pass their retirement — impossible while this
-                    // registered snapshot is live.
-                    return match self.sh.store.arena().visible_from(head, snapshot, reader) {
-                        Some(v) if v.op != VersionOp::Delete => {
-                            let data = v
-                                .handle
-                                .map(|h| self.sh.store.allocator().load(h))
-                                .ok_or_else(|| {
-                                    BtrimError::Corrupt("non-delete version without image".into())
-                                })?;
-                            Ok(Some(data))
-                        }
-                        // Deleted at the snapshot, or the row's oldest
-                        // version is newer than the snapshot.
-                        _ => Ok(None),
-                    };
-                }
-                Some(RowLocation::Page(page, slot)) => {
-                    let partition = self.partition_of_page(table, page)?;
-                    // Page bytes FIRST, side store second: a writer
-                    // stashes before it mutates, so a reader that saw
-                    // the new bytes is guaranteed to see the stash. The
-                    // opposite order could miss both.
-                    let payload = table.heap(partition).get(&self.sh.cache, page, slot)?;
-                    match self.sh.side.lookup(page, slot, row_id, snapshot, reader) {
-                        SideImage::Absent => return Ok(None),
-                        SideImage::Image(img) => return Ok(Some(img)),
-                        SideImage::UsePage => {
-                            let Some(payload) = payload else {
-                                continue; // row moved: dead slot
-                            };
-                            let (rid, data) = unwrap_row(&payload)?;
-                            if rid != row_id {
-                                continue; // slot recycled by another row
-                            }
-                            return Ok(Some(data.to_vec()));
-                        }
-                    }
-                }
-                Some(RowLocation::Tombstone(page, slot)) => {
-                    // Row deleted from the page store; the slot is dead
-                    // but the image may still be visible to us.
-                    return match self.sh.side.lookup(page, slot, row_id, snapshot, reader) {
-                        SideImage::Image(img) => Ok(Some(img)),
-                        // Delete is older than every stash we could
-                        // need (or already purged): gone at this
-                        // snapshot too.
-                        SideImage::Absent | SideImage::UsePage => Ok(None),
-                    };
-                }
-                Some(RowLocation::Frozen(ext, idx)) => {
-                    // The freeze-time horizon gate proved no live (or
-                    // future) snapshot needs an older or newer image
-                    // than the frozen one: serve it unconditionally. A
-                    // dead slot means the row thawed back to a page
-                    // concurrently — re-resolve and let the side store
-                    // arbitrate as usual.
-                    let Some(data) = self.frozen_row_bytes(table, ext, idx, row_id) else {
-                        continue;
-                    };
-                    return Ok(Some(data));
-                }
-            }
-        }
-        // Pathological ping-pong (pack ↔ migrate on a contended row):
-        // fall back to the paper's freeze-under-lock rule, like
-        // `read_row` does. Never reached by steady-state readers.
-        let reader_lock = self.sh.pack.internal_txn_id();
-        self.sh.locks.lock_timeout(
-            reader_lock,
-            row_id,
-            LockMode::Shared,
-            std::time::Duration::from_millis(500),
-        )?;
-        let result = (|| match self.sh.ridmap.get(row_id) {
-            None => Ok(None),
-            Some(RowLocation::Imrs) => {
-                let head = self.sh.ridmap.head(row_id);
-                match self.sh.store.arena().visible_from(head, snapshot, reader) {
-                    Some(v) if v.op != VersionOp::Delete => {
-                        Ok(v.handle.map(|h| self.sh.store.allocator().load(h)))
-                    }
-                    _ => Ok(None),
-                }
-            }
-            Some(RowLocation::Page(page, slot)) => {
-                let partition = self.partition_of_page(table, page)?;
-                let payload = table.heap(partition).get(&self.sh.cache, page, slot)?;
-                match self.sh.side.lookup(page, slot, row_id, snapshot, reader) {
-                    SideImage::Absent => Ok(None),
-                    SideImage::Image(img) => Ok(Some(img)),
-                    SideImage::UsePage => match payload {
-                        Some(p) => Ok(Some(unwrap_row(&p)?.1.to_vec())),
-                        None => Ok(None),
-                    },
-                }
-            }
-            Some(RowLocation::Tombstone(page, slot)) => {
-                match self.sh.side.lookup(page, slot, row_id, snapshot, reader) {
-                    SideImage::Image(img) => Ok(Some(img)),
-                    _ => Ok(None),
-                }
-            }
-            Some(RowLocation::Frozen(ext, idx)) => {
-                Ok(self.frozen_row_bytes(table, ext, idx, row_id))
-            }
-        })();
-        self.sh.locks.unlock(reader_lock, row_id);
-        result
-    }
-
-    /// The lock-based comparison arm (`snapshot_reads = false`): a
-    /// shared row lock per read, released immediately. Readers queue
-    /// behind writers' exclusive locks — exactly the blocking the MVCC
-    /// path exists to remove — and read the latest committed image.
-    fn read_row_lock_baseline(
-        &self,
-        snap: &SnapshotTxn,
-        table: &TableDesc,
-        row_id: RowId,
-    ) -> Result<Option<Vec<u8>>> {
-        let reader = snap.handle.id;
-        self.sh.locks.lock_timeout(
-            reader,
-            row_id,
-            LockMode::Shared,
-            std::time::Duration::from_secs(10),
-        )?;
-        let result = (|| match self.sh.ridmap.get(row_id) {
-            None | Some(RowLocation::Tombstone(..)) => Ok(None),
-            Some(RowLocation::Imrs) => {
-                let Some(row) = self.sh.store.get(row_id) else {
-                    return Ok(None);
-                };
-                match row.latest_committed() {
-                    Some(v) if v.op != VersionOp::Delete => {
-                        Ok(v.handle.map(|h| self.sh.store.allocator().load(h)))
-                    }
-                    _ => Ok(None),
-                }
-            }
-            Some(RowLocation::Page(page, slot)) => {
-                let partition = self.partition_of_page(table, page)?;
-                match table.heap(partition).get(&self.sh.cache, page, slot)? {
-                    Some(payload) => Ok(Some(unwrap_row(&payload)?.1.to_vec())),
-                    None => Ok(None),
-                }
-            }
-            Some(RowLocation::Frozen(ext, idx)) => {
-                Ok(self.frozen_row_bytes(table, ext, idx, row_id))
-            }
-        })();
-        self.sh.locks.unlock(reader, row_id);
-        result
+        self.read_view(table, Some(row_id), &snap.handle, View::Snapshot)
+            .map(|r| r.0)
     }
 
     /// Update a row by primary key. Returns `false` when the key does
@@ -1162,53 +1004,10 @@ impl Engine {
         key: &[u8],
         new_row: &[u8],
     ) -> Result<bool> {
-        self.sh.check_writable()?;
-        let Some(row_id) = table
-            .hash
-            .get(key)
-            .map_or_else(|| table.primary.get(key), |r| Ok(Some(r)))?
-        else {
+        let Some((row_id, home)) = self.write_home(txn, table, key, true)? else {
             return Ok(false);
         };
-        self.sh
-            .locks
-            .lock(txn.handle.id, row_id, LockMode::Exclusive)?;
-        txn.remember_lock(row_id);
-
-        match self.sh.ridmap.get(row_id) {
-            None | Some(RowLocation::Tombstone(..)) => Ok(false),
-            Some(RowLocation::Imrs) => self.update_imrs(txn, table, key, row_id, new_row),
-            Some(RowLocation::Page(page, slot)) => {
-                let partition = self.partition_of_page(table, page)?;
-                if self.imrs_for_migrate(table, partition) {
-                    // §IV: update via unique index migrates the row.
-                    match self.move_to_imrs(
-                        txn.handle.id,
-                        table,
-                        partition,
-                        row_id,
-                        RowOrigin::Migrated,
-                        false,
-                    ) {
-                        Ok(true) => return self.update_imrs(txn, table, key, row_id, new_row),
-                        Ok(false) => { /* history-pinned: stay on the page path */ }
-                        Err(BtrimError::ImrsFull { .. }) => { /* fall through to page path */ }
-                        Err(e) => return Err(e),
-                    }
-                }
-                self.update_page(txn, table, key, row_id, partition, page, slot, new_row)
-            }
-            Some(RowLocation::Frozen(ext, idx)) => {
-                // Thaw back to a slotted page (an internally-committed
-                // mini-transaction, like migration), then re-dispatch:
-                // the RID-Map now says Page and the ordinary paths —
-                // including migrate-to-IMRS — apply.
-                if self.thaw_frozen(table, row_id, ext, idx)?.is_none() {
-                    return Ok(false);
-                }
-                self.update(txn, table, key, new_row)
-            }
-        }
+        self.write_at(txn, table, key, row_id, home, Some(new_row))
     }
 
     /// Read-modify-write by primary key: locks the row, reads the
@@ -1225,171 +1024,198 @@ impl Engine {
         key: &[u8],
         f: impl FnOnce(&[u8]) -> Vec<u8>,
     ) -> Result<Option<Vec<u8>>> {
-        self.sh.check_writable()?;
-        let Some(row_id) = table
-            .hash
-            .get(key)
-            .map_or_else(|| table.primary.get(key), |r| Ok(Some(r)))?
-        else {
+        let Some((row_id, home)) = self.write_home(txn, table, key, true)? else {
             return Ok(None);
         };
-        self.sh
-            .locks
-            .lock(txn.handle.id, row_id, LockMode::Exclusive)?;
-        txn.remember_lock(row_id);
-        let Some(current) = self.read_current(txn, table, row_id)? else {
+        // Under the exclusive lock nobody else has a pending version:
+        // "every commit, plus my own writes" is the image to overwrite.
+        let latest = Timestamp(u64::MAX);
+        let current = self.resolve(table, row_id, latest, txn.handle.id, View::Current)?;
+        let Some((Some(current), _)) = current else {
             return Ok(None);
         };
         let new_row = f(&current);
-        let updated = match self.sh.ridmap.get(row_id) {
-            Some(RowLocation::Imrs) => self.update_imrs(txn, table, key, row_id, &new_row)?,
-            Some(RowLocation::Page(page, slot)) => {
-                let partition = self.partition_of_page(table, page)?;
-                if self.imrs_for_migrate(table, partition) {
-                    match self.move_to_imrs(
-                        txn.handle.id,
-                        table,
-                        partition,
-                        row_id,
-                        RowOrigin::Migrated,
-                        false,
-                    ) {
-                        Ok(true) => self.update_imrs(txn, table, key, row_id, &new_row)?,
-                        Ok(false) | Err(BtrimError::ImrsFull { .. }) => self.update_page(
-                            txn, table, key, row_id, partition, page, slot, &new_row,
-                        )?,
-                        Err(e) => return Err(e),
-                    }
-                } else {
-                    self.update_page(txn, table, key, row_id, partition, page, slot, &new_row)?
-                }
-            }
-            Some(RowLocation::Frozen(ext, idx)) => {
-                match self.thaw_frozen(table, row_id, ext, idx)? {
-                    Some((partition, page, slot)) => {
-                        self.update_page(txn, table, key, row_id, partition, page, slot, &new_row)?
-                    }
-                    None => false,
-                }
-            }
-            None | Some(RowLocation::Tombstone(..)) => false,
-        };
+        let updated = self.write_at(txn, table, key, row_id, home, Some(&new_row))?;
         Ok(updated.then_some(new_row))
     }
 
-    /// Read the row image this transaction would overwrite: its own
-    /// uncommitted version if it has one, else the latest committed
-    /// version. Caller holds the row's exclusive lock.
-    fn read_current(
-        &self,
-        txn: &Transaction,
-        table: &TableDesc,
-        row_id: RowId,
-    ) -> Result<Option<Vec<u8>>> {
-        match self.sh.ridmap.get(row_id) {
-            Some(RowLocation::Imrs) => {
-                let Some(row) = self.sh.store.get(row_id) else {
-                    return Ok(None);
-                };
-                let v = match row.newest() {
-                    Some(v) if v.txn == txn.handle.id || v.commit_ts.is_some() => Some(v),
-                    _ => row.latest_committed(),
-                };
-                match v {
-                    Some(v) if v.op != VersionOp::Delete => {
-                        Ok(v.handle.map(|h| self.sh.store.allocator().load(h)))
-                    }
-                    _ => Ok(None),
-                }
-            }
-            Some(RowLocation::Page(page, slot)) => {
-                let partition = self.partition_of_page(table, page)?;
-                match table.heap(partition).get(&self.sh.cache, page, slot)? {
-                    Some(payload) => Ok(Some(unwrap_row(&payload)?.1.to_vec())),
-                    None => Ok(None),
-                }
-            }
-            Some(RowLocation::Frozen(ext, idx)) => {
-                // Frozen = immutable latest-committed; the caller's
-                // exclusive lock keeps the slot live.
-                Ok(self.frozen_row_bytes(table, ext, idx, row_id))
-            }
-            None | Some(RowLocation::Tombstone(..)) => Ok(None),
-        }
+    /// Delete a row by primary key. Returns `false` if absent.
+    pub fn delete(&self, txn: &mut Transaction, table: &TableDesc, key: &[u8]) -> Result<bool> {
+        let Some((row_id, home)) = self.write_home(txn, table, key, false)? else {
+            return Ok(false);
+        };
+        self.write_at(txn, table, key, row_id, home, None)
     }
 
-    fn update_imrs(
+    /// The one write prologue: key → RowId (hash, then primary), the
+    /// row's exclusive lock, then a mutable home — a frozen row is
+    /// thawed to a slotted page; with `migrate` a page row moves into
+    /// the IMRS if ILM says so (§IV: an update through the unique index
+    /// migrates the row). `None`: no such row.
+    fn write_home(
         &self,
         txn: &mut Transaction,
         table: &TableDesc,
-        _key: &[u8],
+        key: &[u8],
+        migrate: bool,
+    ) -> Result<Option<(RowId, WriteHome)>> {
+        let sh = &self.sh;
+        sh.check_writable()?;
+        let Some(row_id) = self.row_id_of(table, key)? else {
+            return Ok(None);
+        };
+        sh.locks.lock(txn.handle.id, row_id, LockMode::Exclusive)?;
+        txn.remember_lock(row_id);
+        let (partition, page, slot) = match sh.ridmap.get(row_id) {
+            None | Some(RowLocation::Tombstone(..)) => return Ok(None),
+            Some(RowLocation::Imrs) => return Ok(Some((row_id, WriteHome::Imrs))),
+            Some(RowLocation::Page(page, slot)) => {
+                (self.partition_of_page(table, page)?, page, slot)
+            }
+            // Thaw (an internally-committed mini-transaction, like
+            // migration) lands the row on a page, and there it stays for
+            // this write: one movement per operation. If it is updated
+            // again it migrates then, as any page row does.
+            Some(RowLocation::Frozen(ext, idx)) => {
+                let at = self.thaw_frozen(table, row_id, ext, idx)?;
+                return Ok(at.map(|(p, page, slot)| (row_id, WriteHome::Page(p, page, slot))));
+            }
+        };
+        if migrate && self.imrs_allowed(table, partition, PartitionIlmState::allows_migrate) {
+            match self.move_to_imrs_locked(table, partition, row_id, RowOrigin::Migrated) {
+                Ok(true) => return Ok(Some((row_id, WriteHome::Imrs))),
+                // History-pinned, or the IMRS is full: stay on the page.
+                Ok(false) | Err(BtrimError::ImrsFull { .. }) => {}
+                Err(e) => return Err(e),
+            }
+        }
+        Ok(Some((row_id, WriteHome::Page(partition, page, slot))))
+    }
+
+    /// The one write dispatch: apply an update (`Some(new_row)`) or a
+    /// delete (`None`) where the prologue left the row.
+    fn write_at(
+        &self,
+        txn: &mut Transaction,
+        table: &TableDesc,
+        key: &[u8],
         row_id: RowId,
-        new_row: &[u8],
+        home: WriteHome,
+        new_row: Option<&[u8]>,
     ) -> Result<bool> {
-        let Some(row) = self.sh.store.get(row_id) else {
-            return Ok(false);
+        let sh = &self.sh;
+        let op_start = sh.obs.start();
+        let class = match (&home, new_row) {
+            (WriteHome::Imrs, Some(_)) => OpClass::UpdateImrs,
+            (WriteHome::Imrs, None) => OpClass::DeleteImrs,
+            (WriteHome::Page(..), Some(_)) => OpClass::UpdatePage,
+            (WriteHome::Page(..), None) => OpClass::DeletePage,
         };
-        let op_start = self.sh.obs.start();
-        self.ensure_begin(txn)?;
-        // Old image for secondary-index maintenance.
-        let old = match row.visible_version(txn.handle.snapshot, txn.handle.id) {
-            Some(v) if v.op != VersionOp::Delete => v
-                .handle
-                .map(|h| self.sh.store.allocator().load(h))
-                .unwrap_or_default(),
-            _ => return Ok(false),
+        let old = match home {
+            WriteHome::Imrs => {
+                let Some(row) = sh.store.get(row_id) else {
+                    return Ok(false);
+                };
+                // Old image for secondary-index maintenance; a row this
+                // transaction cannot see is not there to be written.
+                let (snapshot, id) = (txn.handle.snapshot, txn.handle.id);
+                let old = self.resolve(table, row_id, snapshot, id, View::Current)?;
+                let Some((Some(old), _)) = old else {
+                    return Ok(false);
+                };
+                self.ensure_begin(txn)?;
+                let op = match new_row {
+                    Some(_) => VersionOp::Update,
+                    None => VersionOp::Delete,
+                };
+                let v = sh.store.add_version(&row, id, op, new_row)?;
+                txn.to_stamp.push(v);
+                txn.remember_touched(&row);
+                txn.gc_rows.push(row_id);
+                let m = sh.metrics.get(row.partition);
+                match new_row {
+                    Some(new_row) => {
+                        txn.imrs_redo
+                            .push_update(id, row.partition, row_id, new_row.to_vec());
+                        row.touch(sh.clock.now());
+                        m.imrs_update.inc();
+                    }
+                    None => {
+                        txn.imrs_redo.push_delete(id, row.partition, row_id);
+                        m.imrs_delete.inc();
+                    }
+                }
+                old
+            }
+            WriteHome::Page(partition, page, slot) => {
+                let heap = table.heap(partition);
+                let at = (partition, page, slot);
+                let old = self.charge_page_op(partition, || {
+                    let Some(old_payload) = heap.get(&sh.cache, page, slot)? else {
+                        return Ok(None);
+                    };
+                    let old = unwrap_row(&old_payload)?.1.to_vec();
+                    // Snapshot readers roll page changes back through
+                    // the side store: stash the before image BEFORE the
+                    // page bytes change, so a reader that observes the
+                    // new bytes (it read the page after us, under the
+                    // frame latch) also observes the stash.
+                    let id = txn.handle.id;
+                    sh.side
+                        .stash(page, slot, row_id, id, Some(old.clone()), new_row.is_none());
+                    txn.side_keys.push((page, slot));
+                    match new_row {
+                        Some(new_row) => {
+                            self.update_page(txn, table, row_id, at, old_payload, new_row)?
+                        }
+                        None => self.delete_page(txn, table, row_id, at, old_payload)?,
+                    }
+                    Ok(Some(old))
+                })?;
+                let Some(old) = old else {
+                    return Ok(false);
+                };
+                old
+            }
         };
-        let v = self
-            .sh
-            .store
-            .add_version(&row, txn.handle.id, VersionOp::Update, Some(new_row))?;
-        txn.to_stamp.push(v);
-        txn.remember_touched(&row);
-        txn.imrs_redo
-            .push_update(txn.handle.id, row.partition, row_id, new_row.to_vec());
-        txn.gc_rows.push(row_id);
-        row.touch(self.sh.clock.now());
-        self.sh.metrics.get(row.partition).imrs_update.inc();
-        self.maintain_secondaries(txn, table, row_id, &old, Some(new_row))?;
-        self.sh.obs.record_since(OpClass::UpdateImrs, op_start);
+        if new_row.is_none() {
+            // Index removal is immediate (see DESIGN.md trade-offs); the
+            // hash index spans IMRS rows only, a page row is not in it.
+            if table.hash.remove(key).is_some() {
+                txn.undo.push(UndoOp::HashRemove {
+                    table: table.id,
+                    key: key.to_vec(),
+                    row: row_id,
+                });
+            }
+            if table.primary.delete(key, Some(row_id))? {
+                txn.undo.push(UndoOp::PrimaryRemove {
+                    table: table.id,
+                    key: key.to_vec(),
+                    row: row_id,
+                });
+            }
+        }
+        self.maintain_secondaries(txn, table, row_id, Some(&old), new_row)?;
+        sh.obs.record_since(class, op_start);
         Ok(true)
     }
 
-    #[allow(clippy::too_many_arguments)]
+    /// Overwrite a page-resident row whose before image the caller has
+    /// stashed: in place when the new image fits, else by relocation
+    /// within the partition's heap.
     fn update_page(
         &self,
         txn: &mut Transaction,
         table: &TableDesc,
-        _key: &[u8],
         row_id: RowId,
-        partition: PartitionId,
-        page: PageId,
-        slot: SlotId,
+        (partition, page, slot): (PartitionId, PageId, SlotId),
+        old_payload: Vec<u8>,
         new_row: &[u8],
-    ) -> Result<bool> {
+    ) -> Result<()> {
+        let sh = &self.sh;
         let heap = table.heap(partition);
-        let m = self.sh.metrics.get(partition);
-        let op_start = self.sh.obs.start();
-        self.sh.cache.take_thread_contention();
-        let Some(old_payload) = heap.get(&self.sh.cache, page, slot)? else {
-            return Ok(false);
-        };
-        let (_, old_data) = unwrap_row(&old_payload)?;
-        let old_data = old_data.to_vec();
         let new_payload = wrap_row(row_id, new_row);
-        // Snapshot readers roll in-place changes back through the side
-        // store; the before image must be stashed BEFORE the page bytes
-        // change, so a reader that observes the new bytes (it read the
-        // page after us, under the frame latch) also observes the stash.
-        self.sh.side.stash(
-            page,
-            slot,
-            row_id,
-            txn.handle.id,
-            Some(old_data.clone()),
-            false,
-        );
-        txn.side_keys.push((page, slot));
         self.ensure_begin(txn)?;
         // WAL-first: the Update record is appended from under the
         // frame's write latch, after the fit probe and before the page
@@ -1397,282 +1223,160 @@ impl Engine {
         // mis-fit returns false without logging and the relocation arm
         // below writes its own records.
         let in_place =
-            heap.try_update_in_place_logged(&self.sh.cache, page, slot, &new_payload, || {
-                self.sh
-                    .append_sys(&PageLogRecord::Update {
-                        txn: txn.handle.id,
-                        partition,
-                        row: row_id,
-                        page,
-                        slot,
-                        old: old_payload.clone(),
-                        new: new_payload.clone(),
-                    })
-                    .map(|_| ())
-            })?;
-        if in_place {
-            let contended = self.sh.cache.take_thread_contention() > 0;
-            m.page_ops.inc();
-            if contended {
-                m.page_contention.inc();
-            }
-            txn.undo.push(UndoOp::PageUpdate {
-                partition,
-                page,
-                slot,
-                old: old_payload,
-            });
-        } else {
-            // Relocation: insert the new image, repoint the RID-Map,
-            // only then delete the old copy — a concurrent reader that
-            // raced the RID-Map read finds either the old live slot or,
-            // after one retry, the new location; never a dead end.
-            let (new_page, new_slot) = heap.insert(&self.sh.cache, &new_payload)?;
-            // The insert is additive (recovery discards it if the txn
-            // never commits) and so may precede the appends — but its
-            // undo must be recorded NOW, so an abort forced by a failed
-            // append below still reclaims the orphan copy.
-            txn.undo.push(UndoOp::PageInsert {
-                partition,
-                page: new_page,
-                slot: new_slot,
-            });
-            let contended = self.sh.cache.take_thread_contention() > 0;
-            m.page_ops.inc();
-            if contended {
-                m.page_contention.inc();
-            }
-            // The old image must also be findable at the row's NEW
-            // address: once the RID-Map repoints, snapshot readers
-            // resolve there and would otherwise see the new bytes.
-            self.sh.side.stash(
-                new_page,
-                new_slot,
-                row_id,
-                txn.handle.id,
-                Some(old_data.clone()),
-                false,
-            );
-            txn.side_keys.push((new_page, new_slot));
-            // WAL-first: both records precede the destructive steps
-            // (the RID-Map flip and the old slot's delete); a failed
-            // append aborts with only the additive insert to undo.
-            self.sh.append_sys(&PageLogRecord::Delete {
-                txn: txn.handle.id,
-                partition,
-                row: row_id,
-                page,
-                slot,
-                old: old_payload.clone(),
-            })?;
-            self.sh.append_sys(&PageLogRecord::Insert {
-                txn: txn.handle.id,
-                partition,
-                row: row_id,
-                page: new_page,
-                slot: new_slot,
-                data: new_payload,
-            })?;
-            txn.undo.push(UndoOp::PageDelete {
-                table: table.id,
-                partition,
-                row: row_id,
-                old: old_payload,
-            });
-            let prev = self.sh.ridmap.get(row_id);
-            txn.undo.push(UndoOp::RidSet { row: row_id, prev });
-            // Repoint, only then delete the old copy — a concurrent
-            // reader that raced the RID-Map read finds either the old
-            // live slot or, after one retry, the new location; never a
-            // dead end.
-            self.sh
-                .ridmap
-                .set(row_id, RowLocation::Page(new_page, new_slot));
-            heap.delete(&self.sh.cache, page, slot)?;
-        }
-        self.maintain_secondaries(txn, table, row_id, &old_data, Some(new_row))?;
-        self.sh.obs.record_since(OpClass::UpdatePage, op_start);
-        Ok(true)
-    }
-
-    /// Delete a row by primary key. Returns `false` if absent.
-    pub fn delete(&self, txn: &mut Transaction, table: &TableDesc, key: &[u8]) -> Result<bool> {
-        self.sh.check_writable()?;
-        let Some(row_id) = table
-            .hash
-            .get(key)
-            .map_or_else(|| table.primary.get(key), |r| Ok(Some(r)))?
-        else {
-            return Ok(false);
-        };
-        self.sh
-            .locks
-            .lock(txn.handle.id, row_id, LockMode::Exclusive)?;
-        txn.remember_lock(row_id);
-
-        let op_start = self.sh.obs.start();
-        match self.sh.ridmap.get(row_id) {
-            None | Some(RowLocation::Tombstone(..)) => Ok(false),
-            Some(RowLocation::Imrs) => {
-                let Some(row) = self.sh.store.get(row_id) else {
-                    return Ok(false);
-                };
-                let old = match row.visible_version(txn.handle.snapshot, txn.handle.id) {
-                    Some(v) if v.op != VersionOp::Delete => v
-                        .handle
-                        .map(|h| self.sh.store.allocator().load(h))
-                        .unwrap_or_default(),
-                    _ => return Ok(false),
-                };
-                self.ensure_begin(txn)?;
-                let v = self
-                    .sh
-                    .store
-                    .add_version(&row, txn.handle.id, VersionOp::Delete, None)?;
-                txn.to_stamp.push(v);
-                txn.remember_touched(&row);
-                txn.imrs_redo
-                    .push_delete(txn.handle.id, row.partition, row_id);
-                txn.gc_rows.push(row_id);
-                self.sh.metrics.get(row.partition).imrs_delete.inc();
-                // Index removal is immediate (see DESIGN.md trade-offs).
-                if table.hash.remove(key).is_some() {
-                    txn.undo.push(UndoOp::HashRemove {
-                        table: table.id,
-                        key: key.to_vec(),
-                        row: row_id,
-                    });
-                }
-                if table.primary.delete(key, Some(row_id))? {
-                    txn.undo.push(UndoOp::PrimaryRemove {
-                        table: table.id,
-                        key: key.to_vec(),
-                        row: row_id,
-                    });
-                }
-                self.maintain_secondaries(txn, table, row_id, &old, None)?;
-                self.sh.obs.record_since(OpClass::DeleteImrs, op_start);
-                Ok(true)
-            }
-            Some(RowLocation::Page(page, slot)) => {
-                let partition = self.partition_of_page(table, page)?;
-                let heap = table.heap(partition);
-                let m = self.sh.metrics.get(partition);
-                self.sh.cache.take_thread_contention();
-                let Some(old_payload) = heap.get(&self.sh.cache, page, slot)? else {
-                    return Ok(false);
-                };
-                let (_, old_data) = unwrap_row(&old_payload)?;
-                let old_data = old_data.to_vec();
-                // Keep the deleted image reachable for older snapshots:
-                // stash it (before the slot dies) and leave a tombstone
-                // in the RID-Map instead of unmapping the row. The
-                // tombstone is cleared when the stash ages past the
-                // snapshot horizon.
-                self.sh.side.stash(
-                    page,
-                    slot,
-                    row_id,
-                    txn.handle.id,
-                    Some(old_data.clone()),
-                    true,
-                );
-                txn.side_keys.push((page, slot));
-                // WAL-first: the Delete record must be durable-ordered
-                // before the slot dies or the RID-Map flips, so a crash
-                // between the two can always be replayed.
-                self.ensure_begin(txn)?;
-                self.sh.append_sys(&PageLogRecord::Delete {
+            heap.try_update_in_place_logged(&sh.cache, page, slot, &new_payload, || {
+                sh.append_sys(&PageLogRecord::Update {
                     txn: txn.handle.id,
                     partition,
                     row: row_id,
                     page,
                     slot,
                     old: old_payload.clone(),
-                })?;
-                self.sh
-                    .ridmap
-                    .set(row_id, RowLocation::Tombstone(page, slot));
-                txn.undo.push(UndoOp::PageDelete {
-                    table: table.id,
-                    partition,
-                    row: row_id,
-                    old: old_payload,
-                });
-                // Tombstone is published first so concurrent readers
-                // consult the stash instead of racing the dying slot.
-                heap.delete(&self.sh.cache, page, slot)?;
-                let contended = self.sh.cache.take_thread_contention() > 0;
-                m.page_ops.inc();
-                if contended {
-                    m.page_contention.inc();
-                }
-                if table.primary.delete(key, Some(row_id))? {
-                    txn.undo.push(UndoOp::PrimaryRemove {
-                        table: table.id,
-                        key: key.to_vec(),
-                        row: row_id,
-                    });
-                }
-                self.maintain_secondaries(txn, table, row_id, &old_data, None)?;
-                self.sh.obs.record_since(OpClass::DeletePage, op_start);
-                Ok(true)
-            }
-            Some(RowLocation::Frozen(ext, idx)) => {
-                // Thaw to a slotted page first, then run the ordinary
-                // page-path delete (tombstone + side-store stash) by
-                // re-dispatching; the re-entrant lock grant makes the
-                // recursion cheap.
-                if self.thaw_frozen(table, row_id, ext, idx)?.is_none() {
-                    return Ok(false);
-                }
-                self.delete(txn, table, key)
-            }
+                    new: new_payload.clone(),
+                })
+                .map(|_| ())
+            })?;
+        if in_place {
+            txn.undo.push(UndoOp::PageUpdate {
+                partition,
+                page,
+                slot,
+                old: old_payload,
+            });
+            return Ok(());
         }
+        // Relocation. The insert is additive (recovery discards it if
+        // the txn never commits) and so may precede the appends — but
+        // its undo must be recorded NOW, so an abort forced by a failed
+        // append below still reclaims the orphan copy.
+        let (new_page, new_slot) = heap.insert(&sh.cache, &new_payload)?;
+        txn.undo.push(UndoOp::PageInsert {
+            partition,
+            page: new_page,
+            slot: new_slot,
+        });
+        // The old image must also be findable at the row's NEW address:
+        // once the RID-Map repoints, snapshot readers resolve there and
+        // would otherwise see the new bytes.
+        let old_data = unwrap_row(&old_payload)?.1.to_vec();
+        sh.side.stash(
+            new_page,
+            new_slot,
+            row_id,
+            txn.handle.id,
+            Some(old_data),
+            false,
+        );
+        txn.side_keys.push((new_page, new_slot));
+        // WAL-first: both records precede the destructive steps (the
+        // RID-Map flip and the old slot's delete); a failed append
+        // aborts with only the additive insert to undo.
+        sh.append_sys(&PageLogRecord::Delete {
+            txn: txn.handle.id,
+            partition,
+            row: row_id,
+            page,
+            slot,
+            old: old_payload.clone(),
+        })?;
+        sh.append_sys(&PageLogRecord::Insert {
+            txn: txn.handle.id,
+            partition,
+            row: row_id,
+            page: new_page,
+            slot: new_slot,
+            data: new_payload,
+        })?;
+        txn.undo.push(UndoOp::PageDelete {
+            table: table.id,
+            partition,
+            row: row_id,
+            old: old_payload,
+        });
+        let prev = sh.ridmap.get(row_id);
+        txn.undo.push(UndoOp::RidSet { row: row_id, prev });
+        // Repoint, only then delete the old copy — a concurrent reader
+        // that raced the RID-Map read finds either the old live slot
+        // or, after one retry, the new location; never a dead end.
+        sh.ridmap.set(row_id, RowLocation::Page(new_page, new_slot));
+        heap.delete(&sh.cache, page, slot)?;
+        Ok(())
     }
 
-    /// Keep secondary indexes aligned when a row changes or disappears.
+    /// Delete a page-resident row whose image the caller has stashed,
+    /// leaving a tombstone.
+    fn delete_page(
+        &self,
+        txn: &mut Transaction,
+        table: &TableDesc,
+        row_id: RowId,
+        (partition, page, slot): (PartitionId, PageId, SlotId),
+        old_payload: Vec<u8>,
+    ) -> Result<()> {
+        let sh = &self.sh;
+        // The deleted image stays reachable for older snapshots: the
+        // caller stashed it, and the RID-Map keeps a tombstone instead
+        // of unmapping the row. The tombstone is cleared when the stash
+        // ages past the snapshot horizon.
+        let heap = table.heap(partition);
+        // WAL-first: the Delete record must be durable-ordered before
+        // the slot dies or the RID-Map flips, so a crash between the
+        // two can always be replayed.
+        self.ensure_begin(txn)?;
+        sh.append_sys(&PageLogRecord::Delete {
+            txn: txn.handle.id,
+            partition,
+            row: row_id,
+            page,
+            slot,
+            old: old_payload.clone(),
+        })?;
+        sh.ridmap.set(row_id, RowLocation::Tombstone(page, slot));
+        txn.undo.push(UndoOp::PageDelete {
+            table: table.id,
+            partition,
+            row: row_id,
+            old: old_payload,
+        });
+        // Tombstone is published first so concurrent readers consult
+        // the stash instead of racing the dying slot.
+        heap.delete(&sh.cache, page, slot)?;
+        Ok(())
+    }
+
+    /// Keep secondary indexes aligned when a row appears (`old_row` is
+    /// `None`), changes, or disappears (`new_row` is `None`).
     fn maintain_secondaries(
         &self,
         txn: &mut Transaction,
         table: &TableDesc,
         row_id: RowId,
-        old_row: &[u8],
+        old_row: Option<&[u8]>,
         new_row: Option<&[u8]>,
     ) -> Result<()> {
         for (idx, sec) in table.secondaries.read().iter().enumerate() {
-            let old_key = (sec.extractor)(old_row);
-            match new_row {
-                Some(new_row) => {
-                    let new_key = (sec.extractor)(new_row);
-                    if new_key != old_key {
-                        if sec.tree.delete(&old_key, Some(row_id))? {
-                            txn.undo.push(UndoOp::SecondaryRemove {
-                                table: table.id,
-                                idx,
-                                key: old_key,
-                                row: row_id,
-                            });
-                        }
-                        sec.tree.insert(&new_key, row_id)?;
-                        txn.undo.push(UndoOp::SecondaryAdd {
-                            table: table.id,
-                            idx,
-                            key: new_key,
-                            row: row_id,
-                        });
-                    }
+            let old_key = old_row.map(|r| (sec.extractor)(r));
+            let new_key = new_row.map(|r| (sec.extractor)(r));
+            if old_key == new_key {
+                continue;
+            }
+            if let Some(key) = old_key {
+                if sec.tree.delete(&key, Some(row_id))? {
+                    txn.undo.push(UndoOp::SecondaryRemove {
+                        table: table.id,
+                        idx,
+                        key,
+                        row: row_id,
+                    });
                 }
-                None => {
-                    if sec.tree.delete(&old_key, Some(row_id))? {
-                        txn.undo.push(UndoOp::SecondaryRemove {
-                            table: table.id,
-                            idx,
-                            key: old_key,
-                            row: row_id,
-                        });
-                    }
-                }
+            }
+            if let Some(key) = new_key {
+                sec.tree.insert(&key, row_id)?;
+                txn.undo.push(UndoOp::SecondaryAdd {
+                    table: table.id,
+                    idx,
+                    key,
+                    row: row_id,
+                });
             }
         }
         Ok(())
@@ -1768,41 +1472,33 @@ impl Engine {
     // Data movement (page store → IMRS): migration and caching
     // ------------------------------------------------------------------
 
-    /// Move a page-resident row into the IMRS as an internally-committed
-    /// mini-transaction. The caller either already holds the row's
-    /// exclusive lock (`opportunistic = false`, update/migrate path) or
-    /// asks for a conditional lock (`opportunistic = true`, select/cache
-    /// path — skipped silently on contention). Returns whether the row
-    /// actually moved: `Ok(false)` means the row stays page-resident
-    /// (contended, already gone, or pinned to the page by snapshot
-    /// history — see the horizon gate below) and the caller must keep
-    /// using the page path.
-    pub(crate) fn move_to_imrs(
+    /// Opportunistic [`move_to_imrs_locked`](Self::move_to_imrs_locked)
+    /// for callers that do not hold the row lock (select/cache path,
+    /// pre-warm): a conditional lock under a dedicated internal owner —
+    /// if the calling transaction (or anyone else) holds the row, the
+    /// move is skipped; we must never piggy-back on a caller's lock.
+    fn move_to_imrs(
         &self,
-        _caller: TxnId,
         table: &TableDesc,
         partition: PartitionId,
         row_id: RowId,
         origin: RowOrigin,
-        opportunistic: bool,
     ) -> Result<bool> {
-        if opportunistic {
-            // Use a dedicated internal lock owner: if the calling
-            // transaction (or anyone else) holds the row, the
-            // conditional lock fails and caching is skipped — we must
-            // never piggy-back on (and then release) a caller's lock.
-            let mover = self.sh.pack.internal_txn_id();
-            if !self.sh.locks.try_lock(mover, row_id, LockMode::Exclusive) {
-                return Ok(false); // contended: skip caching
-            }
-            let result = self.move_to_imrs_locked(table, partition, row_id, origin);
-            self.sh.locks.unlock(mover, row_id);
-            return result;
+        let mover = self.sh.pack.internal_txn_id();
+        if !self.sh.locks.try_lock(mover, row_id, LockMode::Exclusive) {
+            return Ok(false); // contended: skip
         }
-        // Non-opportunistic path: the caller already holds the lock.
-        self.move_to_imrs_locked(table, partition, row_id, origin)
+        let result = self.move_to_imrs_locked(table, partition, row_id, origin);
+        self.sh.locks.unlock(mover, row_id);
+        result
     }
 
+    /// Move a page-resident row into the IMRS as an internally-committed
+    /// mini-transaction. The caller holds the row's exclusive lock.
+    /// Returns whether the row actually moved: `Ok(false)` means the
+    /// row stays page-resident (already gone, or pinned to the page by
+    /// snapshot history — see the horizon gate below) and the caller
+    /// must keep using the page path.
     fn move_to_imrs_locked(
         &self,
         table: &TableDesc,
@@ -1822,8 +1518,7 @@ impl Engine {
         let Some(payload) = heap.get(&self.sh.cache, page, slot)? else {
             return Ok(false);
         };
-        let (_, data) = unwrap_row(&payload)?;
-        let data = data.to_vec();
+        let data = unwrap_row(&payload)?.1.to_vec();
 
         // Stamp with the oldest active snapshot so every live reader
         // sees the (already committed) image in its new home. That
@@ -1854,17 +1549,14 @@ impl Engine {
         // row. The copy is unpublished (the RID-Map still says Page)
         // and the caller holds the row's exclusive lock, so nobody can
         // observe it until the logs are safely out.
-        let (imrs_row, _vref) = match self
+        if let Err(e) = self
             .sh
             .store
             .insert_row_committed(row_id, partition, origin, itxn.id, &data, ts_mig)
         {
-            Ok(r) => r,
-            Err(e) => {
-                self.sh.txns.abort(itxn);
-                return Err(e);
-            }
-        };
+            self.sh.txns.abort(itxn);
+            return Err(e);
+        }
         // WAL order: every log record goes out BEFORE any page or
         // RID-Map mutation. If an append fails, the unpublished IMRS
         // copy is freed and nothing else has changed; recovery undoes
@@ -1920,7 +1612,6 @@ impl Engine {
             txn: itxn.id,
             ts: commit_ts,
         })?;
-        let _ = imrs_row;
         self.sh.gc.register(row_id);
         self.sh.metrics.get(partition).rows_in.inc();
         self.sh.obs.record_since(OpClass::Migration, op_start);
@@ -1931,23 +1622,13 @@ impl Engine {
     // Data movement (frozen extent → page store): thaw
     // ------------------------------------------------------------------
 
-    /// Read the current image of a frozen row. `None` when the extent
-    /// slot is dead (row thawed concurrently), the extent is unknown,
-    /// or the slot holds a different row — all signals to re-resolve
-    /// through the RID-Map.
-    pub(crate) fn frozen_row_bytes(
-        &self,
-        table: &TableDesc,
-        ext_id: u32,
-        idx: u16,
-        row_id: RowId,
-    ) -> Option<Vec<u8>> {
+    /// The extent holding `row_id` at `(ext_id, idx)`. `None` when the
+    /// slot is dead (row thawed concurrently), the extent is unknown, or
+    /// the slot holds another row — re-resolve through the RID-Map.
+    fn frozen_slot(&self, ext_id: u32, idx: u16, row_id: RowId) -> Option<Arc<FrozenExtent>> {
         let ext = self.sh.extents.get(ext_id)?;
         let i = idx as usize;
-        if ext.row_id(i) != Some(row_id) || !ext.is_live(i) {
-            return None;
-        }
-        crate::freeze::extent_row_bytes(table.layout.as_ref(), &ext, i)
+        (ext.row_id(i) == Some(row_id) && ext.is_live(i)).then_some(ext)
     }
 
     /// Move a frozen row back to a slotted page so the ordinary DML
@@ -1965,14 +1646,11 @@ impl Engine {
         idx: u16,
     ) -> Result<Option<(PartitionId, PageId, SlotId)>> {
         self.sh.check_writable()?;
-        let Some(ext) = self.sh.extents.get(ext_id) else {
+        let Some(ext) = self.frozen_slot(ext_id, idx, row_id) else {
             return Ok(None);
         };
         let i = idx as usize;
-        if ext.row_id(i) != Some(row_id) || !ext.is_live(i) {
-            return Ok(None);
-        }
-        let Some(data) = crate::freeze::extent_row_bytes(table.layout.as_ref(), &ext, i) else {
+        let Some(data) = extent_row_bytes(table.layout.as_ref(), &ext, i) else {
             return Err(BtrimError::Corrupt(format!(
                 "frozen row {row_id} unreadable from extent {ext_id} slot {idx}"
             )));
@@ -2096,18 +1774,10 @@ impl Engine {
                 self.sh
                     .obs
                     .record_since(OpClass::CommitSerialize, ser_start);
-                if self.sh.cfg.batched_commit {
-                    // One atomic batch append: one lock acquisition on
-                    // the log, and a torn tail can never keep a prefix
-                    // of this transaction's records.
-                    self.sh.append_imrs_batch(&records)?;
-                } else {
-                    // Migration/ablation path: per-record appends, as
-                    // the pre-batching pipeline did.
-                    for r in &records {
-                        self.sh.append_imrs_raw(r)?;
-                    }
-                }
+                // One atomic batch append: one lock acquisition on the
+                // log, and a torn tail can never keep a prefix of this
+                // transaction's records.
+                self.sh.append_imrs_batch(&records)?;
             }
             if txn.wrote_syslog {
                 self.sh.append_sys(&PageLogRecord::Commit { txn: id, ts })?;
@@ -2153,8 +1823,7 @@ impl Engine {
     pub fn abort(&self, mut txn: Transaction) {
         let id = txn.handle.id;
         // Reverse-order undo.
-        let undo: Vec<UndoOp> = txn.undo.drain(..).collect();
-        for op in undo.into_iter().rev() {
+        for op in std::mem::take(&mut txn.undo).into_iter().rev() {
             self.apply_undo(op);
         }
         for row in txn.touched_imrs.drain(..) {
@@ -2362,9 +2031,8 @@ impl Engine {
     /// these continuously; inline mode is the deterministic default.
     pub fn spawn_background(&self) {
         self.sh.background.store(true, Ordering::Relaxed);
-        let n = self.sh.cfg.pack_threads.max(1);
         let mut threads = self.threads.lock();
-        for i in 0..n {
+        for i in 0..PACK_THREADS {
             let sh = Arc::clone(&self.sh);
             threads.push(
                 std::thread::Builder::new()
@@ -2408,20 +2076,11 @@ impl Engine {
     /// (§II) — it is recovered from sysimrslogs alone, which therefore
     /// cannot be truncated here.
     ///
-    /// With `fuzzy_checkpoint` on (the default) this is the fuzzy
-    /// incremental path: writers keep running throughout, pages flush
-    /// in small rate-limited batches, and the prefix below the
-    /// low-water mark (the first record of the oldest transaction still
-    /// alive on the page log) is recycled on *every* checkpoint — not
-    /// only when the system happens to be quiesced. With it off, the
-    /// legacy stop-the-world record is written and truncation waits for
-    /// a quiet instant, as before PR 7.
+    /// Fuzzy and incremental: writers keep running throughout, pages
+    /// flush in small rate-limited batches, and the prefix below the
+    /// low-water mark is recycled on *every* checkpoint.
     pub fn checkpoint(&self) -> Result<()> {
-        let result = if self.sh.cfg.fuzzy_checkpoint {
-            self.fuzzy_checkpoint()
-        } else {
-            self.quiesced_checkpoint()
-        };
+        let result = self.fuzzy_checkpoint();
         match &result {
             Ok(()) => self.sh.note_storage_ok(),
             Err(e) => self.sh.note_storage_error("checkpoint", e),
@@ -2429,27 +2088,8 @@ impl Engine {
         result
     }
 
-    /// The pre-PR-7 checkpoint: flush everything at once, write the
-    /// single legacy `Checkpoint` record, truncate only if quiesced.
-    /// Kept as the `fuzzy_checkpoint = false` ablation arm.
-    fn quiesced_checkpoint(&self) -> Result<()> {
-        let sh = &self.sh;
-        let _gate = sh.ckpt_gate.lock();
-        sh.cache.flush_all()?;
-        let ckpt_lsn = sh.append_sys(&PageLogRecord::Checkpoint)?;
-        sh.syslog.flush()?;
-        sh.imrslog.flush()?;
-        if sh.txns.active_count() == 0 && ckpt_lsn.0 > 0 {
-            let upto = ckpt_lsn.0 - 1;
-            sh.syslog.sink().truncate_prefix(btrim_common::Lsn(upto))?;
-            sh.last_truncate_upto.fetch_max(upto, Ordering::Relaxed);
-        }
-        sh.ckpt_ordinal.fetch_add(1, Ordering::Relaxed);
-        Ok(())
-    }
-
-    /// Fuzzy incremental checkpoint. The ordering below is the whole
-    /// correctness argument — each step licenses the next:
+    /// The ordering below is the whole correctness argument — each step
+    /// licenses the next:
     ///
     /// 1. Read the low-water floor: the minimum first-LSN over
     ///    transactions alive on the page log, bounded above by
@@ -2573,13 +2213,7 @@ impl Engine {
                     true
                 })?;
             for row_id in rows {
-                let mover = self.sh.pack.internal_txn_id();
-                if !self.sh.locks.try_lock(mover, row_id, LockMode::Exclusive) {
-                    continue;
-                }
-                let moved = self.move_to_imrs_locked(table, partition, row_id, RowOrigin::Cached);
-                self.sh.locks.unlock(mover, row_id);
-                if matches!(moved, Ok(true)) {
+                if let Ok(true) = self.move_to_imrs(table, partition, row_id, RowOrigin::Cached) {
                     warmed += 1;
                 }
             }

@@ -33,6 +33,15 @@ use btrim_wal::{ImrsLogRecord, PageLogRecord};
 use crate::engine::{wrap_row, Engine};
 use crate::queues::PartitionQueues;
 
+/// Fraction of current utilization to pack per pack cycle
+/// (`NumBytesToPack`, §VI.C: "some small percentage of current IMRS
+/// cache utilization").
+const PACK_CYCLE_FRACTION: f64 = 0.05;
+
+/// Rows per pack transaction ("Each pack transaction packs only a
+/// small number of rows and commits frequently", §VII.B).
+const PACK_TXN_ROWS: usize = 64;
+
 /// Hand a row that could not be packed right now (conditional lock
 /// denied, uncommitted data, or live older versions) back to GC: the GC
 /// visit truncates its chain below the snapshot horizon and re-enqueues
@@ -164,7 +173,7 @@ pub fn pack_tick(engine: &Engine) -> u64 {
         return 0;
     }
     let mut total = 0u64;
-    // Bounded loop: each cycle targets pack_cycle_fraction of current
+    // Bounded loop: each cycle targets PACK_CYCLE_FRACTION of current
     // use, so ~32 productive cycles can drain the entire overshoot.
     for _ in 0..32 {
         let util = sh.store.utilization();
@@ -210,7 +219,7 @@ pub fn pack_cycle(engine: &Engine, level: PackLevel) -> u64 {
     let cfg = &sh.cfg;
     let util = sh.store.utilization();
     let used = sh.store.used_bytes();
-    let num_bytes_to_pack = (used as f64 * cfg.pack_cycle_fraction) as u64;
+    let num_bytes_to_pack = (used as f64 * PACK_CYCLE_FRACTION) as u64;
     if num_bytes_to_pack == 0 {
         return 0;
     }
@@ -382,7 +391,7 @@ pub fn pack_partition(
     // than rotating the whole (hot) queue through.
     const HOT_RUN_LIMIT: u32 = 16;
     let mut hot_run = 0u32;
-    let mut batch: Vec<(RowId, btrim_imrs::RowOrigin)> = Vec::with_capacity(cfg.pack_txn_rows);
+    let mut batch: Vec<(RowId, btrim_imrs::RowOrigin)> = Vec::with_capacity(PACK_TXN_ROWS);
 
     while freed < target_bytes && budget_rows > 0 && hot_run < HOT_RUN_LIMIT {
         let Some((row_id, origin)) = queues.pop_head() else {
@@ -413,7 +422,7 @@ pub fn pack_partition(
         }
         hot_run = 0;
         batch.push((row_id, origin));
-        if batch.len() >= cfg.pack_txn_rows {
+        if batch.len() >= PACK_TXN_ROWS {
             freed += pack_rows(engine, &table, partition, &batch);
             batch.clear();
         }

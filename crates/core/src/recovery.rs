@@ -197,10 +197,10 @@ impl Engine {
             rep.analysis_micros = analysis_start.elapsed().as_micros() as u64;
         }
         // Redo may start at the certified redo floor: every page change
-        // below it is durable — a legacy checkpoint flushed everything
-        // before its record, a fuzzy one flushed its dirty-page table
-        // between Begin and End (anything below the low-water mark was
-        // already applied to a page by then, see `fuzzy_checkpoint`).
+        // below it is durable — the checkpoint flushed its dirty-page
+        // table between Begin and End (anything below the low-water
+        // mark was already applied to a page by then, see
+        // `Engine::checkpoint`).
         // Replaying earlier records would be harmless (redo is
         // idempotent) but wasteful.
         let redo_floor = analysis.redo_floor();

@@ -48,7 +48,7 @@ use btrim_obs::OpClass;
 use btrim_pagestore::{Column, FrozenExtent};
 
 use crate::catalog::{FieldValue, RowLayout, TableDesc};
-use crate::engine::{Engine, SnapshotTxn};
+use crate::engine::{Engine, SnapshotTxn, View};
 use crate::freeze::OPAQUE_COLUMN;
 
 /// What to compute: inclusive range filters ANDed together, plus SUM
@@ -263,16 +263,21 @@ impl Engine {
         // Resolve every candidate at the snapshot. The read path
         // handles whatever location the row has moved to by now —
         // including into an extent.
-        for rid in candidates {
-            let from_imrs = matches!(sh.ridmap.get(rid), Some(RowLocation::Imrs));
-            if let Some(row) = self.read_row_snapshot(snap, table, rid)? {
-                plan.eval_row(layout, &row, &mut out)?;
+        let eval_at_snapshot = |rid: RowId, out: &mut ScanResult| -> Result<()> {
+            let (row, from_imrs) =
+                self.read_view(table, Some(rid), &snap.handle, View::Snapshot)?;
+            if let Some(row) = row {
+                plan.eval_row(layout, &row, out)?;
                 if from_imrs {
                     out.imrs_rows += 1;
                 } else {
                     out.page_rows += 1;
                 }
             }
+            Ok(())
+        };
+        for rid in candidates {
+            eval_at_snapshot(rid, &mut out)?;
         }
 
         // Phase 4: frozen extents, columnar. Runs last: freeze installs
@@ -297,15 +302,7 @@ impl Engine {
                 if !frozen_here {
                     // Thawed (or deleted) since freezing: resolve like
                     // any other candidate.
-                    let from_imrs = matches!(sh.ridmap.get(rid), Some(RowLocation::Imrs));
-                    if let Some(row) = self.read_row_snapshot(snap, table, rid)? {
-                        plan.eval_row(layout, &row, &mut out)?;
-                        if from_imrs {
-                            out.imrs_rows += 1;
-                        } else {
-                            out.page_rows += 1;
-                        }
-                    }
+                    eval_at_snapshot(rid, &mut out)?;
                     continue;
                 }
                 // Frozen fast path: the horizon gate at freeze time

@@ -226,7 +226,9 @@ impl SideStore {
     /// The value of `(page, slot)` for `row` as of `snapshot`: the
     /// before image of the earliest change newer than the snapshot, or
     /// [`SideImage::UsePage`] when no stash overrides the page bytes.
-    /// The reader's own writes never override (it should see them).
+    /// A reader that changed the slot itself always gets the page bytes
+    /// — its own write is the newest thing there (it holds the row's
+    /// exclusive lock), whatever older history is stashed beside it.
     pub(crate) fn lookup(
         &self,
         page: PageId,
@@ -241,8 +243,11 @@ impl SideStore {
         };
         let mut best: Option<(&SideEntry, u64)> = None;
         for e in list {
-            if e.row != row || e.txn == reader {
+            if e.row != row {
                 continue;
+            }
+            if e.txn == reader {
+                return SideImage::UsePage;
             }
             let eff = e.effective_ts();
             if eff <= snapshot.0 {

@@ -24,6 +24,12 @@ use parking_lot::Mutex;
 
 use btrim_common::Timestamp;
 
+/// Small utilization increase used to learn the TSF (§VI.D.1,
+/// "e.g. 1-5%"): the engine's `learn_delta`.
+pub(crate) const LEARN_DELTA: f64 = 0.02;
+/// The engine re-learns the TSF after this many committed transactions.
+pub(crate) const RELEARN_TXNS: u64 = 10_000;
+
 #[derive(Debug, Clone, Copy)]
 struct LearnCycle {
     start_util: f64,

@@ -490,65 +490,3 @@ fn parallel_recovery_matches_serial_and_is_idempotent() {
     assert_eq!(serial, expect, "serial recovery state");
     assert_eq!(parallel, expect, "parallel recovery state");
 }
-
-#[test]
-fn quiesced_checkpoint_truncates_syslogs_and_recovery_still_works() {
-    use btrim_wal::LogSink;
-    // Pin the legacy stop-the-world path: fuzzy checkpoints have their
-    // own tests above.
-    let quiesced = |mode| EngineConfig {
-        fuzzy_checkpoint: false,
-        ..cfg(mode)
-    };
-    let disk = Arc::new(MemDisk::new());
-    let syslog = Arc::new(MemLog::new());
-    let imrslog = Arc::new(MemLog::new());
-    {
-        let e = Engine::with_devices(
-            quiesced(EngineMode::PageOnly),
-            disk.clone(),
-            syslog.clone(),
-            imrslog.clone(),
-        );
-        let t = e.create_table(opts()).unwrap();
-        let mut txn = e.begin();
-        for i in 0..30u64 {
-            e.insert(&mut txn, &t, &mkrow(i, b"pre")).unwrap();
-        }
-        e.commit(txn).unwrap();
-        let bytes_before = syslog.byte_size();
-        e.checkpoint().unwrap();
-        assert!(
-            syslog.byte_size() < bytes_before / 4,
-            "quiesced checkpoint recycles the log prefix ({} -> {})",
-            bytes_before,
-            syslog.byte_size()
-        );
-        // Post-checkpoint changes land after the truncation point.
-        let mut txn = e.begin();
-        for i in 0..10u64 {
-            e.update(&mut txn, &t, &i.to_be_bytes(), &mkrow(i, b"pst"))
-                .unwrap();
-        }
-        e.commit(txn).unwrap();
-    }
-    let e = Engine::recover(quiesced(EngineMode::PageOnly), disk, syslog, imrslog, |e| {
-        e.create_table(opts()).map(|_| ())
-    })
-    .unwrap();
-    let t = e.table("t").unwrap();
-    let txn = e.begin();
-    for i in 0..10u64 {
-        assert_eq!(
-            &e.get(&txn, &t, &i.to_be_bytes()).unwrap().unwrap()[8..],
-            b"pst"
-        );
-    }
-    for i in 10..30u64 {
-        assert_eq!(
-            &e.get(&txn, &t, &i.to_be_bytes()).unwrap().unwrap()[8..],
-            b"pre"
-        );
-    }
-    e.commit(txn).unwrap();
-}

@@ -3,13 +3,10 @@
 //! Engine-level contracts of the stage-and-batch refactor:
 //!
 //! * a committing transaction's IMRS records reach `sysimrslogs` via
-//!   **one** lock acquisition (asserted with the sink's lock counter),
-//!   while the `batched_commit = false` migration path keeps the old
-//!   per-record behaviour;
+//!   **one** lock acquisition (asserted with the sink's lock counter);
 //! * `OpClass::CommitSerialize` captures the commit-path serialization
 //!   remnant (timestamp stamping + slice building);
 //! * failed commits still land in the `Commit` latency class;
-//! * batched and per-record pipelines recover to identical states;
 //! * log-device death mid-sync under group commit errors every
 //!   committer promptly and flips the engine ReadOnly exactly once.
 
@@ -38,7 +35,7 @@ fn opts(name: &str) -> TableOpts {
     }
 }
 
-fn cfg(batched: bool) -> EngineConfig {
+fn cfg() -> EngineConfig {
     EngineConfig {
         // IlmOff pins every row in the IMRS, so each write stages
         // exactly one sysimrslogs record — no pack/tuning noise.
@@ -47,7 +44,6 @@ fn cfg(batched: bool) -> EngineConfig {
         imrs_chunk_size: 256 * 1024,
         buffer_frames: 256,
         maintenance_interval_txns: 1_000_000,
-        batched_commit: batched,
         ..Default::default()
     }
 }
@@ -56,12 +52,7 @@ fn cfg(batched: bool) -> EngineConfig {
 fn multi_record_commit_takes_one_log_lock() {
     let sys = Arc::new(MemLog::new());
     let imrs = Arc::new(MemLog::new());
-    let e = Engine::with_devices(
-        cfg(true),
-        Arc::new(MemDisk::new()),
-        sys.clone(),
-        imrs.clone(),
-    );
+    let e = Engine::with_devices(cfg(), Arc::new(MemDisk::new()), sys.clone(), imrs.clone());
     let t = e.create_table(opts("t")).unwrap();
 
     let mut txn = e.begin();
@@ -89,31 +80,6 @@ fn multi_record_commit_takes_one_log_lock() {
     };
     assert!(count_of(OpClass::CommitSerialize) >= 1);
     assert!(count_of(OpClass::Commit) >= 1);
-}
-
-#[test]
-fn per_record_fallback_takes_a_lock_per_record() {
-    let sys = Arc::new(MemLog::new());
-    let imrs = Arc::new(MemLog::new());
-    let e = Engine::with_devices(
-        cfg(false),
-        Arc::new(MemDisk::new()),
-        sys.clone(),
-        imrs.clone(),
-    );
-    let t = e.create_table(opts("t")).unwrap();
-
-    let mut txn = e.begin();
-    for i in 0..8u64 {
-        e.insert(&mut txn, &t, &mkrow(i, &[7u8; 40])).unwrap();
-    }
-    let locks_before = imrs.append_lock_acquisitions();
-    e.commit(txn).unwrap();
-    assert_eq!(
-        imrs.append_lock_acquisitions() - locks_before,
-        8,
-        "migration path keeps the pre-batching per-record appends"
-    );
 }
 
 /// A log that can be killed: appends (single and batch) fail while
@@ -170,7 +136,7 @@ impl LogSink for KillableLog {
 fn failed_commit_is_recorded_in_the_commit_latency_class() {
     let sys = Arc::new(MemLog::new());
     let imrs = Arc::new(KillableLog::new());
-    let e = Engine::with_devices(cfg(true), Arc::new(MemDisk::new()), sys, imrs.clone());
+    let e = Engine::with_devices(cfg(), Arc::new(MemDisk::new()), sys, imrs.clone());
     let t = e.create_table(opts("t")).unwrap();
 
     let commit_count = |e: &Engine| {
@@ -207,146 +173,6 @@ fn failed_commit_is_recorded_in_the_commit_latency_class() {
     assert!(!e.health().writable());
 }
 
-/// The same seeded workload must recover to the same state whether the
-/// commit pipeline batched or not — the batch frame is a framing
-/// change, not a semantic one.
-#[test]
-fn batched_and_per_record_pipelines_recover_identically() {
-    let run = |batched: bool| -> (Arc<MemLog>, Arc<MemLog>) {
-        let sys = Arc::new(MemLog::new());
-        let imrs = Arc::new(MemLog::new());
-        let e = Engine::with_devices(
-            cfg(batched),
-            Arc::new(MemDisk::new()),
-            sys.clone(),
-            imrs.clone(),
-        );
-        let t = e.create_table(opts("t")).unwrap();
-        // Multi-op transactions: inserts, overwrites, deletes.
-        for base in 0..20u64 {
-            let mut txn = e.begin();
-            for j in 0..4u64 {
-                let k = base * 4 + j;
-                e.insert(&mut txn, &t, &mkrow(k, &[k as u8; 24])).unwrap();
-            }
-            e.commit(txn).unwrap();
-        }
-        for base in 0..10u64 {
-            let mut txn = e.begin();
-            e.update(
-                &mut txn,
-                &t,
-                &(base * 8).to_be_bytes(),
-                &mkrow(base * 8, &[0xEE; 24]),
-            )
-            .unwrap();
-            e.delete(&mut txn, &t, &(base * 8 + 1).to_be_bytes())
-                .unwrap();
-            e.commit(txn).unwrap();
-        }
-        // Abort one transaction so loser handling is exercised too.
-        let mut txn = e.begin();
-        e.insert(&mut txn, &t, &mkrow(900, &[9u8; 24])).unwrap();
-        e.abort(txn);
-        // Crash without checkpoint: recovery rebuilds from the logs.
-        (sys, imrs)
-    };
-
-    let states: Vec<Vec<(u64, Option<Vec<u8>>)>> = [true, false]
-        .into_iter()
-        .map(|batched| {
-            let (sys, imrs) = run(batched);
-            let e = Engine::recover(cfg(batched), Arc::new(MemDisk::new()), sys, imrs, |e| {
-                e.create_table(opts("t")).map(|_| ())
-            })
-            .unwrap();
-            let t = e.table("t").unwrap();
-            let txn = e.begin();
-            let mut state = Vec::new();
-            for k in 0..90u64 {
-                state.push((k, e.get(&txn, &t, &k.to_be_bytes()).unwrap()));
-            }
-            e.abort(txn);
-            state
-        })
-        .collect();
-    assert_eq!(states[0], states[1]);
-    // Sanity: the recovered state is not trivially empty.
-    assert!(states[0].iter().filter(|(_, v)| v.is_some()).count() > 50);
-}
-
-/// Mixed-format migration on real files: a log written per-record (the
-/// pre-batching pipeline) is reopened by the batching engine, which
-/// appends batch frames after the per-record ones; a crash at that
-/// point must recover *both* generations of frames from one log.
-#[test]
-fn mixed_format_file_log_recovers_across_pipeline_generations() {
-    let dir = std::env::temp_dir().join(format!("btrim-commit-pipeline-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    for f in ["data.db", "sys.wal", "imrs.wal"] {
-        let _ = std::fs::remove_file(dir.join(f));
-    }
-    let devices = || {
-        (
-            Arc::new(btrim_pagestore::FileDisk::open(&dir.join("data.db")).unwrap()),
-            Arc::new(btrim_wal::FileLog::open(&dir.join("sys.wal")).unwrap()),
-            Arc::new(btrim_wal::FileLog::open(&dir.join("imrs.wal")).unwrap()),
-        )
-    };
-    let durable = |batched: bool| EngineConfig {
-        durable_commits: true,
-        ..cfg(batched)
-    };
-    let put = |e: &Engine, t: &Arc<btrim_core::catalog::TableDesc>, base: u64| {
-        let mut txn = e.begin();
-        for j in 0..3u64 {
-            e.insert(&mut txn, t, &mkrow(base + j, &[base as u8; 24]))
-                .unwrap();
-        }
-        e.commit(txn).unwrap();
-    };
-
-    // Generation 1: the per-record pipeline writes, then crashes.
-    {
-        let (disk, sys, imrs) = devices();
-        let e = Engine::with_devices(durable(false), disk, sys, imrs);
-        let t = e.create_table(opts("t")).unwrap();
-        for base in (0..30u64).step_by(3) {
-            put(&e, &t, base);
-        }
-    }
-
-    // Generation 2: the batching pipeline recovers the per-record log,
-    // appends batch frames after the old frames, and crashes too.
-    {
-        let (disk, sys, imrs) = devices();
-        let e = Engine::recover(durable(true), disk, sys, imrs, |e| {
-            e.create_table(opts("t")).map(|_| ())
-        })
-        .unwrap();
-        let t = e.table("t").unwrap();
-        for base in (100..130u64).step_by(3) {
-            put(&e, &t, base);
-        }
-    }
-
-    // Final recovery sees a single log holding both frame formats.
-    let (disk, sys, imrs) = devices();
-    let e = Engine::recover(durable(true), disk, sys, imrs, |e| {
-        e.create_table(opts("t")).map(|_| ())
-    })
-    .unwrap();
-    let t = e.table("t").unwrap();
-    let txn = e.begin();
-    for k in (0..30u64).chain(100..130) {
-        assert!(
-            e.get(&txn, &t, &k.to_be_bytes()).unwrap().is_some(),
-            "key {k} lost across the format migration"
-        );
-    }
-    e.abort(txn);
-}
-
 #[test]
 fn group_commit_device_death_errors_all_committers_and_flips_readonly_once() {
     let sys = Arc::new(MemLog::new());
@@ -356,7 +182,7 @@ fn group_commit_device_death_errors_all_committers_and_flips_readonly_once() {
             durable_commits: true,
             health_degrade_after: 1,
             health_readonly_after: 1,
-            ..cfg(true)
+            ..cfg()
         },
         Arc::new(MemDisk::new()),
         sys,

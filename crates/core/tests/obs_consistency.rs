@@ -254,3 +254,77 @@ fn pack_trace_bytes_sum_to_bytes_packed() {
     assert_eq!(traced_total, snap.bytes_packed);
     assert!(traced_total > 0, "workload must actually pack bytes");
 }
+
+/// Every `get` / `read_row` issued lands in exactly one select class —
+/// hits on either tier, index misses, and rows that resolve to nothing
+/// (deleted, tombstoned) alike. A read that vanished from the
+/// histograms would make `count` useless as a denominator.
+#[test]
+fn every_select_is_counted_exactly_once() {
+    use btrim_core::OpClass;
+    let e = Engine::new(EngineConfig {
+        mode: EngineMode::IlmOn,
+        imrs_budget: 1024 * 1024,
+        imrs_chunk_size: 128 * 1024,
+        buffer_frames: 1024,
+        maintenance_interval_txns: u64::MAX / 2,
+        ..Default::default()
+    });
+    let t = e.create_table(opts("t")).unwrap();
+    let mut txn = e.begin();
+    let rids: Vec<_> = (0..400u64)
+        .map(|i| e.insert(&mut txn, &t, &mkrow(i, &[0xCC; 64])).unwrap())
+        .collect();
+    e.commit(txn).unwrap();
+    // Spread the rows over both tiers.
+    e.run_maintenance();
+    while pack_cycle(&e, PackLevel::Aggressive) > 0 {}
+    let snap = e.snapshot();
+    assert!(snap.rows_packed > 0, "some rows must be page-resident");
+
+    let selects = |e: &Engine| -> (u64, u64) {
+        let count_of = |class: OpClass| {
+            e.obs()
+                .summaries()
+                .iter()
+                .find(|(c, _)| *c == class)
+                .map_or(0, |(_, s)| s.count)
+        };
+        (count_of(OpClass::SelectImrs), count_of(OpClass::SelectPage))
+    };
+    let (imrs0, page0) = selects(&e);
+    let mut issued = 0u64;
+
+    // Delete a few rows from each tier, uncommitted: their keys are
+    // unhooked at once, their RowIds resolve to nothing for the deleter.
+    let mut w = e.begin();
+    for i in (0..400u64).step_by(40) {
+        assert!(e.delete(&mut w, &t, &i.to_be_bytes()).unwrap());
+    }
+    let r = e.begin();
+    for i in 0..400u64 {
+        let hit = e.get(&r, &t, &i.to_be_bytes()).unwrap();
+        assert_eq!(hit.is_some(), i % 40 != 0, "key {i}");
+        issued += 1;
+    }
+    for i in 1_000..1_050u64 {
+        assert!(e.get(&r, &t, &i.to_be_bytes()).unwrap().is_none());
+        issued += 1;
+    }
+    for (i, rid) in rids.iter().enumerate() {
+        let seen = e.read_row(&r, &t, *rid, false).unwrap();
+        assert!(seen.is_some(), "row {i}: the delete is not committed");
+        assert!(e.read_row(&w, &t, *rid, false).unwrap().is_some() == (i % 40 != 0));
+        issued += 2;
+    }
+    e.commit(r).unwrap();
+    e.commit(w).unwrap();
+
+    let (imrs1, page1) = selects(&e);
+    assert!(imrs1 > imrs0 && page1 > page0, "both tiers were read");
+    assert_eq!(
+        (imrs1 - imrs0) + (page1 - page0),
+        issued,
+        "Σ select-class counts must equal the reads issued"
+    );
+}

@@ -377,7 +377,7 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_reads_see_correct_version() {
+    fn snapshot_read_sees_correct_version() {
         let f = fixture();
         let row = f.row(RowOrigin::Inserted);
         f.push_committed(&row, 1, 10, b"v1");

@@ -37,7 +37,6 @@ pub const APPEND_FNS: &[&str] = &[
     "append_batch",
     "append_sys",
     "append_imrs",
-    "append_imrs_raw",
     "append_imrs_batch",
 ];
 

@@ -726,17 +726,6 @@ where
         out
     }
 
-    /// Append one pre-encoded record (the staged-commit path, where
-    /// records were serialized at DML time).
-    pub fn append_raw(&self, payload: &[u8]) -> Result<Lsn> {
-        let t = self.append_hist.as_ref().map(|_| std::time::Instant::now());
-        let out = self.sink.append(payload);
-        if let (Some(h), Some(t)) = (&self.append_hist, t) {
-            h.record(t.elapsed().as_nanos() as u64);
-        }
-        out
-    }
-
     /// Append pre-encoded records as one atomic batch (one latency
     /// sample covers the whole batch — it is one sink operation).
     pub fn append_batch(&self, payloads: &[&[u8]]) -> Result<LsnRange> {

@@ -76,10 +76,6 @@ pub enum PageLogRecord {
         slot: SlotId,
         old: Vec<u8>,
     },
-    /// Checkpoint: every page change below this point is on disk.
-    /// Legacy stop-the-world form; still decoded and honored by
-    /// analysis, no longer written by the fuzzy checkpoint path.
-    Checkpoint,
     /// Fuzzy checkpoint opened. `low_water` is the redo floor this
     /// checkpoint will certify **once its matching
     /// [`CheckpointEnd`](PageLogRecord::CheckpointEnd) lands**: the
@@ -168,9 +164,6 @@ impl Encodable for PageLogRecord {
                 e.put_u16(slot.0);
                 e.put_bytes(old);
             }
-            PageLogRecord::Checkpoint => {
-                e.put_u8(6);
-            }
             PageLogRecord::CheckpointBegin {
                 low_water,
                 dirty_pages,
@@ -229,7 +222,6 @@ impl Encodable for PageLogRecord {
                 slot: SlotId(d.get_u16()?),
                 old: d.get_bytes()?,
             },
-            6 => PageLogRecord::Checkpoint,
             7 => {
                 let low_water = Lsn(d.get_u64()?);
                 let n = d.get_u32()? as usize;
@@ -260,9 +252,7 @@ impl PageLogRecord {
             | PageLogRecord::Insert { txn, .. }
             | PageLogRecord::Update { txn, .. }
             | PageLogRecord::Delete { txn, .. } => Some(*txn),
-            PageLogRecord::Checkpoint
-            | PageLogRecord::CheckpointBegin { .. }
-            | PageLogRecord::CheckpointEnd { .. } => None,
+            PageLogRecord::CheckpointBegin { .. } | PageLogRecord::CheckpointEnd { .. } => None,
         }
     }
 }
@@ -589,7 +579,6 @@ mod tests {
             slot: SlotId(5),
             old: vec![7, 7],
         });
-        roundtrip_page(PageLogRecord::Checkpoint);
         roundtrip_page(PageLogRecord::CheckpointBegin {
             low_water: Lsn(42),
             dirty_pages: vec![PageId(1), PageId(9), PageId(4000)],
@@ -659,8 +648,18 @@ mod tests {
     }
 
     #[test]
+    fn retired_checkpoint_tag_is_a_typed_corrupt_error() {
+        // Tag 6 was the stop-the-world checkpoint record; no writer
+        // emits it any more, so a log carrying one is from another
+        // format and must be refused, not skipped.
+        match PageLogRecord::decode(&[6]) {
+            Err(BtrimError::Corrupt(msg)) => assert!(msg.contains("tag 6"), "{msg}"),
+            other => panic!("expected Corrupt, got {other:?}"),
+        }
+    }
+
+    #[test]
     fn txn_and_accessors() {
-        assert_eq!(PageLogRecord::Checkpoint.txn(), None);
         assert_eq!(
             PageLogRecord::CheckpointBegin {
                 low_water: Lsn(1),

@@ -23,18 +23,16 @@ pub struct LogAnalysis {
     /// Transactions that aborted cleanly (already undone before the
     /// crash, because our undo happens online at rollback).
     pub aborted: HashSet<TxnId>,
-    /// LSN of the last **complete** checkpoint, if any: a legacy
-    /// [`Checkpoint`](PageLogRecord::Checkpoint) record, or the
+    /// LSN of the last **complete** checkpoint, if any: the
     /// `CheckpointBegin` of a begin/end pair whose end arrived. A torn
     /// pair (Begin without End) is ignored, falling back to the
     /// previous complete checkpoint.
     pub last_checkpoint: Option<Lsn>,
     /// Redo floor certified by the last complete checkpoint: every
-    /// page change with `lsn < redo_low_water` is durably on disk.
-    /// For a legacy checkpoint this equals its LSN; for a fuzzy pair
-    /// it is the `low_water` carried by the Begin record (or the
-    /// Begin's own LSN when the record encodes `Lsn::ZERO`, meaning no
-    /// writers were in flight).
+    /// page change with `lsn < redo_low_water` is durably on disk. It
+    /// is the `low_water` carried by the Begin record (or the Begin's
+    /// own LSN when the record encodes `Lsn::ZERO`, meaning no writers
+    /// were in flight).
     pub redo_low_water: Option<Lsn>,
     /// Checkpoint Begin records left open at the log tail (crash
     /// mid-checkpoint). Diagnostic only — torn pairs certify nothing.
@@ -75,10 +73,6 @@ pub fn analyze_page_log(records: &[(Lsn, PageLogRecord)]) -> LogAnalysis {
             PageLogRecord::Abort { txn } => {
                 a.losers.remove(txn);
                 a.aborted.insert(*txn);
-            }
-            PageLogRecord::Checkpoint => {
-                a.last_checkpoint = Some(*lsn);
-                a.redo_low_water = Some(*lsn);
             }
             PageLogRecord::CheckpointBegin { low_water, .. } => {
                 // A Begin overtaking an earlier unmatched Begin means
@@ -173,21 +167,6 @@ mod tests {
     }
 
     #[test]
-    fn last_checkpoint_wins() {
-        let log = with_lsns(vec![
-            PageLogRecord::Checkpoint,
-            PageLogRecord::Begin { txn: TxnId(1) },
-            PageLogRecord::Checkpoint,
-            PageLogRecord::Commit {
-                txn: TxnId(1),
-                ts: Timestamp(5),
-            },
-        ]);
-        let a = analyze_page_log(&log);
-        assert_eq!(a.last_checkpoint, Some(Lsn(3)));
-    }
-
-    #[test]
     fn empty_log_analysis() {
         let a = analyze_page_log(&[]);
         assert!(a.winners.is_empty());
@@ -264,15 +243,17 @@ mod tests {
     }
 
     #[test]
-    fn later_torn_begin_then_legacy_checkpoint_still_counts_torn() {
+    fn overtaken_begin_counts_torn_and_the_last_complete_pair_wins() {
         let log = with_lsns(vec![
-            ckpt_begin(0),             // lsn 1: torn (overtaken)
-            ckpt_begin(0),             // lsn 2: torn (never ends)
-            PageLogRecord::Checkpoint, // lsn 3: legacy, complete
+            ckpt_begin(0),                                      // lsn 1: completes below
+            PageLogRecord::CheckpointEnd { begin_lsn: Lsn(1) }, // lsn 2
+            ckpt_begin(0),                                      // lsn 3: torn (overtaken)
+            ckpt_begin(0),                                      // lsn 4: completes below
+            PageLogRecord::CheckpointEnd { begin_lsn: Lsn(4) }, // lsn 5
         ]);
         let a = analyze_page_log(&log);
-        assert_eq!(a.last_checkpoint, Some(Lsn(3)));
-        assert_eq!(a.redo_low_water, Some(Lsn(3)));
-        assert_eq!(a.torn_checkpoints, 2);
+        assert_eq!(a.last_checkpoint, Some(Lsn(4)));
+        assert_eq!(a.redo_low_water, Some(Lsn(4)));
+        assert_eq!(a.torn_checkpoints, 1);
     }
 }

@@ -60,8 +60,6 @@ pub struct EngineConfig {
     /// Minimum new rows brought into the IMRS during a window for a
     /// partition to be a disable candidate (§V.C "New IMRS usage").
     pub min_new_rows_for_disable: u64,
-    /// Contention events in a window that re-enable a partition (§V.D).
-    pub contention_reenable_threshold: u64,
     /// Reuse increase factor (vs. the window when the partition was
     /// disabled) that re-enables a partition (§V.D).
     pub reuse_reenable_factor: f64,
@@ -165,7 +163,6 @@ impl Default for EngineConfig {
             min_partition_footprint: 0.01,
             tuning_utilization_floor: 0.50,
             min_new_rows_for_disable: 64,
-            contention_reenable_threshold: 16,
             reuse_reenable_factor: 2.0,
             maintenance_interval_txns: 256,
             pack_policy: PackPolicy::Partitioned,

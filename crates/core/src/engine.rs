@@ -35,6 +35,7 @@ use crate::config::{EngineConfig, EngineMode};
 use crate::freeze::extent_row_bytes;
 use crate::gc::GcRegistry;
 use crate::metrics::MetricsRegistry;
+use crate::movement::{relocate, To};
 use crate::pack::PackState;
 use crate::queues::IlmQueues;
 use crate::sidestore::{SideImage, SideStore};
@@ -890,7 +891,8 @@ impl Engine {
                 {
                     // §IV: a select through the unique index caches the
                     // row. Opportunistic; failure is harmless.
-                    let _ = self.move_to_imrs(table, partition, row_id, RowOrigin::Cached);
+                    let at = (row_id, RowLocation::Page(page, slot));
+                    let _ = self.move_row(table, partition, at, To::Imrs(RowOrigin::Cached), true);
                 }
                 (image, false)
             }
@@ -1076,13 +1078,22 @@ impl Engine {
             // migration) lands the row on a page, and there it stays for
             // this write: one movement per operation. If it is updated
             // again it migrates then, as any page row does.
-            Some(RowLocation::Frozen(ext, idx)) => {
-                let at = self.thaw_frozen(table, row_id, ext, idx)?;
-                return Ok(at.map(|(p, page, slot)| (row_id, WriteHome::Page(p, page, slot))));
+            Some(from @ RowLocation::Frozen(ext, _)) => {
+                let Some(partition) = sh.extents.get(ext).map(|e| e.partition()) else {
+                    return Ok(None);
+                };
+                if self.move_row(table, partition, (row_id, from), To::Page, false)? {
+                    sh.freeze.rows_thawed.fetch_add(1, Ordering::Relaxed);
+                }
+                let Some(RowLocation::Page(page, slot)) = sh.ridmap.get(row_id) else {
+                    return Ok(None); // the extent slot was already dead
+                };
+                return Ok(Some((row_id, WriteHome::Page(partition, page, slot))));
             }
         };
         if migrate && self.imrs_allowed(table, partition, PartitionIlmState::allows_migrate) {
-            match self.move_to_imrs_locked(table, partition, row_id, RowOrigin::Migrated) {
+            let at = (row_id, RowLocation::Page(page, slot));
+            match self.move_row(table, partition, at, To::Imrs(RowOrigin::Migrated), false) {
                 Ok(true) => return Ok(Some((row_id, WriteHome::Imrs))),
                 // History-pinned, or the IMRS is full: stay on the page.
                 Ok(false) | Err(BtrimError::ImrsFull { .. }) => {}
@@ -1469,246 +1480,43 @@ impl Engine {
     }
 
     // ------------------------------------------------------------------
-    // Data movement (page store → IMRS): migration and caching
+    // Foreground data movement: cache, migrate, thaw
     // ------------------------------------------------------------------
 
-    /// Opportunistic [`move_to_imrs_locked`](Self::move_to_imrs_locked)
-    /// for callers that do not hold the row lock (select/cache path,
-    /// pre-warm): a conditional lock under a dedicated internal owner —
-    /// if the calling transaction (or anyone else) holds the row, the
-    /// move is skipped; we must never piggy-back on a caller's lock.
-    fn move_to_imrs(
+    /// Run one foreground move of a row out of the location the caller
+    /// saw (see [`crate::movement`]); returns whether the row moved.
+    /// With `lock` the caller does not hold the row lock (select/cache
+    /// path, pre-warm) and the move takes a conditional one. `Ok(false)`:
+    /// the row stays where it was (gone, contended, or pinned to its
+    /// page by snapshot history) and the caller keeps using that path.
+    fn move_row(
         &self,
         table: &TableDesc,
         partition: PartitionId,
-        row_id: RowId,
-        origin: RowOrigin,
+        at: (RowId, RowLocation),
+        to: To,
+        lock: bool,
     ) -> Result<bool> {
-        let mover = self.sh.pack.internal_txn_id();
-        if !self.sh.locks.try_lock(mover, row_id, LockMode::Exclusive) {
-            return Ok(false); // contended: skip
-        }
-        let result = self.move_to_imrs_locked(table, partition, row_id, origin);
-        self.sh.locks.unlock(mover, row_id);
-        result
-    }
-
-    /// Move a page-resident row into the IMRS as an internally-committed
-    /// mini-transaction. The caller holds the row's exclusive lock.
-    /// Returns whether the row actually moved: `Ok(false)` means the
-    /// row stays page-resident (already gone, or pinned to the page by
-    /// snapshot history — see the horizon gate below) and the caller
-    /// must keep using the page path.
-    fn move_to_imrs_locked(
-        &self,
-        table: &TableDesc,
-        partition: PartitionId,
-        row_id: RowId,
-        origin: RowOrigin,
-    ) -> Result<bool> {
-        // Data movement writes both logs; a read-only engine must not
-        // start any.
-        self.sh.check_writable()?;
         let op_start = self.sh.obs.start();
-        // Revalidate under the lock.
-        let Some(RowLocation::Page(page, slot)) = self.sh.ridmap.get(row_id) else {
-            return Ok(false);
-        };
-        let heap = table.heap(partition);
-        let Some(payload) = heap.get(&self.sh.cache, page, slot)? else {
-            return Ok(false);
-        };
-        let data = unwrap_row(&payload)?.1.to_vec();
-
-        // Stamp with the oldest active snapshot so every live reader
-        // sees the (already committed) image in its new home. That
-        // stamp is only truthful if the row's last change is at or
-        // below the horizon: a change newer than the horizon always
-        // left a stamped side-store entry (in-place updates stash
-        // before-images, pack stashes absent markers, and purge cannot
-        // touch entries above the horizon), and re-stamping such a row
-        // at the horizon would make the change visible to snapshots
-        // that predate it. Those rows stay page-resident — the side
-        // store keeps serving their history — until the horizon passes;
-        // the row lock we hold keeps the check stable.
-        let ts_mig = self.sh.txns.oldest_active_snapshot();
-        if self
-            .sh
-            .side
-            .newest_stamped_ts(page, slot, row_id)
-            .is_some_and(|t| t > ts_mig)
-        {
-            return Ok(false);
+        let moved = relocate(self, table, partition, &[at], to, lock)?.rows > 0;
+        if moved && matches!(to, To::Imrs(_)) {
+            self.sh.obs.record_since(OpClass::Migration, op_start);
         }
-        let itxn = self.sh.txns.begin();
-        // The IMRS copy is allocated first: `ImrsFull` must bail before
-        // anything reaches the logs, because its caller falls through to
-        // the page path while the engine stays writable — a loser Delete
-        // record left behind here could be undone at recovery AFTER a
-        // later winner legitimately deletes the slot, resurrecting the
-        // row. The copy is unpublished (the RID-Map still says Page)
-        // and the caller holds the row's exclusive lock, so nobody can
-        // observe it until the logs are safely out.
-        if let Err(e) = self
-            .sh
-            .store
-            .insert_row_committed(row_id, partition, origin, itxn.id, &data, ts_mig)
-        {
-            self.sh.txns.abort(itxn);
-            return Err(e);
-        }
-        // WAL order: every log record goes out BEFORE any page or
-        // RID-Map mutation. If an append fails, the unpublished IMRS
-        // copy is freed and nothing else has changed; recovery undoes
-        // the logged loser idempotently (`insert_at` no-ops on a live
-        // slot), and the append failure turned the engine read-only, so
-        // no later winner can free the slot out from under that undo.
-        // The reverse order once lost an acknowledged row: the
-        // in-memory slot deletion reached the device via eviction while
-        // its Delete record died in a torn log tail, leaving no redo
-        // anywhere.
-        let logged: Result<()> = (|| {
-            self.sh.append_sys(&PageLogRecord::Begin { txn: itxn.id })?;
-            self.sh.append_sys(&PageLogRecord::Delete {
-                txn: itxn.id,
-                partition,
-                row: row_id,
-                page,
-                slot,
-                old: payload,
-            })?;
-            self.sh.append_imrs(&ImrsLogRecord::Insert {
-                txn: itxn.id,
-                ts: ts_mig,
-                partition,
-                row: row_id,
-                origin: origin_tag(origin),
-                data: data.clone(),
-            })?;
-            Ok(())
-        })();
-        if let Err(e) = logged {
-            self.sh.store.remove_row(row_id, || self.sh.clock.now());
-            self.sh.txns.abort(itxn);
-            return Err(e);
-        }
-        // Publish the new home FIRST: a concurrent reader that catches
-        // the stale Page location finds a dead slot, retries the
-        // RID-Map once, and lands here. Deleting the page copy before
-        // repointing would leave a window where the row is unreachable.
-        self.sh.ridmap.set(row_id, RowLocation::Imrs);
-        let key = (table.primary_key)(&data);
-        table.hash.insert(&key, row_id);
-        // No double buffering (§II): the page copy is removed. A
-        // failure here is tolerated rather than propagated — the
-        // migration is already durable in both logs, so the stale page
-        // copy holds the same committed bytes and redo removes it after
-        // a crash; unwinding a logged migration would be worse.
-        if let Err(e) = heap.delete(&self.sh.cache, page, slot) {
-            self.sh.note_storage_error("migrate-page-delete", &e);
-        }
-        let commit_ts = self.sh.txns.commit(itxn);
-        self.sh.append_sys(&PageLogRecord::Commit {
-            txn: itxn.id,
-            ts: commit_ts,
-        })?;
-        self.sh.gc.register(row_id);
-        self.sh.metrics.get(partition).rows_in.inc();
-        self.sh.obs.record_since(OpClass::Migration, op_start);
-        Ok(true)
+        Ok(moved)
     }
-
-    // ------------------------------------------------------------------
-    // Data movement (frozen extent → page store): thaw
-    // ------------------------------------------------------------------
 
     /// The extent holding `row_id` at `(ext_id, idx)`. `None` when the
     /// slot is dead (row thawed concurrently), the extent is unknown, or
     /// the slot holds another row — re-resolve through the RID-Map.
-    fn frozen_slot(&self, ext_id: u32, idx: u16, row_id: RowId) -> Option<Arc<FrozenExtent>> {
+    pub(crate) fn frozen_slot(
+        &self,
+        ext_id: u32,
+        idx: u16,
+        row_id: RowId,
+    ) -> Option<Arc<FrozenExtent>> {
         let ext = self.sh.extents.get(ext_id)?;
         let i = idx as usize;
         (ext.row_id(i) == Some(row_id) && ext.is_live(i)).then_some(ext)
-    }
-
-    /// Move a frozen row back to a slotted page so the ordinary DML
-    /// paths can mutate it. The caller holds the row's exclusive lock.
-    /// Runs as an internally-committed mini-transaction (the mirror of
-    /// freeze): heap insert first (unpublished), WAL records on both
-    /// logs, then RID-Map publication and extent-slot retirement.
-    /// Returns the row's new page address, or `None` when the location
-    /// changed or the extent slot is already dead.
-    fn thaw_frozen(
-        &self,
-        table: &TableDesc,
-        row_id: RowId,
-        ext_id: u32,
-        idx: u16,
-    ) -> Result<Option<(PartitionId, PageId, SlotId)>> {
-        self.sh.check_writable()?;
-        let Some(ext) = self.frozen_slot(ext_id, idx, row_id) else {
-            return Ok(None);
-        };
-        let i = idx as usize;
-        let Some(data) = extent_row_bytes(table.layout.as_ref(), &ext, i) else {
-            return Err(BtrimError::Corrupt(format!(
-                "frozen row {row_id} unreadable from extent {ext_id} slot {idx}"
-            )));
-        };
-        let partition = ext.partition();
-        let heap = table.heap(partition);
-        let payload = wrap_row(row_id, &data);
-        let itxn = self.sh.txns.begin();
-        // The page copy is unpublished until the logs are out (the
-        // RID-Map still says Frozen and we hold the exclusive lock), so
-        // the same WAL-before-publication discipline as migration holds.
-        let (page, slot) = match heap.insert(&self.sh.cache, &payload) {
-            Ok(x) => x,
-            Err(e) => {
-                self.sh.txns.abort(itxn);
-                return Err(e);
-            }
-        };
-        let logged: Result<()> = (|| {
-            self.sh.append_sys(&PageLogRecord::Begin { txn: itxn.id })?;
-            self.sh.append_sys(&PageLogRecord::Insert {
-                txn: itxn.id,
-                partition,
-                row: row_id,
-                page,
-                slot,
-                data: payload,
-            })?;
-            self.sh.append_imrs(&ImrsLogRecord::ExtentRowGone {
-                txn: itxn.id,
-                ts: self.sh.clock.now(),
-                partition,
-                row: row_id,
-                extent: ext_id,
-                idx,
-            })?;
-            Ok(())
-        })();
-        if let Err(e) = logged {
-            // Engine just went read-only; best-effort removal of the
-            // unpublished page copy (a stale copy is harmless — redo
-            // never reaches it because the loser's records are undone).
-            let _ = heap.delete(&self.sh.cache, page, slot);
-            self.sh.txns.abort(itxn);
-            return Err(e);
-        }
-        // Publish the page home first, then retire the extent slot: a
-        // reader that caught the Frozen location either finds the slot
-        // still live (same bytes) or retries into the new location.
-        self.sh.ridmap.set(row_id, RowLocation::Page(page, slot));
-        ext.mark_gone(i);
-        let commit_ts = self.sh.txns.commit(itxn);
-        self.sh.append_sys(&PageLogRecord::Commit {
-            txn: itxn.id,
-            ts: commit_ts,
-        })?;
-        self.sh.freeze.rows_thawed.fetch_add(1, Ordering::Relaxed);
-        Ok(Some((partition, page, slot)))
     }
 
     /// The frozen-extent directory (read-only view for scans, stats,
@@ -2201,19 +2009,20 @@ impl Engine {
     pub fn prewarm(&self, table: &TableDesc) -> Result<usize> {
         let mut warmed = 0;
         for &partition in &table.partitions {
-            // Collect RowIds first: moving rows mutates the heap we
+            // Collect the rows first: moving them mutates the heap we
             // would otherwise be scanning.
-            let mut rows: Vec<RowId> = Vec::new();
+            let mut rows: Vec<(RowId, RowLocation)> = Vec::new();
             table
                 .heap(partition)
-                .scan(&self.sh.cache, |_, _, payload| {
+                .scan(&self.sh.cache, |page, slot, payload| {
                     if let Ok((row_id, _)) = unwrap_row(payload) {
-                        rows.push(row_id);
+                        rows.push((row_id, RowLocation::Page(page, slot)));
                     }
                     true
                 })?;
-            for row_id in rows {
-                if let Ok(true) = self.move_to_imrs(table, partition, row_id, RowOrigin::Cached) {
+            for at in rows {
+                let to = To::Imrs(RowOrigin::Cached);
+                if let Ok(true) = self.move_row(table, partition, at, to, true) {
                     warmed += 1;
                 }
             }
@@ -2279,21 +2088,5 @@ impl Engine {
                 }
             })
             .collect()
-    }
-}
-
-pub(crate) fn origin_tag(origin: RowOrigin) -> RowOriginTag {
-    match origin {
-        RowOrigin::Inserted => RowOriginTag::Inserted,
-        RowOrigin::Migrated => RowOriginTag::Migrated,
-        RowOrigin::Cached => RowOriginTag::Cached,
-    }
-}
-
-pub(crate) fn origin_from_tag(tag: RowOriginTag) -> RowOrigin {
-    match tag {
-        RowOriginTag::Inserted => RowOrigin::Inserted,
-        RowOriginTag::Migrated => RowOrigin::Migrated,
-        RowOriginTag::Cached => RowOrigin::Cached,
     }
 }

@@ -6,9 +6,10 @@
 //! itself the coldness signal — pack only evicts rows the ILM rules
 //! declared cold, and a frozen candidate must additionally have no
 //! snapshot-visible history above the horizon (same gate as
-//! migration). Each freeze batch runs as an internal mini-transaction
-//! in the style of pack: conditional row locks, WAL records on both
-//! logs *before* any in-memory mutation, one commit + flush per batch.
+//! migration). This module is the policy — which rows, how many, under
+//! conditional row locks; the batch itself is one
+//! [`crate::movement::relocate`] call with N sources and one extent as
+//! its destination, in one background mini-transaction.
 //!
 //! Crash safety mirrors pack: the batch's `PageLogRecord::Delete`
 //! records and the `ImrsLogRecord::Freeze` record (which carries the
@@ -19,22 +20,20 @@
 //! Visibility: the horizon gate guarantees every active snapshot (and
 //! every future one) sees exactly the frozen image, so frozen rows are
 //! served unconditionally to all snapshots. A later update or delete
-//! first *thaws* the row back to a slotted page
-//! ([`crate::engine::Engine`]'s thaw path), after which the ordinary
-//! page-path MVCC machinery takes over.
+//! first *thaws* the row back to a slotted page (the same `relocate`,
+//! extent → page), after which the ordinary page-path MVCC machinery
+//! takes over.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 use btrim_common::{PartitionId, RowId};
 use btrim_imrs::RowLocation;
 use btrim_obs::{FreezeTrace, IlmTraceEvent};
 use btrim_pagestore::{ColumnData, FrozenExtent};
-use btrim_txn::LockMode;
-use btrim_wal::{ImrsLogRecord, PageLogRecord};
 
 use crate::catalog::{FieldValue, RowLayout, TableDesc};
 use crate::engine::{unwrap_row, Engine};
+use crate::movement::{relocate, Moved, To};
 
 /// Column name used when a batch is frozen opaquely (no declared
 /// layout, or a row that does not parse as the layout): one bytes
@@ -42,6 +41,7 @@ use crate::engine::{unwrap_row, Engine};
 pub const OPAQUE_COLUMN: &str = "__row";
 
 /// Freeze/thaw lifetime counters.
+#[derive(Default)]
 pub struct FreezeStats {
     /// Extents built and installed.
     pub extents_frozen: AtomicU64,
@@ -60,24 +60,10 @@ pub struct FreezeStats {
     pub rows_skipped_recent: AtomicU64,
 }
 
-impl Default for FreezeStats {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl FreezeStats {
     /// Fresh counters.
     pub fn new() -> Self {
-        FreezeStats {
-            extents_frozen: AtomicU64::new(0),
-            rows_frozen: AtomicU64::new(0),
-            raw_bytes: AtomicU64::new(0),
-            encoded_bytes: AtomicU64::new(0),
-            rows_thawed: AtomicU64::new(0),
-            rows_skipped_hot: AtomicU64::new(0),
-            rows_skipped_recent: AtomicU64::new(0),
-        }
+        Self::default()
     }
 }
 
@@ -108,10 +94,10 @@ pub(crate) fn extent_row_bytes(
 /// the opaque single-column shape unless *every* row parses as the
 /// layout and reassembles byte-identically — the frozen form must
 /// never lose information.
-fn build_columns(
+pub(crate) fn build_columns(
     layout: Option<&RowLayout>,
     rows: &[Vec<u8>],
-) -> (Vec<(String, ColumnData)>, bool) {
+) -> Vec<(String, ColumnData)> {
     'schema: {
         let Some(layout) = layout else {
             break 'schema;
@@ -151,12 +137,9 @@ fn build_columns(
             };
             columns.push((name.clone(), data));
         }
-        return (columns, true);
+        return columns;
     }
-    (
-        vec![(OPAQUE_COLUMN.to_string(), ColumnData::Bytes(rows.to_vec()))],
-        false,
-    )
+    vec![(OPAQUE_COLUMN.to_string(), ColumnData::Bytes(rows.to_vec()))]
 }
 
 /// One freeze tick: visit every non-pinned table partition and freeze
@@ -191,10 +174,10 @@ pub fn freeze_partition(engine: &Engine, table: &TableDesc, partition: Partition
     // Candidate pass: page-resident rows, coldest-first by virtue of
     // pack having already evicted them. Addresses only — the payload is
     // re-read under the row lock.
-    let mut candidates: Vec<(btrim_common::PageId, btrim_common::SlotId, RowId)> = Vec::new();
+    let mut candidates: Vec<(RowId, RowLocation)> = Vec::new();
     let scan = heap.scan(&sh.cache, |page, slot, payload| {
         if let Ok((row_id, _)) = unwrap_row(payload) {
-            candidates.push((page, slot, row_id));
+            candidates.push((row_id, RowLocation::Page(page, slot)));
         }
         candidates.len() < cfg.freeze_max_rows
     });
@@ -202,164 +185,45 @@ pub fn freeze_partition(engine: &Engine, table: &TableDesc, partition: Partition
         return 0;
     }
 
-    let freeze_txn = sh.pack.internal_txn_id();
-    let horizon = sh.txns.oldest_active_snapshot();
-    let mut skipped_hot = 0u64;
-    let mut skipped_recent = 0u64;
-    // (row, page, slot, wrapped payload, user bytes)
-    type Kept = (
-        RowId,
-        btrim_common::PageId,
-        btrim_common::SlotId,
-        Vec<u8>,
-        Vec<u8>,
-    );
-    let mut kept: Vec<Kept> = Vec::with_capacity(candidates.len());
-    let unlock_all = |kept: &[Kept]| {
-        for (row_id, ..) in kept {
-            sh.locks.unlock(freeze_txn, *row_id);
-        }
+    // Conditional locks, as in pack: busy rows are simply not cold.
+    let to = To::Extent {
+        min_rows: cfg.freeze_min_rows,
     };
-    for (page, slot, row_id) in candidates {
-        // Snapshot history newer than the horizon pins the row to its
-        // page: the side store must keep serving its before-images, and
-        // the unconditional visibility rule for frozen rows would lie.
-        if sh
-            .side
-            .newest_stamped_ts(page, slot, row_id)
-            .is_some_and(|t| t > horizon)
-        {
-            skipped_recent += 1;
-            continue;
-        }
-        // Conditional lock, as in pack: busy rows are simply not cold.
-        if !sh.locks.try_lock(freeze_txn, row_id, LockMode::Exclusive) {
-            skipped_hot += 1;
-            continue;
-        }
-        // Revalidate under the lock; the row may have moved or died.
-        if sh.ridmap.get(row_id) != Some(RowLocation::Page(page, slot)) {
-            sh.locks.unlock(freeze_txn, row_id);
-            continue;
-        }
-        match heap.get(&sh.cache, page, slot) {
-            Ok(Some(payload)) => match unwrap_row(&payload) {
-                Ok((rid, data)) if rid == row_id => {
-                    let data = data.to_vec();
-                    kept.push((row_id, page, slot, payload, data));
-                }
-                _ => sh.locks.unlock(freeze_txn, row_id),
-            },
-            _ => sh.locks.unlock(freeze_txn, row_id),
-        }
-    }
+    let moved = relocate(engine, table, partition, &candidates, to, true).unwrap_or_else(|e| {
+        sh.note_storage_error("freeze", &e);
+        Moved::default()
+    });
     sh.freeze
         .rows_skipped_hot
-        .fetch_add(skipped_hot, Ordering::Relaxed);
+        .fetch_add(moved.contended, Ordering::Relaxed);
     sh.freeze
         .rows_skipped_recent
-        .fetch_add(skipped_recent, Ordering::Relaxed);
-    if kept.len() < cfg.freeze_min_rows {
-        unlock_all(&kept);
+        .fetch_add(moved.gated, Ordering::Relaxed);
+    let Some(ext) = moved.extent else {
         return 0;
-    }
-
-    // Build the extent (pure memory; nothing published yet).
-    let rows: Vec<Vec<u8>> = kept.iter().map(|(.., d)| d.clone()).collect();
-    let raw_len: u64 = rows.iter().map(|r| r.len() as u64).sum();
-    let (columns, schema_columns) = build_columns(table.layout.as_ref(), &rows);
-    let row_ids: Vec<RowId> = kept.iter().map(|(r, ..)| *r).collect();
-    let ext_id = sh.extents.allocate_id();
-    let ext = match FrozenExtent::build(ext_id, table.id, partition, row_ids, columns, raw_len) {
-        Ok(e) => e,
-        Err(_) => {
-            unlock_all(&kept);
-            return 0;
-        }
     };
-    let encoded = ext.encode();
-
-    // WAL first, strictly before any page/RID-Map mutation (same
-    // discipline as migration): a failed append turns the engine
-    // read-only with nothing published, and recovery discards the
-    // loser's records.
-    let logged: btrim_common::Result<()> = (|| {
-        sh.append_sys(&PageLogRecord::Begin { txn: freeze_txn })?;
-        for (row_id, page, slot, payload, _) in &kept {
-            sh.append_sys(&PageLogRecord::Delete {
-                txn: freeze_txn,
-                partition,
-                row: *row_id,
-                page: *page,
-                slot: *slot,
-                old: payload.clone(),
-            })?;
-        }
-        sh.append_imrs(&ImrsLogRecord::Freeze {
-            txn: freeze_txn,
-            ts: sh.clock.now(),
-            partition,
-            extent: ext_id,
-            data: encoded.clone(),
-        })?;
-        Ok(())
-    })();
-    if let Err(e) = logged {
-        sh.note_storage_error("freeze", &e);
-        unlock_all(&kept);
-        return 0;
-    }
-    let commit_ts = sh.clock.tick();
-    let _ = sh.append_sys(&PageLogRecord::Commit {
-        txn: freeze_txn,
-        ts: commit_ts,
-    });
-    let flushed = sh.syslog.flush().and_then(|()| sh.imrslog.flush());
-    match &flushed {
-        Ok(()) => sh.note_storage_ok(),
-        Err(e) => sh.note_storage_error("freeze flush", e),
-    }
-
-    // Publish: extent first (so a reader that catches a Frozen location
-    // always resolves it), then per-row RID-Map flips, then the page
-    // deletes. A heap failure is tolerated — the extent is durable, and
-    // redo removes the stale page copy after a crash.
-    let rows_frozen = kept.len() as u64;
-    let ext = Arc::new(ext);
-    if let Err(e) = sh.extents.install(Arc::clone(&ext)) {
-        // Unreachable (ids are allocated uniquely), but never panic.
-        sh.note_storage_error("freeze install", &e);
-        unlock_all(&kept);
-        return 0;
-    }
-    for (i, (row_id, page, slot, _, _)) in kept.iter().enumerate() {
-        sh.ridmap
-            .set(*row_id, RowLocation::Frozen(ext_id, i as u16));
-        if let Err(e) = heap.delete(&sh.cache, *page, *slot) {
-            sh.note_storage_error("freeze page delete", &e);
-        }
-        sh.locks.unlock(freeze_txn, *row_id);
-    }
 
     sh.freeze.extents_frozen.fetch_add(1, Ordering::Relaxed);
     sh.freeze
         .rows_frozen
-        .fetch_add(rows_frozen, Ordering::Relaxed);
-    sh.freeze.raw_bytes.fetch_add(raw_len, Ordering::Relaxed);
+        .fetch_add(moved.rows, Ordering::Relaxed);
+    sh.freeze
+        .raw_bytes
+        .fetch_add(ext.raw_len(), Ordering::Relaxed);
     sh.freeze
         .encoded_bytes
-        .fetch_add(encoded.len() as u64, Ordering::Relaxed);
+        .fetch_add(ext.encoded_len(), Ordering::Relaxed);
     if sh.obs.trace.is_enabled() {
         sh.obs.trace.push(IlmTraceEvent::Freeze(FreezeTrace {
-            extent: ext_id as u64,
+            extent: ext.id() as u64,
             partition: partition.0 as u64,
-            rows: rows_frozen,
-            raw_bytes: raw_len,
-            encoded_bytes: encoded.len() as u64,
-            rows_skipped_hot: skipped_hot,
-            rows_skipped_recent: skipped_recent,
-            schema_columns,
+            rows: moved.rows,
+            raw_bytes: ext.raw_len(),
+            encoded_bytes: ext.encoded_len(),
+            rows_skipped_hot: moved.contended,
+            rows_skipped_recent: moved.gated,
+            schema_columns: ext.column(OPAQUE_COLUMN).is_none(),
         }));
     }
-    rows_frozen
+    moved.rows
 }

@@ -26,6 +26,9 @@
 //! * [`pack`] — the Pack subsystem: steady/aggressive levels, pack
 //!   cycles, UI/CUI/PI apportioning, small pack transactions (§VI,
 //!   §VII).
+//! * `movement` — the one row-movement path: cache, migrate, pack,
+//!   freeze and thaw as `relocate(rows, to)` under one mini-transaction
+//!   envelope (§II, §IV, §VII.B).
 //! * [`gc`] — IMRS garbage collection; piggy-backs ILM queue
 //!   maintenance (§VI.B).
 //! * [`sidestore`] — bounded before-image side store letting snapshot
@@ -47,6 +50,7 @@ pub mod engine;
 pub mod freeze;
 pub mod gc;
 pub mod metrics;
+pub(crate) mod movement;
 pub mod pack;
 pub mod queues;
 pub mod recovery;

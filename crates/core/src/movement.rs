@@ -1,0 +1,438 @@
+//! Row movement: the one path a row takes between tiers.
+//!
+//! The paper's life cycle is one verb — a row changes home under its
+//! row lock, inside a small internally-committed transaction, while DML
+//! keeps running (§II "no double buffering", §IV cache/migrate,
+//! §VI–§VII.B pack). Cache, migrate, pack, freeze and thaw are all that
+//! verb: [`relocate`] is the only function that takes a life-cycle
+//! edge, and the only one that writes a mini-transaction's `Begin` and
+//! `Commit`. *Which* rows move — TSF, budgets, candidate scans, what to
+//! do with a row that would not move — stays with the callers
+//! (`engine.rs`, `pack.rs`, `freeze.rs`).
+//!
+//! The ordering argument, once (DESIGN.md "Row movement" has the
+//! per-direction table): the destination copy is staged unpublished;
+//! every log record is appended before any published state changes, so
+//! a failed append unstages and leaves the row where it was; the
+//! RID-Map flips before the source copy is retired, so a lock-free
+//! reader is at most one retry away from the row; the row locks are
+//! held until the `Commit` is in the log, so no later transaction's
+//! commit can precede it; and recovery gates every record on that
+//! `Commit`, so a crash at any point lands on exactly one home.
+
+use std::sync::Arc;
+
+use btrim_common::{BtrimError, PartitionId, Result, RowId, Timestamp, TxnId};
+use btrim_imrs::{RowLocation, RowOrigin};
+use btrim_pagestore::FrozenExtent;
+use btrim_txn::LockMode;
+use btrim_wal::{ImrsLogRecord, PageLogRecord, RowOriginTag};
+
+use crate::catalog::TableDesc;
+use crate::engine::{unwrap_row, wrap_row, Engine};
+use crate::freeze::{build_columns, extent_row_bytes};
+
+/// Destination tier of a move; the source is what the RID-Map says.
+#[derive(Clone, Copy)]
+pub(crate) enum To {
+    /// Page → IMRS: §IV caching or migration, per the origin.
+    Imrs(RowOrigin),
+    /// IMRS → page (pack), frozen extent → page (thaw).
+    Page,
+    /// Page → one new frozen extent holding the whole batch, built only
+    /// when at least `min_rows` sources pass the gate.
+    Extent { min_rows: usize },
+}
+
+/// What a [`relocate`] call did, for the caller's counters.
+#[derive(Default)]
+pub(crate) struct Moved {
+    /// Rows that changed home.
+    pub rows: u64,
+    /// Bytes the source tier released (IMRS memory, or image bytes).
+    pub bytes: u64,
+    /// Rows skipped because their conditional lock was denied.
+    pub contended: u64,
+    /// Rows the horizon gate pinned to their page.
+    pub gated: u64,
+    /// The extent a freeze batch installed.
+    pub extent: Option<Arc<FrozenExtent>>,
+}
+
+/// One row on its way out of `from`.
+struct Source {
+    row: RowId,
+    from: RowLocation,
+    /// The staged copy's address; `None` until staged.
+    dest: Option<RowLocation>,
+    /// The committed image being moved, in its page form: the `old` of
+    /// a page source's `Delete`, the `data` of a page destination's
+    /// `Insert`.
+    payload: Vec<u8>,
+    /// Bytes the source tier releases (IMRS memory, or image bytes).
+    bytes: u64,
+    /// IMRS source whose commit some live snapshot predates.
+    marker: Option<Timestamp>,
+}
+
+impl Source {
+    fn data(&self) -> &[u8] {
+        &self.payload[8..] // past `wrap_row`'s RowId prefix
+    }
+}
+
+fn origin_tag(origin: RowOrigin) -> RowOriginTag {
+    match origin {
+        RowOrigin::Inserted => RowOriginTag::Inserted,
+        RowOrigin::Migrated => RowOriginTag::Migrated,
+        RowOrigin::Cached => RowOriginTag::Cached,
+    }
+}
+
+/// Move `rows` (distinct) of one partition to `to` as one internally-
+/// committed mini-transaction. Each row comes with the location the
+/// caller saw; a row the RID-Map no longer places there, or that the
+/// gate pins, stays put and is not counted. Page and IMRS destinations
+/// take each row on its own; an extent destination takes the batch as
+/// one unit.
+///
+/// The rows' exclusive locks cover the whole move. With `lock` they are
+/// taken here, conditionally, under the mini-transaction's own id, and
+/// a row anyone else holds is skipped (`Moved::contended`) — a busy row
+/// is not cold, and an opportunistic move must never piggy-back on its
+/// caller's lock. Without it the caller's transaction holds them.
+///
+/// `Err` from staging (`ImrsFull`, a heap I/O error) or from a log
+/// append means nothing was logged that counts and nothing published:
+/// the staged copies are gone and, after a failed append, the engine
+/// is read-only.
+pub(crate) fn relocate(
+    engine: &Engine,
+    table: &TableDesc,
+    partition: PartitionId,
+    rows: &[(RowId, RowLocation)],
+    to: To,
+    lock: bool,
+) -> Result<Moved> {
+    let sh = &engine.sh;
+    // Movement writes both logs; a read-only engine must not start any.
+    sh.check_writable()?;
+    // One identity for the move: lock owner and log transaction.
+    let txn = sh.pack.internal_txn_id();
+    let mut held = rows.to_vec();
+    if lock {
+        held.retain(|&(row, _)| sh.locks.try_lock(txn, row, LockMode::Exclusive));
+    }
+    let moved = relocate_locked(engine, txn, table, partition, &held, to);
+    if lock {
+        for &(row, _) in &held {
+            sh.locks.unlock(txn, row);
+        }
+    }
+    moved.map(|moved| Moved {
+        contended: (rows.len() - held.len()) as u64,
+        ..moved
+    })
+}
+
+/// The four phases of [`relocate`] — revalidate and gate, stage, log,
+/// publish then retire — between the envelope's `Begin` and `Commit`.
+fn relocate_locked(
+    engine: &Engine,
+    txn: TxnId,
+    table: &TableDesc,
+    partition: PartitionId,
+    rows: &[(RowId, RowLocation)],
+    to: To,
+) -> Result<Moved> {
+    let sh = &engine.sh;
+    let heap = table.heap(partition);
+    let horizon = sh.txns.oldest_active_snapshot();
+    let mut out = Moved::default();
+
+    // ---- Revalidate + gate ------------------------------------------
+    let mut sources: Vec<Source> = Vec::with_capacity(rows.len());
+    for &(row, from) in rows {
+        if sh.ridmap.get(row) != Some(from) {
+            continue;
+        }
+        let mut marker = None;
+        let (bytes, payload) = match (from, to) {
+            (RowLocation::Page(page, slot), To::Imrs(_) | To::Extent { .. }) => {
+                let Some(payload) = heap.get(&sh.cache, page, slot)? else {
+                    continue;
+                };
+                if unwrap_row(&payload)?.0 != row {
+                    continue;
+                }
+                // The horizon gate. In its new home the image is
+                // stamped at (IMRS) or served regardless of (extent)
+                // the horizon, which is only truthful if the row's last
+                // change is at or below it. A newer change always left
+                // a stamped side-store entry (in-place updates stash
+                // before-images, pack stashes absent markers, purge
+                // cannot touch entries above the horizon), so such a
+                // row stays on its page — the side store keeps serving
+                // its history — until the horizon passes; the row lock
+                // keeps the check stable.
+                let newest = sh.side.newest_stamped_ts(page, slot, row);
+                if newest.is_some_and(|t| t > horizon) {
+                    out.gated += 1;
+                    continue;
+                }
+                (payload.len() as u64 - 8, payload)
+            }
+            (RowLocation::Imrs, To::Page) => {
+                let Some(r) = sh.store.get(row) else {
+                    continue;
+                };
+                // Only a settled row packs: uncommitted data means
+                // active DML, live older versions may still be needed
+                // by snapshot readers, and a tombstone is GC's to drop.
+                let Some(v) = r.latest_committed() else {
+                    continue;
+                };
+                let Some(h) = v.handle.filter(|_| r.version_count() == 1) else {
+                    continue;
+                };
+                // A single version newer than some live snapshot can
+                // only be a fresh insert: those snapshots must keep
+                // reading the row as absent (see publish).
+                marker = v.commit_ts.filter(|&t| t > horizon);
+                let data = sh.store.allocator().load(h);
+                (r.memory() as u64, wrap_row(row, &data))
+            }
+            (RowLocation::Frozen(ext_id, idx), To::Page) => {
+                let Some(ext) = engine.frozen_slot(ext_id, idx, row) else {
+                    continue;
+                };
+                let Some(data) = extent_row_bytes(table.layout.as_ref(), &ext, idx as usize) else {
+                    return Err(BtrimError::Corrupt(format!(
+                        "frozen row {row} unreadable from extent {ext_id} slot {idx}"
+                    )));
+                };
+                (data.len() as u64, wrap_row(row, &data))
+            }
+            _ => continue,
+        };
+        sources.push(Source {
+            row,
+            from,
+            dest: None,
+            payload,
+            bytes,
+            marker,
+        });
+    }
+    if sources.is_empty() || matches!(to, To::Extent { min_rows } if sources.len() < min_rows) {
+        return Ok(out);
+    }
+
+    let mut extent = None;
+    let logged: Result<()> = (|| {
+        // ---- Stage: an unpublished destination copy ------------------
+        // The RID-Map still says `from` and the row is locked, so nobody
+        // can observe the copy. Staging comes before the log because it
+        // can fail while the engine stays writable (`ImrsFull` sends
+        // the caller down the page path): a loser `Delete` left behind
+        // then could be undone at recovery after a later winner
+        // legitimately deleted the slot, resurrecting the row.
+        match to {
+            To::Imrs(origin) => {
+                for s in sources.iter_mut() {
+                    let (row, data) = (s.row, s.data());
+                    sh.store
+                        .insert_row_committed(row, partition, origin, txn, data, horizon)?;
+                    s.dest = Some(RowLocation::Imrs);
+                }
+            }
+            To::Page => {
+                for s in sources.iter_mut() {
+                    let (page, slot) = heap.insert(&sh.cache, &s.payload)?;
+                    s.dest = Some(RowLocation::Page(page, slot));
+                }
+            }
+            To::Extent { .. } => {
+                let images: Vec<Vec<u8>> = sources.iter().map(|s| s.data().to_vec()).collect();
+                let raw_len = sources.iter().map(|s| s.bytes).sum();
+                let columns = build_columns(table.layout.as_ref(), &images);
+                let row_ids = sources.iter().map(|s| s.row).collect();
+                let id = sh.extents.allocate_id();
+                let ext = FrozenExtent::build(id, table.id, partition, row_ids, columns, raw_len)?;
+                for (i, s) in sources.iter_mut().enumerate() {
+                    s.dest = Some(RowLocation::Frozen(id, i as u16));
+                }
+                extent = Some(ext);
+            }
+        }
+        // ---- Log: every record before any published mutation ---------
+        // Leaving a page = syslogs `Delete{old}`, arriving on one =
+        // syslogs `Insert`; the other tier's half goes to sysimrslogs.
+        // The reverse order once lost an acknowledged row: the slot
+        // deletion reached the device via eviction while its `Delete`
+        // record died in a torn log tail, leaving no redo anywhere.
+        sh.append_sys(&PageLogRecord::Begin { txn })?;
+        for s in &sources {
+            if let RowLocation::Page(page, slot) = s.from {
+                sh.append_sys(&PageLogRecord::Delete {
+                    txn,
+                    partition,
+                    row: s.row,
+                    page,
+                    slot,
+                    old: s.payload.clone(),
+                })?;
+            }
+            if let Some(RowLocation::Page(page, slot)) = s.dest {
+                sh.append_sys(&PageLogRecord::Insert {
+                    txn,
+                    partition,
+                    row: s.row,
+                    page,
+                    slot,
+                    data: s.payload.clone(),
+                })?;
+            }
+            let (row, ts) = (s.row, sh.clock.now());
+            match (s.from, to) {
+                (_, To::Imrs(origin)) => sh.append_imrs(&ImrsLogRecord::Insert {
+                    txn,
+                    ts: horizon,
+                    partition,
+                    row,
+                    origin: origin_tag(origin),
+                    data: s.data().to_vec(),
+                })?,
+                (RowLocation::Imrs, To::Page) => sh.append_imrs(&ImrsLogRecord::Pack {
+                    txn,
+                    ts,
+                    partition,
+                    row,
+                })?,
+                (RowLocation::Frozen(extent, idx), To::Page) => {
+                    sh.append_imrs(&ImrsLogRecord::ExtentRowGone {
+                        txn,
+                        ts,
+                        partition,
+                        row,
+                        extent,
+                        idx,
+                    })?
+                }
+                // Page → extent: the batch's one `Freeze` record below.
+                _ => continue,
+            };
+        }
+        if let Some(ext) = &extent {
+            sh.append_imrs(&ImrsLogRecord::Freeze {
+                txn,
+                ts: sh.clock.now(),
+                partition,
+                extent: ext.id(),
+                data: ext.encode(),
+            })?;
+        }
+        Ok(())
+    })();
+    // Remove the copy of `row` at `loc`: a staged destination after a
+    // failed append, the source once the new home is published.
+    let drop_copy = |row: RowId, loc: RowLocation| match loc {
+        RowLocation::Imrs => {
+            sh.store.remove_row(row, || sh.clock.now());
+        }
+        RowLocation::Page(page, slot) => {
+            if let Err(e) = heap.delete(&sh.cache, page, slot) {
+                sh.note_storage_error("movement", &e);
+            }
+        }
+        RowLocation::Frozen(ext_id, idx) => {
+            if let Some(ext) = sh.extents.get(ext_id) {
+                ext.mark_gone(idx as usize);
+            }
+        }
+        RowLocation::Tombstone(..) => {}
+    };
+    if let Err(e) = logged {
+        // Unstage. After a failed append the engine is read-only and
+        // recovery undoes the logged loser idempotently (`insert_at`
+        // no-ops on a live slot), but a page copy left behind could
+        // reach the device and be adopted by the next heap rebuild. (An
+        // extent that was never installed has nothing to mark.)
+        for s in &sources {
+            if let Some(staged) = s.dest {
+                drop_copy(s.row, staged);
+            }
+        }
+        return Err(e);
+    }
+
+    // ---- Publish, then retire ----------------------------------------
+    // The extent goes in before any RID-Map entry names it, so a reader
+    // that catches a Frozen location always resolves it.
+    if let Some(ext) = extent {
+        let ext = Arc::new(ext);
+        sh.extents.install(Arc::clone(&ext))?;
+        out.extent = Some(ext);
+    }
+    for s in &sources {
+        let Some(dest) = s.dest else { continue };
+        // New home first: a reader that caught the stale location finds
+        // a dead slot (or a drained chain), retries the RID-Map once,
+        // and lands here. Retiring first would leave a window where the
+        // row is unreachable. The hash index spans IMRS rows only.
+        match (s.from, dest) {
+            (_, RowLocation::Imrs) => {
+                table.hash.insert(&(table.primary_key)(s.data()), s.row);
+                sh.gc.register(s.row);
+                sh.metrics.get(partition).rows_in.inc();
+            }
+            (RowLocation::Imrs, RowLocation::Page(page, slot)) => {
+                // The absent marker must be in the side store before
+                // the RID-Map publishes the page location.
+                if let Some(ts) = s.marker {
+                    sh.side.stash_committed(page, slot, s.row, txn, ts, None);
+                }
+                table.hash.remove(&(table.primary_key)(s.data()));
+            }
+            _ => {}
+        }
+        sh.ridmap.set(s.row, dest);
+        // No double buffering (§II): the source copy goes. A failure is
+        // noted, never unwound — the move is already in both logs, the
+        // stale copy holds the same committed bytes, and redo removes
+        // it after a crash.
+        drop_copy(s.row, s.from);
+        out.rows += 1;
+        out.bytes += s.bytes;
+    }
+
+    // ---- Commit -------------------------------------------------------
+    // Without the `Commit` on disk the mini-transaction is a loser at
+    // recovery and every move in it is rolled back — consistent, just
+    // wasted work. (After a failed append the engine is read-only.)
+    let ts = sh.clock.tick();
+    sh.append_sys(&PageLogRecord::Commit { txn, ts })?;
+    // Who flushes. A foreground move (cache, migrate, thaw) never does:
+    // its durability rides on the enclosing user commit. A background
+    // batch flushes once, arrival log first — the rule `Engine::commit`
+    // states: records durable before the verdict that makes them count.
+    // The verdict (and every page `Delete`) is on syslogs. A freeze
+    // batch's arrival copy is the sysimrslogs `Freeze`: it must be
+    // durable first, or a crash between the two flushes redoes the
+    // deletes with nothing to hold the rows. A pack batch's arrival
+    // copy is the syslogs `Insert`, and it is the departure record
+    // (`Pack`) that must not lead: replayed without its syslogs
+    // evidence it would drop the row.
+    let flushed = if out.extent.is_some() {
+        sh.imrslog.flush().and_then(|()| sh.syslog.flush())
+    } else if sources.iter().any(|s| s.from == RowLocation::Imrs) {
+        sh.syslog.flush().and_then(|()| sh.imrslog.flush())
+    } else {
+        return Ok(out);
+    };
+    match flushed {
+        Ok(()) => sh.note_storage_ok(),
+        Err(e) => sh.note_storage_error("movement flush", &e),
+    }
+    Ok(out)
+}

@@ -25,13 +25,11 @@
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use btrim_common::{PartitionId, RowId, TxnId};
-use btrim_imrs::{RowLocation, VersionOp};
+use btrim_imrs::RowLocation;
 use btrim_obs::{IlmTraceEvent, OpClass, PackCycleTrace, PackPartitionTrace};
-use btrim_txn::LockMode;
-use btrim_wal::{ImrsLogRecord, PageLogRecord};
 
-use crate::engine::{wrap_row, Engine};
-use crate::queues::PartitionQueues;
+use crate::engine::Engine;
+use crate::movement::{relocate, Moved, To};
 
 /// Fraction of current utilization to pack per pack cycle
 /// (`NumBytesToPack`, §VI.C: "some small percentage of current IMRS
@@ -41,23 +39,6 @@ const PACK_CYCLE_FRACTION: f64 = 0.05;
 /// Rows per pack transaction ("Each pack transaction packs only a
 /// small number of rows and commits frequently", §VII.B).
 const PACK_TXN_ROWS: usize = 64;
-
-/// Hand a row that could not be packed right now (conditional lock
-/// denied, uncommitted data, or live older versions) back to GC: the GC
-/// visit truncates its chain below the snapshot horizon and re-enqueues
-/// it at the queue tail. Re-queueing directly would make pack re-inspect
-/// the same unpackable row every cycle until its chain settles.
-fn requeue(
-    sh: &crate::engine::Shared,
-    _queues: &PartitionQueues,
-    row_id: RowId,
-    _origin: btrim_imrs::RowOrigin,
-) {
-    if let Some(row) = sh.store.get(row_id) {
-        row.clear_enqueued();
-        sh.gc.register(row_id);
-    }
-}
 
 /// Pack level for the current tick.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -391,7 +372,7 @@ pub fn pack_partition(
     // than rotating the whole (hot) queue through.
     const HOT_RUN_LIMIT: u32 = 16;
     let mut hot_run = 0u32;
-    let mut batch: Vec<(RowId, btrim_imrs::RowOrigin)> = Vec::with_capacity(PACK_TXN_ROWS);
+    let mut batch: Vec<(RowId, RowLocation)> = Vec::with_capacity(PACK_TXN_ROWS);
 
     while freed < target_bytes && budget_rows > 0 && hot_run < HOT_RUN_LIMIT {
         let Some((row_id, origin)) = queues.pop_head() else {
@@ -421,7 +402,11 @@ pub fn pack_partition(
             continue;
         }
         hot_run = 0;
-        batch.push((row_id, origin));
+        // A RowId that left the IMRS and came back can sit in the queue
+        // twice (one entry stale); it moves once per batch.
+        if !batch.contains(&(row_id, RowLocation::Imrs)) {
+            batch.push((row_id, RowLocation::Imrs));
+        }
         if batch.len() >= PACK_TXN_ROWS {
             freed += pack_rows(engine, &table, partition, &batch);
             batch.clear();
@@ -433,171 +418,45 @@ pub fn pack_partition(
     freed
 }
 
-/// One pack transaction: relocate a batch of rows under conditional
-/// locks, then commit (flushing both logs).
+/// One pack transaction: a small batch relocated under conditional
+/// locks, with one commit timestamp and one durable flush (§VII.B).
 fn pack_rows(
     engine: &Engine,
     table: &crate::catalog::TableDesc,
     partition: PartitionId,
-    batch: &[(RowId, btrim_imrs::RowOrigin)],
+    batch: &[(RowId, RowLocation)],
 ) -> u64 {
     let sh = &engine.sh;
-    let pack_txn = sh.pack.internal_txn_id();
-    let metrics = sh.metrics.get(partition);
-    let mut freed = 0u64;
-    let mut wrote = false;
-
-    // A failed Begin append turns the engine read-only (torn-tail
-    // hazard, see `Shared::append_sys`); the batch is simply not packed.
-    if sh
-        .append_sys(&PageLogRecord::Begin { txn: pack_txn })
-        .is_err()
-    {
-        return 0;
-    }
-    let queues = sh.queues.get(partition);
-    for &(row_id, origin) in batch {
-        // Conditional lock: skip rows busy with DMLs (§VII.B). The row
-        // stays queued (tail) so coverage is never silently lost.
-        if !sh.locks.try_lock(pack_txn, row_id, LockMode::Exclusive) {
-            requeue(sh, &queues, row_id, origin);
-            continue;
-        }
-        let result = pack_one_locked(engine, table, partition, row_id, pack_txn);
-        sh.locks.unlock(pack_txn, row_id);
-        match result {
-            Ok(0) => {
-                // Unpackable right now (uncommitted data, live older
-                // versions): revisit in a later cycle.
-                requeue(sh, &queues, row_id, origin);
-            }
-            Ok(bytes) => {
-                freed += bytes;
-                wrote = true;
-                metrics.rows_packed.inc();
-                metrics.bytes_packed.add(bytes);
-                sh.pack.rows_packed.fetch_add(1, Ordering::Relaxed);
-                sh.pack.bytes_packed.fetch_add(bytes, Ordering::Relaxed);
-            }
-            Err(ref e) => {
-                // Pack is best-effort; the row stays resident and will
-                // be revisited in a later cycle. Storage errors still
-                // count against engine health.
-                sh.note_storage_error("pack", e);
-                requeue(sh, &queues, row_id, origin);
-            }
-        }
-    }
-    // Commit boundary of the pack transaction: one commit timestamp and
-    // one durable flush for the whole small batch (§VII.B). Without the
-    // Commit record on disk the pack transaction is a loser at recovery
-    // and every relocation in the batch is rolled back — consistent,
-    // just wasted work, so the append result only feeds health.
-    let commit_ts = sh.clock.tick();
-    let _ = sh.append_sys(&PageLogRecord::Commit {
-        txn: pack_txn,
-        ts: commit_ts,
+    // Pack is best-effort, but storage errors still count against
+    // engine health.
+    let moved = relocate(engine, table, partition, batch, To::Page, true).unwrap_or_else(|e| {
+        sh.note_storage_error("pack", &e);
+        Moved::default()
     });
-    if wrote {
-        let flushed = sh.syslog.flush().and_then(|()| sh.imrslog.flush());
-        match &flushed {
-            Ok(()) => sh.note_storage_ok(),
-            Err(e) => sh.note_storage_error("pack flush", e),
+    // Whatever kept a row resident — lock denied (busy with DML),
+    // uncommitted data, live older versions, a tombstone, a storage
+    // error — coverage is never silently lost: the row goes back to GC,
+    // whose visit truncates its chain below the snapshot horizon, drops
+    // it if it is a dead tombstone, and otherwise re-enqueues it at the
+    // queue tail. Re-queueing directly would make pack re-inspect the
+    // same unpackable row every cycle until its chain settles.
+    for &(row_id, _) in batch {
+        if let Some(row) = sh.store.get(row_id) {
+            row.clear_enqueued();
+            sh.gc.register(row_id);
         }
+    }
+    if moved.rows > 0 {
+        let metrics = sh.metrics.get(partition);
+        metrics.rows_packed.add(moved.rows);
+        metrics.bytes_packed.add(moved.bytes);
+        sh.pack.rows_packed.fetch_add(moved.rows, Ordering::Relaxed);
+        sh.pack
+            .bytes_packed
+            .fetch_add(moved.bytes, Ordering::Relaxed);
         sh.pack.pack_txn_commits.fetch_add(1, Ordering::Relaxed);
     }
-    freed
-}
-
-/// Relocate one IMRS row to the page store. Caller holds the row lock.
-/// Returns bytes released (0 when the row is skipped).
-fn pack_one_locked(
-    engine: &Engine,
-    table: &crate::catalog::TableDesc,
-    partition: PartitionId,
-    row_id: RowId,
-    pack_txn: TxnId,
-) -> btrim_common::Result<u64> {
-    let sh = &engine.sh;
-    // Revalidate under the lock.
-    if sh.ridmap.get(row_id) != Some(RowLocation::Imrs) {
-        return Ok(0);
-    }
-    let Some(row) = sh.store.get(row_id) else {
-        return Ok(0);
-    };
-    let Some(version) = row.latest_committed() else {
-        return Ok(0); // only uncommitted data: active DML, skip
-    };
-    // A row with live older versions may still be needed by snapshot
-    // readers; pack only fully-settled rows.
-    if row.version_count() > 1 {
-        return Ok(0);
-    }
-    let ts = sh.clock.now();
-    if version.op == VersionOp::Delete {
-        // Packing a deleted row = dropping it (its index entries were
-        // removed by the delete).
-        let bytes = row.memory() as u64;
-        sh.append_imrs(&ImrsLogRecord::Delete {
-            txn: pack_txn,
-            ts,
-            partition,
-            row: row_id,
-        })?;
-        // A single-version tombstone implies commit_ts ≤ the snapshot
-        // horizon (otherwise truncation would have kept the pre-image),
-        // so no active snapshot can see the pre-delete row and the
-        // RID-Map entry can go entirely.
-        sh.store.remove_row(row_id, || sh.clock.now());
-        sh.ridmap.remove(row_id);
-        return Ok(bytes.max(1));
-    }
-    let data = version
-        .handle
-        .map(|h| sh.store.allocator().load(h))
-        .unwrap_or_default();
-    let bytes = row.memory() as u64;
-
-    // Logged insert into the page store (the row "finds a location in
-    // the page-store", §II). The enclosing pack transaction's
-    // Begin/Commit records are written by `pack_rows`.
-    let payload = wrap_row(row_id, &data);
-    let (page, slot) = table.heap(partition).insert(&sh.cache, &payload)?;
-    sh.append_sys(&PageLogRecord::Insert {
-        txn: pack_txn,
-        partition,
-        row: row_id,
-        page,
-        slot,
-        data: payload,
-    })?;
-    // Logged delete from the IMRS, tagged with the pack transaction so
-    // recovery can discard it if the pack txn loses (no Commit on disk).
-    sh.append_imrs(&ImrsLogRecord::Pack {
-        txn: pack_txn,
-        ts,
-        partition,
-        row: row_id,
-    })?;
-
-    // A packed single-version row whose commit is newer than some
-    // active snapshot must still read as absent for those snapshots
-    // (the only way the chain is that short is a fresh insert): leave
-    // an already-committed absent marker in the side store *before*
-    // the RID-Map publishes the page location.
-    if let Some(commit_ts) = version.commit_ts {
-        if commit_ts > sh.txns.oldest_active_snapshot() {
-            sh.side
-                .stash_committed(page, slot, row_id, pack_txn, commit_ts, None);
-        }
-    }
-    // Flip the RID-Map, drop the hash fast path, release the memory.
-    let key = (table.primary_key)(&data);
-    table.hash.remove(&key);
-    sh.ridmap.set(row_id, RowLocation::Page(page, slot));
-    sh.store.remove_row(row_id, || sh.clock.now());
-    Ok(bytes.max(1))
+    moved.bytes
 }
 
 #[cfg(test)]

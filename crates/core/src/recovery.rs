@@ -44,16 +44,18 @@ use std::collections::{BTreeSet, HashMap, HashSet};
 use std::sync::Arc;
 
 use btrim_common::{BtrimError, PageId, PartitionId, Result, RowId, SlotId, Timestamp, TxnId};
-use btrim_imrs::RowLocation;
+use btrim_imrs::{RowLocation, RowOrigin};
 use btrim_pagestore::page::PageType;
 use btrim_pagestore::{DiskBackend, PageGuard, SlottedPage};
-use btrim_wal::{analyze_page_log, ImrsLogRecord, LogAnalysis, LogSink, PageLogRecord};
+use btrim_wal::{
+    analyze_page_log, ImrsLogRecord, LogAnalysis, LogSink, PageLogRecord, RowOriginTag,
+};
 
 use btrim_obs::OpClass;
 
 use crate::catalog::TableDesc;
 use crate::config::EngineConfig;
-use crate::engine::{origin_from_tag, unwrap_row, Engine};
+use crate::engine::{unwrap_row, Engine};
 
 /// Internal pack/caching pseudo-transaction ids set this bit.
 const INTERNAL_TXN_BIT: u64 = 1 << 63;
@@ -541,21 +543,12 @@ impl Engine {
                 origin,
                 data,
             } => {
-                let Some(table) = self.sh.catalog.table_of_partition(*partition) else {
-                    return Ok(());
+                let origin = match origin {
+                    RowOriginTag::Inserted => RowOrigin::Inserted,
+                    RowOriginTag::Migrated => RowOrigin::Migrated,
+                    RowOriginTag::Cached => RowOrigin::Cached,
                 };
-                self.sh.store.insert_row_committed(
-                    *row,
-                    *partition,
-                    origin_from_tag(*origin),
-                    *txn,
-                    data,
-                    *ts,
-                )?;
-                self.sh.ridmap.set(*row, RowLocation::Imrs);
-                let key = (table.primary_key)(data);
-                table.hash.insert(&key, *row);
-                Self::index_row(&table, *row, data);
+                self.replay_imrs_arrival(*txn, *ts, *partition, *row, origin, data)?;
             }
             ImrsLogRecord::Update {
                 txn,
@@ -563,63 +556,33 @@ impl Engine {
                 partition,
                 row,
                 data,
-            } => {
-                match self.sh.store.get(*row) {
-                    Some(imrs_row) => {
-                        let v = self.sh.store.add_version(
-                            &imrs_row,
-                            *txn,
-                            btrim_imrs::VersionOp::Update,
-                            Some(data),
-                        )?;
-                        v.stamp(*ts);
-                        if let Some(table) = self.sh.catalog.table_of_partition(*partition) {
-                            Self::index_row(&table, *row, data);
-                        }
-                    }
-                    None => {
-                        // Defensive: an update without a resident row
-                        // (should not happen in an intact log).
-                        let Some(table) = self.sh.catalog.table_of_partition(*partition) else {
-                            return Ok(());
-                        };
-                        self.sh.store.insert_row_committed(
-                            *row,
-                            *partition,
-                            btrim_imrs::RowOrigin::Inserted,
-                            *txn,
-                            data,
-                            *ts,
-                        )?;
-                        self.sh.ridmap.set(*row, RowLocation::Imrs);
+            } => match self.sh.store.get(*row) {
+                Some(imrs_row) => {
+                    let op = btrim_imrs::VersionOp::Update;
+                    let v = self.sh.store.add_version(&imrs_row, *txn, op, Some(data))?;
+                    v.stamp(*ts);
+                    if let Some(table) = self.sh.catalog.table_of_partition(*partition) {
                         Self::index_row(&table, *row, data);
-                        let key = (table.primary_key)(data);
-                        table.hash.insert(&key, *row);
                     }
                 }
-            }
+                // Defensive: an update without a resident row (should
+                // not happen in an intact log).
+                None => {
+                    let origin = RowOrigin::Inserted;
+                    self.replay_imrs_arrival(*txn, *ts, *partition, *row, origin, data)?;
+                }
+            },
             ImrsLogRecord::Delete { partition, row, .. } => {
-                self.drop_imrs_row(*partition, *row, true)?;
+                let table = self.sh.catalog.table_of_partition(*partition);
+                if let (Some(table), Some(image)) = (&table, self.drop_imrs_row(&table, *row)) {
+                    Self::unindex_row(table, *row, &image);
+                }
                 self.sh.ridmap.remove(*row);
             }
             ImrsLogRecord::Pack { partition, row, .. } => {
-                // The packed copy was re-inserted by syslogs redo —
-                // unless the row was subsequently deleted from the
-                // page store (or re-migrated; a later Insert record
-                // then recreates everything). If the heap does not
-                // hold the row, its index entries and RID-Map entry
-                // must go, or they would shadow a later re-insert of
-                // the same key under a new RowId.
-                match heap_locs.get(row) {
-                    Some(&(page, slot)) => {
-                        self.drop_imrs_row(*partition, *row, false)?;
-                        self.sh.ridmap.set(*row, RowLocation::Page(page, slot));
-                    }
-                    None => {
-                        self.drop_imrs_row(*partition, *row, true)?;
-                        self.sh.ridmap.remove(*row);
-                    }
-                }
+                let table = self.sh.catalog.table_of_partition(*partition);
+                let image = self.drop_imrs_row(&table, *row);
+                self.replay_page_arrival(&table, *row, RowLocation::Imrs, || image, heap_locs);
             }
             ImrsLogRecord::Freeze {
                 partition,
@@ -672,78 +635,98 @@ impl Engine {
                 idx,
                 ..
             } => {
-                if let Some(ext) = self.sh.extents.get(*extent) {
-                    if ext.row_id(*idx as usize) == Some(*row) {
-                        ext.mark_gone(*idx as usize);
-                    }
+                let table = self.sh.catalog.table_of_partition(*partition);
+                let i = *idx as usize;
+                let ext = self.sh.extents.get(*extent);
+                let ext = ext.filter(|ext| ext.row_id(i) == Some(*row));
+                if let Some(ext) = &ext {
+                    ext.mark_gone(i);
                 }
-                match heap_locs.get(row) {
-                    Some(&(page, slot)) => {
-                        // The thawed copy was re-inserted by syslogs
-                        // redo and indexed by the heap rebuild.
-                        self.sh.ridmap.set(*row, RowLocation::Page(page, slot));
-                    }
-                    None => {
-                        // Thawed then deleted (or re-migrated; a later
-                        // Insert record recreates everything). Retire
-                        // the index entries built from the frozen image
-                        // or they would shadow a re-insert of the key.
-                        if let (Some(table), Some(ext)) = (
-                            self.sh.catalog.table_of_partition(*partition),
-                            self.sh.extents.get(*extent),
-                        ) {
-                            if ext.row_id(*idx as usize) == Some(*row) {
-                                if let Some(bytes) = crate::freeze::extent_row_bytes(
-                                    table.layout.as_ref(),
-                                    &ext,
-                                    *idx as usize,
-                                ) {
-                                    let key = (table.primary_key)(&bytes);
-                                    let _ = table.primary.delete(&key, Some(*row));
-                                    for sec in table.secondaries.read().iter() {
-                                        let skey = (sec.extractor)(&bytes);
-                                        let _ = sec.tree.delete(&skey, Some(*row));
-                                    }
-                                }
-                            }
-                        }
-                        if self.sh.ridmap.get(*row) == Some(RowLocation::Frozen(*extent, *idx)) {
-                            self.sh.ridmap.remove(*row);
-                        }
-                    }
-                }
+                let image = || {
+                    let layout = table.as_ref()?.layout.as_ref();
+                    crate::freeze::extent_row_bytes(layout, ext.as_ref()?, i)
+                };
+                let old = RowLocation::Frozen(*extent, *idx);
+                self.replay_page_arrival(&table, *row, old, image, heap_locs);
             }
             ImrsLogRecord::Discard { .. } => unreachable!("filtered by the caller"), // lint: allow(no-panic) -- Discard records never reach the per-partition shards (the classification pass drops them); reaching this arm is a recovery-logic bug worth a loud stop
         }
         Ok(())
     }
 
-    /// Remove a row from the IMRS during replay. The hash fast path is
-    /// always dropped (it spans IMRS rows only); for a *delete* the
-    /// B+tree entries go too, while a *pack* keeps them — the row still
-    /// exists, on a page, and the caller repoints the RID-Map.
-    fn drop_imrs_row(&self, partition: PartitionId, row: RowId, deleted: bool) -> Result<()> {
-        let Some(imrs_row) = self.sh.store.get(row) else {
+    /// A winner's image arriving in the IMRS (a client insert, or the
+    /// arrival half of a cache/migrate move): resident row, RID-Map,
+    /// hash fast path, B+tree entries.
+    fn replay_imrs_arrival(
+        &self,
+        txn: TxnId,
+        ts: Timestamp,
+        partition: PartitionId,
+        row: RowId,
+        origin: RowOrigin,
+        data: &[u8],
+    ) -> Result<()> {
+        let Some(table) = self.sh.catalog.table_of_partition(partition) else {
             return Ok(());
         };
-        if let Some(table) = self.sh.catalog.table_of_partition(partition) {
-            if let Some(v) = imrs_row.latest_committed() {
-                if let Some(h) = v.handle {
-                    let data = self.sh.store.allocator().load(h);
-                    let key = (table.primary_key)(&data);
-                    table.hash.remove(&key);
-                    if deleted {
-                        let _ = table.primary.delete(&key, Some(row));
-                        for sec in table.secondaries.read().iter() {
-                            let skey = (sec.extractor)(&data);
-                            let _ = sec.tree.delete(&skey, Some(row));
-                        }
-                    }
-                }
-            }
+        self.sh
+            .store
+            .insert_row_committed(row, partition, origin, txn, data, ts)?;
+        self.sh.ridmap.set(row, RowLocation::Imrs);
+        table.hash.insert(&(table.primary_key)(data), row);
+        Self::index_row(&table, row, data);
+        Ok(())
+    }
+
+    /// The page-arrival half of a winner's `Pack` / `ExtentRowGone`:
+    /// the row left `old` for a heap slot. If the heap still holds it —
+    /// syslogs redo re-inserted the copy and the heap rebuild indexed
+    /// it — adopt that address. Otherwise the row was subsequently
+    /// deleted from the page store (or moved on; a later record then
+    /// recreates everything): the index entries built from `image` and
+    /// the RID-Map entry must go, or they would shadow a later
+    /// re-insert of the same key under a new RowId.
+    fn replay_page_arrival(
+        &self,
+        table: &Option<Arc<TableDesc>>,
+        row: RowId,
+        old: RowLocation,
+        image: impl FnOnce() -> Option<Vec<u8>>,
+        heap_locs: &HashMap<RowId, (PageId, SlotId)>,
+    ) {
+        if let Some(&(page, slot)) = heap_locs.get(&row) {
+            self.sh.ridmap.set(row, RowLocation::Page(page, slot));
+            return;
+        }
+        if let (Some(table), Some(image)) = (table, image()) {
+            Self::unindex_row(table, row, &image);
+        }
+        if self.sh.ridmap.get(row) == Some(old) {
+            self.sh.ridmap.remove(row);
+        }
+    }
+
+    /// Drop a row's B+tree entries (the inverse of [`Self::index_row`]).
+    fn unindex_row(table: &TableDesc, row: RowId, data: &[u8]) {
+        let _ = table.primary.delete(&(table.primary_key)(data), Some(row));
+        for sec in table.secondaries.read().iter() {
+            let _ = sec.tree.delete(&(sec.extractor)(data), Some(row));
+        }
+    }
+
+    /// Remove a row from the IMRS during replay, hash fast path included
+    /// (it spans IMRS rows only). Returns the row's last committed
+    /// image: a *delete* retires the B+tree entries built from it too,
+    /// while a *pack* keeps them — the row still exists, on a page.
+    fn drop_imrs_row(&self, table: &Option<Arc<TableDesc>>, row: RowId) -> Option<Vec<u8>> {
+        let imrs_row = self.sh.store.get(row)?;
+        let handle = imrs_row.latest_committed().and_then(|v| v.handle);
+        let image = handle.map(|h| self.sh.store.allocator().load(h));
+        if let (Some(table), Some(image)) = (table, &image) {
+            table.hash.remove(&(table.primary_key)(image));
         }
         self.sh.store.remove_row(row, || self.sh.clock.now());
-        Ok(())
+        image
     }
 
     /// Final recovery steps: queue rebuild and a clean checkpoint.

@@ -35,6 +35,10 @@ use btrim_obs::{IlmTraceEvent, Obs, OpClass, TunerAction, TunerTrace};
 use crate::config::EngineConfig;
 use crate::metrics::{MetricsRegistry, PartitionSample};
 
+/// Page-store contention events in one window that vote to re-enable a
+/// disabled partition (§V.D).
+pub const CONTENTION_REENABLE_THRESHOLD: u64 = 16;
+
 /// Per-partition ILM enablement state.
 #[derive(Debug)]
 pub struct PartitionIlmState {
@@ -269,7 +273,7 @@ impl Tuner {
                     state.disable_votes.store(0, Ordering::Relaxed);
                 }
             } else {
-                let contention = delta.page_contention >= cfg.contention_reenable_threshold;
+                let contention = delta.page_contention >= CONTENTION_REENABLE_THRESHOLD;
                 let baseline = state.activity_at_disable.lock().unwrap_or(0).max(1);
                 let demand_growth = activity as f64 >= cfg.reuse_reenable_factor * baseline as f64;
                 state.disable_votes.store(0, Ordering::Relaxed);
@@ -314,7 +318,6 @@ mod tests {
             min_partition_footprint: 0.001,
             tuning_utilization_floor: 0.0, // disable the floor for tests
             min_new_rows_for_disable: 4,
-            contention_reenable_threshold: 8,
             reuse_reenable_factor: 2.0,
             ..Default::default()
         }

@@ -57,7 +57,7 @@ fn tuner_trace_explains_every_toggle() {
     let min_new_rows = cfg.min_new_rows_for_disable;
     let util_floor = cfg.tuning_utilization_floor;
     let min_footprint = cfg.min_partition_footprint;
-    let contention_threshold = cfg.contention_reenable_threshold;
+    let contention_threshold = btrim_core::tuner::CONTENTION_REENABLE_THRESHOLD;
     let reenable_factor = cfg.reuse_reenable_factor;
     let hysteresis = cfg.hysteresis_windows;
     let e = Engine::new(cfg);
@@ -327,4 +327,99 @@ fn every_select_is_counted_exactly_once() {
         issued,
         "Σ select-class counts must equal the reads issued"
     );
+}
+
+/// `committed_txns` / `aborted_txns` count *user* transactions: what
+/// `Engine::commit` acknowledged and what `Engine::abort` rolled back.
+/// Row movement runs as internal mini-transactions in every direction
+/// here — cache, migrate (including attempts the full IMRS turns
+/// away), pack, freeze, thaw — and none of it may tick either counter:
+/// `committed_txns` paces maintenance, the tuner window and the arbiter
+/// window, and `aborted_txns` is reported as user rollbacks.
+#[test]
+fn txn_counters_count_user_transactions_only() {
+    use btrim_core::freeze::freeze_tick;
+    use btrim_core::OpClass;
+    let e = Engine::new(EngineConfig {
+        mode: EngineMode::IlmOn,
+        // Smaller than the data: inserts spill to pages, and migrations
+        // of spilled rows meet a full IMRS.
+        imrs_budget: 128 * 1024,
+        imrs_chunk_size: 64 * 1024,
+        buffer_frames: 1024,
+        // Maintenance only between rounds: within one, nothing packs
+        // and pack's reject-new backpressure stays off, so the second
+        // pass of updates really does fill the IMRS.
+        maintenance_interval_txns: u64::MAX / 2,
+        freeze_enabled: true,
+        freeze_min_rows: 8,
+        ..Default::default()
+    });
+    let t = e.create_table(opts("t")).unwrap();
+    // [commits acknowledged, aborts], by this test's own count.
+    let tally = std::cell::Cell::new([0u64; 2]);
+    let count = |i: usize| {
+        let mut t = tally.get();
+        t[i] += 1;
+        tally.set(t);
+    };
+    let write = |key: u64, fill: u8, insert: bool, keep: bool| {
+        let mut txn = e.begin();
+        let image = mkrow(key, &[fill; 120]);
+        // A full IMRS turns a migration away silently (the write
+        // proceeds on the page), but fails the update of a row already
+        // resident — roll that one back like any failed statement.
+        let done = match insert {
+            true => e.insert(&mut txn, &t, &image).map(|_| true),
+            false => e.update(&mut txn, &t, &key.to_be_bytes(), &image),
+        };
+        if keep && done.is_ok_and(|found| found) {
+            e.commit(txn).unwrap();
+            count(0);
+        } else {
+            e.abort(txn);
+            count(1);
+        }
+    };
+    for key in 0..1_500u64 {
+        write(key, 1, true, true);
+        if key % 10 == 0 {
+            write(1_000_000 + key, 1, true, false);
+        }
+    }
+    for round in 0..4u8 {
+        // Everything cold goes to pages, then into extents …
+        e.run_maintenance();
+        while pack_cycle(&e, PackLevel::Aggressive) > 0 {}
+        while freeze_tick(&e) > 0 {}
+        // … and writes bring rows back, with the odd rollback: the
+        // first update of a frozen row thaws it, the second migrates it
+        // (or is turned away by the full IMRS and stays on its page).
+        for pass in 0..2 {
+            for key in 0..1_500u64 {
+                write(key, 2 + round, false, (key + pass) % 9 != 0);
+            }
+        }
+        // Point reads try to cache what the IMRS had no room for.
+        let txn = e.begin();
+        for key in 0..1_500u64 {
+            e.get(&txn, &t, &key.to_be_bytes()).unwrap().unwrap();
+        }
+        e.commit(txn).unwrap();
+        count(0);
+    }
+    let snap = e.snapshot();
+    let summaries = e.obs().summaries();
+    let migrations = summaries.iter().find(|(c, _)| *c == OpClass::Migration);
+    assert!(
+        migrations.is_some_and(|(_, s)| s.count > 0),
+        "no cache/migrate"
+    );
+    assert!(snap.rows_packed > 0 && snap.rows_frozen > 0 && snap.rows_thawed > 0);
+    let [commits, aborts] = tally.get();
+    assert_eq!(
+        snap.committed_txns, commits,
+        "Engine::commit calls that returned Ok"
+    );
+    assert_eq!(snap.aborted_txns, aborts, "Engine::abort calls");
 }

@@ -1,0 +1,27 @@
+#!/usr/bin/env bash
+# Tracked numbers (ROADMAP "Quality of design"): computed, not
+# hand-counted. Run from anywhere; prints one `name value` pair per
+# line. CI appends the output to the lint job's step summary, and a PR
+# description quotes it for the parent and for the change.
+set -euo pipefail
+cd "$(dirname "$0")/.."
+
+# Non-blank lines that are not `//` comments (doc comments included).
+code_lines() { cat "$@" | grep -v '^\s*//' | grep -vc '^\s*$' || true; }
+# Appends of a page-log record kind from crates/core/src.
+append_sites() { cat crates/core/src/*.rs | grep -c "append_sys(&PageLogRecord::$1\b" || true; }
+
+src_files=$(find crates/*/src -name '*.rs' | sort)
+# The row-movement path: the four files that held its copies, plus
+# the module that replaced them (absent before PR 14).
+movement_files=$(find crates/core/src -name engine.rs -o -name pack.rs -o -name freeze.rs \
+    -o -name recovery.rs -o -name movement.rs)
+
+echo "engine_rs_lines $(wc -l < crates/core/src/engine.rs)"
+echo "crates_src_lines $(cat $src_files | wc -l)"
+echo "crates_src_code_lines $(code_lines $src_files)"
+echo "movement_path_code_lines $(code_lines $movement_files)"
+echo "engine_config_fields $(sed -n '/^pub struct EngineConfig {/,/^}/p' crates/core/src/config.rs | grep -c '^    pub [a-z_0-9]*:')"
+echo "lint_allow_escapes $(grep -rn 'lint: allow(' crates --include='*.rs' | grep -vc '^crates/lint/')"
+echo "begin_append_sites $(append_sites Begin)"
+echo "commit_append_sites $(append_sites Commit)"

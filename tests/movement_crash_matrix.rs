@@ -1,0 +1,512 @@
+//! Row movement × crash: every direction, every device-op offset.
+//!
+//! Cache, migrate, pack, freeze and thaw all run through one path
+//! (`btrim_core`'s `movement::relocate`), so one matrix covers them.
+//! For each direction the move runs once fault-free to learn how many
+//! device operations it takes, then once per offset `k in 0..=n` with a
+//! fail-stop armed `k` operations in; the machine reboots on the inner
+//! devices and the survivor must hold **one row, one home**: every
+//! acknowledged row readable (point read and range scan) exactly once
+//! with its exact image, `locate` naming one tier, no tier holding a
+//! copy the RID-Map does not point at, and the same move runnable again
+//! to completion.
+//!
+//! Two companions ride along, each pinning one bug of the hand-copied
+//! movement paths this matrix's subject replaced:
+//!
+//! * pack leaked its staged page copy when a log append failed after
+//!   the heap insert (`pack_does_not_leak_its_staged_copy_…`);
+//! * freeze flushed syslogs (commit verdict + page deletes) before
+//!   sysimrslogs (the extent), so a power cut between the two flushes
+//!   lost the batch (`power_cut_between_the_two_flushes_…`). The fault
+//!   harness cannot see that — its logs are `MemLog`s, durable at
+//!   append — so the test brings its own [`VolatileLog`].
+
+use std::collections::HashMap;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Arc;
+
+use btrim::catalog::{FieldKind, RowLayout, TableDesc, TableOpts};
+use btrim::freeze::freeze_tick;
+use btrim::pack::{pack_cycle, PackLevel};
+use btrim::{Engine, EngineConfig, EngineMode, RowLocation};
+use btrim_common::{Lsn, Result};
+use btrim_faults::{FaultDisk, FaultLog, FaultPlan, FaultState};
+use btrim_pagestore::{DiskBackend, MemDisk};
+use btrim_wal::{LogSink, LsnRange, MemLog};
+
+const ROWS: u64 = 6;
+
+fn row(key: u64, val: u64) -> Vec<u8> {
+    let mut r = key.to_be_bytes().to_vec();
+    r.extend_from_slice(&val.to_le_bytes());
+    r
+}
+
+fn opts(name: &str) -> TableOpts {
+    TableOpts::new(name, Arc::new(|r: &[u8]| r[..8].to_vec())).with_layout(RowLayout::new(&[
+        ("k_hi", FieldKind::BeU32),
+        ("k_lo", FieldKind::BeU32),
+        ("val", FieldKind::U64),
+    ]))
+}
+
+fn cfg() -> EngineConfig {
+    EngineConfig {
+        mode: EngineMode::IlmOn,
+        imrs_budget: 512 * 1024,
+        imrs_chunk_size: 64 * 1024,
+        buffer_frames: 64,
+        // Manual maintenance only: the test decides when rows move, so
+        // a fail-stop offset aims at the move alone.
+        maintenance_interval_txns: u64::MAX / 2,
+        durable_commits: true,
+        io_retry_backoff_us: 10,
+        freeze_enabled: true,
+        freeze_min_rows: 2,
+        freeze_max_rows: 64,
+        ..Default::default()
+    }
+}
+
+struct Devices {
+    disk: Arc<dyn DiskBackend>,
+    syslog: Arc<dyn LogSink>,
+    imrslog: Arc<dyn LogSink>,
+}
+
+impl Devices {
+    fn mem() -> Self {
+        Devices {
+            disk: Arc::new(MemDisk::new()),
+            syslog: Arc::new(MemLog::new()),
+            imrslog: Arc::new(MemLog::new()),
+        }
+    }
+
+    /// Reboot: recover a fresh engine from what is on the media.
+    fn recover(&self, label: &str) -> (Engine, Arc<TableDesc>) {
+        let engine = Engine::recover(
+            cfg(),
+            self.disk.clone(),
+            self.syslog.clone(),
+            self.imrslog.clone(),
+            |e| e.create_table(opts("t")).map(|_| ()),
+        )
+        .unwrap_or_else(|e| panic!("{label}: recovery failed: {e}"));
+        let table = engine.table("t").unwrap();
+        (engine, table)
+    }
+}
+
+/// An engine on fault-wrapped devices, its table, and the media.
+fn faulted(plan: FaultPlan) -> (Engine, Arc<TableDesc>, Arc<FaultState>, Devices) {
+    let inner = Devices::mem();
+    let state = FaultState::new(plan);
+    let engine = Engine::with_devices(
+        cfg(),
+        Arc::new(FaultDisk::new(inner.disk.clone(), state.clone())),
+        Arc::new(FaultLog::new(inner.syslog.clone(), state.clone())),
+        Arc::new(FaultLog::new(inner.imrslog.clone(), state.clone())),
+    );
+    let table = engine.create_table(opts("t")).unwrap();
+    (engine, table, state, inner)
+}
+
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Direction {
+    Cache,
+    Migrate,
+    Pack,
+    Freeze,
+    Thaw,
+}
+
+use Direction::*;
+
+type Model = HashMap<u64, u64>;
+
+/// Insert the rows (acknowledged, one transaction each). `Err` only
+/// under an injected fault.
+fn insert_rows(engine: &Engine, table: &TableDesc) -> Result<Model> {
+    let mut model = Model::new();
+    for key in 0..ROWS {
+        let mut txn = engine.begin();
+        engine.insert(&mut txn, table, &row(key, key * 7))?;
+        engine.commit(txn)?;
+        model.insert(key, key * 7);
+    }
+    engine.run_maintenance(); // GC feeds the ILM queues pack reads
+    Ok(model)
+}
+
+fn pack_all(engine: &Engine) {
+    while pack_cycle(engine, PackLevel::Aggressive) > 0 {}
+}
+
+/// Fault-free: put the acknowledged rows on the tier `dir` moves them
+/// out of.
+fn prepare(engine: &Engine, table: &TableDesc, dir: Direction) -> Model {
+    let model = insert_rows(engine, table).unwrap();
+    if dir != Pack {
+        pack_all(engine);
+    }
+    if dir == Thaw {
+        assert_eq!(freeze_tick(engine), ROWS);
+    }
+    model
+}
+
+/// The move under test. Cache, pack and freeze change no value;
+/// migrate and thaw ride on a transaction that updates every row to
+/// `new[key]` — returns whether that transaction was acknowledged.
+fn run_move(engine: &Engine, table: &TableDesc, dir: Direction, new: &Model) -> bool {
+    match dir {
+        Pack => pack_all(engine),
+        Freeze => {
+            freeze_tick(engine);
+        }
+        Cache => {
+            let txn = engine.begin();
+            for key in 0..ROWS {
+                let _ = engine.get(&txn, table, &key.to_be_bytes()); // typed failure tolerated
+            }
+            let _ = engine.commit(txn);
+        }
+        Migrate | Thaw => {
+            let mut txn = engine.begin();
+            for key in 0..ROWS {
+                let image = row(key, new[&key]);
+                if !matches!(
+                    engine.update(&mut txn, table, &key.to_be_bytes(), &image),
+                    Ok(true)
+                ) {
+                    engine.abort(txn);
+                    return false;
+                }
+            }
+            return engine.commit(txn).is_ok();
+        }
+    }
+    true
+}
+
+/// One home per row: `locate` names a tier for every row of `expect`,
+/// and every tier holds exactly the rows the RID-Map places there.
+/// Returns how many rows live on each tier.
+fn homes(label: &str, engine: &Engine, table: &TableDesc, expect: &Model) -> [u64; 3] {
+    let [mut imrs, mut page, mut frozen] = [0u64; 3];
+    for key in expect.keys() {
+        match engine.locate(table, &key.to_be_bytes()).unwrap() {
+            Some(RowLocation::Imrs) => imrs += 1,
+            Some(RowLocation::Page(..)) => page += 1,
+            Some(RowLocation::Frozen(..)) => frozen += 1,
+            other => panic!("{label}: key {key} has no home ({other:?})"),
+        }
+    }
+    let heaps = table.partitions.iter().map(|p| table.heap(*p));
+    let heap_live: u64 = heaps.map(|heap| heap.live_rows()).sum();
+    let mut extent_live = 0;
+    engine.extent_store().for_each(|ext| {
+        if ext.table() == table.id {
+            extent_live += ext.live_count();
+        }
+    });
+    let held = [engine.snapshot().imrs_rows as u64, heap_live, extent_live];
+    assert_eq!(
+        held,
+        [imrs, page, frozen],
+        "{label}: [imrs, page, frozen] copies held vs. rows the RID-Map places there"
+    );
+    held
+}
+
+/// One row, one home, one image: [`homes`], and every row of `expect`
+/// returned by `scan_range` and by a point read exactly once with its
+/// exact image. The point read is `get` — which caches page rows as it
+/// goes, so the homes are checked again afterwards — or, with `quiet`,
+/// its side-effect-free snapshot twin, which leaves the rows where the
+/// crash left them for the rerun that follows.
+fn check(label: &str, engine: &Engine, table: &TableDesc, expect: &Model, quiet: bool) -> [u64; 3] {
+    let held = homes(label, engine, table, expect);
+    let txn = engine.begin();
+    let mut seen = 0;
+    engine
+        .scan_range(&txn, table, &[], None, |k, _, image| {
+            let key = u64::from_be_bytes(k[..8].try_into().unwrap());
+            assert_eq!(image, row(key, expect[&key]), "{label}: scan saw key {key}");
+            seen += 1;
+            true
+        })
+        .unwrap();
+    assert_eq!(seen, expect.len(), "{label}: scan lost or duplicated a row");
+    let snap = engine.begin_snapshot();
+    for (&key, &val) in expect {
+        let key = key.to_be_bytes();
+        let got = match quiet {
+            true => engine.get_snapshot(&snap, table, &key).unwrap(),
+            false => engine.get(&txn, table, &key).unwrap(),
+        };
+        assert_eq!(
+            got,
+            Some(row(u64::from_be_bytes(key), val)),
+            "{label}: point read"
+        );
+    }
+    engine.end_snapshot(snap);
+    engine.commit(txn).unwrap();
+    homes(label, engine, table, expect);
+    held
+}
+
+/// Run `dir` once with a fail-stop armed `fail_in` device ops into the
+/// move (`None`: fault-free). Returns the ops the move took and whether
+/// the crash switch flipped.
+fn run_case(dir: Direction, fail_in: Option<u64>) -> (u64, bool) {
+    let label = format!("{dir:?} fail_in={fail_in:?}");
+    let (engine, table, state, inner) = faulted(FaultPlan::default());
+    let old = prepare(&engine, &table, dir);
+    let new: Model = old.iter().map(|(&k, &v)| (k, v + 1_000)).collect();
+
+    let before = state.ops();
+    if let Some(k) = fail_in {
+        state.fail_stop_in(k);
+    }
+    let acked = run_move(&engine, &table, dir, &new);
+    let (ops, crashed) = (state.ops() - before, state.crashed());
+    drop(engine);
+
+    let (engine, table) = inner.recover(&label);
+    let survivor = match dir {
+        Migrate | Thaw if acked => new.clone(),
+        // Unacknowledged: the transaction is atomic, so all or nothing.
+        Migrate | Thaw => {
+            let txn = engine.begin();
+            let got = engine.get(&txn, &table, &0u64.to_be_bytes()).unwrap();
+            engine.commit(txn).unwrap();
+            if got == Some(row(0, new[&0])) {
+                new.clone()
+            } else {
+                old.clone()
+            }
+        }
+        Cache | Pack | Freeze => old.clone(),
+    };
+    check(&label, &engine, &table, &survivor, true);
+
+    // The survivor runs the same move again, to completion.
+    let again: Model = survivor.iter().map(|(&k, &v)| (k, v + 5)).collect();
+    assert!(run_move(&engine, &table, dir, &again), "{label}: rerun");
+    let (label, expect) = (
+        format!("{label} rerun"),
+        match dir {
+            Migrate | Thaw => &again,
+            Cache | Pack | Freeze => &survivor,
+        },
+    );
+    let [imrs, page, frozen] = check(&label, &engine, &table, expect, false);
+    match dir {
+        Cache | Migrate => assert_eq!(imrs, ROWS, "{label}: rows left outside the IMRS"),
+        Pack => assert_eq!(page, ROWS, "{label}: rows left off the pages"),
+        Freeze => assert_eq!(frozen, ROWS, "{label}: rows left unfrozen"),
+        Thaw => assert_eq!(frozen, 0, "{label}: rows left frozen"),
+    }
+    (ops, crashed)
+}
+
+#[test]
+fn every_direction_survives_a_crash_at_every_device_op() {
+    for dir in [Cache, Migrate, Pack, Freeze, Thaw] {
+        let (n, crashed) = run_case(dir, None);
+        assert!(
+            !crashed && n > 0,
+            "{dir:?}: the fault-free move did no device op"
+        );
+        let mid_move = (0..=n).filter(|&k| run_case(dir, Some(k)).1).count() as u64;
+        assert!(
+            mid_move >= n.min(4),
+            "{dir:?}: only {mid_move} of {n} offsets crashed inside the move"
+        );
+    }
+}
+
+/// Wider than the buffer cache: reading it back evicts (writes back)
+/// every dirty heap page of the table under test.
+const FILLER_ROWS: u64 = 640;
+
+fn filler_opts() -> TableOpts {
+    let mut opts = TableOpts::new("filler", Arc::new(|r: &[u8]| r[..8].to_vec()));
+    opts.imrs_enabled = false; // page-only
+    opts
+}
+
+/// The parent's `pack_one_locked` inserted the page copy, then returned
+/// the append error without removing it: an orphan that reaches the
+/// device at eviction is adopted by the next recovery's heap rebuild.
+/// Sweep the log's death over every append of a pack batch.
+#[test]
+fn pack_does_not_leak_its_staged_copy_when_the_log_dies() {
+    // `Some(n)`: kill the log device after `n` appends.
+    let run = |die_after: Option<u64>| -> (u64, u64, bool) {
+        let label = format!("log dies after {die_after:?} appends");
+        let (engine, table, state, inner) = faulted(FaultPlan {
+            fail_appends_after: die_after,
+            ..FaultPlan::default()
+        });
+        let filler = engine.create_table(filler_opts()).unwrap();
+        let model = insert_rows(&engine, &table).unwrap();
+        let mut txn = engine.begin();
+        for key in 0..FILLER_ROWS {
+            let mut image = key.to_be_bytes().to_vec();
+            image.resize(1_000, 0xF1);
+            engine.insert(&mut txn, &filler, &image).unwrap();
+        }
+        engine.commit(txn).unwrap();
+        // Every append so far was one record (single-row transactions).
+        let appends = |d: &Devices| d.syslog.record_count() + d.imrslog.record_count();
+        let before = appends(&inner);
+
+        pack_all(&engine);
+        let after = appends(&inner);
+        let txn = engine.begin();
+        for key in 0..FILLER_ROWS {
+            engine.get(&txn, &filler, &key.to_be_bytes()).unwrap();
+        }
+        engine.commit(txn).unwrap();
+        let died = state.log_dead();
+        drop(engine);
+
+        // Recovery indexes rows while it scans their heap page, which
+        // the lock-rank witness only allows when no fetch has to evict:
+        // reboot with a cache that holds the whole filler.
+        let roomy = EngineConfig {
+            buffer_frames: 1024,
+            ..cfg()
+        };
+        let recovered = Engine::recover(
+            roomy,
+            inner.disk.clone(),
+            inner.syslog.clone(),
+            inner.imrslog.clone(),
+            |e| {
+                e.create_table(opts("t"))?;
+                e.create_table(filler_opts()).map(|_| ())
+            },
+        )
+        .unwrap_or_else(|e| panic!("{label}: recovery failed: {e}"));
+        let table = recovered.table("t").unwrap();
+        check(&label, &recovered, &table, &model, false);
+        (before, after, died)
+    };
+    let (before, after, died) = run(None);
+    assert!(!died && after > before);
+    for die_after in before..after {
+        assert!(run(Some(die_after)).2, "the log outlived the pack batch");
+    }
+}
+
+/// A [`LogSink`] whose appends are volatile until flushed, with a
+/// power switch shared by both logs: once cut, nothing more becomes
+/// durable, and [`VolatileLog::media`] is what a reboot finds.
+struct VolatileLog {
+    inner: MemLog,
+    durable: AtomicU64,
+    power: Arc<Power>,
+}
+
+#[derive(Default)]
+struct Power {
+    /// Cut the power once this many more flushes have completed.
+    cut_after_flushes: AtomicU64,
+    off: AtomicBool,
+}
+
+impl VolatileLog {
+    fn new(power: &Arc<Power>) -> Arc<Self> {
+        Arc::new(VolatileLog {
+            inner: MemLog::new(),
+            durable: AtomicU64::new(0),
+            power: Arc::clone(power),
+        })
+    }
+
+    fn media(&self) -> Arc<dyn LogSink> {
+        let media = MemLog::new();
+        let durable = self.durable.load(Ordering::SeqCst);
+        for (lsn, payload) in self.inner.read_all().unwrap() {
+            if lsn.0 <= durable {
+                media.append(&payload).unwrap();
+            }
+        }
+        Arc::new(media)
+    }
+}
+
+impl LogSink for VolatileLog {
+    fn append(&self, payload: &[u8]) -> Result<Lsn> {
+        self.inner.append(payload)
+    }
+    fn append_batch(&self, payloads: &[&[u8]]) -> Result<LsnRange> {
+        self.inner.append_batch(payloads)
+    }
+    fn flush(&self) -> Result<()> {
+        if !self.power.off.load(Ordering::SeqCst) {
+            self.durable
+                .store(self.inner.record_count(), Ordering::SeqCst);
+            if self.power.cut_after_flushes.fetch_sub(1, Ordering::SeqCst) == 1 {
+                self.power.off.store(true, Ordering::SeqCst);
+            }
+        }
+        Ok(())
+    }
+    fn read_all(&self) -> Result<Vec<(Lsn, Vec<u8>)>> {
+        self.inner.read_all()
+    }
+    fn record_count(&self) -> u64 {
+        self.inner.record_count()
+    }
+    fn byte_size(&self) -> u64 {
+        self.inner.byte_size()
+    }
+    fn truncate_prefix(&self, _upto: Lsn) -> Result<()> {
+        Ok(()) // keeps LSN = position, which `media` relies on
+    }
+}
+
+/// A background batch flushes both logs at commit. Cut the power after
+/// the first of the two flushes: whichever log went first is all the
+/// reboot has. No acknowledged row may be lost — for freeze that
+/// requires the extent (sysimrslogs) to be durable before the verdict
+/// and the page deletes (syslogs).
+#[test]
+fn power_cut_between_the_two_flushes_of_a_batch_loses_no_row() {
+    for dir in [Freeze, Pack] {
+        let label = format!("{dir:?}, power cut after the batch's first flush");
+        let power = Arc::new(Power::default());
+        power.cut_after_flushes.store(u64::MAX, Ordering::SeqCst);
+        let disk: Arc<dyn DiskBackend> = Arc::new(MemDisk::new());
+        let (syslog, imrslog) = (VolatileLog::new(&power), VolatileLog::new(&power));
+        let engine = Engine::with_devices(cfg(), disk.clone(), syslog.clone(), imrslog.clone());
+        let table = engine.create_table(opts("t")).unwrap();
+        let model = prepare(&engine, &table, dir);
+        engine.checkpoint().unwrap();
+
+        power.cut_after_flushes.store(1, Ordering::SeqCst);
+        run_move(&engine, &table, dir, &model);
+        assert!(power.off.load(Ordering::SeqCst), "{label}: no flush seen");
+        drop(engine);
+
+        let media = Devices {
+            disk,
+            syslog: syslog.media(),
+            imrslog: imrslog.media(),
+        };
+        let (engine, table) = media.recover(&label);
+        let txn = engine.begin();
+        for (&key, &val) in &model {
+            let got = engine.get(&txn, &table, &key.to_be_bytes()).unwrap();
+            assert_eq!(got, Some(row(key, val)), "{label}: get({key})");
+        }
+        engine.commit(txn).unwrap();
+    }
+}

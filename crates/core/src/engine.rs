@@ -34,7 +34,7 @@ use crate::catalog::{Catalog, KeyExtractor, TableDesc, TableOpts};
 use crate::config::{EngineConfig, EngineMode};
 use crate::freeze::extent_row_bytes;
 use crate::gc::GcRegistry;
-use crate::metrics::MetricsRegistry;
+use crate::metrics::{CommitShapes, MetricsRegistry};
 use crate::movement::{relocate, To};
 use crate::pack::PackState;
 use crate::queues::IlmQueues;
@@ -112,6 +112,10 @@ pub struct RecoveryReport {
     pub syslog_redo_skipped: u64,
     /// IMRS log records re-applied to the in-memory row store.
     pub imrs_records_replayed: u64,
+    /// Heap copies the RID-Map no longer named once both logs had
+    /// replayed — the departure half of a move the crash cut off —
+    /// retired so that every row has one home.
+    pub page_copies_retired: u64,
     /// Wall-clock microseconds in the salvage + analysis pass.
     pub analysis_micros: u64,
     /// Wall-clock microseconds in the forward page redo (all workers).
@@ -143,6 +147,8 @@ pub(crate) struct Shared {
     pub side: SideStore,
     pub catalog: Catalog,
     pub metrics: MetricsRegistry,
+    /// Commits by the logs they wrote (see [`CommitShapes`]).
+    pub commit_shapes: CommitShapes,
     pub txns: TxnManager,
     pub locks: LockManager,
     pub clock: Arc<LogicalClock>,
@@ -151,6 +157,11 @@ pub(crate) struct Shared {
     /// Group committers coalescing durable-commit syncs per log.
     pub group_sys: btrim_wal::GroupCommitter,
     pub group_imrs: btrim_wal::GroupCommitter,
+    /// Foreground moves (cache, migrate, thaw) logged so far; they
+    /// never flush (see [`Shared::count_foreground_move`]).
+    moves_logged: AtomicU64,
+    /// How many of those a completed sysimrslogs barrier has covered.
+    moves_durable: AtomicU64,
     pub queues: IlmQueues,
     pub tsf: TsfLearner,
     pub gc: GcRegistry,
@@ -327,6 +338,30 @@ impl Shared {
             .or_else(|e| self.append_failed("sysimrslogs append", e))
     }
 
+    /// A foreground move counts itself after its sysimrslogs record is
+    /// appended and before its syslogs `Commit` is, so a committer that
+    /// can see the `Commit` can also see that sysimrslogs owes a barrier.
+    pub fn count_foreground_move(&self) {
+        self.moves_logged.fetch_add(1, Ordering::SeqCst);
+    }
+
+    /// A committer's sysimrslogs barrier (group commit: concurrent
+    /// committers share device syncs). Every foreground move logged
+    /// before it began is durable once it returns.
+    pub fn flush_imrs(&self) -> Result<()> {
+        let covers = self.moves_logged.load(Ordering::SeqCst);
+        self.group_imrs.commit_flush()?;
+        self.moves_durable.fetch_max(covers, Ordering::SeqCst);
+        Ok(())
+    }
+
+    /// Whether some foreground move's sysimrslogs half may still be
+    /// volatile: a syslogs barrier now could make the move's verdict
+    /// durable ahead of its arrival record.
+    pub fn move_halves_volatile(&self) -> bool {
+        self.moves_durable.load(Ordering::SeqCst) < self.moves_logged.load(Ordering::SeqCst)
+    }
+
     /// Append a committing transaction's staged records to the IMRS log
     /// as **one atomic batch** (one lock acquisition on the sink; a
     /// crash persists all of the records or none). Same failure policy
@@ -480,6 +515,7 @@ impl Engine {
             side: SideStore::new(),
             catalog: Catalog::new(),
             metrics: MetricsRegistry::new(),
+            commit_shapes: CommitShapes::default(),
             txns: TxnManager::new(Arc::clone(&clock)),
             locks: LockManager::default(),
             clock,
@@ -489,6 +525,8 @@ impl Engine {
                 .with_histograms(hook(OpClass::WalAppend), hook(OpClass::WalFsync)),
             group_sys,
             group_imrs,
+            moves_logged: AtomicU64::new(0),
+            moves_durable: AtomicU64::new(0),
             queues: IlmQueues::new(),
             tsf,
             gc: GcRegistry::new(),
@@ -611,11 +649,6 @@ impl Engine {
         });
         sh.locks.lock(txn.handle.id, row_id, LockMode::Exclusive)?;
         txn.remember_lock(row_id);
-        // Every writing transaction announces itself in syslogs, even
-        // when it only touches the IMRS: recovery gates redo-only IMRS
-        // records on the syslogs commit verdict of their transaction,
-        // which needs the Begin/Commit pair on disk.
-        self.ensure_begin(txn)?;
 
         let m = sh.metrics.get(partition);
         let mut to_imrs = self.imrs_allowed(table, partition, PartitionIlmState::allows_insert);
@@ -683,6 +716,11 @@ impl Engine {
                 page,
                 slot,
             });
+            // Only a transaction that changes a page announces itself in
+            // syslogs: `Begin`/`Commit` gate its page records. An
+            // IMRS-only transaction has no verdict there at all — its
+            // one atomic sysimrslogs batch on the media is the commit.
+            self.ensure_begin(txn)?;
             sh.append_sys(&PageLogRecord::Insert {
                 txn: txn.handle.id,
                 partition,
@@ -1134,7 +1172,6 @@ impl Engine {
                 let Some((Some(old), _)) = old else {
                     return Ok(false);
                 };
-                self.ensure_begin(txn)?;
                 let op = match new_row {
                     Some(_) => VersionOp::Update,
                     None => VersionOp::Delete,
@@ -1570,9 +1607,13 @@ impl Engine {
             self.sh.side.stamp(&txn.side_keys, id, ts);
         }
         self.sh.txns.finish_commit(txn.handle, ts);
-        let wrote_any = txn.wrote_syslog || !txn.imrs_redo.is_empty();
+        // What this transaction logs decides everything below: which
+        // logs it appends to, which it waits for, and which commit-shape
+        // counter it lands in.
+        let (wrote_imrs, wrote_sys) = (!txn.imrs_redo.is_empty(), txn.wrote_syslog);
+        self.sh.commit_shapes.count(wrote_imrs, wrote_sys);
         let logged: Result<()> = (|| {
-            if !txn.imrs_redo.is_empty() {
+            if wrote_imrs {
                 // The records were serialized at DML time; what's left
                 // on the commit path is stamping the commit timestamp
                 // into each staged record and slicing the buffer.
@@ -1584,21 +1625,34 @@ impl Engine {
                     .record_since(OpClass::CommitSerialize, ser_start);
                 // One atomic batch append: one lock acquisition on the
                 // log, and a torn tail can never keep a prefix of this
-                // transaction's records.
+                // transaction's records. For an IMRS-only transaction
+                // this frame *is* the commit record — no syslogs
+                // verdict exists for recovery to consult.
                 self.sh.append_imrs_batch(&records)?;
             }
-            if txn.wrote_syslog {
+            if wrote_sys {
                 self.sh.append_sys(&PageLogRecord::Commit { txn: id, ts })?;
             }
-            if self.sh.cfg.durable_commits && wrote_any {
+            if self.sh.cfg.durable_commits {
                 // Group commit: concurrent committers share device
-                // syncs. IMRS records are made durable *before* the
-                // syslogs Commit record so a durable commit verdict
-                // always has durable records behind it. Read-only
-                // transactions skip this entirely — they must commit
-                // cleanly even when the log device is gone.
-                self.sh.group_imrs.commit_flush()?;
-                if txn.wrote_syslog {
+                // syncs, and a transaction waits only for a log it
+                // appended to — one barrier for an IMRS-only or a
+                // page-only commit, none for a read-only one (it must
+                // commit cleanly even when the log device is gone). A
+                // mixed commit makes its IMRS records durable *before*
+                // the syslogs `Commit` so a durable verdict always has
+                // durable records behind it.
+                //
+                // The one barrier a transaction pays for records not
+                // its own: foreground moves never flush, and a move's
+                // syslogs `Commit` made durable ahead of its
+                // sysimrslogs half would redo the departure with
+                // nothing behind it — so a syslogs barrier is preceded
+                // by a sysimrslogs one while any such half is volatile.
+                if wrote_imrs || (wrote_sys && self.sh.move_halves_volatile()) {
+                    self.sh.flush_imrs()?;
+                }
+                if wrote_sys {
                     self.sh.group_sys.commit_flush()?;
                 }
             }
@@ -1954,8 +2008,10 @@ impl Engine {
         }
         sh.cache.sync_backend()?;
         sh.append_sys(&PageLogRecord::CheckpointEnd { begin_lsn })?;
-        sh.syslog.flush()?;
+        // sysimrslogs first, like every other syslogs barrier: a move's
+        // syslogs half must not become durable ahead of its other half.
         sh.imrslog.flush()?;
+        sh.syslog.flush()?;
         let mut truncated_records = 0u64;
         if floor.0 > 1 {
             let upto = floor.0 - 1;

@@ -16,6 +16,34 @@ use parking_lot::RwLock;
 
 use btrim_common::{PartitionId, ShardedCounter};
 
+/// Commits by which logs the transaction appended to. The four sum to
+/// `committed_txns`, and under `durable_commits` a commit pays one
+/// barrier per log it wrote: `imrs_only / committed` is the share of a
+/// workload that can be a one-flush commit.
+#[derive(Debug, Default)]
+pub struct CommitShapes {
+    /// sysimrslogs only: the batch frame is the commit record.
+    pub imrs_only: ShardedCounter,
+    /// syslogs only.
+    pub page_only: ShardedCounter,
+    /// Both logs, sysimrslogs first.
+    pub mixed: ShardedCounter,
+    /// No log at all.
+    pub read_only: ShardedCounter,
+}
+
+impl CommitShapes {
+    /// Count one commit that appended to the logs named.
+    pub fn count(&self, wrote_imrs: bool, wrote_sys: bool) {
+        match (wrote_imrs, wrote_sys) {
+            (true, false) => self.imrs_only.inc(),
+            (false, true) => self.page_only.inc(),
+            (true, true) => self.mixed.inc(),
+            (false, false) => self.read_only.inc(),
+        }
+    }
+}
+
 /// Counters for one partition.
 #[derive(Debug, Default)]
 pub struct PartitionMetrics {

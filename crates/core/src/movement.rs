@@ -18,7 +18,9 @@
 //! reader is at most one retry away from the row; the row locks are
 //! held until the `Commit` is in the log, so no later transaction's
 //! commit can precede it; and recovery gates every record on that
-//! `Commit`, so a crash at any point lands on exactly one home.
+//! `Commit` — a page → IMRS move's on its arrival record, which may be
+//! durable long before — so a crash at any point lands on exactly one
+//! home.
 
 use std::sync::Arc;
 
@@ -407,28 +409,41 @@ fn relocate_locked(
     }
 
     // ---- Commit -------------------------------------------------------
-    // Without the `Commit` on disk the mini-transaction is a loser at
-    // recovery and every move in it is rolled back — consistent, just
+    // A page → IMRS move is committed by its arrival record: recovery
+    // replays a sysimrslogs `Insert{Migrated|Cached}` whatever syslogs
+    // says of its transaction and finishes the departure itself. Every
+    // other direction needs this `Commit` on the media, or the
+    // mini-transaction is a loser and is rolled back — consistent, just
     // wasted work. (After a failed append the engine is read-only.)
+    //
+    // Who flushes. A foreground move (cache, migrate, thaw) never does:
+    // a flush per migration would sink durable-commit throughput. Its
+    // sysimrslogs half becomes durable with the next commit that writes
+    // there; it is counted *before* the `Commit` goes out so that any
+    // committer about to put a barrier on syslogs puts one on
+    // sysimrslogs first (`Engine::commit`) — syslogs never gets ahead.
+    let background_from_imrs = sources.iter().any(|s| s.from == RowLocation::Imrs);
+    let foreground = out.extent.is_none() && !background_from_imrs;
+    if foreground {
+        sh.count_foreground_move();
+    }
     let ts = sh.clock.tick();
     sh.append_sys(&PageLogRecord::Commit { txn, ts })?;
-    // Who flushes. A foreground move (cache, migrate, thaw) never does:
-    // its durability rides on the enclosing user commit. A background
-    // batch flushes once, arrival log first — the rule `Engine::commit`
-    // states: records durable before the verdict that makes them count.
-    // The verdict (and every page `Delete`) is on syslogs. A freeze
-    // batch's arrival copy is the sysimrslogs `Freeze`: it must be
-    // durable first, or a crash between the two flushes redoes the
-    // deletes with nothing to hold the rows. A pack batch's arrival
-    // copy is the syslogs `Insert`, and it is the departure record
-    // (`Pack`) that must not lead: replayed without its syslogs
-    // evidence it would drop the row.
-    let flushed = if out.extent.is_some() {
-        sh.imrslog.flush().and_then(|()| sh.syslog.flush())
-    } else if sources.iter().any(|s| s.from == RowLocation::Imrs) {
+    if foreground {
+        return Ok(out);
+    }
+    // A background batch flushes once, arrival log first: records
+    // durable before the verdict that makes them count. The verdict
+    // (and every page `Delete`) is on syslogs. A freeze batch's arrival
+    // copy is the sysimrslogs `Freeze`: it must be durable first, or a
+    // crash between the two flushes redoes the deletes with nothing to
+    // hold the rows. A pack batch's arrival copy is the syslogs
+    // `Insert`, and it is the departure record (`Pack`) that must not
+    // lead: replayed without its syslogs evidence it would drop the row.
+    let flushed = if background_from_imrs {
         sh.syslog.flush().and_then(|()| sh.imrslog.flush())
     } else {
-        return Ok(out);
+        sh.imrslog.flush().and_then(|()| sh.syslog.flush())
     };
     match flushed {
         Ok(()) => sh.note_storage_ok(),

@@ -19,17 +19,45 @@
 //!    commit timestamps, so no undo pass exists. "Checkpoint does not
 //!    flush any data [for the IMRS]; all the IMRS data is recovered by
 //!    doing a redo-only recovery of sysimrslogs."
+//! 4. One row, one home: a heap copy the RID-Map no longer names is
+//!    retired, and a checkpoint certifies it (see "Winner gating").
 //!
-//! **Winner gating.** Every writing transaction appends a syslogs
-//! Begin, and commit appends a syslogs Commit after the transaction's
-//! IMRS records are appended (and, under durable commits, flushed
-//! imrs-before-sys). Replay therefore skips IMRS records of
-//! transactions the syslogs analysis saw begin but not commit (losers)
-//! or saw abort. Transactions with *no* syslogs evidence are treated
-//! as committed: checkpoint truncation drops old Begin/Commit pairs,
-//! so absence means "too old to be in doubt", not "in flight".
+//! (The salvaged sysimrslogs is *read* before step 1 — its arrival
+//! records are verdicts step 1 needs — and replayed in step 3.)
 //!
-//! Because sysimrslogs is never truncated while syslogs is, the
+//! **Winner gating.** sysimrslogs is the commit log of everything that
+//! lives in the IMRS: a user batch or a move's arrival record on the
+//! media is the verdict; syslogs `Begin`/`Commit` gate only
+//! transactions that wrote page records.
+//!
+//! * An IMRS-only user transaction never writes syslogs. Its records
+//!   reach sysimrslogs at commit as one CRC-covered batch frame — all
+//!   of them or none — and under durable commits that log's barrier is
+//!   the only one it waits for. No syslogs evidence means committed
+//!   (the reading checkpoint truncation already forced: it drops old
+//!   `Begin`/`Commit` pairs, so absence never meant "in flight").
+//! * A transaction that changed a page announced itself (`Begin` before
+//!   its first page record) and its syslogs `Commit` went out after its
+//!   IMRS batch, flushed imrs-before-sys. Seen to begin but not to
+//!   commit, or seen to abort, it loses on both logs: page records
+//!   undone, IMRS records skipped.
+//! * A page → IMRS move (cache, migrate) is committed by its **arrival
+//!   record**, the sysimrslogs `Insert{origin: Migrated | Cached}`.
+//!   Foreground moves never flush, so when a dependent IMRS-only commit
+//!   is acknowledged the arrival is durable (it precedes the batch in
+//!   the same log) while the move's syslogs half — `Begin`,
+//!   `Delete{old}`, `Commit` — may be missing or cut short. Two rules
+//!   make the arrival sufficient: its owner is a winner whatever
+//!   syslogs says ([`moves_committed_by_arrival`]: a `Delete{old}` on
+//!   the media is redone, not undone), and a heap copy the RID-Map no
+//!   longer names once both logs have replayed is retired
+//!   (`retire_unnamed_page_copies`: the `Delete{old}` never made it).
+//!   The converse — syslogs half durable, arrival not — is kept from
+//!   happening at commit: `Engine::commit` puts no barrier on syslogs
+//!   while it sees a foreground move's sysimrslogs record volatile
+//!   (DESIGN.md "Row movement", open item (a), has what remains).
+//!
+//! Because sysimrslogs is never truncated while syslogs is, a
 //! loser/aborted verdict would be forgotten once a later checkpoint
 //! truncates the syslogs evidence. Recovery therefore appends a
 //! durable [`ImrsLogRecord::Discard`] poisoning those transaction ids,
@@ -43,7 +71,7 @@
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::sync::Arc;
 
-use btrim_common::{BtrimError, PageId, PartitionId, Result, RowId, SlotId, Timestamp, TxnId};
+use btrim_common::{BtrimError, Lsn, PageId, PartitionId, Result, RowId, SlotId, Timestamp, TxnId};
 use btrim_imrs::{RowLocation, RowOrigin};
 use btrim_pagestore::page::PageType;
 use btrim_pagestore::{DiskBackend, PageGuard, SlottedPage};
@@ -60,6 +88,33 @@ use crate::engine::{unwrap_row, Engine};
 /// Internal pack/caching pseudo-transaction ids set this bit.
 const INTERNAL_TXN_BIT: u64 = 1 << 63;
 
+/// The page → IMRS moves (cache, migrate) the salvaged sysimrslogs
+/// commits: internal transactions that own an arrival `Insert` no
+/// earlier recovery poisoned. The move's syslogs half — `Begin`,
+/// `Delete{old}`, `Commit` — is never flushed by the move and, since an
+/// IMRS-only commit puts its barrier on sysimrslogs alone, may be
+/// missing or cut short when a transaction that depends on the move is
+/// already acknowledged.
+fn moves_committed_by_arrival(imrs_log: &[(Lsn, ImrsLogRecord)]) -> HashSet<TxnId> {
+    let mut moves = HashSet::new();
+    let mut poisoned = Vec::new();
+    for (_lsn, rec) in imrs_log {
+        match rec {
+            ImrsLogRecord::Insert { txn, origin, .. }
+                if *origin != RowOriginTag::Inserted && txn.0 & INTERNAL_TXN_BIT != 0 =>
+            {
+                moves.insert(*txn);
+            }
+            ImrsLogRecord::Discard { txns } => poisoned.extend(txns),
+            _ => {}
+        }
+    }
+    for txn in poisoned {
+        moves.remove(txn);
+    }
+    moves
+}
+
 impl Engine {
     /// Recover an engine from its devices. `schema` re-declares the
     /// catalog exactly as the original run did (same tables in the same
@@ -74,9 +129,13 @@ impl Engine {
     ) -> Result<Engine> {
         let engine = Engine::with_devices(cfg, disk, syslog, imrslog);
         schema(&engine)?;
-        let analysis = engine.replay_page_log()?;
+        // sysimrslogs is read first: its arrival records overrule the
+        // syslogs verdict of the moves that own them.
+        let imrs_log = engine.sh.imrslog.read_all_salvage()?;
+        let analysis = engine.replay_page_log(&moves_committed_by_arrival(&imrs_log.0))?;
         let heap_locs = engine.rebuild_from_heaps()?;
-        engine.replay_imrs_log(&analysis, &heap_locs)?;
+        engine.replay_imrs_log(&analysis, &heap_locs, imrs_log)?;
+        engine.retire_unnamed_page_copies(&heap_locs)?;
         engine.finish_recovery();
         Ok(engine)
     }
@@ -180,8 +239,9 @@ impl Engine {
         }
     }
 
-    /// Redo winners forward, undo losers backward.
-    fn replay_page_log(&self) -> Result<LogAnalysis> {
+    /// Redo winners forward, undo losers backward. `moves` are winners
+    /// whatever this log says of them (see [`moves_committed_by_arrival`]).
+    fn replay_page_log(&self, moves: &HashSet<TxnId>) -> Result<LogAnalysis> {
         let analysis_start = std::time::Instant::now();
         let (records, dropped) = self.sh.syslog.read_all_salvage()?;
         for (_lsn, rec) in &records {
@@ -189,7 +249,14 @@ impl Engine {
                 self.note_txn_floor(txn);
             }
         }
-        let analysis = analyze_page_log(&records);
+        let mut analysis = analyze_page_log(&records);
+        for txn in moves {
+            // The arrival record is the verdict: the `Delete{old}` is
+            // redone, not undone, and the arrival replayed, not skipped.
+            if analysis.losers.remove(txn) {
+                analysis.winners.insert(*txn, Timestamp::ZERO);
+            }
+        }
         let workers = self.recovery_worker_count();
         {
             let mut rep = self.sh.recovery.lock();
@@ -426,9 +493,9 @@ impl Engine {
         &self,
         analysis: &LogAnalysis,
         heap_locs: &HashMap<RowId, (PageId, SlotId)>,
+        (records, dropped): (Vec<(Lsn, ImrsLogRecord)>, u64),
     ) -> Result<()> {
         let replay_start = std::time::Instant::now();
-        let (records, dropped) = self.sh.imrslog.read_all_salvage()?;
         {
             let mut rep = self.sh.recovery.lock();
             rep.imrslog_salvaged = records.len() as u64;
@@ -729,7 +796,40 @@ impl Engine {
         image
     }
 
-    /// Final recovery steps: queue rebuild and a clean checkpoint.
+    /// One row, one home. With both logs replayed the RID-Map is the
+    /// authority on where each row lives, so a heap copy it does not
+    /// name is a departure the crash cut off: the syslogs `Delete{old}`
+    /// of a move whose arrival record committed it (or the redone
+    /// `Insert` of a pack batch whose `Pack` record was lost). Retire
+    /// the copy — and, because the retirement is in no log, certify it
+    /// with a checkpoint: the pages are written back and the syslogs
+    /// records that put the copies there are truncated, so no later
+    /// redo can re-create one in a slot that has since been given to
+    /// another row.
+    fn retire_unnamed_page_copies(
+        &self,
+        heap_locs: &HashMap<RowId, (PageId, SlotId)>,
+    ) -> Result<()> {
+        let mut retired = 0;
+        for (&row, &(page, slot)) in heap_locs {
+            if self.sh.ridmap.get(row) == Some(RowLocation::Page(page, slot)) {
+                continue;
+            }
+            let partition = self.sh.cache.fetch(page)?.with_page_read(|v| v.partition());
+            let Some(table) = self.sh.catalog.table_of_partition(partition) else {
+                continue;
+            };
+            table.heap(partition).delete(&self.sh.cache, page, slot)?;
+            retired += 1;
+        }
+        if retired > 0 {
+            self.sh.recovery.lock().page_copies_retired = retired;
+            self.checkpoint()?;
+        }
+        Ok(())
+    }
+
+    /// Final recovery steps: rebuild the ILM queues.
     fn finish_recovery(&self) {
         // Re-register every resident row so GC rebuilds the ILM queues.
         let mut rows = Vec::new();

@@ -89,6 +89,16 @@ pub struct EngineSnapshot {
     pub committed_txns: u64,
     /// Aborted transactions.
     pub aborted_txns: u64,
+    /// Commits that wrote sysimrslogs only: one atomic batch is the
+    /// commit record, one barrier under `durable_commits`. With the
+    /// three below it sums to `committed_txns`.
+    pub commits_imrs_only: u64,
+    /// Commits that wrote syslogs only (one barrier).
+    pub commits_page_only: u64,
+    /// Commits that wrote both logs (two barriers, sysimrslogs first).
+    pub commits_mixed: u64,
+    /// Commits that wrote no log (no barrier).
+    pub commits_read_only: u64,
     /// Current database commit timestamp.
     pub commit_ts: u64,
     /// IMRS bytes in use.
@@ -234,6 +244,10 @@ impl EngineSnapshot {
         EngineSnapshot {
             committed_txns: sh.txns.committed_count(),
             aborted_txns: sh.txns.aborted_count(),
+            commits_imrs_only: sh.commit_shapes.imrs_only.load(),
+            commits_page_only: sh.commit_shapes.page_only.load(),
+            commits_mixed: sh.commit_shapes.mixed.load(),
+            commits_read_only: sh.commit_shapes.read_only.load(),
             commit_ts: sh.clock.now().0,
             imrs_used_bytes: sh.store.used_bytes(),
             imrs_budget: sh.store.budget(),
@@ -291,11 +305,16 @@ impl EngineSnapshot {
         out.push_str(&format!(
             "── engine ─────────────────────────────────────────────\n\
              txns committed {:>10}   aborted {:>8}   commit-ts {}\n\
+             commits by log: imrs-only {} page-only {} mixed {} read-only {}\n\
              IMRS {:>6.1} MiB / {:.1} MiB ({:>4.1}%)   rows {:>8}   hit rate {:>5.1}%\n\
              pack: cycles {} rows {} skipped {} bytes {:.1} MiB   TSF Ʈ {}\n",
             self.committed_txns,
             self.aborted_txns,
             self.commit_ts,
+            self.commits_imrs_only,
+            self.commits_page_only,
+            self.commits_mixed,
+            self.commits_read_only,
             self.imrs_used_bytes as f64 / (1024.0 * 1024.0),
             self.imrs_budget as f64 / (1024.0 * 1024.0),
             self.imrs_utilization * 100.0,
@@ -370,7 +389,7 @@ impl EngineSnapshot {
                 "recovery: salvaged sys {} (dropped {}) imrs {} (dropped {})   \
                  pages-reset {}   records-skipped {}\n\
                  recovery replay: workers {}   redo {} (floor-skipped {})   \
-                 imrs-replayed {}\n\
+                 imrs-replayed {}   page-copies-retired {}\n\
                  recovery phases (µs): analysis {} page-redo {} heap-rebuild {} \
                  imrs-replay {}\n",
                 r.syslog_salvaged,
@@ -383,6 +402,7 @@ impl EngineSnapshot {
                 r.syslog_redo_replayed,
                 r.syslog_redo_skipped,
                 r.imrs_records_replayed,
+                r.page_copies_retired,
                 r.analysis_micros,
                 r.page_redo_micros,
                 r.heap_rebuild_micros,
@@ -491,6 +511,8 @@ impl EngineSnapshot {
         format!(
             concat!(
                 "{{\"committed_txns\":{},\"aborted_txns\":{},\"commit_ts\":{},",
+                "\"commits_imrs_only\":{},\"commits_page_only\":{},",
+                "\"commits_mixed\":{},\"commits_read_only\":{},",
                 "\"imrs_used_bytes\":{},\"imrs_budget\":{},\"imrs_utilization\":{},",
                 "\"imrs_rows\":{},\"imrs_ops\":{},\"page_ops\":{},\"imrs_hit_rate\":{},",
                 "\"pack_cycles\":{},\"rows_packed\":{},\"bytes_packed\":{},",
@@ -509,7 +531,8 @@ impl EngineSnapshot {
                 "\"imrslog_salvaged\":{},\"imrslog_dropped\":{},\"pages_reset\":{},",
                 "\"imrs_records_skipped\":{},\"replay_workers\":{},",
                 "\"syslog_redo_replayed\":{},\"syslog_redo_skipped\":{},",
-                "\"imrs_records_replayed\":{},\"analysis_micros\":{},",
+                "\"imrs_records_replayed\":{},\"page_copies_retired\":{},",
+                "\"analysis_micros\":{},",
                 "\"page_redo_micros\":{},\"heap_rebuild_micros\":{},",
                 "\"imrs_replay_micros\":{}}},",
                 "\"latency_ns\":[{}],",
@@ -519,6 +542,10 @@ impl EngineSnapshot {
             self.committed_txns,
             self.aborted_txns,
             self.commit_ts,
+            self.commits_imrs_only,
+            self.commits_page_only,
+            self.commits_mixed,
+            self.commits_read_only,
             self.imrs_used_bytes,
             self.imrs_budget,
             json::num(self.imrs_utilization),
@@ -566,6 +593,7 @@ impl EngineSnapshot {
             self.recovery.syslog_redo_replayed,
             self.recovery.syslog_redo_skipped,
             self.recovery.imrs_records_replayed,
+            self.recovery.page_copies_retired,
             self.recovery.analysis_micros,
             self.recovery.page_redo_micros,
             self.recovery.heap_rebuild_micros,

@@ -423,3 +423,162 @@ fn txn_counters_count_user_transactions_only() {
     );
     assert_eq!(snap.aborted_txns, aborts, "Engine::abort calls");
 }
+
+/// A log device that counts its barriers.
+#[derive(Default)]
+struct CountedLog {
+    inner: btrim_wal::MemLog,
+    flushes: std::sync::atomic::AtomicU64,
+}
+
+impl btrim_wal::LogSink for CountedLog {
+    fn append(&self, payload: &[u8]) -> btrim_core::Result<btrim_common::Lsn> {
+        self.inner.append(payload)
+    }
+    fn append_batch(&self, payloads: &[&[u8]]) -> btrim_core::Result<btrim_wal::LsnRange> {
+        self.inner.append_batch(payloads)
+    }
+    fn flush(&self) -> btrim_core::Result<()> {
+        self.flushes
+            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        self.inner.flush()
+    }
+    fn read_all(&self) -> btrim_core::Result<Vec<(btrim_common::Lsn, Vec<u8>)>> {
+        self.inner.read_all()
+    }
+    fn record_count(&self) -> u64 {
+        self.inner.record_count()
+    }
+    fn byte_size(&self) -> u64 {
+        self.inner.byte_size()
+    }
+    fn truncate_prefix(&self, upto: btrim_common::Lsn) -> btrim_core::Result<()> {
+        self.inner.truncate_prefix(upto)
+    }
+}
+
+/// The commit-shape counters are conserved against `committed_txns`,
+/// and under `durable_commits` they bound the barriers a workload
+/// pays: one per log a commit wrote. The one barrier a commit pays for
+/// records not its own — sysimrslogs ahead of syslogs while a
+/// foreground move's sysimrslogs half is volatile — can only add to a
+/// page-only commit, so `imrs_only / committed_txns` is the share of a
+/// workload that is a one-flush commit.
+#[test]
+fn commit_shapes_sum_to_commits_and_bound_the_barriers() {
+    let (syslog, imrslog) = (
+        Arc::new(CountedLog::default()),
+        Arc::new(CountedLog::default()),
+    );
+    let e = Engine::with_devices(
+        EngineConfig {
+            mode: EngineMode::IlmOn,
+            imrs_budget: 4 * 1024 * 1024,
+            imrs_chunk_size: 128 * 1024,
+            buffer_frames: 1024,
+            durable_commits: true,
+            // No inline maintenance: the only background batches and
+            // checkpoints are the ones staged below, before the
+            // counters are read.
+            maintenance_interval_txns: u64::MAX / 2,
+            ..Default::default()
+        },
+        Arc::new(btrim_pagestore::MemDisk::new()),
+        syslog.clone(),
+        imrslog.clone(),
+    );
+    let hot = e.create_table(opts("hot")).unwrap();
+    let cold = e
+        .create_table(TableOpts {
+            imrs_enabled: false,
+            ..opts("cold")
+        })
+        .unwrap();
+    let key = |k: u64| k.to_be_bytes();
+    // Stage: every `hot` row on its page, everything durable.
+    for k in 0..200u64 {
+        let mut txn = e.begin();
+        e.insert(&mut txn, &hot, &mkrow(k, &[1; 40])).unwrap();
+        e.insert(&mut txn, &cold, &mkrow(k, &[1; 40])).unwrap();
+        e.commit(txn).unwrap();
+    }
+    e.run_maintenance();
+    while pack_cycle(&e, PackLevel::Aggressive) > 0 {}
+    e.checkpoint().unwrap();
+
+    let flushes = || {
+        let load = |log: &CountedLog| log.flushes.load(std::sync::atomic::Ordering::Relaxed);
+        (load(&imrslog), load(&syslog))
+    };
+    let (before, flushes_before) = (e.snapshot(), flushes());
+    let mut aborted = 0;
+    for k in 0..200u64 {
+        let mut txn = e.begin();
+        match k % 5 {
+            // Read-only; the `get` caches the row and flushes nothing,
+            // so the page-only commit next finds the move volatile.
+            0 => assert!(e.get(&txn, &hot, &key(k)).unwrap().is_some()),
+            // Page-only.
+            1 => assert!(e
+                .update(&mut txn, &cold, &key(k), &mkrow(k, &[2; 40]))
+                .unwrap()),
+            // IMRS-only: the prologue migrates the row.
+            2 => assert!(e
+                .update(&mut txn, &hot, &key(k), &mkrow(k, &[2; 40]))
+                .unwrap()),
+            // Mixed.
+            3 => {
+                e.insert(&mut txn, &hot, &mkrow(1_000 + k, &[2; 40]))
+                    .unwrap();
+                assert!(e.delete(&mut txn, &cold, &key(k)).unwrap());
+            }
+            // Rolled back.
+            _ => {
+                e.insert(&mut txn, &hot, &mkrow(2_000 + k, &[2; 40]))
+                    .unwrap();
+                e.abort(txn);
+                aborted += 1;
+                continue;
+            }
+        }
+        e.commit(txn).unwrap();
+    }
+    let (after, flushes_after) = (e.snapshot(), flushes());
+
+    let shapes = |s: &btrim_core::EngineSnapshot| {
+        [
+            s.commits_imrs_only,
+            s.commits_page_only,
+            s.commits_mixed,
+            s.commits_read_only,
+        ]
+    };
+    for snap in [&before, &after] {
+        assert_eq!(
+            shapes(snap).iter().sum::<u64>(),
+            snap.committed_txns,
+            "every commit has exactly one shape: {:?}",
+            shapes(snap)
+        );
+    }
+    let delta: Vec<u64> = std::iter::zip(shapes(&after), shapes(&before))
+        .map(|(a, b)| a - b)
+        .collect();
+    assert_eq!(delta, [40, 40, 40, 40], "the mix above, {aborted} aborted");
+    let [imrs_only, page_only, mixed, _read_only] = delta[..] else {
+        unreachable!()
+    };
+    let imrs_barriers = flushes_after.0 - flushes_before.0;
+    let sys_barriers = flushes_after.1 - flushes_before.1;
+    // One client, no background batch, no checkpoint in the window:
+    // nothing shares a barrier and nothing else asks for one.
+    assert_eq!(sys_barriers, page_only + mixed, "syslogs barriers");
+    assert!(
+        (imrs_only + mixed..=imrs_only + mixed + page_only).contains(&imrs_barriers),
+        "sysimrslogs barriers {imrs_barriers} vs {delta:?}"
+    );
+    assert!(
+        imrs_barriers > imrs_only + mixed,
+        "no page-only commit met a volatile move: the mix no longer exercises that barrier"
+    );
+}

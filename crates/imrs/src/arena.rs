@@ -496,10 +496,13 @@ mod tests {
                 let head = Arc::clone(&head);
                 let stop = Arc::clone(&stop);
                 std::thread::spawn(move || {
+                    // An id outside the writer's `1..2000`: were it one
+                    // of them, that version — unstamped — would be the
+                    // reader's own write, visible with no commit_ts.
+                    let nobody = TxnId(u64::MAX);
                     while !stop.load(Ordering::Relaxed) {
                         let snap = Timestamp(u64::MAX);
-                        if let Some(v) =
-                            a.visible_from(head.load(Ordering::Acquire), snap, TxnId(999))
+                        if let Some(v) = a.visible_from(head.load(Ordering::Acquire), snap, nobody)
                         {
                             // Visible to a max snapshot ⇒ committed.
                             assert!(v.commit_ts.is_some());

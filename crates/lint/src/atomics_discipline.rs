@@ -308,6 +308,18 @@ pub const ATOMIC_FIELDS: &[(&str, &str, u8, &str)] = &[
     ("crates/core/src/engine.rs", "ckpt_ordinal", P_RELAXED, "checkpoint counter"),
     ("crates/core/src/engine.rs", "last_truncate_upto", P_RELAXED, "monotone fetch_max watermark"),
     (
+        "crates/core/src/engine.rs",
+        "moves_logged",
+        P_SEQCST,
+        "store-load with the two log appends around it: a move counts itself between its sysimrslogs append and its syslogs Commit append, a committer reads the count before its syslogs barrier",
+    ),
+    (
+        "crates/core/src/engine.rs",
+        "moves_durable",
+        P_SEQCST,
+        "fetch_max watermark compared against moves_logged; same protocol",
+    ),
+    (
         "crates/core/src/arbiter.rs",
         "last_window_at",
         P_RELAXED,

@@ -1274,27 +1274,35 @@ mod tests {
             g.page_id()
         };
         let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let writes = Arc::new(AtomicU64::new(0));
         let writer = {
             let c = Arc::clone(&c);
             let stop = Arc::clone(&stop);
+            let writes = Arc::clone(&writes);
             std::thread::spawn(move || {
-                let mut writes = 0u64;
                 while !stop.load(Ordering::Relaxed) {
                     let g = c.fetch(id).unwrap();
                     g.with_page_write(|p| {
                         assert!(p.update(btrim_common::SlotId(0), b"vN"));
                     });
-                    writes += 1;
+                    writes.fetch_add(1, Ordering::Relaxed);
                 }
-                writes
             })
         };
-        for _ in 0..200 {
+        // Keep flushing until the writer has got a write in between
+        // flushes: 200 flushes of a memory device can be over before
+        // the writer thread is first scheduled.
+        let mut flushes = 0u64;
+        while flushes < 200 || writes.load(Ordering::Relaxed) == 0 {
             c.flush_pages(&[id]).unwrap();
+            flushes += 1;
+            assert!(
+                flushes < 50_000_000,
+                "writer must make progress during flushes"
+            );
         }
         stop.store(true, Ordering::Relaxed);
-        let writes = writer.join().unwrap();
-        assert!(writes > 0, "writer must make progress during flushes");
+        writer.join().unwrap();
     }
 
     #[test]

@@ -10,6 +10,8 @@ cd "$(dirname "$0")/.."
 code_lines() { cat "$@" | grep -v '^\s*//' | grep -vc '^\s*$' || true; }
 # Appends of a page-log record kind from crates/core/src.
 append_sites() { cat crates/core/src/*.rs | grep -c "append_sys(&PageLogRecord::$1\b" || true; }
+# Calls of a function (not its definition) from crates/core/src.
+call_sites() { cat crates/core/src/*.rs | grep -v "fn $1(" | grep -c "\b$1(" || true; }
 
 src_files=$(find crates/*/src -name '*.rs' | sort)
 # The row-movement path: the four files that held its copies, plus
@@ -25,3 +27,7 @@ echo "engine_config_fields $(sed -n '/^pub struct EngineConfig {/,/^}/p' crates/
 echo "lint_allow_escapes $(grep -rn 'lint: allow(' crates --include='*.rs' | grep -vc '^crates/lint/')"
 echo "begin_append_sites $(append_sites Begin)"
 echo "commit_append_sites $(append_sites Commit)"
+# A user transaction announces itself in syslogs only on a page arm,
+# and waits only for the logs it wrote: one call site per log.
+echo "ensure_begin_call_sites $(call_sites ensure_begin)"
+echo "commit_flush_call_sites $(call_sites commit_flush)"

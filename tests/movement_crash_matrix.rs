@@ -20,20 +20,24 @@
 //!   sysimrslogs (the extent), so a power cut between the two flushes
 //!   lost the batch (`power_cut_between_the_two_flushes_…`). The fault
 //!   harness cannot see that — its logs are `MemLog`s, durable at
-//!   append — so the test brings its own [`VolatileLog`].
+//!   append — so the test brings [`VolatileLog`] (`tests/common`).
+
+mod common;
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use btrim::catalog::{FieldKind, RowLayout, TableDesc, TableOpts};
 use btrim::freeze::freeze_tick;
 use btrim::pack::{pack_cycle, PackLevel};
 use btrim::{Engine, EngineConfig, EngineMode, RowLocation};
-use btrim_common::{Lsn, Result};
+use btrim_common::Result;
 use btrim_faults::{FaultDisk, FaultLog, FaultPlan, FaultState};
 use btrim_pagestore::{DiskBackend, MemDisk};
-use btrim_wal::{LogSink, LsnRange, MemLog};
+use btrim_wal::{LogSink, MemLog};
+
+use common::{Power, VolatileLog};
 
 const ROWS: u64 = 6;
 
@@ -402,74 +406,6 @@ fn pack_does_not_leak_its_staged_copy_when_the_log_dies() {
     assert!(!died && after > before);
     for die_after in before..after {
         assert!(run(Some(die_after)).2, "the log outlived the pack batch");
-    }
-}
-
-/// A [`LogSink`] whose appends are volatile until flushed, with a
-/// power switch shared by both logs: once cut, nothing more becomes
-/// durable, and [`VolatileLog::media`] is what a reboot finds.
-struct VolatileLog {
-    inner: MemLog,
-    durable: AtomicU64,
-    power: Arc<Power>,
-}
-
-#[derive(Default)]
-struct Power {
-    /// Cut the power once this many more flushes have completed.
-    cut_after_flushes: AtomicU64,
-    off: AtomicBool,
-}
-
-impl VolatileLog {
-    fn new(power: &Arc<Power>) -> Arc<Self> {
-        Arc::new(VolatileLog {
-            inner: MemLog::new(),
-            durable: AtomicU64::new(0),
-            power: Arc::clone(power),
-        })
-    }
-
-    fn media(&self) -> Arc<dyn LogSink> {
-        let media = MemLog::new();
-        let durable = self.durable.load(Ordering::SeqCst);
-        for (lsn, payload) in self.inner.read_all().unwrap() {
-            if lsn.0 <= durable {
-                media.append(&payload).unwrap();
-            }
-        }
-        Arc::new(media)
-    }
-}
-
-impl LogSink for VolatileLog {
-    fn append(&self, payload: &[u8]) -> Result<Lsn> {
-        self.inner.append(payload)
-    }
-    fn append_batch(&self, payloads: &[&[u8]]) -> Result<LsnRange> {
-        self.inner.append_batch(payloads)
-    }
-    fn flush(&self) -> Result<()> {
-        if !self.power.off.load(Ordering::SeqCst) {
-            self.durable
-                .store(self.inner.record_count(), Ordering::SeqCst);
-            if self.power.cut_after_flushes.fetch_sub(1, Ordering::SeqCst) == 1 {
-                self.power.off.store(true, Ordering::SeqCst);
-            }
-        }
-        Ok(())
-    }
-    fn read_all(&self) -> Result<Vec<(Lsn, Vec<u8>)>> {
-        self.inner.read_all()
-    }
-    fn record_count(&self) -> u64 {
-        self.inner.record_count()
-    }
-    fn byte_size(&self) -> u64 {
-        self.inner.byte_size()
-    }
-    fn truncate_prefix(&self, _upto: Lsn) -> Result<()> {
-        Ok(()) // keeps LSN = position, which `media` relies on
     }
 }
 

@@ -214,19 +214,16 @@ fn combined(before: &EngineSnapshot, after: &EngineSnapshot) -> (f64, f64, f64) 
 
 fn main() {
     let contenders = vec![
-        contender("arbiter", {
+        // The arbiter's window, hysteresis, step cap and floors are
+        // constants in `btrim_core::arbiter`; this bench is what they
+        // were fitted to.
+        contender(
+            "arbiter",
             EngineConfig {
                 total_memory_budget: TOTAL,
-                arbiter_initial_imrs_fraction: 0.5,
-                arbiter_window_txns: 256,
-                arbiter_hysteresis_windows: 3,
-                arbiter_min_shift_bytes: 256 * 1024,
-                arbiter_max_shift_fraction: 0.05,
-                arbiter_imrs_floor: 0.05,
-                arbiter_buffer_floor: 0.10,
                 ..base_cfg()
-            }
-        }),
+            },
+        ),
         contender("static-even", {
             EngineConfig {
                 imrs_budget: TOTAL / 2,

@@ -4,7 +4,7 @@
 //! module generalizes the idea to *how much memory* each pool deserves
 //! (ROADMAP item 3, after the adaptive memory tuner of "Breaking Down
 //! Memory Walls"). Both pools are carved from one globally accounted
-//! `total_memory_budget`, and every `arbiter_window_txns` commits the
+//! `total_memory_budget`, and every [`WINDOW_TXNS`] commits the
 //! arbiter compares their **marginal utilities**:
 //!
 //! * **IMRS**: window delta of operations on IMRS-*enabled* partitions
@@ -26,14 +26,15 @@
 //!
 //! The side ahead by more than [`VOTE_MARGIN`] earns a vote; a mixed
 //! or quiet window resets both counters (the tuner's hysteresis rule).
-//! Once `arbiter_hysteresis_windows` consecutive votes agree, budget
-//! moves: at most `arbiter_max_shift_fraction` of the total per shift,
-//! never below either pool's floor, quantized down to whole IMRS
-//! chunks (so both pools change by exactly the same byte count — the
-//! IMRS allocator rounds budgets up to chunk granularity, and an
-//! unquantized shift would leak bytes into the total), and only in
-//! steps of at least `arbiter_min_shift_bytes` (smaller clamped shifts
-//! are deferred and the vote is kept). Shrinking is always lazy — the
+//! Once [`HYSTERESIS_WINDOWS`] consecutive votes agree, budget moves:
+//! at most [`MAX_SHIFT_FRACTION`] of the total per shift, never below
+//! either pool's floor, quantized down to whole IMRS chunks (so both
+//! pools change by exactly the same byte count — the IMRS allocator
+//! rounds budgets up to chunk granularity, and an unquantized shift
+//! would leak bytes into the total); a clamped shift below one chunk
+//! is deferred and the vote is kept. None of this is configurable: the
+//! size of a step comes from the measured signal, not from settings.
+//! Shrinking is always lazy — the
 //! IMRS drains its overage through GC/pack/freeze, the buffer cache
 //! through shrink debt — so no DML operation ever blocks on a budget
 //! move.
@@ -51,8 +52,7 @@ use btrim_imrs::ImrsStore;
 use btrim_obs::{ArbiterAction, ArbiterTrace, IlmTraceEvent, Obs, OpClass};
 use btrim_pagestore::{BufferCache, PAGE_SIZE};
 
-use btrim_common::PartitionId;
-
+use crate::catalog::Catalog;
 use crate::config::EngineConfig;
 use crate::metrics::MetricsRegistry;
 
@@ -60,34 +60,62 @@ use crate::metrics::MetricsRegistry;
 /// before a vote is cast; anything closer is a hold.
 pub const VOTE_MARGIN: f64 = 1.25;
 
+/// Fraction of `total_memory_budget` the IMRS starts with.
+pub const INITIAL_IMRS_FRACTION: f64 = 0.5;
+/// Window length in committed transactions.
+pub const WINDOW_TXNS: u64 = 256;
+/// Consecutive same-direction votes required before budget actually
+/// moves (hysteresis against thrash, same idea as §V.B's tuner).
+pub const HYSTERESIS_WINDOWS: u32 = 3;
+/// Per-shift cap as a fraction of `total_memory_budget`.
+pub const MAX_SHIFT_FRACTION: f64 = 0.05;
+/// Floor on the IMRS share of the total budget; the arbiter never
+/// shrinks the IMRS below it (nor below one allocator chunk).
+pub const IMRS_FLOOR: f64 = 0.05;
+/// Floor on the buffer-cache share of the total budget (nor below 8
+/// frames).
+pub const BUFFER_FLOOR: f64 = 0.10;
+
 /// Miss weight used before the miss histogram has any samples (or with
 /// latency recording off): a nominal 20 µs device read.
 pub const DEFAULT_MISS_NS: u64 = 20_000;
+
+/// The initial (IMRS bytes, buffer frames) split of a unified budget:
+/// the IMRS takes [`INITIAL_IMRS_FRACTION`] (at least one allocator
+/// chunk), the buffer cache the remainder in whole frames (at least 8).
+pub fn initial_split(cfg: &EngineConfig) -> (u64, usize) {
+    let imrs = ((cfg.total_memory_budget as f64 * INITIAL_IMRS_FRACTION) as u64)
+        .max(cfg.imrs_chunk_size as u64);
+    let frames = (cfg.total_memory_budget.saturating_sub(imrs) / PAGE_SIZE as u64).max(8) as usize;
+    (imrs, frames)
+}
+
+/// Largest single shift, in bytes.
+pub fn max_shift_bytes(cfg: &EngineConfig) -> u64 {
+    (cfg.total_memory_budget as f64 * MAX_SHIFT_FRACTION) as u64
+}
+
+/// Smallest IMRS budget the arbiter may shrink to, in bytes.
+pub fn imrs_floor_bytes(cfg: &EngineConfig) -> u64 {
+    ((cfg.total_memory_budget as f64 * IMRS_FLOOR) as u64).max(cfg.imrs_chunk_size as u64)
+}
+
+/// Smallest buffer-cache budget the arbiter may shrink to, in bytes.
+pub fn buffer_floor_bytes(cfg: &EngineConfig) -> u64 {
+    ((cfg.total_memory_budget as f64 * BUFFER_FLOOR) as u64).max(8 * PAGE_SIZE as u64)
+}
 
 /// Counter values at the previous window boundary plus the hysteresis
 /// vote state. Guarded by the `window` mutex (rank `MEM_ARBITER`),
 /// taken only from maintenance — never on the DML path, never held
 /// across a budget apply (which may do eviction I/O).
+#[derive(Default)]
 struct WindowState {
     last_imrs_miss_ops: u64,
     last_hits: u64,
     last_misses: u64,
     imrs_votes: u32,
     buffer_votes: u32,
-}
-
-/// What one window decided; computed under the `window` lock, applied
-/// after it is released.
-struct Verdict {
-    action: ArbiterAction,
-    votes: u32,
-    imrs_miss_ops: u64,
-    hits: u64,
-    misses: u64,
-    miss_ns: u64,
-    imrs_mu: f64,
-    buffer_mu: f64,
-    shift_bytes: u64,
 }
 
 /// The memory arbiter. One per engine, driven from maintenance.
@@ -98,30 +126,13 @@ pub struct MemoryArbiter {
     shifts_applied: AtomicU64,
     bytes_to_imrs: AtomicU64,
     bytes_to_buffer: AtomicU64,
-    obs: Option<Arc<Obs>>,
+    obs: Arc<Obs>,
 }
 
 impl MemoryArbiter {
-    pub fn new() -> Self {
-        Self::with_obs_opt(None)
-    }
-
     pub fn with_obs(obs: Arc<Obs>) -> Self {
-        Self::with_obs_opt(Some(obs))
-    }
-
-    fn with_obs_opt(obs: Option<Arc<Obs>>) -> Self {
         MemoryArbiter {
-            window: Mutex::with_rank(
-                parking_lot::lock_rank::MEM_ARBITER,
-                WindowState {
-                    last_imrs_miss_ops: 0,
-                    last_hits: 0,
-                    last_misses: 0,
-                    imrs_votes: 0,
-                    buffer_votes: 0,
-                },
-            ),
+            window: Mutex::with_rank(parking_lot::lock_rank::MEM_ARBITER, WindowState::default()),
             last_window_at: AtomicU64::new(0),
             windows_run: AtomicU64::new(0),
             shifts_applied: AtomicU64::new(0),
@@ -152,23 +163,19 @@ impl MemoryArbiter {
     }
 
     /// Run a window if one is due at `committed_txns`. Returns whether
-    /// a window ran. No-op unless the unified budget is active.
-    /// `imrs_partitions` names the partitions of IMRS-enabled tables —
-    /// their page ops are the IMRS's miss signal.
+    /// a window ran. The caller has checked that the unified budget is
+    /// active.
     pub fn maybe_run(
         &self,
         cfg: &EngineConfig,
         committed_txns: u64,
         metrics: &MetricsRegistry,
-        imrs_partitions: &[PartitionId],
+        catalog: &Catalog,
         store: &ImrsStore,
         cache: &BufferCache,
     ) -> bool {
-        if !cfg.arbiter_active() {
-            return false;
-        }
         let last = self.last_window_at.load(Ordering::Relaxed);
-        if committed_txns.saturating_sub(last) < cfg.arbiter_window_txns {
+        if committed_txns.saturating_sub(last) < WINDOW_TXNS {
             return false;
         }
         if self
@@ -178,41 +185,32 @@ impl MemoryArbiter {
         {
             return false; // another thread claimed this window
         }
-        self.run_window(cfg, metrics, imrs_partitions, store, cache);
-        true
-    }
-
-    /// Execute one arbiter window unconditionally (tests drive this).
-    pub fn run_window(
-        &self,
-        cfg: &EngineConfig,
-        metrics: &MetricsRegistry,
-        imrs_partitions: &[PartitionId],
-        store: &ImrsStore,
-        cache: &BufferCache,
-    ) {
-        let timer = self.obs.as_ref().and_then(|o| o.start());
+        let timer = self.obs.start();
         let window = self.windows_run.load(Ordering::Relaxed) + 1;
 
         // One coherent read of every input the verdict will cite. Page
         // ops on IMRS-enabled partitions are rows ILM would keep
         // resident with more budget — the IMRS's miss counter.
-        let imrs_miss_total: u64 = imrs_partitions
+        let imrs_miss_total: u64 = catalog
+            .tables()
             .iter()
+            .filter(|t| t.imrs_enabled)
+            .flat_map(|t| t.partitions.iter())
             .map(|&p| metrics.get(p).page_ops.load())
             .sum();
         let bstats = cache.stats();
         let imrs_bytes = store.budget();
         let buffer_bytes = cache.capacity() as u64 * PAGE_SIZE as u64;
         let utilization = store.utilization();
-        let miss_ns = self
-            .obs
-            .as_ref()
-            .map(|o| o.hist(OpClass::BufferMiss).summary())
-            .filter(|s| s.count > 0)
-            .map(|s| s.p50)
-            .unwrap_or(DEFAULT_MISS_NS);
+        let miss = self.obs.hist(OpClass::BufferMiss).summary();
+        let miss_ns = if miss.count > 0 {
+            miss.p50
+        } else {
+            DEFAULT_MISS_NS
+        };
 
+        // What this window decided: computed under the `window` lock,
+        // applied after it is released.
         let verdict = {
             let mut st = self.window.lock();
             let imrs_missed = imrs_miss_total.saturating_sub(st.last_imrs_miss_ops);
@@ -235,10 +233,10 @@ impl MemoryArbiter {
             // without letting the count grow past what it can cite.
             if vote_imrs {
                 st.buffer_votes = 0;
-                st.imrs_votes = (st.imrs_votes + 1).min(cfg.arbiter_hysteresis_windows);
+                st.imrs_votes = (st.imrs_votes + 1).min(HYSTERESIS_WINDOWS);
             } else if vote_buffer {
                 st.imrs_votes = 0;
-                st.buffer_votes = (st.buffer_votes + 1).min(cfg.arbiter_hysteresis_windows);
+                st.buffer_votes = (st.buffer_votes + 1).min(HYSTERESIS_WINDOWS);
             } else {
                 // Mixed or quiet window: hysteresis starts over.
                 st.imrs_votes = 0;
@@ -258,22 +256,20 @@ impl MemoryArbiter {
                 } else {
                     ArbiterAction::VoteBuffer
                 };
-                if votes >= cfg.arbiter_hysteresis_windows {
-                    let max_shift =
-                        (cfg.total_memory_budget as f64 * cfg.arbiter_max_shift_fraction) as u64;
+                if votes >= HYSTERESIS_WINDOWS {
                     // Clamp to the shrinking pool's floor headroom,
                     // then quantize down to whole IMRS chunks: the
                     // allocator rounds budgets up to chunk granularity,
                     // so only chunk-multiple shifts keep the two pools'
                     // total exactly conserved.
                     let headroom = if to_imrs {
-                        buffer_bytes.saturating_sub(cfg.arbiter_buffer_floor_bytes())
+                        buffer_bytes.saturating_sub(buffer_floor_bytes(cfg))
                     } else {
-                        imrs_bytes.saturating_sub(cfg.arbiter_imrs_floor_bytes())
+                        imrs_bytes.saturating_sub(imrs_floor_bytes(cfg))
                     };
                     let chunk = u64::from(cfg.imrs_chunk_size).max(1);
-                    let clamped = max_shift.min(headroom) / chunk * chunk;
-                    if clamped >= cfg.arbiter_min_shift_bytes.max(chunk) {
+                    let clamped = max_shift_bytes(cfg).min(headroom) / chunk * chunk;
+                    if clamped > 0 {
                         shift_bytes = clamped;
                         action = if to_imrs {
                             ArbiterAction::ShiftToImrs
@@ -283,27 +279,35 @@ impl MemoryArbiter {
                         st.imrs_votes = 0;
                         st.buffer_votes = 0;
                     }
-                    // Else: below min-shift / chunk granularity. The
+                    // Else: less than one chunk of headroom. The
                     // (saturated) vote streak stands and the shift is
                     // deferred until headroom reappears.
                 }
-                Some(Verdict {
+                Some(ArbiterTrace {
+                    window,
                     action,
-                    votes,
                     imrs_miss_ops: imrs_missed,
-                    hits,
-                    misses,
+                    buffer_hits: hits,
+                    buffer_misses: misses,
                     miss_ns,
+                    imrs_bytes,
+                    buffer_bytes,
+                    imrs_utilization: utilization,
                     imrs_mu,
                     buffer_mu,
                     shift_bytes,
+                    // Read back once the shift has been applied.
+                    imrs_bytes_after: 0,
+                    buffer_frames_after: 0,
+                    votes,
+                    votes_needed: HYSTERESIS_WINDOWS,
                 })
             }
         };
 
         // Apply with the window lock released: a buffer shrink may
         // evict (shard locks + write-back I/O).
-        if let Some(v) = &verdict {
+        if let Some(mut v) = verdict {
             if v.shift_bytes > 0 {
                 match v.action {
                     ArbiterAction::ShiftToImrs => {
@@ -327,37 +331,13 @@ impl MemoryArbiter {
                 }
                 self.shifts_applied.fetch_add(1, Ordering::Relaxed);
             }
-            if let Some(obs) = &self.obs {
-                obs.trace.push(IlmTraceEvent::Arbiter(ArbiterTrace {
-                    window,
-                    action: v.action,
-                    imrs_miss_ops: v.imrs_miss_ops,
-                    buffer_hits: v.hits,
-                    buffer_misses: v.misses,
-                    miss_ns: v.miss_ns,
-                    imrs_bytes,
-                    buffer_bytes,
-                    imrs_utilization: utilization,
-                    imrs_mu: v.imrs_mu,
-                    buffer_mu: v.buffer_mu,
-                    shift_bytes: v.shift_bytes,
-                    imrs_bytes_after: store.budget(),
-                    buffer_frames_after: cache.capacity() as u64,
-                    votes: v.votes,
-                    votes_needed: cfg.arbiter_hysteresis_windows,
-                }));
-            }
+            v.imrs_bytes_after = store.budget();
+            v.buffer_frames_after = cache.capacity() as u64;
+            self.obs.trace.push(IlmTraceEvent::Arbiter(v));
         }
 
         self.windows_run.fetch_add(1, Ordering::Relaxed);
-        if let Some(obs) = &self.obs {
-            obs.record_since(OpClass::TuningWindow, timer);
-        }
-    }
-}
-
-impl Default for MemoryArbiter {
-    fn default() -> Self {
-        Self::new()
+        self.obs.record_since(OpClass::TuningWindow, timer);
+        true
     }
 }

@@ -81,21 +81,6 @@ pub struct EngineConfig {
     /// Experiments leave this off and flush at pack/checkpoint
     /// boundaries; the file-backed durability tests turn it on.
     pub durable_commits: bool,
-    /// Base backoff between I/O retries in microseconds (scaled
-    /// linearly by attempt number).
-    pub io_retry_backoff_us: u64,
-    /// Consecutive storage errors after which the engine reports
-    /// `Degraded` health.
-    pub health_degrade_after: u64,
-    /// Consecutive storage errors after which the engine turns
-    /// `ReadOnly` (sticky; reads keep working, writes are rejected).
-    pub health_readonly_after: u64,
-    /// Dirty pages written back per fuzzy-checkpoint flush batch.
-    pub checkpoint_flush_batch: usize,
-    /// Pause between fuzzy-checkpoint flush batches in microseconds —
-    /// the rate limiter that keeps checkpoint I/O from monopolizing
-    /// the device against foreground writes. 0 disables the pause.
-    pub checkpoint_batch_pause_us: u64,
     /// Worker threads for partitioned forward replay during recovery.
     /// 0 picks automatically from available parallelism (capped at 8);
     /// 1 forces serial replay.
@@ -116,30 +101,12 @@ pub struct EngineConfig {
     /// cache. 0 (the default) keeps the legacy fixed split: the pools
     /// are sized independently from `imrs_budget` and `buffer_frames`
     /// and the memory arbiter stays off. Non-zero activates the
-    /// arbiter: the IMRS starts at `arbiter_initial_imrs_fraction` of
-    /// the total, the buffer cache gets the remainder in 8 KiB frames,
-    /// and the split moves at runtime along the marginal-utility
-    /// signal. `imrs_budget` and `buffer_frames` are ignored then.
+    /// arbiter (`crate::arbiter`, whose window, hysteresis, step cap
+    /// and floors are constants there): the pools start from its
+    /// initial split and the split moves at runtime along the
+    /// marginal-utility signal. `imrs_budget` and `buffer_frames` are
+    /// ignored then.
     pub total_memory_budget: u64,
-    /// Fraction of `total_memory_budget` initially given to the IMRS.
-    pub arbiter_initial_imrs_fraction: f64,
-    /// Arbiter window length in committed transactions. Each window the
-    /// arbiter compares the pools' marginal utilities and votes.
-    pub arbiter_window_txns: u64,
-    /// Consecutive same-direction votes required before budget actually
-    /// moves (hysteresis against thrash, same idea as §V.B's tuner).
-    pub arbiter_hysteresis_windows: u32,
-    /// Smallest budget shift worth applying, in bytes; votes whose
-    /// clamped shift would fall below this are deferred.
-    pub arbiter_min_shift_bytes: u64,
-    /// Per-shift cap as a fraction of `total_memory_budget`.
-    pub arbiter_max_shift_fraction: f64,
-    /// Floor on the IMRS share of the total budget, as a fraction; the
-    /// arbiter never shrinks the IMRS below it.
-    pub arbiter_imrs_floor: f64,
-    /// Floor on the buffer-cache share of the total budget, as a
-    /// fraction; the arbiter never shrinks the cache below it.
-    pub arbiter_buffer_floor: f64,
     /// Record per-operation-class latency histograms (`btrim-obs`).
     /// When off, the hot paths skip the clock reads entirely — one
     /// branch per operation.
@@ -169,23 +136,11 @@ impl Default for EngineConfig {
             pack_enabled: true,
             tsf_enabled: true,
             durable_commits: false,
-            io_retry_backoff_us: 200,
-            health_degrade_after: 3,
-            health_readonly_after: 8,
-            checkpoint_flush_batch: 128,
-            checkpoint_batch_pause_us: 50,
             recovery_workers: 0,
             freeze_enabled: false,
             freeze_min_rows: 32,
             freeze_max_rows: 4096,
             total_memory_budget: 0,
-            arbiter_initial_imrs_fraction: 0.5,
-            arbiter_window_txns: 4_000,
-            arbiter_hysteresis_windows: 2,
-            arbiter_min_shift_bytes: 1024 * 1024,
-            arbiter_max_shift_fraction: 0.10,
-            arbiter_imrs_floor: 0.10,
-            arbiter_buffer_floor: 0.10,
             obs_latency: true,
             obs_trace_capacity: 1024,
         }
@@ -224,35 +179,14 @@ impl EngineConfig {
     /// Resolve the initial (IMRS bytes, buffer frames) split.
     ///
     /// With `total_memory_budget == 0` this is the legacy fixed split —
-    /// exactly the independent `imrs_budget` and `buffer_frames` knobs.
-    /// Otherwise the IMRS takes `arbiter_initial_imrs_fraction` of the
-    /// total (at least one allocator chunk) and the buffer cache gets
-    /// the remainder in whole frames (at least 8).
+    /// exactly the independent `imrs_budget` and `buffer_frames` knobs;
+    /// otherwise the arbiter's initial split of the total.
     pub fn memory_split(&self) -> (u64, usize) {
-        if !self.arbiter_active() {
-            return (self.imrs_budget, self.buffer_frames);
+        if self.arbiter_active() {
+            crate::arbiter::initial_split(self)
+        } else {
+            (self.imrs_budget, self.buffer_frames)
         }
-        let imrs = ((self.total_memory_budget as f64 * self.arbiter_initial_imrs_fraction) as u64)
-            .max(self.imrs_chunk_size as u64);
-        let frames = (self
-            .total_memory_budget
-            .saturating_sub(imrs)
-            .min(usize::MAX as u64) as usize
-            / btrim_pagestore::PAGE_SIZE)
-            .max(8);
-        (imrs, frames)
-    }
-
-    /// Smallest IMRS budget the arbiter may shrink to, in bytes.
-    pub fn arbiter_imrs_floor_bytes(&self) -> u64 {
-        ((self.total_memory_budget as f64 * self.arbiter_imrs_floor) as u64)
-            .max(self.imrs_chunk_size as u64)
-    }
-
-    /// Smallest buffer-cache budget the arbiter may shrink to, in bytes.
-    pub fn arbiter_buffer_floor_bytes(&self) -> u64 {
-        ((self.total_memory_budget as f64 * self.arbiter_buffer_floor) as u64)
-            .max(8 * btrim_pagestore::PAGE_SIZE as u64)
     }
 
     /// Validate invariants; panic early on nonsense configs.
@@ -265,17 +199,8 @@ impl EngineConfig {
         assert!(self.imrs_budget >= self.imrs_chunk_size as u64);
         assert!(self.buffer_frames >= 8);
         assert!(
-            1 <= self.health_degrade_after
-                && self.health_degrade_after <= self.health_readonly_after,
-            "health thresholds must satisfy 1 ≤ degrade ≤ readonly"
-        );
-        assert!(
             self.obs_trace_capacity <= 1 << 20,
             "obs_trace_capacity unreasonably large (cap: 1 MiB of events)"
-        );
-        assert!(
-            self.checkpoint_flush_batch >= 1,
-            "checkpoint_flush_batch must be ≥ 1"
         );
         assert!(
             self.recovery_workers <= 256,
@@ -289,32 +214,7 @@ impl EngineConfig {
             self.freeze_max_rows <= btrim_pagestore::MAX_EXTENT_ROWS,
             "freeze_max_rows exceeds the extent format's row cap"
         );
-        assert!(
-            self.arbiter_imrs_floor > 0.0 && self.arbiter_imrs_floor <= 0.5,
-            "arbiter_imrs_floor out of (0, 0.5]"
-        );
-        assert!(
-            self.arbiter_buffer_floor > 0.0 && self.arbiter_buffer_floor <= 0.5,
-            "arbiter_buffer_floor out of (0, 0.5]"
-        );
-        assert!(
-            self.arbiter_max_shift_fraction > 0.0 && self.arbiter_max_shift_fraction <= 0.5,
-            "arbiter_max_shift_fraction out of (0, 0.5]"
-        );
-        assert!(
-            self.arbiter_window_txns > 0,
-            "arbiter_window_txns must be > 0"
-        );
-        assert!(
-            self.arbiter_min_shift_bytes > 0,
-            "arbiter_min_shift_bytes must be > 0"
-        );
         if self.arbiter_active() {
-            assert!(
-                self.arbiter_initial_imrs_fraction >= self.arbiter_imrs_floor
-                    && self.arbiter_initial_imrs_fraction <= 1.0 - self.arbiter_buffer_floor,
-                "arbiter_initial_imrs_fraction outside [imrs_floor, 1 - buffer_floor]"
-            );
             // memory_split clamps each pool up to its minimum viable
             // size, so the total must actually cover both minima or the
             // split would silently over-commit.
@@ -323,18 +223,13 @@ impl EngineConfig {
                     >= self.imrs_chunk_size as u64 + 8 * btrim_pagestore::PAGE_SIZE as u64,
                 "total_memory_budget too small for one IMRS chunk plus 8 frames"
             );
-            assert!(
-                self.arbiter_min_shift_bytes <= self.total_memory_budget,
-                "arbiter_min_shift_bytes exceeds the total budget"
-            );
             // Shifts are quantized down to whole IMRS chunks (budget
             // conservation); a per-shift cap below one chunk would
             // quantize every shift to zero and freeze the arbiter.
             assert!(
-                (self.total_memory_budget as f64 * self.arbiter_max_shift_fraction) as u64
-                    >= self.imrs_chunk_size as u64,
-                "arbiter_max_shift_fraction of the total is below one IMRS chunk; \
-                 no shift could ever apply"
+                crate::arbiter::max_shift_bytes(self) >= self.imrs_chunk_size as u64,
+                "the arbiter's per-shift cap of total_memory_budget is below one IMRS \
+                 chunk; no shift could ever apply"
             );
         }
     }
@@ -390,61 +285,19 @@ mod tests {
     }
 
     #[test]
-    fn legacy_fixed_split_still_validates_and_resolves_identically() {
-        // A pre-arbiter config — independent pools, no total budget —
-        // must keep validating and resolve to exactly its own knobs.
-        let c = EngineConfig {
-            imrs_budget: 64 * 1024 * 1024,
-            buffer_frames: 2048,
-            total_memory_budget: 0,
-            ..Default::default()
-        };
-        c.validate();
-        assert!(!c.arbiter_active());
-        assert_eq!(c.memory_split(), (64 * 1024 * 1024, 2048));
-    }
-
-    #[test]
-    fn unified_budget_splits_by_initial_fraction() {
+    fn unified_budget_splits_evenly_above_both_floors() {
         let total = 128 * 1024 * 1024u64;
         let c = EngineConfig {
             total_memory_budget: total,
-            arbiter_initial_imrs_fraction: 0.25,
             ..Default::default()
         };
         c.validate();
         assert!(c.arbiter_active());
         let (imrs, frames) = c.memory_split();
-        assert_eq!(imrs, total / 4);
-        assert_eq!(
-            frames,
-            (total - total / 4) as usize / btrim_pagestore::PAGE_SIZE
-        );
-        // Floors resolve against the total, clamped to viable minima.
-        assert_eq!(c.arbiter_imrs_floor_bytes(), total / 10);
-        assert_eq!(c.arbiter_buffer_floor_bytes(), total / 10);
-    }
-
-    #[test]
-    #[should_panic]
-    fn arbiter_floor_out_of_range_panics() {
-        EngineConfig {
-            total_memory_budget: 128 * 1024 * 1024,
-            arbiter_imrs_floor: 0.8,
-            ..Default::default()
-        }
-        .validate();
-    }
-
-    #[test]
-    #[should_panic]
-    fn arbiter_initial_fraction_below_floor_panics() {
-        EngineConfig {
-            total_memory_budget: 128 * 1024 * 1024,
-            arbiter_initial_imrs_fraction: 0.05,
-            ..Default::default()
-        }
-        .validate();
+        assert_eq!(imrs, total / 2);
+        assert_eq!(frames, (total / 2) as usize / btrim_pagestore::PAGE_SIZE);
+        assert!(crate::arbiter::imrs_floor_bytes(&c) < imrs);
+        assert!(crate::arbiter::buffer_floor_bytes(&c) < total - imrs);
     }
 
     #[test]
@@ -453,7 +306,6 @@ mod tests {
         EngineConfig {
             // One chunk is 4 MiB by default; 1 MiB cannot cover it.
             total_memory_budget: 1024 * 1024,
-            arbiter_min_shift_bytes: 1024,
             ..Default::default()
         }
         .validate();
@@ -466,7 +318,6 @@ mod tests {
             // 5% of 64 MiB is 3.2 MiB — below the default 4 MiB chunk,
             // so chunk quantization would zero out every shift.
             total_memory_budget: 64 * 1024 * 1024,
-            arbiter_max_shift_fraction: 0.05,
             ..Default::default()
         }
         .validate();

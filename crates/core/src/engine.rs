@@ -11,127 +11,40 @@
 //!   pack subsystem's reject-new backpressure (§VI.A) gate all of the
 //!   above.
 //!
-//! Maintenance (GC, TSF learning, tuning windows, pack cycles) runs
-//! either inline every `maintenance_interval_txns` commits — fully
-//! deterministic, the default — or on background threads.
+//! Everything that is not DML has its own owner: [`crate::health`],
+//! [`crate::checkpoint`], `crate::maintenance`, [`crate::recovery`].
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
 
 use btrim_common::{
     BtrimError, LogicalClock, PageId, PartitionId, Result, RowId, SlotId, Timestamp, TxnId,
 };
 use btrim_imrs::{ImrsStore, RidMap, RowLocation, RowOrigin, VersionOp};
-use btrim_obs::{CheckpointTrace, IlmTraceEvent, Obs, OpClass};
+use btrim_obs::{Obs, OpClass};
 use btrim_pagestore::{BufferCache, DiskBackend, FrozenExtent, MemDisk};
 use btrim_txn::{LockManager, LockMode, TxnHandle, TxnManager};
 use btrim_wal::{ImrsLogRecord, LogSink, LogWriter, MemLog, PageLogRecord, RowOriginTag};
 
 use crate::catalog::{Catalog, KeyExtractor, TableDesc, TableOpts};
+use crate::checkpoint::Checkpointer;
 use crate::config::{EngineConfig, EngineMode};
 use crate::freeze::extent_row_bytes;
 use crate::gc::GcRegistry;
+use crate::health::Health;
+use crate::maintenance::Maintenance;
 use crate::metrics::{CommitShapes, MetricsRegistry};
 use crate::movement::{relocate, To};
 use crate::pack::PackState;
 use crate::queues::IlmQueues;
+use crate::recovery::RecoveryReport;
 use crate::sidestore::{SideImage, SideStore};
 use crate::stats::EngineSnapshot;
 use crate::tsf::TsfLearner;
 use crate::tuner::{PartitionIlmState, Tuner};
 use crate::txn_ctx::{Transaction, UndoOp};
-
-/// Engine health, driven by storage-error observations.
-///
-/// * `Healthy` — normal operation.
-/// * `Degraded` — storage errors are accumulating; background work
-///   backs off, but reads and writes still run.
-/// * `ReadOnly` — the engine stopped accepting writes (persistent log
-///   failure, or too many consecutive storage errors). Reads keep
-///   working from memory and the cache; write entry points return
-///   [`BtrimError::ReadOnly`]. Sticky until restart/recovery.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum HealthState {
-    /// Normal operation.
-    Healthy,
-    /// Storage errors are accumulating; still fully operational.
-    Degraded {
-        /// What pushed the engine out of `Healthy`.
-        reason: String,
-    },
-    /// Writes rejected; reads still served. Sticky.
-    ReadOnly {
-        /// What forced the write stop.
-        reason: String,
-    },
-}
-
-impl HealthState {
-    /// Whether write transactions are still accepted.
-    pub fn writable(&self) -> bool {
-        !matches!(self, HealthState::ReadOnly { .. })
-    }
-}
-
-impl std::fmt::Display for HealthState {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            HealthState::Healthy => write!(f, "healthy"),
-            HealthState::Degraded { reason } => write!(f, "degraded ({reason})"),
-            HealthState::ReadOnly { reason } => write!(f, "read-only ({reason})"),
-        }
-    }
-}
-
-/// What recovery salvaged and what it had to drop. All counters are
-/// zero after a clean start or an undamaged recovery.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct RecoveryReport {
-    /// Page-store log records replayed (decodable prefix).
-    pub syslog_salvaged: u64,
-    /// Page-store log records dropped at the first corrupt frame.
-    pub syslog_dropped: u64,
-    /// IMRS log records replayed (decodable prefix).
-    pub imrslog_salvaged: u64,
-    /// IMRS log records dropped at the first corrupt frame.
-    pub imrslog_dropped: u64,
-    /// Heap pages whose checksum failed during the rebuild scan; the
-    /// page was reset (its rows are reported lost, not silently served).
-    pub pages_reset: u64,
-    /// IMRS log records skipped because their transaction lost.
-    pub imrs_records_skipped: u64,
-    /// Redo workers that replayed the page log (1 = serial).
-    pub replay_workers: u64,
-    /// Page-log change records actually redone (forward pass).
-    pub syslog_redo_replayed: u64,
-    /// Page-log change records skipped by the checkpoint redo floor —
-    /// after a fuzzy checkpoint only the post-low-water suffix replays.
-    pub syslog_redo_skipped: u64,
-    /// IMRS log records re-applied to the in-memory row store.
-    pub imrs_records_replayed: u64,
-    /// Heap copies the RID-Map no longer named once both logs had
-    /// replayed — the departure half of a move the crash cut off —
-    /// retired so that every row has one home.
-    pub page_copies_retired: u64,
-    /// Wall-clock microseconds in the salvage + analysis pass.
-    pub analysis_micros: u64,
-    /// Wall-clock microseconds in the forward page redo (all workers).
-    pub page_redo_micros: u64,
-    /// Wall-clock microseconds in the heap-scan rebuild.
-    pub heap_rebuild_micros: u64,
-    /// Wall-clock microseconds replaying the IMRS log.
-    pub imrs_replay_micros: u64,
-}
-
-impl RecoveryReport {
-    /// Whether recovery had to drop or repair anything.
-    pub fn clean(&self) -> bool {
-        self.syslog_dropped == 0 && self.imrslog_dropped == 0 && self.pages_reset == 0
-    }
-}
 
 /// Everything shared between the engine facade, background threads, and
 /// the pack/tuner/GC subsystems.
@@ -178,103 +91,14 @@ pub(crate) struct Shared {
     /// cache hold bare `Arc<LatencyHistogram>` clones of individual
     /// classes; everything in this crate records through here.
     pub obs: Arc<Obs>,
-    maintenance_gate: Mutex<()>,
-    last_maintenance: AtomicU64,
-    /// Set when background maintenance threads are running; disables
-    /// the inline (commit-path) maintenance hook so client transactions
-    /// never pay for pack/GC work, as in the paper's deployment.
-    background: AtomicBool,
-    pub stop: AtomicBool,
-    /// Current health verdict (see [`HealthState`]).
-    health: RwLock<HealthState>,
-    /// Consecutive storage errors since the last success; drives the
-    /// Healthy → Degraded → ReadOnly escalation.
-    consec_storage_errors: AtomicU64,
-    /// Lifetime storage errors observed outside the buffer cache.
-    pub storage_errors: AtomicU64,
+    pub maint: Maintenance,
+    pub health: Health,
+    pub ckpt: Checkpointer,
     /// What the last recovery salvaged/dropped (zeroes on clean start).
     pub recovery: Mutex<RecoveryReport>,
-    /// First syslogs LSN of every transaction currently alive on the
-    /// page log (Begin appended, Commit/Abort not yet). The fuzzy
-    /// checkpoint reads the minimum as its low-water truncation mark.
-    /// Entries are pre-registered with a conservative bound *before*
-    /// the Begin append goes out, so a concurrent floor read can never
-    /// miss a transaction whose Begin is still in flight — and they are
-    /// removed only *after* the Commit/Abort append returns, by which
-    /// point every page the transaction dirtied has been mutated and is
-    /// visible to the checkpoint's dirty-page enumeration.
-    pub txn_syslog_floor: Mutex<HashMap<TxnId, btrim_common::Lsn>>,
-    /// Serializes checkpointers (shutdown vs explicit vs background);
-    /// never held while the maintenance gate is, and vice versa.
-    ckpt_gate: Mutex<()>,
-    /// Lifetime checkpoint count (trace ordinals).
-    pub ckpt_ordinal: AtomicU64,
-    /// Highest LSN ever handed to `truncate_prefix` — the delta per
-    /// checkpoint is the number of records that truncation recycled.
-    pub last_truncate_upto: AtomicU64,
 }
 
 impl Shared {
-    /// Current health verdict.
-    pub fn health(&self) -> HealthState {
-        self.health.read().clone()
-    }
-
-    /// Fail fast when the engine no longer accepts writes.
-    pub fn check_writable(&self) -> Result<()> {
-        match &*self.health.read() {
-            HealthState::ReadOnly { reason } => Err(BtrimError::ReadOnly(reason.clone())),
-            _ => Ok(()),
-        }
-    }
-
-    /// Force the engine read-only immediately (e.g. a failed log append
-    /// may have left a torn record; appending more behind it would make
-    /// the tail unrecoverable).
-    pub fn set_read_only(&self, reason: String) {
-        let mut h = self.health.write();
-        if !matches!(*h, HealthState::ReadOnly { .. }) {
-            *h = HealthState::ReadOnly { reason };
-        }
-    }
-
-    /// Record a storage error from a log or maintenance path and
-    /// escalate health when errors keep coming. Only I/O-class errors
-    /// count; logical errors (duplicate key, lock timeouts, …) do not.
-    pub fn note_storage_error(&self, ctx: &str, e: &BtrimError) {
-        if !matches!(e, BtrimError::Io(_) | BtrimError::ChecksumMismatch(_)) {
-            return;
-        }
-        self.storage_errors.fetch_add(1, Ordering::Relaxed);
-        let n = self.consec_storage_errors.fetch_add(1, Ordering::Relaxed) + 1;
-        let mut h = self.health.write();
-        match &*h {
-            HealthState::ReadOnly { .. } => {}
-            _ if n >= self.cfg.health_readonly_after => {
-                *h = HealthState::ReadOnly {
-                    reason: format!("{ctx}: {e} ({n} consecutive storage errors)"),
-                };
-            }
-            _ if n >= self.cfg.health_degrade_after => {
-                *h = HealthState::Degraded {
-                    reason: format!("{ctx}: {e}"),
-                };
-            }
-            _ => {}
-        }
-    }
-
-    /// Record a storage success: clears the consecutive-error counter
-    /// and recovers Degraded → Healthy. ReadOnly is sticky.
-    pub fn note_storage_ok(&self) {
-        if self.consec_storage_errors.swap(0, Ordering::Relaxed) > 0 {
-            let mut h = self.health.write();
-            if matches!(*h, HealthState::Degraded { .. }) {
-                *h = HealthState::Healthy;
-            }
-        }
-    }
-
     /// Append to the page-store log. A failed append may have left a
     /// torn frame on the device; recovery truncates the log at the
     /// first bad frame, so appending *more* records behind the tear
@@ -282,60 +106,22 @@ impl Shared {
     /// writing: the engine goes read-only — and this wrapper itself
     /// enforces it, because in-flight work (a pack cycle mid-batch, a
     /// commit mid-drain, a checkpoint) reaches here without passing
-    /// the operation-level `check_writable` gate.
+    /// the operation-level `check_writable` gate. The append goes
+    /// through the checkpointer, which tracks the transactions alive
+    /// on this log.
     pub fn append_sys(&self, rec: &PageLogRecord) -> Result<btrim_common::Lsn> {
-        self.check_writable()?;
-        // Maintain the checkpoint floor table around the append. A
-        // `Begin` is pre-registered with `record_count() + 1` — a lower
-        // bound on the LSN the append is about to receive — so a fuzzy
-        // checkpoint reading the table between this insert and the
-        // append still picks a floor at or below the transaction's
-        // first record and cannot truncate its undo images away.
-        let begin_txn = if let PageLogRecord::Begin { txn } = rec {
-            let bound = btrim_common::Lsn(self.syslog.sink().record_count() + 1);
-            self.txn_syslog_floor.lock().entry(*txn).or_insert(bound);
-            Some(*txn)
-        } else {
-            None
-        };
-        match self.syslog.append(rec) {
-            Ok(l) => {
-                // The transaction leaves the floor table only after its
-                // outcome record is in the log — by then every page it
-                // dirtied has been mutated (DML and undo both write the
-                // page before the outcome append), so the checkpoint's
-                // dirty-page enumeration is guaranteed to see them.
-                if let PageLogRecord::Commit { txn, .. } | PageLogRecord::Abort { txn } = rec {
-                    self.txn_syslog_floor.lock().remove(txn);
-                }
-                Ok(l)
-            }
-            Err(e) => {
-                if let Some(txn) = begin_txn {
-                    // The Begin never (reliably) made the log; the
-                    // engine goes read-only below, so no further
-                    // checkpoint can truncate anything anyway.
-                    self.txn_syslog_floor.lock().remove(&txn);
-                }
-                self.append_failed("syslogs append", e)
-            }
-        }
-    }
-
-    /// The failure half of the append policy above: count the error,
-    /// stop writing, hand the error back.
-    fn append_failed<T>(&self, what: &str, e: BtrimError) -> Result<T> {
-        self.storage_errors.fetch_add(1, Ordering::Relaxed);
-        self.set_read_only(format!("{what} failed: {e}"));
-        Err(e)
+        self.health.check_writable()?;
+        self.ckpt
+            .append(&self.syslog, rec)
+            .or_else(|e| self.health.append_failed("syslogs append", e))
     }
 
     /// Append to the IMRS log; same failure policy as [`append_sys`](Self::append_sys).
     pub fn append_imrs(&self, rec: &ImrsLogRecord) -> Result<btrim_common::Lsn> {
-        self.check_writable()?;
+        self.health.check_writable()?;
         self.imrslog
             .append(rec)
-            .or_else(|e| self.append_failed("sysimrslogs append", e))
+            .or_else(|e| self.health.append_failed("sysimrslogs append", e))
     }
 
     /// A foreground move counts itself after its sysimrslogs record is
@@ -370,27 +156,21 @@ impl Shared {
     /// transaction behind a torn tail, but the tail itself may still be
     /// torn, so the engine still goes read-only.
     pub fn append_imrs_batch(&self, payloads: &[&[u8]]) -> Result<btrim_wal::LsnRange> {
-        self.check_writable()?;
+        self.health.check_writable()?;
         self.imrslog
             .append_batch(payloads)
-            .or_else(|e| self.append_failed("sysimrslogs batch append", e))
+            .or_else(|e| self.health.append_failed("sysimrslogs batch append", e))
     }
 }
 
-/// Attempts per page-store read/write before a transient I/O error is
-/// propagated.
-const IO_RETRY_ATTEMPTS: u32 = 3;
 /// Read back and compare every page write-back: catches torn or lying
 /// writes while the redo log still covers the page, at one device read
 /// per write-back (pages are written only on eviction, pack, checkpoint).
 const VERIFY_PAGE_WRITES: bool = true;
-/// Background maintenance threads [`Engine::spawn_background`] starts.
-const PACK_THREADS: usize = 2;
 
 /// The engine.
 pub struct Engine {
     pub(crate) sh: Arc<Shared>,
-    threads: Mutex<Vec<std::thread::JoinHandle<()>>>,
 }
 
 /// Prefix every page-store row with its stable RowId so recovery can
@@ -503,10 +283,6 @@ impl Engine {
         let sh = Shared {
             cache: Arc::new(
                 BufferCache::new(disk, buffer_frames)
-                    .with_io_retry(
-                        IO_RETRY_ATTEMPTS,
-                        std::time::Duration::from_micros(cfg.io_retry_backoff_us),
-                    )
                     .with_write_verification(VERIFY_PAGE_WRITES)
                     .with_miss_histogram(hook(OpClass::BufferMiss)),
             ),
@@ -536,27 +312,13 @@ impl Engine {
             extents: btrim_pagestore::ExtentStore::new(),
             freeze: crate::freeze::FreezeStats::new(),
             obs,
-            maintenance_gate: Mutex::with_rank(parking_lot::lock_rank::ENGINE_STATE, ()),
-            last_maintenance: AtomicU64::new(0),
-            background: AtomicBool::new(false),
-            stop: AtomicBool::new(false),
-            health: RwLock::new(HealthState::Healthy),
-            consec_storage_errors: AtomicU64::new(0),
-            storage_errors: AtomicU64::new(0),
+            maint: Maintenance::new(),
+            health: Health::new(),
+            ckpt: Checkpointer::new(),
             recovery: Mutex::new(RecoveryReport::default()),
-            txn_syslog_floor: Mutex::with_rank(
-                parking_lot::lock_rank::TXN_LOG_FLOOR,
-                HashMap::new(),
-            ),
-            ckpt_gate: Mutex::with_rank(parking_lot::lock_rank::ENGINE_STATE, ()),
-            ckpt_ordinal: AtomicU64::new(0),
-            last_truncate_upto: AtomicU64::new(0),
             cfg,
         };
-        Engine {
-            sh: Arc::new(sh),
-            threads: Mutex::new(Vec::new()),
-        }
+        Engine { sh: Arc::new(sh) }
     }
 
     /// Engine configuration.
@@ -636,7 +398,7 @@ impl Engine {
     /// Insert a row. The primary key is extracted from the payload.
     pub fn insert(&self, txn: &mut Transaction, table: &TableDesc, row: &[u8]) -> Result<RowId> {
         let sh = &self.sh;
-        sh.check_writable()?;
+        sh.health.check_writable()?;
         let op_start = sh.obs.start();
         let key = (table.primary_key)(row);
         let partition = table.partition_of(&key);
@@ -1100,7 +862,7 @@ impl Engine {
         migrate: bool,
     ) -> Result<Option<(RowId, WriteHome)>> {
         let sh = &self.sh;
-        sh.check_writable()?;
+        sh.health.check_writable()?;
         let Some(row_id) = self.row_id_of(table, key)? else {
             return Ok(None);
         };
@@ -1526,7 +1288,7 @@ impl Engine {
     /// path, pre-warm) and the move takes a conditional one. `Ok(false)`:
     /// the row stays where it was (gone, contended, or pinned to its
     /// page by snapshot history) and the caller keeps using that path.
-    fn move_row(
+    pub(crate) fn move_row(
         &self,
         table: &TableDesc,
         partition: PartitionId,
@@ -1658,10 +1420,7 @@ impl Engine {
             }
             Ok(())
         })();
-        match &logged {
-            Ok(()) => self.sh.note_storage_ok(),
-            Err(e) => self.sh.note_storage_error("commit", e),
-        }
+        self.sh.health.note("commit", &logged);
         // Cleanup happens regardless of the log outcome — a failed
         // commit must never leave its locks behind.
         self.sh.gc.register_many(txn.gc_rows.drain(..));
@@ -1802,238 +1561,6 @@ impl Engine {
         }
     }
 
-    // ------------------------------------------------------------------
-    // Maintenance
-    // ------------------------------------------------------------------
-
-    /// Run one maintenance pass if due (inline deterministic mode).
-    fn maybe_maintenance(&self) {
-        if self.sh.background.load(Ordering::Relaxed) {
-            return; // background threads own maintenance
-        }
-        let committed = self.sh.txns.committed_count();
-        let last = self.sh.last_maintenance.load(Ordering::Relaxed);
-        if committed.saturating_sub(last) < self.sh.cfg.maintenance_interval_txns {
-            return;
-        }
-        if let Some(_gate) = self.sh.maintenance_gate.try_lock() {
-            self.sh.last_maintenance.store(committed, Ordering::Relaxed);
-            self.run_maintenance();
-        }
-    }
-
-    /// One full maintenance pass: GC, TSF learning, tuning window,
-    /// pack. Public so experiment drivers can tick deterministically.
-    pub fn run_maintenance(&self) {
-        let sh = &self.sh;
-        let oldest = sh.txns.oldest_active_snapshot();
-        let gc_start = sh.obs.start();
-        sh.gc.tick(
-            &sh.store,
-            &sh.queues,
-            &sh.ridmap,
-            oldest,
-            || sh.clock.now(),
-            16_384,
-        );
-        // Quarantined version nodes / fragments and side-store images
-        // are reclaimed once the snapshot horizon has passed them — no
-        // registered reader can still be standing on any of it.
-        sh.store.reclaim(oldest);
-        sh.side.purge(oldest, &sh.ridmap);
-        sh.obs.record_since(OpClass::GcPass, gc_start);
-        // The memory arbiter runs in every mode (its no-op guard is the
-        // unified budget, not ILM): window-boundary work only, never on
-        // the DML path.
-        if sh.cfg.arbiter_active() {
-            let imrs_partitions: Vec<_> = sh
-                .catalog
-                .tables()
-                .iter()
-                .filter(|t| t.imrs_enabled)
-                .flat_map(|t| t.partitions.iter().copied())
-                .collect();
-            sh.arbiter.maybe_run(
-                &sh.cfg,
-                sh.txns.committed_count(),
-                &sh.metrics,
-                &imrs_partitions,
-                &sh.store,
-                &sh.cache,
-            );
-        }
-        if sh.cfg.mode != EngineMode::IlmOn {
-            return;
-        }
-        let committed = sh.txns.committed_count();
-        sh.tsf
-            .observe(sh.store.utilization(), sh.clock.now(), committed);
-        let partitions: Vec<PartitionId> = sh
-            .catalog
-            .tables()
-            .iter()
-            .filter(|t| !t.pinned) // pinned tables override ILM tuning (§X)
-            .flat_map(|t| t.partitions.clone())
-            .collect();
-        sh.tuner
-            .maybe_run(&sh.cfg, committed, &partitions, &sh.metrics, &sh.store);
-        // Pack writes both logs and the page store; a read-only engine
-        // skips it (GC, TSF, and tuning above are purely in-memory).
-        if sh.health().writable() {
-            crate::pack::pack_tick(self);
-            // Freeze runs after pack so the rows pack just landed on
-            // pages are freeze candidates on a later tick, once cold.
-            if sh.cfg.freeze_enabled {
-                crate::freeze::freeze_tick(self);
-            }
-        }
-    }
-
-    /// Spawn background maintenance threads (GC + pack). The paper runs
-    /// these continuously; inline mode is the deterministic default.
-    pub fn spawn_background(&self) {
-        self.sh.background.store(true, Ordering::Relaxed);
-        let mut threads = self.threads.lock();
-        for i in 0..PACK_THREADS {
-            let sh = Arc::clone(&self.sh);
-            threads.push(
-                std::thread::Builder::new()
-                    .name(format!("btrim-maint-{i}"))
-                    .spawn(move || {
-                        let engine = Engine {
-                            sh,
-                            threads: Mutex::new(Vec::new()),
-                        };
-                        while !engine.sh.stop.load(Ordering::Relaxed) {
-                            engine.run_maintenance();
-                            // Back off when storage is misbehaving:
-                            // hammering a failing device from the
-                            // maintenance loop only amplifies the
-                            // error storm.
-                            let sleep_ms = match engine.sh.health() {
-                                HealthState::Healthy => 5,
-                                HealthState::Degraded { .. } => 50,
-                                HealthState::ReadOnly { .. } => 200,
-                            };
-                            std::thread::sleep(std::time::Duration::from_millis(sleep_ms));
-                        }
-                    })
-                    .expect("spawn maintenance thread"), // lint: allow(no-panic) -- thread spawn fails only on resource exhaustion at startup; an engine without maintenance would silently stop packing
-            );
-        }
-    }
-
-    /// Stop background threads and flush logs + dirty pages.
-    pub fn shutdown(&self) -> Result<()> {
-        self.sh.background.store(false, Ordering::Relaxed);
-        self.sh.stop.store(true, Ordering::Relaxed);
-        for t in self.threads.lock().drain(..) {
-            let _ = t.join();
-        }
-        self.checkpoint()
-    }
-
-    /// Checkpoint: make dirty pages durable and recycle the syslogs
-    /// prefix no recovery will ever read. IMRS data is *not* flushed
-    /// (§II) — it is recovered from sysimrslogs alone, which therefore
-    /// cannot be truncated here.
-    ///
-    /// Fuzzy and incremental: writers keep running throughout, pages
-    /// flush in small rate-limited batches, and the prefix below the
-    /// low-water mark is recycled on *every* checkpoint.
-    pub fn checkpoint(&self) -> Result<()> {
-        let result = self.fuzzy_checkpoint();
-        match &result {
-            Ok(()) => self.sh.note_storage_ok(),
-            Err(e) => self.sh.note_storage_error("checkpoint", e),
-        }
-        result
-    }
-
-    /// The ordering below is the whole correctness argument — each step
-    /// licenses the next:
-    ///
-    /// 1. Read the low-water floor: the minimum first-LSN over
-    ///    transactions alive on the page log, bounded above by
-    ///    `record_count() + 1` (so a transaction that begins *after*
-    ///    this read necessarily has all its records above the floor).
-    /// 2. Enumerate the dirty-page table **after** the floor read: any
-    ///    page dirtied by a record below the floor was mutated before
-    ///    its transaction's outcome append, which finished before the
-    ///    floor read — so the page is either in this enumeration or
-    ///    already clean on disk.
-    /// 3. Append `CheckpointBegin { low_water, dirty_pages }`; flush
-    ///    the enumerated pages in rate-limited batches — writers keep
-    ///    committing and re-dirtying pages the whole time, which is
-    ///    fine: redo above the floor covers everything newer.
-    /// 4. Sync the page device, then append `CheckpointEnd`. Analysis
-    ///    certifies the pair only when End matches Begin, so a crash
-    ///    anywhere in between falls back to the previous checkpoint.
-    /// 5. Only after End is durable, truncate the prefix below the
-    ///    floor: every dropped record is redone (its page is durable)
-    ///    and belongs to no transaction that could still need undo.
-    fn fuzzy_checkpoint(&self) -> Result<()> {
-        let sh = &self.sh;
-        let _gate = sh.ckpt_gate.lock();
-        let next_lsn = btrim_common::Lsn(sh.syslog.sink().record_count() + 1);
-        let floor = {
-            let floors = sh.txn_syslog_floor.lock();
-            floors
-                .values()
-                .copied()
-                .min()
-                .map_or(next_lsn, |m| m.min(next_lsn))
-        };
-        let dirty = sh.cache.dirty_page_ids();
-        let begin_lsn = sh.append_sys(&PageLogRecord::CheckpointBegin {
-            low_water: floor,
-            dirty_pages: dirty.clone(),
-        })?;
-        let batch = sh.cfg.checkpoint_flush_batch.max(1);
-        let mut pages_flushed = 0u64;
-        let mut batches = 0u64;
-        let mut stall_nanos = 0u64;
-        for chunk in dirty.chunks(batch) {
-            let t = sh.obs.start();
-            pages_flushed += sh.cache.flush_pages(chunk)? as u64;
-            sh.obs.record_since(OpClass::CheckpointFlush, t);
-            batches += 1;
-            if sh.cfg.checkpoint_batch_pause_us > 0 {
-                let pause = std::time::Instant::now();
-                std::thread::sleep(std::time::Duration::from_micros(
-                    sh.cfg.checkpoint_batch_pause_us,
-                ));
-                stall_nanos += pause.elapsed().as_nanos() as u64;
-            }
-        }
-        sh.cache.sync_backend()?;
-        sh.append_sys(&PageLogRecord::CheckpointEnd { begin_lsn })?;
-        // sysimrslogs first, like every other syslogs barrier: a move's
-        // syslogs half must not become durable ahead of its other half.
-        sh.imrslog.flush()?;
-        sh.syslog.flush()?;
-        let mut truncated_records = 0u64;
-        if floor.0 > 1 {
-            let upto = floor.0 - 1;
-            sh.syslog.sink().truncate_prefix(btrim_common::Lsn(upto))?;
-            let prev = sh.last_truncate_upto.fetch_max(upto, Ordering::Relaxed);
-            truncated_records = upto.saturating_sub(prev);
-        }
-        let ordinal = sh.ckpt_ordinal.fetch_add(1, Ordering::Relaxed);
-        sh.obs
-            .trace
-            .push(IlmTraceEvent::Checkpoint(CheckpointTrace {
-                ordinal,
-                dirty_pages: dirty.len() as u64,
-                pages_flushed,
-                batches,
-                low_water_lsn: floor.0,
-                truncated_records,
-                stall_nanos,
-            }));
-        Ok(())
-    }
-
     /// Experiment-facing statistics snapshot.
     pub fn snapshot(&self) -> EngineSnapshot {
         EngineSnapshot::collect(self)
@@ -2044,105 +1571,5 @@ impl Engine {
     /// here; [`EngineSnapshot`] carries a rendered copy).
     pub fn obs(&self) -> &Arc<Obs> {
         &self.sh.obs
-    }
-
-    /// Current engine health (storage-error driven).
-    pub fn health(&self) -> HealthState {
-        self.sh.health()
-    }
-
-    /// What the last recovery salvaged/dropped (all-zero on a clean
-    /// start or an undamaged recovery).
-    pub fn recovery_report(&self) -> RecoveryReport {
-        self.sh.recovery.lock().clone()
-    }
-
-    /// Pre-warm a table: move every page-store row into the IMRS (the
-    /// "pre-warmed IMRS caches" feature the paper's conclusion proposes,
-    /// §X). Typically paired with [`TableOpts::pinned`]. Returns the
-    /// number of rows brought in; rows that are locked or no longer on a
-    /// page are skipped.
-    pub fn prewarm(&self, table: &TableDesc) -> Result<usize> {
-        let mut warmed = 0;
-        for &partition in &table.partitions {
-            // Collect the rows first: moving them mutates the heap we
-            // would otherwise be scanning.
-            let mut rows: Vec<(RowId, RowLocation)> = Vec::new();
-            table
-                .heap(partition)
-                .scan(&self.sh.cache, |page, slot, payload| {
-                    if let Ok((row_id, _)) = unwrap_row(payload) {
-                        rows.push((row_id, RowLocation::Page(page, slot)));
-                    }
-                    true
-                })?;
-            for at in rows {
-                let to = To::Imrs(RowOrigin::Cached);
-                if let Ok(true) = self.move_row(table, partition, at, to, true) {
-                    warmed += 1;
-                }
-            }
-        }
-        Ok(warmed)
-    }
-
-    /// Debug dump of a row's physical state (diagnostics only).
-    #[doc(hidden)]
-    pub fn debug_row(&self, table: &TableDesc, key: &[u8]) -> String {
-        let Ok(Some(rid)) = table.primary.get(key) else {
-            return "no primary entry".into();
-        };
-        let loc = self.sh.ridmap.get(rid);
-        let chain = self
-            .sh
-            .store
-            .get(rid)
-            .map(|r| format!("{:?} last_access={:?}", r.chain_summary(), r.last_access()));
-        format!(
-            "rid={rid:?} loc={loc:?} chain={chain:?} now={:?}",
-            self.sh.clock.now()
-        )
-    }
-
-    /// Where a row currently lives (introspection: examples, tests,
-    /// experiment probes). `None` when the key does not exist.
-    pub fn locate(&self, table: &TableDesc, key: &[u8]) -> Result<Option<RowLocation>> {
-        match table.primary.get(key)? {
-            Some(rid) => Ok(self.sh.ridmap.get(rid)),
-            None => Ok(None),
-        }
-    }
-
-    /// Fig.-8 probe: walk a partition's ILM queue head→tail, split it
-    /// into `buckets` equal bands, and report the percentage of *cold*
-    /// rows (per the current TSF recency test) in each band. A
-    /// well-behaved relaxed LRU queue has cold rows concentrated at the
-    /// head (§VIII.D.2).
-    pub fn queue_coldness_bands(&self, partition: PartitionId, buckets: usize) -> Vec<f64> {
-        let sh = &self.sh;
-        let now = sh.clock.now();
-        let rows = sh.queues.get(partition).snapshot_all();
-        if rows.is_empty() || buckets == 0 {
-            return vec![0.0; buckets];
-        }
-        let flags: Vec<bool> = rows
-            .iter()
-            .filter_map(|rid| sh.store.get(*rid))
-            .map(|row| !sh.tsf.is_recent(row.last_access(), now))
-            .collect();
-        if flags.is_empty() {
-            return vec![0.0; buckets];
-        }
-        let per = flags.len().div_ceil(buckets);
-        (0..buckets)
-            .map(|b| {
-                let band = &flags[(b * per).min(flags.len())..((b + 1) * per).min(flags.len())];
-                if band.is_empty() {
-                    0.0
-                } else {
-                    100.0 * band.iter().filter(|&&c| c).count() as f64 / band.len() as f64
-                }
-            })
-            .collect()
     }
 }

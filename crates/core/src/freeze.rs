@@ -146,7 +146,7 @@ pub(crate) fn build_columns(
 /// at most one extent per partition. Returns rows frozen.
 pub fn freeze_tick(engine: &Engine) -> u64 {
     let sh = &engine.sh;
-    if !sh.cfg.freeze_enabled || sh.check_writable().is_err() {
+    if !sh.cfg.freeze_enabled || sh.health.check_writable().is_err() {
         return 0;
     }
     let mut total = 0u64;
@@ -190,7 +190,7 @@ pub fn freeze_partition(engine: &Engine, table: &TableDesc, partition: Partition
         min_rows: cfg.freeze_min_rows,
     };
     let moved = relocate(engine, table, partition, &candidates, to, true).unwrap_or_else(|e| {
-        sh.note_storage_error("freeze", &e);
+        sh.health.note_storage_error("freeze", &e);
         Moved::default()
     });
     sh.freeze

@@ -15,7 +15,13 @@
 //! * [`txn_ctx`] — the transaction context: write sets, buffered
 //!   redo-only IMRS log records, held locks, undo information.
 //! * [`engine`] — ISUD execution with transparent dual-store access
-//!   (§II) and ILM placement rules (§IV); commit/abort; recovery.
+//!   (§II) and ILM placement rules (§IV); commit/abort.
+//! * [`health`] — the storage-error escalation (Healthy → Degraded →
+//!   ReadOnly) and the write stop.
+//! * [`checkpoint`] — the fuzzy checkpoint and its truncation floor.
+//! * `maintenance` — when GC, tuning, pack and freeze run: inline
+//!   every N commits, or on background threads.
+//! * [`recovery`] — crash recovery from the two logs and the heap.
 //! * [`metrics`] — per-partition workload counters built on sharded
 //!   per-CPU counters (§V.A).
 //! * [`tuner`] — auto IMRS partition tuning with hysteresis (§V.B–D).
@@ -45,10 +51,13 @@
 
 pub mod arbiter;
 pub mod catalog;
+pub mod checkpoint;
 pub mod config;
 pub mod engine;
 pub mod freeze;
 pub mod gc;
+pub mod health;
+pub(crate) mod maintenance;
 pub mod metrics;
 pub(crate) mod movement;
 pub mod pack;
@@ -64,8 +73,10 @@ pub mod txn_ctx;
 pub use arbiter::MemoryArbiter;
 pub use catalog::{FieldKind, FieldValue, Partitioner, RowLayout, TableDesc, TableOpts};
 pub use config::{EngineConfig, EngineMode};
-pub use engine::{Engine, HealthState, RecoveryReport, SnapshotTxn};
+pub use engine::{Engine, SnapshotTxn};
 pub use freeze::FreezeStats;
+pub use health::HealthState;
+pub use recovery::RecoveryReport;
 pub use scan::{ScanResult, ScanSpec};
 pub use stats::EngineSnapshot;
 pub use txn_ctx::Transaction;

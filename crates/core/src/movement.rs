@@ -118,7 +118,7 @@ pub(crate) fn relocate(
 ) -> Result<Moved> {
     let sh = &engine.sh;
     // Movement writes both logs; a read-only engine must not start any.
-    sh.check_writable()?;
+    sh.health.check_writable()?;
     // One identity for the move: lock owner and log transaction.
     let txn = sh.pack.internal_txn_id();
     let mut held = rows.to_vec();
@@ -344,7 +344,7 @@ fn relocate_locked(
         }
         RowLocation::Page(page, slot) => {
             if let Err(e) = heap.delete(&sh.cache, page, slot) {
-                sh.note_storage_error("movement", &e);
+                sh.health.note_storage_error("movement", &e);
             }
         }
         RowLocation::Frozen(ext_id, idx) => {
@@ -445,9 +445,37 @@ fn relocate_locked(
     } else {
         sh.imrslog.flush().and_then(|()| sh.syslog.flush())
     };
-    match flushed {
-        Ok(()) => sh.note_storage_ok(),
-        Err(e) => sh.note_storage_error("movement flush", &e),
-    }
+    sh.health.note("movement flush", &flushed);
     Ok(out)
+}
+
+impl Engine {
+    /// Pre-warm a table: move every page-store row into the IMRS (the
+    /// "pre-warmed IMRS caches" feature the paper's conclusion proposes,
+    /// §X). Typically paired with [`crate::TableOpts::pinned`]. Returns the
+    /// number of rows brought in; rows that are locked or no longer on a
+    /// page are skipped.
+    pub fn prewarm(&self, table: &TableDesc) -> Result<usize> {
+        let mut warmed = 0;
+        for &partition in &table.partitions {
+            // Collect the rows first: moving them mutates the heap we
+            // would otherwise be scanning.
+            let mut rows: Vec<(RowId, RowLocation)> = Vec::new();
+            table
+                .heap(partition)
+                .scan(&self.sh.cache, |page, slot, payload| {
+                    if let Ok((row_id, _)) = unwrap_row(payload) {
+                        rows.push((row_id, RowLocation::Page(page, slot)));
+                    }
+                    true
+                })?;
+            for at in rows {
+                let to = To::Imrs(RowOrigin::Cached);
+                if let Ok(true) = self.move_row(table, partition, at, to, true) {
+                    warmed += 1;
+                }
+            }
+        }
+        Ok(warmed)
+    }
 }

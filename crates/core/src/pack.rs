@@ -193,7 +193,7 @@ pub fn pack_cycle(engine: &Engine, level: PackLevel) -> u64 {
     // Pack is pure data movement; on a read-only engine it must not
     // start. Beyond the (gated) log appends, even dirtying heap pages
     // risks evicting unlogged state behind a torn log tail.
-    if sh.check_writable().is_err() {
+    if sh.health.check_writable().is_err() {
         return 0;
     }
     let timer = sh.obs.start();
@@ -430,7 +430,7 @@ fn pack_rows(
     // Pack is best-effort, but storage errors still count against
     // engine health.
     let moved = relocate(engine, table, partition, batch, To::Page, true).unwrap_or_else(|e| {
-        sh.note_storage_error("pack", &e);
+        sh.health.note_storage_error("pack", &e);
         Moved::default()
     });
     // Whatever kept a row resident — lock denied (busy with DML),

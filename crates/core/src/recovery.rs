@@ -85,6 +85,46 @@ use crate::catalog::TableDesc;
 use crate::config::EngineConfig;
 use crate::engine::{unwrap_row, Engine};
 
+/// What recovery salvaged and what it had to drop. All counters are
+/// zero after a clean start or an undamaged recovery.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct RecoveryReport {
+    /// Page-store log records replayed (decodable prefix).
+    pub syslog_salvaged: u64,
+    /// Page-store log records dropped at the first corrupt frame.
+    pub syslog_dropped: u64,
+    /// IMRS log records replayed (decodable prefix).
+    pub imrslog_salvaged: u64,
+    /// IMRS log records dropped at the first corrupt frame.
+    pub imrslog_dropped: u64,
+    /// Heap pages whose checksum failed during the rebuild scan; the
+    /// page was reset (its rows are reported lost, not silently served).
+    pub pages_reset: u64,
+    /// IMRS log records skipped because their transaction lost.
+    pub imrs_records_skipped: u64,
+    /// Redo workers that replayed the page log (1 = serial).
+    pub replay_workers: u64,
+    /// Page-log change records actually redone (forward pass).
+    pub syslog_redo_replayed: u64,
+    /// Page-log change records skipped by the checkpoint redo floor —
+    /// after a fuzzy checkpoint only the post-low-water suffix replays.
+    pub syslog_redo_skipped: u64,
+    /// IMRS log records re-applied to the in-memory row store.
+    pub imrs_records_replayed: u64,
+    /// Heap copies the RID-Map no longer named once both logs had
+    /// replayed — the departure half of a move the crash cut off —
+    /// retired so that every row has one home.
+    pub page_copies_retired: u64,
+    /// Wall-clock microseconds in the salvage + analysis pass.
+    pub analysis_micros: u64,
+    /// Wall-clock microseconds in the forward page redo (all workers).
+    pub page_redo_micros: u64,
+    /// Wall-clock microseconds in the heap-scan rebuild.
+    pub heap_rebuild_micros: u64,
+    /// Wall-clock microseconds replaying the IMRS log.
+    pub imrs_replay_micros: u64,
+}
+
 /// Internal pack/caching pseudo-transaction ids set this bit.
 const INTERNAL_TXN_BIT: u64 = 1 << 63;
 
@@ -116,10 +156,16 @@ fn moves_committed_by_arrival(imrs_log: &[(Lsn, ImrsLogRecord)]) -> HashSet<TxnI
 }
 
 impl Engine {
+    /// What the last recovery salvaged/dropped (all-zero on a clean
+    /// start or an undamaged recovery).
+    pub fn recovery_report(&self) -> RecoveryReport {
+        self.sh.recovery.lock().clone()
+    }
+
     /// Recover an engine from its devices. `schema` re-declares the
     /// catalog exactly as the original run did (same tables in the same
     /// order, so partition ids line up). Salvage statistics are left in
-    /// the engine's [`RecoveryReport`](crate::engine::RecoveryReport).
+    /// the engine's [`RecoveryReport`].
     pub fn recover(
         cfg: EngineConfig,
         disk: Arc<dyn DiskBackend>,

@@ -5,9 +5,11 @@
 //! footprints (Fig. 3, 4), pack volume (Fig. 5, 7, 10), re-use counts
 //! (Fig. 6), and the IMRS hit rate (Fig. 1).
 
-use btrim_common::{HistSummary, PartitionId, TableId};
+use btrim_common::{HistSummary, PartitionId, Result, TableId};
+use btrim_imrs::RowLocation;
 use btrim_obs::{json, summary_to_json, IlmTraceEvent, OpClass};
 
+use crate::catalog::TableDesc;
 use crate::engine::Engine;
 
 /// Per-partition statistics.
@@ -165,13 +167,13 @@ pub struct EngineSnapshot {
     /// `checksum_failures`).
     pub buffer: btrim_pagestore::buffer::BufferStatsSnapshot,
     /// Current engine health (storage-error escalation state).
-    pub health: crate::engine::HealthState,
+    pub health: crate::health::HealthState,
     /// Storage errors observed outside the buffer cache (log appends,
     /// flushes, pack, checkpoint).
     pub storage_errors: u64,
     /// Salvage statistics from the last recovery of this engine
     /// (all-zero for an engine that was not recovered).
-    pub recovery: crate::engine::RecoveryReport,
+    pub recovery: crate::recovery::RecoveryReport,
     /// Per-table detail.
     pub tables: Vec<TableSnapshot>,
     /// Latency summaries (nanoseconds) for every operation class that
@@ -285,8 +287,8 @@ impl EngineSnapshot {
             side_store_bytes: sh.side.bytes(),
             queue_total: sh.queues.total_len(),
             buffer: sh.cache.stats(),
-            health: sh.health(),
-            storage_errors: sh.storage_errors.load(std::sync::atomic::Ordering::Relaxed),
+            health: sh.health.state(),
+            storage_errors: sh.health.storage_errors(),
             recovery: sh.recovery.lock().clone(),
             tables,
             latency: sh.obs.summaries(),
@@ -383,7 +385,7 @@ impl EngineSnapshot {
             self.buffer.io_retries,
             self.buffer.checksum_failures,
         ));
-        if self.recovery != crate::engine::RecoveryReport::default() {
+        if self.recovery != crate::recovery::RecoveryReport::default() {
             let r = &self.recovery;
             out.push_str(&format!(
                 "recovery: salvaged sys {} (dropped {}) imrs {} (dropped {})   \
@@ -604,6 +606,69 @@ impl EngineSnapshot {
             trace.join(","),
             tables.join(","),
         )
+    }
+}
+
+/// Introspection probes (examples, tests, experiment drivers).
+impl Engine {
+    /// Debug dump of a row's physical state (diagnostics only).
+    #[doc(hidden)]
+    pub fn debug_row(&self, table: &TableDesc, key: &[u8]) -> String {
+        let Ok(Some(rid)) = table.primary.get(key) else {
+            return "no primary entry".into();
+        };
+        let loc = self.sh.ridmap.get(rid);
+        let chain = self
+            .sh
+            .store
+            .get(rid)
+            .map(|r| format!("{:?} last_access={:?}", r.chain_summary(), r.last_access()));
+        format!(
+            "rid={rid:?} loc={loc:?} chain={chain:?} now={:?}",
+            self.sh.clock.now()
+        )
+    }
+
+    /// Where a row currently lives (introspection: examples, tests,
+    /// experiment probes). `None` when the key does not exist.
+    pub fn locate(&self, table: &TableDesc, key: &[u8]) -> Result<Option<RowLocation>> {
+        match table.primary.get(key)? {
+            Some(rid) => Ok(self.sh.ridmap.get(rid)),
+            None => Ok(None),
+        }
+    }
+
+    /// Fig.-8 probe: walk a partition's ILM queue head→tail, split it
+    /// into `buckets` equal bands, and report the percentage of *cold*
+    /// rows (per the current TSF recency test) in each band. A
+    /// well-behaved relaxed LRU queue has cold rows concentrated at the
+    /// head (§VIII.D.2).
+    pub fn queue_coldness_bands(&self, partition: PartitionId, buckets: usize) -> Vec<f64> {
+        let sh = &self.sh;
+        let now = sh.clock.now();
+        let rows = sh.queues.get(partition).snapshot_all();
+        if rows.is_empty() || buckets == 0 {
+            return vec![0.0; buckets];
+        }
+        let flags: Vec<bool> = rows
+            .iter()
+            .filter_map(|rid| sh.store.get(*rid))
+            .map(|row| !sh.tsf.is_recent(row.last_access(), now))
+            .collect();
+        if flags.is_empty() {
+            return vec![0.0; buckets];
+        }
+        let per = flags.len().div_ceil(buckets);
+        (0..buckets)
+            .map(|b| {
+                let band = &flags[(b * per).min(flags.len())..((b + 1) * per).min(flags.len())];
+                if band.is_empty() {
+                    0.0
+                } else {
+                    100.0 * band.iter().filter(|&&c| c).count() as f64 / band.len() as f64
+                }
+            })
+            .collect()
     }
 }
 

@@ -16,7 +16,7 @@
 
 use std::sync::Arc;
 
-use btrim_core::arbiter::{DEFAULT_MISS_NS, VOTE_MARGIN};
+use btrim_core::arbiter::{self, DEFAULT_MISS_NS, HYSTERESIS_WINDOWS, VOTE_MARGIN};
 use btrim_core::catalog::{Partitioner, TableOpts};
 use btrim_core::pack::{pack_cycle, PackLevel};
 use btrim_core::{ArbiterAction, Engine, EngineConfig, EngineMode, IlmTraceEvent};
@@ -48,13 +48,6 @@ fn arbiter_trace_explains_every_shift() {
     let cfg = EngineConfig {
         mode: EngineMode::IlmOn,
         total_memory_budget: 8 * 1024 * 1024,
-        arbiter_initial_imrs_fraction: 0.5,
-        arbiter_window_txns: 64,
-        arbiter_hysteresis_windows: 2,
-        arbiter_min_shift_bytes: 64 * 1024,
-        arbiter_max_shift_fraction: 0.10,
-        arbiter_imrs_floor: 0.10,
-        arbiter_buffer_floor: 0.10,
         imrs_chunk_size: 256 * 1024,
         maintenance_interval_txns: 8,
         // Keep the partition tuner out of the way: this scenario is
@@ -64,11 +57,9 @@ fn arbiter_trace_explains_every_shift() {
         ..Default::default()
     };
     let total = cfg.total_memory_budget;
-    let hysteresis = cfg.arbiter_hysteresis_windows;
-    let min_shift = cfg.arbiter_min_shift_bytes;
-    let max_shift = (total as f64 * cfg.arbiter_max_shift_fraction) as u64;
-    let imrs_floor = cfg.arbiter_imrs_floor_bytes();
-    let buffer_floor = cfg.arbiter_buffer_floor_bytes();
+    let max_shift = arbiter::max_shift_bytes(&cfg);
+    let imrs_floor = arbiter::imrs_floor_bytes(&cfg);
+    let buffer_floor = arbiter::buffer_floor_bytes(&cfg);
     let chunk = cfg.imrs_chunk_size as u64;
     let (imrs0, frames0) = cfg.memory_split();
     let e = Engine::new(cfg);
@@ -166,7 +157,7 @@ fn arbiter_trace_explains_every_shift() {
 
     // … every event's inputs reproduce its cited verdict …
     for a in &events {
-        assert_eq!(a.votes_needed, hysteresis);
+        assert_eq!(a.votes_needed, HYSTERESIS_WINDOWS);
         assert!(a.votes >= 1 && a.votes <= a.votes_needed, "{a:?}");
         assert!(a.miss_ns == DEFAULT_MISS_NS || a.miss_ns > 0);
         let miss_us = (a.miss_ns as f64 / 1_000.0).max(1.0);
@@ -195,7 +186,7 @@ fn arbiter_trace_explains_every_shift() {
             // granularity; both pools moved by exactly the same bytes.
             assert_eq!(a.votes, a.votes_needed, "shift before hysteresis met");
             assert_eq!(a.shift_bytes % chunk, 0, "{a:?}");
-            assert!(a.shift_bytes >= min_shift.max(chunk), "{a:?}");
+            assert!(a.shift_bytes >= chunk, "{a:?}");
             assert!(a.shift_bytes <= max_shift, "{a:?}");
             match a.action {
                 ArbiterAction::ShiftToImrs => {
@@ -272,7 +263,6 @@ fn legacy_config_never_shifts() {
         imrs_chunk_size: 512 * 1024,
         buffer_frames: 256,
         maintenance_interval_txns: 8,
-        arbiter_window_txns: 16,
         ..Default::default()
     });
     let t = e.create_table(opts("t", true)).unwrap();

@@ -5,7 +5,8 @@
 use std::sync::Arc;
 
 use btrim_core::catalog::{Partitioner, TableOpts};
-use btrim_core::{Engine, EngineConfig, EngineMode};
+use btrim_core::checkpoint::CHECKPOINT_FLUSH_BATCH;
+use btrim_core::{Engine, EngineConfig, EngineMode, IlmTraceEvent};
 use btrim_pagestore::MemDisk;
 use btrim_wal::{analyze_page_log, LogWriter, MemLog, PageLogRecord};
 
@@ -245,11 +246,7 @@ fn writers_make_progress_during_a_fuzzy_checkpoint() {
     use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
     let e = Engine::with_devices(
         EngineConfig {
-            // Small batches with a real pause: the checkpoint window is
-            // wide enough that writer overlap is deterministic in
-            // practice, not a scheduling accident.
-            checkpoint_flush_batch: 4,
-            checkpoint_batch_pause_us: 500,
+            buffer_frames: 16 * CHECKPOINT_FLUSH_BATCH,
             ..cfg(EngineMode::PageOnly)
         },
         Arc::new(MemDisk::new()),
@@ -257,11 +254,14 @@ fn writers_make_progress_during_a_fuzzy_checkpoint() {
         Arc::new(MemLog::new()),
     );
     let t = e.create_table(opts()).unwrap();
-    // Seed plenty of dirty pages so the checkpoint runs many batches.
+    // Seed several flush batches of dirty pages (about eight ~1 KiB
+    // rows fill one), all cached: the checkpoint window is wide enough
+    // that writer overlap is deterministic in practice, not a
+    // scheduling accident.
     {
         let mut txn = e.begin();
-        for i in 0..6_000u64 {
-            e.insert(&mut txn, &t, &mkrow(i, b"seed--")).unwrap();
+        for i in 0..8 * 8 * CHECKPOINT_FLUSH_BATCH as u64 {
+            e.insert(&mut txn, &t, &mkrow(i, &[b's'; 1000])).unwrap();
         }
         e.commit(txn).unwrap();
     }
@@ -297,6 +297,14 @@ fn writers_make_progress_during_a_fuzzy_checkpoint() {
         let after = total();
         stop.store(true, Ordering::Relaxed);
         ckpt.unwrap();
+        let batches = e.obs().trace.events().into_iter().find_map(|ev| match ev {
+            IlmTraceEvent::Checkpoint(c) => Some(c.batches),
+            _ => None,
+        });
+        assert!(
+            batches.unwrap_or(0) > 4,
+            "checkpoint too short: {batches:?}"
+        );
         assert!(
             after >= before + 8,
             "writers stalled during the checkpoint window ({before} -> {after})"

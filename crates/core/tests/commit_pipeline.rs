@@ -8,12 +8,14 @@
 //!   remnant (timestamp stamping + slice building);
 //! * failed commits still land in the `Commit` latency class;
 //! * log-device death mid-sync under group commit errors every
-//!   committer promptly and flips the engine ReadOnly exactly once.
+//!   committer promptly and flips the engine ReadOnly exactly once;
+//! * failing syncs escalate health at the engine's own thresholds.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use btrim_core::catalog::{Partitioner, TableOpts};
+use btrim_core::health::{HEALTH_DEGRADE_AFTER, HEALTH_READONLY_AFTER};
 use btrim_core::{Engine, EngineConfig, EngineMode, HealthState, OpClass};
 use btrim_pagestore::MemDisk;
 use btrim_wal::{LogSink, LsnRange, MemLog};
@@ -83,10 +85,12 @@ fn multi_record_commit_takes_one_log_lock() {
 }
 
 /// A log that can be killed: appends (single and batch) fail while
-/// dead. Flushes keep working so the failure is isolated to appends.
+/// `dead`, syncs while `sync_fails` — each failure on its own, so a
+/// test can pick the one it isolates.
 struct KillableLog {
     inner: MemLog,
     dead: AtomicBool,
+    sync_fails: AtomicBool,
 }
 
 impl KillableLog {
@@ -94,10 +98,11 @@ impl KillableLog {
         KillableLog {
             inner: MemLog::new(),
             dead: AtomicBool::new(false),
+            sync_fails: AtomicBool::new(false),
         }
     }
-    fn fail_if_dead(&self) -> btrim_common::Result<()> {
-        if self.dead.load(Ordering::SeqCst) {
+    fn fail_if(&self, flag: &AtomicBool) -> btrim_common::Result<()> {
+        if flag.load(Ordering::SeqCst) {
             return Err(btrim_common::BtrimError::Io(std::io::Error::other(
                 "log device dead",
             )));
@@ -108,14 +113,15 @@ impl KillableLog {
 
 impl LogSink for KillableLog {
     fn append(&self, payload: &[u8]) -> btrim_common::Result<btrim_common::Lsn> {
-        self.fail_if_dead()?;
+        self.fail_if(&self.dead)?;
         self.inner.append(payload)
     }
     fn append_batch(&self, payloads: &[&[u8]]) -> btrim_common::Result<LsnRange> {
-        self.fail_if_dead()?;
+        self.fail_if(&self.dead)?;
         self.inner.append_batch(payloads)
     }
     fn flush(&self) -> btrim_common::Result<()> {
+        self.fail_if(&self.sync_fails)?;
         self.inner.flush()
     }
     fn read_all(&self) -> btrim_common::Result<Vec<(btrim_common::Lsn, Vec<u8>)>> {
@@ -180,8 +186,6 @@ fn group_commit_device_death_errors_all_committers_and_flips_readonly_once() {
     let e = Arc::new(Engine::with_devices(
         EngineConfig {
             durable_commits: true,
-            health_degrade_after: 1,
-            health_readonly_after: 1,
             ..cfg()
         },
         Arc::new(MemDisk::new()),
@@ -234,4 +238,63 @@ fn group_commit_device_death_errors_all_committers_and_flips_readonly_once() {
         h => panic!("expected ReadOnly, got {h:?}"),
     };
     assert_eq!(reason_now, reason_later, "ReadOnly flipped more than once");
+}
+
+/// Storage errors escalate at the engine's own thresholds: Degraded at
+/// `HEALTH_DEGRADE_AFTER` consecutive ones, ReadOnly at
+/// `HEALTH_READONLY_AFTER`; one success heals Degraded, nothing heals
+/// ReadOnly. The errors are failed commit syncs (appends keep working,
+/// so the torn-tail policy's immediate write stop stays out of it).
+#[test]
+fn failing_syncs_degrade_then_stop_writes_and_only_degraded_heals() {
+    let imrs = Arc::new(KillableLog::new());
+    let e = Engine::with_devices(
+        EngineConfig {
+            durable_commits: true,
+            ..cfg()
+        },
+        Arc::new(MemDisk::new()),
+        Arc::new(MemLog::new()),
+        imrs.clone(),
+    );
+    let t = e.create_table(opts("t")).unwrap();
+    let mut next_key = 0u64;
+    let mut commit_one = || {
+        let mut txn = e.begin();
+        next_key += 1;
+        e.insert(&mut txn, &t, &mkrow(next_key, &[5u8; 16]))?;
+        e.commit(txn)
+    };
+
+    imrs.sync_fails.store(true, Ordering::SeqCst);
+    for n in 1..=HEALTH_DEGRADE_AFTER {
+        assert_eq!(e.health(), HealthState::Healthy, "before error {n}");
+        assert!(commit_one().is_err());
+    }
+    assert!(matches!(e.health(), HealthState::Degraded { .. }));
+
+    imrs.sync_fails.store(false, Ordering::SeqCst);
+    commit_one().unwrap();
+    assert_eq!(e.health(), HealthState::Healthy, "one success heals");
+
+    imrs.sync_fails.store(true, Ordering::SeqCst);
+    for n in 1..=HEALTH_READONLY_AFTER {
+        assert!(e.health().writable(), "before error {n}");
+        assert!(commit_one().is_err());
+        if (HEALTH_DEGRADE_AFTER..HEALTH_READONLY_AFTER).contains(&n) {
+            assert!(matches!(e.health(), HealthState::Degraded { .. }));
+        }
+    }
+    assert!(matches!(e.health(), HealthState::ReadOnly { .. }));
+
+    // Sticky: the device is fine again, the engine still refuses.
+    imrs.sync_fails.store(false, Ordering::SeqCst);
+    assert!(matches!(
+        commit_one(),
+        Err(btrim_common::BtrimError::ReadOnly(_))
+    ));
+    assert_eq!(
+        e.snapshot().storage_errors,
+        HEALTH_DEGRADE_AFTER + HEALTH_READONLY_AFTER
+    );
 }

@@ -293,8 +293,8 @@ const GROUP_ROWS: u64 = 4;
 /// rows of a group carry the same stamp) while four reader threads
 /// assert every snapshot sees a group-consistent state. In debug
 /// builds the lock-rank witness additionally proves the reader threads
-/// performed **zero** ranked lock acquisitions — the acceptance
-/// criterion for the lock-free read path.
+/// performed **zero** ranked lock acquisitions — what "lock-free read
+/// path" has to mean.
 #[test]
 fn eight_thread_readers_vs_writers_no_torn_reads_no_reader_locks() {
     let engine = Arc::new(Engine::new(EngineConfig {

@@ -301,3 +301,25 @@ fn tsf_ablation_knob_waives_hotness_at_steady_level() {
     assert!(freed > 0, "steady pack ignores hotness without the TSF");
     assert_eq!(e.snapshot().rows_skipped_hot, 0);
 }
+
+/// An engine that was shut down can be started again: the restarted
+/// background threads still pack. (While they run, the commit-path
+/// maintenance hook is off, so nothing else would.)
+#[test]
+fn background_threads_pack_again_after_a_shutdown() {
+    let e = engine(1024 * 1024);
+    let t = e.create_table(opts("t")).unwrap();
+    e.spawn_background();
+    e.shutdown().unwrap();
+    e.spawn_background();
+    fill(&e, &t, 0, 8_000, 96); // ~85% of the budget, steady is 70%
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+    while e.snapshot().rows_packed == 0 {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "restarted maintenance threads never packed"
+        );
+        std::thread::sleep(std::time::Duration::from_millis(5));
+    }
+    e.shutdown().unwrap();
+}

@@ -25,7 +25,7 @@ impl MemoryArbiter {
     }
 
     // Clean: explicit drop ends the guard first — this is the shape
-    // `run_window` uses so pool resizing happens outside the lock.
+    // `maybe_run` uses so pool resizing happens outside the lock.
     fn dropped(&self, other: &MemoryArbiter) {
         let a = self.window.lock();
         a.touch();

@@ -296,17 +296,16 @@ pub const ATOMIC_FIELDS: &[(&str, &str, u8, &str)] = &[
     ("crates/pagestore/src/extent.rs", "encoded_bytes", P_RELAXED, "stats counter"),
     // ----- core: engine control plane, maintenance, side store -------
     (
-        "crates/core/src/engine.rs",
-        "last_maintenance",
+        "crates/core/src/maintenance.rs",
+        "last_run",
         P_RELAXED,
         "advisory window claim; maintenance work serializes on the gate mutex",
     ),
-    ("crates/core/src/engine.rs", "background", P_RELAXED, "control flag"),
-    ("crates/core/src/engine.rs", "stop", P_RELAXED, "control flag"),
-    ("crates/core/src/engine.rs", "consec_storage_errors", P_RELAXED, "health counter"),
-    ("crates/core/src/engine.rs", "storage_errors", P_RELAXED, "health counter"),
-    ("crates/core/src/engine.rs", "ckpt_ordinal", P_RELAXED, "checkpoint counter"),
-    ("crates/core/src/engine.rs", "last_truncate_upto", P_RELAXED, "monotone fetch_max watermark"),
+    ("crates/core/src/maintenance.rs", "background", P_RELAXED, "control flag"),
+    ("crates/core/src/health.rs", "consecutive_errors", P_RELAXED, "health counter"),
+    ("crates/core/src/health.rs", "storage_errors", P_RELAXED, "health counter"),
+    ("crates/core/src/checkpoint.rs", "ordinal", P_RELAXED, "checkpoint counter"),
+    ("crates/core/src/checkpoint.rs", "last_truncate_upto", P_RELAXED, "monotone fetch_max watermark"),
     (
         "crates/core/src/engine.rs",
         "moves_logged",

@@ -11,7 +11,7 @@
 // held across another classified acquisition). The order below is
 // derived from the engine as built through PR 4:
 //
-// * `maintenance_gate` is taken first and held across an entire
+// * The maintenance gate is taken first and held across an entire
 //   pack/GC/tuner cycle, which fetches pages and appends WAL records —
 //   so engine state ranks below everything.
 // * `evict_one` publishes a frame-state transition (frame `io` mutex)
@@ -24,7 +24,7 @@
 //   generation lock must rank above the WAL log, making a flush under
 //   the generation lock an immediate witness failure.
 
-/// Engine maintenance gate (`core::engine::Shared::maintenance_gate`).
+/// Engine maintenance gate (`core::maintenance::Maintenance::gate`).
 pub const ENGINE_STATE: u16 = 10;
 /// Memory-arbiter window state (`core::arbiter::MemoryArbiter::window`).
 /// Taken only from maintenance (under the gate) to snapshot the
@@ -61,11 +61,11 @@ pub const SIDE_STORE: u16 = 45;
 pub const EXTENT_STORE: u16 = 48;
 /// WAL inner locks (`wal::log::{MemLog, FileLog}::inner`).
 pub const WAL_LOG: u16 = 50;
-/// Active-transaction syslog floor table (`core::engine::Shared::
-/// txn_syslog_floor`): first-record LSN of every transaction alive on
-/// the page log, read by the fuzzy checkpoint to pick its low-water
-/// truncation LSN. Maintained right after `append_sys` returns — the
-/// log lock is already released, but DML callers may still hold locks
+/// Active-transaction syslog floor table (`core::checkpoint::
+/// Checkpointer::txn_floor`): first-record LSN of every transaction
+/// alive on the page log, read by the fuzzy checkpoint to pick its
+/// low-water truncation LSN. Maintained around the syslogs append —
+/// the log lock is not held then, but DML callers may still hold locks
 /// up to the WAL tier, so the table ranks just above the log.
 pub const TXN_LOG_FLOOR: u16 = 55;
 /// Group-commit generation state (`wal::group::GroupCommitter::state`).

@@ -115,8 +115,8 @@ pub struct Options {
 /// WAL in another.
 pub const LOCK_SITES: &[(&str, &str, u16)] = &[
     (
-        "crates/core/src/engine.rs",
-        "maintenance_gate",
+        "crates/core/src/maintenance.rs",
+        "gate",
         hierarchy::ENGINE_STATE,
     ),
     (

@@ -26,6 +26,6 @@ pub mod record;
 pub mod recovery;
 
 pub use group::GroupCommitter;
-pub use log::{FileLog, FormatEpoch, LogSink, LogWriter, LsnRange, MemLog};
+pub use log::{FileLog, LogSink, LogWriter, LsnRange, MemLog};
 pub use record::{Encodable, ImrsLogRecord, PageLogRecord, RowOriginTag};
 pub use recovery::{analyze_page_log, LogAnalysis};

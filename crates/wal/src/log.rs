@@ -269,45 +269,25 @@ impl LogSink for MemLog {
 /// [`truncate_prefix`](LogSink::truncate_prefix), which rewrites the
 /// file through a temp file + atomic rename.
 ///
-/// Two format epochs, distinguished by the header magic:
-///
-/// * **V1** (`BTRIMWAL`): per-record frames only. The batch sentinel
-///   cannot legally appear, so a sentinel-shaped tail is treated as a
-///   torn frame and truncated — this is the epoch check that keeps
-///   pre-batching logs replayable without ever misparsing garbage as
-///   a batch.
-/// * **V2** (`BTRIMWA2`): per-record frames *and* batch frames
-///   (`[sentinel u32 = 0xFFFF_FFFF][n_records u32][total_len u32]`
-///   `[crc u32][len_i u32 × n][payloads]`, CRC over everything after
-///   the crc field). A torn or corrupt batch frame drops the whole
-///   batch — never a prefix of its records.
-///
-/// A V1 log opens as V1 and stays V1 under per-record appends; the
-/// first `append_batch` upgrades the header in place (old frames keep
-/// replaying, so the file becomes mixed-format).
+/// Besides per-record frames the body holds batch frames
+/// (`[sentinel u32 = 0xFFFF_FFFF][n_records u32][total_len u32]`
+/// `[crc u32][len_i u32 × n][payloads]`, CRC over everything after the
+/// crc field). A torn or corrupt batch frame drops the whole batch —
+/// never a prefix of its records. A file whose header carries any
+/// other magic is rejected as `Corrupt`.
 pub struct FileLog {
     inner: Mutex<FileLogInner>,
     /// See [`MemLog::append_lock_acquisitions`].
     append_locks: std::sync::atomic::AtomicU64,
 }
 
-const FILE_MAGIC_V1: u64 = 0x4254_5249_4D57_414C; // "BTRIMWAL"
-const FILE_MAGIC_V2: u64 = 0x4254_5249_4D57_4132; // "BTRIMWA2"
+const FILE_MAGIC: u64 = 0x4254_5249_4D57_4132; // "BTRIMWA2"
 const HEADER_LEN: u64 = 16;
 /// Marks a batch frame where a per-record frame would put its length.
 /// Single-record appends reject payloads this large, so the sentinel
-/// is unambiguous in V2 and impossible in V1.
+/// is unambiguous.
 const BATCH_SENTINEL: u32 = 0xFFFF_FFFF;
 const BATCH_HEADER_LEN: usize = 16;
-
-/// On-disk format epoch of a [`FileLog`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum FormatEpoch {
-    /// Per-record frames only (pre-batching layout).
-    V1,
-    /// Per-record and batch frames.
-    V2,
-}
 
 struct FileLogInner {
     path: std::path::PathBuf,
@@ -318,7 +298,6 @@ struct FileLogInner {
     base: u64,
     count: u64,
     bytes: u64,
-    epoch: FormatEpoch,
 }
 
 /// Little-endian `u32` at `off`, or `None` past the end. Frame parsing
@@ -330,11 +309,11 @@ fn read_u32_le(data: &[u8], off: usize) -> Option<u32> {
         .map(|b| u32::from_le_bytes(*b))
 }
 
-/// Parse every intact frame (per-record and, under V2, batch) from a
-/// raw log body. Returns the payloads in LSN order and the byte
+/// Parse every intact frame (per-record and batch) from a raw log
+/// body. Returns the payloads in LSN order and the byte
 /// offset where the intact prefix ends; parsing stops at the first
 /// torn or corrupt frame, dropping a torn *batch* wholesale.
-fn parse_frames(data: &[u8], epoch: FormatEpoch) -> (Vec<Vec<u8>>, usize) {
+fn parse_frames(data: &[u8]) -> (Vec<Vec<u8>>, usize) {
     let mut out = Vec::new();
     let mut off = 0usize;
     while off + 8 <= data.len() {
@@ -342,11 +321,6 @@ fn parse_frames(data: &[u8], epoch: FormatEpoch) -> (Vec<Vec<u8>>, usize) {
             break;
         };
         if len == BATCH_SENTINEL {
-            // Under V1 the sentinel is impossible: whatever this is, it
-            // is a torn tail, not a batch frame.
-            if epoch == FormatEpoch::V1 {
-                break;
-            }
             let (Some(n), Some(total), Some(crc)) = (
                 read_u32_le(data, off + 4),
                 read_u32_le(data, off + 8),
@@ -396,7 +370,7 @@ fn parse_frames(data: &[u8], epoch: FormatEpoch) -> (Vec<Vec<u8>>, usize) {
     (out, off)
 }
 
-/// Build a V2 batch frame around pre-encoded payloads. Called by the
+/// Build a batch frame around pre-encoded payloads. Called by the
 /// committing thread *before* the log mutex is taken: all CRC work and
 /// header assembly happens outside the critical section.
 fn build_batch_frame(payloads: &[&[u8]]) -> Vec<u8> {
@@ -428,30 +402,26 @@ impl FileLog {
             .truncate(false)
             .open(path)?;
         let len = file.metadata()?.len();
-        let (base, epoch) = if len < HEADER_LEN {
-            // Fresh (or header-less legacy) log: write a V2 header.
+        let base = if len < HEADER_LEN {
+            // Fresh log: write the header.
             file.seek(SeekFrom::Start(0))?;
-            file.write_all(&FILE_MAGIC_V2.to_le_bytes())?;
+            file.write_all(&FILE_MAGIC.to_le_bytes())?;
             file.write_all(&0u64.to_le_bytes())?;
-            (0, FormatEpoch::V2)
+            0
         } else {
             let mut magic_b = [0u8; 8];
             let mut base_b = [0u8; 8];
             file.seek(SeekFrom::Start(0))?;
             file.read_exact(&mut magic_b)?;
             file.read_exact(&mut base_b)?;
-            let epoch = match u64::from_le_bytes(magic_b) {
-                FILE_MAGIC_V1 => FormatEpoch::V1,
-                FILE_MAGIC_V2 => FormatEpoch::V2,
-                _ => {
-                    return Err(btrim_common::BtrimError::Corrupt(
-                        "log file header magic mismatch".into(),
-                    ))
-                }
-            };
-            (u64::from_le_bytes(base_b), epoch)
+            if u64::from_le_bytes(magic_b) != FILE_MAGIC {
+                return Err(btrim_common::BtrimError::Corrupt(
+                    "log file header magic mismatch".into(),
+                ));
+            }
+            u64::from_le_bytes(base_b)
         };
-        let (count, end) = Self::scan(&mut file, epoch)?;
+        let (count, end) = Self::scan(&mut file)?;
         // Truncate any torn tail so future appends start clean.
         file.set_len(end)?;
         file.seek(SeekFrom::End(0))?;
@@ -464,16 +434,10 @@ impl FileLog {
                     base,
                     count: base + count,
                     bytes: end - HEADER_LEN,
-                    epoch,
                 },
             ),
             append_locks: std::sync::atomic::AtomicU64::new(0),
         })
-    }
-
-    /// The current on-disk format epoch.
-    pub fn epoch(&self) -> FormatEpoch {
-        self.inner.lock().epoch
     }
 
     /// Number of data-mutex acquisitions taken by append paths.
@@ -482,11 +446,11 @@ impl FileLog {
     }
 
     /// Count intact records and the byte offset where they end.
-    fn scan(file: &mut File, epoch: FormatEpoch) -> Result<(u64, u64)> {
+    fn scan(file: &mut File) -> Result<(u64, u64)> {
         file.seek(SeekFrom::Start(HEADER_LEN))?;
         let mut data = Vec::new();
         file.read_to_end(&mut data)?;
-        let (records, end) = parse_frames(&data, epoch);
+        let (records, end) = parse_frames(&data);
         Ok((records.len() as u64, HEADER_LEN + end as u64))
     }
 
@@ -500,28 +464,12 @@ impl FileLog {
         let mut data = Vec::new();
         file.read_to_end(&mut data)?;
         file.seek(SeekFrom::End(0))?;
-        let (records, _) = parse_frames(&data, inner.epoch);
+        let (records, _) = parse_frames(&data);
         Ok(records
             .into_iter()
             .enumerate()
             .map(|(i, payload)| (Lsn(inner.base + i as u64 + 1), payload))
             .collect())
-    }
-
-    /// Upgrade a V1 file to the V2 epoch in place: drain the write
-    /// buffer, rewrite the 8-byte magic, and restore the end-of-file
-    /// cursor. Called (under the lock) by the first `append_batch` on
-    /// a pre-batching log, *before* any batch bytes are written — on
-    /// failure the file is still a valid V1 log.
-    fn upgrade_epoch(inner: &mut FileLogInner) -> Result<()> {
-        inner.writer.flush()?;
-        let file = inner.writer.get_mut();
-        file.seek(SeekFrom::Start(0))?;
-        file.write_all(&FILE_MAGIC_V2.to_le_bytes())?;
-        file.sync_data()?;
-        file.seek(SeekFrom::End(0))?;
-        inner.epoch = FormatEpoch::V2;
-        Ok(())
     }
 
     /// After a failed append the `BufWriter` may hold — and the file
@@ -588,12 +536,6 @@ impl LogSink for FileLog {
         self.append_locks
             .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         let mut inner = self.inner.lock();
-        if inner.epoch == FormatEpoch::V1 {
-            // First batch on a pre-batching log: bump the epoch so the
-            // sentinel becomes parseable. Fails before any frame bytes
-            // are written, leaving the V1 log intact.
-            Self::upgrade_epoch(&mut inner)?;
-        }
         // lint: allow(no-io-under-lock) -- one pre-built buffered write is the whole critical section; the lock is what makes the batch atomic
         if let Err(e) = inner.writer.write_all(&frame) {
             Self::discard_partial_append(&mut inner);
@@ -646,11 +588,7 @@ impl LogSink for FileLog {
                 .create(true)
                 .truncate(true)
                 .open(&tmp_path)?;
-            let magic = match inner.epoch {
-                FormatEpoch::V1 => FILE_MAGIC_V1,
-                FormatEpoch::V2 => FILE_MAGIC_V2,
-            };
-            tmp.write_all(&magic.to_le_bytes())?; // lint: allow(no-io-under-lock) -- checkpoint-time rewrite; appends must stay excluded while the file is replaced
+            tmp.write_all(&FILE_MAGIC.to_le_bytes())?; // lint: allow(no-io-under-lock) -- checkpoint-time rewrite; appends must stay excluded while the file is replaced
             tmp.write_all(&new_base.to_le_bytes())?; // lint: allow(no-io-under-lock) -- see above: temp-file header
             let mut bytes = 0u64;
             for (_, payload) in &keep {
@@ -978,25 +916,6 @@ mod batch_tests {
         p
     }
 
-    /// Hand-write a V1-epoch (pre-batching) log file: old header magic
-    /// plus per-record frames, exactly as the previous format wrote it.
-    fn write_v1_log(path: &std::path::Path, base: u64, payloads: &[&[u8]]) {
-        let mut f = OpenOptions::new()
-            .write(true)
-            .create(true)
-            .truncate(true)
-            .open(path)
-            .unwrap();
-        f.write_all(&FILE_MAGIC_V1.to_le_bytes()).unwrap();
-        f.write_all(&base.to_le_bytes()).unwrap();
-        for p in payloads {
-            f.write_all(&(p.len() as u32).to_le_bytes()).unwrap();
-            f.write_all(&crc32(p).to_le_bytes()).unwrap();
-            f.write_all(p).unwrap();
-        }
-        f.sync_data().unwrap();
-    }
-
     #[test]
     fn memlog_batch_roundtrip_and_single_lock() {
         let log = MemLog::new();
@@ -1053,7 +972,6 @@ mod batch_tests {
         let all = log.read_all().unwrap();
         assert_eq!(all[1], (Lsn(2), b"one".to_vec()));
         assert_eq!(all[4], (Lsn(5), b"post".to_vec()));
-        assert_eq!(log.epoch(), FormatEpoch::V2);
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -1133,73 +1051,18 @@ mod batch_tests {
     }
 
     #[test]
-    fn v1_log_replays_and_first_batch_upgrades_epoch() {
+    fn unknown_header_magic_is_corrupt() {
+        // The retired pre-batching magic ("BTRIMWAL") stands in for any
+        // header this build does not write: a typed error, never a
+        // guess at the framing behind it.
         let path = tmp("b4.wal");
-        write_v1_log(&path, 0, &[b"old-1", b"old-2"]);
-        {
-            let log = FileLog::open(&path).unwrap();
-            assert_eq!(log.epoch(), FormatEpoch::V1);
-            assert_eq!(log.record_count(), 2, "pre-refactor frames replay");
-            // Per-record appends keep the file V1…
-            log.append(b"old-3").unwrap();
-            log.flush().unwrap();
-            assert_eq!(log.epoch(), FormatEpoch::V1);
-        }
-        {
-            let log = FileLog::open(&path).unwrap();
-            assert_eq!(log.epoch(), FormatEpoch::V1);
-            // …and the first batch bumps it, making a mixed-format log.
-            let range = log
-                .append_batch(&[b"new-1".as_ref(), b"new-2".as_ref()])
-                .unwrap();
-            assert_eq!(
-                range,
-                LsnRange {
-                    first: Lsn(4),
-                    last: Lsn(5)
-                }
-            );
-            assert_eq!(log.epoch(), FormatEpoch::V2);
-            log.flush().unwrap();
-        }
-        // Mixed-format: V1 frames followed by a batch frame, all read
-        // back in order after reopen.
-        let log = FileLog::open(&path).unwrap();
-        assert_eq!(log.epoch(), FormatEpoch::V2);
-        let all = log.read_all().unwrap();
-        assert_eq!(all.len(), 5);
-        assert_eq!(all[0].1, b"old-1");
-        assert_eq!(all[2].1, b"old-3");
-        assert_eq!(all[4], (Lsn(5), b"new-2".to_vec()));
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn v1_log_with_truncated_base_keeps_lsns() {
-        // A truncated pre-refactor log (non-zero base) still lines up.
-        let path = tmp("b5.wal");
-        write_v1_log(&path, 7, &[b"r8", b"r9"]);
-        let log = FileLog::open(&path).unwrap();
-        let all = log.read_all().unwrap();
-        assert_eq!(all[0].0, Lsn(8));
-        assert_eq!(log.append(b"r10").unwrap(), Lsn(10));
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn sentinel_garbage_in_v1_log_is_a_torn_tail_not_a_batch() {
-        let path = tmp("b6.wal");
-        write_v1_log(&path, 0, &[b"good"]);
-        // Append bytes that would parse as a plausible batch frame under
-        // V2 — under the V1 epoch check they are a torn tail.
-        {
-            let frame = build_batch_frame(&[b"evil".as_ref()]);
-            let mut f = OpenOptions::new().append(true).open(&path).unwrap();
-            f.write_all(&frame).unwrap();
-        }
-        let log = FileLog::open(&path).unwrap();
-        assert_eq!(log.record_count(), 1, "sentinel not parsed under V1");
-        assert_eq!(log.read_all().unwrap()[0].1, b"good");
+        let mut file = 0x4254_5249_4D57_414Cu64.to_le_bytes().to_vec();
+        file.extend_from_slice(&0u64.to_le_bytes());
+        std::fs::write(&path, &file).unwrap();
+        assert!(matches!(
+            FileLog::open(&path),
+            Err(btrim_common::BtrimError::Corrupt(_))
+        ));
         std::fs::remove_file(&path).unwrap();
     }
 

@@ -11,7 +11,7 @@
 use std::sync::Arc;
 
 use btrim_common::{Lsn, PageId, PartitionId, RowId, SlotId, Timestamp, TxnId};
-use btrim_wal::{analyze_page_log, Encodable, FileLog, FormatEpoch, LogWriter, PageLogRecord};
+use btrim_wal::{analyze_page_log, Encodable, FileLog, LogWriter, PageLogRecord};
 
 fn tmp(name: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("btrim-ckptframe-{}", std::process::id()));
@@ -106,39 +106,6 @@ fn torn_checkpoint_pair_falls_back_at_every_cut_point() {
     assert_eq!(a.last_checkpoint, Some(Lsn(8)));
     assert_eq!(a.redo_low_water, Some(Lsn(6)));
     assert_eq!(a.torn_checkpoints, 0);
-    std::fs::remove_file(&path).unwrap();
-}
-
-/// Same contract on a V1-epoch log: checkpoint pairs are ordinary
-/// per-record frames, so a pre-batching log replays them unchanged.
-/// The V1 file is crafted by hand (fresh logs open as V2 since PR 4).
-#[test]
-fn checkpoint_pair_survives_v1_epoch_reopen() {
-    const FILE_MAGIC_V1: u64 = 0x4254_5249_4D57_414C; // "BTRIMWAL"
-    let path = tmp("v1-pair.wal");
-    let records = [
-        PageLogRecord::CheckpointBegin {
-            low_water: Lsn::ZERO,
-            dirty_pages: vec![],
-        },
-        PageLogRecord::CheckpointEnd { begin_lsn: Lsn(1) },
-    ];
-    let mut file = Vec::new();
-    file.extend_from_slice(&FILE_MAGIC_V1.to_le_bytes());
-    file.extend_from_slice(&0u64.to_le_bytes());
-    for r in &records {
-        let payload = r.encode();
-        file.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        file.extend_from_slice(&btrim_wal::log::crc32(&payload).to_le_bytes());
-        file.extend_from_slice(&payload);
-    }
-    std::fs::write(&path, &file).unwrap();
-    let log = FileLog::open(&path).unwrap();
-    assert_eq!(log.epoch(), FormatEpoch::V1);
-    drop(log);
-    let a = analyze_page_log(&read_records(&path));
-    assert_eq!(a.last_checkpoint, Some(Lsn(1)));
-    assert_eq!(a.redo_low_water, Some(Lsn(1)));
     std::fs::remove_file(&path).unwrap();
 }
 

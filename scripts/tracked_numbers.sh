@@ -3,7 +3,16 @@
 # hand-counted. Run from anywhere; prints one `name value` pair per
 # line. CI appends the output to the lint job's step summary, and a PR
 # description quotes it for the parent and for the change.
+#
+# `--check <budget-file>` (CI runs it with scripts/tracked_budgets.txt)
+# also exits non-zero when a number exceeds the `name value` budget the
+# file gives it: a PR that adds a knob or grows engine.rs has to raise
+# a number in its own diff.
 set -euo pipefail
+budgets=""
+if [ "${1:-}" = "--check" ]; then
+    budgets=$(realpath "${2:?--check needs a budget file}")
+fi
 cd "$(dirname "$0")/.."
 
 # Non-blank lines that are not `//` comments (doc comments included).
@@ -19,15 +28,29 @@ src_files=$(find crates/*/src -name '*.rs' | sort)
 movement_files=$(find crates/core/src -name engine.rs -o -name pack.rs -o -name freeze.rs \
     -o -name recovery.rs -o -name movement.rs)
 
-echo "engine_rs_lines $(wc -l < crates/core/src/engine.rs)"
-echo "crates_src_lines $(cat $src_files | wc -l)"
-echo "crates_src_code_lines $(code_lines $src_files)"
-echo "movement_path_code_lines $(code_lines $movement_files)"
-echo "engine_config_fields $(sed -n '/^pub struct EngineConfig {/,/^}/p' crates/core/src/config.rs | grep -c '^    pub [a-z_0-9]*:')"
-echo "lint_allow_escapes $(grep -rn 'lint: allow(' crates --include='*.rs' | grep -vc '^crates/lint/')"
-echo "begin_append_sites $(append_sites Begin)"
-echo "commit_append_sites $(append_sites Commit)"
-# A user transaction announces itself in syslogs only on a page arm,
-# and waits only for the logs it wrote: one call site per log.
-echo "ensure_begin_call_sites $(call_sites ensure_begin)"
-echo "commit_flush_call_sites $(call_sites commit_flush)"
+numbers() {
+    echo "engine_rs_lines $(wc -l < crates/core/src/engine.rs)"
+    echo "crates_src_lines $(cat $src_files | wc -l)"
+    echo "crates_src_code_lines $(code_lines $src_files)"
+    echo "movement_path_code_lines $(code_lines $movement_files)"
+    echo "engine_config_fields $(sed -n '/^pub struct EngineConfig {/,/^}/p' crates/core/src/config.rs | grep -c '^    pub [a-z_0-9]*:')"
+    echo "shared_fields $(sed -n '/^pub(crate) struct Shared {/,/^}/p' crates/core/src/engine.rs | grep -c '^    \(pub \)\?[a-z_0-9]*:')"
+    echo "lint_allow_escapes $(grep -rn 'lint: allow(' crates --include='*.rs' | grep -vc '^crates/lint/')"
+    echo "begin_append_sites $(append_sites Begin)"
+    echo "commit_append_sites $(append_sites Commit)"
+    # A user transaction announces itself in syslogs only on a page arm,
+    # and waits only for the logs it wrote: one call site per log.
+    echo "ensure_begin_call_sites $(call_sites ensure_begin)"
+    echo "commit_flush_call_sites $(call_sites commit_flush)"
+}
+
+over=0
+while read -r name value; do
+    echo "$name $value"
+    budget=$([ -z "$budgets" ] || awk -v n="$name" '$1 == n { print $2 }' "$budgets")
+    if [ -n "$budget" ] && [ "$value" -gt "$budget" ]; then
+        echo "tracked_numbers: $name is $value, over its budget of $budget ($budgets)" >&2
+        over=1
+    fi
+done < <(numbers)
+exit $over

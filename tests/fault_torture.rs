@@ -50,7 +50,6 @@ fn cfg() -> EngineConfig {
         buffer_frames: 64,
         maintenance_interval_txns: 32,
         durable_commits: true,
-        io_retry_backoff_us: 10,
         ..Default::default()
     }
 }

@@ -65,7 +65,6 @@ fn cfg() -> EngineConfig {
         // a fail-stop offset aims at the move alone.
         maintenance_interval_txns: u64::MAX / 2,
         durable_commits: true,
-        io_retry_backoff_us: 10,
         freeze_enabled: true,
         freeze_min_rows: 2,
         freeze_max_rows: 64,

@@ -48,7 +48,7 @@ fn main() {
     while pack_cycle(&engine, PackLevel::Aggressive) > 0 {}
     loop {
         let mut n = 0;
-        for &p in &tables.order_line.partitions {
+        for p in &tables.order_line.partitions {
             n += btrim_core::freeze::freeze_partition(&engine, &tables.order_line, p);
         }
         if n == 0 {

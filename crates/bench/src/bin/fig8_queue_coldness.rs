@@ -41,7 +41,7 @@ fn main() {
         // equally (partition queues are per-partition in the design).
         let mut acc = [0.0f64; 10];
         let mut n = 0usize;
-        for &p in &table.partitions {
+        for p in &table.partitions {
             let bands = engine.queue_coldness_bands(p, 10);
             if bands.iter().any(|&b| b > 0.0) {
                 for (a, b) in acc.iter_mut().zip(bands) {

@@ -54,7 +54,6 @@ use btrim_pagestore::{BufferCache, PAGE_SIZE};
 
 use crate::catalog::Catalog;
 use crate::config::EngineConfig;
-use crate::metrics::MetricsRegistry;
 
 /// Factor by which one side's marginal utility must exceed the other's
 /// before a vote is cast; anything closer is a hold.
@@ -169,7 +168,6 @@ impl MemoryArbiter {
         &self,
         cfg: &EngineConfig,
         committed_txns: u64,
-        metrics: &MetricsRegistry,
         catalog: &Catalog,
         store: &ImrsStore,
         cache: &BufferCache,
@@ -196,7 +194,7 @@ impl MemoryArbiter {
             .iter()
             .filter(|t| t.imrs_enabled)
             .flat_map(|t| t.partitions.iter())
-            .map(|&p| metrics.get(p).page_ops.load())
+            .map(|p| p.metrics.page_ops.load())
             .sum();
         let bstats = cache.stats();
         let imrs_bytes = store.budget();

@@ -1,19 +1,24 @@
 //! Tables, partitions, and indexes.
 //!
-//! A table is a set of data partitions (heap files) plus its indexes: a
-//! unique primary B+tree, the non-logged hash index accelerating IMRS
-//! point lookups (§II), and any secondary B+trees. The paper applies
-//! every ILM decision at partition granularity (§V); an unpartitioned
-//! table is a single-partition table.
+//! A table is a set of data partitions plus its indexes: a unique
+//! primary B+tree, the non-logged hash index accelerating IMRS point
+//! lookups (§II), and any secondary B+trees. The paper applies every
+//! ILM decision at partition granularity (§V); an unpartitioned table
+//! is a single-partition table. Everything the engine keeps per
+//! partition is one [`Partition`] record, created with its table.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use parking_lot::RwLock;
+use parking_lot::{Mutex, RwLock};
 
 use btrim_common::{BtrimError, PartitionId, Result, TableId};
 use btrim_index::{BTreeIndex, HashIndex};
 use btrim_pagestore::{BufferCache, HeapFile};
+
+use crate::metrics::{PartitionMetrics, PartitionSample};
+use crate::queues::PartitionQueues;
+use crate::tuner::PartitionIlmState;
 
 /// Extracts an index key from a row payload.
 pub type KeyExtractor = Arc<dyn Fn(&[u8]) -> Vec<u8> + Send + Sync>;
@@ -265,7 +270,48 @@ pub struct SecondaryIndex {
     pub extractor: KeyExtractor,
 }
 
-/// A table: partitions, heaps, indexes, extractors.
+/// One data partition: the paper's unit of ILM (§V). The DML path gets
+/// the record by position from a key ([`TableDesc::partition_of`]); a
+/// RowId's or a log record's bare id resolves through the table
+/// ([`TableDesc::partition`]) or the catalog ([`Catalog::partition`]).
+///
+/// Two per-partition things live elsewhere on purpose: IMRS byte/row
+/// accounting stays with the allocating crate (`ImrsStore::usage`), and
+/// the RID-Map entry keeps its own `part` word for lock-free readers.
+pub struct Partition {
+    /// Global partition id.
+    pub id: PartitionId,
+    /// Owning table.
+    pub table: TableId,
+    /// The partition's slotted-page heap.
+    pub heap: HeapFile,
+    /// Workload counters (§V.A).
+    pub metrics: PartitionMetrics,
+    /// The tuner's verdict and hysteresis votes (§V.B–D).
+    pub ilm: PartitionIlmState,
+    /// The three relaxed-LRU queues (§VI.B).
+    pub queues: PartitionQueues,
+    /// Counters at the previous tuning window (§V.B diffs consecutive
+    /// windows).
+    pub last_sample: Mutex<PartitionSample>,
+}
+
+impl Partition {
+    /// A fresh partition: empty heap, zero counters, ILM enabled.
+    pub fn new(id: PartitionId, table: TableId) -> Self {
+        Partition {
+            id,
+            table,
+            heap: HeapFile::new(id),
+            metrics: PartitionMetrics::default(),
+            ilm: PartitionIlmState::default(),
+            queues: PartitionQueues::default(),
+            last_sample: Mutex::new(PartitionSample::default()),
+        }
+    }
+}
+
+/// A table: partitions, indexes, extractors.
 pub struct TableDesc {
     /// Table id.
     pub id: TableId,
@@ -277,10 +323,9 @@ pub struct TableDesc {
     pub pinned: bool,
     /// Partitioning scheme.
     pub partitioner: Partitioner,
-    /// Global partition ids, indexed by the partitioner's 0-based index.
-    pub partitions: Vec<PartitionId>,
-    /// Per-partition heap files.
-    pub heaps: HashMap<PartitionId, HeapFile>,
+    /// The table's partitions, indexed by the partitioner's 0-based
+    /// index; their ids are consecutive.
+    pub partitions: Vec<Arc<Partition>>,
     /// Unique primary index: key → RowId.
     pub primary: BTreeIndex,
     /// IMRS fast-path hash index (primary key → RowId, IMRS rows only).
@@ -294,42 +339,52 @@ pub struct TableDesc {
 }
 
 impl TableDesc {
-    /// Global partition id for `key`.
-    pub fn partition_of(&self, key: &[u8]) -> PartitionId {
-        self.partitions[self.partitioner.index_of(key) as usize]
+    /// The partition `key` routes to.
+    pub fn partition_of(&self, key: &[u8]) -> &Arc<Partition> {
+        &self.partitions[self.partitioner.index_of(key) as usize]
     }
 
-    /// Heap for a partition.
-    pub fn heap(&self, partition: PartitionId) -> &HeapFile {
-        &self.heaps[&partition]
+    /// This table's partition with the given id (`None`: another
+    /// table's, or an index's). By offset from the first id — no lock,
+    /// no hash.
+    pub fn partition(&self, id: PartitionId) -> Option<&Arc<Partition>> {
+        let first = self.partitions.first()?.id.0;
+        self.partitions.get(id.0.checked_sub(first)? as usize)
     }
 }
 
-/// The catalog: all tables, plus partition → table resolution.
-#[derive(Default)]
+/// The catalog: all tables, plus partition id → record resolution.
 pub struct Catalog {
     tables: RwLock<Vec<Arc<TableDesc>>>,
     by_name: RwLock<HashMap<String, TableId>>,
-    by_partition: RwLock<HashMap<PartitionId, TableId>>,
-    next_partition: std::sync::atomic::AtomicU32,
+    /// Indexed by partition id, which doubles as the id allocator: the
+    /// next id is the length. Index partitions share the id space (their
+    /// pages never mix with data-partition accounting) and hold `None`.
+    partitions: RwLock<Vec<Option<Arc<Partition>>>>,
+}
+
+impl Default for Catalog {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl Catalog {
     /// Empty catalog. Partition ids start at 1 (0 is reserved for
-    /// engine-internal pages, e.g. index partitions get fresh ids too).
+    /// engine-internal pages).
     pub fn new() -> Self {
         Catalog {
-            next_partition: std::sync::atomic::AtomicU32::new(1),
-            ..Default::default()
+            tables: RwLock::default(),
+            by_name: RwLock::default(),
+            partitions: RwLock::new(vec![None]),
         }
     }
 
-    /// Allocate a globally-unique partition id.
-    pub fn allocate_partition(&self) -> PartitionId {
-        PartitionId(
-            self.next_partition
-                .fetch_add(1, std::sync::atomic::Ordering::Relaxed),
-        )
+    /// Allocate the id an index tags its pages with.
+    fn allocate_index_partition(&self) -> PartitionId {
+        let mut slots = self.partitions.write();
+        slots.push(None);
+        PartitionId(slots.len() as u32 - 1)
     }
 
     /// Create a table with its heaps and primary/hash indexes.
@@ -345,17 +400,18 @@ impl Catalog {
             )));
         }
         let id = TableId(self.tables.read().len() as u32);
-        let nparts = opts.partitioner.parts();
-        let mut partitions = Vec::with_capacity(nparts as usize);
-        let mut heaps = HashMap::new();
-        for _ in 0..nparts {
-            let p = self.allocate_partition();
-            partitions.push(p);
-            heaps.insert(p, HeapFile::new(p));
-        }
-        // Index pages are tagged with their own partition id so they
-        // never mix with data-partition accounting.
-        let index_partition = self.allocate_partition();
+        // One critical section, so a table's ids are consecutive.
+        let partitions: Vec<Arc<Partition>> = {
+            let mut slots = self.partitions.write();
+            (0..opts.partitioner.parts())
+                .map(|_| {
+                    let p = Arc::new(Partition::new(PartitionId(slots.len() as u32), id));
+                    slots.push(Some(Arc::clone(&p)));
+                    p
+                })
+                .collect()
+        };
+        let index_partition = self.allocate_index_partition();
         let primary = BTreeIndex::new(Arc::clone(cache), index_partition, true)?;
         let table = Arc::new(TableDesc {
             id,
@@ -363,8 +419,7 @@ impl Catalog {
             imrs_enabled: opts.imrs_enabled,
             pinned: opts.pinned,
             partitioner: opts.partitioner,
-            partitions: partitions.clone(),
-            heaps,
+            partitions,
             primary,
             hash: HashIndex::new(),
             primary_key: opts.primary_key,
@@ -373,10 +428,6 @@ impl Catalog {
         });
         self.tables.write().push(Arc::clone(&table));
         self.by_name.write().insert(opts.name, id);
-        let mut by_part = self.by_partition.write();
-        for p in partitions {
-            by_part.insert(p, id);
-        }
         Ok(table)
     }
 
@@ -396,7 +447,7 @@ impl Catalog {
                 table.name
             )));
         }
-        let index_partition = self.allocate_partition();
+        let index_partition = self.allocate_index_partition();
         let tree = BTreeIndex::new(Arc::clone(cache), index_partition, unique)?;
         table.secondaries.write().push(SecondaryIndex {
             name: name.to_string(),
@@ -417,20 +468,20 @@ impl Catalog {
         self.table(id)
     }
 
+    /// The data partition with this id. `None` for an index
+    /// partition's id and for an id never allocated.
+    pub fn partition(&self, id: PartitionId) -> Option<Arc<Partition>> {
+        self.partitions.read().get(id.0 as usize)?.clone()
+    }
+
     /// Table owning a data partition.
-    pub fn table_of_partition(&self, p: PartitionId) -> Option<Arc<TableDesc>> {
-        let id = *self.by_partition.read().get(&p)?;
-        self.table(id)
+    pub fn table_of_partition(&self, id: PartitionId) -> Option<Arc<TableDesc>> {
+        self.table(self.partition(id)?.table)
     }
 
     /// All tables.
     pub fn tables(&self) -> Vec<Arc<TableDesc>> {
         self.tables.read().clone()
-    }
-
-    /// All data partitions across all tables.
-    pub fn all_partitions(&self) -> Vec<PartitionId> {
-        self.by_partition.read().keys().copied().collect()
     }
 }
 
@@ -459,7 +510,50 @@ mod tests {
         assert!(cat.table_by_name("warehouse").is_some());
         assert!(cat.table_by_name("nope").is_none());
         assert_eq!(cat.table(t.id).unwrap().id, t.id);
-        assert_eq!(cat.table_of_partition(t.partitions[0]).unwrap().id, t.id);
+        let p = &t.partitions[0];
+        assert_eq!(cat.table_of_partition(p.id).unwrap().id, t.id);
+        assert!(Arc::ptr_eq(&cat.partition(p.id).unwrap(), p));
+    }
+
+    #[test]
+    fn only_data_partition_ids_resolve_to_a_record() {
+        let cat = Catalog::new();
+        let c = cache();
+        let t = cat.create_table(&c, TableOpts::new("t", pk())).unwrap();
+        cat.create_secondary_index(&c, &t, "s", false, pk())
+            .unwrap();
+        // Ids in allocation order: 0 reserved, the data partition, the
+        // primary index's, the secondary index's; 4 was never allocated.
+        let data = t.partitions[0].id;
+        assert_eq!(data, PartitionId(1));
+        assert!(cat.partition(data).is_some());
+        for id in [0, 2, 3, 4, u32::MAX] {
+            assert!(cat.partition(PartitionId(id)).is_none(), "id {id}");
+            assert!(t.partition(PartitionId(id)).is_none(), "id {id}");
+        }
+    }
+
+    /// The records exist from `create_table` on: observing the engine
+    /// creates nothing.
+    #[test]
+    fn a_snapshot_of_a_fresh_engine_allocates_nothing_per_partition() {
+        let e = crate::Engine::new(crate::EngineConfig::default());
+        e.create_table(TableOpts {
+            partitioner: Partitioner::HashKey { parts: 4 },
+            ..TableOpts::new("t", pk())
+        })
+        .unwrap();
+        let slots = || e.sh.catalog.partitions.read().len();
+        let before = slots();
+        assert_eq!(
+            before,
+            1 + 4 + 1,
+            "reserved id 0, four partitions, one index"
+        );
+        let snap = e.snapshot();
+        assert_eq!(snap.tables[0].partitions.len(), 4);
+        assert_eq!(snap.queue_total, 0);
+        assert_eq!(slots(), before);
     }
 
     #[test]
@@ -507,15 +601,16 @@ mod tests {
             )
             .unwrap();
         assert_eq!(t.partitions.len(), 4);
-        let mut distinct: Vec<_> = t.partitions.clone();
+        let mut distinct: Vec<_> = t.partitions.iter().map(|p| p.id).collect();
         distinct.dedup();
         assert_eq!(distinct.len(), 4);
         for p in &t.partitions {
-            assert_eq!(t.heap(*p).partition(), *p);
+            assert_eq!(p.heap.partition(), p.id);
+            assert!(Arc::ptr_eq(t.partition(p.id).unwrap(), p));
         }
         // Key routing lands inside the table's partitions.
         let p = t.partition_of(&7u32.to_be_bytes());
-        assert!(t.partitions.contains(&p));
+        assert!(t.partitions.iter().any(|q| Arc::ptr_eq(p, q)));
     }
 
     #[test]

@@ -19,26 +19,23 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use btrim_common::{
-    BtrimError, LogicalClock, PageId, PartitionId, Result, RowId, SlotId, Timestamp, TxnId,
-};
+use btrim_common::{BtrimError, LogicalClock, PageId, Result, RowId, SlotId, Timestamp, TxnId};
 use btrim_imrs::{ImrsStore, RidMap, RowLocation, RowOrigin, VersionOp};
 use btrim_obs::{Obs, OpClass};
 use btrim_pagestore::{BufferCache, DiskBackend, FrozenExtent, MemDisk};
 use btrim_txn::{LockManager, LockMode, TxnHandle, TxnManager};
 use btrim_wal::{ImrsLogRecord, LogSink, LogWriter, MemLog, PageLogRecord, RowOriginTag};
 
-use crate::catalog::{Catalog, KeyExtractor, TableDesc, TableOpts};
+use crate::catalog::{Catalog, KeyExtractor, Partition, TableDesc, TableOpts};
 use crate::checkpoint::Checkpointer;
 use crate::config::{EngineConfig, EngineMode};
 use crate::freeze::extent_row_bytes;
 use crate::gc::GcRegistry;
 use crate::health::Health;
 use crate::maintenance::Maintenance;
-use crate::metrics::{CommitShapes, MetricsRegistry};
+use crate::metrics::CommitShapes;
 use crate::movement::{relocate, To};
 use crate::pack::PackState;
-use crate::queues::IlmQueues;
 use crate::recovery::RecoveryReport;
 use crate::sidestore::{SideImage, SideStore};
 use crate::stats::EngineSnapshot;
@@ -59,7 +56,6 @@ pub(crate) struct Shared {
     /// Before-image side store for page-resident rows (snapshot reads).
     pub side: SideStore,
     pub catalog: Catalog,
-    pub metrics: MetricsRegistry,
     /// Commits by the logs they wrote (see [`CommitShapes`]).
     pub commit_shapes: CommitShapes,
     pub txns: TxnManager,
@@ -75,7 +71,6 @@ pub(crate) struct Shared {
     moves_logged: AtomicU64,
     /// How many of those a completed sysimrslogs barrier has covered.
     moves_durable: AtomicU64,
-    pub queues: IlmQueues,
     pub tsf: TsfLearner,
     pub gc: GcRegistry,
     pub tuner: Tuner,
@@ -227,9 +222,9 @@ pub(crate) enum View {
 }
 
 /// Where the write prologue left a row: one of the two mutable tiers.
-enum WriteHome {
+enum WriteHome<'t> {
     Imrs,
-    Page(PartitionId, PageId, SlotId),
+    Page(&'t Partition, PageId, SlotId),
 }
 
 /// Split a page-store payload into (RowId, user bytes).
@@ -290,7 +285,6 @@ impl Engine {
             ridmap,
             side: SideStore::new(),
             catalog: Catalog::new(),
-            metrics: MetricsRegistry::new(),
             commit_shapes: CommitShapes::default(),
             txns: TxnManager::new(Arc::clone(&clock)),
             locks: LockManager::default(),
@@ -303,7 +297,6 @@ impl Engine {
             group_imrs,
             moves_logged: AtomicU64::new(0),
             moves_durable: AtomicU64::new(0),
-            queues: IlmQueues::new(),
             tsf,
             gc: GcRegistry::new(),
             tuner: Tuner::with_obs(Arc::clone(&obs)),
@@ -377,16 +370,14 @@ impl Engine {
     fn imrs_allowed(
         &self,
         table: &TableDesc,
-        partition: PartitionId,
+        partition: &Partition,
         allows: fn(&PartitionIlmState) -> bool,
     ) -> bool {
         match self.sh.cfg.mode {
             EngineMode::PageOnly => false,
             EngineMode::IlmOff => true,
             EngineMode::IlmOn => {
-                table.imrs_enabled
-                    && !self.sh.pack.reject_new()
-                    && allows(&self.sh.tuner.state(partition))
+                table.imrs_enabled && !self.sh.pack.reject_new() && allows(&partition.ilm)
             }
         }
     }
@@ -401,7 +392,8 @@ impl Engine {
         sh.health.check_writable()?;
         let op_start = sh.obs.start();
         let key = (table.primary_key)(row);
-        let partition = table.partition_of(&key);
+        let part = table.partition_of(&key);
+        let partition = part.id;
         let row_id = sh.ridmap.allocate_row_id();
 
         table.primary.insert(&key, row_id)?;
@@ -412,8 +404,7 @@ impl Engine {
         sh.locks.lock(txn.handle.id, row_id, LockMode::Exclusive)?;
         txn.remember_lock(row_id);
 
-        let m = sh.metrics.get(partition);
-        let mut to_imrs = self.imrs_allowed(table, partition, PartitionIlmState::allows_insert);
+        let mut to_imrs = self.imrs_allowed(table, part, PartitionIlmState::allows_insert);
         if to_imrs {
             match sh.store.insert_row(
                 row_id,
@@ -444,8 +435,8 @@ impl Engine {
                         row.to_vec(),
                     );
                     txn.gc_rows.push(row_id);
-                    m.imrs_insert.inc();
-                    m.rows_in.inc();
+                    part.metrics.imrs_insert.inc();
+                    part.metrics.rows_in.inc();
                 }
                 Err(BtrimError::ImrsFull { .. }) if sh.cfg.mode == EngineMode::IlmOn => {
                     // Graceful degradation (§VI.A): route to the page
@@ -457,9 +448,8 @@ impl Engine {
         }
         if !to_imrs {
             let payload = wrap_row(row_id, row);
-            let (page, slot) = self.charge_page_op(partition, || {
-                table.heap(partition).insert(&sh.cache, &payload)
-            })?;
+            let (page, slot) =
+                self.charge_page_op(part, || part.heap.insert(&sh.cache, &payload))?;
             // Absent marker for snapshot readers: until this insert
             // commits (and for any snapshot older than its commit), the
             // row does not exist, even though its bytes sit on the page.
@@ -651,17 +641,18 @@ impl Engine {
                     _ => None,
                 };
                 if txn_view && image.is_some() {
-                    // Hotness + partition metrics (a registry lock).
+                    // Hotness + partition metrics.
                     sh.ridmap.touch(row_id, sh.clock.now());
-                    if let Some(partition) = sh.ridmap.partition(row_id) {
-                        sh.metrics.get(partition).imrs_select.inc();
+                    let id = sh.ridmap.partition(row_id);
+                    if let Some(part) = id.and_then(|id| table.partition(id)) {
+                        part.metrics.imrs_select.inc();
                     }
                 }
                 (image, true)
             }
             Some(RowLocation::Page(page, slot)) => {
                 let partition = self.partition_of_page(table, page)?;
-                let heap = table.heap(partition);
+                let heap = &partition.heap;
                 // Page bytes FIRST, side store second: a writer stashes
                 // before it mutates, so a reader that saw the new bytes
                 // is guaranteed to see the stash. The opposite order
@@ -725,12 +716,12 @@ impl Engine {
     /// or shard lock was contended on the way (§V.D's re-enable signal).
     fn charge_page_op<T>(
         &self,
-        partition: PartitionId,
+        partition: &Partition,
         op: impl FnOnce() -> Result<T>,
     ) -> Result<T> {
         self.sh.cache.take_thread_contention();
         let out = op()?;
-        let m = self.sh.metrics.get(partition);
+        let m = &partition.metrics;
         m.page_ops.inc();
         if self.sh.cache.take_thread_contention() > 0 {
             m.page_contention.inc();
@@ -738,18 +729,17 @@ impl Engine {
         Ok(out)
     }
 
-    fn partition_of_page(&self, table: &TableDesc, page: PageId) -> Result<PartitionId> {
+    fn partition_of_page<'t>(&self, table: &'t TableDesc, page: PageId) -> Result<&'t Partition> {
         let guard = self.sh.cache.fetch(page)?;
         let p = guard.with_page_read(|v| v.partition());
         // Defensive: the page must belong to one of the table's
         // partitions.
-        if table.heaps.contains_key(&p) {
-            Ok(p)
-        } else {
-            Err(BtrimError::Corrupt(format!(
+        match table.partition(p) {
+            Some(partition) => Ok(partition),
+            None => Err(BtrimError::Corrupt(format!(
                 "page {page} belongs to partition {p}, not to table {}",
                 table.name
-            )))
+            ))),
         }
     }
 
@@ -854,13 +844,13 @@ impl Engine {
     /// thawed to a slotted page; with `migrate` a page row moves into
     /// the IMRS if ILM says so (§IV: an update through the unique index
     /// migrates the row). `None`: no such row.
-    fn write_home(
+    fn write_home<'t>(
         &self,
         txn: &mut Transaction,
-        table: &TableDesc,
+        table: &'t TableDesc,
         key: &[u8],
         migrate: bool,
-    ) -> Result<Option<(RowId, WriteHome)>> {
+    ) -> Result<Option<(RowId, WriteHome<'t>)>> {
         let sh = &self.sh;
         sh.health.check_writable()?;
         let Some(row_id) = self.row_id_of(table, key)? else {
@@ -879,7 +869,8 @@ impl Engine {
             // this write: one movement per operation. If it is updated
             // again it migrates then, as any page row does.
             Some(from @ RowLocation::Frozen(ext, _)) => {
-                let Some(partition) = sh.extents.get(ext).map(|e| e.partition()) else {
+                let id = sh.extents.get(ext).map(|e| e.partition());
+                let Some(partition) = id.and_then(|id| table.partition(id)) else {
                     return Ok(None);
                 };
                 if self.move_row(table, partition, (row_id, from), To::Page, false)? {
@@ -927,6 +918,9 @@ impl Engine {
                 let Some(row) = sh.store.get(row_id) else {
                     return Ok(false);
                 };
+                let Some(part) = table.partition(row.partition) else {
+                    return Ok(false);
+                };
                 // Old image for secondary-index maintenance; a row this
                 // transaction cannot see is not there to be written.
                 let (snapshot, id) = (txn.handle.snapshot, txn.handle.id);
@@ -942,23 +936,22 @@ impl Engine {
                 txn.to_stamp.push(v);
                 txn.remember_touched(&row);
                 txn.gc_rows.push(row_id);
-                let m = sh.metrics.get(row.partition);
                 match new_row {
                     Some(new_row) => {
                         txn.imrs_redo
                             .push_update(id, row.partition, row_id, new_row.to_vec());
                         row.touch(sh.clock.now());
-                        m.imrs_update.inc();
+                        part.metrics.imrs_update.inc();
                     }
                     None => {
                         txn.imrs_redo.push_delete(id, row.partition, row_id);
-                        m.imrs_delete.inc();
+                        part.metrics.imrs_delete.inc();
                     }
                 }
                 old
             }
             WriteHome::Page(partition, page, slot) => {
-                let heap = table.heap(partition);
+                let heap = &partition.heap;
                 let at = (partition, page, slot);
                 let old = self.charge_page_op(partition, || {
                     let Some(old_payload) = heap.get(&sh.cache, page, slot)? else {
@@ -975,10 +968,8 @@ impl Engine {
                         .stash(page, slot, row_id, id, Some(old.clone()), new_row.is_none());
                     txn.side_keys.push((page, slot));
                     match new_row {
-                        Some(new_row) => {
-                            self.update_page(txn, table, row_id, at, old_payload, new_row)?
-                        }
-                        None => self.delete_page(txn, table, row_id, at, old_payload)?,
+                        Some(new_row) => self.update_page(txn, row_id, at, old_payload, new_row)?,
+                        None => self.delete_page(txn, row_id, at, old_payload)?,
                     }
                     Ok(Some(old))
                 })?;
@@ -1017,14 +1008,13 @@ impl Engine {
     fn update_page(
         &self,
         txn: &mut Transaction,
-        table: &TableDesc,
         row_id: RowId,
-        (partition, page, slot): (PartitionId, PageId, SlotId),
+        (part, page, slot): (&Partition, PageId, SlotId),
         old_payload: Vec<u8>,
         new_row: &[u8],
     ) -> Result<()> {
         let sh = &self.sh;
-        let heap = table.heap(partition);
+        let (heap, partition) = (&part.heap, part.id);
         let new_payload = wrap_row(row_id, new_row);
         self.ensure_begin(txn)?;
         // WAL-first: the Update record is appended from under the
@@ -1097,7 +1087,6 @@ impl Engine {
             data: new_payload,
         })?;
         txn.undo.push(UndoOp::PageDelete {
-            table: table.id,
             partition,
             row: row_id,
             old: old_payload,
@@ -1117,17 +1106,16 @@ impl Engine {
     fn delete_page(
         &self,
         txn: &mut Transaction,
-        table: &TableDesc,
         row_id: RowId,
-        (partition, page, slot): (PartitionId, PageId, SlotId),
+        (part, page, slot): (&Partition, PageId, SlotId),
         old_payload: Vec<u8>,
     ) -> Result<()> {
         let sh = &self.sh;
+        let (heap, partition) = (&part.heap, part.id);
         // The deleted image stays reachable for older snapshots: the
         // caller stashed it, and the RID-Map keeps a tombstone instead
         // of unmapping the row. The tombstone is cleared when the stash
         // ages past the snapshot horizon.
-        let heap = table.heap(partition);
         // WAL-first: the Delete record must be durable-ordered before
         // the slot dies or the RID-Map flips, so a crash between the
         // two can always be replayed.
@@ -1142,7 +1130,6 @@ impl Engine {
         })?;
         sh.ridmap.set(row_id, RowLocation::Tombstone(page, slot));
         txn.undo.push(UndoOp::PageDelete {
-            table: table.id,
             partition,
             row: row_id,
             old: old_payload,
@@ -1291,7 +1278,7 @@ impl Engine {
     pub(crate) fn move_row(
         &self,
         table: &TableDesc,
-        partition: PartitionId,
+        partition: &Partition,
         at: (RowId, RowLocation),
         to: To,
         lock: bool,
@@ -1475,8 +1462,8 @@ impl Engine {
                 page,
                 slot,
             } => {
-                if let Some(table) = self.sh.catalog.table_of_partition(partition) {
-                    let _ = table.heap(partition).delete(&self.sh.cache, page, slot);
+                if let Some(part) = self.sh.catalog.partition(partition) {
+                    let _ = part.heap.delete(&self.sh.cache, page, slot);
                 }
             }
             UndoOp::PageUpdate {
@@ -1485,20 +1472,17 @@ impl Engine {
                 slot,
                 old,
             } => {
-                if let Some(table) = self.sh.catalog.table_of_partition(partition) {
-                    let _ = table
-                        .heap(partition)
-                        .update(&self.sh.cache, page, slot, &old);
+                if let Some(part) = self.sh.catalog.partition(partition) {
+                    let _ = part.heap.update(&self.sh.cache, page, slot, &old);
                 }
             }
             UndoOp::PageDelete {
-                table,
                 partition,
                 row,
                 old,
             } => {
-                if let Some(table) = self.sh.catalog.table(table) {
-                    if let Ok((p, s)) = table.heap(partition).insert(&self.sh.cache, &old) {
+                if let Some(part) = self.sh.catalog.partition(partition) {
+                    if let Ok((p, s)) = part.heap.insert(&self.sh.cache, &old) {
                         self.sh.ridmap.set(row, RowLocation::Page(p, s));
                     }
                 }

@@ -26,12 +26,12 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use btrim_common::{PartitionId, RowId};
+use btrim_common::RowId;
 use btrim_imrs::RowLocation;
 use btrim_obs::{FreezeTrace, IlmTraceEvent};
 use btrim_pagestore::{ColumnData, FrozenExtent};
 
-use crate::catalog::{FieldValue, RowLayout, TableDesc};
+use crate::catalog::{FieldValue, Partition, RowLayout, TableDesc};
 use crate::engine::{unwrap_row, Engine};
 use crate::movement::{relocate, Moved, To};
 
@@ -154,7 +154,7 @@ pub fn freeze_tick(engine: &Engine) -> u64 {
         if table.pinned {
             continue;
         }
-        for &partition in &table.partitions {
+        for partition in &table.partitions {
             total += freeze_partition(engine, &table, partition);
         }
     }
@@ -164,10 +164,10 @@ pub fn freeze_tick(engine: &Engine) -> u64 {
 /// Freeze up to `freeze_max_rows` cold rows of one partition into a
 /// single extent. Returns rows frozen (0 when the batch was too small
 /// or everything was hot/recent).
-pub fn freeze_partition(engine: &Engine, table: &TableDesc, partition: PartitionId) -> u64 {
+pub fn freeze_partition(engine: &Engine, table: &TableDesc, partition: &Partition) -> u64 {
     let sh = &engine.sh;
     let cfg = &sh.cfg;
-    let heap = table.heap(partition);
+    let heap = &partition.heap;
     if heap.live_rows() < cfg.freeze_min_rows as u64 {
         return 0;
     }
@@ -216,7 +216,7 @@ pub fn freeze_partition(engine: &Engine, table: &TableDesc, partition: Partition
     if sh.obs.trace.is_enabled() {
         sh.obs.trace.push(IlmTraceEvent::Freeze(FreezeTrace {
             extent: ext.id() as u64,
-            partition: partition.0 as u64,
+            partition: partition.id.0 as u64,
             rows: moved.rows,
             raw_bytes: ext.raw_len(),
             encoded_bytes: ext.encoded_len(),

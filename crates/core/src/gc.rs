@@ -11,13 +11,14 @@
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use btrim_common::{RowId, Timestamp};
+use btrim_common::{PartitionId, RowId, Timestamp};
 use btrim_imrs::{ImrsStore, RidMap};
 
-use crate::queues::IlmQueues;
+use crate::catalog::Partition;
 
 /// Outcome of one GC tick.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -78,7 +79,9 @@ impl GcRegistry {
         self.rows_removed.load(Ordering::Relaxed)
     }
 
-    /// Process up to `limit` registered rows. `now` (the commit clock)
+    /// Process up to `limit` registered rows. `partition` resolves a
+    /// row's partition id to the record holding its ILM queues
+    /// (`Catalog::partition`). `now` (the commit clock)
     /// timestamps quarantined nodes of removed rows; it is read after
     /// each removal detaches the chain head, so a reader that captured
     /// the head necessarily began at or before the resulting timestamp
@@ -87,7 +90,7 @@ impl GcRegistry {
     pub fn tick(
         &self,
         store: &ImrsStore,
-        queues: &IlmQueues,
+        partition: impl Fn(PartitionId) -> Option<Arc<Partition>>,
         ridmap: &RidMap,
         oldest_active: Timestamp,
         now: impl Fn() -> Timestamp,
@@ -104,8 +107,10 @@ impl GcRegistry {
             };
             // (a) Queue maintenance: first visit enqueues at the tail.
             if row.try_mark_enqueued() {
-                queues.get(row.partition).push_tail(row.origin, row_id);
-                report.enqueued += 1;
+                if let Some(p) = partition(row.partition) {
+                    p.queues.push_tail(row.origin, row_id);
+                    report.enqueued += 1;
+                }
             }
             // (b) Version truncation below the snapshot horizon.
             report.bytes_freed += store.truncate_row(&row, oldest_active) as u64;
@@ -141,22 +146,32 @@ impl GcRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use btrim_common::{PartitionId, TxnId};
+    use btrim_common::{TableId, TxnId};
     use btrim_imrs::{RowLocation, RowOrigin, VersionOp};
 
-    fn setup() -> (ImrsStore, IlmQueues, std::sync::Arc<RidMap>, GcRegistry) {
+    /// A store, a lookup over partitions 0 and 3, the RID-Map, a GC.
+    fn setup() -> (
+        ImrsStore,
+        [Arc<Partition>; 2],
+        std::sync::Arc<RidMap>,
+        GcRegistry,
+    ) {
         let ridmap = std::sync::Arc::new(RidMap::new());
         (
             ImrsStore::new(1024 * 1024, 64 * 1024, std::sync::Arc::clone(&ridmap)),
-            IlmQueues::new(),
+            [0, 3].map(|p| Arc::new(Partition::new(PartitionId(p), TableId(0)))),
             ridmap,
             GcRegistry::new(),
         )
     }
 
+    fn lookup(parts: &[Arc<Partition>; 2]) -> impl Fn(PartitionId) -> Option<Arc<Partition>> + '_ {
+        |id| parts.iter().find(|p| p.id == id).cloned()
+    }
+
     #[test]
     fn first_visit_enqueues_row() {
-        let (store, queues, ridmap, gc) = setup();
+        let (store, parts, ridmap, gc) = setup();
         let row = store
             .insert_row_committed(
                 RowId(1),
@@ -173,7 +188,7 @@ mod tests {
         gc.register(RowId(1)); // duplicate registration
         let r = gc.tick(
             &store,
-            &queues,
+            lookup(&parts),
             &ridmap,
             Timestamp(10),
             || Timestamp(10),
@@ -181,13 +196,13 @@ mod tests {
         );
         assert_eq!(r.processed, 2);
         assert_eq!(r.enqueued, 1, "row enqueued exactly once");
-        assert_eq!(queues.get(PartitionId(3)).len(), 1);
+        assert_eq!(parts[1].queues.len(), 1);
         assert_eq!(row.version_count(), 1);
     }
 
     #[test]
     fn truncates_old_versions() {
-        let (store, queues, ridmap, gc) = setup();
+        let (store, parts, ridmap, gc) = setup();
         let row = store
             .insert_row_committed(
                 RowId(1),
@@ -206,7 +221,7 @@ mod tests {
         gc.register(RowId(1));
         let r = gc.tick(
             &store,
-            &queues,
+            lookup(&parts),
             &ridmap,
             Timestamp(20),
             || Timestamp(20),
@@ -219,7 +234,7 @@ mod tests {
 
     #[test]
     fn removes_dead_tombstones_but_not_live_ones() {
-        let (store, queues, ridmap, gc) = setup();
+        let (store, parts, ridmap, gc) = setup();
         let row = store
             .insert_row_committed(
                 RowId(7),
@@ -240,7 +255,7 @@ mod tests {
         gc.register(RowId(7));
         let r = gc.tick(
             &store,
-            &queues,
+            lookup(&parts),
             &ridmap,
             Timestamp(7),
             || Timestamp(12),
@@ -253,7 +268,7 @@ mod tests {
         gc.register(RowId(7));
         let r = gc.tick(
             &store,
-            &queues,
+            lookup(&parts),
             &ridmap,
             Timestamp(50),
             || Timestamp(50),
@@ -266,9 +281,16 @@ mod tests {
 
     #[test]
     fn stale_registrations_are_harmless() {
-        let (store, queues, ridmap, gc) = setup();
+        let (store, parts, ridmap, gc) = setup();
         gc.register(RowId(404));
-        let r = gc.tick(&store, &queues, &ridmap, Timestamp(1), || Timestamp(1), 100);
+        let r = gc.tick(
+            &store,
+            lookup(&parts),
+            &ridmap,
+            Timestamp(1),
+            || Timestamp(1),
+            100,
+        );
         assert_eq!(r.processed, 1);
         assert_eq!(r.enqueued, 0);
         assert_eq!(r.rows_removed, 0);
@@ -276,7 +298,7 @@ mod tests {
 
     #[test]
     fn limit_bounds_work_per_tick() {
-        let (store, queues, ridmap, gc) = setup();
+        let (store, parts, ridmap, gc) = setup();
         for i in 0..10u64 {
             store
                 .insert_row_committed(
@@ -290,7 +312,14 @@ mod tests {
                 .unwrap();
             gc.register(RowId(i));
         }
-        let r = gc.tick(&store, &queues, &ridmap, Timestamp(5), || Timestamp(5), 4);
+        let r = gc.tick(
+            &store,
+            lookup(&parts),
+            &ridmap,
+            Timestamp(5),
+            || Timestamp(5),
+            4,
+        );
         assert_eq!(r.processed, 4);
         assert_eq!(gc.backlog(), 6);
     }

@@ -7,7 +7,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use btrim_common::{PartitionId, Result};
+use btrim_common::Result;
 use btrim_obs::OpClass;
 
 use crate::config::EngineMode;
@@ -66,7 +66,7 @@ impl Engine {
         let gc_start = sh.obs.start();
         sh.gc.tick(
             &sh.store,
-            &sh.queues,
+            |p| sh.catalog.partition(p),
             &sh.ridmap,
             oldest,
             || sh.clock.now(),
@@ -85,7 +85,6 @@ impl Engine {
             sh.arbiter.maybe_run(
                 &sh.cfg,
                 sh.txns.committed_count(),
-                &sh.metrics,
                 &sh.catalog,
                 &sh.store,
                 &sh.cache,
@@ -97,15 +96,8 @@ impl Engine {
         let committed = sh.txns.committed_count();
         sh.tsf
             .observe(sh.store.utilization(), sh.clock.now(), committed);
-        let partitions: Vec<PartitionId> = sh
-            .catalog
-            .tables()
-            .iter()
-            .filter(|t| !t.pinned) // pinned tables override ILM tuning (§X)
-            .flat_map(|t| t.partitions.clone())
-            .collect();
         sh.tuner
-            .maybe_run(&sh.cfg, committed, &partitions, &sh.metrics, &sh.store);
+            .maybe_run(&sh.cfg, committed, &sh.catalog, &sh.store);
         // Pack writes both logs and the page store; a read-only engine
         // skips it (GC, TSF, and tuning above are purely in-memory).
         if sh.health.check_writable().is_ok() {

@@ -9,12 +9,7 @@
 //! store; everything rate-like lives here, on sharded per-CPU counters
 //! so the hot path never bounces a cache line.
 
-use std::collections::HashMap;
-use std::sync::Arc;
-
-use parking_lot::RwLock;
-
-use btrim_common::{PartitionId, ShardedCounter};
+use btrim_common::ShardedCounter;
 
 /// Commits by which logs the transaction appended to. The four sum to
 /// `committed_txns`, and under `durable_commits` a commit pays one
@@ -168,46 +163,10 @@ impl PartitionSample {
     }
 }
 
-/// Registry of per-partition metric blocks.
-#[derive(Default)]
-pub struct MetricsRegistry {
-    map: RwLock<HashMap<PartitionId, Arc<PartitionMetrics>>>,
-}
-
-impl MetricsRegistry {
-    /// Empty registry.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Metrics for `partition`, created on first touch.
-    pub fn get(&self, partition: PartitionId) -> Arc<PartitionMetrics> {
-        if let Some(m) = self.map.read().get(&partition) {
-            return Arc::clone(m);
-        }
-        let mut map = self.map.write();
-        Arc::clone(map.entry(partition).or_default())
-    }
-
-    /// Sample one partition's counters (each loaded exactly once).
-    pub fn sample(&self, partition: PartitionId) -> PartitionSample {
-        self.get(partition).sample()
-    }
-
-    /// All partitions with metric blocks.
-    pub fn partitions(&self) -> Vec<PartitionId> {
-        self.map.read().keys().copied().collect()
-    }
-
-    /// Sum a projection across all partitions.
-    pub fn total(&self, f: impl Fn(&PartitionMetrics) -> u64) -> u64 {
-        self.map.read().values().map(|m| f(m)).sum()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
 
     #[test]
     fn reuse_excludes_inserts() {
@@ -221,24 +180,13 @@ mod tests {
     }
 
     #[test]
-    fn registry_returns_same_block() {
-        let r = MetricsRegistry::new();
-        let a = r.get(PartitionId(1));
-        a.page_ops.add(5);
-        let b = r.get(PartitionId(1));
-        assert_eq!(b.page_ops.load(), 5);
-        assert_eq!(r.partitions(), vec![PartitionId(1)]);
-    }
-
-    #[test]
     fn sample_deltas() {
-        let r = MetricsRegistry::new();
-        let m = r.get(PartitionId(2));
+        let m = PartitionMetrics::default();
         m.imrs_select.add(10);
-        let s1 = r.sample(PartitionId(2));
+        let s1 = m.sample();
         m.imrs_select.add(7);
         m.rows_in.add(3);
-        let s2 = r.sample(PartitionId(2));
+        let s2 = m.sample();
         let d = s2.delta_since(&s1);
         assert_eq!(d.reuse_ops(), 7);
         assert_eq!(d.rows_in, 3);
@@ -285,13 +233,5 @@ mod tests {
             }
             stop.store(true, std::sync::atomic::Ordering::Relaxed);
         });
-    }
-
-    #[test]
-    fn totals_aggregate_partitions() {
-        let r = MetricsRegistry::new();
-        r.get(PartitionId(1)).page_ops.add(4);
-        r.get(PartitionId(2)).page_ops.add(6);
-        assert_eq!(r.total(|m| m.page_ops.load()), 10);
     }
 }

@@ -24,13 +24,13 @@
 
 use std::sync::Arc;
 
-use btrim_common::{BtrimError, PartitionId, Result, RowId, Timestamp, TxnId};
+use btrim_common::{BtrimError, Result, RowId, Timestamp, TxnId};
 use btrim_imrs::{RowLocation, RowOrigin};
 use btrim_pagestore::FrozenExtent;
 use btrim_txn::LockMode;
 use btrim_wal::{ImrsLogRecord, PageLogRecord, RowOriginTag};
 
-use crate::catalog::TableDesc;
+use crate::catalog::{Partition, TableDesc};
 use crate::engine::{unwrap_row, wrap_row, Engine};
 use crate::freeze::{build_columns, extent_row_bytes};
 
@@ -111,7 +111,7 @@ fn origin_tag(origin: RowOrigin) -> RowOriginTag {
 pub(crate) fn relocate(
     engine: &Engine,
     table: &TableDesc,
-    partition: PartitionId,
+    partition: &Partition,
     rows: &[(RowId, RowLocation)],
     to: To,
     lock: bool,
@@ -143,12 +143,12 @@ fn relocate_locked(
     engine: &Engine,
     txn: TxnId,
     table: &TableDesc,
-    partition: PartitionId,
+    part: &Partition,
     rows: &[(RowId, RowLocation)],
     to: To,
 ) -> Result<Moved> {
     let sh = &engine.sh;
-    let heap = table.heap(partition);
+    let (heap, partition) = (&part.heap, part.id);
     let horizon = sh.txns.oldest_active_snapshot();
     let mut out = Moved::default();
 
@@ -386,7 +386,7 @@ fn relocate_locked(
             (_, RowLocation::Imrs) => {
                 table.hash.insert(&(table.primary_key)(s.data()), s.row);
                 sh.gc.register(s.row);
-                sh.metrics.get(partition).rows_in.inc();
+                part.metrics.rows_in.inc();
             }
             (RowLocation::Imrs, RowLocation::Page(page, slot)) => {
                 // The absent marker must be in the side store before
@@ -457,18 +457,16 @@ impl Engine {
     /// page are skipped.
     pub fn prewarm(&self, table: &TableDesc) -> Result<usize> {
         let mut warmed = 0;
-        for &partition in &table.partitions {
+        for partition in &table.partitions {
             // Collect the rows first: moving them mutates the heap we
             // would otherwise be scanning.
             let mut rows: Vec<(RowId, RowLocation)> = Vec::new();
-            table
-                .heap(partition)
-                .scan(&self.sh.cache, |page, slot, payload| {
-                    if let Ok((row_id, _)) = unwrap_row(payload) {
-                        rows.push((row_id, RowLocation::Page(page, slot)));
-                    }
-                    true
-                })?;
+            partition.heap.scan(&self.sh.cache, |page, slot, payload| {
+                if let Ok((row_id, _)) = unwrap_row(payload) {
+                    rows.push((row_id, RowLocation::Page(page, slot)));
+                }
+                true
+            })?;
             for at in rows {
                 let to = To::Imrs(RowOrigin::Cached);
                 if let Ok(true) = self.move_row(table, partition, at, to, true) {

@@ -23,11 +23,13 @@
 //! locks and commit frequently (§VII.B).
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Arc;
 
-use btrim_common::{PartitionId, RowId, TxnId};
+use btrim_common::{RowId, TxnId};
 use btrim_imrs::RowLocation;
 use btrim_obs::{IlmTraceEvent, OpClass, PackCycleTrace, PackPartitionTrace};
 
+use crate::catalog::Partition;
 use crate::engine::Engine;
 use crate::movement::{relocate, Moved, To};
 
@@ -51,13 +53,12 @@ pub enum PackLevel {
     Aggressive,
 }
 
-/// Shared pack-subsystem state and lifetime counters.
+/// Shared pack-subsystem state and lifetime counters. Rows and bytes
+/// packed or skipped are counted per partition (`PartitionMetrics`);
+/// the engine-wide figures are their sums.
 pub struct PackState {
     reject_new: AtomicBool,
     cycles: AtomicU64,
-    rows_packed: AtomicU64,
-    bytes_packed: AtomicU64,
-    rows_skipped: AtomicU64,
     pack_txn_commits: AtomicU64,
     /// Internal ids for pack/mover pseudo-transactions (top bit set so
     /// they never collide with client transactions).
@@ -76,9 +77,6 @@ impl PackState {
         PackState {
             reject_new: AtomicBool::new(false),
             cycles: AtomicU64::new(0),
-            rows_packed: AtomicU64::new(0),
-            bytes_packed: AtomicU64::new(0),
-            rows_skipped: AtomicU64::new(0),
             pack_txn_commits: AtomicU64::new(0),
             next_internal: AtomicU64::new(1),
         }
@@ -92,21 +90,6 @@ impl PackState {
     /// Pack cycles completed.
     pub fn cycles(&self) -> u64 {
         self.cycles.load(Ordering::Relaxed)
-    }
-
-    /// Rows relocated to the page store.
-    pub fn rows_packed(&self) -> u64 {
-        self.rows_packed.load(Ordering::Relaxed)
-    }
-
-    /// Bytes released from the IMRS by pack.
-    pub fn bytes_packed(&self) -> u64 {
-        self.bytes_packed.load(Ordering::Relaxed)
-    }
-
-    /// Rows inspected but skipped as hot.
-    pub fn rows_skipped(&self) -> u64 {
-        self.rows_skipped.load(Ordering::Relaxed)
     }
 
     /// Pack transactions committed.
@@ -205,33 +188,40 @@ pub fn pack_cycle(engine: &Engine, level: PackLevel) -> u64 {
         return 0;
     }
 
-    let usage = sh.store.all_usage();
+    // In partition-id order: the shares, their sum and the clock ticks
+    // each partition's pack consumes must not depend on map order.
+    let usage: Vec<(Arc<Partition>, u64)> = sh
+        .store
+        .all_usage()
+        .into_iter()
+        .filter_map(|(p, bytes, _rows)| Some((sh.catalog.partition(p)?, bytes)))
+        .collect();
     if usage.is_empty() {
         return 0;
     }
-    let total_mem: u64 = usage.iter().map(|(_, b, _)| *b).sum();
+    let total_mem: u64 = usage.iter().map(|(_, b)| *b).sum();
     if total_mem == 0 {
         return 0;
     }
     // Per-partition apportioning inputs `(partition, ui, cui, pi)`; the
     // uniform strawman has no UI/CUI notion and reports them as 0.
-    let shares: Vec<(PartitionId, f64, f64, f64)> = match cfg.pack_policy {
+    let shares: Vec<(Arc<Partition>, f64, f64, f64)> = match cfg.pack_policy {
         crate::config::PackPolicy::Partitioned => {
             // ---- Apportioning: UI, CUI, PI (§VI.C) ------------------
-            let reuse: Vec<(PartitionId, u64, u64)> = usage
-                .iter()
-                .map(|&(p, bytes, _rows)| {
-                    let m = sh.metrics.get(p);
-                    (p, bytes, m.reuse_ops())
+            let reuse: Vec<(Arc<Partition>, u64, u64)> = usage
+                .into_iter()
+                .map(|(p, bytes)| {
+                    let r = p.metrics.reuse_ops();
+                    (p, bytes, r)
                 })
                 .collect();
             let total_reuse: u64 = reuse.iter().map(|(_, _, r)| *r).sum();
             // ratio_ρ = CUI/UI; with an epsilon so zero-reuse partitions
             // get a large (but finite) packability.
             const EPS: f64 = 1e-6;
-            let ratios: Vec<(PartitionId, f64, f64, f64)> = reuse
-                .iter()
-                .map(|&(p, bytes, r)| {
+            let ratios: Vec<(Arc<Partition>, f64, f64, f64)> = reuse
+                .into_iter()
+                .map(|(p, bytes, r)| {
                     let cui = bytes as f64 / total_mem as f64;
                     let ui = if total_reuse == 0 {
                         EPS
@@ -255,8 +245,8 @@ pub fn pack_cycle(engine: &Engine, level: PackLevel) -> u64 {
             // regardless of footprint or re-use (§VI.C's counterexample).
             let n = usage.len() as f64;
             usage
-                .iter()
-                .map(|&(p, _, _)| (p, 0.0, 0.0, 1.0 / n))
+                .into_iter()
+                .map(|(p, _)| (p, 0.0, 0.0, 1.0 / n))
                 .collect()
         }
     };
@@ -271,7 +261,7 @@ pub fn pack_cycle(engine: &Engine, level: PackLevel) -> u64 {
         if target == 0 || pi < 0.01 {
             if tracing {
                 part_traces.push(PackPartitionTrace {
-                    partition: p.0 as u64,
+                    partition: p.id.0 as u64,
                     ui,
                     cui,
                     pi,
@@ -285,19 +275,18 @@ pub fn pack_cycle(engine: &Engine, level: PackLevel) -> u64 {
             continue;
         }
         // Sample before/after so the trace carries exactly this
-        // partition's slice of the cycle (skips are also counted
-        // globally in PackState, which mixes partitions).
-        let before = tracing.then(|| sh.metrics.sample(p));
-        let freed = pack_partition(engine, p, target, level);
+        // partition's slice of the cycle.
+        let before = tracing.then(|| p.metrics.sample());
+        let freed = pack_partition(engine, &p, target, level);
         total_packed += freed;
         if let Some(before) = before {
-            let after = sh.metrics.sample(p);
+            let after = p.metrics.sample();
             let d = after.delta_since(&before);
             // Mirror of pack_partition's TSF applicability input
             // (§VI.D.2): a low re-use rate bypasses the recency filter.
             let reuse_rate = before.reuse_ops() as f64 / before.rows_in.max(1) as f64;
             part_traces.push(PackPartitionTrace {
-                partition: p.0 as u64,
+                partition: p.id.0 as u64,
                 ui,
                 cui,
                 pi,
@@ -332,20 +321,19 @@ pub fn pack_cycle(engine: &Engine, level: PackLevel) -> u64 {
 /// bytes released.
 pub fn pack_partition(
     engine: &Engine,
-    partition: PartitionId,
+    partition: &Partition,
     target_bytes: u64,
     level: PackLevel,
 ) -> u64 {
     let sh = &engine.sh;
     let cfg = &sh.cfg;
-    let Some(table) = sh.catalog.table_of_partition(partition) else {
+    let Some(table) = sh.catalog.table(partition.table) else {
         return 0;
     };
     if table.pinned {
         return 0; // fully memory-resident: ILM override (§X)
     }
-    let queues = sh.queues.get(partition);
-    let metrics = sh.metrics.get(partition);
+    let (queues, metrics) = (&partition.queues, &partition.metrics);
     let now = sh.clock.now();
 
     // Partition-aware TSF applicability (§VI.D.2): re-use operations
@@ -382,7 +370,7 @@ pub fn pack_partition(
             continue; // stale queue entry: free to discard, no budget
         };
         budget_rows -= 1;
-        if row.partition != partition {
+        if row.partition != partition.id {
             continue;
         }
         // Hotness check (waived under aggressive pack, §VI.A, and by
@@ -396,7 +384,6 @@ pub fn pack_partition(
             // Hot: rotate to the tail — this is the only queue shuffle
             // the design ever performs (§VI.B).
             queues.push_tail(origin, row_id);
-            sh.pack.rows_skipped.fetch_add(1, Ordering::Relaxed);
             metrics.rows_skipped_hot.inc();
             hot_run += 1;
             continue;
@@ -423,7 +410,7 @@ pub fn pack_partition(
 fn pack_rows(
     engine: &Engine,
     table: &crate::catalog::TableDesc,
-    partition: PartitionId,
+    partition: &Partition,
     batch: &[(RowId, RowLocation)],
 ) -> u64 {
     let sh = &engine.sh;
@@ -447,13 +434,8 @@ fn pack_rows(
         }
     }
     if moved.rows > 0 {
-        let metrics = sh.metrics.get(partition);
-        metrics.rows_packed.add(moved.rows);
-        metrics.bytes_packed.add(moved.bytes);
-        sh.pack.rows_packed.fetch_add(moved.rows, Ordering::Relaxed);
-        sh.pack
-            .bytes_packed
-            .fetch_add(moved.bytes, Ordering::Relaxed);
+        partition.metrics.rows_packed.add(moved.rows);
+        partition.metrics.bytes_packed.add(moved.bytes);
         sh.pack.pack_txn_commits.fetch_add(1, Ordering::Relaxed);
     }
     moved.bytes

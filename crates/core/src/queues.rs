@@ -12,12 +12,11 @@
 //! against the store on pop. This keeps the transaction path free of
 //! any queue bookkeeping.
 
-use std::collections::{HashMap, VecDeque};
-use std::sync::Arc;
+use std::collections::VecDeque;
 
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
 
-use btrim_common::{PartitionId, RowId};
+use btrim_common::RowId;
 use btrim_imrs::RowOrigin;
 
 /// All queues of one partition.
@@ -79,38 +78,6 @@ impl PartitionQueues {
     }
 }
 
-/// Registry of per-partition queue sets.
-#[derive(Default)]
-pub struct IlmQueues {
-    map: RwLock<HashMap<PartitionId, Arc<PartitionQueues>>>,
-}
-
-impl IlmQueues {
-    /// Empty registry.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Queues for `partition`, created on first touch.
-    pub fn get(&self, partition: PartitionId) -> Arc<PartitionQueues> {
-        if let Some(q) = self.map.read().get(&partition) {
-            return Arc::clone(q);
-        }
-        let mut map = self.map.write();
-        Arc::clone(map.entry(partition).or_default())
-    }
-
-    /// Partitions with queues.
-    pub fn partitions(&self) -> Vec<PartitionId> {
-        self.map.read().keys().copied().collect()
-    }
-
-    /// Total queued entries across all partitions.
-    pub fn total_len(&self) -> usize {
-        self.map.read().values().map(|q| q.len()).sum()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -153,22 +120,5 @@ mod tests {
         );
         assert_eq!(q.snapshot(RowOrigin::Cached), vec![]);
         assert_eq!(q.snapshot_all().len(), 5);
-    }
-
-    #[test]
-    fn registry_is_per_partition() {
-        let r = IlmQueues::new();
-        r.get(PartitionId(1))
-            .push_tail(RowOrigin::Inserted, RowId(9));
-        r.get(PartitionId(2))
-            .push_tail(RowOrigin::Inserted, RowId(8));
-        assert_eq!(r.get(PartitionId(1)).len(), 1);
-        assert_eq!(r.get(PartitionId(2)).len(), 1);
-        assert_eq!(r.total_len(), 2);
-        assert_eq!(r.partitions().len(), 2);
-        assert_eq!(
-            r.get(PartitionId(1)).pop_head(),
-            Some((RowId(9), RowOrigin::Inserted))
-        );
     }
 }

@@ -485,12 +485,13 @@ impl Engine {
         let mut heap_locs = HashMap::new();
         let mut max_row_id = RowId(0);
         for (partition, pages) in by_partition {
-            let Some(table) = self.sh.catalog.table_of_partition(partition) else {
+            let part = self.sh.catalog.partition(partition);
+            let Some((table, part)) = part.and_then(|p| Some((self.sh.catalog.table(p.table)?, p)))
+            else {
                 continue; // heap of a table the schema no longer declares
             };
-            let heap = table.heap(partition);
-            heap.adopt_pages(pages, &self.sh.cache)?;
-            heap.scan(&self.sh.cache, |page, slot, payload| {
+            part.heap.adopt_pages(pages, &self.sh.cache)?;
+            part.heap.scan(&self.sh.cache, |page, slot, payload| {
                 if let Ok((row_id, data)) = unwrap_row(payload) {
                     heap_locs.insert(row_id, (page, slot));
                     max_row_id = max_row_id.max(row_id);
@@ -862,10 +863,10 @@ impl Engine {
                 continue;
             }
             let partition = self.sh.cache.fetch(page)?.with_page_read(|v| v.partition());
-            let Some(table) = self.sh.catalog.table_of_partition(partition) else {
+            let Some(part) = self.sh.catalog.partition(partition) else {
                 continue;
             };
-            table.heap(partition).delete(&self.sh.cache, page, slot)?;
+            part.heap.delete(&self.sh.cache, page, slot)?;
             retired += 1;
         }
         if retired > 0 {
@@ -884,7 +885,7 @@ impl Engine {
         let oldest = self.sh.txns.oldest_active_snapshot();
         self.sh.gc.tick(
             &self.sh.store,
-            &self.sh.queues,
+            |p| self.sh.catalog.partition(p),
             &self.sh.ridmap,
             oldest,
             || self.sh.clock.now(),

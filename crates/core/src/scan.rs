@@ -213,7 +213,7 @@ impl Engine {
         let collect_imrs = |seen: &HashSet<RowId>, candidates: &mut Vec<RowId>| {
             let mut fresh = Vec::new();
             sh.store.for_each_row(|row| {
-                if table.heaps.contains_key(&row.partition) && !seen.contains(&row.row_id) {
+                if table.partition(row.partition).is_some() && !seen.contains(&row.row_id) {
                     fresh.push(row.row_id);
                 }
             });
@@ -225,8 +225,8 @@ impl Engine {
         // Phase 2: page residents + side-store tombstones. Empty heaps
         // (fully frozen or memory-resident partitions) cost nothing —
         // not even a buffer-cache fetch.
-        for &partition in &table.partitions {
-            let heap = table.heap(partition);
+        for partition in &table.partitions {
+            let heap = &partition.heap;
             if heap.live_rows() == 0 {
                 continue;
             }
@@ -250,7 +250,7 @@ impl Engine {
                 // Membership check: the stash does not know its table.
                 let guard = sh.cache.fetch(page)?;
                 let partition = guard.with_page_read(|p| p.partition());
-                if table.heaps.contains_key(&partition) && seen.insert(rid) {
+                if table.partition(partition).is_some() && seen.insert(rid) {
                     candidates.push(rid);
                 }
             }

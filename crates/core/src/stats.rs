@@ -9,7 +9,7 @@ use btrim_common::{HistSummary, PartitionId, Result, TableId};
 use btrim_imrs::RowLocation;
 use btrim_obs::{json, summary_to_json, IlmTraceEvent, OpClass};
 
-use crate::catalog::TableDesc;
+use crate::catalog::{Partition, TableDesc};
 use crate::engine::Engine;
 
 /// Per-partition statistics.
@@ -208,20 +208,16 @@ impl EngineSnapshot {
     pub(crate) fn collect(engine: &Engine) -> EngineSnapshot {
         let sh = &engine.sh;
         let mut tables = Vec::new();
-        let mut imrs_ops = 0u64;
-        let mut page_ops = 0u64;
         for table in sh.catalog.tables() {
             let mut parts = Vec::new();
-            for &p in &table.partitions {
+            for p in &table.partitions {
                 // One coherent sample per partition: every derived
                 // value below agrees with every other (no mid-update
                 // counter mixes across separate loads).
-                let s = sh.metrics.sample(p);
-                let usage = sh.store.usage(p);
-                imrs_ops += s.imrs_ops();
-                page_ops += s.page_ops;
+                let s = p.metrics.sample();
+                let usage = sh.store.usage(p.id);
                 parts.push(PartitionSnapshot {
-                    partition: p,
+                    partition: p.id,
                     imrs_bytes: usage.bytes(),
                     imrs_rows: usage.rows(),
                     reuse_ops: s.reuse_ops(),
@@ -232,9 +228,9 @@ impl EngineSnapshot {
                     rows_packed: s.rows_packed,
                     bytes_packed: s.bytes_packed,
                     rows_skipped_hot: s.rows_skipped_hot,
-                    ilm_enabled: sh.tuner.state(p).enabled(),
-                    ilm_toggles: sh.tuner.state(p).toggles(),
-                    queue_len: sh.queues.get(p).len(),
+                    ilm_enabled: p.ilm.enabled(),
+                    ilm_toggles: p.ilm.toggles(),
+                    queue_len: p.queues.len(),
                 });
             }
             tables.push(TableSnapshot {
@@ -243,6 +239,11 @@ impl EngineSnapshot {
                 partitions: parts,
             });
         }
+        // Engine-wide totals are the sums of the per-partition values
+        // sampled above: one counter each, read once.
+        let total = |f: fn(&PartitionSnapshot) -> u64| -> u64 {
+            tables.iter().flat_map(|t| &t.partitions).map(f).sum()
+        };
         EngineSnapshot {
             committed_txns: sh.txns.committed_count(),
             aborted_txns: sh.txns.aborted_count(),
@@ -255,12 +256,12 @@ impl EngineSnapshot {
             imrs_budget: sh.store.budget(),
             imrs_utilization: sh.store.utilization(),
             imrs_rows: sh.store.row_count(),
-            imrs_ops,
-            page_ops,
+            imrs_ops: total(|p| p.reuse_ops + p.imrs_inserts),
+            page_ops: total(|p| p.page_ops),
             pack_cycles: sh.pack.cycles(),
-            rows_packed: sh.pack.rows_packed(),
-            bytes_packed: sh.pack.bytes_packed(),
-            rows_skipped_hot: sh.pack.rows_skipped(),
+            rows_packed: total(|p| p.rows_packed),
+            bytes_packed: total(|p| p.bytes_packed),
+            rows_skipped_hot: total(|p| p.rows_skipped_hot),
             frozen_extents: sh.extents.count(),
             rows_frozen: sh
                 .freeze
@@ -285,7 +286,7 @@ impl EngineSnapshot {
             txns_active: sh.txns.active_count(),
             side_store_entries: sh.side.entries(),
             side_store_bytes: sh.side.bytes(),
-            queue_total: sh.queues.total_len(),
+            queue_total: total(|p| p.queue_len as u64) as usize,
             buffer: sh.cache.stats(),
             health: sh.health.state(),
             storage_errors: sh.health.storage_errors(),
@@ -643,10 +644,10 @@ impl Engine {
     /// rows (per the current TSF recency test) in each band. A
     /// well-behaved relaxed LRU queue has cold rows concentrated at the
     /// head (§VIII.D.2).
-    pub fn queue_coldness_bands(&self, partition: PartitionId, buckets: usize) -> Vec<f64> {
+    pub fn queue_coldness_bands(&self, partition: &Partition, buckets: usize) -> Vec<f64> {
         let sh = &self.sh;
         let now = sh.clock.now();
-        let rows = sh.queues.get(partition).snapshot_all();
+        let rows = partition.queues.snapshot_all();
         if rows.is_empty() || buckets == 0 {
             return vec![0.0; buckets];
         }

@@ -22,18 +22,16 @@
 //! * partition activity (re-use + page ops) grew by the configured
 //!   factor relative to the window in which it was disabled.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
 
-use btrim_common::PartitionId;
 use btrim_imrs::ImrsStore;
 use btrim_obs::{IlmTraceEvent, Obs, OpClass, TunerAction, TunerTrace};
 
+use crate::catalog::{Catalog, Partition};
 use crate::config::EngineConfig;
-use crate::metrics::{MetricsRegistry, PartitionSample};
 
 /// Page-store contention events in one window that vote to re-enable a
 /// disabled partition (§V.D).
@@ -124,13 +122,10 @@ impl PartitionIlmState {
     }
 }
 
-/// The auto-tuner.
+/// The auto-tuner: the window clock. Its verdicts live on the
+/// [`Partition`] records (`ilm`, `last_sample`).
 #[derive(Default)]
 pub struct Tuner {
-    states: RwLock<HashMap<PartitionId, Arc<PartitionIlmState>>>,
-    /// One coherent counter sample per partition from the previous
-    /// window (§V.B window-over-window deltas).
-    last_samples: Mutex<HashMap<PartitionId, PartitionSample>>,
     last_window_at: AtomicU64,
     windows_run: AtomicU64,
     /// Optional observability hub: verdict tracing + window latency.
@@ -152,28 +147,19 @@ impl Tuner {
         }
     }
 
-    /// ILM state for a partition (created enabled).
-    pub fn state(&self, partition: PartitionId) -> Arc<PartitionIlmState> {
-        if let Some(s) = self.states.read().get(&partition) {
-            return Arc::clone(s);
-        }
-        let mut map = self.states.write();
-        Arc::clone(map.entry(partition).or_default())
-    }
-
     /// Tuning windows executed so far.
     pub fn windows_run(&self) -> u64 {
         self.windows_run.load(Ordering::Relaxed)
     }
 
-    /// Run a window if one is due at `committed_txns`. Returns whether
-    /// a window ran.
+    /// Run a window over `catalog`'s tables if one is due at
+    /// `committed_txns`; pinned tables override ILM tuning (§X).
+    /// Returns whether a window ran.
     pub fn maybe_run(
         &self,
         cfg: &EngineConfig,
         committed_txns: u64,
-        partitions: &[PartitionId],
-        metrics: &MetricsRegistry,
+        catalog: &Catalog,
         store: &ImrsStore,
     ) -> bool {
         let last = self.last_window_at.load(Ordering::Relaxed);
@@ -187,33 +173,31 @@ impl Tuner {
         {
             return false; // another thread claimed this window
         }
-        self.run_window(cfg, partitions, metrics, store);
+        let tables = catalog.tables();
+        let tuned = tables.iter().filter(|t| !t.pinned);
+        self.run_window(cfg, tuned.flat_map(|t| &t.partitions), store);
         true
     }
 
     /// Execute one tuning window unconditionally (tests drive this).
-    pub fn run_window(
+    pub fn run_window<'a>(
         &self,
         cfg: &EngineConfig,
-        partitions: &[PartitionId],
-        metrics: &MetricsRegistry,
+        partitions: impl IntoIterator<Item = &'a Arc<Partition>>,
         store: &ImrsStore,
     ) {
         let timer = self.obs.as_ref().and_then(|o| o.start());
         let window = self.windows_run.load(Ordering::Relaxed) + 1;
         let util = store.utilization();
         let budget = store.budget();
-        for &p in partitions {
+        for part in partitions {
             // One coherent sample per partition per window: every
             // derived rate below (re-use, activity, reuse-per-row)
             // comes from the same set of counter loads.
-            let sample = metrics.sample(p);
-            let delta = {
-                let mut last = self.last_samples.lock();
-                let prev = last.insert(p, sample).unwrap_or_default();
-                sample.delta_since(&prev)
-            };
-            let state = self.state(p);
+            let sample = part.metrics.sample();
+            let prev = std::mem::replace(&mut *part.last_sample.lock(), sample);
+            let delta = sample.delta_since(&prev);
+            let (p, state) = (part.id, &part.ilm);
             let usage = store.usage(p);
             let activity = delta.reuse_ops() + delta.page_ops;
             // Closure capturing every input the verdict read, so each
@@ -307,7 +291,7 @@ impl Tuner {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use btrim_common::{RowId, Timestamp, TxnId};
+    use btrim_common::{PartitionId, RowId, TableId, Timestamp, TxnId};
     use btrim_imrs::RowOrigin;
 
     fn cfg() -> EngineConfig {
@@ -321,6 +305,10 @@ mod tests {
             reuse_reenable_factor: 2.0,
             ..Default::default()
         }
+    }
+
+    fn partition(id: u32) -> Arc<Partition> {
+        Arc::new(Partition::new(PartitionId(id), TableId(0)))
     }
 
     /// Populate a store partition with `rows` rows so footprint guards
@@ -348,33 +336,31 @@ mod tests {
             64 * 1024,
             std::sync::Arc::new(btrim_imrs::RidMap::new()),
         );
-        let metrics = MetricsRegistry::new();
         let tuner = Tuner::new();
-        let p = PartitionId(1);
-        fill(&store, p, 100);
-        let parts = [p];
+        let part = partition(1);
+        fill(&store, part.id, 100);
 
         // Window 1: many new rows, no reuse → first disable vote.
-        metrics.get(p).rows_in.add(50);
-        tuner.run_window(&cfg, &parts, &metrics, &store);
-        assert!(tuner.state(p).allows_cache(), "one vote is not enough");
+        part.metrics.rows_in.add(50);
+        tuner.run_window(&cfg, [&part], &store);
+        assert!(part.ilm.allows_cache(), "one vote is not enough");
 
         // Window 2: second vote → stage 1: the speculative placements
         // (caching, migration) are disabled, inserts still allowed.
-        metrics.get(p).rows_in.add(50);
-        tuner.run_window(&cfg, &parts, &metrics, &store);
-        let st = tuner.state(p);
+        part.metrics.rows_in.add(50);
+        tuner.run_window(&cfg, [&part], &store);
+        let st = &part.ilm;
         assert!(!st.allows_cache() && !st.allows_migrate());
         assert!(st.allows_insert(), "stage 1 keeps inserts in the IMRS");
         assert!(st.enabled());
 
         // Windows 3+4: verdict repeats → stage 2: fully disabled.
         for _ in 0..2 {
-            metrics.get(p).rows_in.add(50);
-            tuner.run_window(&cfg, &parts, &metrics, &store);
+            part.metrics.rows_in.add(50);
+            tuner.run_window(&cfg, [&part], &store);
         }
-        assert!(!tuner.state(p).enabled());
-        assert_eq!(tuner.state(p).toggles(), 2);
+        assert!(!part.ilm.enabled());
+        assert_eq!(part.ilm.toggles(), 2);
     }
 
     #[test]
@@ -385,16 +371,15 @@ mod tests {
             64 * 1024,
             std::sync::Arc::new(btrim_imrs::RidMap::new()),
         );
-        let metrics = MetricsRegistry::new();
         let tuner = Tuner::new();
-        let p = PartitionId(2);
-        fill(&store, p, 10);
+        let part = partition(2);
+        fill(&store, part.id, 10);
         for _ in 0..3 {
-            metrics.get(p).rows_in.add(50);
-            metrics.get(p).imrs_select.add(1_000); // avg reuse 100/row
-            tuner.run_window(&cfg, &[p], &metrics, &store);
+            part.metrics.rows_in.add(50);
+            part.metrics.imrs_select.add(1_000); // avg reuse 100/row
+            tuner.run_window(&cfg, [&part], &store);
         }
-        assert!(tuner.state(p).enabled());
+        assert!(part.ilm.enabled());
     }
 
     #[test]
@@ -408,24 +393,23 @@ mod tests {
             64 * 1024,
             std::sync::Arc::new(btrim_imrs::RidMap::new()),
         );
-        let metrics = MetricsRegistry::new();
         let tuner = Tuner::new();
-        let p = PartitionId(3);
-        fill(&store, p, 10); // tiny footprint
+        let part = partition(3);
+        fill(&store, part.id, 10); // tiny footprint
         for _ in 0..5 {
-            metrics.get(p).rows_in.add(100);
-            tuner.run_window(&cfg, &[p], &metrics, &store);
+            part.metrics.rows_in.add(100);
+            tuner.run_window(&cfg, [&part], &store);
         }
-        assert!(tuner.state(p).enabled(), "footprint guard protects");
+        assert!(part.ilm.enabled(), "footprint guard protects");
 
         // Slow growth guard: large partition, no new rows.
         let cfg2 = cfg2_with_growth_guard();
-        let q = PartitionId(4);
-        fill(&store, q, 200);
+        let part_q = partition(4);
+        fill(&store, part_q.id, 200);
         for _ in 0..5 {
-            tuner.run_window(&cfg2, &[q], &metrics, &store);
+            tuner.run_window(&cfg2, [&part_q], &store);
         }
-        assert!(tuner.state(q).enabled(), "growth guard protects");
+        assert!(part_q.ilm.enabled(), "growth guard protects");
     }
 
     fn cfg2_with_growth_guard() -> EngineConfig {
@@ -450,15 +434,14 @@ mod tests {
             64 * 1024,
             std::sync::Arc::new(btrim_imrs::RidMap::new()),
         );
-        let metrics = MetricsRegistry::new();
         let tuner = Tuner::new();
-        let p = PartitionId(5);
-        fill(&store, p, 100);
+        let part = partition(5);
+        fill(&store, part.id, 100);
         for _ in 0..4 {
-            metrics.get(p).rows_in.add(100);
-            tuner.run_window(&cfg, &[p], &metrics, &store);
+            part.metrics.rows_in.add(100);
+            tuner.run_window(&cfg, [&part], &store);
         }
-        assert!(tuner.state(p).enabled());
+        assert!(part.ilm.enabled());
     }
 
     #[test]
@@ -469,23 +452,22 @@ mod tests {
             64 * 1024,
             std::sync::Arc::new(btrim_imrs::RidMap::new()),
         );
-        let metrics = MetricsRegistry::new();
         let tuner = Tuner::new();
-        let p = PartitionId(6);
-        fill(&store, p, 100);
+        let part = partition(6);
+        fill(&store, part.id, 100);
         // Disable via four low-reuse windows (two escalation stages).
         for _ in 0..4 {
-            metrics.get(p).rows_in.add(50);
-            tuner.run_window(&cfg, &[p], &metrics, &store);
+            part.metrics.rows_in.add(50);
+            tuner.run_window(&cfg, [&part], &store);
         }
-        assert!(!tuner.state(p).enabled());
+        assert!(!part.ilm.enabled());
         // Two contended windows re-enable everything at once.
         for _ in 0..2 {
-            metrics.get(p).page_contention.add(20);
-            metrics.get(p).page_ops.add(100);
-            tuner.run_window(&cfg, &[p], &metrics, &store);
+            part.metrics.page_contention.add(20);
+            part.metrics.page_ops.add(100);
+            tuner.run_window(&cfg, [&part], &store);
         }
-        let st = tuner.state(p);
+        let st = &part.ilm;
         assert!(st.allows_insert() && st.allows_migrate() && st.allows_cache());
         assert_eq!(st.toggles(), 3);
     }
@@ -498,25 +480,24 @@ mod tests {
             64 * 1024,
             std::sync::Arc::new(btrim_imrs::RidMap::new()),
         );
-        let metrics = MetricsRegistry::new();
         let tuner = Tuner::new();
-        let p = PartitionId(7);
-        fill(&store, p, 100);
+        let part = partition(7);
+        fill(&store, part.id, 100);
         // Disable fully (two escalation stages) with a known activity
         // baseline.
         for _ in 0..4 {
-            metrics.get(p).rows_in.add(50);
-            metrics.get(p).imrs_select.add(10);
-            tuner.run_window(&cfg, &[p], &metrics, &store);
+            part.metrics.rows_in.add(50);
+            part.metrics.imrs_select.add(10);
+            tuner.run_window(&cfg, [&part], &store);
         }
-        assert!(!tuner.state(p).enabled());
+        assert!(!part.ilm.enabled());
         // Activity explodes (page ops, since IMRS is off) for two
         // windows: re-enabled.
         for _ in 0..2 {
-            metrics.get(p).page_ops.add(500);
-            tuner.run_window(&cfg, &[p], &metrics, &store);
+            part.metrics.page_ops.add(500);
+            tuner.run_window(&cfg, [&part], &store);
         }
-        assert!(tuner.state(p).enabled());
+        assert!(part.ilm.enabled());
     }
 
     #[test]
@@ -527,12 +508,12 @@ mod tests {
             64 * 1024,
             std::sync::Arc::new(btrim_imrs::RidMap::new()),
         );
-        let metrics = MetricsRegistry::new();
         let tuner = Tuner::new();
-        assert!(!tuner.maybe_run(&cfg, 50, &[], &metrics, &store));
-        assert!(tuner.maybe_run(&cfg, 100, &[], &metrics, &store));
-        assert!(!tuner.maybe_run(&cfg, 150, &[], &metrics, &store));
-        assert!(tuner.maybe_run(&cfg, 200, &[], &metrics, &store));
+        let catalog = Catalog::new();
+        assert!(!tuner.maybe_run(&cfg, 50, &catalog, &store));
+        assert!(tuner.maybe_run(&cfg, 100, &catalog, &store));
+        assert!(!tuner.maybe_run(&cfg, 150, &catalog, &store));
+        assert!(tuner.maybe_run(&cfg, 200, &catalog, &store));
         assert_eq!(tuner.windows_run(), 2);
     }
 
@@ -544,18 +525,17 @@ mod tests {
             64 * 1024,
             std::sync::Arc::new(btrim_imrs::RidMap::new()),
         );
-        let metrics = MetricsRegistry::new();
         let tuner = Tuner::new();
-        let p = PartitionId(8);
-        fill(&store, p, 100);
+        let part = partition(8);
+        fill(&store, part.id, 100);
         // Vote, then a healthy window, then vote again: never disabled.
-        metrics.get(p).rows_in.add(50);
-        tuner.run_window(&cfg, &[p], &metrics, &store);
-        metrics.get(p).rows_in.add(50);
-        metrics.get(p).imrs_select.add(10_000);
-        tuner.run_window(&cfg, &[p], &metrics, &store);
-        metrics.get(p).rows_in.add(50);
-        tuner.run_window(&cfg, &[p], &metrics, &store);
-        assert!(tuner.state(p).enabled(), "non-consecutive votes reset");
+        part.metrics.rows_in.add(50);
+        tuner.run_window(&cfg, [&part], &store);
+        part.metrics.rows_in.add(50);
+        part.metrics.imrs_select.add(10_000);
+        tuner.run_window(&cfg, [&part], &store);
+        part.metrics.rows_in.add(50);
+        tuner.run_window(&cfg, [&part], &store);
+        assert!(part.ilm.enabled(), "non-consecutive votes reset");
     }
 }

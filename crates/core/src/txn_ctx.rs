@@ -136,7 +136,6 @@ pub(crate) enum UndoOp {
     /// Undo a page-store delete: re-insert the before-image (the row
     /// may land at a new address; the RID-Map is repointed).
     PageDelete {
-        table: TableId,
         partition: PartitionId,
         row: RowId,
         old: Vec<u8>,

@@ -255,6 +255,129 @@ fn pack_trace_bytes_sum_to_bytes_packed() {
     assert!(traced_total > 0, "workload must actually pack bytes");
 }
 
+/// Engine-wide activity and pack totals are the sums of the
+/// per-partition counters of the same snapshot — exactly, while clients
+/// and maintenance run, because there is one counter per fact and a
+/// snapshot reads it once. And the decision trace only ever names data
+/// partitions: an index partition's id (they share the id space) never
+/// acquires a verdict.
+#[test]
+fn engine_totals_are_partition_sums_while_clients_and_maintenance_run() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    let e = Engine::new(EngineConfig {
+        mode: EngineMode::IlmOn,
+        // Smaller than the data, so pack runs and inserts spill to pages.
+        imrs_budget: 512 * 1024,
+        imrs_chunk_size: 64 * 1024,
+        buffer_frames: 1024,
+        // Maintenance has its own thread below.
+        maintenance_interval_txns: u64::MAX / 2,
+        tuning_window_txns: 64,
+        hysteresis_windows: 2,
+        // Above the steady threshold: the tuner votes only once pack is
+        // already working, so both leave traces.
+        tuning_utilization_floor: 0.72,
+        min_new_rows_for_disable: 16,
+        min_partition_footprint: 0.01,
+        low_reuse_threshold: 0.5,
+        obs_trace_capacity: 1 << 16,
+        ..Default::default()
+    });
+    let wide = e
+        .create_table(TableOpts {
+            partitioner: Partitioner::HashKey { parts: 4 },
+            ..opts("wide")
+        })
+        .unwrap();
+    let narrow = e.create_table(opts("narrow")).unwrap();
+
+    let check = |snap: &btrim_core::EngineSnapshot| {
+        let parts = || snap.tables.iter().flat_map(|t| &t.partitions);
+        let sum = |f: fn(&btrim_core::stats::PartitionSnapshot) -> u64| parts().map(f).sum::<u64>();
+        assert_eq!(snap.rows_packed, sum(|p| p.rows_packed));
+        assert_eq!(snap.bytes_packed, sum(|p| p.bytes_packed));
+        assert_eq!(snap.rows_skipped_hot, sum(|p| p.rows_skipped_hot));
+        assert_eq!(snap.imrs_ops, sum(|p| p.reuse_ops + p.imrs_inserts));
+        assert_eq!(snap.page_ops, sum(|p| p.page_ops));
+        assert_eq!(snap.queue_total as u64, sum(|p| p.queue_len as u64));
+    };
+
+    let stop = AtomicBool::new(false);
+    let snapshots = std::thread::scope(|s| {
+        let clients: Vec<_> = (0..2u64)
+            .map(|c| {
+                let (e, wide, narrow) = (&e, &wide, &narrow);
+                s.spawn(move || {
+                    for i in 0..3_000u64 {
+                        let key = (c << 40) | i;
+                        let mut txn = e.begin();
+                        e.insert(&mut txn, wide, &mkrow(key, &[c as u8; 120]))
+                            .unwrap();
+                        if i % 4 == 0 {
+                            e.insert(&mut txn, narrow, &mkrow(key, &[9; 40])).unwrap();
+                        }
+                        // An old row: by now packed, so the read charges
+                        // a page op and may cache the row back.
+                        let old = ((c << 40) | (i / 2)).to_be_bytes();
+                        assert!(e.get(&txn, wide, &old).unwrap().is_some());
+                        e.commit(txn).unwrap();
+                    }
+                })
+            })
+            .collect();
+        s.spawn(|| {
+            while !stop.load(Ordering::Relaxed) {
+                e.run_maintenance();
+            }
+        });
+        let mut snapshots = 0u64;
+        while !clients.iter().all(|c| c.is_finished()) {
+            check(&e.snapshot());
+            snapshots += 1;
+        }
+        stop.store(true, Ordering::Relaxed);
+        snapshots
+    });
+    assert!(snapshots > 0, "no snapshot was taken while the clients ran");
+
+    let snap = e.snapshot();
+    check(&snap);
+    assert!(
+        snap.rows_packed > 0 && snap.page_ops > 0 && snap.queue_total > 0,
+        "packed {} page_ops {} queued {} util {}",
+        snap.rows_packed,
+        snap.page_ops,
+        snap.queue_total,
+        snap.imrs_utilization
+    );
+    assert_eq!(e.obs().trace.dropped(), 0);
+    let data_partitions: Vec<u64> = snap
+        .tables
+        .iter()
+        .flat_map(|t| &t.partitions)
+        .map(|p| p.partition.0 as u64)
+        .collect();
+    assert_eq!(data_partitions, [1, 2, 3, 4, 6], "5 and 7 are the indexes'");
+    let (mut tuner_events, mut pack_events) = (0, 0);
+    for ev in e.obs().trace.events() {
+        let named: Vec<u64> = match ev {
+            IlmTraceEvent::Tuner(t) => {
+                tuner_events += 1;
+                vec![t.partition]
+            }
+            IlmTraceEvent::Pack(p) => {
+                pack_events += 1;
+                p.partitions.iter().map(|s| s.partition).collect()
+            }
+            _ => continue,
+        };
+        for p in named {
+            assert!(data_partitions.contains(&p), "trace names partition {p}");
+        }
+    }
+    assert!(tuner_events > 0 && pack_events > 0, "both must be traced");
+}
+
 /// Every `get` / `read_row` issued lands in exactly one select class —
 /// hits on either tier, index misses, and rows that resolve to nothing
 /// (deleted, tombstoned) alike. A read that vanished from the

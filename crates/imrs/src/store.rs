@@ -128,13 +128,18 @@ impl ImrsStore {
         Arc::clone(map.entry(partition).or_default())
     }
 
-    /// Snapshot of every partition's usage.
+    /// Snapshot of every partition's usage as `(partition, bytes,
+    /// rows)`, in partition-id order — pack apportions over it, and
+    /// its decisions must not depend on hash-map order.
     pub fn all_usage(&self) -> Vec<(PartitionId, u64, u64)> {
-        self.usage
+        let mut all: Vec<_> = self
+            .usage
             .read()
             .iter()
             .map(|(&p, u)| (p, u.bytes(), u.rows()))
-            .collect()
+            .collect();
+        all.sort_unstable_by_key(|&(p, ..)| p);
+        all
     }
 
     /// Bring a row into the IMRS with its first (uncommitted) version.

@@ -330,9 +330,6 @@ pub const ATOMIC_FIELDS: &[(&str, &str, u8, &str)] = &[
     ("crates/core/src/arbiter.rs", "bytes_to_buffer", P_RELAXED, "counter"),
     ("crates/core/src/pack.rs", "reject_new", P_RELAXED, "admission hint"),
     ("crates/core/src/pack.rs", "cycles", P_RELAXED, "counter"),
-    ("crates/core/src/pack.rs", "rows_packed", P_RELAXED, "counter"),
-    ("crates/core/src/pack.rs", "bytes_packed", P_RELAXED, "counter"),
-    ("crates/core/src/pack.rs", "rows_skipped", P_RELAXED, "counter"),
     ("crates/core/src/pack.rs", "pack_txn_commits", P_RELAXED, "counter"),
     ("crates/core/src/pack.rs", "next_internal", P_RELAXED, "id allocator"),
     ("crates/core/src/gc.rs", "processed", P_RELAXED, "counter"),
@@ -364,7 +361,6 @@ pub const ATOMIC_FIELDS: &[(&str, &str, u8, &str)] = &[
     ("crates/core/src/tuner.rs", "toggles", P_RELAXED, "counter"),
     ("crates/core/src/tuner.rs", "last_window_at", P_RELAXED, "advisory window claim"),
     ("crates/core/src/tuner.rs", "windows_run", P_RELAXED, "counter"),
-    ("crates/core/src/catalog.rs", "next_partition", P_RELAXED, "id allocator"),
 ];
 
 /// Look up the declared protocol for `(file, field)`; `file` may be a

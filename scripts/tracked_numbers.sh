@@ -22,6 +22,16 @@ append_sites() { cat crates/core/src/*.rs | grep -c "append_sys(&PageLogRecord::
 # Calls of a function (not its definition) from crates/core/src.
 call_sites() { cat crates/core/src/*.rs | grep -v "fn $1(" | grep -c "\b$1(" || true; }
 
+# Lines naming the CRC-32 polynomial outside `#[cfg(test)]` items: one
+# per implementation.
+crc32_impls() { awk '
+    FNR == 1 { pending = 0; test_fn = 0; test_mod = 0 }
+    /#\[cfg\(test\)\]/ { pending = 1; next }
+    /^[[:space:]]*(pub(\([a-z]+\))? )?mod / { if (pending) test_mod = 1; pending = 0 }
+    /^[[:space:]]*(pub(\([a-z]+\))? )?(const )?fn / { test_fn = pending; pending = 0 }
+    /0xEDB8_8320/ && !test_fn && !test_mod { n++ }
+    END { print n + 0 }' "$@"; }
+
 src_files=$(find crates/*/src -name '*.rs' | sort)
 # The row-movement path: the four files that held its copies, plus
 # the module that replaced them (absent before PR 14).
@@ -35,6 +45,10 @@ numbers() {
     echo "movement_path_code_lines $(code_lines $movement_files)"
     echo "engine_config_fields $(sed -n '/^pub struct EngineConfig {/,/^}/p' crates/core/src/config.rs | grep -c '^    pub [a-z_0-9]*:')"
     echo "shared_fields $(sed -n '/^pub(crate) struct Shared {/,/^}/p' crates/core/src/engine.rs | grep -c '^    \(pub \)\?[a-z_0-9]*:')"
+    # Per-partition state belongs on the `Partition` record: struct
+    # fields keyed by partition id (function-local groupings excluded).
+    echo "partition_maps $(cat crates/core/src/*.rs | grep 'HashMap<PartitionId' | grep -vc '^\s*let ' || true)"
+    echo "crc32_impls $(crc32_impls $src_files)"
     echo "lint_allow_escapes $(grep -rn 'lint: allow(' crates --include='*.rs' | grep -vc '^crates/lint/')"
     echo "begin_append_sites $(append_sites Begin)"
     echo "commit_append_sites $(append_sites Commit)"

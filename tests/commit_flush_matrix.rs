@@ -244,7 +244,7 @@ fn verify(label: &str, engine: &Engine, model: &Model) {
         heap_live += table
             .partitions
             .iter()
-            .map(|p| table.heap(*p).live_rows())
+            .map(|p| p.heap.live_rows())
             .sum::<u64>();
     }
     engine.commit(txn).unwrap();

@@ -207,7 +207,7 @@ fn homes(label: &str, engine: &Engine, table: &TableDesc, expect: &Model) -> [u6
             other => panic!("{label}: key {key} has no home ({other:?})"),
         }
     }
-    let heaps = table.partitions.iter().map(|p| table.heap(*p));
+    let heaps = table.partitions.iter().map(|p| &p.heap);
     let heap_live: u64 = heaps.map(|heap| heap.live_rows()).sum();
     let mut extent_live = 0;
     engine.extent_store().for_each(|ext| {

@@ -10,8 +10,10 @@
 //! * [`config`] — engine configuration: modes (PageOnly / IlmOff /
 //!   IlmOn), steady cache utilization threshold (§VI.A), tuning-window
 //!   and pack-cycle parameters.
-//! * [`catalog`] — tables, partitions, partitioners, key extractors,
-//!   secondary indexes.
+//! * [`catalog`] — tables, partitioners, key extractors, secondary
+//!   indexes, and the [`catalog::Partition`] record: everything kept per
+//!   partition (heap, counters, ILM state, queues, last-window sample),
+//!   reached by position from a key or by dense id.
 //! * [`txn_ctx`] — the transaction context: write sets, buffered
 //!   redo-only IMRS log records, held locks, undo information.
 //! * [`engine`] — ISUD execution with transparent dual-store access
@@ -22,11 +24,12 @@
 //! * `maintenance` — when GC, tuning, pack and freeze run: inline
 //!   every N commits, or on background threads.
 //! * [`recovery`] — crash recovery from the two logs and the heap.
-//! * [`metrics`] — per-partition workload counters built on sharded
-//!   per-CPU counters (§V.A).
-//! * [`tuner`] — auto IMRS partition tuning with hysteresis (§V.B–D).
-//! * [`queues`] — partition-level relaxed LRU queues, one per row
-//!   origin (§VI.B).
+//! * [`metrics`] — the counter block of a partition, on sharded
+//!   per-CPU counters (§V.A), and its point-in-time sample.
+//! * [`tuner`] — auto IMRS partition tuning with hysteresis (§V.B–D);
+//!   its verdicts live on the partition records.
+//! * [`queues`] — the three relaxed LRU queues of a partition, one per
+//!   row origin (§VI.B).
 //! * [`tsf`] — the learned Timestamp Filter Ʈ and partition-aware
 //!   hotness checks (§VI.D).
 //! * [`pack`] — the Pack subsystem: steady/aggressive levels, pack

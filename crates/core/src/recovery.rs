@@ -485,10 +485,11 @@ impl Engine {
         let mut heap_locs = HashMap::new();
         let mut max_row_id = RowId(0);
         for (partition, pages) in by_partition {
-            let part = self.sh.catalog.partition(partition);
-            let Some((table, part)) = part.and_then(|p| Some((self.sh.catalog.table(p.table)?, p)))
-            else {
+            let Some(part) = self.sh.catalog.partition(partition) else {
                 continue; // heap of a table the schema no longer declares
+            };
+            let Some(table) = self.sh.catalog.table(part.table) else {
+                continue;
             };
             part.heap.adopt_pages(pages, &self.sh.cache)?;
             part.heap.scan(&self.sh.cache, |page, slot, payload| {

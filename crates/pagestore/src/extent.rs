@@ -42,6 +42,7 @@ use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use btrim_common::codec::{Decoder, Encoder};
+use btrim_common::crc::crc32;
 use btrim_common::{BtrimError, PartitionId, Result, RowId, TableId};
 use parking_lot::{lock_rank, Mutex};
 
@@ -1124,21 +1125,6 @@ fn new_live_bitmap(n: usize) -> Vec<AtomicU64> {
     live
 }
 
-/// CRC-32 (IEEE) over an encoded extent body. Bitwise implementation:
-/// extents are checksummed once per freeze and once per recovery
-/// replay, not per access, so simplicity wins over table lookups.
-fn crc32(data: &[u8]) -> u32 {
-    let mut crc = 0xFFFF_FFFFu32;
-    for &b in data {
-        crc ^= b as u32;
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
-    }
-    !crc
-}
-
 /// The global frozen-extent directory: a chunked, lazily-allocated
 /// array of `OnceLock` slots addressed by extent id.
 ///
@@ -1312,6 +1298,16 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// On-disk format pin: length and trailer are what the build with
+    /// the extent's own bitwise CRC (before the three CRC-32 copies
+    /// became one) encoded for this extent.
+    #[test]
+    fn encoded_trailer_of_the_sample_extent_is_pinned() {
+        let bytes = sample_extent().encode();
+        assert_eq!(bytes.len(), 623);
+        assert_eq!(bytes[619..], 0x642B_3A22u32.to_le_bytes());
     }
 
     #[test]

@@ -27,7 +27,7 @@
 //! zero) pages are exempt. A mismatch means a torn write or media
 //! corruption — the page must be salvaged, never served as valid data.
 
-use btrim_common::{PageId, PartitionId, SlotId, NULL_PAGE_ID};
+use btrim_common::{crc, PageId, PartitionId, SlotId, NULL_PAGE_ID};
 
 /// Size of every page, in bytes.
 pub const PAGE_SIZE: usize = 8192;
@@ -82,24 +82,12 @@ const OFF_EPOCH: usize = 32;
 const TOMBSTONE: u16 = 0;
 
 /// CRC-32 (IEEE) over the page with the checksum field treated as zero.
-/// Bitwise implementation: pages are checksummed once per device write,
-/// not per access, so simplicity wins over table lookups here.
+/// Every buffer miss verifies it and every write-back stamps it.
 pub fn page_checksum(buf: &[u8]) -> u32 {
     debug_assert_eq!(buf.len(), PAGE_SIZE);
-    let mut crc = 0xFFFF_FFFFu32;
-    let mut feed = |bytes: &[u8]| {
-        for &b in bytes {
-            crc ^= b as u32;
-            for _ in 0..8 {
-                let mask = (crc & 1).wrapping_neg();
-                crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-            }
-        }
-    };
-    feed(&buf[..OFF_CHECKSUM]);
-    feed(&[0u8; 4]);
-    feed(&buf[OFF_CHECKSUM + 4..]);
-    !crc
+    let crc = crc::update(crc::INIT, &buf[..OFF_CHECKSUM]);
+    let crc = crc::update(crc, &[0u8; 4]);
+    crc::finish(crc::update(crc, &buf[OFF_CHECKSUM + 4..]))
 }
 
 /// Stamp the checksum and format epoch into a page buffer. Called by the
@@ -745,6 +733,27 @@ mod tests {
         let mut flipped = buf.clone();
         flipped[HEADER_SIZE + 3] ^= 0x40;
         assert!(!verify_page_checksum(&flipped));
+    }
+
+    /// On-disk format pin: the constant is what the build with the
+    /// bitwise page CRC (before the three CRC-32 copies became one)
+    /// stamped on this page.
+    #[test]
+    fn stamped_checksum_of_a_fixed_page_is_pinned() {
+        let mut buf = fresh();
+        {
+            let mut p = SlottedPage::init(&mut buf, PageType::Heap, PageId(7), PartitionId(3));
+            for i in 0..20u8 {
+                p.insert(&[i.wrapping_mul(37) ^ 0x5A; 100]).unwrap();
+            }
+            p.set_page_lsn(99);
+        }
+        stamp_page_checksum(&mut buf);
+        assert_eq!(page_checksum(&buf), 0x0EAE_DB05);
+        assert_eq!(
+            buf[OFF_CHECKSUM..OFF_CHECKSUM + 4],
+            0x0EAE_DB05u32.to_le_bytes()
+        );
     }
 
     #[test]

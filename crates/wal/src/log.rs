@@ -13,82 +13,8 @@ use parking_lot::Mutex;
 
 use btrim_common::{Lsn, Result};
 
-/// Slice-by-8 lookup tables for CRC-32 (IEEE 802.3, reflected),
-/// computed at compile time. Table 0 is the classic byte-at-a-time
-/// table; table k folds a byte that sits k positions ahead of the
-/// current CRC window, letting the hot loop consume 8 bytes per
-/// iteration with 8 independent table reads and no data dependency
-/// between them.
-const CRC_TABLES: [[u32; 256]; 8] = build_crc_tables();
-
-const fn build_crc_tables() -> [[u32; 256]; 8] {
-    let mut t = [[0u32; 256]; 8];
-    let mut i = 0usize;
-    while i < 256 {
-        let mut crc = i as u32;
-        let mut j = 0;
-        while j < 8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-            j += 1;
-        }
-        t[0][i] = crc;
-        i += 1;
-    }
-    let mut k = 1usize;
-    while k < 8 {
-        let mut i = 0usize;
-        while i < 256 {
-            let prev = t[k - 1][i];
-            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
-            i += 1;
-        }
-        k += 1;
-    }
-    t
-}
-
-/// CRC-32 (IEEE 802.3, reflected) over a byte slice; slice-by-8.
-pub fn crc32(data: &[u8]) -> u32 {
-    let mut crc = 0xFFFF_FFFFu32;
-    let mut chunks = data.chunks_exact(8);
-    for c in chunks.by_ref() {
-        // `chunks_exact(8)` guarantees 8 bytes; the `else` is dead code
-        // kept so this stays panic-free by construction.
-        let (Some(lo4), Some(hi4)) = (c.first_chunk::<4>(), c.last_chunk::<4>()) else {
-            continue;
-        };
-        let lo = u32::from_le_bytes(*lo4) ^ crc;
-        let hi = u32::from_le_bytes(*hi4);
-        crc = CRC_TABLES[7][(lo & 0xFF) as usize]
-            ^ CRC_TABLES[6][((lo >> 8) & 0xFF) as usize]
-            ^ CRC_TABLES[5][((lo >> 16) & 0xFF) as usize]
-            ^ CRC_TABLES[4][(lo >> 24) as usize]
-            ^ CRC_TABLES[3][(hi & 0xFF) as usize]
-            ^ CRC_TABLES[2][((hi >> 8) & 0xFF) as usize]
-            ^ CRC_TABLES[1][((hi >> 16) & 0xFF) as usize]
-            ^ CRC_TABLES[0][(hi >> 24) as usize];
-    }
-    for &b in chunks.remainder() {
-        crc = (crc >> 8) ^ CRC_TABLES[0][((crc ^ b as u32) & 0xFF) as usize];
-    }
-    !crc
-}
-
-/// The original table-free bitwise implementation, kept as the
-/// reference the slice-by-8 version is cross-checked against.
-#[cfg(test)]
-pub(crate) fn crc32_bitwise(data: &[u8]) -> u32 {
-    let mut crc = 0xFFFF_FFFFu32;
-    for &b in data {
-        crc ^= b as u32;
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
-    }
-    !crc
-}
+/// The frames' checksum (re-exported: callers name it by this path).
+pub use btrim_common::crc::crc32;
 
 /// A contiguous LSN range reserved by one [`LogSink::append_batch`]
 /// call (`first..=last`, both inclusive).
@@ -722,13 +648,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn crc32_known_vector() {
-        // Standard test vector: CRC-32("123456789") = 0xCBF43926.
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
-    }
-
-    #[test]
     fn memlog_append_read_roundtrip() {
         let log = MemLog::new();
         assert_eq!(log.append(b"one").unwrap(), Lsn(1));
@@ -872,35 +791,6 @@ mod tests {
             assert_eq!(log.record_count(), 1, "corrupt record dropped");
         }
         std::fs::remove_file(&path).unwrap();
-    }
-}
-
-#[cfg(test)]
-mod crc_tests {
-    use super::*;
-    use proptest::prelude::*;
-
-    #[test]
-    fn slice_by_8_matches_ieee_vector() {
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32_bitwise(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
-    }
-
-    #[test]
-    fn slice_by_8_matches_bitwise_on_awkward_lengths() {
-        // Exercise every remainder length around the 8-byte chunking.
-        for n in 0..=33usize {
-            let data: Vec<u8> = (0..n as u8).map(|i| i.wrapping_mul(37) ^ 0x5A).collect();
-            assert_eq!(crc32(&data), crc32_bitwise(&data), "len {n}");
-        }
-    }
-
-    proptest! {
-        #[test]
-        fn slice_by_8_matches_bitwise(data in proptest::collection::vec(any::<u8>(), 0..512)) {
-            prop_assert_eq!(crc32(&data), crc32_bitwise(&data));
-        }
     }
 }
 

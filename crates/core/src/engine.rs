@@ -419,7 +419,7 @@ impl Engine {
                     table.hash.insert(&key, row_id);
                     txn.undo.push(UndoOp::HashAdd {
                         table: table.id,
-                        key: key.clone(),
+                        key,
                     });
                     txn.undo.push(UndoOp::ImrsNewRow { row: row_id });
                     txn.undo.push(UndoOp::RidSet {

@@ -584,6 +584,52 @@ fn concurrent_transactions_from_many_threads() {
     e.commit(txn).unwrap();
 }
 
+/// The `customer.by_name` shape: every secondary key three times, in
+/// three passes, over several leaves — so some runs of duplicates
+/// straddle a leaf split. Each lookup sees all three rows, and deleting
+/// one row of every run finds its index entry (a missed one would stay
+/// behind and show in `len()` after the re-insert).
+#[test]
+fn duplicate_secondary_keys_survive_leaf_splits() {
+    let e = engine(EngineMode::IlmOn);
+    let t = e.create_table(opts("customer")).unwrap();
+    e.create_secondary_index(&t, "by_group", Arc::new(|r: &[u8]| r[8..12].to_vec()))
+        .unwrap();
+    const GROUPS: u64 = 1000;
+    let row = |i: u64| mkrow(i, &((i % GROUPS) as u32).to_be_bytes());
+    let by_group = |g: u64| {
+        let txn = e.begin();
+        let hits = e
+            .get_by_index(&txn, &t, "by_group", &(g as u32).to_be_bytes())
+            .unwrap();
+        e.commit(txn).unwrap();
+        hits.len()
+    };
+    let index_len = || t.secondaries.read()[0].tree.len().unwrap();
+
+    let mut txn = e.begin();
+    for i in 0..3 * GROUPS {
+        e.insert(&mut txn, &t, &row(i)).unwrap();
+    }
+    e.commit(txn).unwrap();
+    assert!(t.secondaries.read()[0].tree.height().unwrap() >= 2);
+    assert_eq!((0..GROUPS).filter(|&g| by_group(g) != 3).count(), 0);
+
+    let mut txn = e.begin();
+    for g in 0..GROUPS {
+        assert!(e.delete(&mut txn, &t, &g.to_be_bytes()).unwrap());
+    }
+    e.commit(txn).unwrap();
+    assert_eq!(index_len(), 2 * GROUPS as usize);
+    let mut txn = e.begin();
+    for g in 0..GROUPS {
+        e.insert(&mut txn, &t, &row(g)).unwrap();
+    }
+    e.commit(txn).unwrap();
+    assert_eq!(index_len(), 3 * GROUPS as usize);
+    assert_eq!((0..GROUPS).filter(|&g| by_group(g) != 3).count(), 0);
+}
+
 #[test]
 fn unique_secondary_index_rejects_duplicates() {
     let e = engine(EngineMode::IlmOn);

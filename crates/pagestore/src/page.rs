@@ -158,44 +158,36 @@ impl<'a> SlottedPage<'a> {
     fn set_u16(&mut self, off: usize, v: u16) {
         self.buf[off..off + 2].copy_from_slice(&v.to_le_bytes());
     }
-    fn get_u32(&self, off: usize) -> u32 {
-        u32::from_le_bytes([
-            self.buf[off],
-            self.buf[off + 1],
-            self.buf[off + 2],
-            self.buf[off + 3],
-        ])
-    }
     fn set_u32(&mut self, off: usize, v: u32) {
         self.buf[off..off + 4].copy_from_slice(&v.to_le_bytes());
-    }
-    fn get_u64(&self, off: usize) -> u64 {
-        let mut b = [0u8; 8];
-        b.copy_from_slice(&self.buf[off..off + 8]);
-        u64::from_le_bytes(b)
     }
     fn set_u64(&mut self, off: usize, v: u64) {
         self.buf[off..off + 8].copy_from_slice(&v.to_le_bytes());
     }
 
+    /// Read-only view of the same bytes; every read below goes through it.
+    pub fn as_view(&self) -> PageView<'_> {
+        PageView { buf: self.buf }
+    }
+
     /// Page type from the header.
     pub fn page_type(&self) -> PageType {
-        PageType::from_u8(self.buf[OFF_TYPE])
+        self.as_view().page_type()
     }
 
     /// This page's id.
     pub fn page_id(&self) -> PageId {
-        PageId(self.get_u32(OFF_PAGE_ID))
+        self.as_view().page_id()
     }
 
     /// Owning partition.
     pub fn partition(&self) -> PartitionId {
-        PartitionId(self.get_u32(OFF_PARTITION))
+        self.as_view().partition()
     }
 
     /// Next page in the owning chain (heap page chains, B+tree leaf links).
     pub fn next_page(&self) -> PageId {
-        PageId(self.get_u32(OFF_NEXT_PAGE))
+        self.as_view().next_page()
     }
 
     /// Set the next-page link.
@@ -205,7 +197,7 @@ impl<'a> SlottedPage<'a> {
 
     /// Recovery LSN of the last change applied to this page.
     pub fn page_lsn(&self) -> u64 {
-        self.get_u64(OFF_PAGE_LSN)
+        self.as_view().page_lsn()
     }
 
     /// Stamp the recovery LSN.
@@ -215,7 +207,7 @@ impl<'a> SlottedPage<'a> {
 
     /// Number of slots ever created on this page (live + tombstoned).
     pub fn slot_count(&self) -> u16 {
-        self.get_u16(OFF_SLOT_COUNT)
+        self.as_view().slot_count()
     }
 
     fn slot_dir_offset(&self, slot: u16) -> usize {
@@ -223,8 +215,7 @@ impl<'a> SlottedPage<'a> {
     }
 
     fn slot_entry(&self, slot: u16) -> (u16, u16) {
-        let off = self.slot_dir_offset(slot);
-        (self.get_u16(off), self.get_u16(off + 2))
+        self.as_view().slot_entry(slot)
     }
 
     fn set_slot_entry(&mut self, slot: u16, data_off: u16, len: u16) {
@@ -233,17 +224,24 @@ impl<'a> SlottedPage<'a> {
         self.set_u16(off + 2, len);
     }
 
+    /// Take `len` bytes from the start of the contiguous free region
+    /// (the caller checked they are there) and point `slot` at them.
+    fn place(&mut self, slot: u16, len: usize) -> &mut [u8] {
+        let start = self.get_u16(OFF_FREE_START) as usize;
+        self.set_u16(OFF_FREE_START, (start + len) as u16);
+        self.set_slot_entry(slot, start as u16, len as u16);
+        &mut self.buf[start..start + len]
+    }
+
     /// Bytes immediately insertable (contiguous free region, not counting
     /// holes reclaimable by compaction).
     pub fn contiguous_free(&self) -> usize {
-        let free_start = self.get_u16(OFF_FREE_START) as usize;
-        let dir_start = PAGE_SIZE - SLOT_ENTRY_SIZE * self.slot_count() as usize;
-        dir_start.saturating_sub(free_start)
+        self.as_view().contiguous_free()
     }
 
     /// Total free bytes including compactable holes.
     pub fn total_free(&self) -> usize {
-        self.contiguous_free() + self.get_u16(OFF_DEAD_BYTES) as usize
+        self.as_view().total_free()
     }
 
     /// Whether a payload of `len` bytes can be inserted (possibly after
@@ -293,7 +291,6 @@ impl<'a> SlottedPage<'a> {
             self.compact();
         }
         debug_assert!(self.contiguous_free() >= data.len() + dir_cost);
-        let data_off = self.get_u16(OFF_FREE_START);
         let slot = match reuse {
             Some(s) => s,
             None => {
@@ -302,10 +299,7 @@ impl<'a> SlottedPage<'a> {
                 s
             }
         };
-        let start = data_off as usize;
-        self.buf[start..start + data.len()].copy_from_slice(data);
-        self.set_u16(OFF_FREE_START, data_off + data.len() as u16);
-        self.set_slot_entry(slot, data_off, data.len() as u16);
+        self.place(slot, data.len()).copy_from_slice(data);
         Some(SlotId(slot))
     }
 
@@ -343,24 +337,13 @@ impl<'a> SlottedPage<'a> {
                 return false;
             }
         }
-        let data_off = self.get_u16(OFF_FREE_START);
-        let start = data_off as usize;
-        self.buf[start..start + data.len()].copy_from_slice(data);
-        self.set_u16(OFF_FREE_START, data_off + data.len() as u16);
-        self.set_slot_entry(slot.0, data_off, data.len() as u16);
+        self.place(slot.0, data.len()).copy_from_slice(data);
         true
     }
 
     /// Read a row payload. `None` for tombstoned or out-of-range slots.
     pub fn get(&self, slot: SlotId) -> Option<&[u8]> {
-        if slot.0 >= self.slot_count() {
-            return None;
-        }
-        let (off, len) = self.slot_entry(slot.0);
-        if off == TOMBSTONE {
-            return None;
-        }
-        Some(&self.buf[off as usize..off as usize + len as usize])
+        self.as_view().get(slot)
     }
 
     /// Delete a row, tombstoning its slot. Returns the old payload length
@@ -407,63 +390,86 @@ impl<'a> SlottedPage<'a> {
         if self.contiguous_free() < data.len() {
             self.compact();
         }
-        let data_off = self.get_u16(OFF_FREE_START);
-        let start = data_off as usize;
-        self.buf[start..start + data.len()].copy_from_slice(data);
-        self.set_u16(OFF_FREE_START, data_off + data.len() as u16);
-        self.set_slot_entry(slot.0, data_off, data.len() as u16);
+        self.place(slot.0, data.len()).copy_from_slice(data);
         true
     }
 
     /// Number of live (non-tombstoned) rows.
     pub fn live_rows(&self) -> usize {
-        (0..self.slot_count())
-            .filter(|&s| self.slot_entry(s).0 != TOMBSTONE)
-            .count()
+        self.as_view().live_rows()
     }
 
     /// Iterate live rows as `(SlotId, payload)`.
     pub fn iter_rows(&self) -> impl Iterator<Item = (SlotId, &[u8])> {
-        (0..self.slot_count()).filter_map(move |s| {
-            let (off, len) = self.slot_entry(s);
-            if off == TOMBSTONE {
-                None
-            } else {
-                Some((
-                    SlotId(s),
-                    &self.buf[off as usize..off as usize + len as usize],
-                ))
-            }
-        })
+        self.as_view().iter_rows()
     }
 
     /// Rewrite the data region to squeeze out holes. Slot ids are
-    /// preserved.
+    /// preserved and payloads end up in slot order.
     pub fn compact(&mut self) {
-        let count = self.slot_count();
-        let mut rows: Vec<(u16, Vec<u8>)> = Vec::with_capacity(count as usize);
-        for s in 0..count {
+        let end = self.get_u16(OFF_FREE_START) as usize;
+        let mut old = [0u8; PAGE_SIZE];
+        old[HEADER_SIZE..end].copy_from_slice(&self.buf[HEADER_SIZE..end]);
+        let mut cursor = HEADER_SIZE;
+        for s in 0..self.slot_count() {
             let (off, len) = self.slot_entry(s);
             if off != TOMBSTONE {
-                rows.push((
-                    s,
-                    self.buf[off as usize..off as usize + len as usize].to_vec(),
-                ));
+                let (off, n) = (off as usize, len as usize);
+                self.buf[cursor..cursor + n].copy_from_slice(&old[off..off + n]);
+                self.set_slot_entry(s, cursor as u16, len);
+                cursor += n;
             }
         }
-        let mut cursor = HEADER_SIZE as u16;
-        for (s, data) in rows {
-            let start = cursor as usize;
-            self.buf[start..start + data.len()].copy_from_slice(&data);
-            self.set_slot_entry(s, cursor, data.len() as u16);
-            cursor += data.len() as u16;
-        }
-        self.set_u16(OFF_FREE_START, cursor);
+        self.set_u16(OFF_FREE_START, cursor as u16);
         self.set_u16(OFF_DEAD_BYTES, 0);
     }
 }
 
+/// Ordered directory (index pages): the slot directory is kept in the
+/// caller's key order, so a slot id is a *position*, not a stable
+/// address. There are no tombstones; an insert opens a directory entry
+/// at its position and a removal closes one. Heap pages never use these.
+impl SlottedPage<'_> {
+    /// Open a `len`-byte payload at directory position `pos`, moving the
+    /// entries at `pos..` one position up, and hand back its bytes for
+    /// the caller to fill. Compacts when only holes have the room;
+    /// `None` when the page cannot hold the payload and its entry.
+    pub fn insert_ordered(&mut self, pos: u16, len: usize) -> Option<&mut [u8]> {
+        let count = self.slot_count();
+        let need = len + SLOT_ENTRY_SIZE;
+        if pos > count || self.total_free() < need {
+            return None;
+        }
+        if self.contiguous_free() < need {
+            self.compact();
+        }
+        let dir = PAGE_SIZE - SLOT_ENTRY_SIZE * count as usize;
+        let moved = dir..PAGE_SIZE - SLOT_ENTRY_SIZE * pos as usize;
+        self.buf.copy_within(moved, dir - SLOT_ENTRY_SIZE);
+        self.set_u16(OFF_SLOT_COUNT, count + 1);
+        Some(self.place(pos, len))
+    }
+
+    /// Close directory position `pos`; its payload becomes a hole.
+    /// `false` when there is no such position.
+    pub fn remove_ordered(&mut self, pos: u16) -> bool {
+        let count = self.slot_count();
+        if pos >= count {
+            return false;
+        }
+        let len = self.slot_entry(pos).1;
+        let dir = PAGE_SIZE - SLOT_ENTRY_SIZE * count as usize;
+        let moved = dir..PAGE_SIZE - SLOT_ENTRY_SIZE * (pos as usize + 1);
+        self.buf.copy_within(moved, dir + SLOT_ENTRY_SIZE);
+        self.set_u16(OFF_SLOT_COUNT, count - 1);
+        let dead = self.get_u16(OFF_DEAD_BYTES);
+        self.set_u16(OFF_DEAD_BYTES, dead + len);
+        true
+    }
+}
+
 /// Read-only view over a formatted page (used under shared latches).
+#[derive(Clone, Copy)]
 pub struct PageView<'a> {
     buf: &'a [u8],
 }
@@ -538,24 +544,13 @@ impl<'a> PageView<'a> {
 
     /// Number of live rows.
     pub fn live_rows(&self) -> usize {
-        (0..self.slot_count())
-            .filter(|&s| self.slot_entry(s).0 != TOMBSTONE)
-            .count()
+        self.iter_rows().count()
     }
 
     /// Iterate live rows as `(SlotId, payload)`.
-    pub fn iter_rows(&self) -> impl Iterator<Item = (SlotId, &'a [u8])> + '_ {
-        (0..self.slot_count()).filter_map(move |s| {
-            let (off, len) = self.slot_entry(s);
-            if off == TOMBSTONE {
-                None
-            } else {
-                Some((
-                    SlotId(s),
-                    &self.buf[off as usize..off as usize + len as usize],
-                ))
-            }
-        })
+    pub fn iter_rows(&self) -> impl Iterator<Item = (SlotId, &'a [u8])> + 'a {
+        let view = *self;
+        (0..view.slot_count()).filter_map(move |s| Some((SlotId(s), view.get(SlotId(s))?)))
     }
 
     /// Bytes immediately insertable in the contiguous free region.
@@ -568,6 +563,15 @@ impl<'a> PageView<'a> {
     /// Total free bytes including compactable holes.
     pub fn total_free(&self) -> usize {
         self.contiguous_free() + self.get_u16(OFF_DEAD_BYTES) as usize
+    }
+
+    /// Whether `slot`'s payload is the last one written to the data
+    /// region: nothing was placed on the page after it.
+    pub fn is_newest(&self, slot: u16) -> bool {
+        slot < self.slot_count() && {
+            let (off, len) = self.slot_entry(slot);
+            off + len == self.get_u16(OFF_FREE_START)
+        }
     }
 }
 

@@ -43,6 +43,9 @@ numbers() {
     echo "crates_src_lines $(cat $src_files | wc -l)"
     echo "crates_src_code_lines $(code_lines $src_files)"
     echo "movement_path_code_lines $(code_lines $movement_files)"
+    # The B+tree without its in-file tests (everything before the first
+    # `#[cfg(test)]`).
+    echo "btree_code_lines $(sed '/^#\[cfg(test)\]/,$d' crates/index/src/btree.rs | code_lines -)"
     echo "engine_config_fields $(sed -n '/^pub struct EngineConfig {/,/^}/p' crates/core/src/config.rs | grep -c '^    pub [a-z_0-9]*:')"
     echo "shared_fields $(sed -n '/^pub(crate) struct Shared {/,/^}/p' crates/core/src/engine.rs | grep -c '^    \(pub \)\?[a-z_0-9]*:')"
     # Per-partition state belongs on the `Partition` record: struct

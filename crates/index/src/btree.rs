@@ -32,13 +32,14 @@
 //! page, then trims the old one. (The engine's hash index is the
 //! latch-free fast path for point lookups of IMRS rows, §II.)
 
+use std::ops::Deref;
 use std::sync::Arc;
 
 use parking_lot::RwLock;
 
 use btrim_common::{BtrimError, PageId, PartitionId, Result, RowId, SlotId};
 use btrim_pagestore::page::{
-    PageType, PageView, SlottedPage, HEADER_SIZE, PAGE_SIZE, SLOT_ENTRY_SIZE,
+    Page, PageType, PageView, SlottedPage, HEADER_SIZE, PAGE_SIZE, SLOT_ENTRY_SIZE,
 };
 use btrim_pagestore::BufferCache;
 
@@ -56,40 +57,49 @@ fn suffix(kind: PageType) -> usize {
     8 + 4 * (kind == Inner) as usize
 }
 
-/// A cell's ordering pair: its key and the rid behind it.
-fn split_cell(cell: &[u8], kind: PageType) -> (&[u8], u64) {
-    let (key, rest) = cell.split_at(cell.len().saturating_sub(suffix(kind)));
-    let rid = rest.first_chunk().map_or(0, |b| u64::from_le_bytes(*b));
-    (key, rid)
+/// Cell `i` of the `kind` page `p`. A slot that is missing, or shorter
+/// than what follows a key, is [`BtrimError::Corrupt`]: a damaged page
+/// fails the operation, it does not route it somewhere.
+fn cell(p: &Page<impl Deref<Target = [u8]>>, i: u16, kind: PageType) -> Result<&[u8]> {
+    let whole = p.get(SlotId(i)).filter(|c| c.len() >= suffix(kind));
+    whole.ok_or_else(|| BtrimError::Corrupt(format!("btree page {}: cell {i}", p.page_id())))
 }
 
-/// Cell `i` of `p` (an index page has no tombstones).
-fn cell<'a>(p: &PageView<'a>, i: u16) -> &'a [u8] {
-    p.get(SlotId(i)).unwrap_or(&[])
+/// The ordering pair of a cell that [`cell`] vouched for: its key and
+/// the rid behind it.
+fn split_cell(cell: &[u8], kind: PageType) -> (&[u8], u64) {
+    let (key, rest) = cell.split_at(cell.len() - suffix(kind));
+    let mut rid = [0; 8];
+    rid.copy_from_slice(&rest[..8]);
+    (key, u64::from_le_bytes(rid))
 }
 
 /// Cell `i` of `p` as its ordering pair.
-fn pair<'a>(p: &PageView<'a>, i: u16, kind: PageType) -> (&'a [u8], u64) {
-    split_cell(cell(p, i), kind)
+fn pair(p: &Page<impl Deref<Target = [u8]>>, i: u16, kind: PageType) -> Result<(&[u8], u64)> {
+    Ok(split_cell(cell(p, i, kind)?, kind))
 }
 
 /// Child page of inner cell `i`.
-fn child(p: &PageView<'_>, i: u16) -> PageId {
-    PageId(
-        cell(p, i)
-            .last_chunk()
-            .map_or(0, |b| u32::from_le_bytes(*b)),
-    )
+fn child(p: &Page<impl Deref<Target = [u8]>>, i: u16) -> Result<PageId> {
+    let cell = cell(p, i, Inner)?;
+    let mut id = [0; 4];
+    id.copy_from_slice(&cell[cell.len() - 4..]);
+    Ok(PageId(u32::from_le_bytes(id)))
 }
 
 /// In a leaf, the first directory position whose pair is `>= (key,
 /// rid)`; in an inner node, the first whose pair is `>` (the cell before
 /// it routes there).
-fn search(p: &PageView<'_>, kind: PageType, key: &[u8], rid: u64) -> u16 {
+fn search(
+    p: &Page<impl Deref<Target = [u8]>>,
+    kind: PageType,
+    key: &[u8],
+    rid: u64,
+) -> Result<u16> {
     let (mut lo, mut hi) = (0, p.slot_count());
     while lo < hi {
         let mid = lo + (hi - lo) / 2;
-        let (k, r) = pair(p, mid, kind);
+        let (k, r) = pair(p, mid, kind)?;
         let ord = k.cmp(key).then(r.cmp(&rid));
         if ord.is_lt() || (kind == Inner && ord.is_eq()) {
             lo = mid + 1;
@@ -97,7 +107,7 @@ fn search(p: &PageView<'_>, kind: PageType, key: &[u8], rid: u64) -> u16 {
             hi = mid;
         }
     }
-    lo
+    Ok(lo)
 }
 
 /// Write the cell `key ‖ rid [‖ child]` at directory position `pos`.
@@ -158,8 +168,8 @@ impl BTreeIndex {
     }
 
     /// Run `f` over page `pid` under its shared latch.
-    fn read<R>(&self, pid: PageId, f: impl FnOnce(&PageView<'_>) -> R) -> Result<R> {
-        Ok(self.cache.fetch(pid)?.with_page_read(f))
+    fn read<R>(&self, pid: PageId, f: impl FnOnce(&PageView<'_>) -> Result<R>) -> Result<R> {
+        self.cache.fetch(pid)?.with_page_read(f)
     }
 
     /// As [`Self::read`], under the exclusive latch; dirties the page.
@@ -172,7 +182,7 @@ impl BTreeIndex {
         let mut pid = root.page;
         for _ in 0..depth {
             pid = self.read(pid, |p| {
-                child(p, search(p, Inner, key, rid).saturating_sub(1))
+                child(p, search(p, Inner, key, rid)?.saturating_sub(1))
             })?;
         }
         Ok(pid)
@@ -185,12 +195,15 @@ impl BTreeIndex {
         let mut pid = self.descend(root, key, rid, root.height - 1)?;
         loop {
             let (hit, next) = self.read(pid, |p| {
-                let pos = search(p, Leaf, key, rid);
-                let hit = (pos < p.slot_count()).then(|| pair(p, pos, Leaf));
-                (
-                    hit.map(|(k, r)| (k == key).then_some((pid, pos, RowId(r)))),
+                let pos = search(p, Leaf, key, rid)?;
+                if pos == p.slot_count() {
+                    return Ok((None, p.next_page()));
+                }
+                let (k, r) = pair(p, pos, Leaf)?;
+                Ok((
+                    Some((k == key).then_some((pid, pos, RowId(r)))),
                     p.next_page(),
-                )
+                ))
             })?;
             match hit {
                 Some(found) => return Ok(found),
@@ -214,23 +227,29 @@ impl BTreeIndex {
         let tie = self.tie(rid);
         let mut depth = root.height - 1;
         let leaf = self.descend(&root, key, tie, depth)?;
-        // `Some(pos)`: the leaf is full and the cell belongs at `pos`.
-        let full = self.write(leaf, |p| {
-            let v = p.as_view();
-            let pos = search(&v, Leaf, key, tie);
-            if pos < v.slot_count() {
-                let (k, r) = pair(&v, pos, Leaf);
+        // Probe under the shared latch — the tree latch keeps the leaf as
+        // it is until the write below — so an insert that is refused, or
+        // finds its pair in place, dirties nothing.
+        let guard = self.cache.fetch(leaf)?;
+        let pos = guard.with_page_read(|p| {
+            let pos = search(p, Leaf, key, tie)?;
+            if pos < p.slot_count() {
+                let (k, r) = pair(p, pos, Leaf)?;
                 if k == key && self.unique {
                     return Err(BtrimError::DuplicateKey(format!("{key:?}")));
                 } else if k == key && r == rid.0 {
                     return Ok(None);
                 }
             }
-            Ok((!put(p, pos, key, rid.0, None)).then_some(pos))
-        })??;
-        let Some(pos) = full else {
+            Ok(Some(pos))
+        })?;
+        let Some(pos) = pos else {
             return Ok(());
         };
+        if guard.with_page_write(|p| put(p, pos, key, rid.0, None)) {
+            return Ok(());
+        }
+        drop(guard);
         // Split, then hand each level's separator to the level above
         // (found by descending again: splits are rare, paths are not
         // recorded).
@@ -238,13 +257,10 @@ impl BTreeIndex {
         while depth > 0 {
             depth -= 1;
             let parent = self.descend(&root, key, tie, depth)?;
-            let full = self.write(parent, |p| {
-                let pos = search(&p.as_view(), Inner, &sep.key, sep.rid);
-                (!put(p, pos, &sep.key, sep.rid, Some(sep.right))).then_some(pos)
-            })?;
-            let Some(pos) = full else {
+            let pos = self.read(parent, |p| search(p, Inner, &sep.key, sep.rid))?;
+            if self.write(parent, |p| put(p, pos, &sep.key, sep.rid, Some(sep.right)))? {
                 return Ok(());
-            };
+            }
             sep = self.split(parent, Inner, pos, &sep.key, sep.rid, Some(sep.right))?;
         }
         // The root itself split: a new root above both halves.
@@ -276,7 +292,9 @@ impl BTreeIndex {
             .with_read(|buf| copy.copy_from_slice(buf));
         let old = PageView::new(&copy);
         let count = old.slot_count();
-        let size = |i: u16| cell(&old, i).len() + SLOT_ENTRY_SIZE;
+        let cells = (0..count).map(|i| cell(&old, i, kind));
+        let cells = cells.collect::<Result<Vec<_>>>()?;
+        let size = |i: u16| cells[i as usize].len() + SLOT_ENTRY_SIZE;
         // An entry that extends an ascending run — it sorts behind the
         // last cell written here — leaves this page `RUN_FILL` full and
         // never cuts beyond its own position, so the run goes on behind
@@ -305,14 +323,14 @@ impl BTreeIndex {
         let guard = self.cache.new_page(kind, self.partition)?;
         let right = guard.page_id();
         let sep = guard.with_page_write(|r| {
-            let mut ok = (cut..count).all(|i| {
-                r.insert_ordered(i - cut, cell(&old, i).len())
-                    .map(|dst| dst.copy_from_slice(cell(&old, i)))
+            let mut ok = cells[cut as usize..].iter().zip(0..).all(|(cell, at)| {
+                r.insert_ordered(at, cell.len())
+                    .map(|dst| dst.copy_from_slice(cell))
                     .is_some()
             });
             ok &= left || put(r, pos - cut, key, rid, child_of_new);
             r.set_next_page(old.next_page());
-            let (first_key, first_rid) = pair(&r.as_view(), 0, kind);
+            let (first_key, first_rid) = pair(r, 0, kind).ok()?;
             let sep = Separator {
                 key: first_key.to_vec(),
                 rid: if kind == Leaf {
@@ -324,10 +342,10 @@ impl BTreeIndex {
             };
             if kind == Inner {
                 // The separator moves up; below it the cell is "−∞".
-                let first_child = child(&r.as_view(), 0);
+                let first_child = child(r, 0).ok()?;
                 ok &= r.remove_ordered(0) && put(r, 0, &[], 0, Some(first_child));
             }
-            (ok && r.slot_count() > 0).then_some(sep)
+            ok.then_some(sep)
         });
         drop(guard);
         // Unreachable while a page holds two cells of the longest key.
@@ -407,15 +425,15 @@ impl BTreeIndex {
         loop {
             cells.clear();
             let next = self.read(pid, |p| {
-                for i in search(p, Leaf, lo, 0)..p.slot_count() {
-                    let cell = cell(p, i);
+                for i in search(p, Leaf, lo, 0)?..p.slot_count() {
+                    let cell = cell(p, i, Leaf)?;
                     if past(split_cell(cell, Leaf).0) {
-                        return None;
+                        return Ok(None);
                     }
                     cells.extend_from_slice(&(cell.len() as u16).to_le_bytes());
                     cells.extend_from_slice(cell);
                 }
-                Some(p.next_page()).filter(|next| !next.is_null())
+                Ok(Some(p.next_page()).filter(|next| !next.is_null()))
             })?;
             let mut rest = cells.as_slice();
             while let Some((len, tail)) = rest.split_first_chunk() {
@@ -439,7 +457,7 @@ impl BTreeIndex {
         let mut pid = self.descend(&root, &[], 0, root.height - 1)?;
         let mut n = 0;
         while !pid.is_null() {
-            let (count, next) = self.read(pid, |p| (p.slot_count(), p.next_page()))?;
+            let (count, next) = self.read(pid, |p| Ok((p.slot_count(), p.next_page())))?;
             n += count as usize;
             pid = next;
         }
@@ -515,7 +533,9 @@ impl BTreeIndex {
             Leaf => (k.to_vec(), self.tie(RowId(r))),
             _ => (k.to_vec(), r),
         };
-        let pairs: Vec<Pair> = (0..n).map(|i| ordering(pair(&p, i, kind))).collect();
+        let pairs: Vec<Pair> = (0..n)
+            .map(|i| ordering(pair(&p, i, kind).unwrap()))
+            .collect();
         assert!(pairs.windows(2).all(|w| w[0] < w[1]), "page {pid}: order");
         let bounded = |pr: &Pair| lo.is_none_or(|lo| lo <= pr) && hi.is_none_or(|hi| pr < hi);
         if kind == Leaf {
@@ -534,7 +554,7 @@ impl BTreeIndex {
         for (i, pr) in pairs.iter().enumerate() {
             let lo = if i == 0 { lo } else { Some(pr) };
             self.check_node(
-                child(&p, i as u16),
+                child(&p, i as u16).unwrap(),
                 levels - 1,
                 lo,
                 pairs.get(i + 1).or(hi),
@@ -556,6 +576,42 @@ mod tests {
 
     fn key(n: u64) -> Vec<u8> {
         n.to_be_bytes().to_vec()
+    }
+
+    #[test]
+    fn insert_get_small() {
+        let t = tree(true);
+        t.insert(&key(5), RowId(50)).unwrap();
+        t.insert(&key(1), RowId(10)).unwrap();
+        t.insert(&key(9), RowId(90)).unwrap();
+        assert_eq!(t.get(&key(1)).unwrap(), Some(RowId(10)));
+        assert_eq!(t.get(&key(5)).unwrap(), Some(RowId(50)));
+        assert_eq!(t.get(&key(9)).unwrap(), Some(RowId(90)));
+        assert_eq!(t.get(&key(2)).unwrap(), None);
+        assert_eq!(t.len().unwrap(), 3);
+    }
+
+    #[test]
+    fn unique_rejects_duplicates() {
+        let t = tree(true);
+        t.insert(&key(1), RowId(10)).unwrap();
+        assert!(matches!(
+            t.insert(&key(1), RowId(11)),
+            Err(BtrimError::DuplicateKey(_))
+        ));
+    }
+
+    #[test]
+    fn non_unique_collects_all() {
+        let t = tree(false);
+        for i in 0..10 {
+            t.insert(&key(7), RowId(i)).unwrap();
+        }
+        t.insert(&key(8), RowId(100)).unwrap();
+        let mut rids = t.get_all(&key(7)).unwrap();
+        rids.sort();
+        assert_eq!(rids, (0..10).map(RowId).collect::<Vec<_>>());
+        assert_eq!(t.get_all(&key(6)).unwrap(), vec![]);
     }
 
     /// The `customer.by_name` shape: 3 000 keys × 3 duplicates, so some
@@ -599,6 +655,16 @@ mod tests {
         for i in (0..n).step_by(97) {
             assert_eq!(t.get(&key(i)).unwrap(), Some(RowId(i)));
         }
+        // Full scan is sorted.
+        let mut prev: Option<Vec<u8>> = None;
+        t.scan_range(&[], None, |k, _| {
+            if let Some(p) = &prev {
+                assert!(p.as_slice() <= k);
+            }
+            prev = Some(k.to_vec());
+            true
+        })
+        .unwrap();
         t.check_invariants();
     }
 
@@ -623,6 +689,70 @@ mod tests {
         })
         .unwrap();
         assert_eq!(count, 5);
+    }
+
+    #[test]
+    fn delete_by_key_and_pair() {
+        let t = tree(false);
+        t.insert(&key(1), RowId(10)).unwrap();
+        t.insert(&key(1), RowId(11)).unwrap();
+        // Remove a specific pair.
+        assert!(t.delete(&key(1), Some(RowId(10))).unwrap());
+        assert_eq!(t.get_all(&key(1)).unwrap(), vec![RowId(11)]);
+        // Remove missing pair.
+        assert!(!t.delete(&key(1), Some(RowId(10))).unwrap());
+        // Remove by key.
+        assert!(t.delete(&key(1), None).unwrap());
+        assert!(t.get_all(&key(1)).unwrap().is_empty());
+    }
+
+    #[test]
+    fn delete_after_splits() {
+        let t = tree(true);
+        let n = 3000u64;
+        for i in 0..n {
+            t.insert(&key(i), RowId(i)).unwrap();
+        }
+        for i in (0..n).step_by(2) {
+            assert!(t.delete(&key(i), None).unwrap(), "delete {i}");
+        }
+        assert_eq!(t.len().unwrap(), (n / 2) as usize);
+        for i in 0..n {
+            let expect = if i % 2 == 0 { None } else { Some(RowId(i)) };
+            assert_eq!(t.get(&key(i)).unwrap(), expect, "key {i}");
+        }
+    }
+
+    #[test]
+    fn variable_length_string_keys() {
+        let t = tree(true);
+        let names = ["BARBAR", "OUGHT", "ABLE", "PRES", "ESE", "ANTI", "CALLY"];
+        for (i, n) in names.iter().enumerate() {
+            let k = crate::keys::KeyBuilder::new().push_str(n).build();
+            t.insert(&k, RowId(i as u64)).unwrap();
+        }
+        for (i, n) in names.iter().enumerate() {
+            let k = crate::keys::KeyBuilder::new().push_str(n).build();
+            assert_eq!(t.get(&k).unwrap(), Some(RowId(i as u64)));
+        }
+    }
+
+    /// A cell too short for its rid fails the operation; it is not read
+    /// as some default pair.
+    #[test]
+    fn short_cell_is_corrupt() {
+        let t = tree(true);
+        t.insert(&key(1), RowId(1)).unwrap();
+        let root = t.root.read().page;
+        let damaged = t.write(root, |p| {
+            p.remove_ordered(0) && p.insert_ordered(0, 3).is_some()
+        });
+        assert!(damaged.unwrap());
+        assert!(matches!(t.get(&key(1)), Err(BtrimError::Corrupt(_))));
+        assert!(matches!(
+            t.insert(&key(2), RowId(2)),
+            Err(BtrimError::Corrupt(_))
+        ));
     }
 
     /// A page holds seven `MAX_KEY_LEN` cells, so a split always has
@@ -730,9 +860,10 @@ mod proptests {
         ) {
             let (t, evict) = small_cache_tree(true);
             let mut model: BTreeMap<Vec<u8>, u64> = BTreeMap::new();
+            // 8 to 458 bytes: some seventy live keys span several pages.
+            let key = |k: u64| [k.to_be_bytes().to_vec(), vec![0xAB; (k % 4) as usize * 150]].concat();
             for (is_insert, k, v) in ops {
-                // 8 to 458 bytes: some seventy live keys span several pages.
-                let kb = [k.to_be_bytes().to_vec(), vec![0xAB; (k % 4) as usize * 150]].concat();
+                let kb = key(k);
                 if is_insert {
                     match t.insert(&kb, RowId(v)) {
                         Ok(()) => {
@@ -753,8 +884,8 @@ mod proptests {
             }
             // Final state matches exactly.
             prop_assert_eq!(t.len().unwrap(), model.len());
-            for (k, v) in &model {
-                prop_assert_eq!(t.get(k).unwrap(), Some(RowId(*v)));
+            for kb in (0..150).map(key) {
+                prop_assert_eq!(t.get(&kb).unwrap(), model.get(&kb).map(|v| RowId(*v)));
             }
             // Scan order matches model order.
             let mut scanned = Vec::new();

@@ -116,19 +116,141 @@ pub fn verify_page_checksum(buf: &[u8]) -> bool {
     stored == page_checksum(buf)
 }
 
+/// A formatted page over borrowed bytes: a [`PageView`] over `&[u8]`
+/// reads it, a [`SlottedPage`] over `&mut [u8]` also edits it. Neither
+/// owns memory, so the buffer cache stays in charge of the bytes.
+#[derive(Clone, Copy)]
+pub struct Page<B> {
+    buf: B,
+}
+
+/// Read-only view over a formatted page (used under shared latches).
+pub type PageView<'a> = Page<&'a [u8]>;
 /// A mutable view over a page buffer with slotted-row operations.
-///
-/// `SlottedPage` borrows the frame buffer; it never owns memory, so the
-/// buffer cache stays in charge of the bytes.
-pub struct SlottedPage<'a> {
-    buf: &'a mut [u8],
+pub type SlottedPage<'a> = Page<&'a mut [u8]>;
+
+impl<'a> PageView<'a> {
+    /// Wrap an existing formatted page buffer.
+    pub fn new(buf: &'a [u8]) -> Self {
+        debug_assert_eq!(buf.len(), PAGE_SIZE);
+        Page { buf }
+    }
+}
+
+/// What either view reads.
+impl<B: std::ops::Deref<Target = [u8]>> Page<B> {
+    fn get_u16(&self, off: usize) -> u16 {
+        u16::from_le_bytes([self.buf[off], self.buf[off + 1]])
+    }
+    fn get_u32(&self, off: usize) -> u32 {
+        u32::from_le_bytes([
+            self.buf[off],
+            self.buf[off + 1],
+            self.buf[off + 2],
+            self.buf[off + 3],
+        ])
+    }
+
+    /// Page type from the header.
+    pub fn page_type(&self) -> PageType {
+        PageType::from_u8(self.buf[OFF_TYPE])
+    }
+
+    /// This page's id.
+    pub fn page_id(&self) -> PageId {
+        PageId(self.get_u32(OFF_PAGE_ID))
+    }
+
+    /// Owning partition.
+    pub fn partition(&self) -> PartitionId {
+        PartitionId(self.get_u32(OFF_PARTITION))
+    }
+
+    /// Next page in the owning chain (heap page chains, B+tree leaf links).
+    pub fn next_page(&self) -> PageId {
+        PageId(self.get_u32(OFF_NEXT_PAGE))
+    }
+
+    /// Recovery LSN of the last change applied to this page.
+    pub fn page_lsn(&self) -> u64 {
+        let mut b = [0u8; 8];
+        b.copy_from_slice(&self.buf[OFF_PAGE_LSN..OFF_PAGE_LSN + 8]);
+        u64::from_le_bytes(b)
+    }
+
+    /// Number of slots ever created on this page (live + tombstoned).
+    pub fn slot_count(&self) -> u16 {
+        self.get_u16(OFF_SLOT_COUNT)
+    }
+
+    fn slot_entry(&self, slot: u16) -> (u16, u16) {
+        let off = slot_dir_offset(slot);
+        (self.get_u16(off), self.get_u16(off + 2))
+    }
+
+    /// Offset and length of `slot`'s payload; `None` for tombstoned or
+    /// out-of-range slots.
+    fn live_entry(&self, slot: SlotId) -> Option<(usize, usize)> {
+        if slot.0 >= self.slot_count() {
+            return None;
+        }
+        let (off, len) = self.slot_entry(slot.0);
+        (off != TOMBSTONE).then_some((off as usize, len as usize))
+    }
+
+    /// Read a row payload. `None` for tombstoned or out-of-range slots.
+    pub fn get(&self, slot: SlotId) -> Option<&[u8]> {
+        let (off, len) = self.live_entry(slot)?;
+        Some(&self.buf[off..off + len])
+    }
+
+    /// Number of live (non-tombstoned) rows.
+    pub fn live_rows(&self) -> usize {
+        self.iter_rows().count()
+    }
+
+    /// Iterate live rows as `(SlotId, payload)`.
+    pub fn iter_rows(&self) -> impl Iterator<Item = (SlotId, &[u8])> {
+        (0..self.slot_count()).filter_map(|s| Some((SlotId(s), self.get(SlotId(s))?)))
+    }
+
+    /// Bytes immediately insertable (contiguous free region, not counting
+    /// holes reclaimable by compaction).
+    pub fn contiguous_free(&self) -> usize {
+        let free_start = self.get_u16(OFF_FREE_START) as usize;
+        let dir_start = PAGE_SIZE - SLOT_ENTRY_SIZE * self.slot_count() as usize;
+        dir_start.saturating_sub(free_start)
+    }
+
+    /// Total free bytes including compactable holes.
+    pub fn total_free(&self) -> usize {
+        self.contiguous_free() + self.get_u16(OFF_DEAD_BYTES) as usize
+    }
+
+    /// Ordered directory (index pages, see [`SlottedPage::insert_ordered`]):
+    /// whether the payload at directory position `pos` is the last one
+    /// written to the data region — nothing was placed on the page after
+    /// it. (A compaction rewrites payloads in directory order, so after
+    /// one this is the last position.) `false` for a missing position
+    /// and for a heap page's tombstone.
+    pub fn is_newest(&self, pos: u16) -> bool {
+        let free_start = self.get_u16(OFF_FREE_START) as usize;
+        self.live_entry(SlotId(pos))
+            .is_some_and(|(off, len)| off + len == free_start)
+    }
+}
+
+/// Where `slot`'s directory entry lies: the directory grows down from
+/// the end of the page.
+fn slot_dir_offset(slot: u16) -> usize {
+    PAGE_SIZE - SLOT_ENTRY_SIZE * (slot as usize + 1)
 }
 
 impl<'a> SlottedPage<'a> {
     /// Wrap an existing formatted page.
     pub fn new(buf: &'a mut [u8]) -> Self {
         debug_assert_eq!(buf.len(), PAGE_SIZE);
-        SlottedPage { buf }
+        Page { buf }
     }
 
     /// Format a fresh page in `buf`.
@@ -140,7 +262,7 @@ impl<'a> SlottedPage<'a> {
     ) -> Self {
         debug_assert_eq!(buf.len(), PAGE_SIZE);
         buf.fill(0);
-        let mut p = SlottedPage { buf };
+        let mut p = Page { buf };
         p.buf[OFF_TYPE] = page_type as u8;
         p.set_u16(OFF_SLOT_COUNT, 0);
         p.set_u16(OFF_FREE_START, HEADER_SIZE as u16);
@@ -152,9 +274,6 @@ impl<'a> SlottedPage<'a> {
         p
     }
 
-    fn get_u16(&self, off: usize) -> u16 {
-        u16::from_le_bytes([self.buf[off], self.buf[off + 1]])
-    }
     fn set_u16(&mut self, off: usize, v: u16) {
         self.buf[off..off + 2].copy_from_slice(&v.to_le_bytes());
     }
@@ -165,39 +284,9 @@ impl<'a> SlottedPage<'a> {
         self.buf[off..off + 8].copy_from_slice(&v.to_le_bytes());
     }
 
-    /// Read-only view of the same bytes; every read below goes through it.
-    pub fn as_view(&self) -> PageView<'_> {
-        PageView { buf: self.buf }
-    }
-
-    /// Page type from the header.
-    pub fn page_type(&self) -> PageType {
-        self.as_view().page_type()
-    }
-
-    /// This page's id.
-    pub fn page_id(&self) -> PageId {
-        self.as_view().page_id()
-    }
-
-    /// Owning partition.
-    pub fn partition(&self) -> PartitionId {
-        self.as_view().partition()
-    }
-
-    /// Next page in the owning chain (heap page chains, B+tree leaf links).
-    pub fn next_page(&self) -> PageId {
-        self.as_view().next_page()
-    }
-
     /// Set the next-page link.
     pub fn set_next_page(&mut self, next: PageId) {
         self.set_u32(OFF_NEXT_PAGE, next.0);
-    }
-
-    /// Recovery LSN of the last change applied to this page.
-    pub fn page_lsn(&self) -> u64 {
-        self.as_view().page_lsn()
     }
 
     /// Stamp the recovery LSN.
@@ -205,21 +294,8 @@ impl<'a> SlottedPage<'a> {
         self.set_u64(OFF_PAGE_LSN, lsn);
     }
 
-    /// Number of slots ever created on this page (live + tombstoned).
-    pub fn slot_count(&self) -> u16 {
-        self.as_view().slot_count()
-    }
-
-    fn slot_dir_offset(&self, slot: u16) -> usize {
-        PAGE_SIZE - SLOT_ENTRY_SIZE * (slot as usize + 1)
-    }
-
-    fn slot_entry(&self, slot: u16) -> (u16, u16) {
-        self.as_view().slot_entry(slot)
-    }
-
     fn set_slot_entry(&mut self, slot: u16, data_off: u16, len: u16) {
-        let off = self.slot_dir_offset(slot);
+        let off = slot_dir_offset(slot);
         self.set_u16(off, data_off);
         self.set_u16(off + 2, len);
     }
@@ -233,15 +309,10 @@ impl<'a> SlottedPage<'a> {
         &mut self.buf[start..start + len]
     }
 
-    /// Bytes immediately insertable (contiguous free region, not counting
-    /// holes reclaimable by compaction).
-    pub fn contiguous_free(&self) -> usize {
-        self.as_view().contiguous_free()
-    }
-
-    /// Total free bytes including compactable holes.
-    pub fn total_free(&self) -> usize {
-        self.as_view().total_free()
+    /// `len` more bytes lie in holes that a compaction reclaims.
+    fn add_dead(&mut self, len: usize) {
+        let dead = self.get_u16(OFF_DEAD_BYTES);
+        self.set_u16(OFF_DEAD_BYTES, dead + len as u16);
     }
 
     /// Whether a payload of `len` bytes can be inserted (possibly after
@@ -268,15 +339,8 @@ impl<'a> SlottedPage<'a> {
     /// the overwrite before mutating probe under the same write latch,
     /// append, then update — the answer cannot change in between.
     pub fn update_fits(&self, slot: SlotId, new_len: usize) -> bool {
-        if slot.0 >= self.slot_count() {
-            return false;
-        }
-        let (off, len) = self.slot_entry(slot.0);
-        if off == TOMBSTONE {
-            return false;
-        }
-        let len = len as usize;
-        new_len <= len || self.total_free() + len >= new_len
+        self.live_entry(slot)
+            .is_some_and(|(_, len)| new_len <= len || self.total_free() + len >= new_len)
     }
 
     /// Insert a row payload, compacting if needed. Returns the slot, or
@@ -341,43 +405,25 @@ impl<'a> SlottedPage<'a> {
         true
     }
 
-    /// Read a row payload. `None` for tombstoned or out-of-range slots.
-    pub fn get(&self, slot: SlotId) -> Option<&[u8]> {
-        self.as_view().get(slot)
-    }
-
     /// Delete a row, tombstoning its slot. Returns the old payload length
     /// or `None` if the slot was not live.
     pub fn delete(&mut self, slot: SlotId) -> Option<usize> {
-        if slot.0 >= self.slot_count() {
-            return None;
-        }
-        let (off, len) = self.slot_entry(slot.0);
-        if off == TOMBSTONE {
-            return None;
-        }
+        let (_, len) = self.live_entry(slot)?;
         self.set_slot_entry(slot.0, TOMBSTONE, 0);
-        let dead = self.get_u16(OFF_DEAD_BYTES);
-        self.set_u16(OFF_DEAD_BYTES, dead + len);
-        Some(len as usize)
+        self.add_dead(len);
+        Some(len)
     }
 
     /// Update a row in place. Returns `false` when the new payload cannot
     /// fit on this page (caller relocates the row).
     pub fn update(&mut self, slot: SlotId, data: &[u8]) -> bool {
-        if slot.0 >= self.slot_count() {
+        let Some((off, len)) = self.live_entry(slot) else {
             return false;
-        }
-        let (off, len) = self.slot_entry(slot.0);
-        if off == TOMBSTONE {
-            return false;
-        }
-        let (off, len) = (off as usize, len as usize);
+        };
         if data.len() <= len {
             self.buf[off..off + data.len()].copy_from_slice(data);
             self.set_slot_entry(slot.0, off as u16, data.len() as u16);
-            let dead = self.get_u16(OFF_DEAD_BYTES);
-            self.set_u16(OFF_DEAD_BYTES, dead + (len - data.len()) as u16);
+            self.add_dead(len - data.len());
             return true;
         }
         // Grow: free old space, place at the end of the data region.
@@ -385,23 +431,12 @@ impl<'a> SlottedPage<'a> {
             return false;
         }
         self.set_slot_entry(slot.0, TOMBSTONE, 0);
-        let dead = self.get_u16(OFF_DEAD_BYTES);
-        self.set_u16(OFF_DEAD_BYTES, dead + len as u16);
+        self.add_dead(len);
         if self.contiguous_free() < data.len() {
             self.compact();
         }
         self.place(slot.0, data.len()).copy_from_slice(data);
         true
-    }
-
-    /// Number of live (non-tombstoned) rows.
-    pub fn live_rows(&self) -> usize {
-        self.as_view().live_rows()
-    }
-
-    /// Iterate live rows as `(SlotId, payload)`.
-    pub fn iter_rows(&self) -> impl Iterator<Item = (SlotId, &[u8])> {
-        self.as_view().iter_rows()
     }
 
     /// Rewrite the data region to squeeze out holes. Slot ids are
@@ -412,12 +447,10 @@ impl<'a> SlottedPage<'a> {
         old[HEADER_SIZE..end].copy_from_slice(&self.buf[HEADER_SIZE..end]);
         let mut cursor = HEADER_SIZE;
         for s in 0..self.slot_count() {
-            let (off, len) = self.slot_entry(s);
-            if off != TOMBSTONE {
-                let (off, n) = (off as usize, len as usize);
-                self.buf[cursor..cursor + n].copy_from_slice(&old[off..off + n]);
-                self.set_slot_entry(s, cursor as u16, len);
-                cursor += n;
+            if let Some((off, len)) = self.live_entry(SlotId(s)) {
+                self.buf[cursor..cursor + len].copy_from_slice(&old[off..off + len]);
+                self.set_slot_entry(s, cursor as u16, len as u16);
+                cursor += len;
             }
         }
         self.set_u16(OFF_FREE_START, cursor as u16);
@@ -462,116 +495,8 @@ impl SlottedPage<'_> {
         let moved = dir..PAGE_SIZE - SLOT_ENTRY_SIZE * (pos as usize + 1);
         self.buf.copy_within(moved, dir + SLOT_ENTRY_SIZE);
         self.set_u16(OFF_SLOT_COUNT, count - 1);
-        let dead = self.get_u16(OFF_DEAD_BYTES);
-        self.set_u16(OFF_DEAD_BYTES, dead + len);
+        self.add_dead(len as usize);
         true
-    }
-}
-
-/// Read-only view over a formatted page (used under shared latches).
-#[derive(Clone, Copy)]
-pub struct PageView<'a> {
-    buf: &'a [u8],
-}
-
-impl<'a> PageView<'a> {
-    /// Wrap an existing formatted page buffer.
-    pub fn new(buf: &'a [u8]) -> Self {
-        debug_assert_eq!(buf.len(), PAGE_SIZE);
-        PageView { buf }
-    }
-
-    fn get_u16(&self, off: usize) -> u16 {
-        u16::from_le_bytes([self.buf[off], self.buf[off + 1]])
-    }
-    fn get_u32(&self, off: usize) -> u32 {
-        u32::from_le_bytes([
-            self.buf[off],
-            self.buf[off + 1],
-            self.buf[off + 2],
-            self.buf[off + 3],
-        ])
-    }
-
-    /// Page type from the header.
-    pub fn page_type(&self) -> PageType {
-        PageType::from_u8(self.buf[OFF_TYPE])
-    }
-
-    /// This page's id.
-    pub fn page_id(&self) -> PageId {
-        PageId(self.get_u32(OFF_PAGE_ID))
-    }
-
-    /// Owning partition.
-    pub fn partition(&self) -> PartitionId {
-        PartitionId(self.get_u32(OFF_PARTITION))
-    }
-
-    /// Next page in the owning chain.
-    pub fn next_page(&self) -> PageId {
-        PageId(self.get_u32(OFF_NEXT_PAGE))
-    }
-
-    /// Recovery LSN stamped on the page.
-    pub fn page_lsn(&self) -> u64 {
-        let mut b = [0u8; 8];
-        b.copy_from_slice(&self.buf[OFF_PAGE_LSN..OFF_PAGE_LSN + 8]);
-        u64::from_le_bytes(b)
-    }
-
-    /// Number of slots ever created (live + tombstoned).
-    pub fn slot_count(&self) -> u16 {
-        self.get_u16(OFF_SLOT_COUNT)
-    }
-
-    fn slot_entry(&self, slot: u16) -> (u16, u16) {
-        let off = PAGE_SIZE - SLOT_ENTRY_SIZE * (slot as usize + 1);
-        (self.get_u16(off), self.get_u16(off + 2))
-    }
-
-    /// Read a row payload. `None` for tombstoned or out-of-range slots.
-    pub fn get(&self, slot: SlotId) -> Option<&'a [u8]> {
-        if slot.0 >= self.slot_count() {
-            return None;
-        }
-        let (off, len) = self.slot_entry(slot.0);
-        if off == TOMBSTONE {
-            return None;
-        }
-        Some(&self.buf[off as usize..off as usize + len as usize])
-    }
-
-    /// Number of live rows.
-    pub fn live_rows(&self) -> usize {
-        self.iter_rows().count()
-    }
-
-    /// Iterate live rows as `(SlotId, payload)`.
-    pub fn iter_rows(&self) -> impl Iterator<Item = (SlotId, &'a [u8])> + 'a {
-        let view = *self;
-        (0..view.slot_count()).filter_map(move |s| Some((SlotId(s), view.get(SlotId(s))?)))
-    }
-
-    /// Bytes immediately insertable in the contiguous free region.
-    pub fn contiguous_free(&self) -> usize {
-        let free_start = self.get_u16(OFF_FREE_START) as usize;
-        let dir_start = PAGE_SIZE - SLOT_ENTRY_SIZE * self.slot_count() as usize;
-        dir_start.saturating_sub(free_start)
-    }
-
-    /// Total free bytes including compactable holes.
-    pub fn total_free(&self) -> usize {
-        self.contiguous_free() + self.get_u16(OFF_DEAD_BYTES) as usize
-    }
-
-    /// Whether `slot`'s payload is the last one written to the data
-    /// region: nothing was placed on the page after it.
-    pub fn is_newest(&self, slot: u16) -> bool {
-        slot < self.slot_count() && {
-            let (off, len) = self.slot_entry(slot);
-            off + len == self.get_u16(OFF_FREE_START)
-        }
     }
 }
 
@@ -764,6 +689,52 @@ mod tests {
     fn free_pages_are_checksum_exempt() {
         let buf = fresh();
         assert!(verify_page_checksum(&buf));
+    }
+
+    /// The ordered directory: a slot id is a position, payloads keep the
+    /// caller's order through inserts, removals and a compaction, and
+    /// `is_newest` names the payload written last.
+    #[test]
+    fn ordered_directory_keeps_positions_across_compaction() {
+        let mut buf = fresh();
+        let mut p = SlottedPage::init(&mut buf, PageType::BTreeLeaf, PageId(0), PartitionId(0));
+        let cell = |i: u8| [i; 1000];
+        for i in [1, 3, 5, 7, 9, 11, 13] {
+            let pos = p.slot_count();
+            p.insert_ordered(pos, 1000)
+                .unwrap()
+                .copy_from_slice(&cell(i));
+        }
+        p.insert_ordered(1, 1000).unwrap().copy_from_slice(&cell(2));
+        assert!(
+            p.insert_ordered(0, 1000).is_none(),
+            "eight cells fill the page"
+        );
+        assert!(p.insert_ordered(9, 1).is_none(), "no such position");
+        let order = |p: &SlottedPage<'_>| p.iter_rows().map(|(_, c)| c[0]).collect::<Vec<_>>();
+        assert_eq!(order(&p), [1, 2, 3, 5, 7, 9, 11, 13]);
+        let newest = |p: &SlottedPage<'_>| (0..10).filter(|&i| p.is_newest(i)).collect::<Vec<_>>();
+        assert_eq!(newest(&p), [1], "the cell written last, wherever it sorts");
+
+        assert!(p.remove_ordered(7) && p.remove_ordered(2) && !p.remove_ordered(6));
+        assert_eq!(order(&p), [1, 2, 5, 7, 9, 11]);
+        assert_eq!(p.total_free() - p.contiguous_free(), 2000, "two holes");
+        assert_eq!(newest(&p), [1]);
+        // Only the holes have room for this one: the page compacts, which
+        // lays the payloads out in directory order.
+        p.insert_ordered(0, 1500).unwrap().fill(0);
+        assert_eq!(order(&p), [0, 1, 2, 5, 7, 9, 11]);
+        assert_eq!(p.total_free(), p.contiguous_free());
+        assert_eq!(newest(&p), [0]);
+        p.compact();
+        assert_eq!(newest(&p), [6], "after a compaction, the last position");
+        // A heap page's tombstone is never the newest payload.
+        let mut buf = fresh();
+        let mut heap = SlottedPage::init(&mut buf, PageType::Heap, PageId(0), PartitionId(0));
+        let slot = heap.insert(b"row").unwrap();
+        assert!(heap.is_newest(slot.0));
+        heap.delete(slot).unwrap();
+        assert!(!heap.is_newest(slot.0));
     }
 
     #[test]

@@ -42,6 +42,9 @@ numbers() {
     echo "engine_rs_lines $(wc -l < crates/core/src/engine.rs)"
     echo "crates_src_lines $(cat $src_files | wc -l)"
     echo "crates_src_code_lines $(code_lines $src_files)"
+    # The same without in-file tests (each file up to its first top-level
+    # `#[cfg(test)]`): a budget that deleting tests cannot meet.
+    echo "crates_src_nontest_code_lines $(for f in $src_files; do sed '/^#\[cfg(test)\]/,$d' "$f"; done | code_lines -)"
     echo "movement_path_code_lines $(code_lines $movement_files)"
     # The B+tree without its in-file tests (everything before the first
     # `#[cfg(test)]`).

@@ -49,9 +49,8 @@ pub(crate) struct Shared {
     pub cfg: EngineConfig,
     pub cache: Arc<BufferCache>,
     pub store: ImrsStore,
-    /// Shared with the store: version-chain heads and row locations
-    /// live in the same dense entry, so lock-free readers resolve and
-    /// walk without ever fetching an `ImrsRow`.
+    /// Shared with the store. An entry is a row's location and, while
+    /// the row is in the IMRS, the row itself — the only row directory.
     pub ridmap: Arc<RidMap>,
     /// Before-image side store for page-resident rows (snapshot reads).
     pub side: SideStore,
@@ -934,13 +933,13 @@ impl Engine {
                 };
                 let v = sh.store.add_version(&row, id, op, new_row)?;
                 txn.to_stamp.push(v);
-                txn.remember_touched(&row);
+                txn.remember_touched(row_id);
                 txn.gc_rows.push(row_id);
                 match new_row {
                     Some(new_row) => {
                         txn.imrs_redo
                             .push_update(id, row.partition, row_id, new_row.to_vec());
-                        row.touch(sh.clock.now());
+                        sh.ridmap.touch(row_id, sh.clock.now());
                         part.metrics.imrs_update.inc();
                     }
                     None => {
@@ -1434,8 +1433,9 @@ impl Engine {
         for op in std::mem::take(&mut txn.undo).into_iter().rev() {
             self.apply_undo(op);
         }
-        for row in txn.touched_imrs.drain(..) {
-            self.sh.store.rollback_row(&row, id, || self.sh.clock.now());
+        let store = &self.sh.store;
+        for row in txn.touched_imrs.drain(..).filter_map(|r| store.get(r)) {
+            store.rollback_row(&row, id, || self.sh.clock.now());
         }
         // After the page undo restored the before images, the pending
         // stashes are redundant — readers get the same bytes from the

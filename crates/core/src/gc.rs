@@ -106,7 +106,7 @@ impl GcRegistry {
                 continue; // already packed or removed
             };
             // (a) Queue maintenance: first visit enqueues at the tail.
-            if row.try_mark_enqueued() {
+            if ridmap.try_mark_enqueued(row_id) {
                 if let Some(p) = partition(row.partition) {
                     p.queues.push_tail(row.origin, row_id);
                     report.enqueued += 1;
@@ -262,7 +262,7 @@ mod tests {
             100,
         );
         assert_eq!(r.rows_removed, 0);
-        assert!(store.contains(RowId(7)));
+        assert!(store.get(RowId(7)).is_some());
         // Horizon past the tombstone: chain truncates to the tombstone
         // and the row is removed.
         gc.register(RowId(7));
@@ -275,7 +275,7 @@ mod tests {
             100,
         );
         assert_eq!(r.rows_removed, 1);
-        assert!(!store.contains(RowId(7)));
+        assert!(store.get(RowId(7)).is_none());
         assert_eq!(ridmap.get(RowId(7)), None);
     }
 

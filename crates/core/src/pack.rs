@@ -377,9 +377,12 @@ pub fn pack_partition(
         // the TSF ablation knob).
         if level == PackLevel::Steady
             && cfg.tsf_enabled
-            && sh
-                .tsf
-                .is_hot(row.last_access(), now, reuse_rate, cfg.low_reuse_threshold)
+            && sh.tsf.is_hot(
+                sh.ridmap.last_access(row_id),
+                now,
+                reuse_rate,
+                cfg.low_reuse_threshold,
+            )
         {
             // Hot: rotate to the tail — this is the only queue shuffle
             // the design ever performs (§VI.B).
@@ -428,8 +431,8 @@ fn pack_rows(
     // queue tail. Re-queueing directly would make pack re-inspect the
     // same unpackable row every cycle until its chain settles.
     for &(row_id, _) in batch {
-        if let Some(row) = sh.store.get(row_id) {
-            row.clear_enqueued();
+        if sh.store.get(row_id).is_some() {
+            sh.ridmap.clear_enqueued(row_id);
             sh.gc.register(row_id);
         }
     }

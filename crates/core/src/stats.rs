@@ -5,7 +5,7 @@
 //! footprints (Fig. 3, 4), pack volume (Fig. 5, 7, 10), re-use counts
 //! (Fig. 6), and the IMRS hit rate (Fig. 1).
 
-use btrim_common::{HistSummary, PartitionId, Result, TableId};
+use btrim_common::{HistSummary, PartitionId, Result, RowId, TableId};
 use btrim_imrs::RowLocation;
 use btrim_obs::{json, summary_to_json, IlmTraceEvent, OpClass};
 
@@ -619,13 +619,10 @@ impl Engine {
             return "no primary entry".into();
         };
         let loc = self.sh.ridmap.get(rid);
-        let chain = self
-            .sh
-            .store
-            .get(rid)
-            .map(|r| format!("{:?} last_access={:?}", r.chain_summary(), r.last_access()));
+        let chain = self.sh.store.get(rid).map(|r| r.chain_summary());
+        let last_access = self.sh.ridmap.last_access(rid);
         format!(
-            "rid={rid:?} loc={loc:?} chain={chain:?} now={:?}",
+            "rid={rid:?} loc={loc:?} chain={chain:?} last_access={last_access:?} now={:?}",
             self.sh.clock.now()
         )
     }
@@ -637,6 +634,20 @@ impl Engine {
             Some(rid) => Ok(self.sh.ridmap.get(rid)),
             None => Ok(None),
         }
+    }
+
+    /// A sweep of the row directory: every IMRS-resident row with the
+    /// location the RID-Map gives it, in RowId order. At quiescence the
+    /// location is `Imrs` for each and the length is
+    /// `EngineSnapshot::imrs_rows`.
+    #[doc(hidden)]
+    pub fn imrs_residents(&self) -> Vec<(RowId, Option<RowLocation>)> {
+        let mut rows = Vec::new();
+        let ridmap = &self.sh.ridmap;
+        self.sh
+            .store
+            .for_each_row(|row| rows.push((row.row_id, ridmap.get(row.row_id))));
+        rows
     }
 
     /// Fig.-8 probe: walk a partition's ILM queue head→tail, split it
@@ -653,8 +664,8 @@ impl Engine {
         }
         let flags: Vec<bool> = rows
             .iter()
-            .filter_map(|rid| sh.store.get(*rid))
-            .map(|row| !sh.tsf.is_recent(row.last_access(), now))
+            .filter(|&&rid| sh.store.get(rid).is_some())
+            .map(|&rid| !sh.tsf.is_recent(sh.ridmap.last_access(rid), now))
             .collect();
         if flags.is_empty() {
             return vec![0.0; buckets];

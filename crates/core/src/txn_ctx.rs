@@ -7,10 +7,8 @@
 //! undo operations for rollback (page-store changes are undone
 //! physically; IMRS changes by dropping uncommitted versions).
 
-use std::sync::Arc;
-
 use btrim_common::{PageId, PartitionId, RowId, SlotId, TableId, Timestamp, TxnId};
-use btrim_imrs::{ImrsRow, RowLocation, VersionRef};
+use btrim_imrs::{RowLocation, VersionRef};
 use btrim_txn::TxnHandle;
 use btrim_wal::record::Encodable;
 use btrim_wal::{ImrsLogRecord, RowOriginTag};
@@ -191,8 +189,9 @@ pub struct Transaction {
     /// before-images under — stamped at commit, dropped on abort.
     pub(crate) side_keys: Vec<(PageId, SlotId)>,
     /// IMRS rows whose chains carry uncommitted versions from this
-    /// transaction (rolled back on abort).
-    pub(crate) touched_imrs: Vec<Arc<ImrsRow>>,
+    /// transaction (rolled back on abort, after the undo log: a row the
+    /// transaction itself inserted is gone by then and is skipped).
+    pub(crate) touched_imrs: Vec<RowId>,
     /// Staged redo-only log records (serialized at DML time), emitted
     /// as one atomic batch at commit.
     pub(crate) imrs_redo: ImrsRedoBuf,
@@ -241,9 +240,9 @@ impl Transaction {
     }
 
     /// Record an IMRS row with uncommitted versions from us.
-    pub(crate) fn remember_touched(&mut self, row: &Arc<ImrsRow>) {
-        if !self.touched_imrs.iter().any(|r| r.row_id == row.row_id) {
-            self.touched_imrs.push(Arc::clone(row));
+    pub(crate) fn remember_touched(&mut self, row: RowId) {
+        if !self.touched_imrs.contains(&row) {
+            self.touched_imrs.push(row);
         }
     }
 }

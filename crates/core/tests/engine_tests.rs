@@ -5,7 +5,7 @@ use std::sync::Arc;
 
 use btrim_core::catalog::{Partitioner, TableOpts};
 use btrim_core::pack::{pack_cycle, PackLevel};
-use btrim_core::{Engine, EngineConfig, EngineMode};
+use btrim_core::{Engine, EngineConfig, EngineMode, RowLocation, RowOrigin};
 use btrim_pagestore::MemDisk;
 use btrim_wal::MemLog;
 
@@ -39,6 +39,21 @@ fn engine(mode: EngineMode) -> Engine {
         buffer_frames: 512,
         ..Default::default()
     })
+}
+
+/// GC, then aggressive pack cycles (each packs a fraction) until no row
+/// is left in the IMRS. Returns the bytes packed.
+fn pack_everything(e: &Engine) -> u64 {
+    e.run_maintenance(); // GC populates the ILM queues, truncates chains
+    let mut total = 0;
+    for _ in 0..200 {
+        if e.snapshot().imrs_rows == 0 {
+            break;
+        }
+        total += pack_cycle(e, PackLevel::Aggressive);
+    }
+    assert_eq!(e.snapshot().imrs_rows, 0, "all rows packed to page store");
+    total
 }
 
 #[test]
@@ -159,6 +174,86 @@ fn abort_rolls_back_everything() {
     e.commit(txn).unwrap();
 }
 
+/// Insert → update → abort in ONE transaction: the undo of the insert
+/// tears the whole chain down before the touched-row rollback looks for
+/// the update's version. Nothing leaks and nothing is counted twice.
+#[test]
+fn abort_of_insert_then_update_leaves_the_imrs_as_it_was() {
+    let e = engine(EngineMode::IlmOn);
+    let t = e.create_table(opts("t")).unwrap();
+    let mut txn = e.begin();
+    e.insert(&mut txn, &t, &mkrow(1, b"keep")).unwrap();
+    e.commit(txn).unwrap();
+    let before = e.snapshot();
+
+    let mut txn = e.begin();
+    e.insert(&mut txn, &t, &mkrow(2, b"doomed")).unwrap();
+    assert!(e
+        .update(
+            &mut txn,
+            &t,
+            &2u64.to_be_bytes(),
+            &mkrow(2, b"doomed twice")
+        )
+        .unwrap());
+    assert_eq!(e.snapshot().imrs_rows, before.imrs_rows + 1);
+    e.abort(txn);
+
+    let after = e.snapshot();
+    assert_eq!(after.imrs_rows, before.imrs_rows);
+    assert_eq!(after.imrs_used_bytes, before.imrs_used_bytes);
+    let part = |s: &btrim_core::EngineSnapshot| {
+        let p = &s.tables[0].partitions[0];
+        (p.imrs_rows, p.imrs_bytes)
+    };
+    assert_eq!(part(&after), part(&before));
+    let txn = e.begin();
+    assert!(e.get(&txn, &t, &2u64.to_be_bytes()).unwrap().is_none());
+    e.commit(txn).unwrap();
+}
+
+/// A RowId that left the IMRS and came back, with a queue entry of its
+/// first stay still around: pack discards the stale entry and moves the
+/// row once.
+#[test]
+fn repacked_row_with_a_stale_queue_entry_moves_once() {
+    let e = engine(EngineMode::IlmOn);
+    let t = e.create_table(opts("t")).unwrap();
+    let mut txn = e.begin();
+    for i in 0..50u64 {
+        e.insert(&mut txn, &t, &mkrow(i, &[7u8; 64])).unwrap();
+    }
+    e.commit(txn).unwrap();
+    pack_everything(&e);
+    assert_eq!(e.snapshot().rows_packed, 50);
+
+    // What a GC visit that raced the pack would have left behind.
+    let key = 7u64.to_be_bytes();
+    let rid = t.primary.get(&key).unwrap().unwrap();
+    t.partitions[0].queues.push_tail(RowOrigin::Inserted, rid);
+
+    // Back into the IMRS (an update migrates), then updated in place.
+    for v in [8u8, 9] {
+        let mut txn = e.begin();
+        assert!(e.update(&mut txn, &t, &key, &mkrow(7, &[v; 64])).unwrap());
+        e.commit(txn).unwrap();
+    }
+    assert_eq!(e.locate(&t, &key).unwrap(), Some(RowLocation::Imrs));
+    assert_eq!(e.snapshot().imrs_rows, 1);
+    pack_everything(&e);
+
+    let snap = e.snapshot();
+    assert_eq!(snap.rows_packed, 51, "the second stay packed once");
+    assert_eq!(snap.queue_total, 0, "both entries consumed");
+    assert!(matches!(
+        e.locate(&t, &key).unwrap(),
+        Some(RowLocation::Page(..))
+    ));
+    let txn = e.begin();
+    assert_eq!(&e.get(&txn, &t, &key).unwrap().unwrap()[8..], &[9u8; 64]);
+    e.commit(txn).unwrap();
+}
+
 #[test]
 fn abort_rolls_back_page_store_changes() {
     let e = engine(EngineMode::PageOnly);
@@ -225,20 +320,8 @@ fn page_rows_migrate_on_update_and_cache_on_select() {
         e.insert(&mut txn, &t, &mkrow(i, &[7u8; 64])).unwrap();
     }
     e.commit(txn).unwrap();
-    e.run_maintenance(); // GC populates the ILM queues
-
     // Force-pack everything (aggressive ignores hotness).
-    let freed = pack_cycle(&e, PackLevel::Aggressive);
-    // pack_cycle packs a fraction per cycle; loop until drained.
-    let mut total = freed;
-    for _ in 0..200 {
-        total += pack_cycle(&e, PackLevel::Aggressive);
-        if e.snapshot().imrs_rows == 0 {
-            break;
-        }
-    }
-    assert!(total > 0);
-    assert_eq!(e.snapshot().imrs_rows, 0, "all rows packed to page store");
+    assert!(pack_everything(&e) > 0);
 
     // All rows still readable (from the page store).
     let txn = e.begin();

@@ -14,7 +14,7 @@ use std::sync::Arc;
 
 use btrim_core::catalog::{Partitioner, TableOpts};
 use btrim_core::pack::{pack_cycle, PackLevel};
-use btrim_core::{Engine, EngineConfig, EngineMode, IlmTraceEvent, TunerAction};
+use btrim_core::{Engine, EngineConfig, EngineMode, IlmTraceEvent, RowLocation, TunerAction};
 
 fn mkrow(key: u64, payload: &[u8]) -> Vec<u8> {
     let mut v = key.to_be_bytes().to_vec();
@@ -376,6 +376,24 @@ fn engine_totals_are_partition_sums_while_clients_and_maintenance_run() {
         }
     }
     assert!(tuner_events > 0 && pack_events > 0, "both must be traced");
+
+    // One row directory: at quiescence a sweep of it, the per-partition
+    // counters and the engine total count the same rows, and each is
+    // where the RID-Map says.
+    e.run_maintenance();
+    let snap = e.snapshot();
+    let residents = e.imrs_residents();
+    let by_partition = snap.tables.iter().flat_map(|t| &t.partitions);
+    assert!(!residents.is_empty());
+    assert_eq!(residents.len(), snap.imrs_rows);
+    assert_eq!(
+        residents.len() as u64,
+        by_partition.map(|p| p.imrs_rows).sum::<u64>()
+    );
+    assert!(residents.windows(2).all(|w| w[0].0 < w[1].0), "RowId order");
+    for (row, loc) in residents {
+        assert_eq!(loc, Some(RowLocation::Imrs), "{row:?}");
+    }
 }
 
 /// Every `get` / `read_row` issued lands in exactly one select class —

@@ -12,14 +12,16 @@
 //!   snapshot isolation.
 //! * [`arena`] — the version arena: all-atomic, index-linked version
 //!   chains that snapshot readers walk without taking any lock.
-//! * [`row`] — the in-memory row: version chain façade, origin
-//!   (inserted / migrated / cached), and the loosely-maintained access
-//!   timestamp used by the Timestamp Filter (§VI.D).
-//! * [`store`] — the sharded row directory plus per-partition memory
-//!   accounting feeding the ILM indexes (§VI.C).
 //! * [`ridmap`] — the RID-Map: `RowId` → current physical location
 //!   (IMRS or page store), the indirection that makes data movement
-//!   invisible to indexes (§II).
+//!   invisible to indexes (§II). Its entry is also the IMRS row — chain
+//!   head, partition, origin (inserted / migrated / cached), queue
+//!   claim, and the loosely-maintained access timestamp used by the
+//!   Timestamp Filter (§VI.D) — and the only directory of resident rows.
+//! * [`row`] — a borrowed view over one entry carrying the writer-side
+//!   version-chain operations.
+//! * [`store`] — allocator, arena, the chain-lock stripes, and the
+//!   per-partition memory accounting feeding the ILM indexes (§VI.C).
 
 #![forbid(unsafe_code)]
 

@@ -12,21 +12,38 @@
 //! Row ids are dense (allocated sequentially from 1), so the map is a
 //! chunked direct-index table of all-atomic entries rather than a
 //! sharded hash map: a lookup is two shifts and two loads, never a
-//! lock. Each entry also carries the per-row state the lock-free read
-//! path needs without fetching the `ImrsRow` object from the store
-//! shards — the version-chain head link, the owning partition, and the
-//! ILM hotness counters (§V.A "per-row access timestamps ... updated
-//! occasionally").
+//! lock.
 //!
-//! The location is packed into one word, `page << 32 | slot << 8 |
-//! tag`, so relocation (pack, migration) is a single CAS and a reader
-//! always sees a coherent `(page, slot)` pair.
+//! # The entry is the IMRS row
+//!
+//! An entry is five words, and it is the **only** directory of
+//! IMRS-resident rows — there is no second RowId-keyed table beside it:
+//!
+//! * `loc` — the location, packed `page << 32 | slot << 8 | tag`, so
+//!   relocation (pack, migration) is a single CAS and a reader always
+//!   sees a coherent `(page, slot)` pair;
+//! * `head` — the version-chain head link into the arena. A row is
+//!   *resident* in the IMRS exactly while `head != 0`: from the push of
+//!   its first version on arrival to the head swap that tears the chain
+//!   down (pack, GC of a dead tombstone, undo of an insert);
+//! * `part` — bits 0..33 the owning partition + 1 (0 = the row never
+//!   arrived), bits 33..35 the [`RowOrigin`] queue it belongs to
+//!   (§VI.B), bit 35 the ILM-queue claim GC sets when it enqueues the
+//!   row. Arrival rewrites the whole word, so a row that left and came
+//!   back starts unclaimed;
+//! * `last_access`, `reuse` — the ILM hotness counters (§V.A "per-row
+//!   access timestamps ... updated occasionally").
+//!
+//! [`ImrsRow`](crate::row::ImrsRow) is a borrowed view over one entry,
+//! built by [`RidMap::resident`] from two loads.
 
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::OnceLock;
 
-use btrim_common::atomics::AtomicOp;
+use btrim_common::atomics::{witness, AtomicOp};
 use btrim_common::{PageId, PartitionId, RowId, SlotId, Timestamp};
+
+use crate::row::RowOrigin;
 
 /// This file's key in the shared atomics-discipline table.
 const RIDMAP_FILE: &str = "crates/imrs/src/ridmap.rs";
@@ -34,7 +51,7 @@ const RIDMAP_FILE: &str = "crates/imrs/src/ridmap.rs";
 /// Where a row currently lives.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum RowLocation {
-    /// Resident in the IMRS (the `ImrsStore` holds the row object).
+    /// Resident in the IMRS (the version chain hangs off the entry).
     Imrs,
     /// At `(page, slot)` in the page store.
     Page(PageId, SlotId),
@@ -90,13 +107,36 @@ struct Entry {
     loc: AtomicU64,
     /// Version-chain head link into the `VersionArena` (0 = none).
     head: AtomicU64,
-    /// Owning partition + 1 (0 = unknown); written before the location
-    /// is published so the lock-free read path can attribute metrics.
+    /// Owning partition + 1, origin and queue claim (see the module
+    /// docs for the bit layout); written on arrival before the chain
+    /// head and the location publish the row.
     part: AtomicU64,
     /// Last access (select/update) timestamp, updated loosely.
     last_access: AtomicU64,
     /// Re-use operations (S/U/D after arrival) on this row.
     reuse: AtomicU64,
+}
+
+// The table is `next_row_id` entries long: a sixth word is 8 bytes per
+// row ever allocated.
+const _: () = assert!(std::mem::size_of::<Entry>() == 40);
+
+const PART_MASK: u64 = (1 << 33) - 1;
+const ORIGIN_SHIFT: u32 = 33;
+const ENQUEUED: u64 = 1 << 35;
+
+fn pack_part(part: PartitionId, origin: RowOrigin) -> u64 {
+    (part.0 as u64 + 1) | (origin as u64) << ORIGIN_SHIFT
+}
+
+fn unpack_part(word: u64) -> Option<(PartitionId, RowOrigin)> {
+    let part = word & PART_MASK;
+    let origin = match (word >> ORIGIN_SHIFT) & 3 {
+        0 => RowOrigin::Inserted,
+        1 => RowOrigin::Migrated,
+        _ => RowOrigin::Cached,
+    };
+    (part != 0).then(|| (PartitionId((part - 1) as u32), origin))
 }
 
 /// RowId → location map plus the RowId allocator.
@@ -158,7 +198,7 @@ impl RidMap {
 
     /// Current location of a row, if known.
     pub fn get(&self, row: RowId) -> Option<RowLocation> {
-        btrim_common::atomics::witness(RIDMAP_FILE, "loc", AtomicOp::Load, Ordering::Acquire);
+        witness(RIDMAP_FILE, "loc", AtomicOp::Load, Ordering::Acquire);
         self.try_entry(row)
             .and_then(|e| decode(e.loc.load(Ordering::Acquire)))
     }
@@ -167,7 +207,7 @@ impl RidMap {
     /// everything written to the entry beforehand (partition, chain
     /// head) to lock-free readers.
     pub fn set(&self, row: RowId, loc: RowLocation) {
-        btrim_common::atomics::witness(RIDMAP_FILE, "loc", AtomicOp::Rmw, Ordering::AcqRel);
+        witness(RIDMAP_FILE, "loc", AtomicOp::Rmw, Ordering::AcqRel);
         let prev = self.entry(row).loc.swap(encode(loc), Ordering::AcqRel);
         if prev & 0xFF == TAG_ABSENT {
             self.mapped.fetch_add(1, Ordering::Relaxed);
@@ -181,8 +221,8 @@ impl RidMap {
         let Some(e) = self.try_entry(row) else {
             return false;
         };
-        btrim_common::atomics::witness(RIDMAP_FILE, "loc", AtomicOp::Rmw, Ordering::AcqRel);
-        btrim_common::atomics::witness(RIDMAP_FILE, "loc", AtomicOp::Load, Ordering::Acquire);
+        witness(RIDMAP_FILE, "loc", AtomicOp::Rmw, Ordering::AcqRel);
+        witness(RIDMAP_FILE, "loc", AtomicOp::Load, Ordering::Acquire);
         e.loc
             .compare_exchange(
                 encode(expected),
@@ -196,7 +236,7 @@ impl RidMap {
     /// Remove a row entirely (committed delete fully garbage-collected).
     pub fn remove(&self, row: RowId) -> Option<RowLocation> {
         let e = self.try_entry(row)?;
-        btrim_common::atomics::witness(RIDMAP_FILE, "loc", AtomicOp::Rmw, Ordering::AcqRel);
+        witness(RIDMAP_FILE, "loc", AtomicOp::Rmw, Ordering::AcqRel);
         let prev = decode(e.loc.swap(TAG_ABSENT, Ordering::AcqRel));
         if prev.is_some() {
             self.mapped.fetch_sub(1, Ordering::Relaxed);
@@ -224,29 +264,71 @@ impl RidMap {
 
     /// Current version-chain head link (0 = no chain published yet).
     pub fn head(&self, row: RowId) -> u64 {
-        btrim_common::atomics::witness(RIDMAP_FILE, "head", AtomicOp::Load, Ordering::Acquire);
+        witness(RIDMAP_FILE, "head", AtomicOp::Load, Ordering::Acquire);
         self.try_entry(row)
             .map_or(0, |e| e.head.load(Ordering::Acquire))
     }
 
-    /// Owning partition, if recorded.
+    /// Owning partition, if the row ever arrived in the IMRS.
     pub fn partition(&self, row: RowId) -> Option<PartitionId> {
-        let part = self.try_entry(row)?.part.load(Ordering::Relaxed);
-        (part != 0).then(|| PartitionId((part - 1) as u32))
+        witness(RIDMAP_FILE, "part", AtomicOp::Load, Ordering::Acquire);
+        let word = self.try_entry(row)?.part.load(Ordering::Acquire);
+        unpack_part(word).map(|(part, _)| part)
     }
 
-    /// Record the owning partition (done before the location is
-    /// published, so readers that see the location see the partition).
-    pub fn set_partition(&self, row: RowId, part: PartitionId) {
-        self.entry(row)
-            .part
-            .store(part.0 as u64 + 1, Ordering::Relaxed);
+    /// Row arrival in the IMRS: record partition and origin, drop any
+    /// queue claim a previous stay left behind, and seed the access
+    /// timestamp without counting a re-use. The caller publishes the
+    /// chain head and the location afterwards, so a reader that sees
+    /// either sees these.
+    pub fn arrive(&self, row: RowId, part: PartitionId, origin: RowOrigin, now: Timestamp) {
+        let e = self.entry(row);
+        witness(RIDMAP_FILE, "part", AtomicOp::Store, Ordering::Release);
+        e.part.store(pack_part(part, origin), Ordering::Release);
+        e.last_access.store(now.0, Ordering::Relaxed);
     }
 
-    /// Seed the access timestamp without counting a re-use (row
-    /// arrival in the IMRS).
-    pub fn set_last_access(&self, row: RowId, now: Timestamp) {
-        self.entry(row).last_access.store(now.0, Ordering::Relaxed);
+    /// Partition and origin of `row` if it is resident in the IMRS
+    /// (`head != 0`).
+    pub fn resident(&self, row: RowId) -> Option<(PartitionId, RowOrigin)> {
+        witness(RIDMAP_FILE, "head", AtomicOp::Load, Ordering::Acquire);
+        witness(RIDMAP_FILE, "part", AtomicOp::Load, Ordering::Acquire);
+        Self::resident_entry(self.try_entry(row)?)
+    }
+
+    fn resident_entry(e: &Entry) -> Option<(PartitionId, RowOrigin)> {
+        if e.head.load(Ordering::Acquire) == 0 {
+            return None;
+        }
+        unpack_part(e.part.load(Ordering::Acquire))
+    }
+
+    /// Visit every IMRS-resident row in RowId order: a sweep over the
+    /// chunks that exist.
+    pub fn for_each_resident(&self, mut f: impl FnMut(RowId, PartitionId, RowOrigin)) {
+        witness(RIDMAP_FILE, "head", AtomicOp::Load, Ordering::Acquire);
+        witness(RIDMAP_FILE, "part", AtomicOp::Load, Ordering::Acquire);
+        for (c, chunk) in self.chunks.iter().enumerate() {
+            let Some(chunk) = chunk.get() else { continue };
+            for (i, e) in chunk.iter().enumerate() {
+                if let Some((part, origin)) = Self::resident_entry(e) {
+                    f(RowId(((c << CHUNK_BITS) | i) as u64), part, origin);
+                }
+            }
+        }
+    }
+
+    /// Claim ILM-queue membership. Returns `true` when the caller
+    /// should enqueue the row (it was not in a queue before).
+    pub fn try_mark_enqueued(&self, row: RowId) -> bool {
+        witness(RIDMAP_FILE, "part", AtomicOp::Rmw, Ordering::AcqRel);
+        self.entry(row).part.fetch_or(ENQUEUED, Ordering::AcqRel) & ENQUEUED == 0
+    }
+
+    /// Release queue membership (row popped and not re-queued).
+    pub fn clear_enqueued(&self, row: RowId) {
+        witness(RIDMAP_FILE, "part", AtomicOp::Rmw, Ordering::AcqRel);
+        self.entry(row).part.fetch_and(!ENQUEUED, Ordering::AcqRel);
     }
 
     /// Record an access for hotness tracking (cheap; relaxed stores).
@@ -383,9 +465,10 @@ mod tests {
         let m = RidMap::new();
         let r = m.allocate_row_id();
         assert_eq!(m.partition(r), None);
-        m.set_partition(r, PartitionId(0));
+        m.arrive(r, PartitionId(0), RowOrigin::Cached, Timestamp(7));
         m.set(r, RowLocation::Imrs);
         assert_eq!(m.partition(r), Some(PartitionId(0)));
+        assert_eq!(m.last_access(r), Timestamp(7));
         assert_eq!(m.reuse_count(r), 0);
         m.touch(r, Timestamp(42));
         m.touch(r, Timestamp(43));

@@ -1,159 +1,93 @@
 //! The in-memory row.
 //!
-//! An [`ImrsRow`] fronts one row's version chain plus the ILM
-//! bookkeeping the paper attaches to each row: the *origin* queue it
-//! belongs to (inserted / migrated / cached, §VI.B), a loosely-updated
-//! last-access timestamp (§V.A: "per-row access timestamps ... updated
-//! occasionally"), and a re-use counter.
-//!
-//! The chain itself lives in the [`VersionArena`] and its head link in
-//! the row's RID-Map entry, so the snapshot read path resolves a row
-//! with atomics only — it never fetches this object. `ImrsRow` is the
-//! *writer-side* façade: its `chain` mutex serializes structural chain
-//! changes (push, rollback, truncation, teardown) against each other,
-//! while readers walk concurrently without it.
+//! A row resident in the IMRS is its RID-Map entry: chain head,
+//! partition, *origin* queue (inserted / migrated / cached, §VI.B),
+//! queue claim, last-access timestamp (§V.A: "per-row access timestamps
+//! ... updated occasionally") and re-use counter all live there, and
+//! the chain itself in the [`VersionArena`](crate::arena::VersionArena).
+//! [`ImrsRow`] is a borrowed view over that entry — `store.get(row_id)`
+//! builds one from two atomic loads — carrying the *writer-side* chain
+//! operations: push, rollback, truncation, teardown. Those serialize on
+//! the store's chain stripe for the RowId; snapshot readers walk the
+//! chain concurrently without it and never build a view at all.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-
-use parking_lot::Mutex;
 
 use btrim_common::{PartitionId, RowId, Timestamp, TxnId};
 
-use crate::alloc::FragmentAllocator;
-use crate::arena::{VersionArena, VersionRef, VersionView};
-use crate::ridmap::RidMap;
+use crate::alloc::FragHandle;
+use crate::arena::{VersionRef, VersionView};
+use crate::store::ImrsStore;
 use crate::version::VersionOp;
 
 /// Which operation first brought a row into the IMRS. Each origin has
 /// its own relaxed-LRU queue per partition (§VI.B), because hotness
-/// characteristics differ per origin.
+/// characteristics differ per origin. The discriminant is the two-bit
+/// code a RID-Map entry stores.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum RowOrigin {
     /// Inserted directly into the IMRS (no page-store footprint yet).
-    Inserted,
+    Inserted = 0,
     /// Updated from the page store into the IMRS (migration).
-    Migrated,
+    Migrated = 1,
     /// Selected from the page store and cached in the IMRS.
-    Cached,
+    Cached = 2,
 }
 
-/// A row resident in the IMRS.
-pub struct ImrsRow {
+/// A view of a row resident in the IMRS (see the module docs). A view
+/// can outlive the residency it was built from; every operation then
+/// finds an empty chain and does nothing.
+#[derive(Clone, Copy)]
+pub struct ImrsRow<'a> {
+    pub(crate) store: &'a ImrsStore,
     /// Stable logical row id.
     pub row_id: RowId,
     /// Owning partition.
     pub partition: PartitionId,
     /// How the row entered the IMRS.
     pub origin: RowOrigin,
-    /// Serializes structural chain changes; never taken by readers.
-    chain: Mutex<()>,
-    /// Whether the row currently sits in an ILM queue (set by GC when it
-    /// enqueues the row; prevents duplicate queue entries).
-    enqueued: AtomicBool,
-    ridmap: Arc<RidMap>,
-    arena: Arc<VersionArena>,
 }
 
-impl ImrsRow {
-    /// Create a row façade (no versions yet; the store pushes the first
-    /// one). Records the partition and seeds the access timestamp in
-    /// the RID-Map entry *before* the row becomes reachable.
-    pub fn new(
-        row_id: RowId,
-        partition: PartitionId,
-        origin: RowOrigin,
-        ridmap: Arc<RidMap>,
-        arena: Arc<VersionArena>,
-        now: Timestamp,
-    ) -> Arc<Self> {
-        ridmap.set_partition(row_id, partition);
-        ridmap.set_last_access(row_id, now);
-        Arc::new(ImrsRow {
-            row_id,
-            partition,
-            origin,
-            chain: Mutex::new(()),
-            enqueued: AtomicBool::new(false),
-            ridmap,
-            arena,
-        })
+impl ImrsRow<'_> {
+    fn head_cell(&self) -> &AtomicU64 {
+        self.store.ridmap().head_cell(self.row_id)
     }
 
-    /// Claim queue membership. Returns `true` when the caller should
-    /// enqueue the row (it was not in a queue before).
-    pub fn try_mark_enqueued(&self) -> bool {
-        btrim_common::atomics::witness(
-            "crates/imrs/src/row.rs",
-            "enqueued",
-            btrim_common::atomics::AtomicOp::Rmw,
-            Ordering::AcqRel,
-        );
-        !self.enqueued.swap(true, Ordering::AcqRel)
-    }
-
-    /// Release queue membership (row popped and not re-queued).
-    pub fn clear_enqueued(&self) {
-        self.enqueued.store(false, Ordering::Release);
-    }
-
-    /// Record an access for hotness tracking (cheap; relaxed stores).
-    pub fn touch(&self, now: Timestamp) {
-        self.ridmap.touch(self.row_id, now);
-    }
-
-    /// Last recorded access timestamp.
-    pub fn last_access(&self) -> Timestamp {
-        self.ridmap.last_access(self.row_id)
-    }
-
-    /// Total re-use operations recorded on this row.
-    pub fn reuse_count(&self) -> u64 {
-        self.ridmap.reuse_count(self.row_id)
+    fn head(&self) -> u64 {
+        self.store.ridmap().head(self.row_id)
     }
 
     /// Push a new version at the head of the chain. `commit_ts` is
     /// `Some` only for pre-stamped versions (recovery replay).
-    pub fn push_version(
+    pub(crate) fn push_version(
         &self,
         txn: TxnId,
         op: VersionOp,
-        handle: Option<crate::alloc::FragHandle>,
+        handle: Option<FragHandle>,
         commit_ts: Option<Timestamp>,
     ) -> VersionRef {
-        let _g = self.chain.lock();
-        let link = self.arena.push(
-            self.ridmap.head_cell(self.row_id),
-            txn,
-            op,
-            handle,
-            commit_ts,
-        );
-        VersionRef::new(Arc::clone(&self.arena), link)
+        let arena = self.store.arena();
+        let _g = self.store.chain(self.row_id);
+        let link = arena.push(self.head_cell(), txn, op, handle, commit_ts);
+        VersionRef::new(Arc::clone(arena), link)
     }
 
     /// Newest version visible to `(snapshot, reader)`; `None` if the row
     /// did not exist yet at that snapshot. Lock-free.
     pub fn visible_version(&self, snapshot: Timestamp, reader: TxnId) -> Option<VersionView> {
-        self.arena
-            .visible_from(self.ridmap.head(self.row_id), snapshot, reader)
+        self.store
+            .arena()
+            .visible_from(self.head(), snapshot, reader)
     }
 
     /// Newest committed version regardless of snapshot (pack and GC use
     /// this: they operate on the latest committed image). Lock-free.
     pub fn latest_committed(&self) -> Option<VersionView> {
-        self.arena
-            .latest_committed_from(self.ridmap.head(self.row_id))
+        self.store
+            .arena()
+            .latest_committed_from(self.head())
             .map(|(_, v)| v)
-    }
-
-    /// Newest version (possibly uncommitted). Used by write conflict
-    /// detection.
-    pub fn newest(&self) -> Option<VersionView> {
-        match self.ridmap.head(self.row_id) {
-            0 => None,
-            link => Some(self.arena.view(link)),
-        }
     }
 
     /// Remove versions created by an aborted transaction. Fragments are
@@ -164,27 +98,24 @@ impl ImrsRow {
     /// timestamp is read **after** the unlinks: any reader registering a
     /// newer snapshot from then on finds the rewired chain, so the
     /// horizon passing the timestamp proves no walker holds these nodes.
-    /// Returns bytes released.
-    pub fn rollback_txn(
-        &self,
-        txn: TxnId,
-        alloc: &FragmentAllocator,
-        now: impl Fn() -> Timestamp,
-    ) -> usize {
-        let _g = self.chain.lock();
-        let head_cell = self.ridmap.head_cell(self.row_id);
+    /// Returns bytes released, and whether the rollback emptied the
+    /// chain (the transaction's own insert: the row is gone).
+    pub(crate) fn rollback_txn(&self, txn: TxnId, now: impl Fn() -> Timestamp) -> (usize, bool) {
+        let (arena, alloc) = (self.store.arena(), self.store.allocator());
+        let _g = self.store.chain(self.row_id);
+        let head_cell = self.head_cell();
         let mut freed = 0;
         let mut unlinked = Vec::new();
         let mut parent = 0u64; // 0 = the head cell itself
         let mut link = head_cell.load(Ordering::Acquire);
         while link != 0 {
-            let v = self.arena.view(link);
-            let next = self.arena.prev(link);
+            let v = arena.view(link);
+            let next = arena.prev(link);
             if v.txn == txn && v.commit_ts.is_none() {
                 if parent == 0 {
                     head_cell.store(next, Ordering::Release);
                 } else {
-                    self.arena.set_prev(parent, next);
+                    arena.set_prev(parent, next);
                 }
                 if let Some(h) = v.handle {
                     freed += h.alloc_len();
@@ -196,13 +127,14 @@ impl ImrsRow {
             }
             link = next;
         }
+        let emptied = !unlinked.is_empty() && head_cell.load(Ordering::Acquire) == 0;
         if !unlinked.is_empty() {
             let ts = now();
             for link in unlinked {
-                self.arena.retire_node(link, ts);
+                arena.retire_node(link, ts);
             }
         }
-        freed
+        (freed, emptied)
     }
 
     /// Garbage-collect: drop versions that can never be seen again —
@@ -215,116 +147,106 @@ impl ImrsRow {
     /// This is the work the paper's IMRS-GC threads perform to "reclaim
     /// memory from older versions without affecting transaction
     /// performance" (§II).
-    pub fn truncate_versions(&self, oldest_active: Timestamp, alloc: &FragmentAllocator) -> usize {
-        let _g = self.chain.lock();
-        let mut keep = self.ridmap.head(self.row_id);
+    pub(crate) fn truncate_versions(&self, oldest_active: Timestamp) -> usize {
+        let (arena, alloc) = (self.store.arena(), self.store.allocator());
+        let _g = self.store.chain(self.row_id);
+        let mut keep = self.head();
         while keep != 0 {
-            if self
-                .arena
-                .commit_ts(keep)
-                .is_some_and(|ts| ts <= oldest_active)
-            {
+            if arena.commit_ts(keep).is_some_and(|ts| ts <= oldest_active) {
                 break;
             }
-            keep = self.arena.prev(keep);
+            keep = arena.prev(keep);
         }
         if keep == 0 {
             return 0; // nothing old enough to cut below
         }
-        let mut tail = self.arena.prev(keep);
+        let mut tail = arena.prev(keep);
         if tail == 0 {
             return 0;
         }
-        self.arena.set_prev(keep, 0);
+        arena.set_prev(keep, 0);
         let mut freed = 0;
         while tail != 0 {
-            let v = self.arena.view(tail);
-            let next = self.arena.prev(tail);
+            let v = arena.view(tail);
+            let next = arena.prev(tail);
             if let Some(h) = v.handle {
                 freed += h.alloc_len();
                 alloc.free(h);
             }
-            self.arena.free_node(tail);
+            arena.free_node(tail);
             tail = next;
         }
         freed
     }
 
-    /// Whether the latest committed version is a delete tombstone.
-    pub fn is_deleted(&self) -> bool {
-        self.latest_committed()
-            .is_some_and(|v| v.op == VersionOp::Delete)
+    /// Fold over the chain, newest first, under the chain stripe: a
+    /// structural walk must not race truncation.
+    fn fold_chain<T>(&self, init: T, mut f: impl FnMut(T, VersionView) -> T) -> T {
+        let arena = self.store.arena();
+        let _g = self.store.chain(self.row_id);
+        let mut acc = init;
+        let mut link = self.head();
+        while link != 0 {
+            acc = f(acc, arena.view(link));
+            link = arena.prev(link);
+        }
+        acc
     }
 
-    /// Number of versions currently chained (tests / stats). Takes the
-    /// chain mutex: a structural walk must not race truncation.
+    /// Number of versions currently chained.
     pub fn version_count(&self) -> usize {
-        let _g = self.chain.lock();
-        let mut n = 0;
-        let mut link = self.ridmap.head(self.row_id);
-        while link != 0 {
-            n += 1;
-            link = self.arena.prev(link);
-        }
-        n
+        self.fold_chain(0, |n, _| n + 1)
     }
 
     /// Chain summary, newest first: `(commit_ts, op)` per version
     /// (debugging / diagnostics).
     pub fn chain_summary(&self) -> Vec<(Option<Timestamp>, VersionOp)> {
-        let _g = self.chain.lock();
-        let mut out = Vec::new();
-        let mut link = self.ridmap.head(self.row_id);
-        while link != 0 {
-            let v = self.arena.view(link);
+        self.fold_chain(Vec::new(), |mut out, v| {
             out.push((v.commit_ts, v.op));
-            link = self.arena.prev(link);
-        }
-        out
+            out
+        })
     }
 
     /// Total IMRS bytes pinned by this row's chain.
     pub fn memory(&self) -> usize {
-        let _g = self.chain.lock();
-        let mut bytes = 0;
-        let mut link = self.ridmap.head(self.row_id);
-        while link != 0 {
-            bytes += self.arena.view(link).memory();
-            link = self.arena.prev(link);
-        }
-        bytes
+        self.fold_chain(0, |bytes, v| bytes + v.memory())
     }
 
-    /// Drop the whole chain. Called when the row leaves the IMRS (pack,
-    /// or GC of a deleted row). A reader may be mid-walk, so nodes
-    /// *and* fragments are quarantined until the snapshot horizon
+    /// Drop the whole chain: the row leaves the IMRS (pack, GC of a
+    /// deleted row, undo of an insert). A reader may be mid-walk, so
+    /// nodes *and* fragments are quarantined until the snapshot horizon
     /// passes — this closes the torn-read race where pack recycled an
     /// image a straggling reader had already resolved. `now` is a
     /// closure evaluated **after** the head swap: every snapshot that
     /// could have captured the old head is ≤ the resulting timestamp,
     /// so the horizon passing it proves no walker remains. Returns
     /// bytes released (from the store's accounting immediately;
-    /// physical reuse is deferred).
-    pub fn free_all(&self, alloc: &FragmentAllocator, now: impl Fn() -> Timestamp) -> usize {
-        let _g = self.chain.lock();
-        let mut link = self.ridmap.head_cell(self.row_id).swap(0, Ordering::AcqRel);
+    /// physical reuse is deferred), or `None` when there was no chain —
+    /// another teardown got there first.
+    pub(crate) fn free_all(&self, now: impl Fn() -> Timestamp) -> Option<usize> {
+        let (arena, alloc) = (self.store.arena(), self.store.allocator());
+        let _g = self.store.chain(self.row_id);
+        let mut link = self.head_cell().swap(0, Ordering::AcqRel);
+        if link == 0 {
+            return None;
+        }
         let ts = now();
         let mut freed = 0;
         while link != 0 {
-            let v = self.arena.view(link);
-            let next = self.arena.prev(link);
+            let v = arena.view(link);
+            let next = arena.prev(link);
             if let Some(h) = v.handle {
                 freed += h.alloc_len();
                 alloc.retire(h, ts);
             }
-            self.arena.retire_node(link, ts);
+            arena.retire_node(link, ts);
             link = next;
         }
-        freed
+        Some(freed)
     }
 }
 
-impl std::fmt::Debug for ImrsRow {
+impl std::fmt::Debug for ImrsRow<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ImrsRow")
             .field("row_id", &self.row_id)
@@ -339,40 +261,45 @@ impl std::fmt::Debug for ImrsRow {
 mod tests {
     use super::*;
 
+    use crate::ridmap::RidMap;
+
+    /// One store; rows are built through it.
     struct Fixture {
-        ridmap: Arc<RidMap>,
-        arena: Arc<VersionArena>,
-        alloc: FragmentAllocator,
+        store: ImrsStore,
     }
 
     fn fixture() -> Fixture {
         Fixture {
-            ridmap: Arc::new(RidMap::new()),
-            arena: Arc::new(VersionArena::new()),
-            alloc: FragmentAllocator::new(1024 * 1024, 64 * 1024),
+            store: ImrsStore::new(1024 * 1024, 64 * 1024, Arc::new(RidMap::new())),
         }
     }
 
     impl Fixture {
-        fn row(&self, origin: RowOrigin) -> Arc<ImrsRow> {
-            let id = self.ridmap.allocate_row_id();
-            ImrsRow::new(
-                id,
-                PartitionId(0),
+        /// A view of a fresh RowId with an empty chain (the tests push
+        /// every version themselves).
+        fn row(&self, origin: RowOrigin) -> ImrsRow<'_> {
+            let ridmap = self.store.ridmap();
+            let row_id = ridmap.allocate_row_id();
+            ridmap.arrive(row_id, PartitionId(0), origin, Timestamp(10));
+            ImrsRow {
+                store: &self.store,
+                row_id,
+                partition: PartitionId(0),
                 origin,
-                Arc::clone(&self.ridmap),
-                Arc::clone(&self.arena),
-                Timestamp(10),
-            )
+            }
+        }
+
+        fn alloc(&self) -> &crate::alloc::FragmentAllocator {
+            self.store.allocator()
         }
 
         fn push_committed(&self, row: &ImrsRow, txn: u64, ts: u64, data: &[u8]) -> VersionRef {
-            let h = self.alloc.alloc(data).unwrap();
+            let h = self.alloc().alloc(data).unwrap();
             row.push_version(TxnId(txn), VersionOp::Update, Some(h), Some(Timestamp(ts)))
         }
 
         fn load(&self, v: &VersionView) -> Vec<u8> {
-            self.alloc.load(v.handle.unwrap())
+            self.alloc().load(v.handle.unwrap())
         }
     }
 
@@ -400,7 +327,7 @@ mod tests {
         let f = fixture();
         let row = f.row(RowOrigin::Inserted);
         f.push_committed(&row, 1, 10, b"committed");
-        let h = f.alloc.alloc(b"pending").unwrap();
+        let h = f.alloc().alloc(b"pending").unwrap();
         row.push_version(TxnId(7), VersionOp::Update, Some(h), None);
 
         let mine = row.visible_version(Timestamp(10), TxnId(7)).unwrap();
@@ -413,7 +340,7 @@ mod tests {
     fn stamping_a_version_ref_publishes_it() {
         let f = fixture();
         let row = f.row(RowOrigin::Inserted);
-        let h = f.alloc.alloc(b"new").unwrap();
+        let h = f.alloc().alloc(b"new").unwrap();
         let vref = row.push_version(TxnId(7), VersionOp::Insert, Some(h), None);
         assert!(row.visible_version(Timestamp(100), TxnId(8)).is_none());
         vref.stamp(Timestamp(50));
@@ -433,7 +360,7 @@ mod tests {
 
         // Oldest active snapshot at 25: v2 (ts 20) is still needed,
         // v1 is unreachable.
-        let freed = row.truncate_versions(Timestamp(25), &f.alloc);
+        let freed = row.truncate_versions(Timestamp(25));
         assert!(freed > 0);
         assert_eq!(row.version_count(), 2);
         // Snapshot at 25 still reads v2.
@@ -441,7 +368,7 @@ mod tests {
         assert_eq!(f.load(&v), b"v2");
 
         // Oldest active at 100: only v3 remains.
-        row.truncate_versions(Timestamp(100), &f.alloc);
+        row.truncate_versions(Timestamp(100));
         assert_eq!(row.version_count(), 1);
     }
 
@@ -450,12 +377,13 @@ mod tests {
         let f = fixture();
         let row = f.row(RowOrigin::Inserted);
         f.push_committed(&row, 1, 10, b"v1");
-        let h = f.alloc.alloc(b"doomed").unwrap();
+        let h = f.alloc().alloc(b"doomed").unwrap();
         row.push_version(TxnId(5), VersionOp::Update, Some(h), None);
-        let used_before = f.alloc.used_bytes();
-        let freed = row.rollback_txn(TxnId(5), &f.alloc, || Timestamp(11));
+        let used_before = f.alloc().used_bytes();
+        let (freed, emptied) = row.rollback_txn(TxnId(5), || Timestamp(11));
+        assert!(!emptied);
         assert!(freed > 0);
-        assert_eq!(f.alloc.used_bytes(), used_before - freed as u64);
+        assert_eq!(f.alloc().used_bytes(), used_before - freed as u64);
         assert_eq!(row.version_count(), 1);
         let v = row.visible_version(Timestamp(10), TxnId(5)).unwrap();
         assert_eq!(f.load(&v), b"v1");
@@ -467,12 +395,12 @@ mod tests {
         let row = f.row(RowOrigin::Inserted);
         f.push_committed(&row, 1, 10, b"v1");
         row.push_version(TxnId(5), VersionOp::Update, None, None);
-        assert_eq!(f.arena.quarantined_nodes(), 0);
-        row.rollback_txn(TxnId(5), &f.alloc, || Timestamp(11));
-        assert_eq!(f.arena.quarantined_nodes(), 1);
+        assert_eq!(f.store.arena().quarantined_nodes(), 0);
+        row.rollback_txn(TxnId(5), || Timestamp(11));
+        assert_eq!(f.store.arena().quarantined_nodes(), 1);
         // The node only recycles once the horizon passes the rollback.
-        assert_eq!(f.arena.reclaim(Timestamp(11)), 0);
-        assert_eq!(f.arena.reclaim(Timestamp(12)), 1);
+        assert_eq!(f.store.arena().reclaim(Timestamp(11)), 0);
+        assert_eq!(f.store.arena().reclaim(Timestamp(12)), 1);
     }
 
     #[test]
@@ -480,9 +408,13 @@ mod tests {
         let f = fixture();
         let row = f.row(RowOrigin::Inserted);
         f.push_committed(&row, 1, 10, b"v1");
-        assert!(!row.is_deleted());
+        let deleted = || {
+            row.latest_committed()
+                .is_some_and(|v| v.op == VersionOp::Delete)
+        };
+        assert!(!deleted());
         row.push_version(TxnId(2), VersionOp::Delete, None, Some(Timestamp(20)));
-        assert!(row.is_deleted());
+        assert!(deleted());
         // Snapshot before the delete still sees the row.
         let v = row.visible_version(Timestamp(15), TxnId(99)).unwrap();
         assert_eq!(v.op, VersionOp::Update);
@@ -492,11 +424,13 @@ mod tests {
     fn touch_updates_hotness() {
         let f = fixture();
         let row = f.row(RowOrigin::Cached);
-        assert_eq!(row.reuse_count(), 0);
-        row.touch(Timestamp(42));
-        row.touch(Timestamp(43));
-        assert_eq!(row.last_access(), Timestamp(43));
-        assert_eq!(row.reuse_count(), 2);
+        let (ridmap, id) = (f.store.ridmap(), row.row_id);
+        assert_eq!(ridmap.last_access(id), Timestamp(10), "arrival seeds it");
+        assert_eq!(ridmap.reuse_count(id), 0);
+        ridmap.touch(id, Timestamp(42));
+        ridmap.touch(id, Timestamp(43));
+        assert_eq!(ridmap.last_access(id), Timestamp(43));
+        assert_eq!(ridmap.reuse_count(id), 2);
     }
 
     #[test]
@@ -506,16 +440,16 @@ mod tests {
         f.push_committed(&row, 1, 10, b"version one");
         f.push_committed(&row, 2, 20, b"version two");
         assert!(row.memory() > 0);
-        row.free_all(&f.alloc, || Timestamp(21));
+        assert!(row.free_all(|| Timestamp(21)).is_some());
         assert_eq!(row.memory(), 0);
         // Accounting drops immediately; physical reuse waits for the
         // horizon to pass the teardown timestamp.
-        assert_eq!(f.alloc.used_bytes(), 0);
-        assert!(f.alloc.quarantined_bytes() > 0);
-        assert_eq!(f.arena.quarantined_nodes(), 2);
-        f.alloc.reclaim(Timestamp(22));
-        f.arena.reclaim(Timestamp(22));
-        assert_eq!(f.alloc.quarantined_bytes(), 0);
-        assert_eq!(f.arena.quarantined_nodes(), 0);
+        assert_eq!(f.alloc().used_bytes(), 0);
+        assert!(f.alloc().quarantined_bytes() > 0);
+        assert_eq!(f.store.arena().quarantined_nodes(), 2);
+        f.alloc().reclaim(Timestamp(22));
+        f.store.arena().reclaim(Timestamp(22));
+        assert_eq!(f.alloc().quarantined_bytes(), 0);
+        assert_eq!(f.store.arena().quarantined_nodes(), 0);
     }
 }

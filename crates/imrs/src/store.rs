@@ -1,24 +1,31 @@
-//! The IMRS row directory with per-partition memory accounting.
+//! The IMRS store: allocator, version arena, chain stripes and
+//! per-partition memory accounting.
 //!
-//! [`ImrsStore`] owns the fragment allocator, the version arena and a
-//! sharded map from `RowId` to [`ImrsRow`]. Every mutation goes through
-//! the store so the per-partition counters — "Partition-specific
-//! IMRS-memory used, number of rows stored in-memory for a partition"
-//! (§V.A) — never drift from the allocator. Those counters are the raw
-//! input to the Cache Utilization Index and the pack-cycle byte
-//! apportioning (§VI.C).
+//! [`ImrsStore`] owns the fragment allocator and the version arena and
+//! shares the RID-Map, whose entries are the directory of resident rows
+//! (a row is resident while its entry's chain head is non-zero; see
+//! [`ridmap`](crate::ridmap)). Every mutation goes through the store so
+//! the per-partition counters — "Partition-specific IMRS-memory used,
+//! number of rows stored in-memory for a partition" (§V.A) — never
+//! drift from the allocator. Those counters are the raw input to the
+//! Cache Utilization Index and the pack-cycle byte apportioning
+//! (§VI.C).
 //!
-//! The store shards are a *writer-side* directory: the snapshot read
-//! path never touches them — it resolves rows through the RID-Map entry
-//! (head link) and the arena, both lock-free. Teardown paths therefore
-//! take a `now` timestamp so freed chain nodes and fragments quarantine
-//! until the snapshot horizon passes (see [`reclaim`](ImrsStore::reclaim)).
+//! Structural chain changes (push, rollback, truncation, teardown)
+//! serialize on one of [`CHAIN_STRIPES`] mutexes picked by RowId — by
+//! RowId, not per arrival, so a row that left and came back and a stale
+//! GC or pack visit to its previous stay contend on the *same* lock for
+//! the one head cell they share. The snapshot read path takes none of
+//! this: it resolves rows through the entry's head link and the arena,
+//! both lock-free. Teardown paths therefore take a `now` timestamp so
+//! freed chain nodes and fragments quarantine until the snapshot
+//! horizon passes (see [`reclaim`](ImrsStore::reclaim)).
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::Arc;
 
-use parking_lot::RwLock;
+use parking_lot::{lock_rank, Mutex, MutexGuard, RwLock};
 
 use btrim_common::{PartitionId, Result, RowId, Timestamp, TxnId};
 
@@ -28,7 +35,8 @@ use crate::ridmap::RidMap;
 use crate::row::{ImrsRow, RowOrigin};
 use crate::version::VersionOp;
 
-const SHARDS: usize = 64;
+/// Chain-lock stripes.
+const CHAIN_STRIPES: usize = 64;
 
 /// Per-partition IMRS usage counters.
 #[derive(Debug, Default)]
@@ -54,19 +62,19 @@ pub struct ImrsStore {
     alloc: Arc<FragmentAllocator>,
     arena: Arc<VersionArena>,
     ridmap: Arc<RidMap>,
-    shards: Vec<RwLock<HashMap<RowId, Arc<ImrsRow>>>>,
+    chain: [Mutex<()>; CHAIN_STRIPES],
     usage: RwLock<HashMap<PartitionId, Arc<PartitionUsage>>>,
 }
 
 impl ImrsStore {
     /// Create a store with a memory budget. The RID-Map is shared with
-    /// the engine: version-chain heads live in its entries.
+    /// the engine: its entries are the rows.
     pub fn new(budget_bytes: u64, chunk_size: u32, ridmap: Arc<RidMap>) -> Self {
         ImrsStore {
             alloc: Arc::new(FragmentAllocator::new(budget_bytes, chunk_size)),
             arena: Arc::new(VersionArena::new()),
             ridmap,
-            shards: (0..SHARDS).map(|_| RwLock::new(HashMap::new())).collect(),
+            chain: std::array::from_fn(|_| Mutex::with_rank(lock_rank::IMRS_CHAIN, ())),
             usage: RwLock::new(HashMap::new()),
         }
     }
@@ -79,6 +87,25 @@ impl ImrsStore {
     /// The version arena (the snapshot read path walks it directly).
     pub fn arena(&self) -> &Arc<VersionArena> {
         &self.arena
+    }
+
+    pub(crate) fn ridmap(&self) -> &RidMap {
+        &self.ridmap
+    }
+
+    fn view(&self, row_id: RowId, partition: PartitionId, origin: RowOrigin) -> ImrsRow<'_> {
+        ImrsRow {
+            store: self,
+            row_id,
+            partition,
+            origin,
+        }
+    }
+
+    /// Lock the chain stripe of `row`. Held only inside one chain
+    /// operation of [`ImrsRow`]; never two at once.
+    pub(crate) fn chain(&self, row: RowId) -> MutexGuard<'_, ()> {
+        self.chain[row.0 as usize % CHAIN_STRIPES].lock()
     }
 
     /// IMRS bytes in use (all partitions).
@@ -113,12 +140,6 @@ impl ImrsStore {
         (nodes, bytes)
     }
 
-    #[inline]
-    fn shard(&self, row: RowId) -> &RwLock<HashMap<RowId, Arc<ImrsRow>>> {
-        let h = (row.0.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize;
-        &self.shards[h % SHARDS]
-    }
-
     /// Usage counters for a partition (created on first use).
     pub fn usage(&self, partition: PartitionId) -> Arc<PartitionUsage> {
         if let Some(u) = self.usage.read().get(&partition) {
@@ -143,7 +164,8 @@ impl ImrsStore {
     }
 
     /// Bring a row into the IMRS with its first (uncommitted) version.
-    /// Returns the row plus the version reference to stamp at commit.
+    /// The row must not be resident already. Returns the row plus the
+    /// version reference to stamp at commit.
     pub fn insert_row(
         &self,
         row_id: RowId,
@@ -152,7 +174,7 @@ impl ImrsStore {
         txn: TxnId,
         data: &[u8],
         now: Timestamp,
-    ) -> Result<(Arc<ImrsRow>, VersionRef)> {
+    ) -> Result<(ImrsRow<'_>, VersionRef)> {
         self.insert_with(row_id, partition, origin, txn, data, now, None)
     }
 
@@ -166,7 +188,7 @@ impl ImrsStore {
         txn: TxnId,
         data: &[u8],
         ts: Timestamp,
-    ) -> Result<(Arc<ImrsRow>, VersionRef)> {
+    ) -> Result<(ImrsRow<'_>, VersionRef)> {
         self.insert_with(row_id, partition, origin, txn, data, ts, Some(ts))
     }
 
@@ -180,19 +202,14 @@ impl ImrsStore {
         data: &[u8],
         now: Timestamp,
         commit_ts: Option<Timestamp>,
-    ) -> Result<(Arc<ImrsRow>, VersionRef)> {
+    ) -> Result<(ImrsRow<'_>, VersionRef)> {
         let handle = self.alloc.alloc(data)?;
         let bytes = handle.alloc_len() as i64;
-        let row = ImrsRow::new(
-            row_id,
-            partition,
-            origin,
-            Arc::clone(&self.ridmap),
-            Arc::clone(&self.arena),
-            now,
-        );
+        // Entry first, chain head second: whoever sees the head sees
+        // the partition, the origin and a cleared queue claim.
+        self.ridmap.arrive(row_id, partition, origin, now);
+        let row = self.view(row_id, partition, origin);
         let vref = row.push_version(txn, VersionOp::Insert, Some(handle), commit_ts);
-        self.shard(row_id).write().insert(row_id, Arc::clone(&row));
         let u = self.usage(partition);
         u.bytes.fetch_add(bytes, Ordering::Relaxed);
         u.rows.fetch_add(1, Ordering::Relaxed);
@@ -202,7 +219,7 @@ impl ImrsStore {
     /// Add an (uncommitted) version to a resident row.
     pub fn add_version(
         &self,
-        row: &ImrsRow,
+        row: &ImrsRow<'_>,
         txn: TxnId,
         op: VersionOp,
         data: Option<&[u8]>,
@@ -219,25 +236,22 @@ impl ImrsStore {
         Ok(vref)
     }
 
-    /// Fetch a resident row.
-    pub fn get(&self, row_id: RowId) -> Option<Arc<ImrsRow>> {
-        self.shard(row_id).read().get(&row_id).cloned()
+    /// A view of `row_id` if it is resident.
+    pub fn get(&self, row_id: RowId) -> Option<ImrsRow<'_>> {
+        let (partition, origin) = self.ridmap.resident(row_id)?;
+        Some(self.view(row_id, partition, origin))
     }
 
-    /// Whether the row is resident.
-    pub fn contains(&self, row_id: RowId) -> bool {
-        self.shard(row_id).read().contains_key(&row_id)
-    }
-
-    /// Remove a row (pack completion, or GC of a fully-dead row). Its
-    /// chain is quarantined — accounting drops immediately, physical
-    /// reuse waits for the snapshot horizon — because a lock-free
-    /// reader may still be walking it. `now` is a closure (usually the
-    /// commit clock) read *after* the chain head is detached; see
-    /// [`ImrsRow::free_all`]. Returns the row if it was resident.
-    pub fn remove_row(&self, row_id: RowId, now: impl Fn() -> Timestamp) -> Option<Arc<ImrsRow>> {
-        let row = self.shard(row_id).write().remove(&row_id)?;
-        let freed = row.free_all(&self.alloc, now) as i64;
+    /// Remove a row (pack completion, GC of a fully-dead row, undo of
+    /// an insert). Its chain is quarantined — accounting drops
+    /// immediately, physical reuse waits for the snapshot horizon —
+    /// because a lock-free reader may still be walking it. `now` is a
+    /// closure (usually the commit clock) read *after* the chain head
+    /// is detached; see [`ImrsRow::free_all`]. Returns the row if it
+    /// was resident.
+    pub fn remove_row(&self, row_id: RowId, now: impl Fn() -> Timestamp) -> Option<ImrsRow<'_>> {
+        let row = self.get(row_id)?;
+        let freed = row.free_all(now)? as i64;
         let u = self.usage(row.partition);
         u.bytes.fetch_sub(freed, Ordering::Relaxed);
         u.rows.fetch_sub(1, Ordering::Relaxed);
@@ -246,19 +260,19 @@ impl ImrsStore {
 
     /// Roll back a transaction's versions on a row, with accounting.
     /// `now` (read after the unlinks) timestamps the node quarantine.
-    pub fn rollback_row(&self, row: &ImrsRow, txn: TxnId, now: impl Fn() -> Timestamp) {
-        let freed = row.rollback_txn(txn, &self.alloc, now) as i64;
-        if freed > 0 {
-            self.usage(row.partition)
-                .bytes
-                .fetch_sub(freed, Ordering::Relaxed);
+    pub fn rollback_row(&self, row: &ImrsRow<'_>, txn: TxnId, now: impl Fn() -> Timestamp) {
+        let (freed, emptied) = row.rollback_txn(txn, now);
+        if freed > 0 || emptied {
+            let u = self.usage(row.partition);
+            u.bytes.fetch_sub(freed as i64, Ordering::Relaxed);
+            u.rows.fetch_sub(emptied as i64, Ordering::Relaxed);
         }
     }
 
     /// GC one row's chain below the oldest-active snapshot, with
     /// accounting. Returns bytes freed.
-    pub fn truncate_row(&self, row: &ImrsRow, oldest_active: Timestamp) -> usize {
-        let freed = row.truncate_versions(oldest_active, &self.alloc);
+    pub fn truncate_row(&self, row: &ImrsRow<'_>, oldest_active: Timestamp) -> usize {
+        let freed = row.truncate_versions(oldest_active);
         if freed > 0 {
             self.usage(row.partition)
                 .bytes
@@ -269,16 +283,14 @@ impl ImrsStore {
 
     /// Number of resident rows across all partitions.
     pub fn row_count(&self) -> usize {
-        self.shards.iter().map(|s| s.read().len()).sum()
+        self.usage.read().values().map(|u| u.rows() as usize).sum()
     }
 
-    /// Visit every resident row (stats, tests, queue rebuild).
-    pub fn for_each_row(&self, mut f: impl FnMut(&Arc<ImrsRow>)) {
-        for shard in &self.shards {
-            for row in shard.read().values() {
-                f(row);
-            }
-        }
+    /// Visit every resident row in RowId order (scans, queue rebuild
+    /// after recovery).
+    pub fn for_each_row(&self, mut f: impl FnMut(ImrsRow<'_>)) {
+        self.ridmap
+            .for_each_resident(|row_id, partition, origin| f(self.view(row_id, partition, origin)));
     }
 }
 
@@ -304,7 +316,6 @@ mod tests {
             )
             .unwrap();
         assert_eq!(row.row_id, RowId(1));
-        assert!(s.contains(RowId(1)));
         let got = s.get(RowId(1)).unwrap();
         assert_eq!(got.partition, PartitionId(2));
         assert_eq!(s.row_count(), 1);

@@ -159,19 +159,13 @@ pub const ATOMIC_FIELDS: &[(&str, &str, u8, &str)] = &[
     (
         "crates/imrs/src/ridmap.rs",
         "part",
-        P_RELAXED,
-        "written before `loc` publishes the entry; riders on that Release",
+        P_ACQREL,
+        "partition + origin + ILM-queue claim bit: arrival Release-stores the word before `head` publishes the row; the AcqRel fetch_or decides one enqueuer, the fetch_and reopens",
     ),
     ("crates/imrs/src/ridmap.rs", "last_access", P_RELAXED, "hotness hint"),
     ("crates/imrs/src/ridmap.rs", "reuse", P_RELAXED, "slot-generation hint"),
     ("crates/imrs/src/ridmap.rs", "next_row_id", P_RELAXED, "id allocator (fetch_add/fetch_max)"),
     ("crates/imrs/src/ridmap.rs", "mapped", P_RELAXED, "entry counter"),
-    (
-        "crates/imrs/src/row.rs",
-        "enqueued",
-        P_ACQREL,
-        "pack-queue claim flag: AcqRel swap decides one enqueuer; Release store reopens",
-    ),
     (
         "crates/imrs/src/row.rs",
         "head_cell",

@@ -16,9 +16,11 @@
 //   so engine state ranks below everything.
 // * `evict_one` publishes a frame-state transition (frame `io` mutex)
 //   while still inside the shard lock — so frames rank above shards.
-// * Migration and pack append WAL records *before* touching the
-//   RID-Map, and RID-Map shards are self-contained, so the RID-Map sits
-//   between frames and the log without conflict.
+// * An IMRS chain stripe is held for one version-chain edit (push,
+//   rollback, truncation, teardown): it may be taken with a frame latch
+//   held, and inside it only the arena's and the allocator's unranked
+//   leaf mutexes are taken — so the stripes sit between frames and the
+//   side store. (The RID-Map itself is all-atomic and has no lock.)
 // * The group-commit leader drops the generation lock before calling
 //   `sink.flush()` (which takes the log's inner lock) — so the
 //   generation lock must rank above the WAL log, making a flush under
@@ -45,12 +47,13 @@ pub const BUFFER_SHARD: u16 = 20;
 /// Frame latches: page data `RwLock` and the frame-state `io` mutex
 /// (`pagestore::buffer::Frame::{data, io}`). Never nested in each other.
 pub const FRAME: u16 = 30;
-/// RID-Map shards (`imrs::ridmap::RidMap::shards`).
-pub const RID_MAP: u16 = 40;
+/// IMRS version-chain stripes (`imrs::store::ImrsStore::chain`), one of
+/// 64 picked by RowId: every structural change to a row's chain.
+pub const IMRS_CHAIN: u16 = 40;
 /// Before-image side-store shards (`core::sidestore::SideStore::shards`).
 /// Writers stash a pre-update image *before* touching the page (so they
 /// hold no frame latch), and purge runs from maintenance before WAL
-/// appends — between the RID-Map and the log.
+/// appends — between the chain stripes and the log.
 pub const SIDE_STORE: u16 = 45;
 /// Frozen-extent directory publish lock (`pagestore::extent::
 /// ExtentStore::publish`). Held only for the directory-slot install of
@@ -79,7 +82,7 @@ pub const LOCK_RANKS: &[(&str, u16)] = &[
     ("txn-registry", TXN_REGISTRY),
     ("buffer-shard", BUFFER_SHARD),
     ("frame", FRAME),
-    ("rid-map", RID_MAP),
+    ("imrs-chain", IMRS_CHAIN),
     ("side-store", SIDE_STORE),
     ("extent-store", EXTENT_STORE),
     ("wal-log", WAL_LOG),

@@ -131,7 +131,6 @@ pub const LOCK_SITES: &[(&str, &str, u16)] = &[
     ),
     ("crates/pagestore/src/buffer.rs", "data", hierarchy::FRAME),
     ("crates/pagestore/src/buffer.rs", "io", hierarchy::FRAME),
-    ("crates/imrs/src/ridmap.rs", "shard", hierarchy::RID_MAP),
     (
         "crates/pagestore/src/extent.rs",
         "publish",

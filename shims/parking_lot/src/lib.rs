@@ -530,7 +530,7 @@ mod tests {
         #[test]
         fn release_unwinds_out_of_order_drops() {
             let a = Mutex::with_rank(lock_rank::ENGINE_STATE, ());
-            let b = Mutex::with_rank(lock_rank::RID_MAP, ());
+            let b = Mutex::with_rank(lock_rank::IMRS_CHAIN, ());
             let ga = a.lock();
             let gb = b.lock();
             drop(ga); // out-of-order drop is legal

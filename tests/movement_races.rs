@@ -6,9 +6,9 @@
 //!    snapshot still needed.
 //! 2. Migration / relocating updates deleted the page copy before
 //!    repointing the RID-Map, leaving a window with no reachable copy.
-//! 3. A reader's `Arc<ImrsRow>` could observe the version chain just as
-//!    pack drained it; an empty chain must mean "retry via RID-Map",
-//!    not "invisible".
+//! 3. A reader could load a row's chain head from its RID-Map entry
+//!    just as pack drained the chain; an empty chain must mean "retry
+//!    via RID-Map", not "invisible".
 //!
 //! The workload hammers three RMW writers, a full-scan reader, and an
 //! aggressive packer over a hot key range; any scan that does not see

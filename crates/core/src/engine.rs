@@ -41,7 +41,7 @@ use crate::sidestore::{SideImage, SideStore};
 use crate::stats::EngineSnapshot;
 use crate::tsf::TsfLearner;
 use crate::tuner::{PartitionIlmState, Tuner};
-use crate::txn_ctx::{Transaction, UndoOp};
+use crate::txn_ctx::{IndexRef, Transaction, Write};
 
 /// Everything shared between the engine facade, background threads, and
 /// the pack/tuner/GC subsystems.
@@ -392,112 +392,105 @@ impl Engine {
         let op_start = sh.obs.start();
         let key = (table.primary_key)(row);
         let part = table.partition_of(&key);
-        let partition = part.id;
         let row_id = sh.ridmap.allocate_row_id();
 
         table.primary.insert(&key, row_id)?;
-        txn.undo.push(UndoOp::PrimaryAdd {
+        // The key is remembered once, moved, after the row is placed —
+        // and whether or not placing worked: an abort after a failed
+        // insert still has to unhook it.
+        let placed = self.place_new_row(txn, table, part, &key, row_id, row);
+        txn.writes.push(Write::KeyAdded {
             table: table.id,
-            key: key.clone(),
+            index: IndexRef::Primary,
+            key,
+            row: row_id,
         });
-        sh.locks.lock(txn.handle.id, row_id, LockMode::Exclusive)?;
-        txn.remember_lock(row_id);
+        let class = placed?;
+        self.maintain_secondaries(txn, table, row_id, None, Some(row))?;
+        sh.obs.record_since(class, op_start);
+        Ok(row_id)
+    }
 
-        let mut to_imrs = self.imrs_allowed(table, part, PartitionIlmState::allows_insert);
-        if to_imrs {
-            match sh.store.insert_row(
-                row_id,
-                partition,
-                RowOrigin::Inserted,
-                txn.handle.id,
-                row,
-                sh.clock.now(),
-            ) {
-                Ok((_, vref)) => {
+    /// Lock a new row and give it its first home: the IMRS when ILM
+    /// allows (§IV), else a page. Returns the insert's class — where the
+    /// row actually landed, not where ILM first aimed it.
+    fn place_new_row(
+        &self,
+        txn: &mut Transaction,
+        table: &TableDesc,
+        part: &Partition,
+        key: &[u8],
+        row_id: RowId,
+        row: &[u8],
+    ) -> Result<OpClass> {
+        let sh = &self.sh;
+        let (id, partition) = (txn.handle.id, part.id);
+        sh.locks.lock(id, row_id, LockMode::Exclusive)?;
+        txn.locks.push(row_id);
+
+        if self.imrs_allowed(table, part, PartitionIlmState::allows_insert) {
+            let origin = RowOrigin::Inserted;
+            match sh
+                .store
+                .insert_row(row_id, partition, origin, id, row, sh.clock.now())
+            {
+                Ok((_, version)) => {
+                    // lint: allow(wal-before-mutation) -- a fresh RowId's
+                    // first location overwrites nothing, and IMRS redo is
+                    // staged below and logged at commit (§II).
                     sh.ridmap.set(row_id, RowLocation::Imrs);
-                    table.hash.insert(&key, row_id);
-                    txn.undo.push(UndoOp::HashAdd {
-                        table: table.id,
-                        key,
-                    });
-                    txn.undo.push(UndoOp::ImrsNewRow { row: row_id });
-                    txn.undo.push(UndoOp::RidSet {
+                    table.hash.insert(key, row_id);
+                    txn.writes.push(Write::Imrs {
                         row: row_id,
-                        prev: None,
+                        version,
                     });
-                    txn.to_stamp.push(vref);
-                    txn.imrs_redo.push_insert(
-                        txn.handle.id,
-                        partition,
-                        row_id,
-                        RowOriginTag::Inserted,
-                        row.to_vec(),
-                    );
-                    txn.gc_rows.push(row_id);
+                    let tag = RowOriginTag::Inserted;
+                    txn.imrs_redo
+                        .push_insert(id, partition, row_id, tag, row.to_vec());
                     part.metrics.imrs_insert.inc();
                     part.metrics.rows_in.inc();
+                    return Ok(OpClass::InsertImrs);
                 }
-                Err(BtrimError::ImrsFull { .. }) if sh.cfg.mode == EngineMode::IlmOn => {
-                    // Graceful degradation (§VI.A): route to the page
-                    // store instead of failing the transaction.
-                    to_imrs = false;
-                }
+                // Graceful degradation (§VI.A): route to the page store
+                // instead of failing the transaction.
+                Err(BtrimError::ImrsFull { .. }) if sh.cfg.mode == EngineMode::IlmOn => {}
                 Err(e) => return Err(e),
             }
         }
-        if !to_imrs {
-            let payload = wrap_row(row_id, row);
-            let (page, slot) =
-                self.charge_page_op(part, || part.heap.insert(&sh.cache, &payload))?;
-            // Absent marker for snapshot readers: until this insert
-            // commits (and for any snapshot older than its commit), the
-            // row does not exist, even though its bytes sit on the page.
-            // Stashed before the RID-Map publishes the location.
-            sh.side
-                .stash(page, slot, row_id, txn.handle.id, None, false);
-            txn.side_keys.push((page, slot));
-            // The heap insert above is additive (commit-gated at
-            // recovery), but its undo must be on record before the
-            // append below can fail, and the RID-Map must not publish
-            // the location until the Insert record is in the log —
-            // otherwise a failed append leaves a dangling RID that
-            // abort cannot reclaim.
-            txn.undo.push(UndoOp::PageInsert {
-                partition,
-                page,
-                slot,
-            });
-            // Only a transaction that changes a page announces itself in
-            // syslogs: `Begin`/`Commit` gate its page records. An
-            // IMRS-only transaction has no verdict there at all — its
-            // one atomic sysimrslogs batch on the media is the commit.
-            self.ensure_begin(txn)?;
+        let payload = wrap_row(row_id, row);
+        let (page, slot) = self.charge_page_op(part, || part.heap.insert(&sh.cache, &payload))?;
+        // Absent marker for snapshot readers: until this insert commits
+        // (and for any snapshot older than its commit), the row does
+        // not exist, even though its bytes sit on the page. Stashed
+        // before the RID-Map publishes the location.
+        sh.side.stash(row_id, id, None, false);
+        txn.writes.push(Write::Page {
+            row: row_id,
+            partition,
+        });
+        // Only a transaction that changes a page announces itself in
+        // syslogs: `Begin`/`Commit` gate its page records. An IMRS-only
+        // transaction has no verdict there at all — its one atomic
+        // sysimrslogs batch on the media is the commit.
+        let logged = self.ensure_begin(txn).and_then(|()| {
             sh.append_sys(&PageLogRecord::Insert {
-                txn: txn.handle.id,
+                txn: id,
                 partition,
                 row: row_id,
                 page,
                 slot,
                 data: payload,
-            })?;
-            txn.undo.push(UndoOp::RidSet {
-                row: row_id,
-                prev: None,
-            });
-            sh.ridmap.set(row_id, RowLocation::Page(page, slot));
+            })
+        });
+        if let Err(e) = logged {
+            // The RID-Map publishes the location only once the Insert
+            // record is in the log; a copy it never named is dropped
+            // here, where it was staged (abort finds no row to remove).
+            let _ = part.heap.delete(&sh.cache, page, slot);
+            return Err(e);
         }
-        self.maintain_secondaries(txn, table, row_id, None, Some(row))?;
-        // Classified by where the row actually landed, not where ILM
-        // first aimed it (ImrsFull fallback flips `to_imrs`).
-        sh.obs.record_since(
-            if to_imrs {
-                OpClass::InsertImrs
-            } else {
-                OpClass::InsertPage
-            },
-            op_start,
-        );
-        Ok(row_id)
+        sh.ridmap.set(row_id, RowLocation::Page(page, slot));
+        Ok(OpClass::InsertPage)
     }
 
     /// Resolve a primary key to its RowId: the non-logged hash index
@@ -661,7 +654,7 @@ impl Engine {
                 } else {
                     heap.get(&sh.cache, page, slot)?
                 };
-                let image = match sh.side.lookup(page, slot, row_id, snapshot, reader) {
+                let image = match sh.side.lookup(row_id, snapshot, reader) {
                     SideImage::Absent => None,
                     SideImage::Image(img) => Some(img),
                     SideImage::UsePage => {
@@ -686,11 +679,11 @@ impl Engine {
                 }
                 (image, false)
             }
-            Some(RowLocation::Tombstone(page, slot)) => {
+            Some(RowLocation::Tombstone(..)) => {
                 // The slot is dead, but the deleted image may still be
                 // visible at this snapshot. No overriding stash: the
                 // delete is older than the snapshot (or the reader's own).
-                match sh.side.lookup(page, slot, row_id, snapshot, reader) {
+                match sh.side.lookup(row_id, snapshot, reader) {
                     SideImage::Image(img) => (Some(img), false),
                     SideImage::Absent | SideImage::UsePage => (None, false),
                 }
@@ -856,7 +849,7 @@ impl Engine {
             return Ok(None);
         };
         sh.locks.lock(txn.handle.id, row_id, LockMode::Exclusive)?;
-        txn.remember_lock(row_id);
+        txn.locks.push(row_id);
         let (partition, page, slot) = match sh.ridmap.get(row_id) {
             None | Some(RowLocation::Tombstone(..)) => return Ok(None),
             Some(RowLocation::Imrs) => return Ok(Some((row_id, WriteHome::Imrs))),
@@ -931,10 +924,11 @@ impl Engine {
                     Some(_) => VersionOp::Update,
                     None => VersionOp::Delete,
                 };
-                let v = sh.store.add_version(&row, id, op, new_row)?;
-                txn.to_stamp.push(v);
-                txn.remember_touched(row_id);
-                txn.gc_rows.push(row_id);
+                let version = sh.store.add_version(&row, id, op, new_row)?;
+                txn.writes.push(Write::Imrs {
+                    row: row_id,
+                    version,
+                });
                 match new_row {
                     Some(new_row) => {
                         txn.imrs_redo
@@ -964,8 +958,11 @@ impl Engine {
                     // frame latch) also observes the stash.
                     let id = txn.handle.id;
                     sh.side
-                        .stash(page, slot, row_id, id, Some(old.clone()), new_row.is_none());
-                    txn.side_keys.push((page, slot));
+                        .stash(row_id, id, Some(old.clone()), new_row.is_none());
+                    txn.writes.push(Write::Page {
+                        row: row_id,
+                        partition: partition.id,
+                    });
                     match new_row {
                         Some(new_row) => self.update_page(txn, row_id, at, old_payload, new_row)?,
                         None => self.delete_page(txn, row_id, at, old_payload)?,
@@ -981,16 +978,11 @@ impl Engine {
         if new_row.is_none() {
             // Index removal is immediate (see DESIGN.md trade-offs); the
             // hash index spans IMRS rows only, a page row is not in it.
-            if table.hash.remove(key).is_some() {
-                txn.undo.push(UndoOp::HashRemove {
+            let in_tree = table.primary.delete(key, Some(row_id))?;
+            if table.hash.remove(key).is_some() || in_tree {
+                txn.writes.push(Write::KeyRemoved {
                     table: table.id,
-                    key: key.to_vec(),
-                    row: row_id,
-                });
-            }
-            if table.primary.delete(key, Some(row_id))? {
-                txn.undo.push(UndoOp::PrimaryRemove {
-                    table: table.id,
+                    index: IndexRef::Primary,
                     key: key.to_vec(),
                     row: row_id,
                 });
@@ -1003,7 +995,8 @@ impl Engine {
 
     /// Overwrite a page-resident row whose before image the caller has
     /// stashed: in place when the new image fits, else by relocation
-    /// within the partition's heap.
+    /// within the partition's heap (the stash is keyed by the row and
+    /// needs no telling).
     fn update_page(
         &self,
         txn: &mut Transaction,
@@ -1013,7 +1006,7 @@ impl Engine {
         new_row: &[u8],
     ) -> Result<()> {
         let sh = &self.sh;
-        let (heap, partition) = (&part.heap, part.id);
+        let (heap, partition, id) = (&part.heap, part.id, txn.handle.id);
         let new_payload = wrap_row(row_id, new_row);
         self.ensure_begin(txn)?;
         // WAL-first: the Update record is appended from under the
@@ -1024,7 +1017,7 @@ impl Engine {
         let in_place =
             heap.try_update_in_place_logged(&sh.cache, page, slot, &new_payload, || {
                 sh.append_sys(&PageLogRecord::Update {
-                    txn: txn.handle.id,
+                    txn: id,
                     partition,
                     row: row_id,
                     page,
@@ -1035,63 +1028,39 @@ impl Engine {
                 .map(|_| ())
             })?;
         if in_place {
-            txn.undo.push(UndoOp::PageUpdate {
+            return Ok(());
+        }
+        // Relocation. The new copy is staged unpublished: additive
+        // (recovery discards it if the txn never commits), so it may
+        // precede the appends. WAL-first: both records precede the
+        // destructive steps (the RID-Map flip and the old slot's
+        // delete).
+        let (new_page, new_slot) = heap.insert(&sh.cache, &new_payload)?;
+        let logged = sh
+            .append_sys(&PageLogRecord::Delete {
+                txn: id,
                 partition,
+                row: row_id,
                 page,
                 slot,
                 old: old_payload,
+            })
+            .and_then(|_| {
+                sh.append_sys(&PageLogRecord::Insert {
+                    txn: id,
+                    partition,
+                    row: row_id,
+                    page: new_page,
+                    slot: new_slot,
+                    data: new_payload,
+                })
             });
-            return Ok(());
+        if let Err(e) = logged {
+            // Unstage: the row is still whole at its old address, and a
+            // copy the RID-Map never named is nobody's to undo later.
+            let _ = heap.delete(&sh.cache, new_page, new_slot);
+            return Err(e);
         }
-        // Relocation. The insert is additive (recovery discards it if
-        // the txn never commits) and so may precede the appends — but
-        // its undo must be recorded NOW, so an abort forced by a failed
-        // append below still reclaims the orphan copy.
-        let (new_page, new_slot) = heap.insert(&sh.cache, &new_payload)?;
-        txn.undo.push(UndoOp::PageInsert {
-            partition,
-            page: new_page,
-            slot: new_slot,
-        });
-        // The old image must also be findable at the row's NEW address:
-        // once the RID-Map repoints, snapshot readers resolve there and
-        // would otherwise see the new bytes.
-        let old_data = unwrap_row(&old_payload)?.1.to_vec();
-        sh.side.stash(
-            new_page,
-            new_slot,
-            row_id,
-            txn.handle.id,
-            Some(old_data),
-            false,
-        );
-        txn.side_keys.push((new_page, new_slot));
-        // WAL-first: both records precede the destructive steps (the
-        // RID-Map flip and the old slot's delete); a failed append
-        // aborts with only the additive insert to undo.
-        sh.append_sys(&PageLogRecord::Delete {
-            txn: txn.handle.id,
-            partition,
-            row: row_id,
-            page,
-            slot,
-            old: old_payload.clone(),
-        })?;
-        sh.append_sys(&PageLogRecord::Insert {
-            txn: txn.handle.id,
-            partition,
-            row: row_id,
-            page: new_page,
-            slot: new_slot,
-            data: new_payload,
-        })?;
-        txn.undo.push(UndoOp::PageDelete {
-            partition,
-            row: row_id,
-            old: old_payload,
-        });
-        let prev = sh.ridmap.get(row_id);
-        txn.undo.push(UndoOp::RidSet { row: row_id, prev });
         // Repoint, only then delete the old copy — a concurrent reader
         // that raced the RID-Map read finds either the old live slot
         // or, after one retry, the new location; never a dead end.
@@ -1110,7 +1079,6 @@ impl Engine {
         old_payload: Vec<u8>,
     ) -> Result<()> {
         let sh = &self.sh;
-        let (heap, partition) = (&part.heap, part.id);
         // The deleted image stays reachable for older snapshots: the
         // caller stashed it, and the RID-Map keeps a tombstone instead
         // of unmapping the row. The tombstone is cleared when the stash
@@ -1121,21 +1089,16 @@ impl Engine {
         self.ensure_begin(txn)?;
         sh.append_sys(&PageLogRecord::Delete {
             txn: txn.handle.id,
-            partition,
+            partition: part.id,
             row: row_id,
             page,
             slot,
-            old: old_payload.clone(),
-        })?;
-        sh.ridmap.set(row_id, RowLocation::Tombstone(page, slot));
-        txn.undo.push(UndoOp::PageDelete {
-            partition,
-            row: row_id,
             old: old_payload,
-        });
+        })?;
         // Tombstone is published first so concurrent readers consult
         // the stash instead of racing the dying slot.
-        heap.delete(&sh.cache, page, slot)?;
+        sh.ridmap.set(row_id, RowLocation::Tombstone(page, slot));
+        part.heap.delete(&sh.cache, page, slot)?;
         Ok(())
     }
 
@@ -1157,9 +1120,9 @@ impl Engine {
             }
             if let Some(key) = old_key {
                 if sec.tree.delete(&key, Some(row_id))? {
-                    txn.undo.push(UndoOp::SecondaryRemove {
+                    txn.writes.push(Write::KeyRemoved {
                         table: table.id,
-                        idx,
+                        index: IndexRef::Secondary(idx),
                         key,
                         row: row_id,
                     });
@@ -1167,9 +1130,9 @@ impl Engine {
             }
             if let Some(key) = new_key {
                 sec.tree.insert(&key, row_id)?;
-                txn.undo.push(UndoOp::SecondaryAdd {
+                txn.writes.push(Write::KeyAdded {
                     table: table.id,
-                    idx,
+                    index: IndexRef::Secondary(idx),
                     key,
                     row: row_id,
                 });
@@ -1339,20 +1302,27 @@ impl Engine {
     pub fn commit(&self, mut txn: Transaction) -> Result<Timestamp> {
         let op_start = self.sh.obs.start();
         let id = txn.handle.id;
-        // Reserve the commit timestamp, stamp every artifact the
-        // transaction created (version chains, side-store entries),
-        // and only then publish the timestamp to the clock. A snapshot
-        // reader whose begin-timestamp admits this commit therefore
-        // began *after* publication — and publication happens after
-        // every stamp, so the reader can never catch a version still
-        // carrying the placeholder and wrongly skip (or a side entry
-        // still pending and wrongly apply) it.
+        // Reserve the commit timestamp, walk the write set once forward
+        // stamping every artifact the transaction created (version
+        // chains, side-store entries), and only then publish the
+        // timestamp to the clock. A snapshot reader whose
+        // begin-timestamp admits this commit therefore began *after*
+        // publication — and publication happens after every stamp, so
+        // the reader can never catch a version still carrying the
+        // placeholder and wrongly skip (or a side entry still pending
+        // and wrongly apply) it. The same walk hands IMRS rows to
+        // GC/queue maintenance — whatever the log says below: a failed
+        // commit's versions are in the chains all the same.
         let ts = self.sh.txns.reserve_commit();
-        for v in txn.to_stamp.drain(..) {
-            v.stamp(ts);
-        }
-        if !txn.side_keys.is_empty() {
-            self.sh.side.stamp(&txn.side_keys, id, ts);
+        for w in &txn.writes {
+            match w {
+                Write::Imrs { row, version } => {
+                    version.stamp(ts);
+                    self.sh.gc.register(*row);
+                }
+                Write::Page { row, .. } => self.sh.side.stamp(*row, id, ts),
+                Write::KeyAdded { .. } | Write::KeyRemoved { .. } => {}
+            }
         }
         self.sh.txns.finish_commit(txn.handle, ts);
         // What this transaction logs decides everything below: which
@@ -1409,7 +1379,6 @@ impl Engine {
         self.sh.health.note("commit", &logged);
         // Cleanup happens regardless of the log outcome — a failed
         // commit must never leave its locks behind.
-        self.sh.gc.register_many(txn.gc_rows.drain(..));
         self.sh.locks.unlock_all(id, txn.locks.iter());
         txn.locks.clear();
         txn.finished = true;
@@ -1425,23 +1394,14 @@ impl Engine {
         Ok(ts)
     }
 
-    /// Abort a transaction: undo page-store changes physically, drop
-    /// uncommitted IMRS versions, restore index entries.
+    /// Abort a transaction: walk the write set once backward, undoing
+    /// each change against the state the later ones left restored —
+    /// page-store changes physically, IMRS changes by dropping
+    /// uncommitted versions, index entries by the inverse operation.
     pub fn abort(&self, mut txn: Transaction) {
         let id = txn.handle.id;
-        // Reverse-order undo.
-        for op in std::mem::take(&mut txn.undo).into_iter().rev() {
-            self.apply_undo(op);
-        }
-        let store = &self.sh.store;
-        for row in txn.touched_imrs.drain(..).filter_map(|r| store.get(r)) {
-            store.rollback_row(&row, id, || self.sh.clock.now());
-        }
-        // After the page undo restored the before images, the pending
-        // stashes are redundant — readers get the same bytes from the
-        // pages again.
-        if !txn.side_keys.is_empty() {
-            self.sh.side.drop_pending(&txn.side_keys, id);
+        for w in std::mem::take(&mut txn.writes).into_iter().rev() {
+            self.apply_undo(id, w);
         }
         if txn.wrote_syslog {
             // Best-effort: if the Abort record cannot be written the
@@ -1455,94 +1415,118 @@ impl Engine {
         txn.finished = true;
     }
 
-    fn apply_undo(&self, op: UndoOp) {
-        match op {
-            UndoOp::PageInsert {
-                partition,
-                page,
-                slot,
-            } => {
-                if let Some(part) = self.sh.catalog.partition(partition) {
-                    let _ = part.heap.delete(&self.sh.cache, page, slot);
-                }
-            }
-            UndoOp::PageUpdate {
-                partition,
-                page,
-                slot,
-                old,
-            } => {
-                if let Some(part) = self.sh.catalog.partition(partition) {
-                    let _ = part.heap.update(&self.sh.cache, page, slot, &old);
-                }
-            }
-            UndoOp::PageDelete {
-                partition,
-                row,
-                old,
-            } => {
-                if let Some(part) = self.sh.catalog.partition(partition) {
-                    if let Ok((p, s)) = part.heap.insert(&self.sh.cache, &old) {
-                        self.sh.ridmap.set(row, RowLocation::Page(p, s));
+    /// Undo one write-set entry of transaction `id`, which still holds
+    /// the row's exclusive lock: nobody else has moved or changed it.
+    fn apply_undo(&self, id: TxnId, w: Write) {
+        let sh = &self.sh;
+        match w {
+            Write::Imrs { row, .. } => {
+                // Every version of ours on the chain goes at once (a
+                // second entry for the row finds none left).
+                if let Some(r) = sh.store.get(row) {
+                    if sh.store.rollback_row(&r, id, || sh.clock.now()) {
+                        sh.ridmap.remove(row); // our own insert: the row is gone
                     }
                 }
             }
-            UndoOp::PrimaryAdd { table, key } => {
-                if let Some(table) = self.sh.catalog.table(table) {
-                    let _ = table.primary.delete(&key, None);
+            Write::Page { row, partition } => {
+                let part = sh.catalog.partition(partition);
+                let before = sh.side.newest_pending(row, id);
+                if let (Some(part), Some(before)) = (part, before) {
+                    if let Err(e) = self.restore_page_row(&part, row, before) {
+                        sh.health.note_storage_error("abort", &e);
+                    }
                 }
+                // Only now: until the page held the before-image again,
+                // readers needed the stash to roll our bytes back.
+                sh.side.drop_newest_pending(row, id);
             }
-            UndoOp::PrimaryRemove { table, key, row } => {
-                if let Some(table) = self.sh.catalog.table(table) {
-                    let _ = table.primary.insert(&key, row);
-                }
-            }
-            UndoOp::SecondaryAdd {
+            Write::KeyAdded {
                 table,
-                idx,
+                index,
                 key,
                 row,
             } => {
-                if let Some(table) = self.sh.catalog.table(table) {
-                    let secs = table.secondaries.read();
-                    if let Some(sec) = secs.get(idx) {
-                        let _ = sec.tree.delete(&key, Some(row));
+                let Some(table) = sh.catalog.table(table) else {
+                    return;
+                };
+                match index {
+                    IndexRef::Primary => {
+                        let _ = table.primary.delete(&key, Some(row));
+                        table.hash.remove(&key);
+                    }
+                    IndexRef::Secondary(idx) => {
+                        if let Some(sec) = table.secondaries.read().get(idx) {
+                            let _ = sec.tree.delete(&key, Some(row));
+                        }
                     }
                 }
             }
-            UndoOp::SecondaryRemove {
+            Write::KeyRemoved {
                 table,
-                idx,
+                index,
                 key,
                 row,
             } => {
-                if let Some(table) = self.sh.catalog.table(table) {
-                    let secs = table.secondaries.read();
-                    if let Some(sec) = secs.get(idx) {
-                        let _ = sec.tree.insert(&key, row);
+                let Some(table) = sh.catalog.table(table) else {
+                    return;
+                };
+                match index {
+                    IndexRef::Primary => {
+                        let _ = table.primary.insert(&key, row);
+                        // The hash index spans IMRS rows only.
+                        if sh.ridmap.get(row) == Some(RowLocation::Imrs) {
+                            table.hash.insert(&key, row);
+                        }
+                    }
+                    IndexRef::Secondary(idx) => {
+                        if let Some(sec) = table.secondaries.read().get(idx) {
+                            let _ = sec.tree.insert(&key, row);
+                        }
                     }
                 }
-            }
-            UndoOp::HashAdd { table, key } => {
-                if let Some(table) = self.sh.catalog.table(table) {
-                    table.hash.remove(&key);
-                }
-            }
-            UndoOp::HashRemove { table, key, row } => {
-                if let Some(table) = self.sh.catalog.table(table) {
-                    table.hash.insert(&key, row);
-                }
-            }
-            UndoOp::RidSet { row, prev } => match prev {
-                Some(loc) => self.sh.ridmap.set(row, loc),
-                None => {
-                    self.sh.ridmap.remove(row);
-                }
-            },
-            UndoOp::ImrsNewRow { row } => {
-                self.sh.store.remove_row(row, || self.sh.clock.now());
             }
         }
+    }
+
+    /// Give page row `row` back the image it held before a change
+    /// (`None`: it did not exist), wherever the RID-Map says the row is
+    /// now — its address at the time of the change may be dead, or
+    /// another row's. In place when the image fits; else, and after a
+    /// delete, it is re-homed within the heap and the RID-Map repointed
+    /// before the old copy goes.
+    fn restore_page_row(
+        &self,
+        part: &Partition,
+        row: RowId,
+        before: Option<Vec<u8>>,
+    ) -> Result<()> {
+        let sh = &self.sh;
+        let heap = &part.heap;
+        let at = match sh.ridmap.get(row) {
+            Some(RowLocation::Page(page, slot)) => Some((page, slot)),
+            _ => None, // our tombstone, or never published
+        };
+        match before {
+            None => {
+                sh.ridmap.remove(row);
+            }
+            Some(before) => {
+                let payload = wrap_row(row, &before);
+                if let Some((page, slot)) = at {
+                    if heap.try_update_in_place(&sh.cache, page, slot, &payload)? {
+                        return Ok(());
+                    }
+                }
+                let (page, slot) = heap.insert(&sh.cache, &payload)?;
+                sh.ridmap.set(row, RowLocation::Page(page, slot));
+            }
+        }
+        // The RID-Map no longer names the copy at `at`: retire it.
+        if let Some((page, slot)) = at {
+            heap.delete(&sh.cache, page, slot)?;
+        }
+        Ok(())
     }
 
     /// Experiment-facing statistics snapshot.

@@ -170,14 +170,16 @@ fn relocate_locked(
                 // The horizon gate. In its new home the image is
                 // stamped at (IMRS) or served regardless of (extent)
                 // the horizon, which is only truthful if the row's last
-                // change is at or below it. A newer change always left
-                // a stamped side-store entry (in-place updates stash
-                // before-images, pack stashes absent markers, purge
-                // cannot touch entries above the horizon), so such a
-                // row stays on its page — the side store keeps serving
-                // its history — until the horizon passes; the row lock
-                // keeps the check stable.
-                let newest = sh.side.newest_stamped_ts(page, slot, row);
+                // change is committed and at or below it. A newer change
+                // always left a side-store entry under the row (page
+                // updates stash before-images wherever they put the
+                // row, pack stashes absent markers, purge cannot touch
+                // entries above the horizon; the mover's own pending
+                // change counts as +∞), so such a row stays on its page
+                // — the side store keeps serving its history — until
+                // the horizon passes; the row lock keeps the check
+                // stable.
+                let newest = sh.side.newest_change_ts(row);
                 if newest.is_some_and(|t| t > horizon) {
                     out.gated += 1;
                     continue;
@@ -388,11 +390,11 @@ fn relocate_locked(
                 sh.gc.register(s.row);
                 part.metrics.rows_in.inc();
             }
-            (RowLocation::Imrs, RowLocation::Page(page, slot)) => {
+            (RowLocation::Imrs, RowLocation::Page(..)) => {
                 // The absent marker must be in the side store before
                 // the RID-Map publishes the page location.
                 if let Some(ts) = s.marker {
-                    sh.side.stash_committed(page, slot, s.row, txn, ts, None);
+                    sh.side.stash_committed(s.row, txn, ts, None);
                 }
                 table.hash.remove(&(table.primary_key)(s.data()));
             }

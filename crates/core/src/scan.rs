@@ -243,11 +243,15 @@ impl Engine {
             candidates.extend(fresh);
         }
         if sh.side.entries() > 0 {
-            for (page, _slot, rid) in sh.side.tombstoned_rows() {
+            for rid in sh.side.tombstoned_rows() {
                 if seen.contains(&rid) {
                     continue;
                 }
-                // Membership check: the stash does not know its table.
+                // Membership check: the stash does not know its table,
+                // the tombstone's page does.
+                let Some(RowLocation::Tombstone(page, _)) = sh.ridmap.get(rid) else {
+                    continue;
+                };
                 let guard = sh.cache.fetch(page)?;
                 let partition = guard.with_page_read(|p| p.partition());
                 if table.partition(partition).is_some() && seen.insert(rid) {

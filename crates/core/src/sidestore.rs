@@ -4,39 +4,45 @@
 //! snapshot reader that lands on a page slot would see whatever bytes
 //! the most recent writer left there — a value from the reader's
 //! future. The side store is that help: writers stash the *before*
-//! image of every page-slot change here **before** mutating the page,
-//! keyed by `(PageId, SlotId)`; snapshot readers read the page bytes
-//! first, then consult the store to roll the value back to their
+//! image of every change to a page row here **before** mutating the
+//! page, keyed by the row's `RowId`; snapshot readers read the page
+//! bytes first, then consult the store to roll the value back to their
 //! snapshot.
+//!
+//! The key is the row, not its address, because a page row's address is
+//! not stable: an update that outgrows its page relocates the row, and
+//! an abort re-homes a before-image wherever there is room. History
+//! keyed by `RowId` follows the row through all of that by construction
+//! (`RowId`s are never reused). It is per-row *state*, not a second
+//! directory: only the RID-Map says where a row lives.
 //!
 //! # Entry semantics
 //!
-//! Each entry records one change to one slot: the row it belonged to,
-//! the writing transaction, the commit timestamp (0 while the writer is
-//! still in flight — treated as +∞ by visibility, since any future
-//! commit necessarily publishes after every existing snapshot), and the
-//! image the slot held *before* the change (`None` = the row did not
-//! exist, used for inserts and for rows packed out of the IMRS whose
-//! single version is newer than some active snapshot).
+//! Each entry records one change to one row: the writing transaction,
+//! the commit timestamp (0 while the writer is still in flight —
+//! treated as +∞ by visibility, since any future commit necessarily
+//! publishes after every existing snapshot), and the image the row held
+//! *before* the change (`None` = the row did not exist, used for
+//! inserts and for rows packed out of the IMRS whose single version is
+//! newer than some active snapshot).
 //!
-//! For a reader at snapshot `S`, the value of a slot is the before
-//! image of the **earliest** change with commit timestamp `> S` — that
-//! change overwrote exactly the state `S` should see. No such entry
-//! means the current page bytes are old enough to use as-is. Entries
-//! are filtered by `RowId` so a recycled slot never leaks a previous
-//! occupant's images into the wrong row.
+//! For a reader at snapshot `S`, the value of a row is the before image
+//! of the **earliest** change with commit timestamp `> S` — that change
+//! overwrote exactly the state `S` should see. No such entry means the
+//! current page bytes are old enough to use as-is.
 //!
 //! # Lifecycle
 //!
-//! Writers stash pending entries at DML time; commit stamps them with
-//! the commit timestamp **before** the timestamp is published (so any
-//! reader whose snapshot can see the commit also sees the stamps);
-//! abort drops them after the page undo has restored the bytes.
-//! Maintenance purges entries with `ts ≤ oldest_active_snapshot` — no
-//! live snapshot can need them — which also bounds the store: its
-//! footprint is the before-image volume of the active-snapshot window,
-//! not of history. Purging the last entry of a deleted row clears the
-//! row's RID-Map tombstone.
+//! A writer stashes one pending entry per page change, at DML time
+//! (`txn_ctx::Write::Page`); commit stamps them with the commit
+//! timestamp **before** the timestamp is published (so any reader whose
+//! snapshot can see the commit also sees the stamps); abort reads each
+//! back, newest first, as the image to restore, and drops it once the
+//! page holds that image again. Maintenance purges entries with `ts ≤
+//! oldest_active_snapshot` — no live snapshot can need them — which
+//! also bounds the store: its footprint is the before-image volume of
+//! the active-snapshot window, not of history. Purging the entry of a
+//! row's delete clears the row's RID-Map tombstone.
 //!
 //! Shard locks carry rank `SIDE_STORE` (45): above the RID-Map and the
 //! buffer frames (readers pin the page first, then consult the store),
@@ -45,26 +51,24 @@
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use btrim_common::{PageId, RowId, SlotId, Timestamp, TxnId};
+use btrim_common::{RowId, Timestamp, TxnId};
 use btrim_imrs::{RidMap, RowLocation};
 use parking_lot::{lock_rank, RwLock};
 
-/// Shard count; keys are spread by page id so consecutive slots of one
-/// page share a shard (one lock for a page's worth of stashes).
+/// Shard count; RowIds are allocated sequentially, so consecutive rows
+/// spread evenly.
 const SHARDS: usize = 16;
 
 /// Fixed per-entry accounting overhead (key, vec slot, bookkeeping).
 const ENTRY_OVERHEAD: u64 = 64;
 
-/// One stashed change to a page slot.
+/// One stashed change to a page row.
 struct SideEntry {
-    /// Row the slot belonged to when the change happened.
-    row: RowId,
     /// Writing transaction.
     txn: TxnId,
     /// Commit timestamp; 0 = writer still uncommitted (reads as +∞).
     ts: AtomicU64,
-    /// Slot image before the change; `None` = row absent at that time.
+    /// Row image before the change; `None` = row absent at that time.
     before: Option<Vec<u8>>,
     /// True when the change was a row delete (the row's RID-Map entry
     /// is a tombstone that must be cleared when this entry is purged).
@@ -83,6 +87,15 @@ impl SideEntry {
             t => t,
         }
     }
+
+    /// Whether this is `txn`'s own still-unstamped entry.
+    fn pending_of(&self, txn: TxnId) -> bool {
+        // lint: allow(atomics-ordering) -- pending(0)→stamped is only
+        // ever written by the owning txn's thread, and every caller is
+        // that thread (commit stamping, abort), so 0-vs-stamped needs no
+        // cross-thread ordering.
+        self.txn == txn && self.ts.load(Ordering::Relaxed) == 0
+    }
 }
 
 /// Result of a snapshot lookup against the side store.
@@ -95,7 +108,8 @@ pub(crate) enum SideImage {
     Image(Vec<u8>),
 }
 
-type Shard = HashMap<(PageId, SlotId), Vec<SideEntry>>;
+/// A row's changes, in stash order.
+type Shard = HashMap<RowId, Vec<SideEntry>>;
 
 /// The sharded before-image store. One per engine, in `Shared`.
 pub(crate) struct SideStore {
@@ -115,27 +129,17 @@ impl SideStore {
         }
     }
 
-    fn shard(&self, page: PageId) -> &RwLock<Shard> {
-        &self.shards[page.0 as usize % SHARDS]
+    fn shard(&self, row: RowId) -> &RwLock<Shard> {
+        &self.shards[row.0 as usize % SHARDS]
     }
 
     /// Stash a pending before-image for an in-flight transaction. Must
     /// be called **before** the page bytes are mutated; the caller
-    /// records the key in its transaction for commit-stamping/abort.
-    pub(crate) fn stash(
-        &self,
-        page: PageId,
-        slot: SlotId,
-        row: RowId,
-        txn: TxnId,
-        before: Option<Vec<u8>>,
-        tombstone: bool,
-    ) {
+    /// records a `Write::Page` for commit-stamping/abort.
+    pub(crate) fn stash(&self, row: RowId, txn: TxnId, before: Option<Vec<u8>>, tombstone: bool) {
         self.push(
-            page,
-            slot,
+            row,
             SideEntry {
-                row,
                 txn,
                 ts: AtomicU64::new(0),
                 before,
@@ -148,8 +152,6 @@ impl SideStore {
     /// packed version's commit timestamp is known and final).
     pub(crate) fn stash_committed(
         &self,
-        page: PageId,
-        slot: SlotId,
         row: RowId,
         txn: TxnId,
         ts: Timestamp,
@@ -157,10 +159,8 @@ impl SideStore {
     ) {
         debug_assert!(ts.0 != 0, "committed stash needs a real timestamp");
         self.push(
-            page,
-            slot,
+            row,
             SideEntry {
-                row,
                 txn,
                 ts: AtomicU64::new(ts.0),
                 before,
@@ -169,83 +169,64 @@ impl SideStore {
         );
     }
 
-    fn push(&self, page: PageId, slot: SlotId, entry: SideEntry) {
+    fn push(&self, row: RowId, entry: SideEntry) {
         self.bytes.fetch_add(entry.bytes(), Ordering::Relaxed);
         self.entries.fetch_add(1, Ordering::Relaxed);
-        self.shard(page)
-            .write()
-            .entry((page, slot))
-            .or_default()
-            .push(entry);
+        self.shard(row).write().entry(row).or_default().push(entry);
     }
 
-    /// Stamp every pending entry `txn` stashed under `keys` with its
-    /// commit timestamp. Must run **before** the timestamp is published
-    /// to the clock, so a reader whose snapshot admits the commit can
-    /// never observe the entry still pending.
-    pub(crate) fn stamp(&self, keys: &[(PageId, SlotId)], txn: TxnId, ts: Timestamp) {
-        for &(page, slot) in keys {
-            let shard = self.shard(page).read();
-            if let Some(list) = shard.get(&(page, slot)) {
-                for e in list {
-                    // lint: allow(atomics-ordering) -- pending(0)→stamped
-                    // is only ever written by the owning txn's thread;
-                    // this load just filters our own pending entries.
-                    if e.txn == txn && e.ts.load(Ordering::Relaxed) == 0 {
-                        e.ts.store(ts.0, Ordering::Release);
-                    }
-                }
+    /// Stamp `txn`'s pending entries for `row` with its commit
+    /// timestamp. Must run **before** the timestamp is published to the
+    /// clock, so a reader whose snapshot admits the commit can never
+    /// observe the entry still pending.
+    pub(crate) fn stamp(&self, row: RowId, txn: TxnId, ts: Timestamp) {
+        let shard = self.shard(row).read();
+        for e in shard.get(&row).into_iter().flatten() {
+            if e.pending_of(txn) {
+                e.ts.store(ts.0, Ordering::Release);
             }
         }
     }
 
-    /// Drop `txn`'s pending entries under `keys` (abort). Must run
-    /// **after** the page undo restored the before images to the pages.
-    pub(crate) fn drop_pending(&self, keys: &[(PageId, SlotId)], txn: TxnId) {
-        for &(page, slot) in keys {
-            let mut shard = self.shard(page).write();
-            if let Some(list) = shard.get_mut(&(page, slot)) {
-                list.retain(|e| {
-                    // lint: allow(atomics-ordering) -- abort path: only the
-                    // owning txn stamps its entries, and it is the caller,
-                    // so 0-vs-stamped needs no cross-thread ordering.
-                    let drop = e.txn == txn && e.ts.load(Ordering::Relaxed) == 0;
-                    if drop {
-                        self.bytes.fetch_sub(e.bytes(), Ordering::Relaxed);
-                        self.entries.fetch_sub(1, Ordering::Relaxed);
-                    }
-                    !drop
-                });
-                if list.is_empty() {
-                    shard.remove(&(page, slot));
-                }
-            }
+    /// The before-image of `txn`'s newest pending change to `row`: what
+    /// abort has to put back (`Some(None)`: the row did not exist).
+    /// `None` when `txn` has nothing pending there.
+    pub(crate) fn newest_pending(&self, row: RowId, txn: TxnId) -> Option<Option<Vec<u8>>> {
+        let shard = self.shard(row).read();
+        let e = shard.get(&row)?.iter().rev().find(|e| e.pending_of(txn))?;
+        Some(e.before.clone())
+    }
+
+    /// Drop `txn`'s newest pending entry for `row` (abort). Must run
+    /// **after** the page holds that entry's before image again.
+    pub(crate) fn drop_newest_pending(&self, row: RowId, txn: TxnId) {
+        let mut shard = self.shard(row).write();
+        let Some(list) = shard.get_mut(&row) else {
+            return;
+        };
+        if let Some(i) = list.iter().rposition(|e| e.pending_of(txn)) {
+            let e = list.remove(i);
+            self.bytes.fetch_sub(e.bytes(), Ordering::Relaxed);
+            self.entries.fetch_sub(1, Ordering::Relaxed);
+        }
+        if list.is_empty() {
+            shard.remove(&row);
         }
     }
 
-    /// The value of `(page, slot)` for `row` as of `snapshot`: the
-    /// before image of the earliest change newer than the snapshot, or
+    /// The value of `row` as of `snapshot`: the before image of the
+    /// earliest change newer than the snapshot, or
     /// [`SideImage::UsePage`] when no stash overrides the page bytes.
-    /// A reader that changed the slot itself always gets the page bytes
+    /// A reader that changed the row itself always gets the page bytes
     /// — its own write is the newest thing there (it holds the row's
     /// exclusive lock), whatever older history is stashed beside it.
-    pub(crate) fn lookup(
-        &self,
-        page: PageId,
-        slot: SlotId,
-        row: RowId,
-        snapshot: Timestamp,
-        reader: TxnId,
-    ) -> SideImage {
-        let shard = self.shard(page).read();
-        let Some(list) = shard.get(&(page, slot)) else {
+    pub(crate) fn lookup(&self, row: RowId, snapshot: Timestamp, reader: TxnId) -> SideImage {
+        let shard = self.shard(row).read();
+        let Some(list) = shard.get(&row) else {
             return SideImage::UsePage;
         };
         let mut best: Option<(&SideEntry, u64)> = None;
         for e in list {
-            if e.row != row {
-                continue;
-            }
             if e.txn == reader {
                 return SideImage::UsePage;
             }
@@ -254,7 +235,7 @@ impl SideStore {
                 continue;
             }
             // Strict `<` keeps the earliest-stashed entry on timestamp
-            // ties (one transaction changing a slot twice).
+            // ties (one transaction changing a row twice).
             if best.is_none_or(|(_, b)| eff < b) {
                 best = Some((e, eff));
             }
@@ -268,30 +249,18 @@ impl SideStore {
         }
     }
 
-    /// Newest *stamped* commit timestamp recorded for `row` under
-    /// `(page, slot)`, ignoring pending entries. Migration uses this as
-    /// a history gate: the page image may only be re-stamped at the
-    /// snapshot horizon if the row's last change is at or below it —
-    /// any change newer than the horizon left a stamped entry here
-    /// (in-place updates stash before-images, pack stashes absent
-    /// markers), and purge cannot remove entries above the horizon.
-    pub(crate) fn newest_stamped_ts(
-        &self,
-        page: PageId,
-        slot: SlotId,
-        row: RowId,
-    ) -> Option<Timestamp> {
-        let shard = self.shard(page).read();
-        shard
-            .get(&(page, slot))?
-            .iter()
-            .filter(|e| e.row == row)
-            .filter_map(|e| match e.ts.load(Ordering::Acquire) {
-                0 => None,
-                t => Some(t),
-            })
-            .max()
-            .map(Timestamp)
+    /// Commit timestamp of the newest change recorded for `row`, a
+    /// pending one counting as +∞. Movement uses this as a history
+    /// gate: the page image may only be re-stamped at the snapshot
+    /// horizon if the row's last change is at or below it — any change
+    /// newer than the horizon left an entry here (page updates stash
+    /// before-images, pack stashes absent markers), purge cannot remove
+    /// entries above the horizon, and a pending entry means the page
+    /// bytes are not committed at all.
+    pub(crate) fn newest_change_ts(&self, row: RowId) -> Option<Timestamp> {
+        let shard = self.shard(row).read();
+        let newest = shard.get(&row)?.iter().map(SideEntry::effective_ts).max();
+        newest.map(Timestamp)
     }
 
     /// Drop every entry with a commit timestamp at or below `horizon` —
@@ -303,7 +272,7 @@ impl SideStore {
         let mut freed = 0u64;
         for shard in &self.shards {
             let mut shard = shard.write();
-            shard.retain(|_, list| {
+            shard.retain(|&row, list| {
                 list.retain(|e| {
                     // lint: allow(atomics-ordering) -- the shard write lock
                     // held here orders us after any stamp() that ran under
@@ -314,12 +283,12 @@ impl SideStore {
                         dropped += 1;
                         freed += e.bytes();
                         if e.tombstone {
-                            if let Some(RowLocation::Tombstone(..)) = ridmap.get(e.row) {
+                            if let Some(RowLocation::Tombstone(..)) = ridmap.get(row) {
                                 // lint: allow(wal-before-mutation) -- purge
                                 // clears the tombstone of a delete whose
                                 // record fell below the snapshot horizon;
                                 // the Delete WAL record is already durable.
-                                ridmap.remove(e.row);
+                                ridmap.remove(row);
                             }
                         }
                     }
@@ -333,20 +302,17 @@ impl SideStore {
         (dropped, freed)
     }
 
-    /// Rows whose most recent change under their slot was a delete,
-    /// with the delete's stash still present. Analytic scans enumerate
-    /// these so a row deleted *after* the scan's snapshot (RID-Map now
-    /// a tombstone, primary index entry already removed) is still
-    /// visited and served from its stash.
-    pub(crate) fn tombstoned_rows(&self) -> Vec<(PageId, SlotId, RowId)> {
+    /// Rows with a delete's stash still present. Analytic scans
+    /// enumerate these so a row deleted *after* the scan's snapshot
+    /// (RID-Map now a tombstone, primary index entry already removed)
+    /// is still visited and served from its stash.
+    pub(crate) fn tombstoned_rows(&self) -> Vec<RowId> {
         let mut out = Vec::new();
         for shard in &self.shards {
             let shard = shard.read();
-            for (&(page, slot), list) in shard.iter() {
-                for e in list {
-                    if e.tombstone {
-                        out.push((page, slot, e.row));
-                    }
+            for (&row, list) in shard.iter() {
+                if list.iter().any(|e| e.tombstone) {
+                    out.push(row);
                 }
             }
         }
@@ -368,73 +334,54 @@ impl SideStore {
 mod tests {
     use super::*;
 
-    fn key() -> (PageId, SlotId) {
-        (PageId(7), SlotId(3))
-    }
+    const ROW: RowId = RowId(1);
 
     #[test]
     fn pending_entry_overrides_every_snapshot() {
         let s = SideStore::new();
-        let (p, sl) = key();
-        s.stash(p, sl, RowId(1), TxnId(9), Some(vec![1, 2]), false);
-        match s.lookup(p, sl, RowId(1), Timestamp(1_000_000), TxnId(2)) {
+        s.stash(ROW, TxnId(9), Some(vec![1, 2]), false);
+        match s.lookup(ROW, Timestamp(1_000_000), TxnId(2)) {
             SideImage::Image(img) => assert_eq!(img, vec![1, 2]),
             _ => panic!("pending stash must override"),
         }
         // ... but not for the writer itself.
         assert!(matches!(
-            s.lookup(p, sl, RowId(1), Timestamp(5), TxnId(9)),
+            s.lookup(ROW, Timestamp(5), TxnId(9)),
             SideImage::UsePage
         ));
+        // ... and it pins the row to its page.
+        assert_eq!(s.newest_change_ts(ROW), Some(Timestamp(u64::MAX)));
+        assert_eq!(s.newest_change_ts(RowId(2)), None);
     }
 
     #[test]
     fn earliest_newer_change_wins() {
         let s = SideStore::new();
-        let (p, sl) = key();
         // Value A until ts 10, B until ts 20, page bytes after.
-        s.stash_committed(p, sl, RowId(1), TxnId(1), Timestamp(10), Some(vec![b'A']));
-        s.stash_committed(p, sl, RowId(1), TxnId(2), Timestamp(20), Some(vec![b'B']));
-        let read = |snap: u64| s.lookup(p, sl, RowId(1), Timestamp(snap), TxnId(99));
+        s.stash_committed(ROW, TxnId(1), Timestamp(10), Some(vec![b'A']));
+        s.stash_committed(ROW, TxnId(2), Timestamp(20), Some(vec![b'B']));
+        let read = |snap: u64| s.lookup(ROW, Timestamp(snap), TxnId(99));
         assert!(matches!(read(5), SideImage::Image(ref v) if v == &vec![b'A']));
         assert!(matches!(read(10), SideImage::Image(ref v) if v == &vec![b'B']));
         assert!(matches!(read(15), SideImage::Image(ref v) if v == &vec![b'B']));
         assert!(matches!(read(20), SideImage::UsePage));
-    }
-
-    #[test]
-    fn entries_filtered_by_row_on_slot_reuse() {
-        let s = SideStore::new();
-        let (p, sl) = key();
-        // Row 1 deleted at ts 50 (slot freed), row 2 inserted into the
-        // recycled slot at ts 60.
-        s.stash_committed(p, sl, RowId(1), TxnId(1), Timestamp(50), Some(vec![b'X']));
-        s.stash_committed(p, sl, RowId(2), TxnId(2), Timestamp(60), None);
-        assert!(matches!(
-            s.lookup(p, sl, RowId(1), Timestamp(40), TxnId(9)),
-            SideImage::Image(ref v) if v == &vec![b'X']
-        ));
-        assert!(matches!(
-            s.lookup(p, sl, RowId(2), Timestamp(55), TxnId(9)),
-            SideImage::Absent
-        ));
-        assert!(matches!(
-            s.lookup(p, sl, RowId(2), Timestamp(60), TxnId(9)),
-            SideImage::UsePage
-        ));
+        assert_eq!(s.newest_change_ts(ROW), Some(Timestamp(20)));
     }
 
     #[test]
     fn purge_frees_and_clears_tombstones() {
         let s = SideStore::new();
         let ridmap = RidMap::new();
-        let (p, sl) = key();
-        ridmap.set(RowId(1), RowLocation::Tombstone(p, sl));
-        s.stash(p, sl, RowId(1), TxnId(1), Some(vec![0; 100]), true);
-        s.stamp(&[(p, sl)], TxnId(1), Timestamp(50));
-        s.stash(p, sl, RowId(2), TxnId(2), Some(vec![0; 10]), false);
-        s.stamp(&[(p, sl)], TxnId(2), Timestamp(500));
+        ridmap.set(
+            ROW,
+            RowLocation::Tombstone(btrim_common::PageId(7), btrim_common::SlotId(3)),
+        );
+        s.stash(ROW, TxnId(1), Some(vec![0; 100]), true);
+        s.stamp(ROW, TxnId(1), Timestamp(50));
+        s.stash(RowId(2), TxnId(2), Some(vec![0; 10]), false);
+        s.stamp(RowId(2), TxnId(2), Timestamp(500));
         assert_eq!(s.entries(), 2);
+        assert_eq!(s.tombstoned_rows(), vec![ROW]);
 
         // Horizon below both: nothing purged.
         assert_eq!(s.purge(Timestamp(49), &ridmap).0, 0);
@@ -442,24 +389,33 @@ mod tests {
         let (n, bytes) = s.purge(Timestamp(50), &ridmap);
         assert_eq!(n, 1);
         assert!(bytes >= 100);
-        assert!(ridmap.get(RowId(1)).is_none());
+        assert!(ridmap.get(ROW).is_none());
         assert_eq!(s.entries(), 1);
         assert!(matches!(
-            s.lookup(p, sl, RowId(2), Timestamp(100), TxnId(9)),
+            s.lookup(RowId(2), Timestamp(100), TxnId(9)),
             SideImage::Image(_)
         ));
     }
 
     #[test]
-    fn abort_drops_only_the_writers_pending_entries() {
+    fn abort_reads_back_and_drops_the_writers_pending_entries_newest_first() {
         let s = SideStore::new();
-        let (p, sl) = key();
-        s.stash(p, sl, RowId(1), TxnId(1), Some(vec![b'P']), false);
-        s.stash_committed(p, sl, RowId(1), TxnId(2), Timestamp(30), Some(vec![b'C']));
-        s.drop_pending(&[(p, sl)], TxnId(1));
+        s.stash_committed(ROW, TxnId(2), Timestamp(30), Some(vec![b'C']));
+        s.stash(ROW, TxnId(1), Some(vec![b'P']), false);
+        s.stash(ROW, TxnId(1), Some(vec![b'Q']), false);
+        assert_eq!(
+            s.newest_pending(ROW, TxnId(2)),
+            None,
+            "stamped, not pending"
+        );
+        for want in [b'Q', b'P'] {
+            assert_eq!(s.newest_pending(ROW, TxnId(1)), Some(Some(vec![want])));
+            s.drop_newest_pending(ROW, TxnId(1));
+        }
+        assert_eq!(s.newest_pending(ROW, TxnId(1)), None);
         assert_eq!(s.entries(), 1);
         assert!(matches!(
-            s.lookup(p, sl, RowId(1), Timestamp(10), TxnId(9)),
+            s.lookup(ROW, Timestamp(10), TxnId(9)),
             SideImage::Image(ref v) if v == &vec![b'C']
         ));
         assert_eq!(s.purge(Timestamp(1_000), &RidMap::new()).0, 1);

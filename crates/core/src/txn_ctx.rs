@@ -1,14 +1,16 @@
 //! Transaction context.
 //!
-//! A [`Transaction`] collects everything needed at the commit/abort
-//! boundary: row locks to release, IMRS versions to stamp with the
-//! commit timestamp, redo-only log records to emit (IMRS changes are
-//! logged at commit, §II), rows to hand to GC/queue maintenance, and
-//! undo operations for rollback (page-store changes are undone
+//! A [`Transaction`] collects what the commit/abort boundary needs:
+//! the row locks to release, the redo-only log records to emit (IMRS
+//! changes are logged at commit, §II), and one ordered **write set** —
+//! each change the transaction made, remembered once ([`Write`]).
+//! Commit walks the set forward (stamp IMRS versions and side-store
+//! before-images with the commit timestamp, hand IMRS rows to GC/queue
+//! maintenance); abort walks it backward (page-store changes are undone
 //! physically; IMRS changes by dropping uncommitted versions).
 
-use btrim_common::{PageId, PartitionId, RowId, SlotId, TableId, Timestamp, TxnId};
-use btrim_imrs::{RowLocation, VersionRef};
+use btrim_common::{PartitionId, RowId, TableId, Timestamp, TxnId};
+use btrim_imrs::VersionRef;
 use btrim_txn::TxnHandle;
 use btrim_wal::record::Encodable;
 use btrim_wal::{ImrsLogRecord, RowOriginTag};
@@ -114,91 +116,62 @@ impl ImrsRedoBuf {
     }
 }
 
-/// One undoable action, applied in reverse order on abort.
-#[derive(Debug, Clone)]
-pub(crate) enum UndoOp {
-    /// Undo a page-store insert: delete the row again.
-    PageInsert {
-        partition: PartitionId,
-        page: PageId,
-        slot: SlotId,
-    },
-    /// Undo an in-place page-store update: restore the before-image
-    /// (image includes the row-id header).
-    PageUpdate {
-        partition: PartitionId,
-        page: PageId,
-        slot: SlotId,
-        old: Vec<u8>,
-    },
-    /// Undo a page-store delete: re-insert the before-image (the row
-    /// may land at a new address; the RID-Map is repointed).
-    PageDelete {
-        partition: PartitionId,
-        row: RowId,
-        old: Vec<u8>,
-    },
-    /// Undo a primary-index insert.
-    PrimaryAdd { table: TableId, key: Vec<u8> },
-    /// Undo a primary-index delete.
-    PrimaryRemove {
+/// Which of a table's indexes a [`Write::KeyAdded`] / [`Write::KeyRemoved`]
+/// entry names.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum IndexRef {
+    /// The primary B+tree and the hash index beside it (the hash spans
+    /// IMRS rows only; both map the same key to the same row).
+    Primary,
+    /// The table's `n`-th secondary index.
+    Secondary(usize),
+}
+
+/// One change a transaction made — one entry of its write set.
+///
+/// Rows are named by `RowId` only: where a row lives is the RID-Map's
+/// to say, at commit and at abort as at DML time.
+#[derive(Debug)]
+pub(crate) enum Write {
+    /// An uncommitted version pushed onto `row`'s IMRS chain — the
+    /// chain's first when this transaction inserted the row. Commit
+    /// stamps it and hands the row to GC; abort unlinks it (a chain
+    /// that empties is the transaction's own insert: the row goes).
+    Imrs { row: RowId, version: VersionRef },
+    /// A page-resident row's slot filled, overwritten or emptied. The
+    /// change's before-image is the pending side-store entry stashed
+    /// just before it: commit stamps that entry, abort puts its image
+    /// back — wherever the row is by then — and drops it.
+    Page { row: RowId, partition: PartitionId },
+    /// An index key added (abort removes it).
+    KeyAdded {
         table: TableId,
+        index: IndexRef,
         key: Vec<u8>,
         row: RowId,
     },
-    /// Undo a secondary-index insert.
-    SecondaryAdd {
+    /// An index key removed (abort re-adds it).
+    KeyRemoved {
         table: TableId,
-        idx: usize,
+        index: IndexRef,
         key: Vec<u8>,
         row: RowId,
     },
-    /// Undo a secondary-index delete.
-    SecondaryRemove {
-        table: TableId,
-        idx: usize,
-        key: Vec<u8>,
-        row: RowId,
-    },
-    /// Undo a hash-index insert.
-    HashAdd { table: TableId, key: Vec<u8> },
-    /// Undo a hash-index delete.
-    HashRemove {
-        table: TableId,
-        key: Vec<u8>,
-        row: RowId,
-    },
-    /// Restore a RID-Map entry to its previous value (`None` removes).
-    RidSet {
-        row: RowId,
-        prev: Option<RowLocation>,
-    },
-    /// Remove an IMRS row this transaction created.
-    ImrsNewRow { row: RowId },
 }
 
 /// A client transaction.
 pub struct Transaction {
     /// Identity + snapshot.
     pub(crate) handle: TxnHandle,
-    /// Rows exclusively/share locked (released at commit/abort).
+    /// Row locks taken (released at commit/abort). A row may repeat:
+    /// the lock manager is re-entrant and releasing twice is a no-op.
     pub(crate) locks: Vec<RowId>,
-    /// Versions created by this transaction, stamped at commit.
-    pub(crate) to_stamp: Vec<VersionRef>,
-    /// Side-store keys (page, slot) this transaction stashed
-    /// before-images under — stamped at commit, dropped on abort.
-    pub(crate) side_keys: Vec<(PageId, SlotId)>,
-    /// IMRS rows whose chains carry uncommitted versions from this
-    /// transaction (rolled back on abort, after the undo log: a row the
-    /// transaction itself inserted is gone by then and is skipped).
-    pub(crate) touched_imrs: Vec<RowId>,
+    /// The write set: every change, once, in the order it was made.
+    /// Commit walks it forward, abort backward.
+    pub(crate) writes: Vec<Write>,
     /// Staged redo-only log records (serialized at DML time), emitted
     /// as one atomic batch at commit.
     pub(crate) imrs_redo: ImrsRedoBuf,
-    /// Rows to register with GC/queue maintenance after commit.
-    pub(crate) gc_rows: Vec<RowId>,
-    /// Undo log, applied in reverse on abort.
-    pub(crate) undo: Vec<UndoOp>,
     /// Whether any redo-undo (page-store) records were written; decides
     /// whether a Commit/Abort record goes to syslogs.
     pub(crate) wrote_syslog: bool,
@@ -211,12 +184,8 @@ impl Transaction {
         Transaction {
             handle,
             locks: Vec::new(),
-            to_stamp: Vec::new(),
-            side_keys: Vec::new(),
-            touched_imrs: Vec::new(),
+            writes: Vec::new(),
             imrs_redo: ImrsRedoBuf::default(),
-            gc_rows: Vec::new(),
-            undo: Vec::new(),
             wrote_syslog: false,
             finished: false,
         }
@@ -230,20 +199,6 @@ impl Transaction {
     /// Snapshot timestamp this transaction reads at.
     pub fn snapshot(&self) -> btrim_common::Timestamp {
         self.handle.snapshot
-    }
-
-    /// Record a lock so commit/abort releases it.
-    pub(crate) fn remember_lock(&mut self, row: RowId) {
-        if !self.locks.contains(&row) {
-            self.locks.push(row);
-        }
-    }
-
-    /// Record an IMRS row with uncommitted versions from us.
-    pub(crate) fn remember_touched(&mut self, row: RowId) {
-        if !self.touched_imrs.contains(&row) {
-            self.touched_imrs.push(row);
-        }
     }
 }
 

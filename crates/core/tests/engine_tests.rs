@@ -174,9 +174,10 @@ fn abort_rolls_back_everything() {
     e.commit(txn).unwrap();
 }
 
-/// Insert → update → abort in ONE transaction: the undo of the insert
-/// tears the whole chain down before the touched-row rollback looks for
-/// the update's version. Nothing leaks and nothing is counted twice.
+/// Insert → update → abort in ONE transaction: undoing the update's
+/// write-set entry unlinks both versions (the chain empties: the row
+/// goes), and the insert's entry then finds no row left. Nothing leaks
+/// and nothing is counted twice.
 #[test]
 fn abort_of_insert_then_update_leaves_the_imrs_as_it_was() {
     let e = engine(EngineMode::IlmOn);
@@ -276,6 +277,47 @@ fn abort_rolls_back_page_store_changes() {
         b"base"
     );
     e.commit(txn).unwrap();
+}
+
+/// Aborting an in-place shrink after other transactions took the freed
+/// space: the before-image no longer fits its page, so the undo has to
+/// re-home it — and say so in the RID-Map. (It used to drop the new
+/// address, and the committed row was gone.)
+#[test]
+fn abort_of_an_update_whose_before_image_no_longer_fits_keeps_the_row() {
+    let e = engine(EngineMode::PageOnly);
+    let t = e.create_table(opts("t")).unwrap();
+    let mut txn = e.begin();
+    for k in 0..60 {
+        e.insert(&mut txn, &t, &mkrow(k, &[k as u8; 100])).unwrap();
+    }
+    e.commit(txn).unwrap();
+    let k3 = 3u64.to_be_bytes();
+    let before = e.locate(&t, &k3).unwrap();
+
+    let mut a = e.begin();
+    assert!(e.update(&mut a, &t, &k3, &mkrow(3, &[0xEE; 10])).unwrap());
+    assert_eq!(e.locate(&t, &k3).unwrap(), before, "the shrink is in place");
+    let mut b = e.begin();
+    for k in 1_000..1_200 {
+        e.insert(&mut b, &t, &mkrow(k, &[0xBB; 20])).unwrap();
+    }
+    e.commit(b).unwrap();
+    e.abort(a);
+
+    let txn = e.begin();
+    assert_eq!(
+        e.get(&txn, &t, &k3).unwrap(),
+        Some(mkrow(3, &[3; 100])),
+        "the committed row survives the abort, whole"
+    );
+    for k in (0..60u64).chain(1_000..1_200) {
+        assert!(e.get(&txn, &t, &k.to_be_bytes()).unwrap().is_some(), "{k}");
+    }
+    e.commit(txn).unwrap();
+    let at = e.locate(&t, &k3).unwrap();
+    assert!(matches!(at, Some(RowLocation::Page(..))), "{at:?}");
+    assert_ne!(at, before, "the recipe must force a re-homing undo");
 }
 
 #[test]

@@ -32,10 +32,27 @@ use btrim_core::pack::{pack_cycle, PackLevel};
 use btrim_core::{Engine, EngineConfig, EngineMode, RowId, SnapshotTxn};
 
 fn mkrow(key: u64, val: u64) -> Vec<u8> {
+    mkrow_padded(key, val, 24)
+}
+
+fn mkrow_padded(key: u64, val: u64, pad: usize) -> Vec<u8> {
     let mut r = key.to_be_bytes().to_vec();
     r.extend_from_slice(&val.to_be_bytes());
-    r.extend_from_slice(&[0xAB; 24]);
+    r.resize(r.len() + pad, 0xAB);
     r
+}
+
+/// A row of random length: mostly small, one in four up to ~3 KB, so
+/// that page-resident rows are updated in place, outgrow their page
+/// (relocate), and — when an abort puts a long image back after others
+/// took the space — no longer fit where they were.
+fn mkrow_random_len(key: u64, rng: &mut u64) -> Vec<u8> {
+    let val = xorshift(rng);
+    let pad = match xorshift(rng) % 4 {
+        0 => 64 + xorshift(rng) % 2_936,
+        _ => 8 + xorshift(rng) % 56,
+    };
+    mkrow_padded(key, val, pad as usize)
 }
 
 fn opts() -> TableOpts {
@@ -53,8 +70,14 @@ fn xorshift(s: &mut u64) -> u64 {
 // 1. Random histories vs. a sequential oracle
 // ---------------------------------------------------------------------
 
+/// 10 cases, or what `PROPTEST_CASES` asks for (CI: 128).
+fn cases() -> u32 {
+    let asked = std::env::var("PROPTEST_CASES").ok();
+    asked.and_then(|n| n.parse().ok()).unwrap_or(10)
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(10))]
+    #![proptest_config(ProptestConfig::with_cases(cases()))]
     fn snapshot_read_matches_sequential_oracle(seed in any::<u64>()) {
         let mut rng = seed | 1;
         let engine = Engine::new(EngineConfig {
@@ -90,8 +113,7 @@ proptest! {
                         .map(|d| (key + d) % 48)
                         .find(|k| !committed.contains_key(k))
                         .unwrap_or(key);
-                    let val = xorshift(&mut rng);
-                    let row = mkrow(key, val);
+                    let row = mkrow_random_len(key, &mut rng);
                     let mut txn = engine.begin();
                     match engine.insert(&mut txn, &table, &row) {
                         Ok(rid) => {
@@ -104,8 +126,7 @@ proptest! {
                 }
                 35..=59 => {
                     if let Some((&key, _)) = committed.iter().nth(key as usize % committed.len().max(1)) {
-                        let val = xorshift(&mut rng);
-                        let row = mkrow(key, val);
+                        let row = mkrow_random_len(key, &mut rng);
                         let mut txn = engine.begin();
                         assert!(engine.update(&mut txn, &table, &key.to_be_bytes(), &row).unwrap());
                         engine.commit(txn).unwrap();
@@ -124,10 +145,16 @@ proptest! {
                     // Stage work, then abort: nothing may surface, but
                     // the allocated rid joins the always-absent set.
                     let mut txn = engine.begin();
-                    if let Ok(rid) = engine.insert(&mut txn, &table, &mkrow(key + 1_000, 7)) {
+                    if let Ok(rid) = engine.insert(&mut txn, &table, &mkrow_random_len(key + 1_000, &mut rng)) {
                         ever.push(rid);
                     }
-                    let _ = engine.update(&mut txn, &table, &key.to_be_bytes(), &mkrow(key, 424_242));
+                    let _ = engine.update(&mut txn, &table, &key.to_be_bytes(), &mkrow_random_len(key, &mut rng));
+                    if xorshift(&mut rng).is_multiple_of(2) {
+                        // Pack takes whatever page space a shrinking
+                        // update freed before the abort wants it back.
+                        engine.run_maintenance();
+                        pack_cycle(&engine, PackLevel::Aggressive);
+                    }
                     engine.abort(txn);
                 }
                 80..=85 => {

@@ -260,13 +260,16 @@ impl ImrsStore {
 
     /// Roll back a transaction's versions on a row, with accounting.
     /// `now` (read after the unlinks) timestamps the node quarantine.
-    pub fn rollback_row(&self, row: &ImrsRow<'_>, txn: TxnId, now: impl Fn() -> Timestamp) {
+    /// Returns whether that emptied the chain — the row was the
+    /// transaction's own insert and is no longer resident.
+    pub fn rollback_row(&self, row: &ImrsRow<'_>, txn: TxnId, now: impl Fn() -> Timestamp) -> bool {
         let (freed, emptied) = row.rollback_txn(txn, now);
         if freed > 0 || emptied {
             let u = self.usage(row.partition);
             u.bytes.fetch_sub(freed as i64, Ordering::Relaxed);
             u.rows.fetch_sub(emptied as i64, Ordering::Relaxed);
         }
+        emptied
     }
 
     /// GC one row's chain below the oldest-active snapshot, with

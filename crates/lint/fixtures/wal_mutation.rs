@@ -38,7 +38,7 @@ pub fn log_both(&self, big: bool, page: PageId, slot: SlotId) {
     } else {
         self.sh.append_sys(&small_rec);
     }
-    heap.update(&self.sh.cache, page, slot, data);
+    heap.try_update_in_place(&self.sh.cache, page, slot, data);
 }
 
 // GOOD: replay context — recovery re-applies already-durable records.

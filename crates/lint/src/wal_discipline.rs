@@ -22,7 +22,6 @@ pub const MUTATION_METHODS: &[(&str, &str, &str)] = &[
     ("ridmap", "remove", "RID-Map entry removal"),
     ("ridmap", "compare_and_set", "RID-Map location flip"),
     ("heap", "delete", "page slot delete"),
-    ("heap", "update", "in-place page overwrite"),
     ("heap", "try_update_in_place", "in-place page overwrite"),
     ("heap", "try_update_in_place_logged", "in-place page overwrite"),
     ("store", "remove_row", "IMRS row removal"),
@@ -47,4 +46,9 @@ pub const REPLAY_FILES: &[&str] = &["crates/core/src/recovery.rs"];
 /// Functions classified as replay/undo context wherever they live:
 /// they apply inverses of operations whose forward images were logged
 /// (or never acknowledged), so they mutate without appending.
-pub const REPLAY_FNS: &[&str] = &["apply_undo", "apply_redo", "adopt_pages"];
+pub const REPLAY_FNS: &[&str] = &[
+    "apply_undo",
+    "restore_page_row",
+    "apply_redo",
+    "adopt_pages",
+];

@@ -62,13 +62,6 @@ impl HeapFile {
         }
     }
 
-    /// Rebuild a heap handle from a known page list (recovery).
-    pub fn from_pages(partition: PartitionId, pages: Vec<PageId>, cache: &BufferCache) -> Self {
-        let heap = HeapFile::new(partition);
-        let _ = heap.adopt_pages(pages, cache);
-        heap
-    }
-
     /// The owning partition.
     pub fn partition(&self) -> PartitionId {
         self.partition
@@ -225,36 +218,6 @@ impl HeapFile {
         res
     }
 
-    /// Update a row in place; if it no longer fits, relocate within the
-    /// heap and return the new address.
-    pub fn update(
-        &self,
-        cache: &BufferCache,
-        pid: PageId,
-        slot: SlotId,
-        data: &[u8],
-    ) -> Result<(PageId, SlotId)> {
-        let guard = cache.fetch(pid)?;
-        let (ok, free) = guard.with_page_write(|p| (p.update(slot, data), p.total_free()));
-        self.inner.lock().set_free(pid, free);
-        if ok {
-            return Ok((pid, slot));
-        }
-        // Did not fit: delete here, insert elsewhere.
-        let (deleted, free) = guard.with_page_write(|p| (p.delete(slot), p.total_free()));
-        self.inner.lock().set_free(pid, free);
-        drop(guard);
-        if deleted.is_none() {
-            return Err(BtrimError::Invalid(format!(
-                "update of dead slot {slot} on {pid}"
-            )));
-        }
-        // The re-insert below re-counts the row; balance the page-level
-        // delete that just happened.
-        self.live_rows.fetch_sub(1, Ordering::Relaxed);
-        self.insert(cache, data)
-    }
-
     /// Delete a row. Returns the freed payload length.
     pub fn delete(&self, cache: &BufferCache, pid: PageId, slot: SlotId) -> Result<usize> {
         let guard = cache.fetch(pid)?;
@@ -347,22 +310,23 @@ mod tests {
     }
 
     #[test]
-    fn update_in_place_and_relocating() {
+    fn update_in_place_until_the_page_is_full() {
         let (cache, heap) = setup();
         // Fill page 0 almost completely.
         let (pid0, slot0) = heap.insert(&cache, &[2u8; 100]).unwrap();
         while heap.num_pages() == 1 {
             heap.insert(&cache, &vec![3u8; 500]).unwrap();
         }
-        // Small in-place update.
-        let (pid, slot) = heap.update(&cache, pid0, slot0, b"tiny").unwrap();
-        assert_eq!((pid, slot), (pid0, slot0));
-        // Huge update must relocate.
+        // A small image fits where the row is.
+        assert!(heap
+            .try_update_in_place(&cache, pid0, slot0, b"tiny")
+            .unwrap());
+        assert_eq!(heap.get(&cache, pid0, slot0).unwrap().unwrap(), b"tiny");
+        // A huge one does not, and leaves the row untouched: relocating
+        // is the caller's move (it owns the RID-Map publication order).
         let big = vec![9u8; 7000];
-        let (pid2, slot2) = heap.update(&cache, pid, slot, &big).unwrap();
-        assert_eq!(heap.get(&cache, pid2, slot2).unwrap().unwrap(), big);
-        // Old slot is dead.
-        assert!(heap.get(&cache, pid0, slot0).unwrap().is_none() || (pid2, slot2) == (pid0, slot0));
+        assert!(!heap.try_update_in_place(&cache, pid0, slot0, &big).unwrap());
+        assert_eq!(heap.get(&cache, pid0, slot0).unwrap().unwrap(), b"tiny");
     }
 
     #[test]
@@ -408,9 +372,11 @@ mod tests {
             addrs.push(heap.insert(&cache, &vec![i; 400]).unwrap());
         }
         assert_eq!(heap.live_rows(), 12);
-        // Relocating update keeps the count stable.
+        // A relocation (insert the new copy, delete the old) keeps the
+        // count stable.
         let (pid, slot) = addrs[0];
-        heap.update(&cache, pid, slot, &vec![0u8; 7000]).unwrap();
+        heap.insert(&cache, &vec![0u8; 7000]).unwrap();
+        heap.delete(&cache, pid, slot).unwrap();
         assert_eq!(heap.live_rows(), 12);
         for (pid, slot) in &addrs[1..] {
             heap.delete(&cache, *pid, *slot).unwrap();
@@ -419,7 +385,8 @@ mod tests {
         assert_eq!(heap.count_rows(&cache).unwrap(), 1);
         // adopt_pages recomputes from the pages themselves.
         let pages = heap.pages();
-        let rebuilt = HeapFile::from_pages(PartitionId(7), pages, &cache);
+        let rebuilt = HeapFile::new(PartitionId(7));
+        rebuilt.adopt_pages(pages, &cache).unwrap();
         assert_eq!(rebuilt.live_rows(), 1);
     }
 

@@ -51,15 +51,23 @@ numbers() {
     echo "btree_code_lines $(sed '/^#\[cfg(test)\]/,$d' crates/index/src/btree.rs | code_lines -)"
     echo "engine_config_fields $(sed -n '/^pub struct EngineConfig {/,/^}/p' crates/core/src/config.rs | grep -c '^    pub [a-z_0-9]*:')"
     echo "shared_fields $(sed -n '/^pub(crate) struct Shared {/,/^}/p' crates/core/src/engine.rs | grep -c '^    \(pub \)\?[a-z_0-9]*:')"
+    # A transaction remembers each change once: its fields, and the
+    # kinds of entry in its one write set (`UndoOp`'s successor).
+    echo "transaction_fields $(sed -n '/^pub struct Transaction {/,/^}/p' crates/core/src/txn_ctx.rs | grep -c '^    pub(crate) [a-z_0-9]*:')"
+    echo "write_set_variants $(sed -n '/^pub(crate) enum Write {/,/^}/p' crates/core/src/txn_ctx.rs | grep -c '^    [A-Z][A-Za-z]* *[{(,]')"
     # Per-partition state belongs on the `Partition` record: struct
     # fields keyed by partition id (function-local groupings excluded).
     # The one left is `ImrsStore::usage`, kept because the frozen
     # benchmark probe hands `insert_row` a bare `PartitionId`.
     echo "partition_maps $(cat $src_files | grep 'HashMap<PartitionId' | grep -vc '^\s*let ' || true)"
-    # Directories keyed by RowId besides the RID-Map: struct fields that
-    # own a map from RowId, outside in-file tests. The one left is the
-    # lock manager's table.
-    echo "rowid_maps $(for f in $src_files; do sed '/^#\[cfg(test)\]/,$d' "$f"; done | grep -cE '^\s+(pub(\([a-z]+\))? )?[a-z_0-9]+: [^&]*(Hash|BTree)Map<RowId' || true)"
+    # Maps keyed by RowId besides the RID-Map: struct fields (or the type
+    # aliases they are spelled through) that own a map from RowId,
+    # outside in-file tests. Two, neither a row directory — the RID-Map
+    # stays the only thing that says where a row is: the lock manager's
+    # table, and the side store's page-row history (`sidestore::Shard`:
+    # per-row state, a row's stashed before-images; keyed by the row so
+    # that it follows the row when its address changes).
+    echo "rowid_maps $(for f in $src_files; do sed '/^#\[cfg(test)\]/,$d' "$f"; done | grep -cE '^\s*(pub(\([a-z]+\))? )?([a-z_0-9]+:|type [A-Za-z]+ =) [^&]*(Hash|BTree)Map<RowId' || true)"
     echo "crc32_impls $(crc32_impls $src_files)"
     echo "lint_allow_escapes $(grep -rn 'lint: allow(' crates --include='*.rs' | grep -vc '^crates/lint/')"
     echo "begin_append_sites $(append_sites Begin)"

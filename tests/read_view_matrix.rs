@@ -51,10 +51,15 @@ enum History {
 }
 
 fn mkrow(key: u64, val: u64) -> Vec<u8> {
+    mkrow_padded(key, val, 8)
+}
+
+/// A row whose `pad` field is `pad` bytes long.
+fn mkrow_padded(key: u64, val: u64, pad: usize) -> Vec<u8> {
     let mut r = key.to_be_bytes().to_vec();
     r.extend_from_slice(&val.to_le_bytes());
-    r.extend_from_slice(&8u32.to_le_bytes());
-    r.extend_from_slice(&[0x5A; 8]);
+    r.extend_from_slice(&(pad as u32).to_le_bytes());
+    r.resize(r.len() + pad, 0x5A);
     r
 }
 
@@ -66,21 +71,15 @@ fn seeded(key: u64) -> u64 {
     100 + key
 }
 
-/// An engine whose seeded rows all live in `home` (`Tombstone` starts
-/// as `Page`; the history deletes).
-fn setup(home: Home) -> (Engine, Arc<TableDesc>, Vec<RowId>) {
-    let mode = match home {
-        Home::Imrs => EngineMode::IlmOff,
-        Home::Page | Home::Tombstone => EngineMode::PageOnly,
-        Home::Frozen => EngineMode::IlmOn,
-    };
+/// An empty engine and its one table.
+fn new_engine(mode: EngineMode, freeze: bool) -> (Engine, Arc<TableDesc>) {
     let e = Engine::new(EngineConfig {
         mode,
         imrs_budget: 256 * 1024,
         imrs_chunk_size: 64 * 1024,
         buffer_frames: 64,
         maintenance_interval_txns: u64::MAX / 2,
-        freeze_enabled: home == Home::Frozen,
+        freeze_enabled: freeze,
         freeze_min_rows: 2,
         freeze_max_rows: 32,
         ..Default::default()
@@ -96,11 +95,29 @@ fn setup(home: Home) -> (Engine, Arc<TableDesc>, Vec<RowId>) {
             TableOpts::new("m", Arc::new(|row: &[u8]| row[..8].to_vec())).with_layout(layout),
         )
         .unwrap();
+    (e, table)
+}
+
+/// Insert and commit the seeded rows.
+fn seed(e: &Engine, table: &TableDesc) -> Vec<RowId> {
     let mut txn = e.begin();
     let rids = (0..ROWS)
-        .map(|k| e.insert(&mut txn, &table, &mkrow(k, seeded(k))).unwrap())
+        .map(|k| e.insert(&mut txn, table, &mkrow(k, seeded(k))).unwrap())
         .collect();
     e.commit(txn).unwrap();
+    rids
+}
+
+/// An engine whose seeded rows all live in `home` (`Tombstone` starts
+/// as `Page`; the history deletes).
+fn setup(home: Home) -> (Engine, Arc<TableDesc>, Vec<RowId>) {
+    let mode = match home {
+        Home::Imrs => EngineMode::IlmOff,
+        Home::Page | Home::Tombstone => EngineMode::PageOnly,
+        Home::Frozen => EngineMode::IlmOn,
+    };
+    let (e, table) = new_engine(mode, home == Home::Frozen);
+    let rids = seed(&e, &table);
     if home == Home::Frozen {
         e.run_maintenance();
         while pack_cycle(&e, PackLevel::Aggressive) > 0 {}
@@ -372,5 +389,168 @@ fn writer_reads_its_own_write_over_history_newer_than_its_snapshot() {
             "{home:?}: read_row after own write"
         );
         e.commit(w).unwrap();
+    }
+}
+
+/// One committed update of `key` to `row`.
+fn commit_update(e: &Engine, t: &TableDesc, key: u64, row: &[u8]) {
+    let mut w = e.begin();
+    assert!(e.update(&mut w, t, &key.to_be_bytes(), row).unwrap());
+    e.commit(w).unwrap();
+}
+
+/// A page row's history follows the row through a relocating update:
+/// a snapshot older than two committed updates — the first in place,
+/// the second too big for the row's page — still reads the original.
+/// (With history keyed by address it read the first update's image at
+/// the new address: a value from its future.)
+///
+/// The `IlmOn` arm gets its rows onto pages pinned there (packed under
+/// a snapshot older than their insert), and also holds the horizon
+/// gate to the relocated row: it neither migrates nor freezes while a
+/// snapshot still needs its history.
+#[test]
+fn history_follows_a_page_row_through_a_relocating_update() {
+    for mode in [EngineMode::PageOnly, EngineMode::IlmOn] {
+        let ilm = mode == EngineMode::IlmOn;
+        let ctx = |what: &str| format!("{mode:?}: {what}");
+        let (e, t) = new_engine(mode, ilm);
+        // Opened before the rows exist: reads every one as absent.
+        let before_seed = Readers::open(&e);
+        let rids = seed(&e, &t);
+        if ilm {
+            e.run_maintenance();
+            while pack_cycle(&e, PackLevel::Aggressive) > 0 {}
+        }
+        let target = (TARGET, rids[TARGET as usize]);
+        let k = TARGET.to_be_bytes();
+        let home = e.locate(&t, &k).unwrap();
+        assert!(matches!(home, Some(RowLocation::Page(..))), "{home:?}");
+
+        let s = Readers::open(&e);
+        let old = Some(seeded(TARGET));
+        commit_update(&e, &t, TARGET, &mkrow(TARGET, 150));
+        assert_eq!(e.locate(&t, &k).unwrap(), home, "{}", ctx("in place"));
+        let mid = Readers::open(&e);
+        commit_update(&e, &t, TARGET, &mkrow_padded(TARGET, 160, 7_000));
+        let moved = e.locate(&t, &k).unwrap();
+        assert!(matches!(moved, Some(RowLocation::Page(..))), "{moved:?}");
+        assert_ne!(moved, home, "{}", ctx("7 000 bytes cannot fit in place"));
+
+        before_seed.expect(
+            &e,
+            &t,
+            target,
+            None,
+            true,
+            &ctx("reader older than the row"),
+        );
+        s.expect(
+            &e,
+            &t,
+            target,
+            old,
+            true,
+            &ctx("reader older than both updates"),
+        );
+        mid.expect(
+            &e,
+            &t,
+            target,
+            Some(150),
+            true,
+            &ctx("reader between the updates"),
+        );
+        let late = Readers::open(&e);
+        late.expect(&e, &t, target, Some(160), true, &ctx("reader after both"));
+
+        if ilm {
+            // Only `s` and `mid` still pin history; the reads above were
+            // point selects (§IV: cache the row) and every one was gated.
+            before_seed.close(&e);
+            late.close(&e);
+            e.run_maintenance();
+            let txn = e.begin();
+            assert_eq!(e.get(&txn, &t, &k).unwrap().map(|r| val_of(&r)), Some(160));
+            e.abort(txn);
+            while freeze_tick(&e) > 0 {}
+            assert_eq!(
+                e.locate(&t, &k).unwrap(),
+                moved,
+                "{}",
+                ctx("pinned to its page")
+            );
+            s.expect(&e, &t, target, old, true, &ctx("after the gate held"));
+            s.close(&e);
+            mid.close(&e);
+            // Nobody needs the history any more: the gate opens.
+            e.run_maintenance();
+            let txn = e.begin();
+            assert_eq!(e.get(&txn, &t, &k).unwrap().map(|r| val_of(&r)), Some(160));
+            e.abort(txn);
+            let at = e.locate(&t, &k).unwrap();
+            assert_eq!(
+                at,
+                Some(RowLocation::Imrs),
+                "{}",
+                ctx("cached once unpinned")
+            );
+        } else {
+            for r in [before_seed, s, mid, late] {
+                r.close(&e);
+            }
+        }
+    }
+}
+
+/// A page row's history follows the row through an aborted delete whose
+/// slot another transaction took meanwhile: the abort re-homes the row,
+/// and a snapshot older than the row's last committed update still
+/// reads the original there. (With history keyed by address the new
+/// home had none, and the snapshot read the update: its future.)
+#[test]
+fn history_follows_a_page_row_through_an_aborted_delete_that_lost_its_slot() {
+    let (e, t, rids) = setup(Home::Page);
+    let target = (TARGET, rids[TARGET as usize]);
+    let k = TARGET.to_be_bytes();
+    let home = e.locate(&t, &k).unwrap();
+
+    let s = Readers::open(&e);
+    commit_update(&e, &t, TARGET, &mkrow(TARGET, 150));
+    assert_eq!(e.locate(&t, &k).unwrap(), home, "in place");
+
+    let mut del = e.begin();
+    assert!(e.delete(&mut del, &t, &k).unwrap());
+    // Same-sized rows: the first of them takes the dead slot.
+    let mut other = e.begin();
+    let fresh: Vec<RowId> = (FRESH..FRESH + 8)
+        .map(|key| e.insert(&mut other, &t, &mkrow(key, 900)).unwrap())
+        .collect();
+    e.commit(other).unwrap();
+    e.abort(del);
+
+    let at = e.locate(&t, &k).unwrap();
+    assert!(matches!(at, Some(RowLocation::Page(..))), "{at:?}");
+    assert_ne!(at, home, "the recipe must take the row's old slot");
+    s.expect(
+        &e,
+        &t,
+        target,
+        Some(seeded(TARGET)),
+        true,
+        "reader older than the update",
+    );
+    let late = Readers::open(&e);
+    late.expect(&e, &t, target, Some(150), true, "reader after the abort");
+    late.expect(
+        &e,
+        &t,
+        (FRESH, fresh[0]),
+        Some(900),
+        true,
+        "the slot's new owner",
+    );
+    for r in [s, late] {
+        r.close(&e);
     }
 }

@@ -107,7 +107,7 @@ impl Shared {
         self.health.check_writable()?;
         self.ckpt
             .append(&self.syslog, rec)
-            .or_else(|e| self.health.append_failed("syslogs append", e))
+            .or_else(|e| self.health.fail_stop("syslogs append", e))
     }
 
     /// Append to the IMRS log; same failure policy as [`append_sys`](Self::append_sys).
@@ -115,7 +115,7 @@ impl Shared {
         self.health.check_writable()?;
         self.imrslog
             .append(rec)
-            .or_else(|e| self.health.append_failed("sysimrslogs append", e))
+            .or_else(|e| self.health.fail_stop("sysimrslogs append", e))
     }
 
     /// A foreground move counts itself after its sysimrslogs record is
@@ -153,7 +153,7 @@ impl Shared {
         self.health.check_writable()?;
         self.imrslog
             .append_batch(payloads)
-            .or_else(|e| self.health.append_failed("sysimrslogs batch append", e))
+            .or_else(|e| self.health.fail_stop("sysimrslogs batch append", e))
     }
 }
 
@@ -1310,16 +1310,12 @@ impl Engine {
         // publication — and publication happens after every stamp, so
         // the reader can never catch a version still carrying the
         // placeholder and wrongly skip (or a side entry still pending
-        // and wrongly apply) it. The same walk hands IMRS rows to
-        // GC/queue maintenance — whatever the log says below: a failed
-        // commit's versions are in the chains all the same.
+        // and wrongly apply) it. Nothing but stamping happens in here:
+        // later reservations cannot publish until this one has.
         let ts = self.sh.txns.reserve_commit();
         for w in &txn.writes {
             match w {
-                Write::Imrs { row, version } => {
-                    version.stamp(ts);
-                    self.sh.gc.register(*row);
-                }
+                Write::Imrs { version, .. } => version.stamp(ts),
                 Write::Page { row, .. } => self.sh.side.stamp(*row, id, ts),
                 Write::KeyAdded { .. } | Write::KeyRemoved { .. } => {}
             }
@@ -1378,7 +1374,14 @@ impl Engine {
         })();
         self.sh.health.note("commit", &logged);
         // Cleanup happens regardless of the log outcome — a failed
-        // commit must never leave its locks behind.
+        // commit must never leave its locks behind, and its versions
+        // are in the chains all the same: the write set hands its IMRS
+        // rows to GC/queue maintenance, one queue lock per transaction.
+        let imrs_rows = txn.writes.iter().filter_map(|w| match w {
+            Write::Imrs { row, .. } => Some(*row),
+            _ => None,
+        });
+        self.sh.gc.register_many(imrs_rows);
         self.sh.locks.unlock_all(id, txn.locks.iter());
         txn.locks.clear();
         txn.finished = true;
@@ -1434,7 +1437,12 @@ impl Engine {
                 let before = sh.side.newest_pending(row, id);
                 if let (Some(part), Some(before)) = (part, before) {
                     if let Err(e) = self.restore_page_row(&part, row, before) {
-                        sh.health.note_storage_error("abort", &e);
+                        // The page keeps our bytes, so the stash stays:
+                        // readers go on rolling them back. No more
+                        // writes, and no `Abort` record either — restart
+                        // undoes this transaction as a loser.
+                        let _ = sh.health.fail_stop::<()>("abort undo", e);
+                        return;
                     }
                 }
                 // Only now: until the page held the before-image again,

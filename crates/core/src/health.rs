@@ -99,10 +99,11 @@ impl Health {
         }
     }
 
-    /// A log append failed and may have left a torn record; appending
-    /// more behind it would make the tail unrecoverable. Count the
-    /// error, stop writing immediately, hand the error back.
-    pub fn append_failed<T>(&self, what: &str, e: BtrimError) -> Result<T> {
+    /// A failure that writing on would compound: a log append that may
+    /// have left a torn record (more behind it makes the tail
+    /// unrecoverable), an abort that could not put a before-image back.
+    /// Count the error, stop writing immediately, hand the error back.
+    pub fn fail_stop<T>(&self, what: &str, e: BtrimError) -> Result<T> {
         self.storage_errors.fetch_add(1, Ordering::Relaxed);
         let mut h = self.state.write();
         if h.writable() {

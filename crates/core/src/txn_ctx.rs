@@ -164,7 +164,8 @@ pub struct Transaction {
     /// Identity + snapshot.
     pub(crate) handle: TxnHandle,
     /// Row locks taken (released at commit/abort). A row may repeat:
-    /// the lock manager is re-entrant and releasing twice is a no-op.
+    /// the lock manager is re-entrant, and `unlock` by a transaction
+    /// that no longer holds the row changes nothing.
     pub(crate) locks: Vec<RowId>,
     /// The write set: every change, once, in the order it was made.
     /// Commit walks it forward, abort backward.

@@ -156,15 +156,22 @@ impl LockManager {
     pub fn unlock(&self, txn: TxnId, row: RowId) {
         let shard = self.shard(row);
         let mut table = shard.table.lock();
-        if let Some(entry) = table.get_mut(&row) {
-            entry.holders.retain(|&t| t != txn);
-            if entry.holders.is_empty() {
-                table.remove(&row);
-            } else if entry.exclusive && entry.holders.iter().all(|&t| t != txn) {
-                // The exclusive holder left; remaining shared holders
-                // (possible after a failed upgrade path) demote the entry.
-                entry.exclusive = false;
-            }
+        let Some(entry) = table.get_mut(&row) else {
+            return;
+        };
+        let held = entry.holders.len();
+        entry.holders.retain(|&t| t != txn);
+        if entry.holders.len() == held {
+            // Not a holder (a transaction's lock list may name a row
+            // twice): whoever holds the lock now keeps it as it is.
+            return;
+        }
+        if entry.holders.is_empty() {
+            table.remove(&row);
+        } else {
+            // A holder left; remaining shared holders (possible after a
+            // failed upgrade path) demote the entry.
+            entry.exclusive = false;
         }
         drop(table);
         shard.cv.notify_all();
@@ -266,6 +273,24 @@ mod tests {
         }
         assert_eq!(m.locked_rows(), 3);
         m.unlock_all(TxnId(5), rows.iter());
+        assert_eq!(m.locked_rows(), 0);
+    }
+
+    /// A transaction that wrote a row twice names it twice in its lock
+    /// list. Its second unlock lands after the next writer took the row
+    /// and must leave that writer's exclusive lock alone.
+    #[test]
+    fn duplicate_unlock_leaves_the_next_holder_exclusive() {
+        let m = mgr();
+        let (a, b, c, row) = (TxnId(1), TxnId(2), TxnId(3), RowId(1));
+        assert!(m.try_lock(a, row, LockMode::Exclusive));
+        assert!(m.try_lock(a, row, LockMode::Exclusive));
+        m.unlock(a, row);
+        assert!(m.try_lock(b, row, LockMode::Exclusive));
+        m.unlock(a, row);
+        assert!(!m.try_lock(c, row, LockMode::Shared), "B still excludes");
+        assert!(m.try_lock(b, row, LockMode::Exclusive), "B re-enters");
+        m.unlock_all(b, [row, row].iter());
         assert_eq!(m.locked_rows(), 0);
     }
 

@@ -479,6 +479,79 @@ fn log_device_death_degrades_to_read_only() {
     assert_eq!(count, acknowledged.len());
 }
 
+/// An abort that cannot put a page row's before-image back (its page
+/// was evicted and the device died) must not pretend it did: the
+/// stashed image stays for readers, the engine stops writing, no
+/// `Abort` verdict is logged — and the restart undoes the transaction
+/// as a loser from the log's own before-image.
+#[test]
+fn abort_whose_undo_fails_keeps_the_before_image_and_stops_writes() {
+    let cfg = |buffer_frames| EngineConfig {
+        mode: EngineMode::PageOnly,
+        buffer_frames,
+        ..cfg()
+    };
+    let big = |key: u64, v: u64| {
+        let mut r = mkrow(key, v);
+        r.resize(1_000, 0x5F);
+        r
+    };
+    let inner = inner_devices("abort-undo", false);
+    let state = FaultState::new(FaultPlan::default());
+    let engine = Engine::with_devices(
+        cfg(8),
+        Arc::new(FaultDisk::new(inner.disk.clone(), state.clone())),
+        Arc::new(FaultLog::new(inner.syslog.clone(), state.clone())),
+        Arc::new(FaultLog::new(inner.imrslog.clone(), state.clone())),
+    );
+    let table = engine.create_table(opts()).unwrap();
+    let mut txn = engine.begin();
+    for key in 0..120u64 {
+        engine.insert(&mut txn, &table, &big(key, key * 7)).unwrap();
+    }
+    engine.commit(txn).unwrap();
+
+    let mut a = engine.begin();
+    let k3 = 3u64.to_be_bytes();
+    assert!(engine.update(&mut a, &table, &k3, &mkrow(3, 999)).unwrap());
+    // Push row 3's page (our bytes on it) out of the 8-frame cache.
+    let reader = engine.begin();
+    for key in 20..120u64 {
+        assert!(engine
+            .get(&reader, &table, &key.to_be_bytes())
+            .unwrap()
+            .is_some());
+    }
+    engine.commit(reader).unwrap();
+    let stashed = engine.snapshot().side_store_entries;
+    state.crash_now();
+    engine.abort(a);
+
+    assert!(
+        matches!(engine.health(), HealthState::ReadOnly { .. }),
+        "expected read-only health, got {}",
+        engine.health()
+    );
+    assert_eq!(
+        engine.snapshot().side_store_entries,
+        stashed,
+        "the only copy of the before-image must stay"
+    );
+
+    drop(engine);
+    let recovered = Engine::recover(cfg(64), inner.disk, inner.syslog, inner.imrslog, |e| {
+        e.create_table(opts()).map(|_| ())
+    })
+    .unwrap();
+    let table = recovered.table("faulted").unwrap();
+    let txn = recovered.begin();
+    for key in 0..120u64 {
+        let row = recovered.get(&txn, &table, &key.to_be_bytes()).unwrap();
+        assert_eq!(row, Some(big(key, key * 7)), "key {key}");
+    }
+    recovered.commit(txn).unwrap();
+}
+
 #[test]
 fn torn_batch_appends_hold_the_three_way_contract() {
     for (i, file_disk) in [false, true].into_iter().enumerate() {

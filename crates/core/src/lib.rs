@@ -51,6 +51,16 @@
 //!   (`EngineSnapshot::to_json`) built on `btrim-obs`.
 
 #![forbid(unsafe_code)]
+// Non-test code does not panic: a failure is a typed `BtrimError`, and
+// a deliberate panic says why in an `expect` attribute's `reason`.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::allow_attributes,
+    clippy::allow_attributes_without_reason
+)]
 
 pub mod arbiter;
 pub mod catalog;

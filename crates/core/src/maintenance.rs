@@ -125,26 +125,29 @@ impl Engine {
             let engine = Engine {
                 sh: Arc::clone(&self.sh),
             };
-            threads.push(
-                std::thread::Builder::new()
-                    .name(format!("btrim-maint-{i}"))
-                    .spawn(move || {
-                        while engine.sh.maint.background.load(Ordering::Relaxed) {
-                            engine.run_maintenance();
-                            // Back off when storage is misbehaving:
-                            // hammering a failing device from the
-                            // maintenance loop only amplifies the
-                            // error storm.
-                            let sleep_ms = match engine.sh.health.state() {
-                                HealthState::Healthy => 5,
-                                HealthState::Degraded { .. } => 50,
-                                HealthState::ReadOnly { .. } => 200,
-                            };
-                            std::thread::sleep(std::time::Duration::from_millis(sleep_ms));
-                        }
-                    })
-                    .expect("spawn maintenance thread"), // lint: allow(no-panic) -- thread spawn fails only on resource exhaustion at startup; an engine without maintenance would silently stop packing
-            );
+            #[expect(
+                clippy::expect_used,
+                reason = "thread spawn fails only on resource exhaustion at startup; \
+                          an engine without maintenance would silently stop packing"
+            )]
+            let handle = std::thread::Builder::new()
+                .name(format!("btrim-maint-{i}"))
+                .spawn(move || {
+                    while engine.sh.maint.background.load(Ordering::Relaxed) {
+                        engine.run_maintenance();
+                        // Back off when storage is misbehaving: hammering
+                        // a failing device from the maintenance loop only
+                        // amplifies the error storm.
+                        let sleep_ms = match engine.sh.health.state() {
+                            HealthState::Healthy => 5,
+                            HealthState::Degraded { .. } => 50,
+                            HealthState::ReadOnly { .. } => 200,
+                        };
+                        std::thread::sleep(std::time::Duration::from_millis(sleep_ms));
+                    }
+                })
+                .expect("spawn maintenance thread");
+            threads.push(handle);
         }
     }
 

@@ -232,6 +232,7 @@ fn relocate_locked(
         return Ok(out);
     }
 
+    let background_from_imrs = sources.iter().any(|s| s.from == RowLocation::Imrs);
     let mut extent = None;
     let logged: Result<()> = (|| {
         // ---- Stage: an unpublished destination copy ------------------
@@ -275,6 +276,14 @@ fn relocate_locked(
         // The reverse order once lost an acknowledged row: the slot
         // deletion reached the device via eviction while its `Delete`
         // record died in a torn log tail, leaving no redo anywhere.
+        //
+        // A pack batch flushes syslogs first (see Commit below), which
+        // would also make a foreground move's `Delete`/`Commit` durable
+        // ahead of its volatile arrival record: settle those first,
+        // before this batch's own `Pack` records could ride along.
+        if background_from_imrs && sh.move_halves_volatile() {
+            sh.flush_imrs()?;
+        }
         sh.append_sys(&PageLogRecord::Begin { txn })?;
         for s in &sources {
             if let RowLocation::Page(page, slot) = s.from {
@@ -424,7 +433,6 @@ fn relocate_locked(
     // there; it is counted *before* the `Commit` goes out so that any
     // committer about to put a barrier on syslogs puts one on
     // sysimrslogs first (`Engine::commit`) — syslogs never gets ahead.
-    let background_from_imrs = sources.iter().any(|s| s.from == RowLocation::Imrs);
     let foreground = out.extent.is_none() && !background_from_imrs;
     if foreground {
         sh.count_foreground_move();

@@ -224,7 +224,12 @@ impl Engine {
                 .collect();
             let mut first_err = Ok(());
             for h in handles {
-                let res = h.join().expect("replay worker panicked"); // lint: allow(no-panic) -- a panicking worker means a half-replayed store; recovery must stop loudly rather than open for business
+                #[expect(
+                    clippy::expect_used,
+                    reason = "a panicking worker means a half-replayed store; \
+                              recovery must stop loudly rather than open for business"
+                )]
+                let res = h.join().expect("replay worker panicked");
                 if res.is_err() && first_err.is_ok() {
                     first_err = res;
                 }
@@ -492,15 +497,22 @@ impl Engine {
                 continue;
             };
             part.heap.adopt_pages(pages, &self.sh.cache)?;
+            let mut rows = Vec::new();
             part.heap.scan(&self.sh.cache, |page, slot, payload| {
                 if let Ok((row_id, data)) = unwrap_row(payload) {
                     heap_locs.insert(row_id, (page, slot));
                     max_row_id = max_row_id.max(row_id);
                     self.sh.ridmap.set(row_id, RowLocation::Page(page, slot));
-                    Self::index_row(&table, row_id, data);
+                    rows.push((row_id, data.to_vec()));
                 }
                 true
             })?;
+            // Indexed once the scan has dropped the heap page's latch: a
+            // B+tree fetch may have to evict, and frame under frame
+            // breaks the lock hierarchy.
+            for (row_id, data) in &rows {
+                Self::index_row(&table, *row_id, data);
+            }
         }
         self.sh.ridmap.bump_row_id_floor(max_row_id);
         self.sh.recovery.lock().heap_rebuild_micros = rebuild_start.elapsed().as_micros() as u64;
@@ -764,7 +776,13 @@ impl Engine {
                 let old = RowLocation::Frozen(*extent, *idx);
                 self.replay_page_arrival(&table, *row, old, image, heap_locs);
             }
-            ImrsLogRecord::Discard { .. } => unreachable!("filtered by the caller"), // lint: allow(no-panic) -- Discard records never reach the per-partition shards (the classification pass drops them); reaching this arm is a recovery-logic bug worth a loud stop
+            #[expect(
+                clippy::unreachable,
+                reason = "Discard records never reach the per-partition shards (the \
+                          classification pass drops them); reaching this arm is a \
+                          recovery-logic bug worth a loud stop"
+            )]
+            ImrsLogRecord::Discard { .. } => unreachable!("filtered by the caller"),
         }
         Ok(())
     }

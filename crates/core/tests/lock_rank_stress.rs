@@ -175,3 +175,50 @@ fn eight_threads_no_witness_panics() {
         "the tiny budget must have forced rows into the page store"
     );
 }
+
+/// Recovery under a cache far smaller than the data: the heap rebuild
+/// scans each heap page under its frame latch, and indexing a row may
+/// make a B+tree fetch evict — frame under frame, which the witness
+/// rejects. Rows are indexed after the scan has let go of the page.
+#[test]
+#[cfg_attr(not(debug_assertions), ignore = "the lock-rank witness is debug-only")]
+fn recovery_under_an_eight_frame_cache_keeps_the_hierarchy() {
+    let cfg = EngineConfig {
+        mode: EngineMode::PageOnly,
+        buffer_frames: 8,
+        ..Default::default()
+    };
+    let disk = Arc::new(btrim_pagestore::MemDisk::new());
+    let (syslog, imrslog) = (
+        Arc::new(btrim_wal::MemLog::new()),
+        Arc::new(btrim_wal::MemLog::new()),
+    );
+    let rows = 400u64;
+    {
+        let e = Engine::with_devices(cfg.clone(), disk.clone(), syslog.clone(), imrslog.clone());
+        let t = e.create_table(opts("t")).unwrap();
+        for key in 0..rows {
+            let mut txn = e.begin();
+            e.insert(&mut txn, &t, &mkrow(key, &[0xA5; 200])).unwrap();
+            e.commit(txn).unwrap();
+        }
+        e.checkpoint().unwrap();
+    } // dropped without shutdown: a crash
+
+    let before = parking_lot::ranked_acquisitions();
+    let e = Engine::recover(cfg, disk, syslog, imrslog, |e| {
+        e.create_table(opts("t")).map(|_| ())
+    })
+    .unwrap();
+    assert!(
+        parking_lot::ranked_acquisitions() > before,
+        "the witness saw recovery's latches"
+    );
+    let t = e.table("t").unwrap();
+    let txn = e.begin();
+    for key in 0..rows {
+        let got = e.get(&txn, &t, &key.to_be_bytes()).unwrap();
+        assert_eq!(got, Some(mkrow(key, &[0xA5; 200])), "key {key}");
+    }
+    e.commit(txn).unwrap();
+}

@@ -132,9 +132,14 @@ impl VersionArena {
     fn node(&self, link: u64) -> &Node {
         debug_assert_ne!(link, 0, "null link dereference");
         let idx = (link - 1) as usize;
+        #[expect(
+            clippy::expect_used,
+            reason = "a link only exists because alloc_node initialized its chunk; \
+                      reaching here is memory corruption, not an I/O-reachable state"
+        )]
         let chunk = self.chunks[idx >> CHUNK_BITS]
             .get()
-            .expect("link into uninitialized arena chunk"); // lint: allow(no-panic) -- a link only exists because alloc_node initialized its chunk; reaching here is memory corruption, not an I/O-reachable state
+            .expect("link into uninitialized arena chunk");
         &chunk[idx & (CHUNK_NODES - 1)]
     }
 

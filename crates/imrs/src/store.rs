@@ -192,7 +192,10 @@ impl ImrsStore {
         self.insert_with(row_id, partition, origin, txn, data, ts, Some(ts))
     }
 
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "the one body behind insert_row and insert_row_committed"
+    )]
     fn insert_with(
         &self,
         row_id: RowId,

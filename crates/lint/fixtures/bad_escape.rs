@@ -1,18 +1,23 @@
 //! Fixture: bad-escape rule — malformed or unexplained escapes are
-//! themselves findings. Never compiled.
+//! themselves findings. Each function's RID-Map write is a
+//! wal-before-mutation finding under a `crates/core/` path. Never
+//! compiled.
 
-fn unknown_rule() {
-    let x: Option<u8> = Some(1);
-    x.unwrap(); // lint: allow(no-such-rule) -- FINDING: rule does not exist
+fn unknown_rule(&self, row: RowId, loc: RowLocation) {
+    self.sh.ridmap.set(row, loc); // lint: allow(no-such-rule) -- FINDING: rule does not exist
 }
 
-fn missing_reason() {
-    let x: Option<u8> = Some(1);
-    x.unwrap(); // lint: allow(no-panic)
+fn missing_reason(&self, row: RowId, loc: RowLocation) {
+    self.sh.ridmap.set(row, loc); // lint: allow(wal-before-mutation)
 }
 
-fn missing_allow() {
+fn missing_allow(&self, row: RowId, loc: RowLocation) {
     // lint: suppress everything please
-    let x: Option<u8> = Some(1);
-    x.unwrap();
+    self.sh.ridmap.set(row, loc);
+}
+
+// A rule that was deleted (no-panic moved to clippy) is an unknown
+// rule too, so a stale escape cannot linger.
+fn deleted_rule(&self, row: RowId, loc: RowLocation) {
+    self.sh.ridmap.set(row, loc); // lint: allow(no-panic) -- FINDING: no such rule any more
 }

@@ -55,22 +55,6 @@ pub fn build<'a>(body: &[Token<'a>]) -> Vec<Node<'a>> {
     parse_nodes(body, &mut i, false)
 }
 
-/// Every token of the tree in source order (structure-blind scans:
-/// no-panic, pedantic indexing).
-pub fn flatten<'a, 'n>(nodes: &'n [Node<'a>], out: &mut Vec<&'n Token<'a>>) {
-    for n in nodes {
-        match n {
-            Node::Run(toks) => out.extend(toks.iter()),
-            Node::Scope { nodes, .. } | Node::Loop(nodes) => flatten(nodes, out),
-            Node::Branch { arms, .. } => {
-                for arm in arms {
-                    flatten(arm, out);
-                }
-            }
-        }
-    }
-}
-
 /// Parse until the end of the slice, or — when `until_close` — until
 /// the `}` matching an already-consumed `{` (the `}` is consumed).
 fn parse_nodes<'a>(toks: &[Token<'a>], i: &mut usize, until_close: bool) -> Vec<Node<'a>> {

@@ -8,11 +8,6 @@
 //! * **lock-order** — nested lock acquisitions must follow the declared
 //!   hierarchy in [`hierarchy`] (shared, via `include!`, with the
 //!   debug-build lock-rank witness inside the vendored `parking_lot`);
-//! * **no-panic** — no `unwrap`/`expect`/`panic!`-family calls in
-//!   non-test code of the `wal`, `pagestore`, `imrs`, `txn`, and `core`
-//!   crates;
-//! * **no-io-under-lock** — no device I/O lexically inside a classified
-//!   lock-guard scope in `core` and `wal`;
 //! * **snapshot-completeness** — every declared counter/histogram
 //!   reaches `render_report`/`to_json` ([`snapshot`], cross-file);
 //! * **atomics-ordering** — every cross-thread atomic field declares a
@@ -25,17 +20,20 @@
 //!   it is replay/recovery context.
 //!
 //! Intentional exceptions carry `// lint: allow(<rule>) -- <reason>`
-//! escapes; an escape without a reason is itself a finding.
+//! escapes; an escape without a reason, or naming a rule that does not
+//! exist (`bad-escape`), is itself a finding. What the compiler can
+//! check is left to it: the no-panic discipline of the engine crates is
+//! clippy's (`unwrap_used`, `expect_used`, `panic`, `unreachable`,
+//! denied at each crate root).
 //!
 //! Run it as `cargo run -p btrim-lint -- check` from the workspace
-//! root; findings print as `file:line:rule: message` (or `--format
-//! json`) and a non-empty set exits non-zero.
+//! root; findings print as `file:line:rule: message` and a non-empty
+//! set exits non-zero.
 
 #![forbid(unsafe_code)]
 
 pub mod cfg;
 pub mod index;
-pub mod json;
 pub mod lexer;
 pub mod rules;
 pub mod snapshot;
@@ -59,7 +57,7 @@ pub mod waldisc {
 }
 
 pub use index::{build_index, WorkspaceIndex};
-pub use rules::{check_file, check_file_with, Finding, Options};
+pub use rules::{check_file, check_file_with, Finding};
 
 use std::io;
 use std::path::{Path, PathBuf};
@@ -127,73 +125,30 @@ fn workspace_sources(root: &Path) -> io::Result<Vec<(String, String)>> {
     Ok(sources)
 }
 
-/// The three files the cross-file snapshot-completeness rule reads.
-const SNAPSHOT_FILES: &[&str] = &[
-    "crates/obs/src/lib.rs",
-    "crates/core/src/stats.rs",
-    "crates/pagestore/src/buffer.rs",
-];
-
-fn snapshot_findings(sources: &[(String, String)]) -> Vec<Finding> {
-    let get = |key: &str| {
-        sources
-            .iter()
-            .find(|(p, _)| p == key)
-            .map(|(_, s)| s.as_str())
-    };
-    if let (Some(obs), Some(stats), Some(buffer)) = (
-        get(SNAPSHOT_FILES[0]),
-        get(SNAPSHOT_FILES[1]),
-        get(SNAPSHOT_FILES[2]),
-    ) {
-        snapshot::check(
-            (SNAPSHOT_FILES[0], obs),
-            (SNAPSHOT_FILES[1], stats),
-            (SNAPSHOT_FILES[2], buffer),
-        )
-    } else {
-        Vec::new()
-    }
-}
-
 /// Lint every crate's `src/` under `<root>/crates`: pass one builds the
 /// workspace symbol index, pass two runs the per-file rules with it,
-/// then the cross-file snapshot-completeness rule runs. Returns sorted
-/// findings.
-pub fn check_workspace(root: &Path, opts: Options) -> io::Result<Vec<Finding>> {
+/// then the cross-file snapshot-completeness rule runs over the three
+/// files it reads. Returns sorted findings.
+pub fn check_workspace(root: &Path) -> io::Result<Vec<Finding>> {
     let sources = workspace_sources(root)?;
     let idx = build_index(&sources);
     let mut findings = Vec::new();
     for (path, src) in &sources {
-        findings.extend(check_file_with(path, src, opts, &idx));
+        findings.extend(check_file_with(path, src, &idx));
     }
-    findings.extend(snapshot_findings(&sources));
-    findings.sort();
-    Ok(findings)
-}
-
-/// Incremental mode: lint only the files whose workspace-relative paths
-/// are in `filter`, but build the symbol index (and escape context)
-/// from the whole workspace, so findings on a changed file are exactly
-/// the findings a full run would report for it. Cross-file snapshot
-/// findings are included when any of the files they read changed.
-pub fn check_files(
-    root: &Path,
-    opts: Options,
-    filter: &std::collections::BTreeSet<String>,
-) -> io::Result<Vec<Finding>> {
-    let sources = workspace_sources(root)?;
-    let idx = build_index(&sources);
-    let mut findings = Vec::new();
-    for (path, src) in &sources {
-        if filter.contains(path) {
-            findings.extend(check_file_with(path, src, opts, &idx));
-        }
-    }
-    if SNAPSHOT_FILES.iter().any(|f| filter.contains(*f)) {
-        findings.extend(snapshot_findings(&sources));
+    let file = |path: &'static str| {
+        sources
+            .iter()
+            .find(|(p, _)| p == path)
+            .map(|(_, src)| (path, src.as_str()))
+    };
+    if let (Some(obs), Some(stats), Some(buffer)) = (
+        file("crates/obs/src/lib.rs"),
+        file("crates/core/src/stats.rs"),
+        file("crates/pagestore/src/buffer.rs"),
+    ) {
+        findings.extend(snapshot::check(obs, stats, buffer));
     }
     findings.sort();
-    findings.dedup();
     Ok(findings)
 }

@@ -1,54 +1,23 @@
 //! CLI for the workspace lint pass.
 //!
 //! ```text
-//! cargo run -p btrim-lint -- check [--pedantic] [--root <dir>]
-//!                                  [--format text|json] [--changed <base>]
+//! cargo run -p btrim-lint -- check [--root <dir>]
 //! ```
 //!
 //! Findings print to stdout, one per line, as `file:line:rule: message`
-//! (stable and greppable; sorted by file, then line, then rule), or as
-//! one JSON document with `--format json`. `--changed <base>` lints
-//! only the files `git diff --name-only <base>` reports — the workspace
-//! symbol index is still built from every file, so the findings on a
-//! changed file are exactly what a full run would report for it. Exit
+//! (stable and greppable; sorted by file, then line, then rule). Exit
 //! codes: 0 clean, 1 findings, 2 usage or I/O error.
 
 #![forbid(unsafe_code)]
 
-use std::collections::BTreeSet;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::process::ExitCode;
 
-use btrim_lint::{check_files, check_workspace, json, Options};
+use btrim_lint::check_workspace;
 
 fn usage() -> ExitCode {
-    eprintln!(
-        "usage: btrim-lint check [--pedantic] [--root <dir>] \
-         [--format text|json] [--changed <base>]"
-    );
+    eprintln!("usage: btrim-lint check [--root <dir>]");
     ExitCode::from(2)
-}
-
-/// Files changed since `base`, as workspace-relative paths, restricted
-/// to the `crates/*/src` trees the linter reads.
-fn changed_files(root: &Path, base: &str) -> Result<BTreeSet<String>, String> {
-    let out = std::process::Command::new("git")
-        .arg("-C")
-        .arg(root)
-        .args(["diff", "--name-only", "-z", base, "--", "crates"])
-        .output()
-        .map_err(|e| format!("running git diff: {e}"))?;
-    if !out.status.success() {
-        return Err(format!(
-            "git diff --name-only {base} failed: {}",
-            String::from_utf8_lossy(&out.stderr).trim()
-        ));
-    }
-    Ok(String::from_utf8_lossy(&out.stdout)
-        .split('\0')
-        .filter(|p| p.ends_with(".rs") && p.contains("/src/"))
-        .map(str::to_string)
-        .collect())
 }
 
 fn main() -> ExitCode {
@@ -56,49 +25,18 @@ fn main() -> ExitCode {
     if args.next().as_deref() != Some("check") {
         return usage();
     }
-    let mut opts = Options::default();
     let mut root = PathBuf::from(".");
-    let mut json_out = false;
-    let mut changed: Option<String> = None;
     while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--pedantic" => opts.pedantic = true,
-            "--root" => match args.next() {
-                Some(dir) => root = PathBuf::from(dir),
-                None => return usage(),
-            },
-            "--format" => match args.next().as_deref() {
-                Some("text") => json_out = false,
-                Some("json") => json_out = true,
-                _ => return usage(),
-            },
-            "--changed" => match args.next() {
-                Some(base) => changed = Some(base),
-                None => return usage(),
-            },
+        match (arg.as_str(), args.next()) {
+            ("--root", Some(dir)) => root = PathBuf::from(dir),
             _ => return usage(),
         }
     }
 
-    let result = match &changed {
-        None => check_workspace(&root, opts),
-        Some(base) => match changed_files(&root, base) {
-            Ok(filter) if filter.is_empty() => Ok(Vec::new()),
-            Ok(filter) => check_files(&root, opts, &filter),
-            Err(e) => {
-                eprintln!("btrim-lint: {e}");
-                return ExitCode::from(2);
-            }
-        },
-    };
-    match result {
+    match check_workspace(&root) {
         Ok(findings) => {
-            if json_out {
-                print!("{}", json::render(&findings));
-            } else {
-                for f in &findings {
-                    println!("{f}");
-                }
+            for f in &findings {
+                println!("{f}");
             }
             if findings.is_empty() {
                 eprintln!("btrim-lint: clean");

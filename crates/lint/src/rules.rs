@@ -24,20 +24,11 @@ use crate::waldisc;
 /// Rule identifiers, as used in findings and `lint: allow(...)` escapes.
 pub const RULES: &[&str] = &[
     "lock-order",
-    "no-panic",
-    "no-io-under-lock",
     "snapshot-completeness",
-    "indexing",
     "atomics-ordering",
     "wal-before-mutation",
     "bad-escape",
 ];
-
-/// Crates whose non-test code must be panic-free.
-const NO_PANIC_CRATES: &[&str] = &["wal", "pagestore", "imrs", "txn", "core"];
-
-/// Crates where I/O must not happen lexically under a classified lock.
-const NO_IO_CRATES: &[&str] = &["core", "wal"];
 
 /// Crates whose atomic fields must declare a protocol in
 /// `atomics_discipline.rs` (and whose access sites are checked
@@ -61,26 +52,6 @@ const ATOMIC_TYPES: &[&str] = &[
     "AtomicIsize",
 ];
 
-/// Method names that perform (or directly front) device I/O: `std::io`
-/// calls plus the `DiskBackend`/`LogSink` trait surface.
-const IO_METHODS: &[&str] = &[
-    "write_all",
-    "read_exact",
-    "read_to_end",
-    "sync_all",
-    "sync_data",
-    "flush",
-    "set_len",
-    "seek",
-    "read_page",
-    "write_page",
-    "allocate_page",
-    "sync",
-];
-
-/// Macros that abort the process (or thread) when reached.
-const PANIC_MACROS: &[&str] = &["panic", "unreachable", "todo", "unimplemented"];
-
 /// One lint finding. Ordered and formatted stably so CI diffs and
 /// `grep` pipelines over the output survive refactors of the linter.
 #[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -95,15 +66,6 @@ impl std::fmt::Display for Finding {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "{}:{}:{}: {}", self.file, self.line, self.rule, self.msg)
     }
-}
-
-/// Linting options.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct Options {
-    /// Also flag slice/array indexing in no-panic crates. Off by
-    /// default: indexing after an explicit bounds check is idiomatic in
-    /// the page codecs, and flagging it all would bury real findings.
-    pub pedantic: bool,
 }
 
 /// Classification of lock acquisitions: `(path substring, receiver or
@@ -507,7 +469,7 @@ fn receiver_name<'a>(body: &[Token<'a>], i: usize) -> Option<&'a str> {
 }
 
 // ---------------------------------------------------------------------
-// Guard tracking over the CFG tree (lock-order, no-io-under-lock)
+// Guard tracking over the CFG tree (lock-order)
 // ---------------------------------------------------------------------
 
 /// A lock guard in scope on some path.
@@ -518,20 +480,6 @@ struct Guard {
     /// Tree depth at the binding; the guard dies when the enclosing
     /// scope/arm closes.
     depth: i32,
-}
-
-/// How an acquisition token was reached.
-enum Acq {
-    Blocking,
-    Try,
-}
-
-fn acquisition_kind(method: &str) -> Option<Acq> {
-    match method {
-        "lock" | "read" | "write" => Some(Acq::Blocking),
-        "try_lock" | "try_read" | "try_write" => Some(Acq::Try),
-        _ => None,
-    }
 }
 
 /// Path state for the guard walk.
@@ -557,13 +505,8 @@ impl GuardState {
     }
 }
 
-struct GuardCtx<'p> {
-    path: &'p str,
-    no_io: bool,
-}
-
 fn walk_guards(
-    ctx: &GuardCtx<'_>,
+    path: &str,
     nodes: &[Node<'_>],
     st: &mut GuardState,
     depth: i32,
@@ -574,7 +517,7 @@ fn walk_guards(
             return;
         }
         match n {
-            Node::Run(toks) => scan_guard_run(ctx, toks, st, depth, findings),
+            Node::Run(toks) => scan_guard_run(path, toks, st, depth, findings),
             Node::Scope { nodes, diverging } => {
                 if *diverging {
                     // `let … else { … }`: the block only runs on the
@@ -582,9 +525,9 @@ fn walk_guards(
                     // (to check its contents) and discard it.
                     let mut sub = st.clone();
                     sub.pending = false;
-                    walk_guards(ctx, nodes, &mut sub, depth + 1, findings);
+                    walk_guards(path, nodes, &mut sub, depth + 1, findings);
                 } else {
-                    walk_guards(ctx, nodes, st, depth + 1, findings);
+                    walk_guards(path, nodes, st, depth + 1, findings);
                     st.held.retain(|g| g.depth <= depth);
                     st.settle();
                     st.binding = None;
@@ -602,7 +545,7 @@ fn walk_guards(
                 for arm in arms {
                     let mut sub = base.clone();
                     sub.pending = false;
-                    walk_guards(ctx, arm, &mut sub, depth + 1, findings);
+                    walk_guards(path, arm, &mut sub, depth + 1, findings);
                     sub.held.retain(|g| g.depth <= depth);
                     sub.settle();
                     if !sub.diverged {
@@ -627,7 +570,7 @@ fn walk_guards(
                 // un-hold it, so union-with-incoming == incoming).
                 let mut sub = st.clone();
                 sub.pending = false;
-                walk_guards(ctx, body, &mut sub, depth + 1, findings);
+                walk_guards(path, body, &mut sub, depth + 1, findings);
                 st.binding = None;
             }
         }
@@ -636,13 +579,12 @@ fn walk_guards(
 
 /// Straight-line guard tracking inside one [`Node::Run`].
 fn scan_guard_run(
-    ctx: &GuardCtx<'_>,
+    path: &str,
     toks: &[Token<'_>],
     st: &mut GuardState,
     depth: i32,
     findings: &mut Vec<Finding>,
 ) {
-    let path = ctx.path;
     let mut stmt_start = true;
     for i in 0..toks.len() {
         if st.diverged {
@@ -705,70 +647,41 @@ fn scan_guard_run(
         }
 
         // Lock acquisitions: `.lock()` family on classified receivers,
-        // plus guard-returning callables like `lock_shard(…)`.
-        let acq = if let Some(kind) = acquisition_kind(t.text) {
-            receiver_name(toks, i)
-                .and_then(|r| classify(path, r))
-                .map(|rank| (kind, rank))
+        // plus guard-returning callables like `lock_shard(…)`. `try_*`
+        // is not one: it cannot block, so it cannot deadlock at the
+        // acquisition itself, and lexically the call often sits in a
+        // fallback (`match x.try_read() { None => x.read() }`) where
+        // nothing is held when it fails. Guards it *does* produce are
+        // invisible to this pass; the runtime lock-rank witness tracks
+        // them instead. The binding is left in place so a blocking retry
+        // in the fallback arm claims it.
+        let rank = if matches!(t.text, "lock" | "read" | "write") {
+            receiver_name(toks, i).and_then(|r| classify(path, r))
         } else {
-            classify_lock_fn(path, t.text).map(|rank| (Acq::Blocking, rank))
+            classify_lock_fn(path, t.text)
         };
-        if let Some((kind, rank)) = acq {
-            match kind {
-                Acq::Blocking => {
-                    for g in &st.held {
-                        if g.rank >= rank {
-                            findings.push(Finding {
-                                file: path.to_string(),
-                                line: t.line,
-                                rule: "lock-order",
-                                msg: format!(
-                                    "acquires {} (rank {rank}) while holding {} (rank {}); \
-                                     declared order: {}",
-                                    hierarchy::rank_name(rank),
-                                    hierarchy::rank_name(g.rank),
-                                    g.rank,
-                                    order_string(),
-                                ),
-                            });
-                        }
-                    }
-                    if let Some(name) = st.binding.take() {
-                        st.held.push(Guard { name, rank, depth });
-                    }
-                }
-                // `try_*` cannot block, so it cannot deadlock at the
-                // acquisition itself, and lexically the call often sits
-                // in a fallback (`match x.try_read() { None => x.read() }`)
-                // where nothing is held when it fails. Guards it *does*
-                // produce are invisible to this pass; the runtime
-                // lock-rank witness tracks them instead. The binding is
-                // left in place so a blocking retry in the fallback arm
-                // claims it.
-                Acq::Try => {}
-            }
+        let Some(rank) = rank else {
             continue;
+        };
+        for g in &st.held {
+            if g.rank >= rank {
+                findings.push(Finding {
+                    file: path.to_string(),
+                    line: t.line,
+                    rule: "lock-order",
+                    msg: format!(
+                        "acquires {} (rank {rank}) while holding {} (rank {}); \
+                         declared order: {}",
+                        hierarchy::rank_name(rank),
+                        hierarchy::rank_name(g.rank),
+                        g.rank,
+                        order_string(),
+                    ),
+                });
+            }
         }
-
-        // I/O under a classified guard.
-        if ctx.no_io
-            && IO_METHODS.contains(&t.text)
-            && i >= 1
-            && toks[i - 1].text == "."
-            && !st.held.is_empty()
-        {
-            let worst = st.held.iter().map(|g| g.rank).max().unwrap_or(0);
-            findings.push(Finding {
-                file: path.to_string(),
-                line: t.line,
-                rule: "no-io-under-lock",
-                msg: format!(
-                    "calls `{}` while holding {} — move the I/O outside the \
-                     critical section or annotate why it must stay",
-                    t.text,
-                    hierarchy::rank_name(worst),
-                ),
-            });
+        if let Some(name) = st.binding.take() {
+            st.held.push(Guard { name, rank, depth });
         }
     }
 }
@@ -779,66 +692,6 @@ fn order_string() -> String {
         .map(|(n, _)| *n)
         .collect::<Vec<_>>()
         .join(" < ")
-}
-
-// ---------------------------------------------------------------------
-// Structure-blind per-function scans (no-panic, pedantic indexing)
-// ---------------------------------------------------------------------
-
-fn check_flat(
-    path: &str,
-    body: &[Token<'_>],
-    opts: Options,
-    no_panic: bool,
-    findings: &mut Vec<Finding>,
-) {
-    if !no_panic {
-        return;
-    }
-    for (i, t) in body.iter().enumerate() {
-        if t.kind == TokKind::Ident
-            && matches!(t.text, "unwrap" | "expect")
-            && body.get(i + 1).map(|n| n.text) == Some("(")
-            && i >= 1
-            && body[i - 1].text == "."
-        {
-            findings.push(Finding {
-                file: path.to_string(),
-                line: t.line,
-                rule: "no-panic",
-                msg: format!(
-                    "`.{}()` in non-test engine code — return a typed \
-                     `BtrimError` instead",
-                    t.text
-                ),
-            });
-        }
-        if t.kind == TokKind::Ident
-            && PANIC_MACROS.contains(&t.text)
-            && body.get(i + 1).map(|n| n.text) == Some("!")
-        {
-            findings.push(Finding {
-                file: path.to_string(),
-                line: t.line,
-                rule: "no-panic",
-                msg: format!("`{}!` in non-test engine code", t.text),
-            });
-        }
-        if opts.pedantic
-            && t.text == "["
-            && i >= 1
-            && (body[i - 1].kind == TokKind::Ident
-                || body[i - 1].text == ")"
-                || body[i - 1].text == "]")
-        {
-            findings.push(Finding {
-                file: path.to_string(),
-                line: t.line,
-                rule: "indexing",
-                msg: "slice indexing can panic; prefer `.get(..)` (pedantic)".into(),
-            });
-        }
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -1119,12 +972,7 @@ fn check_atomics(path: &str, toks: &[Token<'_>], findings: &mut Vec<Finding>) {
 /// how receivers classify); `index` supplies the workspace appender
 /// set for one-level call-graph propagation in `wal-before-mutation`.
 /// Returns findings with escapes already applied.
-pub fn check_file_with(
-    path: &str,
-    src: &str,
-    opts: Options,
-    index: &WorkspaceIndex,
-) -> Vec<Finding> {
+pub fn check_file_with(path: &str, src: &str, index: &WorkspaceIndex) -> Vec<Finding> {
     let tokens = lex(src);
     let (escapes, mut findings) = collect_escapes(path, &tokens);
     let sig: Vec<Token<'_>> = tokens
@@ -1135,18 +983,12 @@ pub fn check_file_with(
     let seg = segment(&sig);
 
     let krate = crate_of(path).unwrap_or("");
-    let no_panic = NO_PANIC_CRATES.contains(&krate);
-    let guard_ctx = GuardCtx {
-        path,
-        no_io: NO_IO_CRATES.contains(&krate),
-    };
     let wal_applies = krate == "core" && !waldisc::REPLAY_FILES.iter().any(|f| path.ends_with(f));
 
     for f in &seg.fns {
         let tree = cfg::build(&f.tokens);
         let mut gst = GuardState::default();
-        walk_guards(&guard_ctx, &tree, &mut gst, 0, &mut findings);
-        check_flat(path, &f.tokens, opts, no_panic, &mut findings);
+        walk_guards(path, &tree, &mut gst, 0, &mut findings);
         if wal_applies && !f.name.is_some_and(|n| waldisc::REPLAY_FNS.contains(&n)) {
             let mut wst = WalState::default();
             walk_wal(path, index, &tree, &mut wst, &mut findings);
@@ -1168,6 +1010,6 @@ pub fn check_file_with(
 /// Lint one file without workspace context (fixture tests, single-file
 /// callers). `wal-before-mutation` still recognises the seed append
 /// functions; only helper-propagated appends need the index.
-pub fn check_file(path: &str, src: &str, opts: Options) -> Vec<Finding> {
-    check_file_with(path, src, opts, &WorkspaceIndex::default())
+pub fn check_file(path: &str, src: &str) -> Vec<Finding> {
+    check_file_with(path, src, &WorkspaceIndex::default())
 }

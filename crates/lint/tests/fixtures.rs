@@ -3,7 +3,7 @@
 //! rule engine's behavior so a refactor that silently stops detecting
 //! a class of violation fails CI instead of passing quietly.
 
-use btrim_lint::rules::{check_file, Options};
+use btrim_lint::rules::check_file;
 use btrim_lint::snapshot;
 
 fn rules_hit(findings: &[btrim_lint::rules::Finding]) -> Vec<(&'static str, u32)> {
@@ -14,7 +14,7 @@ fn rules_hit(findings: &[btrim_lint::rules::Finding]) -> Vec<(&'static str, u32)
 fn lock_order_fires_on_inversions_only() {
     let src = include_str!("../fixtures/lock_order.rs");
     // The buffer.rs path activates the shard/frame classifications.
-    let findings = check_file("crates/pagestore/src/buffer.rs", src, Options::default());
+    let findings = check_file("crates/pagestore/src/buffer.rs", src);
     let hits = rules_hit(&findings);
     assert_eq!(
         hits.len(),
@@ -50,7 +50,7 @@ fn lock_order_is_path_scoped() {
     // The same source under an unclassified path has no lock sites, so
     // the rule cannot fire.
     let src = include_str!("../fixtures/lock_order.rs");
-    let findings = check_file("crates/obs/src/lib.rs", src, Options::default());
+    let findings = check_file("crates/obs/src/lib.rs", src);
     assert!(findings.is_empty(), "{findings:?}");
 }
 
@@ -58,7 +58,7 @@ fn lock_order_is_path_scoped() {
 fn extent_store_publish_lock_is_classified() {
     let src = include_str!("../fixtures/extent_store.rs");
     // The extent.rs path activates the publish classification.
-    let findings = check_file("crates/pagestore/src/extent.rs", src, Options::default());
+    let findings = check_file("crates/pagestore/src/extent.rs", src);
     let hits = rules_hit(&findings);
     assert_eq!(
         hits.len(),
@@ -74,7 +74,7 @@ fn extent_store_publish_lock_is_classified() {
         .expect("fixture contains the bad acquisition");
     assert_eq!(hits[0].1, bad_line, "{findings:?}");
     // Under an unclassified path the same source is silent.
-    let elsewhere = check_file("crates/obs/src/lib.rs", src, Options::default());
+    let elsewhere = check_file("crates/obs/src/lib.rs", src);
     assert!(elsewhere.is_empty(), "{elsewhere:?}");
 }
 
@@ -82,7 +82,7 @@ fn extent_store_publish_lock_is_classified() {
 fn arbiter_window_lock_is_classified() {
     let src = include_str!("../fixtures/arbiter_window.rs");
     // The arbiter.rs path activates the window classification.
-    let findings = check_file("crates/core/src/arbiter.rs", src, Options::default());
+    let findings = check_file("crates/core/src/arbiter.rs", src);
     let hits = rules_hit(&findings);
     assert_eq!(
         hits.len(),
@@ -98,82 +98,43 @@ fn arbiter_window_lock_is_classified() {
         .expect("fixture contains the bad acquisition");
     assert_eq!(hits[0].1, bad_line, "{findings:?}");
     // Under an unclassified path the same source is silent.
-    let elsewhere = check_file("crates/obs/src/lib.rs", src, Options::default());
+    let elsewhere = check_file("crates/obs/src/lib.rs", src);
     assert!(elsewhere.is_empty(), "{elsewhere:?}");
-}
-
-#[test]
-fn no_panic_fires_outside_tests_and_respects_escapes() {
-    let src = include_str!("../fixtures/no_panic.rs");
-    let findings = check_file("crates/wal/src/fixture.rs", src, Options::default());
-    let panics: Vec<_> = findings.iter().filter(|f| f.rule == "no-panic").collect();
-    // unwrap + expect in parse(), panic! in boom(), unreachable! in
-    // cant_happen(). The two annotated unwraps and the #[test] fn are
-    // silent.
-    assert_eq!(panics.len(), 4, "{findings:?}");
-    assert!(
-        findings.iter().all(|f| f.rule == "no-panic"),
-        "no stray findings: {findings:?}"
-    );
-}
-
-#[test]
-fn pedantic_indexing_is_opt_in() {
-    let src = include_str!("../fixtures/no_panic.rs");
-    let quiet = check_file("crates/wal/src/fixture.rs", src, Options::default());
-    assert!(quiet.iter().all(|f| f.rule != "indexing"));
-    let pedantic = check_file("crates/wal/src/fixture.rs", src, Options { pedantic: true });
-    assert!(
-        pedantic.iter().any(|f| f.rule == "indexing"),
-        "{pedantic:?}"
-    );
-}
-
-#[test]
-fn no_io_under_lock_fires_inside_critical_sections_only() {
-    let src = include_str!("../fixtures/no_io_under_lock.rs");
-    let findings = check_file("crates/wal/src/log.rs", src, Options::default());
-    let io: Vec<_> = findings
-        .iter()
-        .filter(|f| f.rule == "no-io-under-lock")
-        .collect();
-    // append_bad only: append_staged's guard scope ended, and
-    // append_serialized is escape-annotated.
-    assert_eq!(io.len(), 1, "{findings:?}");
-    let bad_line = src
-        .lines()
-        .position(|l| l.contains("inner.writer.write_all") && !l.contains("lint:"))
-        .map(|i| i as u32 + 1)
-        .expect("fixture contains the bad write");
-    assert_eq!(io[0].line, bad_line);
 }
 
 #[test]
 fn bad_escape_flags_malformed_escapes() {
     let src = include_str!("../fixtures/bad_escape.rs");
-    // obs is neither a no-panic nor a no-io crate, isolating the rule.
-    let findings = check_file("crates/obs/src/fixture.rs", src, Options::default());
-    assert_eq!(findings.len(), 3, "{findings:?}");
+    // wal-before-mutation gates only `core`, isolating the rule.
+    let findings = check_file("crates/obs/src/fixture.rs", src);
+    assert_eq!(findings.len(), 4, "{findings:?}");
     assert!(findings.iter().all(|f| f.rule == "bad-escape"));
     let msgs: Vec<&str> = findings.iter().map(|f| f.msg.as_str()).collect();
-    assert!(msgs.iter().any(|m| m.contains("unknown rule")));
+    assert!(msgs
+        .iter()
+        .any(|m| m.contains("unknown rule `no-such-rule`")));
     assert!(msgs.iter().any(|m| m.contains("no ` -- <reason>`")));
     assert!(msgs.iter().any(|m| m.contains("must be `lint: allow")));
+    // An escape naming a deleted rule is stale, not silently inert.
+    assert!(msgs.iter().any(|m| m.contains("unknown rule `no-panic`")));
 }
 
 #[test]
 fn malformed_escape_does_not_suppress() {
     // An invalid escape must not silence the finding it sits on.
     let src = include_str!("../fixtures/bad_escape.rs");
-    let findings = check_file("crates/wal/src/fixture.rs", src, Options::default());
+    let findings = check_file("crates/core/src/fixture.rs", src);
     assert_eq!(
-        findings.iter().filter(|f| f.rule == "no-panic").count(),
-        3,
-        "all three unwraps still fire: {findings:?}"
+        findings
+            .iter()
+            .filter(|f| f.rule == "wal-before-mutation")
+            .count(),
+        4,
+        "all four RID-Map writes still fire: {findings:?}"
     );
     assert_eq!(
         findings.iter().filter(|f| f.rule == "bad-escape").count(),
-        3
+        4
     );
 }
 
@@ -208,7 +169,7 @@ fn snapshot_completeness_finds_unreachable_counters() {
 fn atomics_ordering_fires_on_weak_accesses() {
     let src = include_str!("../fixtures/atomics.rs");
     // The arena.rs path activates the `commit_ts`/`head` declarations.
-    let findings = check_file("crates/imrs/src/arena.rs", src, Options::default());
+    let findings = check_file("crates/imrs/src/arena.rs", src);
     assert!(
         findings.iter().all(|f| f.rule == "atomics-ordering"),
         "no stray findings: {findings:?}"
@@ -232,7 +193,7 @@ fn atomics_ordering_fires_on_weak_accesses() {
 fn atomics_ordering_is_path_scoped() {
     // obs is not an atomics crate; the same source is silent there.
     let src = include_str!("../fixtures/atomics.rs");
-    let findings = check_file("crates/obs/src/fixture.rs", src, Options::default());
+    let findings = check_file("crates/obs/src/fixture.rs", src);
     assert!(findings.is_empty(), "{findings:?}");
 }
 
@@ -240,7 +201,7 @@ fn atomics_ordering_is_path_scoped() {
 fn atomics_ordering_checks_cas_slots() {
     let src = include_str!("../fixtures/atomics_cas.rs");
     // The manager.rs path activates the seq-cst `slots` declaration.
-    let findings = check_file("crates/txn/src/manager.rs", src, Options::default());
+    let findings = check_file("crates/txn/src/manager.rs", src);
     assert!(findings.iter().all(|f| f.rule == "atomics-ordering"));
     // One weak CAS yields two findings: the AcqRel RMW slot and the
     // Acquire failure-load slot. The SeqCst CAS and swap are silent.
@@ -253,7 +214,7 @@ fn atomics_ordering_checks_cas_slots() {
 #[test]
 fn wal_before_mutation_requires_append_on_all_paths() {
     let src = include_str!("../fixtures/wal_mutation.rs");
-    let findings = check_file("crates/core/src/mutator.rs", src, Options::default());
+    let findings = check_file("crates/core/src/mutator.rs", src);
     assert!(
         findings.iter().all(|f| f.rule == "wal-before-mutation"),
         "no stray findings: {findings:?}"
@@ -285,7 +246,7 @@ fn wal_before_mutation_uses_the_appender_index() {
     // three genuinely-unlogged mutations still fire.
     let sources = [(path, src)];
     let idx = btrim_lint::build_index(&sources);
-    let findings = btrim_lint::check_file_with(path, src, Options::default(), &idx);
+    let findings = btrim_lint::check_file_with(path, src, &idx);
     let wal: Vec<_> = findings
         .iter()
         .filter(|f| f.rule == "wal-before-mutation")
@@ -306,46 +267,8 @@ fn wal_before_mutation_uses_the_appender_index() {
 fn wal_before_mutation_is_crate_scoped() {
     // The rule only gates `core`; the same source elsewhere is silent.
     let src = include_str!("../fixtures/wal_mutation.rs");
-    let findings = check_file("crates/obs/src/mutator.rs", src, Options::default());
+    let findings = check_file("crates/obs/src/mutator.rs", src);
     assert!(findings.is_empty(), "{findings:?}");
-}
-
-#[test]
-fn changed_mode_matches_full_run_per_file() {
-    // Build a throwaway workspace with one dirty file and one clean
-    // file; `check_files` on the dirty file must report exactly what
-    // `check_workspace` reports for it.
-    let root = std::env::temp_dir().join(format!("btrim-lint-eq-{}", std::process::id()));
-    let src_dir = root.join("crates/core/src");
-    std::fs::create_dir_all(&src_dir).unwrap();
-    std::fs::write(
-        src_dir.join("bad.rs"),
-        include_str!("../fixtures/wal_mutation.rs"),
-    )
-    .unwrap();
-    std::fs::write(
-        src_dir.join("clean.rs"),
-        "pub fn log_first(&self) {\n    self.sh.append_sys(&rec);\n    self.sh.ridmap.set(row, loc);\n}\n",
-    )
-    .unwrap();
-    let full = btrim_lint::check_workspace(&root, Options::default()).unwrap();
-    assert!(!full.is_empty(), "the dirty file must produce findings");
-    let one: std::collections::BTreeSet<String> = ["crates/core/src/bad.rs".to_string()].into();
-    let changed = btrim_lint::check_files(&root, Options::default(), &one).unwrap();
-    let full_for_bad: Vec<_> = full
-        .iter()
-        .filter(|f| f.file == "crates/core/src/bad.rs")
-        .cloned()
-        .collect();
-    assert_eq!(
-        changed, full_for_bad,
-        "incremental run must match the full run"
-    );
-    // The clean file alone reports nothing.
-    let clean: std::collections::BTreeSet<String> = ["crates/core/src/clean.rs".to_string()].into();
-    let none = btrim_lint::check_files(&root, Options::default(), &clean).unwrap();
-    assert!(none.is_empty(), "{none:?}");
-    std::fs::remove_dir_all(&root).unwrap();
 }
 
 #[test]
@@ -356,7 +279,7 @@ fn real_workspace_is_clean() {
         .parent()
         .and_then(|p| p.parent())
         .expect("workspace root");
-    let findings = btrim_lint::check_workspace(root, Options::default()).unwrap();
+    let findings = btrim_lint::check_workspace(root).unwrap();
     assert!(
         findings.is_empty(),
         "workspace must lint clean:\n{}",

@@ -34,7 +34,7 @@
 //!
 //! Decoding is total: any truncated or bit-flipped input yields a typed
 //! [`BtrimError::Corrupt`]/[`BtrimError::Invalid`] error, never a panic
-//! — this crate is on `btrim-lint`'s no-panic list. Every width, count,
+//! — this crate denies clippy's panic family. Every width, count,
 //! index and length read from the wire is validated before use, so the
 //! accessors on a decoded column are infallible.
 

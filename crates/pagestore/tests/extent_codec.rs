@@ -4,7 +4,7 @@
 //! bit width 1–64 and for the degenerate column shapes (empty,
 //! single-value, all-equal, max-cardinality), and decoding any
 //! truncated or bit-flipped extent must return a typed error — never
-//! panic (`btrim-pagestore` is on the lint's no-panic list).
+//! panic (`btrim-pagestore` denies clippy's panic family).
 
 use btrim_common::{BtrimError, PartitionId, RowId, TableId};
 use btrim_pagestore::extent::{

@@ -11,6 +11,16 @@
 //!   DMLs (§VII.B).
 
 #![forbid(unsafe_code)]
+// Non-test code does not panic: a failure is a typed `BtrimError`, and
+// a deliberate panic says why in an `expect` attribute's `reason`.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::allow_attributes,
+    clippy::allow_attributes_without_reason
+)]
 
 pub mod locks;
 pub mod manager;

@@ -19,6 +19,16 @@
 //! sysimrslogs — ensuring a consistent database post-recovery (§II).
 
 #![forbid(unsafe_code)]
+// Non-test code does not panic: a failure is a typed `BtrimError`, and
+// a deliberate panic says why in an `expect` attribute's `reason`.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::allow_attributes,
+    clippy::allow_attributes_without_reason
+)]
 
 pub mod group;
 pub mod log;

@@ -441,8 +441,8 @@ impl LogSink for FileLog {
         let mut inner = self.inner.lock();
         let wrote = inner
             .writer
-            .write_all(&header) // lint: allow(no-io-under-lock) -- the log mutex is the designed append serialization point; this is a buffered copy, not a syscall
-            .and_then(|()| inner.writer.write_all(payload)); // lint: allow(no-io-under-lock) -- second half of the frame; must land under the same lock as the header
+            .write_all(&header)
+            .and_then(|()| inner.writer.write_all(payload));
         if let Err(e) = wrote {
             Self::discard_partial_append(&mut inner);
             return Err(e.into());
@@ -462,7 +462,7 @@ impl LogSink for FileLog {
         self.append_locks
             .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         let mut inner = self.inner.lock();
-        // lint: allow(no-io-under-lock) -- one pre-built buffered write is the whole critical section; the lock is what makes the batch atomic
+        // One buffered write under the lock: the lock makes the batch atomic.
         if let Err(e) = inner.writer.write_all(&frame) {
             Self::discard_partial_append(&mut inner);
             return Err(e.into());
@@ -478,8 +478,8 @@ impl LogSink for FileLog {
 
     fn flush(&self) -> Result<()> {
         let mut inner = self.inner.lock();
-        inner.writer.flush()?; // lint: allow(no-io-under-lock) -- commit-boundary drain; appends must not interleave into the fsync window
-        inner.writer.get_ref().sync_data()?; // lint: allow(no-io-under-lock) -- the durability point itself; group commit amortizes it across waiters
+        inner.writer.flush()?;
+        inner.writer.get_ref().sync_data()?;
         Ok(())
     }
 
@@ -514,16 +514,16 @@ impl LogSink for FileLog {
                 .create(true)
                 .truncate(true)
                 .open(&tmp_path)?;
-            tmp.write_all(&FILE_MAGIC.to_le_bytes())?; // lint: allow(no-io-under-lock) -- checkpoint-time rewrite; appends must stay excluded while the file is replaced
-            tmp.write_all(&new_base.to_le_bytes())?; // lint: allow(no-io-under-lock) -- see above: temp-file header
+            tmp.write_all(&FILE_MAGIC.to_le_bytes())?;
+            tmp.write_all(&new_base.to_le_bytes())?;
             let mut bytes = 0u64;
             for (_, payload) in &keep {
-                tmp.write_all(&(payload.len() as u32).to_le_bytes())?; // lint: allow(no-io-under-lock) -- re-framing survivors into the temp file, still excluding appends
-                tmp.write_all(&crc32(payload).to_le_bytes())?; // lint: allow(no-io-under-lock) -- see above
-                tmp.write_all(payload)?; // lint: allow(no-io-under-lock) -- see above
+                tmp.write_all(&(payload.len() as u32).to_le_bytes())?;
+                tmp.write_all(&crc32(payload).to_le_bytes())?;
+                tmp.write_all(payload)?;
                 bytes += payload.len() as u64 + 8;
             }
-            tmp.sync_data()?; // lint: allow(no-io-under-lock) -- temp file must be durable before the rename publishes it
+            tmp.sync_data()?;
             inner.bytes = bytes;
         }
         std::fs::rename(&tmp_path, &inner.path)?;
@@ -531,7 +531,7 @@ impl LogSink for FileLog {
             .read(true)
             .write(true)
             .open(&inner.path)?;
-        file.seek(SeekFrom::End(0))?; // lint: allow(no-io-under-lock) -- repositions the writer on the renamed file before appends resume
+        file.seek(SeekFrom::End(0))?;
         inner.writer = BufWriter::new(file);
         inner.base = new_base;
         Ok(())

@@ -486,9 +486,9 @@ fn log_device_death_degrades_to_read_only() {
 /// as a loser from the log's own before-image.
 #[test]
 fn abort_whose_undo_fails_keeps_the_before_image_and_stops_writes() {
-    let cfg = |buffer_frames| EngineConfig {
+    let cfg = || EngineConfig {
         mode: EngineMode::PageOnly,
-        buffer_frames,
+        buffer_frames: 8,
         ..cfg()
     };
     let big = |key: u64, v: u64| {
@@ -499,7 +499,7 @@ fn abort_whose_undo_fails_keeps_the_before_image_and_stops_writes() {
     let inner = inner_devices("abort-undo", false);
     let state = FaultState::new(FaultPlan::default());
     let engine = Engine::with_devices(
-        cfg(8),
+        cfg(),
         Arc::new(FaultDisk::new(inner.disk.clone(), state.clone())),
         Arc::new(FaultLog::new(inner.syslog.clone(), state.clone())),
         Arc::new(FaultLog::new(inner.imrslog.clone(), state.clone())),
@@ -539,7 +539,7 @@ fn abort_whose_undo_fails_keeps_the_before_image_and_stops_writes() {
     );
 
     drop(engine);
-    let recovered = Engine::recover(cfg(64), inner.disk, inner.syslog, inner.imrslog, |e| {
+    let recovered = Engine::recover(cfg(), inner.disk, inner.syslog, inner.imrslog, |e| {
         e.create_table(opts()).map(|_| ())
     })
     .unwrap();

@@ -379,15 +379,8 @@ fn pack_does_not_leak_its_staged_copy_when_the_log_dies() {
         let died = state.log_dead();
         drop(engine);
 
-        // Recovery indexes rows while it scans their heap page, which
-        // the lock-rank witness only allows when no fetch has to evict:
-        // reboot with a cache that holds the whole filler.
-        let roomy = EngineConfig {
-            buffer_frames: 1024,
-            ..cfg()
-        };
         let recovered = Engine::recover(
-            roomy,
+            cfg(),
             inner.disk.clone(),
             inner.syslog.clone(),
             inner.imrslog.clone(),
@@ -440,6 +433,69 @@ fn power_cut_between_the_two_flushes_of_a_batch_loses_no_row() {
         let txn = engine.begin();
         for (&key, &val) in &model {
             let got = engine.get(&txn, &table, &key.to_be_bytes()).unwrap();
+            assert_eq!(got, Some(row(key, val)), "{label}: get({key})");
+        }
+        engine.commit(txn).unwrap();
+    }
+}
+
+/// A select caches a page row — a foreground move, which never flushes
+/// — and a pack batch of another partition then puts a barrier on
+/// syslogs. Unless sysimrslogs is flushed first, that barrier makes the
+/// cache move's `Delete{old}` and `Commit` durable while its arrival
+/// record is still volatile, and recovery redoes the page delete with
+/// nothing left to hold the row.
+#[test]
+fn a_pack_batch_does_not_outrun_a_cached_rows_arrival_record() {
+    for durable_commits in [true, false] {
+        let label = format!("durable_commits={durable_commits}");
+        let cfg = EngineConfig {
+            durable_commits,
+            freeze_enabled: false, // row 0 stays on its page until cached
+            ..cfg()
+        };
+        let tables = |e: &Engine| -> Result<()> {
+            // `u` first, so its partition packs first.
+            e.create_table(opts("u"))?;
+            e.create_table(opts("t")).map(|_| ())
+        };
+        let power = Power::steady();
+        let disk: Arc<dyn DiskBackend> = Arc::new(MemDisk::new());
+        let (syslog, imrslog) = (VolatileLog::new(&power), VolatileLog::new(&power));
+        let engine =
+            Engine::with_devices(cfg.clone(), disk.clone(), syslog.clone(), imrslog.clone());
+        tables(&engine).unwrap();
+        let (u, t) = (engine.table("u").unwrap(), engine.table("t").unwrap());
+        let model = insert_rows(&engine, &t).unwrap();
+        pack_all(&engine);
+        engine.checkpoint().unwrap();
+        for key in 0..64 {
+            let mut txn = engine.begin();
+            engine.insert(&mut txn, &u, &row(key, key)).unwrap();
+            engine.commit(txn).unwrap();
+        }
+        engine.run_maintenance();
+        // Cache row 0 of `t`.
+        let txn = engine.begin();
+        assert!(engine.get(&txn, &t, &0u64.to_be_bytes()).unwrap().is_some());
+        engine.commit(txn).unwrap();
+        assert_eq!(
+            engine.locate(&t, &0u64.to_be_bytes()).unwrap(),
+            Some(RowLocation::Imrs),
+            "{label}: the select cached the row"
+        );
+
+        power.cut_after_flushes.store(1, Ordering::SeqCst);
+        pack_cycle(&engine, PackLevel::Aggressive);
+        assert!(power.off.load(Ordering::SeqCst), "{label}: no flush seen");
+        drop(engine);
+
+        let engine = Engine::recover(cfg, disk, syslog.media(), imrslog.media(), tables)
+            .unwrap_or_else(|e| panic!("{label}: recovery failed: {e}"));
+        let t = engine.table("t").unwrap();
+        let txn = engine.begin();
+        for (&key, &val) in &model {
+            let got = engine.get(&txn, &t, &key.to_be_bytes()).unwrap();
             assert_eq!(got, Some(row(key, val)), "{label}: get({key})");
         }
         engine.commit(txn).unwrap();

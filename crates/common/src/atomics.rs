@@ -139,6 +139,8 @@ mod tests {
         );
     }
 
+    // The witness checks only in debug builds.
+    #[cfg(debug_assertions)]
     #[test]
     #[should_panic(expected = "declared acq-rel")]
     fn witness_rejects_weak_publish() {
@@ -150,6 +152,8 @@ mod tests {
         );
     }
 
+    // The witness checks only in debug builds.
+    #[cfg(debug_assertions)]
     #[test]
     #[should_panic(expected = "not declared")]
     fn witness_rejects_undeclared_field() {

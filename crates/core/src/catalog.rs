@@ -8,6 +8,7 @@
 //! partition is one [`Partition`] record, created with its table.
 
 use std::collections::HashMap;
+use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock};
@@ -294,6 +295,9 @@ pub struct Partition {
     /// Counters at the previous tuning window (§V.B diffs consecutive
     /// windows).
     pub last_sample: Mutex<PartitionSample>,
+    /// Pack bytes apportioned to the partition by maintenance ticks but
+    /// not yet packed: less than one full pack transaction (§VII.B).
+    pub pack_owed: AtomicU64,
 }
 
 impl Partition {
@@ -307,6 +311,7 @@ impl Partition {
             ilm: PartitionIlmState::default(),
             queues: PartitionQueues::default(),
             last_sample: Mutex::new(PartitionSample::default()),
+            pack_owed: AtomicU64::new(0),
         }
     }
 }

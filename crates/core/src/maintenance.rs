@@ -94,8 +94,18 @@ impl Engine {
             return;
         }
         let committed = sh.txns.committed_count();
-        sh.tsf
-            .observe(sh.store.utilization(), sh.clock.now(), committed);
+        // §VI.D learns how fast the IMRS fills. Pack holds utilization
+        // at the steady line every tick, so the learner reads it gross
+        // of what pack has moved out.
+        let packed: u64 = sh
+            .catalog
+            .tables()
+            .iter()
+            .flat_map(|t| &t.partitions)
+            .map(|p| p.metrics.bytes_packed.load())
+            .sum();
+        let gross = (sh.store.used_bytes() + packed) as f64 / sh.store.budget().max(1) as f64;
+        sh.tsf.observe(gross, sh.clock.now(), committed);
         sh.tuner
             .maybe_run(&sh.cfg, committed, &sh.catalog, &sh.store);
         // Pack writes both logs and the page store; a read-only engine
@@ -179,5 +189,50 @@ mod tests {
         assert_eq!(e.sh.maint.threads.lock().len(), PACK_THREADS);
         e.shutdown().unwrap();
         assert!(e.sh.maint.threads.lock().is_empty());
+    }
+
+    /// §VI.D's learner times how long the IMRS takes to grow by δ. Pack
+    /// holds utilization on the steady line, so the learner reads growth
+    /// gross of what pack moved out: Ʈ still re-learns, to about what a
+    /// learner measures from the same stream with pack idle.
+    #[test]
+    fn tsf_relearns_while_pack_holds_the_line() {
+        use crate::catalog::TableOpts;
+        use crate::config::{EngineConfig, EngineMode};
+        use crate::tsf::RELEARN_TXNS;
+        // One single-row insert per transaction, a maintenance tick
+        // every 16 of them.
+        let run = |pack_enabled: bool, rows: u64| {
+            let e = Engine::new(EngineConfig {
+                mode: EngineMode::IlmOn,
+                imrs_budget: 1 << 20,
+                imrs_chunk_size: 128 << 10,
+                buffer_frames: 1024,
+                steady_utilization: 0.60,
+                pack_enabled,
+                maintenance_interval_txns: 16,
+                ..Default::default()
+            });
+            let t = e
+                .create_table(TableOpts::new("t", Arc::new(|r: &[u8]| r[..8].to_vec())))
+                .unwrap();
+            for key in 0..rows {
+                let mut row = key.to_be_bytes().to_vec();
+                row.extend_from_slice(&[7; 96]);
+                let mut txn = e.begin();
+                e.insert(&mut txn, &t, &row).unwrap();
+                e.commit(txn).unwrap();
+            }
+            (e.sh.tsf.learn_count(), e.sh.tsf.tau(), e.snapshot())
+        };
+        let (learned, idle_tau, snap) = run(false, 400);
+        assert_eq!((learned, snap.rows_packed), (1, 0));
+        // Past RELEARN_TXNS the IMRS has sat on the line for thousands of
+        // transactions when the second learning cycle opens.
+        let (learned, tau, snap) = run(true, RELEARN_TXNS + 1_000);
+        assert!(snap.rows_packed > 0 && snap.imrs_utilization < 0.62);
+        assert_eq!(learned, 2, "Ʈ did not re-learn while pack held the line");
+        let off = (tau as f64 - idle_tau as f64).abs() / idle_tau as f64;
+        assert!(off <= 0.25, "Ʈ {tau} against {idle_tau} with pack idle");
     }
 }

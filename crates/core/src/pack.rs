@@ -10,8 +10,16 @@
 //! UI_ρ  = SUD_ρ / Σ SUD            (usefulness: re-use of resident rows)
 //! CUI_ρ = mem_ρ / Σ mem            (relative footprint)
 //! PI_ρ  = (CUI_ρ / UI_ρ) / Σ (CUI/UI)
-//! PACK_BYTES_ρ = NumBytesToPack × PI_ρ
+//! PACK_BYTES_ρ = min(NumBytesToPack × PI_ρ, mem_ρ)
 //! ```
+//!
+//! A maintenance tick sizes its cycle to the live bytes above the
+//! steady line (never more than the 5 %), so each tick packs what
+//! arrived since the last one, in whole pack transactions: a partition
+//! owes the remainder of its share to the next tick. A share is capped
+//! at what the partition holds — a zero-reuse partition's PI is ≈ 1
+//! whatever its size — and what capped or short partitions leave is
+//! re-apportioned once among the partitions that took their share.
 //!
 //! Within a partition, candidates come from the head of the relaxed
 //! LRU queues; hot rows (per the TSF, §VI.D) are rotated to the tail
@@ -125,11 +133,13 @@ pub fn level_for(util: f64, steady: f64, aggressive: f64) -> PackLevel {
     }
 }
 
-/// One pack tick: evaluate thresholds and run pack cycles while the
-/// cache sits above the steady threshold (the paper's pack threads run
-/// continuously whenever utilization exceeds it). Stops as soon as the
-/// utilization drops below the threshold or a cycle makes no progress
-/// (everything remaining is hot). Returns bytes packed.
+/// One pack tick: pack what arrived since the last tick. Each cycle is
+/// sized to the live bytes above the steady line, so the IMRS is held
+/// *at* the steady threshold — the paper's pack threads run whenever
+/// utilization exceeds it — rather than packed 5 % below it in one burst
+/// every few ticks. Only a cycle that the 5 % cap limited (far above the
+/// line) and that made progress is followed by another. Returns bytes
+/// packed.
 pub fn pack_tick(engine: &Engine) -> u64 {
     let sh = &engine.sh;
     let cfg = &sh.cfg;
@@ -137,8 +147,7 @@ pub fn pack_tick(engine: &Engine) -> u64 {
         return 0;
     }
     let mut total = 0u64;
-    // Bounded loop: each cycle targets PACK_CYCLE_FRACTION of current
-    // use, so ~32 productive cycles can drain the entire overshoot.
+    // Bounded loop: ~32 cycles of 5 % drain any overshoot.
     for _ in 0..32 {
         let util = sh.store.utilization();
         // Backpressure (§VI.A): stop storing new rows while utilization
@@ -161,17 +170,87 @@ pub fn pack_tick(engine: &Engine) -> u64 {
         if level == PackLevel::Idle {
             break;
         }
-        let freed = pack_cycle(engine, level);
+        let freed = run_cycle(engine, level, true);
         total += freed;
-        if freed == 0 {
-            break; // only hot (or locked) rows remain
+        // A cycle sized to the line is the tick's last: what it could
+        // not pack (hot or locked rows) waits for the next tick. Only a
+        // cycle capped at 5 % of use is followed by another.
+        let sized_to_line = live_util - cfg.steady_utilization <= PACK_CYCLE_FRACTION * live_util;
+        if freed == 0 || sized_to_line {
+            break;
         }
     }
     total
 }
 
-/// Execute one pack cycle at the given level. Returns bytes packed.
+/// Execute one pack cycle of `NumBytesToPack` (5 % of use) at the given
+/// level, whatever the utilization. Returns bytes packed.
 pub fn pack_cycle(engine: &Engine, level: PackLevel) -> u64 {
+    run_cycle(engine, level, false)
+}
+
+/// One partition's part in a pack cycle.
+struct Share {
+    p: Arc<Partition>,
+    ui: f64,
+    cui: f64,
+    /// Packability index: the partition's fraction of the cycle.
+    pi: f64,
+    /// IMRS bytes the partition held when the cycle started.
+    resident: u64,
+    /// Bytes of one full pack transaction of the partition's rows; a
+    /// share is packed in whole ones and the rest owed (0: no carry).
+    batch: u64,
+    /// Bytes owed: carried in from earlier ticks, then what this cycle
+    /// leaves for the next.
+    owed: u64,
+    /// Bytes offered (after the residency cap), over both passes.
+    target: u64,
+    packed: u64,
+    scanned: bool,
+    /// Took its first-pass share in full: takes part in the second.
+    met: bool,
+}
+
+impl Share {
+    /// Offer the partition `bytes` more of the cycle, apportioned by
+    /// fraction `pi`, capped at what it still holds. Partitions offered
+    /// a negligible fraction (the hot ones, by construction of PI) are
+    /// not even scanned. What it owes is packed in whole transactions;
+    /// a remainder waits for the next tick. Returns whether the
+    /// partition took the whole offer: not capped, and not short if
+    /// scanned.
+    fn offer(&mut self, engine: &Engine, level: PackLevel, bytes: u64, pi: f64) -> bool {
+        let target = bytes.min(self.resident.saturating_sub(self.packed + self.owed));
+        self.target += target;
+        if target == 0 || pi < 0.01 {
+            return target == bytes;
+        }
+        self.owed += target;
+        let whole = self.owed - self.owed % self.batch.max(1);
+        if whole == 0 {
+            return target == bytes;
+        }
+        self.scanned = true;
+        let freed = pack_partition(engine, &self.p, whole, level);
+        self.packed += freed;
+        // Short: only hot or locked rows were left; the debt lapses and
+        // its bytes, still over the line, are apportioned afresh.
+        let short = freed < whole;
+        self.owed = if short {
+            0
+        } else {
+            self.owed.saturating_sub(freed)
+        };
+        target == bytes && !short
+    }
+}
+
+/// One pack cycle. A tick's cycle (`to_steady`) packs at most the live
+/// bytes over the steady line that no partition owes yet, and at the
+/// steady level carries shares smaller than one pack transaction to
+/// the next tick. Returns bytes packed.
+fn run_cycle(engine: &Engine, level: PackLevel, to_steady: bool) -> u64 {
     let sh = &engine.sh;
     // Pack is pure data movement; on a read-only engine it must not
     // start. Beyond the (gated) log appends, even dirtying heap pages
@@ -183,62 +262,68 @@ pub fn pack_cycle(engine: &Engine, level: PackLevel) -> u64 {
     let cfg = &sh.cfg;
     let util = sh.store.utilization();
     let used = sh.store.used_bytes();
-    let num_bytes_to_pack = (used as f64 * PACK_CYCLE_FRACTION) as u64;
-    if num_bytes_to_pack == 0 {
-        return 0;
-    }
+    let carry = to_steady && level == PackLevel::Steady;
 
     // In partition-id order: the shares, their sum and the clock ticks
     // each partition's pack consumes must not depend on map order.
-    let usage: Vec<(Arc<Partition>, u64)> = sh
+    let usage: Vec<(Arc<Partition>, u64, u64)> = sh
         .store
         .all_usage()
         .into_iter()
-        .filter_map(|(p, bytes, _rows)| Some((sh.catalog.partition(p)?, bytes)))
+        .filter_map(|(p, bytes, rows)| Some((sh.catalog.partition(p)?, bytes, rows)))
         .collect();
-    if usage.is_empty() {
-        return 0;
-    }
-    let total_mem: u64 = usage.iter().map(|(_, b)| *b).sum();
+    let total_mem: u64 = usage.iter().map(|(_, b, _)| *b).sum();
     if total_mem == 0 {
         return 0;
     }
-    // Per-partition apportioning inputs `(partition, ui, cui, pi)`; the
-    // uniform strawman has no UI/CUI notion and reports them as 0.
-    let shares: Vec<(Arc<Partition>, f64, f64, f64)> = match cfg.pack_policy {
+    let share = |p: Arc<Partition>, resident, rows: u64, ui, cui, pi| Share {
+        batch: match carry {
+            true => PACK_TXN_ROWS as u64 * resident / rows.max(1),
+            false => 0,
+        },
+        owed: match to_steady {
+            true => p.pack_owed.load(Ordering::Relaxed),
+            false => 0,
+        },
+        p,
+        ui,
+        cui,
+        pi,
+        resident,
+        target: 0,
+        packed: 0,
+        scanned: false,
+        met: false,
+    };
+    // Per-partition apportioning inputs; the uniform strawman has no
+    // UI/CUI notion and reports them as 0.
+    let mut shares: Vec<Share> = match cfg.pack_policy {
         crate::config::PackPolicy::Partitioned => {
             // ---- Apportioning: UI, CUI, PI (§VI.C) ------------------
-            let reuse: Vec<(Arc<Partition>, u64, u64)> = usage
-                .into_iter()
-                .map(|(p, bytes)| {
-                    let r = p.metrics.reuse_ops();
-                    (p, bytes, r)
-                })
-                .collect();
-            let total_reuse: u64 = reuse.iter().map(|(_, _, r)| *r).sum();
+            let reuse: Vec<u64> = usage.iter().map(|(p, ..)| p.metrics.reuse_ops()).collect();
+            let total_reuse: u64 = reuse.iter().sum();
             // ratio_ρ = CUI/UI; with an epsilon so zero-reuse partitions
             // get a large (but finite) packability.
             const EPS: f64 = 1e-6;
-            let ratios: Vec<(Arc<Partition>, f64, f64, f64)> = reuse
-                .into_iter()
-                .map(|(p, bytes, r)| {
+            let mut ratios: Vec<Share> = std::iter::zip(usage, reuse)
+                .map(|((p, bytes, rows), r)| {
                     let cui = bytes as f64 / total_mem as f64;
                     let ui = if total_reuse == 0 {
                         EPS
                     } else {
                         (r as f64 / total_reuse as f64).max(EPS)
                     };
-                    (p, ui, cui, cui / ui)
+                    share(p, bytes, rows, ui, cui, cui / ui)
                 })
                 .collect();
-            let ratio_sum: f64 = ratios.iter().map(|(_, _, _, r)| r).sum();
+            let ratio_sum: f64 = ratios.iter().map(|s| s.pi).sum();
             if ratio_sum <= 0.0 {
                 return 0;
             }
+            for s in &mut ratios {
+                s.pi /= ratio_sum;
+            }
             ratios
-                .into_iter()
-                .map(|(p, ui, cui, ratio)| (p, ui, cui, ratio / ratio_sum))
-                .collect()
         }
         crate::config::PackPolicy::UniformNaive => {
             // The strawman: every active partition gets an equal slice
@@ -246,60 +331,75 @@ pub fn pack_cycle(engine: &Engine, level: PackLevel) -> u64 {
             let n = usage.len() as f64;
             usage
                 .into_iter()
-                .map(|(p, _)| (p, 0.0, 0.0, 1.0 / n))
+                .map(|(p, bytes, rows)| share(p, bytes, rows, 0.0, 0.0, 1.0 / n))
                 .collect()
         }
     };
 
+    let owed_in: u64 = shares.iter().map(|s| s.owed).sum();
+    let steady_line = (cfg.steady_utilization * sh.store.budget() as f64) as u64;
+    let over_steady_bytes = used.saturating_sub(steady_line + owed_in);
+    let mut num_bytes_to_pack = (used as f64 * PACK_CYCLE_FRACTION) as u64;
+    if to_steady {
+        num_bytes_to_pack = num_bytes_to_pack.min(over_steady_bytes);
+    }
+    if num_bytes_to_pack == 0 {
+        return 0;
+    }
     let tracing = sh.obs.trace.is_enabled();
-    let mut part_traces: Vec<PackPartitionTrace> = Vec::new();
-    let mut total_packed = 0u64;
-    for (p, ui, cui, pi) in shares {
-        let target = (num_bytes_to_pack as f64 * pi) as u64;
-        // Partitions apportioned a negligible share of this cycle (the
-        // hot ones, by construction of PI) are not even scanned.
-        if target == 0 || pi < 0.01 {
-            if tracing {
-                part_traces.push(PackPartitionTrace {
-                    partition: p.id.0 as u64,
-                    ui,
-                    cui,
-                    pi,
-                    target_bytes: target,
-                    bytes_packed: 0,
-                    rows_skipped_hot: 0,
-                    tsf_bypassed: false,
-                    scanned: false,
-                });
-            }
-            continue;
-        }
-        // Sample before/after so the trace carries exactly this
-        // partition's slice of the cycle.
-        let before = tracing.then(|| p.metrics.sample());
-        let freed = pack_partition(engine, &p, target, level);
-        total_packed += freed;
-        if let Some(before) = before {
-            let after = p.metrics.sample();
-            let d = after.delta_since(&before);
-            // Mirror of pack_partition's TSF applicability input
-            // (§VI.D.2): a low re-use rate bypasses the recency filter.
-            let reuse_rate = before.reuse_ops() as f64 / before.rows_in.max(1) as f64;
-            part_traces.push(PackPartitionTrace {
-                partition: p.id.0 as u64,
-                ui,
-                cui,
-                pi,
-                target_bytes: target,
-                bytes_packed: freed,
-                rows_skipped_hot: d.rows_skipped_hot,
-                tsf_bypassed: reuse_rate < cfg.low_reuse_threshold,
-                scanned: true,
-            });
+    // Sample before/after so the trace carries exactly each partition's
+    // slice of the cycle.
+    let before: Vec<_> = match tracing {
+        true => shares
+            .iter()
+            .map(|s| (s.owed, s.p.metrics.sample()))
+            .collect(),
+        false => Vec::new(),
+    };
+    for s in &mut shares {
+        let bytes = (num_bytes_to_pack as f64 * s.pi) as u64;
+        s.met = s.offer(engine, level, bytes, s.pi);
+    }
+    // What the capped and the short partitions left goes, once and by
+    // PI, to the partitions that took their share. A share is taken when
+    // packed or owed; a short partition's lapsed debt is left over too.
+    let taken: u64 = shares.iter().map(|s| s.packed + s.owed).sum();
+    let leftover = (num_bytes_to_pack + owed_in).saturating_sub(taken);
+    let met_pi: f64 = shares.iter().filter(|s| s.met).map(|s| s.pi).sum();
+    if leftover > 0 && met_pi > 0.0 {
+        for s in shares.iter_mut().filter(|s| s.met) {
+            let pi = s.pi / met_pi;
+            s.offer(engine, level, (leftover as f64 * pi) as u64, pi);
         }
     }
+    if to_steady {
+        for s in &shares {
+            s.p.pack_owed.store(s.owed, Ordering::Relaxed);
+        }
+    }
+    let total_packed: u64 = shares.iter().map(|s| s.packed).sum();
     let cycle = sh.pack.cycles.fetch_add(1, Ordering::Relaxed) + 1;
     if tracing {
+        let partitions = std::iter::zip(&shares, &before)
+            .map(|(s, (owed_in, before))| {
+                let d = s.p.metrics.sample().delta_since(before);
+                // Mirror of pack_partition's TSF applicability input
+                // (§VI.D.2): a low re-use rate bypasses the recency filter.
+                let reuse_rate = before.reuse_ops() as f64 / before.rows_in.max(1) as f64;
+                PackPartitionTrace {
+                    partition: s.p.id.0 as u64,
+                    ui: s.ui,
+                    cui: s.cui,
+                    pi: s.pi,
+                    owed_bytes: *owed_in,
+                    target_bytes: s.target,
+                    bytes_packed: s.packed,
+                    rows_skipped_hot: if s.scanned { d.rows_skipped_hot } else { 0 },
+                    tsf_bypassed: s.scanned && reuse_rate < cfg.low_reuse_threshold,
+                    scanned: s.scanned,
+                }
+            })
+            .collect();
         sh.obs.trace.push(IlmTraceEvent::Pack(PackCycleTrace {
             cycle,
             level: match level {
@@ -308,9 +408,10 @@ pub fn pack_cycle(engine: &Engine, level: PackLevel) -> u64 {
                 PackLevel::Aggressive => "aggressive",
             },
             utilization: util,
+            over_steady_bytes,
             num_bytes_to_pack,
             bytes_packed: total_packed,
-            partitions: part_traces,
+            partitions,
         }));
     }
     sh.obs.record_since(OpClass::PackCycle, timer);

@@ -329,6 +329,21 @@ impl EngineSnapshot {
             self.bytes_packed as f64 / (1024.0 * 1024.0),
             self.tsf_tau,
         ));
+        let last_pack = self.ilm_trace.iter().rev().find_map(|e| match e {
+            IlmTraceEvent::Pack(p) => Some(p),
+            _ => None,
+        });
+        if let Some(p) = last_pack {
+            out.push_str(&format!(
+                "pack: last cycle {} ({})   over steady {:.1} KiB → to pack {:.1} KiB   \
+                 packed {:.1} KiB\n",
+                p.cycle,
+                p.level,
+                p.over_steady_bytes as f64 / 1024.0,
+                p.num_bytes_to_pack as f64 / 1024.0,
+                p.bytes_packed as f64 / 1024.0,
+            ));
+        }
         if self.frozen_extents > 0 || self.rows_frozen > 0 {
             out.push_str(&format!(
                 "freeze: extents {} rows {} thawed {}   {:.1} KiB raw → {:.1} KiB \

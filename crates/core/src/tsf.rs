@@ -11,7 +11,9 @@
 //! Ʈ = (t₁ − t₀) × steady / δ
 //! ```
 //!
-//! and the system re-learns periodically to follow the workload.
+//! and the system re-learns periodically to follow the workload. Pack
+//! holds utilization on the steady line, so the engine feeds the learner
+//! utilization gross of the bytes pack has moved out.
 //!
 //! Partition awareness: partitions whose reuse rate is very low skip
 //! the filter entirely — their rows are packed regardless of recency,

@@ -255,6 +255,69 @@ fn pack_trace_bytes_sum_to_bytes_packed() {
     assert!(traced_total > 0, "workload must actually pack bytes");
 }
 
+/// A maintenance tick sizes its pack cycle to the steady line: every
+/// tick-driven cycle packs `min(5 % of live bytes, over_steady_bytes)`,
+/// the live bytes being the line, that overshoot and what partitions
+/// already owed; and `render_report` shows the last cycle's sizing.
+#[test]
+fn tick_cycles_are_sized_to_the_steady_line() {
+    let e = Engine::new(EngineConfig {
+        mode: EngineMode::IlmOn,
+        imrs_budget: 1024 * 1024,
+        imrs_chunk_size: 128 * 1024,
+        buffer_frames: 2048,
+        steady_utilization: 0.60,
+        maintenance_interval_txns: u64::MAX / 2,
+        obs_trace_capacity: 1 << 16,
+        ..Default::default()
+    });
+    let hot = e.create_table(opts("hot")).unwrap();
+    let log = e.create_table(opts("log")).unwrap();
+    // Far above the line: the first tick's cycles are capped at 5 %.
+    let mut txn = e.begin();
+    for i in 0..8_000u64 {
+        e.insert(&mut txn, &hot, &mkrow(i, &[0xAA; 96])).unwrap();
+    }
+    e.commit(txn).unwrap();
+    for tick in 0..60u64 {
+        let mut txn = e.begin();
+        for i in 0..96 {
+            e.insert(&mut txn, &log, &mkrow(tick * 96 + i, &[0xBB; 96]))
+                .unwrap();
+        }
+        for i in 0..64u64 {
+            let _ = e.get(&txn, &hot, &(7_000 + i).to_be_bytes()).unwrap();
+        }
+        e.commit(txn).unwrap();
+        e.run_maintenance();
+    }
+
+    let snap = e.snapshot();
+    assert_eq!(e.obs().trace.dropped(), 0);
+    let line = (0.60 * snap.imrs_budget as f64) as u64;
+    let (mut capped, mut to_line) = (0, 0);
+    for ev in e.obs().trace.events() {
+        let IlmTraceEvent::Pack(p) = ev else { continue };
+        let owed: u64 = p.partitions.iter().map(|s| s.owed_bytes).sum();
+        let five_pct = ((line + p.over_steady_bytes + owed) as f64 * 0.05) as u64;
+        assert_eq!(
+            p.num_bytes_to_pack,
+            five_pct.min(p.over_steady_bytes),
+            "cycle {}",
+            p.cycle
+        );
+        match five_pct < p.over_steady_bytes {
+            true => capped += 1,
+            false => to_line += 1,
+        }
+    }
+    assert!(
+        capped > 0 && to_line > 20,
+        "{capped} capped, {to_line} to the line"
+    );
+    assert!(snap.render_report().contains("over steady"));
+}
+
 /// Engine-wide activity and pack totals are the sums of the
 /// per-partition counters of the same snapshot — exactly, while clients
 /// and maintenance run, because there is one counter per fact and a

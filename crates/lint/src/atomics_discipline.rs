@@ -326,6 +326,7 @@ pub const ATOMIC_FIELDS: &[(&str, &str, u8, &str)] = &[
     ("crates/core/src/pack.rs", "cycles", P_RELAXED, "counter"),
     ("crates/core/src/pack.rs", "pack_txn_commits", P_RELAXED, "counter"),
     ("crates/core/src/pack.rs", "next_internal", P_RELAXED, "id allocator"),
+    ("crates/core/src/catalog.rs", "pack_owed", P_RELAXED, "advisory pack carry"),
     ("crates/core/src/gc.rs", "processed", P_RELAXED, "counter"),
     ("crates/core/src/gc.rs", "bytes_freed", P_RELAXED, "counter"),
     ("crates/core/src/gc.rs", "rows_removed", P_RELAXED, "counter"),

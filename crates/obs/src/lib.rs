@@ -320,6 +320,9 @@ pub struct PackPartitionTrace {
     pub cui: f64,
     /// Packability index — this partition's share of the cycle.
     pub pi: f64,
+    /// Bytes earlier ticks apportioned to the partition and it still
+    /// owed when the cycle started (less than one pack transaction).
+    pub owed_bytes: u64,
     /// Byte target apportioned to the partition.
     pub target_bytes: u64,
     /// Bytes actually packed out.
@@ -343,6 +346,10 @@ pub struct PackCycleTrace {
     pub level: &'static str,
     /// IMRS utilization when the cycle started.
     pub utilization: f64,
+    /// Live IMRS bytes above the steady line when the cycle started,
+    /// less what partitions already owe (Σ `owed_bytes`): a maintenance
+    /// tick's cycle packs `min(5 % of use, this)`.
+    pub over_steady_bytes: u64,
     /// `NumBytesToPack` for the cycle.
     pub num_bytes_to_pack: u64,
     /// Bytes actually packed across all partitions.
@@ -524,7 +531,7 @@ impl IlmTraceEvent {
                         format!(
                             concat!(
                                 "{{\"partition\":{},\"ui\":{},\"cui\":{},\"pi\":{},",
-                                "\"target_bytes\":{},\"bytes_packed\":{},",
+                                "\"owed_bytes\":{},\"target_bytes\":{},\"bytes_packed\":{},",
                                 "\"rows_skipped_hot\":{},\"tsf_bypassed\":{},",
                                 "\"scanned\":{}}}"
                             ),
@@ -532,6 +539,7 @@ impl IlmTraceEvent {
                             json::num(s.ui),
                             json::num(s.cui),
                             json::num(s.pi),
+                            s.owed_bytes,
                             s.target_bytes,
                             s.bytes_packed,
                             s.rows_skipped_hot,
@@ -543,12 +551,14 @@ impl IlmTraceEvent {
                 format!(
                     concat!(
                         "{{\"kind\":\"pack\",\"cycle\":{},\"level\":\"{}\",",
-                        "\"utilization\":{},\"num_bytes_to_pack\":{},",
-                        "\"bytes_packed\":{},\"partitions\":[{}]}}"
+                        "\"utilization\":{},\"over_steady_bytes\":{},",
+                        "\"num_bytes_to_pack\":{},\"bytes_packed\":{},",
+                        "\"partitions\":[{}]}}"
                     ),
                     p.cycle,
                     p.level,
                     json::num(p.utilization),
+                    p.over_steady_bytes,
                     p.num_bytes_to_pack,
                     p.bytes_packed,
                     parts.join(","),
@@ -656,6 +666,7 @@ mod tests {
             cycle: 1,
             level: "steady",
             utilization: 0.5,
+            over_steady_bytes: 0,
             num_bytes_to_pack: 10,
             bytes_packed: 0,
             partitions: vec![],
@@ -702,6 +713,7 @@ mod tests {
             cycle: 9,
             level: "aggressive",
             utilization: 0.91,
+            over_steady_bytes: 2_200_000,
             num_bytes_to_pack: 65536,
             bytes_packed: 60000,
             partitions: vec![PackPartitionTrace {
@@ -709,6 +721,7 @@ mod tests {
                 ui: 0.25,
                 cui: 0.75,
                 pi: 0.9,
+                owed_bytes: 1_200,
                 target_bytes: 58982,
                 bytes_packed: 60000,
                 rows_skipped_hot: 3,
@@ -753,6 +766,7 @@ mod tests {
             votes: 2,
             votes_needed: 2,
         });
+        assert!(pack.to_json().contains("\"over_steady_bytes\":2200000,"));
         for ev in [tuner, pack, ckpt, freeze, arbiter] {
             let js = ev.to_json();
             json::validate(&js).unwrap_or_else(|e| panic!("{e}: {js}"));

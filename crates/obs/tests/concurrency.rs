@@ -70,6 +70,7 @@ fn stamped_event(thread: u64, seq: u64) -> IlmTraceEvent {
         cycle: stamp,
         level: "steady",
         utilization: stamp as f64,
+        over_steady_bytes: stamp,
         num_bytes_to_pack: stamp,
         bytes_packed: stamp,
         partitions: vec![PackPartitionTrace {
@@ -77,6 +78,7 @@ fn stamped_event(thread: u64, seq: u64) -> IlmTraceEvent {
             ui: stamp as f64,
             cui: stamp as f64,
             pi: stamp as f64,
+            owed_bytes: stamp,
             target_bytes: stamp,
             bytes_packed: stamp,
             rows_skipped_hot: stamp,
@@ -91,6 +93,7 @@ fn assert_untorn(ev: &IlmTraceEvent) -> u64 {
         panic!("unexpected event kind");
     };
     let stamp = p.cycle;
+    assert_eq!(p.over_steady_bytes, stamp, "torn event");
     assert_eq!(p.num_bytes_to_pack, stamp, "torn event");
     assert_eq!(p.bytes_packed, stamp, "torn event");
     assert_eq!(p.utilization, stamp as f64, "torn event");

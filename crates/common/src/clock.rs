@@ -27,22 +27,17 @@
 //! [`tick`](LogicalClock::tick) remains for callers with nothing to
 //! stamp between the two steps.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
-use crate::atomics::AtomicOp;
+use crate::atomics::AcqRel;
 use crate::ids::Timestamp;
-
-/// This file's key in the shared atomics-discipline table.
-const CLOCK_FILE: &str = "crates/common/src/clock.rs";
 
 /// A shared, monotonically increasing logical clock.
 #[derive(Debug, Default)]
 pub struct LogicalClock {
     /// Highest timestamp handed out by [`reserve`](Self::reserve).
-    allocated: AtomicU64,
+    allocated: AcqRel<u64>,
     /// Highest timestamp visible to [`now`](Self::now). Invariant:
     /// `published ≤ allocated`, except transiently inside `advance_to`.
-    published: AtomicU64,
+    published: AcqRel<u64>,
 }
 
 impl LogicalClock {
@@ -55,8 +50,8 @@ impl LogicalClock {
     /// resume past the highest recovered commit timestamp).
     pub fn starting_at(ts: Timestamp) -> Self {
         LogicalClock {
-            allocated: AtomicU64::new(ts.0),
-            published: AtomicU64::new(ts.0),
+            allocated: AcqRel::new(ts.0),
+            published: AcqRel::new(ts.0),
         }
     }
 
@@ -65,8 +60,7 @@ impl LogicalClock {
     /// ≤ the returned value has finished stamping its versions.
     #[inline]
     pub fn now(&self) -> Timestamp {
-        crate::atomics::witness(CLOCK_FILE, "published", AtomicOp::Load, Ordering::Acquire);
-        Timestamp(self.published.load(Ordering::Acquire))
+        Timestamp(self.published.load())
     }
 
     /// Allocate the next commit timestamp without making it visible to
@@ -75,8 +69,7 @@ impl LogicalClock {
     /// between the two — stamping is memory-only).
     #[inline]
     pub fn reserve(&self) -> Timestamp {
-        crate::atomics::witness(CLOCK_FILE, "allocated", AtomicOp::Rmw, Ordering::AcqRel);
-        Timestamp(self.allocated.fetch_add(1, Ordering::AcqRel) + 1)
+        Timestamp(self.allocated.fetch_add(1) + 1)
     }
 
     /// Make a reserved timestamp visible. Publishes in timestamp order:
@@ -85,19 +78,13 @@ impl LogicalClock {
     #[inline]
     pub fn publish(&self, ts: Timestamp) {
         debug_assert!(
-            ts.0 <= self.allocated.load(Ordering::Acquire),
+            ts.0 <= self.allocated.load(),
             "publish({}) beyond allocated {}",
             ts.0,
-            self.allocated.load(Ordering::Acquire)
+            self.allocated.load()
         );
-        crate::atomics::witness(CLOCK_FILE, "published", AtomicOp::Rmw, Ordering::AcqRel);
         loop {
-            match self.published.compare_exchange_weak(
-                ts.0 - 1,
-                ts.0,
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            ) {
+            match self.published.compare_exchange(ts.0 - 1, ts.0) {
                 Ok(_) => return,
                 Err(cur) => {
                     if cur >= ts.0 {
@@ -123,8 +110,8 @@ impl LogicalClock {
     /// Ensure the clock is at least `ts` (recovery replay; no concurrent
     /// reservations are in flight during recovery).
     pub fn advance_to(&self, ts: Timestamp) {
-        self.allocated.fetch_max(ts.0, Ordering::AcqRel);
-        self.published.fetch_max(ts.0, Ordering::AcqRel);
+        self.allocated.fetch_max(ts.0);
+        self.published.fetch_max(ts.0);
     }
 }
 

@@ -11,7 +11,9 @@
 //! `bench_all`'s `common.sharded_counter_inc_ns` probe times the
 //! sharded increment.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::LazyLock;
+
+use crate::atomics::Relaxed;
 
 /// Number of shards. A power of two a little above typical core counts;
 /// 64 shards * 64 B = 4 KiB per counter, acceptable for the per-partition
@@ -21,7 +23,7 @@ pub const SHARDS: usize = 64;
 /// One cache line worth of counter.
 #[repr(align(64))]
 #[derive(Default)]
-struct PaddedAtomic(AtomicU64);
+struct PaddedAtomic(Relaxed<u64>);
 
 /// A monotonically increasing (or signed-delta) counter sharded across
 /// cache lines.
@@ -40,11 +42,12 @@ impl Default for ShardedCounter {
     }
 }
 
-static NEXT_THREAD_SLOT: AtomicUsize = AtomicUsize::new(0);
+/// Hands each thread its shard once (only uniqueness mod `SHARDS`
+/// matters, not order).
+static NEXT_THREAD_SLOT: LazyLock<Relaxed<usize>> = LazyLock::new(Relaxed::default);
 
 thread_local! {
-    static THREAD_SLOT: usize =
-        NEXT_THREAD_SLOT.fetch_add(1, Ordering::Relaxed) % SHARDS;
+    static THREAD_SLOT: usize = NEXT_THREAD_SLOT.fetch_add(1) % SHARDS;
 }
 
 #[inline]
@@ -70,7 +73,7 @@ impl ShardedCounter {
     /// Add `n` on the calling thread's shard.
     #[inline]
     pub fn add(&self, n: u64) {
-        self.shards[my_slot()].0.fetch_add(n, Ordering::Relaxed);
+        self.shards[my_slot()].0.fetch_add(n);
     }
 
     /// Increment by one.
@@ -84,21 +87,21 @@ impl ShardedCounter {
     /// is correct as long as logical adds >= subs.
     #[inline]
     pub fn sub(&self, n: u64) {
-        self.shards[my_slot()].0.fetch_sub(n, Ordering::Relaxed);
+        self.shards[my_slot()].0.fetch_sub(n);
     }
 
     /// Aggregate the current value across all shards.
     pub fn load(&self) -> u64 {
         self.shards
             .iter()
-            .fold(0u64, |acc, s| acc.wrapping_add(s.0.load(Ordering::Relaxed)))
+            .fold(0u64, |acc, s| acc.wrapping_add(s.0.load()))
     }
 
     /// Reset every shard to zero. Only used by tests and experiment
     /// harness resets; concurrent adds during reset may survive.
     pub fn reset(&self) {
         for s in self.shards.iter() {
-            s.0.store(0, Ordering::Relaxed);
+            s.0.store(0);
         }
     }
 }

@@ -16,7 +16,7 @@
 //! taken mid-record may see the count without the sum or vice versa,
 //! which only perturbs the reported mean by one sample.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use crate::atomics::Relaxed;
 
 /// Sub-bucket precision: each octave is split into `2^SUB_BITS` buckets.
 pub const SUB_BITS: u32 = 4;
@@ -63,10 +63,10 @@ pub fn bucket_upper_bound(index: usize) -> u64 {
 /// nanoseconds). Boxed bucket storage keeps the struct cheap to embed
 /// behind an `Arc` without blowing up the owner's size.
 pub struct LatencyHistogram {
-    buckets: Box<[AtomicU64; BUCKETS]>,
-    count: AtomicU64,
-    sum: AtomicU64,
-    max: AtomicU64,
+    buckets: Box<[Relaxed<u64>; BUCKETS]>,
+    count: Relaxed<u64>,
+    sum: Relaxed<u64>,
+    max: Relaxed<u64>,
 }
 
 impl Default for LatencyHistogram {
@@ -77,72 +77,65 @@ impl Default for LatencyHistogram {
 
 impl LatencyHistogram {
     pub fn new() -> Self {
-        // `AtomicU64` is not Copy, so build the array through a Vec.
-        let v: Vec<AtomicU64> = (0..BUCKETS).map(|_| AtomicU64::new(0)).collect();
-        let buckets: Box<[AtomicU64; BUCKETS]> = v.into_boxed_slice().try_into().ok().unwrap();
+        // An atomic is not Copy, so build the array through a Vec.
+        let v: Vec<Relaxed<u64>> = (0..BUCKETS).map(|_| Relaxed::new(0)).collect();
+        let buckets: Box<[Relaxed<u64>; BUCKETS]> = v.into_boxed_slice().try_into().ok().unwrap();
         Self {
             buckets,
-            count: AtomicU64::new(0),
-            sum: AtomicU64::new(0),
-            max: AtomicU64::new(0),
+            count: Relaxed::new(0),
+            sum: Relaxed::new(0),
+            max: Relaxed::new(0),
         }
     }
 
     /// Record one value. Three relaxed adds and a relaxed fetch-max.
     #[inline]
     pub fn record(&self, value: u64) {
-        self.buckets[bucket_index(value)].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(value, Ordering::Relaxed);
-        self.max.fetch_max(value, Ordering::Relaxed);
+        self.buckets[bucket_index(value)].fetch_add(1);
+        self.count.fetch_add(1);
+        self.sum.fetch_add(value);
+        self.max.fetch_max(value);
     }
 
     /// Total number of recorded values.
     pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
+        self.count.load()
     }
 
     /// Add every bucket of `other` into `self`. Concurrent records into
     /// either side during the merge are counted at most once, never lost.
     pub fn merge_from(&self, other: &LatencyHistogram) {
         for i in 0..BUCKETS {
-            let n = other.buckets[i].load(Ordering::Relaxed);
+            let n = other.buckets[i].load();
             if n != 0 {
-                self.buckets[i].fetch_add(n, Ordering::Relaxed);
+                self.buckets[i].fetch_add(n);
             }
         }
-        self.count
-            .fetch_add(other.count.load(Ordering::Relaxed), Ordering::Relaxed);
-        self.sum
-            .fetch_add(other.sum.load(Ordering::Relaxed), Ordering::Relaxed);
-        self.max
-            .fetch_max(other.max.load(Ordering::Relaxed), Ordering::Relaxed);
+        self.count.fetch_add(other.count.load());
+        self.sum.fetch_add(other.sum.load());
+        self.max.fetch_max(other.max.load());
     }
 
     /// Reset all buckets to zero. Not atomic with respect to concurrent
     /// records; intended for quiesced use (tests, epoch boundaries).
     pub fn reset(&self) {
         for bucket in self.buckets.iter() {
-            bucket.store(0, Ordering::Relaxed);
+            bucket.store(0);
         }
-        self.count.store(0, Ordering::Relaxed);
-        self.sum.store(0, Ordering::Relaxed);
-        self.max.store(0, Ordering::Relaxed);
+        self.count.store(0);
+        self.sum.store(0);
+        self.max.store(0);
     }
 
     /// Take a point-in-time copy of the bucket table for offline
     /// analysis (quantiles, summaries, JSON export).
     pub fn snapshot(&self) -> HistogramSnapshot {
-        let buckets: Vec<u64> = self
-            .buckets
-            .iter()
-            .map(|bucket| bucket.load(Ordering::Relaxed))
-            .collect();
+        let buckets: Vec<u64> = self.buckets.iter().map(|bucket| bucket.load()).collect();
         HistogramSnapshot {
             buckets,
-            count: self.count.load(Ordering::Relaxed),
-            sum: self.sum.load(Ordering::Relaxed),
-            max: self.max.load(Ordering::Relaxed),
+            count: self.count.load(),
+            sum: self.sum.load(),
+            max: self.max.load(),
         }
     }
 

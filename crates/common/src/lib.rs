@@ -10,9 +10,18 @@
 //! the observability primitives — lock-free log-scale latency histograms
 //! ([`hist`]) and a bounded trace ring ([`ring`]) — that `btrim-obs`
 //! builds its per-operation-class registry and ILM decision trace on.
+//! Every cross-thread atomic is one of the three ordering wrappers in
+//! [`atomics`].
 
 #![forbid(unsafe_code)]
+// A raw std atomic is an error here: each field takes the wrapper of
+// its protocol from `atomics` (the std types are listed in clippy.toml).
+#![deny(clippy::disallowed_types)]
 
+#[expect(
+    clippy::disallowed_types,
+    reason = "the one module that names the std atomics: it wraps each in the orderings its protocol allows"
+)]
 pub mod atomics;
 pub mod clock;
 pub mod codec;

@@ -6,17 +6,22 @@
 //! tool: pushes are rare, and the lock guarantees events are never torn
 //! or interleaved (satellite: the 8-thread hammer test in `btrim-obs`).
 //! When the ring is full the oldest event is dropped and counted, so a
-//! reader can always tell whether the window it sees is complete.
+//! reader can always tell whether the window it sees is complete. The
+//! counters live under the same lock as the events, so
+//! [`recent`](TraceRing::recent) reads all three at one instant.
 
 use parking_lot::Mutex;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 pub struct TraceRing<T> {
-    inner: Mutex<VecDeque<T>>,
+    inner: Mutex<Ring<T>>,
     capacity: usize,
-    pushed: AtomicU64,
-    dropped: AtomicU64,
+}
+
+struct Ring<T> {
+    events: VecDeque<T>,
+    pushed: u64,
+    dropped: u64,
 }
 
 impl<T: Clone> TraceRing<T> {
@@ -24,10 +29,12 @@ impl<T: Clone> TraceRing<T> {
     /// and are not counted as drops.
     pub fn new(capacity: usize) -> Self {
         Self {
-            inner: Mutex::new(VecDeque::with_capacity(capacity.min(4096))),
+            inner: Mutex::new(Ring {
+                events: VecDeque::with_capacity(capacity.min(4096)),
+                pushed: 0,
+                dropped: 0,
+            }),
             capacity,
-            pushed: AtomicU64::new(0),
-            dropped: AtomicU64::new(0),
         }
     }
 
@@ -43,50 +50,47 @@ impl<T: Clone> TraceRing<T> {
         if self.capacity == 0 {
             return;
         }
-        let mut q = self.inner.lock();
-        if q.len() == self.capacity {
-            q.pop_front();
-            self.dropped.fetch_add(1, Ordering::Relaxed);
+        let mut r = self.inner.lock();
+        if r.events.len() == self.capacity {
+            r.events.pop_front();
+            r.dropped += 1;
         }
-        q.push_back(event);
-        self.pushed.fetch_add(1, Ordering::Relaxed);
+        r.events.push_back(event);
+        r.pushed += 1;
     }
 
     /// Number of events ever pushed (including ones since evicted).
     pub fn pushed(&self) -> u64 {
-        self.pushed.load(Ordering::Relaxed)
+        self.inner.lock().pushed
     }
 
     /// Number of events evicted to make room. Zero means `events()`
     /// returns the complete history.
     pub fn dropped(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
+        self.inner.lock().dropped
     }
 
     pub fn len(&self) -> usize {
-        self.inner.lock().len()
+        self.inner.lock().events.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.inner.lock().is_empty()
+        self.inner.lock().events.is_empty()
     }
 
     /// Copy out the retained events, oldest first.
     pub fn events(&self) -> Vec<T> {
-        self.inner.lock().iter().cloned().collect()
+        self.inner.lock().events.iter().cloned().collect()
     }
 
-    /// Copy out up to the `n` most recent events, oldest first.
-    pub fn recent(&self, n: usize) -> Vec<T> {
-        let q = self.inner.lock();
-        let skip = q.len().saturating_sub(n);
-        q.iter().skip(skip).cloned().collect()
-    }
-
-    /// Drop all retained events; the pushed/dropped counters keep their
-    /// lifetime totals.
-    pub fn clear(&self) {
-        self.inner.lock().clear();
+    /// Copy out up to the `n` most recent events, oldest first, with the
+    /// [`pushed`](Self::pushed) and [`dropped`](Self::dropped) counts
+    /// taken in the same critical section, so the three agree.
+    pub fn recent(&self, n: usize) -> (Vec<T>, u64, u64) {
+        let r = self.inner.lock();
+        let skip = r.events.len().saturating_sub(n);
+        let events = r.events.iter().skip(skip).cloned().collect();
+        (events, r.pushed, r.dropped)
     }
 }
 
@@ -122,7 +126,7 @@ mod tests {
         for i in 0..6u32 {
             r.push(i);
         }
-        assert_eq!(r.recent(3), vec![3, 4, 5]);
-        assert_eq!(r.recent(100), vec![0, 1, 2, 3, 4, 5]);
+        assert_eq!(r.recent(3), (vec![3, 4, 5], 6, 0));
+        assert_eq!(r.recent(100).0, vec![0, 1, 2, 3, 4, 5]);
     }
 }

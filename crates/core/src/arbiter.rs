@@ -43,11 +43,11 @@
 //! [`ArbiterTrace`] carrying the exact inputs the verdict read; the
 //! `arbiter_scenario` consistency test replays them against this rule.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 
+use btrim_common::atomics::{AcqRel, Relaxed};
 use btrim_imrs::ImrsStore;
 use btrim_obs::{ArbiterAction, ArbiterTrace, IlmTraceEvent, Obs, OpClass};
 use btrim_pagestore::{BufferCache, PAGE_SIZE};
@@ -120,11 +120,11 @@ struct WindowState {
 /// The memory arbiter. One per engine, driven from maintenance.
 pub struct MemoryArbiter {
     window: Mutex<WindowState>,
-    last_window_at: AtomicU64,
-    windows_run: AtomicU64,
-    shifts_applied: AtomicU64,
-    bytes_to_imrs: AtomicU64,
-    bytes_to_buffer: AtomicU64,
+    last_window_at: AcqRel<u64>,
+    windows_run: Relaxed<u64>,
+    shifts_applied: Relaxed<u64>,
+    bytes_to_imrs: Relaxed<u64>,
+    bytes_to_buffer: Relaxed<u64>,
     obs: Arc<Obs>,
 }
 
@@ -132,33 +132,33 @@ impl MemoryArbiter {
     pub fn with_obs(obs: Arc<Obs>) -> Self {
         MemoryArbiter {
             window: Mutex::with_rank(parking_lot::lock_rank::MEM_ARBITER, WindowState::default()),
-            last_window_at: AtomicU64::new(0),
-            windows_run: AtomicU64::new(0),
-            shifts_applied: AtomicU64::new(0),
-            bytes_to_imrs: AtomicU64::new(0),
-            bytes_to_buffer: AtomicU64::new(0),
+            last_window_at: AcqRel::new(0),
+            windows_run: Relaxed::new(0),
+            shifts_applied: Relaxed::new(0),
+            bytes_to_imrs: Relaxed::new(0),
+            bytes_to_buffer: Relaxed::new(0),
             obs,
         }
     }
 
     /// Arbiter windows executed so far.
     pub fn windows_run(&self) -> u64 {
-        self.windows_run.load(Ordering::Relaxed)
+        self.windows_run.load()
     }
 
     /// Budget shifts actually applied (vote windows excluded).
     pub fn shifts_applied(&self) -> u64 {
-        self.shifts_applied.load(Ordering::Relaxed)
+        self.shifts_applied.load()
     }
 
     /// Total bytes moved into the IMRS over the engine's lifetime.
     pub fn bytes_to_imrs(&self) -> u64 {
-        self.bytes_to_imrs.load(Ordering::Relaxed)
+        self.bytes_to_imrs.load()
     }
 
     /// Total bytes moved into the buffer cache.
     pub fn bytes_to_buffer(&self) -> u64 {
-        self.bytes_to_buffer.load(Ordering::Relaxed)
+        self.bytes_to_buffer.load()
     }
 
     /// Run a window if one is due at `committed_txns`. Returns whether
@@ -172,19 +172,19 @@ impl MemoryArbiter {
         store: &ImrsStore,
         cache: &BufferCache,
     ) -> bool {
-        let last = self.last_window_at.load(Ordering::Relaxed);
+        let last = self.last_window_at.load();
         if committed_txns.saturating_sub(last) < WINDOW_TXNS {
             return false;
         }
         if self
             .last_window_at
-            .compare_exchange(last, committed_txns, Ordering::AcqRel, Ordering::Relaxed)
+            .compare_exchange(last, committed_txns)
             .is_err()
         {
             return false; // another thread claimed this window
         }
         let timer = self.obs.start();
-        let window = self.windows_run.load(Ordering::Relaxed) + 1;
+        let window = self.windows_run.load() + 1;
 
         // One coherent read of every input the verdict will cite. Page
         // ops on IMRS-enabled partitions are rows ILM would keep
@@ -314,27 +314,25 @@ impl MemoryArbiter {
                                 as usize,
                         );
                         store.set_budget(imrs_bytes + v.shift_bytes);
-                        self.bytes_to_imrs
-                            .fetch_add(v.shift_bytes, Ordering::Relaxed);
+                        self.bytes_to_imrs.fetch_add(v.shift_bytes);
                     }
                     ArbiterAction::ShiftToBuffer => {
                         store.set_budget(imrs_bytes.saturating_sub(v.shift_bytes));
                         cache.set_capacity(
                             ((buffer_bytes + v.shift_bytes) / PAGE_SIZE as u64) as usize,
                         );
-                        self.bytes_to_buffer
-                            .fetch_add(v.shift_bytes, Ordering::Relaxed);
+                        self.bytes_to_buffer.fetch_add(v.shift_bytes);
                     }
                     _ => {}
                 }
-                self.shifts_applied.fetch_add(1, Ordering::Relaxed);
+                self.shifts_applied.fetch_add(1);
             }
             v.imrs_bytes_after = store.budget();
             v.buffer_frames_after = cache.capacity() as u64;
             self.obs.trace.push(IlmTraceEvent::Arbiter(v));
         }
 
-        self.windows_run.fetch_add(1, Ordering::Relaxed);
+        self.windows_run.fetch_add(1);
         self.obs.record_since(OpClass::TuningWindow, timer);
         true
     }

@@ -8,11 +8,11 @@
 //! partition is one [`Partition`] record, created with its table.
 
 use std::collections::HashMap;
-use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock};
 
+use btrim_common::atomics::Relaxed;
 use btrim_common::{BtrimError, PartitionId, Result, TableId};
 use btrim_index::{BTreeIndex, HashIndex};
 use btrim_pagestore::{BufferCache, HeapFile};
@@ -297,7 +297,7 @@ pub struct Partition {
     pub last_sample: Mutex<PartitionSample>,
     /// Pack bytes apportioned to the partition by maintenance ticks but
     /// not yet packed: less than one full pack transaction (§VII.B).
-    pub pack_owed: AtomicU64,
+    pub pack_owed: Relaxed<u64>,
 }
 
 impl Partition {
@@ -311,7 +311,7 @@ impl Partition {
             ilm: PartitionIlmState::default(),
             queues: PartitionQueues::default(),
             last_sample: Mutex::new(PartitionSample::default()),
-            pack_owed: AtomicU64::new(0),
+            pack_owed: Relaxed::new(0),
         }
     }
 }

@@ -3,10 +3,10 @@
 //! gate, and its counters.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use parking_lot::Mutex;
 
+use btrim_common::atomics::Relaxed;
 use btrim_common::{Lsn, Result, TxnId};
 use btrim_obs::{CheckpointTrace, IlmTraceEvent, OpClass};
 use btrim_wal::{LogWriter, PageLogRecord};
@@ -24,10 +24,10 @@ pub(crate) struct Checkpointer {
     /// never held while the maintenance gate is, and vice versa.
     gate: Mutex<()>,
     /// Lifetime checkpoint count (trace ordinals).
-    ordinal: AtomicU64,
+    ordinal: Relaxed<u64>,
     /// Highest LSN ever handed to `truncate_prefix` — the delta per
     /// checkpoint is the number of records that truncation recycled.
-    last_truncate_upto: AtomicU64,
+    last_truncate_upto: Relaxed<u64>,
     /// First syslogs LSN of every transaction currently alive on the
     /// page log (Begin appended, Commit/Abort not yet). The checkpoint
     /// reads the minimum as its low-water truncation mark.
@@ -38,8 +38,8 @@ impl Checkpointer {
     pub fn new() -> Self {
         Checkpointer {
             gate: Mutex::with_rank(parking_lot::lock_rank::ENGINE_STATE, ()),
-            ordinal: AtomicU64::new(0),
-            last_truncate_upto: AtomicU64::new(0),
+            ordinal: Relaxed::new(0),
+            last_truncate_upto: Relaxed::new(0),
             txn_floor: Mutex::with_rank(parking_lot::lock_rank::TXN_LOG_FLOOR, HashMap::new()),
         }
     }
@@ -141,10 +141,10 @@ impl Engine {
             if floor.0 > 1 {
                 let upto = floor.0 - 1;
                 sh.syslog.sink().truncate_prefix(Lsn(upto))?;
-                let prev = ck.last_truncate_upto.fetch_max(upto, Ordering::Relaxed);
+                let prev = ck.last_truncate_upto.fetch_max(upto);
                 truncated_records = upto.saturating_sub(prev);
             }
-            let ordinal = ck.ordinal.fetch_add(1, Ordering::Relaxed);
+            let ordinal = ck.ordinal.fetch_add(1);
             sh.obs
                 .trace
                 .push(IlmTraceEvent::Checkpoint(CheckpointTrace {

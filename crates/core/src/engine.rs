@@ -14,11 +14,11 @@
 //! Everything that is not DML has its own owner: [`crate::health`],
 //! [`crate::checkpoint`], `crate::maintenance`, [`crate::recovery`].
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 
+use btrim_common::atomics::SeqCst;
 use btrim_common::{BtrimError, LogicalClock, PageId, Result, RowId, SlotId, Timestamp, TxnId};
 use btrim_imrs::{ImrsStore, RidMap, RowLocation, RowOrigin, VersionOp};
 use btrim_obs::{Obs, OpClass};
@@ -67,9 +67,9 @@ pub(crate) struct Shared {
     pub group_imrs: btrim_wal::GroupCommitter,
     /// Foreground moves (cache, migrate, thaw) logged so far; they
     /// never flush (see [`Shared::count_foreground_move`]).
-    moves_logged: AtomicU64,
+    moves_logged: SeqCst<u64>,
     /// How many of those a completed sysimrslogs barrier has covered.
-    moves_durable: AtomicU64,
+    moves_durable: SeqCst<u64>,
     pub tsf: TsfLearner,
     pub gc: GcRegistry,
     pub tuner: Tuner,
@@ -122,16 +122,16 @@ impl Shared {
     /// appended and before its syslogs `Commit` is, so a committer that
     /// can see the `Commit` can also see that sysimrslogs owes a barrier.
     pub fn count_foreground_move(&self) {
-        self.moves_logged.fetch_add(1, Ordering::SeqCst);
+        self.moves_logged.fetch_add(1);
     }
 
     /// A committer's sysimrslogs barrier (group commit: concurrent
     /// committers share device syncs). Every foreground move logged
     /// before it began is durable once it returns.
     pub fn flush_imrs(&self) -> Result<()> {
-        let covers = self.moves_logged.load(Ordering::SeqCst);
+        let covers = self.moves_logged.load();
         self.group_imrs.commit_flush()?;
-        self.moves_durable.fetch_max(covers, Ordering::SeqCst);
+        self.moves_durable.fetch_max(covers);
         Ok(())
     }
 
@@ -139,7 +139,7 @@ impl Shared {
     /// volatile: a syslogs barrier now could make the move's verdict
     /// durable ahead of its arrival record.
     pub fn move_halves_volatile(&self) -> bool {
-        self.moves_durable.load(Ordering::SeqCst) < self.moves_logged.load(Ordering::SeqCst)
+        self.moves_durable.load() < self.moves_logged.load()
     }
 
     /// Append a committing transaction's staged records to the IMRS log
@@ -294,8 +294,8 @@ impl Engine {
                 .with_histograms(hook(OpClass::WalAppend), hook(OpClass::WalFsync)),
             group_sys,
             group_imrs,
-            moves_logged: AtomicU64::new(0),
-            moves_durable: AtomicU64::new(0),
+            moves_logged: SeqCst::new(0),
+            moves_durable: SeqCst::new(0),
             tsf,
             gc: GcRegistry::new(),
             tuner: Tuner::with_obs(Arc::clone(&obs)),
@@ -866,7 +866,7 @@ impl Engine {
                     return Ok(None);
                 };
                 if self.move_row(table, partition, (row_id, from), To::Page, false)? {
-                    sh.freeze.rows_thawed.fetch_add(1, Ordering::Relaxed);
+                    sh.freeze.rows_thawed.fetch_add(1);
                 }
                 let Some(RowLocation::Page(page, slot)) = sh.ridmap.get(row_id) else {
                     return Ok(None); // the extent slot was already dead

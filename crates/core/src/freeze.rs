@@ -24,8 +24,7 @@
 //! extent → page), after which the ordinary page-path MVCC machinery
 //! takes over.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
+use btrim_common::atomics::Relaxed;
 use btrim_common::RowId;
 use btrim_imrs::RowLocation;
 use btrim_obs::{FreezeTrace, IlmTraceEvent};
@@ -44,20 +43,20 @@ pub const OPAQUE_COLUMN: &str = "__row";
 #[derive(Default)]
 pub struct FreezeStats {
     /// Extents built and installed.
-    pub extents_frozen: AtomicU64,
+    pub extents_frozen: Relaxed<u64>,
     /// Rows frozen into extents.
-    pub rows_frozen: AtomicU64,
+    pub rows_frozen: Relaxed<u64>,
     /// Raw bytes of the row images that were frozen.
-    pub raw_bytes: AtomicU64,
+    pub raw_bytes: Relaxed<u64>,
     /// Encoded (compressed) bytes of the installed extents.
-    pub encoded_bytes: AtomicU64,
+    pub encoded_bytes: Relaxed<u64>,
     /// Frozen rows moved back to slotted pages by updates/deletes.
-    pub rows_thawed: AtomicU64,
+    pub rows_thawed: Relaxed<u64>,
     /// Candidates skipped because their row lock was held.
-    pub rows_skipped_hot: AtomicU64,
+    pub rows_skipped_hot: Relaxed<u64>,
     /// Candidates skipped because they carry snapshot history newer
     /// than the horizon.
-    pub rows_skipped_recent: AtomicU64,
+    pub rows_skipped_recent: Relaxed<u64>,
 }
 
 impl FreezeStats {
@@ -193,26 +192,16 @@ pub fn freeze_partition(engine: &Engine, table: &TableDesc, partition: &Partitio
         sh.health.note_storage_error("freeze", &e);
         Moved::default()
     });
-    sh.freeze
-        .rows_skipped_hot
-        .fetch_add(moved.contended, Ordering::Relaxed);
-    sh.freeze
-        .rows_skipped_recent
-        .fetch_add(moved.gated, Ordering::Relaxed);
+    sh.freeze.rows_skipped_hot.fetch_add(moved.contended);
+    sh.freeze.rows_skipped_recent.fetch_add(moved.gated);
     let Some(ext) = moved.extent else {
         return 0;
     };
 
-    sh.freeze.extents_frozen.fetch_add(1, Ordering::Relaxed);
-    sh.freeze
-        .rows_frozen
-        .fetch_add(moved.rows, Ordering::Relaxed);
-    sh.freeze
-        .raw_bytes
-        .fetch_add(ext.raw_len(), Ordering::Relaxed);
-    sh.freeze
-        .encoded_bytes
-        .fetch_add(ext.encoded_len(), Ordering::Relaxed);
+    sh.freeze.extents_frozen.fetch_add(1);
+    sh.freeze.rows_frozen.fetch_add(moved.rows);
+    sh.freeze.raw_bytes.fetch_add(ext.raw_len());
+    sh.freeze.encoded_bytes.fetch_add(ext.encoded_len());
     if sh.obs.trace.is_enabled() {
         sh.obs.trace.push(IlmTraceEvent::Freeze(FreezeTrace {
             extent: ext.id() as u64,

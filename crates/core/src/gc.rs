@@ -10,11 +10,11 @@
 //! in a transaction's execution path.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 
+use btrim_common::atomics::Relaxed;
 use btrim_common::{PartitionId, RowId, Timestamp};
 use btrim_imrs::{ImrsStore, RidMap};
 
@@ -37,9 +37,9 @@ pub struct GcReport {
 #[derive(Default)]
 pub struct GcRegistry {
     pending: Mutex<VecDeque<RowId>>,
-    processed: AtomicU64,
-    bytes_freed: AtomicU64,
-    rows_removed: AtomicU64,
+    processed: Relaxed<u64>,
+    bytes_freed: Relaxed<u64>,
+    rows_removed: Relaxed<u64>,
 }
 
 impl GcRegistry {
@@ -66,17 +66,17 @@ impl GcRegistry {
 
     /// Lifetime rows visited.
     pub fn processed(&self) -> u64 {
-        self.processed.load(Ordering::Relaxed)
+        self.processed.load()
     }
 
     /// Lifetime bytes reclaimed from version chains.
     pub fn bytes_freed(&self) -> u64 {
-        self.bytes_freed.load(Ordering::Relaxed)
+        self.bytes_freed.load()
     }
 
     /// Lifetime rows fully removed.
     pub fn rows_removed(&self) -> u64 {
-        self.rows_removed.load(Ordering::Relaxed)
+        self.rows_removed.load()
     }
 
     /// Process up to `limit` registered rows. `partition` resolves a
@@ -133,12 +133,9 @@ impl GcRegistry {
                 report.rows_removed += 1;
             }
         }
-        self.processed
-            .fetch_add(report.processed, Ordering::Relaxed);
-        self.bytes_freed
-            .fetch_add(report.bytes_freed, Ordering::Relaxed);
-        self.rows_removed
-            .fetch_add(report.rows_removed, Ordering::Relaxed);
+        self.processed.fetch_add(report.processed);
+        self.bytes_freed.fetch_add(report.bytes_freed);
+        self.rows_removed.fetch_add(report.rows_removed);
         report
     }
 }

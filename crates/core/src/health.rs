@@ -1,9 +1,8 @@
 //! Engine health: the storage-error escalation and the write stop.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
 use parking_lot::RwLock;
 
+use btrim_common::atomics::Relaxed;
 use btrim_common::{BtrimError, Result};
 
 /// Consecutive storage errors after which the engine reports
@@ -67,17 +66,17 @@ pub(crate) struct Health {
     state: RwLock<HealthState>,
     /// Storage errors since the last success; drives the
     /// Healthy → Degraded → ReadOnly escalation.
-    consecutive_errors: AtomicU64,
+    consecutive_errors: Relaxed<u64>,
     /// Lifetime storage errors observed outside the buffer cache.
-    storage_errors: AtomicU64,
+    storage_errors: Relaxed<u64>,
 }
 
 impl Health {
     pub fn new() -> Self {
         Health {
             state: RwLock::new(HealthState::Healthy),
-            consecutive_errors: AtomicU64::new(0),
-            storage_errors: AtomicU64::new(0),
+            consecutive_errors: Relaxed::new(0),
+            storage_errors: Relaxed::new(0),
         }
     }
 
@@ -88,7 +87,7 @@ impl Health {
 
     /// Lifetime storage errors (log appends, flushes, pack, checkpoint).
     pub fn storage_errors(&self) -> u64 {
-        self.storage_errors.load(Ordering::Relaxed)
+        self.storage_errors.load()
     }
 
     /// Fail fast when the engine no longer accepts writes.
@@ -104,7 +103,7 @@ impl Health {
     /// unrecoverable), an abort that could not put a before-image back.
     /// Count the error, stop writing immediately, hand the error back.
     pub fn fail_stop<T>(&self, what: &str, e: BtrimError) -> Result<T> {
-        self.storage_errors.fetch_add(1, Ordering::Relaxed);
+        self.storage_errors.fetch_add(1);
         let mut h = self.state.write();
         if h.writable() {
             *h = HealthState::ReadOnly {
@@ -121,8 +120,8 @@ impl Health {
         if !matches!(e, BtrimError::Io(_) | BtrimError::ChecksumMismatch(_)) {
             return;
         }
-        self.storage_errors.fetch_add(1, Ordering::Relaxed);
-        let n = self.consecutive_errors.fetch_add(1, Ordering::Relaxed) + 1;
+        self.storage_errors.fetch_add(1);
+        let n = self.consecutive_errors.fetch_add(1) + 1;
         let mut h = self.state.write();
         match &*h {
             HealthState::ReadOnly { .. } => {}
@@ -152,7 +151,7 @@ impl Health {
     /// Record a storage success: clears the consecutive-error counter
     /// and recovers Degraded → Healthy. ReadOnly is sticky.
     fn note_storage_ok(&self) {
-        if self.consecutive_errors.swap(0, Ordering::Relaxed) > 0 {
+        if self.consecutive_errors.swap(0) > 0 {
             let mut h = self.state.write();
             if matches!(*h, HealthState::Degraded { .. }) {
                 *h = HealthState::Healthy;

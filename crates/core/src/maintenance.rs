@@ -2,11 +2,11 @@
 //! pack and freeze run — inline every `maintenance_interval_txns`
 //! commits (fully deterministic, the default) or on background threads.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 
+use btrim_common::atomics::Relaxed;
 use btrim_common::Result;
 use btrim_obs::OpClass;
 
@@ -20,12 +20,12 @@ const PACK_THREADS: usize = 2;
 pub(crate) struct Maintenance {
     gate: Mutex<()>,
     /// Committed-transaction count at the last inline pass.
-    last_run: AtomicU64,
+    last_run: Relaxed<u64>,
     /// Set while background threads are running (they exit when it
     /// clears); disables the inline (commit-path) hook so client
     /// transactions never pay for pack/GC work, as in the paper's
     /// deployment.
-    background: AtomicBool,
+    background: Relaxed<bool>,
     threads: Mutex<Vec<std::thread::JoinHandle<()>>>,
 }
 
@@ -33,8 +33,8 @@ impl Maintenance {
     pub fn new() -> Self {
         Maintenance {
             gate: Mutex::with_rank(parking_lot::lock_rank::ENGINE_STATE, ()),
-            last_run: AtomicU64::new(0),
-            background: AtomicBool::new(false),
+            last_run: Relaxed::new(0),
+            background: Relaxed::new(false),
             threads: Mutex::new(Vec::new()),
         }
     }
@@ -44,16 +44,16 @@ impl Engine {
     /// Run one maintenance pass if due (inline deterministic mode).
     pub(crate) fn maybe_maintenance(&self) {
         let m = &self.sh.maint;
-        if m.background.load(Ordering::Relaxed) {
+        if m.background.load() {
             return; // background threads own maintenance
         }
         let committed = self.sh.txns.committed_count();
-        let last = m.last_run.load(Ordering::Relaxed);
+        let last = m.last_run.load();
         if committed.saturating_sub(last) < self.sh.cfg.maintenance_interval_txns {
             return;
         }
         if let Some(_gate) = m.gate.try_lock() {
-            m.last_run.store(committed, Ordering::Relaxed);
+            m.last_run.store(committed);
             self.run_maintenance();
         }
     }
@@ -130,7 +130,7 @@ impl Engine {
         if !threads.is_empty() {
             return;
         }
-        m.background.store(true, Ordering::Relaxed);
+        m.background.store(true);
         for i in 0..PACK_THREADS {
             let engine = Engine {
                 sh: Arc::clone(&self.sh),
@@ -143,7 +143,7 @@ impl Engine {
             let handle = std::thread::Builder::new()
                 .name(format!("btrim-maint-{i}"))
                 .spawn(move || {
-                    while engine.sh.maint.background.load(Ordering::Relaxed) {
+                    while engine.sh.maint.background.load() {
                         engine.run_maintenance();
                         // Back off when storage is misbehaving: hammering
                         // a failing device from the maintenance loop only
@@ -168,7 +168,7 @@ impl Engine {
             // Under the lock, so a concurrent spawn cannot re-arm the
             // flag between the store and the joins.
             let mut threads = m.threads.lock();
-            m.background.store(false, Ordering::Relaxed);
+            m.background.store(false);
             for t in threads.drain(..) {
                 let _ = t.join();
             }

@@ -204,13 +204,13 @@ mod tests {
     #[test]
     fn sample_is_internally_consistent_under_concurrency() {
         let m = Arc::new(PartitionMetrics::default());
-        let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let stop = Arc::new(btrim_common::atomics::Relaxed::new(false));
         std::thread::scope(|s| {
             for _ in 0..4 {
                 let m = Arc::clone(&m);
                 let stop = Arc::clone(&stop);
                 s.spawn(move || {
-                    while !stop.load(std::sync::atomic::Ordering::Relaxed) {
+                    while !stop.load() {
                         // One logical "IMRS op" touches several
                         // counters — the mix a torn read would split.
                         m.imrs_select.inc();
@@ -231,7 +231,7 @@ mod tests {
                 assert!(s.imrs_ops() >= prev.imrs_ops());
                 prev = s;
             }
-            stop.store(true, std::sync::atomic::Ordering::Relaxed);
+            stop.store(true);
         });
     }
 }

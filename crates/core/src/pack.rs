@@ -30,9 +30,9 @@
 //! Rows are moved in small pack transactions that take conditional row
 //! locks and commit frequently (§VII.B).
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
+use btrim_common::atomics::Relaxed;
 use btrim_common::{RowId, TxnId};
 use btrim_imrs::RowLocation;
 use btrim_obs::{IlmTraceEvent, OpClass, PackCycleTrace, PackPartitionTrace};
@@ -65,12 +65,12 @@ pub enum PackLevel {
 /// packed or skipped are counted per partition (`PartitionMetrics`);
 /// the engine-wide figures are their sums.
 pub struct PackState {
-    reject_new: AtomicBool,
-    cycles: AtomicU64,
-    pack_txn_commits: AtomicU64,
+    reject_new: Relaxed<bool>,
+    cycles: Relaxed<u64>,
+    pack_txn_commits: Relaxed<u64>,
     /// Internal ids for pack/mover pseudo-transactions (top bit set so
     /// they never collide with client transactions).
-    next_internal: AtomicU64,
+    next_internal: Relaxed<u64>,
 }
 
 impl Default for PackState {
@@ -83,32 +83,32 @@ impl PackState {
     /// Fresh state.
     pub fn new() -> Self {
         PackState {
-            reject_new: AtomicBool::new(false),
-            cycles: AtomicU64::new(0),
-            pack_txn_commits: AtomicU64::new(0),
-            next_internal: AtomicU64::new(1),
+            reject_new: Relaxed::new(false),
+            cycles: Relaxed::new(0),
+            pack_txn_commits: Relaxed::new(0),
+            next_internal: Relaxed::new(1),
         }
     }
 
     /// Whether the engine should stop placing new rows in the IMRS.
     pub fn reject_new(&self) -> bool {
-        self.reject_new.load(Ordering::Relaxed)
+        self.reject_new.load()
     }
 
     /// Pack cycles completed.
     pub fn cycles(&self) -> u64 {
-        self.cycles.load(Ordering::Relaxed)
+        self.cycles.load()
     }
 
     /// Pack transactions committed.
     pub fn pack_txn_commits(&self) -> u64 {
-        self.pack_txn_commits.load(Ordering::Relaxed)
+        self.pack_txn_commits.load()
     }
 
     /// Allocate an internal pseudo-transaction id (lock owner for pack
     /// and opportunistic caching).
     pub(crate) fn internal_txn_id(&self) -> TxnId {
-        TxnId((1 << 63) | self.next_internal.fetch_add(1, Ordering::Relaxed))
+        TxnId((1 << 63) | self.next_internal.fetch_add(1))
     }
 
     /// Raise the internal-id counter above `counter_floor` (the counter
@@ -118,7 +118,7 @@ impl PackState {
     /// discard verdict apply to a fresh pack transaction's records.
     pub(crate) fn bump_internal_floor(&self, counter_floor: u64) {
         self.next_internal
-            .fetch_max(counter_floor.saturating_add(1), Ordering::Relaxed);
+            .fetch_max(counter_floor.saturating_add(1));
     }
 }
 
@@ -156,7 +156,7 @@ pub fn pack_tick(engine: &Engine) -> u64 {
         // straggling snapshot reader pins is still memory.
         sh.pack
             .reject_new
-            .store(util >= cfg.reject_new_utilization(), Ordering::Relaxed);
+            .store(util >= cfg.reject_new_utilization());
         // The drain level, by contrast, is gauged on *live* bytes only —
         // quarantined chains are already packed/freed and waiting out
         // the snapshot horizon; packing cannot shrink them, so counting
@@ -282,7 +282,7 @@ fn run_cycle(engine: &Engine, level: PackLevel, to_steady: bool) -> u64 {
             false => 0,
         },
         owed: match to_steady {
-            true => p.pack_owed.load(Ordering::Relaxed),
+            true => p.pack_owed.load(),
             false => 0,
         },
         p,
@@ -374,11 +374,11 @@ fn run_cycle(engine: &Engine, level: PackLevel, to_steady: bool) -> u64 {
     }
     if to_steady {
         for s in &shares {
-            s.p.pack_owed.store(s.owed, Ordering::Relaxed);
+            s.p.pack_owed.store(s.owed);
         }
     }
     let total_packed: u64 = shares.iter().map(|s| s.packed).sum();
-    let cycle = sh.pack.cycles.fetch_add(1, Ordering::Relaxed) + 1;
+    let cycle = sh.pack.cycles.fetch_add(1) + 1;
     if tracing {
         let partitions = std::iter::zip(&shares, &before)
             .map(|(s, (owed_in, before))| {
@@ -540,7 +540,7 @@ fn pack_rows(
     if moved.rows > 0 {
         partition.metrics.rows_packed.add(moved.rows);
         partition.metrics.bytes_packed.add(moved.bytes);
-        sh.pack.pack_txn_commits.fetch_add(1, Ordering::Relaxed);
+        sh.pack.pack_txn_commits.fetch_add(1);
     }
     moved.bytes
 }

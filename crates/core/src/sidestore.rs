@@ -49,8 +49,8 @@
 //! below the WAL.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 
+use btrim_common::atomics::{AcqRel, Relaxed};
 use btrim_common::{RowId, Timestamp, TxnId};
 use btrim_imrs::{RidMap, RowLocation};
 use parking_lot::{lock_rank, RwLock};
@@ -67,7 +67,7 @@ struct SideEntry {
     /// Writing transaction.
     txn: TxnId,
     /// Commit timestamp; 0 = writer still uncommitted (reads as +∞).
-    ts: AtomicU64,
+    ts: AcqRel<u64>,
     /// Row image before the change; `None` = row absent at that time.
     before: Option<Vec<u8>>,
     /// True when the change was a row delete (the row's RID-Map entry
@@ -82,7 +82,7 @@ impl SideEntry {
 
     /// Effective commit timestamp for visibility (pending = +∞).
     fn effective_ts(&self) -> u64 {
-        match self.ts.load(Ordering::Acquire) {
+        match self.ts.load() {
             0 => u64::MAX,
             t => t,
         }
@@ -90,11 +90,7 @@ impl SideEntry {
 
     /// Whether this is `txn`'s own still-unstamped entry.
     fn pending_of(&self, txn: TxnId) -> bool {
-        // lint: allow(atomics-ordering) -- pending(0)→stamped is only
-        // ever written by the owning txn's thread, and every caller is
-        // that thread (commit stamping, abort), so 0-vs-stamped needs no
-        // cross-thread ordering.
-        self.txn == txn && self.ts.load(Ordering::Relaxed) == 0
+        self.txn == txn && self.ts.load() == 0
     }
 }
 
@@ -114,8 +110,8 @@ type Shard = HashMap<RowId, Vec<SideEntry>>;
 /// The sharded before-image store. One per engine, in `Shared`.
 pub(crate) struct SideStore {
     shards: Vec<RwLock<Shard>>,
-    bytes: AtomicU64,
-    entries: AtomicU64,
+    bytes: Relaxed<u64>,
+    entries: Relaxed<u64>,
 }
 
 impl SideStore {
@@ -124,8 +120,8 @@ impl SideStore {
             shards: (0..SHARDS)
                 .map(|_| RwLock::with_rank(lock_rank::SIDE_STORE, HashMap::new()))
                 .collect(),
-            bytes: AtomicU64::new(0),
-            entries: AtomicU64::new(0),
+            bytes: Relaxed::new(0),
+            entries: Relaxed::new(0),
         }
     }
 
@@ -141,7 +137,7 @@ impl SideStore {
             row,
             SideEntry {
                 txn,
-                ts: AtomicU64::new(0),
+                ts: AcqRel::new(0),
                 before,
                 tombstone,
             },
@@ -162,7 +158,7 @@ impl SideStore {
             row,
             SideEntry {
                 txn,
-                ts: AtomicU64::new(ts.0),
+                ts: AcqRel::new(ts.0),
                 before,
                 tombstone: false,
             },
@@ -170,8 +166,8 @@ impl SideStore {
     }
 
     fn push(&self, row: RowId, entry: SideEntry) {
-        self.bytes.fetch_add(entry.bytes(), Ordering::Relaxed);
-        self.entries.fetch_add(1, Ordering::Relaxed);
+        self.bytes.fetch_add(entry.bytes());
+        self.entries.fetch_add(1);
         self.shard(row).write().entry(row).or_default().push(entry);
     }
 
@@ -183,7 +179,7 @@ impl SideStore {
         let shard = self.shard(row).read();
         for e in shard.get(&row).into_iter().flatten() {
             if e.pending_of(txn) {
-                e.ts.store(ts.0, Ordering::Release);
+                e.ts.store(ts.0);
             }
         }
     }
@@ -206,8 +202,8 @@ impl SideStore {
         };
         if let Some(i) = list.iter().rposition(|e| e.pending_of(txn)) {
             let e = list.remove(i);
-            self.bytes.fetch_sub(e.bytes(), Ordering::Relaxed);
-            self.entries.fetch_sub(1, Ordering::Relaxed);
+            self.bytes.fetch_sub(e.bytes());
+            self.entries.fetch_sub(1);
         }
         if list.is_empty() {
             shard.remove(&row);
@@ -274,10 +270,7 @@ impl SideStore {
             let mut shard = shard.write();
             shard.retain(|&row, list| {
                 list.retain(|e| {
-                    // lint: allow(atomics-ordering) -- the shard write lock
-                    // held here orders us after any stamp() that ran under
-                    // the same lock, so the Release stamp is visible.
-                    let ts = e.ts.load(Ordering::Relaxed);
+                    let ts = e.ts.load();
                     let drop = ts != 0 && ts <= horizon.0;
                     if drop {
                         dropped += 1;
@@ -297,8 +290,8 @@ impl SideStore {
                 !list.is_empty()
             });
         }
-        self.bytes.fetch_sub(freed, Ordering::Relaxed);
-        self.entries.fetch_sub(dropped as u64, Ordering::Relaxed);
+        self.bytes.fetch_sub(freed);
+        self.entries.fetch_sub(dropped as u64);
         (dropped, freed)
     }
 
@@ -321,12 +314,12 @@ impl SideStore {
 
     /// Payload + overhead bytes currently stashed.
     pub(crate) fn bytes(&self) -> u64 {
-        self.bytes.load(Ordering::Relaxed)
+        self.bytes.load()
     }
 
     /// Number of stashed entries.
     pub(crate) fn entries(&self) -> u64 {
-        self.entries.load(Ordering::Relaxed)
+        self.entries.load()
     }
 }
 

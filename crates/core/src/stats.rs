@@ -182,10 +182,12 @@ pub struct EngineSnapshot {
     /// Most recent ILM decision-trace events (tuner verdicts and pack
     /// cycles), oldest first. Capped at 256 per snapshot.
     pub ilm_trace: Vec<IlmTraceEvent>,
-    /// Lifetime trace events pushed (including evicted ones).
+    /// Lifetime trace events pushed (including evicted ones), read in
+    /// the same ring acquisition as `ilm_trace`.
     pub ilm_trace_pushed: u64,
-    /// Trace events evicted from the ring; non-zero means `ilm_trace`
-    /// is an incomplete history.
+    /// Trace events evicted from the ring. The ring retains
+    /// `ilm_trace_pushed - ilm_trace_dropped` events; `ilm_trace` shows
+    /// the newest of them.
     pub ilm_trace_dropped: u64,
 }
 
@@ -244,6 +246,7 @@ impl EngineSnapshot {
         let total = |f: fn(&PartitionSnapshot) -> u64| -> u64 {
             tables.iter().flat_map(|t| &t.partitions).map(f).sum()
         };
+        let (ilm_trace, ilm_trace_pushed, ilm_trace_dropped) = sh.obs.trace.recent(256);
         EngineSnapshot {
             committed_txns: sh.txns.committed_count(),
             aborted_txns: sh.txns.aborted_count(),
@@ -263,14 +266,8 @@ impl EngineSnapshot {
             bytes_packed: total(|p| p.bytes_packed),
             rows_skipped_hot: total(|p| p.rows_skipped_hot),
             frozen_extents: sh.extents.count(),
-            rows_frozen: sh
-                .freeze
-                .rows_frozen
-                .load(std::sync::atomic::Ordering::Relaxed),
-            rows_thawed: sh
-                .freeze
-                .rows_thawed
-                .load(std::sync::atomic::Ordering::Relaxed),
+            rows_frozen: sh.freeze.rows_frozen.load(),
+            rows_thawed: sh.freeze.rows_thawed.load(),
             frozen_raw_bytes: sh.extents.raw_bytes(),
             frozen_encoded_bytes: sh.extents.encoded_bytes(),
             tsf_tau: sh.tsf.tau(),
@@ -293,9 +290,9 @@ impl EngineSnapshot {
             recovery: sh.recovery.lock().clone(),
             tables,
             latency: sh.obs.summaries(),
-            ilm_trace: sh.obs.trace.recent(256),
-            ilm_trace_pushed: sh.obs.trace.pushed(),
-            ilm_trace_dropped: sh.obs.trace.dropped(),
+            ilm_trace,
+            ilm_trace_pushed,
+            ilm_trace_dropped,
         }
     }
 }
@@ -466,9 +463,10 @@ impl EngineSnapshot {
         }
         if self.ilm_trace_pushed > 0 {
             out.push_str(&format!(
-                "ilm trace: {} events ({} retained, {} evicted)\n",
+                "ilm trace: {} events ({} shown, {} retained, {} evicted)\n",
                 self.ilm_trace_pushed,
                 self.ilm_trace.len(),
+                self.ilm_trace_pushed - self.ilm_trace_dropped,
                 self.ilm_trace_dropped,
             ));
         }
@@ -704,6 +702,7 @@ mod tests {
     use super::*;
     use crate::catalog::TableOpts;
     use crate::{EngineConfig, EngineMode};
+    use btrim_obs::CheckpointTrace;
     use std::sync::Arc;
 
     #[test]
@@ -763,6 +762,42 @@ mod tests {
         assert!(js.contains("\"latency_ns\":["));
         assert!(js.contains("\"ilm_trace\":{"));
         assert!(js.contains("\"class\":\"insert_imrs\""));
+    }
+
+    #[test]
+    fn report_trace_counts_add_up() {
+        let e = Engine::new(EngineConfig::with_mode(EngineMode::IlmOn, 8 * 1024 * 1024));
+        for ordinal in 1..=300 {
+            e.obs()
+                .trace
+                .push(IlmTraceEvent::Checkpoint(CheckpointTrace {
+                    ordinal,
+                    dirty_pages: 0,
+                    pages_flushed: 0,
+                    batches: 0,
+                    low_water_lsn: 0,
+                    truncated_records: 0,
+                    stall_nanos: 0,
+                }));
+        }
+        let snap = e.snapshot();
+        let report = snap.render_report();
+        let line = report
+            .lines()
+            .find(|l| l.starts_with("ilm trace:"))
+            .unwrap_or_else(|| panic!("no trace line in\n{report}"));
+        // The number printed before `label` on the trace line.
+        let count = |label: &str| -> u64 {
+            let words: Vec<&str> = line.split([' ', '(', ')', ',']).collect();
+            let at = words.iter().position(|w| *w == label).unwrap();
+            words[at - 1].parse().unwrap()
+        };
+        // All 300 fit in the default ring: none evicted, all retained,
+        // the newest 256 shown.
+        assert_eq!(count("events"), 300, "{line}");
+        assert_eq!(count("retained") + count("evicted"), 300, "{line}");
+        assert_eq!(count("evicted"), 0, "{line}");
+        assert_eq!(count("shown"), 256, "{line}");
     }
 
     #[test]

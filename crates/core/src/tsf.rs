@@ -20,10 +20,9 @@
 //! because keeping them resident buys nothing (§VI.D.2, the *history*
 //! table example).
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
 use parking_lot::Mutex;
 
+use btrim_common::atomics::Relaxed;
 use btrim_common::Timestamp;
 
 /// Small utilization increase used to learn the TSF (§VI.D.1,
@@ -42,7 +41,7 @@ struct LearnCycle {
 /// Learner + filter state.
 pub struct TsfLearner {
     /// Current Ʈ in commit-timestamp units.
-    tau: AtomicU64,
+    tau: Relaxed<u64>,
     /// Steady utilization target (Ρ in the paper's formula).
     steady: f64,
     /// Utilization delta that closes a learning cycle (δ).
@@ -50,8 +49,8 @@ pub struct TsfLearner {
     /// Re-learn after this many committed transactions.
     relearn_txns: u64,
     cycle: Mutex<Option<LearnCycle>>,
-    last_learned_at: AtomicU64,
-    learn_count: AtomicU64,
+    last_learned_at: Relaxed<u64>,
+    learn_count: Relaxed<u64>,
 }
 
 impl TsfLearner {
@@ -59,24 +58,24 @@ impl TsfLearner {
     /// cycle completes (a tuning-window-sized guess is a good default).
     pub fn new(steady: f64, learn_delta: f64, relearn_txns: u64, initial_tau: u64) -> Self {
         TsfLearner {
-            tau: AtomicU64::new(initial_tau),
+            tau: Relaxed::new(initial_tau),
             steady,
             learn_delta,
             relearn_txns,
             cycle: Mutex::new(None),
-            last_learned_at: AtomicU64::new(0),
-            learn_count: AtomicU64::new(0),
+            last_learned_at: Relaxed::new(0),
+            learn_count: Relaxed::new(0),
         }
     }
 
     /// Current Ʈ.
     pub fn tau(&self) -> u64 {
-        self.tau.load(Ordering::Relaxed)
+        self.tau.load()
     }
 
     /// Completed learning cycles (tests/stats).
     pub fn learn_count(&self) -> u64 {
-        self.learn_count.load(Ordering::Relaxed)
+        self.learn_count.load()
     }
 
     /// Advance the learner. Called from the maintenance path with the
@@ -86,10 +85,9 @@ impl TsfLearner {
         let mut cycle = self.cycle.lock();
         match *cycle {
             None => {
-                let due = committed_txns
-                    .saturating_sub(self.last_learned_at.load(Ordering::Relaxed))
+                let due = committed_txns.saturating_sub(self.last_learned_at.load())
                     >= self.relearn_txns
-                    || self.learn_count.load(Ordering::Relaxed) == 0;
+                    || self.learn_count.load() == 0;
                 if due {
                     *cycle = Some(LearnCycle {
                         start_util: utilization,
@@ -103,10 +101,9 @@ impl TsfLearner {
                 if utilization >= c.start_util + self.learn_delta - 1e-9 {
                     let elapsed = now.delta_since(c.start_ts).max(1);
                     let tau = (elapsed as f64 * self.steady / self.learn_delta).round() as u64;
-                    self.tau.store(tau.max(1), Ordering::Relaxed);
-                    self.last_learned_at
-                        .store(committed_txns, Ordering::Relaxed);
-                    self.learn_count.fetch_add(1, Ordering::Relaxed);
+                    self.tau.store(tau.max(1));
+                    self.last_learned_at.store(committed_txns);
+                    self.learn_count.fetch_add(1);
                     *cycle = None;
                 } else if utilization + self.learn_delta < c.start_util {
                     // Utilization fell (pack drained the cache):

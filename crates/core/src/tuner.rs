@@ -22,11 +22,11 @@
 //! * partition activity (re-use + page ops) grew by the configured
 //!   factor relative to the window in which it was disabled.
 
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 
+use btrim_common::atomics::{AcqRel, Relaxed};
 use btrim_imrs::ImrsStore;
 use btrim_obs::{IlmTraceEvent, Obs, OpClass, TunerAction, TunerTrace};
 
@@ -41,30 +41,30 @@ pub const CONTENTION_REENABLE_THRESHOLD: u64 = 16;
 #[derive(Debug)]
 pub struct PartitionIlmState {
     /// New inserts may go to the IMRS.
-    insert_enabled: AtomicBool,
+    insert_enabled: Relaxed<bool>,
     /// Page-store rows may migrate to the IMRS on update.
-    migrate_enabled: AtomicBool,
+    migrate_enabled: Relaxed<bool>,
     /// Page-store rows may be cached in the IMRS on select.
-    cache_enabled: AtomicBool,
-    disable_votes: AtomicU32,
-    enable_votes: AtomicU32,
+    cache_enabled: Relaxed<bool>,
+    disable_votes: Relaxed<u32>,
+    enable_votes: Relaxed<u32>,
     /// Partition activity (reuse + page ops) in the window where the
     /// partition was disabled; baseline for re-enable.
     activity_at_disable: Mutex<Option<u64>>,
     /// Enable/disable transitions (stats).
-    toggles: AtomicU64,
+    toggles: Relaxed<u64>,
 }
 
 impl Default for PartitionIlmState {
     fn default() -> Self {
         PartitionIlmState {
-            insert_enabled: AtomicBool::new(true),
-            migrate_enabled: AtomicBool::new(true),
-            cache_enabled: AtomicBool::new(true),
-            disable_votes: AtomicU32::new(0),
-            enable_votes: AtomicU32::new(0),
+            insert_enabled: Relaxed::new(true),
+            migrate_enabled: Relaxed::new(true),
+            cache_enabled: Relaxed::new(true),
+            disable_votes: Relaxed::new(0),
+            enable_votes: Relaxed::new(0),
             activity_at_disable: Mutex::new(None),
-            toggles: AtomicU64::new(0),
+            toggles: Relaxed::new(0),
         }
     }
 }
@@ -72,17 +72,17 @@ impl Default for PartitionIlmState {
 impl PartitionIlmState {
     /// Whether new inserts may use the IMRS.
     pub fn allows_insert(&self) -> bool {
-        self.insert_enabled.load(Ordering::Relaxed)
+        self.insert_enabled.load()
     }
 
     /// Whether updates may migrate page rows into the IMRS.
     pub fn allows_migrate(&self) -> bool {
-        self.migrate_enabled.load(Ordering::Relaxed)
+        self.migrate_enabled.load()
     }
 
     /// Whether selects may cache page rows into the IMRS.
     pub fn allows_cache(&self) -> bool {
-        self.cache_enabled.load(Ordering::Relaxed)
+        self.cache_enabled.load()
     }
 
     /// Whether any IMRS use is enabled.
@@ -92,7 +92,7 @@ impl PartitionIlmState {
 
     /// Number of enable/disable transitions.
     pub fn toggles(&self) -> u64 {
-        self.toggles.load(Ordering::Relaxed)
+        self.toggles.load()
     }
 
     /// Staged disablement per ISUD class (§V: "disables ... use of
@@ -103,22 +103,22 @@ impl PartitionIlmState {
     /// repeated verdict then also stops directing new inserts to the
     /// IMRS. Returns `true` once the partition is fully disabled.
     fn escalate_disable(&self) -> bool {
-        self.toggles.fetch_add(1, Ordering::Relaxed);
+        self.toggles.fetch_add(1);
         if self.allows_cache() || self.allows_migrate() {
-            self.cache_enabled.store(false, Ordering::Relaxed);
-            self.migrate_enabled.store(false, Ordering::Relaxed);
+            self.cache_enabled.store(false);
+            self.migrate_enabled.store(false);
             false
         } else {
-            self.insert_enabled.store(false, Ordering::Relaxed);
+            self.insert_enabled.store(false);
             true
         }
     }
 
     fn enable_all(&self) {
-        self.insert_enabled.store(true, Ordering::Relaxed);
-        self.migrate_enabled.store(true, Ordering::Relaxed);
-        self.cache_enabled.store(true, Ordering::Relaxed);
-        self.toggles.fetch_add(1, Ordering::Relaxed);
+        self.insert_enabled.store(true);
+        self.migrate_enabled.store(true);
+        self.cache_enabled.store(true);
+        self.toggles.fetch_add(1);
     }
 }
 
@@ -126,8 +126,8 @@ impl PartitionIlmState {
 /// [`Partition`] records (`ilm`, `last_sample`).
 #[derive(Default)]
 pub struct Tuner {
-    last_window_at: AtomicU64,
-    windows_run: AtomicU64,
+    last_window_at: AcqRel<u64>,
+    windows_run: Relaxed<u64>,
     /// Optional observability hub: verdict tracing + window latency.
     obs: Option<Arc<Obs>>,
 }
@@ -149,7 +149,7 @@ impl Tuner {
 
     /// Tuning windows executed so far.
     pub fn windows_run(&self) -> u64 {
-        self.windows_run.load(Ordering::Relaxed)
+        self.windows_run.load()
     }
 
     /// Run a window over `catalog`'s tables if one is due at
@@ -162,13 +162,13 @@ impl Tuner {
         catalog: &Catalog,
         store: &ImrsStore,
     ) -> bool {
-        let last = self.last_window_at.load(Ordering::Relaxed);
+        let last = self.last_window_at.load();
         if committed_txns.saturating_sub(last) < cfg.tuning_window_txns {
             return false;
         }
         if self
             .last_window_at
-            .compare_exchange(last, committed_txns, Ordering::AcqRel, Ordering::Relaxed)
+            .compare_exchange(last, committed_txns)
             .is_err()
         {
             return false; // another thread claimed this window
@@ -187,7 +187,7 @@ impl Tuner {
         store: &ImrsStore,
     ) {
         let timer = self.obs.as_ref().and_then(|o| o.start());
-        let window = self.windows_run.load(Ordering::Relaxed) + 1;
+        let window = self.windows_run.load() + 1;
         let util = store.utilization();
         let budget = store.budget();
         for part in partitions {
@@ -235,12 +235,12 @@ impl Tuner {
                     && guard_footprint
                     && guard_growth
                     && avg_reuse < cfg.low_reuse_threshold;
-                state.enable_votes.store(0, Ordering::Relaxed);
+                state.enable_votes.store(0);
                 if vote_disable {
-                    let votes = state.disable_votes.fetch_add(1, Ordering::Relaxed) + 1;
+                    let votes = state.disable_votes.fetch_add(1) + 1;
                     if votes >= cfg.hysteresis_windows {
                         let fully = state.escalate_disable();
-                        state.disable_votes.store(0, Ordering::Relaxed);
+                        state.disable_votes.store(0);
                         if fully {
                             *state.activity_at_disable.lock() = Some(activity);
                         }
@@ -254,34 +254,34 @@ impl Tuner {
                         trace(TunerAction::VoteDisable, "low-reuse", 0, votes);
                     }
                 } else {
-                    state.disable_votes.store(0, Ordering::Relaxed);
+                    state.disable_votes.store(0);
                 }
             } else {
                 let contention = delta.page_contention >= CONTENTION_REENABLE_THRESHOLD;
                 let baseline = state.activity_at_disable.lock().unwrap_or(0).max(1);
                 let demand_growth = activity as f64 >= cfg.reuse_reenable_factor * baseline as f64;
-                state.disable_votes.store(0, Ordering::Relaxed);
+                state.disable_votes.store(0);
                 if contention || demand_growth {
                     let rule = if contention {
                         "contention"
                     } else {
                         "demand-growth"
                     };
-                    let votes = state.enable_votes.fetch_add(1, Ordering::Relaxed) + 1;
+                    let votes = state.enable_votes.fetch_add(1) + 1;
                     if votes >= cfg.hysteresis_windows {
                         state.enable_all();
-                        state.enable_votes.store(0, Ordering::Relaxed);
+                        state.enable_votes.store(0);
                         *state.activity_at_disable.lock() = None;
                         trace(TunerAction::Reenabled, rule, baseline, votes);
                     } else {
                         trace(TunerAction::VoteEnable, rule, baseline, votes);
                     }
                 } else {
-                    state.enable_votes.store(0, Ordering::Relaxed);
+                    state.enable_votes.store(0);
                 }
             }
         }
-        self.windows_run.fetch_add(1, Ordering::Relaxed);
+        self.windows_run.fetch_add(1);
         if let Some(obs) = &self.obs {
             obs.record_since(OpClass::TuningWindow, timer);
         }

@@ -14,11 +14,11 @@
 //! many times.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock};
 
+use btrim_common::atomics::{AcqRel, Relaxed};
 use btrim_common::{BtrimError, Result, Timestamp};
 
 /// Allocation granularity; all block sizes are multiples of this.
@@ -88,17 +88,17 @@ pub struct FragmentAllocator {
     /// immediately; lowering below `chunks_created` stops further chunk
     /// growth while existing free space stays usable, and GC/pack drain
     /// the overage (utilization may read above 1.0 meanwhile).
-    max_chunks: AtomicU32,
+    max_chunks: AcqRel<u32>,
     chunks: RwLock<Vec<Chunk>>,
     state: Mutex<AllocState>,
-    used: AtomicU64,
-    alloc_calls: AtomicU64,
-    free_calls: AtomicU64,
+    used: Relaxed<u64>,
+    alloc_calls: Relaxed<u64>,
+    free_calls: Relaxed<u64>,
     /// Fragments whose owner retired them while lock-free readers might
     /// still hold the handle: `(retire timestamp, handle)`, reclaimed
     /// once the snapshot horizon proves those readers are gone.
     quarantine: Mutex<VecDeque<(u64, FragHandle)>>,
-    quarantined: AtomicU64,
+    quarantined: Relaxed<u64>,
 }
 
 impl FragmentAllocator {
@@ -110,24 +110,24 @@ impl FragmentAllocator {
         let max_chunks = budget_bytes.div_ceil(chunk_size as u64).max(1) as u32;
         FragmentAllocator {
             chunk_size,
-            max_chunks: AtomicU32::new(max_chunks),
+            max_chunks: AcqRel::new(max_chunks),
             chunks: RwLock::new(Vec::new()),
             state: Mutex::new(AllocState {
                 free_by_size: BTreeSet::new(),
                 free_by_addr: HashMap::new(),
                 chunks_created: 0,
             }),
-            used: AtomicU64::new(0),
-            alloc_calls: AtomicU64::new(0),
-            free_calls: AtomicU64::new(0),
+            used: Relaxed::new(0),
+            alloc_calls: Relaxed::new(0),
+            free_calls: Relaxed::new(0),
             quarantine: Mutex::new(VecDeque::new()),
-            quarantined: AtomicU64::new(0),
+            quarantined: Relaxed::new(0),
         }
     }
 
     /// Configured budget in bytes.
     pub fn budget(&self) -> u64 {
-        self.chunk_size as u64 * self.max_chunks.load(Ordering::Acquire) as u64
+        self.chunk_size as u64 * self.max_chunks.load() as u64
     }
 
     /// Retarget the budget to `budget_bytes` (rounded up to at least one
@@ -136,18 +136,18 @@ impl FragmentAllocator {
     /// GC / pack / freeze to drain the overage.
     pub fn set_budget(&self, budget_bytes: u64) {
         let max_chunks = budget_bytes.div_ceil(self.chunk_size as u64).max(1) as u32;
-        self.max_chunks.store(max_chunks, Ordering::Release);
+        self.max_chunks.store(max_chunks);
     }
 
     /// Payload-plus-padding bytes currently allocated.
     pub fn used_bytes(&self) -> u64 {
-        self.used.load(Ordering::Relaxed)
+        self.used.load()
     }
 
     /// Bytes retired but not yet reclaimable (waiting for the snapshot
     /// horizon to pass their retirement timestamp).
     pub fn quarantined_bytes(&self) -> u64 {
-        self.quarantined.load(Ordering::Relaxed)
+        self.quarantined.load()
     }
 
     /// Used bytes as a fraction of the budget, in [0, 1]. Quarantined
@@ -159,12 +159,12 @@ impl FragmentAllocator {
 
     /// Total `alloc` calls served.
     pub fn alloc_calls(&self) -> u64 {
-        self.alloc_calls.load(Ordering::Relaxed)
+        self.alloc_calls.load()
     }
 
     /// Total `free` calls served.
     pub fn free_calls(&self) -> u64 {
-        self.free_calls.load(Ordering::Relaxed)
+        self.free_calls.load()
     }
 
     fn aligned(len: usize) -> u32 {
@@ -187,7 +187,7 @@ impl FragmentAllocator {
                 Some(block) => block,
                 None => {
                     // Grow by one chunk if the budget allows.
-                    if st.chunks_created >= self.max_chunks.load(Ordering::Acquire) {
+                    if st.chunks_created >= self.max_chunks.load() {
                         return Err(BtrimError::ImrsFull {
                             requested: data.len(),
                             // Saturating: a shrunk budget may sit below
@@ -216,8 +216,8 @@ impl FragmentAllocator {
             let mut arena = chunks[chunk as usize].write();
             arena[offset as usize..offset as usize + data.len()].copy_from_slice(data);
         }
-        self.used.fetch_add(alloc_len as u64, Ordering::Relaxed);
-        self.alloc_calls.fetch_add(1, Ordering::Relaxed);
+        self.used.fetch_add(alloc_len as u64);
+        self.alloc_calls.fetch_add(1);
         Ok(FragHandle {
             chunk,
             offset,
@@ -264,7 +264,7 @@ impl FragmentAllocator {
     /// still be copying must go through [`retire`](Self::retire)
     /// instead.
     pub fn free(&self, h: FragHandle) {
-        self.used.fetch_sub(h.alloc_len as u64, Ordering::Relaxed);
+        self.used.fetch_sub(h.alloc_len as u64);
         self.release_block(h);
     }
 
@@ -278,9 +278,8 @@ impl FragmentAllocator {
     /// horizon (≤ every active snapshot) moves *past* `now`, that
     /// reader has finished.
     pub fn retire(&self, h: FragHandle, now: Timestamp) {
-        self.used.fetch_sub(h.alloc_len as u64, Ordering::Relaxed);
-        self.quarantined
-            .fetch_add(h.alloc_len as u64, Ordering::Relaxed);
+        self.used.fetch_sub(h.alloc_len as u64);
+        self.quarantined.fetch_add(h.alloc_len as u64);
         self.quarantine.lock().push_back((now.0, h));
     }
 
@@ -297,8 +296,7 @@ impl FragmentAllocator {
                 }
             };
             let Some(h) = h else { break };
-            self.quarantined
-                .fetch_sub(h.alloc_len as u64, Ordering::Relaxed);
+            self.quarantined.fetch_sub(h.alloc_len as u64);
             freed += h.alloc_len as u64;
             self.release_block(h);
         }
@@ -341,7 +339,7 @@ impl FragmentAllocator {
             }
         }
         Self::insert_free(&mut st, h.chunk, offset, len);
-        self.free_calls.fetch_add(1, Ordering::Relaxed);
+        self.free_calls.fetch_add(1);
     }
 
     /// Run `f` over the stored payload.

@@ -15,8 +15,8 @@
 //! # Publication protocol
 //!
 //! Writers (serialized per row by the row's chain mutex) initialize a
-//! node's fields with plain stores, then publish it with a `Release`
-//! store of the new head link. Readers `Acquire`-load the head (or a
+//! node's fields, then publish it with a `Release` store of the new
+//! head link. Readers `Acquire`-load the head (or a
 //! `prev` link) and therefore observe fully-initialized nodes. The only
 //! field mutated after publication is `commit_ts` (stamped once at
 //! commit, `Release`/`Acquire`).
@@ -43,16 +43,12 @@
 //!   retired. This closes a pre-existing torn-read race where pack
 //!   could recycle an image a reader had already resolved.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use parking_lot::Mutex;
 
-use btrim_common::atomics::AtomicOp;
+use btrim_common::atomics::{AcqRel, Relaxed};
 use btrim_common::{Timestamp, TxnId};
-
-/// This file's key in the shared atomics-discipline table.
-const ARENA_FILE: &str = "crates/imrs/src/arena.rs";
 
 use crate::alloc::FragHandle;
 use crate::version::{visible_to, VersionOp};
@@ -73,12 +69,12 @@ const META_HANDLE: u64 = 0b100;
 /// (0 = uncommitted).
 #[derive(Debug, Default)]
 struct Node {
-    txn: AtomicU64,
-    commit_ts: AtomicU64,
-    meta: AtomicU64,
-    ha: AtomicU64,
-    hb: AtomicU64,
-    prev: AtomicU64,
+    txn: Relaxed<u64>,
+    commit_ts: AcqRel<u64>,
+    meta: AcqRel<u64>,
+    ha: Relaxed<u64>,
+    hb: Relaxed<u64>,
+    prev: AcqRel<u64>,
 }
 
 /// Writer-side recycling state (unranked leaf mutex; never touched by
@@ -109,7 +105,7 @@ pub struct VersionView {
 pub struct VersionArena {
     chunks: Box<[OnceLock<Box<[Node]>>]>,
     /// High-water mark of allocated node indices.
-    len: AtomicU64,
+    len: Relaxed<u64>,
     recycle: Mutex<Recycle>,
 }
 
@@ -124,7 +120,7 @@ impl VersionArena {
     pub fn new() -> Self {
         VersionArena {
             chunks: (0..MAX_CHUNKS).map(|_| OnceLock::new()).collect(),
-            len: AtomicU64::new(0),
+            len: Relaxed::new(0),
             recycle: Mutex::new(Recycle::default()),
         }
     }
@@ -147,7 +143,7 @@ impl VersionArena {
         if let Some(idx) = self.recycle.lock().free.pop() {
             return idx + 1;
         }
-        let idx = self.len.fetch_add(1, Ordering::Relaxed);
+        let idx = self.len.fetch_add(1);
         let c = (idx as usize) >> CHUNK_BITS;
         assert!(c < MAX_CHUNKS, "version arena exhausted");
         self.chunks[c].get_or_init(|| (0..CHUNK_NODES).map(|_| Node::default()).collect());
@@ -161,7 +157,7 @@ impl VersionArena {
     /// the fully-initialized new head. Returns the new head link.
     pub fn push(
         &self,
-        head: &AtomicU64,
+        head: &AcqRel<u64>,
         txn: TxnId,
         op: VersionOp,
         handle: Option<FragHandle>,
@@ -173,12 +169,8 @@ impl VersionArena {
         );
         let link = self.alloc_node();
         let n = self.node(link);
-        n.txn.store(txn.0, Ordering::Relaxed);
-        // lint: allow(atomics-ordering) -- pre-publish init: the node is
-        // unreachable until the Release store of `head` below, which
-        // publishes every field written here.
-        n.commit_ts
-            .store(commit_ts.map_or(0, |ts| ts.0), Ordering::Relaxed);
+        n.txn.store(txn.0);
+        n.commit_ts.store(commit_ts.map_or(0, |ts| ts.0));
         let (meta, ha, hb) = match handle {
             Some(h) => {
                 let (a, b) = h.pack();
@@ -186,34 +178,26 @@ impl VersionArena {
             }
             None => (op.code(), 0, 0),
         };
-        n.meta.store(meta, Ordering::Relaxed);
-        n.ha.store(ha, Ordering::Relaxed);
-        n.hb.store(hb, Ordering::Relaxed);
-        // lint: allow(atomics-ordering) -- writes to one row's chain are
-        // serialized (doc above), so the head read races nothing; the prev
-        // link itself is pre-publish init covered by the Release below.
-        n.prev
-            .store(head.load(Ordering::Relaxed), Ordering::Relaxed);
-        btrim_common::atomics::witness(ARENA_FILE, "head", AtomicOp::Store, Ordering::Release);
-        head.store(link, Ordering::Release);
+        n.meta.store(meta);
+        n.ha.store(ha);
+        n.hb.store(hb);
+        n.prev.store(head.load());
+        head.store(link);
         link
     }
 
     /// Load a node into one coherent view.
     pub fn view(&self, link: u64) -> VersionView {
         let n = self.node(link);
-        let meta = n.meta.load(Ordering::Acquire);
+        let meta = n.meta.load();
         let handle = if meta & META_HANDLE != 0 {
-            Some(FragHandle::unpack(
-                n.ha.load(Ordering::Relaxed),
-                n.hb.load(Ordering::Relaxed),
-            ))
+            Some(FragHandle::unpack(n.ha.load(), n.hb.load()))
         } else {
             None
         };
         VersionView {
-            txn: TxnId(n.txn.load(Ordering::Relaxed)),
-            commit_ts: match n.commit_ts.load(Ordering::Acquire) {
+            txn: TxnId(n.txn.load()),
+            commit_ts: match n.commit_ts.load() {
                 0 => None,
                 ts => Some(Timestamp(ts)),
             },
@@ -224,8 +208,7 @@ impl VersionArena {
 
     /// The `prev` link of a node (0 = end of chain).
     pub fn prev(&self, link: u64) -> u64 {
-        btrim_common::atomics::witness(ARENA_FILE, "prev", AtomicOp::Load, Ordering::Acquire);
-        self.node(link).prev.load(Ordering::Acquire)
+        self.node(link).prev.load()
     }
 
     /// Re-link a node past unlinked successors (rollback, truncation).
@@ -233,20 +216,18 @@ impl VersionArena {
     /// unlinked node still follow its unchanged `prev` into the
     /// surviving chain.
     pub fn set_prev(&self, link: u64, prev: u64) {
-        btrim_common::atomics::witness(ARENA_FILE, "prev", AtomicOp::Store, Ordering::Release);
-        self.node(link).prev.store(prev, Ordering::Release);
+        self.node(link).prev.store(prev);
     }
 
     /// Stamp the commit timestamp (called once, at transaction commit).
     pub fn stamp(&self, link: u64, ts: Timestamp) {
         debug_assert_ne!(ts.0, 0, "commit ts 0 is reserved");
-        btrim_common::atomics::witness(ARENA_FILE, "commit_ts", AtomicOp::Store, Ordering::Release);
-        self.node(link).commit_ts.store(ts.0, Ordering::Release);
+        self.node(link).commit_ts.store(ts.0);
     }
 
     /// Commit timestamp of a node, if stamped.
     pub fn commit_ts(&self, link: u64) -> Option<Timestamp> {
-        match self.node(link).commit_ts.load(Ordering::Acquire) {
+        match self.node(link).commit_ts.load() {
             0 => None,
             ts => Some(Timestamp(ts)),
         }
@@ -265,15 +246,15 @@ impl VersionArena {
         let mut link = head;
         while link != 0 {
             let n = self.node(link);
-            let writer = TxnId(n.txn.load(Ordering::Relaxed));
-            let ts = match n.commit_ts.load(Ordering::Acquire) {
+            let writer = TxnId(n.txn.load());
+            let ts = match n.commit_ts.load() {
                 0 => None,
                 ts => Some(Timestamp(ts)),
             };
             if visible_to(ts, writer, snapshot, reader) {
                 return Some(self.view(link));
             }
-            link = n.prev.load(Ordering::Acquire);
+            link = n.prev.load();
         }
         None
     }
@@ -285,10 +266,10 @@ impl VersionArena {
         let mut link = head;
         while link != 0 {
             let n = self.node(link);
-            if n.commit_ts.load(Ordering::Acquire) != 0 {
+            if n.commit_ts.load() != 0 {
                 return Some((link, self.view(link)));
             }
-            link = n.prev.load(Ordering::Acquire);
+            link = n.prev.load();
         }
         None
     }
@@ -329,7 +310,7 @@ impl VersionArena {
 
     /// High-water mark of distinct nodes ever allocated (stats/tests).
     pub fn allocated_nodes(&self) -> u64 {
-        self.len.load(Ordering::Relaxed)
+        self.len.load()
     }
 }
 
@@ -411,13 +392,13 @@ mod tests {
     #[test]
     fn push_and_walk_newest_first() {
         let a = arena();
-        let head = AtomicU64::new(0);
+        let head = AcqRel::new(0);
         for (i, ts) in [(1u64, 10u64), (2, 20), (3, 30)] {
             let l = a.push(&head, TxnId(i), VersionOp::Update, None, None);
             a.stamp(l, Timestamp(ts));
         }
         let read = |snap: u64| {
-            a.visible_from(head.load(Ordering::Acquire), Timestamp(snap), TxnId(99))
+            a.visible_from(head.load(), Timestamp(snap), TxnId(99))
                 .map(|v| v.commit_ts.unwrap().0)
         };
         assert_eq!(read(5), None);
@@ -430,11 +411,11 @@ mod tests {
     #[test]
     fn own_uncommitted_writes_visible_only_to_writer() {
         let a = arena();
-        let head = AtomicU64::new(0);
+        let head = AcqRel::new(0);
         let l1 = a.push(&head, TxnId(1), VersionOp::Insert, None, None);
         a.stamp(l1, Timestamp(10));
         a.push(&head, TxnId(7), VersionOp::Update, None, None);
-        let h = head.load(Ordering::Acquire);
+        let h = head.load();
         let mine = a.visible_from(h, Timestamp(10), TxnId(7)).unwrap();
         assert_eq!(mine.commit_ts, None);
         let theirs = a.visible_from(h, Timestamp(10), TxnId(8)).unwrap();
@@ -444,13 +425,11 @@ mod tests {
     #[test]
     fn latest_committed_skips_in_flight_head() {
         let a = arena();
-        let head = AtomicU64::new(0);
+        let head = AcqRel::new(0);
         let l1 = a.push(&head, TxnId(1), VersionOp::Insert, None, None);
         a.stamp(l1, Timestamp(5));
         a.push(&head, TxnId(2), VersionOp::Update, None, None); // in flight
-        let (link, v) = a
-            .latest_committed_from(head.load(Ordering::Acquire))
-            .unwrap();
+        let (link, v) = a.latest_committed_from(head.load()).unwrap();
         assert_eq!(link, l1);
         assert_eq!(v.commit_ts, Some(Timestamp(5)));
     }
@@ -458,7 +437,7 @@ mod tests {
     #[test]
     fn quarantined_nodes_keep_fields_until_reclaimed() {
         let a = arena();
-        let head = AtomicU64::new(0);
+        let head = AcqRel::new(0);
         let l = a.push(&head, TxnId(3), VersionOp::Update, None, None);
         a.stamp(l, Timestamp(7));
         a.retire_node(l, Timestamp(9));
@@ -470,7 +449,7 @@ mod tests {
         assert_eq!(a.reclaim(Timestamp(10)), 1);
         assert_eq!(a.quarantined_nodes(), 0);
         // Recycled: the next push reuses the node slot.
-        let head2 = AtomicU64::new(0);
+        let head2 = AcqRel::new(0);
         let l2 = a.push(&head2, TxnId(4), VersionOp::Insert, None, None);
         assert_eq!(l2, l);
     }
@@ -478,9 +457,9 @@ mod tests {
     #[test]
     fn freed_nodes_recycle_immediately() {
         let a = arena();
-        let head = AtomicU64::new(0);
+        let head = AcqRel::new(0);
         let l = a.push(&head, TxnId(1), VersionOp::Insert, None, None);
-        head.store(0, Ordering::Release);
+        head.store(0);
         a.free_node(l);
         let l2 = a.push(&head, TxnId(2), VersionOp::Insert, None, None);
         assert_eq!(l2, l);
@@ -493,8 +472,8 @@ mod tests {
         // continuously and must only ever see fully-formed versions
         // whose commit_ts is consistent with visibility.
         let a = Arc::new(arena());
-        let head = Arc::new(AtomicU64::new(0));
-        let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let head = Arc::new(AcqRel::new(0));
+        let stop = Arc::new(Relaxed::new(false));
         let readers: Vec<_> = (0..4)
             .map(|_| {
                 let a = Arc::clone(&a);
@@ -505,10 +484,9 @@ mod tests {
                     // of them, that version — unstamped — would be the
                     // reader's own write, visible with no commit_ts.
                     let nobody = TxnId(u64::MAX);
-                    while !stop.load(Ordering::Relaxed) {
+                    while !stop.load() {
                         let snap = Timestamp(u64::MAX);
-                        if let Some(v) = a.visible_from(head.load(Ordering::Acquire), snap, nobody)
-                        {
+                        if let Some(v) = a.visible_from(head.load(), snap, nobody) {
                             // Visible to a max snapshot ⇒ committed.
                             assert!(v.commit_ts.is_some());
                             assert_eq!(v.op, VersionOp::Update);
@@ -521,7 +499,7 @@ mod tests {
             let l = a.push(&head, TxnId(i), VersionOp::Update, None, None);
             a.stamp(l, Timestamp(i));
         }
-        stop.store(true, Ordering::Relaxed);
+        stop.store(true);
         for r in readers {
             r.join().unwrap();
         }

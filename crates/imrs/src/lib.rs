@@ -34,6 +34,9 @@
     clippy::allow_attributes,
     clippy::allow_attributes_without_reason
 )]
+// A raw std atomic is an error: each field takes the wrapper of its
+// protocol from `btrim_common::atomics` (clippy.toml lists the types).
+#![deny(clippy::disallowed_types)]
 
 pub mod alloc;
 pub mod arena;

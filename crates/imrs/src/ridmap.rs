@@ -37,16 +37,12 @@
 //! [`ImrsRow`](crate::row::ImrsRow) is a borrowed view over one entry,
 //! built by [`RidMap::resident`] from two loads.
 
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::OnceLock;
 
-use btrim_common::atomics::{witness, AtomicOp};
+use btrim_common::atomics::{AcqRel, Relaxed};
 use btrim_common::{PageId, PartitionId, RowId, SlotId, Timestamp};
 
 use crate::row::RowOrigin;
-
-/// This file's key in the shared atomics-discipline table.
-const RIDMAP_FILE: &str = "crates/imrs/src/ridmap.rs";
 
 /// Where a row currently lives.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -104,17 +100,17 @@ const MAX_CHUNKS: usize = 1 << 15;
 #[derive(Default)]
 struct Entry {
     /// Packed [`RowLocation`] (0 = absent).
-    loc: AtomicU64,
+    loc: AcqRel<u64>,
     /// Version-chain head link into the `VersionArena` (0 = none).
-    head: AtomicU64,
+    head: AcqRel<u64>,
     /// Owning partition + 1, origin and queue claim (see the module
     /// docs for the bit layout); written on arrival before the chain
     /// head and the location publish the row.
-    part: AtomicU64,
+    part: AcqRel<u64>,
     /// Last access (select/update) timestamp, updated loosely.
-    last_access: AtomicU64,
+    last_access: Relaxed<u64>,
     /// Re-use operations (S/U/D after arrival) on this row.
-    reuse: AtomicU64,
+    reuse: Relaxed<u64>,
 }
 
 // The table is `next_row_id` entries long: a sixth word is 8 bytes per
@@ -142,9 +138,9 @@ fn unpack_part(word: u64) -> Option<(PartitionId, RowOrigin)> {
 /// RowId → location map plus the RowId allocator.
 pub struct RidMap {
     chunks: Box<[OnceLock<Box<[Entry]>>]>,
-    next_row_id: AtomicU64,
+    next_row_id: Relaxed<u64>,
     /// Mapped-row count, maintained on tag transitions.
-    mapped: AtomicI64,
+    mapped: Relaxed<i64>,
 }
 
 impl Default for RidMap {
@@ -158,8 +154,8 @@ impl RidMap {
     pub fn new() -> Self {
         RidMap {
             chunks: (0..MAX_CHUNKS).map(|_| OnceLock::new()).collect(),
-            next_row_id: AtomicU64::new(1),
-            mapped: AtomicI64::new(0),
+            next_row_id: Relaxed::new(1),
+            mapped: Relaxed::new(0),
         }
     }
 
@@ -188,29 +184,26 @@ impl RidMap {
 
     /// Allocate a fresh, never-used RowId.
     pub fn allocate_row_id(&self) -> RowId {
-        RowId(self.next_row_id.fetch_add(1, Ordering::Relaxed))
+        RowId(self.next_row_id.fetch_add(1))
     }
 
     /// Make sure future allocations start above `floor` (recovery).
     pub fn bump_row_id_floor(&self, floor: RowId) {
-        self.next_row_id.fetch_max(floor.0 + 1, Ordering::Relaxed);
+        self.next_row_id.fetch_max(floor.0 + 1);
     }
 
     /// Current location of a row, if known.
     pub fn get(&self, row: RowId) -> Option<RowLocation> {
-        witness(RIDMAP_FILE, "loc", AtomicOp::Load, Ordering::Acquire);
-        self.try_entry(row)
-            .and_then(|e| decode(e.loc.load(Ordering::Acquire)))
+        self.try_entry(row).and_then(|e| decode(e.loc.load()))
     }
 
     /// Set / replace a row's location. The `Release` store publishes
     /// everything written to the entry beforehand (partition, chain
     /// head) to lock-free readers.
     pub fn set(&self, row: RowId, loc: RowLocation) {
-        witness(RIDMAP_FILE, "loc", AtomicOp::Rmw, Ordering::AcqRel);
-        let prev = self.entry(row).loc.swap(encode(loc), Ordering::AcqRel);
+        let prev = self.entry(row).loc.swap(encode(loc));
         if prev & 0xFF == TAG_ABSENT {
-            self.mapped.fetch_add(1, Ordering::Relaxed);
+            self.mapped.fetch_add(1);
         }
     }
 
@@ -221,32 +214,24 @@ impl RidMap {
         let Some(e) = self.try_entry(row) else {
             return false;
         };
-        witness(RIDMAP_FILE, "loc", AtomicOp::Rmw, Ordering::AcqRel);
-        witness(RIDMAP_FILE, "loc", AtomicOp::Load, Ordering::Acquire);
         e.loc
-            .compare_exchange(
-                encode(expected),
-                encode(new),
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            )
+            .compare_exchange(encode(expected), encode(new))
             .is_ok()
     }
 
     /// Remove a row entirely (committed delete fully garbage-collected).
     pub fn remove(&self, row: RowId) -> Option<RowLocation> {
         let e = self.try_entry(row)?;
-        witness(RIDMAP_FILE, "loc", AtomicOp::Rmw, Ordering::AcqRel);
-        let prev = decode(e.loc.swap(TAG_ABSENT, Ordering::AcqRel));
+        let prev = decode(e.loc.swap(TAG_ABSENT));
         if prev.is_some() {
-            self.mapped.fetch_sub(1, Ordering::Relaxed);
+            self.mapped.fetch_sub(1);
         }
         prev
     }
 
     /// Number of mapped rows.
     pub fn len(&self) -> usize {
-        self.mapped.load(Ordering::Relaxed).max(0) as usize
+        self.mapped.load().max(0) as usize
     }
 
     /// Whether no rows are mapped.
@@ -258,21 +243,18 @@ impl RidMap {
 
     /// The version-chain head cell for `row` (the arena publishes new
     /// versions into it with a `Release` store).
-    pub fn head_cell(&self, row: RowId) -> &AtomicU64 {
+    pub fn head_cell(&self, row: RowId) -> &AcqRel<u64> {
         &self.entry(row).head
     }
 
     /// Current version-chain head link (0 = no chain published yet).
     pub fn head(&self, row: RowId) -> u64 {
-        witness(RIDMAP_FILE, "head", AtomicOp::Load, Ordering::Acquire);
-        self.try_entry(row)
-            .map_or(0, |e| e.head.load(Ordering::Acquire))
+        self.try_entry(row).map_or(0, |e| e.head.load())
     }
 
     /// Owning partition, if the row ever arrived in the IMRS.
     pub fn partition(&self, row: RowId) -> Option<PartitionId> {
-        witness(RIDMAP_FILE, "part", AtomicOp::Load, Ordering::Acquire);
-        let word = self.try_entry(row)?.part.load(Ordering::Acquire);
+        let word = self.try_entry(row)?.part.load();
         unpack_part(word).map(|(part, _)| part)
     }
 
@@ -283,31 +265,26 @@ impl RidMap {
     /// either sees these.
     pub fn arrive(&self, row: RowId, part: PartitionId, origin: RowOrigin, now: Timestamp) {
         let e = self.entry(row);
-        witness(RIDMAP_FILE, "part", AtomicOp::Store, Ordering::Release);
-        e.part.store(pack_part(part, origin), Ordering::Release);
-        e.last_access.store(now.0, Ordering::Relaxed);
+        e.part.store(pack_part(part, origin));
+        e.last_access.store(now.0);
     }
 
     /// Partition and origin of `row` if it is resident in the IMRS
     /// (`head != 0`).
     pub fn resident(&self, row: RowId) -> Option<(PartitionId, RowOrigin)> {
-        witness(RIDMAP_FILE, "head", AtomicOp::Load, Ordering::Acquire);
-        witness(RIDMAP_FILE, "part", AtomicOp::Load, Ordering::Acquire);
         Self::resident_entry(self.try_entry(row)?)
     }
 
     fn resident_entry(e: &Entry) -> Option<(PartitionId, RowOrigin)> {
-        if e.head.load(Ordering::Acquire) == 0 {
+        if e.head.load() == 0 {
             return None;
         }
-        unpack_part(e.part.load(Ordering::Acquire))
+        unpack_part(e.part.load())
     }
 
     /// Visit every IMRS-resident row in RowId order: a sweep over the
     /// chunks that exist.
     pub fn for_each_resident(&self, mut f: impl FnMut(RowId, PartitionId, RowOrigin)) {
-        witness(RIDMAP_FILE, "head", AtomicOp::Load, Ordering::Acquire);
-        witness(RIDMAP_FILE, "part", AtomicOp::Load, Ordering::Acquire);
         for (c, chunk) in self.chunks.iter().enumerate() {
             let Some(chunk) = chunk.get() else { continue };
             for (i, e) in chunk.iter().enumerate() {
@@ -321,35 +298,29 @@ impl RidMap {
     /// Claim ILM-queue membership. Returns `true` when the caller
     /// should enqueue the row (it was not in a queue before).
     pub fn try_mark_enqueued(&self, row: RowId) -> bool {
-        witness(RIDMAP_FILE, "part", AtomicOp::Rmw, Ordering::AcqRel);
-        self.entry(row).part.fetch_or(ENQUEUED, Ordering::AcqRel) & ENQUEUED == 0
+        self.entry(row).part.fetch_or(ENQUEUED) & ENQUEUED == 0
     }
 
     /// Release queue membership (row popped and not re-queued).
     pub fn clear_enqueued(&self, row: RowId) {
-        witness(RIDMAP_FILE, "part", AtomicOp::Rmw, Ordering::AcqRel);
-        self.entry(row).part.fetch_and(!ENQUEUED, Ordering::AcqRel);
+        self.entry(row).part.fetch_and(!ENQUEUED);
     }
 
     /// Record an access for hotness tracking (cheap; relaxed stores).
     pub fn touch(&self, row: RowId, now: Timestamp) {
         let e = self.entry(row);
-        e.last_access.store(now.0, Ordering::Relaxed);
-        e.reuse.fetch_add(1, Ordering::Relaxed);
+        e.last_access.store(now.0);
+        e.reuse.fetch_add(1);
     }
 
     /// Last recorded access timestamp for `row`.
     pub fn last_access(&self, row: RowId) -> Timestamp {
-        Timestamp(
-            self.try_entry(row)
-                .map_or(0, |e| e.last_access.load(Ordering::Relaxed)),
-        )
+        Timestamp(self.try_entry(row).map_or(0, |e| e.last_access.load()))
     }
 
     /// Total re-use operations recorded on `row`.
     pub fn reuse_count(&self, row: RowId) -> u64 {
-        self.try_entry(row)
-            .map_or(0, |e| e.reuse.load(Ordering::Relaxed))
+        self.try_entry(row).map_or(0, |e| e.reuse.load())
     }
 }
 

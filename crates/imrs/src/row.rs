@@ -11,9 +11,9 @@
 //! the store's chain stripe for the RowId; snapshot readers walk the
 //! chain concurrently without it and never build a view at all.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use btrim_common::atomics::AcqRel;
 use btrim_common::{PartitionId, RowId, Timestamp, TxnId};
 
 use crate::alloc::FragHandle;
@@ -50,7 +50,7 @@ pub struct ImrsRow<'a> {
 }
 
 impl ImrsRow<'_> {
-    fn head_cell(&self) -> &AtomicU64 {
+    fn head_cell(&self) -> &AcqRel<u64> {
         self.store.ridmap().head_cell(self.row_id)
     }
 
@@ -107,13 +107,13 @@ impl ImrsRow<'_> {
         let mut freed = 0;
         let mut unlinked = Vec::new();
         let mut parent = 0u64; // 0 = the head cell itself
-        let mut link = head_cell.load(Ordering::Acquire);
+        let mut link = head_cell.load();
         while link != 0 {
             let v = arena.view(link);
             let next = arena.prev(link);
             if v.txn == txn && v.commit_ts.is_none() {
                 if parent == 0 {
-                    head_cell.store(next, Ordering::Release);
+                    head_cell.store(next);
                 } else {
                     arena.set_prev(parent, next);
                 }
@@ -127,7 +127,7 @@ impl ImrsRow<'_> {
             }
             link = next;
         }
-        let emptied = !unlinked.is_empty() && head_cell.load(Ordering::Acquire) == 0;
+        let emptied = !unlinked.is_empty() && head_cell.load() == 0;
         if !unlinked.is_empty() {
             let ts = now();
             for link in unlinked {
@@ -226,7 +226,7 @@ impl ImrsRow<'_> {
     pub(crate) fn free_all(&self, now: impl Fn() -> Timestamp) -> Option<usize> {
         let (arena, alloc) = (self.store.arena(), self.store.allocator());
         let _g = self.store.chain(self.row_id);
-        let mut link = self.head_cell().swap(0, Ordering::AcqRel);
+        let mut link = self.head_cell().swap(0);
         if link == 0 {
             return None;
         }

@@ -22,11 +22,11 @@
 //! horizon passes (see [`reclaim`](ImrsStore::reclaim)).
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::{lock_rank, Mutex, MutexGuard, RwLock};
 
+use btrim_common::atomics::Relaxed;
 use btrim_common::{PartitionId, Result, RowId, Timestamp, TxnId};
 
 use crate::alloc::FragmentAllocator;
@@ -41,19 +41,19 @@ const CHAIN_STRIPES: usize = 64;
 /// Per-partition IMRS usage counters.
 #[derive(Debug, Default)]
 pub struct PartitionUsage {
-    bytes: AtomicI64,
-    rows: AtomicI64,
+    bytes: Relaxed<i64>,
+    rows: Relaxed<i64>,
 }
 
 impl PartitionUsage {
     /// IMRS bytes attributed to the partition.
     pub fn bytes(&self) -> u64 {
-        self.bytes.load(Ordering::Relaxed).max(0) as u64
+        self.bytes.load().max(0) as u64
     }
 
     /// IMRS-resident row count for the partition.
     pub fn rows(&self) -> u64 {
-        self.rows.load(Ordering::Relaxed).max(0) as u64
+        self.rows.load().max(0) as u64
     }
 }
 
@@ -214,8 +214,8 @@ impl ImrsStore {
         let row = self.view(row_id, partition, origin);
         let vref = row.push_version(txn, VersionOp::Insert, Some(handle), commit_ts);
         let u = self.usage(partition);
-        u.bytes.fetch_add(bytes, Ordering::Relaxed);
-        u.rows.fetch_add(1, Ordering::Relaxed);
+        u.bytes.fetch_add(bytes);
+        u.rows.fetch_add(1);
         Ok((row, vref))
     }
 
@@ -233,9 +233,7 @@ impl ImrsStore {
         };
         let bytes = handle.map_or(0, |h| h.alloc_len()) as i64;
         let vref = row.push_version(txn, op, handle, None);
-        self.usage(row.partition)
-            .bytes
-            .fetch_add(bytes, Ordering::Relaxed);
+        self.usage(row.partition).bytes.fetch_add(bytes);
         Ok(vref)
     }
 
@@ -256,8 +254,8 @@ impl ImrsStore {
         let row = self.get(row_id)?;
         let freed = row.free_all(now)? as i64;
         let u = self.usage(row.partition);
-        u.bytes.fetch_sub(freed, Ordering::Relaxed);
-        u.rows.fetch_sub(1, Ordering::Relaxed);
+        u.bytes.fetch_sub(freed);
+        u.rows.fetch_sub(1);
         Some(row)
     }
 
@@ -269,8 +267,8 @@ impl ImrsStore {
         let (freed, emptied) = row.rollback_txn(txn, now);
         if freed > 0 || emptied {
             let u = self.usage(row.partition);
-            u.bytes.fetch_sub(freed as i64, Ordering::Relaxed);
-            u.rows.fetch_sub(emptied as i64, Ordering::Relaxed);
+            u.bytes.fetch_sub(freed as i64);
+            u.rows.fetch_sub(emptied as i64);
         }
         emptied
     }
@@ -280,9 +278,7 @@ impl ImrsStore {
     pub fn truncate_row(&self, row: &ImrsRow<'_>, oldest_active: Timestamp) -> usize {
         let freed = row.truncate_versions(oldest_active);
         if freed > 0 {
-            self.usage(row.partition)
-                .bytes
-                .fetch_sub(freed as i64, Ordering::Relaxed);
+            self.usage(row.partition).bytes.fetch_sub(freed as i64);
         }
         freed
     }

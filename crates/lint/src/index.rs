@@ -18,7 +18,7 @@
 use std::collections::BTreeSet;
 
 use crate::lexer::{lex, Token};
-use crate::rules::{segment, Segmented};
+use crate::rules::segment;
 use crate::waldisc;
 
 /// Cross-file facts consumed by [`crate::rules::check_file_with`].
@@ -45,8 +45,7 @@ pub fn build_index<P: AsRef<str>, S: AsRef<str>>(files: &[(P, S)]) -> WorkspaceI
             .filter(|t| t.is_significant())
             .copied()
             .collect();
-        let Segmented { fns, .. } = segment(&sig);
-        for f in fns {
+        for f in segment(&sig) {
             let Some(name) = f.name else { continue };
             if waldisc::APPEND_FNS.contains(&name) {
                 continue; // seeds stand on their own

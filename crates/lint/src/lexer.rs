@@ -183,10 +183,9 @@ fn next_kind(cur: &mut Cursor<'_>) -> TokKind {
         _ => {
             let first = cur.bump();
             // The structural two-char operators the rule engine keys on
-            // lex as single tokens: `::` (path separator — the atomics
-            // rule distinguishes `Ordering::X` arguments from struct
-            // field declarations `name: T`), `=>` (match arms in the
-            // CFG builder), `->` (return types). Everything else stays
+            // lex as single tokens: `::` (path separator, so a path
+            // never reads as a field declaration `name: T`), `=>` (match
+            // arms in the CFG builder), `->` (return types). Everything else stays
             // single-char; no rule needs `==`, `&&`, or the compound
             // assignments, and splitting them keeps the lexer total.
             match (first, cur.peek()) {

@@ -10,10 +10,6 @@
 //!   debug-build lock-rank witness inside the vendored `parking_lot`);
 //! * **snapshot-completeness** — every declared counter/histogram
 //!   reaches `render_report`/`to_json` ([`snapshot`], cross-file);
-//! * **atomics-ordering** — every cross-thread atomic field declares a
-//!   publish/consume protocol in [`atomics`] (`atomics_discipline.rs`,
-//!   also `include!`d by the debug-build witness in
-//!   `btrim_common::atomics`), and no access uses a weaker ordering;
 //! * **wal-before-mutation** — every destructive page/RID-Map/IMRS
 //!   mutation in `core` is dominated by a WAL append on all control-flow
 //!   paths, per the tables in [`waldisc`] (`wal_discipline.rs`), unless
@@ -24,7 +20,9 @@
 //! exist (`bad-escape`), is itself a finding. What the compiler can
 //! check is left to it: the no-panic discipline of the engine crates is
 //! clippy's (`unwrap_used`, `expect_used`, `panic`, `unreachable`,
-//! denied at each crate root).
+//! denied at each crate root), and atomic orderings are fixed by each
+//! field's type (`btrim_common::atomics`; clippy's `disallowed_types`
+//! keeps raw std atomics out of the engine crates).
 //!
 //! Run it as `cargo run -p btrim-lint -- check` from the workspace
 //! root; findings print as `file:line:rule: message` and a non-empty
@@ -42,12 +40,6 @@ pub mod snapshot;
 /// also consumed by `shims/parking_lot`'s lock-rank witness).
 pub mod hierarchy {
     include!("lock_hierarchy.rs");
-}
-
-/// The declared atomics discipline (see `src/atomics_discipline.rs`,
-/// the file also consumed by `btrim_common::atomics`' debug witness).
-pub mod atomics {
-    include!("atomics_discipline.rs");
 }
 
 /// The declared WAL-first mutation discipline

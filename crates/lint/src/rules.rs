@@ -9,12 +9,11 @@
 //! That is still deliberately shallow — a guard smuggled through a
 //! helper function is invisible here — which is why the same hierarchy
 //! is also enforced dynamically by the `parking_lot` lock-rank witness
-//! (see [`crate::hierarchy`]), and the atomics discipline by the
-//! debug-build witness in `btrim_common::atomics`. The static rules
-//! catch mistakes at review time; the witnesses catch whatever lexical
-//! analysis cannot see.
+//! (see [`crate::hierarchy`]). The static rules catch mistakes at
+//! review time; the witness catches whatever lexical analysis cannot
+//! see. Atomic orderings need neither: they are fixed by the field's
+//! type (`btrim_common::atomics`), so the compiler checks them.
 
-use crate::atomics as adisc;
 use crate::cfg::{self, Node};
 use crate::hierarchy;
 use crate::index::WorkspaceIndex;
@@ -25,31 +24,8 @@ use crate::waldisc;
 pub const RULES: &[&str] = &[
     "lock-order",
     "snapshot-completeness",
-    "atomics-ordering",
     "wal-before-mutation",
     "bad-escape",
-];
-
-/// Crates whose atomic fields must declare a protocol in
-/// `atomics_discipline.rs` (and whose access sites are checked
-/// against it).
-const ATOMICS_CRATES: &[&str] = &["common", "imrs", "txn", "pagestore", "core"];
-
-/// The `std::sync::atomic` type names the declaration-completeness
-/// scan recognises. An exact list (not an `Atomic` prefix test) so
-/// project types like `AtomicOp` don't trip it.
-const ATOMIC_TYPES: &[&str] = &[
-    "AtomicBool",
-    "AtomicU8",
-    "AtomicU16",
-    "AtomicU32",
-    "AtomicU64",
-    "AtomicUsize",
-    "AtomicI8",
-    "AtomicI16",
-    "AtomicI32",
-    "AtomicI64",
-    "AtomicIsize",
 ];
 
 /// One lint finding. Ordered and formatted stably so CI diffs and
@@ -267,22 +243,12 @@ pub struct FnBody<'a> {
     pub tokens: Vec<Token<'a>>,
 }
 
-/// A file split into its checkable parts.
-pub struct Segmented<'a> {
-    /// Non-test function bodies, in source order.
-    pub fns: Vec<FnBody<'a>>,
-    /// Every significant token outside test functions and test modules
-    /// (struct declarations, constants, *and* the fn bodies again) —
-    /// the stream the atomics declaration/access scans run over.
-    pub nontest: Vec<Token<'a>>,
-}
-
-/// Split the significant tokens of a file, skipping anything under a
-/// `#[test]`/`#[bench]` function or a `#[cfg(test)]` (or similar
-/// test-mentioning attribute) module.
-pub fn segment<'a>(sig: &[Token<'a>]) -> Segmented<'a> {
+/// The non-test function bodies of a file's significant tokens, in
+/// source order, skipping anything under a `#[test]`/`#[bench]`
+/// function or a `#[cfg(test)]` (or similar test-mentioning attribute)
+/// module.
+pub fn segment<'a>(sig: &[Token<'a>]) -> Vec<FnBody<'a>> {
     let mut fns = Vec::new();
-    let mut nontest = Vec::new();
     let mut i = 0;
     let mut test_attr = false;
     while i < sig.len() {
@@ -331,16 +297,11 @@ pub fn segment<'a>(sig: &[Token<'a>]) -> Segmented<'a> {
                     j += 1;
                 }
                 if j >= sig.len() || sig[j].text == ";" {
-                    if !is_test {
-                        nontest.extend_from_slice(&sig[i..j.min(sig.len())]);
-                    }
                     i = j + 1;
                     continue;
                 }
                 let (body_end, body) = brace_block(sig, j);
                 if !is_test {
-                    nontest.extend_from_slice(&sig[i..j]);
-                    nontest.extend_from_slice(&body);
                     fns.push(FnBody { name, tokens: body });
                 }
                 i = body_end;
@@ -348,15 +309,12 @@ pub fn segment<'a>(sig: &[Token<'a>]) -> Segmented<'a> {
             }
             "struct" | "enum" | "trait" | "impl" | "mod" | "let" | "static" | "const" => {
                 test_attr = false;
-                nontest.push(*t);
             }
-            _ => {
-                nontest.push(*t);
-            }
+            _ => {}
         }
         i += 1;
     }
-    Segmented { fns, nontest }
+    fns
 }
 
 /// From an item keyword at `i`, advance past the next balanced `{…}`
@@ -817,153 +775,6 @@ fn walk_wal(
 }
 
 // ---------------------------------------------------------------------
-// atomics-ordering: declaration completeness + access-site checks
-// ---------------------------------------------------------------------
-
-/// The access slots an atomic method fills, in argument order. A CAS
-/// checks its success ordering as an RMW and its failure ordering as a
-/// load.
-fn atomic_slots(method: &str) -> Option<&'static [u8]> {
-    match method {
-        "load" => Some(&[adisc::OP_LOAD]),
-        "store" => Some(&[adisc::OP_STORE]),
-        "swap" | "fetch_add" | "fetch_sub" | "fetch_and" | "fetch_or" | "fetch_xor"
-        | "fetch_nand" | "fetch_max" | "fetch_min" => Some(&[adisc::OP_RMW]),
-        "compare_exchange" | "compare_exchange_weak" | "fetch_update" => {
-            Some(&[adisc::OP_RMW, adisc::OP_LOAD])
-        }
-        _ => None,
-    }
-}
-
-fn ord_code(name: &str) -> Option<u8> {
-    Some(match name {
-        "Relaxed" => adisc::O_RELAXED,
-        "Acquire" => adisc::O_ACQUIRE,
-        "Release" => adisc::O_RELEASE,
-        "AcqRel" => adisc::O_ACQREL,
-        "SeqCst" => adisc::O_SEQCST,
-        _ => return None,
-    })
-}
-
-fn op_name(op: u8) -> &'static str {
-    match op {
-        adisc::OP_LOAD => "load",
-        adisc::OP_STORE => "store",
-        _ => "rmw",
-    }
-}
-
-/// Run the atomics discipline over a file's non-test token stream:
-/// every `name: AtomicX` field declaration must have a protocol entry
-/// in `atomics_discipline.rs`, and every access site on a declared
-/// name must use orderings at least as strong as the protocol.
-fn check_atomics(path: &str, toks: &[Token<'_>], findings: &mut Vec<Finding>) {
-    let krate = crate_of(path).unwrap_or("");
-    if !ATOMICS_CRATES.contains(&krate) {
-        return;
-    }
-
-    for i in 0..toks.len() {
-        let t = &toks[i];
-        if t.kind != TokKind::Ident {
-            continue;
-        }
-
-        // --- Declaration completeness: `name: [wrappers] AtomicX` ----
-        if ATOMIC_TYPES.contains(&t.text)
-            && toks.get(i + 1).map(|n| n.text) != Some("::")
-            && (i == 0 || toks[i - 1].text != "&")
-        {
-            // Walk back over type wrappers (`Box<[…]>`, `Vec<…>`, …).
-            let mut j = i;
-            while j > 0 {
-                let p = &toks[j - 1];
-                let is_wrapper_name =
-                    p.kind == TokKind::Ident && toks.get(j).map(|n| n.text) == Some("<");
-                if p.text == "<" || p.text == "[" || is_wrapper_name {
-                    j -= 1;
-                } else {
-                    break;
-                }
-            }
-            if j >= 2 && toks[j - 1].text == ":" && toks[j - 2].kind == TokKind::Ident {
-                let name = &toks[j - 2];
-                let local = j >= 3 && matches!(toks[j - 3].text, "let" | "mut");
-                if !local && adisc::declared_protocol(path, name.text).is_none() {
-                    findings.push(Finding {
-                        file: path.to_string(),
-                        line: name.line,
-                        rule: "atomics-ordering",
-                        msg: format!(
-                            "atomic field `{}` has no declared publish/consume protocol — \
-                             add an entry to atomics_discipline.rs",
-                            name.text
-                        ),
-                    });
-                }
-            }
-            continue;
-        }
-
-        // --- Access sites: `recv.method(…, Ordering::X, …)` ----------
-        let Some(slots) = atomic_slots(t.text) else {
-            continue;
-        };
-        if toks.get(i + 1).map(|n| n.text) != Some("(") || i < 1 || toks[i - 1].text != "." {
-            continue;
-        }
-        let Some(recv) = receiver_name(toks, i) else {
-            continue;
-        };
-        let Some(proto) = adisc::declared_protocol(path, recv) else {
-            continue;
-        };
-        // Collect `Ordering::X` arguments at the call's own paren depth
-        // (orderings inside nested calls belong to those calls).
-        let mut ords: Vec<(&str, u32)> = Vec::new();
-        let mut depth = 0i32;
-        let mut j = i + 1;
-        while j < toks.len() {
-            match toks[j].text {
-                "(" => depth += 1,
-                ")" => {
-                    depth -= 1;
-                    if depth == 0 {
-                        break;
-                    }
-                }
-                "Ordering" if depth == 1 && toks.get(j + 1).map(|n| n.text) == Some("::") => {
-                    if let Some(o) = toks.get(j + 2) {
-                        ords.push((o.text, o.line));
-                    }
-                }
-                _ => {}
-            }
-            j += 1;
-        }
-        for (slot, (ord, line)) in slots.iter().zip(ords.iter()) {
-            let Some(code) = ord_code(ord) else { continue };
-            if !adisc::ordering_ok(proto, *slot, code) {
-                findings.push(Finding {
-                    file: path.to_string(),
-                    line: *line,
-                    rule: "atomics-ordering",
-                    msg: format!(
-                        "`{recv}.{}` uses Ordering::{ord} for its {} — weaker than the \
-                         declared `{}` protocol (see atomics_discipline.rs)",
-                        t.text,
-                        op_name(*slot),
-                        adisc::protocol_name(proto),
-                    ),
-                });
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
 // Entry points
 // ---------------------------------------------------------------------
 
@@ -980,12 +791,11 @@ pub fn check_file_with(path: &str, src: &str, index: &WorkspaceIndex) -> Vec<Fin
         .filter(|t| t.is_significant())
         .copied()
         .collect();
-    let seg = segment(&sig);
 
     let krate = crate_of(path).unwrap_or("");
     let wal_applies = krate == "core" && !waldisc::REPLAY_FILES.iter().any(|f| path.ends_with(f));
 
-    for f in &seg.fns {
+    for f in &segment(&sig) {
         let tree = cfg::build(&f.tokens);
         let mut gst = GuardState::default();
         walk_guards(path, &tree, &mut gst, 0, &mut findings);
@@ -994,7 +804,6 @@ pub fn check_file_with(path: &str, src: &str, index: &WorkspaceIndex) -> Vec<Fin
             walk_wal(path, index, &tree, &mut wst, &mut findings);
         }
     }
-    check_atomics(path, &seg.nontest, &mut findings);
 
     findings.retain(|f| {
         f.rule == "bad-escape"

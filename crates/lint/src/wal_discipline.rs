@@ -1,7 +1,7 @@
 // The declared WAL-first mutation discipline — consumed by the
-// `wal-before-mutation` rule (and kept beside `lock_hierarchy.rs` /
-// `atomics_discipline.rs` so the three discipline tables live in one
-// place). The commit/migration life cycle (paper §IV, §VI) demands
+// `wal-before-mutation` rule (and kept beside `lock_hierarchy.rs` so
+// the discipline tables live in one place). The commit/migration life
+// cycle (paper §IV, §VI) demands
 // that every *destructive* page / RID-Map / IMRS mutation is dominated
 // by a log append on every control-flow path: a failed append must
 // leave committed data untouched, and recovery must be able to replay

@@ -33,11 +33,11 @@
 //! it measures the cache's own bookkeeping overhead.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use parking_lot::{Condvar, Mutex, MutexGuard, RwLock};
 
+use btrim_common::atomics::{AcqRel, Relaxed};
 use btrim_common::{BtrimError, PageId, PartitionId, Result};
 
 use crate::disk::DiskBackend;
@@ -58,10 +58,10 @@ const STATE_EVICTING: u8 = 3;
 struct Frame {
     page_id: PageId,
     data: RwLock<Box<[u8]>>,
-    pin: AtomicU32,
-    referenced: AtomicBool,
-    dirty: AtomicBool,
-    state: AtomicU8,
+    pin: AcqRel<u32>,
+    referenced: Relaxed<bool>,
+    dirty: AcqRel<bool>,
+    state: AcqRel<u8>,
     /// Pairs with `io_cv` so fetchers can sleep until a pending read
     /// completes; protects nothing but the wait itself.
     io: Mutex<()>,
@@ -73,10 +73,10 @@ impl Frame {
         Arc::new(Frame {
             page_id,
             data: RwLock::with_rank(parking_lot::lock_rank::FRAME, data),
-            pin: AtomicU32::new(1),
-            referenced: AtomicBool::new(true),
-            dirty: AtomicBool::new(dirty),
-            state: AtomicU8::new(state),
+            pin: AcqRel::new(1),
+            referenced: Relaxed::new(true),
+            dirty: AcqRel::new(dirty),
+            state: AcqRel::new(state),
             io: Mutex::with_rank(parking_lot::lock_rank::FRAME, ()),
             io_cv: Condvar::new(),
         })
@@ -86,7 +86,7 @@ impl Frame {
     fn wait_ready(&self) -> u8 {
         let mut g = self.io.lock();
         loop {
-            let s = self.state.load(Ordering::Acquire);
+            let s = self.state.load();
             if s != STATE_PENDING {
                 return s;
             }
@@ -97,7 +97,7 @@ impl Frame {
     /// Publish a state transition and wake any waiting fetchers.
     fn set_state(&self, s: u8) {
         let _g = self.io.lock();
-        self.state.store(s, Ordering::Release);
+        self.state.store(s);
         self.io_cv.notify_all();
     }
 }
@@ -105,16 +105,16 @@ impl Frame {
 /// Counters exported by the cache.
 #[derive(Debug, Default)]
 pub struct BufferStats {
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
-    flushes: AtomicU64,
-    latch_contention: AtomicU64,
-    io_waits: AtomicU64,
-    io_errors: AtomicU64,
-    io_retries: AtomicU64,
-    checksum_failures: AtomicU64,
-    capacity_shifts: AtomicU64,
+    hits: Relaxed<u64>,
+    misses: Relaxed<u64>,
+    evictions: Relaxed<u64>,
+    flushes: Relaxed<u64>,
+    latch_contention: Relaxed<u64>,
+    io_waits: Relaxed<u64>,
+    io_errors: Relaxed<u64>,
+    io_retries: Relaxed<u64>,
+    checksum_failures: Relaxed<u64>,
+    capacity_shifts: Relaxed<u64>,
 }
 
 /// Point-in-time snapshot of [`BufferStats`].
@@ -174,7 +174,7 @@ thread_local! {
 /// One independently locked slice of the cache.
 struct Shard {
     inner: Mutex<ShardInner>,
-    lock_contention: AtomicU64,
+    lock_contention: Relaxed<u64>,
 }
 
 struct ShardInner {
@@ -222,10 +222,10 @@ pub struct BufferCache {
     /// shrink leaves `resident` above `capacity` (the *shrink debt*)
     /// and is drained lazily by eviction — pinned frames are never
     /// failed, they simply hold their part of the debt until unpinned.
-    capacity: AtomicUsize,
+    capacity: AcqRel<usize>,
     /// Frames currently charged against `capacity` (resident plus
     /// pending installs).
-    resident: AtomicUsize,
+    resident: AcqRel<usize>,
     shards: Box<[Shard]>,
     /// Soft per-shard bound: base quota plus borrow headroom. "Soft"
     /// twice over: concurrent misses check it under separate lock
@@ -234,7 +234,7 @@ pub struct BufferCache {
     /// as the global budget holds. Eviction pressure targets the home
     /// shard first, pulling over-cap shards back down. Recomputed by
     /// [`BufferCache::set_capacity`], hence atomic.
-    shard_cap: AtomicUsize,
+    shard_cap: AcqRel<usize>,
     stats: BufferStats,
     /// Bounded retry policy for transient device errors: total attempts
     /// per logical read/write, and the base backoff between attempts
@@ -296,16 +296,16 @@ impl BufferCache {
                         hand: 0,
                     },
                 ),
-                lock_contention: AtomicU64::new(0),
+                lock_contention: Relaxed::new(0),
             })
             .collect::<Vec<_>>()
             .into_boxed_slice();
         BufferCache {
             backend,
-            capacity: AtomicUsize::new(capacity),
-            resident: AtomicUsize::new(0),
+            capacity: AcqRel::new(capacity),
+            resident: AcqRel::new(0),
             shards,
-            shard_cap: AtomicUsize::new(shard_cap),
+            shard_cap: AcqRel::new(shard_cap),
             stats: BufferStats::default(),
             retry_attempts: DEFAULT_IO_RETRY_ATTEMPTS,
             retry_backoff: DEFAULT_IO_RETRY_BACKOFF,
@@ -353,11 +353,11 @@ impl BufferCache {
             match self.backend.read_page(id, buf) {
                 Ok(()) => return Ok(()),
                 Err(e) => {
-                    self.stats.io_errors.fetch_add(1, Ordering::Relaxed);
+                    self.stats.io_errors.fetch_add(1);
                     if !is_transient(&e) || attempt >= self.retry_attempts {
                         return Err(e);
                     }
-                    self.stats.io_retries.fetch_add(1, Ordering::Relaxed);
+                    self.stats.io_retries.fetch_add(1);
                     std::thread::sleep(self.retry_backoff * attempt);
                     attempt += 1;
                 }
@@ -395,11 +395,11 @@ impl BufferCache {
             match wrote {
                 Ok(()) => return Ok(()),
                 Err(e) => {
-                    self.stats.io_errors.fetch_add(1, Ordering::Relaxed);
+                    self.stats.io_errors.fetch_add(1);
                     if !is_transient(&e) || attempt >= self.retry_attempts {
                         return Err(e);
                     }
-                    self.stats.io_retries.fetch_add(1, Ordering::Relaxed);
+                    self.stats.io_retries.fetch_add(1);
                     std::thread::sleep(self.retry_backoff * attempt);
                     attempt += 1;
                 }
@@ -414,7 +414,7 @@ impl BufferCache {
 
     /// Cache capacity in frames.
     pub fn capacity(&self) -> usize {
-        self.capacity.load(Ordering::Acquire)
+        self.capacity.load()
     }
 
     /// Retarget the global frame budget (the memory arbiter's knob).
@@ -433,10 +433,9 @@ impl BufferCache {
     pub fn set_capacity(&self, frames: usize) -> usize {
         let frames = frames.max(1);
         let n = self.shards.len();
-        self.capacity.store(frames, Ordering::Release);
-        self.shard_cap
-            .store(soft_shard_cap(frames, n), Ordering::Release);
-        self.stats.capacity_shifts.fetch_add(1, Ordering::Relaxed);
+        self.capacity.store(frames);
+        self.shard_cap.store(soft_shard_cap(frames, n));
+        self.stats.capacity_shifts.fetch_add(1);
         self.drain_shrink_debt();
         self.shrink_debt()
     }
@@ -446,9 +445,7 @@ impl BufferCache {
     /// lowered the budget below what pins and in-flight I/O allow
     /// eviction to reclaim immediately.
     pub fn shrink_debt(&self) -> usize {
-        self.resident
-            .load(Ordering::Acquire)
-            .saturating_sub(self.capacity.load(Ordering::Acquire))
+        self.resident.load().saturating_sub(self.capacity.load())
     }
 
     /// Best-effort eviction sweep until `resident <= capacity` or no
@@ -458,7 +455,7 @@ impl BufferCache {
     /// mid-flush cannot spin this loop forever.
     fn drain_shrink_debt(&self) {
         let n = self.shards.len();
-        let mut rounds = 2 * self.resident.load(Ordering::Acquire) + 2 * n;
+        let mut rounds = 2 * self.resident.load() + 2 * n;
         let mut start = 0usize;
         while rounds > 0 && self.shrink_debt() > 0 {
             let mut progressed = false;
@@ -489,7 +486,7 @@ impl BufferCache {
 
     /// Currently resident frames (including in-flight installs).
     pub fn resident(&self) -> usize {
-        self.resident.load(Ordering::Acquire)
+        self.resident.load()
     }
 
     /// Frames currently pinned by outstanding guards.
@@ -498,11 +495,7 @@ impl BufferCache {
             .iter()
             .map(|s| {
                 let inner = self.lock_shard(s);
-                inner
-                    .frames
-                    .iter()
-                    .filter(|f| f.pin.load(Ordering::Acquire) > 0)
-                    .count()
+                inner.frames.iter().filter(|f| f.pin.load() > 0).count()
             })
             .sum()
     }
@@ -510,22 +503,22 @@ impl BufferCache {
     /// Statistics counters.
     pub fn stats(&self) -> BufferStatsSnapshot {
         let mut s = BufferStatsSnapshot {
-            hits: self.stats.hits.load(Ordering::Relaxed),
-            misses: self.stats.misses.load(Ordering::Relaxed),
-            evictions: self.stats.evictions.load(Ordering::Relaxed),
-            flushes: self.stats.flushes.load(Ordering::Relaxed),
-            latch_contention: self.stats.latch_contention.load(Ordering::Relaxed),
+            hits: self.stats.hits.load(),
+            misses: self.stats.misses.load(),
+            evictions: self.stats.evictions.load(),
+            flushes: self.stats.flushes.load(),
+            latch_contention: self.stats.latch_contention.load(),
             shard_lock_contention: 0,
-            io_waits: self.stats.io_waits.load(Ordering::Relaxed),
-            io_errors: self.stats.io_errors.load(Ordering::Relaxed),
-            io_retries: self.stats.io_retries.load(Ordering::Relaxed),
-            checksum_failures: self.stats.checksum_failures.load(Ordering::Relaxed),
+            io_waits: self.stats.io_waits.load(),
+            io_errors: self.stats.io_errors.load(),
+            io_retries: self.stats.io_retries.load(),
+            checksum_failures: self.stats.checksum_failures.load(),
             capacity: self.capacity() as u64,
             shrink_debt: self.shrink_debt() as u64,
-            capacity_shifts: self.stats.capacity_shifts.load(Ordering::Relaxed),
+            capacity_shifts: self.stats.capacity_shifts.load(),
         };
         for shard in self.shards.iter() {
-            s.shard_lock_contention += shard.lock_contention.load(Ordering::Relaxed);
+            s.shard_lock_contention += shard.lock_contention.load();
         }
         s
     }
@@ -536,7 +529,7 @@ impl BufferCache {
             .iter()
             .map(|s| ShardStat {
                 resident: self.lock_shard(s).frames.len(),
-                lock_contention: s.lock_contention.load(Ordering::Relaxed),
+                lock_contention: s.lock_contention.load(),
             })
             .collect()
     }
@@ -561,7 +554,7 @@ impl BufferCache {
         match shard.inner.try_lock() {
             Some(g) => g,
             None => {
-                shard.lock_contention.fetch_add(1, Ordering::Relaxed);
+                shard.lock_contention.fetch_add(1);
                 shard.inner.lock()
             }
         }
@@ -569,11 +562,9 @@ impl BufferCache {
 
     /// Charge one frame against the global budget if it fits.
     fn try_reserve(&self) -> bool {
-        let cap = self.capacity.load(Ordering::Acquire);
+        let cap = self.capacity.load();
         self.resident
-            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |cur| {
-                (cur < cap).then_some(cur + 1)
-            })
+            .fetch_update(|cur| (cur < cap).then_some(cur + 1))
             .is_ok()
     }
 
@@ -602,17 +593,17 @@ impl BufferCache {
                 let inner = self.lock_shard(shard);
                 inner.map.get(&id).map(|&idx| {
                     let f = &inner.frames[idx];
-                    f.pin.fetch_add(1, Ordering::AcqRel);
-                    f.referenced.store(true, Ordering::Relaxed);
+                    f.pin.fetch_add(1);
+                    f.referenced.store(true);
                     Arc::clone(f)
                 })
             };
             if let Some(frame) = hit {
-                match frame.state.load(Ordering::Acquire) {
+                match frame.state.load() {
                     // `Evicting` data is still valid; our pin makes the
                     // evictor abort when it re-checks.
                     STATE_READY | STATE_EVICTING => {
-                        self.stats.hits.fetch_add(1, Ordering::Relaxed);
+                        self.stats.hits.fetch_add(1);
                         return Ok(PageGuard { cache: self, frame });
                     }
                     _ => {
@@ -622,12 +613,12 @@ impl BufferCache {
                         // fetch counts exactly one of hit/miss (an
                         // io_wait overlays the hit; a failed read
                         // retries and counts as the retry's miss).
-                        self.stats.io_waits.fetch_add(1, Ordering::Relaxed);
+                        self.stats.io_waits.fetch_add(1);
                         if frame.wait_ready() == STATE_FAILED {
-                            frame.pin.fetch_sub(1, Ordering::AcqRel);
+                            frame.pin.fetch_sub(1);
                             continue;
                         }
-                        self.stats.hits.fetch_add(1, Ordering::Relaxed);
+                        self.stats.hits.fetch_add(1);
                         return Ok(PageGuard { cache: self, frame });
                     }
                 }
@@ -635,7 +626,7 @@ impl BufferCache {
 
             // Miss: reserve a frame, install it Pending, then read with
             // no shard lock held.
-            self.stats.misses.fetch_add(1, Ordering::Relaxed);
+            self.stats.misses.fetch_add(1);
             let miss_start = self.miss_hist.as_ref().map(|_| std::time::Instant::now());
             self.make_room(si)?;
             let frame = Frame::new(
@@ -650,10 +641,7 @@ impl BufferCache {
                     // Lost the install race; return the slot and join
                     // the winner's frame via the hit path.
                     drop(inner);
-                    // lint: allow(atomics-ordering) -- pure decrement: it
-                    // releases the freed slot, and the admitting CAS in
-                    // make_room acquires; the decrementer reads nothing.
-                    self.resident.fetch_sub(1, Ordering::Release);
+                    self.resident.fetch_sub(1);
                     continue;
                 }
                 let idx = inner.frames.len();
@@ -664,7 +652,7 @@ impl BufferCache {
                 let mut data = frame.data.write();
                 self.read_with_retry(id, &mut data).and_then(|()| {
                     if verify && !verify_page_checksum(&data) {
-                        self.stats.checksum_failures.fetch_add(1, Ordering::Relaxed);
+                        self.stats.checksum_failures.fetch_add(1);
                         Err(BtrimError::ChecksumMismatch(id))
                     } else {
                         Ok(())
@@ -690,11 +678,9 @@ impl BufferCache {
                             inner.remove_at(idx);
                         }
                     }
-                    // lint: allow(atomics-ordering) -- pure decrement (see
-                    // the install-race comment above).
-                    self.resident.fetch_sub(1, Ordering::Release);
+                    self.resident.fetch_sub(1);
                     frame.set_state(STATE_FAILED);
-                    frame.pin.fetch_sub(1, Ordering::AcqRel);
+                    frame.pin.fetch_sub(1);
                     return Err(e);
                 }
             }
@@ -733,8 +719,7 @@ impl BufferCache {
             // Per-shard overflow bound: borrowing pauses at shard_cap
             // so over-quota shards shed load before dipping into the
             // global budget again.
-            let over = self.lock_shard(&self.shards[home]).frames.len()
-                >= self.shard_cap.load(Ordering::Acquire);
+            let over = self.lock_shard(&self.shards[home]).frames.len() >= self.shard_cap.load();
             if over {
                 match self.evict_one(home) {
                     Ok(EvictOutcome::Evicted | EvictOutcome::Aborted) => continue,
@@ -766,7 +751,7 @@ impl BufferCache {
                     Some(e) => e,
                     None => BtrimError::BufferExhausted {
                         pinned: self.pinned_frames(),
-                        capacity: self.capacity.load(Ordering::Acquire),
+                        capacity: self.capacity.load(),
                     },
                 });
             }
@@ -775,7 +760,7 @@ impl BufferCache {
             Some(e) => e,
             None => BtrimError::BufferExhausted {
                 pinned: self.pinned_frames(),
-                capacity: self.capacity.load(Ordering::Acquire),
+                capacity: self.capacity.load(),
             },
         })
     }
@@ -799,16 +784,16 @@ impl BufferCache {
                 let hand = inner.hand % len;
                 inner.hand = hand + 1;
                 let frame = &inner.frames[hand];
-                if frame.state.load(Ordering::Acquire) != STATE_READY {
+                if frame.state.load() != STATE_READY {
                     continue;
                 }
-                if frame.pin.load(Ordering::Acquire) > 0 {
+                if frame.pin.load() > 0 {
                     continue;
                 }
-                if frame.referenced.swap(false, Ordering::Relaxed) {
+                if frame.referenced.swap(false) {
                     continue;
                 }
-                frame.state.store(STATE_EVICTING, Ordering::Release);
+                frame.state.store(STATE_EVICTING);
                 found = Some(Arc::clone(frame));
                 break;
             }
@@ -822,21 +807,21 @@ impl BufferCache {
         // this shard proceed during the flush. On failure (after the
         // bounded retries) the frame is re-marked dirty and stays
         // resident — the cache never drops the only copy of a page.
-        if victim.dirty.swap(false, Ordering::AcqRel) {
+        if victim.dirty.swap(false) {
             let wrote = {
                 let data = victim.data.read();
                 self.write_with_retry(victim.page_id, &data)
             };
             if let Err(e) = wrote {
-                victim.dirty.store(true, Ordering::Release);
+                victim.dirty.store(true);
                 victim.set_state(STATE_READY);
                 return Err(e);
             }
-            self.stats.flushes.fetch_add(1, Ordering::Relaxed);
+            self.stats.flushes.fetch_add(1);
         }
 
         let mut inner = self.lock_shard(shard);
-        if victim.pin.load(Ordering::Acquire) > 0 || victim.dirty.load(Ordering::Acquire) {
+        if victim.pin.load() > 0 || victim.dirty.load() {
             // Re-fetched (or re-dirtied) during the flush: keep it.
             victim.set_state(STATE_READY);
             return Ok(EvictOutcome::Aborted);
@@ -849,10 +834,8 @@ impl BufferCache {
         })?;
         inner.remove_at(idx);
         drop(inner);
-        // lint: allow(atomics-ordering) -- pure decrement: releases the
-        // evicted slot to the admitting CAS; reads nothing back.
-        self.resident.fetch_sub(1, Ordering::Release);
-        self.stats.evictions.fetch_add(1, Ordering::Relaxed);
+        self.resident.fetch_sub(1);
+        self.stats.evictions.fetch_add(1);
         Ok(EvictOutcome::Evicted)
     }
 
@@ -874,7 +857,7 @@ impl BufferCache {
                     .frames
                     .iter()
                     .map(|f| {
-                        f.pin.fetch_add(1, Ordering::AcqRel);
+                        f.pin.fetch_add(1);
                         Arc::clone(f)
                     })
                     .collect()
@@ -884,21 +867,21 @@ impl BufferCache {
                 // Pending frames are never dirty; Evicting frames had
                 // their dirty bit claimed by the evictor's own
                 // write-back, whose removal our pin now aborts.
-                if frame.dirty.swap(false, Ordering::AcqRel) {
+                if frame.dirty.swap(false) {
                     let wrote = {
                         let data = frame.data.read();
                         self.write_with_retry(frame.page_id, &data)
                     };
                     if let Err(e) = wrote {
-                        frame.dirty.store(true, Ordering::Release);
+                        frame.dirty.store(true);
                         flush_err = Some(e);
                         break;
                     }
-                    self.stats.flushes.fetch_add(1, Ordering::Relaxed);
+                    self.stats.flushes.fetch_add(1);
                 }
             }
             for frame in &frames {
-                frame.pin.fetch_sub(1, Ordering::AcqRel);
+                frame.pin.fetch_sub(1);
             }
             if let Some(e) = flush_err {
                 return Err(e);
@@ -920,7 +903,7 @@ impl BufferCache {
                 inner
                     .frames
                     .iter()
-                    .filter(|f| f.dirty.load(Ordering::Acquire))
+                    .filter(|f| f.dirty.load())
                     .map(|f| f.page_id),
             );
         }
@@ -943,29 +926,29 @@ impl BufferCache {
                 let inner = self.lock_shard(shard);
                 inner.map.get(&id).map(|&idx| {
                     let f = &inner.frames[idx];
-                    f.pin.fetch_add(1, Ordering::AcqRel);
+                    f.pin.fetch_add(1);
                     Arc::clone(f)
                 })
             };
             let Some(frame) = frame else { continue };
             let mut flush_err = None;
-            if frame.dirty.swap(false, Ordering::AcqRel) {
+            if frame.dirty.swap(false) {
                 let wrote = {
                     let data = frame.data.read();
                     self.write_with_retry(frame.page_id, &data)
                 };
                 match wrote {
                     Ok(()) => {
-                        self.stats.flushes.fetch_add(1, Ordering::Relaxed);
+                        self.stats.flushes.fetch_add(1);
                         flushed += 1;
                     }
                     Err(e) => {
-                        frame.dirty.store(true, Ordering::Release);
+                        frame.dirty.store(true);
                         flush_err = Some(e);
                     }
                 }
             }
-            frame.pin.fetch_sub(1, Ordering::AcqRel);
+            frame.pin.fetch_sub(1);
             if let Some(e) = flush_err {
                 return Err(e);
             }
@@ -1018,10 +1001,7 @@ impl PageGuard<'_> {
         let guard = match self.frame.data.try_read() {
             Some(g) => g,
             None => {
-                self.cache
-                    .stats
-                    .latch_contention
-                    .fetch_add(1, Ordering::Relaxed);
+                self.cache.stats.latch_contention.fetch_add(1);
                 THREAD_CONTENTION.with(|c| c.set(c.get() + 1));
                 self.frame.data.read()
             }
@@ -1035,15 +1015,12 @@ impl PageGuard<'_> {
         let mut guard = match self.frame.data.try_write() {
             Some(g) => g,
             None => {
-                self.cache
-                    .stats
-                    .latch_contention
-                    .fetch_add(1, Ordering::Relaxed);
+                self.cache.stats.latch_contention.fetch_add(1);
                 THREAD_CONTENTION.with(|c| c.set(c.get() + 1));
                 self.frame.data.write()
             }
         };
-        self.frame.dirty.store(true, Ordering::Release);
+        self.frame.dirty.store(true);
         f(&mut guard)
     }
 
@@ -1065,16 +1042,14 @@ impl std::fmt::Debug for PageGuard<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PageGuard")
             .field("page_id", &self.frame.page_id)
-            // lint: allow(atomics-ordering) -- Debug snapshot; a stale pin
-            // count in log output is harmless.
-            .field("pins", &self.frame.pin.load(Ordering::Relaxed))
+            .field("pins", &self.frame.pin)
             .finish()
     }
 }
 
 impl Drop for PageGuard<'_> {
     fn drop(&mut self) {
-        self.frame.pin.fetch_sub(1, Ordering::AcqRel);
+        self.frame.pin.fetch_sub(1);
     }
 }
 
@@ -1273,19 +1248,19 @@ mod tests {
             });
             g.page_id()
         };
-        let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
-        let writes = Arc::new(AtomicU64::new(0));
+        let stop = Arc::new(Relaxed::new(false));
+        let writes = Arc::new(Relaxed::new(0u64));
         let writer = {
             let c = Arc::clone(&c);
             let stop = Arc::clone(&stop);
             let writes = Arc::clone(&writes);
             std::thread::spawn(move || {
-                while !stop.load(Ordering::Relaxed) {
+                while !stop.load() {
                     let g = c.fetch(id).unwrap();
                     g.with_page_write(|p| {
                         assert!(p.update(btrim_common::SlotId(0), b"vN"));
                     });
-                    writes.fetch_add(1, Ordering::Relaxed);
+                    writes.fetch_add(1);
                 }
             })
         };
@@ -1293,7 +1268,7 @@ mod tests {
         // flushes: 200 flushes of a memory device can be over before
         // the writer thread is first scheduled.
         let mut flushes = 0u64;
-        while flushes < 200 || writes.load(Ordering::Relaxed) == 0 {
+        while flushes < 200 || writes.load() == 0 {
             c.flush_pages(&[id]).unwrap();
             flushes += 1;
             assert!(
@@ -1301,7 +1276,7 @@ mod tests {
                 "writer must make progress during flushes"
             );
         }
-        stop.store(true, Ordering::Relaxed);
+        stop.store(true);
         writer.join().unwrap();
     }
 
@@ -1458,7 +1433,7 @@ mod tests {
             } // other shards' guards drop here and stay evictable
         }
         assert!(
-            c.shard_stats()[0].resident > c.shard_cap.load(Ordering::Relaxed),
+            c.shard_stats()[0].resident > c.shard_cap.load(),
             "test must actually push shard 0 past its soft cap"
         );
         assert!(c.resident() <= c.capacity());
@@ -1470,22 +1445,20 @@ mod tests {
     /// and/or writes with transient I/O errors.
     struct FlakyDisk {
         inner: MemDisk,
-        fail_reads: AtomicU64,
-        fail_writes: AtomicU64,
+        fail_reads: AcqRel<u64>,
+        fail_writes: AcqRel<u64>,
     }
 
     impl FlakyDisk {
         fn new() -> Self {
             FlakyDisk {
                 inner: MemDisk::new(),
-                fail_reads: AtomicU64::new(0),
-                fail_writes: AtomicU64::new(0),
+                fail_reads: AcqRel::new(0),
+                fail_writes: AcqRel::new(0),
             }
         }
-        fn take_budget(counter: &AtomicU64) -> bool {
-            counter
-                .fetch_update(Ordering::AcqRel, Ordering::Acquire, |c| c.checked_sub(1))
-                .is_ok()
+        fn take_budget(counter: &AcqRel<u64>) -> bool {
+            counter.fetch_update(|c| c.checked_sub(1)).is_ok()
         }
     }
 
@@ -1538,7 +1511,7 @@ mod tests {
                 panic!("nothing evictable");
             }
         }
-        backend.fail_reads.store(2, Ordering::Release);
+        backend.fail_reads.store(2);
         let g = c.fetch(id).unwrap();
         g.with_page_read(|v| {
             assert_eq!(v.get(btrim_common::SlotId(0)).unwrap(), b"survives retries");
@@ -1561,7 +1534,7 @@ mod tests {
         while c.resident() > 0 {
             c.evict_one(c.shard_of(id)).unwrap();
         }
-        backend.fail_reads.store(100, Ordering::Release);
+        backend.fail_reads.store(100);
         let err = c.fetch(id).unwrap_err();
         assert!(matches!(err, BtrimError::Io(_)));
         assert_eq!(c.resident(), 0);
@@ -1616,12 +1589,12 @@ mod tests {
         };
         // Every write fails: eviction must keep the frame (re-marked
         // dirty), never dropping the only copy.
-        backend.fail_writes.store(u64::MAX, Ordering::Release);
+        backend.fail_writes.store(u64::MAX);
         let err = c.evict_one(c.shard_of(id)).map(|_| ()).unwrap_err();
         assert!(matches!(err, BtrimError::Io(_)));
         assert_eq!(c.resident(), 1, "frame dropped despite failed write-back");
         // Device heals: flush persists the still-dirty page.
-        backend.fail_writes.store(0, Ordering::Release);
+        backend.fail_writes.store(0);
         c.flush_all().unwrap();
         let mut raw = vec![0u8; PAGE_SIZE];
         backend.read_page(id, &mut raw).unwrap();
@@ -1654,7 +1627,7 @@ mod tests {
     /// first 512 bytes of the new image land, yet it reports success.
     struct TearingDisk {
         inner: MemDisk,
-        tear_writes: AtomicU64,
+        tear_writes: AcqRel<u64>,
     }
 
     impl DiskBackend for TearingDisk {
@@ -1692,7 +1665,7 @@ mod tests {
     fn write_verification_heals_a_torn_write() {
         let backend = Arc::new(TearingDisk {
             inner: MemDisk::new(),
-            tear_writes: AtomicU64::new(0),
+            tear_writes: AcqRel::new(0),
         });
         let c = BufferCache::new(backend.clone(), 4)
             .with_io_retry(3, std::time::Duration::from_micros(10))
@@ -1704,7 +1677,7 @@ mod tests {
             });
             g.page_id()
         };
-        backend.tear_writes.store(1, Ordering::Release);
+        backend.tear_writes.store(1);
         c.flush_all().unwrap();
         // The tear was detected by read-back and the write retried: the
         // device image is intact and checksummed.

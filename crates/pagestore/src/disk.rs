@@ -9,10 +9,10 @@
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::Path;
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
 use parking_lot::{Mutex, RwLock};
 
+use btrim_common::atomics::{AcqRel, Relaxed};
 use btrim_common::{BtrimError, PageId, Result};
 
 use crate::page::PAGE_SIZE;
@@ -55,8 +55,8 @@ fn check_buf_len(buf: &[u8]) -> Result<()> {
 #[derive(Default)]
 pub struct MemDisk {
     pages: RwLock<Vec<Box<[u8]>>>,
-    reads: AtomicU64,
-    writes: AtomicU64,
+    reads: Relaxed<u64>,
+    writes: Relaxed<u64>,
 }
 
 impl MemDisk {
@@ -74,7 +74,7 @@ impl DiskBackend for MemDisk {
             .get(id.0 as usize)
             .ok_or(BtrimError::PageNotFound(id))?;
         buf.copy_from_slice(page);
-        self.reads.fetch_add(1, Ordering::Relaxed);
+        self.reads.fetch_add(1);
         Ok(())
     }
 
@@ -85,7 +85,7 @@ impl DiskBackend for MemDisk {
             .get_mut(id.0 as usize)
             .ok_or(BtrimError::PageNotFound(id))?;
         page.copy_from_slice(buf);
-        self.writes.fetch_add(1, Ordering::Relaxed);
+        self.writes.fetch_add(1);
         Ok(())
     }
 
@@ -105,11 +105,11 @@ impl DiskBackend for MemDisk {
     }
 
     fn reads(&self) -> u64 {
-        self.reads.load(Ordering::Relaxed)
+        self.reads.load()
     }
 
     fn writes(&self) -> u64 {
-        self.writes.load(Ordering::Relaxed)
+        self.writes.load()
     }
 }
 
@@ -117,9 +117,9 @@ impl DiskBackend for MemDisk {
 /// `i * PAGE_SIZE`.
 pub struct FileDisk {
     file: Mutex<File>,
-    next_page: AtomicU32,
-    reads: AtomicU64,
-    writes: AtomicU64,
+    next_page: AcqRel<u32>,
+    reads: Relaxed<u64>,
+    writes: Relaxed<u64>,
 }
 
 impl FileDisk {
@@ -136,9 +136,9 @@ impl FileDisk {
         let next = (len / PAGE_SIZE as u64) as u32;
         Ok(FileDisk {
             file: Mutex::new(file),
-            next_page: AtomicU32::new(next),
-            reads: AtomicU64::new(0),
-            writes: AtomicU64::new(0),
+            next_page: AcqRel::new(next),
+            reads: Relaxed::new(0),
+            writes: Relaxed::new(0),
         })
     }
 }
@@ -146,31 +146,31 @@ impl FileDisk {
 impl DiskBackend for FileDisk {
     fn read_page(&self, id: PageId, buf: &mut [u8]) -> Result<()> {
         check_buf_len(buf)?;
-        if id.0 >= self.next_page.load(Ordering::Acquire) {
+        if id.0 >= self.next_page.load() {
             return Err(BtrimError::PageNotFound(id));
         }
         let mut file = self.file.lock();
         file.seek(SeekFrom::Start(id.0 as u64 * PAGE_SIZE as u64))?;
         file.read_exact(buf)?;
-        self.reads.fetch_add(1, Ordering::Relaxed);
+        self.reads.fetch_add(1);
         Ok(())
     }
 
     fn write_page(&self, id: PageId, buf: &[u8]) -> Result<()> {
         check_buf_len(buf)?;
-        if id.0 >= self.next_page.load(Ordering::Acquire) {
+        if id.0 >= self.next_page.load() {
             return Err(BtrimError::PageNotFound(id));
         }
         let mut file = self.file.lock();
         file.seek(SeekFrom::Start(id.0 as u64 * PAGE_SIZE as u64))?;
         file.write_all(buf)?;
-        self.writes.fetch_add(1, Ordering::Relaxed);
+        self.writes.fetch_add(1);
         Ok(())
     }
 
     fn allocate_page(&self) -> Result<PageId> {
         let mut file = self.file.lock();
-        let id = PageId(self.next_page.load(Ordering::Acquire));
+        let id = PageId(self.next_page.load());
         let start = id.0 as u64 * PAGE_SIZE as u64;
         let zero_fill = (|| -> Result<()> {
             file.seek(SeekFrom::Start(start))?;
@@ -184,12 +184,12 @@ impl DiskBackend for FileDisk {
             let _ = file.set_len(start);
             return Err(e);
         }
-        self.next_page.store(id.0 + 1, Ordering::Release);
+        self.next_page.store(id.0 + 1);
         Ok(id)
     }
 
     fn num_pages(&self) -> u32 {
-        self.next_page.load(Ordering::Acquire)
+        self.next_page.load()
     }
 
     fn sync(&self) -> Result<()> {
@@ -198,11 +198,11 @@ impl DiskBackend for FileDisk {
     }
 
     fn reads(&self) -> u64 {
-        self.reads.load(Ordering::Relaxed)
+        self.reads.load()
     }
 
     fn writes(&self) -> u64 {
-        self.writes.load(Ordering::Relaxed)
+        self.writes.load()
     }
 }
 

@@ -38,9 +38,9 @@
 //! index and length read from the wire is validated before use, so the
 //! accessors on a decoded column are infallible.
 
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
+use btrim_common::atomics::{AcqRel, Relaxed};
 use btrim_common::codec::{Decoder, Encoder};
 use btrim_common::crc::crc32;
 use btrim_common::{BtrimError, PartitionId, Result, RowId, TableId};
@@ -840,11 +840,11 @@ pub struct FrozenExtent {
     table: TableId,
     partition: PartitionId,
     raw_len: u64,
-    encoded_len: AtomicU64,
+    encoded_len: Relaxed<u64>,
     row_ids: Vec<RowId>,
     columns: Vec<ExtentColumn>,
-    live: Vec<AtomicU64>,
-    live_count: AtomicU64,
+    live: Vec<AcqRel<u64>>,
+    live_count: Relaxed<u64>,
 }
 
 impl FrozenExtent {
@@ -889,9 +889,9 @@ impl FrozenExtent {
             table,
             partition,
             raw_len,
-            encoded_len: AtomicU64::new(0),
+            encoded_len: Relaxed::new(0),
             live: new_live_bitmap(n),
-            live_count: AtomicU64::new(n as u64),
+            live_count: Relaxed::new(n as u64),
             row_ids,
             columns: built,
         })
@@ -927,7 +927,7 @@ impl FrozenExtent {
         let mut out = e.into_vec();
         let sum = crc32(&out);
         out.extend_from_slice(&sum.to_le_bytes());
-        self.encoded_len.store(out.len() as u64, Ordering::Relaxed);
+        self.encoded_len.store(out.len() as u64);
         out
     }
 
@@ -1005,9 +1005,9 @@ impl FrozenExtent {
             table,
             partition,
             raw_len,
-            encoded_len: AtomicU64::new(bytes.len() as u64),
+            encoded_len: Relaxed::new(bytes.len() as u64),
             live: new_live_bitmap(n),
-            live_count: AtomicU64::new(n as u64),
+            live_count: Relaxed::new(n as u64),
             row_ids,
             columns,
         })
@@ -1060,7 +1060,7 @@ impl FrozenExtent {
 
     /// Encoded wire size (0 until first encoded or decoded).
     pub fn encoded_len(&self) -> u64 {
-        self.encoded_len.load(Ordering::Relaxed)
+        self.encoded_len.load()
     }
 
     /// Whether slot `i` still holds the current version of its row.
@@ -1068,7 +1068,7 @@ impl FrozenExtent {
     pub fn is_live(&self, i: usize) -> bool {
         self.live
             .get(i / 64)
-            .map(|live_word| live_word.load(Ordering::Acquire) >> (i % 64) & 1 == 1)
+            .map(|live_word| live_word.load() >> (i % 64) & 1 == 1)
             .unwrap_or(false)
     }
 
@@ -1079,9 +1079,9 @@ impl FrozenExtent {
             return false;
         };
         let bit = 1u64 << (i % 64);
-        let prev = live_word.fetch_and(!bit, Ordering::AcqRel);
+        let prev = live_word.fetch_and(!bit);
         if prev & bit != 0 {
-            self.live_count.fetch_sub(1, Ordering::Relaxed);
+            self.live_count.fetch_sub(1);
             true
         } else {
             false
@@ -1095,9 +1095,9 @@ impl FrozenExtent {
             return false;
         };
         let bit = 1u64 << (i % 64);
-        let prev = live_word.fetch_or(bit, Ordering::AcqRel);
+        let prev = live_word.fetch_or(bit);
         if prev & bit == 0 {
-            self.live_count.fetch_add(1, Ordering::Relaxed);
+            self.live_count.fetch_add(1);
             true
         } else {
             false
@@ -1106,11 +1106,11 @@ impl FrozenExtent {
 
     /// Number of live slots.
     pub fn live_count(&self) -> u64 {
-        self.live_count.load(Ordering::Relaxed)
+        self.live_count.load()
     }
 }
 
-fn new_live_bitmap(n: usize) -> Vec<AtomicU64> {
+fn new_live_bitmap(n: usize) -> Vec<AcqRel<u64>> {
     let words = n.div_ceil(64);
     let mut live = Vec::with_capacity(words);
     for w in 0..words {
@@ -1120,7 +1120,7 @@ fn new_live_bitmap(n: usize) -> Vec<AtomicU64> {
         } else {
             (1u64 << bits_here) - 1
         };
-        live.push(AtomicU64::new(word));
+        live.push(AcqRel::new(word));
     }
     live
 }
@@ -1139,11 +1139,11 @@ type ExtentChunk = Box<[OnceLock<Arc<FrozenExtent>>]>;
 #[derive(Debug)]
 pub struct ExtentStore {
     chunks: Box<[OnceLock<ExtentChunk>]>,
-    next: AtomicU32,
+    next: AcqRel<u32>,
     publish: Mutex<()>,
-    count: AtomicU64,
-    raw_bytes: AtomicU64,
-    encoded_bytes: AtomicU64,
+    count: Relaxed<u64>,
+    raw_bytes: Relaxed<u64>,
+    encoded_bytes: Relaxed<u64>,
 }
 
 impl Default for ExtentStore {
@@ -1157,23 +1157,23 @@ impl ExtentStore {
     pub fn new() -> ExtentStore {
         ExtentStore {
             chunks: (0..DIR_CHUNKS).map(|_| OnceLock::new()).collect(),
-            next: AtomicU32::new(0),
+            next: AcqRel::new(0),
             publish: Mutex::with_rank(lock_rank::EXTENT_STORE, ()),
-            count: AtomicU64::new(0),
-            raw_bytes: AtomicU64::new(0),
-            encoded_bytes: AtomicU64::new(0),
+            count: Relaxed::new(0),
+            raw_bytes: Relaxed::new(0),
+            encoded_bytes: Relaxed::new(0),
         }
     }
 
     /// Reserve the next extent id.
     pub fn allocate_id(&self) -> u32 {
-        self.next.fetch_add(1, Ordering::Relaxed)
+        self.next.fetch_add(1)
     }
 
     /// Raise the id allocator past `id` (recovery replays extents at
     /// their logged ids and must keep later allocations above them).
     pub fn bump_floor(&self, id: u32) {
-        self.next.fetch_max(id.saturating_add(1), Ordering::Relaxed);
+        self.next.fetch_max(id.saturating_add(1));
     }
 
     /// Publish an extent at its id. Fails if the slot is taken or the
@@ -1203,9 +1203,9 @@ impl ExtentStore {
                 "extent {id} already installed"
             )));
         }
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.raw_bytes.fetch_add(raw, Ordering::Relaxed);
-        self.encoded_bytes.fetch_add(encoded, Ordering::Relaxed);
+        self.count.fetch_add(1);
+        self.raw_bytes.fetch_add(raw);
+        self.encoded_bytes.fetch_add(encoded);
         Ok(())
     }
 
@@ -1223,7 +1223,7 @@ impl ExtentStore {
 
     /// Visit every installed extent in id order (lock-free).
     pub fn for_each(&self, mut f: impl FnMut(&Arc<FrozenExtent>)) {
-        let hi = self.next.load(Ordering::Acquire);
+        let hi = self.next.load();
         for id in 0..hi {
             if let Some(ext) = self.get(id) {
                 f(&ext);
@@ -1233,22 +1233,22 @@ impl ExtentStore {
 
     /// Number of installed extents.
     pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
+        self.count.load()
     }
 
     /// Total raw bytes across installed extents.
     pub fn raw_bytes(&self) -> u64 {
-        self.raw_bytes.load(Ordering::Relaxed)
+        self.raw_bytes.load()
     }
 
     /// Total encoded bytes across installed extents.
     pub fn encoded_bytes(&self) -> u64 {
-        self.encoded_bytes.load(Ordering::Relaxed)
+        self.encoded_bytes.load()
     }
 
     /// One past the highest allocated extent id.
     pub fn next_id(&self) -> u32 {
-        self.next.load(Ordering::Acquire)
+        self.next.load()
     }
 }
 

@@ -9,10 +9,10 @@
 //! last touch, so inserts do not scan the chain.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use parking_lot::Mutex;
 
+use btrim_common::atomics::Relaxed;
 use btrim_common::{BtrimError, PageId, PartitionId, Result, SlotId};
 
 use crate::buffer::BufferCache;
@@ -26,7 +26,7 @@ pub struct HeapFile {
     /// scans skip the buffer cache entirely for empty heaps — the
     /// analytic scan path relies on this to stay latch-free once a
     /// partition is fully frozen.
-    live_rows: AtomicU64,
+    live_rows: Relaxed<u64>,
 }
 
 struct HeapInner {
@@ -58,7 +58,7 @@ impl HeapFile {
                 fsm: BTreeMap::new(),
                 by_free: BTreeSet::new(),
             }),
-            live_rows: AtomicU64::new(0),
+            live_rows: Relaxed::new(0),
         }
     }
 
@@ -78,7 +78,7 @@ impl HeapFile {
             frees.push((pid, free));
             rows += live;
         }
-        self.live_rows.store(rows, Ordering::Relaxed);
+        self.live_rows.store(rows);
         let mut inner = self.inner.lock();
         inner.pages = pages;
         inner.fsm.clear();
@@ -101,7 +101,7 @@ impl HeapFile {
 
     /// Live-row count without touching a single page (pure atomic read).
     pub fn live_rows(&self) -> u64 {
-        self.live_rows.load(Ordering::Relaxed)
+        self.live_rows.load()
     }
 
     /// Insert a row payload, returning its physical address.
@@ -132,7 +132,7 @@ impl HeapFile {
             });
             self.inner.lock().set_free(pid, free);
             if let Some(slot) = slot {
-                self.live_rows.fetch_add(1, Ordering::Relaxed);
+                self.live_rows.fetch_add(1);
                 return Ok((pid, slot));
             }
         }
@@ -158,7 +158,7 @@ impl HeapFile {
         // above ever produces — but surface it as an error, not a panic.
         // (The empty page stays linked into the chain for future use.)
         let slot = slot.ok_or_else(|| BtrimError::Invalid("row exceeds page capacity".into()))?;
-        self.live_rows.fetch_add(1, Ordering::Relaxed);
+        self.live_rows.fetch_add(1);
         Ok((pid, slot))
     }
 
@@ -224,7 +224,7 @@ impl HeapFile {
         let (len, free) = guard.with_page_write(|p| (p.delete(slot), p.total_free()));
         self.inner.lock().set_free(pid, free);
         if len.is_some() {
-            self.live_rows.fetch_sub(1, Ordering::Relaxed);
+            self.live_rows.fetch_sub(1);
         }
         len.ok_or(BtrimError::Invalid(format!(
             "delete of dead slot {slot} on {pid}"

@@ -5,7 +5,7 @@
 //! Snapshot reads must never block writers (or each other), so `begin`,
 //! `commit`, `abort`, and the GC-horizon scan all run on atomics for
 //! the common case: a fixed array of registry *slots*, each one
-//! `AtomicU64` holding `reservation + 1` while a transaction is in
+//! `SeqCst<u64>` holding `reservation + 1` while a transaction is in
 //! flight (0 = free). Only when more transactions are concurrently
 //! active than there are slots does `begin` spill into a ranked mutex
 //! overflow table.
@@ -53,11 +53,11 @@
 //! horizon conservative throughout.
 
 use std::collections::HashMap;
-use std::sync::atomic::{fence, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use parking_lot::{lock_rank, Mutex};
 
+use btrim_common::atomics::{fence, AcqRel, Relaxed, SeqCst};
 use btrim_common::{LogicalClock, Timestamp, TxnId};
 
 /// Number of lock-free registry slots. More concurrent transactions
@@ -84,18 +84,18 @@ pub struct TxnHandle {
 /// oldest-active watermark over the lock-free registry.
 pub struct TxnManager {
     clock: Arc<LogicalClock>,
-    next_txn: AtomicU64,
-    committed: AtomicU64,
-    aborted: AtomicU64,
+    next_txn: Relaxed<u64>,
+    committed: Relaxed<u64>,
+    aborted: Relaxed<u64>,
     /// Registry slots: 0 = free, else `reservation.0 + 1`.
-    slots: Box<[AtomicU64]>,
+    slots: Box<[SeqCst<u64>]>,
     /// Spill table for bursts beyond `SLOTS` concurrent transactions.
     overflow: Mutex<HashMap<TxnId, Timestamp>>,
     /// Occupancy of `overflow`, published SeqCst *before* the spilled
     /// transaction reads its snapshot (see the module proof).
-    overflow_len: AtomicUsize,
+    overflow_len: SeqCst<usize>,
     /// Monotone cache of published horizons (`fetch_max` on scan).
-    cached_horizon: AtomicU64,
+    cached_horizon: AcqRel<u64>,
 }
 
 impl TxnManager {
@@ -103,13 +103,13 @@ impl TxnManager {
     pub fn new(clock: Arc<LogicalClock>) -> Self {
         TxnManager {
             clock,
-            next_txn: AtomicU64::new(1),
-            committed: AtomicU64::new(0),
-            aborted: AtomicU64::new(0),
-            slots: (0..SLOTS).map(|_| AtomicU64::new(0)).collect(),
+            next_txn: Relaxed::new(1),
+            committed: Relaxed::new(0),
+            aborted: Relaxed::new(0),
+            slots: (0..SLOTS).map(|_| SeqCst::new(0)).collect(),
             overflow: Mutex::with_rank(lock_rank::TXN_REGISTRY, HashMap::new()),
-            overflow_len: AtomicUsize::new(0),
-            cached_horizon: AtomicU64::new(0),
+            overflow_len: SeqCst::new(0),
+            cached_horizon: AcqRel::new(0),
         }
     }
 
@@ -126,19 +126,13 @@ impl TxnManager {
     /// carries. Falls back to the ranked overflow mutex only when all
     /// slots are taken.
     pub fn begin(&self) -> TxnHandle {
-        let id = TxnId(self.next_txn.fetch_add(1, Ordering::Relaxed));
+        let id = TxnId(self.next_txn.fetch_add(1));
         let r = self.clock.now();
         let start = (id.0 as usize).wrapping_mul(0x9E37_79B9) % SLOTS;
         for i in 0..SLOTS {
             let idx = (start + i) % SLOTS;
-            // lint: allow(atomics-ordering) -- the Relaxed failure ordering
-            // only observes "slot busy" before probing the next one; the
-            // success side stays SeqCst.
-            if self.slots[idx]
-                .compare_exchange(0, r.0 + 1, Ordering::SeqCst, Ordering::Relaxed)
-                .is_ok()
-            {
-                fence(Ordering::SeqCst);
+            if self.slots[idx].compare_exchange(0, r.0 + 1).is_ok() {
+                fence();
                 let snapshot = self.clock.now();
                 return TxnHandle {
                     id,
@@ -150,8 +144,8 @@ impl TxnManager {
         // Every slot taken: spill. The presence counter goes up before
         // the snapshot read, mirroring the slot CAS ordering.
         let mut ov = self.overflow.lock();
-        self.overflow_len.fetch_add(1, Ordering::SeqCst);
-        fence(Ordering::SeqCst);
+        self.overflow_len.fetch_add(1);
+        fence();
         let snapshot = self.clock.now();
         ov.insert(id, snapshot);
         TxnHandle {
@@ -165,10 +159,10 @@ impl TxnManager {
         if txn.slot == OVERFLOW_SLOT {
             let mut ov = self.overflow.lock();
             if ov.remove(&txn.id).is_some() {
-                self.overflow_len.fetch_sub(1, Ordering::SeqCst);
+                self.overflow_len.fetch_sub(1);
             }
         } else {
-            self.slots[txn.slot as usize].store(0, Ordering::SeqCst);
+            self.slots[txn.slot as usize].store(0);
         }
     }
 
@@ -185,7 +179,7 @@ impl TxnManager {
     pub fn finish_commit(&self, txn: TxnHandle, ts: Timestamp) {
         self.clock.publish(ts);
         self.deregister(txn);
-        self.committed.fetch_add(1, Ordering::Relaxed);
+        self.committed.fetch_add(1);
     }
 
     /// Commit: advances the database commit timestamp and returns it.
@@ -202,7 +196,7 @@ impl TxnManager {
     /// Abort: no timestamp is consumed.
     pub fn abort(&self, txn: TxnHandle) {
         self.deregister(txn);
-        self.aborted.fetch_add(1, Ordering::Relaxed);
+        self.aborted.fetch_add(1);
     }
 
     /// Retire a read-only snapshot transaction: deregisters without
@@ -218,48 +212,41 @@ impl TxnManager {
     /// bound; see the module docs).
     pub fn oldest_active_snapshot(&self) -> Timestamp {
         let cap = self.clock.now();
-        fence(Ordering::SeqCst);
+        fence();
         let mut min = cap.0;
         for slot in self.slots.iter() {
-            let v = slot.load(Ordering::SeqCst);
+            let v = slot.load();
             if v != 0 {
                 min = min.min(v - 1);
             }
         }
-        if self.overflow_len.load(Ordering::SeqCst) > 0 {
+        if self.overflow_len.load() > 0 {
             let ov = self.overflow.lock();
             for ts in ov.values() {
                 min = min.min(ts.0);
             }
         }
-        let prev = self.cached_horizon.fetch_max(min, Ordering::AcqRel);
+        let prev = self.cached_horizon.fetch_max(min);
         Timestamp(prev.max(min))
     }
 
     /// Number of in-flight transactions (including read-only
     /// snapshots) — the registry-size gauge.
     pub fn active_count(&self) -> usize {
-        let slots = self
-            .slots
-            .iter()
-            // lint: allow(atomics-ordering) -- monitoring gauge, not the
-            // reservation protocol; a torn count is fine.
-            .filter(|slot| slot.load(Ordering::Relaxed) != 0)
-            .count();
-        // lint: allow(atomics-ordering) -- same gauge snapshot as above.
-        slots + self.overflow_len.load(Ordering::Relaxed)
+        let slots = self.slots.iter().filter(|slot| slot.load() != 0).count();
+        slots + self.overflow_len.load()
     }
 
     /// Total committed transactions — the epoch counter that drives ILM
     /// tuning windows ("wakes up after some large number of
     /// transactions complete", §V.B).
     pub fn committed_count(&self) -> u64 {
-        self.committed.load(Ordering::Relaxed)
+        self.committed.load()
     }
 
     /// Total aborted transactions.
     pub fn aborted_count(&self) -> u64 {
-        self.aborted.load(Ordering::Relaxed)
+        self.aborted.load()
     }
 
     /// Raise the id allocator above `floor`. Recovery calls this with
@@ -269,7 +256,7 @@ impl TxnManager {
     /// discarded) leak onto a fresh transaction's records.
     pub fn bump_txn_floor(&self, floor: TxnId) {
         let min_next = floor.0.saturating_add(1);
-        self.next_txn.fetch_max(min_next, Ordering::Relaxed);
+        self.next_txn.fetch_max(min_next);
     }
 }
 
@@ -370,13 +357,13 @@ mod tests {
     #[test]
     fn horizon_is_monotone_under_churn() {
         let m = Arc::new(mgr());
-        let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let stop = Arc::new(Relaxed::new(false));
         let churners: Vec<_> = (0..4)
             .map(|_| {
                 let m = Arc::clone(&m);
                 let stop = Arc::clone(&stop);
                 std::thread::spawn(move || {
-                    while !stop.load(Ordering::Relaxed) {
+                    while !stop.load() {
                         let t = m.begin();
                         m.commit(t);
                     }
@@ -389,7 +376,7 @@ mod tests {
             assert!(h >= last, "horizon regressed: {h:?} < {last:?}");
             last = h;
         }
-        stop.store(true, Ordering::Relaxed);
+        stop.store(true);
         for c in churners {
             c.join().unwrap();
         }
@@ -400,13 +387,13 @@ mod tests {
         // 4 begin/commit churners + a scanner thread; every handle the
         // churners ever hold must satisfy horizon ≤ snapshot.
         let m = Arc::new(mgr());
-        let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let stop = Arc::new(Relaxed::new(false));
         let churners: Vec<_> = (0..4)
             .map(|_| {
                 let m = Arc::clone(&m);
                 let stop = Arc::clone(&stop);
                 std::thread::spawn(move || {
-                    while !stop.load(Ordering::Relaxed) {
+                    while !stop.load() {
                         let t = m.begin();
                         let h = m.oldest_active_snapshot();
                         assert!(
@@ -422,7 +409,7 @@ mod tests {
         for _ in 0..5000 {
             m.oldest_active_snapshot();
         }
-        stop.store(true, Ordering::Relaxed);
+        stop.store(true);
         for c in churners {
             c.join().unwrap();
         }

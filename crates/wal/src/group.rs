@@ -11,6 +11,7 @@ use std::sync::Arc;
 
 use parking_lot::{Condvar, Mutex};
 
+use btrim_common::atomics::Relaxed;
 use btrim_common::Result;
 
 use crate::log::LogSink;
@@ -30,7 +31,7 @@ pub struct GroupCommitter {
     sink: Arc<dyn LogSink>,
     state: Mutex<State>,
     cv: Condvar,
-    syncs: std::sync::atomic::AtomicU64,
+    syncs: Relaxed<u64>,
     /// Optional fsync latency histogram (nanoseconds): records the
     /// leader's device sync only — followers ride along for free and
     /// timing them would double-count the same sync.
@@ -44,7 +45,7 @@ impl GroupCommitter {
             sink,
             state: Mutex::with_rank(parking_lot::lock_rank::GROUP_COMMIT, State::default()),
             cv: Condvar::new(),
-            syncs: std::sync::atomic::AtomicU64::new(0),
+            syncs: Relaxed::new(0),
             flush_hist: None,
         }
     }
@@ -57,7 +58,7 @@ impl GroupCommitter {
 
     /// Device syncs actually performed (tests / stats).
     pub fn sync_count(&self) -> u64 {
-        self.syncs.load(std::sync::atomic::Ordering::Relaxed)
+        self.syncs.load()
     }
 
     /// Make everything appended so far durable. Returns once a sync
@@ -82,8 +83,7 @@ impl GroupCommitter {
                 if let (Some(h), Some(t)) = (&self.flush_hist, t) {
                     h.record(t.elapsed().as_nanos() as u64);
                 }
-                self.syncs
-                    .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                self.syncs.fetch_add(1);
                 st = self.state.lock();
                 st.flushing = false;
                 if result.is_ok() {
@@ -103,13 +103,13 @@ impl GroupCommitter {
 mod tests {
     use super::*;
     use crate::log::MemLog;
-    use std::sync::atomic::{AtomicU64, Ordering};
+    use btrim_common::atomics::SeqCst;
 
     /// A sink that counts flushes and makes each one slow, so that
     /// concurrent committers pile up behind the leader.
     struct SlowSink {
         inner: MemLog,
-        flushes: AtomicU64,
+        flushes: Relaxed<u64>,
     }
 
     impl LogSink for SlowSink {
@@ -117,7 +117,7 @@ mod tests {
             self.inner.append(payload)
         }
         fn flush(&self) -> Result<()> {
-            self.flushes.fetch_add(1, Ordering::Relaxed);
+            self.flushes.fetch_add(1);
             std::thread::sleep(std::time::Duration::from_millis(5));
             self.inner.flush()
         }
@@ -139,7 +139,7 @@ mod tests {
     fn single_committer_flushes_once() {
         let sink = Arc::new(SlowSink {
             inner: MemLog::new(),
-            flushes: AtomicU64::new(0),
+            flushes: Relaxed::new(0),
         });
         let g = GroupCommitter::new(sink.clone());
         sink.append(b"r").unwrap();
@@ -151,7 +151,7 @@ mod tests {
     fn concurrent_commits_share_syncs() {
         let sink = Arc::new(SlowSink {
             inner: MemLog::new(),
-            flushes: AtomicU64::new(0),
+            flushes: Relaxed::new(0),
         });
         let g = Arc::new(GroupCommitter::new(sink.clone()));
         let committers = 16;
@@ -182,8 +182,8 @@ mod tests {
     /// and keep failing — so concurrent committers are caught mid-sync.
     struct DyingSink {
         inner: MemLog,
-        dead: std::sync::atomic::AtomicBool,
-        entered: AtomicU64,
+        dead: SeqCst<bool>,
+        entered: SeqCst<u64>,
     }
 
     impl LogSink for DyingSink {
@@ -194,9 +194,9 @@ mod tests {
             self.inner.append_batch(payloads)
         }
         fn flush(&self) -> Result<()> {
-            self.entered.fetch_add(1, Ordering::SeqCst);
+            self.entered.fetch_add(1);
             // Hold the leader in the sync until the device dies.
-            while !self.dead.load(Ordering::SeqCst) {
+            while !self.dead.load() {
                 std::thread::sleep(std::time::Duration::from_millis(1));
             }
             Err(btrim_common::BtrimError::Io(std::io::Error::other(
@@ -221,8 +221,8 @@ mod tests {
     fn device_death_mid_sync_errors_leader_and_all_followers() {
         let sink = Arc::new(DyingSink {
             inner: MemLog::new(),
-            dead: std::sync::atomic::AtomicBool::new(false),
-            entered: AtomicU64::new(0),
+            dead: SeqCst::new(false),
+            entered: SeqCst::new(0),
         });
         let g = Arc::new(GroupCommitter::new(sink.clone()));
         let committers = 8;
@@ -240,11 +240,11 @@ mod tests {
         drop(tx);
         // Let a leader enter the sync and followers pile up on the
         // condvar, then kill the device.
-        while sink.entered.load(Ordering::SeqCst) == 0 {
+        while sink.entered.load() == 0 {
             std::thread::sleep(std::time::Duration::from_millis(1));
         }
         std::thread::sleep(std::time::Duration::from_millis(10));
-        sink.dead.store(true, Ordering::SeqCst);
+        sink.dead.store(true);
         // Every committer must return an error *promptly* — nobody may
         // hang on the condvar waiting for a flush that will never come.
         let deadline = std::time::Duration::from_secs(10);
@@ -265,7 +265,7 @@ mod tests {
         // Followers that woke to a failed leader retried as leaders
         // themselves and hit the dead device; the sync was attempted at
         // least once and nobody was left flushing.
-        assert!(sink.entered.load(Ordering::SeqCst) >= 1);
+        assert!(sink.entered.load() >= 1);
         assert!(!g.state.lock().flushing);
     }
 
@@ -277,7 +277,7 @@ mod tests {
         // records at flush time.
         struct CountAtFlush {
             inner: MemLog,
-            seen_at_flush: AtomicU64,
+            seen_at_flush: SeqCst<u64>,
         }
         impl LogSink for CountAtFlush {
             fn append(&self, payload: &[u8]) -> Result<btrim_common::Lsn> {
@@ -287,8 +287,7 @@ mod tests {
                 self.inner.append_batch(payloads)
             }
             fn flush(&self) -> Result<()> {
-                self.seen_at_flush
-                    .store(self.inner.record_count(), Ordering::SeqCst);
+                self.seen_at_flush.store(self.inner.record_count());
                 self.inner.flush()
             }
             fn read_all(&self) -> Result<Vec<(btrim_common::Lsn, Vec<u8>)>> {
@@ -306,7 +305,7 @@ mod tests {
         }
         let sink = Arc::new(CountAtFlush {
             inner: MemLog::new(),
-            seen_at_flush: AtomicU64::new(0),
+            seen_at_flush: SeqCst::new(0),
         });
         let g = GroupCommitter::new(sink.clone());
         let range = sink
@@ -314,7 +313,7 @@ mod tests {
             .unwrap();
         g.commit_flush().unwrap();
         assert!(
-            sink.seen_at_flush.load(Ordering::SeqCst) >= range.last.0,
+            sink.seen_at_flush.load() >= range.last.0,
             "sync must cover the whole batch LSN range"
         );
     }
@@ -323,7 +322,7 @@ mod tests {
     fn sequential_commits_each_get_their_own_sync() {
         let sink = Arc::new(SlowSink {
             inner: MemLog::new(),
-            flushes: AtomicU64::new(0),
+            flushes: Relaxed::new(0),
         });
         let g = GroupCommitter::new(sink.clone());
         for i in 0..5u8 {

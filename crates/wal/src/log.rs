@@ -11,6 +11,7 @@ use std::path::Path;
 
 use parking_lot::Mutex;
 
+use btrim_common::atomics::Relaxed;
 use btrim_common::{Lsn, Result};
 
 /// The frames' checksum (re-exported: callers name it by this path).
@@ -84,7 +85,7 @@ pub struct MemLog {
     /// Times the data mutex was taken by an append path (`append` or
     /// `append_batch`) — the observable half of the "one lock
     /// acquisition per committing transaction" contract.
-    append_locks: std::sync::atomic::AtomicU64,
+    append_locks: Relaxed<u64>,
 }
 
 impl Default for MemLog {
@@ -106,20 +107,19 @@ impl MemLog {
     pub fn new() -> Self {
         MemLog {
             inner: Mutex::with_rank(parking_lot::lock_rank::WAL_LOG, MemLogInner::default()),
-            append_locks: std::sync::atomic::AtomicU64::new(0),
+            append_locks: Relaxed::new(0),
         }
     }
 
     /// Number of data-mutex acquisitions taken by append paths.
     pub fn append_lock_acquisitions(&self) -> u64 {
-        self.append_locks.load(std::sync::atomic::Ordering::Relaxed)
+        self.append_locks.load()
     }
 }
 
 impl LogSink for MemLog {
     fn append(&self, payload: &[u8]) -> Result<Lsn> {
-        self.append_locks
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        self.append_locks.fetch_add(1);
         let mut inner = self.inner.lock();
         inner.records.push(payload.to_vec());
         inner.bytes += payload.len() as u64 + 8;
@@ -134,8 +134,7 @@ impl LogSink for MemLog {
         // a Vec extend plus counter bumps.
         let copies: Vec<Vec<u8>> = payloads.iter().map(|p| p.to_vec()).collect();
         let added_bytes: u64 = payloads.iter().map(|p| p.len() as u64 + 8).sum();
-        self.append_locks
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        self.append_locks.fetch_add(1);
         let mut inner = self.inner.lock();
         let first = inner.base + inner.records.len() as u64 + 1;
         inner.records.extend(copies);
@@ -204,7 +203,7 @@ impl LogSink for MemLog {
 pub struct FileLog {
     inner: Mutex<FileLogInner>,
     /// See [`MemLog::append_lock_acquisitions`].
-    append_locks: std::sync::atomic::AtomicU64,
+    append_locks: Relaxed<u64>,
 }
 
 const FILE_MAGIC: u64 = 0x4254_5249_4D57_4132; // "BTRIMWA2"
@@ -362,13 +361,13 @@ impl FileLog {
                     bytes: end - HEADER_LEN,
                 },
             ),
-            append_locks: std::sync::atomic::AtomicU64::new(0),
+            append_locks: Relaxed::new(0),
         })
     }
 
     /// Number of data-mutex acquisitions taken by append paths.
     pub fn append_lock_acquisitions(&self) -> u64 {
-        self.append_locks.load(std::sync::atomic::Ordering::Relaxed)
+        self.append_locks.load()
     }
 
     /// Count intact records and the byte offset where they end.
@@ -436,8 +435,7 @@ impl LogSink for FileLog {
         let mut header = [0u8; 8];
         header[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
         header[4..].copy_from_slice(&crc32(payload).to_le_bytes());
-        self.append_locks
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        self.append_locks.fetch_add(1);
         let mut inner = self.inner.lock();
         let wrote = inner
             .writer
@@ -459,8 +457,7 @@ impl LogSink for FileLog {
         // The whole frame — lengths, payloads, CRC — is assembled by
         // the committing thread before the mutex is taken.
         let frame = build_batch_frame(payloads);
-        self.append_locks
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        self.append_locks.fetch_add(1);
         let mut inner = self.inner.lock();
         // One buffered write under the lock: the lock makes the batch atomic.
         if let Err(e) = inner.writer.write_all(&frame) {

@@ -25,7 +25,8 @@ pub enum BtrimError {
     TxnAborted { txn: TxnId, reason: String },
     /// The IMRS fragment allocator could not satisfy an allocation and the
     /// engine is rejecting new in-memory rows (§VI.A "stop storing new
-    /// rows in the IMRS").
+    /// rows in the IMRS"). `available` is the largest free block left,
+    /// the most any single request could have been given.
     ImrsFull { requested: usize, available: usize },
     /// Every buffer-cache frame is pinned, so nothing could be evicted
     /// to make room. `pinned` close to `capacity` with a small capacity

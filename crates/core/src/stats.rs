@@ -109,6 +109,14 @@ pub struct EngineSnapshot {
     pub imrs_budget: u64,
     /// IMRS utilization in [0, 1].
     pub imrs_utilization: f64,
+    /// Bytes of the IMRS chunks created so far. Equals used +
+    /// quarantined + free while no allocator call is in flight.
+    pub imrs_chunk_bytes: u64,
+    /// Free bytes inside created IMRS chunks.
+    pub imrs_free_bytes: u64,
+    /// IMRS bytes retired but not reusable until the snapshot horizon
+    /// passes them.
+    pub imrs_quarantined_bytes: u64,
     /// IMRS resident rows.
     pub imrs_rows: usize,
     /// Total operations served by the IMRS.
@@ -247,6 +255,7 @@ impl EngineSnapshot {
             tables.iter().flat_map(|t| &t.partitions).map(f).sum()
         };
         let (ilm_trace, ilm_trace_pushed, ilm_trace_dropped) = sh.obs.trace.recent(256);
+        let alloc = sh.store.allocator();
         EngineSnapshot {
             committed_txns: sh.txns.committed_count(),
             aborted_txns: sh.txns.aborted_count(),
@@ -258,6 +267,9 @@ impl EngineSnapshot {
             imrs_used_bytes: sh.store.used_bytes(),
             imrs_budget: sh.store.budget(),
             imrs_utilization: sh.store.utilization(),
+            imrs_chunk_bytes: alloc.chunk_bytes(),
+            imrs_free_bytes: alloc.free_bytes(),
+            imrs_quarantined_bytes: alloc.quarantined_bytes(),
             imrs_rows: sh.store.row_count(),
             imrs_ops: total(|p| p.reuse_ops + p.imrs_inserts),
             page_ops: total(|p| p.page_ops),
@@ -307,6 +319,7 @@ impl EngineSnapshot {
              txns committed {:>10}   aborted {:>8}   commit-ts {}\n\
              commits by log: imrs-only {} page-only {} mixed {} read-only {}\n\
              IMRS {:>6.1} MiB / {:.1} MiB ({:>4.1}%)   rows {:>8}   hit rate {:>5.1}%\n\
+             IMRS chunks {:.2} MiB = used {:.2} + quarantined {:.2} + free {:.2} MiB\n\
              pack: cycles {} rows {} skipped {} bytes {:.1} MiB   TSF Ʈ {}\n",
             self.committed_txns,
             self.aborted_txns,
@@ -320,6 +333,10 @@ impl EngineSnapshot {
             self.imrs_utilization * 100.0,
             self.imrs_rows,
             self.imrs_hit_rate() * 100.0,
+            self.imrs_chunk_bytes as f64 / (1024.0 * 1024.0),
+            self.imrs_used_bytes as f64 / (1024.0 * 1024.0),
+            self.imrs_quarantined_bytes as f64 / (1024.0 * 1024.0),
+            self.imrs_free_bytes as f64 / (1024.0 * 1024.0),
             self.pack_cycles,
             self.rows_packed,
             self.rows_skipped_hot,
@@ -530,6 +547,7 @@ impl EngineSnapshot {
                 "\"commits_imrs_only\":{},\"commits_page_only\":{},",
                 "\"commits_mixed\":{},\"commits_read_only\":{},",
                 "\"imrs_used_bytes\":{},\"imrs_budget\":{},\"imrs_utilization\":{},",
+                "\"imrs_chunk_bytes\":{},\"imrs_free_bytes\":{},\"imrs_quarantined_bytes\":{},",
                 "\"imrs_rows\":{},\"imrs_ops\":{},\"page_ops\":{},\"imrs_hit_rate\":{},",
                 "\"pack_cycles\":{},\"rows_packed\":{},\"bytes_packed\":{},",
                 "\"rows_skipped_hot\":{},\"frozen_extents\":{},\"rows_frozen\":{},",
@@ -565,6 +583,9 @@ impl EngineSnapshot {
             self.imrs_used_bytes,
             self.imrs_budget,
             json::num(self.imrs_utilization),
+            self.imrs_chunk_bytes,
+            self.imrs_free_bytes,
+            self.imrs_quarantined_bytes,
             self.imrs_rows,
             self.imrs_ops,
             self.page_ops,

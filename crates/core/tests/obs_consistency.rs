@@ -323,7 +323,8 @@ fn tick_cycles_are_sized_to_the_steady_line() {
 /// and maintenance run, because there is one counter per fact and a
 /// snapshot reads it once. And the decision trace only ever names data
 /// partitions: an index partition's id (they share the id space) never
-/// acquires a verdict.
+/// acquires a verdict. At quiescence, after all that packing, every byte
+/// of the IMRS chunks is used, quarantined or free.
 #[test]
 fn engine_totals_are_partition_sums_while_clients_and_maintenance_run() {
     use std::sync::atomic::{AtomicBool, Ordering};
@@ -457,6 +458,15 @@ fn engine_totals_are_partition_sums_while_clients_and_maintenance_run() {
     for (row, loc) in residents {
         assert_eq!(loc, Some(RowLocation::Imrs), "{row:?}");
     }
+    assert_eq!(
+        snap.imrs_chunk_bytes,
+        snap.imrs_used_bytes + snap.imrs_quarantined_bytes + snap.imrs_free_bytes,
+        "chunk = used + quarantined + free"
+    );
+    assert!(snap.imrs_free_bytes > 0 && snap.imrs_chunk_bytes <= snap.imrs_budget);
+    let json = snap.to_json();
+    assert!(json.contains(&format!("\"imrs_free_bytes\":{}", snap.imrs_free_bytes)));
+    assert!(snap.render_report().contains("IMRS chunks"));
 }
 
 /// Every `get` / `read_row` issued lands in exactly one select class —

@@ -1,13 +1,29 @@
-//! Best-fit fragment memory manager.
+//! Fragment memory manager: exact-fit lists over a best-fit tree.
 //!
 //! "A key sub-system supporting the IMRS is a high-performance
 //! fragment-memory manager which is highly optimized for best-fit
 //! low-latency memory allocation and reclamation on multiple cores"
 //! (§II). This implementation manages a budget of fixed-size chunks,
-//! each a byte arena. Free space is tracked twice:
+//! each a byte arena. Every free byte of a created chunk is in exactly
+//! one of two places:
 //!
-//! * by size, in an ordered set — best-fit lookup is one range query;
-//! * by address, per chunk — frees coalesce with both neighbours.
+//! * a freed or reclaimed block of at most `LIST_LIMIT` (2 KiB) — a
+//!   row image — is pushed onto the exact-fit list of its 16-byte size
+//!   class, with no coalescing; a bitmap marks the non-empty classes;
+//! * every other free block (larger frees, chunk tails, split
+//!   remainders) is in the best-fit tree, tracked twice: by size in an
+//!   ordered set, so best fit is one range query, and by address per
+//!   chunk, so a block entering the tree coalesces with both tree
+//!   neighbours.
+//!
+//! `alloc` pops the exact class, else takes a best fit from the tree,
+//! else splits the smallest larger listed block, else grows a chunk.
+//! Listed blocks are merged only when the budget is exhausted: `alloc`
+//! then *consolidates* — moves every listed block into the tree,
+//! coalescing neighbours — and retries once before reporting
+//! `ImrsFull`. A running counter keeps the free bytes, so
+//! `chunk_bytes = used + quarantined + free` whenever no call is in
+//! flight.
 //!
 //! Row images are immutable once written (updates create new versions),
 //! so an allocation is written exactly once at `alloc` time and read
@@ -25,6 +41,10 @@ use btrim_common::{BtrimError, Result, Timestamp};
 const ALIGN: u32 = 16;
 /// A remainder smaller than this is not split off as a free block.
 const MIN_SPLIT: u32 = 16;
+/// Free blocks up to this size go on exact-fit lists, one per `ALIGN`
+/// bytes: 128 classes, one bit each in a `u128`.
+const LIST_LIMIT: u32 = 128 * ALIGN;
+const CLASSES: usize = (LIST_LIMIT / ALIGN) as usize;
 
 /// Handle to one allocated fragment.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -70,17 +90,153 @@ impl FragHandle {
 }
 
 struct AllocState {
+    /// `lists[c]`: free `(chunk, offset)` blocks of `(c + 1) * ALIGN`
+    /// bytes.
+    lists: Vec<Vec<(u32, u32)>>,
+    /// Bit `c` set iff `lists[c]` is non-empty.
+    listed: u128,
     /// (len, chunk, offset) — ordered by length for best-fit.
     free_by_size: BTreeSet<(u32, u32, u32)>,
     /// chunk → offset → len; ordered by offset for coalescing.
     free_by_addr: HashMap<u32, BTreeMap<u32, u32>>,
+    /// Bytes free in created chunks, listed or in the tree.
+    free_bytes: u64,
     chunks_created: u32,
+}
+
+impl AllocState {
+    /// Exact-fit class of a `len`-byte block, if blocks that size are
+    /// listed.
+    fn class(len: u32) -> Option<usize> {
+        match len {
+            ALIGN..=LIST_LIMIT if len.is_multiple_of(ALIGN) => Some((len / ALIGN - 1) as usize),
+            _ => None,
+        }
+    }
+
+    fn push_listed(&mut self, class: usize, chunk: u32, offset: u32) {
+        self.lists[class].push((chunk, offset));
+        self.listed |= 1 << class;
+    }
+
+    fn pop_listed(&mut self, class: usize) -> Option<(u32, u32)> {
+        let block = self.lists[class].pop()?;
+        if self.lists[class].is_empty() {
+            self.listed &= !(1 << class);
+        }
+        Some(block)
+    }
+
+    /// Return a free block to the pool: onto its list if it has a
+    /// class, else into the tree.
+    fn release(&mut self, chunk: u32, offset: u32, len: u32) {
+        self.free_bytes += len as u64;
+        match Self::class(len) {
+            Some(class) => self.push_listed(class, chunk, offset),
+            None => self.insert_coalesced(chunk, offset, len),
+        }
+    }
+
+    /// Take `need` (aligned) bytes from the free space of created
+    /// chunks: exact class, then best fit in the tree, then a split of
+    /// the smallest larger listed block. `(chunk, offset, alloc_len)`.
+    fn take(&mut self, need: u32) -> Option<(u32, u32, u32)> {
+        let block = match Self::class(need).and_then(|c| self.pop_listed(c)) {
+            Some((chunk, offset)) => (chunk, offset, need),
+            None => self
+                .take_best_fit(need)
+                .or_else(|| self.split_listed(need))?,
+        };
+        self.free_bytes -= block.2 as u64;
+        Some(block)
+    }
+
+    /// Best-fit: smallest tree block with len >= need. Splits the
+    /// remainder back into the tree.
+    fn take_best_fit(&mut self, need: u32) -> Option<(u32, u32, u32)> {
+        let &(len, chunk, offset) = self.free_by_size.range((need, 0, 0)..).next()?;
+        // The size and addr indices are maintained in lockstep; a
+        // missing addr-side entry would mean allocator corruption, so
+        // report "no fit" without desyncing them further.
+        self.free_by_addr.get_mut(&chunk)?.remove(&offset);
+        self.free_by_size.remove(&(len, chunk, offset));
+        let rem = len - need;
+        if rem >= MIN_SPLIT {
+            // The block had no free tree neighbour, so neither has the
+            // remainder: no coalescing needed.
+            self.insert_free(chunk, offset + need, rem);
+            Some((chunk, offset, need))
+        } else {
+            // Allocate the whole block; over-allocation is tracked in
+            // alloc_len so free returns it all.
+            Some((chunk, offset, len))
+        }
+    }
+
+    /// Serve `need` from the smallest listed block larger than it; the
+    /// remainder goes onto its own list.
+    fn split_listed(&mut self, need: u32) -> Option<(u32, u32, u32)> {
+        let class = Self::class(need)?;
+        // Two shifts: `class + 1` may be 128, too wide for one.
+        let larger = self.listed & (u128::MAX << class << 1);
+        if larger == 0 {
+            return None;
+        }
+        let big = larger.trailing_zeros() as usize;
+        let (chunk, offset) = self.pop_listed(big)?;
+        self.push_listed(big - class - 1, chunk, offset + need);
+        Some((chunk, offset, need))
+    }
+
+    /// Move every listed block into the tree, coalescing neighbours:
+    /// afterwards each free run of a chunk is one tree block.
+    fn consolidate(&mut self) {
+        while self.listed != 0 {
+            let class = self.listed.trailing_zeros() as usize;
+            self.listed &= self.listed - 1;
+            let len = (class as u32 + 1) * ALIGN;
+            for (chunk, offset) in std::mem::take(&mut self.lists[class]) {
+                self.insert_coalesced(chunk, offset, len);
+            }
+        }
+    }
+
+    fn insert_free(&mut self, chunk: u32, offset: u32, len: u32) {
+        self.free_by_size.insert((len, chunk, offset));
+        self.free_by_addr
+            .entry(chunk)
+            .or_default()
+            .insert(offset, len);
+    }
+
+    /// Insert a block into the tree, merging it with free tree
+    /// neighbours on both sides.
+    fn insert_coalesced(&mut self, chunk: u32, mut offset: u32, mut len: u32) {
+        let by_addr = self.free_by_addr.entry(chunk).or_default();
+        // Coalesce with predecessor.
+        let pred = by_addr.range(..offset).next_back().map(|(&o, &l)| (o, l));
+        if let Some((poff, plen)) = pred {
+            if poff + plen == offset {
+                by_addr.remove(&poff);
+                self.free_by_size.remove(&(plen, chunk, poff));
+                offset = poff;
+                len += plen;
+            }
+        }
+        // Coalesce with successor.
+        if let Some(nlen) = by_addr.remove(&(offset + len)) {
+            self.free_by_size.remove(&(nlen, chunk, offset + len));
+            len += nlen;
+        }
+        self.insert_free(chunk, offset, len);
+    }
 }
 
 /// One chunk's byte arena.
 type Chunk = Arc<RwLock<Box<[u8]>>>;
 
-/// Best-fit allocator over a budget of lazily-created chunks.
+/// Exact-fit / best-fit allocator over a budget of lazily-created
+/// chunks.
 pub struct FragmentAllocator {
     chunk_size: u32,
     /// Budget ceiling in chunks. Atomic so the memory arbiter can raise
@@ -92,8 +248,6 @@ pub struct FragmentAllocator {
     chunks: RwLock<Vec<Chunk>>,
     state: Mutex<AllocState>,
     used: Relaxed<u64>,
-    alloc_calls: Relaxed<u64>,
-    free_calls: Relaxed<u64>,
     /// Fragments whose owner retired them while lock-free readers might
     /// still hold the handle: `(retire timestamp, handle)`, reclaimed
     /// once the snapshot horizon proves those readers are gone.
@@ -113,13 +267,14 @@ impl FragmentAllocator {
             max_chunks: AcqRel::new(max_chunks),
             chunks: RwLock::new(Vec::new()),
             state: Mutex::new(AllocState {
+                lists: vec![Vec::new(); CLASSES],
+                listed: 0,
                 free_by_size: BTreeSet::new(),
                 free_by_addr: HashMap::new(),
+                free_bytes: 0,
                 chunks_created: 0,
             }),
             used: Relaxed::new(0),
-            alloc_calls: Relaxed::new(0),
-            free_calls: Relaxed::new(0),
             quarantine: Mutex::new(VecDeque::new()),
             quarantined: Relaxed::new(0),
         }
@@ -150,21 +305,24 @@ impl FragmentAllocator {
         self.quarantined.load()
     }
 
+    /// Bytes of the chunks created so far.
+    pub fn chunk_bytes(&self) -> u64 {
+        self.state.lock().chunks_created as u64 * self.chunk_size as u64
+    }
+
+    /// Free bytes in created chunks, listed or in the tree. With
+    /// [`used_bytes`](Self::used_bytes) and
+    /// [`quarantined_bytes`](Self::quarantined_bytes) it sums to
+    /// [`chunk_bytes`](Self::chunk_bytes) while no call is in flight.
+    pub fn free_bytes(&self) -> u64 {
+        self.state.lock().free_bytes
+    }
+
     /// Used bytes as a fraction of the budget, in [0, 1]. Quarantined
     /// bytes count: they are not reusable yet, and the utilization
     /// signal drives ILM pressure decisions.
     pub fn utilization(&self) -> f64 {
         (self.used_bytes() + self.quarantined_bytes()) as f64 / self.budget() as f64
-    }
-
-    /// Total `alloc` calls served.
-    pub fn alloc_calls(&self) -> u64 {
-        self.alloc_calls.load()
-    }
-
-    /// Total `free` calls served.
-    pub fn free_calls(&self) -> u64 {
-        self.free_calls.load()
     }
 
     fn aligned(len: usize) -> u32 {
@@ -183,31 +341,9 @@ impl FragmentAllocator {
         }
         let (chunk, offset, alloc_len) = {
             let mut st = self.state.lock();
-            match self.take_best_fit(&mut st, need) {
+            match st.take(need) {
                 Some(block) => block,
-                None => {
-                    // Grow by one chunk if the budget allows.
-                    if st.chunks_created >= self.max_chunks.load() {
-                        return Err(BtrimError::ImrsFull {
-                            requested: data.len(),
-                            // Saturating: a shrunk budget may sit below
-                            // the bytes still in use while GC drains.
-                            available: self.budget().saturating_sub(self.used_bytes()) as usize,
-                        });
-                    }
-                    let idx = st.chunks_created;
-                    st.chunks_created += 1;
-                    self.chunks.write().push(Arc::new(RwLock::new(
-                        vec![0u8; self.chunk_size as usize].into_boxed_slice(),
-                    )));
-                    Self::insert_free(&mut st, idx, 0, self.chunk_size);
-                    // A fresh chunk satisfies any allocation that passed
-                    // the `need > chunk_size` guard above; failing here
-                    // means the free indices are corrupt.
-                    self.take_best_fit(&mut st, need).ok_or_else(|| {
-                        BtrimError::Corrupt("fresh IMRS chunk failed best-fit".into())
-                    })?
-                }
+                None => self.grow_or_consolidate(&mut st, need, data.len())?,
             }
         };
         // Copy payload outside the allocator lock.
@@ -217,7 +353,6 @@ impl FragmentAllocator {
             arena[offset as usize..offset as usize + data.len()].copy_from_slice(data);
         }
         self.used.fetch_add(alloc_len as u64);
-        self.alloc_calls.fetch_add(1);
         Ok(FragHandle {
             chunk,
             offset,
@@ -226,35 +361,43 @@ impl FragmentAllocator {
         })
     }
 
-    /// Best-fit: smallest free block with len >= need. Splits the
-    /// remainder back into the pool.
-    fn take_best_fit(&self, st: &mut AllocState, need: u32) -> Option<(u32, u32, u32)> {
-        let &(len, chunk, offset) = st.free_by_size.range((need, 0, 0)..).next()?;
-        // The size and addr indices are maintained in lockstep; a
-        // missing addr-side entry would mean allocator corruption, so
-        // report "no fit" without desyncing them further.
-        st.free_by_addr.get_mut(&chunk)?.remove(&offset);
-        st.free_by_size.remove(&(len, chunk, offset));
-        let rem = len - need;
-        if rem >= MIN_SPLIT {
-            Self::insert_free(st, chunk, offset + need, rem);
-            Some((chunk, offset, need))
-        } else {
-            // Allocate the whole block; over-allocation is tracked in
-            // alloc_len so free returns it all.
-            Some((chunk, offset, len))
+    /// `alloc` when no free block of a created chunk fits: grow by one
+    /// chunk if the budget allows, else consolidate and retry.
+    fn grow_or_consolidate(
+        &self,
+        st: &mut AllocState,
+        need: u32,
+        requested: usize,
+    ) -> Result<(u32, u32, u32)> {
+        if st.chunks_created < self.max_chunks.load() {
+            let idx = st.chunks_created;
+            st.chunks_created += 1;
+            self.chunks.write().push(Arc::new(RwLock::new(
+                vec![0u8; self.chunk_size as usize].into_boxed_slice(),
+            )));
+            st.free_bytes += self.chunk_size as u64;
+            st.insert_free(idx, 0, self.chunk_size);
+            // A fresh chunk satisfies any allocation that passed the
+            // `need > chunk_size` guard; failing here means the free
+            // indices are corrupt.
+            return st
+                .take(need)
+                .ok_or_else(|| BtrimError::Corrupt("fresh IMRS chunk failed best-fit".into()));
         }
+        st.consolidate();
+        st.take(need).ok_or_else(|| BtrimError::ImrsFull {
+            requested,
+            // Consolidated, every free run is one tree block: the
+            // largest is the most any request could get.
+            available: st
+                .free_by_size
+                .last()
+                .map_or(0, |&(len, _, _)| len as usize),
+        })
     }
 
-    fn insert_free(st: &mut AllocState, chunk: u32, offset: u32, len: u32) {
-        st.free_by_size.insert((len, chunk, offset));
-        st.free_by_addr
-            .entry(chunk)
-            .or_default()
-            .insert(offset, len);
-    }
-
-    /// Return a fragment to the pool, coalescing with free neighbours.
+    /// Return a fragment to the pool (a row-sized one to its exact-fit
+    /// list, a larger one into the tree, coalescing).
     ///
     /// Only legal when no concurrent reader can still hold the handle —
     /// rollback of uncommitted versions (invisible to the lock-free
@@ -265,7 +408,7 @@ impl FragmentAllocator {
     /// instead.
     pub fn free(&self, h: FragHandle) {
         self.used.fetch_sub(h.alloc_len as u64);
-        self.release_block(h);
+        self.state.lock().release(h.chunk, h.offset, h.alloc_len);
     }
 
     /// Retire a fragment that lock-free readers may still be loading
@@ -283,63 +426,28 @@ impl FragmentAllocator {
         self.quarantine.lock().push_back((now.0, h));
     }
 
-    /// Release every quarantined fragment whose retirement timestamp is
-    /// strictly below `horizon`. Returns bytes made reusable.
+    /// Release every quarantined fragment of the prefix retired strictly
+    /// below `horizon`: drained under one quarantine lock, released
+    /// under one state lock. Returns bytes made reusable.
     pub fn reclaim(&self, horizon: Timestamp) -> u64 {
-        let mut freed = 0u64;
-        loop {
-            let h = {
-                let mut q = self.quarantine.lock();
-                match q.front() {
-                    Some(&(ts, _)) if ts < horizon.0 => q.pop_front().map(|(_, h)| h),
-                    _ => None,
-                }
-            };
-            let Some(h) = h else { break };
-            self.quarantined.fetch_sub(h.alloc_len as u64);
-            freed += h.alloc_len as u64;
-            self.release_block(h);
+        let expired: Vec<FragHandle> = {
+            let mut q = self.quarantine.lock();
+            let n = q
+                .iter()
+                .position(|&(ts, _)| ts >= horizon.0)
+                .unwrap_or(q.len());
+            q.drain(..n).map(|(_, h)| h).collect()
+        };
+        if expired.is_empty() {
+            return 0;
+        }
+        let freed = expired.iter().map(|h| h.alloc_len as u64).sum();
+        self.quarantined.fetch_sub(freed);
+        let mut st = self.state.lock();
+        for h in expired {
+            st.release(h.chunk, h.offset, h.alloc_len);
         }
         freed
-    }
-
-    fn release_block(&self, h: FragHandle) {
-        let mut st = self.state.lock();
-        let mut offset = h.offset;
-        let mut len = h.alloc_len;
-        // Coalesce with predecessor.
-        let pred = st
-            .free_by_addr
-            .get(&h.chunk)
-            .and_then(|m| m.range(..offset).next_back().map(|(&o, &l)| (o, l)));
-        if let Some((poff, plen)) = pred {
-            if poff + plen == offset {
-                // `pred` came from this map an instant ago under the
-                // same lock; the `if let` avoids a panic path anyway.
-                if let Some(m) = st.free_by_addr.get_mut(&h.chunk) {
-                    m.remove(&poff);
-                }
-                st.free_by_size.remove(&(plen, h.chunk, poff));
-                offset = poff;
-                len += plen;
-            }
-        }
-        // Coalesce with successor.
-        let succ = st
-            .free_by_addr
-            .get(&h.chunk)
-            .and_then(|m| m.range(offset + len..).next().map(|(&o, &l)| (o, l)));
-        if let Some((noff, nlen)) = succ {
-            if offset + len == noff {
-                if let Some(m) = st.free_by_addr.get_mut(&h.chunk) {
-                    m.remove(&noff);
-                }
-                st.free_by_size.remove(&(nlen, h.chunk, noff));
-                len += nlen;
-            }
-        }
-        Self::insert_free(&mut st, h.chunk, offset, len);
-        self.free_calls.fetch_add(1);
     }
 
     /// Run `f` over the stored payload.
@@ -352,12 +460,6 @@ impl FragmentAllocator {
     /// Copy the stored payload out.
     pub fn load(&self, h: FragHandle) -> Vec<u8> {
         self.with_bytes(h, <[u8]>::to_vec)
-    }
-
-    /// Free bytes inside already-created chunks (fragmentation probe).
-    pub fn free_bytes_in_chunks(&self) -> u64 {
-        let st = self.state.lock();
-        st.free_by_size.iter().map(|&(len, _, _)| len as u64).sum()
     }
 }
 
@@ -386,7 +488,7 @@ mod tests {
         let used = a.used_bytes();
         a.free(h);
         assert_eq!(a.used_bytes(), used - h.alloc_len() as u64);
-        assert_eq!(a.free_calls(), 1);
+        assert_eq!(a.free_bytes(), a.chunk_bytes());
     }
 
     #[test]
@@ -406,20 +508,58 @@ mod tests {
     }
 
     #[test]
-    fn coalescing_merges_neighbours() {
-        let a = alloc_kb();
+    fn consolidation_merges_listed_neighbours_once_the_budget_is_exhausted() {
+        let a = FragmentAllocator::new(16 * 1024, 16 * 1024);
         let h1 = a.alloc(&[0u8; 100]).unwrap();
         let h2 = a.alloc(&[0u8; 100]).unwrap();
         let h3 = a.alloc(&[0u8; 100]).unwrap();
-        let _guard = a.alloc(&[0u8; 16]).unwrap();
-        // Free middle, then sides: all four merge into one big block.
+        let merged = (h1.alloc_len + h2.alloc_len + h3.alloc_len) as usize;
+        // The rest of the only chunk the budget allows.
+        let _rest = a.alloc(&vec![0u8; 16 * 1024 - merged]).unwrap();
+        // Freed row-sized blocks go onto their list unmerged …
         a.free(h2);
         a.free(h1);
         a.free(h3);
-        let merged = h1.alloc_len + h2.alloc_len + h3.alloc_len;
-        // A request of the merged size fits exactly where h1 began.
-        let h = a.alloc(&vec![1u8; merged as usize]).unwrap();
-        assert_eq!(h.offset, h1.offset);
+        assert_eq!(a.free_bytes(), merged as u64);
+        // … and nothing else can serve their combined size, so `alloc`
+        // consolidates: the three merge where h1 began.
+        let h = a.alloc(&vec![1u8; merged]).unwrap();
+        assert_eq!((h.chunk, h.offset), (h1.chunk, h1.offset));
+        assert_eq!(a.free_bytes(), 0);
+    }
+
+    #[test]
+    fn a_larger_listed_block_is_split_before_a_chunk_grows() {
+        let a = FragmentAllocator::new(32 * 1024, 16 * 1024);
+        let big = a.alloc(&[0u8; 512]).unwrap();
+        let _rest = a.alloc(&vec![0u8; 16 * 1024 - 512]).unwrap();
+        a.free(big);
+        let h = a.alloc(&[0u8; 64]).unwrap();
+        assert_eq!((h.chunk, h.offset), (big.chunk, big.offset));
+        assert_eq!(a.chunk_bytes(), 16 * 1024, "no chunk grown");
+        // The remainder is listed: the next 448 bytes come from it.
+        let h = a.alloc(&[0u8; 448]).unwrap();
+        assert_eq!(h.offset, big.offset + 64);
+        assert_eq!(a.free_bytes(), 0);
+    }
+
+    #[test]
+    fn imrs_full_reports_the_largest_block_it_could_have_served() {
+        let a = FragmentAllocator::new(32 * 1024, 16 * 1024);
+        let held: Vec<_> = std::iter::from_fn(|| a.alloc(&[0u8; 1024]).ok()).collect();
+        assert_eq!(held.len(), 32);
+        // A retired block has left `used` but serves nobody yet.
+        a.retire(held[7], Timestamp(5));
+        match a.alloc(&[0u8; 1024]) {
+            Err(BtrimError::ImrsFull {
+                requested,
+                available,
+            }) => {
+                assert_eq!(requested, 1024);
+                assert!(available < requested, "{available} bytes available");
+            }
+            other => panic!("expected ImrsFull, got {other:?}"),
+        }
     }
 
     #[test]
@@ -552,41 +692,114 @@ mod tests {
 mod proptests {
     use super::*;
     use proptest::prelude::*;
-    use std::collections::HashMap;
+
+    /// 64 cases, or what `PROPTEST_CASES` asks for (CI: 512).
+    fn cases() -> u32 {
+        let asked = std::env::var("PROPTEST_CASES").ok();
+        asked.and_then(|n| n.parse().ok()).unwrap_or(64)
+    }
+
+    const CHUNK: u32 = 4096;
+    const MAX_CHUNKS: u64 = 4;
+
+    /// The largest free run in the allocator's created chunks, from the
+    /// model's occupied blocks (live and quarantined), which must not
+    /// overlap.
+    fn largest_free_run(a: &FragmentAllocator, occupied: &[FragHandle]) -> u32 {
+        let chunks = (a.chunk_bytes() / CHUNK as u64) as u32;
+        let mut largest = 0;
+        for chunk in 0..chunks {
+            let mut blocks: Vec<_> = occupied
+                .iter()
+                .filter(|h| h.chunk == chunk)
+                .map(|h| (h.offset, h.alloc_len))
+                .collect();
+            blocks.sort_unstable();
+            let mut cursor = 0;
+            for (offset, len) in blocks.into_iter().chain([(CHUNK, 0)]) {
+                assert!(offset >= cursor, "blocks overlap at {chunk}:{offset}");
+                largest = largest.max(offset - cursor);
+                cursor = offset + len;
+            }
+        }
+        largest
+    }
 
     proptest! {
-        /// Alloc/free in arbitrary interleavings never corrupts payloads
-        /// and always returns to zero use.
+        #![proptest_config(ProptestConfig::with_cases(cases()))]
+        /// Alloc, free, retire and reclaim in arbitrary interleavings,
+        /// over a budget small enough to run out: payloads stay intact,
+        /// `chunk = used + quarantined + free` after every step, and
+        /// `ImrsFull` comes only when no chunk can be created and no
+        /// free run of the created ones fits — reporting the largest.
         #[test]
         fn allocator_matches_model(
-            ops in proptest::collection::vec((any::<bool>(), 1usize..2000), 1..200)
+            ops in proptest::collection::vec((0u8..5, 1usize..3000), 1..200)
         ) {
-            let a = FragmentAllocator::new(1024 * 1024, 256 * 1024);
-            let mut live: HashMap<u64, (FragHandle, Vec<u8>)> = HashMap::new();
-            let mut next_tag = 0u64;
-            for (is_alloc, size) in ops {
-                if is_alloc || live.is_empty() {
-                    let data: Vec<u8> = (0..size).map(|i| (i % 251) as u8).collect();
-                    if let Ok(h) = a.alloc(&data) {
-                        live.insert(next_tag, (h, data));
-                        next_tag += 1;
+            let a = FragmentAllocator::new(MAX_CHUNKS * CHUNK as u64, CHUNK);
+            let mut live: Vec<(FragHandle, Vec<u8>)> = Vec::new();
+            let mut quarantine: VecDeque<(u64, FragHandle)> = VecDeque::new();
+            for (now, (op, size)) in (1u64..).zip(ops) {
+                match op {
+                    2 | 3 if !live.is_empty() => {
+                        let (h, d) = live.swap_remove(size % live.len());
+                        prop_assert_eq!(a.load(h), d);
+                        if op == 2 {
+                            a.free(h);
+                        } else {
+                            a.retire(h, Timestamp(now));
+                            quarantine.push_back((now, h));
+                        }
                     }
-                } else {
-                    let k = *live.keys().next().unwrap();
-                    let (h, d) = live.remove(&k).unwrap();
-                    prop_assert_eq!(a.load(h), d);
-                    a.free(h);
+                    4 => {
+                        let horizon = now.saturating_sub(size as u64 % 8);
+                        let mut expect = 0;
+                        while quarantine.front().is_some_and(|&(ts, _)| ts < horizon) {
+                            expect += quarantine.pop_front().map_or(0, |(_, h)| h.alloc_len as u64);
+                        }
+                        prop_assert_eq!(a.reclaim(Timestamp(horizon)), expect);
+                    }
+                    _ => {
+                        let data: Vec<u8> = (0..size).map(|i| (i % 251) as u8).collect();
+                        match a.alloc(&data) {
+                            Ok(h) => live.push((h, data)),
+                            Err(BtrimError::ImrsFull { requested, available }) => {
+                                let occupied: Vec<FragHandle> = live
+                                    .iter()
+                                    .map(|(h, _)| *h)
+                                    .chain(quarantine.iter().map(|(_, h)| *h))
+                                    .collect();
+                                let largest = largest_free_run(&a, &occupied);
+                                prop_assert_eq!(requested, size);
+                                prop_assert_eq!(a.chunk_bytes(), MAX_CHUNKS * CHUNK as u64);
+                                prop_assert!(largest < FragmentAllocator::aligned(size));
+                                prop_assert_eq!(available, largest as usize);
+                            }
+                            Err(e) => prop_assert!(false, "unexpected error {}", e),
+                        }
+                    }
                 }
-                // Every live payload stays intact after each step.
-                for (h, d) in live.values() {
+                // Every live payload stays intact, and the space is
+                // conserved, after each step.
+                for (h, d) in &live {
                     prop_assert_eq!(&a.load(*h), d);
                 }
+                let used: u64 = live.iter().map(|(h, _)| h.alloc_len as u64).sum();
+                let quarantined: u64 = quarantine.iter().map(|(_, h)| h.alloc_len as u64).sum();
+                prop_assert_eq!(a.used_bytes(), used);
+                prop_assert_eq!(a.quarantined_bytes(), quarantined);
+                prop_assert_eq!(
+                    a.chunk_bytes(),
+                    a.used_bytes() + a.quarantined_bytes() + a.free_bytes()
+                );
             }
-            for (h, d) in live.into_values() {
+            for (h, d) in live {
                 prop_assert_eq!(a.load(h), d);
                 a.free(h);
             }
+            a.reclaim(Timestamp(u64::MAX));
             prop_assert_eq!(a.used_bytes(), 0);
+            prop_assert_eq!(a.free_bytes(), a.chunk_bytes());
         }
     }
 }

@@ -62,7 +62,6 @@ fn cfg(workers: usize) -> EngineConfig {
 
 /// Run the deterministic workload onto fresh devices and crash (drop
 /// without shutdown), leaving media for recovery to chew on.
-#[allow(clippy::type_complexity)]
 fn build_media(checkpoint: bool) -> (Arc<MemDisk>, Arc<MemLog>, Arc<MemLog>) {
     let disk = Arc::new(MemDisk::new());
     let syslog = Arc::new(MemLog::new());

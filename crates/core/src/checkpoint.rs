@@ -115,10 +115,12 @@ impl Engine {
                 .values()
                 .fold(next_lsn, |m, &l| m.min(l));
             let dirty = sh.cache.dirty_page_ids();
-            let begin_lsn = sh.append_sys(&PageLogRecord::CheckpointBegin {
-                low_water: floor,
-                dirty_pages: dirty.clone(),
-            })?;
+            let begin_lsn = sh
+                .append_sys(&PageLogRecord::CheckpointBegin {
+                    low_water: floor,
+                    dirty_pages: dirty.clone(),
+                })?
+                .lsn();
             let mut pages_flushed = 0u64;
             let mut batches = 0u64;
             let mut stall_nanos = 0u64;

@@ -32,6 +32,7 @@ use crate::config::{EngineConfig, EngineMode};
 use crate::freeze::extent_row_bytes;
 use crate::gc::GcRegistry;
 use crate::health::Health;
+use crate::logged;
 use crate::maintenance::Maintenance;
 use crate::metrics::CommitShapes;
 use crate::movement::{relocate, To};
@@ -93,31 +94,6 @@ pub(crate) struct Shared {
 }
 
 impl Shared {
-    /// Append to the page-store log. A failed append may have left a
-    /// torn frame on the device; recovery truncates the log at the
-    /// first bad frame, so appending *more* records behind the tear
-    /// would silently drop them. The only safe reaction is to stop
-    /// writing: the engine goes read-only — and this wrapper itself
-    /// enforces it, because in-flight work (a pack cycle mid-batch, a
-    /// commit mid-drain, a checkpoint) reaches here without passing
-    /// the operation-level `check_writable` gate. The append goes
-    /// through the checkpointer, which tracks the transactions alive
-    /// on this log.
-    pub fn append_sys(&self, rec: &PageLogRecord) -> Result<btrim_common::Lsn> {
-        self.health.check_writable()?;
-        self.ckpt
-            .append(&self.syslog, rec)
-            .or_else(|e| self.health.fail_stop("syslogs append", e))
-    }
-
-    /// Append to the IMRS log; same failure policy as [`append_sys`](Self::append_sys).
-    pub fn append_imrs(&self, rec: &ImrsLogRecord) -> Result<btrim_common::Lsn> {
-        self.health.check_writable()?;
-        self.imrslog
-            .append(rec)
-            .or_else(|e| self.health.fail_stop("sysimrslogs append", e))
-    }
-
     /// A foreground move counts itself after its sysimrslogs record is
     /// appended and before its syslogs `Commit` is, so a committer that
     /// can see the `Commit` can also see that sysimrslogs owes a barrier.
@@ -140,20 +116,6 @@ impl Shared {
     /// durable ahead of its arrival record.
     pub fn move_halves_volatile(&self) -> bool {
         self.moves_durable.load() < self.moves_logged.load()
-    }
-
-    /// Append a committing transaction's staged records to the IMRS log
-    /// as **one atomic batch** (one lock acquisition on the sink; a
-    /// crash persists all of the records or none). Same failure policy
-    /// as [`append_sys`](Self::append_sys) — note that unlike a failed
-    /// single append, a failed batch cannot leave a *partial*
-    /// transaction behind a torn tail, but the tail itself may still be
-    /// torn, so the engine still goes read-only.
-    pub fn append_imrs_batch(&self, payloads: &[&[u8]]) -> Result<btrim_wal::LsnRange> {
-        self.health.check_writable()?;
-        self.imrslog
-            .append_batch(payloads)
-            .or_else(|e| self.health.fail_stop("sysimrslogs batch append", e))
     }
 }
 
@@ -435,9 +397,11 @@ impl Engine {
                 .insert_row(row_id, partition, origin, id, row, sh.clock.now())
             {
                 Ok((_, version)) => {
-                    // lint: allow(wal-before-mutation) -- a fresh RowId's
-                    // first location overwrites nothing, and IMRS redo is
-                    // staged below and logged at commit (§II).
+                    #[expect(
+                        clippy::disallowed_methods,
+                        reason = "a fresh RowId's first location overwrites nothing; \
+                                  its IMRS redo is staged below and logged at commit (§II)"
+                    )]
                     sh.ridmap.set(row_id, RowLocation::Imrs);
                     table.hash.insert(key, row_id);
                     txn.writes.push(Write::Imrs {
@@ -482,14 +446,17 @@ impl Engine {
                 data: payload,
             })
         });
-        if let Err(e) = logged {
-            // The RID-Map publishes the location only once the Insert
-            // record is in the log; a copy it never named is dropped
-            // here, where it was staged (abort finds no row to remove).
+        // The RID-Map publishes the location only once the Insert record
+        // is in the log; a copy it never named is dropped here, where it
+        // was staged (abort finds no row to remove).
+        let logged = logged.inspect_err(|_| {
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "unstaging a copy the RID-Map never named"
+            )]
             let _ = part.heap.delete(&sh.cache, page, slot);
-            return Err(e);
-        }
-        sh.ridmap.set(row_id, RowLocation::Page(page, slot));
+        })?;
+        logged.ridmap_set(&sh.ridmap, row_id, RowLocation::Page(page, slot));
         Ok(OpClass::InsertPage)
     }
 
@@ -1015,7 +982,7 @@ impl Engine {
         // mis-fit returns false without logging and the relocation arm
         // below writes its own records.
         let in_place =
-            heap.try_update_in_place_logged(&sh.cache, page, slot, &new_payload, || {
+            logged::update_in_place(heap, &sh.cache, (page, slot), &new_payload, || {
                 sh.append_sys(&PageLogRecord::Update {
                     txn: id,
                     partition,
@@ -1025,7 +992,6 @@ impl Engine {
                     old: old_payload.clone(),
                     new: new_payload.clone(),
                 })
-                .map(|_| ())
             })?;
         if in_place {
             return Ok(());
@@ -1055,17 +1021,20 @@ impl Engine {
                     data: new_payload,
                 })
             });
-        if let Err(e) = logged {
-            // Unstage: the row is still whole at its old address, and a
-            // copy the RID-Map never named is nobody's to undo later.
+        // Unstage on failure: the row is still whole at its old address,
+        // and a copy the RID-Map never named is nobody's to undo later.
+        let logged = logged.inspect_err(|_| {
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "unstaging a copy the RID-Map never named"
+            )]
             let _ = heap.delete(&sh.cache, new_page, new_slot);
-            return Err(e);
-        }
+        })?;
         // Repoint, only then delete the old copy — a concurrent reader
         // that raced the RID-Map read finds either the old live slot
         // or, after one retry, the new location; never a dead end.
-        sh.ridmap.set(row_id, RowLocation::Page(new_page, new_slot));
-        heap.delete(&sh.cache, page, slot)?;
+        logged.ridmap_set(&sh.ridmap, row_id, RowLocation::Page(new_page, new_slot));
+        logged.heap_delete(heap, &sh.cache, page, slot)?;
         Ok(())
     }
 
@@ -1087,7 +1056,7 @@ impl Engine {
         // the slot dies or the RID-Map flips, so a crash between the
         // two can always be replayed.
         self.ensure_begin(txn)?;
-        sh.append_sys(&PageLogRecord::Delete {
+        let logged = sh.append_sys(&PageLogRecord::Delete {
             txn: txn.handle.id,
             partition: part.id,
             row: row_id,
@@ -1097,8 +1066,8 @@ impl Engine {
         })?;
         // Tombstone is published first so concurrent readers consult
         // the stash instead of racing the dying slot.
-        sh.ridmap.set(row_id, RowLocation::Tombstone(page, slot));
-        part.heap.delete(&sh.cache, page, slot)?;
+        logged.ridmap_set(&sh.ridmap, row_id, RowLocation::Tombstone(page, slot));
+        logged.heap_delete(&part.heap, &sh.cache, page, slot)?;
         Ok(())
     }
 
@@ -1420,6 +1389,11 @@ impl Engine {
 
     /// Undo one write-set entry of transaction `id`, which still holds
     /// the row's exclusive lock: nobody else has moved or changed it.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "undo restores the state before a change the log already covers \
+                  or never acknowledged"
+    )]
     fn apply_undo(&self, id: TxnId, w: Write) {
         let sh = &self.sh;
         match w {
@@ -1503,6 +1477,11 @@ impl Engine {
     /// another row's. In place when the image fits; else, and after a
     /// delete, it is re-homed within the heap and the RID-Map repointed
     /// before the old copy goes.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "undo restores the state before a change the log already covers \
+                  or never acknowledged"
+    )]
     fn restore_page_row(
         &self,
         part: &Partition,

@@ -122,13 +122,18 @@ impl GcRegistry {
                     && v.commit_ts.is_some_and(|ts| ts <= oldest_active)
             }) && row.version_count() == 1;
             if dead {
-                // lint: allow(wal-before-mutation) -- GC removes a dead
-                // tombstone whose Delete record is already durable; replay
-                // of that record reconstructs the same end state, so no
-                // new log entry is owed here.
+                // The tombstone's Delete record is already durable, and
+                // replaying it reconstructs the same end state: no new
+                // record is owed.
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "GC removes a dead tombstone whose delete is already logged"
+                )]
                 store.remove_row(row_id, &now);
-                // lint: allow(wal-before-mutation) -- same committed-delete
-                // reasoning as the row removal above.
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "GC removes a dead tombstone whose delete is already logged"
+                )]
                 ridmap.remove(row_id);
                 report.rows_removed += 1;
             }

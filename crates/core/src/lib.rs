@@ -21,6 +21,8 @@
 //! * [`health`] — the storage-error escalation (Healthy → Degraded →
 //!   ReadOnly) and the write stop.
 //! * [`checkpoint`] — the fuzzy checkpoint and its truncation floor.
+//! * `logged` — the log receipt: the append funnels, and the only
+//!   receipt-taking calls of the destructive row methods (WAL-first).
 //! * `maintenance` — when GC, tuning, pack and freeze run: inline
 //!   every N commits, or on background threads.
 //! * [`recovery`] — crash recovery from the two logs and the heap.
@@ -64,6 +66,9 @@
 // A raw std atomic is an error: each field takes the wrapper of its
 // protocol from `btrim_common::atomics` (clippy.toml lists the types).
 #![deny(clippy::disallowed_types)]
+// A destructive row method (clippy.toml's `disallowed-methods`) takes a
+// log receipt: see `logged`. Unit tests build row state by hand.
+#![cfg_attr(not(test), deny(clippy::disallowed_methods))]
 
 pub mod arbiter;
 pub mod catalog;
@@ -73,6 +78,7 @@ pub mod engine;
 pub mod freeze;
 pub mod gc;
 pub mod health;
+pub(crate) mod logged;
 pub(crate) mod maintenance;
 pub mod metrics;
 pub(crate) mod movement;

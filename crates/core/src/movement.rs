@@ -26,13 +26,14 @@ use std::sync::Arc;
 
 use btrim_common::{BtrimError, Result, RowId, Timestamp, TxnId};
 use btrim_imrs::{RowLocation, RowOrigin};
-use btrim_pagestore::FrozenExtent;
+use btrim_pagestore::{FrozenExtent, HeapFile};
 use btrim_txn::LockMode;
 use btrim_wal::{ImrsLogRecord, PageLogRecord, RowOriginTag};
 
 use crate::catalog::{Partition, TableDesc};
-use crate::engine::{unwrap_row, wrap_row, Engine};
+use crate::engine::{unwrap_row, wrap_row, Engine, Shared};
 use crate::freeze::{build_columns, extent_row_bytes};
+use crate::logged::Logged;
 
 /// Destination tier of a move; the source is what the RID-Map says.
 #[derive(Clone, Copy)]
@@ -137,6 +138,27 @@ pub(crate) fn relocate(
     })
 }
 
+/// Drop a destination copy staged for a move whose records did not all
+/// reach the log. (An extent that was never installed has nothing to
+/// mark.)
+#[expect(
+    clippy::disallowed_methods,
+    reason = "unstaging a copy the RID-Map never named"
+)]
+fn unstage(sh: &Shared, heap: &HeapFile, row: RowId, staged: RowLocation) {
+    match staged {
+        RowLocation::Imrs => {
+            sh.store.remove_row(row, || sh.clock.now());
+        }
+        RowLocation::Page(page, slot) => {
+            if let Err(e) = heap.delete(&sh.cache, page, slot) {
+                sh.health.note_storage_error("movement", &e);
+            }
+        }
+        RowLocation::Frozen(..) | RowLocation::Tombstone(..) => {}
+    }
+}
+
 /// The four phases of [`relocate`] — revalidate and gate, stage, log,
 /// publish then retire — between the envelope's `Begin` and `Commit`.
 fn relocate_locked(
@@ -234,7 +256,7 @@ fn relocate_locked(
 
     let background_from_imrs = sources.iter().any(|s| s.from == RowLocation::Imrs);
     let mut extent = None;
-    let logged: Result<()> = (|| {
+    let logged: Result<Logged> = (|| {
         // ---- Stage: an unpublished destination copy ------------------
         // The RID-Map still says `from` and the row is locked, so nobody
         // can observe the copy. Staging comes before the log because it
@@ -284,10 +306,10 @@ fn relocate_locked(
         if background_from_imrs && sh.move_halves_volatile() {
             sh.flush_imrs()?;
         }
-        sh.append_sys(&PageLogRecord::Begin { txn })?;
+        let mut logged = sh.append_sys(&PageLogRecord::Begin { txn })?;
         for s in &sources {
             if let RowLocation::Page(page, slot) = s.from {
-                sh.append_sys(&PageLogRecord::Delete {
+                logged = sh.append_sys(&PageLogRecord::Delete {
                     txn,
                     partition,
                     row: s.row,
@@ -297,7 +319,7 @@ fn relocate_locked(
                 })?;
             }
             if let Some(RowLocation::Page(page, slot)) = s.dest {
-                sh.append_sys(&PageLogRecord::Insert {
+                logged = sh.append_sys(&PageLogRecord::Insert {
                     txn,
                     partition,
                     row: s.row,
@@ -307,7 +329,7 @@ fn relocate_locked(
                 })?;
             }
             let (row, ts) = (s.row, sh.clock.now());
-            match (s.from, to) {
+            logged = match (s.from, to) {
                 (_, To::Imrs(origin)) => sh.append_imrs(&ImrsLogRecord::Insert {
                     txn,
                     ts: horizon,
@@ -337,7 +359,7 @@ fn relocate_locked(
             };
         }
         if let Some(ext) = &extent {
-            sh.append_imrs(&ImrsLogRecord::Freeze {
+            logged = sh.append_imrs(&ImrsLogRecord::Freeze {
                 txn,
                 ts: sh.clock.now(),
                 partition,
@@ -345,39 +367,35 @@ fn relocate_locked(
                 data: ext.encode(),
             })?;
         }
-        Ok(())
+        Ok(logged)
     })();
-    // Remove the copy of `row` at `loc`: a staged destination after a
-    // failed append, the source once the new home is published.
-    let drop_copy = |row: RowId, loc: RowLocation| match loc {
-        RowLocation::Imrs => {
-            sh.store.remove_row(row, || sh.clock.now());
+    // Unstage on failure. After a failed append the engine is read-only
+    // and recovery undoes the logged loser idempotently (`insert_at`
+    // no-ops on a live slot), but a page copy left behind could reach the
+    // device and be adopted by the next heap rebuild.
+    let logged = logged.inspect_err(|_| {
+        for s in &sources {
+            if let Some(staged) = s.dest {
+                unstage(sh, heap, s.row, staged);
+            }
         }
+    })?;
+    // Retire the source copy of `row` at `loc` once its new home is
+    // published.
+    let drop_copy = |row: RowId, loc: RowLocation| match loc {
+        RowLocation::Imrs => logged.remove_row(&sh.store, row, || sh.clock.now()),
         RowLocation::Page(page, slot) => {
-            if let Err(e) = heap.delete(&sh.cache, page, slot) {
+            if let Err(e) = logged.heap_delete(heap, &sh.cache, page, slot) {
                 sh.health.note_storage_error("movement", &e);
             }
         }
         RowLocation::Frozen(ext_id, idx) => {
             if let Some(ext) = sh.extents.get(ext_id) {
-                ext.mark_gone(idx as usize);
+                logged.mark_gone(&ext, idx as usize);
             }
         }
         RowLocation::Tombstone(..) => {}
     };
-    if let Err(e) = logged {
-        // Unstage. After a failed append the engine is read-only and
-        // recovery undoes the logged loser idempotently (`insert_at`
-        // no-ops on a live slot), but a page copy left behind could
-        // reach the device and be adopted by the next heap rebuild. (An
-        // extent that was never installed has nothing to mark.)
-        for s in &sources {
-            if let Some(staged) = s.dest {
-                drop_copy(s.row, staged);
-            }
-        }
-        return Err(e);
-    }
 
     // ---- Publish, then retire ----------------------------------------
     // The extent goes in before any RID-Map entry names it, so a reader
@@ -409,7 +427,7 @@ fn relocate_locked(
             }
             _ => {}
         }
-        sh.ridmap.set(s.row, dest);
+        logged.ridmap_set(&sh.ridmap, s.row, dest);
         // No double buffering (§II): the source copy goes. A failure is
         // noted, never unwound — the move is already in both logs, the
         // stale copy holds the same committed bytes, and redo removes

@@ -67,6 +67,10 @@
 //! The engine's catalog is re-declared by the caller (schema closure);
 //! index pages from the previous incarnation become dead space on the
 //! device, which is the usual cost of rebuild-style index recovery.
+#![expect(
+    clippy::disallowed_methods,
+    reason = "recovery applies records read back from the log: the record is already there"
+)]
 
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::sync::Arc;

@@ -277,10 +277,11 @@ impl SideStore {
                         freed += e.bytes();
                         if e.tombstone {
                             if let Some(RowLocation::Tombstone(..)) = ridmap.get(row) {
-                                // lint: allow(wal-before-mutation) -- purge
-                                // clears the tombstone of a delete whose
-                                // record fell below the snapshot horizon;
-                                // the Delete WAL record is already durable.
+                                #[expect(
+                                    clippy::disallowed_methods,
+                                    reason = "purge clears the tombstone of a delete whose \
+                                              record fell below the snapshot horizon"
+                                )]
                                 ridmap.remove(row);
                             }
                         }

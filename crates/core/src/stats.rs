@@ -9,8 +9,11 @@ use btrim_common::{HistSummary, PartitionId, Result, RowId, TableId};
 use btrim_imrs::RowLocation;
 use btrim_obs::{json, summary_to_json, IlmTraceEvent, OpClass};
 
+use btrim_pagestore::BufferStatsSnapshot;
+
 use crate::catalog::{Partition, TableDesc};
 use crate::engine::Engine;
+use crate::recovery::RecoveryReport;
 
 /// Per-partition statistics.
 #[derive(Debug, Clone)]
@@ -494,15 +497,100 @@ impl EngineSnapshot {
     /// summaries (nanoseconds), the retained ILM decision trace, and
     /// per-table footprints. Guaranteed parseable — the obs test suite
     /// and the fault-torture harness run it through a strict validator.
+    ///
+    /// Complete by construction: the snapshot structs are destructured
+    /// without `..`, so a new field does not compile until it is bound
+    /// here, and a bound field left out of the JSON is an unused
+    /// variable (`-D warnings`).
     pub fn to_json(&self) -> String {
-        let latency: Vec<String> = self
-            .latency
+        let EngineSnapshot {
+            committed_txns,
+            aborted_txns,
+            commits_imrs_only,
+            commits_page_only,
+            commits_mixed,
+            commits_read_only,
+            commit_ts,
+            imrs_used_bytes,
+            imrs_budget,
+            imrs_utilization,
+            imrs_chunk_bytes,
+            imrs_free_bytes,
+            imrs_quarantined_bytes,
+            imrs_rows,
+            imrs_ops,
+            page_ops,
+            pack_cycles,
+            rows_packed,
+            bytes_packed,
+            rows_skipped_hot,
+            frozen_extents,
+            rows_frozen,
+            rows_thawed,
+            frozen_raw_bytes,
+            frozen_encoded_bytes,
+            tsf_tau,
+            tuning_windows,
+            total_memory_budget,
+            buffer_capacity_frames,
+            arbiter_windows,
+            arbiter_shifts,
+            arbiter_bytes_to_imrs,
+            arbiter_bytes_to_buffer,
+            gc_bytes_freed,
+            gc_backlog,
+            txns_active,
+            side_store_entries,
+            side_store_bytes,
+            queue_total,
+            buffer,
+            health,
+            storage_errors,
+            recovery,
+            tables,
+            latency,
+            ilm_trace,
+            ilm_trace_pushed,
+            ilm_trace_dropped,
+        } = self;
+        let BufferStatsSnapshot {
+            hits,
+            misses,
+            evictions,
+            flushes,
+            latch_contention,
+            shard_lock_contention,
+            io_waits,
+            io_errors,
+            io_retries,
+            checksum_failures,
+            capacity,
+            shrink_debt,
+            capacity_shifts,
+        } = buffer;
+        let RecoveryReport {
+            syslog_salvaged,
+            syslog_dropped,
+            imrslog_salvaged,
+            imrslog_dropped,
+            pages_reset,
+            imrs_records_skipped,
+            replay_workers,
+            syslog_redo_replayed,
+            syslog_redo_skipped,
+            imrs_records_replayed,
+            page_copies_retired,
+            analysis_micros,
+            page_redo_micros,
+            heap_rebuild_micros,
+            imrs_replay_micros,
+        } = recovery;
+        let latency: Vec<String> = latency
             .iter()
             .map(|(c, s)| summary_to_json(*c, s))
             .collect();
-        let trace: Vec<String> = self.ilm_trace.iter().map(|e| e.to_json()).collect();
-        let tables: Vec<String> = self
-            .tables
+        let trace: Vec<String> = ilm_trace.iter().map(|e| e.to_json()).collect();
+        let tables: Vec<String> = tables
             .iter()
             .map(|t| {
                 let parts: Vec<String> = t
@@ -556,9 +644,12 @@ impl EngineSnapshot {
                 "\"total_memory_budget\":{},\"buffer_capacity_frames\":{},",
                 "\"arbiter_windows\":{},\"arbiter_shifts\":{},",
                 "\"arbiter_bytes_to_imrs\":{},\"arbiter_bytes_to_buffer\":{},",
-                "\"buffer\":{{\"hits\":{},\"misses\":{},\"evictions\":{},",
+                "\"buffer\":{{\"hits\":{},\"misses\":{},\"evictions\":{},\"flushes\":{},",
+                "\"latch_contention\":{},\"shard_lock_contention\":{},\"io_waits\":{},",
+                "\"io_errors\":{},\"io_retries\":{},\"checksum_failures\":{},",
                 "\"capacity\":{},\"shrink_debt\":{},\"capacity_shifts\":{}}},",
-                "\"gc_bytes_freed\":{},\"queue_total\":{},\"storage_errors\":{},",
+                "\"gc_bytes_freed\":{},\"gc_backlog\":{},\"queue_total\":{},",
+                "\"storage_errors\":{},",
                 "\"txns_active\":{},\"side_store_entries\":{},\"side_store_bytes\":{},",
                 "\"health\":\"{}\",",
                 "\"recovery\":{{\"syslog_salvaged\":{},\"syslog_dropped\":{},",
@@ -573,71 +664,79 @@ impl EngineSnapshot {
                 "\"ilm_trace\":{{\"pushed\":{},\"dropped\":{},\"events\":[{}]}},",
                 "\"tables\":[{}]}}"
             ),
-            self.committed_txns,
-            self.aborted_txns,
-            self.commit_ts,
-            self.commits_imrs_only,
-            self.commits_page_only,
-            self.commits_mixed,
-            self.commits_read_only,
-            self.imrs_used_bytes,
-            self.imrs_budget,
-            json::num(self.imrs_utilization),
-            self.imrs_chunk_bytes,
-            self.imrs_free_bytes,
-            self.imrs_quarantined_bytes,
-            self.imrs_rows,
-            self.imrs_ops,
-            self.page_ops,
+            committed_txns,
+            aborted_txns,
+            commit_ts,
+            commits_imrs_only,
+            commits_page_only,
+            commits_mixed,
+            commits_read_only,
+            imrs_used_bytes,
+            imrs_budget,
+            json::num(*imrs_utilization),
+            imrs_chunk_bytes,
+            imrs_free_bytes,
+            imrs_quarantined_bytes,
+            imrs_rows,
+            imrs_ops,
+            page_ops,
             json::num(self.imrs_hit_rate()),
-            self.pack_cycles,
-            self.rows_packed,
-            self.bytes_packed,
-            self.rows_skipped_hot,
-            self.frozen_extents,
-            self.rows_frozen,
-            self.rows_thawed,
-            self.frozen_raw_bytes,
-            self.frozen_encoded_bytes,
-            self.tsf_tau,
-            self.tuning_windows,
-            self.total_memory_budget,
-            self.buffer_capacity_frames,
-            self.arbiter_windows,
-            self.arbiter_shifts,
-            self.arbiter_bytes_to_imrs,
-            self.arbiter_bytes_to_buffer,
-            self.buffer.hits,
-            self.buffer.misses,
-            self.buffer.evictions,
-            self.buffer.capacity,
-            self.buffer.shrink_debt,
-            self.buffer.capacity_shifts,
-            self.gc_bytes_freed,
-            self.queue_total,
-            self.storage_errors,
-            self.txns_active,
-            self.side_store_entries,
-            self.side_store_bytes,
-            json::escape(&self.health.to_string()),
-            self.recovery.syslog_salvaged,
-            self.recovery.syslog_dropped,
-            self.recovery.imrslog_salvaged,
-            self.recovery.imrslog_dropped,
-            self.recovery.pages_reset,
-            self.recovery.imrs_records_skipped,
-            self.recovery.replay_workers,
-            self.recovery.syslog_redo_replayed,
-            self.recovery.syslog_redo_skipped,
-            self.recovery.imrs_records_replayed,
-            self.recovery.page_copies_retired,
-            self.recovery.analysis_micros,
-            self.recovery.page_redo_micros,
-            self.recovery.heap_rebuild_micros,
-            self.recovery.imrs_replay_micros,
+            pack_cycles,
+            rows_packed,
+            bytes_packed,
+            rows_skipped_hot,
+            frozen_extents,
+            rows_frozen,
+            rows_thawed,
+            frozen_raw_bytes,
+            frozen_encoded_bytes,
+            tsf_tau,
+            tuning_windows,
+            total_memory_budget,
+            buffer_capacity_frames,
+            arbiter_windows,
+            arbiter_shifts,
+            arbiter_bytes_to_imrs,
+            arbiter_bytes_to_buffer,
+            hits,
+            misses,
+            evictions,
+            flushes,
+            latch_contention,
+            shard_lock_contention,
+            io_waits,
+            io_errors,
+            io_retries,
+            checksum_failures,
+            capacity,
+            shrink_debt,
+            capacity_shifts,
+            gc_bytes_freed,
+            gc_backlog,
+            queue_total,
+            storage_errors,
+            txns_active,
+            side_store_entries,
+            side_store_bytes,
+            json::escape(&health.to_string()),
+            syslog_salvaged,
+            syslog_dropped,
+            imrslog_salvaged,
+            imrslog_dropped,
+            pages_reset,
+            imrs_records_skipped,
+            replay_workers,
+            syslog_redo_replayed,
+            syslog_redo_skipped,
+            imrs_records_replayed,
+            page_copies_retired,
+            analysis_micros,
+            page_redo_micros,
+            heap_rebuild_micros,
+            imrs_replay_micros,
             latency.join(","),
-            self.ilm_trace_pushed,
-            self.ilm_trace_dropped,
+            ilm_trace_pushed,
+            ilm_trace_dropped,
             trace.join(","),
             tables.join(","),
         )

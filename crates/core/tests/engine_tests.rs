@@ -568,7 +568,7 @@ fn recovery_restores_imrs_and_page_rows() {
         // An in-flight loser at crash time.
         let mut loser = e.begin();
         e.insert(&mut loser, &t, &mkrow(999, b"loser")).unwrap();
-        #[allow(clippy::mem_forget)] // simulate crash: no commit, no abort
+        #[expect(clippy::mem_forget, reason = "simulate a crash: no commit, no abort")]
         std::mem::forget(loser);
         e.checkpoint().unwrap(); // flush pages + logs
     } // engine dropped = crash

@@ -2,8 +2,8 @@
 //!
 //! The vendored `parking_lot` shim carries a debug-build lock-order
 //! witness: every ranked acquisition asserts that the caller holds no
-//! lock of equal or higher rank (see `btrim-lint`'s shared hierarchy
-//! table). This test exists to drive the *real* engine through its
+//! lock of equal or higher rank (the hierarchy is the shim's
+//! `lock_rank` module). This test exists to drive the *real* engine through its
 //! most lock-dense concurrent paths — committers racing checkpoints,
 //! maintenance/pack cycles, eviction under a tiny buffer pool — and
 //! prove the declared hierarchy produces zero witness panics, i.e. no

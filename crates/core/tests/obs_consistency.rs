@@ -796,3 +796,47 @@ fn commit_shapes_sum_to_commits_and_bound_the_barriers() {
         "no page-only commit met a volatile move: the mix no longer exercises that barrier"
     );
 }
+
+/// The JSON export carries the counters the dashboard shows, the
+/// buffer's I/O-error and contention counts and the GC backlog among
+/// them. Distinct values, so a key printing the wrong field fails too.
+#[test]
+fn json_export_carries_every_snapshot_counter() {
+    let e = Engine::new(EngineConfig {
+        mode: EngineMode::IlmOn,
+        imrs_budget: 1024 * 1024,
+        imrs_chunk_size: 128 * 1024,
+        buffer_frames: 64,
+        maintenance_interval_txns: u64::MAX / 2,
+        ..Default::default()
+    });
+    let mut snap = e.snapshot();
+    snap.gc_backlog = 9_001;
+    let b = &mut snap.buffer;
+    b.flushes = 9_002;
+    b.latch_contention = 9_003;
+    b.shard_lock_contention = 9_004;
+    b.io_waits = 9_005;
+    b.io_errors = 9_006;
+    b.io_retries = 9_007;
+    b.checksum_failures = 9_008;
+    let json = snap.to_json();
+    btrim_core::obs_json::validate(&json).unwrap();
+    assert!(json.contains("\"gc_backlog\":9001"), "{json}");
+    let at = json.find("\"buffer\":{").expect("buffer object");
+    let buffer = &json[at..at + json[at..].find('}').unwrap()];
+    for (key, value) in [
+        ("flushes", 9_002),
+        ("latch_contention", 9_003),
+        ("shard_lock_contention", 9_004),
+        ("io_waits", 9_005),
+        ("io_errors", 9_006),
+        ("io_retries", 9_007),
+        ("checksum_failures", 9_008),
+    ] {
+        assert!(
+            buffer.contains(&format!("\"{key}\":{value}")),
+            "{key} in {buffer}"
+        );
+    }
+}

@@ -645,8 +645,14 @@ pub fn summary_to_json(class: OpClass, s: &HistSummary) -> String {
 mod tests {
     use super::*;
 
+    /// `ALL` is the enum in declaration order: entry `i` is the variant
+    /// whose discriminant is `i`, so a variant left out of `ALL` shifts
+    /// every later one and fails here — or, left out at the end, has no
+    /// slot in the `COUNT`-long histogram table and panics the first
+    /// time it is recorded.
     #[test]
     fn all_classes_have_unique_names_and_indices() {
+        assert_eq!(OpClass::COUNT, OpClass::ALL.len());
         let names: std::collections::HashSet<&str> =
             OpClass::ALL.iter().map(|c| c.name()).collect();
         assert_eq!(names.len(), OpClass::COUNT);

@@ -9,25 +9,16 @@
 //!   the way parking_lot's does;
 //! * an opt-in **lock-rank witness** (debug builds only): locks built
 //!   with [`Mutex::with_rank`]/[`RwLock::with_rank`] carry a rank from
-//!   [`lock_rank`] — the same hierarchy table the `btrim-lint` static
-//!   pass enforces — and every blocking acquisition asserts that the
-//!   thread holds nothing of an equal or higher rank. Locks built with
-//!   plain `new()` have rank 0 and are invisible to the witness.
-//!   Release builds compile the rank fields and every check away.
+//!   [`lock_rank`], the engine's declared hierarchy, and every blocking
+//!   acquisition asserts that the thread holds nothing of an equal or
+//!   higher rank. Locks built with plain `new()` have rank 0 and are
+//!   invisible to the witness. Release builds compile the rank fields
+//!   and every check away.
 
 use std::sync::{self, PoisonError};
 use std::time::Instant;
 
-/// The declared lock hierarchy, shared verbatim with `btrim-lint` (the
-/// file lives at `crates/lint/src/lock_hierarchy.rs`; both crates
-/// `include!` it, so the static rule and this runtime witness can never
-/// drift apart).
-pub mod lock_rank {
-    include!(concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../crates/lint/src/lock_hierarchy.rs"
-    ));
-}
+pub mod lock_rank;
 
 /// Per-thread stack of held ranks. Blocking acquisitions assert rank
 /// monotonicity *before* they can block — the witness fires on the

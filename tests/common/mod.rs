@@ -1,5 +1,5 @@
 //! Test doubles shared by the root integration suites.
-#![allow(dead_code)] // each suite uses its own subset
+#![allow(dead_code, reason = "each suite uses its own subset")]
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;

@@ -62,6 +62,15 @@ pub enum FieldValue {
     Bytes(Vec<u8>),
 }
 
+/// One field as it lies in a row payload ([`RowLayout::walk`]).
+#[derive(Clone, Copy, Debug)]
+pub enum FieldRef<'r> {
+    /// Numeric kinds (including f64 bit patterns).
+    U64(u64),
+    /// String/bytes kinds (without the length prefix), borrowed.
+    Bytes(&'r [u8]),
+}
+
 /// A declarative description of a table's row encoding, used by the
 /// HTAP freeze step to shred rows into per-field columns (and by
 /// analytic scans to evaluate filters on row-format sources). Optional:
@@ -81,46 +90,52 @@ impl RowLayout {
         }
     }
 
+    /// Walk a row payload once, handing `f` each field's index and
+    /// value in payload order, string fields borrowed. Returns `None`
+    /// when the payload does not match the layout exactly (wrong
+    /// length, truncated string field); `f` may have seen a prefix of
+    /// the fields by then.
+    pub fn walk<'r>(&self, row: &'r [u8], mut f: impl FnMut(usize, FieldRef<'r>)) -> Option<()> {
+        fn take<'r, const N: usize>(rest: &mut &'r [u8]) -> Option<&'r [u8; N]> {
+            let (head, tail) = rest.split_first_chunk::<N>()?;
+            *rest = tail;
+            Some(head)
+        }
+        let mut rest = row;
+        for (i, (_, kind)) in self.fields.iter().enumerate() {
+            let value = match kind {
+                FieldKind::BeU32 => FieldRef::U64(u32::from_be_bytes(*take(&mut rest)?).into()),
+                FieldKind::U32 => FieldRef::U64(u32::from_le_bytes(*take(&mut rest)?).into()),
+                FieldKind::U64 | FieldKind::F64Bits => {
+                    FieldRef::U64(u64::from_le_bytes(*take(&mut rest)?))
+                }
+                FieldKind::Str => {
+                    let len = u32::from_le_bytes(*take(&mut rest)?) as usize;
+                    let (bytes, tail) = rest.split_at_checked(len)?;
+                    rest = tail;
+                    FieldRef::Bytes(bytes)
+                }
+            };
+            f(i, value);
+        }
+        // The layout must cover the payload exactly: trailing bytes
+        // mean the layout is wrong for this row.
+        rest.is_empty().then_some(())
+    }
+
     /// Split a row payload into one value per field. Returns `None`
     /// when the payload does not match the layout exactly (wrong
     /// length, truncated string field) — callers fall back to treating
     /// the row as opaque bytes, so a mismatch is never an error.
     pub fn split(&self, row: &[u8]) -> Option<Vec<FieldValue>> {
         let mut out = Vec::with_capacity(self.fields.len());
-        let mut off = 0usize;
-        for (_, kind) in &self.fields {
-            match kind {
-                FieldKind::BeU32 => {
-                    let b = row.get(off..off + 4)?;
-                    out.push(FieldValue::U64(
-                        u32::from_be_bytes(b.try_into().ok()?) as u64
-                    ));
-                    off += 4;
-                }
-                FieldKind::U32 => {
-                    let b = row.get(off..off + 4)?;
-                    out.push(FieldValue::U64(
-                        u32::from_le_bytes(b.try_into().ok()?) as u64
-                    ));
-                    off += 4;
-                }
-                FieldKind::U64 | FieldKind::F64Bits => {
-                    let b = row.get(off..off + 8)?;
-                    out.push(FieldValue::U64(u64::from_le_bytes(b.try_into().ok()?)));
-                    off += 8;
-                }
-                FieldKind::Str => {
-                    let b = row.get(off..off + 4)?;
-                    let len = u32::from_le_bytes(b.try_into().ok()?) as usize;
-                    off += 4;
-                    out.push(FieldValue::Bytes(row.get(off..off + len)?.to_vec()));
-                    off += len;
-                }
-            }
-        }
-        // The layout must cover the payload exactly: trailing bytes
-        // mean the layout is wrong for this row.
-        (off == row.len()).then_some(out)
+        self.walk(row, |_, v| {
+            out.push(match v {
+                FieldRef::U64(x) => FieldValue::U64(x),
+                FieldRef::Bytes(b) => FieldValue::Bytes(b.to_vec()),
+            })
+        })?;
+        Some(out)
     }
 
     /// Reassemble a row payload from field values. Returns `None` on a
@@ -149,18 +164,6 @@ impl RowLayout {
             }
         }
         Some(out)
-    }
-
-    /// Read one numeric field straight out of a row payload (no full
-    /// shred). `None` when the field is unknown, non-numeric, or the
-    /// payload does not match the layout.
-    pub fn get_u64(&self, row: &[u8], name: &str) -> Option<u64> {
-        let values = self.split(row)?;
-        let i = self.fields.iter().position(|(n, _)| n == name)?;
-        match values.get(i)? {
-            FieldValue::U64(x) => Some(*x),
-            FieldValue::Bytes(_) => None,
-        }
     }
 }
 
@@ -640,9 +643,6 @@ mod tests {
         assert_eq!(values[3], FieldValue::U64(42.5f64.to_bits()));
         assert_eq!(values[4], FieldValue::Bytes(b"dist".to_vec()));
         assert_eq!(layout.assemble(&values).expect("assemble"), row);
-        assert_eq!(layout.get_u64(&row, "qty"), Some(5));
-        assert_eq!(layout.get_u64(&row, "info"), None, "non-numeric");
-        assert_eq!(layout.get_u64(&row, "nope"), None, "unknown field");
         // Trailing garbage / truncation do not match.
         let mut long = row.clone();
         long.push(0);

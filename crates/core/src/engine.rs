@@ -14,6 +14,7 @@
 //! Everything that is not DML has its own owner: [`crate::health`],
 //! [`crate::checkpoint`], `crate::maintenance`, [`crate::recovery`].
 
+use std::borrow::Cow;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -499,9 +500,9 @@ impl Engine {
     }
 
     /// The one read entry point: resolve `row_id` until the row holds
-    /// still, and record the read's latency — once, here, whatever the
-    /// outcome. `row_id = None` is an index miss: still a select the
-    /// histograms must count (as a page select: it cost a B+tree
+    /// still, and record a `Txn` read's latency once, whatever the
+    /// outcome (a `Snapshot` read's caller records it). `row_id = None`
+    /// is an index miss, still counted, as a page select (a B+tree
     /// probe). Returns the image and whether the IMRS served it.
     ///
     /// Lock-free readers race online data movement; every retry
@@ -543,7 +544,7 @@ impl Engine {
         }
         let (image, from_imrs) = found.unwrap_or((None, false));
         let class = match view {
-            View::Snapshot => OpClass::SnapshotRead,
+            View::Snapshot => return Ok((image, from_imrs)),
             _ if from_imrs => OpClass::SelectImrs,
             _ => OpClass::SelectPage,
         };
@@ -551,15 +552,7 @@ impl Engine {
         Ok((image, from_imrs))
     }
 
-    /// The row resolver: RID-Map → home → the image `reader` sees at
-    /// `snapshot`. Every read in the engine — point reads, range scans,
-    /// analytic-scan candidates, a writer's pre-image — goes through
-    /// this one match, so relocation between tiers is invisible to
-    /// transactions by construction: the bytes depend on `(snapshot,
-    /// reader)` alone, `view` selects side effects (see [`View`]).
-    /// Returns the image (`None`: no such row at the snapshot) and
-    /// whether the IMRS served it — or `None` when the row moved between
-    /// the RID-Map read and the store access: resolve again.
+    /// [`Engine::resolve_with`], keeping the image (copied if lent).
     fn resolve(
         &self,
         table: &TableDesc,
@@ -568,6 +561,30 @@ impl Engine {
         reader: TxnId,
         view: View,
     ) -> Result<Option<(Option<Vec<u8>>, bool)>> {
+        self.resolve_with(table, row_id, snapshot, reader, view, |img| {
+            img.into_owned()
+        })
+    }
+
+    /// The row resolver: RID-Map → home → the image `reader` sees at
+    /// `snapshot`, handed to `f` — lent where it lives, owned where the
+    /// home materialized it. Every read in the engine goes through this
+    /// one match, so relocation between tiers is invisible to
+    /// transactions by construction: the bytes depend on `(snapshot,
+    /// reader)` alone, `view` selects side effects (see [`View`]).
+    /// Returns `f`'s result (`None`: no such row at the snapshot; `f`
+    /// did not run) and whether the IMRS served it — or `None` when the
+    /// row moved between the RID-Map read and the store access: resolve
+    /// again.
+    pub(crate) fn resolve_with<R>(
+        &self,
+        table: &TableDesc,
+        row_id: RowId,
+        snapshot: Timestamp,
+        reader: TxnId,
+        view: View,
+        f: impl FnOnce(Cow<'_, [u8]>) -> R,
+    ) -> Result<Option<(Option<R>, bool)>> {
         let sh = &self.sh;
         let txn_view = matches!(view, View::Txn { .. });
         let (image, from_imrs) = match sh.ridmap.get(row_id) {
@@ -593,7 +610,7 @@ impl Engine {
                         let Some(h) = v.handle else {
                             return Err(BtrimError::Corrupt("version without image".into()));
                         };
-                        Some(sh.store.allocator().load(h))
+                        Some(sh.store.allocator().with_bytes(h, |b| f(Cow::Borrowed(b))))
                     }
                     // Deleted at the snapshot, or the row's oldest
                     // version is newer than the snapshot.
@@ -623,7 +640,7 @@ impl Engine {
                 };
                 let image = match sh.side.lookup(row_id, snapshot, reader) {
                     SideImage::Absent => None,
-                    SideImage::Image(img) => Some(img),
+                    SideImage::Image(img) => Some(f(Cow::Owned(img))),
                     SideImage::UsePage => {
                         let Some(payload) = payload else {
                             return Ok(None); // dead slot
@@ -632,7 +649,7 @@ impl Engine {
                         if rid != row_id {
                             return Ok(None); // slot recycled by another row
                         }
-                        Some(data.to_vec())
+                        Some(f(Cow::Borrowed(data)))
                     }
                 };
                 if matches!(view, View::Txn { point_access: true })
@@ -651,7 +668,7 @@ impl Engine {
                 // visible at this snapshot. No overriding stash: the
                 // delete is older than the snapshot (or the reader's own).
                 match sh.side.lookup(row_id, snapshot, reader) {
-                    SideImage::Image(img) => (Some(img), false),
+                    SideImage::Image(img) => (Some(f(Cow::Owned(img))), false),
                     SideImage::Absent | SideImage::UsePage => (None, false),
                 }
             }
@@ -663,8 +680,8 @@ impl Engine {
                 let Some(ext) = self.frozen_slot(ext, idx, row_id) else {
                     return Ok(None);
                 };
-                let i = idx as usize;
-                (extent_row_bytes(table.layout.as_ref(), &ext, i), false)
+                let image = extent_row_bytes(table.layout.as_ref(), &ext, idx as usize);
+                (image.map(|img| f(Cow::Owned(img))), false)
             }
         };
         Ok(Some((image, from_imrs)))
@@ -728,8 +745,10 @@ impl Engine {
         key: &[u8],
     ) -> Result<Option<Vec<u8>>> {
         let row_id = self.row_id_of(table, key)?;
-        self.read_view(table, row_id, &snap.handle, View::Snapshot)
-            .map(|r| r.0)
+        let op_start = self.sh.obs.start();
+        let (image, _) = self.read_view(table, row_id, &snap.handle, View::Snapshot)?;
+        self.sh.obs.record_since(OpClass::SnapshotRead, op_start);
+        Ok(image)
     }
 
     /// Read a row by RowId as of the snapshot. The access never takes a
@@ -742,8 +761,10 @@ impl Engine {
         table: &TableDesc,
         row_id: RowId,
     ) -> Result<Option<Vec<u8>>> {
-        self.read_view(table, Some(row_id), &snap.handle, View::Snapshot)
-            .map(|r| r.0)
+        let op_start = self.sh.obs.start();
+        let (image, _) = self.read_view(table, Some(row_id), &snap.handle, View::Snapshot)?;
+        self.sh.obs.record_since(OpClass::SnapshotRead, op_start);
+        Ok(image)
     }
 
     /// Update a row by primary key. Returns `false` when the key does

@@ -7,30 +7,34 @@
 //!
 //! * **frozen extents** — evaluated columnar, with zone-map pruning,
 //!   without materializing row images;
-//! * **IMRS rows** — resolved through the lock-free version-chain read
-//!   path;
+//! * **IMRS rows** — evaluated where they live, during the RID-Map
+//!   sweep: the resolver lends the visible image straight out of the
+//!   fragment allocator, and one walk of the layout reads the fields;
 //! * **page-resident rows** — resolved through the side-store-aware
 //!   snapshot read path.
 //!
 //! # Why four phases
 //!
 //! The scan races online data movement (pack, migration, freeze, thaw)
-//! and must see every visible row exactly once. Candidates are
-//! gathered in an order that closes the movement windows:
+//! and must see every visible row exactly once. Rows are enumerated in
+//! an order that closes the movement windows:
 //!
-//! 1. IMRS pass — every resident row id;
+//! 1. IMRS sweep — every resident row id, evaluated in place;
 //! 2. page pass — every heap row id, plus side-store tombstones (rows
 //!    deleted after the snapshot whose index entries are already gone);
-//! 3. second IMRS pass — rows that migrated page→IMRS while the page
+//! 3. second IMRS sweep — rows that migrated page→IMRS while the page
 //!    pass ran;
 //! 4. frozen pass — extent slots, *last*: extents are immutable and
 //!    never removed, so any row that eludes phases 1–3 by moving into
 //!    or out of an extent mid-scan is still enumerated here, and the
 //!    per-slot fallback resolves rows that have since thawed.
 //!
-//! Every candidate is resolved at the same snapshot, so the phase
-//! order affects coverage, never the values read. Duplicates are
-//! suppressed with a seen-set.
+//! Only the rows a sweep found moved (between its RID-Map read and the
+//! store access), page rows and tombstones are collected as candidates
+//! and resolved after phase 3 through the settled read (retry, then a
+//! shared lock). Every row is resolved at the same snapshot, so the
+//! phase order affects coverage, never the values read. Duplicates are
+//! suppressed with a dense RowId bitmap.
 //!
 //! The scan path acquires **zero ranked locks** when a table is fully
 //! frozen or memory-resident: empty heaps short-circuit before any
@@ -39,7 +43,7 @@
 //! lock-free by construction. The regression test asserts this with
 //! the `parking_lot::ranked_acquisitions()` witness.
 
-use std::collections::HashSet;
+use std::borrow::Cow;
 use std::sync::Arc;
 
 use btrim_common::{BtrimError, Result, RowId};
@@ -47,7 +51,7 @@ use btrim_imrs::RowLocation;
 use btrim_obs::OpClass;
 use btrim_pagestore::{Column, FrozenExtent};
 
-use crate::catalog::{FieldValue, RowLayout, TableDesc};
+use crate::catalog::{FieldRef, RowLayout, TableDesc};
 use crate::engine::{Engine, SnapshotTxn, View};
 use crate::freeze::OPAQUE_COLUMN;
 
@@ -77,16 +81,23 @@ pub struct ScanResult {
     pub imrs_rows: u64,
     /// Rows served from pages (or side-store history).
     pub page_rows: u64,
+    /// Rows a RID-Map sweep found moved between its read and the store
+    /// access, resolved through the settled read instead.
+    pub moved_rows: u64,
 }
 
-/// Field indices resolved once against the layout.
-struct Plan {
+/// Field indices resolved once against the layout, and the scratch
+/// the evaluator reads a row's numeric fields into.
+struct Plan<'a> {
+    layout: &'a RowLayout,
     filters: Vec<(usize, u64, u64)>,
     sums: Vec<usize>,
+    /// One slot per layout field, overwritten by every row.
+    vals: Vec<u64>,
 }
 
-impl Plan {
-    fn build(layout: &RowLayout, spec: &ScanSpec) -> Result<Plan> {
+impl<'a> Plan<'a> {
+    fn build(layout: &'a RowLayout, spec: &ScanSpec) -> Result<Plan<'a>> {
         let field = |name: &str| -> Result<usize> {
             layout
                 .fields
@@ -99,36 +110,81 @@ impl Plan {
                 })
         };
         Ok(Plan {
+            layout,
             filters: spec
                 .filters
                 .iter()
                 .map(|(n, lo, hi)| Ok((field(n)?, *lo, *hi)))
                 .collect::<Result<_>>()?,
             sums: spec.sums.iter().map(|n| field(n)).collect::<Result<_>>()?,
+            vals: vec![0; layout.fields.len()],
         })
     }
 
-    /// Evaluate one materialized row image; folds into the result.
-    fn eval_row(&self, layout: &RowLayout, row: &[u8], out: &mut ScanResult) -> Result<bool> {
-        let values = layout.split(row).ok_or_else(|| {
-            BtrimError::Corrupt("scanned row does not match the declared layout".into())
-        })?;
-        let num = |i: usize| match &values[i] {
-            FieldValue::U64(v) => *v,
-            FieldValue::Bytes(_) => 0, // unreachable: plan fields are numeric
-        };
+    /// Evaluate one row image where it lies — one walk of the layout,
+    /// no allocation — and fold it into the result. A row that does not
+    /// match the layout exactly (the rule of [`RowLayout::split`]) is
+    /// corrupt.
+    fn eval_row(&mut self, row: &[u8], out: &mut ScanResult) -> Result<()> {
+        let vals = &mut self.vals;
+        self.layout
+            .walk(row, |i, v| {
+                if let FieldRef::U64(x) = v {
+                    vals[i] = x;
+                }
+            })
+            .ok_or_else(|| {
+                BtrimError::Corrupt("scanned row does not match the declared layout".into())
+            })?;
         out.rows_scanned += 1;
-        let matched = self.filters.iter().all(|&(f, lo, hi)| {
-            let v = num(f);
-            lo <= v && v <= hi
-        });
+        let vals = &self.vals;
+        let matched = self
+            .filters
+            .iter()
+            .all(|&(f, lo, hi)| (lo..=hi).contains(&vals[f]));
         if matched {
             out.rows_matched += 1;
-            for (si, &f) in self.sums.iter().enumerate() {
-                out.sums[si] += num(f) as u128;
+            for (sum, &f) in out.sums.iter_mut().zip(&self.sums) {
+                *sum += vals[f] as u128;
             }
         }
-        Ok(matched)
+        Ok(())
+    }
+}
+
+/// Fold one resolved row into `out`: the evaluator's verdict on the
+/// visible image (none: invisible at the snapshot), and its tier.
+fn tally(verdict: Option<Result<()>>, from_imrs: bool, out: &mut ScanResult) -> Result<()> {
+    if let Some(verdict) = verdict {
+        verdict?;
+        if from_imrs {
+            out.imrs_rows += 1;
+        } else {
+            out.page_rows += 1;
+        }
+    }
+    Ok(())
+}
+
+/// A dense set of RowIds, one bit each, grown with the largest id.
+#[derive(Default)]
+struct RowBitmap(Vec<u64>);
+
+impl RowBitmap {
+    fn contains(&self, rid: RowId) -> bool {
+        let word = self.0.get((rid.0 / 64) as usize);
+        word.is_some_and(|w| w & (1 << (rid.0 % 64)) != 0)
+    }
+
+    /// Add `rid`; whether it was absent.
+    fn insert(&mut self, rid: RowId) -> bool {
+        let (w, bit) = ((rid.0 / 64) as usize, 1 << (rid.0 % 64));
+        if w >= self.0.len() {
+            self.0.resize(w + 1, 0);
+        }
+        let fresh = self.0[w] & bit == 0;
+        self.0[w] |= bit;
+        fresh
     }
 }
 
@@ -147,7 +203,7 @@ enum ExtPlan<'a> {
 }
 
 impl<'a> ExtPlan<'a> {
-    fn build(layout: &RowLayout, plan: &Plan, ext: &'a FrozenExtent) -> ExtPlan<'a> {
+    fn build(layout: &RowLayout, plan: &Plan<'_>, ext: &'a FrozenExtent) -> ExtPlan<'a> {
         if ext.column(OPAQUE_COLUMN).is_some() {
             return ExtPlan::Materialize;
         }
@@ -201,26 +257,45 @@ impl Engine {
                 table.name
             ))
         })?;
-        let plan = Plan::build(layout, spec)?;
+        let mut plan = Plan::build(layout, spec)?;
         let mut out = ScanResult {
             sums: vec![0u128; spec.sums.len()],
             ..ScanResult::default()
         };
-        let mut seen: HashSet<RowId> = HashSet::new();
+        let mut seen = RowBitmap::default();
+        let (snapshot, reader) = (snap.handle.snapshot, snap.handle.id);
+
+        // Phases 1 and 3: sweep the RID-Map and evaluate every resident
+        // row of the table not yet seen where its image lives. A row
+        // that moved between the sweep's read and the store access
+        // becomes a candidate for the settled read.
+        let sweep = |seen: &mut RowBitmap,
+                     plan: &mut Plan<'_>,
+                     out: &mut ScanResult,
+                     candidates: &mut Vec<RowId>|
+         -> Result<()> {
+            let mut res = Ok(());
+            sh.ridmap.for_each_resident(|rid, partition, _| {
+                if res.is_err() || table.partition(partition).is_none() || !seen.insert(rid) {
+                    return;
+                }
+                let eval = |row: Cow<'_, [u8]>| plan.eval_row(&row, out);
+                res = match self.resolve_with(table, rid, snapshot, reader, View::Snapshot, eval) {
+                    Ok(Some((verdict, from_imrs))) => tally(verdict, from_imrs, out),
+                    Ok(None) => {
+                        out.moved_rows += 1;
+                        candidates.push(rid);
+                        Ok(())
+                    }
+                    Err(e) => Err(e),
+                };
+            });
+            res
+        };
 
         // Phase 1: IMRS residents.
         let mut candidates: Vec<RowId> = Vec::new();
-        let collect_imrs = |seen: &HashSet<RowId>, candidates: &mut Vec<RowId>| {
-            let mut fresh = Vec::new();
-            sh.store.for_each_row(|row| {
-                if table.partition(row.partition).is_some() && !seen.contains(&row.row_id) {
-                    fresh.push(row.row_id);
-                }
-            });
-            candidates.extend(fresh);
-        };
-        collect_imrs(&seen, &mut candidates);
-        seen.extend(candidates.iter().copied());
+        sweep(&mut seen, &mut plan, &mut out, &mut candidates)?;
 
         // Phase 2: page residents + side-store tombstones. Empty heaps
         // (fully frozen or memory-resident partitions) cost nothing —
@@ -230,21 +305,18 @@ impl Engine {
             if heap.live_rows() == 0 {
                 continue;
             }
-            let mut fresh = Vec::new();
             heap.scan(&sh.cache, |_, _, payload| {
                 if let Ok((rid, _)) = crate::engine::unwrap_row(payload) {
-                    if !seen.contains(&rid) {
-                        fresh.push(rid);
+                    if seen.insert(rid) {
+                        candidates.push(rid);
                     }
                 }
                 true
             })?;
-            seen.extend(fresh.iter().copied());
-            candidates.extend(fresh);
         }
         if sh.side.entries() > 0 {
             for rid in sh.side.tombstoned_rows() {
-                if seen.contains(&rid) {
+                if seen.contains(rid) {
                     continue;
                 }
                 // Membership check: the stash does not know its table,
@@ -261,27 +333,19 @@ impl Engine {
         }
 
         // Phase 3: rows that migrated page→IMRS during phase 2.
-        collect_imrs(&seen, &mut candidates);
-        seen.extend(candidates.iter().copied());
+        sweep(&mut seen, &mut plan, &mut out, &mut candidates)?;
 
         // Resolve every candidate at the snapshot. The read path
         // handles whatever location the row has moved to by now —
         // including into an extent.
-        let eval_at_snapshot = |rid: RowId, out: &mut ScanResult| -> Result<()> {
+        let eval_at_snapshot = |rid: RowId, plan: &mut Plan<'_>, out: &mut ScanResult| {
             let (row, from_imrs) =
                 self.read_view(table, Some(rid), &snap.handle, View::Snapshot)?;
-            if let Some(row) = row {
-                plan.eval_row(layout, &row, out)?;
-                if from_imrs {
-                    out.imrs_rows += 1;
-                } else {
-                    out.page_rows += 1;
-                }
-            }
-            Ok(())
+            let verdict = row.map(|row| plan.eval_row(&row, out));
+            tally(verdict, from_imrs, out)
         };
         for rid in candidates {
-            eval_at_snapshot(rid, &mut out)?;
+            eval_at_snapshot(rid, &mut plan, &mut out)?;
         }
 
         // Phase 4: frozen extents, columnar. Runs last: freeze installs
@@ -306,7 +370,7 @@ impl Engine {
                 if !frozen_here {
                     // Thawed (or deleted) since freezing: resolve like
                     // any other candidate.
-                    eval_at_snapshot(rid, &mut out)?;
+                    eval_at_snapshot(rid, &mut plan, &mut out)?;
                     continue;
                 }
                 // Frozen fast path: the horizon gate at freeze time
@@ -341,7 +405,7 @@ impl Engine {
                                 ext.id()
                             )));
                         };
-                        plan.eval_row(layout, &row, &mut out)?;
+                        plan.eval_row(&row, &mut out)?;
                     }
                 }
             }

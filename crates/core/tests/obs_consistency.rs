@@ -543,6 +543,84 @@ fn every_select_is_counted_exactly_once() {
     );
 }
 
+/// `SnapshotRead` counts snapshot point reads — `get_snapshot` and
+/// `read_row_snapshot` — and nothing else: an analytic scan's row
+/// resolutions, on every tier, belong to its one `AnalyticScan` span.
+/// Were they counted, the class would describe scan rows, which
+/// outnumber point reads a thousandfold on an HTAP mix.
+#[test]
+fn scans_leave_the_snapshot_read_count_alone() {
+    use btrim_core::catalog::{FieldKind, RowLayout};
+    use btrim_core::{OpClass, ScanSpec};
+    let e = Engine::new(EngineConfig {
+        mode: EngineMode::IlmOn,
+        imrs_budget: 1024 * 1024,
+        imrs_chunk_size: 128 * 1024,
+        buffer_frames: 1024,
+        maintenance_interval_txns: u64::MAX / 2,
+        ..Default::default()
+    });
+    let layout = RowLayout::new(&[
+        ("k_hi", FieldKind::BeU32),
+        ("k_lo", FieldKind::BeU32),
+        ("v", FieldKind::U64),
+    ]);
+    let t = e.create_table(opts("t").with_layout(layout)).unwrap();
+    // Rows on both tiers: the scan evaluates the IMRS rows in its
+    // sweep and resolves the page rows as candidates.
+    const N: u64 = 400;
+    let insert = |keys: std::ops::Range<u64>| {
+        let mut txn = e.begin();
+        let rids: Vec<_> = keys
+            .map(|i| e.insert(&mut txn, &t, &mkrow(i, &i.to_le_bytes())).unwrap())
+            .collect();
+        e.commit(txn).unwrap();
+        rids
+    };
+    let rids = insert(0..N / 2);
+    e.run_maintenance();
+    while pack_cycle(&e, PackLevel::Aggressive) > 0 {}
+    insert(N / 2..N);
+
+    let count_of = |class: OpClass| {
+        e.obs()
+            .summaries()
+            .iter()
+            .find(|(c, _)| *c == class)
+            .map_or(0, |(_, s)| s.count)
+    };
+    let snap = e.begin_snapshot();
+    let (reads0, scans0) = (
+        count_of(OpClass::SnapshotRead),
+        count_of(OpClass::AnalyticScan),
+    );
+    let spec = ScanSpec {
+        filters: Vec::new(),
+        sums: vec!["v".into()],
+    };
+    let res = e.analytic_scan(&snap, &t, &spec).unwrap();
+    assert_eq!(res.rows_scanned, N);
+    assert!(
+        res.imrs_rows > 0 && res.page_rows > 0,
+        "both tiers were scanned: {res:?}"
+    );
+    assert_eq!(
+        count_of(OpClass::SnapshotRead),
+        reads0,
+        "a scan is not a snapshot read"
+    );
+    assert_eq!(count_of(OpClass::AnalyticScan), scans0 + 1);
+
+    assert!(e
+        .get_snapshot(&snap, &t, &7u64.to_be_bytes())
+        .unwrap()
+        .is_some());
+    assert_eq!(count_of(OpClass::SnapshotRead), reads0 + 1);
+    assert!(e.read_row_snapshot(&snap, &t, rids[9]).unwrap().is_some());
+    assert_eq!(count_of(OpClass::SnapshotRead), reads0 + 2);
+    e.end_snapshot(snap);
+}
+
 /// `committed_txns` / `aborted_txns` count *user* transactions: what
 /// `Engine::commit` acknowledged and what `Engine::abort` rolled back.
 /// Row movement runs as internal mini-transactions in every direction

@@ -221,8 +221,14 @@ fn scan_tracks_rows_through_freeze_and_thaw() {
 // 2. Random histories vs. pinned oracles
 // ---------------------------------------------------------------------
 
+/// 6 cases, or what `PROPTEST_CASES` asks for (CI: 48).
+fn cases() -> u32 {
+    let asked = std::env::var("PROPTEST_CASES").ok();
+    asked.and_then(|n| n.parse().ok()).unwrap_or(6)
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(6))]
+    #![proptest_config(ProptestConfig::with_cases(cases()))]
     fn analytic_scans_match_pinned_oracles(seed in any::<u64>()) {
         let mut rng = seed | 1;
         let e = engine();

@@ -10,6 +10,10 @@
 //! builds the lock-rank witness additionally proves the scanner
 //! threads acquired **zero** ranked locks: with empty heaps and a
 //! drained side store, the analytic read path is lock-free end to end.
+//!
+//! A second test keeps the rows moving instead: a mover thread packs,
+//! freezes and rewrites groups (which migrates packed rows back to the
+//! IMRS and thaws frozen ones) while scanners hold the same invariants.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -188,4 +192,138 @@ fn writers_vs_scanners_no_torn_aggregates_no_scanner_locks() {
 
     assert!(scans.load(Ordering::Relaxed) > 0, "scanners never ran");
     assert_eq!(engine.snapshot().txns_active, 0);
+}
+
+/// Scans racing every movement direction: one mover thread packs the
+/// IMRS (`pack_cycle(Aggressive)`), freezes pages (`freeze_tick`) and
+/// rewrites groups — an update migrates a packed row back to the IMRS
+/// and thaws a frozen one — while scanners check that every scan sees
+/// each row exactly once and every group at one generation.
+#[test]
+fn scans_racing_pack_freeze_thaw_and_migration_see_every_row_once() {
+    const ROUNDS: u64 = 150;
+    let engine = Arc::new(Engine::new(EngineConfig {
+        mode: EngineMode::IlmOn,
+        imrs_budget: 8 * 1024 * 1024,
+        imrs_chunk_size: 256 * 1024,
+        buffer_frames: 256,
+        maintenance_interval_txns: u64::MAX / 2,
+        freeze_enabled: true,
+        freeze_min_rows: 2,
+        freeze_max_rows: 16,
+        ..Default::default()
+    }));
+    engine.create_table(opts()).unwrap();
+    let table = engine.table("hts").unwrap();
+    let group_row = |g: u64, j: u64, x: u64| {
+        let key = WRITER_KEY_BASE + g * GROUP_ROWS + j;
+        (
+            key,
+            mkrow(
+                key,
+                if j.is_multiple_of(2) {
+                    x
+                } else {
+                    GROUP_SUM - x
+                },
+            ),
+        )
+    };
+    let mut txn = engine.begin();
+    for g in 0..GROUPS {
+        for j in 0..GROUP_ROWS {
+            engine
+                .insert(&mut txn, &table, &group_row(g, j, 0).1)
+                .unwrap();
+        }
+    }
+    engine.commit(txn).unwrap();
+    let total_rows = GROUPS * GROUP_ROWS;
+    let total_sum = (GROUPS * 2 * GROUP_SUM) as u128;
+    let spec = Arc::new(ScanSpec {
+        filters: vec![("val".into(), 0, u64::MAX)],
+        sums: vec!["val".into()],
+    });
+
+    let stop = Arc::new(AtomicBool::new(false));
+    let mover = {
+        let (engine, table) = (Arc::clone(&engine), Arc::clone(&table));
+        std::thread::spawn(move || {
+            let mut rng = 0x0DD_BA11_u64;
+            for _ in 0..ROUNDS {
+                engine.run_maintenance();
+                pack_cycle(&engine, PackLevel::Aggressive);
+                freeze_tick(&engine);
+                for _ in 0..4 {
+                    let g = xorshift(&mut rng) % GROUPS;
+                    let x = xorshift(&mut rng) % GROUP_SUM;
+                    let mut txn = engine.begin();
+                    for j in 0..GROUP_ROWS {
+                        let (key, row) = group_row(g, j, x);
+                        assert!(engine
+                            .update(&mut txn, &table, &key.to_be_bytes(), &row)
+                            .unwrap());
+                    }
+                    engine.commit(txn).unwrap();
+                }
+            }
+        })
+    };
+
+    // Per scanner: scans, then rows served by each source and the
+    // fallback resolutions (rows found moved mid-scan).
+    let scanners: Vec<_> = (0..2)
+        .map(|_| {
+            let (engine, table) = (Arc::clone(&engine), Arc::clone(&table));
+            let (spec, stop) = (Arc::clone(&spec), Arc::clone(&stop));
+            std::thread::spawn(move || {
+                let mut seen = [0u64; 5];
+                while !stop.load(Ordering::Relaxed) {
+                    let snap = engine.begin_snapshot();
+                    let res = engine.analytic_scan(&snap, &table, &spec).unwrap();
+                    engine.end_snapshot(snap);
+                    assert_eq!(res.rows_scanned, total_rows, "rows appeared or vanished");
+                    assert_eq!(
+                        res.sums[0], total_sum,
+                        "a scan mixed two generations of a group"
+                    );
+                    let served = res.imrs_rows + res.page_rows + res.frozen_rows;
+                    assert_eq!(served, total_rows, "{res:?}");
+                    for (n, v) in seen.iter_mut().zip([
+                        1,
+                        res.imrs_rows,
+                        res.page_rows,
+                        res.frozen_rows,
+                        res.moved_rows,
+                    ]) {
+                        *n += v;
+                    }
+                }
+                seen
+            })
+        })
+        .collect();
+
+    mover.join().unwrap();
+    stop.store(true, Ordering::Relaxed);
+    let mut seen = [0u64; 5];
+    for s in scanners {
+        for (n, v) in seen.iter_mut().zip(s.join().unwrap()) {
+            *n += v;
+        }
+    }
+    let [scans, imrs, page, frozen, moved] = seen;
+    let snap = engine.snapshot();
+    println!(
+        "{scans} scans: rows from imrs {imrs}, pages {page}, extents {frozen}; \
+         {moved} fallback resolutions; engine packed {}, froze {}, thawed {}",
+        snap.rows_packed, snap.rows_frozen, snap.rows_thawed
+    );
+    assert!(scans > 0, "scanners never ran");
+    assert!(snap.rows_packed > 0 && snap.rows_frozen > 0 && snap.rows_thawed > 0);
+    assert!(
+        imrs > 0 && page + frozen > 0,
+        "scans must have met more than one tier"
+    );
+    assert_eq!(snap.txns_active, 0);
 }

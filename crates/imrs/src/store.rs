@@ -288,8 +288,8 @@ impl ImrsStore {
         self.usage.read().values().map(|u| u.rows() as usize).sum()
     }
 
-    /// Visit every resident row in RowId order (scans, queue rebuild
-    /// after recovery).
+    /// Visit every resident row in RowId order (queue rebuild after
+    /// recovery, probes).
     pub fn for_each_row(&self, mut f: impl FnMut(ImrsRow<'_>)) {
         self.ridmap
             .for_each_resident(|row_id, partition, origin| f(self.view(row_id, partition, origin)));

@@ -6,14 +6,15 @@
 //! and the decoder must be robust against truncated input (recovery reads
 //! a log tail that may end mid-record).
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, BufMut, Bytes};
 
 use crate::error::{BtrimError, Result};
 
-/// Encoding helper over a growable buffer.
+/// Encoding helper over a growable buffer: its own (`Encoder::new`),
+/// or the end of a caller's ([`Encoder::append_to`]).
 #[derive(Debug, Default)]
-pub struct Encoder {
-    buf: BytesMut,
+pub struct Encoder<B = Vec<u8>> {
+    buf: B,
 }
 
 impl Encoder {
@@ -25,44 +26,67 @@ impl Encoder {
     /// New encoder with a capacity hint.
     pub fn with_capacity(cap: usize) -> Self {
         Encoder {
-            buf: BytesMut::with_capacity(cap),
+            buf: Vec::with_capacity(cap),
         }
+    }
+
+    /// Finish and take the encoded bytes.
+    pub fn finish(self) -> Bytes {
+        Bytes::from(self.buf)
+    }
+
+    /// Finish into a plain vector (the buffer itself, not a copy).
+    pub fn into_vec(self) -> Vec<u8> {
+        self.buf
+    }
+}
+
+impl<'a> Encoder<&'a mut Vec<u8>> {
+    /// Encode onto the end of `out`, after whatever it already holds.
+    pub fn append_to(out: &'a mut Vec<u8>) -> Self {
+        Encoder { buf: out }
+    }
+}
+
+impl<B: AsRef<Vec<u8>> + AsMut<Vec<u8>>> Encoder<B> {
+    fn out(&mut self) -> &mut Vec<u8> {
+        self.buf.as_mut()
     }
 
     /// Append a fixed-width u8.
     pub fn put_u8(&mut self, v: u8) {
-        self.buf.put_u8(v);
+        self.out().put_u8(v);
     }
 
     /// Append a fixed-width u16 (LE).
     pub fn put_u16(&mut self, v: u16) {
-        self.buf.put_u16_le(v);
+        self.out().put_u16_le(v);
     }
 
     /// Append a fixed-width u32 (LE).
     pub fn put_u32(&mut self, v: u32) {
-        self.buf.put_u32_le(v);
+        self.out().put_u32_le(v);
     }
 
     /// Append a fixed-width u64 (LE).
     pub fn put_u64(&mut self, v: u64) {
-        self.buf.put_u64_le(v);
+        self.out().put_u64_le(v);
     }
 
     /// Append a fixed-width i64 (LE).
     pub fn put_i64(&mut self, v: i64) {
-        self.buf.put_i64_le(v);
+        self.out().put_i64_le(v);
     }
 
     /// Append an f64 as its LE bit pattern.
     pub fn put_f64(&mut self, v: f64) {
-        self.buf.put_u64_le(v.to_bits());
+        self.out().put_u64_le(v.to_bits());
     }
 
     /// Append a length-prefixed (u32) byte string.
     pub fn put_bytes(&mut self, v: &[u8]) {
-        self.buf.put_u32_le(v.len() as u32);
-        self.buf.put_slice(v);
+        self.out().put_u32_le(v.len() as u32);
+        self.out().put_slice(v);
     }
 
     /// Append a length-prefixed UTF-8 string.
@@ -70,24 +94,15 @@ impl Encoder {
         self.put_bytes(v.as_bytes());
     }
 
-    /// Number of bytes encoded so far.
+    /// Number of bytes in the buffer (for [`Encoder::append_to`], its
+    /// earlier contents included).
     pub fn len(&self) -> usize {
-        self.buf.len()
+        self.buf.as_ref().len()
     }
 
-    /// Whether nothing has been encoded yet.
+    /// Whether the buffer is empty.
     pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
-    /// Finish and take the encoded bytes.
-    pub fn finish(self) -> Bytes {
-        self.buf.freeze()
-    }
-
-    /// Finish into a plain vector.
-    pub fn into_vec(self) -> Vec<u8> {
-        self.buf.to_vec()
+        self.buf.as_ref().is_empty()
     }
 }
 
@@ -228,6 +243,21 @@ mod tests {
         let data = e.finish();
         let mut d = Decoder::new(&data);
         assert!(matches!(d.get_str(), Err(BtrimError::Corrupt(_))));
+    }
+
+    #[test]
+    fn into_vec_moves_and_append_to_continues() {
+        let mut e = Encoder::with_capacity(64);
+        e.put_u32(7);
+        let len = e.len();
+        let mut out = e.into_vec();
+        assert_eq!((out.len(), out.capacity()), (len, 64), "moved, not copied");
+        let mut more = Encoder::append_to(&mut out);
+        more.put_bytes(b"xy");
+        assert_eq!(more.len(), 4 + 4 + 2);
+        let mut d = Decoder::new(&out);
+        assert_eq!(d.get_u32().unwrap(), 7);
+        assert_eq!(d.get_bytes().unwrap(), b"xy");
     }
 
     #[test]

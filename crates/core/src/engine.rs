@@ -125,6 +125,11 @@ impl Shared {
 /// per write-back (pages are written only on eviction, pack, checkpoint).
 const VERIFY_PAGE_WRITES: bool = true;
 
+/// Index hits a range scan collects before it reads their rows. TPC-C's
+/// ranges (an order's lines, the last 20 orders' lines) fit in one
+/// chunk; Delivery's oldest-new-order probe stops inside the first.
+const SCAN_CHUNK: usize = 256;
+
 /// The engine.
 pub struct Engine {
     pub(crate) sh: Arc<Shared>,
@@ -410,8 +415,7 @@ impl Engine {
                         version,
                     });
                     let tag = RowOriginTag::Inserted;
-                    txn.imrs_redo
-                        .push_insert(id, partition, row_id, tag, row.to_vec());
+                    txn.imrs_redo.push_insert(id, partition, row_id, tag, row);
                     part.metrics.imrs_insert.inc();
                     part.metrics.rows_in.inc();
                     return Ok(OpClass::InsertImrs);
@@ -519,8 +523,23 @@ impl Engine {
         reader: &TxnHandle,
         view: View,
     ) -> Result<(Option<Vec<u8>>, bool)> {
+        self.read_view_with(table, row_id, reader, view, |img| img.into_owned())
+    }
+
+    /// [`Engine::read_view`], lending the image to `f` instead of
+    /// returning it (`f` runs at most once per resolution attempt and
+    /// only the last run's result is kept).
+    pub(crate) fn read_view_with<R>(
+        &self,
+        table: &TableDesc,
+        row_id: Option<RowId>,
+        reader: &TxnHandle,
+        view: View,
+        mut f: impl FnMut(Cow<'_, [u8]>) -> R,
+    ) -> Result<(Option<R>, bool)> {
         let op_start = self.sh.obs.start();
-        let resolve = |row_id| self.resolve(table, row_id, reader.snapshot, reader.id, view);
+        let mut resolve =
+            |row_id| self.resolve_with(table, row_id, reader.snapshot, reader.id, view, &mut f);
         let mut found = None;
         if let Some(row_id) = row_id {
             for _attempt in 0..4 {
@@ -920,7 +939,7 @@ impl Engine {
                 match new_row {
                     Some(new_row) => {
                         txn.imrs_redo
-                            .push_update(id, row.partition, row_id, new_row.to_vec());
+                            .push_update(id, row.partition, row_id, new_row);
                         sh.ridmap.touch(row_id, sh.clock.now());
                         part.metrics.imrs_update.inc();
                     }
@@ -1167,29 +1186,15 @@ impl Engine {
         index: &str,
         lo: &[u8],
         hi: Option<&[u8]>,
-        mut f: impl FnMut(&[u8], RowId, &[u8]) -> bool,
+        f: impl FnMut(&[u8], RowId, &[u8]) -> bool,
     ) -> Result<()> {
-        let hits: Vec<(Vec<u8>, RowId)> = {
+        self.scan_index(txn, table, lo, f, |from, visit| {
             let secs = table.secondaries.read();
-            let sec = secs
-                .iter()
-                .find(|s| s.name == index)
-                .ok_or_else(|| BtrimError::Invalid(format!("no index {index}")))?;
-            let mut out = Vec::new();
-            sec.tree.scan_range(lo, hi, |k, rid| {
-                out.push((k.to_vec(), rid));
-                true
-            })?;
-            out
-        };
-        for (k, rid) in hits {
-            if let Some(row) = self.read_row(txn, table, rid, false)? {
-                if !f(&k, rid, &row) {
-                    break;
-                }
+            match secs.iter().find(|s| s.name == index) {
+                Some(sec) => sec.tree.scan_range(from, hi, visit),
+                None => Err(BtrimError::Invalid(format!("no index {index}"))),
             }
-        }
-        Ok(())
+        })
     }
 
     /// Range scan over the primary index: visible rows with keys in
@@ -1200,21 +1205,74 @@ impl Engine {
         table: &TableDesc,
         lo: &[u8],
         hi: Option<&[u8]>,
-        mut f: impl FnMut(&[u8], RowId, &[u8]) -> bool,
+        f: impl FnMut(&[u8], RowId, &[u8]) -> bool,
     ) -> Result<()> {
-        let mut hits: Vec<(Vec<u8>, RowId)> = Vec::new();
-        table.primary.scan_range(lo, hi, |k, rid| {
-            hits.push((k.to_vec(), rid));
-            true
-        })?;
-        for (k, rid) in hits {
-            if let Some(row) = self.read_row(txn, table, rid, false)? {
-                if !f(&k, rid, &row) {
-                    break;
+        self.scan_index(txn, table, lo, f, |from, visit| {
+            table.primary.scan_range(from, hi, visit)
+        })
+    }
+
+    /// The range-scan loop. `scan(from, visit)` walks an index from key
+    /// `from` up to the caller's bound while `visit` says go on. Hits are
+    /// collected [`SCAN_CHUNK`] at a time, keys back to back in one
+    /// arena: no index latch is held while rows are read, and a scan its
+    /// caller stops early never collects the whole range. Each row
+    /// reaches `f` through one reused buffer, outside every latch and lock.
+    fn scan_index(
+        &self,
+        txn: &Transaction,
+        table: &TableDesc,
+        lo: &[u8],
+        mut f: impl FnMut(&[u8], RowId, &[u8]) -> bool,
+        scan: impl Fn(&[u8], &mut dyn FnMut(&[u8], RowId) -> bool) -> Result<()>,
+    ) -> Result<()> {
+        // Hit `i`'s key is `keys[hits[i].0..hits[i].1]`.
+        let (mut keys, mut hits) = (Vec::new(), Vec::<(usize, usize, RowId)>::new());
+        let (mut from, mut row) = (lo.to_vec(), Vec::new());
+        // RowIds already handed out under key `from`: a resumed scan
+        // starts at that key again and skips them (a secondary index may
+        // hold many rows under one key).
+        let mut seen_at_from: Vec<RowId> = Vec::new();
+        loop {
+            keys.clear();
+            hits.clear();
+            let mut more = false;
+            scan(&from, &mut |k, rid| {
+                if k == from.as_slice() && seen_at_from.contains(&rid) {
+                    return true;
+                }
+                more = hits.len() == SCAN_CHUNK;
+                if !more {
+                    keys.extend_from_slice(k);
+                    hits.push((keys.len() - k.len(), keys.len(), rid));
+                }
+                !more
+            })?;
+            let view = View::Txn {
+                point_access: false,
+            };
+            for &(start, end, rid) in &hits {
+                let fill = |img: Cow<'_, [u8]>| {
+                    row.clear();
+                    row.extend_from_slice(&img);
+                };
+                let (found, _) = self.read_view_with(table, Some(rid), &txn.handle, view, fill)?;
+                if found.is_some() && !f(&keys[start..end], rid, &row) {
+                    return Ok(());
                 }
             }
+            let Some(&(start, end, _)) = hits.last().filter(|_| more) else {
+                return Ok(());
+            };
+            // Resume at the last key handed out.
+            if keys[start..end] != *from {
+                from.clear();
+                from.extend_from_slice(&keys[start..end]);
+                seen_at_from.clear();
+            }
+            let at_from = hits.iter().filter(|h| keys[h.0..h.1] == *from);
+            seen_at_from.extend(at_from.map(|h| h.2));
         }
-        Ok(())
     }
 
     // ------------------------------------------------------------------

@@ -21,7 +21,7 @@
 use btrim_common::{Lsn, PageId, Result, RowId, SlotId, Timestamp};
 use btrim_imrs::{ImrsStore, RidMap, RowLocation};
 use btrim_pagestore::{BufferCache, FrozenExtent, HeapFile};
-use btrim_wal::{ImrsLogRecord, PageLogRecord};
+use btrim_wal::{Encodable, ImrsLogRecord, PageLogRecord};
 
 use crate::engine::Shared;
 
@@ -101,9 +101,15 @@ impl Shared {
 
     /// Append to the IMRS log; same failure policy as [`append_sys`](Self::append_sys).
     pub(crate) fn append_imrs(&self, rec: &ImrsLogRecord) -> Result<Logged> {
+        self.append_imrs_with(|out| rec.encode_into(out))
+    }
+
+    /// Append to the IMRS log the one record `encode` writes from
+    /// borrowed parts; same failure policy as [`append_sys`](Self::append_sys).
+    pub(crate) fn append_imrs_with(&self, encode: impl FnOnce(&mut Vec<u8>)) -> Result<Logged> {
         self.health.check_writable()?;
         self.imrslog
-            .append(rec)
+            .append_with(encode)
             .map(Logged)
             .or_else(|e| self.health.fail_stop("sysimrslogs append", e))
     }

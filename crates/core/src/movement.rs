@@ -92,6 +92,22 @@ fn origin_tag(origin: RowOrigin) -> RowOriginTag {
     }
 }
 
+/// Append the syslogs row record `build` makes around `payload`, which
+/// it lends to the record for the append and gets back unchanged.
+fn append_sys_lending(
+    sh: &Shared,
+    payload: &mut Vec<u8>,
+    build: impl FnOnce(Vec<u8>) -> PageLogRecord,
+) -> Result<Logged> {
+    let rec = build(std::mem::take(payload));
+    let appended = sh.append_sys(&rec);
+    if let PageLogRecord::Insert { data: lent, .. } | PageLogRecord::Delete { old: lent, .. } = rec
+    {
+        *payload = lent;
+    }
+    appended
+}
+
 /// Move `rows` (distinct) of one partition to `to` as one internally-
 /// committed mini-transaction. Each row comes with the location the
 /// caller saw; a row the RID-Map no longer places there, or that the
@@ -225,8 +241,11 @@ fn relocate_locked(
                 // only be a fresh insert: those snapshots must keep
                 // reading the row as absent (see publish).
                 marker = v.commit_ts.filter(|&t| t > horizon);
-                let data = sh.store.allocator().load(h);
-                (r.memory() as u64, wrap_row(row, &data))
+                let payload = sh
+                    .store
+                    .allocator()
+                    .with_bytes(h, |data| wrap_row(row, data));
+                (r.memory() as u64, payload)
             }
             (RowLocation::Frozen(ext_id, idx), To::Page) => {
                 let Some(ext) = engine.frozen_slot(ext_id, idx, row) else {
@@ -307,36 +326,41 @@ fn relocate_locked(
             sh.flush_imrs()?;
         }
         let mut logged = sh.append_sys(&PageLogRecord::Begin { txn })?;
-        for s in &sources {
+        for s in sources.iter_mut() {
+            let row = s.row;
             if let RowLocation::Page(page, slot) = s.from {
-                logged = sh.append_sys(&PageLogRecord::Delete {
+                logged = append_sys_lending(sh, &mut s.payload, |old| PageLogRecord::Delete {
                     txn,
                     partition,
-                    row: s.row,
+                    row,
                     page,
                     slot,
-                    old: s.payload.clone(),
+                    old,
                 })?;
             }
             if let Some(RowLocation::Page(page, slot)) = s.dest {
-                logged = sh.append_sys(&PageLogRecord::Insert {
+                logged = append_sys_lending(sh, &mut s.payload, |data| PageLogRecord::Insert {
                     txn,
-                    partition,
-                    row: s.row,
-                    page,
-                    slot,
-                    data: s.payload.clone(),
-                })?;
-            }
-            let (row, ts) = (s.row, sh.clock.now());
-            logged = match (s.from, to) {
-                (_, To::Imrs(origin)) => sh.append_imrs(&ImrsLogRecord::Insert {
-                    txn,
-                    ts: horizon,
                     partition,
                     row,
-                    origin: origin_tag(origin),
-                    data: s.data().to_vec(),
+                    page,
+                    slot,
+                    data,
+                })?;
+            }
+            let ts = sh.clock.now();
+            logged = match (s.from, to) {
+                (_, To::Imrs(origin)) => sh.append_imrs_with(|out| {
+                    let origin = origin_tag(origin);
+                    ImrsLogRecord::encode_insert(
+                        out,
+                        txn,
+                        horizon,
+                        partition,
+                        row,
+                        origin,
+                        s.data(),
+                    )
                 })?,
                 (RowLocation::Imrs, To::Page) => sh.append_imrs(&ImrsLogRecord::Pack {
                     txn,

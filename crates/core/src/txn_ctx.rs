@@ -38,45 +38,38 @@ pub(crate) struct ImrsRedoBuf {
 }
 
 impl ImrsRedoBuf {
+    /// Stage an already-built record.
     fn push(&mut self, rec: &ImrsLogRecord) {
-        self.buf.extend_from_slice(&rec.encode());
+        rec.encode_into(&mut self.buf);
         self.ends.push(self.buf.len());
     }
 
-    /// Stage an IMRS insert (placeholder timestamp).
+    /// Stage an IMRS insert (placeholder timestamp), encoded straight
+    /// from the borrowed row image.
     pub(crate) fn push_insert(
         &mut self,
         txn: TxnId,
         partition: PartitionId,
         row: RowId,
         origin: RowOriginTag,
-        data: Vec<u8>,
+        data: &[u8],
     ) {
-        self.push(&ImrsLogRecord::Insert {
-            txn,
-            ts: Timestamp(0),
-            partition,
-            row,
-            origin,
-            data,
-        });
+        let ts = Timestamp(0);
+        ImrsLogRecord::encode_insert(&mut self.buf, txn, ts, partition, row, origin, data);
+        self.ends.push(self.buf.len());
     }
 
-    /// Stage an IMRS update (placeholder timestamp).
+    /// Stage an IMRS update (placeholder timestamp), encoded straight
+    /// from the borrowed row image.
     pub(crate) fn push_update(
         &mut self,
         txn: TxnId,
         partition: PartitionId,
         row: RowId,
-        data: Vec<u8>,
+        data: &[u8],
     ) {
-        self.push(&ImrsLogRecord::Update {
-            txn,
-            ts: Timestamp(0),
-            partition,
-            row,
-            data,
-        });
+        ImrsLogRecord::encode_update(&mut self.buf, txn, Timestamp(0), partition, row, data);
+        self.ends.push(self.buf.len());
     }
 
     /// Stage an IMRS delete (placeholder timestamp).
@@ -221,15 +214,16 @@ mod tests {
 
     /// Stamping a placeholder-ts buffer must produce byte-identical
     /// output to encoding with the real timestamp directly — this pins
-    /// `TS_OFFSET` against any drift in the record encoder.
+    /// `TS_OFFSET` against any drift in the record encoder, for redo
+    /// staged from borrowed images and from built records alike.
     #[test]
     fn stamp_layout_matches_encoder() {
         let txn = TxnId(42);
         let ts = Timestamp(0xDEAD_BEEF_1234_5678);
         let p = PartitionId(3);
         let mut buf = ImrsRedoBuf::default();
-        buf.push_insert(txn, p, RowId(7), RowOriginTag::Inserted, vec![1, 2, 3]);
-        buf.push_update(txn, p, RowId(8), vec![4, 5]);
+        buf.push_insert(txn, p, RowId(7), RowOriginTag::Inserted, &[1, 2, 3]);
+        buf.push_update(txn, p, RowId(8), &[4, 5]);
         buf.push_delete(txn, p, RowId(9));
         buf.push(&ImrsLogRecord::Pack {
             txn,

@@ -194,7 +194,7 @@ fn writers_vs_scanners_no_torn_aggregates_no_scanner_locks() {
     assert_eq!(engine.snapshot().txns_active, 0);
 }
 
-/// Scans racing every movement direction: one mover thread packs the
+/// Scans racing every movement direction: the test thread packs the
 /// IMRS (`pack_cycle(Aggressive)`), freezes pages (`freeze_tick`) and
 /// rewrites groups — an update migrates a packed row back to the IMRS
 /// and thaws a frozen one — while scanners check that every scan sees
@@ -246,29 +246,11 @@ fn scans_racing_pack_freeze_thaw_and_migration_see_every_row_once() {
     });
 
     let stop = Arc::new(AtomicBool::new(false));
-    let mover = {
-        let (engine, table) = (Arc::clone(&engine), Arc::clone(&table));
-        std::thread::spawn(move || {
-            let mut rng = 0x0DD_BA11_u64;
-            for _ in 0..ROUNDS {
-                engine.run_maintenance();
-                pack_cycle(&engine, PackLevel::Aggressive);
-                freeze_tick(&engine);
-                for _ in 0..4 {
-                    let g = xorshift(&mut rng) % GROUPS;
-                    let x = xorshift(&mut rng) % GROUP_SUM;
-                    let mut txn = engine.begin();
-                    for j in 0..GROUP_ROWS {
-                        let (key, row) = group_row(g, j, x);
-                        assert!(engine
-                            .update(&mut txn, &table, &key.to_be_bytes(), &row)
-                            .unwrap());
-                    }
-                    engine.commit(txn).unwrap();
-                }
-            }
-        })
-    };
+    // Tickets of scans begun, and one past the highest ticket of a scan
+    // finished: the mover waits on them so that scans provably run in
+    // every round, however the two vCPUs are scheduled.
+    let started = Arc::new(AtomicU64::new(0));
+    let finished = Arc::new(AtomicU64::new(0));
 
     // Per scanner: scans, then rows served by each source and the
     // fallback resolutions (rows found moved mid-scan).
@@ -276,9 +258,11 @@ fn scans_racing_pack_freeze_thaw_and_migration_see_every_row_once() {
         .map(|_| {
             let (engine, table) = (Arc::clone(&engine), Arc::clone(&table));
             let (spec, stop) = (Arc::clone(&spec), Arc::clone(&stop));
+            let (started, finished) = (Arc::clone(&started), Arc::clone(&finished));
             std::thread::spawn(move || {
                 let mut seen = [0u64; 5];
                 while !stop.load(Ordering::Relaxed) {
+                    let ticket = started.fetch_add(1, Ordering::SeqCst);
                     let snap = engine.begin_snapshot();
                     let res = engine.analytic_scan(&snap, &table, &spec).unwrap();
                     engine.end_snapshot(snap);
@@ -298,13 +282,39 @@ fn scans_racing_pack_freeze_thaw_and_migration_see_every_row_once() {
                     ]) {
                         *n += v;
                     }
+                    finished.fetch_max(ticket + 1, Ordering::SeqCst);
                 }
                 seen
             })
         })
         .collect();
 
-    mover.join().unwrap();
+    // The mover. Before each round moves anything it waits until a scan
+    // that began after the previous round has finished: the first round
+    // finds every row in the IMRS, later ones find rows packed to pages
+    // and frozen, so the scans meet every tier deterministically.
+    let mut rng = 0x0DD_BA11_u64;
+    for _ in 0..ROUNDS {
+        let want = started.load(Ordering::SeqCst) + 1;
+        while finished.load(Ordering::SeqCst) < want && !scanners.iter().any(|s| s.is_finished()) {
+            std::thread::yield_now();
+        }
+        engine.run_maintenance();
+        pack_cycle(&engine, PackLevel::Aggressive);
+        freeze_tick(&engine);
+        for _ in 0..4 {
+            let g = xorshift(&mut rng) % GROUPS;
+            let x = xorshift(&mut rng) % GROUP_SUM;
+            let mut txn = engine.begin();
+            for j in 0..GROUP_ROWS {
+                let (key, row) = group_row(g, j, x);
+                assert!(engine
+                    .update(&mut txn, &table, &key.to_be_bytes(), &row)
+                    .unwrap());
+            }
+            engine.commit(txn).unwrap();
+        }
+    }
     stop.store(true, Ordering::Relaxed);
     let mut seen = [0u64; 5];
     for s in scanners {

@@ -171,6 +171,27 @@ thread_local! {
     static THREAD_CONTENTION: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
+/// Page buffers a thread's write-backs stamp and verify in.
+#[derive(Default)]
+struct WriteScratch {
+    /// The page as written: the frame's bytes with the checksum stamped.
+    page: Vec<u8>,
+    /// The device's copy, read back when writes are verified.
+    check: Vec<u8>,
+}
+
+thread_local! {
+    /// Reused by every write-back on this thread.
+    static WRITE_SCRATCH: std::cell::RefCell<WriteScratch> = std::cell::RefCell::default();
+}
+
+/// Page buffers of evicted frames a shard keeps for its next misses.
+const SPARE_PAGES: usize = 8;
+
+fn zeroed_page() -> Box<[u8]> {
+    vec![0u8; PAGE_SIZE].into_boxed_slice()
+}
+
 /// One independently locked slice of the cache.
 struct Shard {
     inner: Mutex<ShardInner>,
@@ -185,6 +206,11 @@ struct ShardInner {
     /// Page id -> index into `frames`.
     map: HashMap<PageId, usize>,
     hand: usize,
+    /// Page buffers of evicted frames, at most [`SPARE_PAGES`]; a miss
+    /// reads into one, a new page formats one, instead of allocating.
+    /// A read that succeeds overwrites the whole page and formatting
+    /// zeroes it, so their old bytes never show.
+    spare: Vec<Box<[u8]>>,
 }
 
 impl ShardInner {
@@ -294,6 +320,7 @@ impl BufferCache {
                         frames: Vec::with_capacity(quota + 1),
                         map: HashMap::with_capacity(quota + 1),
                         hand: 0,
+                        spare: Vec::new(),
                     },
                 ),
                 lock_contention: Relaxed::new(0),
@@ -373,16 +400,27 @@ impl BufferCache {
     /// are stamped on a private copy so readers of the frame never see
     /// the checksum field mutate under them.
     fn write_with_retry(&self, id: PageId, data: &[u8]) -> Result<()> {
-        let mut tmp = data.to_vec();
-        stamp_page_checksum(&mut tmp);
+        WRITE_SCRATCH.with(|cell| match cell.try_borrow_mut() {
+            Ok(mut scratch) => self.write_stamped(id, data, &mut scratch),
+            Err(_) => self.write_stamped(id, data, &mut WriteScratch::default()),
+        })
+    }
+
+    /// [`write_with_retry`](Self::write_with_retry) with the stamped copy
+    /// and the verification read-back in `scratch`'s buffers.
+    fn write_stamped(&self, id: PageId, data: &[u8], scratch: &mut WriteScratch) -> Result<()> {
+        let WriteScratch { page: tmp, check } = scratch;
+        tmp.clear();
+        tmp.extend_from_slice(data);
+        stamp_page_checksum(tmp);
         let mut attempt = 1u32;
         loop {
-            let wrote = self.backend.write_page(id, &tmp).and_then(|()| {
+            let wrote = self.backend.write_page(id, tmp).and_then(|()| {
                 if !self.verify_writes {
                     return Ok(());
                 }
-                let mut check = vec![0u8; tmp.len()];
-                self.backend.read_page(id, &mut check)?;
+                check.resize(tmp.len(), 0);
+                self.backend.read_page(id, check)?;
                 if check != tmp {
                     return Err(BtrimError::Io(std::io::Error::other(format!(
                         "write verification failed for page {}: device image \
@@ -629,13 +667,7 @@ impl BufferCache {
             self.stats.misses.fetch_add(1);
             let miss_start = self.miss_hist.as_ref().map(|_| std::time::Instant::now());
             self.make_room(si)?;
-            let frame = Frame::new(
-                id,
-                vec![0u8; PAGE_SIZE].into_boxed_slice(),
-                STATE_PENDING,
-                false,
-            );
-            {
+            let frame = {
                 let mut inner = self.lock_shard(shard);
                 if inner.map.contains_key(&id) {
                     // Lost the install race; return the slot and join
@@ -644,10 +676,13 @@ impl BufferCache {
                     self.resident.fetch_sub(1);
                     continue;
                 }
+                let data = inner.spare.pop().unwrap_or_else(zeroed_page);
+                let frame = Frame::new(id, data, STATE_PENDING, false);
                 let idx = inner.frames.len();
                 inner.frames.push(Arc::clone(&frame));
                 inner.map.insert(id, idx);
-            }
+                frame
+            };
             let read = {
                 let mut data = frame.data.write();
                 self.read_with_retry(id, &mut data).and_then(|()| {
@@ -692,10 +727,10 @@ impl BufferCache {
         let id = self.backend.allocate_page()?;
         let si = self.shard_of(id);
         self.make_room(si)?;
-        let mut data = vec![0u8; PAGE_SIZE].into_boxed_slice();
+        let mut inner = self.lock_shard(&self.shards[si]);
+        let mut data = inner.spare.pop().unwrap_or_else(zeroed_page);
         SlottedPage::init(&mut data, page_type, id, partition);
         let frame = Frame::new(id, data, STATE_READY, true);
-        let mut inner = self.lock_shard(&self.shards[si]);
         debug_assert!(!inner.map.contains_key(&id), "fresh page id already mapped");
         let idx = inner.frames.len();
         inner.frames.push(Arc::clone(&frame));
@@ -833,6 +868,13 @@ impl BufferCache {
             BtrimError::Corrupt("evicting frame not resident in its shard map".into())
         })?;
         inner.remove_at(idx);
+        // Keep the page buffer unless someone still has the frame (a
+        // guard that just unpinned it, a flush that cloned it).
+        if inner.spare.len() < SPARE_PAGES {
+            if let Ok(frame) = Arc::try_unwrap(victim) {
+                inner.spare.push(frame.data.into_inner());
+            }
+        }
         drop(inner);
         self.resident.fetch_sub(1);
         self.stats.evictions.fetch_add(1);

@@ -11,8 +11,10 @@
 //! [`BtrimError::LockNotGranted`], which doubles as a coarse deadlock
 //! breaker.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
-use std::time::Duration;
+use std::hash::{BuildHasherDefault, Hasher};
+use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex};
 
@@ -27,49 +29,100 @@ pub enum LockMode {
     Exclusive,
 }
 
-#[derive(Debug, Default)]
+/// The multiplier of [`RowIdHasher`] and of the shard pick (2^64 / φ).
+const GOLDEN: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// Hashes a `RowId` with one multiply. RowIds are handed out by the
+/// engine, never chosen by a client, so nothing can aim collisions at
+/// the table the way SipHash guards against.
+#[derive(Default)]
+struct RowIdHasher(u64);
+
+impl Hasher for RowIdHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0.rotate_left(8) ^ b as u64).wrapping_mul(GOLDEN);
+        }
+    }
+    fn write_u64(&mut self, n: u64) {
+        self.0 = n.wrapping_mul(GOLDEN);
+    }
+}
+
+/// One locked row. It exists only while someone holds the row, and an
+/// exclusive lock has exactly one holder: an exclusive grant needs the
+/// row to itself, a shared one needs it not exclusive.
+#[derive(Debug)]
 struct LockEntry {
-    /// Holders in shared mode (contains exactly one id in exclusive
-    /// mode).
-    holders: Vec<TxnId>,
+    /// The first holder, stored inline.
+    holder: TxnId,
+    /// Shared co-holders beyond `holder` (an empty `Vec` owns no memory).
+    others: Vec<TxnId>,
     exclusive: bool,
 }
 
 impl LockEntry {
-    fn can_grant(&self, txn: TxnId, mode: LockMode) -> bool {
-        if self.holders.is_empty() {
-            return true;
-        }
-        match mode {
-            LockMode::Shared => {
-                !self.exclusive || (self.holders.len() == 1 && self.holders[0] == txn)
-            }
-            LockMode::Exclusive => self.holders.len() == 1 && self.holders[0] == txn,
+    fn new(txn: TxnId, mode: LockMode) -> Self {
+        LockEntry {
+            holder: txn,
+            others: Vec::new(),
+            exclusive: mode == LockMode::Exclusive,
         }
     }
 
-    fn grant(&mut self, txn: TxnId, mode: LockMode) {
+    fn holds(&self, txn: TxnId) -> bool {
+        self.holder == txn || self.others.contains(&txn)
+    }
+
+    fn can_grant(&self, txn: TxnId, mode: LockMode) -> bool {
+        let sole = self.holder == txn && self.others.is_empty();
         match mode {
-            LockMode::Shared => {
-                if !self.holders.contains(&txn) {
-                    self.holders.push(txn);
-                }
-                // A holder that already has exclusive keeps it.
-            }
-            LockMode::Exclusive => {
-                if self.holders.is_empty() {
-                    self.holders.push(txn);
-                } else {
-                    debug_assert_eq!(self.holders, vec![txn], "upgrade requires sole holder");
-                }
-                self.exclusive = true;
-            }
+            LockMode::Shared => !self.exclusive || sole,
+            LockMode::Exclusive => sole,
         }
+    }
+
+    /// Grant a lock [`can_grant`](Self::can_grant) allowed. A holder
+    /// that already has exclusive keeps it; an exclusive grant is the
+    /// sole holder's upgrade.
+    fn grant(&mut self, txn: TxnId, mode: LockMode) {
+        if !self.holds(txn) {
+            self.others.push(txn);
+        }
+        if mode == LockMode::Exclusive {
+            self.exclusive = true;
+        }
+    }
+
+    /// Drop `txn` from the holders: `None` when it held nothing,
+    /// `Some(true)` when nobody holds the row any more.
+    fn release(&mut self, txn: TxnId) -> Option<bool> {
+        if self.holder == txn {
+            let Some(next) = self.others.pop() else {
+                return Some(true);
+            };
+            self.holder = next;
+        } else {
+            let i = self.others.iter().position(|&t| t == txn)?;
+            self.others.swap_remove(i);
+        }
+        Some(false)
     }
 }
 
+#[derive(Default)]
+struct ShardTable {
+    rows: HashMap<RowId, LockEntry, BuildHasherDefault<RowIdHasher>>,
+    /// Threads blocked in `cv` on this shard: an unlock wakes them only
+    /// when there are any, so an uncontended release makes no syscall.
+    waiters: u32,
+}
+
 struct Shard {
-    table: Mutex<HashMap<RowId, LockEntry>>,
+    table: Mutex<ShardTable>,
     cv: Condvar,
 }
 
@@ -93,7 +146,7 @@ impl LockManager {
         LockManager {
             shards: (0..SHARDS)
                 .map(|_| Shard {
-                    table: Mutex::new(HashMap::new()),
+                    table: Mutex::new(ShardTable::default()),
                     cv: Condvar::new(),
                 })
                 .collect(),
@@ -103,7 +156,7 @@ impl LockManager {
 
     #[inline]
     fn shard(&self, row: RowId) -> &Shard {
-        let h = (row.0.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize;
+        let h = (row.0.wrapping_mul(GOLDEN) >> 32) as usize;
         &self.shards[h % SHARDS]
     }
 
@@ -122,16 +175,29 @@ impl LockManager {
     ) -> Result<()> {
         let shard = self.shard(row);
         let mut table = shard.table.lock();
-        let deadline = std::time::Instant::now() + timeout;
+        // The clock is read only by a request that has to wait.
+        let mut deadline = None;
         loop {
-            let entry = table.entry(row).or_default();
-            if entry.can_grant(txn, mode) {
-                entry.grant(txn, mode);
-                return Ok(());
-            }
-            let holder = entry.holders.first().copied();
-            if shard.cv.wait_until(&mut table, deadline).timed_out() {
-                return Err(BtrimError::LockNotGranted { row, holder });
+            let holder = match table.rows.entry(row) {
+                Entry::Vacant(slot) => {
+                    slot.insert(LockEntry::new(txn, mode));
+                    return Ok(());
+                }
+                Entry::Occupied(mut held) if held.get().can_grant(txn, mode) => {
+                    held.get_mut().grant(txn, mode);
+                    return Ok(());
+                }
+                Entry::Occupied(held) => held.get().holder,
+            };
+            let deadline = *deadline.get_or_insert_with(|| Instant::now() + timeout);
+            table.waiters += 1;
+            let timed_out = shard.cv.wait_until(&mut table, deadline).timed_out();
+            table.waiters -= 1;
+            if timed_out {
+                return Err(BtrimError::LockNotGranted {
+                    row,
+                    holder: Some(holder),
+                });
             }
         }
     }
@@ -141,40 +207,41 @@ impl LockManager {
     /// If a row-lock cannot be granted, row is skipped for pack"
     /// (§VII.B).
     pub fn try_lock(&self, txn: TxnId, row: RowId, mode: LockMode) -> bool {
-        let shard = self.shard(row);
-        let mut table = shard.table.lock();
-        let entry = table.entry(row).or_default();
-        if entry.can_grant(txn, mode) {
-            entry.grant(txn, mode);
-            true
-        } else {
-            false
+        let mut table = self.shard(row).table.lock();
+        match table.rows.entry(row) {
+            Entry::Vacant(slot) => {
+                slot.insert(LockEntry::new(txn, mode));
+                true
+            }
+            Entry::Occupied(mut held) if held.get().can_grant(txn, mode) => {
+                held.get_mut().grant(txn, mode);
+                true
+            }
+            Entry::Occupied(_) => false,
         }
     }
 
-    /// Release one lock. A no-op if `txn` does not hold it.
+    /// Release one lock. A no-op if `txn` does not hold it (a
+    /// transaction's lock list may name a row twice: whoever holds the
+    /// lock now keeps it as it is).
     pub fn unlock(&self, txn: TxnId, row: RowId) {
         let shard = self.shard(row);
         let mut table = shard.table.lock();
-        let Some(entry) = table.get_mut(&row) else {
+        let Some(entry) = table.rows.get_mut(&row) else {
             return;
         };
-        let held = entry.holders.len();
-        entry.holders.retain(|&t| t != txn);
-        if entry.holders.len() == held {
-            // Not a holder (a transaction's lock list may name a row
-            // twice): whoever holds the lock now keeps it as it is.
-            return;
+        match entry.release(txn) {
+            None => return,
+            Some(true) => {
+                table.rows.remove(&row);
+            }
+            Some(false) => {}
         }
-        if entry.holders.is_empty() {
-            table.remove(&row);
-        } else {
-            // A holder left; remaining shared holders (possible after a
-            // failed upgrade path) demote the entry.
-            entry.exclusive = false;
-        }
+        let wake = table.waiters > 0;
         drop(table);
-        shard.cv.notify_all();
+        if wake {
+            shard.cv.notify_all();
+        }
     }
 
     /// Release a batch of locks (commit/abort of strict 2PL txns).
@@ -186,14 +253,13 @@ impl LockManager {
 
     /// Whether `txn` currently holds a lock on `row` (tests).
     pub fn holds(&self, txn: TxnId, row: RowId) -> bool {
-        let shard = self.shard(row);
-        let table = shard.table.lock();
-        table.get(&row).is_some_and(|e| e.holders.contains(&txn))
+        let table = self.shard(row).table.lock();
+        table.rows.get(&row).is_some_and(|e| e.holds(txn))
     }
 
     /// Number of rows with at least one lock (tests/stats).
     pub fn locked_rows(&self) -> usize {
-        self.shards.iter().map(|s| s.table.lock().len()).sum()
+        self.shards.iter().map(|s| s.table.lock().rows.len()).sum()
     }
 }
 
@@ -319,5 +385,167 @@ mod tests {
         }
         assert_eq!(*counter.lock(), 8 * 200);
         assert_eq!(m.locked_rows(), 0);
+    }
+
+    /// A waiter queued behind two shared holders is woken when the last
+    /// one leaves — not by the first release, which leaves it blocked,
+    /// and not by a timeout: it gets the lock well inside its deadline.
+    #[test]
+    fn waiter_behind_shared_holders_wakes_when_the_last_leaves() {
+        let m = Arc::new(LockManager::new(Duration::from_secs(30)));
+        let row = RowId(5);
+        assert!(m.try_lock(TxnId(1), row, LockMode::Shared));
+        assert!(m.try_lock(TxnId(2), row, LockMode::Shared));
+        let m2 = Arc::clone(&m);
+        let waiter = std::thread::spawn(move || {
+            let t = std::time::Instant::now();
+            m2.lock(TxnId(3), row, LockMode::Exclusive)
+                .map(|()| t.elapsed())
+        });
+        // The waiter has counted itself on the shard before it sleeps.
+        while m.shard(row).table.lock().waiters == 0 {
+            std::thread::yield_now();
+        }
+        m.unlock(TxnId(1), row);
+        assert!(!m.holds(TxnId(3), row), "one shared holder is left");
+        m.unlock(TxnId(2), row);
+        let waited = waiter.join().unwrap().unwrap();
+        assert!(waited < Duration::from_secs(10), "woken, not timed out");
+        assert!(m.holds(TxnId(3), row));
+        assert_eq!(m.shard(row).table.lock().waiters, 0);
+    }
+}
+
+#[cfg(test)]
+mod model {
+    use super::*;
+    use proptest::prelude::*;
+    use std::collections::{BTreeMap, BTreeSet};
+
+    /// 64 cases, or what `PROPTEST_CASES` asks for (CI: 256).
+    fn cases() -> u32 {
+        let asked = std::env::var("PROPTEST_CASES").ok();
+        asked.and_then(|n| n.parse().ok()).unwrap_or(64)
+    }
+
+    /// The reference: each locked row's holders and exclusive flag.
+    #[derive(Default)]
+    struct Model(BTreeMap<u64, (BTreeSet<u64>, bool)>);
+
+    impl Model {
+        fn can_grant(&self, txn: u64, row: u64, mode: LockMode) -> bool {
+            let Some((holders, exclusive)) = self.0.get(&row) else {
+                return true;
+            };
+            let sole = holders.len() == 1 && holders.contains(&txn);
+            match mode {
+                LockMode::Shared => !exclusive || sole,
+                LockMode::Exclusive => sole,
+            }
+        }
+
+        fn lock(&mut self, txn: u64, row: u64, mode: LockMode) -> bool {
+            if !self.can_grant(txn, row, mode) {
+                return false;
+            }
+            let (holders, exclusive) = self.0.entry(row).or_default();
+            holders.insert(txn);
+            *exclusive |= mode == LockMode::Exclusive;
+            true
+        }
+
+        fn unlock(&mut self, txn: u64, row: u64) {
+            let Some((holders, exclusive)) = self.0.get_mut(&row) else {
+                return;
+            };
+            if holders.remove(&txn) {
+                *exclusive = false;
+                if holders.is_empty() {
+                    self.0.remove(&row);
+                }
+            }
+        }
+    }
+
+    #[derive(Debug, Clone)]
+    enum Op {
+        TryLock(u64, u64, bool),
+        LockNoWait(u64, u64, bool),
+        Unlock(u64, u64),
+        UnlockAll(u64, Vec<u64>),
+    }
+
+    fn op() -> impl Strategy<Value = Op> {
+        let (txn, row) = (1..4u64, 0..4u64);
+        prop_oneof![
+            (txn.clone(), row.clone(), any::<bool>()).prop_map(|(t, r, x)| Op::TryLock(t, r, x)),
+            (txn.clone(), row.clone(), any::<bool>()).prop_map(|(t, r, x)| Op::LockNoWait(t, r, x)),
+            (txn.clone(), row.clone()).prop_map(|(t, r)| Op::Unlock(t, r)),
+            (txn, proptest::collection::vec(row, 0..6)).prop_map(|(t, rs)| Op::UnlockAll(t, rs)),
+        ]
+    }
+
+    fn mode(exclusive: bool) -> LockMode {
+        if exclusive {
+            LockMode::Exclusive
+        } else {
+            LockMode::Shared
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(cases()))]
+
+        /// Random lock traffic of 3 transactions over 4 rows grants,
+        /// refuses and releases exactly as the reference says, and
+        /// leaves the same holders behind after every step.
+        #[test]
+        fn lock_manager_matches_the_reference(ops in proptest::collection::vec(op(), 1..80)) {
+            let m = LockManager::new(Duration::from_millis(50));
+            let mut model = Model::default();
+            for op in &ops {
+                match op {
+                    Op::TryLock(t, r, x) => {
+                        let want = model.lock(*t, *r, mode(*x));
+                        prop_assert_eq!(m.try_lock(TxnId(*t), RowId(*r), mode(*x)), want, "{:?}", op);
+                    }
+                    Op::LockNoWait(t, r, x) => {
+                        let got = m.lock_timeout(TxnId(*t), RowId(*r), mode(*x), Duration::ZERO);
+                        let holders = model.0.get(r).map(|h| h.0.clone()).unwrap_or_default();
+                        let want = model.lock(*t, *r, mode(*x));
+                        match got {
+                            Ok(()) => prop_assert!(want, "{:?} granted", op),
+                            Err(BtrimError::LockNotGranted { row, holder: Some(h) }) => {
+                                prop_assert!(!want, "{:?} refused", op);
+                                prop_assert_eq!(row, RowId(*r));
+                                prop_assert!(holders.contains(&h.0), "{:?}: {:?} holds nothing", op, h);
+                            }
+                            Err(e) => prop_assert!(false, "{:?}: {}", op, e),
+                        }
+                    }
+                    Op::Unlock(t, r) => {
+                        m.unlock(TxnId(*t), RowId(*r));
+                        model.unlock(*t, *r);
+                    }
+                    Op::UnlockAll(t, rs) => {
+                        let rows: Vec<RowId> = rs.iter().map(|&r| RowId(r)).collect();
+                        m.unlock_all(TxnId(*t), rows.iter());
+                        for r in rs {
+                            model.unlock(*t, *r);
+                        }
+                    }
+                }
+                prop_assert_eq!(m.locked_rows(), model.0.len());
+                for r in 0..4u64 {
+                    let shard = m.shard(RowId(r)).table.lock();
+                    let entry = shard.rows.get(&RowId(r));
+                    prop_assert_eq!(entry.map(|e| e.exclusive), model.0.get(&r).map(|h| h.1));
+                    for t in 1..4u64 {
+                        let held = model.0.get(&r).is_some_and(|h| h.0.contains(&t));
+                        prop_assert_eq!(entry.is_some_and(|e| e.holds(TxnId(t))), held, "txn {} row {}", t, r);
+                    }
+                }
+            }
+        }
     }
 }

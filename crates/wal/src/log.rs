@@ -5,6 +5,7 @@
 //! tail after a crash harmless (the incomplete record was, by
 //! definition, unacknowledged).
 
+use std::collections::VecDeque;
 use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::Path;
@@ -80,6 +81,11 @@ pub trait LogSink: Send + Sync {
 }
 
 /// In-memory log (tests and deterministic experiments).
+///
+/// Records are stored back to back in fixed-capacity chunks that are
+/// never reallocated (a record larger than a chunk gets one of its own),
+/// with one `(chunk, offset, len)` index entry per record. Truncation
+/// drops index entries and every chunk no surviving record lives in.
 pub struct MemLog {
     inner: Mutex<MemLogInner>,
     /// Times the data mutex was taken by an append path (`append` or
@@ -94,12 +100,63 @@ impl Default for MemLog {
     }
 }
 
+/// Capacity of one [`MemLog`] chunk.
+const MEM_CHUNK: usize = 256 * 1024;
+
+/// Where one [`MemLog`] record lives: `chunk` counts chunks over the
+/// log's lifetime, so truncation leaves it unchanged.
+#[derive(Clone, Copy)]
+struct MemRecord {
+    chunk: u64,
+    offset: u32,
+    len: u32,
+}
+
 #[derive(Default)]
 struct MemLogInner {
     /// LSN of the first retained record minus one (grows on truncate).
     base: u64,
-    records: Vec<Vec<u8>>,
+    /// Retained records in LSN order.
+    index: VecDeque<MemRecord>,
+    /// Lifetime number of `chunks[0]`.
+    first_chunk: u64,
+    chunks: VecDeque<Vec<u8>>,
     bytes: u64,
+}
+
+impl MemLogInner {
+    /// Copy `payload` behind the last record, opening a chunk when the
+    /// current one lacks room.
+    fn push(&mut self, payload: &[u8]) -> Result<()> {
+        let len = u32::try_from(payload.len())
+            .map_err(|_| btrim_common::BtrimError::Invalid("log record too large".into()))?;
+        let fits = self
+            .chunks
+            .back()
+            .is_some_and(|c| c.capacity() - c.len() >= payload.len());
+        if !fits {
+            self.chunks
+                .push_back(Vec::with_capacity(MEM_CHUNK.max(payload.len())));
+        }
+        let chunk = self.first_chunk + self.chunks.len() as u64 - 1;
+        let tail = self.chunks.back_mut().ok_or_else(|| {
+            btrim_common::BtrimError::Corrupt("in-memory log lost its tail chunk".into())
+        })?;
+        let offset = tail.len() as u32;
+        tail.extend_from_slice(payload);
+        self.index.push_back(MemRecord { chunk, offset, len });
+        self.bytes += payload.len() as u64 + 8;
+        Ok(())
+    }
+
+    fn lsn_of_last(&self) -> u64 {
+        self.base + self.index.len() as u64
+    }
+
+    fn payload(&self, r: MemRecord) -> &[u8] {
+        let chunk = &self.chunks[(r.chunk - self.first_chunk) as usize];
+        &chunk[r.offset as usize..r.offset as usize + r.len as usize]
+    }
 }
 
 impl MemLog {
@@ -121,28 +178,30 @@ impl LogSink for MemLog {
     fn append(&self, payload: &[u8]) -> Result<Lsn> {
         self.append_locks.fetch_add(1);
         let mut inner = self.inner.lock();
-        inner.records.push(payload.to_vec());
-        inner.bytes += payload.len() as u64 + 8;
-        Ok(Lsn(inner.base + inner.records.len() as u64))
+        inner.push(payload)?;
+        Ok(Lsn(inner.lsn_of_last()))
     }
 
     fn append_batch(&self, payloads: &[&[u8]]) -> Result<LsnRange> {
         if payloads.is_empty() {
             return Err(btrim_common::BtrimError::Invalid("empty log batch".into()));
         }
-        // Copies are prepared before the lock; the critical section is
-        // a Vec extend plus counter bumps.
-        let copies: Vec<Vec<u8>> = payloads.iter().map(|p| p.to_vec()).collect();
-        let added_bytes: u64 = payloads.iter().map(|p| p.len() as u64 + 8).sum();
+        if payloads.iter().any(|p| u32::try_from(p.len()).is_err()) {
+            return Err(btrim_common::BtrimError::Invalid(
+                "log record too large".into(),
+            ));
+        }
         self.append_locks.fetch_add(1);
+        // One critical section copies the whole batch: no reader sees a
+        // prefix of it.
         let mut inner = self.inner.lock();
-        let first = inner.base + inner.records.len() as u64 + 1;
-        inner.records.extend(copies);
-        inner.bytes += added_bytes;
-        let last = inner.base + inner.records.len() as u64;
+        let first = inner.lsn_of_last() + 1;
+        for p in payloads {
+            inner.push(p)?;
+        }
         Ok(LsnRange {
             first: Lsn(first),
-            last: Lsn(last),
+            last: Lsn(inner.lsn_of_last()),
         })
     }
 
@@ -153,16 +212,15 @@ impl LogSink for MemLog {
     fn read_all(&self) -> Result<Vec<(Lsn, Vec<u8>)>> {
         let inner = self.inner.lock();
         Ok(inner
-            .records
+            .index
             .iter()
             .enumerate()
-            .map(|(i, r)| (Lsn(inner.base + i as u64 + 1), r.clone()))
+            .map(|(i, &r)| (Lsn(inner.base + i as u64 + 1), inner.payload(r).to_vec()))
             .collect())
     }
 
     fn record_count(&self) -> u64 {
-        let inner = self.inner.lock();
-        inner.base + inner.records.len() as u64
+        self.inner.lock().lsn_of_last()
     }
 
     fn byte_size(&self) -> u64 {
@@ -174,14 +232,19 @@ impl LogSink for MemLog {
         let drop_n = upto
             .0
             .saturating_sub(inner.base)
-            .min(inner.records.len() as u64) as usize;
-        let dropped_bytes: u64 = inner
-            .records
-            .drain(..drop_n)
-            .map(|r| r.len() as u64 + 8)
-            .sum();
+            .min(inner.index.len() as u64) as usize;
+        let dropped_bytes: u64 = inner.index.drain(..drop_n).map(|r| r.len as u64 + 8).sum();
         inner.bytes -= dropped_bytes;
         inner.base += drop_n as u64;
+        // Keep the chunk of the first survivor and every later one; with
+        // no survivor, keep only the tail chunk appends continue in.
+        let keep_from = match inner.index.front() {
+            Some(r) => r.chunk,
+            None => inner.first_chunk + inner.chunks.len().saturating_sub(1) as u64,
+        };
+        let drop_chunks = (keep_from - inner.first_chunk) as usize;
+        inner.chunks.drain(..drop_chunks);
+        inner.first_chunk = keep_from;
         Ok(())
     }
 }
@@ -535,6 +598,31 @@ impl LogSink for FileLog {
     }
 }
 
+/// A scratch buffer larger than this (a big `Freeze` record's) is not
+/// kept for the thread's next append.
+const SCRATCH_KEEP: usize = 64 * 1024;
+
+thread_local! {
+    /// Per-thread encode buffer of [`LogWriter::append_with`].
+    static SCRATCH: std::cell::RefCell<Vec<u8>> = const { std::cell::RefCell::new(Vec::new()) };
+}
+
+/// Run `f` on this thread's empty scratch buffer (a fresh one should
+/// `f` somehow re-enter).
+fn with_scratch<T>(f: impl FnOnce(&mut Vec<u8>) -> T) -> T {
+    SCRATCH.with(|cell| match cell.try_borrow_mut() {
+        Ok(mut buf) => {
+            buf.clear();
+            let out = f(&mut buf);
+            if buf.capacity() > SCRATCH_KEEP {
+                *buf = Vec::new();
+            }
+            out
+        }
+        Err(_) => f(&mut Vec::new()),
+    })
+}
+
 /// Typed writer over a sink: encodes records and supports group flush.
 pub struct LogWriter<R> {
     sink: std::sync::Arc<dyn LogSink>,
@@ -577,10 +665,20 @@ where
         &self.sink
     }
 
-    /// Append one record.
+    /// Append one record, encoded into this thread's reused buffer.
     pub fn append(&self, record: &R) -> Result<Lsn> {
+        self.append_with(|out| record.encode_into(out))
+    }
+
+    /// Append the one record of this log's type that `encode` writes
+    /// into the (empty) buffer it is handed — for a caller that encodes
+    /// from borrowed parts instead of building an `R`.
+    pub fn append_with(&self, encode: impl FnOnce(&mut Vec<u8>)) -> Result<Lsn> {
         let t = self.append_hist.as_ref().map(|_| std::time::Instant::now());
-        let out = self.sink.append(&record.encode());
+        let out = with_scratch(|buf| {
+            encode(buf);
+            self.sink.append(buf)
+        });
         if let (Some(h), Some(t)) = (&self.append_hist, t) {
             h.record(t.elapsed().as_nanos() as u64);
         }
@@ -1044,6 +1142,61 @@ mod truncation_tests {
         // Truncating an already-dropped prefix is a no-op.
         log.truncate_prefix(Lsn(2)).unwrap();
         assert_eq!(log.read_all().unwrap().len(), 7);
+    }
+
+    /// Records of a third of a chunk and one larger than a chunk: the
+    /// log spans several chunks, truncation drops them whole, and the
+    /// survivors keep their LSNs, bytes and accounting.
+    #[test]
+    fn memlog_chunks_truncate_whole_and_keep_lsns_and_bytes() {
+        let log = MemLog::new();
+        let third = MEM_CHUNK / 3;
+        let rec = |i: usize, len: usize| vec![i as u8; len];
+        for i in 0..7 {
+            log.append(&rec(i, third)).unwrap();
+        }
+        let big = rec(99, MEM_CHUNK + 5);
+        assert_eq!(log.append(&big).unwrap(), Lsn(8), "larger than a chunk");
+        let range = log
+            .append_batch(&[&rec(8, 10)[..], &rec(9, 0)[..], &rec(10, third)[..]])
+            .unwrap();
+        assert_eq!((range.first, range.last), (Lsn(9), Lsn(11)));
+        let frame = |len: usize| len as u64 + 8;
+        let total = 7 * frame(third) + frame(big.len()) + frame(10) + frame(0) + frame(third);
+        assert_eq!(log.byte_size(), total);
+        assert!(log.inner.lock().chunks.len() >= 4);
+
+        // Through the middle of the second chunk.
+        log.truncate_prefix(Lsn(5)).unwrap();
+        let all = log.read_all().unwrap();
+        assert_eq!(all.len(), 6);
+        assert_eq!(all[0], (Lsn(6), rec(5, third)));
+        assert_eq!(all[2], (Lsn(8), big.clone()));
+        assert_eq!(all[3], (Lsn(9), rec(8, 10)));
+        assert_eq!(all[4], (Lsn(10), vec![]));
+        assert_eq!(log.byte_size(), total - 5 * frame(third));
+        assert_eq!(log.record_count(), 11);
+        assert_eq!(
+            log.inner.lock().first_chunk,
+            1,
+            "the first chunk went whole"
+        );
+
+        // Through the big record; appends continue the sequence.
+        log.truncate_prefix(Lsn(8)).unwrap();
+        assert_eq!(log.read_all().unwrap()[0], (Lsn(9), rec(8, 10)));
+        assert_eq!(log.append(b"tail").unwrap(), Lsn(12));
+        assert_eq!(
+            log.byte_size(),
+            frame(10) + frame(0) + frame(third) + frame(4)
+        );
+
+        // Everything: the log is empty, LSNs still count on.
+        log.truncate_prefix(Lsn(12)).unwrap();
+        assert!(log.read_all().unwrap().is_empty());
+        assert_eq!((log.byte_size(), log.inner.lock().chunks.len()), (0, 1));
+        assert_eq!(log.append(b"again").unwrap(), Lsn(13));
+        assert_eq!(log.read_all().unwrap(), vec![(Lsn(13), b"again".to_vec())]);
     }
 
     fn tmp(name: &str) -> std::path::PathBuf {

@@ -9,11 +9,33 @@ use btrim_common::{BtrimError, Lsn, PageId, PartitionId, Result, RowId, SlotId, 
 
 /// A record type that can be framed into a log sink.
 pub trait Encodable: Sized {
-    /// Serialize to bytes.
-    fn encode(&self) -> Vec<u8>;
+    /// Exact number of bytes [`encode_into`](Self::encode_into) appends.
+    fn encoded_len(&self) -> usize;
+    /// Append the encoding to `out`, reserving its exact length once
+    /// up front, so the buffer grows at most once per record.
+    fn encode_into(&self, out: &mut Vec<u8>);
+    /// Serialize into a fresh buffer of exactly the encoded length.
+    fn encode(&self) -> Vec<u8> {
+        let mut out = Vec::with_capacity(self.encoded_len());
+        self.encode_into(&mut out);
+        out
+    }
     /// Deserialize from bytes.
     fn decode(data: &[u8]) -> Result<Self>;
 }
+
+/// Encoded width of a `put_bytes` field: its `u32` length, then the bytes.
+const fn bytes_len(data: &[u8]) -> usize {
+    4 + data.len()
+}
+
+/// `tag`, `txn`, `partition`, `row`, `page`, `slot`: the head of every
+/// page-store row record.
+const PAGE_ROW_HEAD: usize = 1 + 8 + 4 + 8 + 4 + 2;
+
+/// `tag`, `txn`, `ts`, `partition`, `row`: the head of every IMRS row
+/// record (`ts` at byte 9, where commit stamps it).
+const IMRS_ROW_HEAD: usize = 1 + 8 + 8 + 4 + 8;
 
 /// Compact tag mirroring the IMRS `RowOrigin` enum in log records
 /// (wal does not depend on imrs).
@@ -98,8 +120,23 @@ pub enum PageLogRecord {
 }
 
 impl Encodable for PageLogRecord {
-    fn encode(&self) -> Vec<u8> {
-        let mut e = Encoder::new();
+    fn encoded_len(&self) -> usize {
+        match self {
+            PageLogRecord::Begin { .. } | PageLogRecord::Abort { .. } => 1 + 8,
+            PageLogRecord::Commit { .. } => 1 + 8 + 8,
+            PageLogRecord::Insert { data, .. } => PAGE_ROW_HEAD + bytes_len(data),
+            PageLogRecord::Update { old, new, .. } => {
+                PAGE_ROW_HEAD + bytes_len(old) + bytes_len(new)
+            }
+            PageLogRecord::Delete { old, .. } => PAGE_ROW_HEAD + bytes_len(old),
+            PageLogRecord::CheckpointBegin { dirty_pages, .. } => 1 + 8 + 4 + 4 * dirty_pages.len(),
+            PageLogRecord::CheckpointEnd { .. } => 1 + 8,
+        }
+    }
+
+    fn encode_into(&self, out: &mut Vec<u8>) {
+        out.reserve(self.encoded_len());
+        let mut e = Encoder::append_to(out);
         match self {
             PageLogRecord::Begin { txn } => {
                 e.put_u8(0);
@@ -180,7 +217,6 @@ impl Encodable for PageLogRecord {
                 e.put_u64(begin_lsn.0);
             }
         }
-        e.into_vec()
     }
 
     fn decode(data: &[u8]) -> Result<Self> {
@@ -332,9 +368,74 @@ pub enum ImrsLogRecord {
     Discard { txns: Vec<TxnId> },
 }
 
+/// Append the head every IMRS row record starts with.
+fn put_imrs_row_head(
+    e: &mut Encoder<&mut Vec<u8>>,
+    tag: u8,
+    txn: TxnId,
+    ts: Timestamp,
+    partition: PartitionId,
+    row: RowId,
+) {
+    e.put_u8(tag);
+    e.put_u64(txn.0);
+    e.put_u64(ts.0);
+    e.put_u32(partition.0);
+    e.put_u64(row.0);
+}
+
+impl ImrsLogRecord {
+    /// Append `Insert { txn, ts, partition, row, origin, data }` with the
+    /// image borrowed: the bytes the owned record encodes to, without
+    /// first copying `data` into one.
+    pub fn encode_insert(
+        out: &mut Vec<u8>,
+        txn: TxnId,
+        ts: Timestamp,
+        partition: PartitionId,
+        row: RowId,
+        origin: RowOriginTag,
+        data: &[u8],
+    ) {
+        out.reserve(IMRS_ROW_HEAD + 1 + bytes_len(data));
+        let mut e = Encoder::append_to(out);
+        put_imrs_row_head(&mut e, 0, txn, ts, partition, row);
+        e.put_u8(origin as u8);
+        e.put_bytes(data);
+    }
+
+    /// Append `Update { txn, ts, partition, row, data }` with the image
+    /// borrowed (see [`encode_insert`](Self::encode_insert)).
+    pub fn encode_update(
+        out: &mut Vec<u8>,
+        txn: TxnId,
+        ts: Timestamp,
+        partition: PartitionId,
+        row: RowId,
+        data: &[u8],
+    ) {
+        out.reserve(IMRS_ROW_HEAD + bytes_len(data));
+        let mut e = Encoder::append_to(out);
+        put_imrs_row_head(&mut e, 1, txn, ts, partition, row);
+        e.put_bytes(data);
+    }
+}
+
 impl Encodable for ImrsLogRecord {
-    fn encode(&self) -> Vec<u8> {
-        let mut e = Encoder::new();
+    fn encoded_len(&self) -> usize {
+        match self {
+            ImrsLogRecord::Insert { data, .. } => IMRS_ROW_HEAD + 1 + bytes_len(data),
+            ImrsLogRecord::Update { data, .. } => IMRS_ROW_HEAD + bytes_len(data),
+            ImrsLogRecord::Delete { .. } | ImrsLogRecord::Pack { .. } => IMRS_ROW_HEAD,
+            ImrsLogRecord::Freeze { data, .. } => 1 + 8 + 8 + 4 + 4 + bytes_len(data),
+            ImrsLogRecord::ExtentRowGone { .. } => IMRS_ROW_HEAD + 4 + 2,
+            ImrsLogRecord::Discard { txns } => 1 + 4 + 8 * txns.len(),
+        }
+    }
+
+    fn encode_into(&self, out: &mut Vec<u8>) {
+        out.reserve(self.encoded_len());
+        let mut e = Encoder::append_to(out);
         match self {
             ImrsLogRecord::Insert {
                 txn,
@@ -343,53 +444,26 @@ impl Encodable for ImrsLogRecord {
                 row,
                 origin,
                 data,
-            } => {
-                e.put_u8(0);
-                e.put_u64(txn.0);
-                e.put_u64(ts.0);
-                e.put_u32(partition.0);
-                e.put_u64(row.0);
-                e.put_u8(*origin as u8);
-                e.put_bytes(data);
-            }
+            } => Self::encode_insert(out, *txn, *ts, *partition, *row, *origin, data),
             ImrsLogRecord::Update {
                 txn,
                 ts,
                 partition,
                 row,
                 data,
-            } => {
-                e.put_u8(1);
-                e.put_u64(txn.0);
-                e.put_u64(ts.0);
-                e.put_u32(partition.0);
-                e.put_u64(row.0);
-                e.put_bytes(data);
-            }
+            } => Self::encode_update(out, *txn, *ts, *partition, *row, data),
             ImrsLogRecord::Delete {
                 txn,
                 ts,
                 partition,
                 row,
-            } => {
-                e.put_u8(2);
-                e.put_u64(txn.0);
-                e.put_u64(ts.0);
-                e.put_u32(partition.0);
-                e.put_u64(row.0);
-            }
+            } => put_imrs_row_head(&mut e, 2, *txn, *ts, *partition, *row),
             ImrsLogRecord::Pack {
                 txn,
                 ts,
                 partition,
                 row,
-            } => {
-                e.put_u8(3);
-                e.put_u64(txn.0);
-                e.put_u64(ts.0);
-                e.put_u32(partition.0);
-                e.put_u64(row.0);
-            }
+            } => put_imrs_row_head(&mut e, 3, *txn, *ts, *partition, *row),
             ImrsLogRecord::Freeze {
                 txn,
                 ts,
@@ -412,11 +486,7 @@ impl Encodable for ImrsLogRecord {
                 extent,
                 idx,
             } => {
-                e.put_u8(6);
-                e.put_u64(txn.0);
-                e.put_u64(ts.0);
-                e.put_u32(partition.0);
-                e.put_u64(row.0);
+                put_imrs_row_head(&mut e, 6, *txn, *ts, *partition, *row);
                 e.put_u32(*extent);
                 e.put_u16(*idx);
             }
@@ -428,7 +498,6 @@ impl Encodable for ImrsLogRecord {
                 }
             }
         }
-        e.into_vec()
     }
 
     fn decode(data: &[u8]) -> Result<Self> {
@@ -745,6 +814,181 @@ mod proptests {
                 data,
             };
             prop_assert_eq!(PageLogRecord::decode(&rec.encode()).unwrap(), rec);
+        }
+    }
+
+    /// 64 cases, or what `PROPTEST_CASES` asks for (CI: 256).
+    fn cases() -> u32 {
+        let asked = std::env::var("PROPTEST_CASES").ok();
+        asked.and_then(|n| n.parse().ok()).unwrap_or(64)
+    }
+
+    /// Page record `variant` (mod 9), its numbers drawn from `n`, its
+    /// byte fields `a` and `b`.
+    fn page_record(variant: u8, n: u64, a: Vec<u8>, b: Vec<u8>) -> PageLogRecord {
+        let (txn, partition, row) = (
+            TxnId(n),
+            PartitionId(n as u32 ^ 7),
+            RowId(n.rotate_left(17)),
+        );
+        let (page, slot) = (PageId((n >> 32) as u32), SlotId(n as u16));
+        match variant % 9 {
+            0 => PageLogRecord::Begin { txn },
+            1 => PageLogRecord::Commit {
+                txn,
+                ts: Timestamp(!n),
+            },
+            2 => PageLogRecord::Abort { txn },
+            3 => PageLogRecord::Insert {
+                txn,
+                partition,
+                row,
+                page,
+                slot,
+                data: a,
+            },
+            4 => PageLogRecord::Update {
+                txn,
+                partition,
+                row,
+                page,
+                slot,
+                old: a,
+                new: b,
+            },
+            5 => PageLogRecord::Delete {
+                txn,
+                partition,
+                row,
+                page,
+                slot,
+                old: a,
+            },
+            6 => PageLogRecord::CheckpointBegin {
+                low_water: Lsn(n),
+                dirty_pages: a.iter().map(|&p| PageId(p as u32 * 31)).collect(),
+            },
+            7 => PageLogRecord::CheckpointBegin {
+                low_water: Lsn::ZERO,
+                dirty_pages: vec![],
+            },
+            _ => PageLogRecord::CheckpointEnd { begin_lsn: Lsn(n) },
+        }
+    }
+
+    /// IMRS record `variant` (mod 8), as [`page_record`].
+    fn imrs_record(variant: u8, n: u64, a: Vec<u8>) -> ImrsLogRecord {
+        let (txn, ts, partition, row) = (
+            TxnId(n),
+            Timestamp(!n),
+            PartitionId(n as u32),
+            RowId(n ^ 0x55),
+        );
+        let origin = [
+            RowOriginTag::Inserted,
+            RowOriginTag::Migrated,
+            RowOriginTag::Cached,
+        ][n as usize % 3];
+        match variant % 8 {
+            0 => ImrsLogRecord::Insert {
+                txn,
+                ts,
+                partition,
+                row,
+                origin,
+                data: a,
+            },
+            1 => ImrsLogRecord::Update {
+                txn,
+                ts,
+                partition,
+                row,
+                data: a,
+            },
+            2 => ImrsLogRecord::Delete {
+                txn,
+                ts,
+                partition,
+                row,
+            },
+            3 => ImrsLogRecord::Pack {
+                txn,
+                ts,
+                partition,
+                row,
+            },
+            4 => ImrsLogRecord::Freeze {
+                txn,
+                ts,
+                partition,
+                extent: n as u32,
+                data: a,
+            },
+            5 => ImrsLogRecord::ExtentRowGone {
+                txn,
+                ts,
+                partition,
+                row,
+                extent: 3,
+                idx: n as u16,
+            },
+            6 => ImrsLogRecord::Discard {
+                txns: a.iter().map(|&t| TxnId(n ^ t as u64)).collect(),
+            },
+            _ => ImrsLogRecord::Discard { txns: vec![] },
+        }
+    }
+
+    /// `encode_into` appends exactly `encode()`'s bytes after what the
+    /// buffer held, inside one reservation of `encoded_len()` bytes, and
+    /// `decode` gives the record back.
+    fn check_encoding<R: Encodable + PartialEq + std::fmt::Debug>(
+        rec: &R,
+        prefix: &[u8],
+    ) -> std::result::Result<(), TestCaseError> {
+        let bytes = rec.encode();
+        prop_assert_eq!(bytes.len(), rec.encoded_len());
+        prop_assert_eq!(bytes.capacity(), bytes.len(), "one exact reservation");
+        let mut out = prefix.to_vec();
+        out.reserve_exact(rec.encoded_len());
+        let (ptr, cap) = (out.as_ptr(), out.capacity());
+        rec.encode_into(&mut out);
+        prop_assert!(
+            (out.as_ptr(), out.capacity()) == (ptr, cap),
+            "grew past the reserve: {rec:?}"
+        );
+        prop_assert_eq!(&out[..prefix.len()], prefix);
+        prop_assert_eq!(&out[prefix.len()..], &bytes[..]);
+        prop_assert_eq!(&R::decode(&bytes).unwrap(), rec);
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(cases()))]
+
+        /// Every variant of both logs, with random numbers and payloads.
+        #[test]
+        fn encode_into_appends_encode_in_one_reservation(
+            variant in any::<u8>(), n in any::<u64>(),
+            a in proptest::collection::vec(any::<u8>(), 0..600),
+            b in proptest::collection::vec(any::<u8>(), 0..600),
+        ) {
+            let prefix = &b[..b.len() % 40];
+            check_encoding(&page_record(variant, n, a.clone(), b.clone()), prefix)?;
+            let imrs = imrs_record(variant, n, a);
+            check_encoding(&imrs, prefix)?;
+            // The borrowed-image encoders write the owned record's bytes.
+            let mut borrowed = prefix.to_vec();
+            match &imrs {
+                ImrsLogRecord::Insert { txn, ts, partition, row, origin, data } => {
+                    ImrsLogRecord::encode_insert(&mut borrowed, *txn, *ts, *partition, *row, *origin, data);
+                }
+                ImrsLogRecord::Update { txn, ts, partition, row, data } => {
+                    ImrsLogRecord::encode_update(&mut borrowed, *txn, *ts, *partition, *row, data);
+                }
+                other => other.encode_into(&mut borrowed),
+            }
+            prop_assert_eq!(&borrowed[prefix.len()..], &imrs.encode()[..]);
         }
     }
 }

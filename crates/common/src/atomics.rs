@@ -6,7 +6,7 @@
 //! * [`Relaxed`] — counters, byte accounting, hints, id allocators and
 //!   advisory flags. Every access is `Relaxed`.
 //! * [`AcqRel`] — release/acquire publication: a version-chain link, a
-//!   RID-Map word, a commit stamp, an arbiter-published budget. Loads
+//!   RID-Map word, a commit stamp, a buffer-cache capacity. Loads
 //!   are `Acquire`, stores `Release`, read-modify-writes `AcqRel`, and a
 //!   compare-exchange is `(AcqRel, Acquire)`.
 //! * [`SeqCst`] — a store-load (Dekker-style) protocol in which total

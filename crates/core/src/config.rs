@@ -97,16 +97,6 @@ pub struct EngineConfig {
     /// Maximum rows per frozen extent (capped by the format's
     /// `MAX_EXTENT_ROWS`).
     pub freeze_max_rows: usize,
-    /// Unified memory budget in bytes shared by the IMRS and the buffer
-    /// cache. 0 (the default) keeps the legacy fixed split: the pools
-    /// are sized independently from `imrs_budget` and `buffer_frames`
-    /// and the memory arbiter stays off. Non-zero activates the
-    /// arbiter (`crate::arbiter`, whose window, hysteresis, step cap
-    /// and floors are constants there): the pools start from its
-    /// initial split and the split moves at runtime along the
-    /// marginal-utility signal. `imrs_budget` and `buffer_frames` are
-    /// ignored then.
-    pub total_memory_budget: u64,
     /// Record per-operation-class latency histograms (`btrim-obs`).
     /// When off, the hot paths skip the clock reads entirely — one
     /// branch per operation.
@@ -140,7 +130,6 @@ impl Default for EngineConfig {
             freeze_enabled: false,
             freeze_min_rows: 32,
             freeze_max_rows: 4096,
-            total_memory_budget: 0,
             obs_latency: true,
             obs_trace_capacity: 1024,
         }
@@ -170,25 +159,6 @@ impl EngineConfig {
         (self.aggressive_utilization() + 1.0) / 2.0
     }
 
-    /// Whether the unified budget (and with it the memory arbiter) is
-    /// active. Legacy fixed-split configs leave it off.
-    pub fn arbiter_active(&self) -> bool {
-        self.total_memory_budget > 0
-    }
-
-    /// Resolve the initial (IMRS bytes, buffer frames) split.
-    ///
-    /// With `total_memory_budget == 0` this is the legacy fixed split —
-    /// exactly the independent `imrs_budget` and `buffer_frames` knobs;
-    /// otherwise the arbiter's initial split of the total.
-    pub fn memory_split(&self) -> (u64, usize) {
-        if self.arbiter_active() {
-            crate::arbiter::initial_split(self)
-        } else {
-            (self.imrs_budget, self.buffer_frames)
-        }
-    }
-
     /// Validate invariants; panic early on nonsense configs.
     pub fn validate(&self) {
         assert!(
@@ -214,24 +184,6 @@ impl EngineConfig {
             self.freeze_max_rows <= btrim_pagestore::MAX_EXTENT_ROWS,
             "freeze_max_rows exceeds the extent format's row cap"
         );
-        if self.arbiter_active() {
-            // memory_split clamps each pool up to its minimum viable
-            // size, so the total must actually cover both minima or the
-            // split would silently over-commit.
-            assert!(
-                self.total_memory_budget
-                    >= self.imrs_chunk_size as u64 + 8 * btrim_pagestore::PAGE_SIZE as u64,
-                "total_memory_budget too small for one IMRS chunk plus 8 frames"
-            );
-            // Shifts are quantized down to whole IMRS chunks (budget
-            // conservation); a per-shift cap below one chunk would
-            // quantize every shift to zero and freeze the arbiter.
-            assert!(
-                crate::arbiter::max_shift_bytes(self) >= self.imrs_chunk_size as u64,
-                "the arbiter's per-shift cap of total_memory_budget is below one IMRS \
-                 chunk; no shift could ever apply"
-            );
-        }
     }
 }
 
@@ -279,45 +231,6 @@ mod tests {
     fn bad_config_panics() {
         EngineConfig {
             steady_utilization: 1.5,
-            ..Default::default()
-        }
-        .validate();
-    }
-
-    #[test]
-    fn unified_budget_splits_evenly_above_both_floors() {
-        let total = 128 * 1024 * 1024u64;
-        let c = EngineConfig {
-            total_memory_budget: total,
-            ..Default::default()
-        };
-        c.validate();
-        assert!(c.arbiter_active());
-        let (imrs, frames) = c.memory_split();
-        assert_eq!(imrs, total / 2);
-        assert_eq!(frames, (total / 2) as usize / btrim_pagestore::PAGE_SIZE);
-        assert!(crate::arbiter::imrs_floor_bytes(&c) < imrs);
-        assert!(crate::arbiter::buffer_floor_bytes(&c) < total - imrs);
-    }
-
-    #[test]
-    #[should_panic]
-    fn arbiter_total_budget_too_small_panics() {
-        EngineConfig {
-            // One chunk is 4 MiB by default; 1 MiB cannot cover it.
-            total_memory_budget: 1024 * 1024,
-            ..Default::default()
-        }
-        .validate();
-    }
-
-    #[test]
-    #[should_panic]
-    fn arbiter_shift_cap_below_chunk_panics() {
-        EngineConfig {
-            // 5% of 64 MiB is 3.2 MiB — below the default 4 MiB chunk,
-            // so chunk quantization would zero out every shift.
-            total_memory_budget: 64 * 1024 * 1024,
             ..Default::default()
         }
         .validate();

@@ -75,9 +75,6 @@ pub(crate) struct Shared {
     pub tsf: TsfLearner,
     pub gc: GcRegistry,
     pub tuner: Tuner,
-    /// Unified-budget memory arbiter (active only with
-    /// `total_memory_budget > 0`; see `crate::arbiter`).
-    pub arbiter: crate::arbiter::MemoryArbiter,
     pub pack: PackState,
     /// Immutable columnar extents holding frozen rows (HTAP tier).
     pub extents: btrim_pagestore::ExtentStore,
@@ -239,16 +236,13 @@ impl Engine {
         let group_imrs = btrim_wal::GroupCommitter::new(Arc::clone(&imrslog))
             .with_histogram(hook(OpClass::WalFsync));
         let ridmap = Arc::new(RidMap::new());
-        // One globally accounted split: legacy configs resolve to their
-        // fixed pools, a unified budget to the arbiter's initial split.
-        let (imrs_budget, buffer_frames) = cfg.memory_split();
         let sh = Shared {
             cache: Arc::new(
-                BufferCache::new(disk, buffer_frames)
+                BufferCache::new(disk, cfg.buffer_frames)
                     .with_write_verification(VERIFY_PAGE_WRITES)
                     .with_miss_histogram(hook(OpClass::BufferMiss)),
             ),
-            store: ImrsStore::new(imrs_budget, cfg.imrs_chunk_size, Arc::clone(&ridmap)),
+            store: ImrsStore::new(cfg.imrs_budget, cfg.imrs_chunk_size, Arc::clone(&ridmap)),
             ridmap,
             side: SideStore::new(),
             catalog: Catalog::new(),
@@ -267,7 +261,6 @@ impl Engine {
             tsf,
             gc: GcRegistry::new(),
             tuner: Tuner::with_obs(Arc::clone(&obs)),
-            arbiter: crate::arbiter::MemoryArbiter::with_obs(Arc::clone(&obs)),
             pack: PackState::new(),
             extents: btrim_pagestore::ExtentStore::new(),
             freeze: crate::freeze::FreezeStats::new(),

@@ -70,7 +70,6 @@
 // log receipt: see `logged`. Unit tests build row state by hand.
 #![cfg_attr(not(test), deny(clippy::disallowed_methods))]
 
-pub mod arbiter;
 pub mod catalog;
 pub mod checkpoint;
 pub mod config;
@@ -92,7 +91,6 @@ pub mod tsf;
 pub mod tuner;
 pub mod txn_ctx;
 
-pub use arbiter::MemoryArbiter;
 pub use catalog::{FieldKind, FieldValue, Partitioner, RowLayout, TableDesc, TableOpts};
 pub use config::{EngineConfig, EngineMode};
 pub use engine::{Engine, SnapshotTxn};
@@ -106,7 +104,7 @@ pub use txn_ctx::Transaction;
 pub use btrim_common::{BtrimError, PartitionId, Result, RowId, TableId, Timestamp, TxnId};
 pub use btrim_common::{HistSummary, HistogramSnapshot, LatencyHistogram};
 pub use btrim_imrs::{RowLocation, RowOrigin};
-pub use btrim_obs::{ArbiterAction, ArbiterTrace, IlmTraceEvent, Obs, OpClass, TunerAction};
+pub use btrim_obs::{IlmTraceEvent, Obs, OpClass, TunerAction};
 
 /// JSON helpers backing [`EngineSnapshot::to_json`]; re-exported so
 /// harnesses can validate the export without depending on `btrim-obs`.

@@ -78,18 +78,6 @@ impl Engine {
         sh.store.reclaim(oldest);
         sh.side.purge(oldest, &sh.ridmap);
         sh.obs.record_since(OpClass::GcPass, gc_start);
-        // The memory arbiter runs in every mode (its no-op guard is the
-        // unified budget, not ILM): window-boundary work only, never on
-        // the DML path.
-        if sh.cfg.arbiter_active() {
-            sh.arbiter.maybe_run(
-                &sh.cfg,
-                sh.txns.committed_count(),
-                &sh.catalog,
-                &sh.store,
-                &sh.cache,
-            );
-        }
         if sh.cfg.mode != EngineMode::IlmOn {
             return;
         }

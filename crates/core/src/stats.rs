@@ -148,20 +148,6 @@ pub struct EngineSnapshot {
     pub tsf_tau: u64,
     /// Tuning windows executed.
     pub tuning_windows: u64,
-    /// Unified memory budget in bytes (0: legacy fixed split, arbiter
-    /// off).
-    pub total_memory_budget: u64,
-    /// Buffer-cache capacity in frames at snapshot time (moves when the
-    /// arbiter shifts budget).
-    pub buffer_capacity_frames: u64,
-    /// Memory-arbiter windows executed.
-    pub arbiter_windows: u64,
-    /// Budget shifts the arbiter applied.
-    pub arbiter_shifts: u64,
-    /// Lifetime bytes the arbiter moved into the IMRS.
-    pub arbiter_bytes_to_imrs: u64,
-    /// Lifetime bytes the arbiter moved into the buffer cache.
-    pub arbiter_bytes_to_buffer: u64,
     /// GC: bytes reclaimed from version chains.
     pub gc_bytes_freed: u64,
     /// GC: rows awaiting a GC visit.
@@ -287,12 +273,6 @@ impl EngineSnapshot {
             frozen_encoded_bytes: sh.extents.encoded_bytes(),
             tsf_tau: sh.tsf.tau(),
             tuning_windows: sh.tuner.windows_run(),
-            total_memory_budget: sh.cfg.total_memory_budget,
-            buffer_capacity_frames: sh.cache.capacity() as u64,
-            arbiter_windows: sh.arbiter.windows_run(),
-            arbiter_shifts: sh.arbiter.shifts_applied(),
-            arbiter_bytes_to_imrs: sh.arbiter.bytes_to_imrs(),
-            arbiter_bytes_to_buffer: sh.arbiter.bytes_to_buffer(),
             gc_bytes_freed: sh.gc.bytes_freed(),
             gc_backlog: sh.gc.backlog(),
             txns_active: sh.txns.active_count(),
@@ -392,23 +372,6 @@ impl EngineSnapshot {
             self.buffer.shard_lock_contention,
             self.buffer.io_waits,
         ));
-        if self.total_memory_budget > 0 {
-            out.push_str(&format!(
-                "arbiter: total {:.1} MiB   split IMRS {:.1} MiB / buffer {} frames \
-                 (debt {})\n\
-                 arbiter: windows {} shifts {} ({} capacity moves)   \
-                 →imrs {:.1} MiB   →buffer {:.1} MiB\n",
-                self.total_memory_budget as f64 / (1024.0 * 1024.0),
-                self.imrs_budget as f64 / (1024.0 * 1024.0),
-                self.buffer.capacity,
-                self.buffer.shrink_debt,
-                self.arbiter_windows,
-                self.arbiter_shifts,
-                self.buffer.capacity_shifts,
-                self.arbiter_bytes_to_imrs as f64 / (1024.0 * 1024.0),
-                self.arbiter_bytes_to_buffer as f64 / (1024.0 * 1024.0),
-            ));
-        }
         out.push_str(&format!(
             "health {}   storage-errors {}   io-errors {} (retried {})   \
              checksum-failures {}\n",
@@ -531,12 +494,6 @@ impl EngineSnapshot {
             frozen_encoded_bytes,
             tsf_tau,
             tuning_windows,
-            total_memory_budget,
-            buffer_capacity_frames,
-            arbiter_windows,
-            arbiter_shifts,
-            arbiter_bytes_to_imrs,
-            arbiter_bytes_to_buffer,
             gc_bytes_freed,
             gc_backlog,
             txns_active,
@@ -641,9 +598,6 @@ impl EngineSnapshot {
                 "\"rows_skipped_hot\":{},\"frozen_extents\":{},\"rows_frozen\":{},",
                 "\"rows_thawed\":{},\"frozen_raw_bytes\":{},\"frozen_encoded_bytes\":{},",
                 "\"tsf_tau\":{},\"tuning_windows\":{},",
-                "\"total_memory_budget\":{},\"buffer_capacity_frames\":{},",
-                "\"arbiter_windows\":{},\"arbiter_shifts\":{},",
-                "\"arbiter_bytes_to_imrs\":{},\"arbiter_bytes_to_buffer\":{},",
                 "\"buffer\":{{\"hits\":{},\"misses\":{},\"evictions\":{},\"flushes\":{},",
                 "\"latch_contention\":{},\"shard_lock_contention\":{},\"io_waits\":{},",
                 "\"io_errors\":{},\"io_retries\":{},\"checksum_failures\":{},",
@@ -692,12 +646,6 @@ impl EngineSnapshot {
             frozen_encoded_bytes,
             tsf_tau,
             tuning_windows,
-            total_memory_budget,
-            buffer_capacity_frames,
-            arbiter_windows,
-            arbiter_shifts,
-            arbiter_bytes_to_imrs,
-            arbiter_bytes_to_buffer,
             hits,
             misses,
             evictions,

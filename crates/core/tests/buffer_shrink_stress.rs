@@ -1,8 +1,9 @@
-//! Buffer-cache shrink stress test (arbiter satellite).
+//! Buffer-cache shrink stress test.
 //!
-//! The memory arbiter resizes the buffer pool while transactions are
-//! running, so `BufferCache::set_capacity` must be safe against live
-//! pin traffic: a shrink below the pinned count must never invalidate a
+//! `BufferCache::set_capacity` is public: the benchmark's page-store
+//! probes shrink a cache to the workload's cache share with it, and any
+//! caller may resize a pool that is in use. So it must be safe against
+//! live pin traffic: a shrink below the pinned count must never invalidate a
 //! held guard, never deadlock against fetch/eviction, and the uncovered
 //! frames must sit as shrink debt that drains once the pins release.
 //!

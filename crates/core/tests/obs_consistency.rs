@@ -626,8 +626,8 @@ fn scans_leave_the_snapshot_read_count_alone() {
 /// Row movement runs as internal mini-transactions in every direction
 /// here — cache, migrate (including attempts the full IMRS turns
 /// away), pack, freeze, thaw — and none of it may tick either counter:
-/// `committed_txns` paces maintenance, the tuner window and the arbiter
-/// window, and `aborted_txns` is reported as user rollbacks.
+/// `committed_txns` paces maintenance and the tuner window, and
+/// `aborted_txns` is reported as user rollbacks.
 #[test]
 fn txn_counters_count_user_transactions_only() {
     use btrim_core::freeze::freeze_tick;

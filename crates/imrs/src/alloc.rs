@@ -34,7 +34,7 @@ use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock};
 
-use btrim_common::atomics::{AcqRel, Relaxed};
+use btrim_common::atomics::Relaxed;
 use btrim_common::{BtrimError, Result, Timestamp};
 
 /// Allocation granularity; all block sizes are multiples of this.
@@ -239,12 +239,8 @@ type Chunk = Arc<RwLock<Box<[u8]>>>;
 /// chunks.
 pub struct FragmentAllocator {
     chunk_size: u32,
-    /// Budget ceiling in chunks. Atomic so the memory arbiter can raise
-    /// or lower it at runtime: raising lets `alloc` grow again
-    /// immediately; lowering below `chunks_created` stops further chunk
-    /// growth while existing free space stays usable, and GC/pack drain
-    /// the overage (utilization may read above 1.0 meanwhile).
-    max_chunks: AcqRel<u32>,
+    /// Budget ceiling in chunks, fixed at construction.
+    max_chunks: u32,
     chunks: RwLock<Vec<Chunk>>,
     state: Mutex<AllocState>,
     used: Relaxed<u64>,
@@ -264,7 +260,7 @@ impl FragmentAllocator {
         let max_chunks = budget_bytes.div_ceil(chunk_size as u64).max(1) as u32;
         FragmentAllocator {
             chunk_size,
-            max_chunks: AcqRel::new(max_chunks),
+            max_chunks,
             chunks: RwLock::new(Vec::new()),
             state: Mutex::new(AllocState {
                 lists: vec![Vec::new(); CLASSES],
@@ -282,16 +278,7 @@ impl FragmentAllocator {
 
     /// Configured budget in bytes.
     pub fn budget(&self) -> u64 {
-        self.chunk_size as u64 * self.max_chunks.load() as u64
-    }
-
-    /// Retarget the budget to `budget_bytes` (rounded up to at least one
-    /// chunk). Growing takes effect on the next `alloc`; shrinking never
-    /// frees live chunks — it only blocks further growth, leaving
-    /// GC / pack / freeze to drain the overage.
-    pub fn set_budget(&self, budget_bytes: u64) {
-        let max_chunks = budget_bytes.div_ceil(self.chunk_size as u64).max(1) as u32;
-        self.max_chunks.store(max_chunks);
+        self.chunk_size as u64 * self.max_chunks as u64
     }
 
     /// Payload-plus-padding bytes currently allocated.
@@ -369,7 +356,7 @@ impl FragmentAllocator {
         need: u32,
         requested: usize,
     ) -> Result<(u32, u32, u32)> {
-        if st.chunks_created < self.max_chunks.load() {
+        if st.chunks_created < self.max_chunks {
             let idx = st.chunks_created;
             st.chunks_created += 1;
             self.chunks.write().push(Arc::new(RwLock::new(
@@ -564,46 +551,25 @@ mod tests {
 
     #[test]
     fn budget_exhaustion_is_imrs_full() {
-        let a = FragmentAllocator::new(32 * 1024, 16 * 1024);
-        let mut held = Vec::new();
-        loop {
-            match a.alloc(&[0u8; 1024]) {
-                Ok(h) => held.push(h),
-                Err(BtrimError::ImrsFull { .. }) => break,
-                Err(e) => panic!("unexpected error {e}"),
+        // A budget that is not a whole number of chunks rounds up to
+        // one: 17 KiB buys the same two 16 KiB chunks as 32 KiB.
+        for budget in [32 * 1024, 17 * 1024] {
+            let a = FragmentAllocator::new(budget, 16 * 1024);
+            assert_eq!(a.budget(), 32 * 1024);
+            let mut held = Vec::new();
+            loop {
+                match a.alloc(&[0u8; 1024]) {
+                    Ok(h) => held.push(h),
+                    Err(BtrimError::ImrsFull { .. }) => break,
+                    Err(e) => panic!("unexpected error {e}"),
+                }
             }
+            assert_eq!(held.len(), 32); // 32 KiB / 1 KiB
+            assert_eq!(a.chunk_bytes(), 32 * 1024, "growth stops at max_chunks");
+            // Freeing one makes room again.
+            a.free(held.pop().unwrap());
+            assert!(a.alloc(&[0u8; 1024]).is_ok());
         }
-        assert_eq!(held.len(), 32); // 32 KiB / 1 KiB
-                                    // Freeing one makes room again.
-        a.free(held.pop().unwrap());
-        assert!(a.alloc(&[0u8; 1024]).is_ok());
-    }
-
-    #[test]
-    fn set_budget_grows_and_shrinks_without_evicting() {
-        let a = FragmentAllocator::new(32 * 1024, 16 * 1024);
-        let mut held = Vec::new();
-        while let Ok(h) = a.alloc(&[0u8; 1024]) {
-            held.push(h);
-        }
-        assert_eq!(held.len(), 32);
-        // Raising the budget immediately unblocks growth.
-        a.set_budget(64 * 1024);
-        assert_eq!(a.budget(), 64 * 1024);
-        assert!(a.alloc(&[0u8; 1024]).is_ok());
-        // Shrinking below current use never touches live data: existing
-        // fragments stay readable and freeable, only growth stops.
-        a.set_budget(16 * 1024);
-        assert_eq!(a.budget(), 16 * 1024);
-        assert!(a.utilization() > 1.0, "overage is visible as pressure");
-        assert!(matches!(
-            a.alloc(&vec![0u8; 16 * 1024]),
-            Err(BtrimError::ImrsFull { .. })
-        ));
-        // Freed space inside already-created chunks is still usable.
-        let h = held.pop().unwrap();
-        a.free(h);
-        assert!(a.alloc(&[0u8; 1024]).is_ok());
     }
 
     #[test]

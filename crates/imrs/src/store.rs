@@ -124,13 +124,6 @@ impl ImrsStore {
         self.alloc.budget()
     }
 
-    /// Retarget the memory budget (the arbiter's knob). Shrinking is
-    /// lazy: admission tightens via the higher utilization reading and
-    /// GC / pack / freeze drain the overage; nothing is evicted here.
-    pub fn set_budget(&self, budget_bytes: u64) {
-        self.alloc.set_budget(budget_bytes);
-    }
-
     /// Recycle quarantined chain nodes and fragments whose retirement
     /// timestamp the snapshot `horizon` has strictly passed. Returns
     /// (nodes, bytes) recycled.

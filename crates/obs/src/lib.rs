@@ -406,83 +406,6 @@ pub struct FreezeTrace {
     pub schema_columns: bool,
 }
 
-/// What a memory-arbiter window decided about the IMRS ↔ buffer-cache
-/// budget split.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ArbiterAction {
-    /// The IMRS had the higher marginal utility; hysteresis counting.
-    VoteImrs,
-    /// The buffer cache had the higher marginal utility; counting.
-    VoteBuffer,
-    /// Votes reached the hysteresis bar: budget moved to the IMRS.
-    ShiftToImrs,
-    /// Votes reached the hysteresis bar: budget moved to the cache.
-    ShiftToBuffer,
-}
-
-impl ArbiterAction {
-    pub fn name(self) -> &'static str {
-        match self {
-            ArbiterAction::VoteImrs => "vote_imrs",
-            ArbiterAction::VoteBuffer => "vote_buffer",
-            ArbiterAction::ShiftToImrs => "shift_to_imrs",
-            ArbiterAction::ShiftToBuffer => "shift_to_buffer",
-        }
-    }
-
-    /// Whether this action actually moved budget (matches the engine's
-    /// shift counters).
-    pub fn is_shift(self) -> bool {
-        matches!(
-            self,
-            ArbiterAction::ShiftToImrs | ArbiterAction::ShiftToBuffer
-        )
-    }
-}
-
-/// One memory-arbiter verdict: the marginal utilities compared and
-/// every input they were computed from. Hold verdicts (neither side
-/// ahead by the margin) are not traced, mirroring the tuner.
-#[derive(Clone, Debug)]
-pub struct ArbiterTrace {
-    /// Arbiter window ordinal (1-based, `MemoryArbiter::windows_run`).
-    pub window: u64,
-    pub action: ArbiterAction,
-    /// Window delta of page-store ops on IMRS-enabled partitions (rows
-    /// ILM would keep resident with more budget) — the numerator of
-    /// the IMRS marginal-utility signal.
-    pub imrs_miss_ops: u64,
-    /// Window delta of buffer-cache hits.
-    pub buffer_hits: u64,
-    /// Window delta of buffer-cache misses — the numerator of the
-    /// buffer marginal-utility signal.
-    pub buffer_misses: u64,
-    /// Measured p50 miss-fetch latency in nanoseconds (obs histogram)
-    /// weighting each miss against an in-memory re-use.
-    pub miss_ns: u64,
-    /// IMRS budget in bytes when the verdict was computed.
-    pub imrs_bytes: u64,
-    /// Buffer-cache budget in bytes when the verdict was computed.
-    pub buffer_bytes: u64,
-    /// IMRS utilization at verdict time: below the steady threshold the
-    /// IMRS is not memory-constrained and its marginal utility is zero.
-    pub imrs_utilization: f64,
-    /// IMRS marginal utility: weighted re-use per MiB of IMRS budget.
-    pub imrs_mu: f64,
-    /// Buffer marginal utility: weighted misses per MiB of cache.
-    pub buffer_mu: f64,
-    /// Bytes moved by this verdict (0 for votes).
-    pub shift_bytes: u64,
-    /// IMRS budget in bytes after the verdict applied.
-    pub imrs_bytes_after: u64,
-    /// Buffer-cache capacity in frames after the verdict applied.
-    pub buffer_frames_after: u64,
-    /// Consecutive same-direction votes including this one.
-    pub votes: u32,
-    /// Votes required before budget actually moves (hysteresis).
-    pub votes_needed: u32,
-}
-
 /// An entry in the ILM decision trace ring.
 #[derive(Clone, Debug)]
 pub enum IlmTraceEvent {
@@ -490,7 +413,6 @@ pub enum IlmTraceEvent {
     Pack(PackCycleTrace),
     Checkpoint(CheckpointTrace),
     Freeze(FreezeTrace),
-    Arbiter(ArbiterTrace),
 }
 
 impl IlmTraceEvent {
@@ -593,32 +515,6 @@ impl IlmTraceEvent {
                 f.rows_skipped_hot,
                 f.rows_skipped_recent,
                 f.schema_columns,
-            ),
-            IlmTraceEvent::Arbiter(a) => format!(
-                concat!(
-                    "{{\"kind\":\"arbiter\",\"window\":{},\"action\":\"{}\",",
-                    "\"imrs_miss_ops\":{},\"buffer_hits\":{},\"buffer_misses\":{},",
-                    "\"miss_ns\":{},\"imrs_bytes\":{},\"buffer_bytes\":{},",
-                    "\"imrs_utilization\":{},\"imrs_mu\":{},\"buffer_mu\":{},",
-                    "\"shift_bytes\":{},\"imrs_bytes_after\":{},",
-                    "\"buffer_frames_after\":{},\"votes\":{},\"votes_needed\":{}}}"
-                ),
-                a.window,
-                a.action.name(),
-                a.imrs_miss_ops,
-                a.buffer_hits,
-                a.buffer_misses,
-                a.miss_ns,
-                a.imrs_bytes,
-                a.buffer_bytes,
-                json::num(a.imrs_utilization),
-                json::num(a.imrs_mu),
-                json::num(a.buffer_mu),
-                a.shift_bytes,
-                a.imrs_bytes_after,
-                a.buffer_frames_after,
-                a.votes,
-                a.votes_needed,
             ),
         }
     }
@@ -754,26 +650,8 @@ mod tests {
             rows_skipped_recent: 1,
             schema_columns: true,
         });
-        let arbiter = IlmTraceEvent::Arbiter(ArbiterTrace {
-            window: 2,
-            action: ArbiterAction::ShiftToBuffer,
-            imrs_miss_ops: 40,
-            buffer_hits: 3_000,
-            buffer_misses: 900,
-            miss_ns: 45_000,
-            imrs_bytes: 64 * 1024 * 1024,
-            buffer_bytes: 64 * 1024 * 1024,
-            imrs_utilization: 0.42,
-            imrs_mu: 0.0,
-            buffer_mu: 632.8,
-            shift_bytes: 12 * 1024 * 1024,
-            imrs_bytes_after: 52 * 1024 * 1024,
-            buffer_frames_after: 9_728,
-            votes: 2,
-            votes_needed: 2,
-        });
         assert!(pack.to_json().contains("\"over_steady_bytes\":2200000,"));
-        for ev in [tuner, pack, ckpt, freeze, arbiter] {
+        for ev in [tuner, pack, ckpt, freeze] {
             let js = ev.to_json();
             json::validate(&js).unwrap_or_else(|e| panic!("{e}: {js}"));
         }

@@ -145,12 +145,12 @@ pub struct BufferStatsSnapshot {
     /// Pages whose checksum did not match on fetch (torn write or
     /// corruption); such pages are never served as valid data.
     pub checksum_failures: u64,
-    /// Current global frame budget (the arbiter moves this at runtime).
+    /// Current global frame budget (moves only through `set_capacity`).
     pub capacity: u64,
     /// Frames resident beyond the budget after a shrink — pins holding
     /// reclamation back; drains to zero as they release.
     pub shrink_debt: u64,
-    /// `set_capacity` calls served (arbiter shifts plus manual resizes).
+    /// `set_capacity` calls served.
     pub capacity_shifts: u64,
 }
 
@@ -243,8 +243,8 @@ enum EvictOutcome {
 /// The buffer cache.
 pub struct BufferCache {
     backend: Arc<dyn DiskBackend>,
-    /// Global frame budget. Atomic so the memory arbiter can retarget
-    /// it at runtime: growing takes effect on the next reserve; a
+    /// Global frame budget. Atomic so `set_capacity` can retarget it
+    /// at runtime: growing takes effect on the next reserve; a
     /// shrink leaves `resident` above `capacity` (the *shrink debt*)
     /// and is drained lazily by eviction — pinned frames are never
     /// failed, they simply hold their part of the debt until unpinned.
@@ -455,7 +455,7 @@ impl BufferCache {
         self.capacity.load()
     }
 
-    /// Retarget the global frame budget (the memory arbiter's knob).
+    /// Retarget the global frame budget at runtime.
     ///
     /// Growing takes effect immediately: the next reserve sees the
     /// larger budget. Shrinking never fails a pinned frame: the new

@@ -49,6 +49,7 @@ numbers() {
     # The B+tree without its in-file tests (everything before the first
     # `#[cfg(test)]`).
     echo "btree_code_lines $(sed '/^#\[cfg(test)\]/,$d' crates/index/src/btree.rs | code_lines -)"
+    echo "bench_bins $(find crates/bench/src/bin -name '*.rs' | wc -l)"
     echo "engine_config_fields $(sed -n '/^pub struct EngineConfig {/,/^}/p' crates/core/src/config.rs | grep -c '^    pub [a-z_0-9]*:')"
     echo "shared_fields $(sed -n '/^pub(crate) struct Shared {/,/^}/p' crates/core/src/engine.rs | grep -c '^    \(pub \)\?[a-z_0-9]*:')"
     # A transaction remembers each change once: its fields, and the

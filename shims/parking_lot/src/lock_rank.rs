@@ -26,13 +26,6 @@
 
 /// Engine maintenance gate (`core::maintenance::Maintenance::gate`).
 pub const ENGINE_STATE: u16 = 10;
-/// Memory-arbiter window state (`core::arbiter::MemoryArbiter::window`).
-/// Taken only from maintenance (under the gate) to snapshot the
-/// previous window's counters and tally hysteresis votes; the budget
-/// retargets it decides (`ImrsStore::set_budget`, `BufferCache::
-/// set_capacity`) touch atomics and shard locks, so it ranks between
-/// the gate and the buffer shards and is never held across I/O.
-pub const MEM_ARBITER: u16 = 12;
 /// Transaction-registry overflow table (`txn::manager::TxnRegistry::
 /// overflow`). Taken only when more transactions are in flight than the
 /// registry has lock-free slots; begin/commit/abort on the slot path and
@@ -76,7 +69,6 @@ pub const GROUP_COMMIT: u16 = 60;
 /// cite.
 pub const LOCK_RANKS: &[(&str, u16)] = &[
     ("engine-state", ENGINE_STATE),
-    ("mem-arbiter", MEM_ARBITER),
     ("txn-registry", TXN_REGISTRY),
     ("buffer-shard", BUFFER_SHARD),
     ("frame", FRAME),

@@ -5,7 +5,7 @@
 //! ([`error`]), cache-friendly sharded statistics counters ([`counters`],
 //! the per-CPU counters of §V.A of the paper), a small binary
 //! encode/decode layer ([`codec`]) used by row formats and log records,
-//! the CRC-32 every on-disk format is checked with ([`crc`]),
+//! the checksum every on-disk format is checked with ([`checksum`]),
 //! a monotonic logical clock ([`clock`]) used for commit timestamps, and
 //! the observability primitives — lock-free log-scale latency histograms
 //! ([`hist`]) and a bounded trace ring ([`ring`]) — that `btrim-obs`
@@ -23,10 +23,10 @@
     reason = "the one module that names the std atomics: it wraps each in the orderings its protocol allows"
 )]
 pub mod atomics;
+pub mod checksum;
 pub mod clock;
 pub mod codec;
 pub mod counters;
-pub mod crc;
 pub mod error;
 pub mod hist;
 pub mod ids;

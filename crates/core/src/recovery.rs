@@ -31,7 +31,7 @@
 //! transactions that wrote page records.
 //!
 //! * An IMRS-only user transaction never writes syslogs. Its records
-//!   reach sysimrslogs at commit as one CRC-covered batch frame — all
+//!   reach sysimrslogs at commit as one checksum-covered batch frame — all
 //!   of them or none — and under durable commits that log's barrier is
 //!   the only one it waits for. No syslogs evidence means committed
 //!   (the reading checkpoint truncation already forced: it drops old

@@ -12,7 +12,7 @@
 //!   *reports success* — a lying device. Detection is the checksum's
 //!   job at fetch or recovery time.
 //! - **Partial log appends**: a truncated payload reaches the sink but
-//!   the caller gets an error — the record is framed (CRC-valid) yet
+//!   the caller gets an error — the record is framed (checksum-valid) yet
 //!   undecodable, exercising decode-level salvage.
 //! - **Log-device death**: after N successful appends every later
 //!   append/flush fails, permanently — the engine must degrade to
@@ -66,7 +66,7 @@ pub struct FaultPlan {
     /// Tear the Nth *batch* append (0-based, counted across the plan's
     /// wrapped logs): the caller gets an error, and the seeded RNG
     /// decides whether the media kept the whole batch or none of it —
-    /// the only two outcomes a CRC-covered batch frame allows. A batch
+    /// the only two outcomes a checksum-covered batch frame allows. A batch
     /// can never persist a prefix of its records; byte-level tears of
     /// the frame itself are exercised at the `FileLog` layer.
     pub torn_batch_at: Option<u64>,
@@ -371,7 +371,7 @@ impl LogSink for FaultLog {
             }
         }
         if self.state.draw(self.state.plan.partial_append_prob) && payload.len() > 1 {
-            // Persist a truncated payload (CRC-framed over the short
+            // Persist a truncated payload (checksum-framed over the short
             // bytes — undecodable) and fail the caller.
             let _ = self.inner.append(&payload[..payload.len() / 2]);
             self.state.partial_appends.fetch_add(1, Ordering::Relaxed);
@@ -396,7 +396,7 @@ impl LogSink for FaultLog {
         }
         let bidx = self.state.log_batches.fetch_add(1, Ordering::AcqRel);
         if self.state.plan.torn_batch_at == Some(bidx) {
-            // The frame's CRC covers every record, so a tear leaves the
+            // The frame's checksum covers every record, so a tear leaves the
             // media holding either the whole batch or nothing — never a
             // prefix of its records. The seeded RNG picks which; the
             // caller sees an error either way (the ack never happened).
@@ -408,7 +408,7 @@ impl LogSink for FaultLog {
             return Err(injected("torn batch append"));
         }
         // `partial_append_prob` deliberately does not apply here: a
-        // truncated *record* cannot exist inside a CRC-covered batch
+        // truncated *record* cannot exist inside a checksum-covered batch
         // frame. Transient whole-batch failures come from the death and
         // torn-batch triggers above.
         self.inner.append_batch(payloads)

@@ -8,8 +8,8 @@
 //! which analytic scans can aggregate over without touching the buffer
 //! cache or acquiring any ranked lock.
 //!
-//! Wire format (`encode`/`decode`, CRC-32 trailer over everything
-//! before it):
+//! Wire format (`encode`/`decode`, a [`btrim_common::checksum`] trailer
+//! over everything before it):
 //!
 //! ```text
 //! u32 magic "BTFZ" | u16 version | u32 extent id | u32 table
@@ -17,7 +17,7 @@
 //! row-id column (adaptive u64 encoding, n values)
 //! u32 column count
 //! per column: name (length-prefixed) | u8 kind (0=u64, 1=bytes) | payload
-//! u32 crc-32
+//! u32 checksum
 //! ```
 //!
 //! A u64 column payload is either frame-of-reference (`base` + deltas
@@ -41,8 +41,8 @@
 use std::sync::{Arc, OnceLock};
 
 use btrim_common::atomics::{AcqRel, Relaxed};
+use btrim_common::checksum::checksum;
 use btrim_common::codec::{Decoder, Encoder};
-use btrim_common::crc::crc32;
 use btrim_common::{BtrimError, PartitionId, Result, RowId, TableId};
 use parking_lot::{lock_rank, Mutex};
 
@@ -55,7 +55,7 @@ pub const MAX_EXTENT_ROWS: usize = 65_536;
 pub const EXTENT_MAGIC: u32 = u32::from_le_bytes(*b"BTFZ");
 
 /// Extent wire-format version.
-pub const EXTENT_VERSION: u16 = 1;
+pub const EXTENT_VERSION: u16 = 2;
 
 /// Directory geometry: 4096 lazily-allocated chunks of 256 slots each.
 const DIR_CHUNK_SLOTS: usize = 256;
@@ -829,7 +829,7 @@ pub struct ExtentColumn {
 
 /// An immutable, compressed, columnar run of frozen rows.
 ///
-/// The encoded payload — magic through CRC — is the unit the freeze
+/// The encoded payload — magic through checksum — is the unit the freeze
 /// step WAL-logs and recovery replays. Per-slot liveness (a row thawed
 /// back to the IMRS, or deleted) is *runtime* state rebuilt from
 /// `ExtentRowGone` log records, deliberately not part of the wire
@@ -925,7 +925,7 @@ impl FrozenExtent {
             }
         }
         let mut out = e.into_vec();
-        let sum = crc32(&out);
+        let sum = checksum(&out);
         out.extend_from_slice(&sum.to_le_bytes());
         self.encoded_len.store(out.len() as u64);
         out
@@ -942,7 +942,7 @@ impl FrozenExtent {
             .first_chunk::<4>()
             .map(|b| u32::from_le_bytes(*b))
             .unwrap_or(0);
-        let actual = crc32(body);
+        let actual = checksum(body);
         if stored != actual {
             return Err(BtrimError::Corrupt(format!(
                 "extent: checksum mismatch (stored {stored:#010x}, computed {actual:#010x})"
@@ -1300,18 +1300,18 @@ mod tests {
         }
     }
 
-    /// On-disk format pin: length and trailer are what the build with
-    /// the extent's own bitwise CRC (before the three CRC-32 copies
-    /// became one) encoded for this extent.
+    /// On-disk format pin: length and trailer of the sample extent. A
+    /// change to the checksum or the layout must bump `EXTENT_VERSION`
+    /// and re-pin.
     #[test]
     fn encoded_trailer_of_the_sample_extent_is_pinned() {
         let bytes = sample_extent().encode();
         assert_eq!(bytes.len(), 623);
-        assert_eq!(bytes[619..], 0x642B_3A22u32.to_le_bytes());
+        assert_eq!(bytes[619..], 0x2262_D45Du32.to_le_bytes());
     }
 
     #[test]
-    fn extent_roundtrips_and_checks_crc() {
+    fn extent_roundtrips_and_checks_its_checksum() {
         let ext = sample_extent();
         let bytes = ext.encode();
         assert_eq!(ext.encoded_len(), bytes.len() as u64);
@@ -1331,7 +1331,7 @@ mod tests {
             assert_eq!(a.col.min_max(), b.col.min_max());
         }
 
-        // Any single flipped bit must be caught by the CRC.
+        // Any single flipped bit must be caught by the checksum.
         let mut bad = bytes.clone();
         bad[10] ^= 0x40;
         assert!(matches!(

@@ -17,24 +17,26 @@
 //! 12  u32  partition_id
 //! 16  u32  next_page
 //! 20  u64  page_lsn          (recovery idempotence)
-//! 28  u32  checksum          (CRC-32 of the page, checksum field zeroed)
-//! 32  u32  format_epoch      (page-layout version; currently 1)
+//! 28  u32  checksum          (of the page, checksum field zeroed)
+//! 32  u32  format_epoch      (page-layout version; currently 2)
 //! 36  ...  row data ↑   ...   slot dir ↓  [offset u16, len u16] * slot_count
 //! ```
 //!
-//! The checksum is stamped by the buffer cache immediately before each
-//! device write and verified on fetch; `Free` (never-formatted, all
-//! zero) pages are exempt. A mismatch means a torn write or media
-//! corruption — the page must be salvaged, never served as valid data.
+//! The checksum ([`btrim_common::checksum`]) is stamped by the buffer
+//! cache immediately before each device write and verified on fetch;
+//! the all-zero image a freshly allocated page reads back as is exempt.
+//! A mismatch means a torn write or media corruption — the page must be
+//! salvaged, never served as valid data.
 
-use btrim_common::{crc, PageId, PartitionId, SlotId, NULL_PAGE_ID};
+use btrim_common::checksum::{checksum_with_head, STRIPE};
+use btrim_common::{PageId, PartitionId, SlotId, NULL_PAGE_ID};
 
 /// Size of every page, in bytes.
 pub const PAGE_SIZE: usize = 8192;
 /// Size of the page header.
 pub const HEADER_SIZE: usize = 36;
 /// Current page-layout version stamped in the `format_epoch` field.
-pub const FORMAT_EPOCH: u32 = 1;
+pub const FORMAT_EPOCH: u32 = 2;
 /// Size of one slot-directory entry.
 pub const SLOT_ENTRY_SIZE: usize = 4;
 /// Largest row payload a single page can hold.
@@ -81,13 +83,17 @@ const OFF_EPOCH: usize = 32;
 /// valid offsets are >= HEADER_SIZE).
 const TOMBSTONE: u16 = 0;
 
-/// CRC-32 (IEEE) over the page with the checksum field treated as zero.
-/// Every buffer miss verifies it and every write-back stamps it.
+/// The checksum field ends the hash's first stripe, so hashing a page
+/// with the field read as zero copies only the 28 bytes before it.
+const _: () = assert!(OFF_CHECKSUM + 4 == STRIPE);
+
+/// Checksum of the page with the checksum field read as zero. Every
+/// buffer miss verifies it and every write-back stamps it.
 pub fn page_checksum(buf: &[u8]) -> u32 {
     debug_assert_eq!(buf.len(), PAGE_SIZE);
-    let crc = crc::update(crc::INIT, &buf[..OFF_CHECKSUM]);
-    let crc = crc::update(crc, &[0u8; 4]);
-    crc::finish(crc::update(crc, &buf[OFF_CHECKSUM + 4..]))
+    let mut head = [0u8; STRIPE];
+    head[..OFF_CHECKSUM].copy_from_slice(&buf[..OFF_CHECKSUM]);
+    checksum_with_head(&head, &buf[STRIPE..])
 }
 
 /// Stamp the checksum and format epoch into a page buffer. Called by the
@@ -98,13 +104,14 @@ pub fn stamp_page_checksum(buf: &mut [u8]) {
     buf[OFF_CHECKSUM..OFF_CHECKSUM + 4].copy_from_slice(&sum.to_le_bytes());
 }
 
-/// Verify a page buffer read from the device. `Free` pages (type byte 0,
-/// i.e. allocated-but-never-written) are exempt; everything else must
-/// carry a matching checksum.
+/// Verify a page buffer read from the device: it must carry a matching
+/// checksum, or be the all-zero image both disks' `allocate_page` leave
+/// on a page never written (tested only once the checksum has failed,
+/// so a verified miss pays for one hash). The type byte exempts
+/// nothing: every page the engine writes, `Free` ones included, is
+/// stamped, and one flipped bit turns a Heap or B-tree inner type into
+/// `Free`. A page zeroed *whole* cannot be told from one never written.
 pub fn verify_page_checksum(buf: &[u8]) -> bool {
-    if PageType::from_u8(buf[OFF_TYPE]) == PageType::Free {
-        return true;
-    }
     // A buffer too short to carry the checksum field cannot verify.
     let Some(stored) = buf
         .get(OFF_CHECKSUM..)
@@ -113,7 +120,7 @@ pub fn verify_page_checksum(buf: &[u8]) -> bool {
     else {
         return false;
     };
-    stored == page_checksum(buf)
+    stored == page_checksum(buf) || buf.iter().all(|&b| b == 0)
 }
 
 /// A formatted page over borrowed bytes: a [`PageView`] over `&[u8]`
@@ -664,31 +671,79 @@ mod tests {
         assert!(!verify_page_checksum(&flipped));
     }
 
-    /// On-disk format pin: the constant is what the build with the
-    /// bitwise page CRC (before the three CRC-32 copies became one)
-    /// stamped on this page.
-    #[test]
-    fn stamped_checksum_of_a_fixed_page_is_pinned() {
+    /// A fixed, stamped page of type `ty`: twenty 100-byte rows in a
+    /// heap page, eight 1000-byte cells in a B-tree page.
+    fn pinned_page(ty: PageType) -> Vec<u8> {
         let mut buf = fresh();
         {
-            let mut p = SlottedPage::init(&mut buf, PageType::Heap, PageId(7), PartitionId(3));
-            for i in 0..20u8 {
-                p.insert(&[i.wrapping_mul(37) ^ 0x5A; 100]).unwrap();
+            let mut p = SlottedPage::init(&mut buf, ty, PageId(7), PartitionId(3));
+            if ty == PageType::Heap {
+                for i in 0..20u8 {
+                    p.insert(&[i.wrapping_mul(37) ^ 0x5A; 100]).unwrap();
+                }
+            } else {
+                for i in 0..8u8 {
+                    p.insert_ordered(i as u16, 1000)
+                        .unwrap()
+                        .fill(i.wrapping_mul(37) ^ 0x5A);
+                }
             }
             p.set_page_lsn(99);
         }
         stamp_page_checksum(&mut buf);
-        assert_eq!(page_checksum(&buf), 0x0EAE_DB05);
+        buf
+    }
+
+    /// On-disk format pin: the checksums this build stamps on the fixed
+    /// pages. A change to the checksum or the layout must bump
+    /// `FORMAT_EPOCH` and re-pin.
+    #[test]
+    fn stamped_checksum_of_a_fixed_page_is_pinned() {
+        let buf = pinned_page(PageType::Heap);
+        assert_eq!(page_checksum(&buf), 0x13E6_C4A6);
         assert_eq!(
             buf[OFF_CHECKSUM..OFF_CHECKSUM + 4],
-            0x0EAE_DB05u32.to_le_bytes()
+            0x13E6_C4A6u32.to_le_bytes()
+        );
+        assert_eq!(
+            page_checksum(&pinned_page(PageType::BTreeLeaf)),
+            0xCD10_DE27
         );
     }
 
+    /// Every single-bit flip outside the checksum field is rejected,
+    /// the type byte included: one flip turns a Heap page's type (1) or
+    /// a B-tree inner page's (2) into `Free` (0), which must not exempt
+    /// it from verification.
     #[test]
-    fn free_pages_are_checksum_exempt() {
-        let buf = fresh();
-        assert!(verify_page_checksum(&buf));
+    fn every_single_bit_flip_of_a_stamped_page_is_rejected() {
+        for ty in [PageType::Heap, PageType::BTreeInner, PageType::BTreeLeaf] {
+            let mut buf = pinned_page(ty);
+            assert!(verify_page_checksum(&buf));
+            for bit in 0..PAGE_SIZE * 8 {
+                let byte = bit / 8;
+                if (OFF_CHECKSUM..OFF_CHECKSUM + 4).contains(&byte) {
+                    continue;
+                }
+                buf[byte] ^= 1 << (bit % 8);
+                assert!(
+                    !verify_page_checksum(&buf),
+                    "{ty:?}: bit {bit} went undetected"
+                );
+                buf[byte] ^= 1 << (bit % 8);
+            }
+        }
+    }
+
+    #[test]
+    fn only_the_all_zero_page_is_checksum_exempt() {
+        let mut buf = fresh();
+        assert!(verify_page_checksum(&buf), "a page never written");
+        buf[OFF_PAGE_ID] = 1; // a Free type byte alone does not exempt
+        assert!(!verify_page_checksum(&buf));
+        SlottedPage::init(&mut buf, PageType::Free, PageId(5), PartitionId(0));
+        stamp_page_checksum(&mut buf);
+        assert!(verify_page_checksum(&buf), "a stamped Free page");
     }
 
     /// The ordered directory: a slot id is a position, payloads keep the

@@ -234,7 +234,7 @@ proptest! {
     }
 
     /// Flipping any single bit of an encoded extent is detected by the
-    /// CRC trailer and reported as a typed error.
+    /// checksum trailer and reported as a typed error.
     #[test]
     fn bit_flipped_extents_error_cleanly(
         values in proptest::collection::vec(any::<u64>(), 1..60),

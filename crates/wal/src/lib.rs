@@ -11,7 +11,7 @@
 //!   IMRS data.
 //!
 //! [`log`] provides the append-only sinks (in-memory and file-backed)
-//! with CRC-checked framing that tolerates a torn tail; [`record`]
+//! with checksummed framing that tolerates a torn tail; [`record`]
 //! defines the log-record vocabulary for both logs; [`recovery`]
 //! implements log analysis (winners/losers) and the record streams the
 //! engine replays. The two logs are recovered independently with

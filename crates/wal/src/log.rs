@@ -1,6 +1,7 @@
-//! Append-only log sinks with CRC-checked framing.
+//! Append-only log sinks with checksummed framing.
 //!
-//! Frame layout: `[len: u32][crc32: u32][payload: len bytes]`. A reader
+//! Frame layout: `[len: u32][checksum: u32][payload: len bytes]`, the
+//! checksum being [`btrim_common::checksum`]'s. A reader
 //! stops at the first truncated or corrupt frame, which makes a torn
 //! tail after a crash harmless (the incomplete record was, by
 //! definition, unacknowledged).
@@ -13,10 +14,12 @@ use std::path::Path;
 use parking_lot::Mutex;
 
 use btrim_common::atomics::Relaxed;
+use btrim_common::checksum::checksum;
 use btrim_common::{Lsn, Result};
 
-/// The frames' checksum (re-exported: callers name it by this path).
-pub use btrim_common::crc::crc32;
+/// The frames' checksum under the name the benchmark's frozen probe
+/// (`wal.crc32_ns_per_kib`) calls it by; it is no longer CRC-32.
+pub use btrim_common::checksum::checksum as crc32;
 
 /// A contiguous LSN range reserved by one [`LogSink::append_batch`]
 /// call (`first..=last`, both inclusive).
@@ -252,24 +255,25 @@ impl LogSink for MemLog {
 /// File-backed log.
 ///
 /// Layout: a 16-byte header `[magic u64][base_lsn u64]` followed by
-/// CRC-framed records. `base_lsn` is the LSN of the last truncated
+/// checksum-framed records. `base_lsn` is the LSN of the last truncated
 /// record (0 for a fresh log); it keeps LSNs stable across
 /// [`truncate_prefix`](LogSink::truncate_prefix), which rewrites the
 /// file through a temp file + atomic rename.
 ///
 /// Besides per-record frames the body holds batch frames
 /// (`[sentinel u32 = 0xFFFF_FFFF][n_records u32][total_len u32]`
-/// `[crc u32][len_i u32 × n][payloads]`, CRC over everything after the
-/// crc field). A torn or corrupt batch frame drops the whole batch —
-/// never a prefix of its records. A file whose header carries any
-/// other magic is rejected as `Corrupt`.
+/// `[checksum u32][len_i u32 × n][payloads]`, the checksum over
+/// everything after its field). A torn or corrupt batch frame drops the
+/// whole batch — never a prefix of its records. A file whose header
+/// carries any other magic — an older format's included — is rejected
+/// as `Corrupt`, never truncated as if its frames were torn.
 pub struct FileLog {
     inner: Mutex<FileLogInner>,
     /// See [`MemLog::append_lock_acquisitions`].
     append_locks: Relaxed<u64>,
 }
 
-const FILE_MAGIC: u64 = 0x4254_5249_4D57_4132; // "BTRIMWA2"
+const FILE_MAGIC: u64 = 0x4254_5249_4D57_4133; // "BTRIMWA3"
 const HEADER_LEN: u64 = 16;
 /// Marks a batch frame where a per-record frame would put its length.
 /// Single-record appends reject payloads this large, so the sentinel
@@ -309,7 +313,7 @@ fn parse_frames(data: &[u8]) -> (Vec<Vec<u8>>, usize) {
             break;
         };
         if len == BATCH_SENTINEL {
-            let (Some(n), Some(total), Some(crc)) = (
+            let (Some(n), Some(total), Some(sum)) = (
                 read_u32_le(data, off + 4),
                 read_u32_le(data, off + 8),
                 read_u32_le(data, off + 12),
@@ -322,7 +326,7 @@ fn parse_frames(data: &[u8]) -> (Vec<Vec<u8>>, usize) {
                 break; // torn or nonsense batch: drop it whole
             }
             let body = &data[body_start..body_start + total];
-            if crc32(body) != crc {
+            if checksum(body) != sum {
                 break; // corrupt batch: drop it whole
             }
             // Body: n record lengths, then the concatenated payloads.
@@ -341,14 +345,14 @@ fn parse_frames(data: &[u8]) -> (Vec<Vec<u8>>, usize) {
             off = body_start + total;
         } else {
             let len = len as usize;
-            let Some(crc) = read_u32_le(data, off + 4) else {
+            let Some(sum) = read_u32_le(data, off + 4) else {
                 break;
             };
             if off + 8 + len > data.len() {
                 break; // torn tail
             }
             let payload = &data[off + 8..off + 8 + len];
-            if crc32(payload) != crc {
+            if checksum(payload) != sum {
                 break; // corrupt tail
             }
             out.push(payload.to_vec());
@@ -359,7 +363,7 @@ fn parse_frames(data: &[u8]) -> (Vec<Vec<u8>>, usize) {
 }
 
 /// Build a batch frame around pre-encoded payloads. Called by the
-/// committing thread *before* the log mutex is taken: all CRC work and
+/// committing thread *before* the log mutex is taken: all checksum work and
 /// header assembly happens outside the critical section.
 fn build_batch_frame(payloads: &[&[u8]]) -> Vec<u8> {
     let body_len = payloads.len() * 4 + payloads.iter().map(|p| p.len()).sum::<usize>();
@@ -367,15 +371,15 @@ fn build_batch_frame(payloads: &[&[u8]]) -> Vec<u8> {
     frame.extend_from_slice(&BATCH_SENTINEL.to_le_bytes());
     frame.extend_from_slice(&(payloads.len() as u32).to_le_bytes());
     frame.extend_from_slice(&(body_len as u32).to_le_bytes());
-    frame.extend_from_slice(&[0u8; 4]); // crc patched below
+    frame.extend_from_slice(&[0u8; 4]); // checksum patched below
     for p in payloads {
         frame.extend_from_slice(&(p.len() as u32).to_le_bytes());
     }
     for p in payloads {
         frame.extend_from_slice(p);
     }
-    let crc = crc32(&frame[BATCH_HEADER_LEN..]);
-    frame[12..16].copy_from_slice(&crc.to_le_bytes());
+    let sum = checksum(&frame[BATCH_HEADER_LEN..]);
+    frame[12..16].copy_from_slice(&sum.to_le_bytes());
     frame
 }
 
@@ -497,7 +501,7 @@ impl LogSink for FileLog {
         // buffered writes and nothing else.
         let mut header = [0u8; 8];
         header[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
-        header[4..].copy_from_slice(&crc32(payload).to_le_bytes());
+        header[4..].copy_from_slice(&checksum(payload).to_le_bytes());
         self.append_locks.fetch_add(1);
         let mut inner = self.inner.lock();
         let wrote = inner
@@ -517,7 +521,7 @@ impl LogSink for FileLog {
         if payloads.is_empty() {
             return Err(btrim_common::BtrimError::Invalid("empty log batch".into()));
         }
-        // The whole frame — lengths, payloads, CRC — is assembled by
+        // The whole frame — lengths, payloads, checksum — is assembled by
         // the committing thread before the mutex is taken.
         let frame = build_batch_frame(payloads);
         self.append_locks.fetch_add(1);
@@ -579,7 +583,7 @@ impl LogSink for FileLog {
             let mut bytes = 0u64;
             for (_, payload) in &keep {
                 tmp.write_all(&(payload.len() as u32).to_le_bytes())?;
-                tmp.write_all(&crc32(payload).to_le_bytes())?;
+                tmp.write_all(&checksum(payload).to_le_bytes())?;
                 tmp.write_all(payload)?;
                 bytes += payload.len() as u64 + 8;
             }
@@ -718,10 +722,10 @@ where
     /// Decode records until the first one that fails, returning the
     /// decodable prefix plus the number of records dropped behind it.
     ///
-    /// Frame-level corruption is already truncated by the sink's CRC
+    /// Frame-level corruption is already truncated by the sink's checksum
     /// contract; this extends the same truncate-at-first-bad-record
     /// policy to the decode layer, so recovery can salvage the intact
-    /// prefix of a log whose tail carries a corrupt (but CRC-framed)
+    /// prefix of a log whose tail carries a corrupt (but checksum-framed)
     /// record instead of failing wholesale.
     pub fn read_all_salvage(&self) -> Result<(Vec<(Lsn, R)>, u64)> {
         let raw = self.sink.read_all()?;
@@ -846,7 +850,7 @@ mod tests {
         let w: LogWriter<PageLogRecord> = LogWriter::new(sink.clone());
         w.append(&PageLogRecord::Begin { txn: TxnId(1) }).unwrap();
         w.append(&PageLogRecord::Abort { txn: TxnId(1) }).unwrap();
-        // A CRC-framed but undecodable record mid-log (e.g. written by
+        // A checksum-framed but undecodable record mid-log (e.g. written by
         // a lying device), followed by a good one.
         sink.append(&[0xFF, 0xFF]).unwrap();
         w.append(&PageLogRecord::Begin { txn: TxnId(2) }).unwrap();
@@ -1048,6 +1052,42 @@ mod batch_tests {
             FileLog::open(&path),
             Err(btrim_common::BtrimError::Corrupt(_))
         ));
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// A log the CRC-32 build wrote ("BTRIMWA2", intact frames) fails
+    /// loudly and stays as it was: read with this build's checksum every
+    /// frame would look torn, and `open` would truncate them all.
+    #[test]
+    fn a_crc32_framed_log_is_corrupt_and_left_untouched() {
+        fn crc32_bitwise(data: &[u8]) -> u32 {
+            let mut crc = 0xFFFF_FFFFu32;
+            for &b in data {
+                crc ^= b as u32;
+                for _ in 0..8 {
+                    crc = (crc >> 1) ^ (0xEDB8_8320 & (crc & 1).wrapping_neg());
+                }
+            }
+            !crc
+        }
+        let path = tmp("b5.wal");
+        let mut file = 0x4254_5249_4D57_4132u64.to_le_bytes().to_vec();
+        file.extend_from_slice(&0u64.to_le_bytes());
+        for payload in [b"first".as_ref(), b"second".as_ref()] {
+            file.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+            file.extend_from_slice(&crc32_bitwise(payload).to_le_bytes());
+            file.extend_from_slice(payload);
+        }
+        std::fs::write(&path, &file).unwrap();
+        assert!(matches!(
+            FileLog::open(&path),
+            Err(btrim_common::BtrimError::Corrupt(_))
+        ));
+        assert_eq!(
+            std::fs::read(&path).unwrap(),
+            file,
+            "the old log is kept whole"
+        );
         std::fs::remove_file(&path).unwrap();
     }
 

@@ -334,7 +334,7 @@ pub enum ImrsLogRecord {
     },
     /// A batch of page-resident rows re-encoded into an immutable
     /// columnar frozen extent. `data` is the complete encoded extent
-    /// (magic through CRC, self-validating); the paired page-store
+    /// (magic through checksum, self-validating); the paired page-store
     /// deletes live in syslogs under the same freeze transaction, so
     /// replay gates this record on that transaction's syslog verdict,
     /// exactly like Pack in the opposite direction.

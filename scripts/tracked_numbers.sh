@@ -22,14 +22,15 @@ append_sites() { cat crates/core/src/*.rs | grep -c "append_sys(&PageLogRecord::
 # Calls of a function (not its definition) from crates/core/src.
 call_sites() { cat crates/core/src/*.rs | grep -v "fn $1(" | grep -c "\b$1(" || true; }
 
-# Lines naming the CRC-32 polynomial outside `#[cfg(test)]` items: one
-# per implementation.
-crc32_impls() { awk '
+# Lines naming the checksum's first prime (XXH64's PRIME64_1, see
+# crates/common/src/checksum.rs) outside `#[cfg(test)]` items: one per
+# implementation.
+checksum_impls() { awk '
     FNR == 1 { pending = 0; test_fn = 0; test_mod = 0 }
     /#\[cfg\(test\)\]/ { pending = 1; next }
     /^[[:space:]]*(pub(\([a-z]+\))? )?mod / { if (pending) test_mod = 1; pending = 0 }
     /^[[:space:]]*(pub(\([a-z]+\))? )?(const )?fn / { test_fn = pending; pending = 0 }
-    /0xEDB8_8320/ && !test_fn && !test_mod { n++ }
+    /0x9E37_79B1_85EB_CA87/ && !test_fn && !test_mod { n++ }
     END { print n + 0 }' "$@"; }
 
 src_files=$(find crates/*/src -name '*.rs' | sort)
@@ -69,7 +70,7 @@ numbers() {
     # per-row state, a row's stashed before-images; keyed by the row so
     # that it follows the row when its address changes).
     echo "rowid_maps $(for f in $src_files; do sed '/^#\[cfg(test)\]/,$d' "$f"; done | grep -cE '^\s*(pub(\([a-z]+\))? )?([a-z_0-9]+:|type [A-Za-z]+ =) [^&]*(Hash|BTree)Map<RowId' || true)"
-    echo "crc32_impls $(crc32_impls $src_files)"
+    echo "checksum_impls $(checksum_impls $src_files)"
     # Every suppression: `#[allow(…)]` / `#[expect(…)]` attributes,
     # outer or inner.
     echo "lint_allow_escapes $(grep -rnE '#!?\[(allow|expect)\(' crates --include='*.rs' | wc -l)"

@@ -135,8 +135,9 @@ impl Engine {
             }
             sh.cache.sync_backend()?;
             sh.append_sys(&PageLogRecord::CheckpointEnd { begin_lsn })?;
-            // sysimrslogs first, like every other syslogs barrier: a move's
-            // syslogs half must not become durable ahead of its other half.
+            // sysimrslogs first, as a commit and a freeze batch flush: a
+            // foreground move's syslogs half must not become durable
+            // ahead of its sysimrslogs half.
             sh.imrslog.flush()?;
             sh.syslog.flush()?;
             let mut truncated_records = 0u64;

@@ -20,7 +20,9 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use btrim_common::atomics::SeqCst;
-use btrim_common::{BtrimError, LogicalClock, PageId, Result, RowId, SlotId, Timestamp, TxnId};
+use btrim_common::{
+    BtrimError, LogicalClock, Lsn, PageId, Result, RowId, SlotId, Timestamp, TxnId,
+};
 use btrim_imrs::{ImrsStore, RidMap, RowLocation, RowOrigin, VersionOp};
 use btrim_obs::{Obs, OpClass};
 use btrim_pagestore::{BufferCache, DiskBackend, FrozenExtent, MemDisk};
@@ -64,14 +66,10 @@ pub(crate) struct Shared {
     pub clock: Arc<LogicalClock>,
     pub syslog: LogWriter<PageLogRecord>,
     pub imrslog: LogWriter<ImrsLogRecord>,
-    /// Group committers coalescing durable-commit syncs per log.
-    pub group_sys: btrim_wal::GroupCommitter,
-    pub group_imrs: btrim_wal::GroupCommitter,
-    /// Foreground moves (cache, migrate, thaw) logged so far; they
-    /// never flush (see [`Shared::count_foreground_move`]).
-    moves_logged: SeqCst<u64>,
-    /// How many of those a completed sysimrslogs barrier has covered.
-    moves_durable: SeqCst<u64>,
+    /// sysimrslogs LSN of the newest foreground move's (cache, migrate,
+    /// thaw) record there; such moves never flush (see `movement.rs`,
+    /// "Who flushes"), so a syslogs barrier waits for this one first.
+    pub move_arrival: SeqCst<u64>,
     pub tsf: TsfLearner,
     pub gc: GcRegistry,
     pub tuner: Tuner,
@@ -89,32 +87,6 @@ pub(crate) struct Shared {
     pub ckpt: Checkpointer,
     /// What the last recovery salvaged/dropped (zeroes on clean start).
     pub recovery: Mutex<RecoveryReport>,
-}
-
-impl Shared {
-    /// A foreground move counts itself after its sysimrslogs record is
-    /// appended and before its syslogs `Commit` is, so a committer that
-    /// can see the `Commit` can also see that sysimrslogs owes a barrier.
-    pub fn count_foreground_move(&self) {
-        self.moves_logged.fetch_add(1);
-    }
-
-    /// A committer's sysimrslogs barrier (group commit: concurrent
-    /// committers share device syncs). Every foreground move logged
-    /// before it began is durable once it returns.
-    pub fn flush_imrs(&self) -> Result<()> {
-        let covers = self.moves_logged.load();
-        self.group_imrs.commit_flush()?;
-        self.moves_durable.fetch_max(covers);
-        Ok(())
-    }
-
-    /// Whether some foreground move's sysimrslogs half may still be
-    /// volatile: a syslogs barrier now could make the move's verdict
-    /// durable ahead of its arrival record.
-    pub fn move_halves_volatile(&self) -> bool {
-        self.moves_durable.load() < self.moves_logged.load()
-    }
 }
 
 /// Read back and compare every page write-back: catches torn or lying
@@ -231,10 +203,6 @@ impl Engine {
         // `None` when latency is off, so their hot paths skip the clock
         // reads the same way the engine's do.
         let hook = |class: OpClass| cfg.obs_latency.then(|| Arc::clone(obs.hist(class)));
-        let group_sys = btrim_wal::GroupCommitter::new(Arc::clone(&syslog))
-            .with_histogram(hook(OpClass::WalFsync));
-        let group_imrs = btrim_wal::GroupCommitter::new(Arc::clone(&imrslog))
-            .with_histogram(hook(OpClass::WalFsync));
         let ridmap = Arc::new(RidMap::new());
         let sh = Shared {
             cache: Arc::new(
@@ -254,10 +222,7 @@ impl Engine {
                 .with_histograms(hook(OpClass::WalAppend), hook(OpClass::WalFsync)),
             imrslog: LogWriter::new(imrslog)
                 .with_histograms(hook(OpClass::WalAppend), hook(OpClass::WalFsync)),
-            group_sys,
-            group_imrs,
-            moves_logged: SeqCst::new(0),
-            moves_durable: SeqCst::new(0),
+            move_arrival: SeqCst::new(0),
             tsf,
             gc: GcRegistry::new(),
             tuner: Tuner::with_obs(Arc::clone(&obs)),
@@ -1389,26 +1354,24 @@ impl Engine {
                 self.sh.append_sys(&PageLogRecord::Commit { txn: id, ts })?;
             }
             if self.sh.cfg.durable_commits {
-                // Group commit: concurrent committers share device
-                // syncs, and a transaction waits only for a log it
-                // appended to — one barrier for an IMRS-only or a
-                // page-only commit, none for a read-only one (it must
-                // commit cleanly even when the log device is gone). A
-                // mixed commit makes its IMRS records durable *before*
-                // the syslogs `Commit` so a durable verdict always has
-                // durable records behind it.
-                //
-                // The one barrier a transaction pays for records not
-                // its own: foreground moves never flush, and a move's
-                // syslogs `Commit` made durable ahead of its
-                // sysimrslogs half would redo the departure with
-                // nothing behind it — so a syslogs barrier is preceded
-                // by a sysimrslogs one while any such half is volatile.
-                if wrote_imrs || (wrote_sys && self.sh.move_halves_volatile()) {
-                    self.sh.flush_imrs()?;
+                // Each log's barrier is its group commit: concurrent
+                // committers share device syncs, and a transaction
+                // waits only for a log it appended to — one barrier for
+                // an IMRS-only or a page-only commit, none for a
+                // read-only one (it must commit cleanly even when the
+                // log device is gone). sysimrslogs goes first, so a
+                // durable syslogs `Commit` has durable IMRS records
+                // behind it: the transaction's own, or else the newest
+                // foreground move's, whose syslogs half made durable
+                // alone would redo its departure with nothing behind it
+                // (no sync when a barrier already covered it).
+                if wrote_imrs {
+                    self.sh.imrslog.flush()?;
+                } else if wrote_sys {
+                    self.sh.imrslog.flush_to(Lsn(self.sh.move_arrival.load()))?;
                 }
                 if wrote_sys {
-                    self.sh.group_sys.commit_flush()?;
+                    self.sh.syslog.flush()?;
                 }
             }
             Ok(())

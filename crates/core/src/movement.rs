@@ -24,7 +24,7 @@
 
 use std::sync::Arc;
 
-use btrim_common::{BtrimError, Result, RowId, Timestamp, TxnId};
+use btrim_common::{BtrimError, Lsn, Result, RowId, Timestamp, TxnId};
 use btrim_imrs::{RowLocation, RowOrigin};
 use btrim_pagestore::{FrozenExtent, HeapFile};
 use btrim_txn::LockMode;
@@ -322,8 +322,8 @@ fn relocate_locked(
         // would also make a foreground move's `Delete`/`Commit` durable
         // ahead of its volatile arrival record: settle those first,
         // before this batch's own `Pack` records could ride along.
-        if background_from_imrs && sh.move_halves_volatile() {
-            sh.flush_imrs()?;
+        if background_from_imrs {
+            sh.imrslog.flush_to(Lsn(sh.move_arrival.load()))?;
         }
         let mut logged = sh.append_sys(&PageLogRecord::Begin { txn })?;
         for s in sources.iter_mut() {
@@ -471,13 +471,14 @@ fn relocate_locked(
     //
     // Who flushes. A foreground move (cache, migrate, thaw) never does:
     // a flush per migration would sink durable-commit throughput. Its
-    // sysimrslogs half becomes durable with the next commit that writes
-    // there; it is counted *before* the `Commit` goes out so that any
-    // committer about to put a barrier on syslogs puts one on
-    // sysimrslogs first (`Engine::commit`) — syslogs never gets ahead.
+    // sysimrslogs half — its last record — becomes durable with the
+    // next barrier there; its LSN is published *before* the `Commit`
+    // goes out so that any committer about to put a barrier on syslogs
+    // waits for it on sysimrslogs first (`Engine::commit`) — syslogs
+    // never gets ahead.
     let foreground = out.extent.is_none() && !background_from_imrs;
     if foreground {
-        sh.count_foreground_move();
+        sh.move_arrival.fetch_max(logged.lsn().0);
     }
     let ts = sh.clock.tick();
     sh.append_sys(&PageLogRecord::Commit { txn, ts })?;

@@ -11,7 +11,9 @@
 //!   IMRS data.
 //!
 //! [`log`] provides the append-only sinks (in-memory and file-backed)
-//! with checksummed framing that tolerates a torn tail; [`record`]
+//! with checksummed framing that tolerates a torn tail, and the typed
+//! [`LogWriter`] whose leader/follower barrier is each log's one group
+//! commit and knows the log's durable LSN; [`record`]
 //! defines the log-record vocabulary for both logs; [`recovery`]
 //! implements log analysis (winners/losers) and the record streams the
 //! engine replays. The two logs are recovered independently with
@@ -33,12 +35,10 @@
 // protocol from `btrim_common::atomics` (clippy.toml lists the types).
 #![deny(clippy::disallowed_types)]
 
-pub mod group;
 pub mod log;
 pub mod record;
 pub mod recovery;
 
-pub use group::GroupCommitter;
 pub use log::{FileLog, LogSink, LogWriter, LsnRange, MemLog};
 pub use record::{Encodable, ImrsLogRecord, PageLogRecord, RowOriginTag};
 pub use recovery::{analyze_page_log, LogAnalysis};

@@ -11,7 +11,7 @@ use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::Path;
 
-use parking_lot::Mutex;
+use parking_lot::{Condvar, Mutex};
 
 use btrim_common::atomics::Relaxed;
 use btrim_common::checksum::checksum;
@@ -627,11 +627,23 @@ fn with_scratch<T>(f: impl FnOnce(&mut Vec<u8>) -> T) -> T {
     })
 }
 
-/// Typed writer over a sink: encodes records and supports group flush.
+/// Leader/follower state of a [`LogWriter`]'s barrier.
+#[derive(Default)]
+struct Barrier {
+    /// Every record up to this LSN is durable.
+    durable: u64,
+    /// Whether a leader is syncing now.
+    syncing: bool,
+}
+
+/// Typed writer over a sink: encodes records, and owns the log's one
+/// durability barrier ([`flush_to`](Self::flush_to)).
 pub struct LogWriter<R> {
     sink: std::sync::Arc<dyn LogSink>,
-    /// Optional latency histograms (nanoseconds) for appends and
-    /// flushes; attached by the engine's observability layer. Held as
+    barrier: Mutex<Barrier>,
+    synced: Condvar,
+    /// Optional latency histograms (nanoseconds) for appends and device
+    /// syncs; attached by the engine's observability layer. Held as
     /// bare histograms so this crate stays independent of `btrim-obs`.
     append_hist: Option<std::sync::Arc<btrim_common::LatencyHistogram>>,
     flush_hist: Option<std::sync::Arc<btrim_common::LatencyHistogram>>,
@@ -642,17 +654,20 @@ impl<R> LogWriter<R>
 where
     R: crate::record::Encodable,
 {
-    /// Wrap a sink.
+    /// Wrap a sink. Nothing counts as durable until the first barrier:
+    /// a reopened sink's records may still sit in a volatile cache.
     pub fn new(sink: std::sync::Arc<dyn LogSink>) -> Self {
         LogWriter {
             sink,
+            barrier: Mutex::with_rank(parking_lot::lock_rank::GROUP_COMMIT, Barrier::default()),
+            synced: Condvar::new(),
             append_hist: None,
             flush_hist: None,
             _marker: std::marker::PhantomData,
         }
     }
 
-    /// Attach append/flush latency histograms (builder style, like the
+    /// Attach append/sync latency histograms (builder style, like the
     /// buffer cache's `with_io_retry`).
     pub fn with_histograms(
         mut self,
@@ -700,14 +715,50 @@ where
         out
     }
 
-    /// Durably flush (commit boundary).
+    /// Make every record appended so far durable, whoever appended it
+    /// (straight through [`sink`](Self::sink) included).
     pub fn flush(&self) -> Result<()> {
-        let t = self.flush_hist.as_ref().map(|_| std::time::Instant::now());
-        let out = self.sink.flush();
-        if let (Some(h), Some(t)) = (&self.flush_hist, t) {
-            h.record(t.elapsed().as_nanos() as u64);
+        // The sink's last LSN, read before the barrier lock: the sink's
+        // own lock ranks below it.
+        self.flush_to(Lsn(self.sink.record_count()))
+    }
+
+    /// Every record up to `lsn` durable so far.
+    pub fn durable_lsn(&self) -> Lsn {
+        Lsn(self.barrier.lock().durable)
+    }
+
+    /// Return once every record up to `lsn` is durable. A caller that
+    /// finds no sync in flight leads: one device sync covers every
+    /// record appended by the time it starts, concurrent callers whose
+    /// records it covers return without one, and the rest wait to lead
+    /// the next. A caller already covered never touches the device. A
+    /// failed sync fails its leader; each waiter then retries it. `lsn`
+    /// is one this log has handed out (or zero).
+    pub fn flush_to(&self, lsn: Lsn) -> Result<()> {
+        let mut b = self.barrier.lock();
+        while b.durable < lsn.0 {
+            if b.syncing {
+                self.synced.wait(&mut b);
+                continue;
+            }
+            b.syncing = true;
+            drop(b);
+            let covers = self.sink.record_count();
+            let t = self.flush_hist.as_ref().map(|_| std::time::Instant::now());
+            let result = self.sink.flush();
+            if let (Some(h), Some(t)) = (&self.flush_hist, t) {
+                h.record(t.elapsed().as_nanos() as u64);
+            }
+            b = self.barrier.lock();
+            b.syncing = false;
+            if result.is_ok() {
+                b.durable = b.durable.max(covers);
+            }
+            self.synced.notify_all();
+            result?;
         }
-        out
+        Ok(())
     }
 
     /// Decode every intact record.
@@ -1286,5 +1337,251 @@ mod truncation_tests {
         assert_eq!(log.append(b"a").unwrap(), Lsn(6));
         assert_eq!(log.read_all().unwrap(), vec![(Lsn(6), b"a".to_vec())]);
         std::fs::remove_file(&path).unwrap();
+    }
+}
+
+#[cfg(test)]
+mod barrier_tests {
+    use super::*;
+    use crate::record::PageLogRecord;
+    use btrim_common::atomics::SeqCst;
+    use std::sync::Arc;
+
+    /// A sink that counts device syncs, notes how many records each one
+    /// saw, and makes each take `delay`, so that concurrent committers
+    /// pile up behind the leader.
+    struct CountingSink {
+        inner: MemLog,
+        delay: std::time::Duration,
+        flushes: Relaxed<u64>,
+        seen_at_flush: Relaxed<u64>,
+    }
+
+    impl CountingSink {
+        fn new(delay_ms: u64) -> Arc<Self> {
+            Arc::new(CountingSink {
+                inner: MemLog::new(),
+                delay: std::time::Duration::from_millis(delay_ms),
+                flushes: Relaxed::new(0),
+                seen_at_flush: Relaxed::new(0),
+            })
+        }
+    }
+
+    impl LogSink for CountingSink {
+        fn append(&self, payload: &[u8]) -> Result<Lsn> {
+            self.inner.append(payload)
+        }
+        fn append_batch(&self, payloads: &[&[u8]]) -> Result<LsnRange> {
+            self.inner.append_batch(payloads)
+        }
+        fn flush(&self) -> Result<()> {
+            self.flushes.fetch_add(1);
+            self.seen_at_flush.store(self.inner.record_count());
+            std::thread::sleep(self.delay);
+            self.inner.flush()
+        }
+        fn read_all(&self) -> Result<Vec<(Lsn, Vec<u8>)>> {
+            self.inner.read_all()
+        }
+        fn record_count(&self) -> u64 {
+            self.inner.record_count()
+        }
+        fn byte_size(&self) -> u64 {
+            self.inner.byte_size()
+        }
+        fn truncate_prefix(&self, upto: Lsn) -> Result<()> {
+            self.inner.truncate_prefix(upto)
+        }
+    }
+
+    fn writer(sink: &Arc<impl LogSink + 'static>) -> LogWriter<PageLogRecord> {
+        LogWriter::new(sink.clone())
+    }
+
+    #[test]
+    fn single_committer_flushes_once() {
+        let sink = CountingSink::new(5);
+        let w = writer(&sink);
+        sink.append(b"r").unwrap();
+        w.flush().unwrap();
+        assert_eq!(sink.flushes.load(), 1);
+        assert_eq!(w.durable_lsn(), Lsn(1));
+    }
+
+    #[test]
+    fn concurrent_commits_share_syncs() {
+        let sink = CountingSink::new(5);
+        let w = writer(&sink);
+        let committers = 16;
+        let per = 10;
+        std::thread::scope(|s| {
+            for t in 0..committers {
+                let (w, sink) = (&w, &sink);
+                s.spawn(move || {
+                    for i in 0..per {
+                        sink.append(&[t as u8, i as u8]).unwrap();
+                        w.flush().unwrap();
+                    }
+                });
+            }
+        });
+        let total_commits = (committers * per) as u64;
+        let syncs = sink.flushes.load();
+        assert!(syncs >= 1);
+        assert!(
+            syncs < total_commits / 2,
+            "group commit must coalesce: {syncs} syncs for {total_commits} commits"
+        );
+        assert_eq!(sink.record_count(), total_commits);
+        assert_eq!(w.durable_lsn(), Lsn(total_commits));
+    }
+
+    /// A sink whose flushes block until the device "dies", then fail —
+    /// and keep failing — so concurrent committers are caught mid-sync.
+    struct DyingSink {
+        inner: MemLog,
+        dead: SeqCst<bool>,
+        entered: SeqCst<u64>,
+    }
+
+    impl LogSink for DyingSink {
+        fn append(&self, payload: &[u8]) -> Result<Lsn> {
+            self.inner.append(payload)
+        }
+        fn flush(&self) -> Result<()> {
+            self.entered.fetch_add(1);
+            // Hold the leader in the sync until the device dies.
+            while !self.dead.load() {
+                std::thread::sleep(std::time::Duration::from_millis(1));
+            }
+            Err(btrim_common::BtrimError::Io(std::io::Error::other(
+                "log device died mid-sync",
+            )))
+        }
+        fn read_all(&self) -> Result<Vec<(Lsn, Vec<u8>)>> {
+            self.inner.read_all()
+        }
+        fn record_count(&self) -> u64 {
+            self.inner.record_count()
+        }
+        fn byte_size(&self) -> u64 {
+            self.inner.byte_size()
+        }
+        fn truncate_prefix(&self, upto: Lsn) -> Result<()> {
+            self.inner.truncate_prefix(upto)
+        }
+    }
+
+    #[test]
+    fn device_death_mid_sync_errors_leader_and_all_followers() {
+        let sink = Arc::new(DyingSink {
+            inner: MemLog::new(),
+            dead: SeqCst::new(false),
+            entered: SeqCst::new(0),
+        });
+        let w = Arc::new(writer(&sink));
+        let committers = 8;
+        let (tx, rx) = std::sync::mpsc::channel::<Result<()>>();
+        let mut handles = Vec::new();
+        for t in 0..committers {
+            let w = Arc::clone(&w);
+            let sink = Arc::clone(&sink);
+            let tx = tx.clone();
+            handles.push(std::thread::spawn(move || {
+                sink.append(&[t as u8]).unwrap();
+                let _ = tx.send(w.flush());
+            }));
+        }
+        drop(tx);
+        // Let a leader enter the sync and followers pile up on the
+        // condvar, then kill the device.
+        while sink.entered.load() == 0 {
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+        std::thread::sleep(std::time::Duration::from_millis(10));
+        sink.dead.store(true);
+        // Every committer must return an error *promptly* — nobody may
+        // hang on the condvar waiting for a flush that will never come.
+        let deadline = std::time::Duration::from_secs(10);
+        for _ in 0..committers {
+            match rx.recv_timeout(deadline) {
+                Ok(res) => assert!(res.is_err(), "sync died: the barrier must fail"),
+                Err(_) => panic!("a committer is stranded on the condvar"),
+            }
+        }
+        for h in handles {
+            h.join().unwrap();
+        }
+        // Followers that woke to a failed leader retried as leaders
+        // themselves and hit the dead device; the sync was attempted at
+        // least once, nobody was left syncing and nothing counts as
+        // durable.
+        assert!(sink.entered.load() >= 1);
+        assert!(!w.barrier.lock().syncing);
+        assert_eq!(w.durable_lsn(), Lsn(0));
+    }
+
+    #[test]
+    fn a_barrier_covers_a_batchs_lsn_range() {
+        // A batch reserves its whole LSN range before the barrier reads
+        // the sink's last LSN, so one sync covers every record of it.
+        let sink = CountingSink::new(0);
+        let w = writer(&sink);
+        let range = sink
+            .append_batch(&[b"a".as_ref(), b"b".as_ref(), b"c".as_ref(), b"d".as_ref()])
+            .unwrap();
+        w.flush_to(range.last).unwrap();
+        assert!(
+            sink.seen_at_flush.load() >= range.last.0,
+            "sync must cover the whole batch LSN range"
+        );
+        assert_eq!(w.durable_lsn(), range.last);
+    }
+
+    #[test]
+    fn sequential_commits_each_get_their_own_sync() {
+        let sink = CountingSink::new(0);
+        let w = writer(&sink);
+        for i in 0..5u8 {
+            sink.append(&[i]).unwrap();
+            w.flush().unwrap();
+        }
+        // No concurrency to coalesce: every commit sync is real.
+        assert_eq!(sink.flushes.load(), 5);
+    }
+
+    #[test]
+    fn a_barrier_with_nothing_new_to_cover_issues_no_sync() {
+        let sink = CountingSink::new(0);
+        let w = writer(&sink);
+        // An empty log is durable as it stands.
+        w.flush().unwrap();
+        assert_eq!(sink.flushes.load(), 0);
+        let txn = btrim_common::TxnId(1);
+        let first = w.append(&PageLogRecord::Begin { txn }).unwrap();
+        let second = w.append(&PageLogRecord::Abort { txn }).unwrap();
+        // Waiting for the first record syncs both.
+        w.flush_to(first).unwrap();
+        assert_eq!(sink.flushes.load(), 1);
+        w.flush_to(second).unwrap();
+        w.flush().unwrap();
+        w.flush_to(Lsn::ZERO).unwrap();
+        assert_eq!(sink.flushes.load(), 1, "nothing appended since the sync");
+        assert_eq!(w.durable_lsn(), second);
+    }
+
+    #[test]
+    fn a_barrier_credits_records_appended_straight_through_the_sink() {
+        let sink = CountingSink::new(0);
+        let w = writer(&sink);
+        w.sink().append(b"raw").unwrap();
+        w.sink()
+            .append_batch(&[b"x".as_ref(), b"y".as_ref()])
+            .unwrap();
+        w.flush().unwrap();
+        assert_eq!((sink.flushes.load(), w.durable_lsn()), (1, Lsn(3)));
+        w.flush_to(Lsn(3)).unwrap();
+        assert_eq!(sink.flushes.load(), 1);
     }
 }

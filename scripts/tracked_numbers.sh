@@ -76,10 +76,11 @@ numbers() {
     echo "lint_allow_escapes $(grep -rnE '#!?\[(allow|expect)\(' crates --include='*.rs' | wc -l)"
     echo "begin_append_sites $(append_sites Begin)"
     echo "commit_append_sites $(append_sites Commit)"
-    # A user transaction announces itself in syslogs only on a page arm,
-    # and waits only for the logs it wrote: one call site per log.
+    # A user transaction announces itself in syslogs only on a page arm.
     echo "ensure_begin_call_sites $(call_sites ensure_begin)"
-    echo "commit_flush_call_sites $(call_sites commit_flush)"
+    # Where a foreground move's sysimrslogs half is settled before a
+    # syslogs barrier: a page-only commit and a pack batch.
+    echo "flush_to_call_sites $(call_sites flush_to)"
 }
 
 over=0

@@ -19,10 +19,11 @@
 //!   held, and inside it only the arena's and the allocator's unranked
 //!   leaf mutexes are taken — so the stripes sit between frames and the
 //!   side store. (The RID-Map itself is all-atomic and has no lock.)
-//! * The group-commit leader drops the generation lock before calling
-//!   `sink.flush()` (which takes the log's inner lock) — so the
-//!   generation lock must rank above the WAL log, making a flush under
-//!   the generation lock an immediate witness failure.
+//! * A log's barrier reads the sink's last LSN (`record_count()`) and
+//!   syncs (`sink.flush()`) outside its state lock — both take the
+//!   log's inner lock — so the barrier state ranks above the WAL log,
+//!   making either one under the barrier lock an immediate witness
+//!   failure.
 
 /// Engine maintenance gate (`core::maintenance::Maintenance::gate`).
 pub const ENGINE_STATE: u16 = 10;
@@ -62,7 +63,10 @@ pub const WAL_LOG: u16 = 50;
 /// the log lock is not held then, but DML callers may still hold locks
 /// up to the WAL tier, so the table ranks just above the log.
 pub const TXN_LOG_FLOOR: u16 = 55;
-/// Group-commit generation state (`wal::group::GroupCommitter::state`).
+/// A log's barrier state — its durable LSN and whether a leader is
+/// syncing (`wal::log::LogWriter::barrier`): each log's group commit.
+/// Above `WAL_LOG`, so `record_count()` and `flush()` on the sink are
+/// called outside it.
 pub const GROUP_COMMIT: u16 = 60;
 
 /// `(class name, rank)` pairs, ascending — what witness panic messages

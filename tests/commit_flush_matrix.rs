@@ -526,11 +526,11 @@ fn the_arrival_record_commits_a_move_whatever_prefix_of_its_syslogs_half_survive
 /// — the cached row gone from both tiers, the thawed row on a page
 /// *and* live in its extent. So that commit waits for sysimrslogs
 /// first, like every commit did before IMRS-only ones stopped writing
-/// syslogs.
+/// syslogs — unless a barrier there already covered the move, as a
+/// checkpoint's does: then it pays no sysimrslogs sync at all.
 #[test]
 fn a_syslogs_barrier_never_outruns_the_other_half_of_a_move() {
-    for thaw in [false, true] {
-        let label = if thaw { "thaw" } else { "cache" };
+    for label in ["cache", "thaw", "cache, then checkpoint"] {
         let rig = Rig::new(EngineMode::IlmOn);
         let mut model = Model::new();
         rig.load("hot", &[(1, 10), (2, 20)], &mut model);
@@ -540,7 +540,7 @@ fn a_syslogs_barrier_never_outruns_the_other_half_of_a_move() {
         let e = &rig.engine;
         let key = 1u64.to_be_bytes();
         let mut txn;
-        if thaw {
+        if label == "thaw" {
             // A write that thaws its row leaves it on its page: the
             // transaction's own records are all on syslogs.
             assert_eq!(freeze_tick(e), 2, "{label}: rows frozen");
@@ -558,6 +558,9 @@ fn a_syslogs_barrier_never_outruns_the_other_half_of_a_move() {
             e.commit(reader).unwrap();
             assert_eq!(rig.home("hot", 1), Some(RowLocation::Imrs));
             assert_eq!(rig.flushes(), before, "{label}: the reader flushed");
+            if label == "cache, then checkpoint" {
+                e.checkpoint().unwrap();
+            }
             txn = e.begin();
             assert!(e.update(&mut txn, &cold, &key, &row(1, 11)).unwrap());
             model.insert(("cold", 1), Some(11));
@@ -565,9 +568,14 @@ fn a_syslogs_barrier_never_outruns_the_other_half_of_a_move() {
         let before = rig.flushes();
         e.commit(txn).unwrap();
         let after = rig.flushes();
+        let imrs_barriers = if label == "cache, then checkpoint" {
+            0
+        } else {
+            1
+        };
         assert_eq!(
             (after.0 - before.0, after.1 - before.1),
-            (1, 1),
+            (imrs_barriers, 1),
             "{label}: (sysimrslogs, syslogs) barriers at commit"
         );
         // Both halves of the move are durable: nothing left to retire.

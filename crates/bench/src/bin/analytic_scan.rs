@@ -16,8 +16,8 @@
 
 use std::time::Instant;
 
-use btrim_core::freeze::freeze_tick;
 use btrim_core::pack::{pack_cycle, PackLevel};
+use btrim_core::Actor;
 use btrim_core::{Engine, EngineConfig, EngineMode};
 use btrim_tpcc::analytics;
 use btrim_tpcc::loader::{load, LoadSpec};
@@ -59,7 +59,7 @@ fn main() {
     // frozen table (the later sweep adds opaque extents from tables
     // without declared layouts, which would muddy the ratio).
     let snap_stats = engine.snapshot();
-    freeze_tick(&engine); // sweep any other table with cold pages
+    engine.step(Actor::Freeze); // sweep any other table with cold pages
     println!("# HTAP analytic scan — ORDER-LINE, delivered-quantity aggregate");
     println!(
         "frozen: {} extents, {} rows, {:.1} KiB raw -> {:.1} KiB encoded ({:.2}x compression)",
@@ -111,27 +111,15 @@ fn main() {
     assert_eq!(col.rows_matched, row_matched, "match counts diverged");
     assert_eq!(col.sums[0], row_sum, "aggregates diverged");
 
-    btrim_bench::header(&[
-        "path",
-        "rows_scanned",
-        "rows_frozen_served",
-        "us_per_scan",
-        "speedup",
-    ]);
+    println!("path\trows_scanned\trows_frozen_served\tus_per_scan\tspeedup");
     let c_us = columnar.as_secs_f64() * 1e6;
     let r_us = row_at_a_time.as_secs_f64() * 1e6;
-    btrim_bench::row(&[
-        "analytic_scan".into(),
-        col.rows_scanned.to_string(),
-        col.frozen_rows.to_string(),
-        format!("{c_us:.1}"),
-        "1.00".into(),
-    ]);
-    btrim_bench::row(&[
-        "row_at_a_time".into(),
-        row_scanned.to_string(),
-        "0".into(),
-        format!("{r_us:.1}"),
-        format!("{:.2}", r_us / c_us),
-    ]);
+    println!(
+        "analytic_scan\t{}\t{}\t{c_us:.1}\t1.00",
+        col.rows_scanned, col.frozen_rows
+    );
+    println!(
+        "row_at_a_time\t{row_scanned}\t0\t{r_us:.1}\t{:.2}",
+        r_us / c_us
+    );
 }

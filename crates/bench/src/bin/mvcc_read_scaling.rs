@@ -159,23 +159,13 @@ fn run_cell(writers: usize) -> Cell {
 fn main() {
     println!("# MVCC read scaling — 4 snapshot readers vs 1/4/8 writers");
     println!("# read txn = {READS_PER_SNAPSHOT} customer point reads; write txn = {WRITES_PER_TXN} balance updates");
-    btrim_bench::header(&[
-        "read_path",
-        "writers",
-        "reader_p50_us",
-        "reader_p99_us",
-        "read_txns",
-        "write_txns",
-    ]);
+    println!("read_path\twriters\treader_p50_us\treader_p99_us\tread_txns\twrite_txns");
     for writers in [1usize, 4, 8] {
         let cell = run_cell(writers);
-        btrim_bench::row(&[
-            "mvcc".to_string(),
-            writers.to_string(),
-            btrim_bench::f3(cell.p50_us),
-            btrim_bench::f3(cell.p99_us),
-            cell.reads.to_string(),
-            cell.writes.to_string(),
-        ]);
+        let (p50, p99) = (cell.p50_us, cell.p99_us);
+        println!(
+            "mvcc\t{writers}\t{p50:.3}\t{p99:.3}\t{}\t{}",
+            cell.reads, cell.writes
+        );
     }
 }

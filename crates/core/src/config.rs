@@ -69,9 +69,6 @@ pub struct EngineConfig {
     pub maintenance_interval_txns: u64,
     /// Pack-cycle apportioning policy (ablation knob).
     pub pack_policy: PackPolicy,
-    /// Master switch for the pack subsystem (probes and ablations can
-    /// hold pack off while GC, tuning, and TSF learning keep running).
-    pub pack_enabled: bool,
     /// Ablation: disable the Timestamp Filter (§VI.D). Steady-state
     /// pack then treats every queued row as cold, so recently-accessed
     /// rows get packed and immediately migrate back on their next
@@ -123,7 +120,6 @@ impl Default for EngineConfig {
             reuse_reenable_factor: 2.0,
             maintenance_interval_txns: 256,
             pack_policy: PackPolicy::Partitioned,
-            pack_enabled: true,
             tsf_enabled: true,
             durable_commits: false,
             recovery_workers: 0,

@@ -143,7 +143,7 @@ pub(crate) fn build_columns(
 
 /// One freeze tick: visit every non-pinned table partition and freeze
 /// at most one extent per partition. Returns rows frozen.
-pub fn freeze_tick(engine: &Engine) -> u64 {
+pub(crate) fn freeze_tick(engine: &Engine) -> u64 {
     let sh = &engine.sh;
     if !sh.cfg.freeze_enabled || sh.health.check_writable().is_err() {
         return 0;

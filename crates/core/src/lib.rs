@@ -96,6 +96,7 @@ pub use config::{EngineConfig, EngineMode};
 pub use engine::{Engine, SnapshotTxn};
 pub use freeze::FreezeStats;
 pub use health::HealthState;
+pub use maintenance::Actor;
 pub use recovery::RecoveryReport;
 pub use scan::{ScanResult, ScanSpec};
 pub use stats::EngineSnapshot;

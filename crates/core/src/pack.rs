@@ -140,12 +140,9 @@ pub fn level_for(util: f64, steady: f64, aggressive: f64) -> PackLevel {
 /// every few ticks. Only a cycle that the 5 % cap limited (far above the
 /// line) and that made progress is followed by another. Returns bytes
 /// packed.
-pub fn pack_tick(engine: &Engine) -> u64 {
+pub(crate) fn pack_tick(engine: &Engine) -> u64 {
     let sh = &engine.sh;
     let cfg = &sh.cfg;
-    if !cfg.pack_enabled {
-        return 0;
-    }
     let mut total = 0u64;
     // Bounded loop: ~32 cycles of 5 % drain any overshoot.
     for _ in 0..32 {

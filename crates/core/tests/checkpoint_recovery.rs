@@ -2,12 +2,15 @@
 //! bound redo, but never flush IMRS data — the IMRS is always rebuilt
 //! from the redo-only log.
 
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
 
+use btrim_common::PageId;
 use btrim_core::catalog::{Partitioner, TableOpts};
 use btrim_core::checkpoint::CHECKPOINT_FLUSH_BATCH;
 use btrim_core::{Engine, EngineConfig, EngineMode, IlmTraceEvent};
-use btrim_pagestore::MemDisk;
+use btrim_pagestore::{DiskBackend, MemDisk};
 use btrim_wal::{analyze_page_log, LogWriter, MemLog, PageLogRecord};
 
 fn mkrow(key: u64, payload: &[u8]) -> Vec<u8> {
@@ -239,25 +242,97 @@ fn fuzzy_checkpoint_truncates_with_a_writer_in_flight() {
     e.commit(txn).unwrap();
 }
 
+/// A page device that holds one page write of the checkpoint thread
+/// until `ready()`: the first write of a seeded page from the second
+/// flush batch on. A hold longer than `HOLD_LIMIT` gives up and is
+/// recorded, so a checkpoint that stalls writers fails the test instead
+/// of hanging it.
+struct HeldWrite {
+    inner: MemDisk,
+    hold: Mutex<Option<Hold>>,
+    timed_out: AtomicBool,
+}
+
+struct Hold {
+    thread: std::thread::ThreadId,
+    /// Writes of this thread to let through first.
+    skip: usize,
+    /// Only pages below this id (the seeded ones) are held.
+    below: u32,
+    ready: Box<dyn Fn() -> bool + Send>,
+}
+
+const HOLD_LIMIT: Duration = Duration::from_secs(30);
+
+impl DiskBackend for HeldWrite {
+    fn read_page(&self, id: PageId, buf: &mut [u8]) -> btrim_common::Result<()> {
+        self.inner.read_page(id, buf)
+    }
+    fn write_page(&self, id: PageId, buf: &[u8]) -> btrim_common::Result<()> {
+        let held = {
+            let mut hold = self.hold.lock().unwrap();
+            match hold.as_mut() {
+                Some(h) if h.thread == std::thread::current().id() && h.skip > 0 => {
+                    h.skip -= 1;
+                    None
+                }
+                Some(h) if h.thread == std::thread::current().id() && id.0 < h.below => hold.take(),
+                _ => None,
+            }
+        };
+        if let Some(h) = held {
+            let start = Instant::now();
+            while !(h.ready)() {
+                if start.elapsed() > HOLD_LIMIT {
+                    self.timed_out.store(true, Ordering::Relaxed);
+                    break;
+                }
+                std::thread::yield_now();
+            }
+        }
+        self.inner.write_page(id, buf)
+    }
+    fn allocate_page(&self) -> btrim_common::Result<PageId> {
+        self.inner.allocate_page()
+    }
+    fn num_pages(&self) -> u32 {
+        self.inner.num_pages()
+    }
+    fn sync(&self) -> btrim_common::Result<()> {
+        self.inner.sync()
+    }
+    fn reads(&self) -> u64 {
+        self.inner.reads()
+    }
+    fn writes(&self) -> u64 {
+        self.inner.writes()
+    }
+}
+
 /// The fuzzy checkpoint never quiesces: eight writer threads must keep
 /// committing while the checkpoint's rate-limited flush batches run.
+/// The checkpoint thread's first write of the second batch is held
+/// until the writers have committed eight more transactions, so the
+/// overlap does not depend on how the host schedules the threads.
 #[test]
 fn writers_make_progress_during_a_fuzzy_checkpoint() {
-    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+    let disk = Arc::new(HeldWrite {
+        inner: MemDisk::new(),
+        hold: Mutex::new(None),
+        timed_out: AtomicBool::new(false),
+    });
     let e = Engine::with_devices(
         EngineConfig {
             buffer_frames: 16 * CHECKPOINT_FLUSH_BATCH,
             ..cfg(EngineMode::PageOnly)
         },
-        Arc::new(MemDisk::new()),
+        Arc::clone(&disk) as Arc<dyn DiskBackend>,
         Arc::new(MemLog::new()),
         Arc::new(MemLog::new()),
     );
     let t = e.create_table(opts()).unwrap();
     // Seed several flush batches of dirty pages (about eight ~1 KiB
-    // rows fill one), all cached: the checkpoint window is wide enough
-    // that writer overlap is deterministic in practice, not a
-    // scheduling accident.
+    // rows fill one), all cached.
     {
         let mut txn = e.begin();
         for i in 0..8 * 8 * CHECKPOINT_FLUSH_BATCH as u64 {
@@ -265,38 +340,67 @@ fn writers_make_progress_during_a_fuzzy_checkpoint() {
         }
         e.commit(txn).unwrap();
     }
+    let seeded = disk.num_pages();
+    // The writers have a table of their own, so none of them ever needs
+    // the latch of the seeded page whose write is held.
+    let w = e
+        .create_table(TableOpts {
+            name: "w".into(),
+            ..opts()
+        })
+        .unwrap();
     let stop = AtomicBool::new(false);
-    let counters: Vec<AtomicU64> = (0..8).map(|_| AtomicU64::new(0)).collect();
-    std::thread::scope(|s| {
-        let (e, t, stop, counters) = (&e, &t, &stop, &counters);
-        for w in 0..8u64 {
-            s.spawn(move || {
-                let mut n = 0u64;
-                while !stop.load(Ordering::Relaxed) {
-                    let key = 1_000_000 * (w + 1) + n;
-                    let mut txn = e.begin();
-                    e.insert(&mut txn, t, &mkrow(key, b"writer")).unwrap();
-                    e.commit(txn).unwrap();
-                    counters[w as usize].fetch_add(1, Ordering::Relaxed);
-                    n += 1;
-                }
-            });
-        }
-        let total = || {
+    let counters: Arc<Vec<AtomicU64>> = Arc::new((0..8).map(|_| AtomicU64::new(0)).collect());
+    let total = {
+        let counters = Arc::clone(&counters);
+        move || {
             counters
                 .iter()
                 .map(|c| c.load(Ordering::Relaxed))
                 .sum::<u64>()
-        };
+        }
+    };
+    std::thread::scope(|s| {
+        let (e, w, stop, counters) = (&e, &w, &stop, &counters);
+        for wr in 0..8u64 {
+            s.spawn(move || {
+                let mut n = 0u64;
+                while !stop.load(Ordering::Relaxed) {
+                    let key = 1_000_000 * (wr + 1) + n;
+                    let mut txn = e.begin();
+                    e.insert(&mut txn, w, &mkrow(key, b"writer")).unwrap();
+                    e.commit(txn).unwrap();
+                    counters[wr as usize].fetch_add(1, Ordering::Relaxed);
+                    n += 1;
+                }
+            });
+        }
         // Let every writer get going before checkpointing under load.
         while total() < 64 {
             std::thread::yield_now();
         }
         let before = total();
+        *disk.hold.lock().unwrap() = Some(Hold {
+            thread: std::thread::current().id(),
+            skip: CHECKPOINT_FLUSH_BATCH,
+            below: seeded,
+            ready: Box::new({
+                let total = total.clone();
+                move || total() >= before + 8
+            }),
+        });
         let ckpt = e.checkpoint();
         let after = total();
         stop.store(true, Ordering::Relaxed);
         ckpt.unwrap();
+        assert!(
+            disk.hold.lock().unwrap().is_none(),
+            "the checkpoint wrote no seeded page after its first batch"
+        );
+        assert!(
+            !disk.timed_out.load(Ordering::Relaxed),
+            "writers committed fewer than 8 transactions in {HOLD_LIMIT:?} of a held checkpoint write"
+        );
         let batches = e.obs().trace.events().into_iter().find_map(|ev| match ev {
             IlmTraceEvent::Checkpoint(c) => Some(c.batches),
             _ => None,

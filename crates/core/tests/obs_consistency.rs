@@ -630,7 +630,7 @@ fn scans_leave_the_snapshot_read_count_alone() {
 /// `aborted_txns` is reported as user rollbacks.
 #[test]
 fn txn_counters_count_user_transactions_only() {
-    use btrim_core::freeze::freeze_tick;
+    use btrim_core::Actor;
     use btrim_core::OpClass;
     let e = Engine::new(EngineConfig {
         mode: EngineMode::IlmOn,
@@ -683,7 +683,7 @@ fn txn_counters_count_user_transactions_only() {
         // Everything cold goes to pages, then into extents …
         e.run_maintenance();
         while pack_cycle(&e, PackLevel::Aggressive) > 0 {}
-        while freeze_tick(&e) > 0 {}
+        while e.step(Actor::Freeze) > 0 {}
         // … and writes bring rows back, with the odd rollback: the
         // first update of a frozen row thaws it, the second migrates it
         // (or is turned away by the full IMRS and stays on its page).

@@ -4,8 +4,8 @@
 use std::sync::Arc;
 
 use btrim_core::catalog::{Partitioner, TableOpts};
-use btrim_core::pack::{pack_cycle, pack_tick, PackLevel};
-use btrim_core::{Engine, EngineConfig, EngineMode, IlmTraceEvent};
+use btrim_core::pack::{pack_cycle, PackLevel};
+use btrim_core::{Actor, Engine, EngineConfig, EngineMode, IlmTraceEvent};
 
 fn mkrow(key: u64, payload: &[u8]) -> Vec<u8> {
     let mut v = key.to_be_bytes().to_vec();
@@ -130,13 +130,13 @@ fn pack_tick_holds_utilization_at_steady_threshold() {
     assert!(u > 0.8, "fill reached only {u:.3}");
 
     for _ in 0..20 {
-        e.run_maintenance(); // GC feeds the queues, then pack_tick drains
-        pack_tick(&e);
+        e.run_maintenance(); // GC feeds the queues, then a pack step drains
+        e.step(Actor::Pack);
     }
     let util = e.snapshot().imrs_utilization;
     assert!(
         util <= 0.62,
-        "pack_tick must drain to the steady threshold (now {util:.2})"
+        "pack steps must drain to the steady threshold (now {util:.2})"
     );
     assert!(
         util >= 0.58,
@@ -242,13 +242,13 @@ fn reject_new_engages_and_releases() {
     // checked before any maintenance runs.
     fill(&e, &t, 0, 8_500, 96);
     assert!(e.snapshot().imrs_utilization > 0.88);
-    // A pack tick first sets the backpressure flag…
+    // A pack step first sets the backpressure flag…
     e.run_maintenance();
-    pack_tick(&e);
+    e.step(Actor::Pack);
     // …and keeps draining; after enough ticks utilization is at steady
     // and the flag is released: new inserts go to the IMRS again.
     for _ in 0..30 {
-        pack_tick(&e);
+        e.step(Actor::Pack);
         e.run_maintenance();
     }
     assert!(e.snapshot().imrs_utilization <= 0.52);

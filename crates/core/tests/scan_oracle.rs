@@ -20,8 +20,8 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use btrim_core::catalog::{FieldKind, RowLayout, TableOpts};
-use btrim_core::freeze::freeze_tick;
 use btrim_core::pack::{pack_cycle, PackLevel};
+use btrim_core::Actor;
 use btrim_core::{Engine, EngineConfig, EngineMode, ScanSpec, SnapshotTxn};
 
 fn layout() -> RowLayout {
@@ -142,7 +142,7 @@ fn scan_tracks_rows_through_freeze_and_thaw() {
     // One tick freezes at most one extent per partition; drain fully.
     let mut frozen = 0;
     loop {
-        let n = freeze_tick(&e);
+        let n = e.step(Actor::Freeze);
         if n == 0 {
             break;
         }
@@ -204,7 +204,7 @@ fn scan_tracks_rows_through_freeze_and_thaw() {
     let pre_model = model.clone();
     e.run_maintenance();
     while pack_cycle(&e, PackLevel::Aggressive) > 0 {}
-    freeze_tick(&e);
+    e.step(Actor::Freeze);
     check_scan(
         &e,
         &table,
@@ -314,7 +314,7 @@ proptest! {
                     // and delete arms above).
                     e.run_maintenance();
                     pack_cycle(&e, PackLevel::Aggressive);
-                    freeze_tick(&e);
+                    e.step(Actor::Freeze);
                 }
             }
 

@@ -19,8 +19,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use btrim_core::catalog::{FieldKind, RowLayout, TableOpts};
-use btrim_core::freeze::freeze_tick;
 use btrim_core::pack::{pack_cycle, PackLevel};
+use btrim_core::Actor;
 use btrim_core::{Engine, EngineConfig, EngineMode, ScanSpec};
 
 const FROZEN_ROWS: u64 = 64;
@@ -77,7 +77,7 @@ fn writers_vs_scanners_no_torn_aggregates_no_scanner_locks() {
     engine.commit(txn).unwrap();
     engine.run_maintenance();
     while pack_cycle(&engine, PackLevel::Aggressive) > 0 {}
-    while freeze_tick(&engine) > 0 {}
+    while engine.step(Actor::Freeze) > 0 {}
     assert_eq!(
         engine.snapshot().rows_frozen,
         FROZEN_ROWS,
@@ -195,7 +195,7 @@ fn writers_vs_scanners_no_torn_aggregates_no_scanner_locks() {
 }
 
 /// Scans racing every movement direction: the test thread packs the
-/// IMRS (`pack_cycle(Aggressive)`), freezes pages (`freeze_tick`) and
+/// IMRS (`pack_cycle(Aggressive)`), freezes pages (`step(Actor::Freeze)`) and
 /// rewrites groups — an update migrates a packed row back to the IMRS
 /// and thaws a frozen one — while scanners check that every scan sees
 /// each row exactly once and every group at one generation.
@@ -301,7 +301,7 @@ fn scans_racing_pack_freeze_thaw_and_migration_see_every_row_once() {
         }
         engine.run_maintenance();
         pack_cycle(&engine, PackLevel::Aggressive);
-        freeze_tick(&engine);
+        engine.step(Actor::Freeze);
         for _ in 0..4 {
             let g = xorshift(&mut rng) % GROUPS;
             let x = xorshift(&mut rng) % GROUP_SUM;

@@ -23,8 +23,8 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use btrim::catalog::{FieldKind, RowLayout, TableDesc, TableOpts};
-use btrim::freeze::freeze_tick;
 use btrim::pack::{pack_cycle, PackLevel};
+use btrim::Actor;
 use btrim::{Engine, EngineConfig, EngineMode, RowLocation, TxnId};
 use btrim_pagestore::{DiskBackend, MemDisk};
 use btrim_wal::{ImrsLogRecord, LogSink, LogWriter, MemLog, PageLogRecord};
@@ -543,7 +543,7 @@ fn a_syslogs_barrier_never_outruns_the_other_half_of_a_move() {
         if label == "thaw" {
             // A write that thaws its row leaves it on its page: the
             // transaction's own records are all on syslogs.
-            assert_eq!(freeze_tick(e), 2, "{label}: rows frozen");
+            assert_eq!(e.step(Actor::Freeze), 2, "{label}: rows frozen");
             e.checkpoint().unwrap();
             assert!(matches!(rig.home("hot", 1), Some(RowLocation::Frozen(..))));
             txn = e.begin();

@@ -908,7 +908,7 @@ fn double_crash_during_recovery_is_reenterable() {
 #[test]
 fn crash_during_freeze_leaves_pages_or_a_complete_extent() {
     use btrim::catalog::{FieldKind, RowLayout, TableOpts};
-    use btrim::freeze::freeze_tick;
+    use btrim::Actor;
     use btrim::ScanSpec;
 
     fn fopts() -> TableOpts {
@@ -968,7 +968,7 @@ fn crash_during_freeze_leaves_pages_or_a_complete_extent() {
         while pack_cycle(&engine, PackLevel::Aggressive) > 0 {}
 
         state.fail_stop_in(ops_in);
-        let _ = freeze_tick(&engine); // typed failure tolerated
+        let _ = engine.step(Actor::Freeze); // typed failure tolerated
         if state.crashed() {
             mid_freeze_crashes += 1;
         }
@@ -1048,7 +1048,7 @@ fn crash_during_freeze_leaves_pages_or_a_complete_extent() {
         recovered.commit(txn).unwrap();
         recovered.run_maintenance();
         while pack_cycle(&recovered, PackLevel::Aggressive) > 0 {}
-        while freeze_tick(&recovered) > 0 {}
+        while recovered.step(Actor::Freeze) > 0 {}
         assert!(
             recovered.snapshot().frozen_extents > 0,
             "plan {label}: post-recovery freeze never installed an extent"

@@ -29,8 +29,8 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use btrim::catalog::{FieldKind, RowLayout, TableDesc, TableOpts};
-use btrim::freeze::freeze_tick;
 use btrim::pack::{pack_cycle, PackLevel};
+use btrim::Actor;
 use btrim::{Engine, EngineConfig, EngineMode, RowLocation};
 use btrim_common::Result;
 use btrim_faults::{FaultDisk, FaultLog, FaultPlan, FaultState};
@@ -155,7 +155,7 @@ fn prepare(engine: &Engine, table: &TableDesc, dir: Direction) -> Model {
         pack_all(engine);
     }
     if dir == Thaw {
-        assert_eq!(freeze_tick(engine), ROWS);
+        assert_eq!(engine.step(Actor::Freeze), ROWS);
     }
     model
 }
@@ -167,7 +167,7 @@ fn run_move(engine: &Engine, table: &TableDesc, dir: Direction, new: &Model) -> 
     match dir {
         Pack => pack_all(engine),
         Freeze => {
-            freeze_tick(engine);
+            engine.step(Actor::Freeze);
         }
         Cache => {
             let txn = engine.begin();

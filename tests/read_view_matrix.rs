@@ -22,8 +22,8 @@
 use std::sync::Arc;
 
 use btrim::catalog::{FieldKind, RowLayout, TableDesc, TableOpts};
-use btrim::freeze::freeze_tick;
 use btrim::pack::{pack_cycle, PackLevel};
+use btrim::Actor;
 use btrim::{
     Engine, EngineConfig, EngineMode, RowId, RowLocation, ScanSpec, SnapshotTxn, Transaction,
 };
@@ -121,7 +121,7 @@ fn setup(home: Home) -> (Engine, Arc<TableDesc>, Vec<RowId>) {
     if home == Home::Frozen {
         e.run_maintenance();
         while pack_cycle(&e, PackLevel::Aggressive) > 0 {}
-        while freeze_tick(&e) > 0 {}
+        while e.step(Actor::Freeze) > 0 {}
     }
     let at = e.locate(&table, &TARGET.to_be_bytes()).unwrap();
     match home {
@@ -473,7 +473,7 @@ fn history_follows_a_page_row_through_a_relocating_update() {
             let txn = e.begin();
             assert_eq!(e.get(&txn, &t, &k).unwrap().map(|r| val_of(&r)), Some(160));
             e.abort(txn);
-            while freeze_tick(&e) > 0 {}
+            while e.step(Actor::Freeze) > 0 {}
             assert_eq!(
                 e.locate(&t, &k).unwrap(),
                 moved,

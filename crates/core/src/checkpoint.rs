@@ -121,6 +121,18 @@ impl Engine {
                     dirty_pages: dirty.clone(),
                 })?
                 .lsn();
+            // No page reaches the device ahead of the records that
+            // describe it: a cut between the two would leave a change
+            // no log holds (an uncommitted row, a departed row whose
+            // arrival was lost). The move gate stays closed until the
+            // device sync, so no cache, migrate or thaw changes a page
+            // meanwhile; both logs go first (the records behind the
+            // dirty pages), and syslogs again before the device sync
+            // (those of writers that kept going; see DESIGN.md
+            // "Restart & checkpointing" for a device that persists a
+            // write before its sync).
+            let closed = sh.moves.close(&sh.imrslog, true)?;
+            sh.syslog.flush()?;
             let mut pages_flushed = 0u64;
             let mut batches = 0u64;
             let mut stall_nanos = 0u64;
@@ -133,13 +145,14 @@ impl Engine {
                 std::thread::sleep(CHECKPOINT_BATCH_PAUSE);
                 stall_nanos += pause.elapsed().as_nanos() as u64;
             }
-            sh.cache.sync_backend()?;
-            sh.append_sys(&PageLogRecord::CheckpointEnd { begin_lsn })?;
-            // sysimrslogs first, as a commit and a freeze batch flush: a
-            // foreground move's syslogs half must not become durable
-            // ahead of its sysimrslogs half.
-            sh.imrslog.flush()?;
             sh.syslog.flush()?;
+            sh.cache.sync_backend()?;
+            drop(closed);
+            sh.append_sys(&PageLogRecord::CheckpointEnd { begin_lsn })?;
+            // sysimrslogs first, as a commit and a freeze batch flush,
+            // through the move gate: a foreground move's syslogs half
+            // must not become durable ahead of its sysimrslogs half.
+            sh.moves.sync(&sh.imrslog, &sh.syslog, true)?;
             let mut truncated_records = 0u64;
             if floor.0 > 1 {
                 let upto = floor.0 - 1;

@@ -19,10 +19,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use btrim_common::atomics::SeqCst;
-use btrim_common::{
-    BtrimError, LogicalClock, Lsn, PageId, Result, RowId, SlotId, Timestamp, TxnId,
-};
+use btrim_common::{BtrimError, LogicalClock, PageId, Result, RowId, SlotId, Timestamp, TxnId};
 use btrim_imrs::{ImrsStore, RidMap, RowLocation, RowOrigin, VersionOp};
 use btrim_obs::{Obs, OpClass};
 use btrim_pagestore::{BufferCache, DiskBackend, FrozenExtent, MemDisk};
@@ -38,7 +35,7 @@ use crate::health::Health;
 use crate::logged;
 use crate::maintenance::Maintenance;
 use crate::metrics::CommitShapes;
-use crate::movement::{relocate, To};
+use crate::movement::{relocate, MoveGate, To};
 use crate::pack::PackState;
 use crate::recovery::RecoveryReport;
 use crate::sidestore::{SideImage, SideStore};
@@ -66,10 +63,9 @@ pub(crate) struct Shared {
     pub clock: Arc<LogicalClock>,
     pub syslog: LogWriter<PageLogRecord>,
     pub imrslog: LogWriter<ImrsLogRecord>,
-    /// sysimrslogs LSN of the newest foreground move's (cache, migrate,
-    /// thaw) record there; such moves never flush (see `movement.rs`,
-    /// "Who flushes"), so a syslogs barrier waits for this one first.
-    pub move_arrival: SeqCst<u64>,
+    /// What every syslogs sync closes against foreground moves (cache,
+    /// migrate, thaw), which never flush (see `movement.rs`).
+    pub moves: MoveGate,
     pub tsf: TsfLearner,
     pub gc: GcRegistry,
     pub tuner: Tuner,
@@ -222,7 +218,7 @@ impl Engine {
                 .with_histograms(hook(OpClass::WalAppend), hook(OpClass::WalFsync)),
             imrslog: LogWriter::new(imrslog)
                 .with_histograms(hook(OpClass::WalAppend), hook(OpClass::WalFsync)),
-            move_arrival: SeqCst::new(0),
+            moves: MoveGate::new(),
             tsf,
             gc: GcRegistry::new(),
             tuner: Tuner::with_obs(Arc::clone(&obs)),
@@ -1062,10 +1058,12 @@ impl Engine {
             slot,
             old: old_payload,
         })?;
-        // Tombstone is published first so concurrent readers consult
-        // the stash instead of racing the dying slot.
+        // Readers consult the stash from here on. The slot keeps the
+        // row until the delete commits (`Engine::commit`): freed now,
+        // another transaction's insert could take it, and if a cut
+        // then made this one a loser, redo would meet the deleted row
+        // still in the slot and drop that insert.
         logged.ridmap_set(&sh.ridmap, row_id, RowLocation::Tombstone(page, slot));
-        logged.heap_delete(&part.heap, &sh.cache, page, slot)?;
         Ok(())
     }
 
@@ -1252,6 +1250,10 @@ impl Engine {
         lock: bool,
     ) -> Result<bool> {
         let op_start = self.sh.obs.start();
+        // Past the move gate first: a cache or migrate skips while a
+        // syslogs sync holds it, a thaw waits (see `MoveGate`).
+        let pass = self.sh.moves.pass(to);
+        let Some(_pass) = pass else { return Ok(false) };
         let moved = relocate(self, table, partition, &[at], to, lock)?.rows > 0;
         if moved && matches!(to, To::Imrs(_)) {
             self.sh.obs.record_since(OpClass::Migration, op_start);
@@ -1318,6 +1320,24 @@ impl Engine {
         // placeholder and wrongly skip (or a side entry still pending
         // and wrongly apply) it. Nothing but stamping happens in here:
         // later reservations cannot publish until this one has.
+        // The slots our deletes kept (`delete_page`; our row lock kept
+        // anyone else out of them), read while our tombstones are sure
+        // to stand: a purge may clear them once the commit is published.
+        let mut kept: Vec<_> = txn
+            .writes
+            .iter()
+            .filter_map(|w| match *w {
+                Write::Page { row, partition } => match self.sh.ridmap.get(row) {
+                    Some(RowLocation::Tombstone(page, slot)) => {
+                        Some((row, partition, (page, slot)))
+                    }
+                    _ => None,
+                },
+                _ => None,
+            })
+            .collect();
+        kept.sort_unstable_by_key(|k| k.0);
+        kept.dedup_by_key(|k| k.0);
         let ts = self.sh.txns.reserve_commit();
         for w in &txn.writes {
             match w {
@@ -1351,7 +1371,13 @@ impl Engine {
                 self.sh.append_imrs_batch(&records)?;
             }
             if wrote_sys {
-                self.sh.append_sys(&PageLogRecord::Commit { txn: id, ts })?;
+                let logged = self.sh.append_sys(&PageLogRecord::Commit { txn: id, ts })?;
+                // Behind the verdict, the slots our deletes kept go.
+                for &(_, partition, (page, slot)) in &kept {
+                    if let Some(part) = self.sh.catalog.partition(partition) {
+                        logged.heap_delete(&part.heap, &self.sh.cache, page, slot)?;
+                    }
+                }
             }
             if self.sh.cfg.durable_commits {
                 // Each log's barrier is its group commit: concurrent
@@ -1359,19 +1385,14 @@ impl Engine {
                 // waits only for a log it appended to — one barrier for
                 // an IMRS-only or a page-only commit, none for a
                 // read-only one (it must commit cleanly even when the
-                // log device is gone). sysimrslogs goes first, so a
-                // durable syslogs `Commit` has durable IMRS records
-                // behind it: the transaction's own, or else the newest
-                // foreground move's, whose syslogs half made durable
-                // alone would redo its departure with nothing behind it
-                // (no sync when a barrier already covered it).
-                if wrote_imrs {
-                    self.sh.imrslog.flush()?;
-                } else if wrote_sys {
-                    self.sh.imrslog.flush_to(Lsn(self.sh.move_arrival.load()))?;
-                }
+                // log device is gone). sysimrslogs goes first, through
+                // the move gate: a durable syslogs `Commit` has durable
+                // IMRS records behind it, its own and every move's.
+                let sh = &self.sh;
                 if wrote_sys {
-                    self.sh.syslog.flush()?;
+                    sh.moves.sync(&sh.imrslog, &sh.syslog, wrote_imrs)?;
+                } else if wrote_imrs {
+                    sh.imrslog.flush()?;
                 }
             }
             Ok(())
@@ -1526,8 +1547,11 @@ impl Engine {
         let sh = &self.sh;
         let heap = &part.heap;
         let at = match sh.ridmap.get(row) {
-            Some(RowLocation::Page(page, slot)) => Some((page, slot)),
-            _ => None, // our tombstone, or never published
+            // Our delete keeps the row in its slot until commit.
+            Some(RowLocation::Page(page, slot) | RowLocation::Tombstone(page, slot)) => {
+                Some((page, slot))
+            }
+            _ => None, // never published
         };
         match before {
             None => {
@@ -1537,6 +1561,7 @@ impl Engine {
                 let payload = wrap_row(row, &before);
                 if let Some((page, slot)) = at {
                     if heap.try_update_in_place(&sh.cache, page, slot, &payload)? {
+                        sh.ridmap.set(row, RowLocation::Page(page, slot));
                         return Ok(());
                     }
                 }

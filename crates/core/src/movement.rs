@@ -24,16 +24,87 @@
 
 use std::sync::Arc;
 
+use parking_lot::{lock_rank::MOVE_GATE, RwLock, RwLockReadGuard, RwLockWriteGuard};
+
+use btrim_common::atomics::{Relaxed, SeqCst};
 use btrim_common::{BtrimError, Lsn, Result, RowId, Timestamp, TxnId};
 use btrim_imrs::{RowLocation, RowOrigin};
 use btrim_pagestore::{FrozenExtent, HeapFile};
 use btrim_txn::LockMode;
-use btrim_wal::{ImrsLogRecord, PageLogRecord, RowOriginTag};
+use btrim_wal::{ImrsLogRecord, LogWriter, PageLogRecord, RowOriginTag};
 
 use crate::catalog::{Partition, TableDesc};
 use crate::engine::{unwrap_row, wrap_row, Engine, Shared};
 use crate::freeze::{build_columns, extent_row_bytes};
 use crate::logged::Logged;
+
+/// A closed [`MoveGate`]: it opens again on drop.
+pub(crate) type Closed<'g> = RwLockWriteGuard<'g, ()>;
+
+/// What every syslogs sync — commit, pack batch, freeze batch,
+/// checkpoint — closes against foreground moves (cache, migrate, thaw;
+/// all of them [`Engine::move_row`]). Those never flush, so a move's
+/// two halves sit volatile on two logs, and a syslogs sync must not
+/// make its departure (or a thaw's page arrival) durable while its
+/// sysimrslogs record is not. A sync closes the gate (exclusive: the
+/// moves already past it finish first), settles their sysimrslogs
+/// records, and keeps the gate closed through its device sync; no move
+/// gets past meanwhile — a cache or migrate skips (a move is
+/// opportunistic), a thaw waits.
+pub(crate) struct MoveGate {
+    /// sysimrslogs LSN of the newest record a move past the gate wrote.
+    arrival: SeqCst<u64>,
+    /// Shared by the moves past it, exclusive to a sync.
+    gate: RwLock<()>,
+    /// Caches and migrations that found the gate closed (lifetime).
+    pub skipped: Relaxed<u64>,
+}
+
+impl MoveGate {
+    pub fn new() -> Self {
+        MoveGate {
+            arrival: SeqCst::new(0),
+            gate: RwLock::with_rank(MOVE_GATE, ()),
+            skipped: Relaxed::new(0),
+        }
+    }
+
+    /// Let a move to `to` past the gate until the pass drops. `None`: a
+    /// sync holds the gate and the move, a cache or migrate, skips; a
+    /// thaw waits for it.
+    pub fn pass(&self, to: To) -> Option<RwLockReadGuard<'_, ()>> {
+        let thaw = !matches!(to, To::Imrs(_));
+        let pass = self.gate.try_read();
+        let pass = pass.or_else(|| thaw.then(|| self.gate.read()));
+        self.skipped.fetch_add(u64::from(pass.is_none()));
+        pass
+    }
+
+    /// Close the gate for a syslogs sync and make durable on
+    /// sysimrslogs every record of the moves that got past it — the
+    /// whole log when `all`. The gate opens again when the guard drops,
+    /// after the sync.
+    pub fn close(&self, imrslog: &LogWriter<ImrsLogRecord>, all: bool) -> Result<Closed<'_>> {
+        let closed = self.gate.write();
+        let everything = all.then(|| imrslog.sink().record_count());
+        imrslog.flush_to(Lsn(everything.unwrap_or_else(|| self.arrival.load())))?;
+        Ok(closed)
+    }
+
+    /// Both logs durable, through the gate: sysimrslogs as [`close`]
+    /// leaves it, then syslogs.
+    ///
+    /// [`close`]: MoveGate::close
+    pub fn sync(
+        &self,
+        imrslog: &LogWriter<ImrsLogRecord>,
+        syslog: &LogWriter<PageLogRecord>,
+        all: bool,
+    ) -> Result<()> {
+        let _closed = self.close(imrslog, all)?;
+        syslog.flush()
+    }
+}
 
 /// Destination tier of a move; the source is what the RID-Map says.
 #[derive(Clone, Copy)]
@@ -273,7 +344,13 @@ fn relocate_locked(
         return Ok(out);
     }
 
+    // A pack batch syncs syslogs first (see Commit below), which could
+    // also make a foreground move's `Delete`/`Commit` durable ahead of
+    // its volatile arrival record: close the gate and settle those
+    // before this batch's own `Pack` records could ride along.
     let background_from_imrs = sources.iter().any(|s| s.from == RowLocation::Imrs);
+    let closed = background_from_imrs.then(|| sh.moves.close(&sh.imrslog, false));
+    let closed = closed.transpose()?;
     let mut extent = None;
     let logged: Result<Logged> = (|| {
         // ---- Stage: an unpublished destination copy ------------------
@@ -317,14 +394,6 @@ fn relocate_locked(
         // The reverse order once lost an acknowledged row: the slot
         // deletion reached the device via eviction while its `Delete`
         // record died in a torn log tail, leaving no redo anywhere.
-        //
-        // A pack batch flushes syslogs first (see Commit below), which
-        // would also make a foreground move's `Delete`/`Commit` durable
-        // ahead of its volatile arrival record: settle those first,
-        // before this batch's own `Pack` records could ride along.
-        if background_from_imrs {
-            sh.imrslog.flush_to(Lsn(sh.move_arrival.load()))?;
-        }
         let mut logged = sh.append_sys(&PageLogRecord::Begin { txn })?;
         for s in sources.iter_mut() {
             let row = s.row;
@@ -472,13 +541,12 @@ fn relocate_locked(
     // Who flushes. A foreground move (cache, migrate, thaw) never does:
     // a flush per migration would sink durable-commit throughput. Its
     // sysimrslogs half — its last record — becomes durable with the
-    // next barrier there; its LSN is published *before* the `Commit`
-    // goes out so that any committer about to put a barrier on syslogs
-    // waits for it on sysimrslogs first (`Engine::commit`) — syslogs
+    // next barrier there, and its LSN is published before it leaves the
+    // move gate, so any later syslogs sync settles it first — syslogs
     // never gets ahead.
     let foreground = out.extent.is_none() && !background_from_imrs;
     if foreground {
-        sh.move_arrival.fetch_max(logged.lsn().0);
+        sh.moves.arrival.fetch_max(logged.lsn().0);
     }
     let ts = sh.clock.tick();
     sh.append_sys(&PageLogRecord::Commit { txn, ts })?;
@@ -493,10 +561,9 @@ fn relocate_locked(
     // hold the rows. A pack batch's arrival copy is the syslogs
     // `Insert`, and it is the departure record (`Pack`) that must not
     // lead: replayed without its syslogs evidence it would drop the row.
-    let flushed = if background_from_imrs {
-        sh.syslog.flush().and_then(|()| sh.imrslog.flush())
-    } else {
-        sh.imrslog.flush().and_then(|()| sh.syslog.flush())
+    let flushed = match closed {
+        Some(_closed) => sh.syslog.flush().and_then(|()| sh.imrslog.flush()),
+        None => sh.moves.sync(&sh.imrslog, &sh.syslog, true),
     };
     sh.health.note("movement flush", &flushed);
     Ok(out)

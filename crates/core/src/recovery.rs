@@ -132,6 +132,44 @@ pub struct RecoveryReport {
 /// Internal pack/caching pseudo-transaction ids set this bit.
 const INTERNAL_TXN_BIT: u64 = 1 << 63;
 
+/// Where a change record (`Insert`, `Update`, `Delete`) changes a
+/// slot: `(partition, page, slot, image after, image before)`.
+type SlotChange<'r> = (
+    PartitionId,
+    PageId,
+    SlotId,
+    Option<&'r [u8]>,
+    Option<&'r [u8]>,
+);
+
+fn slot_change(rec: &PageLogRecord) -> Option<SlotChange<'_>> {
+    Some(match rec {
+        PageLogRecord::Insert {
+            partition,
+            page,
+            slot,
+            data,
+            ..
+        } => (*partition, *page, *slot, Some(data), None),
+        PageLogRecord::Update {
+            partition,
+            page,
+            slot,
+            old,
+            new,
+            ..
+        } => (*partition, *page, *slot, Some(new), Some(old)),
+        PageLogRecord::Delete {
+            partition,
+            page,
+            slot,
+            old,
+            ..
+        } => (*partition, *page, *slot, None, Some(old)),
+        _ => return None,
+    })
+}
+
 /// The page → IMRS moves (cache, migrate) the salvaged sysimrslogs
 /// commits: internal transactions that own an arrival `Insert` no
 /// earlier recovery poisoned. The move's syslogs half — `Begin`,
@@ -185,7 +223,7 @@ impl Engine {
         let analysis = engine.replay_page_log(&moves_committed_by_arrival(&imrs_log.0))?;
         let heap_locs = engine.rebuild_from_heaps()?;
         engine.replay_imrs_log(&analysis, &heap_locs, imrs_log)?;
-        engine.retire_unnamed_page_copies(&heap_locs)?;
+        engine.retire_unnamed_page_copies(&heap_locs, !analysis.losers.is_empty())?;
         engine.finish_recovery();
         Ok(engine)
     }
@@ -267,33 +305,6 @@ impl Engine {
         }
     }
 
-    /// Apply one page-log change record (forward redo direction).
-    fn redo_change(&self, rec: &PageLogRecord) -> Result<()> {
-        match rec {
-            PageLogRecord::Insert {
-                partition,
-                page,
-                slot,
-                data,
-                ..
-            } => self.redo_insert(*partition, *page, *slot, data),
-            PageLogRecord::Update {
-                partition,
-                page,
-                slot,
-                new,
-                ..
-            } => self.redo_update(*partition, *page, *slot, new),
-            PageLogRecord::Delete {
-                partition,
-                page,
-                slot,
-                ..
-            } => self.redo_delete(*partition, *page, *slot),
-            _ => Ok(()),
-        }
-    }
-
     /// Redo winners forward, undo losers backward. `moves` are winners
     /// whatever this log says of them (see [`moves_committed_by_arrival`]).
     fn replay_page_log(&self, moves: &HashSet<TxnId>) -> Result<LogAnalysis> {
@@ -334,35 +345,47 @@ impl Engine {
         // order redo depends on — is preserved while distinct pages
         // replay concurrently.
         let redo_start = std::time::Instant::now();
-        let mut shards: Vec<Vec<&PageLogRecord>> = (0..workers).map(|_| Vec::new()).collect();
-        let mut redo_skipped = 0u64;
+        // An abort's undo is in no log, and a checkpoint may have written
+        // the aborted change before the abort undid it in memory: undo it
+        // again where its `Abort` stands, so later winners find the page
+        // as they did. (`true`: undo.)
+        let mut shards: Vec<Vec<(bool, &PageLogRecord)>> =
+            (0..workers).map(|_| Vec::new()).collect();
+        let mut aborted: HashMap<TxnId, Vec<(PageId, &PageLogRecord)>> = HashMap::new();
+        let (mut redo_replayed, mut redo_skipped) = (0u64, 0u64);
         for (lsn, rec) in &records {
             let Some(txn) = rec.txn() else { continue };
-            if !analysis.winners.contains_key(&txn) {
+            let undo = analysis.aborted.contains(&txn);
+            if let PageLogRecord::Abort { .. } = rec {
+                let changes = aborted.remove(&txn).unwrap_or_default();
+                for (page, rec) in changes.into_iter().rev().filter(|_| *lsn >= redo_floor) {
+                    shards[(page.0 as usize) % workers].push((true, rec));
+                }
                 continue;
             }
-            let page = match rec {
-                PageLogRecord::Insert { page, .. }
-                | PageLogRecord::Update { page, .. }
-                | PageLogRecord::Delete { page, .. } => *page,
-                _ => continue,
+            let Some((_, page, ..)) = slot_change(rec) else {
+                continue;
             };
-            if *lsn < redo_floor {
-                redo_skipped += 1;
+            if undo {
+                aborted.entry(txn).or_default().push((page, rec));
+            } else if !analysis.winners.contains_key(&txn) {
                 continue;
+            } else if *lsn < redo_floor {
+                redo_skipped += 1;
+            } else {
+                redo_replayed += 1;
+                shards[(page.0 as usize) % workers].push((false, rec));
             }
-            shards[(page.0 as usize) % workers].push(rec);
         }
-        let redo_replayed: u64 = shards.iter().map(|s| s.len() as u64).sum();
-        if workers <= 1 {
-            let t = self.sh.obs.start();
-            for rec in shards.into_iter().flatten() {
-                self.redo_change(rec)?;
+        let replay = |&(undo, rec): &(bool, &PageLogRecord)| match (undo, slot_change(rec)) {
+            (true, _) => self.undo_change(rec),
+            (false, Some((partition, page, slot, after, before))) => {
+                self.put_slot(partition, page, slot, after, before.is_some())
             }
-            self.sh.obs.record_since(OpClass::RecoveryReplay, t);
-        } else {
-            self.run_replay_workers(shards, |rec| self.redo_change(rec))?;
-        }
+            (false, None) => Ok(()),
+        };
+        let shards = shards.iter().map(|s| s.iter().collect()).collect();
+        self.run_replay_workers(shards, replay)?;
         {
             let mut rep = self.sh.recovery.lock();
             rep.syslog_redo_replayed = redo_replayed;
@@ -371,67 +394,40 @@ impl Engine {
         }
         // Backward undo of losers using before-images.
         for (_lsn, rec) in records.iter().rev() {
-            let Some(txn) = rec.txn() else { continue };
-            if !analysis.losers.contains(&txn) {
-                continue;
-            }
-            match rec {
-                PageLogRecord::Insert {
-                    partition,
-                    page,
-                    slot,
-                    ..
-                } => {
-                    self.redo_delete(*partition, *page, *slot)?;
-                }
-                PageLogRecord::Update {
-                    partition,
-                    page,
-                    slot,
-                    old,
-                    ..
-                } => self.redo_update(*partition, *page, *slot, old)?,
-                PageLogRecord::Delete {
-                    partition,
-                    page,
-                    slot,
-                    old,
-                    ..
-                } => self.redo_insert(*partition, *page, *slot, old)?,
-                _ => {}
+            if rec.txn().is_some_and(|txn| analysis.losers.contains(&txn)) {
+                self.undo_change(rec)?;
             }
         }
         self.sh.clock.advance_to(analysis.max_commit_ts);
         Ok(analysis)
     }
 
-    fn redo_insert(
+    /// Undo one change record where its slot still holds what the
+    /// change left — so an undo repeats harmlessly, and never touches a
+    /// slot a later change has since given to another image.
+    fn undo_change(&self, rec: &PageLogRecord) -> Result<()> {
+        let Some((partition, page, slot, after, before)) = slot_change(rec) else {
+            return Ok(());
+        };
+        let (guard, corrupt) = self.fetch_for_redo(page)?;
+        if !corrupt && !guard.with_page_read(|p| p.get(slot) == after) {
+            return Ok(());
+        }
+        drop(guard);
+        self.put_slot(partition, page, slot, before, true)
+    }
+
+    /// Make a recovering page's slot hold `image` (over a live one only
+    /// with `replace`: an insert is idempotent), or empty it. A never
+    /// flushed page is still zeroed on the device, and a torn one is
+    /// garbage: either is formatted first.
+    fn put_slot(
         &self,
         partition: PartitionId,
         page: PageId,
         slot: SlotId,
-        data: &[u8],
-    ) -> Result<()> {
-        let (guard, corrupt) = self.fetch_for_redo(page)?;
-        guard.with_write(|buf| {
-            // A never-flushed page is still zeroed on the device, and a
-            // torn page is garbage: format before applying.
-            if corrupt || PageType::from_u8(buf[0]) == PageType::Free {
-                SlottedPage::init(buf, PageType::Heap, page, partition);
-            }
-            let mut p = SlottedPage::new(buf);
-            // Idempotent: returns false when the slot is already live.
-            let _ = p.insert_at(slot, data);
-        });
-        Ok(())
-    }
-
-    fn redo_update(
-        &self,
-        partition: PartitionId,
-        page: PageId,
-        slot: SlotId,
-        data: &[u8],
+        image: Option<&[u8]>,
+        replace: bool,
     ) -> Result<()> {
         let (guard, corrupt) = self.fetch_for_redo(page)?;
         guard.with_write(|buf| {
@@ -439,25 +435,15 @@ impl Engine {
                 SlottedPage::init(buf, PageType::Heap, page, partition);
             }
             let mut p = SlottedPage::new(buf);
-            if !p.update(slot, data) {
-                // Slot dead (prior state lost before flush): materialize.
-                let _ = p.insert_at(slot, data);
+            match image {
+                Some(image) if !(replace && p.update(slot, image)) => {
+                    let _ = p.insert_at(slot, image);
+                }
+                Some(_) => {}
+                None => {
+                    let _ = p.delete(slot);
+                }
             }
-        });
-        Ok(())
-    }
-
-    fn redo_delete(&self, partition: PartitionId, page: PageId, slot: SlotId) -> Result<()> {
-        let (guard, corrupt) = self.fetch_for_redo(page)?;
-        guard.with_write(|buf| {
-            if corrupt || PageType::from_u8(buf[0]) == PageType::Free {
-                // A freshly formatted page has no live slots; the
-                // delete is already in effect.
-                SlottedPage::init(buf, PageType::Heap, page, partition);
-                return;
-            }
-            let mut p = SlottedPage::new(buf);
-            let _ = p.delete(slot);
         });
         Ok(())
     }
@@ -617,26 +603,14 @@ impl Engine {
         }
         let replayed: u64 = by_partition.values().map(|v| v.len() as u64).sum();
         let workers = self.recovery_worker_count();
-        if workers <= 1 || by_partition.len() <= 1 {
-            let t = self.sh.obs.start();
-            let mut parts: Vec<_> = by_partition.into_iter().collect();
-            parts.sort_by_key(|(p, _)| p.0);
-            for (_p, recs) in parts {
-                for rec in recs {
-                    self.apply_imrs_record(rec, heap_locs)?;
-                }
-            }
-            self.sh.obs.record_since(OpClass::RecoveryReplay, t);
-        } else {
-            // Deterministic round-robin of partitions over workers.
-            let mut parts: Vec<_> = by_partition.into_iter().collect();
-            parts.sort_by_key(|(p, _)| p.0);
-            let mut shards: Vec<Vec<&ImrsLogRecord>> = (0..workers).map(|_| Vec::new()).collect();
-            for (i, (_p, recs)) in parts.into_iter().enumerate() {
-                shards[i % workers].extend(recs);
-            }
-            self.run_replay_workers(shards, |rec| self.apply_imrs_record(rec, heap_locs))?;
+        // Deterministic round-robin of partitions over workers.
+        let mut parts: Vec<_> = by_partition.into_iter().collect();
+        parts.sort_by_key(|(p, _)| p.0);
+        let mut shards: Vec<Vec<&ImrsLogRecord>> = (0..workers).map(|_| Vec::new()).collect();
+        for (i, (_p, recs)) in parts.into_iter().enumerate() {
+            shards[i % workers].extend(recs);
         }
+        self.run_replay_workers(shards, |rec| self.apply_imrs_record(rec, heap_locs))?;
         {
             let mut rep = self.sh.recovery.lock();
             rep.imrs_records_skipped = skipped;
@@ -689,10 +663,16 @@ impl Engine {
                 data,
             } => match self.sh.store.get(*row) {
                 Some(imrs_row) => {
+                    let old = imrs_row.latest_committed().and_then(|v| v.handle);
+                    let old = old.map(|h| self.sh.store.allocator().load(h));
                     let op = btrim_imrs::VersionOp::Update;
                     let v = self.sh.store.add_version(&imrs_row, *txn, op, Some(data))?;
                     v.stamp(*ts);
                     if let Some(table) = self.sh.catalog.table_of_partition(*partition) {
+                        // The entries of the image this one replaces go.
+                        if let Some(old) = old {
+                            Self::unindex_row(&table, *row, &old);
+                        }
                         Self::index_row(&table, *row, data);
                     }
                 }
@@ -736,12 +716,15 @@ impl Engine {
                 self.sh.extents.bump_floor(*extent);
                 for i in 0..ext.row_count() {
                     let Some(row) = ext.row_id(i) else { continue };
-                    // A thaw that won re-inserted the row into a heap;
-                    // page state (already rebuilt and indexed) is then
-                    // authoritative, and the ExtentRowGone record that
-                    // follows in this shard retires the slot. Do not
-                    // clobber it with the older frozen image.
+                    // No later insert may take a frozen row's id.
+                    self.sh.ridmap.bump_row_id_floor(row);
+                    // A thaw that won re-inserted the row into a heap, or
+                    // this freeze lost its syslogs verdict (and the page
+                    // deletes with it): page state (already rebuilt and
+                    // indexed) is then authoritative. Do not clobber it
+                    // with the frozen image, and retire the slot.
                     if heap_locs.contains_key(&row) {
+                        ext.mark_gone(i);
                         continue;
                     }
                     let Some(bytes) =
@@ -875,10 +858,13 @@ impl Engine {
     /// with a checkpoint: the pages are written back and the syslogs
     /// records that put the copies there are truncated, so no later
     /// redo can re-create one in a slot that has since been given to
-    /// another row.
+    /// another row. A loser's undo (`undone`) is in no log either: the
+    /// same checkpoint keeps a later recovery from undoing it again,
+    /// over a slot or a row a later winner has since written.
     fn retire_unnamed_page_copies(
         &self,
         heap_locs: &HashMap<RowId, (PageId, SlotId)>,
+        undone: bool,
     ) -> Result<()> {
         let mut retired = 0;
         for (&row, &(page, slot)) in heap_locs {
@@ -892,8 +878,8 @@ impl Engine {
             part.heap.delete(&self.sh.cache, page, slot)?;
             retired += 1;
         }
-        if retired > 0 {
-            self.sh.recovery.lock().page_copies_retired = retired;
+        self.sh.recovery.lock().page_copies_retired = retired;
+        if retired > 0 || undone {
             self.checkpoint()?;
         }
         Ok(())

@@ -140,6 +140,9 @@ pub struct EngineSnapshot {
     pub rows_frozen: u64,
     /// Rows thawed back out of extents for writes (lifetime).
     pub rows_thawed: u64,
+    /// Caches and migrations skipped because a log sync held the move
+    /// gate (lifetime; see `movement::MoveGate`).
+    pub moves_skipped: u64,
     /// Uncompressed row-image bytes represented by installed extents.
     pub frozen_raw_bytes: u64,
     /// Encoded bytes of the installed extents.
@@ -269,6 +272,7 @@ impl EngineSnapshot {
             frozen_extents: sh.extents.count(),
             rows_frozen: sh.freeze.rows_frozen.load(),
             rows_thawed: sh.freeze.rows_thawed.load(),
+            moves_skipped: sh.moves.skipped.load(),
             frozen_raw_bytes: sh.extents.raw_bytes(),
             frozen_encoded_bytes: sh.extents.encoded_bytes(),
             tsf_tau: sh.tsf.tau(),
@@ -490,6 +494,7 @@ impl EngineSnapshot {
             frozen_extents,
             rows_frozen,
             rows_thawed,
+            moves_skipped,
             frozen_raw_bytes,
             frozen_encoded_bytes,
             tsf_tau,
@@ -596,7 +601,7 @@ impl EngineSnapshot {
                 "\"imrs_rows\":{},\"imrs_ops\":{},\"page_ops\":{},\"imrs_hit_rate\":{},",
                 "\"pack_cycles\":{},\"rows_packed\":{},\"bytes_packed\":{},",
                 "\"rows_skipped_hot\":{},\"frozen_extents\":{},\"rows_frozen\":{},",
-                "\"rows_thawed\":{},\"frozen_raw_bytes\":{},\"frozen_encoded_bytes\":{},",
+                "\"rows_thawed\":{},\"moves_skipped\":{},\"frozen_raw_bytes\":{},\"frozen_encoded_bytes\":{},",
                 "\"tsf_tau\":{},\"tuning_windows\":{},",
                 "\"buffer\":{{\"hits\":{},\"misses\":{},\"evictions\":{},\"flushes\":{},",
                 "\"latch_contention\":{},\"shard_lock_contention\":{},\"io_waits\":{},",
@@ -642,6 +647,7 @@ impl EngineSnapshot {
             frozen_extents,
             rows_frozen,
             rows_thawed,
+            moves_skipped,
             frozen_raw_bytes,
             frozen_encoded_bytes,
             tsf_tau,

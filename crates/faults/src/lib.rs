@@ -197,12 +197,6 @@ impl FaultState {
         self.log_dead.load(Ordering::Acquire)
     }
 
-    /// Kill the log device permanently (every later append and flush
-    /// fails), independent of the append-count trigger.
-    pub fn kill_log(&self) {
-        self.log_dead.store(true, Ordering::Release);
-    }
-
     /// Revive the log device (tests of health-state recovery).
     pub fn revive_log(&self) {
         self.log_dead.store(false, Ordering::Release);

@@ -17,12 +17,6 @@ impl KeyBuilder {
         Self::default()
     }
 
-    /// Append a u8 component.
-    pub fn push_u8(mut self, v: u8) -> Self {
-        self.buf.push(v);
-        self
-    }
-
     /// Append a u16 component (big-endian).
     pub fn push_u16(mut self, v: u16) -> Self {
         self.buf.extend_from_slice(&v.to_be_bytes());

@@ -47,6 +47,8 @@ numbers() {
     # `#[cfg(test)]`): a budget that deleting tests cannot meet.
     echo "crates_src_nontest_code_lines $(for f in $src_files; do sed '/^#\[cfg(test)\]/,$d' "$f"; done | code_lines -)"
     echo "movement_path_code_lines $(code_lines $movement_files)"
+    # Integration tests: the root suites and each crate's `tests/`.
+    echo "integration_test_lines $(code_lines $(find tests crates/*/tests -name '*.rs' | sort))"
     # The B+tree without its in-file tests (everything before the first
     # `#[cfg(test)]`).
     echo "btree_code_lines $(sed '/^#\[cfg(test)\]/,$d' crates/index/src/btree.rs | code_lines -)"

@@ -27,6 +27,11 @@
 
 /// Engine maintenance gate (`core::maintenance::Maintenance::gate`).
 pub const ENGINE_STATE: u16 = 10;
+/// The movement gate (`core::movement::MoveGate::gate`): shared by a
+/// foreground move for its whole mini-transaction, exclusive to a
+/// syslogs sync — a commit's, a checkpoint's (under the checkpoint
+/// gate), a pack or freeze batch's (under the maintenance gate).
+pub const MOVE_GATE: u16 = 12;
 /// Transaction-registry overflow table (`txn::manager::TxnRegistry::
 /// overflow`). Taken only when more transactions are in flight than the
 /// registry has lock-free slots; begin/commit/abort on the slot path and
@@ -73,6 +78,7 @@ pub const GROUP_COMMIT: u16 = 60;
 /// cite.
 pub const LOCK_RANKS: &[(&str, u16)] = &[
     ("engine-state", ENGINE_STATE),
+    ("move-gate", MOVE_GATE),
     ("txn-registry", TXN_REGISTRY),
     ("buffer-shard", BUFFER_SHARD),
     ("frame", FRAME),

@@ -1,43 +1,58 @@
-//! Test doubles shared by the root integration suites.
+//! Test doubles shared by the root integration suites, and the one
+//! schedule explorer (`explorer`) they are configurations of.
 #![allow(dead_code, reason = "each suite uses its own subset")]
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+pub mod explorer;
 
-use btrim_common::{Lsn, Result};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
+
+use btrim_common::{Lsn, PageId, Result};
+use btrim_faults::{FaultPlan, FaultState};
+use btrim_pagestore::{DiskBackend, MemDisk};
 use btrim_wal::{LogSink, LsnRange, MemLog};
 
-/// A [`LogSink`] whose appends are volatile until flushed, with a
-/// power switch shared by both logs: once cut, nothing more becomes
-/// durable, and [`VolatileLog::media`] is what a reboot finds. The
-/// fault harness cannot play this part — its logs are `MemLog`s,
-/// durable at append.
-pub struct VolatileLog {
-    inner: MemLog,
-    durable: AtomicU64,
-    flushes: AtomicU64,
-    power: Arc<Power>,
-}
-
-#[derive(Default)]
+/// The power switch of one machine: the fault harness's fail-stop (a
+/// cut at device op `k` fails every device op from then on, disk and
+/// both logs alike), plus a cut after a number of log flushes.
 pub struct Power {
+    pub faults: Arc<FaultState>,
     /// Cut the power once this many more flushes have completed.
     pub cut_after_flushes: AtomicU64,
-    pub off: AtomicBool,
 }
 
 impl Power {
-    /// A supply no flush count will cut: only [`Power::cut`] does.
-    pub fn steady() -> Arc<Power> {
-        let power = Arc::new(Power::default());
-        power.cut_after_flushes.store(u64::MAX, Ordering::SeqCst);
-        power
+    pub fn new(plan: FaultPlan) -> Arc<Power> {
+        Arc::new(Power {
+            faults: FaultState::new(plan),
+            cut_after_flushes: AtomicU64::new(u64::MAX),
+        })
     }
 
-    /// Cut the power now.
-    pub fn cut(&self) {
-        self.off.store(true, Ordering::SeqCst);
+    pub fn off(&self) -> bool {
+        self.faults.crashed()
     }
+}
+
+/// What a paused flush runs before it completes.
+type Pause = Box<dyn FnOnce() + Send>;
+
+/// A [`LogSink`] whose appends are volatile until flushed: once the
+/// power is off nothing more becomes durable, and [`VolatileLog::reboot`]
+/// is what the next boot finds. The fault harness cannot play this part
+/// — its logs are `MemLog`s, durable at append. A flush covers every
+/// record appended before it completes, those appended while it was
+/// paused included.
+pub struct VolatileLog {
+    inner: MemLog,
+    durable: AtomicU64,
+    /// Unflushed records the device kept anyway at the cut (a
+    /// `BufWriter` spills without being asked); `u64::MAX`: all of them,
+    /// a device durable at append.
+    pub spilled: AtomicU64,
+    flushes: AtomicU64,
+    power: Arc<Power>,
+    pause: Mutex<Option<Pause>>,
 }
 
 impl VolatileLog {
@@ -45,8 +60,10 @@ impl VolatileLog {
         Arc::new(VolatileLog {
             inner: MemLog::new(),
             durable: AtomicU64::new(0),
+            spilled: AtomicU64::new(0),
             flushes: AtomicU64::new(0),
             power: Arc::clone(power),
+            pause: Mutex::new(None),
         })
     }
 
@@ -60,21 +77,45 @@ impl VolatileLog {
         self.durable.load(Ordering::SeqCst)
     }
 
-    /// What a reboot finds: the flushed prefix.
-    pub fn media(&self) -> Arc<dyn LogSink> {
-        self.media_upto(self.durable_records())
+    /// Run `pause` inside the next flush, before it completes.
+    pub fn pause_next_flush(&self, pause: Option<Pause>) {
+        *self.pause.lock().unwrap() = pause;
     }
 
-    /// What a reboot finds when the device also kept the unflushed
-    /// records up to `lsn` — a `BufWriter` spills without being asked.
-    pub fn media_upto(&self, lsn: u64) -> Arc<dyn LogSink> {
-        let media = MemLog::new();
-        for (at, payload) in self.inner.read_all().unwrap() {
-            if at.0 <= lsn {
-                media.append(&payload).unwrap();
-            }
+    /// What a reboot finds, as a log of its own under `power`: the
+    /// durable prefix (plus what spilled), every record of it durable,
+    /// each at the LSN it had — a truncated prefix stays truncated.
+    pub fn reboot(&self, power: &Arc<Power>) -> Arc<VolatileLog> {
+        let spilled = self.spilled.load(Ordering::SeqCst);
+        let keep = self.durable_records().saturating_add(spilled);
+        let records = self.inner.read_all().unwrap();
+        let base = records
+            .first()
+            .map_or(self.record_count(), |(at, _)| at.0 - 1);
+        let kept = records.into_iter().filter(|(at, _)| at.0 <= keep);
+        Self::durable_from(power, base.min(keep), kept.map(|(_, p)| p))
+    }
+
+    /// A log holding `payloads`, all durable, from LSN 1.
+    pub fn durable(power: &Arc<Power>, payloads: &[Vec<u8>]) -> Arc<VolatileLog> {
+        Self::durable_from(power, 0, payloads.iter().cloned())
+    }
+
+    fn durable_from(
+        power: &Arc<Power>,
+        base: u64,
+        payloads: impl Iterator<Item = Vec<u8>>,
+    ) -> Arc<VolatileLog> {
+        let log = VolatileLog::new(power);
+        for _ in 0..base {
+            log.inner.append(&[]).unwrap();
         }
-        Arc::new(media)
+        log.inner.truncate_prefix(Lsn(base)).unwrap();
+        for payload in payloads {
+            log.inner.append(&payload).unwrap();
+        }
+        log.durable.store(log.record_count(), Ordering::SeqCst);
+        log
     }
 }
 
@@ -86,12 +127,16 @@ impl LogSink for VolatileLog {
         self.inner.append_batch(payloads)
     }
     fn flush(&self) -> Result<()> {
+        let pause = self.pause.lock().unwrap().take();
+        if let Some(pause) = pause {
+            pause();
+        }
         self.flushes.fetch_add(1, Ordering::SeqCst);
-        if !self.power.off.load(Ordering::SeqCst) {
+        if !self.power.off() {
             self.durable
                 .store(self.inner.record_count(), Ordering::SeqCst);
             if self.power.cut_after_flushes.fetch_sub(1, Ordering::SeqCst) == 1 {
-                self.power.off.store(true, Ordering::SeqCst);
+                self.power.faults.crash_now();
             }
         }
         Ok(())
@@ -105,7 +150,51 @@ impl LogSink for VolatileLog {
     fn byte_size(&self) -> u64 {
         self.inner.byte_size()
     }
-    fn truncate_prefix(&self, _upto: Lsn) -> Result<()> {
-        Ok(()) // keeps LSN = position, which `media` relies on
+    fn truncate_prefix(&self, upto: Lsn) -> Result<()> {
+        self.inner.truncate_prefix(upto)
+    }
+}
+
+/// A [`MemDisk`] (a write is durable once it returns) whose next page
+/// write can pause, as a [`VolatileLog`] flush can: the pause runs
+/// before the write reaches the device.
+#[derive(Default)]
+pub struct PausableDisk {
+    inner: MemDisk,
+    pause: Mutex<Option<Pause>>,
+}
+
+impl PausableDisk {
+    /// Run `pause` inside the next page write, before it lands.
+    pub fn pause_next_write(&self, pause: Option<Pause>) {
+        *self.pause.lock().unwrap() = pause;
+    }
+}
+
+impl DiskBackend for PausableDisk {
+    fn read_page(&self, id: PageId, buf: &mut [u8]) -> Result<()> {
+        self.inner.read_page(id, buf)
+    }
+    fn write_page(&self, id: PageId, buf: &[u8]) -> Result<()> {
+        let pause = self.pause.lock().unwrap().take();
+        if let Some(pause) = pause {
+            pause();
+        }
+        self.inner.write_page(id, buf)
+    }
+    fn allocate_page(&self) -> Result<PageId> {
+        self.inner.allocate_page()
+    }
+    fn num_pages(&self) -> u32 {
+        self.inner.num_pages()
+    }
+    fn sync(&self) -> Result<()> {
+        self.inner.sync()
+    }
+    fn reads(&self) -> u64 {
+        self.inner.reads()
+    }
+    fn writes(&self) -> u64 {
+        self.inner.writes()
     }
 }

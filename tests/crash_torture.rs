@@ -1,147 +1,59 @@
-//! Crash torture: a random committed workload interleaved with
-//! maintenance and pack, crashed and recovered repeatedly; after every
-//! recovery the database must match the model of committed operations
-//! exactly, and the next round continues on the recovered engine.
+//! Crash torture: a configuration of the schedule explorer
+//! (`tests/common/explorer.rs`). Eight rounds of 800 random one-step
+//! transactions over 300 keys (a tenth of them aborted), with the
+//! whole maintenance pass inline every 16 commits; each round is shaken
+//! by every actor and a pack (and, every other round, a checkpoint)
+//! before the power is cut. The explorer checks every step from the shaking
+//! on; after every reboot the database must be what the model's
+//! acknowledged commits allow, and the next round continues on the
+//! recovered engine.
 
-use std::collections::HashMap;
-use std::sync::Arc;
+mod common;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use btrim::catalog::TableOpts;
-use btrim::pack::{pack_cycle, PackLevel};
-use btrim::{Engine, EngineConfig, EngineMode};
-use btrim_pagestore::MemDisk;
-use btrim_wal::MemLog;
+use btrim::{Actor, EngineConfig, EngineMode};
 
-fn mkrow(key: u64, v: u64) -> Vec<u8> {
-    let mut r = key.to_be_bytes().to_vec();
-    r.extend_from_slice(&v.to_be_bytes());
-    r.extend_from_slice(&[0xAB; 16]);
-    r
-}
-
-fn opts() -> TableOpts {
-    TableOpts::new("torture", Arc::new(|r: &[u8]| r[..8].to_vec()))
-}
-
-fn cfg() -> EngineConfig {
-    EngineConfig {
-        mode: EngineMode::IlmOn,
-        imrs_budget: 1024 * 1024,
-        imrs_chunk_size: 128 * 1024,
-        buffer_frames: 512,
-        maintenance_interval_txns: 16,
-        ..Default::default()
-    }
-}
+use common::explorer::{config, Explorer, Profile, Step::*};
 
 #[test]
 fn database_equals_model_across_repeated_crashes() {
-    let disk = Arc::new(MemDisk::new());
-    let syslog = Arc::new(MemLog::new());
-    let imrslog = Arc::new(MemLog::new());
-    let mut model: HashMap<u64, u64> = HashMap::new();
     let mut rng = StdRng::seed_from_u64(0xC4A5);
-
+    let mut ex = Explorer::new(EngineConfig {
+        imrs_budget: 1024 * 1024,
+        buffer_frames: 512,
+        // The whole maintenance pass runs inline every 16 commits.
+        maintenance_interval_txns: 16,
+        ..config(EngineMode::IlmOn)
+    });
+    let profile = Profile {
+        steps: 800,
+        keys: 300,
+        max_pad: 16,
+        cuts: false,
+        clients: 1,
+    };
     for round in 0..8 {
-        let engine = if round == 0 {
-            let e = Engine::with_devices(cfg(), disk.clone(), syslog.clone(), imrslog.clone());
-            e.create_table(opts()).unwrap();
-            e
-        } else {
-            Engine::recover(cfg(), disk.clone(), syslog.clone(), imrslog.clone(), |e| {
-                e.create_table(opts()).map(|_| ())
-            })
-            .unwrap()
-        };
-        let table = engine.table("torture").unwrap();
-
-        // Verify the recovered state matches the committed model.
-        {
-            let txn = engine.begin();
-            let mut seen = std::collections::HashSet::new();
-            engine
-                .scan_range(&txn, &table, &[], None, |k, _, row| {
-                    let key = u64::from_be_bytes(k[..8].try_into().unwrap());
-                    let val = u64::from_be_bytes(row[8..16].try_into().unwrap());
-                    assert_eq!(
-                        model.get(&key),
-                        Some(&val),
-                        "round {round}: key {key} diverged"
-                    );
-                    seen.insert(key);
-                    true
-                })
-                .unwrap();
-            if seen.len() != model.len() {
-                for k in model.keys() {
-                    if !seen.contains(k) {
-                        let got = engine.get(&txn, &table, &k.to_be_bytes()).unwrap();
-                        let loc = engine.locate(&table, &k.to_be_bytes()).unwrap();
-                        eprintln!(
-                            "round {round}: key {k} missing from scan; get={:?} loc={loc:?} dbg={}",
-                            got.map(|g| g.len()),
-                            engine.debug_row(&table, &k.to_be_bytes()),
-                        );
-                    }
-                }
-                panic!("round {round}: row count {} != {}", seen.len(), model.len());
-            }
-            engine.commit(txn).unwrap();
+        // The round runs unchecked; everything after it, checked.
+        ex.checked = false;
+        for _ in 0..profile.steps {
+            let step = ex.draw_client(&mut rng, profile);
+            let abort = rng.gen_bool(0.1);
+            ex.run(step);
+            ex.run(if abort { Abort(0) } else { Commit(0) });
         }
-
-        // Random committed work for this round.
-        for _ in 0..800 {
-            let op: u8 = rng.gen_range(0..10);
-            let key = rng.gen_range(0..300u64);
-            let mut txn = engine.begin();
-            match op {
-                0..=4 => {
-                    let v = rng.gen::<u64>();
-                    match engine.insert(&mut txn, &table, &mkrow(key, v)) {
-                        Ok(_) => {
-                            engine.commit(txn).unwrap();
-                            assert!(!model.contains_key(&key));
-                            model.insert(key, v);
-                        }
-                        Err(_) => engine.abort(txn),
-                    }
-                }
-                5..=7 => {
-                    let v = rng.gen::<u64>();
-                    let updated = engine
-                        .update(&mut txn, &table, &key.to_be_bytes(), &mkrow(key, v))
-                        .unwrap();
-                    engine.commit(txn).unwrap();
-                    assert_eq!(updated, model.contains_key(&key));
-                    if updated {
-                        model.insert(key, v);
-                    }
-                }
-                8 => {
-                    let deleted = engine.delete(&mut txn, &table, &key.to_be_bytes()).unwrap();
-                    engine.commit(txn).unwrap();
-                    assert_eq!(deleted, model.remove(&key).is_some());
-                }
-                _ => {
-                    // An aborted multi-op transaction the model ignores.
-                    let _ = engine.insert(&mut txn, &table, &mkrow(key + 10_000, 1));
-                    let _ =
-                        engine.update(&mut txn, &table, &key.to_be_bytes(), &mkrow(key, 424242));
-                    engine.abort(txn);
-                }
-            }
-        }
-        // Shake the physical layout before the crash: GC + pack, and on
-        // odd rounds a checkpoint (exercising both recovery paths).
-        engine.run_maintenance();
-        pack_cycle(&engine, PackLevel::Aggressive);
+        ex.checked = true;
+        ex.run_all(&Actor::ALL.map(Act));
+        ex.run(PackAll);
         if round % 2 == 1 {
-            engine.checkpoint().unwrap();
+            ex.run(Checkpoint);
         }
-        // Crash (drop without shutdown).
+        ex.run(Cut);
+        ex.reboot();
     }
-    assert!(!model.is_empty(), "torture actually did work");
+    assert!(
+        ex.homes(common::explorer::HOT) != [0; 3],
+        "torture actually did work"
+    );
 }

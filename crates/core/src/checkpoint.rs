@@ -1,46 +1,65 @@
-//! The fuzzy checkpoint and the state only it reads: the table of
-//! transactions alive on the page log (its truncation floor), its
-//! gate, and its counters.
+//! The checkpoint over both logs and the state only it reads: the table
+//! of transactions alive on the page log (its truncation floor), the
+//! table of commits still appending (the image's snapshot), its gate,
+//! its trigger, and its counters.
 
 use std::collections::HashMap;
 
 use parking_lot::Mutex;
 
 use btrim_common::atomics::Relaxed;
-use btrim_common::{Lsn, Result, TxnId};
+use btrim_common::{Lsn, Result, Timestamp, TxnId};
+use btrim_imrs::{RowLocation, VersionOp};
 use btrim_obs::{CheckpointTrace, IlmTraceEvent, OpClass};
-use btrim_wal::{LogWriter, PageLogRecord};
+use btrim_txn::TxnManager;
+use btrim_wal::{ImageHeader, ImrsLogRecord, LogSink, LogWriter, PageLogRecord};
 
-use crate::engine::Engine;
+use crate::engine::{Engine, Shared};
+use crate::movement::origin_tag;
 
 /// Dirty pages written back per checkpoint flush batch.
 pub const CHECKPOINT_FLUSH_BATCH: usize = 128;
 /// Pause between flush batches — the rate limiter that keeps checkpoint
 /// I/O from monopolizing the device against foreground writes.
 pub const CHECKPOINT_BATCH_PAUSE: std::time::Duration = std::time::Duration::from_micros(50);
+/// [`Actor::Checkpoint`](crate::Actor::Checkpoint) checkpoints once the
+/// logs have taken in this many times the IMRS's used bytes since the
+/// last one.
+pub const CHECKPOINT_LOG_MULTIPLE: u64 = 4;
+/// ... and at least this many bytes: a small database never trips it.
+pub const CHECKPOINT_MIN_LOG_BYTES: u64 = 8 << 20;
 
 pub(crate) struct Checkpointer {
-    /// Serializes checkpointers (shutdown vs explicit vs background);
-    /// never held while the maintenance gate is, and vice versa.
+    /// Serializes checkpointers (shutdown vs explicit vs the
+    /// maintenance actor, which takes it under the maintenance gate).
     gate: Mutex<()>,
     /// Lifetime checkpoint count (trace ordinals).
     ordinal: Relaxed<u64>,
-    /// Highest LSN ever handed to `truncate_prefix` — the delta per
-    /// checkpoint is the number of records that truncation recycled.
-    last_truncate_upto: Relaxed<u64>,
+    /// Highest LSN ever handed to `truncate_prefix`, per log (syslogs,
+    /// sysimrslogs): the delta per checkpoint is the number of records
+    /// that truncation recycled.
+    truncated_upto: [Relaxed<u64>; 2],
+    /// Both logs' retained bytes when the last checkpoint finished: the
+    /// trigger counts what they took in since.
+    retained_after: Relaxed<u64>,
     /// First syslogs LSN of every transaction currently alive on the
     /// page log (Begin appended, Commit/Abort not yet). The checkpoint
     /// reads the minimum as its low-water truncation mark.
     txn_floor: Mutex<HashMap<TxnId, Lsn>>,
+    /// Commit timestamps reserved whose records are not all appended
+    /// yet. The image's snapshot waits for every one at or below it.
+    committing: Mutex<Vec<Timestamp>>,
 }
 
 impl Checkpointer {
     pub fn new() -> Self {
         Checkpointer {
-            gate: Mutex::with_rank(parking_lot::lock_rank::ENGINE_STATE, ()),
+            gate: Mutex::with_rank(parking_lot::lock_rank::CHECKPOINT_GATE, ()),
             ordinal: Relaxed::new(0),
-            last_truncate_upto: Relaxed::new(0),
+            truncated_upto: [Relaxed::new(0), Relaxed::new(0)],
+            retained_after: Relaxed::new(0),
             txn_floor: Mutex::with_rank(parking_lot::lock_rank::TXN_LOG_FLOOR, HashMap::new()),
+            committing: Mutex::with_rank(parking_lot::lock_rank::COMMIT_TABLE, Vec::new()),
         }
     }
 
@@ -71,45 +90,137 @@ impl Checkpointer {
         }
         appended
     }
+
+    /// Reserve a commit timestamp, entered in the table of commits still
+    /// appending until [`appended`](Self::appended).
+    pub fn reserve_commit(&self, txns: &TxnManager) -> Timestamp {
+        let mut committing = self.committing.lock();
+        let ts = txns.reserve_commit();
+        committing.push(ts);
+        ts
+    }
+
+    /// The commit at `ts` has appended its records to both logs (or
+    /// failed to): a checkpoint no longer waits for it.
+    pub fn appended(&self, ts: Timestamp) {
+        let mut committing = self.committing.lock();
+        if let Some(i) = committing.iter().position(|&t| t == ts) {
+            committing.swap_remove(i);
+        }
+    }
+
+    /// Open the image's reader: a registered snapshot `S` — so GC keeps
+    /// every version visible at `S` until it is released — once every
+    /// commit at or below `S` has appended to both logs. Commits that
+    /// reserve later get timestamps above `S`.
+    fn open_image_reader(&self, txns: &TxnManager) -> btrim_txn::TxnHandle {
+        let reader = {
+            let _committing = self.committing.lock();
+            txns.begin()
+        };
+        let s = reader.snapshot;
+        while self.committing.lock().iter().any(|&t| t <= s) {
+            std::thread::yield_now();
+        }
+        reader
+    }
+}
+
+/// Image records a checkpoint gathers into one sysimrslogs batch append.
+const IMAGE_BATCH_BYTES: usize = 256 << 10;
+
+/// Encoded image records waiting for their batch append.
+#[derive(Default)]
+struct ImageBatch {
+    /// The records, back to back.
+    buf: Vec<u8>,
+    /// Where each record in `buf` ends.
+    ends: Vec<usize>,
+    rows: u64,
+    bytes: u64,
+}
+
+impl ImageBatch {
+    /// The record just encoded at the end of `buf` is complete; append
+    /// the batch once it is large enough.
+    fn end_record(&mut self, sh: &Shared) -> Result<()> {
+        self.ends.push(self.buf.len());
+        if self.buf.len() < IMAGE_BATCH_BYTES {
+            return Ok(());
+        }
+        self.append(sh)
+    }
+
+    fn append(&mut self, sh: &Shared) -> Result<()> {
+        if self.ends.is_empty() {
+            return Ok(());
+        }
+        let starts = std::iter::once(0).chain(self.ends.iter().copied());
+        let records: Vec<&[u8]> = starts
+            .zip(&self.ends)
+            .map(|(a, &b)| &self.buf[a..b])
+            .collect();
+        sh.append_imrs_batch(&records)?;
+        self.bytes += self.buf.len() as u64;
+        self.buf.clear();
+        self.ends.clear();
+        Ok(())
+    }
+}
+
+/// Truncate `log` through `floor - 1`; returns the records that went.
+fn truncate_below(log: &dyn LogSink, upto: &Relaxed<u64>, floor: Lsn) -> Result<u64> {
+    let Some(last) = floor.0.checked_sub(1).filter(|&l| l > 0) else {
+        return Ok(0);
+    };
+    log.truncate_prefix(Lsn(last))?;
+    Ok(last.saturating_sub(upto.fetch_max(last)))
 }
 
 impl Engine {
-    /// Checkpoint: make dirty pages durable and recycle the syslogs
-    /// prefix no recovery will ever read. IMRS data is *not* flushed
-    /// (§II) — it is recovered from sysimrslogs alone, which therefore
-    /// cannot be truncated here.
+    /// Checkpoint both logs: make dirty pages durable, write an image of
+    /// the IMRS into sysimrslogs, and recycle each log's prefix no
+    /// recovery will ever read (DESIGN.md "Restart & checkpointing").
     ///
     /// Fuzzy and incremental: writers keep running throughout, pages
-    /// flush in small rate-limited batches, and the prefix below the
-    /// low-water mark is recycled on *every* checkpoint. The ordering
-    /// is the whole correctness argument — each step licenses the next:
+    /// flush in small rate-limited batches. Row movement does not: the
+    /// move gate is closed from before the image's snapshot is fixed
+    /// until both logs are truncated. The ordering is the whole
+    /// correctness argument — each step licenses the next:
     ///
-    /// 1. Read the low-water floor: the minimum first-LSN over
+    /// 1. Read the syslogs low-water floor: the minimum first-LSN over
     ///    transactions alive on the page log, bounded above by
-    ///    `record_count() + 1` (so a transaction that begins *after*
-    ///    this read necessarily has all its records above the floor).
-    /// 2. Enumerate the dirty-page table **after** the floor read: any
-    ///    page dirtied by a record below the floor was mutated before
-    ///    its transaction's outcome append, which finished before the
-    ///    floor read — so the page is either in this enumeration or
-    ///    already clean on disk.
-    /// 3. Append `CheckpointBegin { low_water, dirty_pages }`; flush
-    ///    the enumerated pages in rate-limited batches — writers keep
-    ///    committing and re-dirtying pages the whole time, which is
-    ///    fine: redo above the floor covers everything newer.
-    /// 4. Sync the page device, then append `CheckpointEnd`. Analysis
-    ///    certifies the pair only when End matches Begin, so a crash
-    ///    anywhere in between falls back to the previous checkpoint.
-    /// 5. Only after End is durable, truncate the prefix below the
-    ///    floor: every dropped record is redone (its page is durable)
-    ///    and belongs to no transaction that could still need undo.
+    ///    `record_count() + 1`. Enumerate the dirty-page table **after**
+    ///    it: any page dirtied by a record below the floor is either in
+    ///    the enumeration or already clean on disk. Append syslogs
+    ///    `CheckpointBegin { low_water, dirty_pages }`.
+    /// 2. Close the move gate (no cache, migrate, thaw, pack or freeze
+    ///    is in flight; every finished one is on both logs). Read the
+    ///    sysimrslogs floor, then fix the snapshot `S`: every commit at
+    ///    or below `S` has appended to both logs, every later one gets
+    ///    a timestamp above `S` and appends above the floor. Append
+    ///    sysimrslogs `CheckpointBegin { S, floor, id allocators }`.
+    /// 3. Make the records of every commit at or below `S` durable,
+    ///    sysimrslogs first: the image will hold their IMRS halves, so
+    ///    their page halves must not be lost behind it.
+    /// 4. Image: one RowId-ordered sweep writes the version of each
+    ///    resident row visible at `S`, then each live frozen extent.
+    /// 5. Flush the enumerated pages in rate-limited batches, syslogs
+    ///    first (the records behind the pages), then sync the device.
+    /// 6. Append both `CheckpointEnd`s and make them durable. Recovery
+    ///    certifies each log's pair only when End matches Begin, so a
+    ///    crash anywhere before falls back to the previous checkpoint.
+    /// 7. Truncate each log below its floor, the gate still closed: a
+    ///    truncation may rewrite — and so make durable — the log's
+    ///    tail, which must not carry a move's syslogs half ahead of its
+    ///    arrival.
     pub fn checkpoint(&self) -> Result<()> {
         let sh = &self.sh;
         let ck = &sh.ckpt;
-        let result: Result<()> = (|| {
+        let result: Result<CheckpointTrace> = (|| {
             let _gate = ck.gate.lock();
             let next_lsn = Lsn(sh.syslog.sink().record_count() + 1);
-            let floor = ck
+            let sys_floor = ck
                 .txn_floor
                 .lock()
                 .values()
@@ -117,22 +228,31 @@ impl Engine {
             let dirty = sh.cache.dirty_page_ids();
             let begin_lsn = sh
                 .append_sys(&PageLogRecord::CheckpointBegin {
-                    low_water: floor,
+                    low_water: sys_floor,
                     dirty_pages: dirty.clone(),
                 })?
                 .lsn();
-            // No page reaches the device ahead of the records that
-            // describe it: a cut between the two would leave a change
-            // no log holds (an uncommitted row, a departed row whose
-            // arrival was lost). The move gate stays closed until the
-            // device sync, so no cache, migrate or thaw changes a page
-            // meanwhile; both logs go first (the records behind the
-            // dirty pages), and syslogs again before the device sync
-            // (those of writers that kept going; see DESIGN.md
-            // "Restart & checkpointing" for a device that persists a
-            // write before its sync).
             let closed = sh.moves.close(&sh.imrslog, true)?;
-            sh.syslog.flush()?;
+            let imrs_floor = Lsn(sh.imrslog.sink().record_count() + 1);
+            let reader = ck.open_image_reader(&sh.txns);
+            let snapshot = reader.snapshot;
+            let settled = Lsn(sh.imrslog.sink().record_count());
+            let image_begin = sh.append_imrs(&ImrsLogRecord::CheckpointBegin(ImageHeader {
+                snapshot,
+                floor: imrs_floor,
+                next_row: sh.ridmap.next_row_id(),
+                next_txn: sh.txns.next_txn_id(),
+                next_internal: sh.pack.next_internal(),
+                next_extent: sh.extents.next_id(),
+            }));
+            let image = image_begin.and_then(|begin| {
+                sh.imrslog.flush_to(settled)?;
+                sh.syslog.flush()?;
+                let image = self.write_image(snapshot)?;
+                Ok((begin.lsn(), image))
+            });
+            sh.txns.release(reader);
+            let (image_begin, (image_rows, image_bytes)) = image?;
             let mut pages_flushed = 0u64;
             let mut batches = 0u64;
             let mut stall_nanos = 0u64;
@@ -147,34 +267,105 @@ impl Engine {
             }
             sh.syslog.flush()?;
             sh.cache.sync_backend()?;
-            drop(closed);
             sh.append_sys(&PageLogRecord::CheckpointEnd { begin_lsn })?;
-            // sysimrslogs first, as a commit and a freeze batch flush,
-            // through the move gate: a foreground move's syslogs half
-            // must not become durable ahead of its sysimrslogs half.
-            sh.moves.sync(&sh.imrslog, &sh.syslog, true)?;
-            let mut truncated_records = 0u64;
-            if floor.0 > 1 {
-                let upto = floor.0 - 1;
-                sh.syslog.sink().truncate_prefix(Lsn(upto))?;
-                let prev = ck.last_truncate_upto.fetch_max(upto);
-                truncated_records = upto.saturating_sub(prev);
-            }
-            let ordinal = ck.ordinal.fetch_add(1);
-            sh.obs
-                .trace
-                .push(IlmTraceEvent::Checkpoint(CheckpointTrace {
-                    ordinal,
-                    dirty_pages: dirty.len() as u64,
-                    pages_flushed,
-                    batches,
-                    low_water_lsn: floor.0,
-                    truncated_records,
-                    stall_nanos,
-                }));
-            Ok(())
+            sh.append_imrs(&ImrsLogRecord::CheckpointEnd {
+                begin_lsn: image_begin,
+            })?;
+            sh.imrslog.flush()?;
+            sh.syslog.flush()?;
+            let imrslog_truncated = truncate_below(
+                sh.imrslog.sink().as_ref(),
+                &ck.truncated_upto[1],
+                imrs_floor,
+            )?;
+            let syslog_truncated =
+                truncate_below(sh.syslog.sink().as_ref(), &ck.truncated_upto[0], sys_floor)?;
+            drop(closed);
+            ck.retained_after.store(self.log_resident_bytes());
+            Ok(CheckpointTrace {
+                ordinal: ck.ordinal.fetch_add(1),
+                dirty_pages: dirty.len() as u64,
+                pages_flushed,
+                batches,
+                low_water_lsn: sys_floor.0,
+                syslog_truncated,
+                imrslog_truncated,
+                image_rows,
+                image_bytes,
+                stall_nanos,
+            })
         })();
+        let result = result.map(|trace| sh.obs.trace.push(IlmTraceEvent::Checkpoint(trace)));
         sh.health.note("checkpoint", &result);
         result
+    }
+
+    /// Write the IMRS image at `snapshot`: the visible version of every
+    /// resident row in RowId order, then every frozen extent with a live
+    /// slot, [`IMAGE_BATCH_BYTES`] of records per log append. Returns the
+    /// rows and the image bytes written.
+    fn write_image(&self, snapshot: Timestamp) -> Result<(u64, u64)> {
+        let sh = &self.sh;
+        let mut batch = ImageBatch::default();
+        let mut written = Ok(());
+        sh.ridmap.for_each_resident(|row, partition, origin| {
+            if written.is_err() || sh.ridmap.get(row) != Some(RowLocation::Imrs) {
+                return;
+            }
+            let Some(imrs_row) = sh.store.get(row) else {
+                return;
+            };
+            let Some(v) = imrs_row.visible_version(snapshot, TxnId(0)) else {
+                return;
+            };
+            let (Some(h), Some(ts), false) = (v.handle, v.commit_ts, v.op == VersionOp::Delete)
+            else {
+                return;
+            };
+            sh.store.allocator().with_bytes(h, |data| {
+                let (origin, out) = (origin_tag(origin), &mut batch.buf);
+                ImrsLogRecord::encode_image_row(out, ts, partition, row, origin, data);
+            });
+            batch.rows += 1;
+            written = batch.end_record(sh);
+        });
+        written?;
+        let mut extents = Vec::new();
+        sh.extents.for_each(|ext| {
+            if ext.live_count() > 0 {
+                extents.push(ext.clone());
+            }
+        });
+        for ext in extents {
+            let dead = (0..ext.row_count()).filter(|&i| !ext.is_live(i));
+            let rec = ImrsLogRecord::ImageExtent {
+                partition: ext.partition(),
+                extent: ext.id(),
+                dead: dead.map(|i| i as u16).collect(),
+                data: ext.encode(),
+            };
+            btrim_wal::Encodable::encode_into(&rec, &mut batch.buf);
+            batch.end_record(sh)?;
+        }
+        batch.append(sh)?;
+        Ok((batch.rows, batch.bytes))
+    }
+
+    /// Bytes both logs retain now.
+    pub(crate) fn log_resident_bytes(&self) -> u64 {
+        self.sh.syslog.sink().byte_size() + self.sh.imrslog.sink().byte_size()
+    }
+
+    /// Whether the logs have taken in [`CHECKPOINT_LOG_MULTIPLE`] times
+    /// the IMRS's used bytes, and more than [`CHECKPOINT_MIN_LOG_BYTES`],
+    /// since the last checkpoint. Neither dirty pages nor frozen extents
+    /// count (DESIGN.md "Restart & checkpointing" has why).
+    pub(crate) fn checkpoint_due(&self) -> bool {
+        let sh = &self.sh;
+        let taken_in = self
+            .log_resident_bytes()
+            .saturating_sub(sh.ckpt.retained_after.load());
+        let live = CHECKPOINT_LOG_MULTIPLE * sh.store.used_bytes();
+        taken_in > CHECKPOINT_MIN_LOG_BYTES.max(live)
     }
 }

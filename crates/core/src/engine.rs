@@ -1338,7 +1338,9 @@ impl Engine {
             .collect();
         kept.sort_unstable_by_key(|k| k.0);
         kept.dedup_by_key(|k| k.0);
-        let ts = self.sh.txns.reserve_commit();
+        // Reserved through the checkpointer: a checkpoint's image waits
+        // until every commit at or below its snapshot has appended.
+        let ts = self.sh.ckpt.reserve_commit(&self.sh.txns);
         for w in &txn.writes {
             match w {
                 Write::Imrs { version, .. } => version.stamp(ts),
@@ -1352,7 +1354,7 @@ impl Engine {
         // counter it lands in.
         let (wrote_imrs, wrote_sys) = (!txn.imrs_redo.is_empty(), txn.wrote_syslog);
         self.sh.commit_shapes.count(wrote_imrs, wrote_sys);
-        let logged: Result<()> = (|| {
+        let appended: Result<()> = (|| {
             if wrote_imrs {
                 // The records were serialized at DML time; what's left
                 // on the commit path is stamping the commit timestamp
@@ -1379,6 +1381,12 @@ impl Engine {
                     }
                 }
             }
+            Ok(())
+        })();
+        // Before the barrier: a checkpoint waiting for this commit holds
+        // the move gate the barrier passes.
+        self.sh.ckpt.appended(ts);
+        let logged = appended.and_then(|()| {
             if self.sh.cfg.durable_commits {
                 // Each log's barrier is its group commit: concurrent
                 // committers share device syncs, and a transaction
@@ -1396,7 +1404,7 @@ impl Engine {
                 }
             }
             Ok(())
-        })();
+        });
         self.sh.health.note("commit", &logged);
         // Cleanup happens regardless of the log outcome — a failed
         // commit must never leave its locks behind, and its versions

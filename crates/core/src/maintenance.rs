@@ -1,7 +1,8 @@
 //! The maintenance actors — GC, the tuner (TSF learning and the tuning
-//! window), pack and freeze — and when they run: one [`Engine::step`]
-//! each, a pass over all of them inline every `maintenance_interval_txns`
-//! commits (fully deterministic, the default) or on background threads.
+//! window), pack, freeze and the checkpoint — and when they run: one
+//! [`Engine::step`] each, a pass over all of them inline every
+//! `maintenance_interval_txns` commits (fully deterministic, the
+//! default) or on background threads.
 
 use std::sync::Arc;
 
@@ -34,11 +35,20 @@ pub enum Actor {
     Pack,
     /// HTAP freeze of cold page rows into columnar extents.
     Freeze,
+    /// [`Engine::checkpoint`], once the logs have taken in enough since
+    /// the last one (`crate::checkpoint::CHECKPOINT_LOG_MULTIPLE`).
+    Checkpoint,
 }
 
 impl Actor {
     /// Every actor, in the order one maintenance pass runs them.
-    pub const ALL: [Actor; 4] = [Actor::Gc, Actor::Tuner, Actor::Pack, Actor::Freeze];
+    pub const ALL: [Actor; 5] = [
+        Actor::Gc,
+        Actor::Tuner,
+        Actor::Pack,
+        Actor::Freeze,
+        Actor::Checkpoint,
+    ];
 }
 
 pub(crate) struct Maintenance {
@@ -93,10 +103,10 @@ impl Engine {
 
     /// Run one actor once, if its gate lets it. Returns the work it did:
     /// rows GC visited, 1 for a tuning window that ran, bytes packed,
-    /// rows frozen. The tuner, pack and freeze run only under `IlmOn`;
-    /// pack and freeze write both logs and the page store, so a
-    /// read-only engine skips them (GC and the tuner are purely
-    /// in-memory).
+    /// rows frozen, 1 for a checkpoint that completed. The tuner, pack
+    /// and freeze run only under `IlmOn`; pack, freeze and the
+    /// checkpoint write the logs and the page store, so a read-only
+    /// engine skips them (GC and the tuner are purely in-memory).
     pub fn step(&self, actor: Actor) -> u64 {
         let sh = &self.sh;
         let ilm = sh.cfg.mode == EngineMode::IlmOn;
@@ -149,7 +159,10 @@ impl Engine {
             Actor::Freeze if ilm && sh.health.check_writable().is_ok() => {
                 crate::freeze::freeze_tick(self)
             }
-            Actor::Tuner | Actor::Pack | Actor::Freeze => 0,
+            Actor::Checkpoint if sh.health.check_writable().is_ok() && self.checkpoint_due() => {
+                u64::from(self.checkpoint().is_ok())
+            }
+            Actor::Tuner | Actor::Pack | Actor::Freeze | Actor::Checkpoint => 0,
         }
     }
 

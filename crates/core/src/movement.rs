@@ -155,7 +155,7 @@ impl Source {
     }
 }
 
-fn origin_tag(origin: RowOrigin) -> RowOriginTag {
+pub(crate) fn origin_tag(origin: RowOrigin) -> RowOriginTag {
     match origin {
         RowOrigin::Inserted => RowOriginTag::Inserted,
         RowOrigin::Migrated => RowOriginTag::Migrated,
@@ -344,12 +344,16 @@ fn relocate_locked(
         return Ok(out);
     }
 
-    // A pack batch syncs syslogs first (see Commit below), which could
-    // also make a foreground move's `Delete`/`Commit` durable ahead of
-    // its volatile arrival record: close the gate and settle those
-    // before this batch's own `Pack` records could ride along.
-    let background_from_imrs = sources.iter().any(|s| s.from == RowLocation::Imrs);
-    let closed = background_from_imrs.then(|| sh.moves.close(&sh.imrslog, false));
+    // A background batch (pack, freeze) holds the move gate closed from
+    // here to its flush. A pack batch syncs syslogs first (see Commit
+    // below), which could also make a foreground move's `Delete`/`Commit`
+    // durable ahead of its volatile arrival record: the gate settles
+    // those before this batch's own `Pack` records could ride along.
+    // And a checkpoint, which closes the gate too, never images the IMRS
+    // or the extents with a batch half done.
+    let background =
+        matches!(to, To::Extent { .. }) || sources.iter().any(|s| s.from == RowLocation::Imrs);
+    let closed = background.then(|| sh.moves.close(&sh.imrslog, false));
     let closed = closed.transpose()?;
     let mut extent = None;
     let logged: Result<Logged> = (|| {
@@ -544,15 +548,14 @@ fn relocate_locked(
     // next barrier there, and its LSN is published before it leaves the
     // move gate, so any later syslogs sync settles it first — syslogs
     // never gets ahead.
-    let foreground = out.extent.is_none() && !background_from_imrs;
-    if foreground {
+    if !background {
         sh.moves.arrival.fetch_max(logged.lsn().0);
     }
     let ts = sh.clock.tick();
     sh.append_sys(&PageLogRecord::Commit { txn, ts })?;
-    if foreground {
+    let Some(_closed) = closed else {
         return Ok(out);
-    }
+    };
     // A background batch flushes once, arrival log first: records
     // durable before the verdict that makes them count. The verdict
     // (and every page `Delete`) is on syslogs. A freeze batch's arrival
@@ -561,9 +564,9 @@ fn relocate_locked(
     // hold the rows. A pack batch's arrival copy is the syslogs
     // `Insert`, and it is the departure record (`Pack`) that must not
     // lead: replayed without its syslogs evidence it would drop the row.
-    let flushed = match closed {
-        Some(_closed) => sh.syslog.flush().and_then(|()| sh.imrslog.flush()),
-        None => sh.moves.sync(&sh.imrslog, &sh.syslog, true),
+    let flushed = match out.extent {
+        Some(_) => sh.imrslog.flush().and_then(|()| sh.syslog.flush()),
+        None => sh.syslog.flush().and_then(|()| sh.imrslog.flush()),
     };
     sh.health.note("movement flush", &flushed);
     Ok(out)

@@ -111,6 +111,11 @@ impl PackState {
         TxnId((1 << 63) | self.next_internal.fetch_add(1))
     }
 
+    /// The counter part of the next internal id.
+    pub(crate) fn next_internal(&self) -> u64 {
+        self.next_internal.load()
+    }
+
     /// Raise the internal-id counter above `counter_floor` (the counter
     /// part of the highest internal id seen in the logs). Recovery calls
     /// this so pack pseudo-transaction ids are never reused across

@@ -14,11 +14,13 @@
 //!    extending the paper's treatment of the non-logged hash indexes).
 //!    Pages whose on-device image fails its checksum — a torn write —
 //!    are reformatted as free and counted, never served.
-//! 3. **sysimrslogs** (IMRS): a single forward redo-only replay of the
-//!    salvaged prefix — records were written at commit time with their
-//!    commit timestamps, so no undo pass exists. "Checkpoint does not
-//!    flush any data [for the IMRS]; all the IMRS data is recovered by
-//!    doing a redo-only recovery of sysimrslogs."
+//! 3. **sysimrslogs** (IMRS): the newest certified checkpoint image
+//!    goes in, then a single forward redo-only replay of what the image
+//!    does not hold — records were written at commit time with their
+//!    commit timestamps, so no undo pass exists. As in the paper,
+//!    "checkpoint does not flush any data [for the IMRS]" to pages: the
+//!    IMRS is recovered from sysimrslogs alone, whose prefix below the
+//!    image a checkpoint truncates.
 //! 4. One row, one home: a heap copy the RID-Map no longer names is
 //!    retired, and a checkpoint certifies it (see "Winner gating").
 //!
@@ -57,12 +59,24 @@
 //!   while it sees a foreground move's sysimrslogs record volatile
 //!   (DESIGN.md "Row movement", open item (a), has what remains).
 //!
-//! Because sysimrslogs is never truncated while syslogs is, a
-//! loser/aborted verdict would be forgotten once a later checkpoint
-//! truncates the syslogs evidence. Recovery therefore appends a
+//! **The image.** A checkpoint's sysimrslogs `CheckpointBegin` carries
+//! its snapshot `S`, its floor and the id allocators; the image that
+//! follows holds every row visible at `S` and every live frozen extent,
+//! and counts only once its `CheckpointEnd` is on the media. The image
+//! holds every record below the floor and every user commit at or
+//! below `S` (the checkpoint waited for those to append, and made their
+//! syslogs halves durable first); everything else above the floor —
+//! user commits after `S`, and every internal record, all written after
+//! the sweep — replays on top of it.
+//!
+//! A loser/aborted verdict would be forgotten once a later checkpoint
+//! truncates the syslogs evidence while the loser's IMRS records are
+//! still above the sysimrslogs floor. Recovery therefore appends a
 //! durable [`ImrsLogRecord::Discard`] poisoning those transaction ids,
-//! and bumps the transaction-id allocators past every id seen in
-//! either log so a verdict can never leak onto a fresh transaction.
+//! which applies wherever it stands and is truncated only with the
+//! records it poisons, and bumps the transaction-id allocators past
+//! every id seen in either log and in the image so a verdict can never
+//! leak onto a fresh transaction.
 //!
 //! The engine's catalog is re-declared by the caller (schema closure);
 //! index pages from the previous incarnation become dead space on the
@@ -80,7 +94,7 @@ use btrim_imrs::{RowLocation, RowOrigin};
 use btrim_pagestore::page::PageType;
 use btrim_pagestore::{DiskBackend, PageGuard, SlottedPage};
 use btrim_wal::{
-    analyze_page_log, ImrsLogRecord, LogAnalysis, LogSink, PageLogRecord, RowOriginTag,
+    analyze_page_log, ImageHeader, ImrsLogRecord, LogAnalysis, LogSink, PageLogRecord, RowOriginTag,
 };
 
 use btrim_obs::OpClass;
@@ -195,6 +209,44 @@ fn moves_committed_by_arrival(imrs_log: &[(Lsn, ImrsLogRecord)]) -> HashSet<TxnI
         moves.remove(txn);
     }
     moves
+}
+
+fn row_origin(tag: RowOriginTag) -> RowOrigin {
+    match tag {
+        RowOriginTag::Inserted => RowOrigin::Inserted,
+        RowOriginTag::Migrated => RowOrigin::Migrated,
+        RowOriginTag::Cached => RowOrigin::Cached,
+    }
+}
+
+/// The newest certified checkpoint image of sysimrslogs: the LSNs of its
+/// `CheckpointBegin` and `CheckpointEnd`, and the Begin's header.
+struct ImageMark {
+    begin: Lsn,
+    end: Lsn,
+    header: ImageHeader,
+}
+
+/// The image of the last `CheckpointBegin` whose `CheckpointEnd` made
+/// the media; a Begin without one is a torn checkpoint.
+fn newest_image(records: &[(Lsn, ImrsLogRecord)]) -> Option<ImageMark> {
+    let mut begun = HashMap::new();
+    let mut newest = None;
+    for (lsn, rec) in records {
+        match *rec {
+            ImrsLogRecord::CheckpointBegin(header) => {
+                begun.insert(*lsn, header);
+            }
+            ImrsLogRecord::CheckpointEnd { begin_lsn } => {
+                if let Some(header) = begun.remove(&begin_lsn) {
+                    let (begin, end) = (begin_lsn, *lsn);
+                    newest = Some(ImageMark { begin, end, header });
+                }
+            }
+            _ => {}
+        }
+    }
+    newest
 }
 
 impl Engine {
@@ -538,7 +590,9 @@ impl Engine {
     /// verdicts: records of losers and aborted transactions are
     /// skipped, and those ids are durably poisoned with a `Discard`
     /// record so a later recovery — after checkpoint truncation has
-    /// dropped the syslogs evidence — still skips them.
+    /// dropped the syslogs evidence — still skips them. With a
+    /// certified checkpoint image in the log, the image goes in first
+    /// and only the records it does not hold replay on top of it.
     fn replay_imrs_log(
         &self,
         analysis: &LogAnalysis,
@@ -552,7 +606,7 @@ impl Engine {
             rep.imrslog_dropped = dropped;
         }
         // Ids poisoned by prior recoveries: their verdicts are already
-        // durable in this log.
+        // durable in this log. A `Discard` applies wherever it stands.
         let mut old_discards: HashSet<TxnId> = HashSet::new();
         for (_lsn, rec) in &records {
             if let ImrsLogRecord::Discard { txns } = rec {
@@ -569,20 +623,58 @@ impl Engine {
         let mut skipped = 0u64;
         let mut max_ts = Timestamp::ZERO;
         let mut max_row_id = RowId(0);
-        // Serial classification pass; surviving records are grouped by
-        // partition. A partition is the replay-order unit: partition ids
-        // are a pure function of the primary key, so all records that
-        // could ever touch the same row, hash entry, or unique-index
-        // key share a partition — replaying whole partitions on
-        // separate workers keeps every order that matters while the
-        // partitions proceed concurrently.
+        // The image's id allocators: the records that would have taught
+        // recovery them may be truncated.
+        let image = newest_image(&records);
+        if let Some(h) = image.as_ref().map(|m| m.header) {
+            max_ts = h.snapshot;
+            max_row_id = RowId(h.next_row.0.saturating_sub(1));
+            self.note_txn_floor(TxnId(h.next_txn.0.saturating_sub(1)));
+            self.sh
+                .pack
+                .bump_internal_floor(h.next_internal.saturating_sub(1));
+            if let Some(last) = h.next_extent.checked_sub(1) {
+                self.sh.extents.bump_floor(last);
+            }
+        }
+        // Surviving records are grouped by partition. A partition is the
+        // replay-order unit: partition ids are a pure function of the
+        // primary key, so all records that could ever touch the same row,
+        // hash entry, or unique-index key share a partition — replaying
+        // whole partitions on separate workers keeps every order that
+        // matters while the partitions proceed concurrently. The image
+        // leads every partition: records replayed on top of it may sit
+        // between its own in the log.
         let mut by_partition: HashMap<PartitionId, Vec<&ImrsLogRecord>> = HashMap::new();
-        for (_lsn, rec) in &records {
-            // Discard records carry no row data.
+        for (lsn, rec) in &records {
+            let partition = match rec {
+                ImrsLogRecord::ImageRow { partition, .. }
+                | ImrsLogRecord::ImageExtent { partition, .. } => partition,
+                _ => continue,
+            };
+            if image
+                .as_ref()
+                .is_some_and(|m| m.begin < *lsn && *lsn < m.end)
+            {
+                by_partition.entry(*partition).or_default().push(rec);
+            }
+        }
+        for (lsn, rec) in &records {
+            // Markers and image records carry no transaction.
             let Some(txn_id) = rec.txn() else { continue };
             self.note_txn_floor(txn_id);
             max_ts = max_ts.max(rec.ts());
             max_row_id = max_row_id.max(rec.row());
+            // The image holds everything below its floor, and every user
+            // commit at or below its snapshot. An internal record above
+            // the floor was written after the sweep — the move gate was
+            // closed through it — and its timestamp is no commit's.
+            let internal = txn_id.0 & INTERNAL_TXN_BIT != 0;
+            let held =
+                |m: &ImageMark| *lsn < m.header.floor || !internal && rec.ts() <= m.header.snapshot;
+            if image.as_ref().is_some_and(held) {
+                continue;
+            }
             if skip.contains(&txn_id) {
                 skipped += 1;
                 if !old_discards.contains(&txn_id) {
@@ -597,7 +689,7 @@ impl Engine {
                 | ImrsLogRecord::Pack { partition, .. }
                 | ImrsLogRecord::Freeze { partition, .. }
                 | ImrsLogRecord::ExtentRowGone { partition, .. } => *partition,
-                ImrsLogRecord::Discard { .. } => continue,
+                _ => continue,
             };
             by_partition.entry(partition).or_default().push(rec);
         }
@@ -648,12 +740,18 @@ impl Engine {
                 origin,
                 data,
             } => {
-                let origin = match origin {
-                    RowOriginTag::Inserted => RowOrigin::Inserted,
-                    RowOriginTag::Migrated => RowOrigin::Migrated,
-                    RowOriginTag::Cached => RowOrigin::Cached,
-                };
+                let origin = row_origin(*origin);
                 self.replay_imrs_arrival(*txn, *ts, *partition, *row, origin, data)?;
+            }
+            ImrsLogRecord::ImageRow {
+                ts,
+                partition,
+                row,
+                origin,
+                data,
+            } => {
+                let origin = row_origin(*origin);
+                self.replay_imrs_arrival(TxnId(0), *ts, *partition, *row, origin, data)?;
             }
             ImrsLogRecord::Update {
                 txn,
@@ -700,48 +798,13 @@ impl Engine {
                 extent,
                 data,
                 ..
-            } => {
-                let Some(table) = self.sh.catalog.table_of_partition(*partition) else {
-                    return Ok(());
-                };
-                let ext = btrim_pagestore::FrozenExtent::decode(data)?;
-                if ext.id() != *extent {
-                    return Err(BtrimError::Corrupt(format!(
-                        "freeze record extent id {} does not match payload id {}",
-                        extent,
-                        ext.id()
-                    )));
-                }
-                let ext = Arc::new(ext);
-                self.sh.extents.bump_floor(*extent);
-                for i in 0..ext.row_count() {
-                    let Some(row) = ext.row_id(i) else { continue };
-                    // No later insert may take a frozen row's id.
-                    self.sh.ridmap.bump_row_id_floor(row);
-                    // A thaw that won re-inserted the row into a heap, or
-                    // this freeze lost its syslogs verdict (and the page
-                    // deletes with it): page state (already rebuilt and
-                    // indexed) is then authoritative. Do not clobber it
-                    // with the frozen image, and retire the slot.
-                    if heap_locs.contains_key(&row) {
-                        ext.mark_gone(i);
-                        continue;
-                    }
-                    let Some(bytes) =
-                        crate::freeze::extent_row_bytes(table.layout.as_ref(), &ext, i)
-                    else {
-                        return Err(BtrimError::Corrupt(format!(
-                            "extent {} slot {} unreadable during replay",
-                            extent, i
-                        )));
-                    };
-                    self.sh
-                        .ridmap
-                        .set(row, RowLocation::Frozen(*extent, i as u16));
-                    Self::index_row(&table, row, &bytes);
-                }
-                self.sh.extents.install(ext)?;
-            }
+            } => self.replay_extent(*partition, *extent, data, &[], heap_locs)?,
+            ImrsLogRecord::ImageExtent {
+                partition,
+                extent,
+                dead,
+                data,
+            } => self.replay_extent(*partition, *extent, data, dead, heap_locs)?,
             ImrsLogRecord::ExtentRowGone {
                 partition,
                 row,
@@ -765,13 +828,71 @@ impl Engine {
             }
             #[expect(
                 clippy::unreachable,
-                reason = "Discard records never reach the per-partition shards (the \
+                reason = "markers never reach the per-partition shards (the \
                           classification pass drops them); reaching this arm is a \
                           recovery-logic bug worth a loud stop"
             )]
-            ImrsLogRecord::Discard { .. } => unreachable!("filtered by the caller"),
+            ImrsLogRecord::Discard { .. }
+            | ImrsLogRecord::CheckpointBegin(_)
+            | ImrsLogRecord::CheckpointEnd { .. } => unreachable!("filtered by the caller"),
         }
         Ok(())
+    }
+
+    /// Install a replayed extent (a winner's `Freeze`, or one of the
+    /// image). Its `dead` slots stay dead; so does the slot of a row a
+    /// heap holds — a thaw that won re-inserted it, or the freeze lost
+    /// its syslogs verdict (and the page deletes with it): page state,
+    /// already rebuilt and indexed, is then authoritative. Every other
+    /// row is named frozen and indexed.
+    fn replay_extent(
+        &self,
+        partition: PartitionId,
+        extent: u32,
+        data: &[u8],
+        dead: &[u16],
+        heap_locs: &HashMap<RowId, (PageId, SlotId)>,
+    ) -> Result<()> {
+        let Some(table) = self.sh.catalog.table_of_partition(partition) else {
+            return Ok(());
+        };
+        let ext = btrim_pagestore::FrozenExtent::decode(data)?;
+        if ext.id() != extent {
+            return Err(BtrimError::Corrupt(format!(
+                "extent record id {} does not match payload id {}",
+                extent,
+                ext.id()
+            )));
+        }
+        let ext = Arc::new(ext);
+        self.sh.extents.bump_floor(extent);
+        for &i in dead {
+            ext.mark_gone(i as usize);
+        }
+        for i in 0..ext.row_count() {
+            let Some(row) = ext.row_id(i) else { continue };
+            // No later insert may take a frozen row's id.
+            self.sh.ridmap.bump_row_id_floor(row);
+            if !ext.is_live(i) {
+                continue;
+            }
+            if heap_locs.contains_key(&row) {
+                ext.mark_gone(i);
+                continue;
+            }
+            let Some(bytes) = crate::freeze::extent_row_bytes(table.layout.as_ref(), &ext, i)
+            else {
+                return Err(BtrimError::Corrupt(format!(
+                    "extent {} slot {} unreadable during replay",
+                    extent, i
+                )));
+            };
+            self.sh
+                .ridmap
+                .set(row, RowLocation::Frozen(extent, i as u16));
+            Self::index_row(&table, row, &bytes);
+        }
+        self.sh.extents.install(ext)
     }
 
     /// A winner's image arriving in the IMRS (a client insert, or the

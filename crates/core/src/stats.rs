@@ -147,6 +147,12 @@ pub struct EngineSnapshot {
     pub frozen_raw_bytes: u64,
     /// Encoded bytes of the installed extents.
     pub frozen_encoded_bytes: u64,
+    /// Bytes syslogs retains: appended and not yet truncated by a
+    /// checkpoint (frames included).
+    pub syslog_resident_bytes: u64,
+    /// Bytes sysimrslogs retains: the last checkpoint's image and what
+    /// was appended since.
+    pub imrslog_resident_bytes: u64,
     /// Current learned TSF Ʈ.
     pub tsf_tau: u64,
     /// Tuning windows executed.
@@ -275,6 +281,8 @@ impl EngineSnapshot {
             moves_skipped: sh.moves.skipped.load(),
             frozen_raw_bytes: sh.extents.raw_bytes(),
             frozen_encoded_bytes: sh.extents.encoded_bytes(),
+            syslog_resident_bytes: sh.syslog.sink().byte_size(),
+            imrslog_resident_bytes: sh.imrslog.sink().byte_size(),
             tsf_tau: sh.tsf.tau(),
             tuning_windows: sh.tuner.windows_run(),
             gc_bytes_freed: sh.gc.bytes_freed(),
@@ -497,6 +505,8 @@ impl EngineSnapshot {
             moves_skipped,
             frozen_raw_bytes,
             frozen_encoded_bytes,
+            syslog_resident_bytes,
+            imrslog_resident_bytes,
             tsf_tau,
             tuning_windows,
             gc_bytes_freed,
@@ -602,6 +612,7 @@ impl EngineSnapshot {
                 "\"pack_cycles\":{},\"rows_packed\":{},\"bytes_packed\":{},",
                 "\"rows_skipped_hot\":{},\"frozen_extents\":{},\"rows_frozen\":{},",
                 "\"rows_thawed\":{},\"moves_skipped\":{},\"frozen_raw_bytes\":{},\"frozen_encoded_bytes\":{},",
+                "\"syslog_resident_bytes\":{},\"imrslog_resident_bytes\":{},",
                 "\"tsf_tau\":{},\"tuning_windows\":{},",
                 "\"buffer\":{{\"hits\":{},\"misses\":{},\"evictions\":{},\"flushes\":{},",
                 "\"latch_contention\":{},\"shard_lock_contention\":{},\"io_waits\":{},",
@@ -650,6 +661,8 @@ impl EngineSnapshot {
             moves_skipped,
             frozen_raw_bytes,
             frozen_encoded_bytes,
+            syslog_resident_bytes,
+            imrslog_resident_bytes,
             tsf_tau,
             tuning_windows,
             hits,
@@ -850,7 +863,10 @@ mod tests {
                     pages_flushed: 0,
                     batches: 0,
                     low_water_lsn: 0,
-                    truncated_records: 0,
+                    syslog_truncated: 0,
+                    imrslog_truncated: 0,
+                    image_rows: 0,
+                    image_bytes: 0,
                     stall_nanos: 0,
                 }));
         }

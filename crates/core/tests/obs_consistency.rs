@@ -255,6 +255,91 @@ fn pack_trace_bytes_sum_to_bytes_packed() {
     assert!(traced_total > 0, "workload must actually pack bytes");
 }
 
+/// The checkpoint actor keeps both logs to live data: after a long
+/// inline run that trips it several times, each log's appended records
+/// minus the truncated ones the trace reports are the records it
+/// retains, and at every maintenance pass the retained bytes stay under
+/// the bound DESIGN.md "Restart & checkpointing" states — the trigger's
+/// threshold, plus the last image, plus one pass of appends.
+#[test]
+fn truncation_is_conserved_and_the_logs_stay_bounded() {
+    use btrim_core::checkpoint::{CHECKPOINT_LOG_MULTIPLE, CHECKPOINT_MIN_LOG_BYTES};
+    use btrim_wal::{LogSink, MemLog};
+    let budget = 1u64 << 20;
+    let (syslog, imrslog) = (Arc::new(MemLog::new()), Arc::new(MemLog::new()));
+    let e = Engine::with_devices(
+        EngineConfig {
+            mode: EngineMode::IlmOn,
+            imrs_budget: budget,
+            imrs_chunk_size: 128 * 1024,
+            buffer_frames: 1024,
+            maintenance_interval_txns: 64,
+            obs_trace_capacity: 1 << 16,
+            ..Default::default()
+        },
+        Arc::new(btrim_pagestore::MemDisk::new()),
+        syslog.clone(),
+        imrslog.clone(),
+    );
+    let t = e.create_table(opts("t")).unwrap();
+    let keys = 1_500u64;
+    let mut s = 0x9E37_79B9_7F4A_7C15u64;
+    let (mut image, mut peak) = (0u64, 0u64);
+    for i in 0..40_000u64 {
+        s ^= s << 13;
+        s ^= s >> 7;
+        s ^= s << 17;
+        let row = mkrow(s % keys, &[i as u8; 500]);
+        let mut txn = e.begin();
+        if i < keys {
+            e.insert(&mut txn, &t, &mkrow(i, &[0; 500])).unwrap();
+        } else {
+            e.update(&mut txn, &t, &row[..8], &row).unwrap();
+        }
+        e.commit(txn).unwrap();
+        let resident = syslog.byte_size() + imrslog.byte_size();
+        if i % 64 == 0 {
+            let snap = e.snapshot();
+            let reported = snap.syslog_resident_bytes + snap.imrslog_resident_bytes;
+            assert_eq!(reported, resident);
+            for ev in &snap.ilm_trace {
+                if let IlmTraceEvent::Checkpoint(c) = ev {
+                    image = image.max(c.image_bytes);
+                }
+            }
+        }
+        // The image before the first checkpoint is no bigger than the
+        // budget; a pass of 64 commits appends well under 1 MiB.
+        let threshold = CHECKPOINT_MIN_LOG_BYTES.max(CHECKPOINT_LOG_MULTIPLE * budget);
+        let bound = threshold + image.max(budget) + (1 << 20);
+        assert!(
+            resident <= bound,
+            "txn {i}: {resident} B retained, bound {bound}"
+        );
+        peak = peak.max(resident);
+    }
+    let (mut truncated, mut checkpoints) = ((0u64, 0u64), 0);
+    for ev in e.obs().trace.events() {
+        if let IlmTraceEvent::Checkpoint(c) = ev {
+            truncated = (
+                truncated.0 + c.syslog_truncated,
+                truncated.1 + c.imrslog_truncated,
+            );
+            checkpoints += 1;
+        }
+    }
+    assert_eq!(e.obs().trace.dropped(), 0);
+    assert!(checkpoints >= 2, "{checkpoints} checkpoints, peak {peak} B");
+    for (log, truncated, name) in [
+        (&syslog, truncated.0, "syslogs"),
+        (&imrslog, truncated.1, "sysimrslogs"),
+    ] {
+        let retained = log.read_all().unwrap().len() as u64;
+        assert!(truncated > 0, "{name} truncated nothing");
+        assert_eq!(log.record_count() - truncated, retained, "{name}");
+    }
+}
+
 /// A maintenance tick sizes its pack cycle to the steady line: every
 /// tick-driven cycle packs `min(5 % of live bytes, over_steady_bytes)`,
 /// the live bytes being the line, that overshoot and what partitions

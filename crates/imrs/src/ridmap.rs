@@ -187,6 +187,11 @@ impl RidMap {
         RowId(self.next_row_id.fetch_add(1))
     }
 
+    /// The RowId the next allocation hands out.
+    pub fn next_row_id(&self) -> RowId {
+        RowId(self.next_row_id.load())
+    }
+
     /// Make sure future allocations start above `floor` (recovery).
     pub fn bump_row_id_floor(&self, floor: RowId) {
         self.next_row_id.fetch_max(floor.0 + 1);

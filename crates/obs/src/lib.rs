@@ -374,8 +374,14 @@ pub struct CheckpointTrace {
     pub batches: u64,
     /// Redo low-water LSN the completed pair certified.
     pub low_water_lsn: u64,
-    /// Syslog records dropped by the post-checkpoint prefix truncation.
-    pub truncated_records: u64,
+    /// Syslogs records dropped by the post-checkpoint prefix truncation.
+    pub syslog_truncated: u64,
+    /// Sysimrslogs records dropped by it: everything below the image.
+    pub imrslog_truncated: u64,
+    /// Rows in the IMRS image.
+    pub image_rows: u64,
+    /// Bytes of the image's records (rows and frozen extents).
+    pub image_bytes: u64,
     /// Wall time the checkpoint thread spent flushing + syncing
     /// (excludes the deliberate inter-batch pauses).
     pub stall_nanos: u64,
@@ -490,14 +496,18 @@ impl IlmTraceEvent {
                 concat!(
                     "{{\"kind\":\"checkpoint\",\"ordinal\":{},\"dirty_pages\":{},",
                     "\"pages_flushed\":{},\"batches\":{},\"low_water_lsn\":{},",
-                    "\"truncated_records\":{},\"stall_nanos\":{}}}"
+                    "\"syslog_truncated\":{},\"imrslog_truncated\":{},",
+                    "\"image_rows\":{},\"image_bytes\":{},\"stall_nanos\":{}}}"
                 ),
                 c.ordinal,
                 c.dirty_pages,
                 c.pages_flushed,
                 c.batches,
                 c.low_water_lsn,
-                c.truncated_records,
+                c.syslog_truncated,
+                c.imrslog_truncated,
+                c.image_rows,
+                c.image_bytes,
                 c.stall_nanos,
             ),
             IlmTraceEvent::Freeze(f) => format!(
@@ -637,7 +647,10 @@ mod tests {
             pages_flushed: 118,
             batches: 2,
             low_water_lsn: 501,
-            truncated_records: 480,
+            syslog_truncated: 480,
+            imrslog_truncated: 1_200,
+            image_rows: 300,
+            image_bytes: 48_000,
             stall_nanos: 2_000_000,
         });
         let freeze = IlmTraceEvent::Freeze(FreezeTrace {

@@ -249,6 +249,11 @@ impl TxnManager {
         self.aborted.load()
     }
 
+    /// The id the next [`begin`](Self::begin) hands out.
+    pub fn next_txn_id(&self) -> TxnId {
+        TxnId(self.next_txn.load())
+    }
+
     /// Raise the id allocator above `floor`. Recovery calls this with
     /// the highest transaction id found in either log so ids are never
     /// reused across incarnations — replay gates records by id, and a

@@ -7,8 +7,9 @@
 //!   redo-undo.
 //! * **sysimrslogs** — a redo-only log for in-memory DMLs. IMRS
 //!   changes are logged at commit time with their commit timestamp, so
-//!   recovery is a single forward redo pass; checkpoint never flushes
-//!   IMRS data.
+//!   recovery is a single forward redo pass. A checkpoint writes no
+//!   IMRS data to pages: it writes an image of the IMRS into this log
+//!   and truncates the log below it.
 //!
 //! [`log`] provides the append-only sinks (in-memory and file-backed)
 //! with checksummed framing that tolerates a torn tail, and the typed
@@ -40,5 +41,5 @@ pub mod record;
 pub mod recovery;
 
 pub use log::{FileLog, LogSink, LogWriter, LsnRange, MemLog};
-pub use record::{Encodable, ImrsLogRecord, PageLogRecord, RowOriginTag};
+pub use record::{Encodable, ImageHeader, ImrsLogRecord, PageLogRecord, RowOriginTag};
 pub use recovery::{analyze_page_log, LogAnalysis};

@@ -37,6 +37,9 @@ const PAGE_ROW_HEAD: usize = 1 + 8 + 4 + 8 + 4 + 2;
 /// record (`ts` at byte 9, where commit stamps it).
 const IMRS_ROW_HEAD: usize = 1 + 8 + 8 + 4 + 8;
 
+/// `tag`, `ts`, `partition`, `row`, `origin`: the head of an image row.
+const IMAGE_ROW_HEAD: usize = 1 + 8 + 4 + 8 + 1;
+
 /// Compact tag mirroring the IMRS `RowOrigin` enum in log records
 /// (wal does not depend on imrs).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -293,9 +296,9 @@ impl PageLogRecord {
     }
 }
 
-/// Records of the redo-only IMRS log (`sysimrslogs`). Every record is
-/// written at commit with its commit timestamp; recovery is a single
-/// forward replay.
+/// Records of the redo-only IMRS log (`sysimrslogs`). Every row record
+/// is written at commit with its commit timestamp; recovery loads the
+/// newest checkpoint image and replays forward from there.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum ImrsLogRecord {
     /// Row entered the IMRS (insert, migration, or caching) with image.
@@ -358,14 +361,60 @@ pub enum ImrsLogRecord {
     },
     /// Written by recovery: the listed transactions lost (crashed
     /// in-flight or aborted) and their earlier records in this log must
-    /// never replay. The IMRS log is not truncated at checkpoints, but
-    /// the page-store log — where Begin/Commit evidence lives — is, so
-    /// the loser verdict has to be made durable here or a *second*
-    /// recovery after a checkpoint would mistake stale loser records
-    /// for committed work. Transaction ids are never reused across
-    /// incarnations (recovery bumps the id floors above everything in
-    /// both logs), so poisoning an id is safe forever.
+    /// never replay. The page-store log — where Begin/Commit evidence
+    /// lives — is truncated at every checkpoint, so the loser verdict
+    /// has to be made durable here or a *second* recovery would mistake
+    /// stale loser records for committed work. A checkpoint truncates
+    /// this log too, but only below its own image: a `Discard` goes
+    /// with the loser records it poisons, all of which precede it.
+    /// Transaction ids are never reused across incarnations (recovery
+    /// bumps the id floors above everything in both logs and in the
+    /// image), so poisoning an id is safe forever.
     Discard { txns: Vec<TxnId> },
+    /// A checkpoint's IMRS image opens: the `ImageRow` and
+    /// `ImageExtent` records up to the matching
+    /// [`CheckpointEnd`](ImrsLogRecord::CheckpointEnd) hold every row
+    /// visible at the header's snapshot and every live frozen extent.
+    CheckpointBegin(ImageHeader),
+    /// One row of the image: its version visible at the snapshot, with
+    /// that version's commit timestamp and the row's origin.
+    ImageRow {
+        ts: Timestamp,
+        partition: PartitionId,
+        row: RowId,
+        origin: RowOriginTag,
+        data: Vec<u8>,
+    },
+    /// One live frozen extent of the image: its encoded bytes (as a
+    /// `Freeze` record carries them) and its dead slots.
+    ImageExtent {
+        partition: PartitionId,
+        extent: u32,
+        dead: Vec<u16>,
+        data: Vec<u8>,
+    },
+    /// The image of the `CheckpointBegin` at `begin_lsn` is complete and
+    /// every page-store record of a transaction it holds was durable
+    /// first. Only the pair certifies an image.
+    CheckpointEnd { begin_lsn: Lsn },
+}
+
+/// What a checkpoint's IMRS image holds besides its rows. Recovery
+/// loads the image of the newest certified pair and replays, from
+/// `floor` on, the user records newer than `snapshot` and every
+/// internal one. The `next_*` fields are the id allocators at
+/// `snapshot`: the records that would have taught recovery them may be
+/// truncated.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct ImageHeader {
+    /// The commit clock when the image was fixed.
+    pub snapshot: Timestamp,
+    /// The first LSN the checkpoint kept.
+    pub floor: Lsn,
+    pub next_row: RowId,
+    pub next_txn: TxnId,
+    pub next_internal: u64,
+    pub next_extent: u32,
 }
 
 /// Append the head every IMRS row record starts with.
@@ -419,6 +468,26 @@ impl ImrsLogRecord {
         put_imrs_row_head(&mut e, 1, txn, ts, partition, row);
         e.put_bytes(data);
     }
+
+    /// Append `ImageRow { ts, partition, row, origin, data }` with the
+    /// image borrowed (see [`encode_insert`](Self::encode_insert)).
+    pub fn encode_image_row(
+        out: &mut Vec<u8>,
+        ts: Timestamp,
+        partition: PartitionId,
+        row: RowId,
+        origin: RowOriginTag,
+        data: &[u8],
+    ) {
+        out.reserve(IMAGE_ROW_HEAD + bytes_len(data));
+        let mut e = Encoder::append_to(out);
+        e.put_u8(8);
+        e.put_u64(ts.0);
+        e.put_u32(partition.0);
+        e.put_u64(row.0);
+        e.put_u8(origin as u8);
+        e.put_bytes(data);
+    }
 }
 
 impl Encodable for ImrsLogRecord {
@@ -430,6 +499,12 @@ impl Encodable for ImrsLogRecord {
             ImrsLogRecord::Freeze { data, .. } => 1 + 8 + 8 + 4 + 4 + bytes_len(data),
             ImrsLogRecord::ExtentRowGone { .. } => IMRS_ROW_HEAD + 4 + 2,
             ImrsLogRecord::Discard { txns } => 1 + 4 + 8 * txns.len(),
+            ImrsLogRecord::CheckpointBegin(_) => 1 + 8 * 5 + 4,
+            ImrsLogRecord::ImageRow { data, .. } => IMAGE_ROW_HEAD + bytes_len(data),
+            ImrsLogRecord::ImageExtent { dead, data, .. } => {
+                1 + 4 + 4 + 4 + 2 * dead.len() + bytes_len(data)
+            }
+            ImrsLogRecord::CheckpointEnd { .. } => 1 + 8,
         }
     }
 
@@ -497,6 +572,41 @@ impl Encodable for ImrsLogRecord {
                     e.put_u64(t.0);
                 }
             }
+            ImrsLogRecord::CheckpointBegin(h) => {
+                e.put_u8(7);
+                e.put_u64(h.snapshot.0);
+                e.put_u64(h.floor.0);
+                e.put_u64(h.next_row.0);
+                e.put_u64(h.next_txn.0);
+                e.put_u64(h.next_internal);
+                e.put_u32(h.next_extent);
+            }
+            ImrsLogRecord::ImageRow {
+                ts,
+                partition,
+                row,
+                origin,
+                data,
+            } => Self::encode_image_row(out, *ts, *partition, *row, *origin, data),
+            ImrsLogRecord::ImageExtent {
+                partition,
+                extent,
+                dead,
+                data,
+            } => {
+                e.put_u8(9);
+                e.put_u32(partition.0);
+                e.put_u32(*extent);
+                e.put_u32(dead.len() as u32);
+                for &i in dead {
+                    e.put_u16(i);
+                }
+                e.put_bytes(data);
+            }
+            ImrsLogRecord::CheckpointEnd { begin_lsn } => {
+                e.put_u8(10);
+                e.put_u64(begin_lsn.0);
+            }
         }
     }
 
@@ -554,14 +664,47 @@ impl Encodable for ImrsLogRecord {
                 extent: d.get_u32()?,
                 idx: d.get_u16()?,
             },
+            7 => ImrsLogRecord::CheckpointBegin(ImageHeader {
+                snapshot: Timestamp(d.get_u64()?),
+                floor: Lsn(d.get_u64()?),
+                next_row: RowId(d.get_u64()?),
+                next_txn: TxnId(d.get_u64()?),
+                next_internal: d.get_u64()?,
+                next_extent: d.get_u32()?,
+            }),
+            8 => ImrsLogRecord::ImageRow {
+                ts: Timestamp(d.get_u64()?),
+                partition: PartitionId(d.get_u32()?),
+                row: RowId(d.get_u64()?),
+                origin: RowOriginTag::from_u8(d.get_u8()?)?,
+                data: d.get_bytes()?,
+            },
+            9 => {
+                let partition = PartitionId(d.get_u32()?);
+                let extent = d.get_u32()?;
+                let n = d.get_u32()? as usize;
+                let mut dead = Vec::with_capacity(n.min(4096));
+                for _ in 0..n {
+                    dead.push(d.get_u16()?);
+                }
+                ImrsLogRecord::ImageExtent {
+                    partition,
+                    extent,
+                    dead,
+                    data: d.get_bytes()?,
+                }
+            }
+            10 => ImrsLogRecord::CheckpointEnd {
+                begin_lsn: Lsn(d.get_u64()?),
+            },
             t => return Err(BtrimError::Corrupt(format!("bad imrs log tag {t}"))),
         })
     }
 }
 
 impl ImrsLogRecord {
-    /// Transaction that produced the record (`None` for the
-    /// recovery-written [`Discard`](ImrsLogRecord::Discard) marker).
+    /// Transaction that produced the record (`None` for the markers
+    /// recovery and checkpoints write, and for the image).
     pub fn txn(&self) -> Option<TxnId> {
         match self {
             ImrsLogRecord::Insert { txn, .. }
@@ -570,11 +713,16 @@ impl ImrsLogRecord {
             | ImrsLogRecord::Pack { txn, .. }
             | ImrsLogRecord::Freeze { txn, .. }
             | ImrsLogRecord::ExtentRowGone { txn, .. } => Some(*txn),
-            ImrsLogRecord::Discard { .. } => None,
+            ImrsLogRecord::Discard { .. }
+            | ImrsLogRecord::CheckpointBegin(_)
+            | ImrsLogRecord::ImageRow { .. }
+            | ImrsLogRecord::ImageExtent { .. }
+            | ImrsLogRecord::CheckpointEnd { .. } => None,
         }
     }
 
-    /// Commit timestamp carried by the record (`ZERO` for `Discard`).
+    /// Commit timestamp carried by the record (`ZERO` for the markers
+    /// and an image extent).
     pub fn ts(&self) -> Timestamp {
         match self {
             ImrsLogRecord::Insert { ts, .. }
@@ -582,21 +730,30 @@ impl ImrsLogRecord {
             | ImrsLogRecord::Delete { ts, .. }
             | ImrsLogRecord::Pack { ts, .. }
             | ImrsLogRecord::Freeze { ts, .. }
-            | ImrsLogRecord::ExtentRowGone { ts, .. } => *ts,
-            ImrsLogRecord::Discard { .. } => Timestamp::ZERO,
+            | ImrsLogRecord::ExtentRowGone { ts, .. }
+            | ImrsLogRecord::ImageRow { ts, .. } => *ts,
+            ImrsLogRecord::Discard { .. }
+            | ImrsLogRecord::CheckpointBegin(_)
+            | ImrsLogRecord::ImageExtent { .. }
+            | ImrsLogRecord::CheckpointEnd { .. } => Timestamp::ZERO,
         }
     }
 
-    /// Row the record concerns (`RowId(0)` for `Discard` and for
-    /// `Freeze`, which carries a whole batch of rows in its extent).
+    /// Row the record concerns (`RowId(0)` for the markers and for
+    /// `Freeze` and `ImageExtent`, which carry a batch of rows).
     pub fn row(&self) -> RowId {
         match self {
             ImrsLogRecord::Insert { row, .. }
             | ImrsLogRecord::Update { row, .. }
             | ImrsLogRecord::Delete { row, .. }
             | ImrsLogRecord::Pack { row, .. }
-            | ImrsLogRecord::ExtentRowGone { row, .. } => *row,
-            ImrsLogRecord::Discard { .. } | ImrsLogRecord::Freeze { .. } => RowId(0),
+            | ImrsLogRecord::ExtentRowGone { row, .. }
+            | ImrsLogRecord::ImageRow { row, .. } => *row,
+            ImrsLogRecord::Discard { .. }
+            | ImrsLogRecord::Freeze { .. }
+            | ImrsLogRecord::CheckpointBegin(_)
+            | ImrsLogRecord::ImageExtent { .. }
+            | ImrsLogRecord::CheckpointEnd { .. } => RowId(0),
         }
     }
 }
@@ -706,6 +863,30 @@ mod tests {
             row: RowId(77),
             extent: 11,
             idx: 42,
+        });
+        roundtrip_imrs(ImrsLogRecord::CheckpointBegin(ImageHeader {
+            snapshot: Timestamp(16),
+            floor: Lsn(400),
+            next_row: RowId(9_000),
+            next_txn: TxnId(321),
+            next_internal: 77,
+            next_extent: 12,
+        }));
+        roundtrip_imrs(ImrsLogRecord::ImageRow {
+            ts: Timestamp(15),
+            partition: PartitionId(2),
+            row: RowId(78),
+            origin: RowOriginTag::Cached,
+            data: b"row".to_vec(),
+        });
+        roundtrip_imrs(ImrsLogRecord::ImageExtent {
+            partition: PartitionId(2),
+            extent: 11,
+            dead: vec![0, 42],
+            data: vec![0xBB; 30],
+        });
+        roundtrip_imrs(ImrsLogRecord::CheckpointEnd {
+            begin_lsn: Lsn(401),
         });
     }
 
@@ -876,7 +1057,7 @@ mod proptests {
         }
     }
 
-    /// IMRS record `variant` (mod 8), as [`page_record`].
+    /// IMRS record `variant` (mod 12), as [`page_record`].
     fn imrs_record(variant: u8, n: u64, a: Vec<u8>) -> ImrsLogRecord {
         let (txn, ts, partition, row) = (
             TxnId(n),
@@ -889,7 +1070,7 @@ mod proptests {
             RowOriginTag::Migrated,
             RowOriginTag::Cached,
         ][n as usize % 3];
-        match variant % 8 {
+        match variant % 12 {
             0 => ImrsLogRecord::Insert {
                 txn,
                 ts,
@@ -935,6 +1116,28 @@ mod proptests {
             6 => ImrsLogRecord::Discard {
                 txns: a.iter().map(|&t| TxnId(n ^ t as u64)).collect(),
             },
+            7 => ImrsLogRecord::CheckpointBegin(ImageHeader {
+                snapshot: ts,
+                floor: Lsn(n >> 3),
+                next_row: row,
+                next_txn: txn,
+                next_internal: n >> 1,
+                next_extent: n as u32,
+            }),
+            8 => ImrsLogRecord::ImageRow {
+                ts,
+                partition,
+                row,
+                origin,
+                data: a,
+            },
+            9 => ImrsLogRecord::ImageExtent {
+                partition,
+                extent: n as u32,
+                dead: a.iter().map(|&i| u16::from(i) * 7).collect(),
+                data: a,
+            },
+            10 => ImrsLogRecord::CheckpointEnd { begin_lsn: Lsn(n) },
             _ => ImrsLogRecord::Discard { txns: vec![] },
         }
     }
@@ -985,6 +1188,9 @@ mod proptests {
                 }
                 ImrsLogRecord::Update { txn, ts, partition, row, data } => {
                     ImrsLogRecord::encode_update(&mut borrowed, *txn, *ts, *partition, *row, data);
+                }
+                ImrsLogRecord::ImageRow { ts, partition, row, origin, data } => {
+                    ImrsLogRecord::encode_image_row(&mut borrowed, *ts, *partition, *row, *origin, data);
                 }
                 other => other.encode_into(&mut borrowed),
             }

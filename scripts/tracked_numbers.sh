@@ -80,9 +80,13 @@ numbers() {
     echo "commit_append_sites $(append_sites Commit)"
     # A user transaction announces itself in syslogs only on a page arm.
     echo "ensure_begin_call_sites $(call_sites ensure_begin)"
-    # Where a foreground move's sysimrslogs half is settled before a
-    # syslogs barrier: a page-only commit and a pack batch.
+    # Where sysimrslogs is settled only as far as a syslogs barrier
+    # needs: the move gate (a page-only commit, a pack or freeze batch)
+    # and a checkpoint's image snapshot.
     echo "flush_to_call_sites $(call_sites flush_to)"
+    # Log truncation outside in-file tests: the checkpoint alone, one
+    # call for both logs, under the closed move gate.
+    echo "truncate_prefix_call_sites $(for f in crates/core/src/*.rs; do sed '/^#\[cfg(test)\]/,$d' "$f"; done | grep -v 'fn truncate_prefix(' | grep -c '\btruncate_prefix(' || true)"
 }
 
 over=0

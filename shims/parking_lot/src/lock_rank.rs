@@ -27,11 +27,21 @@
 
 /// Engine maintenance gate (`core::maintenance::Maintenance::gate`).
 pub const ENGINE_STATE: u16 = 10;
+/// The checkpoint gate (`core::checkpoint::Checkpointer::gate`): one
+/// checkpoint at a time. `Actor::Checkpoint` takes it under the
+/// maintenance gate; a checkpoint then closes the move gate.
+pub const CHECKPOINT_GATE: u16 = 11;
 /// The movement gate (`core::movement::MoveGate::gate`): shared by a
 /// foreground move for its whole mini-transaction, exclusive to a
 /// syslogs sync — a commit's, a checkpoint's (under the checkpoint
 /// gate), a pack or freeze batch's (under the maintenance gate).
 pub const MOVE_GATE: u16 = 12;
+/// Commits between their timestamp reservation and their last log
+/// append (`core::checkpoint::Checkpointer::committing`). A commit takes
+/// it holding no ranked lock; a checkpoint takes it under its own gate
+/// and the move gate, and reads the clock and begins its sweep reader
+/// (the registry) inside it.
+pub const COMMIT_TABLE: u16 = 14;
 /// Transaction-registry overflow table (`txn::manager::TxnRegistry::
 /// overflow`). Taken only when more transactions are in flight than the
 /// registry has lock-free slots; begin/commit/abort on the slot path and
@@ -78,7 +88,9 @@ pub const GROUP_COMMIT: u16 = 60;
 /// cite.
 pub const LOCK_RANKS: &[(&str, u16)] = &[
     ("engine-state", ENGINE_STATE),
+    ("checkpoint-gate", CHECKPOINT_GATE),
     ("move-gate", MOVE_GATE),
+    ("commit-table", COMMIT_TABLE),
     ("txn-registry", TXN_REGISTRY),
     ("buffer-shard", BUFFER_SHARD),
     ("frame", FRAME),

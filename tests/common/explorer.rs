@@ -1034,7 +1034,7 @@ impl Explorer {
         match rng.gen_range(0..100) {
             0..=69 => vec![self.draw_client_step(rng, p, c, None)],
             70..=79 => vec![Step::Commit(c)],
-            80..=83 => vec![Step::Act(Actor::ALL[rng.gen_range(0..4)])],
+            80..=83 => vec![Step::Act(Actor::ALL[rng.gen_range(0..Actor::ALL.len())])],
             84 => vec![Step::PackAll],
             85 => vec![Step::Checkpoint],
             86..=87 => vec![Step::Snap],

@@ -150,8 +150,16 @@ impl LogSink for VolatileLog {
     fn byte_size(&self) -> u64 {
         self.inner.byte_size()
     }
+    /// A truncation rewrites the retained records (a file-backed log
+    /// writes them to a new file and syncs it), so it makes them all
+    /// durable, as a flush does.
     fn truncate_prefix(&self, upto: Lsn) -> Result<()> {
-        self.inner.truncate_prefix(upto)
+        self.inner.truncate_prefix(upto)?;
+        if !self.power.off() {
+            self.durable
+                .store(self.inner.record_count(), Ordering::SeqCst);
+        }
+        Ok(())
     }
 }
 

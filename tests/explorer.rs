@@ -139,6 +139,40 @@ fn an_uncommitted_update_written_by_a_checkpoint_does_not_come_back() {
     inside_a_checkpoints_page_writes(&[Update(1, COLD, 1, 12, 0)]);
 }
 
+/// Client B's mixed transaction commits inside the checkpoint's first
+/// syslogs sync — after sysimrslogs `CheckpointBegin`, before the image
+/// sweep — and the power is cut at each device op of the checkpoint,
+/// both halves, in turn. `hot` 2 migrated just before (its arrival goes
+/// below the image's floor), `cold` 1 left a dirty page. Every reboot
+/// keeps every acknowledged commit, and the second retires nothing.
+#[test]
+fn a_cut_at_every_device_op_of_a_checkpoint_keeps_what_was_acknowledged() {
+    let mut paused = false;
+    for k in 0.. {
+        let mut ex = stage(false);
+        ex.run_all(&[
+            Update(0, COLD, 1, 11, 0),
+            Update(0, HOT, 2, 21, 0),
+            Commit(0),
+            CutIn(k),
+        ]);
+        let b = vec![
+            Update(1, HOT, 1, 12, 0),
+            Insert(1, HOT, 3, 30, 0),
+            Commit(1),
+        ];
+        let out = ex.run(During(Box::new(Checkpoint), b));
+        paused |= out.paused;
+        let cut = ex.power.off();
+        ex.reboot();
+        if !cut {
+            assert!(out.paused, "{out:?}");
+            break;
+        }
+    }
+    assert!(paused);
+}
+
 /// A power cut after a checkpoint: the reboot recovers from the log a
 /// device holds, its prefix truncated.
 #[test]

@@ -185,21 +185,21 @@ impl Engine {
     /// Fuzzy and incremental: writers keep running throughout, pages
     /// flush in small rate-limited batches. Row movement does not: the
     /// move gate is closed from before the image's snapshot is fixed
-    /// until both logs are truncated. The ordering is the whole
-    /// correctness argument — each step licenses the next:
+    /// until both logs are truncated. One record pair, on sysimrslogs,
+    /// certifies the checkpoint for both logs. The ordering is the
+    /// whole correctness argument — each step licenses the next:
     ///
-    /// 1. Read the syslogs low-water floor: the minimum first-LSN over
+    /// 1. Read the syslogs floor: the minimum first-LSN over
     ///    transactions alive on the page log, bounded above by
     ///    `record_count() + 1`. Enumerate the dirty-page table **after**
     ///    it: any page dirtied by a record below the floor is either in
-    ///    the enumeration or already clean on disk. Append syslogs
-    ///    `CheckpointBegin { low_water, dirty_pages }`.
+    ///    the enumeration or already clean on disk.
     /// 2. Close the move gate (no cache, migrate, thaw, pack or freeze
     ///    is in flight; every finished one is on both logs). Read the
     ///    sysimrslogs floor, then fix the snapshot `S`: every commit at
     ///    or below `S` has appended to both logs, every later one gets
-    ///    a timestamp above `S` and appends above the floor. Append
-    ///    sysimrslogs `CheckpointBegin { S, floor, id allocators }`.
+    ///    a timestamp above `S` and appends above both floors. Append
+    ///    sysimrslogs `CheckpointBegin { S, both floors, id allocators }`.
     /// 3. Make the records of every commit at or below `S` durable,
     ///    sysimrslogs first: the image will hold their IMRS halves, so
     ///    their page halves must not be lost behind it.
@@ -207,9 +207,9 @@ impl Engine {
     ///    resident row visible at `S`, then each live frozen extent.
     /// 5. Flush the enumerated pages in rate-limited batches, syslogs
     ///    first (the records behind the pages), then sync the device.
-    /// 6. Append both `CheckpointEnd`s and make them durable. Recovery
-    ///    certifies each log's pair only when End matches Begin, so a
-    ///    crash anywhere before falls back to the previous checkpoint.
+    /// 6. Append `CheckpointEnd` and make it durable. Recovery certifies
+    ///    a checkpoint only when End matches Begin, so a crash anywhere
+    ///    before falls back to the previous one, both floors with it.
     /// 7. Truncate each log below its floor, the gate still closed: a
     ///    truncation may rewrite — and so make durable — the log's
     ///    tail, which must not carry a move's syslogs half ahead of its
@@ -226,12 +226,6 @@ impl Engine {
                 .values()
                 .fold(next_lsn, |m, &l| m.min(l));
             let dirty = sh.cache.dirty_page_ids();
-            let begin_lsn = sh
-                .append_sys(&PageLogRecord::CheckpointBegin {
-                    low_water: sys_floor,
-                    dirty_pages: dirty.clone(),
-                })?
-                .lsn();
             let closed = sh.moves.close(&sh.imrslog, true)?;
             let imrs_floor = Lsn(sh.imrslog.sink().record_count() + 1);
             let reader = ck.open_image_reader(&sh.txns);
@@ -239,7 +233,8 @@ impl Engine {
             let settled = Lsn(sh.imrslog.sink().record_count());
             let image_begin = sh.append_imrs(&ImrsLogRecord::CheckpointBegin(ImageHeader {
                 snapshot,
-                floor: imrs_floor,
+                imrs_floor,
+                sys_floor,
                 next_row: sh.ridmap.next_row_id(),
                 next_txn: sh.txns.next_txn_id(),
                 next_internal: sh.pack.next_internal(),
@@ -267,12 +262,10 @@ impl Engine {
             }
             sh.syslog.flush()?;
             sh.cache.sync_backend()?;
-            sh.append_sys(&PageLogRecord::CheckpointEnd { begin_lsn })?;
             sh.append_imrs(&ImrsLogRecord::CheckpointEnd {
                 begin_lsn: image_begin,
             })?;
             sh.imrslog.flush()?;
-            sh.syslog.flush()?;
             let imrslog_truncated = truncate_below(
                 sh.imrslog.sink().as_ref(),
                 &ck.truncated_upto[1],

@@ -1360,7 +1360,7 @@ impl Engine {
                 // on the commit path is stamping the commit timestamp
                 // into each staged record and slicing the buffer.
                 let ser_start = self.sh.obs.start();
-                txn.imrs_redo.stamp(ts);
+                txn.imrs_redo.stamp(ts, wrote_sys);
                 let records = txn.imrs_redo.records();
                 self.sh
                     .obs
@@ -1373,7 +1373,11 @@ impl Engine {
                 self.sh.append_imrs_batch(&records)?;
             }
             if wrote_sys {
-                let logged = self.sh.append_sys(&PageLogRecord::Commit { txn: id, ts })?;
+                let logged = self.sh.append_sys(&PageLogRecord::Commit {
+                    txn: id,
+                    ts,
+                    imrs_batch: wrote_imrs,
+                })?;
                 // Behind the verdict, the slots our deletes kept go.
                 for &(_, partition, (page, slot)) in &kept {
                     if let Some(part) = self.sh.catalog.partition(partition) {
@@ -1388,14 +1392,13 @@ impl Engine {
         self.sh.ckpt.appended(ts);
         let logged = appended.and_then(|()| {
             if self.sh.cfg.durable_commits {
-                // Each log's barrier is its group commit: concurrent
-                // committers share device syncs, and a transaction
-                // waits only for a log it appended to — one barrier for
-                // an IMRS-only or a page-only commit, none for a
-                // read-only one (it must commit cleanly even when the
-                // log device is gone). sysimrslogs goes first, through
-                // the move gate: a durable syslogs `Commit` has durable
-                // IMRS records behind it, its own and every move's.
+                // Each log's barrier is its group commit, and a
+                // transaction waits only for a log it appended to (none
+                // for a read-only one: it must commit cleanly even when
+                // the log device is gone). sysimrslogs goes first,
+                // through the move gate: a durable syslogs `Commit` has
+                // every move's IMRS records durable behind it (not
+                // always its own batch: recovery then undoes it).
                 let sh = &self.sh;
                 if wrote_sys {
                     sh.moves.sync(&sh.imrslog, &sh.syslog, wrote_imrs)?;

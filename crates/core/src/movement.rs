@@ -345,16 +345,23 @@ fn relocate_locked(
     }
 
     // A background batch (pack, freeze) holds the move gate closed from
-    // here to its flush. A pack batch syncs syslogs first (see Commit
-    // below), which could also make a foreground move's `Delete`/`Commit`
-    // durable ahead of its volatile arrival record: the gate settles
-    // those before this batch's own `Pack` records could ride along.
-    // And a checkpoint, which closes the gate too, never images the IMRS
-    // or the extents with a batch half done.
-    let background =
-        matches!(to, To::Extent { .. }) || sources.iter().any(|s| s.from == RowLocation::Imrs);
-    let closed = background.then(|| sh.moves.close(&sh.imrslog, false));
+    // here to its flush, and copies committed images that must not
+    // outlive the rest of their commit. A pack batch syncs syslogs first
+    // (see Commit below), which could make a foreground move's
+    // `Delete`/`Commit` durable ahead of its volatile arrival record, or
+    // a mixed commit's `Commit` ahead of its batch: the gate settles all
+    // of sysimrslogs before this batch's own `Pack` records could ride
+    // along. A freeze batch syncs sysimrslogs first, so it makes syslogs
+    // durable up to its own records too. And a checkpoint, which closes
+    // the gate too, never images the IMRS or the extents with a batch
+    // half done.
+    let freeze = matches!(to, To::Extent { .. });
+    let background = freeze || sources.iter().any(|s| s.from == RowLocation::Imrs);
+    let closed = background.then(|| sh.moves.close(&sh.imrslog, true));
     let closed = closed.transpose()?;
+    if freeze {
+        sh.syslog.flush()?;
+    }
     let mut extent = None;
     let logged: Result<Logged> = (|| {
         // ---- Stage: an unpublished destination copy ------------------
@@ -552,7 +559,13 @@ fn relocate_locked(
         sh.moves.arrival.fetch_max(logged.lsn().0);
     }
     let ts = sh.clock.tick();
-    sh.append_sys(&PageLogRecord::Commit { txn, ts })?;
+    // A move's sysimrslogs records are no user batch: recovery weighs
+    // them by the movement rules ("Row movement" in DESIGN.md).
+    sh.append_sys(&PageLogRecord::Commit {
+        txn,
+        ts,
+        imrs_batch: false,
+    })?;
     let Some(_closed) = closed else {
         return Ok(out);
     };

@@ -4,11 +4,12 @@
 //!
 //! 1. **syslogs** (page store): the decodable prefix is salvaged (a
 //!    torn tail is truncated at the first bad frame and reported),
-//!    analysis classifies transactions, then a forward redo pass
-//!    repeats history for committed work and a backward undo pass
-//!    rolls back in-flight losers using the logged before-images.
-//!    Redo is idempotent: slot-directed inserts skip already-live
-//!    slots, deletes skip dead slots.
+//!    analysis classifies transactions, then a forward redo pass from
+//!    the certified checkpoint's syslogs floor repeats history for
+//!    committed work and a backward undo pass rolls back in-flight
+//!    losers using the logged before-images. Redo is idempotent:
+//!    slot-directed inserts skip already-live slots, deletes skip dead
+//!    slots.
 //! 2. Heap pages are scanned to rebuild heap page lists, the RID-Map,
 //!    and all B+tree indexes (indexes are rebuilt rather than replayed,
 //!    extending the paper's treatment of the non-logged hash indexes).
@@ -24,7 +25,8 @@
 //! 4. One row, one home: a heap copy the RID-Map no longer names is
 //!    retired, and a checkpoint certifies it (see "Winner gating").
 //!
-//! (The salvaged sysimrslogs is *read* before step 1 — its arrival
+//! (The salvaged sysimrslogs is *read* before step 1 — the checkpoint
+//! it certifies carries the syslogs floor, and its batches and arrival
 //! records are verdicts step 1 needs — and replayed in step 3.)
 //!
 //! **Winner gating.** sysimrslogs is the commit log of everything that
@@ -39,10 +41,18 @@
 //!   (the reading checkpoint truncation already forced: it drops old
 //!   `Begin`/`Commit` pairs, so absence never meant "in flight").
 //! * A transaction that changed a page announced itself (`Begin` before
-//!   its first page record) and its syslogs `Commit` went out after its
-//!   IMRS batch, flushed imrs-before-sys. Seen to begin but not to
-//!   commit, or seen to abort, it loses on both logs: page records
-//!   undone, IMRS records skipped.
+//!   its first page record), and its syslogs `Commit` decides it. Seen
+//!   to begin but not to commit, or seen to abort, it loses on both
+//!   logs: page records undone, IMRS records skipped. A mixed one (page
+//!   and IMRS records) appends its batch and then its `Commit`, and
+//!   each says the other exists: its batch's records carry
+//!   [`MIXED_TXN_BIT`](btrim_wal::MIXED_TXN_BIT), its `Commit`
+//!   `imrs_batch`. Another
+//!   transaction's barrier may make one durable without the other, so
+//!   it is kept only whole: a mixed batch without a syslogs `Commit`
+//!   is skipped (its `Begin` may be lost too), and a `Commit` whose
+//!   batch is neither in the salvaged log nor held by the image loses
+//!   ([`LogAnalysis::lose_unbacked_commits`]).
 //! * A page → IMRS move (cache, migrate) is committed by its **arrival
 //!   record**, the sysimrslogs `Insert{origin: Migrated | Cached}`.
 //!   Foreground moves never flush, so when a dependent IMRS-only commit
@@ -59,24 +69,26 @@
 //!   while it sees a foreground move's sysimrslogs record volatile
 //!   (DESIGN.md "Row movement", open item (a), has what remains).
 //!
-//! **The image.** A checkpoint's sysimrslogs `CheckpointBegin` carries
-//! its snapshot `S`, its floor and the id allocators; the image that
-//! follows holds every row visible at `S` and every live frozen extent,
-//! and counts only once its `CheckpointEnd` is on the media. The image
-//! holds every record below the floor and every user commit at or
-//! below `S` (the checkpoint waited for those to append, and made their
-//! syslogs halves durable first); everything else above the floor —
-//! user commits after `S`, and every internal record, all written after
-//! the sweep — replays on top of it.
+//! **The image.** A checkpoint writes one record pair, on sysimrslogs,
+//! and it certifies both logs ([`newest_image`] finds it). Its
+//! `CheckpointBegin` carries its snapshot `S`, both logs' floors and
+//! the id allocators; the image that follows holds every row visible at
+//! `S` and every live frozen extent, and counts only once its
+//! `CheckpointEnd` is on the media — by then every page change below
+//! the syslogs floor is on the device, so redo starts there. The image
+//! holds every sysimrslogs record below its floor and every user commit
+//! at or below `S` (the checkpoint waited for those to append, and made
+//! their syslogs halves durable first); everything else above the
+//! floor — user commits after `S`, and every internal record, all
+//! written after the sweep — replays on top of it.
 //!
-//! A loser/aborted verdict would be forgotten once a later checkpoint
-//! truncates the syslogs evidence while the loser's IMRS records are
-//! still above the sysimrslogs floor. Recovery therefore appends a
-//! durable [`ImrsLogRecord::Discard`] poisoning those transaction ids,
-//! which applies wherever it stands and is truncated only with the
-//! records it poisons, and bumps the transaction-id allocators past
-//! every id seen in either log and in the image so a verdict can never
-//! leak onto a fresh transaction.
+//! A loser's or an aborted transaction's verdict lives in syslogs, and
+//! a checkpoint truncates that evidence only once its certified image —
+//! taken after the records it would judge — holds them below its floor.
+//! A recovery that undid losers runs such a checkpoint before the
+//! engine opens, and bumps the transaction-id allocators past every id
+//! seen in either log and in the image, so a verdict can never leak
+//! onto a fresh transaction.
 //!
 //! The engine's catalog is re-declared by the caller (schema closure);
 //! index pages from the previous incarnation become dead space on the
@@ -86,7 +98,7 @@
     reason = "recovery applies records read back from the log: the record is already there"
 )]
 
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use btrim_common::{BtrimError, Lsn, PageId, PartitionId, Result, RowId, SlotId, Timestamp, TxnId};
@@ -94,7 +106,8 @@ use btrim_imrs::{RowLocation, RowOrigin};
 use btrim_pagestore::page::PageType;
 use btrim_pagestore::{DiskBackend, PageGuard, SlottedPage};
 use btrim_wal::{
-    analyze_page_log, ImageHeader, ImrsLogRecord, LogAnalysis, LogSink, PageLogRecord, RowOriginTag,
+    analyze_page_log, newest_image, ImageMark, ImrsLogRecord, LogAnalysis, LogSink, PageLogRecord,
+    RowOriginTag,
 };
 
 use btrim_obs::OpClass;
@@ -185,30 +198,22 @@ fn slot_change(rec: &PageLogRecord) -> Option<SlotChange<'_>> {
 }
 
 /// The page → IMRS moves (cache, migrate) the salvaged sysimrslogs
-/// commits: internal transactions that own an arrival `Insert` no
-/// earlier recovery poisoned. The move's syslogs half — `Begin`,
+/// commits: internal transactions that own an arrival `Insert`. The
+/// move's syslogs half — `Begin`,
 /// `Delete{old}`, `Commit` — is never flushed by the move and, since an
 /// IMRS-only commit puts its barrier on sysimrslogs alone, may be
 /// missing or cut short when a transaction that depends on the move is
 /// already acknowledged.
 fn moves_committed_by_arrival(imrs_log: &[(Lsn, ImrsLogRecord)]) -> HashSet<TxnId> {
-    let mut moves = HashSet::new();
-    let mut poisoned = Vec::new();
-    for (_lsn, rec) in imrs_log {
-        match rec {
-            ImrsLogRecord::Insert { txn, origin, .. }
-                if *origin != RowOriginTag::Inserted && txn.0 & INTERNAL_TXN_BIT != 0 =>
-            {
-                moves.insert(*txn);
-            }
-            ImrsLogRecord::Discard { txns } => poisoned.extend(txns),
-            _ => {}
+    let arrivals = imrs_log.iter().filter_map(|(_lsn, rec)| match rec {
+        ImrsLogRecord::Insert { txn, origin, .. }
+            if *origin != RowOriginTag::Inserted && txn.0 & INTERNAL_TXN_BIT != 0 =>
+        {
+            Some(*txn)
         }
-    }
-    for txn in poisoned {
-        moves.remove(txn);
-    }
-    moves
+        _ => None,
+    });
+    arrivals.collect()
 }
 
 fn row_origin(tag: RowOriginTag) -> RowOrigin {
@@ -217,36 +222,6 @@ fn row_origin(tag: RowOriginTag) -> RowOrigin {
         RowOriginTag::Migrated => RowOrigin::Migrated,
         RowOriginTag::Cached => RowOrigin::Cached,
     }
-}
-
-/// The newest certified checkpoint image of sysimrslogs: the LSNs of its
-/// `CheckpointBegin` and `CheckpointEnd`, and the Begin's header.
-struct ImageMark {
-    begin: Lsn,
-    end: Lsn,
-    header: ImageHeader,
-}
-
-/// The image of the last `CheckpointBegin` whose `CheckpointEnd` made
-/// the media; a Begin without one is a torn checkpoint.
-fn newest_image(records: &[(Lsn, ImrsLogRecord)]) -> Option<ImageMark> {
-    let mut begun = HashMap::new();
-    let mut newest = None;
-    for (lsn, rec) in records {
-        match *rec {
-            ImrsLogRecord::CheckpointBegin(header) => {
-                begun.insert(*lsn, header);
-            }
-            ImrsLogRecord::CheckpointEnd { begin_lsn } => {
-                if let Some(header) = begun.remove(&begin_lsn) {
-                    let (begin, end) = (begin_lsn, *lsn);
-                    newest = Some(ImageMark { begin, end, header });
-                }
-            }
-            _ => {}
-        }
-    }
-    newest
 }
 
 impl Engine {
@@ -269,12 +244,14 @@ impl Engine {
     ) -> Result<Engine> {
         let engine = Engine::with_devices(cfg, disk, syslog, imrslog);
         schema(&engine)?;
-        // sysimrslogs is read first: its arrival records overrule the
-        // syslogs verdict of the moves that own them.
+        // sysimrslogs is read first: it holds the certified checkpoint,
+        // and its records overrule the syslogs verdicts of the moves
+        // that own arrivals and of the commits whose batch is gone.
         let imrs_log = engine.sh.imrslog.read_all_salvage()?;
-        let analysis = engine.replay_page_log(&moves_committed_by_arrival(&imrs_log.0))?;
+        let image = newest_image(&imrs_log.0);
+        let analysis = engine.replay_page_log(&imrs_log.0, image.as_ref())?;
         let heap_locs = engine.rebuild_from_heaps()?;
-        engine.replay_imrs_log(&analysis, &heap_locs, imrs_log)?;
+        engine.replay_imrs_log(&analysis, image.as_ref(), &heap_locs, imrs_log)?;
         engine.retire_unnamed_page_copies(&heap_locs, !analysis.losers.is_empty())?;
         engine.finish_recovery();
         Ok(engine)
@@ -357,24 +334,30 @@ impl Engine {
         }
     }
 
-    /// Redo winners forward, undo losers backward. `moves` are winners
-    /// whatever this log says of them (see [`moves_committed_by_arrival`]).
-    fn replay_page_log(&self, moves: &HashSet<TxnId>) -> Result<LogAnalysis> {
+    /// Redo winners forward from the certified `image`'s syslogs floor,
+    /// undo losers backward. The salvaged sysimrslogs `imrs_log` settles
+    /// two kinds of verdict: a move that owns an arrival there wins (see
+    /// [`moves_committed_by_arrival`]), and a commit whose batch is
+    /// neither there nor in the image loses.
+    fn replay_page_log(
+        &self,
+        imrs_log: &[(Lsn, ImrsLogRecord)],
+        image: Option<&ImageMark>,
+    ) -> Result<LogAnalysis> {
         let analysis_start = std::time::Instant::now();
         let (records, dropped) = self.sh.syslog.read_all_salvage()?;
         for (_lsn, rec) in &records {
-            if let Some(txn) = rec.txn() {
-                self.note_txn_floor(txn);
-            }
+            self.note_txn_floor(rec.txn());
         }
         let mut analysis = analyze_page_log(&records);
-        for txn in moves {
+        for txn in moves_committed_by_arrival(imrs_log) {
             // The arrival record is the verdict: the `Delete{old}` is
             // redone, not undone, and the arrival replayed, not skipped.
-            if analysis.losers.remove(txn) {
-                analysis.winners.insert(*txn, Timestamp::ZERO);
+            if analysis.losers.remove(&txn) {
+                analysis.winners.insert(txn, Timestamp::ZERO);
             }
         }
+        analysis.lose_unbacked_commits(imrs_log, image);
         let workers = self.recovery_worker_count();
         {
             let mut rep = self.sh.recovery.lock();
@@ -383,14 +366,13 @@ impl Engine {
             rep.replay_workers = workers as u64;
             rep.analysis_micros = analysis_start.elapsed().as_micros() as u64;
         }
-        // Redo may start at the certified redo floor: every page change
-        // below it is durable — the checkpoint flushed its dirty-page
-        // table between Begin and End (anything below the low-water
-        // mark was already applied to a page by then, see
-        // `Engine::checkpoint`).
+        // Redo may start at the certified syslogs floor: every page
+        // change below it is durable — the checkpoint flushed its
+        // dirty-page table before its End (anything below the floor was
+        // already applied to a page by then, see `Engine::checkpoint`).
         // Replaying earlier records would be harmless (redo is
         // idempotent) but wasteful.
-        let redo_floor = analysis.redo_floor();
+        let redo_floor = image.map_or(Lsn::ZERO, |m| m.header.sys_floor);
         // Forward redo of committed transactions (repeat history),
         // sharded by PageId: every record of a given page lands on the
         // same worker in log order, so per-page replay order — the only
@@ -406,7 +388,7 @@ impl Engine {
         let mut aborted: HashMap<TxnId, Vec<(PageId, &PageLogRecord)>> = HashMap::new();
         let (mut redo_replayed, mut redo_skipped) = (0u64, 0u64);
         for (lsn, rec) in &records {
-            let Some(txn) = rec.txn() else { continue };
+            let txn = rec.txn();
             let undo = analysis.aborted.contains(&txn);
             if let PageLogRecord::Abort { .. } = rec {
                 let changes = aborted.remove(&txn).unwrap_or_default();
@@ -446,7 +428,7 @@ impl Engine {
         }
         // Backward undo of losers using before-images.
         for (_lsn, rec) in records.iter().rev() {
-            if rec.txn().is_some_and(|txn| analysis.losers.contains(&txn)) {
+            if analysis.losers.contains(&rec.txn()) {
                 self.undo_change(rec)?;
             }
         }
@@ -587,15 +569,14 @@ impl Engine {
     }
 
     /// Forward redo-only replay of the IMRS log, gated by the syslogs
-    /// verdicts: records of losers and aborted transactions are
-    /// skipped, and those ids are durably poisoned with a `Discard`
-    /// record so a later recovery — after checkpoint truncation has
-    /// dropped the syslogs evidence — still skips them. With a
-    /// certified checkpoint image in the log, the image goes in first
-    /// and only the records it does not hold replay on top of it.
+    /// verdicts: the records of transactions that lost are skipped
+    /// ([`LogAnalysis::loses`]). With a certified checkpoint `image` in the log, the
+    /// image goes in first and only the records it does not hold replay
+    /// on top of it.
     fn replay_imrs_log(
         &self,
         analysis: &LogAnalysis,
+        image: Option<&ImageMark>,
         heap_locs: &HashMap<RowId, (PageId, SlotId)>,
         (records, dropped): (Vec<(Lsn, ImrsLogRecord)>, u64),
     ) -> Result<()> {
@@ -605,28 +586,12 @@ impl Engine {
             rep.imrslog_salvaged = records.len() as u64;
             rep.imrslog_dropped = dropped;
         }
-        // Ids poisoned by prior recoveries: their verdicts are already
-        // durable in this log. A `Discard` applies wherever it stands.
-        let mut old_discards: HashSet<TxnId> = HashSet::new();
-        for (_lsn, rec) in &records {
-            if let ImrsLogRecord::Discard { txns } = rec {
-                old_discards.extend(txns.iter().copied());
-            }
-        }
-        let mut skip: HashSet<TxnId> = old_discards.clone();
-        skip.extend(analysis.losers.iter().copied());
-        skip.extend(analysis.aborted.iter().copied());
-        // Loser/aborted ids whose records we actually skipped and that
-        // no prior Discard covers — these need durable poisoning.
-        // BTreeSet keeps the appended record deterministic.
-        let mut newly_poisoned: BTreeSet<TxnId> = BTreeSet::new();
         let mut skipped = 0u64;
         let mut max_ts = Timestamp::ZERO;
         let mut max_row_id = RowId(0);
         // The image's id allocators: the records that would have taught
         // recovery them may be truncated.
-        let image = newest_image(&records);
-        if let Some(h) = image.as_ref().map(|m| m.header) {
+        if let Some(h) = image.map(|m| m.header) {
             max_ts = h.snapshot;
             max_row_id = RowId(h.next_row.0.saturating_sub(1));
             self.note_txn_floor(TxnId(h.next_txn.0.saturating_sub(1)));
@@ -652,10 +617,7 @@ impl Engine {
                 | ImrsLogRecord::ImageExtent { partition, .. } => partition,
                 _ => continue,
             };
-            if image
-                .as_ref()
-                .is_some_and(|m| m.begin < *lsn && *lsn < m.end)
-            {
+            if image.is_some_and(|m| m.begin < *lsn && *lsn < m.end) {
                 by_partition.entry(*partition).or_default().push(rec);
             }
         }
@@ -670,16 +632,14 @@ impl Engine {
             // the floor was written after the sweep — the move gate was
             // closed through it — and its timestamp is no commit's.
             let internal = txn_id.0 & INTERNAL_TXN_BIT != 0;
-            let held =
-                |m: &ImageMark| *lsn < m.header.floor || !internal && rec.ts() <= m.header.snapshot;
-            if image.as_ref().is_some_and(held) {
+            let held = |m: &ImageMark| {
+                *lsn < m.header.imrs_floor || !internal && rec.ts() <= m.header.snapshot
+            };
+            if image.is_some_and(held) {
                 continue;
             }
-            if skip.contains(&txn_id) {
+            if analysis.loses(rec) {
                 skipped += 1;
-                if !old_discards.contains(&txn_id) {
-                    newly_poisoned.insert(txn_id);
-                }
                 continue;
             }
             let partition = match rec {
@@ -709,14 +669,6 @@ impl Engine {
             rep.imrs_records_replayed = replayed;
             rep.imrs_replay_micros = replay_start.elapsed().as_micros() as u64;
         }
-        if !newly_poisoned.is_empty() {
-            // Raw appends on purpose: recovery has not opened the
-            // engine for business, so a failure here should fail the
-            // whole recovery rather than flip health state.
-            let txns: Vec<TxnId> = newly_poisoned.into_iter().collect();
-            self.sh.imrslog.append(&ImrsLogRecord::Discard { txns })?;
-            self.sh.imrslog.flush()?;
-        }
         self.sh.clock.advance_to(max_ts);
         self.sh.ridmap.bump_row_id_floor(max_row_id);
         Ok(())
@@ -731,17 +683,18 @@ impl Engine {
         rec: &ImrsLogRecord,
         heap_locs: &HashMap<RowId, (PageId, SlotId)>,
     ) -> Result<()> {
+        let txn = rec.txn().unwrap_or(TxnId(0));
         match rec {
             ImrsLogRecord::Insert {
-                txn,
                 ts,
                 partition,
                 row,
                 origin,
                 data,
+                ..
             } => {
                 let origin = row_origin(*origin);
-                self.replay_imrs_arrival(*txn, *ts, *partition, *row, origin, data)?;
+                self.replay_imrs_arrival(txn, *ts, *partition, *row, origin, data)?;
             }
             ImrsLogRecord::ImageRow {
                 ts,
@@ -754,17 +707,17 @@ impl Engine {
                 self.replay_imrs_arrival(TxnId(0), *ts, *partition, *row, origin, data)?;
             }
             ImrsLogRecord::Update {
-                txn,
                 ts,
                 partition,
                 row,
                 data,
+                ..
             } => match self.sh.store.get(*row) {
                 Some(imrs_row) => {
                     let old = imrs_row.latest_committed().and_then(|v| v.handle);
                     let old = old.map(|h| self.sh.store.allocator().load(h));
                     let op = btrim_imrs::VersionOp::Update;
-                    let v = self.sh.store.add_version(&imrs_row, *txn, op, Some(data))?;
+                    let v = self.sh.store.add_version(&imrs_row, txn, op, Some(data))?;
                     v.stamp(*ts);
                     if let Some(table) = self.sh.catalog.table_of_partition(*partition) {
                         // The entries of the image this one replaces go.
@@ -778,7 +731,7 @@ impl Engine {
                 // not happen in an intact log).
                 None => {
                     let origin = RowOrigin::Inserted;
-                    self.replay_imrs_arrival(*txn, *ts, *partition, *row, origin, data)?;
+                    self.replay_imrs_arrival(txn, *ts, *partition, *row, origin, data)?;
                 }
             },
             ImrsLogRecord::Delete { partition, row, .. } => {
@@ -832,9 +785,9 @@ impl Engine {
                           classification pass drops them); reaching this arm is a \
                           recovery-logic bug worth a loud stop"
             )]
-            ImrsLogRecord::Discard { .. }
-            | ImrsLogRecord::CheckpointBegin(_)
-            | ImrsLogRecord::CheckpointEnd { .. } => unreachable!("filtered by the caller"),
+            ImrsLogRecord::CheckpointBegin(_) | ImrsLogRecord::CheckpointEnd { .. } => {
+                unreachable!("filtered by the caller")
+            }
         }
         Ok(())
     }
@@ -981,7 +934,8 @@ impl Engine {
     /// redo can re-create one in a slot that has since been given to
     /// another row. A loser's undo (`undone`) is in no log either: the
     /// same checkpoint keeps a later recovery from undoing it again,
-    /// over a slot or a row a later winner has since written.
+    /// over a slot or a row a later winner has since written, and puts
+    /// the loser's IMRS records below a certified image's floor.
     fn retire_unnamed_page_copies(
         &self,
         heap_locs: &HashMap<RowId, (PageId, SlotId)>,

@@ -15,13 +15,6 @@ use btrim_txn::TxnHandle;
 use btrim_wal::record::Encodable;
 use btrim_wal::{ImrsLogRecord, RowOriginTag};
 
-/// Byte offset of the `ts` field inside every DML [`ImrsLogRecord`]
-/// encoding: `tag: u8` then `txn: u64` then `ts: u64`. The staged
-/// commit pipeline relies on this to patch the commit timestamp into
-/// records serialized at DML time; `stamp_layout_matches_encoder`
-/// below pins the invariant against encoder drift.
-const TS_OFFSET: usize = 1 + 8;
-
 /// The transaction's staged `sysimrslogs` redo, serialized at DML time.
 ///
 /// Each IMRS change is encoded into this buffer the moment it happens
@@ -87,11 +80,13 @@ impl ImrsRedoBuf {
         self.ends.is_empty()
     }
 
-    /// Patch the commit timestamp into every staged record.
-    pub(crate) fn stamp(&mut self, ts: Timestamp) {
+    /// Patch the commit timestamp into every staged record, and mark
+    /// each `mixed` when the transaction wrote syslogs too
+    /// ([`ImrsLogRecord::stamp_commit`]).
+    pub(crate) fn stamp(&mut self, ts: Timestamp, mixed: bool) {
         let mut start = 0usize;
         for &end in &self.ends {
-            self.buf[start + TS_OFFSET..start + TS_OFFSET + 8].copy_from_slice(&ts.0.to_le_bytes());
+            ImrsLogRecord::stamp_commit(&mut self.buf[start..end], ts, mixed);
             start = end;
         }
     }
@@ -214,7 +209,7 @@ mod tests {
 
     /// Stamping a placeholder-ts buffer must produce byte-identical
     /// output to encoding with the real timestamp directly — this pins
-    /// `TS_OFFSET` against any drift in the record encoder, for redo
+    /// `stamp_commit` against any drift in the record encoder, for redo
     /// staged from borrowed images and from built records alike.
     #[test]
     fn stamp_layout_matches_encoder() {
@@ -232,7 +227,7 @@ mod tests {
             row: RowId(10),
         });
         assert_eq!(buf.records().len(), 4);
-        buf.stamp(ts);
+        buf.stamp(ts, false);
         let want: Vec<Vec<u8>> = vec![
             ImrsLogRecord::Insert {
                 txn,
@@ -271,10 +266,16 @@ mod tests {
         for (g, w) in got.iter().zip(&want) {
             assert_eq!(*g, w.as_slice());
         }
-        // And every staged record decodes back with the stamped ts.
+        // And every staged record decodes back with the stamped ts;
+        // stamped mixed, with the mixed bit in its id and nothing else.
         for g in got {
             let rec = ImrsLogRecord::decode(g).unwrap();
-            assert_eq!(rec.ts(), ts);
+            assert_eq!((rec.ts(), rec.txn(), rec.mixed()), (ts, Some(txn), false));
+        }
+        buf.stamp(ts, true);
+        for g in buf.records() {
+            let rec = ImrsLogRecord::decode(g).unwrap();
+            assert_eq!((rec.ts(), rec.txn(), rec.mixed()), (ts, Some(txn), true));
         }
     }
 
@@ -282,8 +283,8 @@ mod tests {
     fn restamping_overwrites_cleanly() {
         let mut buf = ImrsRedoBuf::default();
         buf.push_delete(TxnId(1), PartitionId(0), RowId(2));
-        buf.stamp(Timestamp(111));
-        buf.stamp(Timestamp(222));
+        buf.stamp(Timestamp(111), false);
+        buf.stamp(Timestamp(222), false);
         let rec = ImrsLogRecord::decode(buf.records()[0]).unwrap();
         assert_eq!(rec.ts(), Timestamp(222));
         assert!(!buf.is_empty());

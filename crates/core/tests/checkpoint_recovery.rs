@@ -11,7 +11,7 @@ use btrim_core::catalog::{Partitioner, TableOpts};
 use btrim_core::checkpoint::CHECKPOINT_FLUSH_BATCH;
 use btrim_core::{Engine, EngineConfig, EngineMode, IlmTraceEvent};
 use btrim_pagestore::{DiskBackend, MemDisk};
-use btrim_wal::{analyze_page_log, LogWriter, MemLog, PageLogRecord};
+use btrim_wal::{newest_image, ImrsLogRecord, LogWriter, MemLog};
 
 fn mkrow(key: u64, payload: &[u8]) -> Vec<u8> {
     let mut v = key.to_be_bytes().to_vec();
@@ -73,13 +73,14 @@ fn recovery_with_mid_run_checkpoint_is_exact() {
         e.commit(txn).unwrap();
         // Crash without a second checkpoint.
     }
-    // Sanity: the log really contains a checkpoint record, so redo
-    // starts after it.
+    // Sanity: sysimrslogs really holds a certified checkpoint, and its
+    // syslogs floor is past the pre-checkpoint transaction (`Begin`, 40
+    // inserts, `Commit`), so redo starts after it.
     {
-        let reader: LogWriter<PageLogRecord> = LogWriter::new(syslog.clone());
-        let records = reader.read_all().unwrap();
-        let analysis = analyze_page_log(&records);
-        assert!(analysis.last_checkpoint.is_some(), "checkpoint logged");
+        let reader: LogWriter<ImrsLogRecord> = LogWriter::new(imrslog.clone());
+        let image = newest_image(&reader.read_all().unwrap());
+        let image = image.expect("checkpoint certified");
+        assert_eq!(image.header.sys_floor, btrim_common::Lsn(43));
     }
     let e = Engine::recover(cfg(EngineMode::PageOnly), disk, syslog, imrslog, |e| {
         e.create_table(opts()).map(|_| ())

@@ -16,10 +16,11 @@
 //! [`LogWriter`] whose leader/follower barrier is each log's one group
 //! commit and knows the log's durable LSN; [`record`]
 //! defines the log-record vocabulary for both logs; [`recovery`]
-//! implements log analysis (winners/losers) and the record streams the
-//! engine replays. The two logs are recovered independently with
-//! lock-step ordering — the engine replays syslogs fully before
-//! sysimrslogs — ensuring a consistent database post-recovery (§II).
+//! implements log analysis (winners/losers) and finds the one
+//! checkpoint record pair, on sysimrslogs, that certifies both logs.
+//! The two logs are recovered independently with lock-step ordering —
+//! the engine replays syslogs fully before sysimrslogs — ensuring a
+//! consistent database post-recovery (§II).
 
 #![forbid(unsafe_code)]
 // Non-test code does not panic: a failure is a typed `BtrimError`, and
@@ -41,5 +42,7 @@ pub mod record;
 pub mod recovery;
 
 pub use log::{FileLog, LogSink, LogWriter, LsnRange, MemLog};
-pub use record::{Encodable, ImageHeader, ImrsLogRecord, PageLogRecord, RowOriginTag};
-pub use recovery::{analyze_page_log, LogAnalysis};
+pub use record::{
+    Encodable, ImageHeader, ImrsLogRecord, PageLogRecord, RowOriginTag, MIXED_TXN_BIT,
+};
+pub use recovery::{analyze_page_log, newest_image, ImageMark, LogAnalysis};

@@ -273,7 +273,7 @@ pub struct FileLog {
     append_locks: Relaxed<u64>,
 }
 
-const FILE_MAGIC: u64 = 0x4254_5249_4D57_4133; // "BTRIMWA3"
+const FILE_MAGIC: u64 = 0x4254_5249_4D57_4134; // "BTRIMWA4"
 const HEADER_LEN: u64 = 16;
 /// Marks a batch frame where a per-record frame would put its length.
 /// Single-record appends reject payloads this large, so the sentinel
@@ -1127,6 +1127,33 @@ mod batch_tests {
         for payload in [b"first".as_ref(), b"second".as_ref()] {
             file.extend_from_slice(&(payload.len() as u32).to_le_bytes());
             file.extend_from_slice(&crc32_bitwise(payload).to_le_bytes());
+            file.extend_from_slice(payload);
+        }
+        std::fs::write(&path, &file).unwrap();
+        assert!(matches!(
+            FileLog::open(&path),
+            Err(btrim_common::BtrimError::Corrupt(_))
+        ));
+        assert_eq!(
+            std::fs::read(&path).unwrap(),
+            file,
+            "the old log is kept whole"
+        );
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// A log the previous record vocabulary wrote ("BTRIMWA3", frames
+    /// intact under this build's checksum) fails loudly and stays as it
+    /// was: salvage would cut it at its first retired record (a page
+    /// log's checkpoint pair, an IMRS log's loser list) and drop the rest.
+    #[test]
+    fn a_log_of_the_retired_record_kinds_is_corrupt_and_left_untouched() {
+        let path = tmp("b6.wal");
+        let mut file = 0x4254_5249_4D57_4133u64.to_le_bytes().to_vec();
+        file.extend_from_slice(&0u64.to_le_bytes());
+        for payload in [[7u8; 13].as_ref(), [8u8; 9].as_ref()] {
+            file.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+            file.extend_from_slice(&checksum(payload).to_le_bytes());
             file.extend_from_slice(payload);
         }
         std::fs::write(&path, &file).unwrap();

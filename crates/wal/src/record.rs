@@ -40,6 +40,14 @@ const IMRS_ROW_HEAD: usize = 1 + 8 + 8 + 4 + 8;
 /// `tag`, `ts`, `partition`, `row`, `origin`: the head of an image row.
 const IMAGE_ROW_HEAD: usize = 1 + 8 + 4 + 8 + 1;
 
+/// Set in the `txn` field of a user IMRS record whose transaction also
+/// wrote syslogs (a mixed transaction): its syslogs `Commit` decides the
+/// record, which loses without one. [`ImrsLogRecord::txn`] clears it.
+/// The converse flag is `PageLogRecord::Commit`'s `imrs_batch`. Client
+/// transaction ids count up from 1 and internal ones set bit 63, so no
+/// id ever has it.
+pub const MIXED_TXN_BIT: u64 = 1 << 62;
+
 /// Compact tag mirroring the IMRS `RowOrigin` enum in log records
 /// (wal does not depend on imrs).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -70,7 +78,14 @@ pub enum PageLogRecord {
     /// Transaction start.
     Begin { txn: TxnId },
     /// Transaction commit; `ts` is the database commit timestamp.
-    Commit { txn: TxnId, ts: Timestamp },
+    /// `imrs_batch`: the transaction appended a sysimrslogs batch before
+    /// this record, which recovery must find (or find held by the
+    /// image) for the commit to stand.
+    Commit {
+        txn: TxnId,
+        ts: Timestamp,
+        imrs_batch: bool,
+    },
     /// Transaction rollback completed.
     Abort { txn: TxnId },
     /// Row inserted on a heap page.
@@ -101,39 +116,18 @@ pub enum PageLogRecord {
         slot: SlotId,
         old: Vec<u8>,
     },
-    /// Fuzzy checkpoint opened. `low_water` is the redo floor this
-    /// checkpoint will certify **once its matching
-    /// [`CheckpointEnd`](PageLogRecord::CheckpointEnd) lands**: the
-    /// minimum of this record's own LSN and the first-record LSN of
-    /// every transaction in flight when the checkpoint began
-    /// (`Lsn::ZERO` encodes "no in-flight writers — use this record's
-    /// own LSN"). `dirty_pages` is the dirty-page table snapshotted at
-    /// begin; the checkpoint flushes exactly these pages, in batches,
-    /// without quiescing writers. A Begin with no matching End is a
-    /// torn checkpoint and certifies nothing.
-    CheckpointBegin {
-        low_water: Lsn,
-        dirty_pages: Vec<PageId>,
-    },
-    /// Fuzzy checkpoint closed: every page named in the
-    /// [`CheckpointBegin`](PageLogRecord::CheckpointBegin) at
-    /// `begin_lsn` has been written back and synced. Only the pair
-    /// (matched by `begin_lsn`) moves the redo floor.
-    CheckpointEnd { begin_lsn: Lsn },
 }
 
 impl Encodable for PageLogRecord {
     fn encoded_len(&self) -> usize {
         match self {
             PageLogRecord::Begin { .. } | PageLogRecord::Abort { .. } => 1 + 8,
-            PageLogRecord::Commit { .. } => 1 + 8 + 8,
+            PageLogRecord::Commit { .. } => 1 + 8 + 8 + 1,
             PageLogRecord::Insert { data, .. } => PAGE_ROW_HEAD + bytes_len(data),
             PageLogRecord::Update { old, new, .. } => {
                 PAGE_ROW_HEAD + bytes_len(old) + bytes_len(new)
             }
             PageLogRecord::Delete { old, .. } => PAGE_ROW_HEAD + bytes_len(old),
-            PageLogRecord::CheckpointBegin { dirty_pages, .. } => 1 + 8 + 4 + 4 * dirty_pages.len(),
-            PageLogRecord::CheckpointEnd { .. } => 1 + 8,
         }
     }
 
@@ -145,10 +139,15 @@ impl Encodable for PageLogRecord {
                 e.put_u8(0);
                 e.put_u64(txn.0);
             }
-            PageLogRecord::Commit { txn, ts } => {
+            PageLogRecord::Commit {
+                txn,
+                ts,
+                imrs_batch,
+            } => {
                 e.put_u8(1);
                 e.put_u64(txn.0);
                 e.put_u64(ts.0);
+                e.put_u8(u8::from(*imrs_batch));
             }
             PageLogRecord::Abort { txn } => {
                 e.put_u8(2);
@@ -204,21 +203,6 @@ impl Encodable for PageLogRecord {
                 e.put_u16(slot.0);
                 e.put_bytes(old);
             }
-            PageLogRecord::CheckpointBegin {
-                low_water,
-                dirty_pages,
-            } => {
-                e.put_u8(7);
-                e.put_u64(low_water.0);
-                e.put_u32(dirty_pages.len() as u32);
-                for p in dirty_pages {
-                    e.put_u32(p.0);
-                }
-            }
-            PageLogRecord::CheckpointEnd { begin_lsn } => {
-                e.put_u8(8);
-                e.put_u64(begin_lsn.0);
-            }
         }
     }
 
@@ -232,6 +216,7 @@ impl Encodable for PageLogRecord {
             1 => PageLogRecord::Commit {
                 txn: TxnId(d.get_u64()?),
                 ts: Timestamp(d.get_u64()?),
+                imrs_batch: d.get_u8()? != 0,
             },
             2 => PageLogRecord::Abort {
                 txn: TxnId(d.get_u64()?),
@@ -261,37 +246,22 @@ impl Encodable for PageLogRecord {
                 slot: SlotId(d.get_u16()?),
                 old: d.get_bytes()?,
             },
-            7 => {
-                let low_water = Lsn(d.get_u64()?);
-                let n = d.get_u32()? as usize;
-                let mut dirty_pages = Vec::with_capacity(n.min(4096));
-                for _ in 0..n {
-                    dirty_pages.push(PageId(d.get_u32()?));
-                }
-                PageLogRecord::CheckpointBegin {
-                    low_water,
-                    dirty_pages,
-                }
-            }
-            8 => PageLogRecord::CheckpointEnd {
-                begin_lsn: Lsn(d.get_u64()?),
-            },
             t => return Err(BtrimError::Corrupt(format!("bad page log tag {t}"))),
         })
     }
 }
 
 impl PageLogRecord {
-    /// Transaction this record belongs to, if any.
-    pub fn txn(&self) -> Option<TxnId> {
+    /// Transaction this record belongs to: every page-store record has
+    /// one.
+    pub fn txn(&self) -> TxnId {
         match self {
             PageLogRecord::Begin { txn }
             | PageLogRecord::Commit { txn, .. }
             | PageLogRecord::Abort { txn }
             | PageLogRecord::Insert { txn, .. }
             | PageLogRecord::Update { txn, .. }
-            | PageLogRecord::Delete { txn, .. } => Some(*txn),
-            PageLogRecord::CheckpointBegin { .. } | PageLogRecord::CheckpointEnd { .. } => None,
+            | PageLogRecord::Delete { txn, .. } => *txn,
         }
     }
 }
@@ -359,20 +329,8 @@ pub enum ImrsLogRecord {
         extent: u32,
         idx: u16,
     },
-    /// Written by recovery: the listed transactions lost (crashed
-    /// in-flight or aborted) and their earlier records in this log must
-    /// never replay. The page-store log — where Begin/Commit evidence
-    /// lives — is truncated at every checkpoint, so the loser verdict
-    /// has to be made durable here or a *second* recovery would mistake
-    /// stale loser records for committed work. A checkpoint truncates
-    /// this log too, but only below its own image: a `Discard` goes
-    /// with the loser records it poisons, all of which precede it.
-    /// Transaction ids are never reused across incarnations (recovery
-    /// bumps the id floors above everything in both logs and in the
-    /// image), so poisoning an id is safe forever.
-    Discard { txns: Vec<TxnId> },
-    /// A checkpoint's IMRS image opens: the `ImageRow` and
-    /// `ImageExtent` records up to the matching
+    /// A checkpoint opens — the only checkpoint record of either log.
+    /// The `ImageRow` and `ImageExtent` records up to the matching
     /// [`CheckpointEnd`](ImrsLogRecord::CheckpointEnd) hold every row
     /// visible at the header's snapshot and every live frozen extent.
     CheckpointBegin(ImageHeader),
@@ -393,24 +351,30 @@ pub enum ImrsLogRecord {
         dead: Vec<u16>,
         data: Vec<u8>,
     },
-    /// The image of the `CheckpointBegin` at `begin_lsn` is complete and
-    /// every page-store record of a transaction it holds was durable
-    /// first. Only the pair certifies an image.
+    /// The checkpoint of the `CheckpointBegin` at `begin_lsn` is done:
+    /// its image is complete, every page-store record of a transaction
+    /// the image holds was durable first, and every page change below
+    /// the header's `sys_floor` is on the device. Only the pair
+    /// certifies, and it certifies both logs.
     CheckpointEnd { begin_lsn: Lsn },
 }
 
-/// What a checkpoint's IMRS image holds besides its rows. Recovery
-/// loads the image of the newest certified pair and replays, from
-/// `floor` on, the user records newer than `snapshot` and every
-/// internal one. The `next_*` fields are the id allocators at
+/// What a checkpoint certifies besides the image's rows. Recovery finds
+/// the newest certified pair ([`newest_image`](crate::newest_image)),
+/// redoes syslogs from `sys_floor` on, loads the image and replays,
+/// from `imrs_floor` on, the user records newer than `snapshot` and
+/// every internal one. The `next_*` fields are the id allocators at
 /// `snapshot`: the records that would have taught recovery them may be
 /// truncated.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct ImageHeader {
     /// The commit clock when the image was fixed.
     pub snapshot: Timestamp,
-    /// The first LSN the checkpoint kept.
-    pub floor: Lsn,
+    /// The first sysimrslogs LSN the checkpoint kept.
+    pub imrs_floor: Lsn,
+    /// The first syslogs LSN the checkpoint kept: every page change
+    /// below it was on the device before the pair's End.
+    pub sys_floor: Lsn,
     pub next_row: RowId,
     pub next_txn: TxnId,
     pub next_internal: u64,
@@ -469,6 +433,21 @@ impl ImrsLogRecord {
         e.put_bytes(data);
     }
 
+    /// Stamp a row record encoded before its commit (`Insert`, `Update`,
+    /// `Delete`, with a placeholder timestamp): write the commit `ts`
+    /// and, for a `mixed` transaction, set [`MIXED_TXN_BIT`] in its id.
+    /// The bytes become those of the record built with them.
+    pub fn stamp_commit(rec: &mut [u8], ts: Timestamp, mixed: bool) {
+        // `tag`, `txn` (little-endian: its last byte holds the mixed
+        // bit), then `ts`.
+        if let Some(head) = rec.get_mut(..IMRS_ROW_HEAD) {
+            head[9..17].copy_from_slice(&ts.0.to_le_bytes());
+            if mixed {
+                head[8] |= (MIXED_TXN_BIT >> 56) as u8;
+            }
+        }
+    }
+
     /// Append `ImageRow { ts, partition, row, origin, data }` with the
     /// image borrowed (see [`encode_insert`](Self::encode_insert)).
     pub fn encode_image_row(
@@ -498,8 +477,7 @@ impl Encodable for ImrsLogRecord {
             ImrsLogRecord::Delete { .. } | ImrsLogRecord::Pack { .. } => IMRS_ROW_HEAD,
             ImrsLogRecord::Freeze { data, .. } => 1 + 8 + 8 + 4 + 4 + bytes_len(data),
             ImrsLogRecord::ExtentRowGone { .. } => IMRS_ROW_HEAD + 4 + 2,
-            ImrsLogRecord::Discard { txns } => 1 + 4 + 8 * txns.len(),
-            ImrsLogRecord::CheckpointBegin(_) => 1 + 8 * 5 + 4,
+            ImrsLogRecord::CheckpointBegin(_) => 1 + 8 * 6 + 4,
             ImrsLogRecord::ImageRow { data, .. } => IMAGE_ROW_HEAD + bytes_len(data),
             ImrsLogRecord::ImageExtent { dead, data, .. } => {
                 1 + 4 + 4 + 4 + 2 * dead.len() + bytes_len(data)
@@ -565,17 +543,11 @@ impl Encodable for ImrsLogRecord {
                 e.put_u32(*extent);
                 e.put_u16(*idx);
             }
-            ImrsLogRecord::Discard { txns } => {
-                e.put_u8(4);
-                e.put_u32(txns.len() as u32);
-                for t in txns {
-                    e.put_u64(t.0);
-                }
-            }
             ImrsLogRecord::CheckpointBegin(h) => {
                 e.put_u8(7);
                 e.put_u64(h.snapshot.0);
-                e.put_u64(h.floor.0);
+                e.put_u64(h.imrs_floor.0);
+                e.put_u64(h.sys_floor.0);
                 e.put_u64(h.next_row.0);
                 e.put_u64(h.next_txn.0);
                 e.put_u64(h.next_internal);
@@ -641,14 +613,6 @@ impl Encodable for ImrsLogRecord {
                 partition: PartitionId(d.get_u32()?),
                 row: RowId(d.get_u64()?),
             },
-            4 => {
-                let n = d.get_u32()? as usize;
-                let mut txns = Vec::with_capacity(n.min(4096));
-                for _ in 0..n {
-                    txns.push(TxnId(d.get_u64()?));
-                }
-                ImrsLogRecord::Discard { txns }
-            }
             5 => ImrsLogRecord::Freeze {
                 txn: TxnId(d.get_u64()?),
                 ts: Timestamp(d.get_u64()?),
@@ -666,7 +630,8 @@ impl Encodable for ImrsLogRecord {
             },
             7 => ImrsLogRecord::CheckpointBegin(ImageHeader {
                 snapshot: Timestamp(d.get_u64()?),
-                floor: Lsn(d.get_u64()?),
+                imrs_floor: Lsn(d.get_u64()?),
+                sys_floor: Lsn(d.get_u64()?),
                 next_row: RowId(d.get_u64()?),
                 next_txn: TxnId(d.get_u64()?),
                 next_internal: d.get_u64()?,
@@ -703,9 +668,19 @@ impl Encodable for ImrsLogRecord {
 }
 
 impl ImrsLogRecord {
-    /// Transaction that produced the record (`None` for the markers
-    /// recovery and checkpoints write, and for the image).
+    /// Transaction that produced the record (`None` for the checkpoint
+    /// records and the image), [`MIXED_TXN_BIT`] cleared.
     pub fn txn(&self) -> Option<TxnId> {
+        self.raw_txn().map(|t| TxnId(t.0 & !MIXED_TXN_BIT))
+    }
+
+    /// Whether the record's transaction also wrote syslogs
+    /// ([`MIXED_TXN_BIT`]).
+    pub fn mixed(&self) -> bool {
+        self.raw_txn().is_some_and(|t| t.0 & MIXED_TXN_BIT != 0)
+    }
+
+    fn raw_txn(&self) -> Option<TxnId> {
         match self {
             ImrsLogRecord::Insert { txn, .. }
             | ImrsLogRecord::Update { txn, .. }
@@ -713,8 +688,7 @@ impl ImrsLogRecord {
             | ImrsLogRecord::Pack { txn, .. }
             | ImrsLogRecord::Freeze { txn, .. }
             | ImrsLogRecord::ExtentRowGone { txn, .. } => Some(*txn),
-            ImrsLogRecord::Discard { .. }
-            | ImrsLogRecord::CheckpointBegin(_)
+            ImrsLogRecord::CheckpointBegin(_)
             | ImrsLogRecord::ImageRow { .. }
             | ImrsLogRecord::ImageExtent { .. }
             | ImrsLogRecord::CheckpointEnd { .. } => None,
@@ -732,8 +706,7 @@ impl ImrsLogRecord {
             | ImrsLogRecord::Freeze { ts, .. }
             | ImrsLogRecord::ExtentRowGone { ts, .. }
             | ImrsLogRecord::ImageRow { ts, .. } => *ts,
-            ImrsLogRecord::Discard { .. }
-            | ImrsLogRecord::CheckpointBegin(_)
+            ImrsLogRecord::CheckpointBegin(_)
             | ImrsLogRecord::ImageExtent { .. }
             | ImrsLogRecord::CheckpointEnd { .. } => Timestamp::ZERO,
         }
@@ -749,8 +722,7 @@ impl ImrsLogRecord {
             | ImrsLogRecord::Pack { row, .. }
             | ImrsLogRecord::ExtentRowGone { row, .. }
             | ImrsLogRecord::ImageRow { row, .. } => *row,
-            ImrsLogRecord::Discard { .. }
-            | ImrsLogRecord::Freeze { .. }
+            ImrsLogRecord::Freeze { .. }
             | ImrsLogRecord::CheckpointBegin(_)
             | ImrsLogRecord::ImageExtent { .. }
             | ImrsLogRecord::CheckpointEnd { .. } => RowId(0),
@@ -775,10 +747,13 @@ mod tests {
     #[test]
     fn page_records_roundtrip() {
         roundtrip_page(PageLogRecord::Begin { txn: TxnId(7) });
-        roundtrip_page(PageLogRecord::Commit {
-            txn: TxnId(7),
-            ts: Timestamp(99),
-        });
+        for imrs_batch in [false, true] {
+            roundtrip_page(PageLogRecord::Commit {
+                txn: TxnId(7),
+                ts: Timestamp(99),
+                imrs_batch,
+            });
+        }
         roundtrip_page(PageLogRecord::Abort { txn: TxnId(7) });
         roundtrip_page(PageLogRecord::Insert {
             txn: TxnId(1),
@@ -805,15 +780,6 @@ mod tests {
             slot: SlotId(5),
             old: vec![7, 7],
         });
-        roundtrip_page(PageLogRecord::CheckpointBegin {
-            low_water: Lsn(42),
-            dirty_pages: vec![PageId(1), PageId(9), PageId(4000)],
-        });
-        roundtrip_page(PageLogRecord::CheckpointBegin {
-            low_water: Lsn::ZERO,
-            dirty_pages: vec![],
-        });
-        roundtrip_page(PageLogRecord::CheckpointEnd { begin_lsn: Lsn(43) });
     }
 
     #[test]
@@ -845,10 +811,6 @@ mod tests {
             partition: PartitionId(2),
             row: RowId(3),
         });
-        roundtrip_imrs(ImrsLogRecord::Discard {
-            txns: vec![TxnId(4), TxnId(9), TxnId(1 << 63 | 5)],
-        });
-        roundtrip_imrs(ImrsLogRecord::Discard { txns: vec![] });
         roundtrip_imrs(ImrsLogRecord::Freeze {
             txn: TxnId(1 << 63 | 7),
             ts: Timestamp(14),
@@ -866,7 +828,8 @@ mod tests {
         });
         roundtrip_imrs(ImrsLogRecord::CheckpointBegin(ImageHeader {
             snapshot: Timestamp(16),
-            floor: Lsn(400),
+            imrs_floor: Lsn(400),
+            sys_floor: Lsn(90),
             next_row: RowId(9_000),
             next_txn: TxnId(321),
             next_internal: 77,
@@ -899,30 +862,31 @@ mod tests {
 
     #[test]
     fn retired_checkpoint_tag_is_a_typed_corrupt_error() {
-        // Tag 6 was the stop-the-world checkpoint record; no writer
-        // emits it any more, so a log carrying one is from another
-        // format and must be refused, not skipped.
-        match PageLogRecord::decode(&[6]) {
-            Err(BtrimError::Corrupt(msg)) => assert!(msg.contains("tag 6"), "{msg}"),
-            other => panic!("expected Corrupt, got {other:?}"),
+        // Page tag 6 was the stop-the-world checkpoint record, 7 and 8
+        // the page log's own checkpoint pair, and IMRS tag 4 recovery's
+        // loser list; no writer emits them any more, so a log carrying
+        // one is from another format and must be refused, not skipped.
+        fn corrupt<R: std::fmt::Debug>(got: Result<R>, tag: u8) {
+            match got {
+                Err(BtrimError::Corrupt(msg)) => {
+                    assert!(msg.contains(&format!("tag {tag}")), "{msg}")
+                }
+                other => panic!("tag {tag}: expected Corrupt, got {other:?}"),
+            }
         }
+        for tag in [6, 7, 8] {
+            let mut rec = vec![tag];
+            rec.extend_from_slice(&[0; 16]);
+            corrupt(PageLogRecord::decode(&rec), tag);
+        }
+        let mut rec = vec![4];
+        rec.extend_from_slice(&[0; 16]);
+        corrupt(ImrsLogRecord::decode(&rec), 4);
     }
 
     #[test]
     fn txn_and_accessors() {
-        assert_eq!(
-            PageLogRecord::CheckpointBegin {
-                low_water: Lsn(1),
-                dirty_pages: vec![],
-            }
-            .txn(),
-            None
-        );
-        assert_eq!(
-            PageLogRecord::CheckpointEnd { begin_lsn: Lsn(1) }.txn(),
-            None
-        );
-        assert_eq!(PageLogRecord::Begin { txn: TxnId(4) }.txn(), Some(TxnId(4)));
+        assert_eq!(PageLogRecord::Begin { txn: TxnId(4) }.txn(), TxnId(4));
         let r = ImrsLogRecord::Pack {
             txn: TxnId(8),
             ts: Timestamp(5),
@@ -932,9 +896,16 @@ mod tests {
         assert_eq!(r.txn(), Some(TxnId(8)));
         assert_eq!(r.ts(), Timestamp(5));
         assert_eq!(r.row(), RowId(2));
-        let d = ImrsLogRecord::Discard {
-            txns: vec![TxnId(3)],
+        assert!(!r.mixed());
+        let m = ImrsLogRecord::Delete {
+            txn: TxnId(8 | MIXED_TXN_BIT),
+            ts: Timestamp(5),
+            partition: PartitionId(1),
+            row: RowId(2),
         };
+        assert_eq!(m.txn(), Some(TxnId(8)));
+        assert!(m.mixed());
+        let d = ImrsLogRecord::CheckpointEnd { begin_lsn: Lsn(3) };
         assert_eq!(d.txn(), None);
         assert_eq!(d.ts(), Timestamp::ZERO);
         let f = ImrsLogRecord::Freeze {
@@ -1004,7 +975,7 @@ mod proptests {
         asked.and_then(|n| n.parse().ok()).unwrap_or(64)
     }
 
-    /// Page record `variant` (mod 9), its numbers drawn from `n`, its
+    /// Page record `variant` (mod 6), its numbers drawn from `n`, its
     /// byte fields `a` and `b`.
     fn page_record(variant: u8, n: u64, a: Vec<u8>, b: Vec<u8>) -> PageLogRecord {
         let (txn, partition, row) = (
@@ -1013,11 +984,12 @@ mod proptests {
             RowId(n.rotate_left(17)),
         );
         let (page, slot) = (PageId((n >> 32) as u32), SlotId(n as u16));
-        match variant % 9 {
+        match variant % 6 {
             0 => PageLogRecord::Begin { txn },
             1 => PageLogRecord::Commit {
                 txn,
                 ts: Timestamp(!n),
+                imrs_batch: n & 1 == 1,
             },
             2 => PageLogRecord::Abort { txn },
             3 => PageLogRecord::Insert {
@@ -1037,7 +1009,7 @@ mod proptests {
                 old: a,
                 new: b,
             },
-            5 => PageLogRecord::Delete {
+            _ => PageLogRecord::Delete {
                 txn,
                 partition,
                 row,
@@ -1045,19 +1017,10 @@ mod proptests {
                 slot,
                 old: a,
             },
-            6 => PageLogRecord::CheckpointBegin {
-                low_water: Lsn(n),
-                dirty_pages: a.iter().map(|&p| PageId(p as u32 * 31)).collect(),
-            },
-            7 => PageLogRecord::CheckpointBegin {
-                low_water: Lsn::ZERO,
-                dirty_pages: vec![],
-            },
-            _ => PageLogRecord::CheckpointEnd { begin_lsn: Lsn(n) },
         }
     }
 
-    /// IMRS record `variant` (mod 12), as [`page_record`].
+    /// IMRS record `variant` (mod 10), as [`page_record`].
     fn imrs_record(variant: u8, n: u64, a: Vec<u8>) -> ImrsLogRecord {
         let (txn, ts, partition, row) = (
             TxnId(n),
@@ -1070,7 +1033,7 @@ mod proptests {
             RowOriginTag::Migrated,
             RowOriginTag::Cached,
         ][n as usize % 3];
-        match variant % 12 {
+        match variant % 10 {
             0 => ImrsLogRecord::Insert {
                 txn,
                 ts,
@@ -1113,32 +1076,29 @@ mod proptests {
                 extent: 3,
                 idx: n as u16,
             },
-            6 => ImrsLogRecord::Discard {
-                txns: a.iter().map(|&t| TxnId(n ^ t as u64)).collect(),
-            },
-            7 => ImrsLogRecord::CheckpointBegin(ImageHeader {
+            6 => ImrsLogRecord::CheckpointBegin(ImageHeader {
                 snapshot: ts,
-                floor: Lsn(n >> 3),
+                imrs_floor: Lsn(n >> 3),
+                sys_floor: Lsn(n >> 5),
                 next_row: row,
                 next_txn: txn,
                 next_internal: n >> 1,
                 next_extent: n as u32,
             }),
-            8 => ImrsLogRecord::ImageRow {
+            7 => ImrsLogRecord::ImageRow {
                 ts,
                 partition,
                 row,
                 origin,
                 data: a,
             },
-            9 => ImrsLogRecord::ImageExtent {
+            8 => ImrsLogRecord::ImageExtent {
                 partition,
                 extent: n as u32,
                 dead: a.iter().map(|&i| u16::from(i) * 7).collect(),
                 data: a,
             },
-            10 => ImrsLogRecord::CheckpointEnd { begin_lsn: Lsn(n) },
-            _ => ImrsLogRecord::Discard { txns: vec![] },
+            _ => ImrsLogRecord::CheckpointEnd { begin_lsn: Lsn(n) },
         }
     }
 

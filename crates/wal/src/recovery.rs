@@ -3,69 +3,54 @@
 //! The engine drives recovery in lock-step (§II): the page-store log is
 //! analysed and replayed first (redo winners, undo losers), then the
 //! redo-only IMRS log is replayed forward. This module implements the
-//! analysis pass; the physical replay lives in the engine, which owns
-//! the stores the records apply to.
+//! analysis pass and finds the one checkpoint record pair both logs
+//! are recovered from; the physical replay lives in the engine, which
+//! owns the stores the records apply to.
 
 use std::collections::{HashMap, HashSet};
 
 use btrim_common::{Lsn, Timestamp, TxnId};
 
-use crate::record::PageLogRecord;
+use crate::record::{ImageHeader, ImrsLogRecord, PageLogRecord};
 
 /// Outcome of the analysis pass over `syslogs`.
 #[derive(Debug, Default)]
 pub struct LogAnalysis {
     /// Committed transactions and their commit timestamps.
     pub winners: HashMap<TxnId, Timestamp>,
+    /// Winners whose `Commit` says they appended a sysimrslogs batch
+    /// before it (see [`LogAnalysis::lose_unbacked_commits`]).
+    pub batched: HashSet<TxnId>,
     /// Transactions with a Begin but no Commit/Abort (in-flight at
     /// crash): their changes must be undone.
     pub losers: HashSet<TxnId>,
     /// Transactions that aborted cleanly (already undone before the
     /// crash, because our undo happens online at rollback).
     pub aborted: HashSet<TxnId>,
-    /// LSN of the last **complete** checkpoint, if any: the
-    /// `CheckpointBegin` of a begin/end pair whose end arrived. A torn
-    /// pair (Begin without End) is ignored, falling back to the
-    /// previous complete checkpoint.
-    pub last_checkpoint: Option<Lsn>,
-    /// Redo floor certified by the last complete checkpoint: every
-    /// page change with `lsn < redo_low_water` is durably on disk. It
-    /// is the `low_water` carried by the Begin record (or the Begin's
-    /// own LSN when the record encodes `Lsn::ZERO`, meaning no writers
-    /// were in flight).
-    pub redo_low_water: Option<Lsn>,
-    /// Checkpoint Begin records left open at the log tail (crash
-    /// mid-checkpoint). Diagnostic only — torn pairs certify nothing.
-    pub torn_checkpoints: u64,
     /// Highest commit timestamp seen (clock resume point).
     pub max_commit_ts: Timestamp,
 }
 
-impl LogAnalysis {
-    /// LSN below which forward redo may skip change records. Records
-    /// with `lsn < redo_floor()` are certified durable; the floor
-    /// itself must still replay.
-    pub fn redo_floor(&self) -> Lsn {
-        self.redo_low_water.unwrap_or(Lsn::ZERO)
-    }
-}
-
-/// Analyse the page-store log: classify transactions and find the last
-/// checkpoint.
+/// Analyse the page-store log: classify transactions.
 pub fn analyze_page_log(records: &[(Lsn, PageLogRecord)]) -> LogAnalysis {
     let mut a = LogAnalysis::default();
     let mut seen: HashSet<TxnId> = HashSet::new();
-    // Open fuzzy checkpoint, if any: (begin lsn, effective low-water).
-    let mut pending_ckpt: Option<(Lsn, Lsn)> = None;
-    for (lsn, rec) in records {
+    for (_lsn, rec) in records {
         match rec {
             PageLogRecord::Begin { txn } => {
                 seen.insert(*txn);
                 a.losers.insert(*txn);
             }
-            PageLogRecord::Commit { txn, ts } => {
+            PageLogRecord::Commit {
+                txn,
+                ts,
+                imrs_batch,
+            } => {
                 a.losers.remove(txn);
                 a.winners.insert(*txn, *ts);
+                if *imrs_batch {
+                    a.batched.insert(*txn);
+                }
                 if *ts > a.max_commit_ts {
                     a.max_commit_ts = *ts;
                 }
@@ -73,25 +58,6 @@ pub fn analyze_page_log(records: &[(Lsn, PageLogRecord)]) -> LogAnalysis {
             PageLogRecord::Abort { txn } => {
                 a.losers.remove(txn);
                 a.aborted.insert(*txn);
-            }
-            PageLogRecord::CheckpointBegin { low_water, .. } => {
-                // A Begin overtaking an earlier unmatched Begin means
-                // the earlier checkpoint crashed mid-flight: torn.
-                if pending_ckpt.is_some() {
-                    a.torn_checkpoints += 1;
-                }
-                let floor = if low_water.0 == 0 { *lsn } else { *low_water };
-                pending_ckpt = Some((*lsn, floor));
-            }
-            PageLogRecord::CheckpointEnd { begin_lsn } => {
-                // Only the matching pair certifies; an End whose Begin
-                // was truncated away (or never written) is ignored.
-                if let Some((begin, floor)) = pending_ckpt.take() {
-                    if begin == *begin_lsn {
-                        a.last_checkpoint = Some(begin);
-                        a.redo_low_water = Some(floor);
-                    }
-                }
             }
             PageLogRecord::Insert { txn, .. }
             | PageLogRecord::Update { txn, .. }
@@ -105,15 +71,85 @@ pub fn analyze_page_log(records: &[(Lsn, PageLogRecord)]) -> LogAnalysis {
             }
         }
     }
-    if pending_ckpt.is_some() {
-        a.torn_checkpoints += 1;
-    }
     a
+}
+
+impl LogAnalysis {
+    /// Whether an IMRS record's transaction lost: a loser's or an aborted
+    /// transaction's record does, and so does a mixed transaction's
+    /// without a syslogs `Commit` — another's barrier made its batch
+    /// durable, and the rest of it (its `Begin` too, perhaps) is gone.
+    pub fn loses(&self, rec: &ImrsLogRecord) -> bool {
+        rec.txn().is_some_and(|txn| match rec.mixed() {
+            true => !self.winners.contains_key(&txn),
+            false => self.losers.contains(&txn) || self.aborted.contains(&txn),
+        })
+    }
+
+    /// A mixed transaction appends its sysimrslogs batch and then its
+    /// syslogs `Commit`, and another transaction's syslogs sync can make
+    /// that `Commit` durable while the batch is still volatile. So a
+    /// batched winner whose batch recovery cannot find — no record of it
+    /// in the salvaged sysimrslogs `imrs`, and committed after the
+    /// certified `image`'s snapshot — loses: its page records are undone
+    /// with the rest. Returns how many lost.
+    pub fn lose_unbacked_commits(
+        &mut self,
+        imrs: &[(Lsn, ImrsLogRecord)],
+        image: Option<&ImageMark>,
+    ) -> usize {
+        let logged: HashSet<TxnId> = imrs.iter().filter_map(|(_, rec)| rec.txn()).collect();
+        let held = |ts: Timestamp| image.is_some_and(|m| ts <= m.header.snapshot);
+        let unbacked: Vec<TxnId> = (self.batched.iter())
+            .filter(|txn| !logged.contains(txn))
+            .filter(|txn| self.winners.get(txn).is_some_and(|&ts| !held(ts)))
+            .copied()
+            .collect();
+        for txn in &unbacked {
+            self.winners.remove(txn);
+            self.batched.remove(txn);
+            self.losers.insert(*txn);
+        }
+        unbacked.len()
+    }
+}
+
+/// The newest certified checkpoint: the LSNs of its sysimrslogs
+/// `CheckpointBegin` and `CheckpointEnd`, and the Begin's header.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct ImageMark {
+    pub begin: Lsn,
+    pub end: Lsn,
+    pub header: ImageHeader,
+}
+
+/// The checkpoint of the last `CheckpointBegin` whose `CheckpointEnd`
+/// made the media: the one record pair that certifies both logs. A
+/// Begin without its End is a torn checkpoint and certifies nothing.
+pub fn newest_image(records: &[(Lsn, ImrsLogRecord)]) -> Option<ImageMark> {
+    let mut begun = HashMap::new();
+    let mut newest = None;
+    for (lsn, rec) in records {
+        match *rec {
+            ImrsLogRecord::CheckpointBegin(header) => {
+                begun.insert(*lsn, header);
+            }
+            ImrsLogRecord::CheckpointEnd { begin_lsn } => {
+                if let Some(header) = begun.remove(&begin_lsn) {
+                    let (begin, end) = (begin_lsn, *lsn);
+                    newest = Some(ImageMark { begin, end, header });
+                }
+            }
+            _ => {}
+        }
+    }
+    newest
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::record::MIXED_TXN_BIT;
     use btrim_common::{PageId, PartitionId, RowId, SlotId};
 
     fn ins(txn: u64) -> PageLogRecord {
@@ -127,7 +163,15 @@ mod tests {
         }
     }
 
-    fn with_lsns(recs: Vec<PageLogRecord>) -> Vec<(Lsn, PageLogRecord)> {
+    fn commit(txn: u64, ts: u64, imrs_batch: bool) -> PageLogRecord {
+        PageLogRecord::Commit {
+            txn: TxnId(txn),
+            ts: Timestamp(ts),
+            imrs_batch,
+        }
+    }
+
+    fn with_lsns<R>(recs: Vec<R>) -> Vec<(Lsn, R)> {
         recs.into_iter()
             .enumerate()
             .map(|(i, r)| (Lsn(i as u64 + 1), r))
@@ -139,10 +183,7 @@ mod tests {
         let log = with_lsns(vec![
             PageLogRecord::Begin { txn: TxnId(1) },
             ins(1),
-            PageLogRecord::Commit {
-                txn: TxnId(1),
-                ts: Timestamp(10),
-            },
+            commit(1, 10, false),
             PageLogRecord::Begin { txn: TxnId(2) },
             ins(2),
             PageLogRecord::Abort { txn: TxnId(2) },
@@ -156,6 +197,7 @@ mod tests {
         assert!(a.losers.contains(&TxnId(3)));
         assert!(!a.losers.contains(&TxnId(1)));
         assert!(!a.losers.contains(&TxnId(2)));
+        assert!(a.batched.is_empty());
         assert_eq!(a.max_commit_ts, Timestamp(10));
     }
 
@@ -171,89 +213,112 @@ mod tests {
         let a = analyze_page_log(&[]);
         assert!(a.winners.is_empty());
         assert!(a.losers.is_empty());
-        assert_eq!(a.last_checkpoint, None);
-        assert_eq!(a.redo_low_water, None);
-        assert_eq!(a.redo_floor(), Lsn::ZERO);
         assert_eq!(a.max_commit_ts, Timestamp::ZERO);
+        assert_eq!(newest_image(&[]), None);
     }
 
-    fn ckpt_begin(low_water: u64) -> PageLogRecord {
-        PageLogRecord::CheckpointBegin {
-            low_water: Lsn(low_water),
-            dirty_pages: vec![PageId(3)],
+    fn header(snapshot: u64, sys_floor: u64) -> ImageHeader {
+        ImageHeader {
+            snapshot: Timestamp(snapshot),
+            imrs_floor: Lsn(1),
+            sys_floor: Lsn(sys_floor),
+            next_row: RowId(1),
+            next_txn: TxnId(1),
+            next_internal: 0,
+            next_extent: 0,
+        }
+    }
+
+    fn begin(snapshot: u64) -> ImrsLogRecord {
+        ImrsLogRecord::CheckpointBegin(header(snapshot, snapshot))
+    }
+
+    fn end(begin_lsn: u64) -> ImrsLogRecord {
+        ImrsLogRecord::CheckpointEnd {
+            begin_lsn: Lsn(begin_lsn),
+        }
+    }
+
+    fn update(txn: u64, ts: u64) -> ImrsLogRecord {
+        ImrsLogRecord::Update {
+            txn: TxnId(txn),
+            ts: Timestamp(ts),
+            partition: PartitionId(0),
+            row: RowId(1),
+            data: vec![1],
         }
     }
 
     #[test]
-    fn complete_fuzzy_pair_sets_floor_from_low_water() {
-        let log = with_lsns(vec![
-            PageLogRecord::Begin { txn: TxnId(1) }, // lsn 1, still active
-            ins(1),                                 // lsn 2
-            ckpt_begin(1),                          // lsn 3, low-water = txn 1's Begin
-            PageLogRecord::CheckpointEnd { begin_lsn: Lsn(3) }, // lsn 4
-        ]);
-        let a = analyze_page_log(&log);
-        assert_eq!(a.last_checkpoint, Some(Lsn(3)));
-        assert_eq!(a.redo_low_water, Some(Lsn(1)));
-        assert_eq!(a.redo_floor(), Lsn(1));
-        assert_eq!(a.torn_checkpoints, 0);
-    }
-
-    #[test]
-    fn zero_low_water_means_begin_own_lsn() {
-        let log = with_lsns(vec![
-            ckpt_begin(0), // lsn 1: no in-flight writers at begin
-            PageLogRecord::CheckpointEnd { begin_lsn: Lsn(1) },
-        ]);
-        let a = analyze_page_log(&log);
-        assert_eq!(a.redo_low_water, Some(Lsn(1)));
+    fn a_complete_pair_certifies_its_header() {
+        let log = with_lsns(vec![update(1, 5), begin(7), update(2, 8), end(2)]);
+        let m = newest_image(&log).unwrap();
+        assert_eq!((m.begin, m.end), (Lsn(2), Lsn(4)));
+        assert_eq!(m.header, header(7, 7));
     }
 
     #[test]
     fn torn_pair_falls_back_to_previous_complete_checkpoint() {
         let log = with_lsns(vec![
-            ckpt_begin(0),                                      // lsn 1: completes below
-            PageLogRecord::CheckpointEnd { begin_lsn: Lsn(1) }, // lsn 2
-            PageLogRecord::Begin { txn: TxnId(5) },             // lsn 3
-            ckpt_begin(3), // lsn 4: crash before its End — torn
+            begin(3), // lsn 1: completes below
+            end(1),   // lsn 2
+            update(5, 9),
+            begin(9), // lsn 4: crash before its End — torn
+            update(6, 10),
         ]);
-        let a = analyze_page_log(&log);
-        assert_eq!(
-            a.last_checkpoint,
-            Some(Lsn(1)),
-            "torn pair must not move the floor"
-        );
-        assert_eq!(a.redo_low_water, Some(Lsn(1)));
-        assert_eq!(a.torn_checkpoints, 1);
+        let m = newest_image(&log).unwrap();
+        assert_eq!(m.begin, Lsn(1), "torn pair must not move the floors");
+        assert_eq!(m.header.sys_floor, Lsn(3));
     }
 
     #[test]
     fn end_without_matching_begin_is_ignored() {
-        // An End whose Begin was truncated away, plus an End that
-        // names the wrong Begin (overlapping checkpoints can't happen,
-        // but a corrupt record could claim anything).
-        let log = with_lsns(vec![
-            PageLogRecord::CheckpointEnd { begin_lsn: Lsn(77) }, // lsn 1: orphan
-            ckpt_begin(0),                                       // lsn 2
-            PageLogRecord::CheckpointEnd { begin_lsn: Lsn(99) }, // lsn 3: mismatched
-        ]);
-        let a = analyze_page_log(&log);
-        assert_eq!(a.last_checkpoint, None);
-        assert_eq!(a.redo_low_water, None);
+        // An End whose Begin was truncated away, plus an End that names
+        // the wrong Begin (a corrupt record could claim anything).
+        let log = with_lsns(vec![end(77), begin(1), end(99)]);
+        assert_eq!(newest_image(&log), None);
     }
 
     #[test]
-    fn overtaken_begin_counts_torn_and_the_last_complete_pair_wins() {
+    fn overtaken_begin_and_the_last_complete_pair_wins() {
         let log = with_lsns(vec![
-            ckpt_begin(0),                                      // lsn 1: completes below
-            PageLogRecord::CheckpointEnd { begin_lsn: Lsn(1) }, // lsn 2
-            ckpt_begin(0),                                      // lsn 3: torn (overtaken)
-            ckpt_begin(0),                                      // lsn 4: completes below
-            PageLogRecord::CheckpointEnd { begin_lsn: Lsn(4) }, // lsn 5
+            begin(1), // lsn 1: completes below
+            end(1),   // lsn 2
+            begin(2), // lsn 3: torn (overtaken)
+            begin(4), // lsn 4: completes below
+            end(4),   // lsn 5
         ]);
-        let a = analyze_page_log(&log);
-        assert_eq!(a.last_checkpoint, Some(Lsn(4)));
-        assert_eq!(a.redo_low_water, Some(Lsn(4)));
-        assert_eq!(a.torn_checkpoints, 1);
+        let m = newest_image(&log).unwrap();
+        assert_eq!((m.begin, m.end), (Lsn(4), Lsn(5)));
+        assert_eq!(m.header.snapshot, Timestamp(4));
+    }
+
+    /// Txn 1's batch is in the log, txn 2's is held by the image, txn 3's
+    /// is lost (its `Commit` outran it), txn 4 wrote no batch.
+    #[test]
+    fn a_batched_commit_whose_batch_is_gone_loses() {
+        let sys = with_lsns(vec![
+            commit(1, 20, true),
+            commit(2, 10, true),
+            commit(3, 21, true),
+            commit(4, 22, false),
+        ]);
+        let imrs = with_lsns(vec![begin(15), end(1), update(1, 20)]);
+        let image = newest_image(&imrs);
+        let mut a = analyze_page_log(&sys);
+        assert_eq!(a.lose_unbacked_commits(&imrs, image.as_ref()), 1);
+        assert!(a.losers.contains(&TxnId(3)) && !a.winners.contains_key(&TxnId(3)));
+        for txn in [1, 2, 4] {
+            assert!(a.winners.contains_key(&TxnId(txn)), "txn {txn}");
+        }
+        // A mixed batch stands or falls with its `Commit`; an IMRS-only
+        // one (txn 5: no syslogs evidence) stands.
+        let mixed = |txn| update(txn | MIXED_TXN_BIT, 30);
+        assert!(!a.loses(&mixed(1)) && a.loses(&mixed(3)) && a.loses(&mixed(5)));
+        assert!(!a.loses(&update(5, 30)) && a.loses(&update(3, 30)));
+        // Without the image, txn 2's batch is gone too.
+        let mut a = analyze_page_log(&sys);
+        assert_eq!(a.lose_unbacked_commits(&imrs[2..], None), 2);
+        assert!(a.losers.contains(&TxnId(2)));
     }
 }

@@ -1,17 +1,20 @@
-//! Checkpoint-record framing under torn tails and mixed-format logs.
+//! Checkpoint-record framing under torn tails.
 //!
-//! The fuzzy checkpoint writes a Begin/End record pair; the pair is
-//! the unit of certification, so a tail torn anywhere inside or after
-//! the pair must make analysis fall back to the previous complete
-//! checkpoint — never trust a Begin whose End died with the crash.
-//! These tests mirror the PR-4 torn-batch test at the record layer:
-//! every byte cut point, plus a property test interleaving batch
-//! frames (committed transactions) with checkpoint pairs.
+//! A checkpoint writes one record pair, on sysimrslogs: a
+//! `CheckpointBegin` whose header carries both logs' floors, the image,
+//! and a `CheckpointEnd`. The pair is the unit of certification, so a
+//! tail torn anywhere inside or after it must make
+//! [`newest_image`] fall back to the previous complete pair — never
+//! trust a Begin whose End died with the crash. Every byte cut point,
+//! plus a property test interleaving batch frames (committed
+//! transactions) with checkpoint pairs.
 
 use std::sync::Arc;
 
-use btrim_common::{Lsn, PageId, PartitionId, RowId, SlotId, Timestamp, TxnId};
-use btrim_wal::{analyze_page_log, Encodable, FileLog, LogWriter, PageLogRecord};
+use btrim_common::{Lsn, PartitionId, RowId, Timestamp, TxnId};
+use btrim_wal::{
+    newest_image, Encodable, FileLog, ImageHeader, ImrsLogRecord, LogWriter, RowOriginTag,
+};
 
 fn tmp(name: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("btrim-ckptframe-{}", std::process::id()));
@@ -21,91 +24,100 @@ fn tmp(name: &str) -> std::path::PathBuf {
     p
 }
 
-fn ins(txn: u64, page: u32) -> PageLogRecord {
-    PageLogRecord::Insert {
+fn update(txn: u64, row: u64) -> ImrsLogRecord {
+    ImrsLogRecord::Update {
         txn: TxnId(txn),
+        ts: Timestamp(txn),
         partition: PartitionId(0),
-        row: RowId(txn),
-        page: PageId(page),
-        slot: SlotId(0),
+        row: RowId(row),
         data: vec![0xAB; 16],
     }
 }
 
-fn read_records(path: &std::path::Path) -> Vec<(Lsn, PageLogRecord)> {
-    let writer: LogWriter<PageLogRecord> = LogWriter::new(Arc::new(FileLog::open(path).unwrap()));
+fn image_row(row: u64) -> ImrsLogRecord {
+    ImrsLogRecord::ImageRow {
+        ts: Timestamp(row),
+        partition: PartitionId(0),
+        row: RowId(row),
+        origin: RowOriginTag::Inserted,
+        data: vec![0xCD; 24],
+    }
+}
+
+fn header(snapshot: u64, imrs_floor: u64, sys_floor: u64) -> ImageHeader {
+    ImageHeader {
+        snapshot: Timestamp(snapshot),
+        imrs_floor: Lsn(imrs_floor),
+        sys_floor: Lsn(sys_floor),
+        next_row: RowId(100),
+        next_txn: TxnId(snapshot + 1),
+        next_internal: 0,
+        next_extent: 0,
+    }
+}
+
+/// Append a checkpoint pair as the engine does: Begin, the image rows
+/// in one batch, End. Returns the Begin's LSN.
+fn checkpoint(w: &LogWriter<ImrsLogRecord>, h: ImageHeader, rows: u64) -> Lsn {
+    let begin_lsn = w.append(&ImrsLogRecord::CheckpointBegin(h)).unwrap();
+    let image: Vec<Vec<u8>> = (0..rows).map(|r| image_row(r + 1).encode()).collect();
+    if !image.is_empty() {
+        let refs: Vec<&[u8]> = image.iter().map(|e| e.as_slice()).collect();
+        w.append_batch(&refs).unwrap();
+    }
+    w.append(&ImrsLogRecord::CheckpointEnd { begin_lsn })
+        .unwrap();
+    begin_lsn
+}
+
+fn read_records(path: &std::path::Path) -> Vec<(Lsn, ImrsLogRecord)> {
+    let writer: LogWriter<ImrsLogRecord> = LogWriter::new(Arc::new(FileLog::open(path).unwrap()));
     writer.read_all().unwrap()
 }
 
 /// Tear the log at every byte boundary from the second checkpoint's
-/// Begin frame to the end of its End frame. Whatever survives, the
-/// floor must come from the first (complete) pair.
+/// Begin frame to the end of its End frame. Whatever survives, both
+/// floors must come from the first (complete) pair.
 #[test]
 fn torn_checkpoint_pair_falls_back_at_every_cut_point() {
     let path = tmp("torn-pair.wal");
-    let first_begin_lsn;
+    let (first, second) = (header(10, 2, 4), header(20, 7, 9));
+    let first_begin;
     let pair_start;
     let full;
     {
         let log = FileLog::open(&path).unwrap();
-        let w: LogWriter<PageLogRecord> = LogWriter::new(Arc::new(log));
-        w.append(&PageLogRecord::Begin { txn: TxnId(1) }).unwrap();
-        w.append(&ins(1, 3)).unwrap();
-        w.append(&PageLogRecord::Commit {
-            txn: TxnId(1),
-            ts: Timestamp(10),
-        })
-        .unwrap();
-        // First, complete checkpoint pair: no writers in flight.
-        first_begin_lsn = w
-            .append(&PageLogRecord::CheckpointBegin {
-                low_water: Lsn::ZERO,
-                dirty_pages: vec![PageId(3)],
-            })
-            .unwrap();
-        w.append(&PageLogRecord::CheckpointEnd {
-            begin_lsn: first_begin_lsn,
-        })
-        .unwrap();
-        w.append(&PageLogRecord::Begin { txn: TxnId(2) }).unwrap();
-        w.append(&ins(2, 4)).unwrap();
+        let w: LogWriter<ImrsLogRecord> = LogWriter::new(Arc::new(log));
+        w.append(&update(1, 1)).unwrap();
+        // First, complete checkpoint pair.
+        first_begin = checkpoint(&w, first, 2);
+        w.append(&update(2, 4)).unwrap();
         w.flush().unwrap();
         pair_start = std::fs::metadata(&path).unwrap().len();
         // Second pair — the one the crash will tear.
-        let begin2 = w
-            .append(&PageLogRecord::CheckpointBegin {
-                low_water: Lsn(6), // txn 2's Begin
-                dirty_pages: vec![PageId(3), PageId(4)],
-            })
-            .unwrap();
-        w.append(&PageLogRecord::CheckpointEnd { begin_lsn: begin2 })
-            .unwrap();
+        checkpoint(&w, second, 3);
         w.flush().unwrap();
         full = std::fs::read(&path).unwrap();
     }
-    assert_eq!(first_begin_lsn, Lsn(4));
+    assert_eq!(first_begin, Lsn(2));
     for cut in pair_start..full.len() as u64 {
         std::fs::write(&path, &full[..cut as usize]).unwrap();
         let records = read_records(&path);
-        let a = analyze_page_log(&records);
+        let m = newest_image(&records).unwrap_or_else(|| panic!("cut at {cut}: no image"));
         assert_eq!(
-            a.last_checkpoint,
-            Some(first_begin_lsn),
+            (m.begin, m.end, m.header),
+            (first_begin, Lsn(5), first),
             "cut at {cut}: torn second pair must fall back to the first"
         );
-        assert_eq!(a.redo_low_water, Some(first_begin_lsn), "cut at {cut}");
-        // Whether the second Begin survived the cut decides the torn
-        // count; it must never certify either way.
-        assert!(a.torn_checkpoints <= 1, "cut at {cut}");
-        assert!(a.losers.contains(&TxnId(2)), "cut at {cut}");
-        assert_eq!(a.winners.get(&TxnId(1)), Some(&Timestamp(10)));
+        assert!(
+            records.iter().any(|(_, r)| *r == update(2, 4)),
+            "cut at {cut}"
+        );
     }
     // The intact file certifies the second pair.
     std::fs::write(&path, &full).unwrap();
-    let a = analyze_page_log(&read_records(&path));
-    assert_eq!(a.last_checkpoint, Some(Lsn(8)));
-    assert_eq!(a.redo_low_water, Some(Lsn(6)));
-    assert_eq!(a.torn_checkpoints, 0);
+    let m = newest_image(&read_records(&path)).unwrap();
+    assert_eq!((m.begin, m.end, m.header), (Lsn(7), Lsn(11), second));
     std::fs::remove_file(&path).unwrap();
 }
 
@@ -115,19 +127,19 @@ mod proptests {
     use proptest::prelude::*;
 
     /// One log-building step: a committed transaction appended as an
-    /// atomic batch frame (Begin/changes/Commit, the stage-and-batch
-    /// commit shape), a complete checkpoint pair, or a torn Begin.
+    /// atomic batch frame (the stage-and-batch commit shape), a complete
+    /// checkpoint pair with its image, or a torn Begin.
     #[derive(Clone, Debug)]
     enum Step {
         TxnBatch { txn: u64, changes: u8 },
-        CheckpointPair { dirty: u8 },
+        CheckpointPair { rows: u8 },
         TornBegin,
     }
 
     fn step_strategy() -> impl Strategy<Value = Step> {
         prop_oneof![
             3 => (1u64..64, 1u8..5).prop_map(|(txn, changes)| Step::TxnBatch { txn, changes }),
-            2 => (0u8..6).prop_map(|dirty| Step::CheckpointPair { dirty }),
+            2 => (0u8..6).prop_map(|rows| Step::CheckpointPair { rows }),
             1 => Just(Step::TornBegin),
         ]
     }
@@ -135,92 +147,62 @@ mod proptests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
-        /// A V2 log interleaving batch frames with checkpoint pairs
-        /// round-trips through salvage + analysis: every record
-        /// decodes back, and the floor lands on the last *complete*
-        /// pair regardless of how many torn Begins follow it.
+        /// A log interleaving batch frames with checkpoint pairs
+        /// round-trips through salvage, and the certified checkpoint is
+        /// the last *complete* pair regardless of how many torn Begins
+        /// follow it.
         #[test]
-        fn v2_batches_and_checkpoint_pairs_roundtrip_through_analysis(
+        fn batches_and_checkpoint_pairs_roundtrip_to_the_last_complete_pair(
             steps in proptest::collection::vec(step_strategy(), 1..12),
             case in 0u64..u64::MAX,
         ) {
             let path = tmp(&format!("prop-{case}.wal"));
             let log = FileLog::open(&path).unwrap();
-            let w: LogWriter<PageLogRecord> = LogWriter::new(Arc::new(log));
-            let mut expected: Vec<PageLogRecord> = Vec::new();
+            let w: LogWriter<ImrsLogRecord> = LogWriter::new(Arc::new(log));
+            let mut expected: Vec<ImrsLogRecord> = Vec::new();
             let mut next_lsn: u64 = 1;
-            let mut want_floor: Option<Lsn> = None;
-            let mut want_ckpt: Option<Lsn> = None;
-            let mut want_torn: u64 = 0;
-            let mut open_begin = false;
-            for step in &steps {
+            let mut want = None;
+            for (i, step) in steps.iter().enumerate() {
+                let h = header(i as u64, next_lsn, i as u64 * 3);
                 match step {
                     Step::TxnBatch { txn, changes } => {
-                        let mut recs = vec![PageLogRecord::Begin { txn: TxnId(*txn) }];
-                        for c in 0..*changes {
-                            recs.push(ins(*txn, c as u32));
-                        }
-                        recs.push(PageLogRecord::Commit {
-                            txn: TxnId(*txn),
-                            ts: Timestamp(*txn),
-                        });
+                        let recs: Vec<ImrsLogRecord> =
+                            (0..*changes).map(|c| update(*txn, c as u64)).collect();
                         let encoded: Vec<Vec<u8>> = recs.iter().map(|r| r.encode()).collect();
                         let refs: Vec<&[u8]> = encoded.iter().map(|e| e.as_slice()).collect();
                         w.append_batch(&refs).unwrap();
                         next_lsn += recs.len() as u64;
                         expected.extend(recs);
                     }
-                    Step::CheckpointPair { dirty } => {
-                        if open_begin {
-                            want_torn += 1;
-                            open_begin = false;
-                        }
-                        let begin = PageLogRecord::CheckpointBegin {
-                            low_water: Lsn::ZERO,
-                            dirty_pages: (0..*dirty).map(|p| PageId(p as u32)).collect(),
-                        };
-                        let begin_lsn = w.append(&begin).unwrap();
+                    Step::CheckpointPair { rows } => {
+                        let begin_lsn = checkpoint(&w, h, *rows as u64);
                         prop_assert_eq!(begin_lsn, Lsn(next_lsn));
-                        next_lsn += 1;
-                        w.append(&PageLogRecord::CheckpointEnd { begin_lsn }).unwrap();
-                        next_lsn += 1;
-                        expected.push(begin.clone());
-                        expected.push(PageLogRecord::CheckpointEnd { begin_lsn });
-                        want_ckpt = Some(begin_lsn);
-                        want_floor = Some(begin_lsn);
+                        let end = Lsn(next_lsn + *rows as u64 + 1);
+                        next_lsn = end.0 + 1;
+                        expected.push(ImrsLogRecord::CheckpointBegin(h));
+                        expected.extend((0..*rows as u64).map(|r| image_row(r + 1)));
+                        expected.push(ImrsLogRecord::CheckpointEnd { begin_lsn });
+                        want = Some((begin_lsn, end, h));
                     }
                     Step::TornBegin => {
-                        if open_begin {
-                            want_torn += 1;
-                        }
-                        let begin = PageLogRecord::CheckpointBegin {
-                            low_water: Lsn::ZERO,
-                            dirty_pages: vec![],
-                        };
-                        w.append(&begin).unwrap();
+                        w.append(&ImrsLogRecord::CheckpointBegin(h)).unwrap();
                         next_lsn += 1;
-                        expected.push(begin);
-                        open_begin = true;
+                        expected.push(ImrsLogRecord::CheckpointBegin(h));
                     }
                 }
-            }
-            if open_begin {
-                want_torn += 1;
             }
             w.flush().unwrap();
             drop(w);
 
-            let reopened: LogWriter<PageLogRecord> =
+            let reopened: LogWriter<ImrsLogRecord> =
                 LogWriter::new(Arc::new(FileLog::open(&path).unwrap()));
             let (records, dropped) = reopened.read_all_salvage().unwrap();
             prop_assert_eq!(dropped, 0);
-            let got: Vec<PageLogRecord> = records.iter().map(|(_, r)| r.clone()).collect();
+            let got: Vec<ImrsLogRecord> = records.iter().map(|(_, r)| r.clone()).collect();
             prop_assert_eq!(&got, &expected);
 
-            let a = analyze_page_log(&records);
-            prop_assert_eq!(a.last_checkpoint, want_ckpt);
-            prop_assert_eq!(a.redo_low_water, want_floor);
-            prop_assert_eq!(a.torn_checkpoints, want_torn);
+            let m = newest_image(&records).map(|m| (m.begin, m.end, m.header));
+            prop_assert_eq!(m, want);
             std::fs::remove_file(&path).unwrap();
         }
     }

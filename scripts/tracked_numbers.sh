@@ -59,6 +59,8 @@ numbers() {
     # kinds of entry in its one write set (`UndoOp`'s successor).
     echo "transaction_fields $(sed -n '/^pub struct Transaction {/,/^}/p' crates/core/src/txn_ctx.rs | grep -c '^    pub(crate) [a-z_0-9]*:')"
     echo "write_set_variants $(sed -n '/^pub(crate) enum Write {/,/^}/p' crates/core/src/txn_ctx.rs | grep -c '^    [A-Z][A-Za-z]* *[{(,]')"
+    # The log-record vocabulary: the variants of both logs' record enums.
+    echo "log_record_kinds $(sed -n '/^pub enum \(PageLogRecord\|ImrsLogRecord\) {/,/^}/p' crates/wal/src/record.rs | grep -c '^    [A-Z][A-Za-z]* *[{(,]')"
     # Per-partition state belongs on the `Partition` record: struct
     # fields keyed by partition id (function-local groupings excluded).
     # The one left is `ImrsStore::usage`, kept because the frozen

@@ -100,7 +100,7 @@ fn run_shape(shape: Shape) {
     let mine = ex
         .syslog()
         .into_iter()
-        .filter(|(lsn, rec)| lsn.0 > sys_before && rec.txn() == Some(txn));
+        .filter(|(lsn, rec)| lsn.0 > sys_before && rec.txn() == txn);
     assert!(
         barriers.1 > 0 || mine.count() == 0,
         "{shape:?}: syslogs appends"
@@ -243,7 +243,7 @@ fn a_parent_shaped_log_pair_recovers_to_the_same_database() {
     let (ours, imrs) = (ex.syslog(), ex.logs.1.read_all().unwrap());
     // The parent's syslogs: a `Begin`/`Commit` pair for every user
     // transaction that only sysimrslogs knows, then ours.
-    let mut announced: Vec<TxnId> = ours.iter().filter_map(|(_, rec)| rec.txn()).collect();
+    let mut announced: Vec<TxnId> = ours.iter().map(|(_, rec)| rec.txn()).collect();
     let mut parent = vec![];
     for rec in imrs
         .iter()
@@ -254,7 +254,15 @@ fn a_parent_shaped_log_pair_recovers_to_the_same_database() {
         };
         announced.push(txn);
         parent.push(PageLogRecord::Begin { txn }.encode());
-        parent.push(PageLogRecord::Commit { txn, ts: rec.ts() }.encode());
+        let (ts, imrs_batch) = (rec.ts(), false);
+        parent.push(
+            PageLogRecord::Commit {
+                txn,
+                ts,
+                imrs_batch,
+            }
+            .encode(),
+        );
     }
     // The load's two went below the stage checkpoint's image.
     assert_eq!(parent.len(), 2 * 3, "IMRS-only transactions to announce");

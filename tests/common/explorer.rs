@@ -697,7 +697,8 @@ impl Explorer {
     }
 
     /// Hold what recovery brought back to the model, then make it the
-    /// model: per key, the newest durable version or any later one.
+    /// model: per key, the newest durable version or any later one; per
+    /// transaction, all of its images (or later ones) or none of them.
     fn adopt_survivors(&mut self, label: &str) {
         let e = &self.engine;
         let mut w = self.world.lock().unwrap();
@@ -713,14 +714,32 @@ impl Explorer {
             .unwrap();
         }
         let (durable, mut live) = (w.durable, 0);
+        // Per commit not yet durable (by its `begin`): the keys showing
+        // its image, no other's, and the keys showing an older version.
+        let mut commits: BTreeMap<u64, (Vec<Key>, Vec<Key>)> = BTreeMap::new();
         for (&(t, k), history) in w.keys.iter_mut() {
             let got = e
                 .get_snapshot(&snap, &table(e, t), &k.to_be_bytes())
                 .unwrap();
             let floor = history.iter().rposition(|v| v.begin <= durable);
             let allowed = &history[floor.unwrap_or(0)..];
-            let at = allowed.iter().rposition(|v| v.image == got);
             let lost = floor.is_none() && got.is_none();
+            // The commits whose image `got` is; 0: the key before its
+            // first version, absent.
+            let mut shows: Vec<u64> = (allowed.iter())
+                .filter(|v| v.image == got)
+                .map(|v| v.begin)
+                .collect();
+            shows.extend(lost.then_some(0));
+            for v in allowed.iter().filter(|v| v.begin > durable) {
+                let (kept, older) = commits.entry(v.begin).or_default();
+                if shows == [v.begin] {
+                    kept.push((t, k));
+                } else if shows.iter().all(|&b| b < v.begin) {
+                    older.push((t, k));
+                }
+            }
+            let at = allowed.iter().rposition(|v| v.image == got);
             assert!(
                 at.is_some() || lost,
                 "{label}: {t}/{k} is {got:?}, model {history:?}"
@@ -731,6 +750,12 @@ impl Explorer {
             });
             *history = survivor.into_iter().collect();
             live += u64::from(got.is_some());
+        }
+        for (begin, (kept, older)) in commits {
+            assert!(
+                kept.is_empty() || older.is_empty(),
+                "{label}: commit {begin} survived in part: {kept:?} kept it, {older:?} did not"
+            );
         }
         w.keys
             .retain(|_, history| history.iter().any(|v| v.image.is_some()));

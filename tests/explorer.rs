@@ -8,10 +8,10 @@
 
 mod common;
 
-use btrim::{EngineConfig, EngineMode, RowLocation};
+use btrim::{Actor, EngineConfig, EngineMode, RowLocation};
 use btrim_wal::LogSink;
 
-use common::explorer::{config, explore, Explorer, Profile, Step, Step::*, COLD, HOT};
+use common::explorer::{config, explore, Explorer, Profile, Step, Step::*, AUX, COLD, HOT};
 
 const PROFILE: Profile = Profile {
     steps: 120,
@@ -90,9 +90,25 @@ fn a_page_only_commit_does_not_carry_a_cache_move_it_did_not_settle() {
     cache_inside_a_syslogs_sync(true, a);
 }
 
+/// A checkpoint syncs syslogs only when there is something to sync:
+/// A's unsynced page change.
 #[test]
 fn a_checkpoint_does_not_carry_a_cache_move_it_did_not_settle() {
-    cache_inside_a_syslogs_sync(false, vec![Checkpoint]);
+    let a = vec![Update(0, COLD, 1, 11, 0), Commit(0), Checkpoint];
+    cache_inside_a_syslogs_sync(false, a);
+}
+
+/// A checkpoint's one record pair is on sysimrslogs: it syncs syslogs
+/// only for what commits left unsynced there, once.
+#[test]
+fn a_checkpoint_syncs_syslogs_at_most_once() {
+    for durable_commits in [false, true] {
+        let mut ex = stage(durable_commits);
+        assert_eq!(ex.run(Checkpoint).flushes.1, 0, "idle");
+        ex.run_all(&[Update(0, COLD, 1, 11, 0), Commit(0)]);
+        let synced = ex.run(Checkpoint).flushes.1;
+        assert_eq!(synced, u64::from(!durable_commits), "{durable_commits}");
+    }
 }
 
 /// Client B's steps inside the first page write of a checkpoint's flush
@@ -186,10 +202,12 @@ fn power_cut_after_a_checkpoint_recovers_from_the_truncated_log() {
             Checkpoint,
         ];
         ex.run_all(&steps);
-        let first = ex.logs.0.read_all().unwrap().first().map(|(lsn, _)| lsn.0);
+        // No transaction was alive: the checkpoint kept nothing.
+        let (kept, appended) = (ex.logs.0.read_all().unwrap(), ex.logs.0.record_count());
         assert!(
-            first > Some(1),
-            "the checkpoint truncated syslogs: {first:?}"
+            kept.is_empty() && appended > 0,
+            "the checkpoint truncated syslogs: {} of {appended} kept",
+            kept.len()
         );
         ex.run_all(&[Insert(1, COLD, 5, 50, 0), Commit(1), Cut]);
         ex.reboot();
@@ -208,4 +226,60 @@ fn an_insert_into_a_slot_an_uncommitted_delete_freed_survives() {
     ex.run_all(&[Checkpoint, Delete(1, HOT, 3)]);
     ex.run_all(&[Insert(0, HOT, 1, 10, 0), Commit(0), Cut]);
     ex.reboot();
+}
+
+/// Client A leaves a page change in syslogs, unsynced; client B's mixed
+/// transaction — `hot` 1 is on a page, `hot` 3 goes to the IMRS —
+/// commits inside the checkpoint's syslogs sync of it, and the power is
+/// cut as that sync completes. B appended its sysimrslogs batch and
+/// then its syslogs `Commit`, and the checkpoint's sync made the
+/// `Commit` durable while the batch, past the image's snapshot, was
+/// still volatile: the reboot redid the page half and lost the IMRS
+/// half.
+#[test]
+fn a_mixed_commit_is_not_torn_by_anothers_syslogs_sync() {
+    let mut ex = stage(false);
+    ex.run_all(&[Update(0, COLD, 1, 11, 0), Commit(0), CutAfterFlushes(1)]);
+    let b = vec![
+        Update(1, HOT, 1, 12, 0),
+        Insert(1, HOT, 3, 30, 0),
+        Commit(1),
+    ];
+    let out = ex.run(During(Box::new(Checkpoint), b));
+    assert!(out.paused && ex.power.off(), "{out:?}");
+    ex.reboot();
+    let (hot1, hot3) = (ex.value(HOT, 1), ex.value(HOT, 3));
+    assert!(
+        matches!((hot1, hot3), (Some(12), Some(30)) | (Some(10), None)),
+        "hot 1 = {hot1:?}, hot 3 = {hot3:?}"
+    );
+}
+
+/// A mixed commit, then a background batch — a pack, a freeze —
+/// whose device syncs the power cut follows, one after another. The
+/// batch copied the commit's images (`aux` 9 to a page, `cold` 1 and 2
+/// to an extent) and synced one log before the commit was durable on
+/// both: a pack syslogs, with the commit's `Commit` but not its batch; a
+/// freeze sysimrslogs, its extent before the commit's syslogs records.
+/// The copies kept part of the commit after the reboot lost the rest.
+#[test]
+fn a_background_batch_does_not_keep_part_of_a_commit() {
+    for batch in [PackAll, Act(Actor::Freeze)] {
+        for n in 1..=4 {
+            let mut ex = Explorer::new(EngineConfig {
+                durable_commits: false,
+                ..config(EngineMode::IlmOn)
+            });
+            ex.run_all(&[
+                Insert(1, AUX, 9, 90, 0),
+                Insert(1, HOT, 3, 30, 0),
+                Insert(1, COLD, 1, 10, 0),
+                Insert(1, COLD, 2, 20, 0),
+                Commit(1),
+                CutAfterFlushes(n),
+                batch.clone(),
+            ]);
+            ex.reboot();
+        }
+    }
 }

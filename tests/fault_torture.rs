@@ -685,15 +685,16 @@ fn fail_stop_crash_recovers_to_acknowledged_state() {
 
 /// Crash *inside* the checkpoint pipeline, swept across device-op
 /// offsets so the fail-stop lands at every interesting point: before
-/// the `CheckpointBegin` record, between the rate-limited flush
-/// batches, before `CheckpointEnd`, during the prefix truncation, or
-/// after completion. One complete Begin/End pair is on disk before the
-/// faulted checkpoint, so a torn second pair must fall back to it.
+/// the `CheckpointBegin` record, inside the image, between the
+/// rate-limited flush batches, before `CheckpointEnd`, during the
+/// prefix truncation, or after completion. One complete Begin/End pair
+/// is on disk before the faulted checkpoint, so a torn second pair must
+/// fall back to it.
 /// Every commit here is acknowledged fault-free, so recovery must
 /// reproduce the exact committed state — no three-way slack.
 #[test]
 fn crash_during_checkpoint_holds_acknowledged_state() {
-    use btrim_wal::{analyze_page_log, LogWriter, PageLogRecord};
+    use btrim_wal::{newest_image, ImrsLogRecord, LogWriter};
 
     let mut mid_checkpoint_crashes = 0u32;
     let mut torn_pairs_recovered = 0u64;
@@ -755,11 +756,17 @@ fn crash_during_checkpoint_holds_acknowledged_state() {
         }
         drop(engine);
 
-        // What did the tear leave behind? (Counted across the sweep so
-        // the test proves a torn pair was actually exercised.)
-        let reader: LogWriter<PageLogRecord> = LogWriter::new(inner.syslog.clone());
-        let analysis = analyze_page_log(&reader.read_all().unwrap());
-        torn_pairs_recovered += analysis.torn_checkpoints;
+        // What did the tear leave behind? A Begin without its End
+        // (counted across the sweep so the test proves a torn pair was
+        // actually exercised), and the first pair to fall back to.
+        let reader: LogWriter<ImrsLogRecord> = LogWriter::new(inner.imrslog.clone());
+        let records = reader.read_all().unwrap();
+        assert!(newest_image(&records).is_some(), "plan {label}: no pair");
+        let count =
+            |kind: fn(&ImrsLogRecord) -> bool| records.iter().filter(|r| kind(&r.1)).count();
+        let begins = count(|r| matches!(r, ImrsLogRecord::CheckpointBegin(_)));
+        let ends = count(|r| matches!(r, ImrsLogRecord::CheckpointEnd { .. }));
+        torn_pairs_recovered += (begins - ends) as u64;
 
         let recovered = Engine::recover(
             cfg(),

@@ -63,8 +63,8 @@ pub(crate) struct Shared {
     pub clock: Arc<LogicalClock>,
     pub syslog: LogWriter<PageLogRecord>,
     pub imrslog: LogWriter<ImrsLogRecord>,
-    /// What every syslogs sync closes against foreground moves (cache,
-    /// migrate, thaw), which never flush (see `movement.rs`).
+    /// What every syslogs sync closes against the moves that never
+    /// flush: cache, migrate, pack, thaw (see `movement.rs`).
     pub moves: MoveGate,
     pub tsf: TsfLearner,
     pub gc: GcRegistry,
@@ -1395,16 +1395,14 @@ impl Engine {
                 // Each log's barrier is its group commit, and a
                 // transaction waits only for a log it appended to (none
                 // for a read-only one: it must commit cleanly even when
-                // the log device is gone). sysimrslogs goes first,
-                // through the move gate: a durable syslogs `Commit` has
-                // every move's IMRS records durable behind it (not
-                // always its own batch: recovery then undoes it).
+                // the log device is gone), or a pack left volatile.
+                // sysimrslogs goes first, through the move gate: a
+                // durable syslogs `Commit` has every move's IMRS records
+                // durable behind it (not always its own batch: recovery
+                // then undoes it).
                 let sh = &self.sh;
-                if wrote_sys {
-                    sh.moves.sync(&sh.imrslog, &sh.syslog, wrote_imrs)?;
-                } else if wrote_imrs {
-                    sh.imrslog.flush()?;
-                }
+                sh.moves
+                    .commit(&sh.imrslog, &sh.syslog, wrote_imrs, wrote_sys)?;
             }
             Ok(())
         });

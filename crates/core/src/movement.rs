@@ -17,10 +17,12 @@
 //! RID-Map flips before the source copy is retired, so a lock-free
 //! reader is at most one retry away from the row; the row locks are
 //! held until the `Commit` is in the log, so no later transaction's
-//! commit can precede it; and recovery gates every record on that
-//! `Commit` — a page → IMRS move's on its arrival record, which may be
-//! durable long before — so a crash at any point lands on exactly one
-//! home.
+//! commit can precede it; a move's last record is on sysimrslogs and
+//! every syslogs sync settles it first ([`MoveGate`]), so a durable
+//! `Commit` has the whole move durable behind it; and recovery gates
+//! every record on that `Commit` — a page → IMRS move's on its arrival
+//! record, which may be durable long before — so a crash at any point
+//! lands on exactly one home.
 
 use std::sync::Arc;
 
@@ -41,19 +43,32 @@ use crate::logged::Logged;
 /// A closed [`MoveGate`]: it opens again on drop.
 pub(crate) type Closed<'g> = RwLockWriteGuard<'g, ()>;
 
-/// What every syslogs sync — commit, pack batch, freeze batch,
-/// checkpoint — closes against foreground moves (cache, migrate, thaw;
-/// all of them [`Engine::move_row`]). Those never flush, so a move's
-/// two halves sit volatile on two logs, and a syslogs sync must not
-/// make its departure (or a thaw's page arrival) durable while its
-/// sysimrslogs record is not. A sync closes the gate (exclusive: the
-/// moves already past it finish first), settles their sysimrslogs
-/// records, and keeps the gate closed through its device sync; no move
-/// gets past meanwhile — a cache or migrate skips (a move is
-/// opportunistic), a thaw waits.
+/// What every syslogs sync — commit, freeze batch, checkpoint — closes
+/// against the other moves (cache, migrate, pack, thaw). Those never
+/// flush, so a move's two halves sit volatile on two logs, and a
+/// syslogs sync must not make its syslogs half — departure, arrival or
+/// verdict — durable while its sysimrslogs record is not. A move
+/// publishes the LSN of its last sysimrslogs record before it appends
+/// its `Commit`, and leaves the gate after; a sync closes the gate
+/// (exclusive: the moves already past it finish first), settles their
+/// sysimrslogs records, and keeps the gate closed through its device
+/// sync; no move gets past meanwhile — a cache or migrate skips (a move
+/// is opportunistic), a pack or thaw waits.
+///
+/// A pack's `Commit` needs a bound of its own: its rows' IMRS room is
+/// reused by later inserts, which commit on sysimrslogs alone, and
+/// recovery replays those only beside the departures that made room
+/// for them. So a durable commit that writes sysimrslogs alone syncs
+/// syslogs too while a pack's `Commit` is not yet durable ([`commit`]).
+///
+/// [`commit`]: MoveGate::commit
 pub(crate) struct MoveGate {
     /// sysimrslogs LSN of the newest record a move past the gate wrote.
     arrival: SeqCst<u64>,
+    /// syslogs LSN of the newest pack's `Begin`, published before its
+    /// rows leave the IMRS. A sync that makes it durable started after
+    /// the pack left the gate, so it holds the pack's `Commit` too.
+    packed: SeqCst<u64>,
     /// Shared by the moves past it, exclusive to a sync.
     gate: RwLock<()>,
     /// Caches and migrations that found the gate closed (lifetime).
@@ -64,6 +79,7 @@ impl MoveGate {
     pub fn new() -> Self {
         MoveGate {
             arrival: SeqCst::new(0),
+            packed: SeqCst::new(0),
             gate: RwLock::with_rank(MOVE_GATE, ()),
             skipped: Relaxed::new(0),
         }
@@ -71,11 +87,11 @@ impl MoveGate {
 
     /// Let a move to `to` past the gate until the pass drops. `None`: a
     /// sync holds the gate and the move, a cache or migrate, skips; a
-    /// thaw waits for it.
+    /// move to a page (pack, thaw) waits for it.
     pub fn pass(&self, to: To) -> Option<RwLockReadGuard<'_, ()>> {
-        let thaw = !matches!(to, To::Imrs(_));
+        let waits = matches!(to, To::Page);
         let pass = self.gate.try_read();
-        let pass = pass.or_else(|| thaw.then(|| self.gate.read()));
+        let pass = pass.or_else(|| waits.then(|| self.gate.read()));
         self.skipped.fetch_add(u64::from(pass.is_none()));
         pass
     }
@@ -103,6 +119,25 @@ impl MoveGate {
     ) -> Result<()> {
         let _closed = self.close(imrslog, all)?;
         syslog.flush()
+    }
+
+    /// A durable commit's barriers: one per log it appended to, through
+    /// the gate when one is syslogs — and syslogs too for a commit that
+    /// wrote sysimrslogs alone while a pack's `Commit` is volatile (the
+    /// inserts it holds may sit in the room that pack made).
+    pub fn commit(
+        &self,
+        imrslog: &LogWriter<ImrsLogRecord>,
+        syslog: &LogWriter<PageLogRecord>,
+        wrote_imrs: bool,
+        wrote_sys: bool,
+    ) -> Result<()> {
+        let packing = wrote_imrs && self.packed.load() > syslog.durable_lsn().0;
+        match (wrote_imrs, wrote_sys || packing) {
+            (_, true) => self.sync(imrslog, syslog, wrote_imrs),
+            (true, false) => imrslog.flush(),
+            (false, false) => Ok(()),
+        }
     }
 }
 
@@ -344,20 +379,14 @@ fn relocate_locked(
         return Ok(out);
     }
 
-    // A background batch (pack, freeze) holds the move gate closed from
-    // here to its flush, and copies committed images that must not
-    // outlive the rest of their commit. A pack batch syncs syslogs first
-    // (see Commit below), which could make a foreground move's
-    // `Delete`/`Commit` durable ahead of its volatile arrival record, or
-    // a mixed commit's `Commit` ahead of its batch: the gate settles all
-    // of sysimrslogs before this batch's own `Pack` records could ride
-    // along. A freeze batch syncs sysimrslogs first, so it makes syslogs
-    // durable up to its own records too. And a checkpoint, which closes
-    // the gate too, never images the IMRS or the extents with a batch
-    // half done.
+    // A freeze batch holds the move gate closed from here to its flush:
+    // its extent copies committed images that must not reach the media
+    // ahead of the rest of their commit, so both logs are settled before
+    // its first append. And a checkpoint, which closes the gate too,
+    // never images the extents with a batch half done. Every other move
+    // passed the gate shared (its caller holds the pass).
     let freeze = matches!(to, To::Extent { .. });
-    let background = freeze || sources.iter().any(|s| s.from == RowLocation::Imrs);
-    let closed = background.then(|| sh.moves.close(&sh.imrslog, true));
+    let closed = freeze.then(|| sh.moves.close(&sh.imrslog, true));
     let closed = closed.transpose()?;
     if freeze {
         sh.syslog.flush()?;
@@ -406,6 +435,10 @@ fn relocate_locked(
         // deletion reached the device via eviction while its `Delete`
         // record died in a torn log tail, leaving no redo anywhere.
         let mut logged = sh.append_sys(&PageLogRecord::Begin { txn })?;
+        if sources.iter().any(|s| s.from == RowLocation::Imrs) {
+            // A pack: published before its rows leave the IMRS.
+            sh.moves.packed.fetch_max(logged.lsn().0);
+        }
         for s in sources.iter_mut() {
             let row = s.row;
             if let RowLocation::Page(page, slot) = s.from {
@@ -547,15 +580,16 @@ fn relocate_locked(
     // says of its transaction and finishes the departure itself. Every
     // other direction needs this `Commit` on the media, or the
     // mini-transaction is a loser and is rolled back — consistent, just
-    // wasted work. (After a failed append the engine is read-only.)
+    // wasted work: a `Pack` or `ExtentRowGone` counts only beside its
+    // `Commit`. (After a failed append the engine is read-only.)
     //
-    // Who flushes. A foreground move (cache, migrate, thaw) never does:
-    // a flush per migration would sink durable-commit throughput. Its
-    // sysimrslogs half — its last record — becomes durable with the
-    // next barrier there, and its LSN is published before it leaves the
-    // move gate, so any later syslogs sync settles it first — syslogs
-    // never gets ahead.
-    if !background {
+    // Who flushes. A move past the gate (cache, migrate, pack, thaw)
+    // never does: a flush per move would sink durable-commit
+    // throughput. Its last record is on sysimrslogs and becomes durable
+    // with the next barrier there; its LSN is published before the
+    // `Commit` and before the move leaves the gate, so any later syslogs
+    // sync settles it first — syslogs never gets ahead.
+    if !freeze {
         sh.moves.arrival.fetch_max(logged.lsn().0);
     }
     let ts = sh.clock.tick();
@@ -569,18 +603,11 @@ fn relocate_locked(
     let Some(_closed) = closed else {
         return Ok(out);
     };
-    // A background batch flushes once, arrival log first: records
-    // durable before the verdict that makes them count. The verdict
-    // (and every page `Delete`) is on syslogs. A freeze batch's arrival
-    // copy is the sysimrslogs `Freeze`: it must be durable first, or a
-    // crash between the two flushes redoes the deletes with nothing to
-    // hold the rows. A pack batch's arrival copy is the syslogs
-    // `Insert`, and it is the departure record (`Pack`) that must not
-    // lead: replayed without its syslogs evidence it would drop the row.
-    let flushed = match out.extent {
-        Some(_) => sh.imrslog.flush().and_then(|()| sh.syslog.flush()),
-        None => sh.syslog.flush().and_then(|()| sh.imrslog.flush()),
-    };
+    // A freeze batch flushes once, arrival log first: its arrival copy,
+    // the sysimrslogs `Freeze`, must be durable before the verdict and
+    // the page deletes on syslogs, or a crash between the two flushes
+    // redoes the deletes with nothing to hold the rows.
+    let flushed = sh.imrslog.flush().and_then(|()| sh.syslog.flush());
     sh.health.note("movement flush", &flushed);
     Ok(out)
 }

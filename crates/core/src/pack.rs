@@ -120,7 +120,8 @@ impl PackState {
     /// part of the highest internal id seen in the logs). Recovery calls
     /// this so pack pseudo-transaction ids are never reused across
     /// incarnations — a reused id would let a prior incarnation's
-    /// discard verdict apply to a fresh pack transaction's records.
+    /// syslogs verdict (a `Commit`, or a `Begin` left without one) apply
+    /// to a fresh move's records.
     pub(crate) fn bump_internal_floor(&self, counter_floor: u64) {
         self.next_internal
             .fetch_max(counter_floor.saturating_add(1));
@@ -512,7 +513,9 @@ pub fn pack_partition(
 }
 
 /// One pack transaction: a small batch relocated under conditional
-/// locks, with one commit timestamp and one durable flush (§VII.B).
+/// locks, with one commit timestamp (§VII.B). Like every move past the
+/// move gate it flushes nothing: its `Commit` reaches the media with
+/// the next syslogs sync, which settles its `Pack` records first.
 fn pack_rows(
     engine: &Engine,
     table: &crate::catalog::TableDesc,
@@ -520,6 +523,7 @@ fn pack_rows(
     batch: &[(RowId, RowLocation)],
 ) -> u64 {
     let sh = &engine.sh;
+    let _pass = sh.moves.pass(To::Page);
     // Pack is best-effort, but storage errors still count against
     // engine health.
     let moved = relocate(engine, table, partition, batch, To::Page, true).unwrap_or_else(|e| {

@@ -64,10 +64,22 @@
 //!   the media is redone, not undone), and a heap copy the RID-Map no
 //!   longer names once both logs have replayed is retired
 //!   (`retire_unnamed_page_copies`: the `Delete{old}` never made it).
-//!   The converse — syslogs half durable, arrival not — is kept from
-//!   happening at commit: `Engine::commit` puts no barrier on syslogs
-//!   while it sees a foreground move's sysimrslogs record volatile
-//!   (DESIGN.md "Row movement", open item (a), has what remains).
+//! * A move to a page (pack: IMRS → page; thaw: extent → page) departs
+//!   on sysimrslogs (`Pack`, `ExtentRowGone`) and arrives on syslogs
+//!   (`Insert`) beside its `Commit`, and flushes neither. The departure
+//!   counts only when that `Commit` was salvaged
+//!   ([`LogAnalysis::loses`]): an IMRS-only commit's barrier can make
+//!   it durable alone, and the row then stays where it was. A later
+//!   cache or migrate of the row may have kept its arrival, which then
+//!   replaces the resident row. A row a lost pack left behind also
+//!   holds IMRS room that records after it may have used, so the
+//!   replay may grow the IMRS past its budget (`MoveGate::commit`
+//!   bounds by how much: no acknowledged commit needs that room).
+//!
+//! The converse of both move rules — a syslogs half durable, the
+//! sysimrslogs half not — is what the move gate prevents: every move
+//! publishes its last sysimrslogs LSN before its `Commit`, and every
+//! syslogs sync settles sysimrslogs up to it first (`MoveGate::close`).
 //!
 //! **The image.** A checkpoint writes one record pair, on sysimrslogs,
 //! and it certifies both logs ([`newest_image`] finds it). Its
@@ -662,7 +674,14 @@ impl Engine {
         for (i, (_p, recs)) in parts.into_iter().enumerate() {
             shards[i % workers].extend(recs);
         }
-        self.run_replay_workers(shards, |rec| self.apply_imrs_record(rec, heap_locs))?;
+        // The logs can hold more than the budget did at any one time: an
+        // unacknowledged commit's records, durable beside a pack that
+        // lost its `Commit` (DESIGN.md "Row movement"). Pack drains the
+        // excess once the engine is open.
+        self.sh.store.allocator().overdraw(true);
+        let applied = self.run_replay_workers(shards, |rec| self.apply_imrs_record(rec, heap_locs));
+        self.sh.store.allocator().overdraw(false);
+        applied?;
         {
             let mut rep = self.sh.recovery.lock();
             rep.imrs_records_skipped = skipped;
@@ -736,14 +755,15 @@ impl Engine {
             },
             ImrsLogRecord::Delete { partition, row, .. } => {
                 let table = self.sh.catalog.table_of_partition(*partition);
-                if let (Some(table), Some(image)) = (&table, self.drop_imrs_row(&table, *row)) {
+                let image = self.drop_imrs_row(table.as_deref(), *row);
+                if let (Some(table), Some(image)) = (&table, image) {
                     Self::unindex_row(table, *row, &image);
                 }
                 self.sh.ridmap.remove(*row);
             }
             ImrsLogRecord::Pack { partition, row, .. } => {
                 let table = self.sh.catalog.table_of_partition(*partition);
-                let image = self.drop_imrs_row(&table, *row);
+                let image = self.drop_imrs_row(table.as_deref(), *row);
                 self.replay_page_arrival(&table, *row, RowLocation::Imrs, || image, heap_locs);
             }
             ImrsLogRecord::Freeze {
@@ -850,7 +870,9 @@ impl Engine {
 
     /// A winner's image arriving in the IMRS (a client insert, or the
     /// arrival half of a cache/migrate move): resident row, RID-Map,
-    /// hash fast path, B+tree entries.
+    /// hash fast path, B+tree entries. It replaces a row already
+    /// resident: a pack that lost its `Commit` left the row in the IMRS,
+    /// and a later cache or migrate of it kept its arrival.
     fn replay_imrs_arrival(
         &self,
         txn: TxnId,
@@ -863,6 +885,9 @@ impl Engine {
         let Some(table) = self.sh.catalog.table_of_partition(partition) else {
             return Ok(());
         };
+        if let Some(old) = self.drop_imrs_row(Some(&table), row) {
+            Self::unindex_row(&table, row, &old);
+        }
         self.sh
             .store
             .insert_row_committed(row, partition, origin, txn, data, ts)?;
@@ -910,9 +935,12 @@ impl Engine {
 
     /// Remove a row from the IMRS during replay, hash fast path included
     /// (it spans IMRS rows only). Returns the row's last committed
-    /// image: a *delete* retires the B+tree entries built from it too,
-    /// while a *pack* keeps them — the row still exists, on a page.
-    fn drop_imrs_row(&self, table: &Option<Arc<TableDesc>>, row: RowId) -> Option<Vec<u8>> {
+    /// image: a *delete*, or an arrival that replaces the row, retires
+    /// the B+tree entries built from it too, while a *pack* keeps them —
+    /// the row still exists, on a page. No reader exists during replay,
+    /// so the row's memory is released at once: the inserts the log
+    /// holds after a delete or a pack may need its room.
+    fn drop_imrs_row(&self, table: Option<&TableDesc>, row: RowId) -> Option<Vec<u8>> {
         let imrs_row = self.sh.store.get(row)?;
         let handle = imrs_row.latest_committed().and_then(|v| v.handle);
         let image = handle.map(|h| self.sh.store.allocator().load(h));
@@ -920,6 +948,7 @@ impl Engine {
             table.hash.remove(&(table.primary_key)(image));
         }
         self.sh.store.remove_row(row, || self.sh.clock.now());
+        self.sh.store.reclaim(Timestamp(u64::MAX));
         image
     }
 
@@ -927,12 +956,12 @@ impl Engine {
     /// authority on where each row lives, so a heap copy it does not
     /// name is a departure the crash cut off: the syslogs `Delete{old}`
     /// of a move whose arrival record committed it (or the redone
-    /// `Insert` of a pack batch whose `Pack` record was lost). Retire
-    /// the copy — and, because the retirement is in no log, certify it
-    /// with a checkpoint: the pages are written back and the syslogs
-    /// records that put the copies there are truncated, so no later
-    /// redo can re-create one in a slot that has since been given to
-    /// another row. A loser's undo (`undone`) is in no log either: the
+    /// `Insert` of a pack whose syslogs records spilled to the media
+    /// ahead of its `Pack`). Retire the copy — and, because the
+    /// retirement is in no log, certify it with a checkpoint: the pages
+    /// are written back and the syslogs records that put the copies
+    /// there are truncated, so no later redo can re-create one in a slot
+    /// that has since been given to another row. A loser's undo (`undone`) is in no log either: the
     /// same checkpoint keeps a later recovery from undoing it again,
     /// over a slot or a row a later winner has since written, and puts
     /// the loser's IMRS records below a certified image's floor.

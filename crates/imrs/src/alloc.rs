@@ -21,7 +21,8 @@
 //! Listed blocks are merged only when the budget is exhausted: `alloc`
 //! then *consolidates* — moves every listed block into the tree,
 //! coalescing neighbours — and retries once before reporting
-//! `ImrsFull`. A running counter keeps the free bytes, so
+//! `ImrsFull` (or, while recovery replays, growing past the budget:
+//! [`FragmentAllocator::overdraw`]). A running counter keeps the free bytes, so
 //! `chunk_bytes = used + quarantined + free` whenever no call is in
 //! flight.
 //!
@@ -249,6 +250,8 @@ pub struct FragmentAllocator {
     /// once the snapshot horizon proves those readers are gone.
     quarantine: Mutex<VecDeque<(u64, FragHandle)>>,
     quarantined: Relaxed<u64>,
+    /// Growth past the budget allowed (see [`FragmentAllocator::overdraw`]).
+    overdraw: Relaxed<bool>,
 }
 
 impl FragmentAllocator {
@@ -273,7 +276,16 @@ impl FragmentAllocator {
             used: Relaxed::new(0),
             quarantine: Mutex::new(VecDeque::new()),
             quarantined: Relaxed::new(0),
+            overdraw: Relaxed::new(false),
         }
+    }
+
+    /// Let `alloc` grow past the budget, one chunk at a time, when
+    /// nothing else fits (`false`: stop it there again; chunks already
+    /// created stay). Recovery replays what a crash left on the logs,
+    /// which can hold more than the budget did at any one time.
+    pub fn overdraw(&self, on: bool) {
+        self.overdraw.store(on);
     }
 
     /// Configured budget in bytes.
@@ -349,14 +361,21 @@ impl FragmentAllocator {
     }
 
     /// `alloc` when no free block of a created chunk fits: grow by one
-    /// chunk if the budget allows, else consolidate and retry.
+    /// chunk if the budget allows, else consolidate and retry, else grow
+    /// past the budget while [`overdraw`](Self::overdraw) is on.
     fn grow_or_consolidate(
         &self,
         st: &mut AllocState,
         need: u32,
         requested: usize,
     ) -> Result<(u32, u32, u32)> {
-        if st.chunks_created < self.max_chunks {
+        if st.chunks_created >= self.max_chunks {
+            st.consolidate();
+            if let Some(got) = st.take(need) {
+                return Ok(got);
+            }
+        }
+        if st.chunks_created < self.max_chunks || self.overdraw.load() {
             let idx = st.chunks_created;
             st.chunks_created += 1;
             self.chunks.write().push(Arc::new(RwLock::new(
@@ -371,8 +390,7 @@ impl FragmentAllocator {
                 .take(need)
                 .ok_or_else(|| BtrimError::Corrupt("fresh IMRS chunk failed best-fit".into()));
         }
-        st.consolidate();
-        st.take(need).ok_or_else(|| BtrimError::ImrsFull {
+        Err(BtrimError::ImrsFull {
             requested,
             // Consolidated, every free run is one tree block: the
             // largest is the most any request could get.
@@ -570,6 +588,24 @@ mod tests {
             a.free(held.pop().unwrap());
             assert!(a.alloc(&[0u8; 1024]).is_ok());
         }
+    }
+
+    #[test]
+    fn overdraw_grows_past_the_budget_only_while_on() {
+        let a = FragmentAllocator::new(32 * 1024, 16 * 1024);
+        let full = |a: &FragmentAllocator| {
+            matches!(a.alloc(&[0u8; 1024]), Err(BtrimError::ImrsFull { .. }))
+        };
+        while !full(&a) {}
+        a.overdraw(true);
+        for _ in 0..20 {
+            assert!(a.alloc(&[0u8; 1024]).is_ok());
+        }
+        assert_eq!(a.chunk_bytes(), 64 * 1024, "one chunk at a time");
+        a.overdraw(false);
+        while !full(&a) {}
+        assert_eq!(a.chunk_bytes(), 64 * 1024, "growth stops again");
+        assert_eq!(a.used_bytes() + a.free_bytes(), a.chunk_bytes());
     }
 
     #[test]

@@ -76,11 +76,16 @@ pub fn analyze_page_log(records: &[(Lsn, PageLogRecord)]) -> LogAnalysis {
 
 impl LogAnalysis {
     /// Whether an IMRS record's transaction lost: a loser's or an aborted
-    /// transaction's record does, and so does a mixed transaction's
-    /// without a syslogs `Commit` — another's barrier made its batch
-    /// durable, and the rest of it (its `Begin` too, perhaps) is gone.
+    /// transaction's record does, and so do two kinds without a syslogs
+    /// `Commit`, whose sysimrslogs half another's barrier can make
+    /// durable while the rest of the transaction (its `Begin` too,
+    /// perhaps) is gone: a mixed transaction's batch, and a departure to
+    /// a page (`Pack`, `ExtentRowGone`) — its arrival is the syslogs
+    /// `Insert`, so without the `Commit` the row stays where it was.
     pub fn loses(&self, rec: &ImrsLogRecord) -> bool {
-        rec.txn().is_some_and(|txn| match rec.mixed() {
+        use ImrsLogRecord::{ExtentRowGone, Pack};
+        let to_page = matches!(rec, Pack { .. } | ExtentRowGone { .. });
+        rec.txn().is_some_and(|txn| match rec.mixed() || to_page {
             true => !self.winners.contains_key(&txn),
             false => self.losers.contains(&txn) || self.aborted.contains(&txn),
         })
@@ -291,6 +296,48 @@ mod tests {
         let m = newest_image(&log).unwrap();
         assert_eq!((m.begin, m.end), (Lsn(4), Lsn(5)));
         assert_eq!(m.header.snapshot, Timestamp(4));
+    }
+
+    fn pack(txn: u64) -> ImrsLogRecord {
+        ImrsLogRecord::Pack {
+            txn: TxnId(txn),
+            ts: Timestamp(5),
+            partition: PartitionId(0),
+            row: RowId(1),
+        }
+    }
+
+    fn thawed(txn: u64) -> ImrsLogRecord {
+        ImrsLogRecord::ExtentRowGone {
+            txn: TxnId(txn),
+            ts: Timestamp(5),
+            partition: PartitionId(0),
+            row: RowId(1),
+            extent: 3,
+            idx: 0,
+        }
+    }
+
+    /// A departure to a page counts only beside its syslogs `Commit`:
+    /// txn 1 committed, txn 2 began and was cut, txn 3 left nothing on
+    /// syslogs — its `Pack` was made durable by another's barrier.
+    #[test]
+    fn a_departure_to_a_page_without_its_commit_loses() {
+        let sys = with_lsns(vec![
+            PageLogRecord::Begin { txn: TxnId(1) },
+            ins(1),
+            commit(1, 10, false),
+            PageLogRecord::Begin { txn: TxnId(2) },
+            ins(2),
+        ]);
+        let a = analyze_page_log(&sys);
+        for departure in [pack, thawed] {
+            assert!(!a.loses(&departure(1)), "{:?}", departure(1));
+            assert!(a.loses(&departure(2)), "{:?}", departure(2));
+            assert!(a.loses(&departure(3)), "{:?}", departure(3));
+        }
+        // An IMRS-only user record with no syslogs evidence still wins.
+        assert!(!a.loses(&update(3, 30)));
     }
 
     /// Txn 1's batch is in the log, txn 2's is held by the image, txn 3's

@@ -83,9 +83,12 @@ numbers() {
     # A user transaction announces itself in syslogs only on a page arm.
     echo "ensure_begin_call_sites $(call_sites ensure_begin)"
     # Where sysimrslogs is settled only as far as a syslogs barrier
-    # needs: the move gate (a page-only commit, a pack or freeze batch)
-    # and a checkpoint's image snapshot.
+    # needs: the move gate (a page-only commit, a freeze batch, a
+    # checkpoint) and a checkpoint's image snapshot.
     echo "flush_to_call_sites $(call_sites flush_to)"
+    # Open items pinned as ignored tests (DESIGN.md names each): a new
+    # one raises the budget in its own diff.
+    echo "open_pinned_tests $(cat $(find tests crates/*/tests -name '*.rs' | sort) | grep -c '#\[ignore = "open:' || true)"
     # Log truncation outside in-file tests: the checkpoint alone, one
     # call for both logs, under the closed move gate.
     echo "truncate_prefix_call_sites $(for f in crates/core/src/*.rs; do sed '/^#\[cfg(test)\]/,$d' "$f"; done | grep -v 'fn truncate_prefix(' | grep -c '\btruncate_prefix(' || true)"

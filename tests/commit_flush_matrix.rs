@@ -17,7 +17,7 @@ use std::sync::atomic::Ordering;
 use btrim::{Actor, EngineMode, RowLocation, TxnId};
 use btrim_wal::{Encodable, ImrsLogRecord, LogSink, PageLogRecord};
 
-use common::explorer::{config, Explorer, Step::*, COLD, HOT};
+use common::explorer::{config, Explorer, Step::*, AUX, COLD, HOT};
 use common::{Power, VolatileLog};
 
 /// `hot` rows 1 and 2 and `cold` row 1, acknowledged and checkpointed;
@@ -211,18 +211,132 @@ fn a_syslogs_barrier_never_outruns_the_other_half_of_a_move() {
     }
 }
 
-/// Whatever heap copy the RID-Map does not name after replay goes. A
-/// pack batch flushes syslogs (its `Insert`s) and then sysimrslogs (its
-/// `Pack` records); cut between the two, the rows are back in the IMRS
-/// and their redone page copies used to stay behind as orphans.
+/// A pack batch pays no barrier: its `Pack` records ride the next
+/// sysimrslogs one, its syslogs records and `Commit` the next syslogs
+/// sync, which settles the `Pack` records first. A commit that writes
+/// sysimrslogs alone pays that syslogs sync too while the pack's
+/// `Commit` is volatile (the next test has why), and only then.
 #[test]
-fn a_pack_batch_cut_between_its_two_flushes_leaves_no_page_orphan() {
-    let mut ex = Explorer::new(config(EngineMode::IlmOn));
-    ex.load(HOT, &[(1, 10), (2, 20), (3, 30)]);
-    ex.run_all(&[Checkpoint, CutAfterFlushes(1), PackAll]);
+fn a_pack_batch_pays_no_barrier_and_the_next_commit_settles_it() {
+    let page_only = |v| [Update(0, COLD, 1, v, 0), Commit(0)];
+    let imrs_only = |k| [Insert(0, AUX, k, 10, 0), Commit(0)];
+    // The commits after the pack, each with the barriers it pays.
+    let runs = [
+        vec![(page_only(11), (1, 1)), (page_only(12), (0, 1))],
+        vec![(imrs_only(1), (1, 1)), (imrs_only(2), (1, 0))],
+    ];
+    for commits in runs {
+        let mut ex = stage(EngineMode::IlmOn, false);
+        assert_eq!(ex.run(PackAll).flushes, (0, 0), "the pack batch flushed");
+        assert!(matches!(ex.home(HOT, 1), Some(RowLocation::Page(..))));
+        for (steps, barriers) in commits {
+            let before = ex.flushes();
+            ex.run_all(&steps);
+            let after = ex.flushes();
+            let paid = (after.0 - before.0, after.1 - before.1);
+            assert_eq!(paid, barriers, "{steps:?}: (sysimrslogs, syslogs) barriers");
+        }
+    }
+}
+
+/// Whatever heap copy the RID-Map does not name after replay goes. A
+/// pack batch flushes nothing, so cut the power inside the barrier
+/// that follows it. After an IMRS-only commit's sysimrslogs sync its
+/// `Pack` records are durable and none of its syslogs records: the rows
+/// are back in the IMRS and no page copy survives. After a page-only
+/// commit's sync both halves are durable: the rows are on their pages.
+/// And when syslogs spills to the media with no barrier at all, the
+/// `Commit` survives without its `Pack` records: the rows are back in
+/// the IMRS and their redone page copies are retired, once.
+#[test]
+fn a_pack_batch_cut_inside_the_next_barrier_leaves_no_page_orphan() {
+    let imrs_only = vec![Insert(0, AUX, 1, 10, 0), CutAfterFlushes(1), Commit(0)];
+    let page_only = vec![Update(0, COLD, 1, 11, 0), CutAfterFlushes(2), Commit(0)];
+    let cases = [
+        (imrs_only, false, [3, 0, 0], [0, 0]),
+        (page_only, false, [0, 3, 0], [0, 0]),
+        (vec![Cut], true, [3, 0, 0], [3, 0]),
+    ];
+    for (barrier, spilled, homes, retired) in cases {
+        let mut ex = Explorer::new(config(EngineMode::IlmOn));
+        ex.load(HOT, &[(1, 10), (2, 20), (3, 30)]);
+        ex.load(COLD, &[(1, 10)]);
+        ex.run_all(&[Checkpoint, PackAll]);
+        assert_eq!(ex.homes(HOT), [0, 3, 0], "packed");
+        if spilled {
+            ex.logs.0.spilled.store(u64::MAX, Ordering::SeqCst);
+        }
+        ex.run_all(&barrier);
+        assert!(ex.power.off(), "{barrier:?}: no flush seen");
+        assert_eq!(ex.reboot(), retired, "{barrier:?}: page copies retired");
+        assert_eq!(ex.homes(HOT), homes, "{barrier:?}: homes");
+    }
+}
+
+/// Pack makes room in the IMRS for the inserts after it, and those
+/// commit on sysimrslogs alone. Recovery replays every acknowledged
+/// insert against the same budget, so it needs the departures that made
+/// room for them: a pack's `Commit` must be durable before a commit
+/// that may have used its space is acknowledged.
+#[test]
+fn imrs_only_inserts_past_the_budget_come_back_with_the_packs_that_made_room() {
+    let mut cfg = config(EngineMode::IlmOn);
+    cfg.imrs_budget = 128 * 1024;
+    let mut ex = Explorer::new(cfg);
+    ex.run(Checkpoint);
+    for k in 0..384u64 {
+        ex.run_all(&[Insert(0, HOT, k, k, 900), Commit(0)]);
+        if k % 16 == 15 {
+            ex.run(PackAll);
+        }
+    }
+    // More packed rows than the IMRS holds.
+    assert!(ex.homes(HOT)[1] * 900 > 128 * 1024, "{:?}", ex.homes(HOT));
+    ex.reboot();
+    assert_eq!(ex.homes(HOT).iter().sum::<u64>(), 384, "rows after reboot");
+    let imrs = ex.engine.snapshot();
+    assert!(
+        imrs.imrs_chunk_bytes <= imrs.imrs_budget,
+        "replay overdrew the IMRS"
+    );
+}
+
+/// The bound has one window: a cut inside the settling commit's own two
+/// syncs, its inserts and the pack's `Pack` records durable, the pack's
+/// `Commit` not. That commit was never acknowledged, but its records
+/// replay, and so do the rows the pack failed to move: replay overdraws
+/// the IMRS budget rather than fail, and pack drains it after boot.
+#[test]
+fn a_cut_inside_the_commit_that_settles_a_pack_overdraws_the_imrs_rather_than_fail() {
+    let mut cfg = config(EngineMode::IlmOn);
+    cfg.imrs_budget = 128 * 1024;
+    let mut ex = Explorer::new(cfg);
+    ex.run(Checkpoint);
+    let fill = |from: u64| (from..from + 96).map(|k| Insert(0, HOT, k, k, 900));
+    ex.run_all(
+        &fill(0)
+            .chain([Commit(0), PackAll, Act(Actor::Gc)])
+            .collect::<Vec<_>>(),
+    );
+    ex.run_all(&fill(96).collect::<Vec<_>>());
+    assert_eq!(ex.homes(HOT), [0, 96, 0], "the first fill packed");
+    let used = ex.engine.snapshot().imrs_used_bytes;
+    assert!(
+        used > 80 * 1024,
+        "the second fill sits in the room pack made: {used}"
+    );
+    ex.run_all(&[CutAfterFlushes(1), Commit(0)]);
     assert!(ex.power.off(), "no flush seen");
-    assert!(matches!(ex.home(HOT, 1), Some(RowLocation::Page(..))));
-    assert_eq!(ex.reboot(), [3, 0], "page copies retired");
+    ex.reboot();
+    let homes = ex.homes(HOT);
+    assert_eq!(homes[0] + homes[1], 192, "{homes:?}");
+    let imrs = ex.engine.snapshot();
+    assert!(
+        imrs.imrs_chunk_bytes > imrs.imrs_budget,
+        "replay fit the budget"
+    );
+    ex.run_all(&[PackAll, Act(Actor::Gc)]);
+    assert!(ex.engine.snapshot().imrs_used_bytes <= imrs.imrs_budget);
 }
 
 /// A log pair written by the parent of the one-flush commit announces

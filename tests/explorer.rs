@@ -255,13 +255,15 @@ fn a_mixed_commit_is_not_torn_by_anothers_syslogs_sync() {
     );
 }
 
-/// A mixed commit, then a background batch — a pack, a freeze —
-/// whose device syncs the power cut follows, one after another. The
-/// batch copied the commit's images (`aux` 9 to a page, `cold` 1 and 2
-/// to an extent) and synced one log before the commit was durable on
-/// both: a pack syslogs, with the commit's `Commit` but not its batch; a
-/// freeze sysimrslogs, its extent before the commit's syslogs records.
-/// The copies kept part of the commit after the reboot lost the rest.
+/// A mixed commit, then a batch that copies its images — a pack (`aux`
+/// 9 to a page), a freeze (`cold` 1 and 2 to an extent) — and a
+/// checkpoint, whose device syncs the power cut follows, one after
+/// another. When each batch synced its own logs, one log went before
+/// the commit was durable on both: a pack's syslogs, with the commit's
+/// `Commit` but not its batch; a freeze's sysimrslogs, its extent before
+/// the commit's syslogs records. The copies kept part of the commit
+/// after the reboot lost the rest. A pack now syncs nothing: the cut
+/// falls in the checkpoint's syncs, which settle sysimrslogs first.
 #[test]
 fn a_background_batch_does_not_keep_part_of_a_commit() {
     for batch in [PackAll, Act(Actor::Freeze)] {
@@ -278,8 +280,29 @@ fn a_background_batch_does_not_keep_part_of_a_commit() {
                 Commit(1),
                 CutAfterFlushes(n),
                 batch.clone(),
+                Checkpoint,
             ]);
             ex.reboot();
         }
     }
+}
+
+/// A pack batch moves `hot` 1 and 2 to pages, a select caches 1 back,
+/// and an IMRS-only commit's sysimrslogs sync makes the pack's `Pack`
+/// records and the cache's arrival durable; the power is cut before any
+/// syslogs sync. The pack lost its `Commit`, so both rows stay in the
+/// IMRS, and the cache's arrival, which commits it, lands on a row that
+/// is already resident: replay must replace it, not add a second copy.
+#[test]
+fn an_arrival_replaces_the_row_a_lost_pack_left_resident() {
+    let mut ex = Explorer::new(config(EngineMode::IlmOn));
+    ex.load(HOT, &[(1, 10), (2, 20)]);
+    ex.run_all(&[Checkpoint, PackAll, Get(1, HOT, 1), Commit(1)]);
+    assert_eq!(ex.homes(HOT), [1, 1, 0], "packed, then cached");
+    ex.run_all(&[Insert(0, AUX, 1, 10, 0), CutAfterFlushes(1), Commit(0)]);
+    assert!(ex.power.off(), "no flush seen");
+    ex.reboot();
+    assert_eq!(ex.homes(HOT), [2, 0, 0]);
+    let copies = ex.engine.snapshot().imrs_rows as u64;
+    assert_eq!(copies, ex.homes(AUX)[0] + 2, "one IMRS copy per row");
 }

@@ -6,12 +6,10 @@
 //! once fault-free to learn how many device operations it takes, then
 //! once per offset `k in 0..=n` with the power cut `k` operations in;
 //! the explorer reboots and holds the survivor to one row, one home,
-//! one image, and the same move then runs again to completion. Three
-//! companions pin bugs of the movement paths `relocate` replaced.
+//! one image, and the same move then runs again to completion. Four
+//! companions pin bugs the movement paths had.
 
 mod common;
-
-use std::sync::atomic::Ordering;
 
 use btrim::{Actor, EngineConfig, EngineMode};
 use btrim_faults::FaultPlan;
@@ -37,7 +35,10 @@ fn prepared(mut ex: Explorer, dir: Direction) -> Explorer {
     ex.load(HOT, &(0..ROWS).map(|k| (k, k * 7)).collect::<Vec<_>>());
     ex.run(Act(Actor::Gc)); // GC feeds the ILM queues pack reads
     if dir != Pack {
-        ex.run(PackAll);
+        // A pack batch flushes nothing: the next syslogs sync, a
+        // page-only commit's, makes the rows durable on their pages.
+        // The grid's reboots replay that batch from the log.
+        ex.run_all(&[PackAll, Insert(0, COLD, 10_000, 0, 0), Commit(0)]);
     }
     if dir == Thaw {
         ex.run(Act(Actor::Freeze));
@@ -66,15 +67,6 @@ fn the_move(dir: Direction, bump: u64) -> Vec<Step> {
 /// move took and whether the power went off inside it.
 fn run_case(dir: Direction, cut_in: Option<u64>) -> (u64, bool) {
     let mut ex = prepared(ilm_on(), dir);
-    if dir == Thaw {
-        // Open (DESIGN.md "Row movement" item (b)): a thaw's departure
-        // can reach the media ahead of its arrival on volatile logs, so
-        // its cuts keep the logs the fault harness has, durable at
-        // append (`a_thaw_cut_after_its_departure_keeps_its_row`).
-        for log in [&ex.logs.0, &ex.logs.1] {
-            log.spilled.store(u64::MAX, Ordering::SeqCst);
-        }
-    }
     let before = ex.power.faults.ops();
     ex.run_all(
         &cut_in
@@ -164,59 +156,86 @@ fn pack_does_not_leak_its_staged_copy_when_the_log_dies() {
     }
 }
 
-/// A background batch flushes both logs at commit. Cut the power after
-/// the first of the two flushes: no acknowledged row may be lost — for
-/// freeze that needs the extent (sysimrslogs) durable before the
-/// verdict and the page deletes (syslogs).
+/// A freeze batch flushes both logs at commit. Cut the power after the
+/// first of the two flushes: no acknowledged row may be lost — that
+/// needs the extent (sysimrslogs) durable before the verdict and the
+/// page deletes (syslogs). A pack batch flushes nothing, so its cut goes
+/// inside the barrier that follows it, both ways: after an IMRS-only
+/// commit's sysimrslogs sync (its `Pack` records durable, its syslogs
+/// records not: the rows stay in the IMRS), and after a page-only
+/// commit's sync (both halves durable: the rows are on their pages).
 #[test]
 fn power_cut_between_the_two_flushes_of_a_batch_loses_no_row() {
-    for dir in [Freeze, Pack] {
-        let mut ex = prepared(ilm_on(), dir);
-        ex.run_all(&[Checkpoint, CutAfterFlushes(1)]);
-        ex.run_all(&the_move(dir, 0));
-        assert!(ex.power.off(), "{dir:?}: no flush seen");
+    let mut ex = prepared(ilm_on(), Freeze);
+    ex.run_all(&[Checkpoint, CutAfterFlushes(1)]);
+    ex.run_all(&the_move(Freeze, 0));
+    assert!(ex.power.off(), "Freeze: no flush seen");
+    ex.reboot();
+    let imrs_only = (Insert(0, AUX, 0, 0, 0), 1, [ROWS, 0, 0]);
+    let page_only = (Insert(0, COLD, 0, 0, 0), 2, [0, ROWS, 0]);
+    for (write, flushes, homes) in [imrs_only, page_only] {
+        let mut ex = prepared(ilm_on(), Pack);
+        ex.run_all(&[Checkpoint, PackAll]);
+        ex.run_all(&[write.clone(), CutAfterFlushes(flushes), Commit(0)]);
+        assert!(ex.power.off(), "Pack, then {write:?}: no flush seen");
         ex.reboot();
+        assert_eq!(ex.homes(HOT), homes, "Pack, then {write:?}");
     }
 }
 
 /// A select caches a page row — a foreground move, which never flushes
-/// — and a pack batch of another partition then syncs syslogs. Unless
-/// the cache's sysimrslogs record is settled first, the move's
+/// — and a pack batch follows; neither pays a barrier. Cut the power
+/// inside the next one, both ways: after its sysimrslogs sync, and after
+/// its syslogs sync. Unless every syslogs sync settles the cache's
+/// sysimrslogs record and the pack's `Pack` records first, the move's
 /// `Delete{old}` and `Commit` become durable alone, and recovery redoes
 /// the page delete with nothing left to hold the row.
 #[test]
 fn a_pack_batch_does_not_outrun_a_cached_rows_arrival_record() {
     for durable_commits in [true, false] {
-        // Freeze off: row 0 stays on its page until cached.
-        let cfg = EngineConfig {
-            durable_commits,
-            freeze_enabled: false,
-            ..config(EngineMode::IlmOn)
+        // With durable commits the next barrier is an IMRS-only commit's
+        // (one sync) or a page-only one's (two); without, a checkpoint's.
+        let barriers = match durable_commits {
+            true => [
+                (vec![Insert(0, AUX, 100, 0, 0), Commit(0)], 1),
+                (vec![Insert(0, COLD, 100, 0, 0), Commit(0)], 2),
+            ],
+            false => [(vec![Checkpoint], 1), (vec![Checkpoint], 2)],
         };
-        let mut ex = prepared(Explorer::new(cfg), Cache);
-        ex.run(Checkpoint);
-        ex.load(AUX, &(0..64).map(|k| (k, k)).collect::<Vec<_>>());
-        ex.run_all(&[Act(Actor::Gc), Get(0, HOT, 0), Commit(0)]);
-        assert_eq!(ex.homes(HOT)[0], 1, "the select cached the row");
-        ex.run_all(&[CutAfterFlushes(1), PackAll]);
-        assert!(
-            ex.power.off(),
-            "durable_commits={durable_commits}: no flush seen"
-        );
-        ex.reboot();
+        for (barrier, n) in barriers {
+            // Freeze off: row 0 stays on its page until cached.
+            let cfg = EngineConfig {
+                durable_commits,
+                freeze_enabled: false,
+                ..config(EngineMode::IlmOn)
+            };
+            let mut ex = prepared(Explorer::new(cfg), Cache);
+            ex.load(AUX, &(0..64).map(|k| (k, k)).collect::<Vec<_>>());
+            ex.run_all(&[Act(Actor::Gc), Get(0, HOT, 0), Commit(0)]);
+            assert_eq!(ex.homes(HOT)[0], 1, "the select cached the row");
+            assert_eq!(ex.run(PackAll).flushes, (0, 0), "the pack batch flushed");
+            ex.run(CutAfterFlushes(n));
+            ex.run_all(&barrier);
+            assert!(
+                ex.power.off(),
+                "durable_commits={durable_commits}, {barrier:?}: no flush seen"
+            );
+            ex.reboot();
+        }
     }
 }
 
-/// Open (DESIGN.md "Row movement" item (b)): a thaw appends its
-/// departure (`ExtentRowGone`) to sysimrslogs and its arrival and
-/// verdict to syslogs, and flushes neither; the settle before the next
-/// syslogs sync makes the departure durable first, and a cut before
-/// that sync completes leaves a departure with no arrival: recovery
-/// drops the row. Run with `--ignored`.
+/// A thaw appends its departure (`ExtentRowGone`) to sysimrslogs and
+/// its arrival and verdict to syslogs, and flushes neither; the settle
+/// before the next syslogs sync makes the departure durable first. A
+/// cut before that sync completes leaves a departure with no arrival:
+/// recovery skips it, since it counts only beside its `Commit`, and the
+/// row stays frozen.
 #[test]
-#[ignore = "open: a thaw's departure reaches the media ahead of its arrival"]
 fn a_thaw_cut_after_its_departure_keeps_its_row() {
     let mut ex = prepared(ilm_on(), Thaw);
     ex.run_all(&[Update(0, HOT, 0, 1, 0), CutAfterFlushes(1), Commit(0)]);
+    assert!(ex.power.off(), "no flush seen");
     ex.reboot();
+    assert_eq!(ex.homes(HOT), [0, 0, ROWS]);
 }

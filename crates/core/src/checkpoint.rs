@@ -91,6 +91,24 @@ impl Checkpointer {
         appended
     }
 
+    /// Append to syslogs, as one atomic batch, `payloads`: the encoded
+    /// `Begin` of `txn` and records of `txn` after it. The floor table
+    /// takes the batch as [`append`](Self::append) takes its `Begin`.
+    pub fn append_batch(
+        &self,
+        syslog: &LogWriter<PageLogRecord>,
+        txn: TxnId,
+        payloads: &[&[u8]],
+    ) -> Result<Lsn> {
+        let bound = Lsn(syslog.sink().record_count() + 1);
+        self.txn_floor.lock().entry(txn).or_insert(bound);
+        let appended = syslog.append_batch(payloads).map(|range| range.last);
+        if appended.is_err() {
+            self.txn_floor.lock().remove(&txn);
+        }
+        appended
+    }
+
     /// Reserve a commit timestamp, entered in the table of commits still
     /// appending until [`appended`](Self::appended).
     pub fn reserve_commit(&self, txns: &TxnManager) -> Timestamp {

@@ -1028,7 +1028,7 @@ impl Engine {
         // that raced the RID-Map read finds either the old live slot
         // or, after one retry, the new location; never a dead end.
         logged.ridmap_set(&sh.ridmap, row_id, RowLocation::Page(new_page, new_slot));
-        logged.heap_delete(heap, &sh.cache, page, slot)?;
+        logged.heap_delete(heap, &sh.cache, &mut [(page, slot)])?;
         Ok(())
     }
 
@@ -1381,7 +1381,7 @@ impl Engine {
                 // Behind the verdict, the slots our deletes kept go.
                 for &(_, partition, (page, slot)) in &kept {
                     if let Some(part) = self.sh.catalog.partition(partition) {
-                        logged.heap_delete(&part.heap, &self.sh.cache, page, slot)?;
+                        logged.heap_delete(&part.heap, &self.sh.cache, &mut [(page, slot)])?;
                     }
                 }
             }

@@ -95,7 +95,7 @@ pub(crate) fn extent_row_bytes(
 /// never lose information.
 pub(crate) fn build_columns(
     layout: Option<&RowLayout>,
-    rows: &[Vec<u8>],
+    rows: &[&[u8]],
 ) -> Vec<(String, ColumnData)> {
     'schema: {
         let Some(layout) = layout else {
@@ -106,7 +106,7 @@ pub(crate) fn build_columns(
             let Some(values) = layout.split(row) else {
                 break 'schema;
             };
-            if layout.assemble(&values).as_deref() != Some(row.as_slice()) {
+            if layout.assemble(&values).as_deref() != Some(*row) {
                 break 'schema;
             }
             split.push(values);
@@ -138,7 +138,10 @@ pub(crate) fn build_columns(
         }
         return columns;
     }
-    vec![(OPAQUE_COLUMN.to_string(), ColumnData::Bytes(rows.to_vec()))]
+    vec![(
+        OPAQUE_COLUMN.to_string(),
+        ColumnData::Bytes(rows.iter().map(|r| r.to_vec()).collect()),
+    )]
 }
 
 /// One freeze tick: visit every non-pinned table partition and freeze

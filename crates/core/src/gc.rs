@@ -16,7 +16,7 @@ use parking_lot::Mutex;
 
 use btrim_common::atomics::Relaxed;
 use btrim_common::{PartitionId, RowId, Timestamp};
-use btrim_imrs::{ImrsStore, RidMap};
+use btrim_imrs::{ImrsStore, RidMap, RowOrigin};
 
 use crate::catalog::Partition;
 
@@ -79,9 +79,11 @@ impl GcRegistry {
         self.rows_removed.load()
     }
 
-    /// Process up to `limit` registered rows. `partition` resolves a
-    /// row's partition id to the record holding its ILM queues
-    /// (`Catalog::partition`). `now` (the commit clock)
+    /// Process up to `limit` registered rows, popped under one lock.
+    /// `partition` resolves a row's partition id to the record holding
+    /// its ILM queues (`Catalog::partition`), once per run of rows of
+    /// one partition; a run of rows bound for one queue enters it under
+    /// one lock. `now` (the commit clock)
     /// timestamps quarantined nodes of removed rows; it is read after
     /// each removal detaches the chain head, so a reader that captured
     /// the head necessarily began at or before the resulting timestamp
@@ -97,20 +99,21 @@ impl GcRegistry {
         limit: usize,
     ) -> GcReport {
         let mut report = GcReport::default();
-        for _ in 0..limit {
-            let Some(row_id) = self.pending.lock().pop_front() else {
-                break;
-            };
+        let rows: Vec<RowId> = {
+            let mut pending = self.pending.lock();
+            let n = limit.min(pending.len());
+            pending.drain(..n).collect()
+        };
+        // Newly arrived rows, in registration order, with their queue.
+        let mut arrived: Vec<(PartitionId, RowOrigin, RowId)> = Vec::new();
+        for row_id in rows {
             report.processed += 1;
             let Some(row) = store.get(row_id) else {
                 continue; // already packed or removed
             };
             // (a) Queue maintenance: first visit enqueues at the tail.
             if ridmap.try_mark_enqueued(row_id) {
-                if let Some(p) = partition(row.partition) {
-                    p.queues.push_tail(row.origin, row_id);
-                    report.enqueued += 1;
-                }
+                arrived.push((row.partition, row.origin, row_id));
             }
             // (b) Version truncation below the snapshot horizon.
             report.bytes_freed += store.truncate_row(&row, oldest_active) as u64;
@@ -138,6 +141,19 @@ impl GcRegistry {
                 report.rows_removed += 1;
             }
         }
+        // Each run of one queue's rows enters it under one lock; its
+        // partition is resolved once per run of the partition's rows.
+        let mut resolved: Option<(PartitionId, Option<Arc<Partition>>)> = None;
+        for run in arrived.chunk_by(|a, b| (a.0, a.1) == (b.0, b.1)) {
+            let (id, origin) = (run[0].0, run[0].1);
+            if resolved.as_ref().is_none_or(|r| r.0 != id) {
+                resolved = Some((id, partition(id)));
+            }
+            if let Some((_, Some(p))) = &resolved {
+                p.queues.push_tail_many(origin, run.iter().map(|a| a.2));
+                report.enqueued += run.len() as u64;
+            }
+        }
         self.processed.fetch_add(report.processed);
         self.bytes_freed.fetch_add(report.bytes_freed);
         self.rows_removed.fetch_add(report.rows_removed);
@@ -149,7 +165,7 @@ impl GcRegistry {
 mod tests {
     use super::*;
     use btrim_common::{TableId, TxnId};
-    use btrim_imrs::{RowLocation, RowOrigin, VersionOp};
+    use btrim_imrs::{RowLocation, VersionOp};
 
     /// A store, a lookup over partitions 0 and 3, the RID-Map, a GC.
     fn setup() -> (
@@ -200,6 +216,47 @@ mod tests {
         assert_eq!(r.enqueued, 1, "row enqueued exactly once");
         assert_eq!(parts[1].queues.len(), 1);
         assert_eq!(row.version_count(), 1);
+    }
+
+    #[test]
+    fn a_tick_enqueues_each_row_in_its_partitions_queue_in_registration_order() {
+        let (store, parts, ridmap, gc) = setup();
+        let homes = [0, 3, 3, 0, 0, 3, 0];
+        for (i, &p) in homes.iter().enumerate() {
+            let row = RowId(i as u64 + 1);
+            store
+                .insert_row_committed(
+                    row,
+                    PartitionId(p),
+                    RowOrigin::Inserted,
+                    TxnId(1),
+                    b"data",
+                    Timestamp(5),
+                )
+                .unwrap();
+            ridmap.set(row, RowLocation::Imrs);
+            gc.register(row);
+        }
+        let r = gc.tick(
+            &store,
+            lookup(&parts),
+            &ridmap,
+            Timestamp(10),
+            || Timestamp(10),
+            100,
+        );
+        assert_eq!(r.enqueued, homes.len() as u64);
+        for (part, p) in parts.iter().zip([0, 3]) {
+            let want: Vec<RowId> = (homes.iter().enumerate())
+                .filter(|&(_, &h)| h == p)
+                .map(|(i, _)| RowId(i as u64 + 1))
+                .collect();
+            assert_eq!(
+                part.queues.snapshot(RowOrigin::Inserted),
+                want,
+                "partition {p}"
+            );
+        }
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! committed data untouched, and recovery must be able to replay or
 //! discard what the log says. `clippy.toml` lists the destructive
 //! methods (`RidMap::{set, remove, compare_and_set}`,
-//! `HeapFile::{delete, try_update_in_place,
+//! `HeapFile::{delete, delete_many, try_update_in_place,
 //! try_update_in_place_logged}`, `ImrsStore::remove_row`,
 //! `FrozenExtent::mark_gone`) and this crate denies
 //! `clippy::disallowed_methods`. A call goes through a wrapper below,
@@ -18,16 +18,16 @@
 //! A destructive method with no logged caller has no wrapper; the first
 //! logged path that needs one adds it here.
 
-use btrim_common::{Lsn, PageId, Result, RowId, SlotId, Timestamp};
+use btrim_common::{Lsn, PageId, Result, RowId, SlotId, Timestamp, TxnId};
 use btrim_imrs::{ImrsStore, RidMap, RowLocation};
 use btrim_pagestore::{BufferCache, FrozenExtent, HeapFile};
-use btrim_wal::{Encodable, ImrsLogRecord, PageLogRecord};
+use btrim_wal::{ImrsLogRecord, PageLogRecord};
 
 use crate::engine::Shared;
 
 /// Receipt for a record in the log's append order: its LSN (the last
 /// one, for a batch). The field is private to this module, so only the
-/// three `Shared::append_*` funnels below mint one, and only on `Ok`.
+/// `Shared::append_*` funnels below mint one, and only on `Ok`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Logged(Lsn);
 
@@ -42,16 +42,15 @@ impl Logged {
         ridmap.set(row, loc);
     }
 
-    /// [`HeapFile::delete`] behind its record.
+    /// [`HeapFile::delete_many`] behind its records.
     #[expect(clippy::disallowed_methods, reason = "the receipt is the record")]
     pub(crate) fn heap_delete(
         self,
         heap: &HeapFile,
         cache: &BufferCache,
-        page: PageId,
-        slot: SlotId,
+        at: &mut [(PageId, SlotId)],
     ) -> Result<usize> {
-        heap.delete(cache, page, slot)
+        heap.delete_many(cache, at)
     }
 
     /// [`ImrsStore::remove_row`] behind its record.
@@ -99,17 +98,22 @@ impl Shared {
             .or_else(|e| self.health.fail_stop("syslogs append", e))
     }
 
-    /// Append to the IMRS log; same failure policy as [`append_sys`](Self::append_sys).
-    pub(crate) fn append_imrs(&self, rec: &ImrsLogRecord) -> Result<Logged> {
-        self.append_imrs_with(|out| rec.encode_into(out))
+    /// Append to the page-store log, as one atomic batch through the
+    /// checkpointer, `payloads`: `txn`'s encoded `Begin` and records of
+    /// `txn` after it. Same failure policy as [`append_sys`](Self::append_sys).
+    pub(crate) fn append_sys_batch(&self, txn: TxnId, payloads: &[&[u8]]) -> Result<Logged> {
+        self.health.check_writable()?;
+        self.ckpt
+            .append_batch(&self.syslog, txn, payloads)
+            .map(Logged)
+            .or_else(|e| self.health.fail_stop("syslogs batch append", e))
     }
 
-    /// Append to the IMRS log the one record `encode` writes from
-    /// borrowed parts; same failure policy as [`append_sys`](Self::append_sys).
-    pub(crate) fn append_imrs_with(&self, encode: impl FnOnce(&mut Vec<u8>)) -> Result<Logged> {
+    /// Append to the IMRS log; same failure policy as [`append_sys`](Self::append_sys).
+    pub(crate) fn append_imrs(&self, rec: &ImrsLogRecord) -> Result<Logged> {
         self.health.check_writable()?;
         self.imrslog
-            .append_with(encode)
+            .append(rec)
             .map(Logged)
             .or_else(|e| self.health.fail_stop("sysimrslogs append", e))
     }

@@ -33,10 +33,10 @@ use btrim_common::{BtrimError, Lsn, Result, RowId, Timestamp, TxnId};
 use btrim_imrs::{RowLocation, RowOrigin};
 use btrim_pagestore::{FrozenExtent, HeapFile};
 use btrim_txn::LockMode;
-use btrim_wal::{ImrsLogRecord, LogWriter, PageLogRecord, RowOriginTag};
+use btrim_wal::{ImrsLogRecord, LogWriter, PageLogRecord, RecordBuf, RowOriginTag};
 
 use crate::catalog::{Partition, TableDesc};
-use crate::engine::{unwrap_row, wrap_row, Engine, Shared};
+use crate::engine::{unwrap_row, Engine, Shared};
 use crate::freeze::{build_columns, extent_row_bytes};
 use crate::logged::Logged;
 
@@ -65,9 +65,10 @@ pub(crate) type Closed<'g> = RwLockWriteGuard<'g, ()>;
 pub(crate) struct MoveGate {
     /// sysimrslogs LSN of the newest record a move past the gate wrote.
     arrival: SeqCst<u64>,
-    /// syslogs LSN of the newest pack's `Begin`, published before its
-    /// rows leave the IMRS. A sync that makes it durable started after
-    /// the pack left the gate, so it holds the pack's `Commit` too.
+    /// syslogs LSN of the newest pack's row batch (its `Begin` and
+    /// `Insert` records), published before its rows leave the IMRS. A
+    /// sync that makes it durable started after the pack left the gate,
+    /// so it holds the pack's `Commit` too.
     packed: SeqCst<u64>,
     /// Shared by the moves past it, exclusive to a sync.
     gate: RwLock<()>,
@@ -174,10 +175,10 @@ struct Source {
     from: RowLocation,
     /// The staged copy's address; `None` until staged.
     dest: Option<RowLocation>,
-    /// The committed image being moved, in its page form: the `old` of
-    /// a page source's `Delete`, the `data` of a page destination's
-    /// `Insert`.
-    payload: Vec<u8>,
+    /// Where the committed image being moved sits in the batch's arena,
+    /// in its page form (RowId prefix, then the row): the `old` of a page
+    /// source's `Delete`, the `data` of a page destination's `Insert`.
+    span: (usize, usize),
     /// Bytes the source tier releases (IMRS memory, or image bytes).
     bytes: u64,
     /// IMRS source whose commit some live snapshot predates.
@@ -185,9 +186,20 @@ struct Source {
 }
 
 impl Source {
-    fn data(&self) -> &[u8] {
-        &self.payload[8..] // past `wrap_row`'s RowId prefix
+    fn payload<'a>(&self, arena: &'a [u8]) -> &'a [u8] {
+        &arena[self.span.0..self.span.1]
     }
+
+    fn data<'a>(&self, arena: &'a [u8]) -> &'a [u8] {
+        &arena[self.span.0 + 8..self.span.1] // past the RowId prefix
+    }
+}
+
+/// Append `parts` to `arena` as one image; returns its span.
+fn append(arena: &mut Vec<u8>, parts: &[&[u8]]) -> (usize, usize) {
+    let start = arena.len();
+    parts.iter().for_each(|part| arena.extend_from_slice(part));
+    (start, arena.len())
 }
 
 pub(crate) fn origin_tag(origin: RowOrigin) -> RowOriginTag {
@@ -198,28 +210,12 @@ pub(crate) fn origin_tag(origin: RowOrigin) -> RowOriginTag {
     }
 }
 
-/// Append the syslogs row record `build` makes around `payload`, which
-/// it lends to the record for the append and gets back unchanged.
-fn append_sys_lending(
-    sh: &Shared,
-    payload: &mut Vec<u8>,
-    build: impl FnOnce(Vec<u8>) -> PageLogRecord,
-) -> Result<Logged> {
-    let rec = build(std::mem::take(payload));
-    let appended = sh.append_sys(&rec);
-    if let PageLogRecord::Insert { data: lent, .. } | PageLogRecord::Delete { old: lent, .. } = rec
-    {
-        *payload = lent;
-    }
-    appended
-}
-
 /// Move `rows` (distinct) of one partition to `to` as one internally-
 /// committed mini-transaction. Each row comes with the location the
 /// caller saw; a row the RID-Map no longer places there, or that the
-/// gate pins, stays put and is not counted. Page and IMRS destinations
-/// take each row on its own; an extent destination takes the batch as
-/// one unit.
+/// gate pins, stays put and is not counted. An IMRS destination takes
+/// each row on its own, a page destination the batch a page at a time,
+/// an extent destination the batch as one unit.
 ///
 /// The rows' exclusive locks cover the whole move. With `lock` they are
 /// taken here, conditionally, under the mini-transaction's own id, and
@@ -283,6 +279,9 @@ fn unstage(sh: &Shared, heap: &HeapFile, row: RowId, staged: RowLocation) {
 
 /// The four phases of [`relocate`] — revalidate and gate, stage, log,
 /// publish then retire — between the envelope's `Begin` and `Commit`.
+/// A phase takes the whole batch: page sources are read and retired a
+/// page at a time, page destinations staged through
+/// [`HeapFile::insert_batch`], and each log takes one atomic batch.
 fn relocate_locked(
     engine: &Engine,
     txn: TxnId,
@@ -297,20 +296,33 @@ fn relocate_locked(
     let mut out = Moved::default();
 
     // ---- Revalidate + gate ------------------------------------------
+    // Every image moved goes into one arena, in its page form; a page
+    // source's is read a page at a time.
+    let mut arena: Vec<u8> = Vec::new();
+    let placed = |&(row, from): &(RowId, RowLocation)| sh.ridmap.get(row) == Some(from);
+    let mut on_page: Vec<Option<(usize, usize)>> = vec![None; rows.len()];
+    if matches!(to, To::Imrs(_) | To::Extent { .. }) {
+        let (idx, at): (Vec<usize>, Vec<_>) = (rows.iter().enumerate())
+            .filter_map(|(i, &(_, from))| match from {
+                RowLocation::Page(page, slot) if placed(&rows[i]) => Some((i, (page, slot))),
+                _ => None,
+            })
+            .unzip();
+        heap.read_many(&sh.cache, &at, |k, payload| {
+            if unwrap_row(payload)?.0 == rows[idx[k]].0 {
+                on_page[idx[k]] = Some(append(&mut arena, &[payload]));
+            }
+            Ok(())
+        })?;
+    }
     let mut sources: Vec<Source> = Vec::with_capacity(rows.len());
-    for &(row, from) in rows {
-        if sh.ridmap.get(row) != Some(from) {
-            continue;
-        }
+    for (i, &(row, from)) in rows.iter().enumerate() {
         let mut marker = None;
-        let (bytes, payload) = match (from, to) {
-            (RowLocation::Page(page, slot), To::Imrs(_) | To::Extent { .. }) => {
-                let Some(payload) = heap.get(&sh.cache, page, slot)? else {
+        let (bytes, span) = match (from, to) {
+            (RowLocation::Page(..), To::Imrs(_) | To::Extent { .. }) => {
+                let Some(span) = on_page[i] else {
                     continue;
                 };
-                if unwrap_row(&payload)?.0 != row {
-                    continue;
-                }
                 // The horizon gate. In its new home the image is
                 // stamped at (IMRS) or served regardless of (extent)
                 // the horizon, which is only truthful if the row's last
@@ -328,10 +340,10 @@ fn relocate_locked(
                     out.gated += 1;
                     continue;
                 }
-                (payload.len() as u64 - 8, payload)
+                ((span.1 - span.0 - 8) as u64, span)
             }
             (RowLocation::Imrs, To::Page) => {
-                let Some(r) = sh.store.get(row) else {
+                let Some(r) = sh.store.get(row).filter(|_| placed(&rows[i])) else {
                     continue;
                 };
                 // Only a settled row packs: uncommitted data means
@@ -347,14 +359,13 @@ fn relocate_locked(
                 // only be a fresh insert: those snapshots must keep
                 // reading the row as absent (see publish).
                 marker = v.commit_ts.filter(|&t| t > horizon);
-                let payload = sh
-                    .store
-                    .allocator()
-                    .with_bytes(h, |data| wrap_row(row, data));
-                (r.memory() as u64, payload)
+                let span = (sh.store.allocator())
+                    .with_bytes(h, |data| append(&mut arena, &[&row.0.to_le_bytes(), data]));
+                (r.memory() as u64, span)
             }
             (RowLocation::Frozen(ext_id, idx), To::Page) => {
-                let Some(ext) = engine.frozen_slot(ext_id, idx, row) else {
+                let ext = engine.frozen_slot(ext_id, idx, row);
+                let Some(ext) = ext.filter(|_| placed(&rows[i])) else {
                     continue;
                 };
                 let Some(data) = extent_row_bytes(table.layout.as_ref(), &ext, idx as usize) else {
@@ -362,7 +373,8 @@ fn relocate_locked(
                         "frozen row {row} unreadable from extent {ext_id} slot {idx}"
                     )));
                 };
-                (data.len() as u64, wrap_row(row, &data))
+                let span = append(&mut arena, &[&row.0.to_le_bytes(), &data]);
+                (data.len() as u64, span)
             }
             _ => continue,
         };
@@ -370,7 +382,7 @@ fn relocate_locked(
             row,
             from,
             dest: None,
-            payload,
+            span,
             bytes,
             marker,
         });
@@ -403,20 +415,23 @@ fn relocate_locked(
         match to {
             To::Imrs(origin) => {
                 for s in sources.iter_mut() {
-                    let (row, data) = (s.row, s.data());
+                    let data = s.data(&arena);
                     sh.store
-                        .insert_row_committed(row, partition, origin, txn, data, horizon)?;
+                        .insert_row_committed(s.row, partition, origin, txn, data, horizon)?;
                     s.dest = Some(RowLocation::Imrs);
                 }
             }
             To::Page => {
-                for s in sources.iter_mut() {
-                    let (page, slot) = heap.insert(&sh.cache, &s.payload)?;
-                    s.dest = Some(RowLocation::Page(page, slot));
+                let payloads: Vec<&[u8]> = sources.iter().map(|s| s.payload(&arena)).collect();
+                let mut placed = vec![None; sources.len()];
+                let staged = heap.insert_batch(&sh.cache, &payloads, &mut placed);
+                for (s, at) in sources.iter_mut().zip(placed) {
+                    s.dest = at.map(|(page, slot)| RowLocation::Page(page, slot));
                 }
+                staged?;
             }
             To::Extent { .. } => {
-                let images: Vec<Vec<u8>> = sources.iter().map(|s| s.data().to_vec()).collect();
+                let images: Vec<&[u8]> = sources.iter().map(|s| s.data(&arena)).collect();
                 let raw_len = sources.iter().map(|s| s.bytes).sum();
                 let columns = build_columns(table.layout.as_ref(), &images);
                 let row_ids = sources.iter().map(|s| s.row).collect();
@@ -434,77 +449,64 @@ fn relocate_locked(
         // The reverse order once lost an acknowledged row: the slot
         // deletion reached the device via eviction while its `Delete`
         // record died in a torn log tail, leaving no redo anywhere.
-        let mut logged = sh.append_sys(&PageLogRecord::Begin { txn })?;
-        if sources.iter().any(|s| s.from == RowLocation::Imrs) {
-            // A pack: published before its rows leave the IMRS.
-            sh.moves.packed.fetch_max(logged.lsn().0);
-        }
-        for s in sources.iter_mut() {
-            let row = s.row;
+        // Each log takes its share of the move as one atomic batch:
+        // syslogs the `Begin` and the row records, sysimrslogs the rest.
+        let (mut sys, mut imrs) = (RecordBuf::default(), RecordBuf::default());
+        sys.push(&PageLogRecord::Begin { txn });
+        let ts = sh.clock.now();
+        for s in &sources {
+            let (row, payload) = (s.row, s.payload(&arena));
+            let of = (txn, partition, row);
             if let RowLocation::Page(page, slot) = s.from {
-                logged = append_sys_lending(sh, &mut s.payload, |old| PageLogRecord::Delete {
-                    txn,
-                    partition,
-                    row,
-                    page,
-                    slot,
-                    old,
-                })?;
+                sys.push_with(|o| PageLogRecord::encode_delete(o, of, (page, slot), payload));
             }
             if let Some(RowLocation::Page(page, slot)) = s.dest {
-                logged = append_sys_lending(sh, &mut s.payload, |data| PageLogRecord::Insert {
-                    txn,
-                    partition,
-                    row,
-                    page,
-                    slot,
-                    data,
-                })?;
+                sys.push_with(|o| PageLogRecord::encode_insert(o, of, (page, slot), payload));
             }
-            let ts = sh.clock.now();
-            logged = match (s.from, to) {
-                (_, To::Imrs(origin)) => sh.append_imrs_with(|out| {
-                    let origin = origin_tag(origin);
-                    ImrsLogRecord::encode_insert(
-                        out,
-                        txn,
-                        horizon,
-                        partition,
-                        row,
-                        origin,
-                        s.data(),
-                    )
-                })?,
-                (RowLocation::Imrs, To::Page) => sh.append_imrs(&ImrsLogRecord::Pack {
+            let departure = match (s.from, to) {
+                (_, To::Imrs(origin)) => {
+                    let (origin, data) = (origin_tag(origin), s.data(&arena));
+                    imrs.push_with(|o| {
+                        ImrsLogRecord::encode_insert(o, txn, horizon, partition, row, origin, data)
+                    });
+                    continue;
+                }
+                (RowLocation::Imrs, To::Page) => ImrsLogRecord::Pack {
                     txn,
                     ts,
                     partition,
                     row,
-                })?,
-                (RowLocation::Frozen(extent, idx), To::Page) => {
-                    sh.append_imrs(&ImrsLogRecord::ExtentRowGone {
-                        txn,
-                        ts,
-                        partition,
-                        row,
-                        extent,
-                        idx,
-                    })?
-                }
+                },
+                (RowLocation::Frozen(extent, idx), To::Page) => ImrsLogRecord::ExtentRowGone {
+                    txn,
+                    ts,
+                    partition,
+                    row,
+                    extent,
+                    idx,
+                },
                 // Page → extent: the batch's one `Freeze` record below.
                 _ => continue,
             };
+            imrs.push(&departure);
         }
         if let Some(ext) = &extent {
-            logged = sh.append_imrs(&ImrsLogRecord::Freeze {
+            let (extent, data) = (ext.id(), ext.encode());
+            let freeze = ImrsLogRecord::Freeze {
                 txn,
-                ts: sh.clock.now(),
+                ts,
                 partition,
-                extent: ext.id(),
-                data: ext.encode(),
-            })?;
+                extent,
+                data,
+            };
+            imrs.push(&freeze);
         }
-        Ok(logged)
+        let departed = sh.append_sys_batch(txn, &sys.records())?;
+        if sources.iter().any(|s| s.from == RowLocation::Imrs) {
+            // A pack: published before its rows leave the IMRS.
+            sh.moves.packed.fetch_max(departed.lsn().0);
+        }
+        sh.append_imrs_batch(&imrs.records())
     })();
     // Unstage on failure. After a failed append the engine is read-only
     // and recovery undoes the logged loser idempotently (`insert_at`
@@ -517,22 +519,6 @@ fn relocate_locked(
             }
         }
     })?;
-    // Retire the source copy of `row` at `loc` once its new home is
-    // published.
-    let drop_copy = |row: RowId, loc: RowLocation| match loc {
-        RowLocation::Imrs => logged.remove_row(&sh.store, row, || sh.clock.now()),
-        RowLocation::Page(page, slot) => {
-            if let Err(e) = logged.heap_delete(heap, &sh.cache, page, slot) {
-                sh.health.note_storage_error("movement", &e);
-            }
-        }
-        RowLocation::Frozen(ext_id, idx) => {
-            if let Some(ext) = sh.extents.get(ext_id) {
-                logged.mark_gone(&ext, idx as usize);
-            }
-        }
-        RowLocation::Tombstone(..) => {}
-    };
 
     // ---- Publish, then retire ----------------------------------------
     // The extent goes in before any RID-Map entry names it, so a reader
@@ -542,16 +528,17 @@ fn relocate_locked(
         sh.extents.install(Arc::clone(&ext))?;
         out.extent = Some(ext);
     }
-    for s in &sources {
-        let Some(dest) = s.dest else { continue };
+    let moved = || sources.iter().filter_map(|s| Some((s, s.dest?)));
+    for (s, dest) in moved() {
+        let data = s.data(&arena);
         // New home first: a reader that caught the stale location finds
-        // a dead slot (or a drained chain), retries the RID-Map once,
-        // and lands here. Retiring first would leave a window where the
-        // row is unreachable. The hash index spans IMRS rows only.
+        // the same committed image there (or, once it is retired, a dead
+        // slot or a drained chain), retries the RID-Map once, and lands
+        // here. Retiring first would leave a window where the row is
+        // unreachable. The hash index spans IMRS rows only.
         match (s.from, dest) {
             (_, RowLocation::Imrs) => {
-                table.hash.insert(&(table.primary_key)(s.data()), s.row);
-                sh.gc.register(s.row);
+                table.hash.insert(&(table.primary_key)(data), s.row);
                 part.metrics.rows_in.inc();
             }
             (RowLocation::Imrs, RowLocation::Page(..)) => {
@@ -560,18 +547,35 @@ fn relocate_locked(
                 if let Some(ts) = s.marker {
                     sh.side.stash_committed(s.row, txn, ts, None);
                 }
-                table.hash.remove(&(table.primary_key)(s.data()));
+                table.hash.remove(&(table.primary_key)(data));
             }
             _ => {}
         }
         logged.ridmap_set(&sh.ridmap, s.row, dest);
-        // No double buffering (§II): the source copy goes. A failure is
-        // noted, never unwound — the move is already in both logs, the
-        // stale copy holds the same committed bytes, and redo removes
-        // it after a crash.
-        drop_copy(s.row, s.from);
         out.rows += 1;
         out.bytes += s.bytes;
+    }
+    let arrived = moved().filter(|m| m.1 == RowLocation::Imrs);
+    sh.gc.register_many(arrived.map(|(s, _)| s.row));
+    // No double buffering (§II): the source copies go, page sources a
+    // page at a time. A failure is noted, never unwound — the move is
+    // already in both logs, the stale copy holds the same committed
+    // bytes, and redo removes it after a crash.
+    let mut on_pages = Vec::new();
+    for (s, _) in moved() {
+        match s.from {
+            RowLocation::Imrs => logged.remove_row(&sh.store, s.row, || sh.clock.now()),
+            RowLocation::Page(page, slot) => on_pages.push((page, slot)),
+            RowLocation::Frozen(ext_id, idx) => {
+                if let Some(ext) = sh.extents.get(ext_id) {
+                    logged.mark_gone(&ext, idx as usize);
+                }
+            }
+            RowLocation::Tombstone(..) => {}
+        }
+    }
+    if let Err(e) = logged.heap_delete(heap, &sh.cache, &mut on_pages) {
+        sh.health.note_storage_error("movement", &e);
     }
 
     // ---- Commit -------------------------------------------------------

@@ -41,6 +41,11 @@ impl PartitionQueues {
         self.queue(origin).lock().push_back(row);
     }
 
+    /// Append (newly created) rows at the tail, in order, under one lock.
+    pub fn push_tail_many(&self, origin: RowOrigin, rows: impl IntoIterator<Item = RowId>) {
+        self.queue(origin).lock().extend(rows);
+    }
+
     /// Pop the coldest candidate. Origins are drained in the order
     /// cached → migrated → inserted: cached rows have a page-store copy
     /// path already proven cheap to rebuild, and insert-origin rows are

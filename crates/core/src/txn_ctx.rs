@@ -12,8 +12,7 @@
 use btrim_common::{PartitionId, RowId, TableId, Timestamp, TxnId};
 use btrim_imrs::VersionRef;
 use btrim_txn::TxnHandle;
-use btrim_wal::record::Encodable;
-use btrim_wal::{ImrsLogRecord, RowOriginTag};
+use btrim_wal::{ImrsLogRecord, RecordBuf, RowOriginTag};
 
 /// The transaction's staged `sysimrslogs` redo, serialized at DML time.
 ///
@@ -23,20 +22,9 @@ use btrim_wal::{ImrsLogRecord, RowOriginTag};
 /// record's `ts` field, splits the buffer into payload slices, and
 /// hands them to one atomic `append_batch`.
 #[derive(Debug, Default)]
-pub(crate) struct ImrsRedoBuf {
-    buf: Vec<u8>,
-    /// End offset of each staged record in `buf` (record `i` spans
-    /// `ends[i-1]..ends[i]`).
-    ends: Vec<usize>,
-}
+pub(crate) struct ImrsRedoBuf(RecordBuf);
 
 impl ImrsRedoBuf {
-    /// Stage an already-built record.
-    fn push(&mut self, rec: &ImrsLogRecord) {
-        rec.encode_into(&mut self.buf);
-        self.ends.push(self.buf.len());
-    }
-
     /// Stage an IMRS insert (placeholder timestamp), encoded straight
     /// from the borrowed row image.
     pub(crate) fn push_insert(
@@ -48,8 +36,8 @@ impl ImrsRedoBuf {
         data: &[u8],
     ) {
         let ts = Timestamp(0);
-        ImrsLogRecord::encode_insert(&mut self.buf, txn, ts, partition, row, origin, data);
-        self.ends.push(self.buf.len());
+        (self.0)
+            .push_with(|o| ImrsLogRecord::encode_insert(o, txn, ts, partition, row, origin, data));
     }
 
     /// Stage an IMRS update (placeholder timestamp), encoded straight
@@ -61,15 +49,16 @@ impl ImrsRedoBuf {
         row: RowId,
         data: &[u8],
     ) {
-        ImrsLogRecord::encode_update(&mut self.buf, txn, Timestamp(0), partition, row, data);
-        self.ends.push(self.buf.len());
+        let ts = Timestamp(0);
+        (self.0).push_with(|o| ImrsLogRecord::encode_update(o, txn, ts, partition, row, data));
     }
 
     /// Stage an IMRS delete (placeholder timestamp).
     pub(crate) fn push_delete(&mut self, txn: TxnId, partition: PartitionId, row: RowId) {
-        self.push(&ImrsLogRecord::Delete {
+        let ts = Timestamp(0);
+        self.0.push(&ImrsLogRecord::Delete {
             txn,
-            ts: Timestamp(0),
+            ts,
             partition,
             row,
         });
@@ -77,30 +66,20 @@ impl ImrsRedoBuf {
 
     /// True when no records are staged.
     pub(crate) fn is_empty(&self) -> bool {
-        self.ends.is_empty()
+        self.0.is_empty()
     }
 
     /// Patch the commit timestamp into every staged record, and mark
     /// each `mixed` when the transaction wrote syslogs too
     /// ([`ImrsLogRecord::stamp_commit`]).
     pub(crate) fn stamp(&mut self, ts: Timestamp, mixed: bool) {
-        let mut start = 0usize;
-        for &end in &self.ends {
-            ImrsLogRecord::stamp_commit(&mut self.buf[start..end], ts, mixed);
-            start = end;
-        }
+        (self.0).for_each_mut(|rec| ImrsLogRecord::stamp_commit(rec, ts, mixed));
     }
 
     /// The staged records as payload slices, in DML order — the exact
     /// shape `LogSink::append_batch` takes.
     pub(crate) fn records(&self) -> Vec<&[u8]> {
-        let mut out = Vec::with_capacity(self.ends.len());
-        let mut start = 0usize;
-        for &end in &self.ends {
-            out.push(&self.buf[start..end]);
-            start = end;
-        }
-        out
+        self.0.records()
     }
 }
 
@@ -206,6 +185,7 @@ impl Drop for Transaction {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use btrim_wal::Encodable;
 
     /// Stamping a placeholder-ts buffer must produce byte-identical
     /// output to encoding with the real timestamp directly — this pins
@@ -220,7 +200,7 @@ mod tests {
         buf.push_insert(txn, p, RowId(7), RowOriginTag::Inserted, &[1, 2, 3]);
         buf.push_update(txn, p, RowId(8), &[4, 5]);
         buf.push_delete(txn, p, RowId(9));
-        buf.push(&ImrsLogRecord::Pack {
+        buf.0.push(&ImrsLogRecord::Pack {
             txn,
             ts: Timestamp(0),
             partition: p,

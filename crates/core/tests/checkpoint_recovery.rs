@@ -322,9 +322,17 @@ fn writers_make_progress_during_a_fuzzy_checkpoint() {
         hold: Mutex::new(None),
         timed_out: AtomicBool::new(false),
     });
+    // The premise: the checkpoint below is the one that writes the
+    // seeded pages back. So the cache holds the seeded pages and the
+    // writers' growth (nothing is evicted, which would write a seeded
+    // page back first), and no commit runs maintenance inline: the seed
+    // alone puts more than `CHECKPOINT_MIN_LOG_BYTES` into the logs, so a
+    // writer's commit would otherwise run the maintenance checkpoint,
+    // which raced this one and, when it won, left it two dirty pages.
     let e = Engine::with_devices(
         EngineConfig {
             buffer_frames: 16 * CHECKPOINT_FLUSH_BATCH,
+            maintenance_interval_txns: u64::MAX,
             ..cfg(EngineMode::PageOnly)
         },
         Arc::clone(&disk) as Arc<dyn DiskBackend>,
@@ -381,6 +389,7 @@ fn writers_make_progress_during_a_fuzzy_checkpoint() {
             std::thread::yield_now();
         }
         let before = total();
+        let evictions = e.snapshot().buffer.evictions;
         *disk.hold.lock().unwrap() = Some(Hold {
             thread: std::thread::current().id(),
             skip: CHECKPOINT_FLUSH_BATCH,
@@ -394,6 +403,18 @@ fn writers_make_progress_during_a_fuzzy_checkpoint() {
         let after = total();
         stop.store(true, Ordering::Relaxed);
         ckpt.unwrap();
+        assert_eq!(
+            e.snapshot().buffer.evictions,
+            evictions,
+            "the window evicted a page"
+        );
+        let checkpoints = e.obs().trace.events().into_iter();
+        let checkpoints = checkpoints.filter(|ev| matches!(ev, IlmTraceEvent::Checkpoint(_)));
+        assert_eq!(
+            checkpoints.count(),
+            1,
+            "another checkpoint ran in the window"
+        );
         assert!(
             disk.hold.lock().unwrap().is_none(),
             "the checkpoint wrote no seeded page after its first batch"

@@ -405,3 +405,113 @@ fn background_threads_pack_again_after_a_shutdown() {
     }
     e.shutdown().unwrap();
 }
+
+/// A page device whose next `allocate_page` fails once, when armed.
+#[derive(Default)]
+struct FlakyAlloc {
+    inner: btrim_pagestore::MemDisk,
+    fail_next: std::sync::atomic::AtomicBool,
+}
+
+impl btrim_pagestore::DiskBackend for FlakyAlloc {
+    fn read_page(&self, id: btrim_common::PageId, buf: &mut [u8]) -> btrim_common::Result<()> {
+        self.inner.read_page(id, buf)
+    }
+    fn write_page(&self, id: btrim_common::PageId, buf: &[u8]) -> btrim_common::Result<()> {
+        self.inner.write_page(id, buf)
+    }
+    fn allocate_page(&self) -> btrim_common::Result<btrim_common::PageId> {
+        if self
+            .fail_next
+            .swap(false, std::sync::atomic::Ordering::SeqCst)
+        {
+            return Err(btrim_common::BtrimError::Io(std::io::Error::other(
+                "allocation refused",
+            )));
+        }
+        self.inner.allocate_page()
+    }
+    fn num_pages(&self) -> u32 {
+        self.inner.num_pages()
+    }
+    fn sync(&self) -> btrim_common::Result<()> {
+        self.inner.sync()
+    }
+    fn reads(&self) -> u64 {
+        self.inner.reads()
+    }
+    fn writes(&self) -> u64 {
+        self.inner.writes()
+    }
+}
+
+/// A pack batch whose staging fails after some of its rows landed on a
+/// page (the heap cannot open the next page) unstages every copy it
+/// placed: the page holds only the rows the RID-Map puts there, the
+/// engine stays writable, and a reboot finds every row once.
+#[test]
+fn a_staging_failure_in_mid_batch_unstages_every_placed_copy() {
+    use btrim_core::pack::pack_partition;
+    use btrim_wal::MemLog;
+
+    let disk = Arc::new(FlakyAlloc::default());
+    let (syslog, imrslog) = (Arc::new(MemLog::new()), Arc::new(MemLog::new()));
+    let cfg = || EngineConfig {
+        mode: EngineMode::IlmOn,
+        imrs_budget: 4 << 20,
+        imrs_chunk_size: 1 << 20,
+        buffer_frames: 1024,
+        maintenance_interval_txns: u64::MAX / 2,
+        ..Default::default()
+    };
+    let e = Engine::with_devices(cfg(), disk.clone(), syslog.clone(), imrslog.clone());
+    let t = e.create_table(opts("t")).unwrap();
+    let part = &t.partitions[0];
+    // Two rows first: a page with room for about five more.
+    fill(&e, &t, 0, 2, 1000);
+    e.step(Actor::Gc);
+    pack_partition(&e, part, 1 << 30, PackLevel::Aggressive);
+    let on_pages = part.heap.live_rows();
+    assert_eq!((on_pages, part.heap.num_pages()), (2, 1));
+    fill(&e, &t, 2, 62, 1000);
+    e.step(Actor::Gc);
+    disk.fail_next
+        .store(true, std::sync::atomic::Ordering::SeqCst);
+    let freed = pack_partition(&e, part, 1 << 30, PackLevel::Aggressive);
+    assert!(
+        !disk.fail_next.load(std::sync::atomic::Ordering::SeqCst),
+        "the batch never asked for a page"
+    );
+    assert_eq!(freed, 0, "the failed batch moved rows");
+    assert_eq!(
+        part.heap.live_rows(),
+        on_pages,
+        "a staged copy stayed on its page"
+    );
+    assert!(e.health().writable(), "{:?}", e.health());
+    // The rows, back in the queues after a GC visit, pack on the next
+    // try, and every page reaches the device.
+    e.step(Actor::Gc);
+    pack_partition(&e, part, 1 << 30, PackLevel::Aggressive);
+    assert_eq!(part.heap.live_rows(), 64);
+    e.checkpoint().unwrap();
+    drop(e);
+    let e = Engine::recover(cfg(), disk, syslog, imrslog, |e| {
+        e.create_table(opts("t")).map(|_| ())
+    })
+    .unwrap();
+    let t = e.table("t").unwrap();
+    assert_eq!(
+        t.partitions[0].heap.live_rows(),
+        64,
+        "an orphan after reboot"
+    );
+    let txn = e.begin();
+    for k in 0..64u64 {
+        assert!(
+            e.get(&txn, &t, &k.to_be_bytes()).unwrap().is_some(),
+            "row {k}"
+        );
+    }
+    e.commit(txn).unwrap();
+}

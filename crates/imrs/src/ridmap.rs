@@ -31,8 +31,8 @@
 //!   (§VI.B), bit 35 the ILM-queue claim GC sets when it enqueues the
 //!   row. Arrival rewrites the whole word, so a row that left and came
 //!   back starts unclaimed;
-//! * `last_access`, `reuse` — the ILM hotness counters (§V.A "per-row
-//!   access timestamps ... updated occasionally").
+//! * `last_access` — the ILM hotness stamp (§V.A "per-row access
+//!   timestamps ... updated occasionally").
 //!
 //! [`ImrsRow`](crate::row::ImrsRow) is a borrowed view over one entry,
 //! built by [`RidMap::resident`] from two loads.
@@ -109,13 +109,11 @@ struct Entry {
     part: AcqRel<u64>,
     /// Last access (select/update) timestamp, updated loosely.
     last_access: Relaxed<u64>,
-    /// Re-use operations (S/U/D after arrival) on this row.
-    reuse: Relaxed<u64>,
 }
 
-// The table is `next_row_id` entries long: a sixth word is 8 bytes per
+// The table is `next_row_id` entries long: a fifth word is 8 bytes per
 // row ever allocated.
-const _: () = assert!(std::mem::size_of::<Entry>() == 40);
+const _: () = assert!(std::mem::size_of::<Entry>() == 32);
 
 const PART_MASK: u64 = (1 << 33) - 1;
 const ORIGIN_SHIFT: u32 = 33;
@@ -311,21 +309,14 @@ impl RidMap {
         self.entry(row).part.fetch_and(!ENQUEUED);
     }
 
-    /// Record an access for hotness tracking (cheap; relaxed stores).
+    /// Record an access for hotness tracking (cheap; a relaxed store).
     pub fn touch(&self, row: RowId, now: Timestamp) {
-        let e = self.entry(row);
-        e.last_access.store(now.0);
-        e.reuse.fetch_add(1);
+        self.entry(row).last_access.store(now.0);
     }
 
     /// Last recorded access timestamp for `row`.
     pub fn last_access(&self, row: RowId) -> Timestamp {
         Timestamp(self.try_entry(row).map_or(0, |e| e.last_access.load()))
-    }
-
-    /// Total re-use operations recorded on `row`.
-    pub fn reuse_count(&self, row: RowId) -> u64 {
-        self.try_entry(row).map_or(0, |e| e.reuse.load())
     }
 }
 
@@ -445,11 +436,9 @@ mod tests {
         m.set(r, RowLocation::Imrs);
         assert_eq!(m.partition(r), Some(PartitionId(0)));
         assert_eq!(m.last_access(r), Timestamp(7));
-        assert_eq!(m.reuse_count(r), 0);
         m.touch(r, Timestamp(42));
         m.touch(r, Timestamp(43));
         assert_eq!(m.last_access(r), Timestamp(43));
-        assert_eq!(m.reuse_count(r), 2);
     }
 
     #[test]

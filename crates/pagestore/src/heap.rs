@@ -15,7 +15,7 @@ use parking_lot::Mutex;
 use btrim_common::atomics::Relaxed;
 use btrim_common::{BtrimError, PageId, PartitionId, Result, SlotId};
 
-use crate::buffer::BufferCache;
+use crate::buffer::{BufferCache, PageGuard};
 use crate::page::PageType;
 
 /// A heap file: unordered row storage for one partition.
@@ -45,6 +45,116 @@ impl HeapInner {
             self.by_free.remove(&(old, pid));
         }
         self.by_free.insert((free, pid));
+    }
+}
+
+/// A page a batch plans to visit: one the heap has, or the `k`-th page
+/// the batch opens. Opened pages order after existing ones, as their ids
+/// will.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
+enum Target {
+    Page(PageId),
+    Fresh(usize),
+}
+
+/// Free bytes of a page no row has touched.
+const EMPTY_PAGE_FREE: usize = crate::page::PAGE_SIZE - crate::page::HEADER_SIZE;
+
+/// The free-space map as a plan has left it: the heap's `by_free` under
+/// the pages the plan has filled.
+struct Sim<'a> {
+    by_free: &'a BTreeSet<(usize, PageId)>,
+    touched: Vec<(usize, Target)>,
+    opened: usize,
+}
+
+impl Sim<'_> {
+    /// The map's entries with at least `need` free bytes, fullest first,
+    /// that the plan has not touched.
+    fn untouched(&self, need: usize) -> impl DoubleEndedIterator<Item = (usize, Target)> + '_ {
+        let entries = self.by_free.range((need, PageId(0))..);
+        let entries = entries.map(|&(free, pid)| (free, Target::Page(pid)));
+        entries.filter(|&(_, t)| self.touched.iter().all(|e| e.1 != t))
+    }
+
+    /// The fullest page with at least `need` free bytes.
+    fn best_fit(&self, need: usize) -> Option<(usize, Target)> {
+        let touched = self.touched.iter().filter(|e| e.0 >= need).copied();
+        self.untouched(need).next().into_iter().chain(touched).min()
+    }
+
+    /// The emptiest page.
+    fn emptiest(&self) -> Option<(usize, Target)> {
+        let touched = self.touched.iter().copied();
+        self.untouched(0)
+            .next_back()
+            .into_iter()
+            .chain(touched)
+            .max()
+    }
+
+    fn open(&mut self) -> (usize, Target) {
+        self.opened += 1;
+        (EMPTY_PAGE_FREE, Target::Fresh(self.opened - 1))
+    }
+
+    fn set(&mut self, free: usize, t: Target) {
+        match self.touched.iter_mut().find(|e| e.1 == t) {
+            Some(e) => e.0 = free,
+            None => self.touched.push((free, t)),
+        }
+    }
+}
+
+/// Add row `i` to the visit of `t`, the first one to `t` opening it.
+fn visit(visits: &mut Vec<(Target, Vec<usize>)>, t: Target, i: usize) {
+    match visits.iter_mut().find(|v| v.0 == t) {
+        Some(v) => v.1.push(i),
+        None => visits.push((t, vec![i])),
+    }
+}
+
+/// Plan a batch of rows needing `needs` bytes each (see
+/// [`HeapFile::insert_batch`]): the pages to visit, in order, each with
+/// the indices of the rows it takes.
+fn plan_batch(by_free: &BTreeSet<(usize, PageId)>, needs: &[usize]) -> Vec<(Target, Vec<usize>)> {
+    let fresh = || Sim {
+        by_free,
+        touched: Vec::new(),
+        opened: 0,
+    };
+    // Concentrated: runs of rows per page.
+    let (mut sim, mut visits) = (fresh(), Vec::new());
+    let mut next = 0;
+    while next < needs.len() {
+        let remainder = needs[next..].iter().sum();
+        let (mut free, t) = sim
+            .best_fit(remainder)
+            .or_else(|| sim.emptiest().filter(|e| e.0 >= needs[next]))
+            .unwrap_or_else(|| sim.open());
+        while next < needs.len() && needs[next] <= free {
+            free -= needs[next];
+            visit(&mut visits, t, next);
+            next += 1;
+        }
+        sim.set(free, t);
+    }
+    if sim.opened == 0 {
+        return visits;
+    }
+    let concentrated = sim.opened;
+    // Row at a time, best fit: what one `insert` per row would open.
+    let mut sim = fresh();
+    let mut best: Vec<(Target, Vec<usize>)> = Vec::new();
+    for (i, &need) in needs.iter().enumerate() {
+        let (free, t) = sim.best_fit(need).unwrap_or_else(|| sim.open());
+        sim.set(free - need, t);
+        visit(&mut best, t, i);
+    }
+    if concentrated <= sim.opened {
+        visits
+    } else {
+        best
     }
 }
 
@@ -104,7 +214,10 @@ impl HeapFile {
         self.live_rows.load()
     }
 
-    /// Insert a row payload, returning its physical address.
+    /// Insert a row payload, returning its physical address: the
+    /// fullest page with room, else a new one. (Not a batch of one:
+    /// [`insert_batch`](Self::insert_batch)'s planner makes a single
+    /// insert markedly slower, EXPERIMENTS.md.)
     pub fn insert(&self, cache: &BufferCache, data: &[u8]) -> Result<(PageId, SlotId)> {
         if data.len() > crate::page::MAX_ROW_SIZE {
             return Err(BtrimError::Invalid(format!(
@@ -126,10 +239,7 @@ impl HeapFile {
             };
             let Some(pid) = candidate else { break };
             let guard = cache.fetch(pid)?;
-            let (slot, free) = guard.with_page_write(|p| {
-                let slot = p.insert(data);
-                (slot, p.total_free())
-            });
+            let (slot, free) = guard.with_page_write(|p| (p.insert(data), p.total_free()));
             self.inner.lock().set_free(pid, free);
             if let Some(slot) = slot {
                 self.live_rows.fetch_add(1);
@@ -137,29 +247,128 @@ impl HeapFile {
             }
         }
         // No page had room: extend the heap.
-        let guard = cache.new_page(PageType::Heap, self.partition)?;
+        let guard = self.open_page(cache)?;
         let pid = guard.page_id();
-        let (slot, free) = guard.with_page_write(|p| {
-            let slot = p.insert(data);
-            (slot, p.total_free())
-        });
-        {
-            let mut inner = self.inner.lock();
-            // Link the chain: previous tail points at the new page.
-            if let Some(&tail) = inner.pages.last() {
-                let tail_guard = cache.fetch(tail)?;
-                tail_guard.with_page_write(|p| p.set_next_page(pid));
-            }
-            inner.pages.push(pid);
-            inner.set_free(pid, free);
-        }
-        // A fresh page holds any legal row; a `None` here means the
-        // caller handed us a row larger than a page, which no layer
-        // above ever produces — but surface it as an error, not a panic.
-        // (The empty page stays linked into the chain for future use.)
+        let (slot, free) = guard.with_page_write(|p| (p.insert(data), p.total_free()));
+        drop(guard);
+        self.inner.lock().set_free(pid, free);
+        // A fresh page holds any legal row (checked above); the empty
+        // page stays linked for future use.
         let slot = slot.ok_or_else(|| BtrimError::Invalid("row exceeds page capacity".into()))?;
         self.live_rows.fetch_add(1);
         Ok((pid, slot))
+    }
+
+    /// Insert row payloads as one batch, a page per visit: one fetch,
+    /// one write latch and one free-space update per page. The batch is
+    /// planned on the free-space map first. The preferred plan fills the
+    /// smallest page that takes the whole remainder, else the emptiest
+    /// page, else a new one, and moves on when the next row does not
+    /// fit, so the batch lands on few pages, each compacted at most
+    /// once. It is taken unless it opens more pages than placing each
+    /// row on its best-fit page, one at a time, would; then that plan
+    /// is taken, still one visit per page. `placed[i]` is set when
+    /// `rows[i]` lands: on `Err`, the set entries are the copies already
+    /// staged, for the caller to undo.
+    pub fn insert_batch(
+        &self,
+        cache: &BufferCache,
+        rows: &[&[u8]],
+        placed: &mut [Option<(PageId, SlotId)>],
+    ) -> Result<()> {
+        if let Some(r) = rows.iter().find(|r| r.len() > crate::page::MAX_ROW_SIZE) {
+            return Err(BtrimError::Invalid(format!(
+                "row of {} bytes exceeds page capacity",
+                r.len()
+            )));
+        }
+        let mut pending: Vec<usize> = (0..rows.len()).collect();
+        // A page another writer filled since the plan was made sends its
+        // rows round again; after three rounds they go to new pages.
+        for round in 0.. {
+            if pending.is_empty() {
+                break;
+            }
+            let needs: Vec<usize> = pending
+                .iter()
+                .map(|&i| rows[i].len() + crate::page::SLOT_ENTRY_SIZE)
+                .collect();
+            let visits = {
+                let inner = self.inner.lock();
+                // A map with no pages: every row to a new one.
+                static NONE: BTreeSet<(usize, PageId)> = BTreeSet::new();
+                plan_batch(if round < 3 { &inner.by_free } else { &NONE }, &needs)
+            };
+            let mut left = Vec::new();
+            for (target, members) in visits {
+                let (guard, fresh) = match target {
+                    Target::Page(pid) => (cache.fetch(pid)?, false),
+                    Target::Fresh(_) => (self.open_page(cache)?, true),
+                };
+                let pid = guard.page_id();
+                let (landed, free) = guard.with_page_write(|p| {
+                    let (mut landed, mut cursor) = (0, 0);
+                    for &m in &members {
+                        let i = pending[m];
+                        match p.insert_from(rows[i], &mut cursor) {
+                            Some(slot) => {
+                                placed[i] = Some((pid, slot));
+                                landed += 1;
+                            }
+                            None => left.push(i),
+                        }
+                    }
+                    (landed, p.total_free())
+                });
+                drop(guard);
+                self.live_rows.fetch_add(landed);
+                self.inner.lock().set_free(pid, free);
+                if fresh && landed == 0 {
+                    // A fresh page holds any legal row (checked above);
+                    // the empty page stays linked for future use.
+                    return Err(BtrimError::Invalid("row exceeds page capacity".into()));
+                }
+            }
+            pending = left;
+        }
+        Ok(())
+    }
+
+    /// Extend the heap by one page, linked into the chain before any row
+    /// lands on it, so a row is never placed on a page the chain does
+    /// not reach. The caller enters it in the free-space map once its
+    /// rows are on it: until then no other insert can pick it.
+    fn open_page<'c>(&self, cache: &'c BufferCache) -> Result<PageGuard<'c>> {
+        let guard = cache.new_page(PageType::Heap, self.partition)?;
+        let pid = guard.page_id();
+        let mut inner = self.inner.lock();
+        // Link the chain: the previous tail points at the new page.
+        if let Some(&tail) = inner.pages.last() {
+            cache.fetch(tail)?.with_page_write(|p| p.set_next_page(pid));
+        }
+        inner.pages.push(pid);
+        Ok(guard)
+    }
+
+    /// Read the rows at `at`, a page at a time: one fetch and one read
+    /// latch per page. `f` gets each live row's index in `at` and its
+    /// payload, under the latch; a dead slot is skipped.
+    pub fn read_many(
+        &self,
+        cache: &BufferCache,
+        at: &[(PageId, SlotId)],
+        mut f: impl FnMut(usize, &[u8]) -> Result<()>,
+    ) -> Result<()> {
+        let mut order: Vec<usize> = (0..at.len()).collect();
+        order.sort_unstable_by_key(|&i| at[i].0);
+        for group in order.chunk_by(|&a, &b| at[a].0 == at[b].0) {
+            let guard = cache.fetch(at[group[0]].0)?;
+            guard.with_page_read(|p| {
+                let mut live = group.iter().filter_map(|&i| Some((i, p.get(at[i].1)?)));
+                live.try_for_each(|(i, payload)| f(i, payload))
+            })?;
+        }
+        Ok(())
     }
 
     /// Read a row payload by physical address.
@@ -218,17 +427,36 @@ impl HeapFile {
         res
     }
 
-    /// Delete a row. Returns the freed payload length.
-    pub fn delete(&self, cache: &BufferCache, pid: PageId, slot: SlotId) -> Result<usize> {
-        let guard = cache.fetch(pid)?;
-        let (len, free) = guard.with_page_write(|p| (p.delete(slot), p.total_free()));
-        self.inner.lock().set_free(pid, free);
-        if len.is_some() {
-            self.live_rows.fetch_sub(1);
+    /// Delete a row: a [`delete_many`](Self::delete_many) of one.
+    pub fn delete(&self, cache: &BufferCache, pid: PageId, slot: SlotId) -> Result<()> {
+        self.delete_many(cache, &mut [(pid, slot)]).map(drop)
+    }
+
+    /// Delete the rows at `at` (sorted here), a page at a time: one
+    /// fetch, one write latch and one free-space update per page.
+    /// Returns how many were live; a dead slot among them is an error,
+    /// after the live ones are gone.
+    pub fn delete_many(&self, cache: &BufferCache, at: &mut [(PageId, SlotId)]) -> Result<usize> {
+        at.sort_unstable();
+        let mut live = 0;
+        for group in at.chunk_by(|a, b| a.0 == b.0) {
+            let guard = cache.fetch(group[0].0)?;
+            let (n, free) = guard.with_page_write(|p| {
+                let n = group.iter().filter(|&&(_, slot)| p.delete(slot).is_some());
+                (n.count(), p.total_free())
+            });
+            self.inner.lock().set_free(group[0].0, free);
+            self.live_rows.fetch_sub(n as u64);
+            live += n;
         }
-        len.ok_or(BtrimError::Invalid(format!(
-            "delete of dead slot {slot} on {pid}"
-        )))
+        if live < at.len() {
+            return Err(BtrimError::Invalid(format!(
+                "delete of {} dead slot(s) on {:?}",
+                at.len() - live,
+                at.first().map(|a| a.0)
+            )));
+        }
+        Ok(live)
     }
 
     /// Full scan: invoke `f` for every live row. `f` returning `false`
@@ -388,6 +616,169 @@ mod tests {
         let rebuilt = HeapFile::new(PartitionId(7));
         rebuilt.adopt_pages(pages, &cache).unwrap();
         assert_eq!(rebuilt.live_rows(), 1);
+    }
+
+    /// Every page's free-space entry equals its page's total free bytes,
+    /// and the by-free index holds exactly those entries.
+    fn assert_fsm_consistent(cache: &BufferCache, heap: &HeapFile) {
+        let inner = heap.inner.lock();
+        assert_eq!(inner.fsm.len(), inner.pages.len());
+        assert_eq!(inner.by_free.len(), inner.fsm.len());
+        for &pid in &inner.pages {
+            let free = cache.fetch(pid).unwrap().with_page_read(|p| p.total_free());
+            assert_eq!(inner.fsm.get(&pid), Some(&free), "fsm of {pid}");
+            assert!(inner.by_free.contains(&(free, pid)));
+        }
+    }
+
+    /// 64 cases, or what `PROPTEST_CASES` asks for.
+    fn cases() -> u32 {
+        let asked = std::env::var("PROPTEST_CASES").ok();
+        asked.and_then(|n| n.parse().ok()).unwrap_or(64)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(cases()))]
+
+        /// `insert_batch` against one-at-a-time `insert` on a twin heap
+        /// that a random history of inserts and deletes shaped alike.
+        #[test]
+        fn insert_batch_matches_one_at_a_time_inserts(
+            history in proptest::collection::vec((1usize..1500, proptest::prelude::any::<bool>()), 0..60),
+            batch in proptest::collection::vec(1usize..2500, 1..70),
+        ) {
+            let (cache_a, batched) = setup();
+            let (cache_b, single) = setup();
+            for (i, &(len, keep)) in history.iter().enumerate() {
+                let row = vec![i as u8; len];
+                let a = batched.insert(&cache_a, &row).unwrap();
+                let b = single.insert(&cache_b, &row).unwrap();
+                if !keep {
+                    batched.delete(&cache_a, a.0, a.1).unwrap();
+                    single.delete(&cache_b, b.0, b.1).unwrap();
+                }
+            }
+            let rows: Vec<Vec<u8>> = batch
+                .iter()
+                .enumerate()
+                .map(|(i, &len)| vec![(i as u8).wrapping_mul(31); len])
+                .collect();
+            let slices: Vec<&[u8]> = rows.iter().map(Vec::as_slice).collect();
+            let mut placed = vec![None; rows.len()];
+            batched.insert_batch(&cache_a, &slices, &mut placed).unwrap();
+            for row in &rows {
+                single.insert(&cache_b, row).unwrap();
+            }
+
+            for (row, at) in rows.iter().zip(&placed) {
+                let (pid, slot) = at.unwrap();
+                let got = batched.get(&cache_a, pid, slot).unwrap();
+                proptest::prop_assert_eq!(got.as_deref(), Some(row.as_slice()));
+            }
+            for pid in batched.pages() {
+                let used = cache_a.fetch(pid).unwrap().with_page_read(|p| {
+                    p.iter_rows().map(|(_, r)| r.len() + crate::page::SLOT_ENTRY_SIZE).sum::<usize>()
+                });
+                proptest::prop_assert!(used <= crate::page::PAGE_SIZE - crate::page::HEADER_SIZE);
+            }
+            assert_fsm_consistent(&cache_a, &batched);
+            proptest::prop_assert_eq!(batched.live_rows(), single.live_rows());
+            proptest::prop_assert_eq!(batched.count_rows(&cache_a).unwrap() as u64, batched.live_rows());
+            proptest::prop_assert!(
+                batched.num_pages() <= single.num_pages(),
+                "batch {} pages, one at a time {}",
+                batched.num_pages(),
+                single.num_pages()
+            );
+        }
+    }
+
+    #[test]
+    fn read_many_and_delete_many_visit_each_page_once() {
+        let (cache, heap) = setup();
+        let mut addrs: Vec<_> = (0..6u8)
+            .map(|i| heap.insert(&cache, &[i; 200]).unwrap())
+            .collect();
+        let mut read = Vec::new();
+        heap.read_many(&cache, &addrs[..4], |i, row| {
+            read.push((i, row[0]));
+            Ok(())
+        })
+        .unwrap();
+        read.sort();
+        assert_eq!(read, [(0, 0), (1, 1), (2, 2), (3, 3)]);
+        assert_eq!(heap.delete_many(&cache, &mut addrs[..4]).unwrap(), 4);
+        assert_eq!(heap.live_rows(), 2);
+        assert_fsm_consistent(&cache, &heap);
+        assert!(heap.delete_many(&cache, &mut addrs[..1]).is_err());
+        assert_eq!(heap.live_rows(), 2);
+    }
+
+    /// A device whose next read of one chosen page fails.
+    struct FailingRead {
+        inner: MemDisk,
+        page: Mutex<Option<PageId>>,
+    }
+
+    impl crate::disk::DiskBackend for FailingRead {
+        fn read_page(&self, id: PageId, buf: &mut [u8]) -> Result<()> {
+            if self.page.lock().take_if(|p| *p == id).is_some() {
+                return Err(std::io::Error::other("injected read error").into());
+            }
+            self.inner.read_page(id, buf)
+        }
+        fn write_page(&self, id: PageId, buf: &[u8]) -> Result<()> {
+            self.inner.write_page(id, buf)
+        }
+        fn allocate_page(&self) -> Result<PageId> {
+            self.inner.allocate_page()
+        }
+        fn num_pages(&self) -> u32 {
+            self.inner.num_pages()
+        }
+        fn sync(&self) -> Result<()> {
+            self.inner.sync()
+        }
+        fn reads(&self) -> u64 {
+            self.inner.reads()
+        }
+        fn writes(&self) -> u64 {
+            self.inner.writes()
+        }
+    }
+
+    /// A batch whose new page cannot be linked (the tail page fails to
+    /// read) places no row off the chain: once the caller deletes the
+    /// copies it was told of, the free-space map covers exactly the
+    /// chain's pages.
+    #[test]
+    fn a_failed_page_link_places_no_row_off_the_chain() {
+        let disk = Arc::new(FailingRead {
+            inner: MemDisk::new(),
+            page: Mutex::new(None),
+        });
+        let cache =
+            BufferCache::with_shards(disk.clone(), 2, 1).with_io_retry(1, Default::default());
+        let heap = HeapFile::new(PartitionId(7));
+        heap.insert(&cache, &[1u8; 6000]).unwrap();
+        let (tail, _) = heap.insert(&cache, &[1u8; 7000]).unwrap();
+        // Two pages outside the heap push the tail out of the cache.
+        for _ in 0..2 {
+            cache.new_page(PageType::Heap, PartitionId(7)).unwrap();
+        }
+        *disk.page.lock() = Some(tail);
+        // The small row lands on the first page; the big one needs a new
+        // page, whose link reads the tail.
+        let (small, big) = ([2u8; 1500], [3u8; 3000]);
+        let mut placed = [None, None];
+        let batch = heap.insert_batch(&cache, &[&small, &big], &mut placed);
+        assert!(batch.is_err() && disk.page.lock().is_none());
+        assert!(placed[0].is_some());
+        let mut staged: Vec<_> = placed.iter().flatten().copied().collect();
+        heap.delete_many(&cache, &mut staged).unwrap();
+        assert_eq!(heap.num_pages(), 2);
+        assert_eq!(heap.live_rows(), 2);
+        assert_fsm_consistent(&cache, &heap);
     }
 
     #[test]

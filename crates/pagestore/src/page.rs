@@ -353,11 +353,24 @@ impl<'a> SlottedPage<'a> {
     /// Insert a row payload, compacting if needed. Returns the slot, or
     /// `None` when the page cannot hold the payload.
     pub fn insert(&mut self, data: &[u8]) -> Option<SlotId> {
-        if !self.can_insert(data.len()) {
+        self.insert_from(data, &mut 0)
+    }
+
+    /// [`insert`](Self::insert), reusing the first tombstoned slot at or
+    /// after `*cursor` and moving the cursor to it (or past the
+    /// directory). Inserts into one page that share a cursor scan the
+    /// directory once between them: an insert never tombstones a slot.
+    pub fn insert_from(&mut self, data: &[u8], cursor: &mut u16) -> Option<SlotId> {
+        if data.len() > MAX_ROW_SIZE {
             return None;
         }
-        let reuse = self.find_tombstone();
+        let reuse = (*cursor..self.slot_count()).find(|&s| self.slot_entry(s).0 == TOMBSTONE);
+        *cursor = reuse.unwrap_or(self.slot_count());
+        // Reusing a tombstoned slot needs no new dir entry.
         let dir_cost = if reuse.is_some() { 0 } else { SLOT_ENTRY_SIZE };
+        if self.total_free() < data.len() + dir_cost {
+            return None;
+        }
         if self.contiguous_free() < data.len() + dir_cost {
             self.compact();
         }

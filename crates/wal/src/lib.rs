@@ -43,6 +43,6 @@ pub mod recovery;
 
 pub use log::{FileLog, LogSink, LogWriter, LsnRange, MemLog};
 pub use record::{
-    Encodable, ImageHeader, ImrsLogRecord, PageLogRecord, RowOriginTag, MIXED_TXN_BIT,
+    Encodable, ImageHeader, ImrsLogRecord, PageLogRecord, RecordBuf, RowOriginTag, MIXED_TXN_BIT,
 };
 pub use recovery::{analyze_page_log, newest_image, ImageMark, LogAnalysis};

@@ -607,7 +607,7 @@ impl LogSink for FileLog {
 const SCRATCH_KEEP: usize = 64 * 1024;
 
 thread_local! {
-    /// Per-thread encode buffer of [`LogWriter::append_with`].
+    /// Per-thread encode buffer of [`LogWriter::append`].
     static SCRATCH: std::cell::RefCell<Vec<u8>> = const { std::cell::RefCell::new(Vec::new()) };
 }
 
@@ -686,16 +686,9 @@ where
 
     /// Append one record, encoded into this thread's reused buffer.
     pub fn append(&self, record: &R) -> Result<Lsn> {
-        self.append_with(|out| record.encode_into(out))
-    }
-
-    /// Append the one record of this log's type that `encode` writes
-    /// into the (empty) buffer it is handed — for a caller that encodes
-    /// from borrowed parts instead of building an `R`.
-    pub fn append_with(&self, encode: impl FnOnce(&mut Vec<u8>)) -> Result<Lsn> {
         let t = self.append_hist.as_ref().map(|_| std::time::Instant::now());
         let out = with_scratch(|buf| {
-            encode(buf);
+            record.encode_into(buf);
             self.sink.append(buf)
         });
         if let (Some(h), Some(t)) = (&self.append_hist, t) {

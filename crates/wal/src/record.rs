@@ -24,6 +24,54 @@ pub trait Encodable: Sized {
     fn decode(data: &[u8]) -> Result<Self>;
 }
 
+/// Records encoded back to back for one atomic
+/// [`append_batch`](crate::LogSink::append_batch): a transaction's
+/// staged redo, or one log's share of a row move.
+#[derive(Debug, Default)]
+pub struct RecordBuf {
+    buf: Vec<u8>,
+    /// End offset of each record in `buf` (record `i` spans
+    /// `ends[i-1]..ends[i]`).
+    ends: Vec<usize>,
+}
+
+impl RecordBuf {
+    /// Append the one record `encode` writes.
+    pub fn push_with(&mut self, encode: impl FnOnce(&mut Vec<u8>)) {
+        encode(&mut self.buf);
+        self.ends.push(self.buf.len());
+    }
+
+    /// Append a built record.
+    pub fn push(&mut self, rec: &impl Encodable) {
+        self.push_with(|out| rec.encode_into(out));
+    }
+
+    /// True when no record is staged.
+    pub fn is_empty(&self) -> bool {
+        self.ends.is_empty()
+    }
+
+    /// The records as payload slices, in order: the shape
+    /// `append_batch` takes.
+    pub fn records(&self) -> Vec<&[u8]> {
+        let starts = std::iter::once(0).chain(self.ends.iter().copied());
+        starts
+            .zip(&self.ends)
+            .map(|(a, &b)| &self.buf[a..b])
+            .collect()
+    }
+
+    /// Rewrite each record in place (a commit stamping its timestamp).
+    pub fn for_each_mut(&mut self, mut f: impl FnMut(&mut [u8])) {
+        let mut start = 0;
+        for &end in &self.ends {
+            f(&mut self.buf[start..end]);
+            start = end;
+        }
+    }
+}
+
 /// Encoded width of a `put_bytes` field: its `u32` length, then the bytes.
 const fn bytes_len(data: &[u8]) -> usize {
     4 + data.len()
@@ -160,15 +208,7 @@ impl Encodable for PageLogRecord {
                 page,
                 slot,
                 data,
-            } => {
-                e.put_u8(3);
-                e.put_u64(txn.0);
-                e.put_u32(partition.0);
-                e.put_u64(row.0);
-                e.put_u32(page.0);
-                e.put_u16(slot.0);
-                e.put_bytes(data);
-            }
+            } => Self::encode_insert(out, (*txn, *partition, *row), (*page, *slot), data),
             PageLogRecord::Update {
                 txn,
                 partition,
@@ -194,15 +234,7 @@ impl Encodable for PageLogRecord {
                 page,
                 slot,
                 old,
-            } => {
-                e.put_u8(5);
-                e.put_u64(txn.0);
-                e.put_u32(partition.0);
-                e.put_u64(row.0);
-                e.put_u32(page.0);
-                e.put_u16(slot.0);
-                e.put_bytes(old);
-            }
+            } => Self::encode_delete(out, (*txn, *partition, *row), (*page, *slot), old),
         }
     }
 
@@ -252,6 +284,49 @@ impl Encodable for PageLogRecord {
 }
 
 impl PageLogRecord {
+    /// Append `Insert { txn, partition, row, page, slot, data }` (`tag`
+    /// 3) or `Delete { .., old: data }` (`tag` 5) with the image
+    /// borrowed: the bytes the owned record encodes to.
+    fn encode_row(
+        out: &mut Vec<u8>,
+        tag: u8,
+        (txn, partition, row): (TxnId, PartitionId, RowId),
+        (page, slot): (PageId, SlotId),
+        data: &[u8],
+    ) {
+        out.reserve(PAGE_ROW_HEAD + bytes_len(data));
+        let mut e = Encoder::append_to(out);
+        e.put_u8(tag);
+        e.put_u64(txn.0);
+        e.put_u32(partition.0);
+        e.put_u64(row.0);
+        e.put_u32(page.0);
+        e.put_u16(slot.0);
+        e.put_bytes(data);
+    }
+
+    /// Append `Insert { txn, partition, row, page, slot, data }` with the
+    /// image borrowed.
+    pub fn encode_insert(
+        out: &mut Vec<u8>,
+        (txn, partition, row): (TxnId, PartitionId, RowId),
+        at: (PageId, SlotId),
+        data: &[u8],
+    ) {
+        Self::encode_row(out, 3, (txn, partition, row), at, data);
+    }
+
+    /// Append `Delete { txn, partition, row, page, slot, old }` with the
+    /// before-image borrowed.
+    pub fn encode_delete(
+        out: &mut Vec<u8>,
+        (txn, partition, row): (TxnId, PartitionId, RowId),
+        at: (PageId, SlotId),
+        old: &[u8],
+    ) {
+        Self::encode_row(out, 5, (txn, partition, row), at, old);
+    }
+
     /// Transaction this record belongs to: every page-store record has
     /// one.
     pub fn txn(&self) -> TxnId {

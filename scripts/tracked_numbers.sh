@@ -17,8 +17,9 @@ cd "$(dirname "$0")/.."
 
 # Non-blank lines that are not `//` comments (doc comments included).
 code_lines() { cat "$@" | grep -v '^\s*//' | grep -vc '^\s*$' || true; }
-# Appends of a page-log record kind from crates/core/src.
-append_sites() { cat crates/core/src/*.rs | grep -c "append_sys(&PageLogRecord::$1\b" || true; }
+# Appends of a page-log record kind from crates/core/src: on their own,
+# or staged into a move's one batch append (`RecordBuf::push`).
+append_sites() { cat crates/core/src/*.rs | grep -cE "(append_sys|push)\(&PageLogRecord::$1\b" || true; }
 # Calls of a function (not its definition) from crates/core/src.
 call_sites() { cat crates/core/src/*.rs | grep -v "fn $1(" | grep -c "\b$1(" || true; }
 

@@ -72,6 +72,11 @@ impl VolatileLog {
         self.flushes.load(Ordering::SeqCst)
     }
 
+    /// Append calls that reached the log: a batch is one.
+    pub fn appends(&self) -> u64 {
+        self.inner.append_lock_acquisitions()
+    }
+
     /// Records known durable: appended before the last completed flush.
     pub fn durable_records(&self) -> u64 {
         self.durable.load(Ordering::SeqCst)

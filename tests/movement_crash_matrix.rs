@@ -11,11 +11,11 @@
 
 mod common;
 
+use btrim::pack::{pack_partition, PackLevel};
 use btrim::{Actor, EngineConfig, EngineMode};
 use btrim_faults::FaultPlan;
-use btrim_wal::LogSink;
 
-use common::explorer::{config, Explorer, Step, Step::*, AUX, COLD, HOT};
+use common::explorer::{config, Explorer, Step, Step::*, AUX, COLD, HOT, TABLES};
 
 const ROWS: u64 = 6;
 
@@ -136,7 +136,8 @@ fn pack_does_not_leak_its_staged_copy_when_the_log_dies() {
                 .collect::<Vec<_>>(),
         );
         ex.run(Commit(0));
-        let appends = |ex: &Explorer| ex.logs.0.record_count() + ex.logs.1.record_count();
+        // The death trigger counts append calls, a batch as one.
+        let appends = |ex: &Explorer| ex.logs.0.appends() + ex.logs.1.appends();
         let before = appends(&ex);
         ex.checked = true;
         ex.run(PackAll);
@@ -154,6 +155,46 @@ fn pack_does_not_leak_its_staged_copy_when_the_log_dies() {
     for die_after in before..after {
         assert!(run(Some(die_after)).2, "the log outlived the pack batch");
     }
+}
+
+/// Each log takes a move's share of its records in one append: syslogs
+/// the `Begin` and row records as one batch, then the `Commit`;
+/// sysimrslogs one batch. A 64-row pack batch, a freeze batch and a
+/// migration each take two syslogs appends and one sysimrslogs append.
+#[test]
+fn a_move_appends_each_log_once_before_its_commit() {
+    let appends = |ex: &Explorer| (ex.logs.0.appends(), ex.logs.1.appends());
+    let across = |ex: &mut Explorer, steps: &[Step]| {
+        let before = appends(ex);
+        ex.run_all(steps);
+        let after = appends(ex);
+        (after.0 - before.0, after.1 - before.1)
+    };
+    let mut ex = ilm_on();
+    ex.load(HOT, &(0..64).map(|k| (k, k * 7)).collect::<Vec<_>>());
+    ex.run(Act(Actor::Gc));
+    let before = appends(&ex);
+    let hot = ex.engine.table(TABLES[HOT].0).unwrap();
+    let part = &hot.partitions[0];
+    pack_partition(&ex.engine, part, 1 << 30, PackLevel::Aggressive);
+    let after = appends(&ex);
+    let pack = (after.0 - before.0, after.1 - before.1);
+    assert_eq!(pack, (2, 1), "a 64-row pack batch");
+    assert_eq!(ex.homes(HOT), [0, 64, 0]);
+
+    let mut ex = prepared(ilm_on(), Freeze);
+    assert_eq!(
+        across(&mut ex, &the_move(Freeze, 0)),
+        (2, 1),
+        "a freeze batch"
+    );
+    assert_eq!(ex.homes(HOT), [0, 0, ROWS]);
+
+    let mut ex = prepared(ilm_on(), Migrate);
+    let migrate = Update(0, HOT, 0, 1, 0);
+    assert_eq!(across(&mut ex, &[migrate]), (2, 1), "a migration");
+    ex.run(Commit(0));
+    assert_eq!(ex.homes(HOT), [1, ROWS - 1, 0]);
 }
 
 /// A freeze batch flushes both logs at commit. Cut the power after the

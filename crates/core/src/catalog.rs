@@ -51,6 +51,27 @@ impl FieldKind {
     pub fn is_numeric(&self) -> bool {
         !matches!(self, FieldKind::Str)
     }
+
+    /// Bytes a value of this kind takes (`None`: a `Str`, whose length
+    /// is in the row).
+    pub fn width(&self) -> Option<usize> {
+        match self {
+            FieldKind::BeU32 | FieldKind::U32 => Some(4),
+            FieldKind::U64 | FieldKind::F64Bits => Some(8),
+            FieldKind::Str => None,
+        }
+    }
+
+    /// The numeric value at the front of `bytes` (`None`: a `Str`, or
+    /// too few bytes).
+    pub fn read(&self, bytes: &[u8]) -> Option<u64> {
+        Some(match self {
+            FieldKind::BeU32 => u32::from_be_bytes(*bytes.first_chunk()?).into(),
+            FieldKind::U32 => u32::from_le_bytes(*bytes.first_chunk()?).into(),
+            FieldKind::U64 | FieldKind::F64Bits => u64::from_le_bytes(*bytes.first_chunk()?),
+            FieldKind::Str => return None,
+        })
+    }
 }
 
 /// One decoded field value.
@@ -96,22 +117,17 @@ impl RowLayout {
     /// length, truncated string field); `f` may have seen a prefix of
     /// the fields by then.
     pub fn walk<'r>(&self, row: &'r [u8], mut f: impl FnMut(usize, FieldRef<'r>)) -> Option<()> {
-        fn take<'r, const N: usize>(rest: &mut &'r [u8]) -> Option<&'r [u8; N]> {
-            let (head, tail) = rest.split_first_chunk::<N>()?;
-            *rest = tail;
-            Some(head)
-        }
         let mut rest = row;
         for (i, (_, kind)) in self.fields.iter().enumerate() {
-            let value = match kind {
-                FieldKind::BeU32 => FieldRef::U64(u32::from_be_bytes(*take(&mut rest)?).into()),
-                FieldKind::U32 => FieldRef::U64(u32::from_le_bytes(*take(&mut rest)?).into()),
-                FieldKind::U64 | FieldKind::F64Bits => {
-                    FieldRef::U64(u64::from_le_bytes(*take(&mut rest)?))
+            let value = match kind.width() {
+                Some(width) => {
+                    let (head, tail) = rest.split_at_checked(width)?;
+                    rest = tail;
+                    FieldRef::U64(kind.read(head)?)
                 }
-                FieldKind::Str => {
-                    let len = u32::from_le_bytes(*take(&mut rest)?) as usize;
-                    let (bytes, tail) = rest.split_at_checked(len)?;
+                None => {
+                    let (len, tail) = rest.split_first_chunk::<4>()?;
+                    let (bytes, tail) = tail.split_at_checked(u32::from_le_bytes(*len) as usize)?;
                     rest = tail;
                     FieldRef::Bytes(bytes)
                 }

@@ -9,7 +9,7 @@ use parking_lot::Mutex;
 
 use btrim_common::atomics::Relaxed;
 use btrim_common::{Lsn, Result, Timestamp, TxnId};
-use btrim_imrs::{RowLocation, VersionOp};
+use btrim_imrs::Swept;
 use btrim_obs::{CheckpointTrace, IlmTraceEvent, OpClass};
 use btrim_txn::TxnManager;
 use btrim_wal::{ImageHeader, ImrsLogRecord, LogSink, LogWriter, PageLogRecord};
@@ -163,25 +163,42 @@ impl ImageBatch {
     /// the batch once it is large enough.
     fn end_record(&mut self, sh: &Shared) -> Result<()> {
         self.ends.push(self.buf.len());
-        if self.buf.len() < IMAGE_BATCH_BYTES {
-            return Ok(());
-        }
-        self.append(sh)
+        self.append_full(sh)
     }
 
-    fn append(&mut self, sh: &Shared) -> Result<()> {
-        if self.ends.is_empty() {
-            return Ok(());
+    /// Append each full batch: the records up to the first that brings
+    /// it to [`IMAGE_BATCH_BYTES`] — the split [`end_record`] makes one
+    /// record at a time, so records that ended several at once append
+    /// the same batches.
+    ///
+    /// [`end_record`]: Self::end_record
+    fn append_full(&mut self, sh: &Shared) -> Result<()> {
+        while let Some(i) = self.ends.iter().position(|&e| e >= IMAGE_BATCH_BYTES) {
+            self.append_first(sh, i + 1)?;
         }
+        Ok(())
+    }
+
+    /// Append what is left.
+    fn append(&mut self, sh: &Shared) -> Result<()> {
+        self.append_first(sh, self.ends.len())
+    }
+
+    /// Append the first `n` records as one batch.
+    fn append_first(&mut self, sh: &Shared, n: usize) -> Result<()> {
+        let Some(&cut) = n.checked_sub(1).and_then(|last| self.ends.get(last)) else {
+            return Ok(());
+        };
         let starts = std::iter::once(0).chain(self.ends.iter().copied());
         let records: Vec<&[u8]> = starts
-            .zip(&self.ends)
+            .zip(&self.ends[..n])
             .map(|(a, &b)| &self.buf[a..b])
             .collect();
         sh.append_imrs_batch(&records)?;
-        self.bytes += self.buf.len() as u64;
-        self.buf.clear();
-        self.ends.clear();
+        self.bytes += cut as u64;
+        self.buf.drain(..cut);
+        self.ends.drain(..n);
+        self.ends.iter_mut().for_each(|e| *e -= cut);
         Ok(())
     }
 }
@@ -314,33 +331,28 @@ impl Engine {
     /// Write the IMRS image at `snapshot`: the visible version of every
     /// resident row in RowId order, then every frozen extent with a live
     /// slot, [`IMAGE_BATCH_BYTES`] of records per log append. Returns the
-    /// rows and the image bytes written.
+    /// rows and the image bytes written. The rows come from the store's
+    /// batched reader; each log append waits until a sweep batch has
+    /// released its chunk latches.
     fn write_image(&self, snapshot: Timestamp) -> Result<(u64, u64)> {
         let sh = &self.sh;
         let mut batch = ImageBatch::default();
-        let mut written = Ok(());
-        sh.ridmap.for_each_resident(|row, partition, origin| {
-            if written.is_err() || sh.ridmap.get(row) != Some(RowLocation::Imrs) {
-                return;
-            }
-            let Some(imrs_row) = sh.store.get(row) else {
-                return;
-            };
-            let Some(v) = imrs_row.visible_version(snapshot, TxnId(0)) else {
-                return;
-            };
-            let (Some(h), Some(ts), false) = (v.handle, v.commit_ts, v.op == VersionOp::Delete)
-            else {
-                return;
-            };
-            sh.store.allocator().with_bytes(h, |data| {
-                let (origin, out) = (origin_tag(origin), &mut batch.buf);
-                ImrsLogRecord::encode_image_row(out, ts, partition, row, origin, data);
-            });
-            batch.rows += 1;
-            written = batch.end_record(sh);
-        });
-        written?;
+        let mut rows = sh.store.sweep(snapshot, TxnId(0));
+        while rows.next_batch(|_, _| true)? {
+            rows.read(|row, partition, origin, swept| {
+                if let Swept::Visible(v, data) = swept {
+                    let Some(ts) = v.commit_ts else {
+                        return Ok(());
+                    };
+                    let (origin, out) = (origin_tag(origin), &mut batch.buf);
+                    ImrsLogRecord::encode_image_row(out, ts, partition, row, origin, data);
+                    batch.ends.push(batch.buf.len());
+                    batch.rows += 1;
+                }
+                Ok(())
+            })?;
+            batch.append_full(sh)?;
+        }
         let mut extents = Vec::new();
         sh.extents.for_each(|ext| {
             if ext.live_count() > 0 {

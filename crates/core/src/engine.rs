@@ -20,7 +20,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use btrim_common::{BtrimError, LogicalClock, PageId, Result, RowId, SlotId, Timestamp, TxnId};
-use btrim_imrs::{ImrsStore, RidMap, RowLocation, RowOrigin, VersionOp};
+use btrim_imrs::{ImrsStore, RidMap, RowLocation, RowOrigin, VersionOp, Visible};
 use btrim_obs::{Obs, OpClass};
 use btrim_pagestore::{BufferCache, DiskBackend, FrozenExtent, MemDisk};
 use btrim_txn::{LockManager, LockMode, TxnHandle, TxnManager};
@@ -90,10 +90,15 @@ pub(crate) struct Shared {
 /// per write-back (pages are written only on eviction, pack, checkpoint).
 const VERIFY_PAGE_WRITES: bool = true;
 
-/// Index hits a range scan collects before it reads their rows. TPC-C's
-/// ranges (an order's lines, the last 20 orders' lines) fit in one
-/// chunk; Delivery's oldest-new-order probe stops inside the first.
+/// Most index hits a range scan collects before it reads their rows.
+/// A scan collects [`FIRST_SCAN_CHUNK`] first and four times as many
+/// each round after, so Delivery's oldest-new-order probe, which uses
+/// one row, does not gather its district's whole queue, and the last 20
+/// orders' lines take three rounds.
 const SCAN_CHUNK: usize = 256;
+/// One order's lines (TPC-C: 5 to 15) fit the first chunk: each more
+/// round descends the index again.
+const FIRST_SCAN_CHUNK: usize = 16;
 
 /// The engine.
 pub struct Engine {
@@ -563,31 +568,15 @@ impl Engine {
         let (image, from_imrs) = match sh.ridmap.get(row_id) {
             None => (None, false),
             Some(RowLocation::Imrs) => {
-                // Served entirely from atomics: location and chain head
-                // from the RID-Map entry, visibility from the version
-                // arena, image bytes from the fragment allocator.
-                let head = sh.ridmap.head(row_id);
-                if head == 0 {
-                    // Chain drained: the row was packed/removed between
-                    // the location read and the head read. The RID-Map
-                    // says Page by now.
-                    return Ok(None);
-                }
-                // The walk is safe against concurrent rollback,
-                // truncation, and pack: nodes and fragments are
-                // quarantined, and reclamation requires the horizon to
-                // pass their retirement — impossible while this
-                // registered reader is live.
-                let image = match sh.store.arena().visible_from(head, snapshot, reader) {
-                    Some(v) if v.op != VersionOp::Delete => {
-                        let Some(h) = v.handle else {
-                            return Err(BtrimError::Corrupt("version without image".into()));
-                        };
+                // Served from atomics: location, chain head and the
+                // visible version lock-free, image bytes from the
+                // fragment allocator.
+                let image = match sh.store.visible(row_id, snapshot, reader)? {
+                    Visible::Image(_, h) => {
                         Some(sh.store.allocator().with_bytes(h, |b| f(Cow::Borrowed(b))))
                     }
-                    // Deleted at the snapshot, or the row's oldest
-                    // version is newer than the snapshot.
-                    _ => None,
+                    Visible::Hidden => None,
+                    Visible::Moved => return Ok(None),
                 };
                 if txn_view && image.is_some() {
                     // Hotness + partition metrics.
@@ -1144,10 +1133,10 @@ impl Engine {
         hi: Option<&[u8]>,
         f: impl FnMut(&[u8], RowId, &[u8]) -> bool,
     ) -> Result<()> {
-        self.scan_index(txn, table, lo, f, |from, visit| {
+        self.scan_index(txn, table, lo, f, |from, limit, visit| {
             let secs = table.secondaries.read();
             match secs.iter().find(|s| s.name == index) {
-                Some(sec) => sec.tree.scan_range(from, hi, visit),
+                Some(sec) => sec.tree.scan_range_at_most(from, hi, limit, visit),
                 None => Err(BtrimError::Invalid(format!("no index {index}"))),
             }
         })
@@ -1163,24 +1152,26 @@ impl Engine {
         hi: Option<&[u8]>,
         f: impl FnMut(&[u8], RowId, &[u8]) -> bool,
     ) -> Result<()> {
-        self.scan_index(txn, table, lo, f, |from, visit| {
-            table.primary.scan_range(from, hi, visit)
+        self.scan_index(txn, table, lo, f, |from, limit, visit| {
+            table.primary.scan_range_at_most(from, hi, limit, visit)
         })
     }
 
-    /// The range-scan loop. `scan(from, visit)` walks an index from key
-    /// `from` up to the caller's bound while `visit` says go on. Hits are
-    /// collected [`SCAN_CHUNK`] at a time, keys back to back in one
-    /// arena: no index latch is held while rows are read, and a scan its
-    /// caller stops early never collects the whole range. Each row
-    /// reaches `f` through one reused buffer, outside every latch and lock.
+    /// The range-scan loop. `scan(from, limit, visit)` walks at most
+    /// `limit` index entries from key `from` up to the caller's bound
+    /// while `visit` says go on. Hits are collected a chunk at a time
+    /// (×4 from [`FIRST_SCAN_CHUNK`] up to [`SCAN_CHUNK`]), keys back to
+    /// back in one arena: no index latch is held while rows are read,
+    /// and a scan its caller stops early never collects, or copies out
+    /// of the index, the whole range. Each row reaches `f` through one
+    /// reused buffer, outside every latch and lock.
     fn scan_index(
         &self,
         txn: &Transaction,
         table: &TableDesc,
         lo: &[u8],
         mut f: impl FnMut(&[u8], RowId, &[u8]) -> bool,
-        scan: impl Fn(&[u8], &mut dyn FnMut(&[u8], RowId) -> bool) -> Result<()>,
+        scan: impl Fn(&[u8], usize, &mut dyn FnMut(&[u8], RowId) -> bool) -> Result<()>,
     ) -> Result<()> {
         // Hit `i`'s key is `keys[hits[i].0..hits[i].1]`.
         let (mut keys, mut hits) = (Vec::new(), Vec::<(usize, usize, RowId)>::new());
@@ -1188,16 +1179,19 @@ impl Engine {
         // RowIds already handed out under key `from`: a resumed scan
         // starts at that key again and skips them (a secondary index may
         // hold many rows under one key).
-        let mut seen_at_from: Vec<RowId> = Vec::new();
+        let (mut seen_at_from, mut chunk) = (Vec::<RowId>::new(), FIRST_SCAN_CHUNK);
         loop {
             keys.clear();
             hits.clear();
             let mut more = false;
-            scan(&from, &mut |k, rid| {
+            // Enough entries for one hit past the chunk after skipping
+            // those already handed out.
+            let limit = chunk + 1 + seen_at_from.len();
+            scan(&from, limit, &mut |k, rid| {
                 if k == from.as_slice() && seen_at_from.contains(&rid) {
                     return true;
                 }
-                more = hits.len() == SCAN_CHUNK;
+                more = hits.len() == chunk;
                 if !more {
                     keys.extend_from_slice(k);
                     hits.push((keys.len() - k.len(), keys.len(), rid));
@@ -1220,6 +1214,7 @@ impl Engine {
             let Some(&(start, end, _)) = hits.last().filter(|_| more) else {
                 return Ok(());
             };
+            chunk = (chunk * 4).min(SCAN_CHUNK);
             // Resume at the last key handed out.
             if keys[start..end] != *from {
                 from.clear();

@@ -456,7 +456,7 @@ pub fn pack_partition(
     // full queue pass (hot rows rotate to the tail and must not be
     // revisited within the pass).
     let per_row_guess = 128u64;
-    let mut budget_rows = ((4 * target_bytes / per_row_guess) as usize)
+    let mut budget_rows = ((target_bytes.saturating_mul(4) / per_row_guess) as usize)
         .clamp(32, queues.len().max(32))
         .min(queues.len());
     // The relaxed LRU keeps cold rows at the head; a run of consecutive

@@ -8,10 +8,19 @@
 //! * **frozen extents** — evaluated columnar, with zone-map pruning,
 //!   without materializing row images;
 //! * **IMRS rows** — evaluated where they live, during the RID-Map
-//!   sweep: the resolver lends the visible image straight out of the
-//!   fragment allocator, and one walk of the layout reads the fields;
+//!   sweep: the store's batched reader ([`btrim_imrs::Sweep`]) lends
+//!   the visible images straight out of the fragment allocator, and
+//!   skips the RID-Map chunks where none of the table's partitions ever
+//!   had a row;
 //! * **page-resident rows** — resolved through the side-store-aware
 //!   snapshot read path.
+//!
+//! A row image is evaluated through a plan compiled once per scan: the
+//! exact-layout check hops over the layout's `Str`s alone and notes
+//! where each run of fixed-width fields starts, and every field the
+//! spec reads is then taken at a fixed offset into its run. A row that
+//! does not match the layout gets the `Corrupt` verdict
+//! [`RowLayout::walk`] would give it.
 //!
 //! # Why four phases
 //!
@@ -23,7 +32,12 @@
 //! 2. page pass — every heap row id, plus side-store tombstones (rows
 //!    deleted after the snapshot whose index entries are already gone);
 //! 3. second IMRS sweep — rows that migrated page→IMRS while the page
-//!    pass ran;
+//!    pass ran. It runs only if the RID-Map's count of arrivals from a
+//!    page ([`btrim_imrs::RidMap::arrivals`]) moved since phase 1
+//!    began: such an arrival is counted after its chain head is
+//!    published and before its page copy is retired, so an unchanged
+//!    count means phases 1 and 2 between them saw every such row
+//!    (fresh inserts are not counted: they have no page copy);
 //! 4. frozen pass — extent slots, *last*: extents are immutable and
 //!    never removed, so any row that eludes phases 1–3 by moving into
 //!    or out of an extent mid-scan is still enumerated here, and the
@@ -40,18 +54,20 @@
 //! frozen or memory-resident: empty heaps short-circuit before any
 //! buffer-cache fetch (`HeapFile::live_rows`), the side store is
 //! consulted only when it has entries, and extent + IMRS reads are
-//! lock-free by construction. The regression test asserts this with
-//! the `parking_lot::ranked_acquisitions()` witness.
+//! lock-free or take only the allocator's unranked chunk latches — one
+//! shared latch per chunk per batch of [`btrim_imrs::SWEEP_BATCH`]
+//! rows, held while the batch is evaluated, which takes no lock. The
+//! regression test asserts this with the
+//! `parking_lot::ranked_acquisitions()` witness.
 
-use std::borrow::Cow;
 use std::sync::Arc;
 
 use btrim_common::{BtrimError, Result, RowId};
-use btrim_imrs::RowLocation;
+use btrim_imrs::{RowLocation, Swept};
 use btrim_obs::OpClass;
 use btrim_pagestore::{Column, FrozenExtent};
 
-use crate::catalog::{FieldRef, RowLayout, TableDesc};
+use crate::catalog::{FieldKind, RowLayout, TableDesc};
 use crate::engine::{Engine, SnapshotTxn, View};
 use crate::freeze::OPAQUE_COLUMN;
 
@@ -84,20 +100,73 @@ pub struct ScanResult {
     /// Rows a RID-Map sweep found moved between its read and the store
     /// access, resolved through the settled read instead.
     pub moved_rows: u64,
+    /// RID-Map sweeps the scan made: 1, or 2 when a row arrived in the
+    /// IMRS from a page while it ran (the module docs' phase 3).
+    pub sweeps: u64,
 }
 
-/// Field indices resolved once against the layout, and the scratch
-/// the evaluator reads a row's numeric fields into.
-struct Plan<'a> {
-    layout: &'a RowLayout,
+/// The layout's shape as the evaluator hops it: `lead` fixed bytes,
+/// then each `Str` as a 4-byte length, that many bytes and `gaps[i]`
+/// fixed bytes up to the next `Str` or the end. Segment 0 is the lead;
+/// segment `i + 1` starts after the `i`-th `Str`'s bytes.
+struct Shape {
+    lead: usize,
+    gaps: Vec<usize>,
+}
+
+impl Shape {
+    /// The shape of `layout`, and each field's `(segment, offset)`:
+    /// where a fixed-width field lies relative to its segment's start.
+    fn of(layout: &RowLayout) -> (Shape, Vec<(usize, usize)>) {
+        let (mut lead, mut gaps, mut at) = (0, Vec::new(), Vec::new());
+        for (_, kind) in &layout.fields {
+            let segment = gaps.len();
+            let end = gaps.last_mut().unwrap_or(&mut lead);
+            at.push((segment, *end));
+            match kind.width() {
+                Some(w) => *end += w,
+                None => gaps.push(0),
+            }
+        }
+        (Shape { lead, gaps }, at)
+    }
+
+    /// Whether `row` has exactly the length the layout gives it — the
+    /// verdict [`RowLayout::walk`] reaches — found by hopping only the
+    /// `Str`s; `starts` gets each segment's start on the way.
+    fn fits(&self, row: &[u8], starts: &mut Vec<usize>) -> bool {
+        starts.clear();
+        starts.push(0);
+        let mut at = self.lead;
+        for &gap in &self.gaps {
+            let Some(len) = row.get(at..).and_then(<[u8]>::first_chunk::<4>) else {
+                return false;
+            };
+            at += 4 + u32::from_le_bytes(*len) as usize;
+            starts.push(at);
+            at += gap;
+        }
+        at == row.len()
+    }
+}
+
+/// Field indices resolved once against the layout, where each field
+/// the spec reads lies, and the scratch the evaluator reads a row's
+/// numeric fields into.
+struct Plan {
     filters: Vec<(usize, u64, u64)>,
     sums: Vec<usize>,
+    shape: Shape,
+    /// `(field, segment, offset, kind)` of each field the spec reads.
+    reads: Vec<(usize, usize, usize, FieldKind)>,
     /// One slot per layout field, overwritten by every row.
     vals: Vec<u64>,
+    /// Segment starts of the row being evaluated.
+    starts: Vec<usize>,
 }
 
-impl<'a> Plan<'a> {
-    fn build(layout: &'a RowLayout, spec: &ScanSpec) -> Result<Plan<'a>> {
+impl Plan {
+    fn build(layout: &RowLayout, spec: &ScanSpec) -> Result<Plan> {
         let field = |name: &str| -> Result<usize> {
             layout
                 .fields
@@ -109,33 +178,48 @@ impl<'a> Plan<'a> {
                     ))
                 })
         };
+        let filters: Vec<(usize, u64, u64)> = spec
+            .filters
+            .iter()
+            .map(|(n, lo, hi)| Ok((field(n)?, *lo, *hi)))
+            .collect::<Result<_>>()?;
+        let sums: Vec<usize> = spec.sums.iter().map(|n| field(n)).collect::<Result<_>>()?;
+        let mut read: Vec<usize> = filters
+            .iter()
+            .map(|f| f.0)
+            .chain(sums.iter().copied())
+            .collect();
+        read.sort_unstable();
+        read.dedup();
+        let (shape, at) = Shape::of(layout);
         Ok(Plan {
-            layout,
-            filters: spec
-                .filters
-                .iter()
-                .map(|(n, lo, hi)| Ok((field(n)?, *lo, *hi)))
-                .collect::<Result<_>>()?,
-            sums: spec.sums.iter().map(|n| field(n)).collect::<Result<_>>()?,
+            reads: read
+                .into_iter()
+                .map(|f| (f, at[f].0, at[f].1, layout.fields[f].1))
+                .collect(),
+            shape,
+            filters,
+            sums,
             vals: vec![0; layout.fields.len()],
+            starts: Vec::new(),
         })
     }
 
-    /// Evaluate one row image where it lies — one walk of the layout,
-    /// no allocation — and fold it into the result. A row that does not
-    /// match the layout exactly (the rule of [`RowLayout::split`]) is
-    /// corrupt.
+    /// Evaluate one row image where it lies — no allocation — and fold
+    /// it into the result. A row that does not match the layout exactly
+    /// (the rule of [`RowLayout::split`]) is corrupt.
     fn eval_row(&mut self, row: &[u8], out: &mut ScanResult) -> Result<()> {
-        let vals = &mut self.vals;
-        self.layout
-            .walk(row, |i, v| {
-                if let FieldRef::U64(x) = v {
-                    vals[i] = x;
-                }
-            })
-            .ok_or_else(|| {
-                BtrimError::Corrupt("scanned row does not match the declared layout".into())
-            })?;
+        let (vals, starts) = (&mut self.vals, &mut self.starts);
+        let fits = self.shape.fits(row, starts)
+            && self.reads.iter().all(|&(f, seg, off, kind)| {
+                let v = row.get(starts[seg] + off..).and_then(|b| kind.read(b));
+                v.map(|v| vals[f] = v).is_some()
+            });
+        if !fits {
+            return Err(BtrimError::Corrupt(
+                "scanned row does not match the declared layout".into(),
+            ));
+        }
         out.rows_scanned += 1;
         let vals = &self.vals;
         let matched = self
@@ -203,7 +287,7 @@ enum ExtPlan<'a> {
 }
 
 impl<'a> ExtPlan<'a> {
-    fn build(layout: &RowLayout, plan: &Plan<'_>, ext: &'a FrozenExtent) -> ExtPlan<'a> {
+    fn build(layout: &RowLayout, plan: &Plan, ext: &'a FrozenExtent) -> ExtPlan<'a> {
         if ext.column(OPAQUE_COLUMN).is_some() {
             return ExtPlan::Materialize;
         }
@@ -265,36 +349,41 @@ impl Engine {
         let mut seen = RowBitmap::default();
         let (snapshot, reader) = (snap.handle.snapshot, snap.handle.id);
 
-        // Phases 1 and 3: sweep the RID-Map and evaluate every resident
-        // row of the table not yet seen where its image lives. A row
-        // that moved between the sweep's read and the store access
-        // becomes a candidate for the settled read.
+        // Phases 1 and 3: sweep the RID-Map a batch at a time and
+        // evaluate every resident row of the table not yet seen where
+        // its image lives. A row that moved between the sweep's read
+        // and the store access becomes a candidate for the settled read.
         let sweep = |seen: &mut RowBitmap,
-                     plan: &mut Plan<'_>,
+                     plan: &mut Plan,
                      out: &mut ScanResult,
                      candidates: &mut Vec<RowId>|
          -> Result<()> {
-            let mut res = Ok(());
-            sh.ridmap.for_each_resident(|rid, partition, _| {
-                if res.is_err() || table.partition(partition).is_none() || !seen.insert(rid) {
-                    return;
-                }
-                let eval = |row: Cow<'_, [u8]>| plan.eval_row(&row, out);
-                res = match self.resolve_with(table, rid, snapshot, reader, View::Snapshot, eval) {
-                    Ok(Some((verdict, from_imrs))) => tally(verdict, from_imrs, out),
-                    Ok(None) => {
+            out.sweeps += 1;
+            let parts = table.partitions.iter().map(|p| p.id);
+            let mut rows = sh.store.sweep(snapshot, reader).only(parts);
+            let mut want =
+                |rid, partition| table.partition(partition).is_some() && seen.insert(rid);
+            while rows.next_batch(&mut want)? {
+                rows.read(|rid, _, _, swept| match swept {
+                    Swept::Visible(_, image) => {
+                        plan.eval_row(image, out)?;
+                        out.imrs_rows += 1;
+                        Ok(())
+                    }
+                    Swept::Hidden => Ok(()),
+                    Swept::Moved => {
                         out.moved_rows += 1;
                         candidates.push(rid);
                         Ok(())
                     }
-                    Err(e) => Err(e),
-                };
-            });
-            res
+                })?;
+            }
+            Ok(())
         };
 
         // Phase 1: IMRS residents.
         let mut candidates: Vec<RowId> = Vec::new();
+        let arrivals = sh.ridmap.arrivals();
         sweep(&mut seen, &mut plan, &mut out, &mut candidates)?;
 
         // Phase 2: page residents + side-store tombstones. Empty heaps
@@ -332,13 +421,16 @@ impl Engine {
             }
         }
 
-        // Phase 3: rows that migrated page→IMRS during phase 2.
-        sweep(&mut seen, &mut plan, &mut out, &mut candidates)?;
+        // Phase 3: rows that migrated page→IMRS during phase 2 — none
+        // unless a row arrived from a page since phase 1 began.
+        if sh.ridmap.arrivals() != arrivals {
+            sweep(&mut seen, &mut plan, &mut out, &mut candidates)?;
+        }
 
         // Resolve every candidate at the snapshot. The read path
         // handles whatever location the row has moved to by now —
         // including into an extent.
-        let eval_at_snapshot = |rid: RowId, plan: &mut Plan<'_>, out: &mut ScanResult| {
+        let eval_at_snapshot = |rid: RowId, plan: &mut Plan, out: &mut ScanResult| {
             let (row, from_imrs) =
                 self.read_view(table, Some(rid), &snap.handle, View::Snapshot)?;
             let verdict = row.map(|row| plan.eval_row(&row, out));

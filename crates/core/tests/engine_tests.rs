@@ -445,8 +445,8 @@ fn secondary_index_lookup_and_maintenance() {
     e.commit(txn).unwrap();
 }
 
-/// Range scans collect index hits in chunks of 256: these
-/// ranges span more than one chunk, and the secondary index holds more
+/// Range scans collect index hits in chunks that grow from 16 to 256:
+/// these ranges span several chunks, and the secondary index holds more
 /// rows under one key than a chunk, so a resumed scan must skip exactly
 /// the rows it already handed out under the key it resumes at.
 #[test]

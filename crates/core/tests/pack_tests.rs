@@ -515,3 +515,20 @@ fn a_staging_failure_in_mid_batch_unstages_every_placed_copy() {
     }
     e.commit(txn).unwrap();
 }
+
+/// Packing a whole partition asks for `u64::MAX` bytes: the inspection
+/// budget saturates instead of overflowing, and every row moves.
+#[test]
+fn packing_a_whole_partition_with_u64_max_moves_every_row() {
+    use btrim_core::pack::pack_partition;
+
+    let e = engine(4 << 20);
+    let t = e.create_table(opts("t")).unwrap();
+    let part = &t.partitions[0];
+    fill(&e, &t, 0, 64, 200);
+    e.step(Actor::Gc);
+    let freed = pack_partition(&e, part, u64::MAX, PackLevel::Aggressive);
+    assert!(freed > 0, "nothing packed");
+    assert_eq!(part.heap.live_rows(), 64);
+    assert_eq!(e.snapshot().imrs_rows, 0, "a row stayed in the IMRS");
+}

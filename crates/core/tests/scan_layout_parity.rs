@@ -9,6 +9,13 @@
 //! truncated, extended or given a wrong string length. Each row sits
 //! alone in its own table, so a scan's verdict is that row's, and is
 //! taken twice: with the row in the IMRS, and on a page.
+//!
+//! The scan compiles its spec against the layout: it hops the `Str`s,
+//! noting where each run of fixed-width fields starts, and reads every
+//! field at a fixed offset into its run. So a third of the cases are
+//! all-fixed layouts (one run), a third put numeric fields on both
+//! sides of a `Str`, and half the specs read only the fields before the
+//! first `Str`.
 
 use std::sync::Arc;
 
@@ -127,13 +134,27 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(cases()))]
     fn scan_evaluator_agrees_with_split(seed in any::<u64>()) {
         let mut rng = seed | 1;
+        // 0: any mix; 1: all fixed-width; 2: a `Str` in the middle.
+        let shape = xorshift(&mut rng) % 3;
         let width = 1 + (xorshift(&mut rng) % 6) as usize;
+        let width = if shape == 2 { width.max(3) } else { width };
         let fields: Vec<(String, FieldKind)> = (0..width)
-            .map(|i| (format!("f{i}"), KINDS[(xorshift(&mut rng) % 5) as usize]))
+            .map(|i| {
+                let kind = match shape {
+                    2 if i == width / 2 => FieldKind::Str,
+                    1 | 2 => KINDS[(xorshift(&mut rng) % 4) as usize],
+                    _ => KINDS[(xorshift(&mut rng) % 5) as usize],
+                };
+                (format!("f{i}"), kind)
+            })
             .collect();
         let layout = RowLayout { fields };
-        let numeric: Vec<usize> =
-            (0..width).filter(|&i| layout.fields[i].1.is_numeric()).collect();
+        let first_str = layout.fields.iter().position(|f| f.1 == FieldKind::Str);
+        let before_str_only = xorshift(&mut rng).is_multiple_of(2);
+        let numeric: Vec<usize> = (0..width)
+            .filter(|&i| layout.fields[i].1.is_numeric())
+            .filter(|&i| !before_str_only || first_str.is_none_or(|s| i < s))
+            .collect();
         let spec = Spec {
             filter: numeric.first().map(|&f| {
                 let (a, b) = (xorshift(&mut rng), xorshift(&mut rng));

@@ -102,6 +102,10 @@ fn check_scan(
 ) {
     let got = engine.analytic_scan(snap, table, &spec(lo, hi)).unwrap();
     let (scanned, matched, sum_val, sum_flag) = oracle(model, lo, hi);
+    assert_eq!(
+        got.sweeps, 1,
+        "{ctx}: nothing arrived, yet the scan swept twice"
+    );
     assert_eq!(got.rows_scanned, scanned, "{ctx}: rows_scanned");
     assert_eq!(got.rows_matched, matched, "{ctx}: rows_matched");
     assert_eq!(got.sums, vec![sum_val, sum_flag], "{ctx}: sums");
@@ -325,6 +329,7 @@ proptest! {
                 let (lo, hi) = (a.min(b), a.max(b));
                 let got = e.analytic_scan(snap, &table, &spec(lo, hi)).unwrap();
                 let (scanned, matched, sum_val, sum_flag) = oracle(frozen, lo, hi);
+                prop_assert_eq!(got.sweeps, 1, "step {}: a quiet engine swept twice", step);
                 prop_assert_eq!(got.rows_scanned, scanned, "step {}: rows_scanned", step);
                 prop_assert_eq!(got.rows_matched, matched, "step {}: rows_matched", step);
                 prop_assert_eq!(got.sums, vec![sum_val, sum_flag], "step {}: sums", step);

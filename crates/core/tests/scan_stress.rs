@@ -252,15 +252,16 @@ fn scans_racing_pack_freeze_thaw_and_migration_see_every_row_once() {
     let started = Arc::new(AtomicU64::new(0));
     let finished = Arc::new(AtomicU64::new(0));
 
-    // Per scanner: scans, then rows served by each source and the
-    // fallback resolutions (rows found moved mid-scan).
+    // Per scanner: scans, then rows served by each source, the
+    // fallback resolutions (rows found moved mid-scan) and the scans
+    // that swept the RID-Map twice (a row arrived while they ran).
     let scanners: Vec<_> = (0..2)
         .map(|_| {
             let (engine, table) = (Arc::clone(&engine), Arc::clone(&table));
             let (spec, stop) = (Arc::clone(&spec), Arc::clone(&stop));
             let (started, finished) = (Arc::clone(&started), Arc::clone(&finished));
             std::thread::spawn(move || {
-                let mut seen = [0u64; 5];
+                let mut seen = [0u64; 6];
                 while !stop.load(Ordering::Relaxed) {
                     let ticket = started.fetch_add(1, Ordering::SeqCst);
                     let snap = engine.begin_snapshot();
@@ -279,6 +280,7 @@ fn scans_racing_pack_freeze_thaw_and_migration_see_every_row_once() {
                         res.page_rows,
                         res.frozen_rows,
                         res.moved_rows,
+                        (res.sweeps == 2) as u64,
                     ]) {
                         *n += v;
                     }
@@ -316,17 +318,17 @@ fn scans_racing_pack_freeze_thaw_and_migration_see_every_row_once() {
         }
     }
     stop.store(true, Ordering::Relaxed);
-    let mut seen = [0u64; 5];
+    let mut seen = [0u64; 6];
     for s in scanners {
         for (n, v) in seen.iter_mut().zip(s.join().unwrap()) {
             *n += v;
         }
     }
-    let [scans, imrs, page, frozen, moved] = seen;
+    let [scans, imrs, page, frozen, moved, swept_twice] = seen;
     let snap = engine.snapshot();
     println!(
-        "{scans} scans: rows from imrs {imrs}, pages {page}, extents {frozen}; \
-         {moved} fallback resolutions; engine packed {}, froze {}, thawed {}",
+        "{scans} scans ({swept_twice} swept twice): rows from imrs {imrs}, pages {page}, \
+         extents {frozen}; {moved} fallback resolutions; engine packed {}, froze {}, thawed {}",
         snap.rows_packed, snap.rows_frozen, snap.rows_thawed
     );
     assert!(scans > 0, "scanners never ran");
@@ -335,5 +337,73 @@ fn scans_racing_pack_freeze_thaw_and_migration_see_every_row_once() {
         imrs > 0 && page + frozen > 0,
         "scans must have met more than one tier"
     );
+    assert!(
+        swept_twice > 0,
+        "no scan saw a row arrive: the second sweep went untested"
+    );
     assert_eq!(snap.txns_active, 0);
+}
+
+/// Fresh inserts beside scans: a new row has no page copy for the
+/// page pass to miss, so a scan that ran while rows were inserted still
+/// sweeps the RID-Map once, and sees every row committed before its
+/// snapshot.
+#[test]
+fn scans_beside_fresh_inserts_sweep_once() {
+    const SCANS: u64 = 100;
+    // Few enough that the scans stay short in debug builds.
+    const INSERTS: u64 = 5_000;
+    let engine = Arc::new(Engine::new(EngineConfig {
+        mode: EngineMode::IlmOn,
+        imrs_budget: 8 * 1024 * 1024,
+        imrs_chunk_size: 256 * 1024,
+        buffer_frames: 64,
+        maintenance_interval_txns: u64::MAX / 2,
+        ..Default::default()
+    }));
+    engine.create_table(opts()).unwrap();
+    let table = engine.table("hts").unwrap();
+    let mut txn = engine.begin();
+    for k in 0..GROUPS * GROUP_ROWS {
+        engine.insert(&mut txn, &table, &mkrow(k, k)).unwrap();
+    }
+    engine.commit(txn).unwrap();
+    let spec = ScanSpec {
+        filters: vec![("val".into(), 0, u64::MAX)],
+        sums: vec!["val".into()],
+    };
+
+    // Rows inserted and committed so far.
+    let inserted = Arc::new(AtomicU64::new(0));
+    let inserter = {
+        let (engine, table) = (Arc::clone(&engine), Arc::clone(&table));
+        let inserted = Arc::clone(&inserted);
+        std::thread::spawn(move || {
+            for key in WRITER_KEY_BASE..WRITER_KEY_BASE + INSERTS {
+                let mut txn = engine.begin();
+                engine.insert(&mut txn, &table, &mkrow(key, 1)).unwrap();
+                engine.commit(txn).unwrap();
+                inserted.fetch_add(1, Ordering::SeqCst);
+            }
+        })
+    };
+
+    // Scans that ran while a row was inserted: at least `SCANS`, and on
+    // until the inserter is done.
+    let (mut scans, mut overlapped) = (0, 0);
+    while scans < SCANS || !inserter.is_finished() {
+        scans += 1;
+        let before = inserted.load(Ordering::SeqCst);
+        let snap = engine.begin_snapshot();
+        let res = engine.analytic_scan(&snap, &table, &spec).unwrap();
+        engine.end_snapshot(snap);
+        assert_eq!(res.sweeps, 1, "fresh inserts made the scan sweep twice");
+        assert!(
+            res.rows_scanned >= GROUPS * GROUP_ROWS + before,
+            "a row committed before the snapshot was missed"
+        );
+        overlapped += u64::from(inserted.load(Ordering::SeqCst) != before);
+    }
+    inserter.join().unwrap();
+    assert!(overlapped > 0, "no scan ran beside an insert");
 }

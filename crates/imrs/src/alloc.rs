@@ -33,7 +33,7 @@
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::sync::Arc;
 
-use parking_lot::{Mutex, RwLock};
+use parking_lot::{Mutex, RwLock, RwLockReadGuard};
 
 use btrim_common::atomics::Relaxed;
 use btrim_common::{BtrimError, Result, Timestamp};
@@ -466,6 +466,45 @@ impl FragmentAllocator {
     pub fn load(&self, h: FragHandle) -> Vec<u8> {
         self.with_bytes(h, <[u8]>::to_vec)
     }
+
+    /// Take one shared latch on each chunk that `handles` lie in, and
+    /// lend `f` their payloads through [`Latched::bytes`]. The latches
+    /// are taken in chunk order, so two readers cannot deadlock behind
+    /// writers queued on their chunks. `f` must take no lock: an `alloc`
+    /// that lands in one of these chunks, or adds a chunk, waits until
+    /// `f` returns.
+    pub fn with_latched<R>(
+        &self,
+        handles: impl IntoIterator<Item = FragHandle>,
+        f: impl FnOnce(&Latched<'_>) -> R,
+    ) -> R {
+        let mut ids: Vec<u32> = handles.into_iter().map(|h| h.chunk).collect();
+        ids.sort_unstable();
+        ids.dedup();
+        let chunks = self.chunks.read();
+        let latched = Latched {
+            chunks: ids
+                .into_iter()
+                .filter_map(|c| Some((c, chunks.get(c as usize)?.read())))
+                .collect(),
+        };
+        f(&latched)
+    }
+}
+
+/// Chunks under a shared latch ([`FragmentAllocator::with_latched`]).
+pub struct Latched<'a> {
+    /// `(chunk id, latch)`, ascending by id.
+    chunks: Vec<(u32, RwLockReadGuard<'a, Box<[u8]>>)>,
+}
+
+impl Latched<'_> {
+    /// The payload of `h`; `None` when its chunk is not latched.
+    pub fn bytes(&self, h: FragHandle) -> Option<&[u8]> {
+        let i = self.chunks.binary_search_by_key(&h.chunk, |c| c.0).ok()?;
+        let start = h.offset as usize;
+        self.chunks[i].1.get(start..start + h.data_len as usize)
+    }
 }
 
 #[cfg(test)]
@@ -484,6 +523,21 @@ mod tests {
         assert_eq!(h.data_len(), 11);
         assert_eq!(h.alloc_len(), 16);
         assert_eq!(a.used_bytes(), 16);
+    }
+
+    #[test]
+    fn latched_reads_see_every_chunk_of_a_batch() {
+        let a = FragmentAllocator::new(64 * 1024, 16 * 1024);
+        let big = a.alloc(&[9u8; 16 * 1024 - 32]).unwrap();
+        let small = a.alloc(&[7u8; 100]).unwrap();
+        let tail = a.alloc(b"first chunk").unwrap();
+        assert_eq!((big.chunk, small.chunk, tail.chunk), (0, 1, 0));
+        a.with_latched([small, tail, big, small], |l| {
+            assert_eq!(l.bytes(small), Some(&[7u8; 100][..]));
+            assert_eq!(l.bytes(tail), Some(&b"first chunk"[..]));
+            assert_eq!(l.bytes(big).map(<[u8]>::len), Some(big.data_len()));
+        });
+        a.with_latched([tail], |l| assert_eq!(l.bytes(small), None));
     }
 
     #[test]

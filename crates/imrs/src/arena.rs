@@ -233,6 +233,16 @@ impl VersionArena {
         }
     }
 
+    /// Load the first node of each chain in `heads` (0: none) and
+    /// return a value that depends on every load. A batch reader calls
+    /// it before it walks the chains, so their cache misses overlap.
+    pub fn warm(&self, heads: impl Iterator<Item = u64>) -> u64 {
+        heads.filter(|&l| l != 0).fold(0, |acc, l| {
+            let n = self.node(l);
+            acc ^ n.txn.load() ^ n.prev.load()
+        })
+    }
+
     /// The lock-free visibility walk: newest version on the chain at
     /// `head` visible to `(snapshot, reader)`. Checks visibility
     /// *before* loading the image handle — an invisible node's fragment

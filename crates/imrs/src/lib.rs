@@ -22,6 +22,8 @@
 //!   version-chain operations.
 //! * [`store`] — allocator, arena, the chain-lock stripes, and the
 //!   per-partition memory accounting feeding the ILM indexes (§VI.C).
+//! * [`sweep`] — the batched reader of every resident row at one
+//!   snapshot (analytic scans, the checkpoint image).
 
 #![forbid(unsafe_code)]
 // Non-test code does not panic: a failure is a typed `BtrimError`, and
@@ -43,11 +45,13 @@ pub mod arena;
 pub mod ridmap;
 pub mod row;
 pub mod store;
+pub mod sweep;
 pub mod version;
 
-pub use alloc::{FragHandle, FragmentAllocator};
+pub use alloc::{FragHandle, FragmentAllocator, Latched};
 pub use arena::{VersionArena, VersionRef, VersionView};
 pub use ridmap::{RidMap, RowLocation};
 pub use row::{ImrsRow, RowOrigin};
-pub use store::{ImrsStore, PartitionUsage};
+pub use store::{ImrsStore, PartitionUsage, Visible};
+pub use sweep::{Sweep, Swept, SWEEP_BATCH};
 pub use version::{visible_to, VersionOp};

@@ -133,12 +133,33 @@ fn unpack_part(word: u64) -> Option<(PartitionId, RowOrigin)> {
     (part != 0).then(|| (PartitionId((part - 1) as u32), origin))
 }
 
+/// [`CHUNK_ENTRIES`] entries, and which partitions ever had a row
+/// arrive in them.
+struct Chunk {
+    entries: Box<[Entry; CHUNK_ENTRIES]>,
+    /// Bit `p % 64` is set for every partition `p` that had a row
+    /// arrive here ([`partition_bit`]), before that row's chain head
+    /// is published; never cleared.
+    parts: AcqRel<u64>,
+}
+
+// Every one of the `MAX_CHUNKS` slots is resident from the start: a
+// slot is 24 bytes, as a slot of a bare `Box<[Entry]>` was.
+const _: () = assert!(std::mem::size_of::<OnceLock<Chunk>>() == 24);
+
+/// A partition's bit in a chunk's `parts`.
+fn partition_bit(part: PartitionId) -> u64 {
+    1 << (part.0 % 64)
+}
+
 /// RowId → location map plus the RowId allocator.
 pub struct RidMap {
-    chunks: Box<[OnceLock<Box<[Entry]>>]>,
+    chunks: Box<[OnceLock<Chunk>]>,
     next_row_id: Relaxed<u64>,
     /// Mapped-row count, maintained on tag transitions.
     mapped: Relaxed<i64>,
+    /// Arrivals from a page ([`RidMap::arrivals`]).
+    arrivals: AcqRel<u64>,
 }
 
 impl Default for RidMap {
@@ -154,6 +175,7 @@ impl RidMap {
             chunks: (0..MAX_CHUNKS).map(|_| OnceLock::new()).collect(),
             next_row_id: Relaxed::new(1),
             mapped: Relaxed::new(0),
+            arrivals: AcqRel::new(0),
         }
     }
 
@@ -162,9 +184,23 @@ impl RidMap {
         let idx = row.0 as usize;
         let c = idx >> CHUNK_BITS;
         assert!(c < MAX_CHUNKS, "row id beyond RID-Map capacity");
-        let chunk =
-            self.chunks[c].get_or_init(|| (0..CHUNK_ENTRIES).map(|_| Entry::default()).collect());
-        &chunk[idx & (CHUNK_ENTRIES - 1)]
+        &self.chunk(c).entries[idx & (CHUNK_ENTRIES - 1)]
+    }
+
+    /// Chunk `c`, created on demand.
+    fn chunk(&self, c: usize) -> &Chunk {
+        self.chunks[c].get_or_init(|| {
+            let entries: Vec<Entry> = (0..CHUNK_ENTRIES).map(|_| Entry::default()).collect();
+            #[expect(
+                clippy::expect_used,
+                reason = "the vector holds exactly CHUNK_ENTRIES entries"
+            )]
+            let entries = Box::try_from(entries).ok().expect("a whole chunk");
+            Chunk {
+                entries,
+                parts: AcqRel::new(0),
+            }
+        })
     }
 
     /// Entry for `row` if its chunk exists (read paths: an absent chunk
@@ -177,7 +213,7 @@ impl RidMap {
         }
         self.chunks[c]
             .get()
-            .map(|chunk| &chunk[idx & (CHUNK_ENTRIES - 1)])
+            .map(|chunk| &chunk.entries[idx & (CHUNK_ENTRIES - 1)])
     }
 
     /// Allocate a fresh, never-used RowId.
@@ -261,12 +297,16 @@ impl RidMap {
         unpack_part(word).map(|(part, _)| part)
     }
 
-    /// Row arrival in the IMRS: record partition and origin, drop any
-    /// queue claim a previous stay left behind, and seed the access
-    /// timestamp without counting a re-use. The caller publishes the
+    /// Row arrival in the IMRS: mark the partition in its chunk, record
+    /// partition and origin, drop any queue claim a previous stay left
+    /// behind, and seed the access timestamp without counting a re-use. The caller publishes the
     /// chain head and the location afterwards, so a reader that sees
     /// either sees these.
     pub fn arrive(&self, row: RowId, part: PartitionId, origin: RowOrigin, now: Timestamp) {
+        let parts = &self.chunk(row.0 as usize >> CHUNK_BITS).parts;
+        if parts.load() & partition_bit(part) == 0 {
+            parts.fetch_or(partition_bit(part));
+        }
         let e = self.entry(row);
         e.part.store(pack_part(part, origin));
         e.last_access.store(now.0);
@@ -288,14 +328,70 @@ impl RidMap {
     /// Visit every IMRS-resident row in RowId order: a sweep over the
     /// chunks that exist.
     pub fn for_each_resident(&self, mut f: impl FnMut(RowId, PartitionId, RowOrigin)) {
-        for (c, chunk) in self.chunks.iter().enumerate() {
-            let Some(chunk) = chunk.get() else { continue };
-            for (i, e) in chunk.iter().enumerate() {
+        self.for_each_resident_from(RowId(0), u64::MAX, |row, part, origin| {
+            f(row, part, origin);
+            true
+        });
+    }
+
+    /// Visit the IMRS-resident rows from `from` on, in RowId order,
+    /// while `f` says go on. Chunks where no partition of `parts`
+    /// ([`RidMap::partitions_mask`]) ever had a row arrive are skipped;
+    /// in the others `f` sees every resident row, whatever its
+    /// partition. Returns where to resume — the RowId after the row `f`
+    /// stopped at — or `None` once every chunk is swept.
+    pub fn for_each_resident_from(
+        &self,
+        from: RowId,
+        parts: u64,
+        mut f: impl FnMut(RowId, PartitionId, RowOrigin) -> bool,
+    ) -> Option<RowId> {
+        let (first, offset) = (
+            from.0 as usize >> CHUNK_BITS,
+            from.0 as usize % CHUNK_ENTRIES,
+        );
+        for (c, chunk) in self.chunks.iter().enumerate().skip(first) {
+            let Some(chunk) = chunk.get().filter(|k| k.parts.load() & parts != 0) else {
+                continue;
+            };
+            let skip = if c == first { offset } else { 0 };
+            for (i, e) in chunk.entries.iter().enumerate().skip(skip) {
                 if let Some((part, origin)) = Self::resident_entry(e) {
-                    f(RowId(((c << CHUNK_BITS) | i) as u64), part, origin);
+                    let row = RowId(((c << CHUNK_BITS) | i) as u64);
+                    if !f(row, part, origin) {
+                        return Some(RowId(row.0 + 1));
+                    }
                 }
             }
         }
+        None
+    }
+
+    /// The mask [`RidMap::for_each_resident_from`] takes to visit only
+    /// chunks where a row of one of `partitions` ever arrived.
+    pub fn partitions_mask(partitions: impl IntoIterator<Item = PartitionId>) -> u64 {
+        partitions.into_iter().fold(0, |m, p| m | partition_bit(p))
+    }
+
+    /// Count an arrival that leaves a page copy behind (a migrated or
+    /// cached row). [`ImrsStore`](crate::ImrsStore) calls it once the
+    /// chain head is published and before the caller retires that copy.
+    /// A fresh insert has no page copy: if it committed before a
+    /// reader's snapshot, its head was published before the reader's
+    /// first sweep began, so it is not counted.
+    pub(crate) fn count_arrival(&self) {
+        self.arrivals.fetch_add(1);
+    }
+
+    /// Arrivals from a page so far. A reader loads it before a sweep of
+    /// the resident rows and again after a pass over the pages: if both
+    /// loads agree, no row went from a page to the IMRS unseen. An
+    /// arrival the first load saw had published its chain head already,
+    /// so the sweep found the row; one it did not see was counted before
+    /// the row's page copy was retired, so either the page pass found
+    /// that copy or the second load sees the count move.
+    pub fn arrivals(&self) -> u64 {
+        self.arrivals.load()
     }
 
     /// Claim ILM-queue membership. Returns `true` when the caller
@@ -439,6 +535,63 @@ mod tests {
         m.touch(r, Timestamp(42));
         m.touch(r, Timestamp(43));
         assert_eq!(m.last_access(r), Timestamp(43));
+    }
+
+    #[test]
+    fn a_resident_sweep_resumes_where_it_stopped() {
+        let m = RidMap::new();
+        let ids = [
+            3u64,
+            4,
+            9,
+            CHUNK_ENTRIES as u64 + 2,
+            3 * CHUNK_ENTRIES as u64,
+        ];
+        for &id in &ids {
+            m.arrive(RowId(id), PartitionId(1), RowOrigin::Inserted, Timestamp(1));
+            m.head_cell(RowId(id)).store(1);
+        }
+        // Two rows a call: every resident row once, in order.
+        let (mut seen, mut from) = (Vec::new(), Some(RowId(0)));
+        while let Some(at) = from {
+            let mut n = 0;
+            from = m.for_each_resident_from(at, u64::MAX, |row, _, _| {
+                seen.push(row.0);
+                n += 1;
+                n < 2
+            });
+        }
+        assert_eq!(seen, ids);
+        assert_eq!(
+            m.for_each_resident_from(RowId(u64::MAX), u64::MAX, |_, _, _| true),
+            None
+        );
+    }
+
+    #[test]
+    fn a_resident_sweep_skips_chunks_without_its_partitions() {
+        let m = RidMap::new();
+        let rows = [(5, 1), (CHUNK_ENTRIES + 5, 2), (2 * CHUNK_ENTRIES + 5, 66)];
+        for (id, part) in rows {
+            let row = RowId(id as u64);
+            m.arrive(row, PartitionId(part), RowOrigin::Inserted, Timestamp(1));
+            m.head_cell(row).store(1);
+        }
+        let sweep = |parts: &[u32]| {
+            let mask = RidMap::partitions_mask(parts.iter().map(|&p| PartitionId(p)));
+            let mut seen = Vec::new();
+            m.for_each_resident_from(RowId(0), mask, |row, _, _| {
+                seen.push(row.0 as usize);
+                true
+            });
+            seen
+        };
+        assert_eq!(sweep(&[1]), [5]);
+        assert_eq!(sweep(&[1, 3]), [5]);
+        // Partitions 2 and 66 share a bit: both their chunks are visited.
+        assert_eq!(sweep(&[66]), [CHUNK_ENTRIES + 5, 2 * CHUNK_ENTRIES + 5]);
+        assert!(sweep(&[3]).is_empty());
+        assert!(sweep(&[]).is_empty());
     }
 
     #[test]

@@ -27,12 +27,13 @@ use std::sync::Arc;
 use parking_lot::{lock_rank, Mutex, MutexGuard, RwLock};
 
 use btrim_common::atomics::Relaxed;
-use btrim_common::{PartitionId, Result, RowId, Timestamp, TxnId};
+use btrim_common::{BtrimError, PartitionId, Result, RowId, Timestamp, TxnId};
 
-use crate::alloc::FragmentAllocator;
-use crate::arena::{VersionArena, VersionRef};
+use crate::alloc::{FragHandle, FragmentAllocator};
+use crate::arena::{VersionArena, VersionRef, VersionView};
 use crate::ridmap::RidMap;
 use crate::row::{ImrsRow, RowOrigin};
+use crate::sweep::Sweep;
 use crate::version::VersionOp;
 
 /// Chain-lock stripes.
@@ -55,6 +56,19 @@ impl PartitionUsage {
     pub fn rows(&self) -> u64 {
         self.rows.load().max(0) as u64
     }
+}
+
+/// What [`ImrsStore::visible`] found.
+#[derive(Clone, Copy, Debug)]
+pub enum Visible {
+    /// The visible version and its image.
+    Image(VersionView, FragHandle),
+    /// No version is visible: deleted at the snapshot, or first
+    /// inserted after it.
+    Hidden,
+    /// The row left the IMRS since the caller saw it there: resolve it
+    /// again.
+    Moved,
 }
 
 /// The in-memory row store.
@@ -206,6 +220,9 @@ impl ImrsStore {
         self.ridmap.arrive(row_id, partition, origin, now);
         let row = self.view(row_id, partition, origin);
         let vref = row.push_version(txn, VersionOp::Insert, Some(handle), commit_ts);
+        if origin != RowOrigin::Inserted {
+            self.ridmap.count_arrival();
+        }
         let u = self.usage(partition);
         u.bytes.fetch_add(bytes);
         u.rows.fetch_add(1);
@@ -228,6 +245,40 @@ impl ImrsStore {
         let vref = row.push_version(txn, op, handle, None);
         self.usage(row.partition).bytes.fetch_add(bytes);
         Ok(vref)
+    }
+
+    /// The version of `row_id` visible to `(snapshot, reader)`, found
+    /// lock-free from the RID-Map entry's chain head and the arena. The
+    /// caller saw the row's location say `Imrs`.
+    ///
+    /// The walk is safe against concurrent rollback, truncation and
+    /// pack: nodes and fragments are quarantined, and reclamation needs
+    /// the horizon to pass their retirement — impossible while `reader`
+    /// is a registered, live snapshot. So the handle stays readable
+    /// until the reader ends.
+    #[inline]
+    pub fn visible(&self, row_id: RowId, snapshot: Timestamp, reader: TxnId) -> Result<Visible> {
+        let head = self.ridmap.head(row_id);
+        if head == 0 {
+            // The chain drained between the caller's location read and
+            // this one: the row was packed or removed.
+            return Ok(Visible::Moved);
+        }
+        match self.arena.visible_from(head, snapshot, reader) {
+            Some(v) if v.op != VersionOp::Delete => match v.handle {
+                Some(h) => Ok(Visible::Image(v, h)),
+                None => Err(BtrimError::Corrupt("version without image".into())),
+            },
+            // Deleted at the snapshot, or the row's oldest version is
+            // newer than the snapshot.
+            _ => Ok(Visible::Hidden),
+        }
+    }
+
+    /// A batched reader of the resident rows at one snapshot (see
+    /// [`Sweep`]).
+    pub fn sweep(&self, snapshot: Timestamp, reader: TxnId) -> Sweep<'_> {
+        Sweep::new(self, snapshot, reader)
     }
 
     /// A view of `row_id` if it is resident.

@@ -376,6 +376,7 @@ impl BTreeIndex {
         self.scan(
             key,
             |k| k != key,
+            usize::MAX,
             |_, rid| {
                 out.push(rid);
                 true
@@ -407,16 +408,30 @@ impl BTreeIndex {
         hi: Option<&[u8]>,
         f: impl FnMut(&[u8], RowId) -> bool,
     ) -> Result<()> {
-        self.scan(lo, |k| hi.is_some_and(|hi| k >= hi), f)
+        self.scan_range_at_most(lo, hi, usize::MAX, f)
     }
 
-    /// Entries from the first key `>= lo` up to the first key `past`
-    /// accepts. Each leaf's share is copied into one reused buffer
-    /// (`len u16 ‖ cell`, back to back) and `f` runs outside the latch.
+    /// [`scan_range`](Self::scan_range) over at most `limit` entries: a
+    /// caller that wants only the first few copies no more of a leaf.
+    pub fn scan_range_at_most(
+        &self,
+        lo: &[u8],
+        hi: Option<&[u8]>,
+        limit: usize,
+        f: impl FnMut(&[u8], RowId) -> bool,
+    ) -> Result<()> {
+        self.scan(lo, |k| hi.is_some_and(|hi| k >= hi), limit, f)
+    }
+
+    /// At most `limit` entries from the first key `>= lo` up to the
+    /// first key `past` accepts. Each leaf's share is copied into one
+    /// reused buffer (`len u16 ‖ cell`, back to back) and `f` runs
+    /// outside the latch.
     fn scan(
         &self,
         lo: &[u8],
         past: impl Fn(&[u8]) -> bool,
+        mut limit: usize,
         mut f: impl FnMut(&[u8], RowId) -> bool,
     ) -> Result<()> {
         let root = self.root.read();
@@ -427,9 +442,10 @@ impl BTreeIndex {
             let next = self.read(pid, |p| {
                 for i in search(p, Leaf, lo, 0)?..p.slot_count() {
                     let cell = cell(p, i, Leaf)?;
-                    if past(split_cell(cell, Leaf).0) {
+                    if limit == 0 || past(split_cell(cell, Leaf).0) {
                         return Ok(None);
                     }
+                    limit -= 1;
                     cells.extend_from_slice(&(cell.len() as u16).to_le_bytes());
                     cells.extend_from_slice(cell);
                 }
@@ -689,6 +705,21 @@ mod tests {
         })
         .unwrap();
         assert_eq!(count, 5);
+        // A limit stops the walk inside a leaf and across leaves alike.
+        let t = tree(true);
+        for i in 0..2000 {
+            t.insert(&key(i), RowId(i)).unwrap();
+        }
+        for (lo, limit) in [(3, 7), (0, 1500), (1990, 50)] {
+            let mut seen = Vec::new();
+            t.scan_range_at_most(&key(lo), None, limit, |_, rid| {
+                seen.push(rid.0);
+                true
+            })
+            .unwrap();
+            let want: Vec<u64> = (lo..2000).take(limit).collect();
+            assert_eq!(seen, want, "from {lo}, at most {limit}");
+        }
     }
 
     #[test]

@@ -10,6 +10,7 @@
 //! the observability primitives — lock-free log-scale latency histograms
 //! ([`hist`]) and a bounded trace ring ([`ring`]) — that `btrim-obs`
 //! builds its per-operation-class registry and ILM decision trace on.
+//! The dense id spaces' directories are [`lazy::LazyDir`]s.
 //! Every cross-thread atomic is one of the three ordering wrappers in
 //! [`atomics`].
 
@@ -30,6 +31,7 @@ pub mod counters;
 pub mod error;
 pub mod hist;
 pub mod ids;
+pub mod lazy;
 pub mod ring;
 
 pub use clock::LogicalClock;
@@ -37,4 +39,5 @@ pub use counters::ShardedCounter;
 pub use error::{BtrimError, Result};
 pub use hist::{HistSummary, HistogramSnapshot, LatencyHistogram};
 pub use ids::{Lsn, PageId, PartitionId, RowId, SlotId, TableId, Timestamp, TxnId, NULL_PAGE_ID};
+pub use lazy::LazyDir;
 pub use ring::TraceRing;

@@ -317,6 +317,9 @@ pub struct Partition {
     /// Pack bytes apportioned to the partition by maintenance ticks but
     /// not yet packed: less than one full pack transaction (§VII.B).
     pub pack_owed: Relaxed<u64>,
+    /// Set once freeze's verdict stopped freezing the partition (the
+    /// verdict is traced when it is set).
+    pub freeze_stopped: Relaxed<bool>,
 }
 
 impl Partition {
@@ -331,6 +334,7 @@ impl Partition {
             queues: PartitionQueues::default(),
             last_sample: Mutex::new(PartitionSample::default()),
             pack_owed: Relaxed::new(0),
+            freeze_stopped: Relaxed::new(false),
         }
     }
 }

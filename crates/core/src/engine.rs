@@ -72,8 +72,6 @@ pub(crate) struct Shared {
     pub pack: PackState,
     /// Immutable columnar extents holding frozen rows (HTAP tier).
     pub extents: btrim_pagestore::ExtentStore,
-    /// Freeze/thaw counters for stats and the oracle tests.
-    pub freeze: crate::freeze::FreezeStats,
     /// Latency histograms + ILM decision trace. The WAL and buffer
     /// cache hold bare `Arc<LatencyHistogram>` clones of individual
     /// classes; everything in this crate records through here.
@@ -229,7 +227,6 @@ impl Engine {
             tuner: Tuner::with_obs(Arc::clone(&obs)),
             pack: PackState::new(),
             extents: btrim_pagestore::ExtentStore::new(),
-            freeze: crate::freeze::FreezeStats::new(),
             obs,
             maint: Maintenance::new(),
             health: Health::new(),
@@ -815,9 +812,7 @@ impl Engine {
                 let Some(partition) = id.and_then(|id| table.partition(id)) else {
                     return Ok(None);
                 };
-                if self.move_row(table, partition, (row_id, from), To::Page, false)? {
-                    sh.freeze.rows_thawed.fetch_add(1);
-                }
+                self.move_row(table, partition, (row_id, from), To::Page, false)?;
                 let Some(RowLocation::Page(page, slot)) = sh.ridmap.get(row_id) else {
                     return Ok(None); // the extent slot was already dead
                 };
@@ -1257,8 +1252,9 @@ impl Engine {
     }
 
     /// The extent holding `row_id` at `(ext_id, idx)`. `None` when the
-    /// slot is dead (row thawed concurrently), the extent is unknown, or
-    /// the slot holds another row — re-resolve through the RID-Map.
+    /// slot is dead (row thawed concurrently), the extent left the
+    /// directory (every row of it did), or the slot holds another row —
+    /// re-resolve through the RID-Map.
     pub(crate) fn frozen_slot(
         &self,
         ext_id: u32,
@@ -1274,11 +1270,6 @@ impl Engine {
     /// and tests).
     pub fn extent_store(&self) -> &btrim_pagestore::ExtentStore {
         &self.sh.extents
-    }
-
-    /// Freeze/thaw lifetime counters.
-    pub fn freeze_stats(&self) -> &crate::freeze::FreezeStats {
-        &self.sh.freeze
     }
 
     // ------------------------------------------------------------------

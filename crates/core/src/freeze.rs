@@ -23,11 +23,23 @@
 //! first *thaws* the row back to a slotted page (the same `relocate`,
 //! extent → page), after which the ordinary page-path MVCC machinery
 //! takes over.
+//!
+//! The tier keeps only rows that stay cold, and gives back what leaves
+//! it (DESIGN.md "Frozen extents & analytic scans"):
+//!
+//! * **verdict** — a partition stops freezing once more than a quarter
+//!   of the rows it ever froze have left its extents ([`keeps_freezing`]);
+//! * **dissolve** — an extent with fewer than a quarter of its rows
+//!   live thaws them to pages in one batch ([`dissolve`]): a thaw, so no
+//!   new movement or log record;
+//! * **removal** — an extent with no live row leaves the directory
+//!   (`ExtentStore::remove_empty`), and its memory goes with it.
 
-use btrim_common::atomics::Relaxed;
+use std::sync::Arc;
+
 use btrim_common::RowId;
 use btrim_imrs::RowLocation;
-use btrim_obs::{FreezeTrace, IlmTraceEvent};
+use btrim_obs::{DissolveTrace, FreezeTrace, FreezeVerdictTrace, IlmTraceEvent};
 use btrim_pagestore::{ColumnData, FrozenExtent};
 
 use crate::catalog::{FieldValue, Partition, RowLayout, TableDesc};
@@ -38,33 +50,6 @@ use crate::movement::{relocate, Moved, To};
 /// layout, or a row that does not parse as the layout): one bytes
 /// column holding the full row images.
 pub const OPAQUE_COLUMN: &str = "__row";
-
-/// Freeze/thaw lifetime counters.
-#[derive(Default)]
-pub struct FreezeStats {
-    /// Extents built and installed.
-    pub extents_frozen: Relaxed<u64>,
-    /// Rows frozen into extents.
-    pub rows_frozen: Relaxed<u64>,
-    /// Raw bytes of the row images that were frozen.
-    pub raw_bytes: Relaxed<u64>,
-    /// Encoded (compressed) bytes of the installed extents.
-    pub encoded_bytes: Relaxed<u64>,
-    /// Frozen rows moved back to slotted pages by updates/deletes.
-    pub rows_thawed: Relaxed<u64>,
-    /// Candidates skipped because their row lock was held.
-    pub rows_skipped_hot: Relaxed<u64>,
-    /// Candidates skipped because they carry snapshot history newer
-    /// than the horizon.
-    pub rows_skipped_recent: Relaxed<u64>,
-}
-
-impl FreezeStats {
-    /// Fresh counters.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
 
 /// Reassemble the row image stored at slot `i` of a frozen extent,
 /// using the table's declared layout (or the opaque fallback column).
@@ -144,14 +129,16 @@ pub(crate) fn build_columns(
     )]
 }
 
-/// One freeze tick: visit every non-pinned table partition and freeze
-/// at most one extent per partition. Returns rows frozen.
+/// One freeze tick: dissolve the mostly-dead extents, freeze at most
+/// one extent per non-pinned partition that still freezes, then take
+/// the extents left with no live row out of the directory. Returns rows
+/// frozen or dissolved.
 pub(crate) fn freeze_tick(engine: &Engine) -> u64 {
     let sh = &engine.sh;
     if !sh.cfg.freeze_enabled || sh.health.check_writable().is_err() {
         return 0;
     }
-    let mut total = 0u64;
+    let mut total = dissolve(engine);
     for table in sh.catalog.tables() {
         if table.pinned {
             continue;
@@ -160,17 +147,95 @@ pub(crate) fn freeze_tick(engine: &Engine) -> u64 {
             total += freeze_partition(engine, &table, partition);
         }
     }
+    sh.extents.remove_empty();
+    total
+}
+
+/// Freeze's verdict: whether `partition` still freezes. It stops once
+/// more than a quarter of the rows it ever froze have left its extents
+/// (thawed for a write, or dissolved) — those rows were not cold, and a
+/// partition whose frozen rows keep coming back pays for each of them
+/// twice. The counts are cumulative, the stable denominator pack's TSF
+/// applicability rate uses too, so the verdict never flaps: a stopped
+/// partition freezes nothing more, and its thaws only add. Traced once,
+/// when the partition stops, with the counts it read.
+pub(crate) fn keeps_freezing(engine: &Engine, partition: &Partition) -> bool {
+    let m = &partition.metrics;
+    let (rows_frozen, rows_thawed) = (m.rows_frozen.load(), m.rows_thawed.load());
+    if rows_thawed.saturating_mul(4) <= rows_frozen {
+        return true;
+    }
+    let trace = &engine.sh.obs.trace;
+    if !partition.freeze_stopped.swap(true) && trace.is_enabled() {
+        trace.push(IlmTraceEvent::FreezeVerdict(FreezeVerdictTrace {
+            partition: partition.id.0 as u64,
+            rows_frozen,
+            rows_thawed,
+        }));
+    }
+    false
+}
+
+/// Dissolve every extent with fewer than a quarter of its rows live: its
+/// live rows thaw to pages in one [`relocate`] batch under conditional
+/// locks (a busy row stays, and a later tick retries it), and the
+/// emptied extent then leaves the directory. A dissolve is a thaw, not
+/// a rewrite into a smaller extent: the rows that left were not cold,
+/// and the partition's verdict now counts them. Returns rows thawed.
+pub(crate) fn dissolve(engine: &Engine) -> u64 {
+    let sh = &engine.sh;
+    let mut mostly_dead: Vec<Arc<FrozenExtent>> = Vec::new();
+    sh.extents.for_each(|ext| {
+        let live = ext.live_count();
+        if live > 0 && live.saturating_mul(4) < ext.row_count() as u64 {
+            mostly_dead.push(Arc::clone(ext));
+        }
+    });
+    let mut total = 0;
+    for ext in mostly_dead {
+        let Some(table) = sh.catalog.table_of_partition(ext.partition()) else {
+            continue;
+        };
+        let Some(partition) = table.partition(ext.partition()) else {
+            continue;
+        };
+        let rows: Vec<(RowId, RowLocation)> = (0..ext.row_count())
+            .filter(|&i| ext.is_live(i))
+            .filter_map(|i| Some((ext.row_id(i)?, RowLocation::Frozen(ext.id(), i as u16))))
+            .collect();
+        // A thaw waits at the move gate while a syslogs sync holds it.
+        let _pass = sh.moves.pass(To::Page);
+        let moved = match relocate(engine, &table, partition, &rows, To::Page, true) {
+            Ok(moved) => moved,
+            Err(e) => {
+                sh.health.note_storage_error("dissolve", &e);
+                break;
+            }
+        };
+        partition.metrics.rows_dissolved.add(moved.rows);
+        if sh.obs.trace.is_enabled() {
+            sh.obs.trace.push(IlmTraceEvent::Dissolve(DissolveTrace {
+                extent: ext.id() as u64,
+                partition: partition.id.0 as u64,
+                rows: ext.row_count() as u64,
+                rows_live: rows.len() as u64,
+                rows_thawed: moved.rows,
+                rows_skipped_hot: moved.contended,
+            }));
+        }
+        total += moved.rows;
+    }
     total
 }
 
 /// Freeze up to `freeze_max_rows` cold rows of one partition into a
-/// single extent. Returns rows frozen (0 when the batch was too small
-/// or everything was hot/recent).
+/// single extent, unless its verdict stopped it. Returns rows frozen (0
+/// when the batch was too small or everything was hot/recent).
 pub fn freeze_partition(engine: &Engine, table: &TableDesc, partition: &Partition) -> u64 {
     let sh = &engine.sh;
     let cfg = &sh.cfg;
     let heap = &partition.heap;
-    if heap.live_rows() < cfg.freeze_min_rows as u64 {
+    if !keeps_freezing(engine, partition) || heap.live_rows() < cfg.freeze_min_rows as u64 {
         return 0;
     }
     // Candidate pass: page-resident rows, coldest-first by virtue of
@@ -195,16 +260,11 @@ pub fn freeze_partition(engine: &Engine, table: &TableDesc, partition: &Partitio
         sh.health.note_storage_error("freeze", &e);
         Moved::default()
     });
-    sh.freeze.rows_skipped_hot.fetch_add(moved.contended);
-    sh.freeze.rows_skipped_recent.fetch_add(moved.gated);
     let Some(ext) = moved.extent else {
         return 0;
     };
 
-    sh.freeze.extents_frozen.fetch_add(1);
-    sh.freeze.rows_frozen.fetch_add(moved.rows);
-    sh.freeze.raw_bytes.fetch_add(ext.raw_len());
-    sh.freeze.encoded_bytes.fetch_add(ext.encoded_len());
+    partition.metrics.rows_frozen.add(moved.rows);
     if sh.obs.trace.is_enabled() {
         sh.obs.trace.push(IlmTraceEvent::Freeze(FreezeTrace {
             extent: ext.id() as u64,

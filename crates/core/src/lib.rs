@@ -94,7 +94,6 @@ pub mod txn_ctx;
 pub use catalog::{FieldKind, FieldValue, Partitioner, RowLayout, TableDesc, TableOpts};
 pub use config::{EngineConfig, EngineMode};
 pub use engine::{Engine, SnapshotTxn};
-pub use freeze::FreezeStats;
 pub use health::HealthState;
 pub use maintenance::Actor;
 pub use recovery::RecoveryReport;

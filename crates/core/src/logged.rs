@@ -59,10 +59,11 @@ impl Logged {
         store.remove_row(row, now);
     }
 
-    /// [`FrozenExtent::mark_gone`] behind its record.
+    /// [`FrozenExtent::mark_gone`] behind its record: whether this call
+    /// retired the slot.
     #[expect(clippy::disallowed_methods, reason = "the receipt is the record")]
-    pub(crate) fn mark_gone(self, ext: &FrozenExtent, idx: usize) {
-        ext.mark_gone(idx);
+    pub(crate) fn mark_gone(self, ext: &FrozenExtent, idx: usize) -> bool {
+        ext.mark_gone(idx)
     }
 }
 

@@ -64,6 +64,14 @@ pub struct PartitionMetrics {
     /// Rows pack inspected but skipped because they were hot (§VIII's
     /// NumRowsSkipped).
     pub rows_skipped_hot: ShardedCounter,
+    /// Rows frozen into the partition's extents.
+    pub rows_frozen: ShardedCounter,
+    /// Rows that left the partition's extents: thawed for a write (an
+    /// update or a delete), or dissolved to pages with a mostly-dead
+    /// extent. Frozen = live in extents + thawed.
+    pub rows_thawed: ShardedCounter,
+    /// Of those, rows dissolved to pages with a mostly-dead extent.
+    pub rows_dissolved: ShardedCounter,
 }
 
 impl PartitionMetrics {

@@ -567,8 +567,11 @@ fn relocate_locked(
             RowLocation::Imrs => logged.remove_row(&sh.store, s.row, || sh.clock.now()),
             RowLocation::Page(page, slot) => on_pages.push((page, slot)),
             RowLocation::Frozen(ext_id, idx) => {
-                if let Some(ext) = sh.extents.get(ext_id) {
-                    logged.mark_gone(&ext, idx as usize);
+                // A thaw: the extent cannot leave the directory while
+                // this row is live in it.
+                let ext = sh.extents.get(ext_id);
+                if ext.is_some_and(|ext| logged.mark_gone(&ext, idx as usize)) {
+                    part.metrics.rows_thawed.inc();
                 }
             }
             RowLocation::Tombstone(..) => {}

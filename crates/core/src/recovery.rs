@@ -547,7 +547,7 @@ impl Engine {
             // B+tree fetch may have to evict, and frame under frame
             // breaks the lock hierarchy.
             for (row_id, data) in &rows {
-                Self::index_row(&table, *row_id, data);
+                self.index_row(&table, *row_id, data, false);
             }
         }
         self.sh.ridmap.bump_row_id_floor(max_row_id);
@@ -559,11 +559,19 @@ impl Engine {
     /// is oldest-first, so on a key conflict the *later* record wins:
     /// the stale RowId's entry is replaced (the stale row's own
     /// Delete/Pack record has already retired or will retire its other
-    /// state).
-    fn index_row(table: &TableDesc, row_id: RowId, data: &[u8]) {
+    /// state). Except, for a replayed record (`replayed`), a row the
+    /// RID-Map places on a page: the rebuilt heap is the final page
+    /// state, so that row is live once replay ends, and the record
+    /// naming another row under its key is older — that row left, by a
+    /// record still to come (a thaw, say, before a delete and a
+    /// re-insert of the key on a page), whose unindexing would
+    /// otherwise take the key's only entry with it.
+    fn index_row(&self, table: &TableDesc, row_id: RowId, data: &[u8], replayed: bool) {
         let key = (table.primary_key)(data);
+        let on_page = |row| matches!(self.sh.ridmap.get(row), Some(RowLocation::Page(..)));
         match table.primary.get(&key) {
             Ok(Some(existing)) if existing == row_id => {}
+            Ok(Some(live)) if replayed && on_page(live) => {}
             Ok(Some(stale)) => {
                 let _ = table.primary.delete(&key, Some(stale));
                 let _ = table.primary.insert(&key, row_id);
@@ -682,6 +690,10 @@ impl Engine {
         let applied = self.run_replay_workers(shards, |rec| self.apply_imrs_record(rec, heap_locs));
         self.sh.store.allocator().overdraw(false);
         applied?;
+        // An extent every row of which left by the end of replay (an
+        // image's extent a later dissolve or the last thaw emptied)
+        // leaves the directory, as it did at run time.
+        self.sh.extents.remove_empty();
         {
             let mut rep = self.sh.recovery.lock();
             rep.imrs_records_skipped = skipped;
@@ -743,7 +755,7 @@ impl Engine {
                         if let Some(old) = old {
                             Self::unindex_row(&table, *row, &old);
                         }
-                        Self::index_row(&table, *row, data);
+                        self.index_row(&table, *row, data, true);
                     }
                 }
                 // Defensive: an update without a resident row (should
@@ -764,7 +776,7 @@ impl Engine {
             ImrsLogRecord::Pack { partition, row, .. } => {
                 let table = self.sh.catalog.table_of_partition(*partition);
                 let image = self.drop_imrs_row(table.as_deref(), *row);
-                self.replay_page_arrival(&table, *row, RowLocation::Imrs, || image, heap_locs);
+                self.replay_page_arrival(&table, *row, RowLocation::Imrs, || image, heap_locs)?;
             }
             ImrsLogRecord::Freeze {
                 partition,
@@ -789,15 +801,16 @@ impl Engine {
                 let i = *idx as usize;
                 let ext = self.sh.extents.get(*extent);
                 let ext = ext.filter(|ext| ext.row_id(i) == Some(*row));
-                if let Some(ext) = &ext {
-                    ext.mark_gone(i);
+                if ext.as_ref().is_some_and(|ext| ext.mark_gone(i)) {
+                    let part = table.as_ref().and_then(|t| t.partition(*partition));
+                    part.inspect(|p| p.metrics.rows_thawed.inc());
                 }
                 let image = || {
                     let layout = table.as_ref()?.layout.as_ref();
                     crate::freeze::extent_row_bytes(layout, ext.as_ref()?, i)
                 };
                 let old = RowLocation::Frozen(*extent, *idx);
-                self.replay_page_arrival(&table, *row, old, image, heap_locs);
+                self.replay_page_arrival(&table, *row, old, image, heap_locs)?;
             }
             #[expect(
                 clippy::unreachable,
@@ -814,10 +827,9 @@ impl Engine {
 
     /// Install a replayed extent (a winner's `Freeze`, or one of the
     /// image). Its `dead` slots stay dead; so does the slot of a row a
-    /// heap holds — a thaw that won re-inserted it, or the freeze lost
-    /// its syslogs verdict (and the page deletes with it): page state,
-    /// already rebuilt and indexed, is then authoritative. Every other
-    /// row is named frozen and indexed.
+    /// heap holds — a thaw that won re-inserted it: page state, already
+    /// rebuilt and indexed, is then authoritative. Every other row is
+    /// named frozen and indexed.
     fn replay_extent(
         &self,
         partition: PartitionId,
@@ -839,8 +851,12 @@ impl Engine {
         }
         let ext = Arc::new(ext);
         self.sh.extents.bump_floor(extent);
+        let Some(part) = table.partition(partition) else {
+            return Ok(());
+        };
+        let mut left = 0;
         for &i in dead {
-            ext.mark_gone(i as usize);
+            left += u64::from(ext.mark_gone(i as usize));
         }
         for i in 0..ext.row_count() {
             let Some(row) = ext.row_id(i) else { continue };
@@ -850,7 +866,7 @@ impl Engine {
                 continue;
             }
             if heap_locs.contains_key(&row) {
-                ext.mark_gone(i);
+                left += u64::from(ext.mark_gone(i));
                 continue;
             }
             let Some(bytes) = crate::freeze::extent_row_bytes(table.layout.as_ref(), &ext, i)
@@ -863,8 +879,13 @@ impl Engine {
             self.sh
                 .ridmap
                 .set(row, RowLocation::Frozen(extent, i as u16));
-            Self::index_row(&table, row, &bytes);
+            self.index_row(&table, row, &bytes, true);
         }
+        // The partition's freeze counts (frozen = live + thawed): every
+        // slot was frozen once, and the dead ones left (a thaw's own
+        // record, later in the log, then finds its slot dead).
+        part.metrics.rows_frozen.add(ext.live_count() + left);
+        part.metrics.rows_thawed.add(left);
         self.sh.extents.install(ext)
     }
 
@@ -893,14 +914,17 @@ impl Engine {
             .insert_row_committed(row, partition, origin, txn, data, ts)?;
         self.sh.ridmap.set(row, RowLocation::Imrs);
         table.hash.insert(&(table.primary_key)(data), row);
-        Self::index_row(&table, row, data);
+        self.index_row(&table, row, data, true);
         Ok(())
     }
 
     /// The page-arrival half of a winner's `Pack` / `ExtentRowGone`:
     /// the row left `old` for a heap slot. If the heap still holds it —
     /// syslogs redo re-inserted the copy and the heap rebuild indexed
-    /// it — adopt that address. Otherwise the row was subsequently
+    /// it — adopt that address. The heap's image is the row's final
+    /// one, so a secondary entry only `image` has goes: a page update
+    /// after the move (a thawed row is updated on its page) changed
+    /// that key. Otherwise the row was subsequently
     /// deleted from the page store (or moved on; a later record then
     /// recreates everything): the index entries built from `image` and
     /// the RID-Map entry must go, or they would shadow a later
@@ -912,10 +936,26 @@ impl Engine {
         old: RowLocation,
         image: impl FnOnce() -> Option<Vec<u8>>,
         heap_locs: &HashMap<RowId, (PageId, SlotId)>,
-    ) {
+    ) -> Result<()> {
         if let Some(&(page, slot)) = heap_locs.get(&row) {
             self.sh.ridmap.set(row, RowLocation::Page(page, slot));
-            return;
+            let Some(table) = table.as_ref().filter(|t| !t.secondaries.read().is_empty()) else {
+                return Ok(());
+            };
+            let Some(image) = image() else {
+                return Ok(());
+            };
+            let guard = self.sh.cache.fetch(page)?;
+            let payload = guard.with_page_read(|p| p.get(slot).map(<[u8]>::to_vec));
+            drop(guard);
+            let now = payload.as_deref().map(unwrap_row).transpose()?;
+            for sec in table.secondaries.read().iter() {
+                let key = (sec.extractor)(&image);
+                if now.is_none_or(|(_, data)| (sec.extractor)(data) != key) {
+                    let _ = sec.tree.delete(&key, Some(row));
+                }
+            }
+            return Ok(());
         }
         if let (Some(table), Some(image)) = (table, image()) {
             Self::unindex_row(table, row, &image);
@@ -923,6 +963,7 @@ impl Engine {
         if self.sh.ridmap.get(row) == Some(old) {
             self.sh.ridmap.remove(row);
         }
+        Ok(())
     }
 
     /// Drop a row's B+tree entries (the inverse of [`Self::index_row`]).

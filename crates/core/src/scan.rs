@@ -38,10 +38,12 @@
 //!    published and before its page copy is retired, so an unchanged
 //!    count means phases 1 and 2 between them saw every such row
 //!    (fresh inserts are not counted: they have no page copy);
-//! 4. frozen pass — extent slots, *last*: extents are immutable and
-//!    never removed, so any row that eludes phases 1–3 by moving into
-//!    or out of an extent mid-scan is still enumerated here, and the
-//!    per-slot fallback resolves rows that have since thawed.
+//! 4. frozen pass — extent slots, *last*: extents are immutable, and
+//!    none leaves the directory while a scan is pinned
+//!    (`ExtentStore::pin`, taken before phase 1), so any row that
+//!    eludes phases 1–3 by moving into or out of an extent mid-scan is
+//!    still enumerated here, and the per-slot fallback resolves rows
+//!    that have since thawed or dissolved.
 //!
 //! Only the rows a sweep found moved (between its RID-Map read and the
 //! store access), page rows and tombstones are collected as candidates
@@ -381,6 +383,11 @@ impl Engine {
             Ok(())
         };
 
+        // Every extent that had a live row while the scan ran is still in
+        // the directory at phase 4: no extent leaves it while a scan is
+        // pinned (`ExtentStore::remove_empty`).
+        let _pin = sh.extents.pin();
+
         // Phase 1: IMRS residents.
         let mut candidates: Vec<RowId> = Vec::new();
         let arrivals = sh.ridmap.arrivals();
@@ -442,8 +449,9 @@ impl Engine {
 
         // Phase 4: frozen extents, columnar. Runs last: freeze installs
         // the extent before emptying the pages, so a row that froze
-        // mid-scan is visible here; a row that thawed mid-scan falls
-        // back to snapshot resolution.
+        // mid-scan is visible here; a row that thawed mid-scan — its
+        // extent is still listed, the scan's pin holds it — falls back
+        // to snapshot resolution.
         let mut exts: Vec<Arc<FrozenExtent>> = Vec::new();
         sh.extents.for_each(|ext| {
             if ext.table() == table.id {

@@ -40,6 +40,12 @@ pub struct PartitionSnapshot {
     pub bytes_packed: u64,
     /// Rows pack skipped as hot.
     pub rows_skipped_hot: u64,
+    /// Rows frozen into the partition's extents.
+    pub rows_frozen: u64,
+    /// Of those, rows that left its extents (thawed or dissolved).
+    pub rows_thawed: u64,
+    /// Of those, rows dissolved with a mostly-dead extent.
+    pub rows_dissolved: u64,
     /// Whether ILM currently allows new IMRS use.
     pub ilm_enabled: bool,
     /// Enable/disable transitions the tuner applied to this partition.
@@ -134,18 +140,22 @@ pub struct EngineSnapshot {
     pub bytes_packed: u64,
     /// Rows pack skipped as hot (lifetime).
     pub rows_skipped_hot: u64,
-    /// Frozen columnar extents currently installed.
+    /// Frozen columnar extents installed now (an extent with no live
+    /// row leaves the directory).
     pub frozen_extents: u64,
     /// Rows frozen into extents (lifetime).
     pub rows_frozen: u64,
-    /// Rows thawed back out of extents for writes (lifetime).
+    /// Rows that left extents (lifetime): thawed for a write, or
+    /// dissolved to pages.
     pub rows_thawed: u64,
+    /// Of those, rows dissolved with a mostly-dead extent.
+    pub rows_dissolved: u64,
     /// Caches and migrations skipped because a log sync held the move
     /// gate (lifetime; see `movement::MoveGate`).
     pub moves_skipped: u64,
-    /// Uncompressed row-image bytes represented by installed extents.
+    /// Uncompressed row-image bytes of every extent ever installed.
     pub frozen_raw_bytes: u64,
-    /// Encoded bytes of the installed extents.
+    /// Encoded bytes of every extent ever installed.
     pub frozen_encoded_bytes: u64,
     /// Bytes syslogs retains: appended and not yet truncated by a
     /// checkpoint (frames included).
@@ -236,6 +246,9 @@ impl EngineSnapshot {
                     rows_packed: s.rows_packed,
                     bytes_packed: s.bytes_packed,
                     rows_skipped_hot: s.rows_skipped_hot,
+                    rows_frozen: p.metrics.rows_frozen.load(),
+                    rows_thawed: p.metrics.rows_thawed.load(),
+                    rows_dissolved: p.metrics.rows_dissolved.load(),
                     ilm_enabled: p.ilm.enabled(),
                     ilm_toggles: p.ilm.toggles(),
                     queue_len: p.queues.len(),
@@ -276,8 +289,9 @@ impl EngineSnapshot {
             bytes_packed: total(|p| p.bytes_packed),
             rows_skipped_hot: total(|p| p.rows_skipped_hot),
             frozen_extents: sh.extents.count(),
-            rows_frozen: sh.freeze.rows_frozen.load(),
-            rows_thawed: sh.freeze.rows_thawed.load(),
+            rows_frozen: total(|p| p.rows_frozen),
+            rows_thawed: total(|p| p.rows_thawed),
+            rows_dissolved: total(|p| p.rows_dissolved),
             moves_skipped: sh.moves.skipped.load(),
             frozen_raw_bytes: sh.extents.raw_bytes(),
             frozen_encoded_bytes: sh.extents.encoded_bytes(),
@@ -355,11 +369,12 @@ impl EngineSnapshot {
         }
         if self.frozen_extents > 0 || self.rows_frozen > 0 {
             out.push_str(&format!(
-                "freeze: extents {} rows {} thawed {}   {:.1} KiB raw → {:.1} KiB \
-                 encoded ({:.2}x)\n",
+                "freeze: extents {} rows {} thawed {} (dissolved {})   {:.1} KiB raw → \
+                 {:.1} KiB encoded ({:.2}x)\n",
                 self.frozen_extents,
                 self.rows_frozen,
                 self.rows_thawed,
+                self.rows_dissolved,
                 self.frozen_raw_bytes as f64 / 1024.0,
                 self.frozen_encoded_bytes as f64 / 1024.0,
                 self.frozen_raw_bytes as f64 / (self.frozen_encoded_bytes.max(1)) as f64,
@@ -502,6 +517,7 @@ impl EngineSnapshot {
             frozen_extents,
             rows_frozen,
             rows_thawed,
+            rows_dissolved,
             moves_skipped,
             frozen_raw_bytes,
             frozen_encoded_bytes,
@@ -575,6 +591,7 @@ impl EngineSnapshot {
                                 "\"reuse_ops\":{},\"imrs_inserts\":{},\"page_ops\":{},",
                                 "\"page_contention\":{},\"rows_in\":{},\"rows_packed\":{},",
                                 "\"bytes_packed\":{},\"rows_skipped_hot\":{},",
+                                "\"rows_frozen\":{},\"rows_thawed\":{},\"rows_dissolved\":{},",
                                 "\"ilm_enabled\":{},\"ilm_toggles\":{},\"queue_len\":{}}}"
                             ),
                             p.partition.0,
@@ -588,6 +605,9 @@ impl EngineSnapshot {
                             p.rows_packed,
                             p.bytes_packed,
                             p.rows_skipped_hot,
+                            p.rows_frozen,
+                            p.rows_thawed,
+                            p.rows_dissolved,
                             p.ilm_enabled,
                             p.ilm_toggles,
                             p.queue_len,
@@ -611,7 +631,8 @@ impl EngineSnapshot {
                 "\"imrs_rows\":{},\"imrs_ops\":{},\"page_ops\":{},\"imrs_hit_rate\":{},",
                 "\"pack_cycles\":{},\"rows_packed\":{},\"bytes_packed\":{},",
                 "\"rows_skipped_hot\":{},\"frozen_extents\":{},\"rows_frozen\":{},",
-                "\"rows_thawed\":{},\"moves_skipped\":{},\"frozen_raw_bytes\":{},\"frozen_encoded_bytes\":{},",
+                "\"rows_thawed\":{},\"rows_dissolved\":{},\"moves_skipped\":{},",
+                "\"frozen_raw_bytes\":{},\"frozen_encoded_bytes\":{},",
                 "\"syslog_resident_bytes\":{},\"imrslog_resident_bytes\":{},",
                 "\"tsf_tau\":{},\"tuning_windows\":{},",
                 "\"buffer\":{{\"hits\":{},\"misses\":{},\"evictions\":{},\"flushes\":{},",
@@ -658,6 +679,7 @@ impl EngineSnapshot {
             frozen_extents,
             rows_frozen,
             rows_thawed,
+            rows_dissolved,
             moves_skipped,
             frozen_raw_bytes,
             frozen_encoded_bytes,

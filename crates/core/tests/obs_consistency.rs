@@ -1003,3 +1003,125 @@ fn json_export_carries_every_snapshot_counter() {
         );
     }
 }
+
+/// Every row a partition froze is live in one of its installed extents
+/// or counted as having left them (thawed for a write, or dissolved):
+/// frozen = live + thawed, per partition, through freezes, thaws,
+/// deletes, dissolves and directory removals. The freeze verdict and
+/// each dissolve are traced with the counts they read, and the traces
+/// add up to the snapshot's counters.
+#[test]
+fn frozen_rows_are_live_in_extents_or_thawed_per_partition() {
+    let e = Engine::new(EngineConfig {
+        mode: EngineMode::IlmOn,
+        imrs_budget: 4 * 1024 * 1024,
+        imrs_chunk_size: 256 * 1024,
+        buffer_frames: 1024,
+        maintenance_interval_txns: u64::MAX / 2,
+        freeze_enabled: true,
+        freeze_min_rows: 4,
+        freeze_max_rows: 30,
+        obs_trace_capacity: 1 << 16,
+        ..Default::default()
+    });
+    let t = e
+        .create_table(TableOpts {
+            partitioner: Partitioner::HashKey { parts: 4 },
+            ..opts("cold")
+        })
+        .unwrap();
+    let conserved = |e: &Engine| {
+        let snap = e.snapshot();
+        let table = snap.tables.iter().find(|t| t.name == "cold").unwrap();
+        for p in &table.partitions {
+            let mut live = 0;
+            e.extent_store().for_each(|ext| {
+                if ext.partition() == p.partition {
+                    live += ext.live_count();
+                }
+            });
+            assert_eq!(
+                p.rows_frozen,
+                live + p.rows_thawed,
+                "partition {}: frozen = live in extents + thawed",
+                p.partition.0
+            );
+        }
+        let mut installed = 0;
+        e.extent_store().for_each(|_| installed += 1);
+        assert_eq!(snap.frozen_extents, installed, "installed extents");
+        snap
+    };
+    let mut txn = e.begin();
+    for key in 0..600u64 {
+        e.insert(&mut txn, &t, &mkrow(key, &[1; 40])).unwrap();
+    }
+    e.commit(txn).unwrap();
+    let mut rng = 0x0B5_F00D_u64;
+    for round in 0..6u64 {
+        e.run_maintenance();
+        while pack_cycle(&e, PackLevel::Aggressive) > 0 {}
+        e.step(btrim_core::Actor::Freeze);
+        conserved(&e);
+        // Writes thaw a scattering of frozen rows; a few go for good.
+        let mut txn = e.begin();
+        for _ in 0..150 {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            let key = rng % 600;
+            if round % 2 == 1 && key.is_multiple_of(7) {
+                e.delete(&mut txn, &t, &key.to_be_bytes()).unwrap();
+            } else {
+                e.update(&mut txn, &t, &key.to_be_bytes(), &mkrow(key, &[2; 40]))
+                    .unwrap();
+            }
+        }
+        e.commit(txn).unwrap();
+        conserved(&e);
+    }
+    for _ in 0..4 {
+        e.step(btrim_core::Actor::Freeze);
+    }
+    let snap = conserved(&e);
+    assert!(snap.rows_frozen > 0 && snap.rows_thawed > 0, "{snap:?}");
+
+    let mut dissolved = 0;
+    let mut stopped = Vec::new();
+    for ev in &snap.ilm_trace {
+        match ev {
+            IlmTraceEvent::Dissolve(d) => {
+                assert!(
+                    4 * d.rows_live < d.rows,
+                    "dissolved a quarter-live extent: {d:?}"
+                );
+                assert!(d.rows_thawed + d.rows_skipped_hot <= d.rows_live, "{d:?}");
+                dissolved += d.rows_thawed;
+            }
+            IlmTraceEvent::FreezeVerdict(v) => {
+                assert!(4 * v.rows_thawed > v.rows_frozen, "{v:?}");
+                assert!(!stopped.contains(&v.partition), "a verdict is traced once");
+                stopped.push(v.partition);
+            }
+            _ => {}
+        }
+    }
+    assert_eq!(
+        dissolved, snap.rows_dissolved,
+        "dissolve traces sum to the counter"
+    );
+    assert!(
+        dissolved > 0 && !stopped.is_empty(),
+        "no dissolve, or no verdict"
+    );
+    let table = snap.tables.iter().find(|t| t.name == "cold").unwrap();
+    for p in &table.partitions {
+        let stops = 4 * p.rows_thawed > p.rows_frozen;
+        assert_eq!(
+            stopped.contains(&(p.partition.0 as u64)),
+            stops,
+            "partition {} traced its verdict iff it stopped freezing",
+            p.partition.0
+        );
+    }
+}

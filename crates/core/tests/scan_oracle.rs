@@ -200,7 +200,7 @@ fn scan_tracks_rows_through_freeze_and_thaw() {
     check_scan(&e, &table, &s, &model, 0, u64::MAX, "after thaw");
     check_scan(&e, &table, &s, &model, 7_000, 7_000, "thawed row matched");
     e.end_snapshot(s);
-    assert!(e.freeze_stats().rows_thawed.load() >= 2);
+    assert!(e.snapshot().rows_thawed >= 2);
 
     // A snapshot pinned *before* a freeze keeps reading the same data
     // after the freeze retires the pages under it.

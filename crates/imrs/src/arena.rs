@@ -9,8 +9,8 @@
 //! # Links
 //!
 //! A link is `node index + 1`; 0 means "none". Chunks of nodes are
-//! created on demand behind `OnceLock`s in a fixed table, so resolving
-//! a link is two shifts and two loads — never a lock.
+//! created on demand in a [`LazyDir`], so resolving a link is two
+//! shifts and two loads — never a lock.
 //!
 //! # Publication protocol
 //!
@@ -43,12 +43,12 @@
 //!   retired. This closes a pre-existing torn-read race where pack
 //!   could recycle an image a reader had already resolved.
 
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use parking_lot::Mutex;
 
 use btrim_common::atomics::{AcqRel, Relaxed};
-use btrim_common::{Timestamp, TxnId};
+use btrim_common::{LazyDir, Timestamp, TxnId};
 
 use crate::alloc::FragHandle;
 use crate::version::{visible_to, VersionOp};
@@ -103,7 +103,7 @@ pub struct VersionView {
 
 /// Chunked append-only arena of version nodes.
 pub struct VersionArena {
-    chunks: Box<[OnceLock<Box<[Node]>>]>,
+    chunks: LazyDir<Box<[Node]>>,
     /// High-water mark of allocated node indices.
     len: Relaxed<u64>,
     recycle: Mutex<Recycle>,
@@ -119,7 +119,7 @@ impl VersionArena {
     /// Create an empty arena.
     pub fn new() -> Self {
         VersionArena {
-            chunks: (0..MAX_CHUNKS).map(|_| OnceLock::new()).collect(),
+            chunks: LazyDir::new(MAX_CHUNKS),
             len: Relaxed::new(0),
             recycle: Mutex::new(Recycle::default()),
         }
@@ -133,9 +133,8 @@ impl VersionArena {
             reason = "a link only exists because alloc_node initialized its chunk; \
                       reaching here is memory corruption, not an I/O-reachable state"
         )]
-        let chunk = self.chunks[idx >> CHUNK_BITS]
-            .get()
-            .expect("link into uninitialized arena chunk");
+        let chunk =
+            (self.chunks.get(idx >> CHUNK_BITS)).expect("link into uninitialized arena chunk");
         &chunk[idx & (CHUNK_NODES - 1)]
     }
 
@@ -146,7 +145,8 @@ impl VersionArena {
         let idx = self.len.fetch_add(1);
         let c = (idx as usize) >> CHUNK_BITS;
         assert!(c < MAX_CHUNKS, "version arena exhausted");
-        self.chunks[c].get_or_init(|| (0..CHUNK_NODES).map(|_| Node::default()).collect());
+        self.chunks
+            .get_or_init(c, || (0..CHUNK_NODES).map(|_| Node::default()).collect());
         idx + 1
     }
 

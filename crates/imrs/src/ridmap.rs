@@ -37,10 +37,8 @@
 //! [`ImrsRow`](crate::row::ImrsRow) is a borrowed view over one entry,
 //! built by [`RidMap::resident`] from two loads.
 
-use std::sync::OnceLock;
-
 use btrim_common::atomics::{AcqRel, Relaxed};
-use btrim_common::{PageId, PartitionId, RowId, SlotId, Timestamp};
+use btrim_common::{LazyDir, PageId, PartitionId, RowId, SlotId, Timestamp};
 
 use crate::row::RowOrigin;
 
@@ -143,9 +141,9 @@ struct Chunk {
     parts: AcqRel<u64>,
 }
 
-// Every one of the `MAX_CHUNKS` slots is resident from the start: a
-// slot is 24 bytes, as a slot of a bare `Box<[Entry]>` was.
-const _: () = assert!(std::mem::size_of::<OnceLock<Chunk>>() == 24);
+// A directory slot is 24 bytes, as a slot of a bare `Box<[Entry]>`
+// was; only the slots of the groups in use are built.
+const _: () = assert!(std::mem::size_of::<std::sync::OnceLock<Chunk>>() == 24);
 
 /// A partition's bit in a chunk's `parts`.
 fn partition_bit(part: PartitionId) -> u64 {
@@ -154,7 +152,7 @@ fn partition_bit(part: PartitionId) -> u64 {
 
 /// RowId → location map plus the RowId allocator.
 pub struct RidMap {
-    chunks: Box<[OnceLock<Chunk>]>,
+    chunks: LazyDir<Chunk>,
     next_row_id: Relaxed<u64>,
     /// Mapped-row count, maintained on tag transitions.
     mapped: Relaxed<i64>,
@@ -172,7 +170,7 @@ impl RidMap {
     /// Create an empty map. Row ids start at 1 (0 is reserved).
     pub fn new() -> Self {
         RidMap {
-            chunks: (0..MAX_CHUNKS).map(|_| OnceLock::new()).collect(),
+            chunks: LazyDir::new(MAX_CHUNKS),
             next_row_id: Relaxed::new(1),
             mapped: Relaxed::new(0),
             arrivals: AcqRel::new(0),
@@ -182,14 +180,13 @@ impl RidMap {
     /// Entry for `row`, creating its chunk on demand.
     fn entry(&self, row: RowId) -> &Entry {
         let idx = row.0 as usize;
-        let c = idx >> CHUNK_BITS;
-        assert!(c < MAX_CHUNKS, "row id beyond RID-Map capacity");
-        &self.chunk(c).entries[idx & (CHUNK_ENTRIES - 1)]
+        &self.chunk(idx >> CHUNK_BITS).entries[idx & (CHUNK_ENTRIES - 1)]
     }
 
     /// Chunk `c`, created on demand.
     fn chunk(&self, c: usize) -> &Chunk {
-        self.chunks[c].get_or_init(|| {
+        assert!(c < MAX_CHUNKS, "row id beyond RID-Map capacity");
+        self.chunks.get_or_init(c, || {
             let entries: Vec<Entry> = (0..CHUNK_ENTRIES).map(|_| Entry::default()).collect();
             #[expect(
                 clippy::expect_used,
@@ -207,13 +204,8 @@ impl RidMap {
     /// means the row was never mapped).
     fn try_entry(&self, row: RowId) -> Option<&Entry> {
         let idx = row.0 as usize;
-        let c = idx >> CHUNK_BITS;
-        if c >= MAX_CHUNKS {
-            return None;
-        }
-        self.chunks[c]
-            .get()
-            .map(|chunk| &chunk.entries[idx & (CHUNK_ENTRIES - 1)])
+        let chunk = self.chunks.get(idx >> CHUNK_BITS)?;
+        Some(&chunk.entries[idx & (CHUNK_ENTRIES - 1)])
     }
 
     /// Allocate a fresh, never-used RowId.
@@ -350,10 +342,10 @@ impl RidMap {
             from.0 as usize >> CHUNK_BITS,
             from.0 as usize % CHUNK_ENTRIES,
         );
-        for (c, chunk) in self.chunks.iter().enumerate().skip(first) {
-            let Some(chunk) = chunk.get().filter(|k| k.parts.load() & parts != 0) else {
+        for (c, chunk) in self.chunks.iter_from(first) {
+            if chunk.parts.load() & parts == 0 {
                 continue;
-            };
+            }
             let skip = if c == first { offset } else { 0 };
             for (i, e) in chunk.entries.iter().enumerate().skip(skip) {
                 if let Some((part, origin)) = Self::resident_entry(e) {
@@ -602,7 +594,7 @@ mod tests {
             m.set(r, RowLocation::Imrs);
         }
         assert_eq!(m.len(), CHUNK_ENTRIES * 2 + 10);
-        let populated = m.chunks.iter().filter(|c| c.get().is_some()).count();
+        let populated = m.chunks.iter_from(0).count();
         assert!(populated >= 2, "sequential ids span chunks");
     }
 }

@@ -412,6 +412,37 @@ pub struct FreezeTrace {
     pub schema_columns: bool,
 }
 
+/// Freeze's verdict on one partition: it stops freezing once more than
+/// a quarter of the rows it ever froze have left its extents. Traced
+/// when a partition stops, with the counts the verdict read.
+#[derive(Clone, Debug)]
+pub struct FreezeVerdictTrace {
+    /// The partition.
+    pub partition: u64,
+    /// Rows it ever froze.
+    pub rows_frozen: u64,
+    /// Of those, rows that left its extents (thawed or dissolved).
+    pub rows_thawed: u64,
+}
+
+/// One dissolve: an extent with fewer than a quarter of its rows live
+/// thawed them to pages in one batch.
+#[derive(Clone, Debug)]
+pub struct DissolveTrace {
+    /// The extent.
+    pub extent: u64,
+    /// Its partition.
+    pub partition: u64,
+    /// Rows the extent was built with.
+    pub rows: u64,
+    /// Rows live in it when the dissolve read it.
+    pub rows_live: u64,
+    /// Rows the batch thawed to pages.
+    pub rows_thawed: u64,
+    /// Live rows skipped because their row lock was held.
+    pub rows_skipped_hot: u64,
+}
+
 /// An entry in the ILM decision trace ring.
 #[derive(Clone, Debug)]
 pub enum IlmTraceEvent {
@@ -419,6 +450,8 @@ pub enum IlmTraceEvent {
     Pack(PackCycleTrace),
     Checkpoint(CheckpointTrace),
     Freeze(FreezeTrace),
+    FreezeVerdict(FreezeVerdictTrace),
+    Dissolve(DissolveTrace),
 }
 
 impl IlmTraceEvent {
@@ -525,6 +558,21 @@ impl IlmTraceEvent {
                 f.rows_skipped_hot,
                 f.rows_skipped_recent,
                 f.schema_columns,
+            ),
+            IlmTraceEvent::FreezeVerdict(v) => format!(
+                concat!(
+                    "{{\"kind\":\"freeze_verdict\",\"partition\":{},",
+                    "\"rows_frozen\":{},\"rows_thawed\":{},\"freezing\":false}}"
+                ),
+                v.partition, v.rows_frozen, v.rows_thawed,
+            ),
+            IlmTraceEvent::Dissolve(d) => format!(
+                concat!(
+                    "{{\"kind\":\"dissolve\",\"extent\":{},\"partition\":{},",
+                    "\"rows\":{},\"rows_live\":{},\"rows_thawed\":{},",
+                    "\"rows_skipped_hot\":{}}}"
+                ),
+                d.extent, d.partition, d.rows, d.rows_live, d.rows_thawed, d.rows_skipped_hot,
             ),
         }
     }
@@ -663,8 +711,21 @@ mod tests {
             rows_skipped_recent: 1,
             schema_columns: true,
         });
+        let verdict = IlmTraceEvent::FreezeVerdict(FreezeVerdictTrace {
+            partition: 9,
+            rows_frozen: 400,
+            rows_thawed: 101,
+        });
+        let dissolve = IlmTraceEvent::Dissolve(DissolveTrace {
+            extent: 3,
+            partition: 9,
+            rows: 512,
+            rows_live: 100,
+            rows_thawed: 99,
+            rows_skipped_hot: 1,
+        });
         assert!(pack.to_json().contains("\"over_steady_bytes\":2200000,"));
-        for ev in [tuner, pack, ckpt, freeze] {
+        for ev in [tuner, pack, ckpt, freeze, verdict, dissolve] {
             let js = ev.to_json();
             json::validate(&js).unwrap_or_else(|e| panic!("{e}: {js}"));
         }

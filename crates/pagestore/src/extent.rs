@@ -38,13 +38,13 @@
 //! index and length read from the wire is validated before use, so the
 //! accessors on a decoded column are infallible.
 
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use btrim_common::atomics::{AcqRel, Relaxed};
 use btrim_common::checksum::checksum;
 use btrim_common::codec::{Decoder, Encoder};
-use btrim_common::{BtrimError, PartitionId, Result, RowId, TableId};
-use parking_lot::{lock_rank, Mutex};
+use btrim_common::{BtrimError, LazyDir, PartitionId, Result, RowId, TableId};
+use parking_lot::RwLock;
 
 /// Hard cap on rows per extent: a frozen row is addressed by
 /// `(extent id, u16 slot index)` in the RID-Map's packed word, so an
@@ -57,7 +57,8 @@ pub const EXTENT_MAGIC: u32 = u32::from_le_bytes(*b"BTFZ");
 /// Extent wire-format version.
 pub const EXTENT_VERSION: u16 = 2;
 
-/// Directory geometry: 4096 lazily-allocated chunks of 256 slots each.
+/// Directory geometry: 4096 chunks of 256 slots each, built as ids
+/// reach them.
 const DIR_CHUNK_SLOTS: usize = 256;
 const DIR_CHUNKS: usize = 4096;
 
@@ -844,7 +845,9 @@ pub struct FrozenExtent {
     row_ids: Vec<RowId>,
     columns: Vec<ExtentColumn>,
     live: Vec<AcqRel<u64>>,
-    live_count: Relaxed<u64>,
+    /// Live slots. It only ever falls; a reader that sees 0 reads after
+    /// every `mark_gone`, and so after each row's move out.
+    live_count: AcqRel<u64>,
 }
 
 impl FrozenExtent {
@@ -891,7 +894,7 @@ impl FrozenExtent {
             raw_len,
             encoded_len: Relaxed::new(0),
             live: new_live_bitmap(n),
-            live_count: Relaxed::new(n as u64),
+            live_count: AcqRel::new(n as u64),
             row_ids,
             columns: built,
         })
@@ -1007,7 +1010,7 @@ impl FrozenExtent {
             raw_len,
             encoded_len: Relaxed::new(bytes.len() as u64),
             live: new_live_bitmap(n),
-            live_count: Relaxed::new(n as u64),
+            live_count: AcqRel::new(n as u64),
             row_ids,
             columns,
         })
@@ -1088,22 +1091,6 @@ impl FrozenExtent {
         }
     }
 
-    /// Re-mark slot `i` live (abort-undo of a frozen-row delete).
-    /// Returns whether this call made the transition.
-    pub fn mark_live(&self, i: usize) -> bool {
-        let Some(live_word) = self.live.get(i / 64) else {
-            return false;
-        };
-        let bit = 1u64 << (i % 64);
-        let prev = live_word.fetch_or(bit);
-        if prev & bit == 0 {
-            self.live_count.fetch_add(1);
-            true
-        } else {
-            false
-        }
-    }
-
     /// Number of live slots.
     pub fn live_count(&self) -> u64 {
         self.live_count.load()
@@ -1125,25 +1112,41 @@ fn new_live_bitmap(n: usize) -> Vec<AcqRel<u64>> {
     live
 }
 
-/// The global frozen-extent directory: a chunked, lazily-allocated
-/// array of `OnceLock` slots addressed by extent id.
-///
-/// Lookups ([`ExtentStore::get`]) and iteration are entirely lock-free
-/// — the analytic scan path promises zero ranked-lock acquisitions.
-/// Only [`ExtentStore::install`] takes the ranked `publish` mutex, and
-/// holds it strictly for the directory update and byte accounting —
-/// never across encoding, WAL appends, or I/O.
-/// One lazily-allocated chunk of the extent directory.
-type ExtentChunk = Box<[OnceLock<Arc<FrozenExtent>>]>;
+/// One directory slot: the extent installed at its id, until every row
+/// left it. An unranked leaf latch: held only to clone or swap the
+/// `Arc`, never around another lock.
+type Slot = RwLock<Option<Arc<FrozenExtent>>>;
 
+/// The global frozen-extent directory: extent id → extent, in chunks of
+/// slots built as ids reach them ([`LazyDir`]).
+///
+/// An extent leaves the directory once it holds no live row
+/// ([`ExtentStore::remove_empty`]); its memory goes with the last `Arc`,
+/// so a reader that already holds one reads it intact, and a lookup of
+/// its id returns `None` from then on — ids are never reused. No
+/// operation takes a ranked lock: a lookup takes its slot's latch
+/// shared, an install or removal exclusive, and analytic scans stay at
+/// zero ranked locks.
 #[derive(Debug)]
 pub struct ExtentStore {
-    chunks: Box<[OnceLock<ExtentChunk>]>,
+    chunks: LazyDir<Box<[Slot]>>,
     next: AcqRel<u32>,
-    publish: Mutex<()>,
+    /// Analytic scans in flight ([`ExtentStore::pin`]): an empty extent
+    /// leaves the directory only while none is.
+    scans: AcqRel<u64>,
     count: Relaxed<u64>,
     raw_bytes: Relaxed<u64>,
     encoded_bytes: Relaxed<u64>,
+}
+
+/// An analytic scan in flight: while one is pinned, no extent leaves the
+/// directory ([`ExtentStore::pin`]).
+pub struct ScanPin<'s>(&'s ExtentStore);
+
+impl Drop for ScanPin<'_> {
+    fn drop(&mut self) {
+        self.0.scans.fetch_sub(1);
+    }
 }
 
 impl Default for ExtentStore {
@@ -1156,9 +1159,9 @@ impl ExtentStore {
     /// Create an empty directory.
     pub fn new() -> ExtentStore {
         ExtentStore {
-            chunks: (0..DIR_CHUNKS).map(|_| OnceLock::new()).collect(),
+            chunks: LazyDir::new(DIR_CHUNKS),
             next: AcqRel::new(0),
-            publish: Mutex::with_rank(lock_rank::EXTENT_STORE, ()),
+            scans: AcqRel::new(0),
             count: Relaxed::new(0),
             raw_bytes: Relaxed::new(0),
             encoded_bytes: Relaxed::new(0),
@@ -1176,52 +1179,46 @@ impl ExtentStore {
         self.next.fetch_max(id.saturating_add(1));
     }
 
+    fn slot(&self, id: u32) -> Option<&Slot> {
+        let id = id as usize;
+        self.chunks
+            .get(id / DIR_CHUNK_SLOTS)?
+            .get(id % DIR_CHUNK_SLOTS)
+    }
+
     /// Publish an extent at its id. Fails if the slot is taken or the
     /// id is beyond the directory.
     pub fn install(&self, ext: Arc<FrozenExtent>) -> Result<()> {
         let id = ext.id() as usize;
-        let chunk = self
-            .chunks
-            .get(id / DIR_CHUNK_SLOTS)
-            .ok_or_else(|| BtrimError::Invalid(format!("extent directory full at id {id}")))?;
-        let _publish = self.publish.lock();
-        let slots = chunk.get_or_init(|| {
-            (0..DIR_CHUNK_SLOTS)
-                .map(|_| OnceLock::new())
-                .collect::<Vec<_>>()
-                .into_boxed_slice()
-        });
-        let Some(slot) = slots.get(id % DIR_CHUNK_SLOTS) else {
+        if id / DIR_CHUNK_SLOTS >= self.chunks.capacity() {
             return Err(BtrimError::Invalid(format!(
-                "extent slot {id} out of range"
+                "extent directory full at id {id}"
             )));
-        };
-        let raw = ext.raw_len();
-        let encoded = ext.encoded_len();
-        if slot.set(ext).is_err() {
+        }
+        let slots = (self.chunks).get_or_init(id / DIR_CHUNK_SLOTS, || {
+            (0..DIR_CHUNK_SLOTS).map(|_| RwLock::new(None)).collect()
+        });
+        let mut slot = slots[id % DIR_CHUNK_SLOTS].write();
+        if slot.is_some() {
             return Err(BtrimError::Invalid(format!(
                 "extent {id} already installed"
             )));
         }
         self.count.fetch_add(1);
-        self.raw_bytes.fetch_add(raw);
-        self.encoded_bytes.fetch_add(encoded);
+        self.raw_bytes.fetch_add(ext.raw_len());
+        self.encoded_bytes.fetch_add(ext.encoded_len());
+        *slot = Some(ext);
         Ok(())
     }
 
-    /// Lock-free lookup by extent id.
+    /// Lookup by extent id: `None` for an id never installed, or one
+    /// whose extent left the directory.
     #[inline]
     pub fn get(&self, id: u32) -> Option<Arc<FrozenExtent>> {
-        let id = id as usize;
-        self.chunks
-            .get(id / DIR_CHUNK_SLOTS)?
-            .get()?
-            .get(id % DIR_CHUNK_SLOTS)?
-            .get()
-            .cloned()
+        self.slot(id)?.read().clone()
     }
 
-    /// Visit every installed extent in id order (lock-free).
+    /// Visit every installed extent in id order.
     pub fn for_each(&self, mut f: impl FnMut(&Arc<FrozenExtent>)) {
         let hi = self.next.load();
         for id in 0..hi {
@@ -1231,17 +1228,55 @@ impl ExtentStore {
         }
     }
 
+    /// Hold every extent in the directory until the pin drops. An
+    /// analytic scan pins before its first pass: an extent that had a
+    /// live row when the scan began is still listed at its last pass.
+    pub fn pin(&self) -> ScanPin<'_> {
+        self.scans.fetch_add(1);
+        ScanPin(self)
+    }
+
+    /// Take every extent with no live row out of the directory, unless
+    /// a scan is pinned (then nothing, and a later call retries).
+    /// Returns the ids removed.
+    ///
+    /// The empty extents are listed first, and the scan count is read
+    /// after, with a read-modify-write: an extent empty at the listing
+    /// stays empty (a slot, once gone, never comes back), and a scan
+    /// that pins after the read-modify-write reads from it, so it sees
+    /// every row of the listed extents already in its new home and
+    /// never needs them. An extent that empties after the listing waits
+    /// for a later call: a scan pinned beside its last thaw may still
+    /// have to serve that row from it.
+    pub fn remove_empty(&self) -> Vec<u32> {
+        let is_empty = |slot: &Slot| slot.read().as_ref().is_some_and(|e| e.live_count() == 0);
+        let mut empty: Vec<u32> = (0..self.next.load())
+            .filter(|&id| self.slot(id).is_some_and(is_empty))
+            .collect();
+        if empty.is_empty() || self.scans.compare_exchange(0, 0).is_err() {
+            return Vec::new();
+        }
+        empty.retain(|&id| {
+            let taken = self.slot(id).and_then(|slot| slot.write().take());
+            if taken.is_some() {
+                self.count.fetch_sub(1);
+            }
+            taken.is_some()
+        });
+        empty
+    }
+
     /// Number of installed extents.
     pub fn count(&self) -> u64 {
         self.count.load()
     }
 
-    /// Total raw bytes across installed extents.
+    /// Total raw bytes of every extent ever installed.
     pub fn raw_bytes(&self) -> u64 {
         self.raw_bytes.load()
     }
 
-    /// Total encoded bytes across installed extents.
+    /// Total encoded bytes of every extent ever installed.
     pub fn encoded_bytes(&self) -> u64 {
         self.encoded_bytes.load()
     }
@@ -1257,6 +1292,10 @@ mod tests {
     use super::*;
 
     fn sample_extent() -> FrozenExtent {
+        sample_extent_at(7)
+    }
+
+    fn sample_extent_at(id: u32) -> FrozenExtent {
         let n = 100usize;
         let row_ids: Vec<RowId> = (0..n as u64).map(|i| RowId(1000 + i)).collect();
         let quantity = vec![5u64; n];
@@ -1267,7 +1306,7 @@ mod tests {
             .map(|i| format!("dist-{:04}", i % 10).into_bytes())
             .collect();
         FrozenExtent::build(
-            7,
+            id,
             TableId(3),
             PartitionId(12),
             row_ids,
@@ -1409,9 +1448,6 @@ mod tests {
         assert!(!ext.mark_gone(99), "second mark is a no-op");
         assert!(!ext.is_live(99));
         assert_eq!(ext.live_count(), 99);
-        assert!(ext.mark_live(99));
-        assert!(!ext.mark_live(99));
-        assert_eq!(ext.live_count(), 100);
         assert!(!ext.mark_gone(100_000), "out of range is a no-op");
     }
 
@@ -1441,6 +1477,44 @@ mod tests {
         store.bump_floor(7);
         store.for_each(|e| seen.push(e.id()));
         assert_eq!(seen, vec![7]);
+    }
+
+    #[test]
+    fn an_extent_with_no_live_row_leaves_the_directory() {
+        let store = ExtentStore::new();
+        let mut held = Vec::new();
+        for _ in 0..3 {
+            let id = store.allocate_id();
+            let ext = Arc::new(sample_extent_at(id));
+            let _ = ext.encode();
+            store.install(Arc::clone(&ext)).unwrap();
+            held.push(ext);
+        }
+        assert_eq!(store.count(), 3);
+        for i in 0..100 {
+            held[1].mark_gone(i);
+        }
+        // A pinned scan holds every extent in place.
+        let pin = store.pin();
+        assert!(store.remove_empty().is_empty());
+        assert!(store.get(1).is_some());
+        drop(pin);
+        assert_eq!(store.remove_empty(), vec![1]);
+        assert_eq!(store.count(), 2);
+        assert!(store.get(1).is_none(), "a removed slot looks up as None");
+        assert_eq!(
+            store.encoded_bytes(),
+            3 * held[0].encoded_len(),
+            "cumulative"
+        );
+        // A reader that held the Arc across the removal reads it intact.
+        assert_eq!(held[1].row_count(), 100);
+        assert_eq!(held[1].column("quantity").unwrap().get_u64(7), Some(5));
+        let mut seen = Vec::new();
+        store.for_each(|e| seen.push(e.id()));
+        assert_eq!(seen, vec![0, 2]);
+        assert_eq!(store.allocate_id(), 3, "a dropped id is never reused");
+        assert!(store.remove_empty().is_empty());
     }
 
     #[test]

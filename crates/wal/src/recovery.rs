@@ -76,19 +76,24 @@ pub fn analyze_page_log(records: &[(Lsn, PageLogRecord)]) -> LogAnalysis {
 
 impl LogAnalysis {
     /// Whether an IMRS record's transaction lost: a loser's or an aborted
-    /// transaction's record does, and so do two kinds without a syslogs
+    /// transaction's record does, and so do three kinds without a syslogs
     /// `Commit`, whose sysimrslogs half another's barrier can make
     /// durable while the rest of the transaction (its `Begin` too,
-    /// perhaps) is gone: a mixed transaction's batch, and a departure to
-    /// a page (`Pack`, `ExtentRowGone`) — its arrival is the syslogs
-    /// `Insert`, so without the `Commit` the row stays where it was.
+    /// perhaps) is gone: a mixed transaction's batch, a departure to a
+    /// page (`Pack`, `ExtentRowGone`) — its arrival is the syslogs
+    /// `Insert`, so without the `Commit` the row stays where it was —
+    /// and a freeze batch's `Freeze`, whose rows leave their pages by
+    /// syslogs `Delete`s: without the `Commit` they stay on them, and an
+    /// extent installed beside them would be replayed again, against
+    /// other pages, by every later recovery.
     pub fn loses(&self, rec: &ImrsLogRecord) -> bool {
-        use ImrsLogRecord::{ExtentRowGone, Pack};
-        let to_page = matches!(rec, Pack { .. } | ExtentRowGone { .. });
-        rec.txn().is_some_and(|txn| match rec.mixed() || to_page {
-            true => !self.winners.contains_key(&txn),
-            false => self.losers.contains(&txn) || self.aborted.contains(&txn),
-        })
+        use ImrsLogRecord::{ExtentRowGone, Freeze, Pack};
+        let syslogs_verdict = matches!(rec, Pack { .. } | ExtentRowGone { .. } | Freeze { .. });
+        rec.txn()
+            .is_some_and(|txn| match rec.mixed() || syslogs_verdict {
+                true => !self.winners.contains_key(&txn),
+                false => self.losers.contains(&txn) || self.aborted.contains(&txn),
+            })
     }
 
     /// A mixed transaction appends its sysimrslogs batch and then its

@@ -62,13 +62,6 @@ pub const IMRS_CHAIN: u16 = 40;
 /// hold no frame latch), and purge runs from maintenance before WAL
 /// appends — between the chain stripes and the log.
 pub const SIDE_STORE: u16 = 45;
-/// Frozen-extent directory publish lock (`pagestore::extent::
-/// ExtentStore::publish`). Held only for the directory-slot install of
-/// an already-encoded extent — never across encoding, I/O, or a WAL
-/// append. Freeze stashes before-images (side-store) first and appends
-/// the extent WAL record after the publish lock is released, so the
-/// rank sits between the side store and the log.
-pub const EXTENT_STORE: u16 = 48;
 /// WAL inner locks (`wal::log::{MemLog, FileLog}::inner`).
 pub const WAL_LOG: u16 = 50;
 /// Active-transaction syslog floor table (`core::checkpoint::
@@ -96,7 +89,6 @@ pub const LOCK_RANKS: &[(&str, u16)] = &[
     ("frame", FRAME),
     ("imrs-chain", IMRS_CHAIN),
     ("side-store", SIDE_STORE),
-    ("extent-store", EXTENT_STORE),
     ("wal-log", WAL_LOG),
     ("txn-log-floor", TXN_LOG_FLOOR),
     ("group-commit", GROUP_COMMIT),

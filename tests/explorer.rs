@@ -1,7 +1,8 @@
 //! The schedule explorer (`tests/common/explorer.rs`): random schedules
-//! from seeds, the schedules it pinned, and its determinism.
+//! from seeds — the general mix, and a freezing one that thaws and
+//! dissolves extents — the schedules it pinned, and its determinism.
 //!
-//! `PROPTEST_CASES=N` runs `N` seeds (default 8); `RUST_SEED=S` runs
+//! `PROPTEST_CASES=N` runs `N` seeds of each mix (default 8); `RUST_SEED=S` runs
 //! the one schedule of seed `S` (CI draws a fresh one per run). A
 //! failing seed replays with `RUST_SEED=<seed> cargo test --test
 //! explorer randomized_seed_from_env -- --nocapture`.
@@ -10,6 +11,8 @@ mod common;
 
 use btrim::{Actor, EngineConfig, EngineMode, RowLocation};
 use btrim_wal::LogSink;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 use common::explorer::{config, explore, Explorer, Profile, Step, Step::*, AUX, COLD, HOT};
 
@@ -42,12 +45,78 @@ fn randomized_seed_from_env() {
     println!("schedule digest {:016x}", explore(seed, PROFILE));
 }
 
+/// The freezing configuration: one client on an `IlmOn` engine, every
+/// few steps a pack and a Freeze step, so rows go to pages and into
+/// extents and client writes thaw them back out — extents go mostly dead
+/// and dissolve, and emptied ones leave the directory — with power cuts
+/// inside any of it. Returns the schedule's digest and the rows the
+/// engines dissolved.
+fn explore_freezing(seed: u64) -> (u64, u64) {
+    // Six keys a table, so an extent of five or more rows — the
+    // smallest one with a live row that a dissolve takes — is common.
+    let profile = Profile {
+        steps: 300,
+        keys: 18,
+        clients: 1,
+        ..PROFILE
+    };
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut ex = Explorer::new(EngineConfig {
+        durable_commits: rng.gen_bool(0.5),
+        freeze_min_rows: 5,
+        freeze_max_rows: 8,
+        ..config(EngineMode::IlmOn)
+    });
+    let mut dissolved = 0;
+    for _ in 0..profile.steps {
+        let step = |ex: &Explorer, rng: &mut StdRng| match rng.gen_range(0..20) {
+            0..=1 => PackAll,
+            2..=3 => Act(Actor::Freeze),
+            4 => Checkpoint,
+            5..=8 => Commit(0),
+            // Writes, mostly: a frozen row leaves its extent by one.
+            _ => (0..3)
+                .map(|_| ex.draw_client(rng, profile))
+                .find(|step| !matches!(step, Get(..)))
+                .unwrap_or(Get(0, HOT, 0)),
+        };
+        let cut = rng.gen_bool(0.05);
+        let next = step(&ex, &mut rng);
+        if cut {
+            ex.run_all(&[CutIn(rng.gen_range(0..40)), next, Cut]);
+        } else {
+            ex.run(next);
+        }
+        if ex.power.off() {
+            dissolved += ex.engine.snapshot().rows_dissolved;
+            ex.reboot();
+        }
+    }
+    (ex.digest(), dissolved + ex.engine.snapshot().rows_dissolved)
+}
+
+#[test]
+fn random_freezing_schedules_hold_the_four_checks() {
+    let dissolved: u64 = (0..seeds())
+        .map(|seed| {
+            println!("seed {seed}");
+            explore_freezing(seed).1
+        })
+        .sum();
+    assert!(dissolved > 0, "no schedule dissolved an extent");
+}
+
 #[test]
 fn the_same_seed_gives_the_same_schedule() {
     for seed in [1, 7] {
         assert_eq!(
             explore(seed, PROFILE),
             explore(seed, PROFILE),
+            "seed {seed}"
+        );
+        assert_eq!(
+            explore_freezing(seed),
+            explore_freezing(seed),
             "seed {seed}"
         );
     }
@@ -305,4 +374,23 @@ fn an_arrival_replaces_the_row_a_lost_pack_left_resident() {
     assert_eq!(ex.homes(HOT), [2, 0, 0]);
     let copies = ex.engine.snapshot().imrs_rows as u64;
     assert_eq!(copies, ex.homes(AUX)[0] + 2, "one IMRS copy per row");
+}
+
+/// A frozen row thawed by its delete, and its key inserted again as a
+/// new row on a page: recovery rebuilt the heap first — the new row
+/// took the key's index entry — then replayed the extent, whose row
+/// took the key back, and the thaw's record, which dropped the frozen
+/// row's entry and so left the key with none. The acknowledged insert
+/// read back as absent.
+#[test]
+fn a_key_re_inserted_after_its_frozen_row_was_deleted_survives_a_reboot() {
+    let mut ex = Explorer::new(config(EngineMode::IlmOn));
+    ex.load(COLD, &[(1, 10), (2, 20), (3, 30), (4, 40)]);
+    ex.run(Act(Actor::Freeze));
+    assert_eq!(ex.homes(COLD)[2], 4, "frozen");
+    ex.run_all(&[Delete(0, COLD, 1), Commit(0)]);
+    ex.run_all(&[Insert(0, COLD, 1, 99, 0), Commit(0)]);
+    ex.run(Cut);
+    ex.reboot();
+    assert_eq!(ex.value(COLD, 1), Some(99));
 }

@@ -280,3 +280,99 @@ fn a_thaw_cut_after_its_departure_keeps_its_row() {
     ex.reboot();
     assert_eq!(ex.homes(HOT), [0, 0, ROWS]);
 }
+
+/// Eight rows of `hot` frozen in one extent, seven of them thawed by an
+/// update: the extent is left with one live row of eight, and the
+/// partition stops freezing (seven of its eight frozen rows left).
+fn mostly_dead() -> Explorer {
+    let mut ex = ilm_on();
+    ex.load(HOT, &(0..8).map(|k| (k, k * 7)).collect::<Vec<_>>());
+    ex.run(Act(Actor::Gc));
+    ex.run_all(&[PackAll, Insert(0, COLD, 10_000, 0, 0), Commit(0)]);
+    ex.run(Act(Actor::Freeze));
+    assert_eq!(ex.homes(HOT)[2], 8, "frozen");
+    let thaw: Vec<Step> = (0..7).map(|k| Update(0, HOT, k, k * 7 + 1, 0)).collect();
+    ex.run_all(&[thaw, vec![Commit(0)]].concat());
+    assert_eq!(ex.homes(HOT)[2], 1, "one live row left");
+    ex
+}
+
+/// The Freeze actor's dissolve, settled by the syslogs sync of the next
+/// durable commit, an insert of `cold` `key` (a dissolve is a thaw: it
+/// flushes nothing itself).
+fn the_dissolve(key: u64) -> Vec<Step> {
+    vec![Act(Actor::Freeze), Insert(0, COLD, key, 0, 0), Commit(0)]
+}
+
+/// A dissolve thaws the last live row of a mostly-dead extent to a page
+/// and the emptied extent leaves the directory. Cut the power at every
+/// device op of the dissolve and the commit that settles it: the
+/// explorer holds the survivor to one row, one home, one image, and the
+/// dissolve, run again, leaves no `hot` row and no `hot` extent.
+#[test]
+fn a_cut_at_every_device_op_of_a_dissolve_keeps_each_row_one_home() {
+    let mut cuts = 0;
+    for k in 0.. {
+        let mut ex = mostly_dead();
+        ex.run_all(&[[CutIn(k)].as_slice(), &the_dissolve(10_001)].concat());
+        let cut = ex.power.off();
+        ex.reboot();
+        ex.run_all(&the_dissolve(10_002));
+        assert_eq!(ex.homes(HOT)[2], 0, "cut at {k}: a row stayed frozen");
+        // `cold`'s page rows may freeze meanwhile; `hot` has no extent.
+        let hot = ex.engine.table(TABLES[HOT].0).unwrap().id;
+        (ex.engine.extent_store()).for_each(|e| assert_ne!(e.table(), hot, "cut at {k}"));
+        if !cut {
+            break;
+        }
+        cuts += 1;
+    }
+    assert!(cuts >= 3, "only {cuts} cuts fell inside the dissolve");
+}
+
+/// The checkpoint image holds the extent with all eight rows live; the
+/// thaws and the dissolve after it empty the extent, which leaves the
+/// directory at run time. Recovery installs the image's extent, replays
+/// each row's departure over it, and drops it again: it ends replay
+/// with no live row.
+#[test]
+fn recovery_drops_an_imaged_extent_that_was_dissolved_since() {
+    let mut ex = ilm_on();
+    ex.load(HOT, &(0..8).map(|k| (k, k * 7)).collect::<Vec<_>>());
+    ex.run(Act(Actor::Gc));
+    ex.run_all(&[PackAll, Insert(0, COLD, 10_000, 0, 0), Commit(0)]);
+    ex.run_all(&[Act(Actor::Freeze), Checkpoint]);
+    let mut ids = Vec::new();
+    ex.engine.extent_store().for_each(|e| ids.push(e.id()));
+    assert_eq!(ids.len(), 1, "one extent, in the image");
+    let thaw: Vec<Step> = (0..7).map(|k| Update(0, HOT, k, k * 7 + 1, 0)).collect();
+    ex.run_all(&[thaw, vec![Commit(0)]].concat());
+    ex.run_all(&the_dissolve(10_001));
+    assert_eq!(ex.engine.snapshot().rows_dissolved, 1);
+    assert!(ex.engine.extent_store().get(ids[0]).is_none(), "removed");
+    ex.run(Cut);
+    ex.reboot();
+    assert!(ex.engine.extent_store().get(ids[0]).is_none(), "dropped");
+    assert_eq!(ex.homes(HOT)[2], 0);
+}
+
+/// A freeze batch cut after its first flush: the `Freeze` on
+/// sysimrslogs is durable, its whole syslogs half — `Begin`, page
+/// deletes, `Commit` — is not. The rows stay on their pages, and the
+/// batch must stay lost: when those rows are deleted and the power is
+/// cut again, the next recovery may not install the extent with them
+/// live. It did while a `Freeze` won without its `Commit`, its slots
+/// retired only because the heap held the rows at the first recovery.
+#[test]
+fn a_freeze_batch_whose_syslogs_half_was_lost_stays_lost() {
+    let mut ex = prepared(ilm_on(), Freeze);
+    ex.run_all(&[Checkpoint, CutAfterFlushes(1)]);
+    ex.run_all(&the_move(Freeze, 0));
+    assert!(ex.power.off(), "no flush seen");
+    ex.reboot();
+    assert_eq!(ex.homes(HOT), [0, ROWS, 0], "the batch was lost");
+    let deletes: Vec<Step> = (0..ROWS).map(|k| Delete(0, HOT, k)).collect();
+    ex.run_all(&[deletes, vec![Commit(0), Cut]].concat());
+    ex.reboot();
+    assert_eq!(ex.homes(HOT), [0, 0, 0], "deleted rows came back");
+}

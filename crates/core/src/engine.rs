@@ -858,11 +858,13 @@ impl Engine {
                 let Some(part) = table.partition(row.partition) else {
                     return Ok(false);
                 };
-                // Old image for secondary-index maintenance; a row this
-                // transaction cannot see is not there to be written.
+                // A row this transaction cannot see is not there to be
+                // written; the secondary entries are the latest image's,
+                // which a commit since the snapshot may have written.
                 let (snapshot, id) = (txn.handle.snapshot, txn.handle.id);
-                let old = self.resolve(table, row_id, snapshot, id, View::Current)?;
-                let Some((Some(old), _)) = old else {
+                let seen = self.resolve_with(table, row_id, snapshot, id, View::Current, |_| ())?;
+                let old = self.resolve(table, row_id, Timestamp(u64::MAX), id, View::Current)?;
+                let (Some((Some(()), _)), Some((Some(old), _))) = (seen, old) else {
                     return Ok(false);
                 };
                 let op = match new_row {

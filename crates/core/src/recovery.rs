@@ -64,6 +64,10 @@
 //!   the media is redone, not undone), and a heap copy the RID-Map no
 //!   longer names once both logs have replayed is retired
 //!   (`retire_unnamed_page_copies`: the `Delete{old}` never made it).
+//!   But the arrival carries the image its page copy had, and with no
+//!   syslogs record of the move left that copy may be of a pack or a
+//!   commit the logs lost: such an arrival counts only over the image
+//!   recovery already holds for the row (`Engine::holds`).
 //! * A move to a page (pack: IMRS → page; thaw: extent → page) departs
 //!   on sysimrslogs (`Pack`, `ExtentRowGone`) and arrives on syslogs
 //!   (`Insert`) beside its `Commit`, and flushes neither. The departure
@@ -126,7 +130,7 @@ use btrim_obs::OpClass;
 
 use crate::catalog::TableDesc;
 use crate::config::EngineConfig;
-use crate::engine::{unwrap_row, Engine};
+use crate::engine::{unwrap_row, Engine, View};
 
 /// What recovery salvaged and what it had to drop. All counters are
 /// zero after a clean start or an undamaged recovery.
@@ -687,7 +691,9 @@ impl Engine {
         // lost its `Commit` (DESIGN.md "Row movement"). Pack drains the
         // excess once the engine is open.
         self.sh.store.allocator().overdraw(true);
-        let applied = self.run_replay_workers(shards, |rec| self.apply_imrs_record(rec, heap_locs));
+        let applied = self.run_replay_workers(shards, |rec| {
+            self.apply_imrs_record(rec, analysis, heap_locs)
+        });
         self.sh.store.allocator().overdraw(false);
         applied?;
         // An extent every row of which left by the end of replay (an
@@ -712,6 +718,7 @@ impl Engine {
     fn apply_imrs_record(
         &self,
         rec: &ImrsLogRecord,
+        analysis: &LogAnalysis,
         heap_locs: &HashMap<RowId, (PageId, SlotId)>,
     ) -> Result<()> {
         let txn = rec.txn().unwrap_or(TxnId(0));
@@ -724,8 +731,16 @@ impl Engine {
                 data,
                 ..
             } => {
-                let origin = row_origin(*origin);
-                self.replay_imrs_arrival(txn, *ts, *partition, *row, origin, data)?;
+                // A cache's or migration's arrival carries the image its
+                // page copy had. With no syslogs record of its move left,
+                // that copy may be of a pack or a commit the logs lost:
+                // the arrival counts only over the image recovery holds.
+                let unsettled =
+                    *origin != RowOriginTag::Inserted && !analysis.winners.contains_key(&txn);
+                if !unsettled || self.holds(*partition, *row, data)? {
+                    let origin = row_origin(*origin);
+                    self.replay_imrs_arrival(txn, *ts, *partition, *row, origin, data)?;
+                }
             }
             ImrsLogRecord::ImageRow {
                 ts,
@@ -916,6 +931,17 @@ impl Engine {
         table.hash.insert(&(table.primary_key)(data), row);
         self.index_row(&table, row, data, true);
         Ok(())
+    }
+
+    /// Whether recovery holds `data` as `row`'s latest image, in
+    /// whichever tier the row is.
+    fn holds(&self, partition: PartitionId, row: RowId, data: &[u8]) -> Result<bool> {
+        let Some(table) = self.sh.catalog.table_of_partition(partition) else {
+            return Ok(false);
+        };
+        let (latest, view) = (Timestamp(u64::MAX), View::Snapshot);
+        let seen = self.resolve_with(&table, row, latest, TxnId(0), view, |img| *img == *data)?;
+        Ok(matches!(seen, Some((Some(true), _))))
     }
 
     /// The page-arrival half of a winner's `Pack` / `ExtentRowGone`:

@@ -486,7 +486,8 @@ impl EngineSnapshot {
     /// Machine-readable JSON dump: headline counters, per-class latency
     /// summaries (nanoseconds), the retained ILM decision trace, and
     /// per-table footprints. Guaranteed parseable — the obs test suite
-    /// and the fault-torture harness run it through a strict validator.
+    /// and the schedule explorer (after every reboot) run it through a
+    /// strict validator.
     ///
     /// Complete by construction: the snapshot structs are destructured
     /// without `..`, so a new field does not compile until it is bound

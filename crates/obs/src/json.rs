@@ -4,8 +4,9 @@
 //! JSON strings and the test/CI path checks them with a small
 //! recursive-descent validator. The validator accepts exactly RFC 8259
 //! JSON; it does not build a document tree, it only answers "would a
-//! real parser accept this?" — which is what the fault-torture job
-//! asserts about the post-recovery export.
+//! real parser accept this?" — which is what the schedule explorer
+//! asserts about the export after every reboot, its faulted
+//! configurations included.
 
 /// Escape a string for embedding in a JSON string literal (no quotes).
 pub fn escape(s: &str) -> String {

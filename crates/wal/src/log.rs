@@ -52,22 +52,7 @@ pub trait LogSink: Send + Sync {
     /// persists every record in the batch or none of them, never a
     /// prefix. One lock acquisition reserves the whole LSN range.
     /// Empty batches are rejected (`Invalid`).
-    ///
-    /// The default implementation is a per-record loop — correct for
-    /// in-memory sinks used in tests, but without the atomicity or
-    /// single-lock guarantee. `MemLog`, `FileLog`, and the fault
-    /// wrapper override it.
-    fn append_batch(&self, payloads: &[&[u8]]) -> Result<LsnRange> {
-        let (first_payload, rest) = payloads
-            .split_first()
-            .ok_or_else(|| btrim_common::BtrimError::Invalid("empty log batch".into()))?;
-        let first = self.append(first_payload)?;
-        let mut last = first;
-        for p in rest {
-            last = self.append(p)?;
-        }
-        Ok(LsnRange { first, last })
-    }
+    fn append_batch(&self, payloads: &[&[u8]]) -> Result<LsnRange>;
     /// Durably flush all appended records.
     fn flush(&self) -> Result<()>;
     /// Read every intact record in order (recovery). LSNs are stable
@@ -1175,43 +1160,6 @@ mod batch_tests {
     }
 
     #[test]
-    fn default_trait_batch_falls_back_to_loop() {
-        // A sink that doesn't override append_batch still works (no
-        // atomicity, but correct LSNs).
-        struct Plain(MemLog);
-        impl LogSink for Plain {
-            fn append(&self, p: &[u8]) -> Result<Lsn> {
-                self.0.append(p)
-            }
-            fn flush(&self) -> Result<()> {
-                self.0.flush()
-            }
-            fn read_all(&self) -> Result<Vec<(Lsn, Vec<u8>)>> {
-                self.0.read_all()
-            }
-            fn record_count(&self) -> u64 {
-                self.0.record_count()
-            }
-            fn byte_size(&self) -> u64 {
-                self.0.byte_size()
-            }
-            fn truncate_prefix(&self, upto: Lsn) -> Result<()> {
-                self.0.truncate_prefix(upto)
-            }
-        }
-        let sink = Plain(MemLog::new());
-        let range = sink.append_batch(&[b"a".as_ref(), b"b".as_ref()]).unwrap();
-        assert_eq!(
-            range,
-            LsnRange {
-                first: Lsn(1),
-                last: Lsn(2)
-            }
-        );
-        assert!(sink.append_batch(&[]).is_err());
-    }
-
-    #[test]
     fn truncate_prefix_preserves_batch_survivors() {
         let path = tmp("b7.wal");
         let log = FileLog::open(&path).unwrap();
@@ -1468,6 +1416,9 @@ mod barrier_tests {
     impl LogSink for DyingSink {
         fn append(&self, payload: &[u8]) -> Result<Lsn> {
             self.inner.append(payload)
+        }
+        fn append_batch(&self, payloads: &[&[u8]]) -> Result<LsnRange> {
+            self.inner.append_batch(payloads)
         }
         fn flush(&self) -> Result<()> {
             self.entered.fetch_add(1);

@@ -6,24 +6,37 @@
 //! The steps are DML, commit and abort from two logical clients, held
 //! snapshots, `Engine::step(actor)` for each [`Actor`], a pack to the
 //! fixpoint, `checkpoint()`, a power cut (now, at device op `k`, or
-//! after `n` log flushes) and a reboot. One [`Power`] switch covers the
-//! disk and both logs; the logs are [`VolatileLog`]s, so a cut loses
-//! their unflushed tails.
+//! after `n` log flushes) and a reboot, which may itself be cut inside
+//! its first recovery. One [`Power`] switch covers the disk and both
+//! logs; the logs are [`VolatileLog`]s, so a cut loses their unflushed
+//! tails. The disk is a [`MemDisk`] or a `FileDisk`.
+//!
+//! A [`FaultPlan`] adds device faults to the first boot: transient
+//! read, write and sync errors, a torn page write, partial and torn log
+//! appends, a log that dies. Under one, an engine call may fail with a
+//! typed error: the step's transaction is rolled back, a failed commit
+//! may or may not survive the next reboot (all of it or none), and a
+//! check skips a read that failed. Nothing else is excused.
 //!
 //! One client runs at a time. [`Step::During`] runs a step and, inside
 //! its first syslogs flush, hands control over: the other steps run to
 //! completion on a second thread, which is joined before the paused
-//! flush completes. A step that would wait on what the paused one holds
-//! (its row locks, the barrier or the move gate in flight) is not
-//! enabled there; one that blocks anyway fails the schedule.
+//! flush completes (when no flush pauses, they run after the step). A
+//! step that would wait on what the paused one holds (its row locks,
+//! the barrier or the move gate in flight) is not enabled there; one
+//! that blocks anyway fails the schedule.
 //!
 //! Four checks run after every step (while the power is on) and every
 //! reboot: every read path matches the model at every held snapshot;
 //! `locate` finds one home per key, and each tier holds exactly the
-//! copies the RID-Map names; acknowledged commits survive a reboot; a
-//! second reboot changes nothing. Schedules are deterministic: the same
-//! seed gives the same steps, outcomes and [`Explorer::digest`].
-//! `EXPLORER_TRACE=1` prints each step and its outcome.
+//! copies the RID-Map names; acknowledged commits survive a reboot, each
+//! transaction whole or not at all; a second reboot changes nothing. A
+//! reboot also validates the engine's JSON export. Schedules are
+//! deterministic: the same seed gives the same steps, outcomes and
+//! [`Explorer::digest`]. Three random mixes draw them: the general one
+//! ([`explore`]), a freezing one and a faulted one, which draws a fault
+//! plan per seed (both in `tests/explorer.rs`). `EXPLORER_TRACE=1`
+//! prints each step and its outcome.
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeMap, BTreeSet};
@@ -39,11 +52,11 @@ use btrim::catalog::{FieldKind, RowLayout, TableDesc, TableOpts};
 use btrim::pack::{pack_cycle, PackLevel};
 use btrim::{Actor, Engine, EngineConfig, EngineMode, RowId, RowLocation, ScanSpec};
 use btrim::{SnapshotTxn, Transaction, TxnId};
-use btrim_faults::{FaultDisk, FaultLog, FaultPlan};
-use btrim_pagestore::DiskBackend;
+use btrim_faults::{FaultDisk, FaultLog, FaultPlan, FaultState};
+use btrim_pagestore::{DiskBackend, MemDisk};
 use btrim_wal::{LogSink, LogWriter, PageLogRecord};
 
-use super::{PausableDisk, Power, VolatileLog};
+use super::{file_disk, PausableDisk, Power, VolatileLog};
 
 /// Every stage's tables: name, and whether it may use the IMRS. `aux`
 /// is created first, so its partition packs first.
@@ -115,6 +128,21 @@ fn table(e: &Engine, t: usize) -> Arc<TableDesc> {
 
 fn locate(e: &Engine, (t, k): Key) -> Option<RowLocation> {
     e.locate(&table(e, t), &k.to_be_bytes()).unwrap()
+}
+
+/// Whether `plan` injects a device fault besides the power switch.
+fn injects(plan: &FaultPlan) -> bool {
+    let odds = plan.read_error_prob + plan.write_error_prob + plan.sync_error_prob;
+    odds + plan.partial_append_prob > 0.0 && plan.error_budget > 0
+        || plan.torn_write_at.is_some()
+        || plan.torn_batch_at.is_some()
+        || plan.fail_appends_after.is_some()
+}
+
+/// What a read returned; under a fault plan (`faults`) a typed error
+/// skips it.
+fn served<T>(faults: bool, label: &str, got: btrim::Result<T>) -> Option<T> {
+    got.map_err(|err| assert!(faults, "{label}: {err}")).ok()
 }
 
 #[derive(Clone, Debug)]
@@ -196,8 +224,12 @@ struct World {
     /// Commits so far: the snapshot a transaction begun now reads.
     seq: u64,
     /// Commits up to here are durable (acknowledged under
-    /// `durable_commits`, or covered by barriers on both logs).
+    /// `durable_commits`, or covered by barriers on both logs) — but
+    /// for the `unsure` ones.
     durable: u64,
+    /// Commits whose `commit` failed: until a reboot, they may or may
+    /// not have reached the media.
+    unsure: BTreeSet<u64>,
     clients: [Client; 2],
     held: Vec<(u64, SnapshotTxn)>,
     durable_commits: bool,
@@ -270,7 +302,12 @@ impl World {
 /// unless `faults` planned one.
 fn exec(e: &Engine, world: &Mutex<World>, step: &Step, power: &Power, faults: bool) -> Outcome {
     let mut out = Outcome::default();
-    let fail = |what: String| assert!(faults || power.off(), "{step:?}: {what}");
+    let fail = |what: String| {
+        assert!(faults || power.off(), "{step:?}: {what}");
+        if std::env::var_os("EXPLORER_TRACE").is_some() {
+            eprintln!("  {step:?} failed: {what}");
+        }
+    };
     match *step {
         Step::Begin(c) => {
             let mut w = world.lock().unwrap();
@@ -355,13 +392,14 @@ fn exec(e: &Engine, world: &Mutex<World>, step: &Step, power: &Power, faults: bo
             }
         }
         Step::Commit(c) | Step::Abort(c) => {
-            let (txn, seq) = {
+            let (txn, seq, wrote) = {
                 let mut w = world.lock().unwrap();
                 let (txn, writes) = w.end(e, c);
                 // A commit counts in the model before it returns: a
                 // reader that begins while it is paused in a flush sees
                 // it, as the engine's readers do.
-                if matches!(step, Step::Commit(_)) && !writes.is_empty() {
+                let wrote = matches!(step, Step::Commit(_)) && !writes.is_empty();
+                if wrote {
                     w.seq += 1;
                     let begin = w.seq;
                     for (key, (rid, image)) in writes {
@@ -371,19 +409,23 @@ fn exec(e: &Engine, world: &Mutex<World>, step: &Step, power: &Power, faults: bo
                             .push(Version { begin, rid, image });
                     }
                 }
-                (txn, w.seq)
+                (txn, w.seq, wrote)
             };
             match (txn, step) {
                 (Some(txn), Step::Abort(_)) => e.abort(txn),
-                (Some(txn), _) => match e.commit(txn) {
-                    Ok(_) => {
-                        let mut w = world.lock().unwrap();
-                        if w.durable_commits {
-                            w.durable = w.durable.max(seq);
+                (Some(txn), _) => {
+                    let done = e.commit(txn);
+                    let mut w = world.lock().unwrap();
+                    match done {
+                        Ok(_) if w.durable_commits => w.durable = w.durable.max(seq),
+                        Ok(_) => {}
+                        Err(err) => {
+                            w.unsure.extend(wrote.then_some(seq));
+                            drop(w);
+                            fail(format!("{err}"));
                         }
                     }
-                    Err(err) => fail(format!("{err}")),
-                },
+                }
                 (None, _) => {}
             }
         }
@@ -434,7 +476,9 @@ fn enabled_inside(w: &World, e: &Engine, first: &Step, step: &Step) -> bool {
         Step::Get(s, ..) | Step::Abort(s) | Step::Begin(s) => other(s),
         Step::Insert(s, t, k, ..) => other(s) && free((t, k)),
         Step::Update(s, t, k, ..) | Step::Rmw(s, t, k, _) | Step::Delete(s, t, k) => {
-            let frozen = matches!(locate(e, (t, k)), Some(RowLocation::Frozen(..)));
+            // A row whose home a fault hid may be frozen.
+            let at = e.locate(&table(e, t), &k.to_be_bytes());
+            let frozen = at.map_or(true, |at| matches!(at, Some(RowLocation::Frozen(..))));
             writes && other(s) && !frozen && free((t, k))
         }
         Step::Commit(s) => other(s) && (!w.durable_commits || w.clients[s].writes.is_empty()),
@@ -444,32 +488,33 @@ fn enabled_inside(w: &World, e: &Engine, first: &Step, step: &Step) -> bool {
 }
 
 /// An engine on `disk` and `logs` under `power`: a fresh database, or
-/// what `recover` (a label) makes of the media.
+/// (`recover`) what recovery makes of the media.
 fn boot(
     cfg: &EngineConfig,
     disk: &Arc<PausableDisk>,
     power: &Power,
     logs: &(Arc<VolatileLog>, Arc<VolatileLog>),
-    recover: Option<&str>,
-) -> Engine {
+    recover: bool,
+) -> btrim::Result<Engine> {
     let faults = &power.faults;
     let disk: Arc<dyn DiskBackend> = Arc::new(FaultDisk::new(disk.clone(), faults.clone()));
     let syslog = Arc::new(FaultLog::new(logs.0.clone(), faults.clone()));
     let imrslog = Arc::new(FaultLog::new(logs.1.clone(), faults.clone()));
-    let Some(label) = recover else {
-        let engine = Engine::with_devices(cfg.clone(), disk, syslog, imrslog);
-        schema(&engine).unwrap();
-        return engine;
-    };
-    Engine::recover(cfg.clone(), disk, syslog, imrslog, schema)
-        .unwrap_or_else(|e| panic!("{label}: recovery failed: {e}"))
+    if recover {
+        return Engine::recover(cfg.clone(), disk, syslog, imrslog, schema);
+    }
+    let engine = Engine::with_devices(cfg.clone(), disk, syslog, imrslog);
+    schema(&engine)?;
+    Ok(engine)
 }
 
 pub struct Explorer {
     pub engine: Arc<Engine>,
     cfg: EngineConfig,
-    /// Device faults besides the power switch (a log that dies).
+    /// Device faults besides the power switch, until the first reboot.
     plan: FaultPlan,
+    /// The first boot's fault state: what the plan injected.
+    pub planned: Arc<FaultState>,
     world: Arc<Mutex<World>>,
     disk: Arc<PausableDisk>,
     pub power: Arc<Power>,
@@ -486,20 +531,25 @@ impl Explorer {
     }
 
     pub fn with_faults(cfg: EngineConfig, plan: FaultPlan) -> Explorer {
+        Explorer::on_disk(cfg, plan, Arc::new(MemDisk::new()))
+    }
+
+    pub fn on_disk(cfg: EngineConfig, plan: FaultPlan, disk: Arc<dyn DiskBackend>) -> Explorer {
         let power = Power::new(plan.clone());
         let world = World {
             durable_commits: cfg.durable_commits,
             ..World::default()
         };
         let (disk, logs) = (
-            Arc::new(PausableDisk::default()),
+            Arc::new(PausableDisk::new(disk)),
             (VolatileLog::new(&power), VolatileLog::new(&power)),
         );
         Explorer {
-            engine: Arc::new(boot(&cfg, &disk, &power, &logs, None)),
+            engine: Arc::new(boot(&cfg, &disk, &power, &logs, false).unwrap()),
             world: Arc::new(Mutex::new(world)),
             digest: DefaultHasher::new(),
             checked: true,
+            planned: power.faults.clone(),
             cfg,
             plan,
             disk,
@@ -511,6 +561,11 @@ impl Explorer {
     /// Barriers so far on (sysimrslogs, syslogs).
     pub fn flushes(&self) -> (u64, u64) {
         (self.logs.1.flushes(), self.logs.0.flushes())
+    }
+
+    /// Page writes that reached the disk so far.
+    pub fn page_writes(&self) -> u64 {
+        self.disk.writes()
     }
 
     pub fn home(&self, t: usize, k: u64) -> Option<RowLocation> {
@@ -575,7 +630,7 @@ impl Explorer {
     pub fn run(&mut self, step: Step) -> Outcome {
         let before = self.flushes();
         let touched = self.touched(&step);
-        let faults = self.plan.fail_appends_after.is_some();
+        let faults = injects(&self.plan);
         let mut out = match &step {
             Step::During(first, rest) => self.during(first, rest.clone(), faults, false),
             Step::DuringWrite(first, rest) => self.during(first, rest.clone(), faults, true),
@@ -610,19 +665,26 @@ impl Explorer {
     /// a transaction it ends wrote); `None`: any key.
     fn touched(&self, step: &Step) -> (Vec<u8>, Option<Vec<Key>>) {
         let w = self.world.lock().unwrap();
+        // The index byte of the committed image a write replaces.
+        let was = |key: Key| Some(w.latest(key)?.image.as_ref()?[8]);
         match *step {
             Step::Insert(_, t, k, v, _) | Step::Update(_, t, k, v, _) => {
-                (vec![v as u8], Some(vec![(t, k)]))
+                let bytes = [Some(v as u8), was((t, k))];
+                (bytes.into_iter().flatten().collect(), Some(vec![(t, k)]))
             }
-            Step::Rmw(_, t, k, _) | Step::Delete(_, t, k) | Step::Get(_, t, k) => {
-                (vec![], Some(vec![(t, k)]))
+            Step::Rmw(_, t, k, _) | Step::Delete(_, t, k) => {
+                (was((t, k)).into_iter().collect(), Some(vec![(t, k)]))
             }
+            Step::Get(_, t, k) => (vec![], Some(vec![(t, k)])),
             Step::Commit(c) | Step::Abort(c) => {
                 let writes = &w.clients[c].writes;
-                let bytes = writes
-                    .values()
-                    .filter_map(|(_, image)| Some(image.as_ref()?[8]));
-                (bytes.collect(), Some(writes.keys().copied().collect()))
+                let bytes = writes.iter().flat_map(|(&key, (_, image))| {
+                    [image.as_ref().map(|image| image[8]), was(key)]
+                });
+                (
+                    bytes.flatten().collect(),
+                    Some(writes.keys().copied().collect()),
+                )
             }
             Step::Begin(_) | Step::Snap | Step::Release => (vec![], Some(vec![])),
             _ => (vec![], None),
@@ -636,10 +698,11 @@ impl Explorer {
         }
         let (engine, world, power) = (self.engine.clone(), self.world.clone(), self.power.clone());
         let (paused, was_paused) = mpsc::channel();
+        let inside = rest.clone();
         let pause = Box::new(move || {
             let (done, finished) = mpsc::channel();
             let second = std::thread::spawn(move || {
-                for step in &rest {
+                for step in &inside {
                     exec(&engine, &world, step, &power, faults);
                 }
                 done.send(()).unwrap();
@@ -658,6 +721,11 @@ impl Explorer {
         self.disk.pause_next_write(None);
         self.logs.0.pause_next_flush(None);
         out.paused = was_paused.try_recv().is_ok();
+        if !out.paused {
+            for step in &rest {
+                exec(&self.engine, &self.world, step, &self.power, faults);
+            }
+        }
         out
     }
 
@@ -667,33 +735,60 @@ impl Explorer {
     /// reboot must find exactly what the first did. Returns the page
     /// copies each recovery retired (the second none: it is for good).
     pub fn reboot(&mut self) -> [u64; 2] {
-        self.power.faults.crash_now();
-        {
-            let mut w = self.world.lock().unwrap();
-            for c in 0..2 {
-                if let Some(txn) = w.end(&self.engine, c).0 {
-                    self.engine.abort(txn);
-                }
-            }
-            for (_, snap) in std::mem::take(&mut w.held) {
-                self.engine.end_snapshot(snap);
-            }
-        }
+        self.crash();
         let retired = [1, 2].map(|n| {
             self.power.faults.crash_now();
-            let power = Power::new(FaultPlan::default());
-            self.logs = (self.logs.0.reboot(&power), self.logs.1.reboot(&power));
-            self.power = power;
+            self.power_on();
             let label = format!("reboot {n}");
-            let engine = boot(&self.cfg, &self.disk, &self.power, &self.logs, Some(&label));
+            let engine = boot(&self.cfg, &self.disk, &self.power, &self.logs, true);
+            let engine = engine.unwrap_or_else(|e| panic!("{label}: recovery failed: {e}"));
             self.engine = Arc::new(engine);
             self.adopt_survivors(&label);
             self.check(&label, true, &[], None);
+            let json = self.engine.snapshot().to_json();
+            let valid = btrim::obs_json::validate(&json);
+            valid.unwrap_or_else(|e| panic!("{label}: snapshot JSON: {e}"));
             self.engine.recovery_report().page_copies_retired
         });
         assert_eq!(retired[1], 0, "the second reboot retired page copies");
         format!("reboot {retired:?}").hash(&mut self.digest);
         retired
+    }
+
+    /// Boot from the media with the power cut `k` device ops into
+    /// recovery, then cut it (if recovery finished first): a
+    /// [`reboot`](Self::reboot) then starts from what this one left.
+    /// Returns whether the cut fell inside recovery.
+    pub fn cut_recovery_in(&mut self, k: u64) -> bool {
+        self.crash();
+        self.power_on();
+        self.power.faults.fail_stop_in(k);
+        let died = boot(&self.cfg, &self.disk, &self.power, &self.logs, true).is_err();
+        self.power.faults.crash_now();
+        format!("recovery cut at {k}: {died}").hash(&mut self.digest);
+        died
+    }
+
+    /// Cut the power; what the clients held goes with the engine.
+    fn crash(&mut self) {
+        self.power.faults.crash_now();
+        let mut w = self.world.lock().unwrap();
+        for c in 0..2 {
+            if let Some(txn) = w.end(&self.engine, c).0 {
+                self.engine.abort(txn);
+            }
+        }
+        for (_, snap) in std::mem::take(&mut w.held) {
+            self.engine.end_snapshot(snap);
+        }
+    }
+
+    /// Power on, with no fault plan: the logs are what the media kept.
+    fn power_on(&mut self) {
+        let power = Power::new(FaultPlan::default());
+        self.logs = (self.logs.0.reboot(&power), self.logs.1.reboot(&power));
+        self.power = power;
+        self.plan = FaultPlan::default();
     }
 
     /// Hold what recovery brought back to the model, then make it the
@@ -713,7 +808,8 @@ impl Explorer {
             })
             .unwrap();
         }
-        let (durable, mut live) = (w.durable, 0);
+        let (durable, unsure, mut live) = (w.durable, std::mem::take(&mut w.unsure), 0);
+        let sure = |v: &Version| v.begin <= durable && !unsure.contains(&v.begin);
         // Per commit not yet durable (by its `begin`): the keys showing
         // its image, no other's, and the keys showing an older version.
         let mut commits: BTreeMap<u64, (Vec<Key>, Vec<Key>)> = BTreeMap::new();
@@ -721,7 +817,7 @@ impl Explorer {
             let got = e
                 .get_snapshot(&snap, &table(e, t), &k.to_be_bytes())
                 .unwrap();
-            let floor = history.iter().rposition(|v| v.begin <= durable);
+            let floor = history.iter().rposition(sure);
             let allowed = &history[floor.unwrap_or(0)..];
             let lost = floor.is_none() && got.is_none();
             // The commits whose image `got` is; 0: the key before its
@@ -731,7 +827,7 @@ impl Explorer {
                 .map(|v| v.begin)
                 .collect();
             shows.extend(lost.then_some(0));
-            for v in allowed.iter().filter(|v| v.begin > durable) {
+            for v in allowed.iter().filter(|v| !sure(v)) {
                 let (kept, older) = commits.entry(v.begin).or_default();
                 if shows == [v.begin] {
                     kept.push((t, k));
@@ -772,7 +868,8 @@ impl Explorer {
     /// tier holds exactly the copies the RID-Map names (with no
     /// transaction open, a dead IMRS row may wait for GC).
     pub fn check(&self, label: &str, exact: bool, touched: &[u8], point: Option<&[Key]>) {
-        let e = &self.engine;
+        let (e, faults) = (&self.engine, injects(&self.plan));
+        let locate = |(t, k): Key| served(faults, label, e.locate(&table(e, t), &k.to_be_bytes()));
         let w = self.world.lock().unwrap();
         let fresh = (e.begin(), e.begin_snapshot());
         let mut readers: Vec<(Option<usize>, Option<&Transaction>, &SnapshotTxn, u64)> = vec![];
@@ -828,29 +925,33 @@ impl Explorer {
                 let want = v.and_then(|v| v.image.as_ref());
                 // A snapshot does not see its reader's own write.
                 let own = c.is_some_and(|c| w.clients[c].writes.contains_key(&key));
-                let got = e.get_snapshot(snap, &tab, &k).unwrap();
-                read((!own).then_some(r), want, got, key, at, "get_snapshot");
-                if let Some(v) = v {
-                    let got = e.read_row_snapshot(snap, &tab, v.rid).unwrap();
+                if let Some(got) = served(faults, label, e.get_snapshot(snap, &tab, &k)) {
+                    read((!own).then_some(r), want, got, key, at, "get_snapshot");
+                }
+                let by_rid = v.map(|v| e.read_row_snapshot(snap, &tab, v.rid));
+                if let Some(got) = by_rid.and_then(|got| served(faults, label, got)) {
                     assert_eq!(got.as_ref(), want, "{label}: read_row_snapshot {key:?}");
                 }
                 let (Some(txn), Some((rid, want))) = (txn, w.view(c, key, at)) else {
                     continue;
                 };
-                let got = e.read_row(txn, &tab, rid, false).unwrap();
-                assert_eq!(got, want, "{label}: read_row {key:?} by {c:?}");
+                if let Some(got) = served(faults, label, e.read_row(txn, &tab, rid, false)) {
+                    assert_eq!(got, want, "{label}: read_row {key:?} by {c:?}");
+                }
                 // `get` of a page row may cache it (§IV), and a check
                 // moves nothing: it reads every other row.
-                let home = locate(e, key);
                 let imrs = match e.config().mode {
                     EngineMode::PageOnly => false,
                     EngineMode::IlmOff => true,
                     EngineMode::IlmOn => TABLES[key.0].1,
                 };
+                let Some(home) = locate(key) else { continue };
                 if !(imrs && matches!(home, Some(RowLocation::Page(..)))) {
-                    let got = e.get(txn, &tab, &k).unwrap();
-                    read(Some(r), want.as_ref(), got, key, at, "get");
-                    assert_eq!(locate(e, key), home, "{label}: get moved {key:?}");
+                    if let Some(got) = served(faults, label, e.get(txn, &tab, &k)) {
+                        read(Some(r), want.as_ref(), got, key, at, "get");
+                    }
+                    let moved = locate(key).is_some_and(|now| now != home);
+                    assert!(!moved, "{label}: get moved {key:?} from {home:?}");
                 }
             }
             for &t in &tables {
@@ -869,32 +970,32 @@ impl Explorer {
                     filters: vec![],
                     sums: vec!["val".into()],
                 };
-                let scan = e.analytic_scan(snap, &tab, &spec).unwrap();
-                assert_eq!(
-                    (scan.rows_matched, scan.sums[0]),
-                    sum,
-                    "{label}: analytic scan of {t}"
-                );
+                if let Some(scan) = served(faults, label, e.analytic_scan(snap, &tab, &spec)) {
+                    let got = (scan.rows_matched, scan.sums[0]);
+                    assert_eq!(got, sum, "{label}: analytic scan of {t}");
+                }
                 let Some(txn) = txn else { continue };
                 let mut scanned = BTreeMap::new();
-                e.scan_range(txn, &tab, &[], None, |k, _, image| {
+                let ran = e.scan_range(txn, &tab, &[], None, |k, _, image| {
                     scanned.insert((t, key_of(k)), image.to_vec());
                     true
-                })
-                .unwrap();
+                });
                 let view = |key: Key| w.view(c, key, at).and_then(|v| v.1);
-                for &key in keys.iter().filter(|k| k.0 == t) {
-                    let got = scanned.remove(&key);
-                    read(Some(r), view(key).as_ref(), got, key, at, "scan_range");
+                if served(faults, label, ran).is_some() {
+                    for &key in keys.iter().filter(|k| k.0 == t) {
+                        let got = scanned.remove(&key);
+                        read(Some(r), view(key).as_ref(), got, key, at, "scan_range");
+                    }
+                    let met = &scanned;
+                    assert!(met.is_empty(), "{label}: scan_range by {c:?} met {met:?}");
                 }
-                assert!(
-                    scanned.is_empty(),
-                    "{label}: scan_range by {c:?} met {scanned:?}"
-                );
                 // A secondary entry names a row whose image has its byte —
                 // or one written since this snapshot.
                 for b in bytes {
-                    let got = e.get_by_index(txn, &tab, "by_byte", &[b]).unwrap();
+                    let got = e.get_by_index(txn, &tab, "by_byte", &[b]);
+                    let Some(got) = served(faults, label, got) else {
+                        continue;
+                    };
                     let got: Vec<Vec<u8>> = got.into_iter().map(|r| r.1).collect();
                     for r in &got {
                         let key = (t, key_of(r));
@@ -919,9 +1020,12 @@ impl Explorer {
         }
         // Homes: a key with a committed image and no pending delete
         // lives somewhere, and never at a tombstone.
-        let mut homes = [0u64; 3];
+        let (mut homes, mut hidden) = ([0u64; 3], false);
         for &key in &point {
-            let at = locate(e, key);
+            let Some(at) = locate(key) else {
+                hidden = true;
+                continue;
+            };
             let pending = w
                 .clients
                 .iter()
@@ -932,14 +1036,18 @@ impl Explorer {
             assert!(!homeless && !tomb, "{label}: {key:?} is at {at:?}");
             tally(&mut homes, at);
         }
-        if exact || full && w.clients.iter().all(|cl| cl.txn.is_none()) {
+        if !hidden && (exact || full && w.clients.iter().all(|cl| cl.txn.is_none())) {
             let mut extent_live = 0;
             e.extent_store()
                 .for_each(|ext| extent_live += ext.live_count());
             let heaps = (0..TABLES.len()).flat_map(|t| table(e, t).partitions.clone());
             let heap_live = heaps.map(|p| p.heap.live_rows()).sum();
             let held = [e.snapshot().imrs_rows as u64, heap_live, extent_live];
-            let ok = held == homes || !exact && held[1..] == homes[1..] && held[0] >= homes[0];
+            // A failed commit leaves the page slots its deletes kept:
+            // they go only behind its `Commit` record.
+            let pages = held[1] == homes[1] || !w.unsure.is_empty() && held[1] > homes[1];
+            let imrs = held[0] == homes[0] || !exact && held[0] > homes[0];
+            let ok = imrs && pages && held[2] == homes[2];
             assert!(
                 ok,
                 "{label}: [imrs, page, frozen] copies held {held:?}, named {homes:?}"
@@ -984,8 +1092,10 @@ pub struct Profile {
 }
 
 /// Run the random schedule of `seed`: its engine mode, durable commits
-/// and steps are all drawn from the seed. Returns the schedule's digest.
-pub fn explore(seed: u64, profile: Profile) -> u64 {
+/// and steps are all drawn from the seed, and under a fault `plan` cuts
+/// inside recovery too; a faulted schedule of an odd seed runs on a
+/// `FileDisk`. Returns the explorer, its last engine running.
+pub fn explore(seed: u64, profile: Profile, plan: Option<FaultPlan>) -> Explorer {
     let mut rng = StdRng::seed_from_u64(seed);
     let modes = [
         EngineMode::IlmOn,
@@ -995,19 +1105,28 @@ pub fn explore(seed: u64, profile: Profile) -> u64 {
     ];
     let mode = modes[rng.gen_range(0..4)];
     let durable_commits = rng.gen_bool(0.5);
-    let mut ex = Explorer::new(EngineConfig {
+    let cfg = EngineConfig {
         durable_commits,
         ..config(mode)
-    });
+    };
+    let faulted = plan.is_some();
+    let mut ex = match plan {
+        None => Explorer::new(cfg),
+        Some(plan) if seed % 2 == 1 => Explorer::on_disk(cfg, plan, file_disk()),
+        Some(plan) => Explorer::with_faults(cfg, plan),
+    };
     for _ in 0..profile.steps {
         for step in ex.draw(&mut rng, profile) {
             ex.run(step);
         }
         if ex.power.off() {
+            if faulted && rng.gen_bool(0.25) {
+                ex.cut_recovery_in(rng.gen_range(0..64));
+            }
             ex.reboot();
         }
     }
-    ex.digest()
+    ex
 }
 
 impl Explorer {
@@ -1065,13 +1184,15 @@ impl Explorer {
             86..=87 => vec![Step::Snap],
             88..=89 => vec![Step::Release],
             90..=95 => {
-                let firsts = [
-                    Step::Commit(c),
-                    Step::Checkpoint,
-                    Step::PackAll,
-                    Step::Act(Actor::Freeze),
-                ];
-                let first = firsts[rng.gen_range(0..4)].clone();
+                // A pack flushes nothing: it goes before a commit, whose
+                // syslogs sync settles it.
+                let (pack, first) = [
+                    (false, Step::Commit(c)),
+                    (false, Step::Checkpoint),
+                    (true, Step::Commit(c)),
+                    (false, Step::Act(Actor::Freeze)),
+                ][rng.gen_range(0..4)]
+                .clone();
                 let mut rest: Vec<Step> = vec![];
                 for _ in 0..rng.gen_range(1..4) {
                     let step = self.draw_client_step(rng, p, 1 - c, Some(&first));
@@ -1090,7 +1211,11 @@ impl Explorer {
                         step => step,
                     });
                 }
-                vec![Step::During(Box::new(first), rest)]
+                let during = Step::During(Box::new(first), rest);
+                [pack.then_some(Step::PackAll), Some(during)]
+                    .into_iter()
+                    .flatten()
+                    .collect()
             }
             _ if p.cuts => {
                 let next = self.draw(rng, Profile { cuts: false, ..p });

@@ -9,7 +9,7 @@ use std::sync::{Arc, Mutex};
 
 use btrim_common::{Lsn, PageId, Result};
 use btrim_faults::{FaultPlan, FaultState};
-use btrim_pagestore::{DiskBackend, MemDisk};
+use btrim_pagestore::{DiskBackend, FileDisk};
 use btrim_wal::{LogSink, LsnRange, MemLog};
 
 /// The power switch of one machine: the fault harness's fail-stop (a
@@ -137,12 +137,15 @@ impl LogSink for VolatileLog {
             pause();
         }
         self.flushes.fetch_add(1, Ordering::SeqCst);
-        if !self.power.off() {
-            self.durable
-                .store(self.inner.record_count(), Ordering::SeqCst);
-            if self.power.cut_after_flushes.fetch_sub(1, Ordering::SeqCst) == 1 {
-                self.power.faults.crash_now();
-            }
+        // A cut while the flush was paused: the barrier never returns.
+        if self.power.off() {
+            let cut = std::io::Error::other("power cut inside the flush");
+            return Err(btrim_common::BtrimError::Io(cut));
+        }
+        self.durable
+            .store(self.inner.record_count(), Ordering::SeqCst);
+        if self.power.cut_after_flushes.fetch_sub(1, Ordering::SeqCst) == 1 {
+            self.power.faults.crash_now();
         }
         Ok(())
     }
@@ -168,20 +171,38 @@ impl LogSink for VolatileLog {
     }
 }
 
-/// A [`MemDisk`] (a write is durable once it returns) whose next page
-/// write can pause, as a [`VolatileLog`] flush can: the pause runs
-/// before the write reaches the device.
-#[derive(Default)]
+/// A disk (a write is durable once it returns) whose next page write
+/// can pause, as a [`VolatileLog`] flush can: the pause runs before the
+/// write reaches the device. It wraps any [`DiskBackend`].
 pub struct PausableDisk {
-    inner: MemDisk,
+    inner: Arc<dyn DiskBackend>,
     pause: Mutex<Option<Pause>>,
 }
 
 impl PausableDisk {
+    pub fn new(inner: Arc<dyn DiskBackend>) -> Self {
+        PausableDisk {
+            inner,
+            pause: Mutex::new(None),
+        }
+    }
+
     /// Run `pause` inside the next page write, before it lands.
     pub fn pause_next_write(&self, pause: Option<Pause>) {
         *self.pause.lock().unwrap() = pause;
     }
+}
+
+/// A [`FileDisk`] on a fresh file, unlinked at once: the device lives
+/// as long as its handle, and a run leaves no file behind.
+pub fn file_disk() -> Arc<dyn DiskBackend> {
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    let n = NEXT.fetch_add(1, Ordering::SeqCst);
+    let name = format!("btrim-explorer-{}-{n}.db", std::process::id());
+    let path = std::env::temp_dir().join(name);
+    let disk = FileDisk::open(&path).unwrap();
+    std::fs::remove_file(&path).unwrap();
+    Arc::new(disk)
 }
 
 impl DiskBackend for PausableDisk {

@@ -27,6 +27,6 @@ fn engine_matches_committed_model() {
         clients: 2,
     };
     for seed in 0..cases() {
-        explore(seed | 1 << 32, profile);
+        explore(seed | 1 << 32, profile, None);
     }
 }

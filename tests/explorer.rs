@@ -1,20 +1,28 @@
 //! The schedule explorer (`tests/common/explorer.rs`): random schedules
-//! from seeds — the general mix, and a freezing one that thaws and
-//! dissolves extents — the schedules it pinned, and its determinism.
+//! from seeds — the general mix, a freezing one that thaws and
+//! dissolves extents, and a faulted one under a device fault plan drawn
+//! per seed — the schedules it pinned, the device faults it is run
+//! under one at a time, and its determinism.
 //!
-//! `PROPTEST_CASES=N` runs `N` seeds of each mix (default 8); `RUST_SEED=S` runs
-//! the one schedule of seed `S` (CI draws a fresh one per run). A
-//! failing seed replays with `RUST_SEED=<seed> cargo test --test
-//! explorer randomized_seed_from_env -- --nocapture`.
+//! `PROPTEST_CASES=N` runs `N` seeds of each mix (default 8);
+//! `RUST_SEED=S` runs the one schedule of seed `S` of the general or
+//! the faulted mix (CI draws a fresh one of each per run). A failing
+//! seed replays with `RUST_SEED=<seed> cargo test --test explorer
+//! randomized_seed_from_env -- --nocapture` (or
+//! `randomized_faulted_seed_from_env`, which prints the plan).
 
 mod common;
 
-use btrim::{Actor, EngineConfig, EngineMode, RowLocation};
-use btrim_wal::LogSink;
+use btrim::{Actor, BtrimError, EngineConfig, EngineMode, HealthState, RowLocation};
+use btrim_faults::{FaultCounters, FaultPlan};
+use btrim_wal::{ImrsLogRecord, LogSink, LogWriter};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use common::explorer::{config, explore, Explorer, Profile, Step, Step::*, AUX, COLD, HOT};
+use common::explorer::{config, explore, row, Explorer, Profile, Step, Step::*};
+use common::explorer::{AUX, COLD, HOT, TABLES};
+use common::Power;
+use std::sync::atomic::Ordering;
 
 const PROFILE: Profile = Profile {
     steps: 120,
@@ -29,20 +37,130 @@ fn seeds() -> u64 {
     asked.and_then(|n| n.parse().ok()).unwrap_or(8)
 }
 
+fn env_seed(default: u64) -> u64 {
+    let seed = std::env::var("RUST_SEED").ok().and_then(|s| s.parse().ok());
+    let seed = seed.unwrap_or(default);
+    println!("explorer seed: RUST_SEED={seed}");
+    seed
+}
+
 #[test]
 fn random_schedules_hold_the_four_checks() {
     for seed in 0..seeds() {
         println!("seed {seed}");
-        explore(seed, PROFILE);
+        explore(seed, PROFILE, None);
     }
 }
 
 #[test]
 fn randomized_seed_from_env() {
-    let seed = std::env::var("RUST_SEED").ok().and_then(|s| s.parse().ok());
-    let seed = seed.unwrap_or(0xE1_7E57);
-    println!("explorer seed: RUST_SEED={seed}");
-    println!("schedule digest {:016x}", explore(seed, PROFILE));
+    let ex = explore(env_seed(0xE1_7E57), PROFILE, None);
+    println!("schedule digest {:016x}", ex.digest());
+}
+
+/// The device faults of `seed`'s schedule: transient read, write and
+/// sync errors under a budget, a torn page write, partial and torn log
+/// appends, a log device that dies — each drawn or not.
+fn draw_plan(seed: u64) -> FaultPlan {
+    let mut rng = StdRng::seed_from_u64(seed ^ 0xFA17_5EED);
+    FaultPlan {
+        seed,
+        read_error_prob: rng.gen_range(0.0..0.05),
+        write_error_prob: rng.gen_range(0.0..0.05),
+        sync_error_prob: rng.gen_range(0.0..0.02),
+        partial_append_prob: rng.gen_range(0.0..0.01),
+        error_budget: rng.gen_range(0..30),
+        torn_write_at: rng.gen_bool(0.5).then(|| rng.gen_range(0..20)),
+        torn_prefix_bytes: rng.gen_range(64..4096),
+        fail_appends_after: rng.gen_bool(0.3).then(|| rng.gen_range(0..60)),
+        torn_batch_at: rng.gen_bool(0.4).then(|| rng.gen_range(0..30)),
+        fail_stop_after_ops: rng.gen_bool(0.5).then(|| rng.gen_range(20..300)),
+    }
+}
+
+/// A faulted schedule draws no power cut: its plan holds until a reboot,
+/// so a cut is the plan's fail-stop (and one inside the recovery after
+/// it), and the schedule ends with a reboot.
+const FAULTED: Profile = Profile {
+    cuts: false,
+    ..PROFILE
+};
+
+/// The faulted mix's schedule of `seed`, under `plan`.
+fn explore_faulted(seed: u64, plan: FaultPlan) -> Explorer {
+    let mut ex = explore(seed, FAULTED, Some(plan));
+    ex.reboot();
+    ex
+}
+
+#[test]
+fn random_faulted_schedules_hold_the_four_checks() {
+    for seed in 0..seeds() {
+        println!("seed {seed}");
+        explore_faulted(seed, draw_plan(seed));
+    }
+}
+
+#[test]
+fn randomized_faulted_seed_from_env() {
+    let seed = env_seed(0xFA_17ED);
+    println!("fault plan: {:?}", draw_plan(seed));
+    let ex = explore_faulted(seed, draw_plan(seed));
+    println!("schedule digest {:016x}", ex.digest());
+}
+
+/// The faulted mix under `plan` alone, over four seeds: the four checks
+/// hold, and the fault fired on both disk families (odd seeds run on a
+/// file).
+fn fires_on_both_disk_families(plan: FaultPlan, fired: fn(FaultCounters) -> u64) {
+    let mut count = [0; 2];
+    for seed in 0..4 {
+        let plan = FaultPlan {
+            seed,
+            ..plan.clone()
+        };
+        count[seed as usize % 2] += fired(explore_faulted(seed, plan).planned.counters());
+    }
+    assert!(count.iter().all(|&n| n > 0), "{plan:?}: {count:?} injected");
+}
+
+/// Transient read, write and sync errors under a budget: each call is
+/// retried or fails with a typed error, and a failed commit comes back
+/// whole or not at all.
+#[test]
+fn transient_disk_errors_are_retried_or_typed() {
+    let plan = FaultPlan {
+        read_error_prob: 0.05,
+        write_error_prob: 0.05,
+        sync_error_prob: 0.02,
+        error_budget: 40,
+        ..FaultPlan::default()
+    };
+    fires_on_both_disk_families(plan, |n| n.read_errors + n.write_errors + n.sync_errors);
+}
+
+/// Log appends that keep a prefix of their bytes and fail: recovery
+/// truncates the log at the torn record and keeps what came before it.
+#[test]
+fn partial_log_appends_truncate_cleanly() {
+    let plan = FaultPlan {
+        partial_append_prob: 0.1,
+        error_budget: 3,
+        ..FaultPlan::default()
+    };
+    fires_on_both_disk_families(plan, |n| n.partial_appends);
+}
+
+/// The fourth batch append is torn: its commit is acknowledged whole,
+/// refused with a typed error, or unsure until the reboot keeps all of
+/// it or none.
+#[test]
+fn torn_batch_appends_hold_the_three_way_contract() {
+    let plan = FaultPlan {
+        torn_batch_at: Some(3),
+        ..FaultPlan::default()
+    };
+    fires_on_both_disk_families(plan, |n| n.torn_batches);
 }
 
 /// The freezing configuration: one client on an `IlmOn` engine, every
@@ -108,12 +226,11 @@ fn random_freezing_schedules_hold_the_four_checks() {
 
 #[test]
 fn the_same_seed_gives_the_same_schedule() {
+    let digest = |seed| explore(seed, PROFILE, None).digest();
+    let faulted = |seed| explore_faulted(seed, draw_plan(seed)).digest();
     for seed in [1, 7] {
-        assert_eq!(
-            explore(seed, PROFILE),
-            explore(seed, PROFILE),
-            "seed {seed}"
-        );
+        assert_eq!(digest(seed), digest(seed), "seed {seed}");
+        assert_eq!(faulted(seed), faulted(seed), "seed {seed}");
         assert_eq!(
             explore_freezing(seed),
             explore_freezing(seed),
@@ -125,10 +242,15 @@ fn the_same_seed_gives_the_same_schedule() {
 /// The stage of DESIGN.md "Row movement" item (a): `hot` holds rows 1
 /// and 2, `cold` row 1, all of it packed to pages and checkpointed.
 fn stage(durable_commits: bool) -> Explorer {
-    let mut ex = Explorer::new(EngineConfig {
+    stage_under(durable_commits, FaultPlan::default())
+}
+
+fn stage_under(durable_commits: bool, plan: FaultPlan) -> Explorer {
+    let cfg = EngineConfig {
         durable_commits,
         ..config(EngineMode::IlmOn)
-    });
+    };
+    let mut ex = Explorer::with_faults(cfg, plan);
     ex.load(HOT, &[(1, 10), (2, 20)]);
     ex.load(COLD, &[(1, 10)]);
     ex.run_all(&[PackAll, Checkpoint]);
@@ -230,11 +352,22 @@ fn an_uncommitted_update_written_by_a_checkpoint_does_not_come_back() {
 /// both halves, in turn. `hot` 2 migrated just before (its arrival goes
 /// below the image's floor), `cold` 1 left a dirty page. Every reboot
 /// keeps every acknowledged commit, and the second retires nothing.
-#[test]
-fn a_cut_at_every_device_op_of_a_checkpoint_keeps_what_was_acknowledged() {
-    let mut paused = false;
+/// Each log keeps `spill` unflushed records at the cut. Returns the
+/// `CheckpointBegin`s the cuts left with no `CheckpointEnd`.
+fn checkpoint_sweep(spill: u64) -> usize {
+    // Pairs the media holds begun and not ended.
+    let torn = |ex: &Explorer| {
+        let kept = ex.logs.1.reboot(&Power::new(FaultPlan::default()));
+        let records = LogWriter::<ImrsLogRecord>::new(kept).read_all().unwrap();
+        let begun = (records.iter()).filter(|r| matches!(r.1, ImrsLogRecord::CheckpointBegin(_)));
+        let ended = (records.iter()).filter(|r| matches!(r.1, ImrsLogRecord::CheckpointEnd { .. }));
+        begun.count() - ended.count()
+    };
+    let (mut paused, mut torn_pairs) = (false, 0);
     for k in 0.. {
         let mut ex = stage(false);
+        ex.logs.0.spilled.store(spill, Ordering::SeqCst);
+        ex.logs.1.spilled.store(spill, Ordering::SeqCst);
         ex.run_all(&[
             Update(0, COLD, 1, 11, 0),
             Update(0, HOT, 2, 21, 0),
@@ -249,6 +382,7 @@ fn a_cut_at_every_device_op_of_a_checkpoint_keeps_what_was_acknowledged() {
         let out = ex.run(During(Box::new(Checkpoint), b));
         paused |= out.paused;
         let cut = ex.power.off();
+        torn_pairs += torn(&ex);
         ex.reboot();
         if !cut {
             assert!(out.paused, "{out:?}");
@@ -256,6 +390,22 @@ fn a_cut_at_every_device_op_of_a_checkpoint_keeps_what_was_acknowledged() {
         }
     }
     assert!(paused);
+    torn_pairs
+}
+
+/// The sweep on volatile logs: a cut loses every unflushed record.
+#[test]
+fn a_cut_at_every_device_op_of_a_checkpoint_keeps_what_was_acknowledged() {
+    checkpoint_sweep(0);
+}
+
+/// The sweep on logs that keep every append at the cut: some cuts leave
+/// a `CheckpointBegin` with no `CheckpointEnd`, and recovery falls back
+/// to the stage's complete pair.
+#[test]
+fn crash_during_checkpoint_holds_acknowledged_state() {
+    let torn_pairs = checkpoint_sweep(u64::MAX);
+    assert!(torn_pairs > 0, "no cut left a pair begun and not ended");
 }
 
 /// A power cut after a checkpoint: the reboot recovers from the log a
@@ -393,4 +543,203 @@ fn a_key_re_inserted_after_its_frozen_row_was_deleted_survives_a_reboot() {
     ex.run(Cut);
     ex.reboot();
     assert_eq!(ex.value(COLD, 1), Some(99));
+}
+
+/// Client 1 commits over `hot` 0 after client 0's snapshot, and client
+/// 0's read-modify-write builds on that commit. The IMRS took the image
+/// whose secondary entries the write replaces from client 0's snapshot:
+/// the entry of client 1's image stayed, naming the row.
+#[test]
+fn a_read_modify_write_over_a_newer_commit_replaces_its_index_entry() {
+    let mut ex = Explorer::new(config(EngineMode::IlmOn));
+    ex.load(HOT, &[(0, 10)]);
+    ex.run_all(&[Begin(0), Update(1, HOT, 0, 20, 0), Commit(1)]);
+    ex.run_all(&[Rmw(0, HOT, 0, 1), Commit(0)]);
+}
+
+/// The faulted mix's way to the state below: a torn log batch — of a
+/// commit, a pack, or a cache of the commit's IMRS row — turns the
+/// engine read-only with nothing synced, and a checkpoint settles
+/// sysimrslogs before its first append fails, so syslogs never follows.
+#[test]
+fn a_torn_batch_then_a_checkpoint_keeps_each_commit_whole() {
+    for (seed, at) in (0..2).flat_map(|seed| (0..6).map(move |at| (seed, at))) {
+        let plan = FaultPlan {
+            seed,
+            torn_batch_at: Some(at),
+            ..FaultPlan::default()
+        };
+        let cfg = EngineConfig {
+            durable_commits: false,
+            ..config(EngineMode::IlmOn)
+        };
+        let mut ex = Explorer::with_faults(cfg, plan);
+        ex.run_all(&[
+            Insert(0, HOT, 10, 10, 0),
+            Insert(0, COLD, 3, 30, 0),
+            Commit(0),
+        ]);
+        ex.run_all(&[PackAll, Get(1, HOT, 10), Commit(1), Insert(0, AUX, 1, 1, 0)]);
+        ex.run_all(&[Commit(0), Checkpoint]);
+        ex.reboot();
+    }
+}
+
+/// A commit that is not durable puts `hot` 10 in the IMRS and `cold` 3
+/// on a page; a pack moves `hot` 10 to a page, a read caches it back,
+/// and the power is cut at each device op of a checkpoint. A cut after
+/// the checkpoint's sysimrslogs flush, before its syslogs sync, kept the
+/// cache's arrival — which commits the move by itself and carried the
+/// commit's image — while the commit's `Commit` was lost: `hot` 10
+/// survived, `cold` 3 did not.
+#[test]
+fn a_cached_image_of_a_lost_commit_does_not_come_back() {
+    for k in 0.. {
+        let mut ex = Explorer::new(EngineConfig {
+            durable_commits: false,
+            ..config(EngineMode::IlmOn)
+        });
+        ex.run_all(&[
+            Insert(0, HOT, 10, 10, 0),
+            Insert(0, COLD, 3, 30, 0),
+            Commit(0),
+        ]);
+        ex.run_all(&[PackAll, Get(1, HOT, 10), Commit(1), CutIn(k), Checkpoint]);
+        let cut = ex.power.off();
+        ex.reboot();
+        if !cut {
+            break;
+        }
+    }
+}
+
+/// The first page a checkpoint writes is torn — the device keeps a
+/// prefix of the new image over the old one and reports success — and
+/// the power is cut at each device op from there, the write's
+/// read-back among them. A torn page that reaches the media is never
+/// served: recovery resets it and redoes it from the log. The faulted
+/// mix tears its first page write on both disk families.
+#[test]
+fn torn_page_writes_are_never_served() {
+    let torn = FaultPlan {
+        torn_write_at: Some(0),
+        ..FaultPlan::default()
+    };
+    fires_on_both_disk_families(torn, |n| n.torn_writes);
+    let staged = |plan| {
+        let mut ex = stage_under(false, plan);
+        ex.run_all(&[
+            Insert(0, COLD, 2, 20, 0),
+            Update(0, COLD, 1, 11, 0),
+            Commit(0),
+        ]);
+        ex
+    };
+    let first = staged(FaultPlan::default()).page_writes();
+    let mut reset = 0;
+    for k in 0.. {
+        let mut ex = staged(FaultPlan {
+            torn_write_at: Some(first),
+            ..FaultPlan::default()
+        });
+        ex.run_all(&[CutIn(k), Checkpoint]);
+        let cut = ex.power.off();
+        ex.reboot();
+        reset += ex.engine.recovery_report().pages_reset;
+        if !cut {
+            break;
+        }
+    }
+    assert!(reset > 0, "no torn page reached recovery");
+}
+
+/// The log device dies after 20 appends: the engine turns read-only,
+/// says so in its health and its report, refuses a write with a typed
+/// error and serves reads (the checks after every step); a reboot keeps
+/// every acknowledged commit. The faulted mix's log dies after 30
+/// appends on both disk families.
+#[test]
+fn log_device_death_degrades_to_read_only() {
+    let dies = FaultPlan {
+        fail_appends_after: Some(30),
+        ..FaultPlan::default()
+    };
+    fires_on_both_disk_families(dies, |n| n.dead_appends);
+    let plan = FaultPlan {
+        fail_appends_after: Some(20),
+        ..FaultPlan::default()
+    };
+    let mut ex = Explorer::with_faults(config(EngineMode::IlmOn), plan);
+    ex.load(HOT, &(0..20).map(|k| (k, k * 7)).collect::<Vec<_>>());
+    ex.load(COLD, &(0..20).map(|k| (k, k * 7)).collect::<Vec<_>>());
+    assert!(ex.planned.log_dead(), "the log device never died");
+    let health = ex.engine.health();
+    assert!(matches!(health, HealthState::ReadOnly { .. }), "{health}");
+    assert!(ex.engine.snapshot().render_report().contains("read-only"));
+    let (e, mut txn) = (&ex.engine, ex.engine.begin());
+    let err = e.insert(&mut txn, &e.table(TABLES[HOT].0).unwrap(), &row(99, 1, 0));
+    assert!(matches!(err, Err(BtrimError::ReadOnly(_))), "{err:?}");
+    e.abort(txn);
+    ex.reboot();
+    assert_eq!(
+        ex.value(HOT, 19),
+        Some(19 * 7),
+        "acknowledged before the death"
+    );
+}
+
+/// An abort that cannot put a page row's before-image back (its page
+/// was evicted from an 8-frame cache, and the power is off) does not
+/// pretend it did: the stashed image stays for readers, the engine
+/// stops writing, no `Abort` is logged — and the reboot undoes the
+/// transaction from the log's own before-image, which client 1's
+/// commit made durable before the eviction (a page written back ahead
+/// of its record is DESIGN.md "Row movement" (c)).
+#[test]
+fn abort_whose_undo_fails_keeps_the_before_image_and_stops_writes() {
+    let mut ex = Explorer::new(EngineConfig {
+        buffer_frames: 8,
+        ..config(EngineMode::PageOnly)
+    });
+    ex.checked = false;
+    let load = (0..120).map(|k| Insert(0, HOT, k, k * 7, 980));
+    ex.run_all(&load.chain([Commit(0)]).collect::<Vec<_>>());
+    ex.run_all(&[
+        Update(0, HOT, 3, 999, 0),
+        Insert(1, AUX, 0, 0, 0),
+        Commit(1),
+    ]);
+    // Push row 3's page out of the cache.
+    ex.run_all(&(20..120).map(|k| Get(1, HOT, k)).collect::<Vec<_>>());
+    let stashed = ex.engine.snapshot().side_store_entries;
+    ex.run_all(&[Cut, Abort(0)]);
+    let health = ex.engine.health();
+    assert!(matches!(health, HealthState::ReadOnly { .. }), "{health}");
+    let kept = ex.engine.snapshot().side_store_entries;
+    assert_eq!(kept, stashed, "the only copy of the before-image must stay");
+    ex.checked = true;
+    ex.reboot();
+    assert_eq!(ex.value(HOT, 3), Some(21));
+}
+
+/// A reboot whose recovery is cut at device op `k`, for each `k` until
+/// one finishes, then the reboot after it: recovery re-enters over the
+/// media a half-finished one wrote to, and the survivor takes a write
+/// and a checkpoint.
+#[test]
+fn double_crash_during_recovery_is_reenterable() {
+    let mut died = 0;
+    for k in 0.. {
+        let mut ex = stage(true);
+        ex.run_all(&[Update(0, COLD, 1, 11, 0), Update(0, HOT, 2, 21, 0)]);
+        ex.run_all(&[Insert(0, HOT, 3, 30, 0), Commit(0), PackAll, Cut]);
+        let cut = ex.cut_recovery_in(k);
+        ex.reboot();
+        ex.run_all(&[Update(0, HOT, 1, 12, 0), Commit(0), Checkpoint]);
+        if !cut {
+            break;
+        }
+        died += 1;
+    }
+    assert!(died >= 3, "{died} recoveries died");
 }

@@ -376,3 +376,26 @@ fn a_freeze_batch_whose_syslogs_half_was_lost_stays_lost() {
     ex.reboot();
     assert_eq!(ex.homes(HOT), [0, 0, 0], "deleted rows came back");
 }
+
+/// A freeze batch with the power cut at each of its device ops: every
+/// reboot finds the rows on their pages (the batch lost) or all in one
+/// complete extent (the batch won), never a mix, and both occur; the
+/// survivor freezes them again.
+#[test]
+fn crash_during_freeze_leaves_pages_or_a_complete_extent() {
+    let (n, _) = run_case(Freeze, None);
+    let (mut lost, mut won) = (0, 0);
+    for k in 0..=n {
+        let mut ex = prepared(ilm_on(), Freeze);
+        ex.run_all(&[CutIn(k), Act(Actor::Freeze)]);
+        ex.reboot();
+        match ex.homes(HOT) {
+            [0, ROWS, 0] => lost += 1,
+            [0, 0, ROWS] => won += 1,
+            homes => panic!("cut at {k}: [imrs, page, frozen] {homes:?}"),
+        }
+        ex.run(Act(Actor::Freeze));
+        assert_eq!(ex.homes(HOT), [0, 0, ROWS], "cut at {k}: refrozen");
+    }
+    assert!(lost > 0 && won > 0, "{lost} lost, {won} won");
+}

@@ -46,15 +46,6 @@ impl LogicalClock {
         Self::default()
     }
 
-    /// Create a clock starting at a given timestamp (used by recovery to
-    /// resume past the highest recovered commit timestamp).
-    pub fn starting_at(ts: Timestamp) -> Self {
-        LogicalClock {
-            allocated: AcqRel::new(ts.0),
-            published: AcqRel::new(ts.0),
-        }
-    }
-
     /// Read the current timestamp without advancing. Only published
     /// timestamps are visible: every transaction with a commit timestamp
     /// ≤ the returned value has finished stamping its versions.
@@ -130,15 +121,9 @@ mod tests {
     }
 
     #[test]
-    fn starting_at_resumes() {
-        let c = LogicalClock::starting_at(Timestamp(100));
-        assert_eq!(c.now(), Timestamp(100));
-        assert_eq!(c.tick(), Timestamp(101));
-    }
-
-    #[test]
     fn advance_to_never_regresses() {
-        let c = LogicalClock::starting_at(Timestamp(50));
+        let c = LogicalClock::new();
+        c.advance_to(Timestamp(50));
         c.advance_to(Timestamp(10));
         assert_eq!(c.now(), Timestamp(50));
         c.advance_to(Timestamp(99));

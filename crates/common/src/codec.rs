@@ -73,11 +73,6 @@ impl<B: AsRef<Vec<u8>> + AsMut<Vec<u8>>> Encoder<B> {
         self.out().put_u64_le(v);
     }
 
-    /// Append a fixed-width i64 (LE).
-    pub fn put_i64(&mut self, v: i64) {
-        self.out().put_i64_le(v);
-    }
-
     /// Append an f64 as its LE bit pattern.
     pub fn put_f64(&mut self, v: f64) {
         self.out().put_u64_le(v.to_bits());
@@ -154,12 +149,6 @@ impl<'a> Decoder<'a> {
         Ok(self.buf.get_u64_le())
     }
 
-    /// Read an i64 (LE).
-    pub fn get_i64(&mut self) -> Result<i64> {
-        self.need(8)?;
-        Ok(self.buf.get_i64_le())
-    }
-
     /// Read an f64 from its LE bit pattern.
     pub fn get_f64(&mut self) -> Result<f64> {
         Ok(f64::from_bits(self.get_u64()?))
@@ -202,7 +191,6 @@ mod tests {
         e.put_u16(300);
         e.put_u32(70_000);
         e.put_u64(u64::MAX - 1);
-        e.put_i64(-42);
         e.put_f64(3.25);
         e.put_bytes(b"abc");
         e.put_str("héllo");
@@ -213,7 +201,6 @@ mod tests {
         assert_eq!(d.get_u16().unwrap(), 300);
         assert_eq!(d.get_u32().unwrap(), 70_000);
         assert_eq!(d.get_u64().unwrap(), u64::MAX - 1);
-        assert_eq!(d.get_i64().unwrap(), -42);
         assert_eq!(d.get_f64().unwrap(), 3.25);
         assert_eq!(d.get_bytes().unwrap(), b"abc");
         assert_eq!(d.get_str().unwrap(), "héllo");
@@ -298,20 +285,18 @@ mod proptests {
         /// primitive values.
         #[test]
         fn mixed_roundtrip(
-            a in any::<u64>(), b in any::<i64>(), f in any::<f64>(),
+            a in any::<u64>(), f in any::<f64>(),
             s in "[^\u{0}]{0,64}",
             v in proptest::collection::vec(any::<u8>(), 0..128),
         ) {
             let mut e = Encoder::new();
             e.put_u64(a);
-            e.put_i64(b);
             e.put_f64(f);
             e.put_str(&s);
             e.put_bytes(&v);
             let data = e.finish();
             let mut d = Decoder::new(&data);
             prop_assert_eq!(d.get_u64().unwrap(), a);
-            prop_assert_eq!(d.get_i64().unwrap(), b);
             let f2 = d.get_f64().unwrap();
             prop_assert!(f2 == f || (f.is_nan() && f2.is_nan()));
             prop_assert_eq!(d.get_str().unwrap(), s);

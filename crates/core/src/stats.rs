@@ -319,170 +319,6 @@ impl EngineSnapshot {
 }
 
 impl EngineSnapshot {
-    /// Render a human-readable engine dashboard (monitoring demos, the
-    /// `tpcc_demo` example).
-    pub fn render_report(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
-            "── engine ─────────────────────────────────────────────\n\
-             txns committed {:>10}   aborted {:>8}   commit-ts {}\n\
-             commits by log: imrs-only {} page-only {} mixed {} read-only {}\n\
-             IMRS {:>6.1} MiB / {:.1} MiB ({:>4.1}%)   rows {:>8}   hit rate {:>5.1}%\n\
-             IMRS chunks {:.2} MiB = used {:.2} + quarantined {:.2} + free {:.2} MiB\n\
-             pack: cycles {} rows {} skipped {} bytes {:.1} MiB   TSF Ʈ {}\n",
-            self.committed_txns,
-            self.aborted_txns,
-            self.commit_ts,
-            self.commits_imrs_only,
-            self.commits_page_only,
-            self.commits_mixed,
-            self.commits_read_only,
-            self.imrs_used_bytes as f64 / (1024.0 * 1024.0),
-            self.imrs_budget as f64 / (1024.0 * 1024.0),
-            self.imrs_utilization * 100.0,
-            self.imrs_rows,
-            self.imrs_hit_rate() * 100.0,
-            self.imrs_chunk_bytes as f64 / (1024.0 * 1024.0),
-            self.imrs_used_bytes as f64 / (1024.0 * 1024.0),
-            self.imrs_quarantined_bytes as f64 / (1024.0 * 1024.0),
-            self.imrs_free_bytes as f64 / (1024.0 * 1024.0),
-            self.pack_cycles,
-            self.rows_packed,
-            self.rows_skipped_hot,
-            self.bytes_packed as f64 / (1024.0 * 1024.0),
-            self.tsf_tau,
-        ));
-        let last_pack = self.ilm_trace.iter().rev().find_map(|e| match e {
-            IlmTraceEvent::Pack(p) => Some(p),
-            _ => None,
-        });
-        if let Some(p) = last_pack {
-            out.push_str(&format!(
-                "pack: last cycle {} ({})   over steady {:.1} KiB → to pack {:.1} KiB   \
-                 packed {:.1} KiB\n",
-                p.cycle,
-                p.level,
-                p.over_steady_bytes as f64 / 1024.0,
-                p.num_bytes_to_pack as f64 / 1024.0,
-                p.bytes_packed as f64 / 1024.0,
-            ));
-        }
-        if self.frozen_extents > 0 || self.rows_frozen > 0 {
-            out.push_str(&format!(
-                "freeze: extents {} rows {} thawed {} (dissolved {})   {:.1} KiB raw → \
-                 {:.1} KiB encoded ({:.2}x)\n",
-                self.frozen_extents,
-                self.rows_frozen,
-                self.rows_thawed,
-                self.rows_dissolved,
-                self.frozen_raw_bytes as f64 / 1024.0,
-                self.frozen_encoded_bytes as f64 / 1024.0,
-                self.frozen_raw_bytes as f64 / (self.frozen_encoded_bytes.max(1)) as f64,
-            ));
-        }
-        out.push_str(&format!(
-            "GC freed {:.1} MiB (backlog {})   tuning windows {}\n\
-             snapshots: active txns {}   side-store {} entries ({:.1} KiB)\n\
-             buffer: hits {} misses {} evictions {} flushes {} contention {} \
-             shard-lock {} io-waits {}\n",
-            self.gc_bytes_freed as f64 / (1024.0 * 1024.0),
-            self.gc_backlog,
-            self.tuning_windows,
-            self.txns_active,
-            self.side_store_entries,
-            self.side_store_bytes as f64 / 1024.0,
-            self.buffer.hits,
-            self.buffer.misses,
-            self.buffer.evictions,
-            self.buffer.flushes,
-            self.buffer.latch_contention,
-            self.buffer.shard_lock_contention,
-            self.buffer.io_waits,
-        ));
-        out.push_str(&format!(
-            "health {}   storage-errors {}   io-errors {} (retried {})   \
-             checksum-failures {}\n",
-            self.health,
-            self.storage_errors,
-            self.buffer.io_errors,
-            self.buffer.io_retries,
-            self.buffer.checksum_failures,
-        ));
-        if self.recovery != crate::recovery::RecoveryReport::default() {
-            let r = &self.recovery;
-            out.push_str(&format!(
-                "recovery: salvaged sys {} (dropped {}) imrs {} (dropped {})   \
-                 pages-reset {}   records-skipped {}\n\
-                 recovery replay: workers {}   redo {} (floor-skipped {})   \
-                 imrs-replayed {}   page-copies-retired {}\n\
-                 recovery phases (µs): analysis {} page-redo {} heap-rebuild {} \
-                 imrs-replay {}\n",
-                r.syslog_salvaged,
-                r.syslog_dropped,
-                r.imrslog_salvaged,
-                r.imrslog_dropped,
-                r.pages_reset,
-                r.imrs_records_skipped,
-                r.replay_workers,
-                r.syslog_redo_replayed,
-                r.syslog_redo_skipped,
-                r.imrs_records_replayed,
-                r.page_copies_retired,
-                r.analysis_micros,
-                r.page_redo_micros,
-                r.heap_rebuild_micros,
-                r.imrs_replay_micros,
-            ));
-        }
-        out.push_str(&format!(
-            "── tables ─────────────────────────────────────────────\n\
-             {:<12} {:>9} {:>10} {:>9} {:>9} {:>8} {:>5}\n",
-            "name", "imrs_rows", "imrs_KiB", "reuse", "packed", "page_ops", "ilm"
-        ));
-        for t in &self.tables {
-            let page_ops: u64 = t.partitions.iter().map(|p| p.page_ops).sum();
-            let enabled = t.partitions.iter().all(|p| p.ilm_enabled);
-            out.push_str(&format!(
-                "{:<12} {:>9} {:>10} {:>9} {:>9} {:>8} {:>5}\n",
-                t.name,
-                t.imrs_rows(),
-                t.imrs_bytes() / 1024,
-                t.reuse_ops(),
-                t.rows_packed(),
-                page_ops,
-                if enabled { "on" } else { "off" },
-            ));
-        }
-        if !self.latency.is_empty() {
-            out.push_str(&format!(
-                "── latency (µs) ───────────────────────────────────────\n\
-                 {:<18} {:>10} {:>9} {:>9} {:>9} {:>9}\n",
-                "class", "count", "p50", "p95", "p99", "max"
-            ));
-            for (class, s) in &self.latency {
-                out.push_str(&format!(
-                    "{:<18} {:>10} {:>9.1} {:>9.1} {:>9.1} {:>9.1}\n",
-                    class.name(),
-                    s.count,
-                    s.p50 as f64 / 1_000.0,
-                    s.p95 as f64 / 1_000.0,
-                    s.p99 as f64 / 1_000.0,
-                    s.max as f64 / 1_000.0,
-                ));
-            }
-        }
-        if self.ilm_trace_pushed > 0 {
-            out.push_str(&format!(
-                "ilm trace: {} events ({} shown, {} retained, {} evicted)\n",
-                self.ilm_trace_pushed,
-                self.ilm_trace.len(),
-                self.ilm_trace_pushed - self.ilm_trace_dropped,
-                self.ilm_trace_dropped,
-            ));
-        }
-        out
-    }
-
     /// Machine-readable JSON dump: headline counters, per-class latency
     /// summaries (nanoseconds), the retained ILM decision trace, and
     /// per-table footprints. Guaranteed parseable — the obs test suite
@@ -811,12 +647,12 @@ impl Engine {
 mod tests {
     use super::*;
     use crate::catalog::TableOpts;
-    use crate::{EngineConfig, EngineMode};
+    use crate::{EngineConfig, EngineMode, HealthState};
     use btrim_obs::CheckpointTrace;
     use std::sync::Arc;
 
     #[test]
-    fn report_renders_every_table_and_headline_numbers() {
+    fn snapshot_names_every_table_and_headline_numbers() {
         let e = Engine::new(EngineConfig::with_mode(EngineMode::IlmOn, 8 * 1024 * 1024));
         let t = e
             .create_table(TableOpts::new(
@@ -832,22 +668,27 @@ mod tests {
         }
         e.commit(txn).unwrap();
         let snap = e.snapshot();
-        let report = snap.render_report();
-        assert!(report.contains("events"));
-        assert!(report.contains("txns committed"));
-        assert!(report.contains("hit rate"));
-        assert!(report.contains("TSF"));
-        assert!(report.contains("health healthy"));
-        assert!(report.contains("checksum-failures 0"));
-        // No recovery happened: the salvage line is suppressed.
-        assert!(!report.contains("recovery:"));
+        assert_eq!(snap.table("events").map(|t| t.imrs_rows()), Some(10));
+        assert_eq!(snap.committed_txns, 1);
+        assert_eq!(snap.imrs_hit_rate(), 1.0);
+        assert_eq!(snap.health, HealthState::Healthy);
+        assert_eq!(snap.buffer.checksum_failures, 0);
+        // No recovery happened: its report is all zeros.
+        assert_eq!(snap.recovery, RecoveryReport::default());
         // Latency recording is on by default: the inserts and the
-        // commit must have produced summaries and a report section.
-        assert!(report.contains("latency (µs)"));
+        // commit must have produced summaries.
         assert!(snap
             .latency
             .iter()
             .any(|(c, s)| *c == OpClass::Commit && s.count >= 1));
+        let js = snap.to_json();
+        for field in [
+            "\"name\":\"events\"",
+            "\"committed_txns\":1,",
+            "\"health\":\"healthy\"",
+        ] {
+            assert!(js.contains(field), "{field} not in {js}");
+        }
     }
 
     #[test]
@@ -875,7 +716,7 @@ mod tests {
     }
 
     #[test]
-    fn report_trace_counts_add_up() {
+    fn trace_counts_add_up() {
         let e = Engine::new(EngineConfig::with_mode(EngineMode::IlmOn, 8 * 1024 * 1024));
         for ordinal in 1..=300 {
             e.obs()
@@ -894,23 +735,17 @@ mod tests {
                 }));
         }
         let snap = e.snapshot();
-        let report = snap.render_report();
-        let line = report
-            .lines()
-            .find(|l| l.starts_with("ilm trace:"))
-            .unwrap_or_else(|| panic!("no trace line in\n{report}"));
-        // The number printed before `label` on the trace line.
-        let count = |label: &str| -> u64 {
-            let words: Vec<&str> = line.split([' ', '(', ')', ',']).collect();
-            let at = words.iter().position(|w| *w == label).unwrap();
-            words[at - 1].parse().unwrap()
-        };
         // All 300 fit in the default ring: none evicted, all retained,
         // the newest 256 shown.
-        assert_eq!(count("events"), 300, "{line}");
-        assert_eq!(count("retained") + count("evicted"), 300, "{line}");
-        assert_eq!(count("evicted"), 0, "{line}");
-        assert_eq!(count("shown"), 256, "{line}");
+        assert_eq!(snap.ilm_trace_pushed, 300);
+        assert_eq!(snap.ilm_trace_dropped, 0);
+        assert_eq!(snap.ilm_trace.len(), 256);
+        let js = snap.to_json();
+        assert!(
+            js.contains("\"ilm_trace\":{\"pushed\":300,\"dropped\":0,"),
+            "{js}"
+        );
+        assert_eq!(js.matches("\"kind\":\"checkpoint\"").count(), 256, "{js}");
     }
 
     #[test]
@@ -934,7 +769,8 @@ mod tests {
         assert!(snap.latency.is_empty());
         assert!(snap.ilm_trace.is_empty());
         assert_eq!(snap.ilm_trace_pushed, 0);
-        assert!(!snap.render_report().contains("latency (µs)"));
-        json::validate(&snap.to_json()).unwrap();
+        let js = snap.to_json();
+        json::validate(&js).unwrap();
+        assert!(js.contains("\"latency_ns\":[],"), "{js}");
     }
 }

@@ -343,7 +343,7 @@ fn truncation_is_conserved_and_the_logs_stay_bounded() {
 /// A maintenance tick sizes its pack cycle to the steady line: every
 /// tick-driven cycle packs `min(5 % of live bytes, over_steady_bytes)`,
 /// the live bytes being the line, that overshoot and what partitions
-/// already owed; and `render_report` shows the last cycle's sizing.
+/// already owed; and the snapshot's export carries the cycles' sizing.
 #[test]
 fn tick_cycles_are_sized_to_the_steady_line() {
     let e = Engine::new(EngineConfig {
@@ -400,7 +400,7 @@ fn tick_cycles_are_sized_to_the_steady_line() {
         capped > 0 && to_line > 20,
         "{capped} capped, {to_line} to the line"
     );
-    assert!(snap.render_report().contains("over steady"));
+    assert!(snap.to_json().contains("\"over_steady_bytes\":"));
 }
 
 /// Engine-wide activity and pack totals are the sums of the
@@ -551,7 +551,7 @@ fn engine_totals_are_partition_sums_while_clients_and_maintenance_run() {
     assert!(snap.imrs_free_bytes > 0 && snap.imrs_chunk_bytes <= snap.imrs_budget);
     let json = snap.to_json();
     assert!(json.contains(&format!("\"imrs_free_bytes\":{}", snap.imrs_free_bytes)));
-    assert!(snap.render_report().contains("IMRS chunks"));
+    assert!(json.contains(&format!("\"imrs_chunk_bytes\":{}", snap.imrs_chunk_bytes)));
 }
 
 /// Every `get` / `read_row` issued lands in exactly one select class —

@@ -317,11 +317,6 @@ impl VersionArena {
     pub fn quarantined_nodes(&self) -> usize {
         self.recycle.lock().quarantine.len()
     }
-
-    /// High-water mark of distinct nodes ever allocated (stats/tests).
-    pub fn allocated_nodes(&self) -> u64 {
-        self.len.load()
-    }
 }
 
 /// A cheap, owned reference to one version node — what write paths hold
@@ -473,7 +468,6 @@ mod tests {
         a.free_node(l);
         let l2 = a.push(&head, TxnId(2), VersionOp::Insert, None, None);
         assert_eq!(l2, l);
-        assert_eq!(a.allocated_nodes(), 1);
     }
 
     #[test]

@@ -17,29 +17,9 @@ impl KeyBuilder {
         Self::default()
     }
 
-    /// Append a u16 component (big-endian).
-    pub fn push_u16(mut self, v: u16) -> Self {
-        self.buf.extend_from_slice(&v.to_be_bytes());
-        self
-    }
-
     /// Append a u32 component (big-endian).
     pub fn push_u32(mut self, v: u32) -> Self {
         self.buf.extend_from_slice(&v.to_be_bytes());
-        self
-    }
-
-    /// Append a u64 component (big-endian).
-    pub fn push_u64(mut self, v: u64) -> Self {
-        self.buf.extend_from_slice(&v.to_be_bytes());
-        self
-    }
-
-    /// Append an i64 component; sign bit flipped so negative orders
-    /// before positive.
-    pub fn push_i64(mut self, v: i64) -> Self {
-        self.buf
-            .extend_from_slice(&((v as u64) ^ (1u64 << 63)).to_be_bytes());
         self
     }
 
@@ -86,17 +66,8 @@ mod tests {
     }
 
     #[test]
-    fn signed_components_order_correctly() {
-        let k = |v: i64| KeyBuilder::new().push_i64(v).build();
-        assert!(k(-5) < k(-1));
-        assert!(k(-1) < k(0));
-        assert!(k(0) < k(7));
-        assert!(k(i64::MIN) < k(i64::MAX));
-    }
-
-    #[test]
     fn string_prefix_orders_before_extension() {
-        let k = |s: &str| KeyBuilder::new().push_u16(1).push_str(s).build();
+        let k = |s: &str| KeyBuilder::new().push_u32(1).push_str(s).build();
         assert!(k("BAR") < k("BARBAR"));
         assert!(k("ABLE") < k("BAKER"));
     }
@@ -105,7 +76,7 @@ mod tests {
     fn prefix_successor_covers_prefix_range() {
         let p = KeyBuilder::new().push_u32(5).build();
         let succ = prefix_successor(&p).unwrap();
-        let inside = KeyBuilder::new().push_u32(5).push_u64(u64::MAX).build();
+        let inside = KeyBuilder::new().push_u32(5).push_u32(u32::MAX).build();
         let outside = KeyBuilder::new().push_u32(6).build();
         assert!(inside < succ);
         assert!(outside >= succ);

@@ -50,11 +50,9 @@ fn main() -> btrim::Result<()> {
     println!("\nworkload profile (paper's Table 1):");
     print!("{}", profile::render(&profile::table_profiles(&engine)));
 
-    println!("\n{}", engine.snapshot().render_report());
-
-    // The same state, machine-readable: per-class latency summaries and
-    // the recent ILM decision trace ride along in the JSON export.
-    println!("machine-readable snapshot (pipe to jq):");
+    // Engine statistics: per-table footprints, per-class latency
+    // summaries and the recent ILM decision trace.
+    println!("\nengine snapshot (JSON):");
     println!("{}", engine.snapshot().to_json());
     Ok(())
 }

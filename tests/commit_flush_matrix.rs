@@ -24,8 +24,8 @@ use common::{Power, VolatileLog};
 /// with `packed`, on their pages.
 fn stage(mode: EngineMode, packed: bool) -> Explorer {
     let mut ex = Explorer::new(config(mode));
-    ex.load(HOT, &[(1, 10), (2, 20)]);
-    ex.load(COLD, &[(1, 10)]);
+    ex.load(HOT, [(1, 10), (2, 20)]);
+    ex.load(COLD, [(1, 10)]);
     ex.run(Checkpoint);
     if packed {
         ex.run_all(&[PackAll, Checkpoint]);
@@ -259,8 +259,8 @@ fn a_pack_batch_cut_inside_the_next_barrier_leaves_no_page_orphan() {
     ];
     for (barrier, spilled, homes, retired) in cases {
         let mut ex = Explorer::new(config(EngineMode::IlmOn));
-        ex.load(HOT, &[(1, 10), (2, 20), (3, 30)]);
-        ex.load(COLD, &[(1, 10)]);
+        ex.load(HOT, [(1, 10), (2, 20), (3, 30)]);
+        ex.load(COLD, [(1, 10)]);
         ex.run_all(&[Checkpoint, PackAll]);
         assert_eq!(ex.homes(HOT), [0, 3, 0], "packed");
         if spilled {
@@ -313,12 +313,8 @@ fn a_cut_inside_the_commit_that_settles_a_pack_overdraws_the_imrs_rather_than_fa
     let mut ex = Explorer::new(cfg);
     ex.run(Checkpoint);
     let fill = |from: u64| (from..from + 96).map(|k| Insert(0, HOT, k, k, 900));
-    ex.run_all(
-        &fill(0)
-            .chain([Commit(0), PackAll, Act(Actor::Gc)])
-            .collect::<Vec<_>>(),
-    );
-    ex.run_all(&fill(96).collect::<Vec<_>>());
+    ex.run_all(fill(0).chain([Commit(0), PackAll, Act(Actor::Gc)]));
+    ex.run_all(fill(96));
     assert_eq!(ex.homes(HOT), [0, 96, 0], "the first fill packed");
     let used = ex.engine.snapshot().imrs_used_bytes;
     assert!(

@@ -38,6 +38,7 @@
 //! plan per seed (both in `tests/explorer.rs`). `EXPLORER_TRACE=1`
 //! prints each step and its outcome.
 
+use std::borrow::Borrow;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeMap, BTreeSet};
 use std::hash::{Hash, Hasher};
@@ -614,15 +615,15 @@ impl Explorer {
     }
 
     /// Acknowledged single-row inserts of `(key, value)` into `t`.
-    pub fn load(&mut self, t: usize, rows: &[(u64, u64)]) {
-        for &(k, v) in rows {
-            self.run_all(&[Step::Insert(0, t, k, v, 0), Step::Commit(0)]);
+    pub fn load(&mut self, t: usize, rows: impl IntoIterator<Item = (u64, u64)>) {
+        for (k, v) in rows {
+            self.run_all([Step::Insert(0, t, k, v, 0), Step::Commit(0)]);
         }
     }
 
-    pub fn run_all(&mut self, steps: &[Step]) {
+    pub fn run_all(&mut self, steps: impl IntoIterator<Item = impl Borrow<Step>>) {
         for step in steps {
-            self.run(step.clone());
+            self.run(step.borrow().clone());
         }
     }
 

@@ -44,7 +44,7 @@ fn database_equals_model_across_repeated_crashes() {
             ex.run(if abort { Abort(0) } else { Commit(0) });
         }
         ex.checked = true;
-        ex.run_all(&Actor::ALL.map(Act));
+        ex.run_all(Actor::ALL.map(Act));
         ex.run(PackAll);
         if round % 2 == 1 {
             ex.run(Checkpoint);

@@ -251,8 +251,8 @@ fn stage_under(durable_commits: bool, plan: FaultPlan) -> Explorer {
         ..config(EngineMode::IlmOn)
     };
     let mut ex = Explorer::with_faults(cfg, plan);
-    ex.load(HOT, &[(1, 10), (2, 20)]);
-    ex.load(COLD, &[(1, 10)]);
+    ex.load(HOT, [(1, 10), (2, 20)]);
+    ex.load(COLD, [(1, 10)]);
     ex.run_all(&[PackAll, Checkpoint]);
     assert!(matches!(ex.home(HOT, 1), Some(RowLocation::Page(..))));
     ex
@@ -344,6 +344,37 @@ fn a_cache_inside_a_checkpoints_page_writes_keeps_its_row() {
 #[ignore = "open: a page written back can carry a change whose record is volatile"]
 fn an_uncommitted_update_written_by_a_checkpoint_does_not_come_back() {
     inside_a_checkpoints_page_writes(&[Update(1, COLD, 1, 12, 0)]);
+}
+
+/// An 8-frame `PageOnly` explorer, checks off, where client 0 updated
+/// `hot` 3 to 999 in place and has not committed; `between` runs next,
+/// then client 1's reads push the row's page out of the cache.
+fn an_update_evicted(between: &[Step]) -> Explorer {
+    let mut ex = Explorer::new(EngineConfig {
+        buffer_frames: 8,
+        ..config(EngineMode::PageOnly)
+    });
+    ex.checked = false;
+    let load = (0..120).map(|k| Insert(0, HOT, k, k * 7, 980));
+    ex.run_all(load.chain([Commit(0)]));
+    ex.run_all([&[Update(0, HOT, 3, 999, 0)], between].concat());
+    let written = ex.page_writes();
+    ex.run_all((20..120).map(|k| Get(1, HOT, k)));
+    assert!(ex.page_writes() > written, "nothing was written back");
+    ex
+}
+
+/// Open (DESIGN.md "Row movement" (c)): the eviction writes `hot` 3's
+/// uncommitted image while the update's syslogs record is still
+/// volatile, and a cut keeps the image with no record to undo it.
+/// Run with `--ignored`.
+#[test]
+#[ignore = "open: an evicted page can carry a change whose record is volatile"]
+fn an_uncommitted_update_written_by_an_eviction_does_not_come_back() {
+    let mut ex = an_update_evicted(&[]);
+    ex.checked = true;
+    ex.reboot();
+    assert_eq!(ex.value(HOT, 3), Some(21));
 }
 
 /// Client B's mixed transaction commits inside the checkpoint's first
@@ -441,7 +472,7 @@ fn power_cut_after_a_checkpoint_recovers_from_the_truncated_log() {
 #[test]
 fn an_insert_into_a_slot_an_uncommitted_delete_freed_survives() {
     let mut ex = Explorer::new(config(EngineMode::PageOnly));
-    ex.load(HOT, &[(3, 30)]);
+    ex.load(HOT, [(3, 30)]);
     ex.run_all(&[Checkpoint, Delete(1, HOT, 3)]);
     ex.run_all(&[Insert(0, HOT, 1, 10, 0), Commit(0), Cut]);
     ex.reboot();
@@ -515,7 +546,7 @@ fn a_background_batch_does_not_keep_part_of_a_commit() {
 #[test]
 fn an_arrival_replaces_the_row_a_lost_pack_left_resident() {
     let mut ex = Explorer::new(config(EngineMode::IlmOn));
-    ex.load(HOT, &[(1, 10), (2, 20)]);
+    ex.load(HOT, [(1, 10), (2, 20)]);
     ex.run_all(&[Checkpoint, PackAll, Get(1, HOT, 1), Commit(1)]);
     assert_eq!(ex.homes(HOT), [1, 1, 0], "packed, then cached");
     ex.run_all(&[Insert(0, AUX, 1, 10, 0), CutAfterFlushes(1), Commit(0)]);
@@ -535,7 +566,7 @@ fn an_arrival_replaces_the_row_a_lost_pack_left_resident() {
 #[test]
 fn a_key_re_inserted_after_its_frozen_row_was_deleted_survives_a_reboot() {
     let mut ex = Explorer::new(config(EngineMode::IlmOn));
-    ex.load(COLD, &[(1, 10), (2, 20), (3, 30), (4, 40)]);
+    ex.load(COLD, [(1, 10), (2, 20), (3, 30), (4, 40)]);
     ex.run(Act(Actor::Freeze));
     assert_eq!(ex.homes(COLD)[2], 4, "frozen");
     ex.run_all(&[Delete(0, COLD, 1), Commit(0)]);
@@ -552,7 +583,7 @@ fn a_key_re_inserted_after_its_frozen_row_was_deleted_survives_a_reboot() {
 #[test]
 fn a_read_modify_write_over_a_newer_commit_replaces_its_index_entry() {
     let mut ex = Explorer::new(config(EngineMode::IlmOn));
-    ex.load(HOT, &[(0, 10)]);
+    ex.load(HOT, [(0, 10)]);
     ex.run_all(&[Begin(0), Update(1, HOT, 0, 20, 0), Commit(1)]);
     ex.run_all(&[Rmw(0, HOT, 0, 1), Commit(0)]);
 }
@@ -654,7 +685,7 @@ fn torn_page_writes_are_never_served() {
 }
 
 /// The log device dies after 20 appends: the engine turns read-only,
-/// says so in its health and its report, refuses a write with a typed
+/// says so in its health and its snapshot, refuses a write with a typed
 /// error and serves reads (the checks after every step); a reboot keeps
 /// every acknowledged commit. The faulted mix's log dies after 30
 /// appends on both disk families.
@@ -670,12 +701,13 @@ fn log_device_death_degrades_to_read_only() {
         ..FaultPlan::default()
     };
     let mut ex = Explorer::with_faults(config(EngineMode::IlmOn), plan);
-    ex.load(HOT, &(0..20).map(|k| (k, k * 7)).collect::<Vec<_>>());
-    ex.load(COLD, &(0..20).map(|k| (k, k * 7)).collect::<Vec<_>>());
+    ex.load(HOT, (0..20).map(|k| (k, k * 7)));
+    ex.load(COLD, (0..20).map(|k| (k, k * 7)));
     assert!(ex.planned.log_dead(), "the log device never died");
     let health = ex.engine.health();
     assert!(matches!(health, HealthState::ReadOnly { .. }), "{health}");
-    assert!(ex.engine.snapshot().render_report().contains("read-only"));
+    let json = ex.engine.snapshot().to_json();
+    assert!(json.contains("\"health\":\"read-only ("), "{json}");
     let (e, mut txn) = (&ex.engine, ex.engine.begin());
     let err = e.insert(&mut txn, &e.table(TABLES[HOT].0).unwrap(), &row(99, 1, 0));
     assert!(matches!(err, Err(BtrimError::ReadOnly(_))), "{err:?}");
@@ -697,20 +729,7 @@ fn log_device_death_degrades_to_read_only() {
 /// of its record is DESIGN.md "Row movement" (c)).
 #[test]
 fn abort_whose_undo_fails_keeps_the_before_image_and_stops_writes() {
-    let mut ex = Explorer::new(EngineConfig {
-        buffer_frames: 8,
-        ..config(EngineMode::PageOnly)
-    });
-    ex.checked = false;
-    let load = (0..120).map(|k| Insert(0, HOT, k, k * 7, 980));
-    ex.run_all(&load.chain([Commit(0)]).collect::<Vec<_>>());
-    ex.run_all(&[
-        Update(0, HOT, 3, 999, 0),
-        Insert(1, AUX, 0, 0, 0),
-        Commit(1),
-    ]);
-    // Push row 3's page out of the cache.
-    ex.run_all(&(20..120).map(|k| Get(1, HOT, k)).collect::<Vec<_>>());
+    let mut ex = an_update_evicted(&[Insert(1, AUX, 0, 0, 0), Commit(1)]);
     let stashed = ex.engine.snapshot().side_store_entries;
     ex.run_all(&[Cut, Abort(0)]);
     let health = ex.engine.health();

@@ -32,7 +32,7 @@ use Direction::*;
 
 /// `ROWS` acknowledged rows of `hot` on the tier `dir` moves them out of.
 fn prepared(mut ex: Explorer, dir: Direction) -> Explorer {
-    ex.load(HOT, &(0..ROWS).map(|k| (k, k * 7)).collect::<Vec<_>>());
+    ex.load(HOT, (0..ROWS).map(|k| (k, k * 7)));
     ex.run(Act(Actor::Gc)); // GC feeds the ILM queues pack reads
     if dir != Pack {
         // A pack batch flushes nothing: the next syslogs sync, a
@@ -68,13 +68,7 @@ fn the_move(dir: Direction, bump: u64) -> Vec<Step> {
 fn run_case(dir: Direction, cut_in: Option<u64>) -> (u64, bool) {
     let mut ex = prepared(ilm_on(), dir);
     let before = ex.power.faults.ops();
-    ex.run_all(
-        &cut_in
-            .map(CutIn)
-            .into_iter()
-            .chain(the_move(dir, 1_000))
-            .collect::<Vec<_>>(),
-    );
+    ex.run_all(cut_in.map(CutIn).into_iter().chain(the_move(dir, 1_000)));
     let (ops, crashed) = (ex.power.faults.ops() - before, ex.power.off());
     ex.reboot();
     // A transaction is atomic: all rows moved on, or none.
@@ -85,7 +79,7 @@ fn run_case(dir: Direction, cut_in: Option<u64>) -> (u64, bool) {
         bumped == 0 || bumped == ROWS,
         "{dir:?} at {cut_in:?}: {bumped} bumped"
     );
-    ex.run_all(&the_move(dir, 5));
+    ex.run_all(the_move(dir, 5));
     let [imrs, page, frozen] = ex.homes(HOT);
     let done = match dir {
         Cache | Migrate => imrs == ROWS,
@@ -130,11 +124,7 @@ fn pack_does_not_leak_its_staged_copy_when_the_log_dies() {
         };
         let mut ex = prepared(Explorer::with_faults(config(EngineMode::IlmOn), plan), Pack);
         ex.checked = false;
-        ex.run_all(
-            &(0..640)
-                .map(|k| Insert(0, COLD, 100 + k, k, 980))
-                .collect::<Vec<_>>(),
-        );
+        ex.run_all((0..640).map(|k| Insert(0, COLD, 100 + k, k, 980)));
         ex.run(Commit(0));
         // The death trigger counts append calls, a batch as one.
         let appends = |ex: &Explorer| ex.logs.0.appends() + ex.logs.1.appends();
@@ -143,7 +133,7 @@ fn pack_does_not_leak_its_staged_copy_when_the_log_dies() {
         ex.run(PackAll);
         let after = appends(&ex);
         ex.checked = false;
-        ex.run_all(&(0..640).map(|k| Get(0, COLD, 100 + k)).collect::<Vec<_>>());
+        ex.run_all((0..640).map(|k| Get(0, COLD, 100 + k)));
         ex.run(Commit(0));
         let died = ex.power.faults.log_dead();
         ex.checked = true;
@@ -171,7 +161,7 @@ fn a_move_appends_each_log_once_before_its_commit() {
         (after.0 - before.0, after.1 - before.1)
     };
     let mut ex = ilm_on();
-    ex.load(HOT, &(0..64).map(|k| (k, k * 7)).collect::<Vec<_>>());
+    ex.load(HOT, (0..64).map(|k| (k, k * 7)));
     ex.run(Act(Actor::Gc));
     let before = appends(&ex);
     let hot = ex.engine.table(TABLES[HOT].0).unwrap();
@@ -209,7 +199,7 @@ fn a_move_appends_each_log_once_before_its_commit() {
 fn power_cut_between_the_two_flushes_of_a_batch_loses_no_row() {
     let mut ex = prepared(ilm_on(), Freeze);
     ex.run_all(&[Checkpoint, CutAfterFlushes(1)]);
-    ex.run_all(&the_move(Freeze, 0));
+    ex.run_all(the_move(Freeze, 0));
     assert!(ex.power.off(), "Freeze: no flush seen");
     ex.reboot();
     let imrs_only = (Insert(0, AUX, 0, 0, 0), 1, [ROWS, 0, 0]);
@@ -251,7 +241,7 @@ fn a_pack_batch_does_not_outrun_a_cached_rows_arrival_record() {
                 ..config(EngineMode::IlmOn)
             };
             let mut ex = prepared(Explorer::new(cfg), Cache);
-            ex.load(AUX, &(0..64).map(|k| (k, k)).collect::<Vec<_>>());
+            ex.load(AUX, (0..64).map(|k| (k, k)));
             ex.run_all(&[Act(Actor::Gc), Get(0, HOT, 0), Commit(0)]);
             assert_eq!(ex.homes(HOT)[0], 1, "the select cached the row");
             assert_eq!(ex.run(PackAll).flushes, (0, 0), "the pack batch flushed");
@@ -286,13 +276,13 @@ fn a_thaw_cut_after_its_departure_keeps_its_row() {
 /// partition stops freezing (seven of its eight frozen rows left).
 fn mostly_dead() -> Explorer {
     let mut ex = ilm_on();
-    ex.load(HOT, &(0..8).map(|k| (k, k * 7)).collect::<Vec<_>>());
+    ex.load(HOT, (0..8).map(|k| (k, k * 7)));
     ex.run(Act(Actor::Gc));
     ex.run_all(&[PackAll, Insert(0, COLD, 10_000, 0, 0), Commit(0)]);
     ex.run(Act(Actor::Freeze));
     assert_eq!(ex.homes(HOT)[2], 8, "frozen");
     let thaw: Vec<Step> = (0..7).map(|k| Update(0, HOT, k, k * 7 + 1, 0)).collect();
-    ex.run_all(&[thaw, vec![Commit(0)]].concat());
+    ex.run_all([thaw, vec![Commit(0)]].concat());
     assert_eq!(ex.homes(HOT)[2], 1, "one live row left");
     ex
 }
@@ -314,10 +304,10 @@ fn a_cut_at_every_device_op_of_a_dissolve_keeps_each_row_one_home() {
     let mut cuts = 0;
     for k in 0.. {
         let mut ex = mostly_dead();
-        ex.run_all(&[[CutIn(k)].as_slice(), &the_dissolve(10_001)].concat());
+        ex.run_all([[CutIn(k)].as_slice(), &the_dissolve(10_001)].concat());
         let cut = ex.power.off();
         ex.reboot();
-        ex.run_all(&the_dissolve(10_002));
+        ex.run_all(the_dissolve(10_002));
         assert_eq!(ex.homes(HOT)[2], 0, "cut at {k}: a row stayed frozen");
         // `cold`'s page rows may freeze meanwhile; `hot` has no extent.
         let hot = ex.engine.table(TABLES[HOT].0).unwrap().id;
@@ -338,7 +328,7 @@ fn a_cut_at_every_device_op_of_a_dissolve_keeps_each_row_one_home() {
 #[test]
 fn recovery_drops_an_imaged_extent_that_was_dissolved_since() {
     let mut ex = ilm_on();
-    ex.load(HOT, &(0..8).map(|k| (k, k * 7)).collect::<Vec<_>>());
+    ex.load(HOT, (0..8).map(|k| (k, k * 7)));
     ex.run(Act(Actor::Gc));
     ex.run_all(&[PackAll, Insert(0, COLD, 10_000, 0, 0), Commit(0)]);
     ex.run_all(&[Act(Actor::Freeze), Checkpoint]);
@@ -346,8 +336,8 @@ fn recovery_drops_an_imaged_extent_that_was_dissolved_since() {
     ex.engine.extent_store().for_each(|e| ids.push(e.id()));
     assert_eq!(ids.len(), 1, "one extent, in the image");
     let thaw: Vec<Step> = (0..7).map(|k| Update(0, HOT, k, k * 7 + 1, 0)).collect();
-    ex.run_all(&[thaw, vec![Commit(0)]].concat());
-    ex.run_all(&the_dissolve(10_001));
+    ex.run_all([thaw, vec![Commit(0)]].concat());
+    ex.run_all(the_dissolve(10_001));
     assert_eq!(ex.engine.snapshot().rows_dissolved, 1);
     assert!(ex.engine.extent_store().get(ids[0]).is_none(), "removed");
     ex.run(Cut);
@@ -367,12 +357,12 @@ fn recovery_drops_an_imaged_extent_that_was_dissolved_since() {
 fn a_freeze_batch_whose_syslogs_half_was_lost_stays_lost() {
     let mut ex = prepared(ilm_on(), Freeze);
     ex.run_all(&[Checkpoint, CutAfterFlushes(1)]);
-    ex.run_all(&the_move(Freeze, 0));
+    ex.run_all(the_move(Freeze, 0));
     assert!(ex.power.off(), "no flush seen");
     ex.reboot();
     assert_eq!(ex.homes(HOT), [0, ROWS, 0], "the batch was lost");
     let deletes: Vec<Step> = (0..ROWS).map(|k| Delete(0, HOT, k)).collect();
-    ex.run_all(&[deletes, vec![Commit(0), Cut]].concat());
+    ex.run_all([deletes, vec![Commit(0), Cut]].concat());
     ex.reboot();
     assert_eq!(ex.homes(HOT), [0, 0, 0], "deleted rows came back");
 }

@@ -58,11 +58,7 @@ fn staged(home: Home) -> Explorer {
     };
     let mut ex = Explorer::new(cfg);
     ex.checked = false;
-    ex.run_all(
-        &(0..ROWS)
-            .map(|k| Insert(0, HOT, k, 100 + k, 8))
-            .collect::<Vec<_>>(),
-    );
+    ex.run_all((0..ROWS).map(|k| Insert(0, HOT, k, 100 + k, 8)));
     ex.checked = true;
     ex.run(Commit(0));
     if home == Home::Frozen {
@@ -170,11 +166,7 @@ fn history_follows_a_page_row_through_a_relocating_update() {
         // Held before the rows exist: reads every one as absent.
         ex.run(Snap);
         ex.checked = false;
-        ex.run_all(
-            &(0..ROWS)
-                .map(|k| Insert(0, HOT, k, 100 + k, 8))
-                .collect::<Vec<_>>(),
-        );
+        ex.run_all((0..ROWS).map(|k| Insert(0, HOT, k, 100 + k, 8)));
         ex.checked = true;
         ex.run(Commit(0));
         if ilm {
@@ -229,11 +221,7 @@ fn history_follows_a_page_row_through_an_aborted_delete_that_lost_its_slot() {
     assert_eq!(ex.home(HOT, TARGET), home, "in place");
     ex.run(Delete(0, HOT, TARGET));
     // Same-sized rows: none of them may take the deleted row's slot.
-    ex.run_all(
-        &(FRESH..FRESH + 8)
-            .map(|k| Insert(1, HOT, k, 900, 8))
-            .collect::<Vec<_>>(),
-    );
+    ex.run_all((FRESH..FRESH + 8).map(|k| Insert(1, HOT, k, 900, 8)));
     ex.run_all(&[Commit(1), Abort(0)]);
     assert_eq!(
         ex.home(HOT, TARGET),

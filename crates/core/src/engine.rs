@@ -1310,7 +1310,7 @@ impl Engine {
         // later reservations cannot publish until this one has.
         // The slots our deletes kept (`delete_page`; our row lock kept
         // anyone else out of them), read while our tombstones are sure
-        // to stand: a purge may clear them once the commit is published.
+        // to stand: retirement may clear them once the commit is published.
         let mut kept: Vec<_> = txn
             .writes
             .iter()
@@ -1330,12 +1330,11 @@ impl Engine {
         // until every commit at or below its snapshot has appended.
         let ts = self.sh.ckpt.reserve_commit(&self.sh.txns);
         for w in &txn.writes {
-            match w {
-                Write::Imrs { version, .. } => version.stamp(ts),
-                Write::Page { row, .. } => self.sh.side.stamp(*row, id, ts),
-                Write::KeyAdded { .. } | Write::KeyRemoved { .. } => {}
+            if let Write::Imrs { version, .. } = w {
+                version.stamp(ts);
             }
         }
+        let queued = self.sh.side.stamp(&txn.writes, id, ts);
         self.sh.txns.finish_commit(txn.handle, ts);
         // What this transaction logs decides everything below: which
         // logs it appends to, which it waits for, and which commit-shape
@@ -1414,6 +1413,13 @@ impl Engine {
         // to show. The amortized inline-maintenance tick is timed under
         // its own classes.
         self.sh.obs.record_since(OpClass::Commit, op_start);
+        // The side store retires in commit order: about what this commit
+        // queued, from the queue's front. A held snapshot's backlog is
+        // GC's, not this transaction's.
+        if queued > 0 {
+            let horizon = self.sh.txns.oldest_active_snapshot();
+            self.sh.side.retire(horizon, Some(queued), &self.sh.ridmap);
+        }
         logged?;
         self.maybe_maintenance();
         Ok(ts)

@@ -98,6 +98,7 @@ pub use health::HealthState;
 pub use maintenance::Actor;
 pub use recovery::RecoveryReport;
 pub use scan::{ScanResult, ScanSpec};
+pub use sidestore::ENTRY_BYTES as SIDE_STORE_ENTRY_BYTES;
 pub use stats::EngineSnapshot;
 pub use txn_ctx::Transaction;
 

@@ -12,8 +12,8 @@
 //! each of which takes a [`Logged`] — and a `Logged` exists only once an
 //! append has returned `Ok` — or sits under an `expect` of the lint
 //! whose `reason` names why no record is owed (a location nothing was
-//! at, a copy the RID-Map never named, an undo, recovery, a purge of a
-//! durable delete).
+//! at, a copy the RID-Map never named, an undo, recovery, the
+//! retirement of a durable delete).
 //!
 //! A destructive method with no logged caller has no wrapper; the first
 //! logged path that needs one adds it here.

@@ -127,7 +127,7 @@ impl Engine {
                 // passed them — no registered reader can still be
                 // standing on any of it.
                 sh.store.reclaim(oldest);
-                sh.side.purge(oldest, &sh.ridmap);
+                sh.side.retire(oldest, None, &sh.ridmap);
                 sh.obs.record_since(OpClass::GcPass, gc_start);
                 report.processed
             }

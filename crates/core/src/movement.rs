@@ -329,7 +329,7 @@ fn relocate_locked(
                 // change is committed and at or below it. A newer change
                 // always left a side-store entry under the row (page
                 // updates stash before-images wherever they put the
-                // row, pack stashes absent markers, purge cannot touch
+                // row, pack stashes absent markers, retirement cannot touch
                 // entries above the horizon; the mover's own pending
                 // change counts as +∞), so such a row stays on its page
                 // — the side store keeps serving its history — until

@@ -38,29 +38,48 @@
 //! timestamp **before** the timestamp is published (so any reader whose
 //! snapshot can see the commit also sees the stamps); abort reads each
 //! back, newest first, as the image to restore, and drops it once the
-//! page holds that image again. Maintenance purges entries with `ts ≤
-//! oldest_active_snapshot` — no live snapshot can need them — which
-//! also bounds the store: its footprint is the before-image volume of
-//! the active-snapshot window, not of history. Purging the entry of a
-//! row's delete clears the row's RID-Map tombstone.
+//! page holds that image again.
+//!
+//! The store is retired in commit order, not by maintenance. Stamping
+//! queues the commit's rows under its timestamp (pack queues its absent
+//! markers under theirs), before any log append, so a commit whose
+//! append fails is retired all the same. An entry goes once its own
+//! timestamp is at or below `oldest_active_snapshot` — no live snapshot
+//! can need it: each commit retires about as much of the queue's front
+//! as it queued, and GC's pass whatever is due anywhere in the queue. The
+//! footprint is the before-image volume of the active-snapshot window,
+//! whatever the maintenance cadence. Retiring the entry of a row's
+//! delete clears the row's RID-Map tombstone.
+//!
+//! A row with one change holds a list of capacity one, and
+//! [`ENTRY_BYTES`] is what an entry costs: its slot in that list, its
+//! row's map slot and its queue slot.
 //!
 //! Shard locks carry rank `SIDE_STORE` (45): above the RID-Map and the
 //! buffer frames (readers pin the page first, then consult the store),
-//! below the WAL.
+//! below the WAL. The retirement queue is an unranked leaf: no shard
+//! lock is held while it is, nor it while one is.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
+use std::mem::size_of;
 
 use btrim_common::atomics::{AcqRel, Relaxed};
 use btrim_common::{RowId, Timestamp, TxnId};
 use btrim_imrs::{RidMap, RowLocation};
-use parking_lot::{lock_rank, RwLock};
+use parking_lot::{lock_rank, Mutex, RwLock};
+
+use crate::txn_ctx::Write;
 
 /// Shard count; RowIds are allocated sequentially, so consecutive rows
 /// spread evenly.
 const SHARDS: usize = 16;
 
-/// Fixed per-entry accounting overhead (key, vec slot, bookkeeping).
-const ENTRY_OVERHEAD: u64 = 64;
+/// What the store holds for one entry besides its image: its slot in
+/// the row's list, the row's map slot (shared when a row has several
+/// entries) and its retirement-queue slot.
+pub const ENTRY_BYTES: u64 = (size_of::<SideEntry>()
+    + size_of::<(RowId, Vec<SideEntry>)>()
+    + size_of::<(u64, RowId)>()) as u64;
 
 /// One stashed change to a page row.
 struct SideEntry {
@@ -71,13 +90,13 @@ struct SideEntry {
     /// Row image before the change; `None` = row absent at that time.
     before: Option<Vec<u8>>,
     /// True when the change was a row delete (the row's RID-Map entry
-    /// is a tombstone that must be cleared when this entry is purged).
+    /// is a tombstone that must be cleared when this entry is retired).
     tombstone: bool,
 }
 
 impl SideEntry {
     fn bytes(&self) -> u64 {
-        ENTRY_OVERHEAD + self.before.as_ref().map_or(0, |b| b.len() as u64)
+        ENTRY_BYTES + self.before.as_ref().map_or(0, |b| b.len() as u64)
     }
 
     /// Effective commit timestamp for visibility (pending = +∞).
@@ -110,6 +129,9 @@ type Shard = HashMap<RowId, Vec<SideEntry>>;
 /// The sharded before-image store. One per engine, in `Shared`.
 pub(crate) struct SideStore {
     shards: Vec<RwLock<Shard>>,
+    /// Stamped entries awaiting the horizon, `(commit ts, row)`, in the
+    /// order they were stamped: the retirement queue.
+    queue: Mutex<VecDeque<(u64, RowId)>>,
     bytes: Relaxed<u64>,
     entries: Relaxed<u64>,
 }
@@ -120,6 +142,7 @@ impl SideStore {
             shards: (0..SHARDS)
                 .map(|_| RwLock::with_rank(lock_rank::SIDE_STORE, HashMap::new()))
                 .collect(),
+            queue: Mutex::new(VecDeque::new()),
             bytes: Relaxed::new(0),
             entries: Relaxed::new(0),
         }
@@ -145,7 +168,8 @@ impl SideStore {
     }
 
     /// Stash an already-committed entry (pack's absent markers: the
-    /// packed version's commit timestamp is known and final).
+    /// packed version's commit timestamp is known and final) and queue
+    /// it for retirement.
     pub(crate) fn stash_committed(
         &self,
         row: RowId,
@@ -163,25 +187,41 @@ impl SideStore {
                 tombstone: false,
             },
         );
+        self.queue.lock().push_back((ts.0, row));
     }
 
     fn push(&self, row: RowId, entry: SideEntry) {
         self.bytes.fetch_add(entry.bytes());
         self.entries.fetch_add(1);
-        self.shard(row).write().entry(row).or_default().push(entry);
+        let mut shard = self.shard(row).write();
+        let list = shard.entry(row).or_insert_with(|| Vec::with_capacity(1));
+        list.push(entry);
     }
 
-    /// Stamp `txn`'s pending entries for `row` with its commit
-    /// timestamp. Must run **before** the timestamp is published to the
-    /// clock, so a reader whose snapshot admits the commit can never
-    /// observe the entry still pending.
-    pub(crate) fn stamp(&self, row: RowId, txn: TxnId, ts: Timestamp) {
-        let shard = self.shard(row).read();
-        for e in shard.get(&row).into_iter().flatten() {
-            if e.pending_of(txn) {
-                e.ts.store(ts.0);
+    /// Stamp `txn`'s pending entries for the page rows it wrote with
+    /// its commit timestamp and queue the rows for retirement; returns
+    /// how many were queued. Must run **before** the timestamp is
+    /// published to the clock, so a reader whose snapshot admits the
+    /// commit can never observe an entry still pending — and before any
+    /// log append, since nothing but the queue retires a stamped entry.
+    pub(crate) fn stamp(&self, writes: &[Write], txn: TxnId, ts: Timestamp) -> usize {
+        let rows = writes.iter().filter_map(|w| match *w {
+            Write::Page { row, .. } => Some(row),
+            _ => None,
+        });
+        for row in rows.clone() {
+            let shard = self.shard(row).read();
+            for e in shard.get(&row).into_iter().flatten() {
+                if e.pending_of(txn) {
+                    e.ts.store(ts.0);
+                }
             }
         }
+        let queued = rows.clone().count();
+        if queued > 0 {
+            self.queue.lock().extend(rows.map(|row| (ts.0, row)));
+        }
+        queued
     }
 
     /// The before-image of `txn`'s newest pending change to `row`: what
@@ -250,8 +290,8 @@ impl SideStore {
     /// gate: the page image may only be re-stamped at the snapshot
     /// horizon if the row's last change is at or below it — any change
     /// newer than the horizon left an entry here (page updates stash
-    /// before-images, pack stashes absent markers), purge cannot remove
-    /// entries above the horizon, and a pending entry means the page
+    /// before-images, pack stashes absent markers), retirement cannot
+    /// remove entries above the horizon, and a pending entry means the page
     /// bytes are not committed at all.
     pub(crate) fn newest_change_ts(&self, row: RowId) -> Option<Timestamp> {
         let shard = self.shard(row).read();
@@ -259,41 +299,65 @@ impl SideStore {
         newest.map(Timestamp)
     }
 
-    /// Drop every entry with a commit timestamp at or below `horizon` —
-    /// no active snapshot can need those images. Clears the RID-Map
-    /// tombstone of rows whose delete entry is purged. Returns
-    /// `(entries_dropped, bytes_dropped)`.
-    pub(crate) fn purge(&self, horizon: Timestamp, ridmap: &RidMap) -> (usize, u64) {
-        let mut dropped = 0usize;
-        let mut freed = 0u64;
-        for shard in &self.shards {
-            let mut shard = shard.write();
-            shard.retain(|&row, list| {
-                list.retain(|e| {
-                    let ts = e.ts.load();
-                    let drop = ts != 0 && ts <= horizon.0;
-                    if drop {
-                        dropped += 1;
-                        freed += e.bytes();
-                        if e.tombstone {
-                            if let Some(RowLocation::Tombstone(..)) = ridmap.get(row) {
-                                #[expect(
-                                    clippy::disallowed_methods,
-                                    reason = "purge clears the tombstone of a delete whose \
-                                              record fell below the snapshot horizon"
-                                )]
-                                ridmap.remove(row);
-                            }
-                        }
-                    }
-                    !drop
-                });
-                !list.is_empty()
+    /// Retire the queued entries whose commit timestamp is at or below
+    /// `horizon` — no active snapshot can need those images. With a
+    /// `budget` (a commit), only from the queue's front: that many slots
+    /// and the rest of the commit the last one belongs to, stopping at
+    /// the first slot above the horizon (the front may be out of
+    /// timestamp order: commits queue after they reserve, pack's markers
+    /// carry older commits). Without one (GC's pass), every due slot.
+    pub(crate) fn retire(&self, horizon: Timestamp, budget: Option<usize>, ridmap: &RidMap) {
+        let due: VecDeque<(u64, RowId)> = {
+            let mut queue = self.queue.lock();
+            match budget {
+                None => {
+                    let (due, kept) = queue.drain(..).partition(|&(ts, _)| ts <= horizon.0);
+                    *queue = kept;
+                    due
+                }
+                Some(budget) => {
+                    let due = |n: usize, ts| {
+                        ts <= horizon.0 && (n < budget.max(1) || queue[n - 1].0 == ts)
+                    };
+                    let n = (0..queue.len()).take_while(|&n| due(n, queue[n].0)).count();
+                    queue.drain(..n).collect()
+                }
+            }
+        };
+        self.retire_rows(due, horizon, ridmap);
+    }
+
+    /// Drop the rows' stamped entries at or below `horizon` (a row
+    /// queued twice finds nothing the second time), clearing a row's
+    /// RID-Map tombstone with the entry of its delete.
+    fn retire_rows(&self, due: VecDeque<(u64, RowId)>, horizon: Timestamp, ridmap: &RidMap) {
+        for (_, row) in due {
+            let mut shard = self.shard(row).write();
+            let Some(list) = shard.get_mut(&row) else {
+                continue;
+            };
+            let len = list.len();
+            list.retain(|e| {
+                let ts = e.ts.load();
+                if ts == 0 || ts > horizon.0 {
+                    return true;
+                }
+                self.bytes.fetch_sub(e.bytes());
+                if e.tombstone && matches!(ridmap.get(row), Some(RowLocation::Tombstone(..))) {
+                    #[expect(
+                        clippy::disallowed_methods,
+                        reason = "retirement clears the tombstone of a delete whose \
+                                  record fell below the snapshot horizon"
+                    )]
+                    ridmap.remove(row);
+                }
+                false
             });
+            self.entries.fetch_sub((len - list.len()) as u64);
+            if list.is_empty() {
+                shard.remove(&row);
+            }
         }
-        self.bytes.fetch_sub(freed);
-        self.entries.fetch_sub(dropped as u64);
-        (dropped, freed)
     }
 
     /// Rows with a delete's stash still present. Analytic scans
@@ -313,7 +377,21 @@ impl SideStore {
         out
     }
 
-    /// Payload + overhead bytes currently stashed.
+    /// Entries stamped with a commit timestamp, pending ones excluded
+    /// (a walk of every shard: tests and probes only).
+    pub(crate) fn stamped(&self) -> u64 {
+        let stamped = |shard: &RwLock<Shard>| {
+            let shard = shard.read();
+            shard
+                .values()
+                .flatten()
+                .filter(|e| e.ts.load() != 0)
+                .count() as u64
+        };
+        self.shards.iter().map(stamped).sum()
+    }
+
+    /// Images plus [`ENTRY_BYTES`] an entry, currently stashed.
     pub(crate) fn bytes(&self) -> u64 {
         self.bytes.load()
     }
@@ -362,33 +440,110 @@ mod tests {
         assert_eq!(s.newest_change_ts(ROW), Some(Timestamp(20)));
     }
 
-    #[test]
-    fn purge_frees_and_clears_tombstones() {
-        let s = SideStore::new();
-        let ridmap = RidMap::new();
-        ridmap.set(
-            ROW,
-            RowLocation::Tombstone(btrim_common::PageId(7), btrim_common::SlotId(3)),
-        );
-        s.stash(ROW, TxnId(1), Some(vec![0; 100]), true);
-        s.stamp(ROW, TxnId(1), Timestamp(50));
-        s.stash(RowId(2), TxnId(2), Some(vec![0; 10]), false);
-        s.stamp(RowId(2), TxnId(2), Timestamp(500));
-        assert_eq!(s.entries(), 2);
-        assert_eq!(s.tombstoned_rows(), vec![ROW]);
+    /// A committed change: stashed, then stamped and queued at `ts`.
+    fn commit(s: &SideStore, row: RowId, ts: u64, before: Option<Vec<u8>>, tombstone: bool) {
+        s.stash(row, TxnId(ts), before, tombstone);
+        let partition = btrim_common::PartitionId(0);
+        let writes = [Write::Page { row, partition }];
+        assert_eq!(s.stamp(&writes, TxnId(ts), Timestamp(ts)), 1);
+    }
 
-        // Horizon below both: nothing purged.
-        assert_eq!(s.purge(Timestamp(49), &ridmap).0, 0);
-        // Horizon covers the first: entry dropped, tombstone cleared.
-        let (n, bytes) = s.purge(Timestamp(50), &ridmap);
-        assert_eq!(n, 1);
-        assert!(bytes >= 100);
-        assert!(ridmap.get(ROW).is_none());
+    #[test]
+    fn batches_retire_in_timestamp_order_up_to_the_horizon() {
+        let (s, ridmap) = (SideStore::new(), RidMap::new());
+        for (ts, rows) in [(10, 1..4), (20, 4..7), (30, 7..10)] {
+            for row in rows {
+                commit(&s, RowId(row), ts, None, false);
+            }
+        }
+        assert_eq!((s.entries(), s.bytes()), (9, 9 * ENTRY_BYTES));
+        // A budget of one slot still takes the rest of its commit, and
+        // stops at the horizon whatever the budget.
+        s.retire(Timestamp(25), Some(1), &ridmap);
+        assert_eq!(s.entries(), 6);
+        s.retire(Timestamp(25), Some(100), &ridmap);
+        assert_eq!(s.entries(), 3);
+        assert_eq!(s.newest_change_ts(RowId(7)), Some(Timestamp(30)));
+        s.retire(Timestamp(30), None, &ridmap);
+        assert_eq!((s.entries(), s.bytes()), (0, 0));
+        assert_eq!(s.stamped(), 0);
+    }
+
+    #[test]
+    fn a_held_horizon_keeps_entries() {
+        let (s, ridmap) = (SideStore::new(), RidMap::new());
+        commit(&s, ROW, 10, Some(vec![b'A']), false);
+        commit(&s, ROW, 20, Some(vec![b'B']), false);
+        for _ in 0..3 {
+            s.retire(Timestamp(9), Some(10), &ridmap);
+            s.retire(Timestamp(9), None, &ridmap);
+        }
+        assert_eq!(s.entries(), 2);
+        assert_eq!(s.bytes(), 2 * ENTRY_BYTES + 2);
+        let read = |snap| s.lookup(ROW, Timestamp(snap), TxnId(99));
+        assert!(matches!(read(9), SideImage::Image(ref v) if v == &vec![b'A']));
+        // Past the first commit only: its entry goes, the second stays.
+        s.retire(Timestamp(15), None, &ridmap);
         assert_eq!(s.entries(), 1);
-        assert!(matches!(
-            s.lookup(RowId(2), Timestamp(100), TxnId(9)),
-            SideImage::Image(_)
-        ));
+        assert!(matches!(read(15), SideImage::Image(ref v) if v == &vec![b'B']));
+    }
+
+    #[test]
+    fn an_out_of_order_queue_front_does_not_retire_early() {
+        let (s, ridmap) = (SideStore::new(), RidMap::new());
+        // The commit at 12 queued before the one at 11, and a pack
+        // marker of a commit at 5 queued last.
+        commit(&s, RowId(1), 12, None, false);
+        commit(&s, RowId(2), 11, None, false);
+        s.stash_committed(RowId(3), TxnId(5), Timestamp(5), None);
+        // A commit retires nothing past a front above the horizon...
+        s.retire(Timestamp(11), Some(10), &ridmap);
+        assert_eq!(s.entries(), 3);
+        assert_eq!(s.newest_change_ts(RowId(1)), Some(Timestamp(12)));
+        // ... GC's pass takes what is due behind it, and only that.
+        s.retire(Timestamp(11), None, &ridmap);
+        assert_eq!(s.entries(), 1);
+        assert_eq!(s.newest_change_ts(RowId(1)), Some(Timestamp(12)));
+        s.retire(Timestamp(12), Some(1), &ridmap);
+        assert_eq!(s.entries(), 0);
+    }
+
+    #[test]
+    fn a_deletes_tombstone_clears_once() {
+        let (s, ridmap) = (SideStore::new(), RidMap::new());
+        let (page, slot) = (btrim_common::PageId(7), btrim_common::SlotId(3));
+        ridmap.set(ROW, RowLocation::Tombstone(page, slot));
+        commit(&s, ROW, 50, Some(vec![0; 100]), true);
+        // The row is queued twice (a second queue slot for it).
+        s.stash_committed(ROW, TxnId(1), Timestamp(40), None);
+        assert_eq!(s.tombstoned_rows(), vec![ROW]);
+        assert_eq!(s.bytes(), 2 * ENTRY_BYTES + 100);
+        s.retire(Timestamp(49), None, &ridmap);
+        assert_eq!(s.entries(), 1);
+        assert!(ridmap.get(ROW).is_some(), "the delete is above the horizon");
+        s.retire(Timestamp(50), Some(1), &ridmap);
+        assert!(ridmap.get(ROW).is_none());
+        assert_eq!((s.entries(), s.bytes()), (0, 0));
+        // A row id taken again after the clear keeps its location: the
+        // queue holds nothing more for the row.
+        ridmap.set(ROW, RowLocation::Tombstone(page, slot));
+        s.retire(Timestamp(100), None, &ridmap);
+        assert!(ridmap.get(ROW).is_some());
+    }
+
+    #[test]
+    fn a_failed_commits_entries_are_retired_by_gc() {
+        let (s, ridmap) = (SideStore::new(), RidMap::new());
+        // Stamped and queued; the commit failed before it retired
+        // anything, and no later commit comes.
+        commit(&s, ROW, 10, Some(vec![1, 2, 3]), false);
+        s.stash(RowId(2), TxnId(11), None, false);
+        assert_eq!(s.stamped(), 1);
+        s.retire(Timestamp(10), None, &ridmap);
+        assert_eq!(s.stamped(), 0);
+        // An open writer's pending entry is not the queue's.
+        assert_eq!(s.entries(), 1);
+        assert_eq!(s.bytes(), ENTRY_BYTES);
     }
 
     #[test]
@@ -412,7 +567,7 @@ mod tests {
             s.lookup(ROW, Timestamp(10), TxnId(9)),
             SideImage::Image(ref v) if v == &vec![b'C']
         ));
-        assert_eq!(s.purge(Timestamp(1_000), &RidMap::new()).0, 1);
+        s.retire(Timestamp(1_000), None, &RidMap::new());
         assert_eq!(s.entries(), 0);
         assert_eq!(s.bytes(), 0);
     }

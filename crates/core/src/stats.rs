@@ -175,7 +175,8 @@ pub struct EngineSnapshot {
     pub txns_active: usize,
     /// Before-image side-store entries awaiting the snapshot horizon.
     pub side_store_entries: u64,
-    /// Before-image side-store footprint in bytes.
+    /// Before-image side-store footprint in bytes: the images plus
+    /// [`SIDE_STORE_ENTRY_BYTES`](crate::SIDE_STORE_ENTRY_BYTES) an entry.
     pub side_store_bytes: u64,
     /// Total ILM-queue entries across all partitions.
     pub queue_total: usize,
@@ -607,6 +608,14 @@ impl Engine {
             .store
             .for_each_row(|row| rows.push((row.row_id, ridmap.get(row.row_id))));
         rows
+    }
+
+    /// Side-store entries stamped with a commit timestamp. With no
+    /// snapshot open, one GC step leaves none: only a pending entry (an
+    /// open writer's, or an abort's whose undo failed) outlives it.
+    #[doc(hidden)]
+    pub fn side_store_stamped_entries(&self) -> u64 {
+        self.sh.side.stamped()
     }
 
     /// Fig.-8 probe: walk a partition's ILM queue head→tail, split it

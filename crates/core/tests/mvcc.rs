@@ -29,7 +29,7 @@ use proptest::prelude::*;
 
 use btrim_core::catalog::TableOpts;
 use btrim_core::pack::{pack_cycle, PackLevel};
-use btrim_core::{Engine, EngineConfig, EngineMode, RowId, SnapshotTxn};
+use btrim_core::{Actor, Engine, EngineConfig, EngineMode, RowId, SnapshotTxn};
 
 fn mkrow(key: u64, val: u64) -> Vec<u8> {
     mkrow_padded(key, val, 24)
@@ -176,7 +176,7 @@ proptest! {
                 _ => {
                     // Life-cycle churn under the open snapshots: GC,
                     // version-chain truncation, packing to the page
-                    // store, side-store stash/purge.
+                    // store, side-store stash/retirement.
                     engine.run_maintenance();
                     pack_cycle(&engine, PackLevel::Aggressive);
                 }
@@ -307,6 +307,128 @@ fn snapshot_survives_pack_update_and_delete() {
     engine.commit(txn).unwrap();
     engine.run_maintenance();
     assert_eq!(engine.snapshot().side_store_entries, 0);
+}
+
+// ---------------------------------------------------------------------
+// The side store holds the snapshot window, whatever the maintenance
+// ---------------------------------------------------------------------
+
+fn page_only() -> Engine {
+    let engine = Engine::new(EngineConfig {
+        mode: EngineMode::PageOnly,
+        buffer_frames: 256,
+        maintenance_interval_txns: u64::MAX / 2,
+        ..Default::default()
+    });
+    engine.create_table(opts()).unwrap();
+    engine
+}
+
+/// The TPC-C loader's pattern: 20 transactions of 1 000 page inserts,
+/// each begun before the previous one commits, and no maintenance. The
+/// open transaction holds the horizon below the commit before it, so a
+/// commit can retire only the batch before its own: the store never
+/// holds more than two batches.
+#[test]
+fn a_loader_without_maintenance_keeps_two_batches_in_the_side_store() {
+    let engine = page_only();
+    let table = engine.table("mvcc").unwrap();
+    let entries = || engine.snapshot().side_store_entries;
+    let mut txn = engine.begin();
+    for batch in 0..20u64 {
+        let mut rows = Vec::new();
+        for i in 0..1_000 {
+            rows.push(
+                engine
+                    .insert(&mut txn, &table, &mkrow(batch * 1_000 + i, batch))
+                    .unwrap(),
+            );
+            if i % 100 == 99 {
+                assert!(entries() <= 2_000, "batch {batch}: {} entries", entries());
+            }
+        }
+        let before = engine.begin_snapshot();
+        let done = std::mem::replace(&mut txn, engine.begin());
+        engine.commit(done).unwrap();
+        assert!(entries() <= 2_000, "batch {batch}: {} entries", entries());
+        for &rid in rows.iter().step_by(97) {
+            let got = engine.read_row_snapshot(&before, &table, rid).unwrap();
+            assert_eq!(got, None, "batch {batch}: a snapshot before its commit");
+        }
+        engine.end_snapshot(before);
+    }
+    assert_eq!(
+        entries(),
+        1_000,
+        "the last batch waits for the open transaction"
+    );
+    engine.commit(txn).unwrap();
+    assert_eq!(entries(), 1_000, "a read-only commit retires nothing");
+    engine.step(Actor::Gc);
+    assert_eq!(entries(), 0);
+}
+
+/// A held snapshot keeps every entry above it, and they leave at the
+/// first commit after it ends (as much as that commit queued) or at
+/// the first GC step (all of them).
+#[test]
+fn a_held_snapshots_entries_leave_at_the_first_commit_or_gc_step_after_it() {
+    let engine = page_only();
+    let table = engine.table("mvcc").unwrap();
+    let entries = || engine.snapshot().side_store_entries;
+    let commit_updates = |keys: std::ops::Range<u64>, val: u64| {
+        let mut txn = engine.begin();
+        for key in keys {
+            let row = mkrow(key, val);
+            assert!(engine
+                .update(&mut txn, &table, &key.to_be_bytes(), &row)
+                .unwrap());
+        }
+        engine.commit(txn).unwrap();
+    };
+    let mut txn = engine.begin();
+    for key in 0..8 {
+        engine.insert(&mut txn, &table, &mkrow(key, 0)).unwrap();
+    }
+    engine.commit(txn).unwrap();
+    assert_eq!(entries(), 0, "no snapshot held: a commit retires its own");
+
+    let held = engine.begin_snapshot();
+    commit_updates(0..4, 1);
+    assert_eq!(entries(), 4);
+    engine.step(Actor::Gc);
+    assert_eq!(entries(), 4, "GC keeps what the snapshot can see");
+    engine.end_snapshot(held);
+    let other = engine.begin_snapshot();
+    commit_updates(4..8, 1);
+    assert_eq!(
+        entries(),
+        4,
+        "the held snapshot's entries left, this commit's stay"
+    );
+    engine.end_snapshot(other);
+
+    let held = engine.begin_snapshot();
+    for val in 2..5 {
+        commit_updates(0..8, val);
+    }
+    assert_eq!(
+        entries(),
+        24,
+        "the first commit took the 4 below the horizon"
+    );
+    let key = 3u64.to_be_bytes();
+    assert_eq!(
+        engine.get(&engine.begin(), &table, &key).unwrap(),
+        Some(mkrow(3, 4))
+    );
+    let rid = table.primary.get(&key).unwrap().unwrap();
+    let got = engine.read_row_snapshot(&held, &table, rid).unwrap();
+    assert_eq!(got, Some(mkrow(3, 1)));
+    engine.end_snapshot(held);
+    engine.step(Actor::Gc);
+    assert_eq!(entries(), 0);
+    assert_eq!(engine.snapshot().side_store_bytes, 0);
 }
 
 // ---------------------------------------------------------------------

@@ -14,7 +14,10 @@ use std::sync::Arc;
 
 use btrim_core::catalog::{Partitioner, TableOpts};
 use btrim_core::pack::{pack_cycle, PackLevel};
-use btrim_core::{Engine, EngineConfig, EngineMode, IlmTraceEvent, RowLocation, TunerAction};
+use btrim_core::{
+    Actor, Engine, EngineConfig, EngineMode, IlmTraceEvent, RowLocation, TunerAction,
+    SIDE_STORE_ENTRY_BYTES,
+};
 
 fn mkrow(key: u64, payload: &[u8]) -> Vec<u8> {
     let mut v = key.to_be_bytes().to_vec();
@@ -1124,4 +1127,68 @@ fn frozen_rows_are_live_in_extents_or_thawed_per_partition() {
             p.partition.0
         );
     }
+}
+
+/// The side store's bytes are what its entries hold: each entry's
+/// `SIDE_STORE_ENTRY_BYTES` plus its before-image (none for an
+/// insert's absent marker); an abort takes its entries with it. With
+/// no snapshot open, one GC step drains entries and bytes to 0.
+#[test]
+fn side_store_bytes_are_the_sum_of_entry_costs_and_drain_at_quiesce() {
+    let e = Engine::new(EngineConfig {
+        mode: EngineMode::PageOnly,
+        buffer_frames: 256,
+        maintenance_interval_txns: u64::MAX / 2,
+        ..Default::default()
+    });
+    let t = e.create_table(opts("side")).unwrap();
+    let side = |e: &Engine| {
+        let s = e.snapshot();
+        (s.side_store_entries, s.side_store_bytes)
+    };
+    let held = e.begin_snapshot();
+    let (mut entries, mut bytes) = (0, 0);
+    let mut images = std::collections::BTreeMap::new();
+    let mut txn = e.begin();
+    for key in 0..40u64 {
+        let row = mkrow(key, &vec![7; (key * 7 % 90) as usize]);
+        e.insert(&mut txn, &t, &row).unwrap();
+        images.insert(key, row);
+        (entries, bytes) = (entries + 1, bytes + SIDE_STORE_ENTRY_BYTES);
+    }
+    e.commit(txn).unwrap();
+    for round in 0..3u64 {
+        let mut txn = e.begin();
+        for key in (round..40).step_by(3) {
+            let row = mkrow(key, &vec![round as u8; ((key + round * 31) % 200) as usize]);
+            assert!(e.update(&mut txn, &t, &key.to_be_bytes(), &row).unwrap());
+            let before = images.insert(key, row).unwrap();
+            (entries, bytes) = (
+                entries + 1,
+                bytes + SIDE_STORE_ENTRY_BYTES + before.len() as u64,
+            );
+        }
+        e.commit(txn).unwrap();
+    }
+    let mut txn = e.begin();
+    for key in (0..40u64).step_by(5) {
+        assert!(e.delete(&mut txn, &t, &key.to_be_bytes()).unwrap());
+        let before = images.remove(&key).unwrap();
+        (entries, bytes) = (
+            entries + 1,
+            bytes + SIDE_STORE_ENTRY_BYTES + before.len() as u64,
+        );
+    }
+    e.commit(txn).unwrap();
+    let mut txn = e.begin();
+    assert!(e
+        .update(&mut txn, &t, &1u64.to_be_bytes(), &mkrow(1, &[9; 300]))
+        .unwrap());
+    assert_eq!(side(&e).0, entries + 1);
+    e.abort(txn);
+    assert_eq!(side(&e), (entries, bytes));
+    e.end_snapshot(held);
+    e.step(Actor::Gc);
+    assert_eq!(side(&e), (0, 0));
+    assert_eq!(e.side_store_stamped_entries(), 0);
 }

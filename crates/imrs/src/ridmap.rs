@@ -50,7 +50,8 @@ pub enum RowLocation {
     /// At `(page, slot)` in the page store.
     Page(PageId, SlotId),
     /// Deleted from the page store, entry kept so snapshot readers can
-    /// find the before-image in the side store; purged at the horizon.
+    /// find the before-image in the side store; cleared when the
+    /// delete's entry retires at the horizon.
     Tombstone(PageId, SlotId),
     /// Slot `idx` of frozen columnar extent `extent` (the `ExtentStore`
     /// holds the immutable compressed image). Same packed shape as
@@ -502,7 +503,7 @@ mod tests {
             RowLocation::Tombstone(PageId(4), SlotId(2)),
         ));
         assert_eq!(m.get(r), Some(RowLocation::Tombstone(PageId(4), SlotId(2))));
-        // A tombstone still counts as mapped until purged.
+        // A tombstone still counts as mapped until cleared.
         assert_eq!(m.len(), 1);
         m.remove(r);
         assert!(m.is_empty());

@@ -59,8 +59,9 @@ pub const FRAME: u16 = 30;
 pub const IMRS_CHAIN: u16 = 40;
 /// Before-image side-store shards (`core::sidestore::SideStore::shards`).
 /// Writers stash a pre-update image *before* touching the page (so they
-/// hold no frame latch), and purge runs from maintenance before WAL
-/// appends — between the chain stripes and the log.
+/// hold no frame latch), and retirement (a commit's, GC's) takes one
+/// shard at a time, never with the unranked retirement queue held —
+/// between the chain stripes and the log.
 pub const SIDE_STORE: u16 = 45;
 /// WAL inner locks (`wal::log::{MemLog, FileLog}::inner`).
 pub const WAL_LOG: u16 = 50;

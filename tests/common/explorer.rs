@@ -773,6 +773,14 @@ impl Explorer {
     /// Cut the power; what the clients held goes with the engine.
     fn crash(&mut self) {
         self.power.faults.crash_now();
+        self.quiesce();
+    }
+
+    /// Abort the clients' transactions and end the held snapshots. With
+    /// no snapshot left open, one GC step retires every stamped
+    /// side-store entry, a failed commit's too (stamping queued it):
+    /// only the pending stash of an abort whose undo failed may stay.
+    fn quiesce(&mut self) {
         let mut w = self.world.lock().unwrap();
         for c in 0..2 {
             if let Some(txn) = w.end(&self.engine, c).0 {
@@ -782,6 +790,9 @@ impl Explorer {
         for (_, snap) in std::mem::take(&mut w.held) {
             self.engine.end_snapshot(snap);
         }
+        self.engine.step(Actor::Gc);
+        let stamped = self.engine.side_store_stamped_entries();
+        assert_eq!(stamped, 0, "stamped side-store entries outlived a GC step");
     }
 
     /// Power on, with no fault plan: the logs are what the media kept.
@@ -1127,6 +1138,7 @@ pub fn explore(seed: u64, profile: Profile, plan: Option<FaultPlan>) -> Explorer
             ex.reboot();
         }
     }
+    ex.quiesce();
     ex
 }
 
